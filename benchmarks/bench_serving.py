@@ -68,6 +68,8 @@ def make_workload(n_sensors: int, n_points: int, n_future: int):
 def build_service(backend_name: str, n_backends: int, workers: int,
                   engine: str | None):
     backends = [make_backend(backend_name) for _ in range(n_backends)]
+    if engine is None and workers > 1:
+        engine = "thread"  # the lane-count sweep is a thread-engine sweep
     return PredictionService(
         CONFIG,
         backends=backends,
@@ -141,8 +143,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=8)
     parser.add_argument(
         "--engine", choices=ENGINE_NAMES, default=None,
-        help="execution engine for every run (default: resolved per "
-        "worker count — inline at 1, thread lanes above)",
+        help="execution engine for every run (default: the service's own "
+        "default at 1 worker, thread lanes above)",
     )
     parser.add_argument(
         "--out", type=pathlib.Path,

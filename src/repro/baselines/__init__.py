@@ -1,6 +1,6 @@
 """The paper's ten competitor forecasters (Section 6.3.1) plus the
-statistical-regression family its related work names (AR/ARI, SES/Holt,
-GARCH)."""
+statistical-regression family its related work names (AR/ARI,
+SES/Holt)."""
 
 from .autoregressive import ARForecaster, ArModel, fit_ar, select_ar_order
 from .base import BaseForecaster, ResidualVariance
@@ -9,7 +9,6 @@ from .exponential import (
     HoltLinearTrend,
     SimpleExponentialSmoothing,
 )
-from .garch import GarchForecaster, GarchModel, fit_garch
 from .gp_offline import PSGPForecaster, VLGPForecaster
 from .gridsearch import GridSearchResult, grid_search_cv, kfold_slices
 from .holt_winters import HoltWintersForecaster, HoltWintersModel
@@ -39,9 +38,6 @@ __all__ = [
     "ExponentialSmoothingForecaster",
     "HoltLinearTrend",
     "SimpleExponentialSmoothing",
-    "GarchForecaster",
-    "GarchModel",
-    "fit_garch",
     "PSGPForecaster",
     "VLGPForecaster",
     "GridSearchResult",

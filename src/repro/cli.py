@@ -153,14 +153,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     demo.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="serving thread-pool lanes (one per backend shard; default: "
-        "REPRO_MAX_WORKERS, else sequential) — results are bit-identical "
-        "at any worker count",
+        help="lane bound of the thread engine (--engine thread; one lane "
+        "per backend shard, default 1) — results are bit-identical at any "
+        "worker count",
     )
     demo.add_argument(
         "--engine", choices=ENGINE_NAMES, default=None,
-        help="execution engine (default: REPRO_EXEC, else resolved from "
-        "the worker count) — results are bit-identical on every engine",
+        help="execution engine (default: REPRO_EXEC, else inline) — "
+        "results are bit-identical on every engine",
     )
 
     stats = sub.add_parser(
@@ -187,13 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stats.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="serving thread-pool lanes (one per backend shard; default: "
-        "REPRO_MAX_WORKERS, else sequential)",
+        help="lane bound of the thread engine (--engine thread; one lane "
+        "per backend shard, default 1)",
     )
     stats.add_argument(
         "--engine", choices=ENGINE_NAMES, default=None,
-        help="execution engine (default: REPRO_EXEC, else resolved from "
-        "the worker count)",
+        help="execution engine (default: REPRO_EXEC, else inline)",
     )
     stats.add_argument(
         "--events", type=int, default=10, metavar="N",
@@ -220,13 +219,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument(
         "--workers", type=int, default=4, metavar="N",
-        help="serving thread-pool lanes (default: 4)",
+        help="lane bound of the thread engine (--engine thread; default: 4)",
     )
     trace.add_argument(
         "--engine", choices=ENGINE_NAMES, default=None,
         help="execution engine; 'process' shows one shard worker process "
         "per lane in the exported trace (default: REPRO_EXEC, else "
-        "resolved from the worker count)",
+        "inline)",
     )
     trace.add_argument(
         "--steps", type=int, default=2,

@@ -1,11 +1,9 @@
 """In-process engines: the sequential path and thread-pool lanes.
 
-Both run the shared op interpreter (:func:`repro.exec.base.execute_ops`)
-on the serving process; they differ only in *where* each lane runs.
-This module is the old ``PredictionService._run_lanes`` carved out
-behind the engine seam — the telemetry shape (one root span adopting one
-``lane`` child per shard, queue-wait/execute attribution, connected
-across worker threads) is unchanged.
+Both run the shared lane runner (:func:`repro.exec.base.run_lane`) on
+the serving process; they differ only in *where* each lane runs.  The
+telemetry shape: one root span adopting one ``lane`` child per shard,
+connected across worker threads.
 """
 
 from __future__ import annotations
@@ -14,8 +12,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 from ..obs import context as reqctx
-from ..obs import hooks as obs
-from .base import ExecutionEngine, LaneTask, execute_ops
+from .base import ExecutionEngine, LaneTask, root_span, run_lane
 
 __all__ = ["InlineEngine", "ThreadLaneEngine"]
 
@@ -27,12 +24,6 @@ class InlineEngine(ExecutionEngine):
 
     def run_batch(self, entry_point, scope, tasks):
         return _run_lanes(self, entry_point, scope, tasks, workers=1)
-
-    def forecast_single(self, sensor_id, horizon, level):
-        return self._service._forecast_local(sensor_id, horizon, level)
-
-    def ingest_single(self, sensor_id, value):
-        self._service._ingest_local(sensor_id, value)
 
 
 class ThreadLaneEngine(ExecutionEngine):
@@ -54,12 +45,6 @@ class ThreadLaneEngine(ExecutionEngine):
             workers=self._service.max_workers,
         )
 
-    def forecast_single(self, sensor_id, horizon, level):
-        return self._service._forecast_local(sensor_id, horizon, level)
-
-    def ingest_single(self, sensor_id, value):
-        self._service._ingest_local(sensor_id, value)
-
 
 def _run_lanes(
     engine: ExecutionEngine,
@@ -72,46 +57,22 @@ def _run_lanes(
 
     The telemetry contract: one request yields one *connected* trace
     tree.  Sequentially, each ``lane`` span nests under the root via the
-    tracer's thread-local stack.  Concurrently, executor threads inherit
-    neither the request context nor the span stack — each lane re-binds
-    the parent's :class:`~repro.obs.context.RequestContext` and opens a
+    tracer's thread-local stack.  Concurrently, each lane opens a
     *detached* span rooted on its own thread; the root adopts the
     completed lane spans after the join, in lane order, so tree assembly
-    is race-free and deterministic.  Per-lane queue-wait (submit → lane
-    start) and execute time land on the span and in the
-    ``smiler_lane_*`` metrics.
+    is race-free and deterministic.  A single op has no root to open —
+    the op's own span is the trace.
     """
     service = engine.service
     submit_s = time.perf_counter()
     concurrent = len(tasks) > 1 and workers > 1
 
-    def run_lane(task: LaneTask):
-        queue_wait_s = time.perf_counter() - submit_s
-        plan = task.plan
-        backend = service.backends[plan.backend_index]
-        with reqctx.adopt(scope.context):
-            span_cm = (
-                obs.detached_span("lane") if concurrent else obs.span("lane")
-            )
-            with span_cm as lane_sp:
-                if lane_sp is not None:
-                    lane_sp.attrs["lane"] = plan.lane_index
-                    lane_sp.attrs["backend"] = plan.backend_index
-                    lane_sp.attrs["backend_id"] = getattr(
-                        backend, "backend_id", f"backend-{plan.backend_index}"
-                    )
-                    lane_sp.attrs["queue_wait_s"] = queue_wait_s
-                    lane_sp.attrs["n_sensors"] = len(plan.sensor_ids)
-                    lane_sp.attrs["request_id"] = scope.request_id
-                t_exec = time.perf_counter()
-                outcomes = execute_ops(service, task.ops)
-            obs.observe_lane(
-                plan.lane_index, plan.backend_index, queue_wait_s,
-                time.perf_counter() - t_exec, len(plan.sensor_ids),
-            )
-        return outcomes, lane_sp
+    def lane(task: LaneTask):
+        return run_lane(
+            service, name, task, scope.context, submit_s, detached=concurrent
+        )
 
-    with obs.span(name) as root:
+    with root_span(name) as root:
         if root is not None:
             root.attrs["request_id"] = scope.request_id
             root.attrs["n_lanes"] = len(tasks)
@@ -119,14 +80,14 @@ def _run_lanes(
                 min(workers, len(tasks)) if concurrent else 1
             )
         if not concurrent:
-            outputs = [run_lane(task) for task in tasks]
+            outputs = [lane(task) for task in tasks]
         else:
             with ThreadPoolExecutor(
                 max_workers=min(workers, len(tasks)),
                 thread_name_prefix=f"smiler-{name}",
             ) as executor:
                 # list() drains the iterator so lane exceptions propagate.
-                outputs = list(executor.map(run_lane, tasks))
+                outputs = list(executor.map(lane, tasks))
             if root is not None:
                 for _, lane_sp in outputs:
                     if lane_sp is not None:

@@ -10,10 +10,10 @@ CPU-bound simulated backends.
 Correctness model
 -----------------
 *Bit identity.*  Each worker executes exactly its lane's op stream, in
-op order, through the same interpreter
-(:func:`repro.exec.base.execute_ops`) the inline engine uses — so every
-backend's kernel sequence, simulated-time ledger and fault-injection
-tick stream is identical to a sequential run.  Results cross back as
+op order, through the same lane runner and interpreter
+(:func:`repro.exec.base.run_lane` / ``execute_ops``) the inline engine
+uses — so every backend's kernel sequence, simulated-time ledger and
+fault-injection tick stream is identical to a sequential run.  Results cross back as
 JSON (which round-trips every finite float exactly), so forecasts are
 bit-identical to the inline engine's.
 
@@ -26,7 +26,9 @@ its shard state back in one pickle (preserving the ``smiler.backend is
 pool.backends[i]`` identity), unlinks its shared memory and exits; the
 next batch re-forks.  Workers run with failover disabled, so placements
 never change while a generation is live and the parent's placement
-table always routes singles to the right worker.
+table always routes a lane — a whole shard's batch or a single
+``forecast()`` / ``ingest()`` op, one command either way — to the right
+worker.  A single op rides a live generation but never forks one.
 
 *Crash semantics.*  Every sensor's (normalised) series lives in a
 ``multiprocessing.shared_memory`` block whose committed length the
@@ -36,8 +38,9 @@ parent marks the shard's backend unhealthy, flushes the survivors,
 rebuilds the dead shard's sensors from their committed series onto
 healthy backends (the evacuation path: ensemble auto-tuning state is
 rebuilt fresh) and replays the dead lane's ops in-process, where the
-degradation ladder applies as usual.  A crashed batch is therefore
-served — degraded, not bit-identical — instead of hanging.
+degradation ladder applies as usual.  A crashed batch — or a single op
+sent to a dead worker — is therefore served, degraded and not
+bit-identical, instead of hanging.
 
 Wire protocol: JSON command frames (:mod:`repro.exec.wire`); the single
 pickled frame is the shard-state transfer on FLUSH, sent by our own
@@ -61,7 +64,14 @@ from typing import TYPE_CHECKING
 from ..obs import context as reqctx
 from ..obs import hooks as obs
 from ..obs.tracing import Span
-from .base import ExecutionEngine, LaneTask, execute_ops
+from .base import (
+    SINGLE_ENTRY_POINTS,
+    ExecutionEngine,
+    LanePlan,
+    LaneTask,
+    root_span,
+    run_lane,
+)
 from .shm import SharedSeriesArena, read_committed_series, unlink_block
 from .wire import (
     error_from_wire,
@@ -160,7 +170,7 @@ class ProcessShardEngine(ExecutionEngine):
         # would only die by cycle collection, after the finalizer below
         # had already become unreachable.
         self._service_ref = weakref.ref(service)
-        #: Serializes batches, singles and lifecycle against each other.
+        #: Serializes batches and lifecycle against each other.
         #: Lock order: this lock is always taken *before* the service's
         #: admission lock, never after (see ``PredictionService.__init__``).
         self._op_lock = threading.RLock()
@@ -227,9 +237,14 @@ class ProcessShardEngine(ExecutionEngine):
 
     def _run_batch_locked(self, entry_point, scope, tasks):
         service = self.service
-        self._ensure_generation()
+        framed = entry_point not in SINGLE_ENTRY_POINTS
+        if framed:
+            # A single op is served by a live generation (placements are
+            # frozen while one lives, so its shard has a worker) but
+            # never forks one.
+            self._ensure_generation()
         if not self._workers:
-            # Nothing hosted (or nothing to fork): the inline path is
+            # Nothing hosted (or nothing forked): the inline path is
             # definitionally identical.
             from .local import _run_lanes
 
@@ -238,32 +253,38 @@ class ProcessShardEngine(ExecutionEngine):
         enabled = obs.is_enabled()
         submit_s = time.perf_counter()
         context = _context_to_wire(scope.context)
-        with obs.span(entry_point) as root:
+        with root_span(entry_point) as root:
             if root is not None:
                 root.attrs["request_id"] = scope.request_id
                 root.attrs["n_lanes"] = len(tasks)
                 root.attrs["workers"] = len(tasks)
+            lost: dict[int, _Worker] = {}  # by backend index
             for task in tasks:
                 worker = self._workers[task.plan.backend_index]
-                send_json(worker.conn, {
-                    "op": "batch",
-                    "entry_point": entry_point,
-                    "enabled": enabled,
-                    "context": context,
-                    "submit_s": submit_s,
-                    "lane_index": task.plan.lane_index,
-                    "sensor_ids": list(task.plan.sensor_ids),
-                    "ops": [list(op) for op in task.ops],
-                })
+                try:
+                    send_json(worker.conn, {
+                        "op": "batch",
+                        "entry_point": entry_point,
+                        "enabled": enabled,
+                        "context": context,
+                        "submit_s": submit_s,
+                        "lane_index": task.plan.lane_index,
+                        "sensor_ids": list(task.plan.sensor_ids),
+                        "ops": [list(op) for op in task.ops],
+                    })
+                except OSError:  # worker already dead: its pipe is closed
+                    lost[worker.backend_index] = worker
             replies: list[dict | None] = []
-            lost: list[_Worker] = []
             for task in tasks:
                 worker = self._workers[task.plan.backend_index]
+                if worker.backend_index in lost:
+                    replies.append(None)
+                    continue
                 try:
                     replies.append(self._await_reply(worker))
                 except _WorkerLost:
                     replies.append(None)
-                    lost.append(worker)
+                    lost[worker.backend_index] = worker
 
             lane_outcomes: list[list] = []
             lane_spans: list[Span | None] = []
@@ -287,15 +308,17 @@ class ProcessShardEngine(ExecutionEngine):
                 lane_outcomes.append(self._decode_outcomes(reply["outcomes"]))
 
             if lost:
-                self._handle_lost(lost)
+                # Recovery re-places the dead shards' sensors; the lost
+                # lanes then replay in-process, where the ladder serves
+                # what shared memory preserved.  They run on this thread,
+                # so their spans nest under the open root by themselves.
+                self._handle_lost(list(lost.values()))
                 for i, (task, reply) in enumerate(zip(tasks, replies)):
-                    if reply is not None:
-                        continue
-                    outcomes, span = self._replay_lane(
-                        task, scope, submit_s, enabled
-                    )
-                    lane_outcomes[i] = outcomes
-                    lane_spans[i] = span
+                    if reply is None:
+                        lane_outcomes[i], _ = run_lane(
+                            service, entry_point, task, scope.context,
+                            submit_s, attrs={"replayed_after_crash": True},
+                        )
 
             if root is not None:
                 for span in lane_spans:
@@ -303,6 +326,9 @@ class ProcessShardEngine(ExecutionEngine):
                         root.adopt(span)
         if root is not None:
             service._last_trace = root
+        elif not framed and lane_spans[0] is not None:
+            # A worker-served single forecast ships its own span back.
+            service._last_trace = lane_spans[0]
 
         # A breaker a worker tripped is acted on at the batch boundary:
         # workers never fail over (placements must stay stable while the
@@ -320,128 +346,6 @@ class ProcessShardEngine(ExecutionEngine):
         if lane_error is not None:
             raise lane_error
         return lane_outcomes
-
-    def _replay_lane(self, task: LaneTask, scope, submit_s: float, enabled):
-        """Run one lost lane in-process, after recovery re-placed its
-        sensors; the ladder serves what shared memory preserved."""
-        service = self.service
-        queue_wait_s = time.perf_counter() - submit_s
-        plan = task.plan
-        with reqctx.adopt(scope.context):
-            with obs.detached_span("lane") as lane_sp:
-                if lane_sp is not None:
-                    lane_sp.attrs["lane"] = plan.lane_index
-                    lane_sp.attrs["backend"] = plan.backend_index
-                    lane_sp.attrs["backend_id"] = f"backend-{plan.backend_index}"
-                    lane_sp.attrs["queue_wait_s"] = queue_wait_s
-                    lane_sp.attrs["n_sensors"] = len(plan.sensor_ids)
-                    lane_sp.attrs["request_id"] = scope.request_id
-                    lane_sp.attrs["replayed_after_crash"] = True
-                t_exec = time.perf_counter()
-                outcomes = execute_ops(service, task.ops)
-            obs.observe_lane(
-                plan.lane_index, plan.backend_index, queue_wait_s,
-                time.perf_counter() - t_exec, len(plan.sensor_ids),
-            )
-        return outcomes, lane_sp
-
-    # -------------------------------------------------------------- singles
-    def forecast_single(self, sensor_id, horizon, level):
-        with self._op_lock:
-            service = self.service
-            worker = self._worker_for(sensor_id)
-            if worker is None:
-                return service._forecast_local(sensor_id, horizon, level)
-            with reqctx.begin_request("forecast") as scope:
-                t0 = time.perf_counter()
-                if scope.minted:
-                    obs.observe_request_start("forecast", scope.request_id)
-                ok = False
-                try:
-                    result = self._single_remote(worker, scope, {
-                        "kind": "forecast", "sensor_id": sensor_id,
-                        "horizon": horizon, "level": level,
-                    })
-                    if result is _LOST:
-                        result = service._forecast_local(
-                            sensor_id, horizon, level
-                        )
-                        ok = True
-                        return result
-                    ok = True
-                    return forecast_from_wire(result)
-                finally:
-                    if scope.minted:
-                        obs.observe_request_end(
-                            "forecast", scope.request_id,
-                            time.perf_counter() - t0, ok=ok,
-                        )
-
-    def ingest_single(self, sensor_id, value):
-        with self._op_lock:
-            service = self.service
-            worker = (
-                self._worker_for(sensor_id)
-                if isinstance(sensor_id, str) else None
-            )
-            if worker is None:
-                # Unknown sensors and invalid readings take the local
-                # path, so validation accounting matches inline exactly.
-                service._ingest_local(sensor_id, value)
-                return
-            with reqctx.begin_request("ingest") as scope:
-                t0 = time.perf_counter()
-                if scope.minted:
-                    obs.observe_request_start("ingest", scope.request_id)
-                ok = False
-                try:
-                    result = self._single_remote(worker, scope, {
-                        "kind": "ingest", "sensor_id": sensor_id,
-                        "value": float(value),
-                    })
-                    if result is _LOST:
-                        service._ingest_local(sensor_id, value)
-                    ok = True
-                finally:
-                    if scope.minted:
-                        obs.observe_request_end(
-                            "ingest", scope.request_id,
-                            time.perf_counter() - t0, ok=ok,
-                        )
-
-    def _single_remote(self, worker: _Worker, scope, payload: dict):
-        """Ship one single op; returns the wire result, or ``_LOST``
-        after crash recovery (caller re-runs locally on adopted state)."""
-        service = self.service
-        message = {
-            "op": "single",
-            "enabled": obs.is_enabled(),
-            "context": _context_to_wire(scope.context),
-            **payload,
-        }
-        try:
-            send_json(worker.conn, message)
-            reply = self._await_reply(worker)
-        except (_WorkerLost, OSError, BrokenPipeError):
-            self._handle_lost([worker])
-            return _LOST
-        self._apply_reply(worker, reply)
-        trace = reply.get("trace")
-        if trace is not None and scope.minted:
-            service._last_trace = Span.from_dict(trace)
-        if reply.get("error") is not None:
-            raise error_from_wire(reply["error"])
-        return reply.get("result")
-
-    def _worker_for(self, sensor_id: str) -> _Worker | None:
-        if not self._workers:
-            return None
-        service = self.service
-        with service._admission_lock:
-            placement = service._placements.get(sensor_id)
-        if placement is None:
-            return None
-        return self._workers.get(placement.backend_index)
 
     # ----------------------------------------------------------- generation
     def _ensure_generation(self) -> None:
@@ -549,7 +453,6 @@ class ProcessShardEngine(ExecutionEngine):
             pass
         service._pool.mark_unhealthy(worker.backend_index)
         recovered = 0
-        degraded = 0
         with service._admission_lock:
             for sensor_id in worker.sensor_ids:
                 block = worker.shm.get(sensor_id)
@@ -559,33 +462,12 @@ class ProcessShardEngine(ExecutionEngine):
                 )
                 stale = service._sensors.get(sensor_id)
                 if series is None or series.size == 0 or stale is None:
-                    degraded += 1
                     continue
-                old = service._placements[sensor_id]
-                try:
-                    service._admit(
-                        sensor_id, series.size, stale.config,
-                        lambda backend, s=series, c=stale.config,
-                        i=sensor_id: SMiLer(
-                            s, c, backend=backend, sensor_id=i
-                        ),
-                    )
-                except Exception:
-                    logger.warning(
-                        "post-crash rebuild of sensor %s failed; it stays "
-                        "on dead backend %d (served degraded)",
-                        sensor_id, worker.backend_index, exc_info=True,
-                    )
-                    degraded += 1
-                    continue
-                recovered += 1
-                try:
-                    service._pool.release(old)
-                except Exception:
-                    logger.debug(
-                        "could not free %s on dead backend %d",
-                        sensor_id, worker.backend_index, exc_info=True,
-                    )
+                recovered += service._readmit(
+                    sensor_id, series.size,
+                    lambda backend, s=series, c=stale.config, i=sensor_id:
+                    SMiLer(s, c, backend=backend, sensor_id=i),
+                )
         obs.observe_evacuation(worker.backend_index, recovered)
         logger.warning(
             "shard worker for backend %d lost; rebuilt %d/%d sensors from "
@@ -683,9 +565,6 @@ class ProcessShardEngine(ExecutionEngine):
         ]
 
 
-_LOST = object()  # sentinel: remote single aborted by worker loss
-
-
 # ----------------------------------------------------------------- worker
 def _rearm_after_fork(service) -> None:
     """Replace every lock and telemetry sink the child inherited.
@@ -736,6 +615,7 @@ def _worker_main(conn, backend_index, sensor_ids, service) -> None:
     from .local import InlineEngine
 
     service._engine = InlineEngine(service)
+    service._last_trace = None  # from here on: this worker's single-op traces
     arena = SharedSeriesArena()
     shm_info = {}
     for sensor_id in sensor_ids:
@@ -753,10 +633,7 @@ def _worker_main(conn, backend_index, sensor_ids, service) -> None:
                 return
             op = msg["op"]
             if op == "batch":
-                _worker_batch(conn, service, arena, backend_index,
-                              sensor_ids, msg)
-            elif op == "single":
-                _worker_single(conn, service, arena, backend_index, msg)
+                _worker_batch(conn, service, arena, backend_index, msg)
             elif op == "reset_time":
                 service.backends[backend_index].reset_time()
                 send_json(conn, {"op": "ok"})
@@ -817,37 +694,31 @@ def _wire_outcomes(outcomes: list) -> list:
     return wire
 
 
-def _worker_batch(conn, service, arena, backend_index, sensor_ids, msg):
+def _worker_batch(conn, service, arena, backend_index, msg):
     _sync_enabled(msg["enabled"])
-    context = _context_from_wire(msg["context"])
-    queue_wait_s = time.perf_counter() - msg["submit_s"]
-    ops = [tuple(op) for op in msg["ops"]]
+    task = LaneTask(
+        plan=LanePlan(
+            lane_index=msg["lane_index"], backend_index=backend_index,
+            sensor_ids=tuple(msg["sensor_ids"]),
+        ),
+        ops=tuple(tuple(op) for op in msg["ops"]),
+    )
     lane_error: BaseException | None = None
     outcomes: list = []
-    with reqctx.adopt(context):
-        with obs.detached_span("lane") as lane_sp:
-            if lane_sp is not None:
-                lane_sp.attrs["lane"] = msg["lane_index"]
-                lane_sp.attrs["backend"] = backend_index
-                lane_sp.attrs["backend_id"] = getattr(
-                    service.backends[backend_index], "backend_id",
-                    f"backend-{backend_index}",
-                )
-                lane_sp.attrs["queue_wait_s"] = queue_wait_s
-                lane_sp.attrs["n_sensors"] = len(msg["sensor_ids"])
-                lane_sp.attrs["request_id"] = context.request_id
-                lane_sp.attrs["worker_pid"] = os.getpid()
-            t_exec = time.perf_counter()
-            try:
-                outcomes = execute_ops(service, ops)
-            except Exception as error:  # noqa: BLE001 - shipped to parent
-                lane_error = error
-        obs.observe_lane(
-            msg["lane_index"], backend_index, queue_wait_s,
-            time.perf_counter() - t_exec, len(msg["sensor_ids"]),
+    lane_sp = None
+    try:
+        outcomes, lane_sp = run_lane(
+            service, msg["entry_point"], task,
+            _context_from_wire(msg["context"]), msg["submit_s"],
+            detached=True, attrs={"worker_pid": os.getpid()},
         )
+    except Exception as error:  # noqa: BLE001 - shipped to parent
+        lane_error = error
+    if lane_sp is None:
+        # No lane frame: a single forecast left its own span here.
+        lane_sp, service._last_trace = service._last_trace, None
     shm_changes = {}
-    for sensor_id in sensor_ids:
+    for sensor_id in task.plan.sensor_ids:  # only these can have advanced
         block = arena.commit(
             sensor_id, service._sensors[sensor_id].engine.window_index
         )
@@ -858,40 +729,6 @@ def _worker_batch(conn, service, arena, backend_index, sensor_ids, msg):
         "outcomes": _wire_outcomes(outcomes),
         "lane_error": None if lane_error is None else error_to_wire(lane_error),
         "lane_span": None if lane_sp is None else lane_sp.as_dict(),
-        "shm": shm_changes,
-        **_shard_status(service, backend_index),
-    })
-
-
-def _worker_single(conn, service, arena, backend_index, msg):
-    _sync_enabled(msg["enabled"])
-    context = _context_from_wire(msg["context"])
-    result = None
-    error: BaseException | None = None
-    with reqctx.adopt(context):
-        try:
-            if msg["kind"] == "forecast":
-                result = forecast_to_wire(service._forecast_local(
-                    msg["sensor_id"], msg["horizon"], msg["level"]
-                ))
-            else:
-                service._ingest_local(msg["sensor_id"], msg["value"])
-        except Exception as caught:  # noqa: BLE001 - shipped to parent
-            error = caught
-    last_root = obs.get_tracer().last_root
-    shm_changes = {}
-    sensor_id = msg["sensor_id"]
-    if sensor_id in service._sensors and sensor_id in arena:
-        block = arena.commit(
-            sensor_id, service._sensors[sensor_id].engine.window_index
-        )
-        if block is not None:
-            shm_changes[sensor_id] = block
-    send_json(conn, {
-        "op": "single",
-        "result": result,
-        "error": None if error is None else error_to_wire(error),
-        "trace": None if last_root is None else last_root.as_dict(),
         "shm": shm_changes,
         **_shard_status(service, backend_index),
     })

@@ -1,8 +1,6 @@
 """Gaussian Process stack: exact GP, LOO training, sparse approximations."""
 
-from .fitc import FitcSparseGP
 from .kernels import SquaredExponentialKernel, squared_distances
-from .more_kernels import Matern52Kernel, PeriodicKernel
 from .loo import LooResult, loo_log_likelihood, loo_objective, loo_quantities
 from .optimize import (
     OptimizeResult,
@@ -15,9 +13,6 @@ from .train import fit_exact_gp, marginal_likelihood_objective
 from .variational import VariationalSparseGP, kmeans
 
 __all__ = [
-    "Matern52Kernel",
-    "PeriodicKernel",
-    "FitcSparseGP",
     "SquaredExponentialKernel",
     "squared_distances",
     "LooResult",

@@ -35,8 +35,7 @@ def marginal_likelihood_objective(
     """Negative log marginal likelihood and gradient w.r.t. ``log theta``.
 
     Works for any kernel class implementing the shared protocol
-    (``from_log_params`` / ``matrix`` / ``gradients``) — SE by default,
-    Matérn-5/2 and periodic from :mod:`repro.gp.more_kernels` too.
+    (``from_log_params`` / ``matrix`` / ``gradients``) — SE by default.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.float64).ravel()

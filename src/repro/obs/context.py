@@ -3,10 +3,10 @@
 Every :class:`~repro.service.PredictionService` entry point (``forecast``,
 ``forecast_all``, ``ingest``, ``ingest_many``, ``restore``) opens a
 :func:`begin_request` scope.  The first scope on a call path *mints* a
-fresh request id; nested scopes (a ``forecast`` running inside a
-``forecast_all`` lane) *adopt* the enclosing request instead, so one
-user-visible request carries exactly one id no matter how many internal
-service calls it fans out into.
+fresh request id; nested scopes (a service call made from inside
+another request) *adopt* the enclosing request instead, so one
+user-visible request carries exactly one id no matter how many lanes
+and ops it fans out into.
 
 Worker lanes run on :class:`~concurrent.futures.ThreadPoolExecutor`
 threads, which do **not** inherit the submitting thread's context —
@@ -104,7 +104,7 @@ class RequestScope:
     def __enter__(self) -> "RequestScope":
         # Nested scopes on the minting thread adopt the identical
         # context; re-binding it would be pure hot-path overhead (one
-        # set/reset per nested forecast), so only bind when the thread
+        # set/reset per inline lane), so only bind when the thread
         # does not already carry this exact context.
         if _CURRENT.get() is not self.context:
             self._token = _CURRENT.set(self.context)

@@ -24,13 +24,19 @@ sensor's memory first and routes through the pool's one greedy
 placement policy, so an index is only ever built once, on the backend
 that will host it.
 
+Every serving entry point has the same shape: one request envelope
+(:class:`_Request` — request id, start/end events, latency and SLO
+accounting), validation, then lanes of declarative ops handed to the
+engine's one execution method; a single ``forecast()`` / ``ingest()`` is
+a one-op lane through that same path.
+
 *How* lanes execute is delegated to a pluggable
 :class:`~repro.exec.ExecutionEngine` (``ServiceConfig(engine=...)``, the
 ``REPRO_EXEC`` environment variable, or the CLI's ``--engine``): the
 service decides the per-backend operation order, the engine decides
 where it runs — inline on the calling thread (the default), on a thread
-pool with **one worker lane per backend shard**
-(``max_workers`` / ``REPRO_MAX_WORKERS`` / ``--workers``), or on one
+pool with **one worker lane per backend shard** (bounded by
+``max_workers`` / ``--workers``), or on one
 long-lived worker *process* per shard.  Each lane walks its own
 backend's sensors in the same order the sequential path would, so
 per-backend kernel streams, simulated-time ledgers and fault-injection
@@ -45,7 +51,6 @@ documented in ``docs/architecture.md``.
 from __future__ import annotations
 
 import logging
-import os
 import pathlib
 import re
 import threading
@@ -84,7 +89,6 @@ __all__ = [
     "ResiliencePolicy",
     "ServiceConfig",
     "SnapshotCorruptionError",
-    "WORKERS_ENV_VAR",
 ]
 
 logger = logging.getLogger(__name__)
@@ -109,29 +113,21 @@ class ForecastError(RuntimeError):
 #: The degradation ladder, best rung first (see ``docs/robustness.md``).
 DEGRADATION_LADDER = ("ensemble", "reduced", "ar", "naive")
 
-#: Environment variable supplying the default worker-lane count when
-#: :attr:`ServiceConfig.max_workers` is left unset (sequential when both
-#: are absent).
-WORKERS_ENV_VAR = "REPRO_MAX_WORKERS"
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
     """Serving-layer tuning, distinct from the per-sensor
     :class:`~repro.core.config.SMiLerConfig`.
 
-    ``max_workers`` bounds the thread-pool lanes ``forecast_all`` /
-    ``ingest_many`` fan out over.  Work is sharded one lane per backend,
-    so lanes beyond the pool size sit idle; ``1`` (the default) keeps
-    the exact sequential code path.  ``None`` defers to the
-    ``REPRO_MAX_WORKERS`` environment variable, read once at service
-    construction.
+    ``max_workers`` bounds the thread-pool lanes the ``"thread"`` engine
+    fans ``forecast_all`` / ``ingest_many`` out over.  Work is sharded
+    one lane per backend, so lanes beyond the pool size sit idle;
+    ``None`` (the default) means 1.  It does not select the engine.
 
     ``engine`` picks the :class:`~repro.exec.ExecutionEngine` by name
     (``"inline"``, ``"thread"`` or ``"process"``).  ``None`` defers to
-    the ``REPRO_EXEC`` environment variable and then to the historical
-    default: threads when the resolved worker count exceeds 1, else
-    inline.  ``engine_timeout_s`` bounds how long the process engine
+    the ``REPRO_EXEC`` environment variable and then to ``"inline"``.
+    ``engine_timeout_s`` bounds how long the process engine
     waits on an unresponsive shard worker before declaring it hung and
     evacuating its sensors (local engines never time out).
     """
@@ -155,31 +151,10 @@ class ServiceConfig:
                 f"engine_timeout_s must be positive, got {self.engine_timeout_s}"
             )
 
-    def resolved_workers(self) -> int:
-        """The effective lane count: explicit value, else environment,
-        else 1 (sequential)."""
-        if self.max_workers is not None:
-            return self.max_workers
-        raw = os.environ.get(WORKERS_ENV_VAR)
-        if raw is None or not raw.strip():
-            return 1
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR}={raw!r} is not an integer"
-            ) from None
-        if workers <= 0:
-            raise ValueError(
-                f"{WORKERS_ENV_VAR} must be positive, got {workers}"
-            )
-        return workers
-
-    def resolved_engine(self, resolved_workers: int) -> str:
+    def resolved_engine(self) -> str:
         """The effective engine name: explicit value, else the
-        ``REPRO_EXEC`` environment variable, else the worker-count
-        default."""
-        return resolve_engine_name(self.engine, resolved_workers)
+        ``REPRO_EXEC`` environment variable, else ``"inline"``."""
+        return resolve_engine_name(self.engine)
 
 
 @dataclass(frozen=True)
@@ -278,6 +253,45 @@ class ForecastBatch(dict):
         return not self.errors
 
 
+class _Request:
+    """The one request envelope every serving entry point runs inside.
+
+    Opens the :mod:`repro.obs.context` scope and — when this call minted
+    the request rather than adopting an enclosing one — emits the
+    start/end event pair with latency and outcome (an exception leaving
+    the block is ``ok=False``).  ``n_items`` / ``n_errors`` may be
+    updated inside the block; the end event reports their final values.
+    """
+
+    __slots__ = ("entry_point", "n_items", "n_errors", "scope", "_t0")
+
+    def __init__(self, entry_point: str, n_items: int = 1) -> None:
+        self.entry_point = entry_point
+        self.n_items = n_items
+        self.n_errors = 0
+
+    def __enter__(self) -> "_Request":
+        self.scope = reqctx.begin_request(self.entry_point).__enter__()
+        self._t0 = time.perf_counter()
+        if self.scope.minted:
+            obs.observe_request_start(
+                self.entry_point, self.scope.request_id, n_items=self.n_items
+            )
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        try:
+            if self.scope.minted:
+                obs.observe_request_end(
+                    self.entry_point, self.scope.request_id,
+                    time.perf_counter() - self._t0, ok=exc_type is None,
+                    n_items=self.n_items, n_errors=self.n_errors,
+                )
+        finally:
+            self.scope.__exit__(exc_type, exc, tb)
+        return False
+
+
 class PredictionService:
     """Multi-sensor forecast service sharded over a backend pool."""
 
@@ -303,8 +317,8 @@ class PredictionService:
         self._pool = BackendPool(backends, breaker=breaker)
         self.resilience = resilience or ResiliencePolicy()
         self.service_config = service_config or ServiceConfig()
-        #: Effective lane count, resolved once (environment included).
-        self.max_workers = self.service_config.resolved_workers()
+        #: Effective thread-lane bound.
+        self.max_workers = self.service_config.max_workers or 1
         self.min_history = min_history
         self.normalize = normalize
         self._sensors: dict[str, SMiLer] = {}
@@ -318,7 +332,7 @@ class PredictionService:
         # lock (``mutating()``) is always taken *before* this one.
         self._admission_lock = threading.RLock()
         self._engine: ExecutionEngine = make_engine(
-            self.service_config.resolved_engine(self.max_workers), self
+            self.service_config.resolved_engine(), self
         )
 
     # ------------------------------------------------------------- backends
@@ -410,38 +424,51 @@ class PredictionService:
             sid for sid, placement in self._placements.items()
             if placement.backend_index == backend_index
         )
-        moved = []
-        for sensor_id in stranded:
-            old = self._placements[sensor_id]
-            smiler = self._sensors[sensor_id]
-            try:
-                self._admit(
-                    sensor_id,
-                    smiler.series.size,
-                    smiler.config,
-                    lambda backend, s=smiler: s.rebind(backend),
-                )
-            except Exception:
-                logger.warning(
-                    "evacuation of sensor %s from backend %d failed; it "
-                    "stays on the unhealthy backend (served degraded)",
-                    sensor_id, backend_index, exc_info=True,
-                )
-                continue
-            moved.append(sensor_id)
-            try:
-                self._pool.release(old)
-            except Exception:
-                logger.debug(
-                    "could not free %s on unhealthy backend %d",
-                    sensor_id, backend_index, exc_info=True,
-                )
+        moved = [
+            sensor_id for sensor_id in stranded
+            if self._readmit(
+                sensor_id, self._sensors[sensor_id].series.size,
+                self._sensors[sensor_id].rebind,
+            )
+        ]
         logger.info(
             "evacuated %d/%d sensors off backend %d",
             len(moved), len(stranded), backend_index,
         )
         obs.observe_evacuation(backend_index, len(moved))
         return moved
+
+    def _readmit(
+        self,
+        sensor_id: str,
+        n_points: int,
+        build: Callable[[ComputeBackend], SMiLer],
+    ) -> bool:
+        """Re-admit one sensor stranded on an unhealthy backend (the same
+        estimate-first path as :meth:`register`) and free its old
+        placement.  Returns whether it moved: a sensor whose re-admission
+        fails keeps its old placement and stays served by the
+        degradation ladder.  Caller holds the admission lock."""
+        old = self._placements[sensor_id]
+        try:
+            self._admit(
+                sensor_id, n_points, self._sensors[sensor_id].config, build
+            )
+        except Exception:
+            logger.warning(
+                "re-admission of sensor %s off backend %d failed; it stays "
+                "there (served degraded)",
+                sensor_id, old.backend_index, exc_info=True,
+            )
+            return False
+        try:
+            self._pool.release(old)
+        except Exception:
+            logger.debug(
+                "could not free %s on unhealthy backend %d",
+                sensor_id, old.backend_index, exc_info=True,
+            )
+        return True
 
     # ------------------------------------------------------------ lifecycle
     def register(self, sensor_id: str, history: np.ndarray) -> None:
@@ -549,34 +576,20 @@ class PredictionService:
         else:
             self._pool.record_success(index)
 
+    def _checked_reading(self, sensor_id: str, value: float) -> float:
+        self._require(sensor_id)
+        value = float(value)
+        if not np.isfinite(value):
+            raise ValueError(
+                f"non-finite reading for {sensor_id!r}; impute before ingest"
+            )
+        return value
+
     def ingest(self, sensor_id: str, value: float) -> None:
         """Feed one new raw reading (auto-tunes and advances the index)."""
-        self._engine.ingest_single(sensor_id, value)
-
-    def _ingest_local(self, sensor_id: str, value: float) -> None:
-        """The in-process ingest body (engines dispatch here or to a
-        shard worker running exactly this code)."""
-        with reqctx.begin_request("ingest") as scope:
-            t0 = time.perf_counter()
-            if scope.minted:
-                obs.observe_request_start("ingest", scope.request_id)
-            ok = False
-            try:
-                self._require(sensor_id)
-                value = float(value)
-                if not np.isfinite(value):
-                    raise ValueError(
-                        f"non-finite reading for {sensor_id!r}; impute "
-                        "before ingest"
-                    )
-                self._observe_resilient(sensor_id, value)
-                ok = True
-            finally:
-                if scope.minted:
-                    obs.observe_request_end(
-                        "ingest", scope.request_id,
-                        time.perf_counter() - t0, ok=ok,
-                    )
+        with _Request("ingest") as request:
+            value = self._checked_reading(sensor_id, value)
+            self._run_single(request.scope, ("ingest", sensor_id, value))
 
     def ingest_many(self, readings: Mapping[str, float]) -> None:
         """Feed one batch of raw readings, one per sensor.
@@ -588,36 +601,15 @@ class PredictionService:
         batch order, so every backend sees the same operation sequence
         as the sequential path and the end state is identical.
         """
-        with reqctx.begin_request("ingest_many") as scope:
-            t0 = time.perf_counter()
-            if scope.minted:
-                obs.observe_request_start(
-                    "ingest_many", scope.request_id, n_items=len(readings)
-                )
-            ok = False
-            try:
-                checked: dict[str, float] = {}
-                for sensor_id, value in readings.items():
-                    self._require(sensor_id)
-                    value = float(value)
-                    if not np.isfinite(value):
-                        raise ValueError(
-                            f"non-finite reading for {sensor_id!r}; impute "
-                            "before ingest"
-                        )
-                    checked[sensor_id] = value
-                tasks = self._plan_tasks(
-                    checked, lambda sid: ("ingest", sid, checked[sid])
-                )
-                self._engine.run_batch("ingest_many", scope, tasks)
-                ok = True
-            finally:
-                if scope.minted:
-                    obs.observe_request_end(
-                        "ingest_many", scope.request_id,
-                        time.perf_counter() - t0, ok=ok,
-                        n_items=len(readings),
-                    )
+        with _Request("ingest_many", n_items=len(readings)) as request:
+            checked = {
+                sensor_id: self._checked_reading(sensor_id, value)
+                for sensor_id, value in readings.items()
+            }
+            tasks = self._plan_tasks(
+                checked, lambda sid: ("ingest", sid, checked[sid])
+            )
+            self._engine.run_batch("ingest_many", request.scope, tasks)
 
     def _plan_tasks(
         self,
@@ -629,10 +621,10 @@ class PredictionService:
         mid-batch failover may re-place a sensor, but its lane
         assignment is decided here, exactly as the sequential path
         decides its grouping up front)."""
+        sensor_ids = list(sensor_ids)
         with self._admission_lock:
             placements = {
-                sid: placement.backend_index
-                for sid, placement in self._placements.items()
+                sid: self._placements[sid].backend_index for sid in sensor_ids
             }
         return [
             LaneTask(
@@ -641,6 +633,13 @@ class PredictionService:
             )
             for plan in plan_lanes(placements, sensor_ids)
         ]
+
+    def _run_single(self, scope: reqctx.RequestScope, op: tuple) -> tuple:
+        """Serve one validated op as a one-op lane through the engine's
+        one execution method; returns the op's outcome."""
+        tasks = self._plan_tasks([op[1]], lambda sid: op)
+        [[outcome]] = self._engine.run_batch(op[0], scope, tasks)
+        return outcome
 
     def _resolve_horizon(self, horizon: int | None) -> int:
         if horizon is None:
@@ -769,68 +768,60 @@ class PredictionService:
             raise ValueError(f"level must be in (0, 1), got {level}")
         self._require(sensor_id)
         horizon = self._resolve_horizon(horizon)
-        return self._engine.forecast_single(sensor_id, horizon, level)
+        with _Request("forecast") as request:
+            status, payload = self._run_single(
+                request.scope, ("forecast", sensor_id, horizon, level)
+            )
+            if status == "err":
+                raise payload
+            return payload
 
-    def _forecast_local(
+    def _forecast_op(
         self, sensor_id: str, horizon: int, level: float
     ) -> Forecast:
-        """The in-process forecast body for a validated request (engines
-        dispatch here or to a shard worker running exactly this code)."""
-        with reqctx.begin_request("forecast") as scope:
-            t0 = time.perf_counter()
-            if scope.minted:
-                obs.observe_request_start("forecast", scope.request_id)
-            ok = False
-            try:
-                with obs.span(
-                    "forecast", self._sensors[sensor_id].backend
-                ) as sp:
-                    if sp is not None:
-                        sp.attrs["sensor_id"] = sensor_id
-                        sp.attrs["horizon"] = horizon
-                        sp.attrs["request_id"] = scope.request_id
-                    z_mean, z_variance, source = self._predict_resilient(
-                        sensor_id, horizon
-                    )
-                    if sp is not None:
-                        sp.attrs["source"] = source
-                if sp is not None and scope.minted:
-                    # Batch entry points re-point this at their root span
-                    # after the lanes join; a nested forecast must not
-                    # clobber the connected tree mid-batch.
-                    self._last_trace = sp
-                obs.observe_forecast(
-                    sensor_id, horizon, time.perf_counter() - t0
-                )
-                ok = True
-            finally:
-                if scope.minted:
-                    obs.observe_request_end(
-                        "forecast", scope.request_id,
-                        time.perf_counter() - t0, ok=ok,
-                    )
-            degraded = source != "ensemble"
-            if degraded:
-                obs.observe_degraded_forecast(sensor_id, source)
-                logger.info(
-                    "sensor %s served degraded (%s rung) at horizon %d",
-                    sensor_id, source, horizon,
-                )
-            stats = self._norms[sensor_id]
-            mean = float(stats.invert(np.array([z_mean]))[0])
-            raw_variance = float(
-                stats.invert_variance(np.array([z_variance]))[0]
+        """The body of one validated ``forecast`` op (run by
+        :func:`repro.exec.base.execute_ops`, in-process or inside a shard
+        worker, under the request context its lane adopted)."""
+        request = reqctx.current_request()
+        t0 = time.perf_counter()
+        with obs.span("forecast", self._sensors[sensor_id].backend) as sp:
+            if sp is not None:
+                sp.attrs["sensor_id"] = sensor_id
+                sp.attrs["horizon"] = horizon
+                sp.attrs["request_id"] = request.request_id
+            z_mean, z_variance, source = self._predict_resilient(
+                sensor_id, horizon
             )
-            # The rung validated z_variance > 0; de-normalisation scales by
-            # std^2 > 0, so this is a pure belt-and-braces clamp.
-            std = float(np.sqrt(max(raw_variance, 0.0)))
-            z = float(np.sqrt(2.0) * erfinv(level))
-            return Forecast(
-                sensor_id=sensor_id, horizon=horizon, mean=mean, std=std,
-                interval_low=mean - z * std, interval_high=mean + z * std,
-                level=level, source=source, degraded=degraded,
-                request_id=scope.request_id,
+            if sp is not None:
+                sp.attrs["source"] = source
+        if sp is not None and request.entry_point == "forecast":
+            # A single forecast's own span is its request's trace; in a
+            # batch the engine points this at the connected root span
+            # after the lanes join.
+            self._last_trace = sp
+        obs.observe_forecast(sensor_id, horizon, time.perf_counter() - t0)
+        degraded = source != "ensemble"
+        if degraded:
+            obs.observe_degraded_forecast(sensor_id, source)
+            logger.info(
+                "sensor %s served degraded (%s rung) at horizon %d",
+                sensor_id, source, horizon,
             )
+        stats = self._norms[sensor_id]
+        mean = float(stats.invert(np.array([z_mean]))[0])
+        raw_variance = float(
+            stats.invert_variance(np.array([z_variance]))[0]
+        )
+        # The rung validated z_variance > 0; de-normalisation scales by
+        # std^2 > 0, so this is a pure belt-and-braces clamp.
+        std = float(np.sqrt(max(raw_variance, 0.0)))
+        z = float(np.sqrt(2.0) * erfinv(level))
+        return Forecast(
+            sensor_id=sensor_id, horizon=horizon, mean=mean, std=std,
+            interval_low=mean - z * std, interval_high=mean + z * std,
+            level=level, source=source, degraded=degraded,
+            request_id=request.request_id,
+        )
 
     def forecast_all(
         self, horizon: int | None = None, level: float = 0.95
@@ -853,49 +844,33 @@ class PredictionService:
         """
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {level}")
-        self._resolve_horizon(horizon)  # reject bad horizons up front
-        with reqctx.begin_request("forecast_all") as scope:
-            t0 = time.perf_counter()
+        horizon = self._resolve_horizon(horizon)  # reject bad ones up front
+        sensor_ids = self.sensor_ids
+        with _Request("forecast_all", n_items=len(sensor_ids)) as request:
             tasks = self._plan_tasks(
-                self.sensor_ids, lambda sid: ("forecast", sid, horizon, level)
+                sensor_ids, lambda sid: ("forecast", sid, horizon, level)
             )
-            n_items = sum(len(task.plan.sensor_ids) for task in tasks)
-            if scope.minted:
-                obs.observe_request_start(
-                    "forecast_all", scope.request_id, n_items=n_items
-                )
-            ok = False
-            n_errors = 0
-            try:
-                lane_outcomes = self._engine.run_batch(
-                    "forecast_all", scope, tasks
-                )
-                results: dict[str, Forecast] = {}
-                errors: dict[str, Exception] = {}
-                for task, outcomes in zip(tasks, lane_outcomes):
-                    for sensor_id, (status, payload) in zip(
-                        task.plan.sensor_ids, outcomes
-                    ):
-                        if status == "ok":
-                            results[sensor_id] = payload
-                        else:
-                            logger.warning(
-                                "forecast_all: sensor %s failed: %s",
-                                sensor_id, payload,
-                            )
-                            errors[sensor_id] = payload
-                batch = ForecastBatch(sorted(results.items()))
-                batch.errors = dict(sorted(errors.items()))
-                n_errors = len(batch.errors)
-                ok = True
-                return batch
-            finally:
-                if scope.minted:
-                    obs.observe_request_end(
-                        "forecast_all", scope.request_id,
-                        time.perf_counter() - t0, ok=ok,
-                        n_items=n_items, n_errors=n_errors,
-                    )
+            lane_outcomes = self._engine.run_batch(
+                "forecast_all", request.scope, tasks
+            )
+            results: dict[str, Forecast] = {}
+            errors: dict[str, Exception] = {}
+            for task, outcomes in zip(tasks, lane_outcomes):
+                for sensor_id, (status, payload) in zip(
+                    task.plan.sensor_ids, outcomes
+                ):
+                    if status == "ok":
+                        results[sensor_id] = payload
+                    else:
+                        logger.warning(
+                            "forecast_all: sensor %s failed: %s",
+                            sensor_id, payload,
+                        )
+                        errors[sensor_id] = payload
+            batch = ForecastBatch(sorted(results.items()))
+            batch.errors = dict(sorted(errors.items()))
+            request.n_errors = len(batch.errors)
+            return batch
 
     # ------------------------------------------------------------ snapshots
     def snapshot(self, directory) -> list[pathlib.Path]:
@@ -933,23 +908,13 @@ class PredictionService:
         picks the hosting backend before the index is rebuilt — the same
         admission path as :meth:`register`.
         """
-        with reqctx.begin_request("restore") as scope:
-            t0 = time.perf_counter()
-            if scope.minted:
-                obs.observe_request_start("restore", scope.request_id)
-            ok = False
+        with _Request("restore") as request:
             try:
                 with self._engine.mutating():
                     with self._admission_lock:
                         self._restore_locked(directory)
-                ok = True
             finally:
-                if scope.minted:
-                    obs.observe_request_end(
-                        "restore", scope.request_id,
-                        time.perf_counter() - t0, ok=ok,
-                        n_items=len(self._sensors),
-                    )
+                request.n_items = len(self._sensors)
 
     def _restore_locked(self, directory) -> None:
         if self._sensors:

@@ -1,16 +1,12 @@
-"""Tests for the statistical-regression family: AR/ARI, SES/Holt, GARCH."""
+"""Tests for the statistical-regression family: AR/ARI, SES/Holt."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.baselines import (
     ARForecaster,
     ExponentialSmoothingForecaster,
-    GarchForecaster,
     fit_ar,
-    fit_garch,
     select_ar_order,
 )
 from repro.baselines.exponential import HoltLinearTrend, SimpleExponentialSmoothing
@@ -165,61 +161,3 @@ class TestExponentialSmoothing:
         model = SimpleExponentialSmoothing.fit(np.random.default_rng(0).normal(size=30))
         with pytest.raises(ValueError):
             model.forecast(0)
-
-
-class TestGarch:
-    def _garch_stream(self, n=3000, seed=13):
-        """Simulate AR(1)-GARCH(1,1) with known parameters."""
-        rng = np.random.default_rng(seed)
-        omega, alpha, beta = 0.02, 0.15, 0.7
-        phi, c = 0.5, 0.05
-        h = omega / (1 - alpha - beta)
-        values = [0.0]
-        eps_prev_sq = h
-        for _ in range(n - 1):
-            h = omega + alpha * eps_prev_sq + beta * h
-            eps = np.sqrt(h) * rng.normal()
-            values.append(c + phi * values[-1] + eps)
-            eps_prev_sq = eps * eps
-        return np.asarray(values)
-
-    def test_fit_recovers_persistence(self):
-        stream = self._garch_stream()
-        model = fit_garch(stream)
-        assert model.alpha + model.beta == pytest.approx(0.85, abs=0.15)
-        assert model.ar_coefficient == pytest.approx(0.5, abs=0.1)
-
-    def test_variance_reverts_to_unconditional(self):
-        stream = self._garch_stream(seed=14)
-        model = fit_garch(stream)
-        far_var = model.forecast(200)[1]
-        # Long-horizon variance approaches the AR-scaled unconditional
-        # level: finite and larger than the 1-step variance.
-        assert np.isfinite(far_var)
-        assert far_var > model.forecast(1)[1] * 0.5
-
-    def test_forecaster_protocol(self):
-        stream = self._garch_stream(seed=15)
-        model = GarchForecaster(window=500, refit_every=10)
-        for t in range(2000, 2012):
-            mean, var = model.predict(stream[:t], 1)
-            assert np.isfinite(mean) and var > 0
-            model.observe(stream[t])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fit_garch(np.zeros(10))
-        with pytest.raises(ValueError):
-            GarchForecaster(window=5)
-        with pytest.raises(ValueError):
-            GarchForecaster(refit_every=0)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 100))
-    def test_forecast_always_positive_variance(self, seed):
-        stream = self._garch_stream(n=300, seed=seed)
-        model = fit_garch(stream, max_iters=40)
-        for h in (1, 5, 30):
-            mean, var = model.forecast(h)
-            assert np.isfinite(mean)
-            assert var > 0

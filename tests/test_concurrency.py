@@ -21,7 +21,6 @@ from repro.service import (
     PredictionService,
     ResiliencePolicy,
     ServiceConfig,
-    WORKERS_ENV_VAR,
 )
 
 CONFIG = SMiLerConfig(
@@ -71,7 +70,9 @@ def build_service(
         min_history=100,
         resilience=resilience,
         breaker=breaker,
-        service_config=ServiceConfig(max_workers=workers),
+        service_config=ServiceConfig(
+            max_workers=workers, engine="thread" if workers > 1 else None
+        ),
     )
 
 
@@ -175,23 +176,9 @@ class TestWorkerConfiguration:
         with pytest.raises(ValueError):
             ServiceConfig(max_workers=-2)
 
-    def test_env_var_supplies_default(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        assert ServiceConfig().resolved_workers() == 3
-        # An explicit value wins over the environment.
-        assert ServiceConfig(max_workers=1).resolved_workers() == 1
-
-    def test_env_var_validated(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "zero")
-        with pytest.raises(ValueError):
-            ServiceConfig().resolved_workers()
-        monkeypatch.setenv(WORKERS_ENV_VAR, "-1")
-        with pytest.raises(ValueError):
-            ServiceConfig().resolved_workers()
-
-    def test_default_is_sequential(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert ServiceConfig().resolved_workers() == 1
+    def test_default_is_sequential(self):
+        service = PredictionService(CONFIG, min_history=100)
+        assert service.max_workers == 1
 
     def test_status_reports_workers(self):
         service = build_service("native", workers=4, n_backends=2)

@@ -146,19 +146,21 @@ class TestEngineResolution:
 
     def test_explicit_engine_wins_over_env(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "process")
-        assert ServiceConfig(engine="inline").resolved_engine(4) == "inline"
+        assert ServiceConfig(engine="inline").resolved_engine() == "inline"
 
     def test_env_var_supplies_default(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV_VAR, "process")
-        assert ServiceConfig().resolved_engine(1) == "process"
+        assert ServiceConfig().resolved_engine() == "process"
         monkeypatch.setenv(ENGINE_ENV_VAR, "bogus")
         with pytest.raises(ValueError):
-            ServiceConfig().resolved_engine(1)
+            ServiceConfig().resolved_engine()
 
-    def test_default_tracks_worker_count(self, monkeypatch):
+    def test_default_is_inline_at_any_worker_count(self, monkeypatch):
         monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
-        assert ServiceConfig().resolved_engine(1) == "inline"
-        assert ServiceConfig().resolved_engine(4) == "thread"
+        assert ServiceConfig().resolved_engine() == "inline"
+        assert ServiceConfig(max_workers=4).resolved_engine() == "inline"
+        assert ServiceConfig(max_workers=4, engine="thread") \
+            .resolved_engine() == "thread"
 
     def test_status_reports_engine(self):
         service = build_service("native", engine="thread", n_backends=2)
@@ -220,6 +222,71 @@ class TestEngineParity:
         for engine in ("thread", "process"):
             assert_batches_identical(ref_batches, results[engine][0])
 
+    def test_request_telemetry_identical(self, backend_name, tmp_path):
+        """Every entry point runs inside the same request envelope and
+        the same lane runner on every engine: the request events and the
+        metric deltas of a session touching all five entry points (the
+        singles both before and after a worker generation is live)
+        equal the inline engine's."""
+        histories, futures = make_workload(n_sensors=8)
+        first = sorted(histories)[0]
+
+        def session(engine):
+            obs.reset()
+            obs.enable()
+            service = build_service(backend_name, engine, n_backends=2)
+            restored = build_service(backend_name, engine, n_backends=2)
+            try:
+                for sensor_id, history in histories.items():
+                    service.register(sensor_id, history)
+                for step in (0, 2):  # step 2: process singles cross the wire
+                    service.forecast(first)
+                    service.ingest(first, float(futures[first][step]))
+                    service.forecast_all()
+                    service.ingest_many({
+                        sid: float(futures[sid][step + 1])
+                        for sid in histories
+                    })
+                with pytest.raises(ValueError):
+                    service.ingest(first, float("nan"))
+                service.snapshot(tmp_path / engine)
+                restored.restore(tmp_path / engine)
+            finally:
+                service.close()
+                restored.close()
+            obs.disable()
+            events = [
+                (e["kind"], e["entry_point"], e["n_items"],
+                 e.get("ok"), e.get("n_errors"))
+                for e in obs.get_event_log().tail(10_000)
+                if e["kind"] in ("request_start", "request_end")
+            ]
+            metrics = {}
+            for name, record in obs.to_json(obs.get_registry()).items():
+                if record["kind"] == "gauge":
+                    continue  # SLO ratios depend on wall-clock latency
+                for series in record["series"]:
+                    key = (name, tuple(sorted(series["labels"].items())))
+                    # Histogram sums are wall-clock; sample counts are not.
+                    metrics[key] = series.get("value", series.get("count"))
+            return events, metrics
+
+        ref_events, ref_metrics = session("inline")
+        assert [e[1] for e in ref_events if e[0] == "request_end"] == [
+            "forecast", "ingest", "forecast_all", "ingest_many",
+            "forecast", "ingest", "forecast_all", "ingest_many",
+            "ingest", "restore",
+        ]
+        assert ref_events[-3] == ("request_end", "ingest", 1, False, 0)
+        lane_key = (
+            "smiler_lane_sensors_total", (("backend", "0"), ("lane", "0"))
+        )
+        assert ref_metrics[lane_key] == 4 * 4  # sensors x batches; no singles
+        for engine in ("thread", "process"):
+            events, metrics = session(engine)
+            assert events == ref_events
+            assert metrics == ref_metrics
+
 
 class TestWorkerCrash:
     """SIGKILL a shard worker: the batch completes (no hang), the dead
@@ -256,6 +323,7 @@ class TestWorkerCrash:
                 sid for sid in histories if placements[sid] == victim_index
             }
             assert evacuees  # greedy balancing hosts >= 1 per backend
+            obs.enable()
             os.kill(pids[victim_index], signal.SIGKILL)
 
             started = time.monotonic()
@@ -263,6 +331,18 @@ class TestWorkerCrash:
             # Liveness: crash detection polls the process, it never sits
             # out the full timeout, let alone hangs.
             assert time.monotonic() - started < 15.0
+            # The replayed lane is stamped by the same lane runner as the
+            # healthy ones: real backend ids, so it lands on its shard's
+            # Chrome-trace track.
+            lanes = service.trace_last_request().find_all("lane")
+            assert [lane.attrs["backend_id"] for lane in lanes] == [
+                service.backends[lane.attrs["backend"]].backend_id
+                for lane in lanes
+            ]
+            assert [
+                lane.attrs["backend"] for lane in lanes
+                if lane.attrs.get("replayed_after_crash")
+            ] == [victim_index]
             # Completeness: every sensor is accounted for exactly once.
             assert set(batch) | set(batch.errors) == set(histories)
             assert not set(batch) & set(batch.errors)
@@ -282,6 +362,48 @@ class TestWorkerCrash:
             assert set(again) | set(again.errors) == set(histories)
             live = service.engine.worker_pids()
             assert pids[victim_index] not in live.values()
+        finally:
+            service.close()
+
+    def test_single_ops_survive_a_killed_worker(self):
+        """A single forecast() / ingest() sent to a SIGKILLed shard
+        worker takes the batch loss path: the shard is recovered, the op
+        replays in the parent and is served, never hangs."""
+        histories, futures = make_workload(n_sensors=self.N_CRASH_SENSORS)
+        service = self._build()
+        try:
+            for sensor_id, history in histories.items():
+                service.register(sensor_id, history)
+            placements = {  # before forking; see the liveness test
+                sid: service.placement_of(sid) for sid in histories
+            }
+            for op in ("forecast", "ingest"):
+                assert service.forecast_all().ok  # (re)forks the workers
+                pids = service.engine.worker_pids()
+                victim_index = sorted(pids)[0]
+                sensor_id = sorted(
+                    sid for sid in histories
+                    if placements[sid] == victim_index
+                )[0]
+                os.kill(pids[victim_index], signal.SIGKILL)
+                time.sleep(0.2)  # let it land: the send hits a closed pipe
+                started = time.monotonic()
+                if op == "forecast":
+                    forecast = service.forecast(sensor_id)
+                    assert forecast.sensor_id == sensor_id
+                    assert np.isfinite(forecast.mean) and forecast.std > 0.0
+                else:
+                    service.ingest(sensor_id, float(futures[sensor_id][0]))
+                    assert service.sensor(sensor_id).series.size \
+                        == HISTORY_POINTS + 1
+                assert time.monotonic() - started < 15.0
+                assert service._pool.state(victim_index) == "open"
+                assert service.sensors_per_backend()[victim_index] == 0
+                assert len(service.sensor_ids) == self.N_CRASH_SENSORS
+                placements = {
+                    sid: service.placement_of(sid) for sid in histories
+                }
+                assert victim_index not in placements.values()
         finally:
             service.close()
 

@@ -46,7 +46,9 @@ def make_fleet(backend_name: str, workers: int) -> PredictionService:
         config=CONFIG,
         backends=[make_backend(backend_name) for _ in range(N_BACKENDS)],
         min_history=256,
-        service_config=ServiceConfig(max_workers=workers),
+        service_config=ServiceConfig(
+            max_workers=workers, engine="thread" if workers > 1 else None
+        ),
     )
     rng = np.random.default_rng(3)
     for i in range(N_SENSORS):
