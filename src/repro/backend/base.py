@@ -11,32 +11,35 @@ the three concerns a compute substrate has:
 * **time attribution** — an ``elapsed_s`` ledger of simulated kernel
   seconds (zero for backends that do not model time).
 
-Two implementations ship:
+Two implementations ship, both built on :class:`SubstrateBackend` (one
+:class:`~repro.gpu.device.MemoryLedger`, one lock, one pickling rule,
+one place inputs are coerced):
 
-* :class:`repro.backend.SimulatedGpuBackend` — wraps the simulated
-  :class:`~repro.gpu.device.GpuDevice` and its cost model; the default,
-  and the only backend the paper-figure harness should use (its entire
-  point is the simulated-time ledger).
+* :class:`repro.backend.SimulatedGpuBackend` — owns a
+  :class:`~repro.gpu.costmodel.GpuCostModel` its kernels charge; the
+  default, and the only backend the paper-figure harness should use (its
+  entire point is the simulated-time ledger).
 * :class:`repro.backend.NativeBackend` — straight vectorised NumPy with
   no cost-model bookkeeping; the serving fast path.
 
 To add a backend (CuPy, torch, a remote worker pool), implement this
 protocol — numerical contracts are documented per method — and register
-a name in :func:`make_backend`.  Nothing above this module constructs a
-``GpuDevice`` directly, so no other layer needs to change.
+a name in :func:`make_backend`; no other layer needs to change.  To add
+a *kernel*, add it to the protocol, to :class:`SubstrateBackend` (input
+handling), to the two ``_run_*`` hooks and to the fault wrapper — one
+dispatch layer, no device underneath it.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+import threading
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from ..gpu.device import Allocation, GpuDevice, GpuMemoryError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Iterable
+from ..gpu.device import Allocation, GpuMemoryError, MemoryLedger
 
 __all__ = [
     "Allocation",
@@ -44,6 +47,7 @@ __all__ = [
     "BACKEND_NAMES",
     "ComputeBackend",
     "GpuMemoryError",
+    "SubstrateBackend",
     "as_backend",
     "default_backend",
     "make_backend",
@@ -119,6 +123,25 @@ class ComputeBackend(Protocol):
         """Zero the simulated-time ledger."""
         ...
 
+    def set_elapsed(self, elapsed_s: float, injected_s: float = 0.0) -> None:
+        """Overwrite the clock with another copy's reading.
+
+        The process engine mirrors each live worker's clock onto the
+        parent's stale copy of the backend.  ``injected_s`` is the part
+        of the reading a fault wrapper added on top of its inner
+        backend's; a bare backend is never handed any.
+        """
+        ...
+
+    def rearm_lock(self) -> None:
+        """Replace every lock this backend holds with a fresh one.
+
+        A forked shard worker inherits locks in whatever state some
+        other parent thread held them; it calls this once, before
+        serving, from a quiesced state.
+        """
+        ...
+
     # -------------------------------------------------------------- memory
     def malloc(self, nbytes: int, label: str = "buffer") -> Allocation:
         """Reserve device memory; raises :class:`GpuMemoryError` when full."""
@@ -137,6 +160,129 @@ class ComputeBackend(Protocol):
     def free_bytes(self) -> int:
         """Bytes still available (drives greedy pool placement)."""
         ...
+
+
+#: Process-wide instance sequence for telemetry-stable backend ids.
+_BACKEND_SEQ = itertools.count()
+
+
+class SubstrateBackend:
+    """What the shipped backends share: ledger, identity, lock, inputs.
+
+    Owns the :class:`~repro.gpu.device.MemoryLedger`, the process-unique
+    ``backend_id`` and the single re-entrant lock that serializes every
+    ledger (and, in subclasses, cost-model) mutation, so a backend shared
+    across serving lanes (mid-request failover builds an index on a peer
+    backend while that peer's own lane is running) never loses an
+    update.  Within one lane operations are already serial, so the lock
+    is uncontended on the happy path.
+
+    The public kernel methods coerce and validate their inputs once and
+    hand the numeric work to the ``_run_*`` hooks, which are the only
+    things a subclass implements; time is unmodelled (``elapsed_s`` is
+    0.0) unless a subclass overrides the clock methods.
+    """
+
+    name: str
+
+    def __init__(self, capacity_bytes: int) -> None:
+        #: Process-unique identity stamped on telemetry (event-log lines,
+        #: lane spans, Chrome-trace track names).
+        self.backend_id = f"{self.name}-{next(_BACKEND_SEQ)}"
+        self.ledger = MemoryLedger(capacity_bytes)
+        self.rearm_lock()
+
+    def rearm_lock(self) -> None:
+        """Install a fresh lock (construction, unpickling, after fork)."""
+        self._lock = threading.RLock()
+
+    # ------------------------------------------------------------- kernels
+    def dtw_verification(
+        self,
+        query: np.ndarray,
+        candidates: np.ndarray,
+        rho: int,
+        cutoff: float | None = None,
+        lb_terms: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Banded DTW of one query against many candidates."""
+        candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+        if candidates.shape[0] == 0:
+            return np.empty(0)
+        return self._run_dtw_verification(query, candidates, rho, cutoff, lb_terms)
+
+    def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Unbanded DTW of one query against many candidates."""
+        candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+        if candidates.shape[0] == 0:
+            return np.empty(0)
+        return self._run_full_dtw(query, candidates)
+
+    def k_select(self, values: np.ndarray, k: int) -> np.ndarray:
+        """Indices of the k smallest values, ascending, ties by index."""
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim != 1:
+            raise ValueError("k_select expects a 1-D array")
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        if values.size == 0:
+            raise ValueError("cannot select from an empty array")
+        return self._run_k_select(values, min(k, values.size))
+
+    def launch(
+        self,
+        name: str,
+        n_blocks: int,
+        ops_per_thread: float,
+        threads_per_block: int = 256,
+    ) -> float:
+        """No time model: every launch is free."""
+        return 0.0
+
+    # ---------------------------------------------------------------- time
+    @property
+    def elapsed_s(self) -> float:
+        """Always 0.0 — time is not modelled."""
+        return 0.0
+
+    def reset_time(self) -> None:
+        """Nothing to reset."""
+
+    def set_elapsed(self, elapsed_s: float, injected_s: float = 0.0) -> None:
+        """No clock to overwrite."""
+
+    # -------------------------------------------------------------- memory
+    def malloc(self, nbytes: int, label: str = "buffer") -> Allocation:
+        """Reserve ledger bytes; raises :class:`GpuMemoryError` when full."""
+        with self._lock:
+            return self.ledger.malloc(nbytes, label)
+
+    def free(self, handle: Allocation) -> None:
+        """Release a previous allocation (double frees are errors)."""
+        with self._lock:
+            self.ledger.free(handle)
+
+    @property
+    def allocated_bytes(self) -> int:
+        """Bytes currently recorded in the ledger."""
+        return self.ledger.allocated_bytes
+
+    @property
+    def free_bytes(self) -> int:
+        """Remaining capacity (drives greedy pool placement)."""
+        return self.ledger.free_bytes
+
+    # ------------------------------------------------------------- pickling
+    # Backends cross the process boundary when a shard worker flushes its
+    # state back to the serving process; each side owns its own lock.
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.rearm_lock()
 
 
 #: Registered backend names accepted by :func:`make_backend` and the CLI.
@@ -194,20 +340,13 @@ def default_backend() -> "ComputeBackend":
 def as_backend(obj: object = None) -> "ComputeBackend":
     """Coerce ``obj`` to a :class:`ComputeBackend`.
 
-    ``None`` yields a fresh :func:`default_backend`; a raw
-    :class:`~repro.gpu.device.GpuDevice` is wrapped in a
-    :class:`~repro.backend.SimulatedGpuBackend` *sharing* that device's
-    ledgers (existing references keep observing time/memory); a backend
-    passes through unchanged.
+    ``None`` yields a fresh :func:`default_backend`; a backend passes
+    through unchanged; anything else is a ``TypeError``.
     """
     if obj is None:
         return default_backend()
-    if isinstance(obj, GpuDevice):
-        from .simulated import SimulatedGpuBackend
-
-        return SimulatedGpuBackend(device=obj)
     if isinstance(obj, ComputeBackend):
         return obj
     raise TypeError(
-        f"expected a ComputeBackend, GpuDevice or None, got {type(obj).__name__}"
+        f"expected a ComputeBackend or None, got {type(obj).__name__}"
     )

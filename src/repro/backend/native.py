@@ -7,21 +7,16 @@ arithmetic runs — ``launch`` is a constant-time no-op.  Memory is a
 host-side ledger with an optional capacity so a pool of native workers
 can still shard sensors by free space and refuse admission.
 
-The ledger is guarded by a per-backend lock so concurrent serving lanes
-(and mid-request failover admissions) never lose a malloc/free update;
-the kernels themselves are pure functions of their arguments and need no
-serialization beyond what NumPy provides.
+Only the ledger takes the backend's lock; the kernels are pure functions
+of their arguments and need no serialization beyond what NumPy provides.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
-
 import numpy as np
 
 from ..dtw.distance import dtw_batch, dtw_batch_pruned
-from ..gpu.device import Allocation, GpuMemoryError
+from .base import SubstrateBackend
 
 __all__ = ["NativeBackend"]
 
@@ -30,11 +25,8 @@ __all__ = ["NativeBackend"]
 #: (max free == min allocated for equal capacities) still balances.
 _UNBOUNDED_BYTES = 1 << 62
 
-#: Process-wide instance sequence for telemetry-stable backend ids.
-_BACKEND_SEQ = itertools.count()
 
-
-class NativeBackend:
+class NativeBackend(SubstrateBackend):
     """Straight NumPy compute: no cost model, optional memory bound."""
 
     name = "native"
@@ -44,136 +36,29 @@ class NativeBackend:
             raise ValueError(
                 f"capacity_bytes must be positive, got {capacity_bytes}"
             )
-        #: Process-unique identity stamped on telemetry (event-log lines,
-        #: lane spans, Chrome-trace track names).
-        self.backend_id = f"native-{next(_BACKEND_SEQ)}"
-        self.capacity_bytes = capacity_bytes
-        self._allocated = 0
-        self._serial = 0
-        self._live: dict[int, Allocation] = {}
-        self._lock = threading.RLock()
+        super().__init__(
+            _UNBOUNDED_BYTES if capacity_bytes is None else capacity_bytes
+        )
 
     # ------------------------------------------------------------- kernels
-    def dtw_verification(
-        self,
-        query: np.ndarray,
-        candidates: np.ndarray,
-        rho: int,
-        cutoff: float | None = None,
-        lb_terms: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Banded DTW of one query against many candidates."""
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-        if candidates.shape[0] == 0:
-            return np.empty(0)
+    def _run_dtw_verification(self, query, candidates, rho, cutoff, lb_terms):
         if cutoff is None:
             return dtw_batch(query, candidates, rho)
-        result = dtw_batch_pruned(
+        return dtw_batch_pruned(
             query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms
         )
-        assert isinstance(result, np.ndarray)
-        return result
 
-    def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """Unbanded DTW of one query against many candidates."""
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-        if candidates.shape[0] == 0:
-            return np.empty(0)
+    def _run_full_dtw(self, query, candidates):
         return dtw_batch(query, candidates, rho=None)
 
-    def k_select(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k smallest values (stable: ties by lowest index).
+    def _run_k_select(self, values, k):
+        """Stable argsort — the wall-clock fast path.
 
         Matches the simulated kernel's answer exactly — equal values land
         in the same partition bucket there, so both resolve ties by index
         and order the answer ascending by value.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("k_select expects a 1-D array")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if values.size == 0:
-            raise ValueError("cannot select from an empty array")
-        k = min(k, values.size)
         return np.argsort(values, kind="stable")[:k]
 
-    def launch(
-        self,
-        name: str,
-        n_blocks: int,
-        ops_per_thread: float,
-        threads_per_block: int = 256,
-    ) -> float:
-        """No time model: every launch is free."""
-        return 0.0
-
-    # ---------------------------------------------------------------- time
-    @property
-    def elapsed_s(self) -> float:
-        """Always 0.0 — the native backend does not model time."""
-        return 0.0
-
-    def reset_time(self) -> None:
-        """Nothing to reset."""
-
-    # -------------------------------------------------------------- memory
-    @property
-    def _capacity(self) -> int:
-        return (
-            self.capacity_bytes
-            if self.capacity_bytes is not None
-            else _UNBOUNDED_BYTES
-        )
-
-    def malloc(self, nbytes: int, label: str = "buffer") -> Allocation:
-        """Reserve ledger bytes; raises :class:`GpuMemoryError` when full."""
-        nbytes = int(nbytes)
-        if nbytes < 0:
-            raise ValueError(f"allocation size must be non-negative, got {nbytes}")
-        with self._lock:
-            if self._allocated + nbytes > self._capacity:
-                raise GpuMemoryError(
-                    f"cannot allocate {nbytes} bytes for {label!r}: "
-                    f"{self._allocated} of {self._capacity} bytes in use"
-                )
-            self._serial += 1
-            handle = Allocation(label=label, nbytes=nbytes, serial=self._serial)
-            self._live[handle.serial] = handle
-            self._allocated += nbytes
-            return handle
-
-    def free(self, handle: Allocation) -> None:
-        """Release a previous allocation (double frees are errors)."""
-        with self._lock:
-            if handle.serial not in self._live:
-                raise KeyError(f"allocation {handle} is not live")
-            del self._live[handle.serial]
-            self._allocated -= handle.nbytes
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes currently recorded in the ledger."""
-        return self._allocated
-
-    @property
-    def free_bytes(self) -> int:
-        """Remaining capacity (a very large number when unbounded)."""
-        return self._capacity - self._allocated
-
-    # ------------------------------------------------------------- pickling
-    # Backends cross the process boundary when a shard worker flushes its
-    # state back to the serving process; locks don't pickle, so each side
-    # owns a fresh one (the transfer happens from a quiesced state).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        bound = self.capacity_bytes if self.capacity_bytes else "unbounded"
-        return f"NativeBackend(allocated={self._allocated}, capacity={bound})"
+        return f"NativeBackend({self.ledger!r})"

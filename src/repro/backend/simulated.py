@@ -1,78 +1,59 @@
 """The simulated-GPU backend: cost-model time + bounded device memory.
 
-Wraps the existing :class:`~repro.gpu.device.GpuDevice` (vectorised
-NumPy numerics + :class:`~repro.gpu.costmodel.GpuCostModel` time
-accounting + the 6 GB malloc ledger of the paper's GTX TITAN) behind the
+Vectorised NumPy numerics whose operation counts are charged to a
+:class:`~repro.gpu.costmodel.GpuCostModel`, plus the 6 GB malloc ledger
+of the paper's GTX TITAN, behind the
 :class:`~repro.backend.base.ComputeBackend` protocol.  This is the
 default backend and the one every paper figure/table runs on — the
 simulated-seconds ledger *is* the measurement.
 
-A per-backend re-entrant lock serializes kernel dispatch, cost-model
-time attribution and the malloc/free ledger, so a backend shared across
-serving lanes (mid-request failover builds an index on a peer backend
-while that peer's own lane is running) never loses a time or memory
-update.  Within one lane operations are already serial, so the lock is
-uncontended on the happy path.
+Kernel dispatch and time attribution run under the backend's single
+lock (the one that guards the memory ledger), so concurrent lanes never
+lose a cost-model update.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
-
 import numpy as np
 
 from ..gpu.costmodel import DeviceSpec, GpuCostModel
-from ..gpu.device import Allocation, GpuDevice
 from ..gpu.kernels import dtw_verification_kernel, full_dtw_kernel, k_select_kernel
+from .base import SubstrateBackend
 
 __all__ = ["SimulatedGpuBackend"]
 
-#: Process-wide instance sequence for telemetry-stable backend ids.
-_BACKEND_SEQ = itertools.count()
 
-
-class SimulatedGpuBackend:
-    """Kernel dispatch, memory and simulated time on one ``GpuDevice``."""
+class SimulatedGpuBackend(SubstrateBackend):
+    """Kernel dispatch, memory and simulated time for one ``DeviceSpec``."""
 
     name = "simulated"
 
-    def __init__(
-        self, device: GpuDevice | None = None, spec: DeviceSpec | None = None
-    ) -> None:
-        if device is not None and spec is not None:
-            raise ValueError("pass either a device or a spec, not both")
-        self.device = device if device is not None else GpuDevice(spec)
-        #: Process-unique identity stamped on telemetry (event-log lines,
-        #: lane spans, Chrome-trace track names).
-        self.backend_id = f"simulated-{next(_BACKEND_SEQ)}"
-        self._lock = threading.RLock()
+    def __init__(self, spec: DeviceSpec | None = None) -> None:
+        #: The simulated device's published specification.
+        self.spec = spec or DeviceSpec()
+        #: The cost model (per-kernel attribution lives here).
+        self.cost = GpuCostModel(spec=self.spec)
+        super().__init__(self.spec.memory_bytes)
 
     # ------------------------------------------------------------- kernels
-    def dtw_verification(
-        self,
-        query: np.ndarray,
-        candidates: np.ndarray,
-        rho: int,
-        cutoff: float | None = None,
-        lb_terms: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def _run_dtw_verification(self, query, candidates, rho, cutoff, lb_terms):
         """Banded DTW via the compressed-warping-matrix kernel."""
         with self._lock:
             return dtw_verification_kernel(
-                self.device, query, candidates, rho,
+                self.cost, query, candidates, rho,
                 cutoff=cutoff, lb_terms=lb_terms,
             )
 
-    def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+    def _run_full_dtw(self, query, candidates):
         """Unbanded DTW paying the global-memory penalty (GPUScan)."""
         with self._lock:
-            return full_dtw_kernel(self.device, query, candidates)
+            return full_dtw_kernel(self.cost, query, candidates)
 
-    def k_select(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Device k-selection by distributive partitioning."""
+    def _run_k_select(self, values, k):
+        """Device k-selection by distributive partitioning: the pass
+        count feeds the cost model."""
         with self._lock:
-            return k_select_kernel(self.device, values, k)
+            return k_select_kernel(self.cost, values, k)
 
     def launch(
         self,
@@ -83,7 +64,7 @@ class SimulatedGpuBackend:
     ) -> float:
         """Account one kernel launch on the cost model."""
         with self._lock:
-            return self.device.launch(
+            return self.cost.launch(
                 name, n_blocks, ops_per_thread, threads_per_block
             )
 
@@ -91,56 +72,21 @@ class SimulatedGpuBackend:
     @property
     def elapsed_s(self) -> float:
         """Total simulated kernel seconds since the last reset."""
-        return self.device.elapsed_s
+        return self.cost.elapsed_s
 
     def reset_time(self) -> None:
         """Zero the simulated-time ledger."""
         with self._lock:
-            self.device.reset_time()
+            self.cost.reset()
 
-    @property
-    def cost(self) -> GpuCostModel:
-        """The underlying cost model (per-kernel attribution lives here)."""
-        return self.device.cost
-
-    @property
-    def spec(self) -> DeviceSpec:
-        """The simulated device's published specification."""
-        return self.device.spec
-
-    # -------------------------------------------------------------- memory
-    def malloc(self, nbytes: int, label: str = "buffer") -> Allocation:
-        """Reserve device global memory (bounded by the spec's capacity)."""
+    def set_elapsed(self, elapsed_s: float, injected_s: float = 0.0) -> None:
+        """Overwrite the simulated clock (see :class:`ComputeBackend`)."""
         with self._lock:
-            return self.device.malloc(nbytes, label)
-
-    def free(self, handle: Allocation) -> None:
-        """Release a previous allocation."""
-        with self._lock:
-            self.device.free(handle)
-
-    @property
-    def allocated_bytes(self) -> int:
-        """Bytes currently allocated on the device."""
-        return self.device.allocated_bytes
-
-    @property
-    def free_bytes(self) -> int:
-        """Bytes still available on the device."""
-        return self.device.free_bytes
-
-    # ------------------------------------------------------------- pickling
-    # Backends cross the process boundary when a shard worker flushes its
-    # state back to the serving process; locks don't pickle, so each side
-    # owns a fresh one (the transfer happens from a quiesced state).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.RLock()
+            self.cost.elapsed_s = elapsed_s
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"SimulatedGpuBackend({self.device!r})"
+        return (
+            f"SimulatedGpuBackend({self.spec.name!r}, "
+            f"allocated={self.allocated_bytes}, "
+            f"elapsed={self.cost.elapsed_s:.6f}s)"
+        )

@@ -124,21 +124,6 @@ def _context_from_wire(record: dict) -> reqctx.RequestContext:
     )
 
 
-def _set_backend_elapsed(backend, elapsed_s: float, injected_s: float) -> None:
-    """Mirror a worker's simulated-time ledger onto the parent's stale
-    backend copy, so ``pool.elapsed_s`` / benchmarks read true fleet
-    time between batches without a flush."""
-    from ..faults.backend import FaultInjectingBackend
-
-    if isinstance(backend, FaultInjectingBackend):
-        backend._injected_s = injected_s
-        backend = backend.inner
-        elapsed_s -= injected_s
-    device = getattr(backend, "device", None)
-    if device is not None:  # NativeBackend keeps no ledger (elapsed is 0.0)
-        device.cost.elapsed_s = elapsed_s
-
-
 def _finalize_generation(state: dict) -> None:
     """GC/exit backstop: reap worker processes and unlink shared memory.
 
@@ -524,9 +509,11 @@ class ProcessShardEngine(ExecutionEngine):
             service._pool.adopt_health(worker.backend_index, health)
         elapsed = reply.get("elapsed")
         if elapsed:
-            _set_backend_elapsed(
-                service._pool.backends[worker.backend_index],
-                elapsed["elapsed_s"], elapsed["injected_s"],
+            # Mirror the worker's clock onto the parent's stale copy, so
+            # ``pool.elapsed_s`` / benchmarks read true fleet time
+            # between batches without a flush.
+            service._pool.backends[worker.backend_index].set_elapsed(
+                elapsed["elapsed_s"], elapsed["injected_s"]
             )
         for sensor_id, block in (reply.get("shm") or {}).items():
             worker.shm[sensor_id] = block
@@ -589,14 +576,7 @@ def _rearm_after_fork(service) -> None:
     service._admission_lock = _threading.RLock()
     service._pool._lock = _threading.RLock()
     for backend in service._pool.backends:
-        if "_lock" in getattr(backend, "__dict__", {}):
-            backend._lock = _threading.RLock()
-        inner = getattr(backend, "inner", None)
-        if inner is not None and "_lock" in getattr(inner, "__dict__", {}):
-            inner._lock = _threading.RLock()
-        device = getattr(backend, "device", None)
-        if device is not None and "_mem_lock" in getattr(device, "__dict__", {}):
-            device._mem_lock = _threading.RLock()
+        backend.rearm_lock()
 
 
 def _worker_main(conn, backend_index, sensor_ids, service) -> None:
@@ -676,7 +656,7 @@ def _shard_status(service, backend_index) -> dict:
         "health": service._pool.health_dict(backend_index),
         "elapsed": {
             "elapsed_s": float(backend.elapsed_s),
-            "injected_s": float(getattr(backend, "_injected_s", 0.0)),
+            "injected_s": float(getattr(backend, "injected_s", 0.0)),
         },
         "health_open": service._pool.state(backend_index) == "open",
     }

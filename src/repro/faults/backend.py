@@ -10,8 +10,8 @@ NaN-corrupted, every call picks up simulated latency, and — past
 
 The wrapper is transparent for everything it does not sabotage: the
 ``name`` mirrors the inner backend (a faulted "simulated" backend still
-reports ``simulated``) and unknown attributes (``device``, ``spec``,
-``cost``) delegate to the inner backend.  Injection decisions consume
+reports ``simulated``) and unknown attributes (``spec``, ``cost``,
+``ledger``) delegate to the inner backend.  Injection decisions consume
 one seeded RNG stream in operation order, so identical workloads under
 identical profiles fail identically — the whole point of a fault model
 you can write regression tests against.
@@ -84,6 +84,11 @@ class FaultInjectingBackend:
     def tick(self) -> int:
         """Operations seen so far (kernel calls + memory operations)."""
         return self._tick
+
+    def rearm_lock(self) -> None:
+        """Fresh locks after ``fork``, here and on the wrapped backend."""
+        self._lock = threading.RLock()
+        self.inner.rearm_lock()
 
     # ----------------------------------------------------------- injection
     def _begin_op(self, operation: str) -> int:
@@ -175,11 +180,23 @@ class FaultInjectingBackend:
         """Inner simulated seconds plus everything injected as latency."""
         return self.inner.elapsed_s + self._injected_s
 
+    @property
+    def injected_s(self) -> float:
+        """Simulated seconds injected as latency since the last reset."""
+        return self._injected_s
+
     def reset_time(self) -> None:
         """Zero both the inner ledger and the injected-latency ledger."""
         with self._lock:
             self.inner.reset_time()
             self._injected_s = 0.0
+
+    def set_elapsed(self, elapsed_s: float, injected_s: float = 0.0) -> None:
+        """Overwrite both clocks: ``injected_s`` stays here, the rest of
+        ``elapsed_s`` is the inner backend's reading."""
+        with self._lock:
+            self._injected_s = injected_s
+            self.inner.set_elapsed(elapsed_s - injected_s)
 
     # -------------------------------------------------------------- memory
     def malloc(self, nbytes: int, label: str = "buffer") -> Allocation:
@@ -226,7 +243,7 @@ class FaultInjectingBackend:
         self._lock = threading.RLock()
 
     def __getattr__(self, attr: str):
-        # Transparency for backend-specific extras (.device, .spec, .cost).
+        # Transparency for backend-specific extras (.spec, .cost, .ledger).
         # The explicit guard keeps attribute probes on a half-constructed
         # instance (unpickling) from recursing through ``self.inner``.
         if attr == "inner":

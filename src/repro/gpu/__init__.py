@@ -1,7 +1,7 @@
-"""Simulated GPU substrate: device, cost model, kernels, scan baselines."""
+"""Simulated GPU substrate: memory ledger, cost model, kernels, scan baselines."""
 
 from .costmodel import CPU_SPEC, CpuCostModel, DeviceSpec, GpuCostModel
-from .device import Allocation, GpuDevice, GpuMemoryError
+from .device import Allocation, GpuMemoryError, MemoryLedger
 from .kernels import (
     GLOBAL_MEMORY_PENALTY,
     OPS_PER_DTW_CELL,
@@ -20,8 +20,8 @@ __all__ = [
     "DeviceSpec",
     "GpuCostModel",
     "Allocation",
-    "GpuDevice",
     "GpuMemoryError",
+    "MemoryLedger",
     "GLOBAL_MEMORY_PENALTY",
     "OPS_PER_DTW_CELL",
     "OPS_PER_LB_TERM",

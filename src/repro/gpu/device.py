@@ -1,24 +1,21 @@
-"""Simulated GPU device: memory accounting + kernel-time accounting.
+"""Device-memory accounting: the malloc/free ledger every backend owns.
 
-:class:`GpuDevice` is the substrate every GPU-resident structure in this
-reproduction runs on.  Numerical work happens in vectorised NumPy (the
-data-parallel shape of a CUDA grid); the device records
+:class:`MemoryLedger` bounds allocations by a capacity — the 6 GB the
+paper's GTX TITAN offers on the simulated backend, an optional host-side
+bound on the native one — which drives the "max sensors per GPU"
+capacity analysis of Fig. 12(c) and the serving pool's placement.
 
-* **time** — via :class:`repro.gpu.costmodel.GpuCostModel`, and
-* **memory** — via a malloc/free ledger bounded by the 6 GB the paper's
-  GTX TITAN offers, which drives the "max sensors per GPU" capacity
-  analysis of Fig. 12(c).
+The ledger holds no lock of its own: the backend that owns it serializes
+``malloc``/``free`` under its single per-backend lock.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from ..obs.hooks import observe_gpu_memory
-from .costmodel import DeviceSpec, GpuCostModel
 
-__all__ = ["GpuDevice", "GpuMemoryError", "Allocation"]
+__all__ = ["MemoryLedger", "GpuMemoryError", "Allocation"]
 
 
 class GpuMemoryError(MemoryError):
@@ -34,97 +31,56 @@ class Allocation:
     serial: int
 
 
-class GpuDevice:
-    """One simulated GPU: launch kernels, allocate global memory."""
+class MemoryLedger:
+    """A capacity-bounded malloc/free ledger (callers hold the lock)."""
 
-    def __init__(self, spec: DeviceSpec | None = None) -> None:
-        self.spec = spec or DeviceSpec()
-        self.cost = GpuCostModel(spec=self.spec)
+    def __init__(self, capacity_bytes: int) -> None:
+        self.capacity_bytes = capacity_bytes
         self._allocated = 0
         self._serial = 0
         self._live: dict[int, Allocation] = {}
-        # Serializes the malloc/free ledger: several SimulatedGpuBackend
-        # wrappers may share one device (``as_backend(device)``), so the
-        # wrapper-level locks alone cannot protect the serial counter.
-        self._mem_lock = threading.RLock()
 
-    # ------------------------------------------------------------- kernels
-    def launch(
-        self,
-        name: str,
-        n_blocks: int,
-        ops_per_thread: float,
-        threads_per_block: int = 256,
-    ) -> float:
-        """Account one kernel launch; see :class:`GpuCostModel.launch`."""
-        return self.cost.launch(name, n_blocks, ops_per_thread, threads_per_block)
-
-    @property
-    def elapsed_s(self) -> float:
-        """Total simulated kernel time since the last reset."""
-        return self.cost.elapsed_s
-
-    def reset_time(self) -> None:
-        """Zero the simulated-time ledger."""
-        self.cost.reset()
-
-    # -------------------------------------------------------------- memory
     def malloc(self, nbytes: int, label: str = "buffer") -> Allocation:
-        """Reserve global memory; raises :class:`GpuMemoryError` when full."""
+        """Reserve memory; raises :class:`GpuMemoryError` when full."""
         nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError(f"allocation size must be non-negative, got {nbytes}")
-        with self._mem_lock:
-            if self._allocated + nbytes > self.spec.memory_bytes:
-                raise GpuMemoryError(
-                    f"cannot allocate {nbytes} bytes for {label!r}: "
-                    f"{self._allocated} of {self.spec.memory_bytes} bytes in use"
-                )
-            self._serial += 1
-            handle = Allocation(label=label, nbytes=nbytes, serial=self._serial)
-            self._live[handle.serial] = handle
-            self._allocated += nbytes
-            observe_gpu_memory(self._allocated)
-            return handle
+        if self._allocated + nbytes > self.capacity_bytes:
+            raise GpuMemoryError(
+                f"cannot allocate {nbytes} bytes for {label!r}: "
+                f"{self._allocated} of {self.capacity_bytes} bytes in use"
+            )
+        self._serial += 1
+        handle = Allocation(label=label, nbytes=nbytes, serial=self._serial)
+        self._live[handle.serial] = handle
+        self._allocated += nbytes
+        observe_gpu_memory(self._allocated)
+        return handle
 
     def free(self, handle: Allocation) -> None:
-        """Release a previous allocation (idempotent frees are errors)."""
-        with self._mem_lock:
-            if handle.serial not in self._live:
-                raise KeyError(f"allocation {handle} is not live")
-            del self._live[handle.serial]
-            self._allocated -= handle.nbytes
-            observe_gpu_memory(self._allocated)
+        """Release a previous allocation (double frees are errors)."""
+        if handle.serial not in self._live:
+            raise KeyError(f"allocation {handle} is not live")
+        del self._live[handle.serial]
+        self._allocated -= handle.nbytes
+        observe_gpu_memory(self._allocated)
 
     @property
     def allocated_bytes(self) -> int:
-        """Bytes currently allocated on the device."""
+        """Bytes currently allocated."""
         return self._allocated
 
     @property
     def free_bytes(self) -> int:
-        """Bytes still available on the device."""
-        return self.spec.memory_bytes - self._allocated
+        """Bytes still available."""
+        return self.capacity_bytes - self._allocated
 
     def live_allocations(self) -> list[Allocation]:
         """Live allocations in allocation order."""
         return sorted(self._live.values(), key=lambda a: a.serial)
 
-    # ------------------------------------------------------------- pickling
-    # Devices cross the process boundary when a shard worker flushes its
-    # state back to the serving process; locks don't pickle, so each side
-    # owns a fresh one (the transfer happens from a quiesced state).
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_mem_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._mem_lock = threading.RLock()
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"GpuDevice({self.spec.name!r}, allocated={self._allocated}, "
-            f"elapsed={self.cost.elapsed_s:.6f}s)"
+            f"MemoryLedger(allocated={self._allocated}, "
+            f"capacity={self.capacity_bytes})"
         )

@@ -1,9 +1,15 @@
 """Simulated GPU kernels: DTW verification and k-selection.
 
 Each function performs the kernel's numerical work with vectorised NumPy
-(the data-parallel shape of the CUDA grid) and reports its operation
-counts to the device's cost model.  Abstract-op weights per primitive are
-module constants so the cost model stays inspectable and testable.
+(the data-parallel shape of the CUDA grid) and charges its operation
+counts to the :class:`~repro.gpu.costmodel.GpuCostModel` it is handed.
+Abstract-op weights per primitive are module constants so the cost model
+stays inspectable and testable.
+
+Inputs arrive coerced and validated by the dispatching backend
+(:class:`repro.backend.base.SubstrateBackend`): ``candidates`` is a
+non-empty 2-D float64 array, ``values`` a non-empty 1-D float64 array
+and ``1 <= k <= values.size``.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..dtw.distance import dtw_batch, dtw_batch_pruned
-from .device import GpuDevice
+from .costmodel import GpuCostModel
 
 __all__ = [
     "OPS_PER_DTW_CELL",
@@ -39,7 +45,7 @@ THREADS_PER_BLOCK = 256
 
 
 def dtw_verification_kernel(
-    device: GpuDevice,
+    cost: GpuCostModel,
     query: np.ndarray,
     candidates: np.ndarray,
     rho: int,
@@ -59,15 +65,12 @@ def dtw_verification_kernel(
     of a block whose candidates abandoned are modelled as recycled onto
     the remaining work rather than idling until block exit.
     """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     n = candidates.shape[0]
-    if n == 0:
-        return np.empty(0)
     d = int(np.asarray(query).size)
     n_blocks = -(-n // THREADS_PER_BLOCK)
     if cutoff is None:
         cells = d * min(d, 2 * rho + 1)
-        device.launch(
+        cost.launch(
             "dtw_verify",
             n_blocks=n_blocks,
             ops_per_thread=cells * OPS_PER_DTW_CELL,
@@ -78,7 +81,7 @@ def dtw_verification_kernel(
         query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms,
         return_cells=True,
     )
-    device.launch(
+    cost.launch(
         "dtw_verify",
         n_blocks=n_blocks,
         ops_per_thread=(cells_expanded / n) * OPS_PER_DTW_CELL,
@@ -88,20 +91,17 @@ def dtw_verification_kernel(
 
 
 def full_dtw_kernel(
-    device: GpuDevice, query: np.ndarray, candidates: np.ndarray
+    cost: GpuCostModel, query: np.ndarray, candidates: np.ndarray
 ) -> np.ndarray:
     """Unbanded DTW (the GPUScan baseline of [60], Section 6.2.1).
 
     The full ``d x d`` warping matrix cannot live in shared memory, so the
     kernel pays the global-memory penalty on top of the larger cell count.
     """
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
     n = candidates.shape[0]
-    if n == 0:
-        return np.empty(0)
     d = int(np.asarray(query).size)
     n_blocks = -(-n // THREADS_PER_BLOCK)
-    device.launch(
+    cost.launch(
         "dtw_full",
         n_blocks=n_blocks,
         ops_per_thread=d * d * OPS_PER_DTW_CELL * GLOBAL_MEMORY_PENALTY,
@@ -111,7 +111,7 @@ def full_dtw_kernel(
 
 
 def k_select_kernel(
-    device: GpuDevice, values: np.ndarray, k: int
+    cost: GpuCostModel, values: np.ndarray, k: int
 ) -> np.ndarray:
     """Indices of the k smallest values via distributive partitioning [3].
 
@@ -123,15 +123,7 @@ def k_select_kernel(
     strictly below the one containing the k-th value, and recurses into
     that pivot bucket; each pass touches the surviving elements once.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1:
-        raise ValueError("k_select expects a 1-D array")
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
     n = values.size
-    if n == 0:
-        raise ValueError("cannot select from an empty array")
-    k = min(k, n)
 
     n_buckets = 256
     selected: list[np.ndarray] = []
@@ -163,7 +155,7 @@ def k_select_kernel(
         remaining -= int(below.sum())
         active = active[buckets == pivot]
 
-    device.launch(
+    cost.launch(
         "k_select",
         n_blocks=1,
         ops_per_thread=passes * n * OPS_PER_SELECT_ELEM / THREADS_PER_BLOCK,

@@ -199,7 +199,7 @@ def observe_gpu_memory(allocated_bytes: int) -> None:
         return
     _registry.gauge(
         "smiler_gpu_memory_allocated_bytes",
-        "Bytes currently allocated on the simulated device.",
+        "Bytes currently allocated in the backend memory ledger.",
     ).set(allocated_bytes)
 
 

@@ -10,7 +10,8 @@ Each span records
 
 * **wall-clock** — ``time.perf_counter`` delta between enter and exit,
 * **simulated GPU time** — when constructed with a device, the delta of
-  :attr:`repro.gpu.device.GpuDevice.elapsed_s` across the span, i.e. the
+  its ``elapsed_s`` (any :class:`~repro.backend.base.ComputeBackend`
+  or cost model) across the span, i.e. the
   simulated kernel seconds *attributable to this stage* (children's
   device time is included in the parent's, exactly like wall-clock).
 

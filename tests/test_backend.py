@@ -15,7 +15,6 @@ from repro.backend import (
     make_backend,
 )
 from repro.gpu.costmodel import DeviceSpec
-from repro.gpu.device import GpuDevice
 
 
 def rng_series(n=200, seed=0):
@@ -57,25 +56,12 @@ class TestAsBackend:
         backend = NativeBackend()
         assert as_backend(backend) is backend
 
-    def test_gpu_device_wrapped_sharing_ledgers(self):
-        device = GpuDevice()
-        backend = as_backend(device)
-        assert isinstance(backend, SimulatedGpuBackend)
-        backend.malloc(1000, "x")
-        assert device.allocated_bytes == 1000  # same ledger
-        backend.launch("k", n_blocks=4, ops_per_thread=100.0)
-        assert device.elapsed_s == backend.elapsed_s > 0
-
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             as_backend(42)
 
 
 class TestSimulatedGpuBackend:
-    def test_device_and_spec_exclusive(self):
-        with pytest.raises(ValueError):
-            SimulatedGpuBackend(device=GpuDevice(), spec=DeviceSpec())
-
     def test_kernels_attribute_time(self):
         backend = SimulatedGpuBackend()
         query = rng_series(32)
@@ -167,11 +153,6 @@ class TestBackendPool:
     def test_requires_backends(self):
         with pytest.raises(ValueError):
             BackendPool([])
-
-    def test_coerces_devices(self):
-        pool = BackendPool([GpuDevice(), NativeBackend()])
-        assert pool.backends[0].name == "simulated"
-        assert pool.backends[1].name == "native"
 
     def test_greedy_placement_balances(self):
         pool = BackendPool([

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.backend import SimulatedGpuBackend
 from repro.core import SMiLer, SMiLerConfig, SensorFleet
-from repro.gpu import DeviceSpec, GpuDevice, GpuMemoryError
+from repro.gpu import DeviceSpec, GpuMemoryError
 
 
 def periodic_history(n=800, period=50, seed=0, noise=0.05):
@@ -137,7 +138,7 @@ class TestFleet:
         assert fleet.backend.allocated_bytes >= fleet.memory_bytes()
 
     def test_fleet_out_of_memory(self):
-        tiny = GpuDevice(DeviceSpec(memory_bytes=50_000))
+        tiny = SimulatedGpuBackend(DeviceSpec(memory_bytes=50_000))
         histories = [periodic_history(seed=s)[:600] for s in range(8)]
         with pytest.raises(GpuMemoryError):
             SensorFleet(histories, SMALL, backend=tiny)
@@ -152,8 +153,6 @@ class TestFleet:
 
 class TestDiagnostics:
     def test_snapshot_fields(self):
-        from repro.backend import SimulatedGpuBackend
-
         history = periodic_history()
         # device_sim_seconds is a simulated-backend concept: pin it so the
         # assertion holds under any REPRO_BACKEND default.

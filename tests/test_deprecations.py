@@ -1,16 +1,14 @@
 """The PR-2 ``.device`` aliases are gone: the deprecation cycle ended
 (warn → removed), so every former alias now raises ``AttributeError``
-and the ``MultiGpuFleet`` shim is no longer importable.  The real
-attributes that merely *looked* like aliases
-(``SimulatedGpuBackend.device``) survive unchanged."""
-
-import warnings
+and the ``MultiGpuFleet`` shim is no longer importable.  The last
+``.device`` (``SimulatedGpuBackend.device``, the wrapped ``GpuDevice``)
+went with the device class itself: the backend *is* the substrate."""
 
 import numpy as np
 import pytest
 
 from repro import PredictionService, SMiLer, SMiLerConfig
-from repro.backend import NativeBackend, SimulatedGpuBackend
+from repro.backend import NativeBackend, SimulatedGpuBackend, as_backend
 from repro.core.smiler import SensorFleet
 from repro.harness.search_experiments import SearchScale
 
@@ -62,8 +60,13 @@ class TestDeviceAliasesRemoved:
         with pytest.raises(ImportError):
             from repro.core import MultiGpuFleet  # noqa: F401
 
-    def test_simulated_backend_device_is_not_deprecated(self):
+    def test_simulated_backend_device_is_gone(self):
         backend = SimulatedGpuBackend()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert backend.device is not None  # the real GpuDevice attr
+        assert not hasattr(backend, "device")
+        with pytest.raises(TypeError):
+            SimulatedGpuBackend(device=object())
+        # No device -> backend coercion either: only backends pass.
+        with pytest.raises(TypeError):
+            as_backend(object())
+        with pytest.raises(TypeError):
+            as_backend(backend.ledger)

@@ -55,3 +55,17 @@ class TestFileReferences:
         text = (ROOT / "README.md").read_text()
         for match in re.findall(r"examples/([a-z_]+)\.py", text):
             assert (ROOT / "examples" / f"{match}.py").exists(), match
+
+
+class TestMetricCatalog:
+    def test_catalog_lists_exactly_the_emitted_metrics(self):
+        """``docs/observability.md``'s catalog cannot drift from the
+        metric names ``obs/hooks.py`` emits."""
+        hooks = (ROOT / "src/repro/obs/hooks.py").read_text()
+        emitted = set(re.findall(r'"(smiler_[a-z_]+)"', hooks))
+        catalog = (ROOT / "docs/observability.md").read_text()
+        documented = set(
+            re.findall(r"^\| `(smiler_[a-z_]+)` \|", catalog, flags=re.M)
+        )
+        assert emitted  # the pattern still matches how hooks name metrics
+        assert documented == emitted

@@ -93,9 +93,10 @@ def build_service(
 def drive(service, histories, futures, rounds=2, singles=4):
     """Register the fleet, alternate batch ops, sprinkle single ops.
 
-    Returns ``(batches, single_forecasts)`` and *closes the service*, so
-    the process engine's workers are flushed and state authority is back
-    in the parent before the caller inspects ledgers.
+    Returns ``(batches, single_forecasts, placements, elapsed,
+    ledgers)`` and *closes the service*, so the process engine's workers
+    are flushed and state authority is back in the parent before the
+    ledgers are read.
     """
     try:
         for sensor_id, history in histories.items():
@@ -121,7 +122,15 @@ def drive(service, histories, futures, rounds=2, singles=4):
     finally:
         service.close()
     elapsed = [backend.elapsed_s for backend in service.backends]
-    return batches, single_forecasts, placements, elapsed
+    ledgers = []
+    for backend in service.backends:
+        cost = getattr(backend, "cost", None)  # simulated only
+        ledgers.append({
+            "allocated_bytes": backend.allocated_bytes,
+            "launches": None if cost is None else cost.launches,
+            "per_kernel_s": None if cost is None else dict(cost.per_kernel_s),
+        })
+    return batches, single_forecasts, placements, elapsed, ledgers
 
 
 def assert_batches_identical(reference, other):
@@ -181,19 +190,24 @@ class TestEngineParity:
             results[engine] = drive(
                 build_service(backend_name, engine), histories, futures
             )
-        ref_batches, ref_singles, ref_placements, ref_elapsed = results[
-            "inline"
-        ]
+        ref_batches, ref_singles, ref_placements, ref_elapsed, ref_ledgers = (
+            results["inline"]
+        )
         assert all(len(batch) == N_SENSORS for batch in ref_batches)
         assert all(batch.ok for batch in ref_batches)
         for engine in ("thread", "process"):
-            batches, singles, placements, elapsed = results[engine]
+            batches, singles, placements, elapsed, ledgers = results[engine]
             assert_batches_identical(ref_batches, batches)
             assert singles == ref_singles  # frozen dataclass, exact floats
             assert placements == ref_placements
             assert elapsed == ref_elapsed  # exact float equality
+            # The memory ledger and the cost model cross the pipe as part
+            # of the backend: exact ints, exact per-kernel floats.
+            assert ledgers == ref_ledgers
+        assert all(ledger["allocated_bytes"] > 0 for ledger in ref_ledgers)
         if backend_name == "simulated":
             assert all(s > 0.0 for s in ref_elapsed)
+            assert all(ledger["launches"] > 0 for ledger in ref_ledgers)
 
     def test_error_side_channel_identical(self, backend_name):
         """Deterministic injected faults cross the process boundary with

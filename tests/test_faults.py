@@ -161,8 +161,22 @@ class TestFaultInjectingBackend:
         backend.dtw_verification(QUERY, CANDS, rho=2)
         backend.full_dtw(QUERY, CANDS)
         assert backend.elapsed_s == pytest.approx(inner.elapsed_s + 2e-3)
+        assert backend.injected_s == pytest.approx(2e-3)
+        with pytest.raises(AttributeError):
+            backend.injected_s = 0.0  # read-only: set_elapsed mirrors it
         backend.reset_time()
-        assert backend.elapsed_s == 0.0
+        assert backend.elapsed_s == backend.injected_s == 0.0
+
+    def test_set_elapsed_mirrors_both_clocks(self):
+        """What the process engine does to the parent's stale copy."""
+        inner = SimulatedGpuBackend()
+        backend = wrapped(FaultProfile(added_latency_s=1e-3), inner)
+        backend.set_elapsed(0.75, injected_s=0.25)
+        assert (backend.elapsed_s, backend.injected_s) == (0.75, 0.25)
+        assert inner.elapsed_s == inner.cost.elapsed_s == 0.5
+        native = NativeBackend()
+        native.set_elapsed(3.0)  # no clock: stays unmodelled
+        assert native.elapsed_s == 0.0
 
     def test_malloc_fault_is_a_gpu_memory_error(self):
         backend = wrapped(FaultProfile(seed=0, malloc_error_rate=1.0))
@@ -174,7 +188,8 @@ class TestFaultInjectingBackend:
     def test_getattr_delegates_to_inner(self):
         inner = SimulatedGpuBackend()
         backend = wrapped(FaultProfile(), inner)
-        assert backend.device is inner.device  # simulated-only extra
+        assert backend.cost is inner.cost  # simulated-only extra
+        assert backend.ledger is inner.ledger
 
 
 class TestWiring:

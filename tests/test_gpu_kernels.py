@@ -5,15 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import SimulatedGpuBackend
 from repro.dtw import dtw_distance, knn_bruteforce
-from repro.gpu import (
-    GpuDevice,
-    dtw_verification_kernel,
-    fast_gpu_scan,
-    full_dtw_kernel,
-    gpu_scan,
-    k_select_kernel,
-)
+from repro.gpu import fast_gpu_scan, gpu_scan
 
 
 def make_series(n=300, seed=0):
@@ -24,20 +18,20 @@ def make_series(n=300, seed=0):
 class TestDtwKernels:
     def test_verification_matches_reference(self):
         rng = np.random.default_rng(0)
-        dev = GpuDevice()
+        dev = SimulatedGpuBackend()
         q = rng.normal(size=16)
         cands = rng.normal(size=(10, 16))
-        got = dtw_verification_kernel(dev, q, cands, rho=4)
+        got = dev.dtw_verification(q, cands, rho=4)
         expected = [dtw_distance(q, c, rho=4) for c in cands]
         np.testing.assert_allclose(got, expected)
         assert dev.elapsed_s > 0
 
     def test_full_kernel_matches_unbanded(self):
         rng = np.random.default_rng(1)
-        dev = GpuDevice()
+        dev = SimulatedGpuBackend()
         q = rng.normal(size=12)
         cands = rng.normal(size=(5, 12))
-        got = full_dtw_kernel(dev, q, cands)
+        got = dev.full_dtw(q, cands)
         expected = [dtw_distance(q, c, rho=None) for c in cands]
         np.testing.assert_allclose(got, expected)
 
@@ -45,15 +39,15 @@ class TestDtwKernels:
         rng = np.random.default_rng(2)
         q = rng.normal(size=64)
         cands = rng.normal(size=(512, 64))
-        banded_dev, full_dev = GpuDevice(), GpuDevice()
-        dtw_verification_kernel(banded_dev, q, cands, rho=8)
-        full_dtw_kernel(full_dev, q, cands)
+        banded_dev, full_dev = SimulatedGpuBackend(), SimulatedGpuBackend()
+        banded_dev.dtw_verification(q, cands, rho=8)
+        full_dev.full_dtw(q, cands)
         assert banded_dev.elapsed_s < full_dev.elapsed_s / 3
 
     def test_empty_candidates(self):
-        dev = GpuDevice()
-        assert dtw_verification_kernel(dev, np.arange(4.0), np.empty((0, 4)), 2).size == 0
-        assert full_dtw_kernel(dev, np.arange(4.0), np.empty((0, 4))).size == 0
+        dev = SimulatedGpuBackend()
+        assert dev.dtw_verification(np.arange(4.0), np.empty((0, 4)), 2).size == 0
+        assert dev.full_dtw(np.arange(4.0), np.empty((0, 4))).size == 0
 
 
 class TestKSelect:
@@ -66,38 +60,38 @@ class TestKSelect:
     def test_matches_argsort(self, seed, n, k):
         rng = np.random.default_rng(seed)
         values = rng.normal(size=n)
-        dev = GpuDevice()
-        idx = k_select_kernel(dev, values, k)
+        dev = SimulatedGpuBackend()
+        idx = dev.k_select(values, k)
         expected = np.sort(values)[: min(k, n)]
         np.testing.assert_allclose(np.sort(values[idx]), expected)
         assert idx.size == min(k, n)
 
     def test_handles_ties(self):
         values = np.zeros(100)
-        dev = GpuDevice()
-        idx = k_select_kernel(dev, values, 7)
+        dev = SimulatedGpuBackend()
+        idx = dev.k_select(values, 7)
         assert idx.size == 7
         assert len(set(idx.tolist())) == 7
 
     def test_handles_tight_range(self):
         values = 1.0 + np.arange(50) * 1e-15
-        dev = GpuDevice()
-        idx = k_select_kernel(dev, values, 5)
+        dev = SimulatedGpuBackend()
+        idx = dev.k_select(values, 5)
         assert idx.size == 5
 
     def test_validation(self):
-        dev = GpuDevice()
+        dev = SimulatedGpuBackend()
         with pytest.raises(ValueError):
-            k_select_kernel(dev, np.empty(0), 1)
+            dev.k_select(np.empty(0), 1)
         with pytest.raises(ValueError):
-            k_select_kernel(dev, np.arange(5.0), 0)
+            dev.k_select(np.arange(5.0), 0)
         with pytest.raises(ValueError):
-            k_select_kernel(dev, np.zeros((2, 2)), 1)
+            dev.k_select(np.zeros((2, 2)), 1)
 
     def test_returns_sorted_by_value(self):
         rng = np.random.default_rng(3)
         values = rng.normal(size=200)
-        idx = k_select_kernel(GpuDevice(), values, 10)
+        idx = SimulatedGpuBackend().k_select(values, 10)
         assert (np.diff(values[idx]) >= 0).all()
 
 
@@ -105,7 +99,7 @@ class TestScans:
     def test_fast_gpu_scan_matches_bruteforce(self):
         series = make_series()
         query = series[40:72].copy()
-        dev = GpuDevice()
+        dev = SimulatedGpuBackend()
         got = fast_gpu_scan(dev, query, series, k=5, rho=4)
         expected = knn_bruteforce(query, series, k=5, rho=4)
         np.testing.assert_allclose(np.sort(got.distances), np.sort(expected.distances))
@@ -113,7 +107,7 @@ class TestScans:
     def test_gpu_scan_unbanded_distances(self):
         series = make_series(150, seed=5)
         query = series[10:26].copy()
-        dev = GpuDevice()
+        dev = SimulatedGpuBackend()
         got = gpu_scan(dev, query, series, k=3)
         expected = knn_bruteforce(query, series, k=3, rho=None)
         np.testing.assert_allclose(np.sort(got.distances), np.sort(expected.distances))
@@ -121,7 +115,7 @@ class TestScans:
     def test_fast_scan_faster_than_unbanded(self):
         series = make_series(2000, seed=6)
         query = series[100:164].copy()
-        fast_dev, slow_dev = GpuDevice(), GpuDevice()
+        fast_dev, slow_dev = SimulatedGpuBackend(), SimulatedGpuBackend()
         fast_gpu_scan(fast_dev, query, series, k=4, rho=8)
         gpu_scan(slow_dev, query, series, k=4)
         assert fast_dev.elapsed_s < slow_dev.elapsed_s
@@ -129,10 +123,10 @@ class TestScans:
     def test_exclusion(self):
         series = make_series(400, seed=7)
         query = series[200:232].copy()
-        res = fast_gpu_scan(GpuDevice(), query, series, k=2, rho=4, exclude=(200, 232))
+        res = fast_gpu_scan(SimulatedGpuBackend(), query, series, k=2, rho=4, exclude=(200, 232))
         for start in res.starts:
             assert start + 32 <= 200 or start >= 232
 
     def test_query_longer_than_series(self):
         with pytest.raises(ValueError):
-            gpu_scan(GpuDevice(), np.arange(10.0), np.arange(5.0), k=1)
+            gpu_scan(SimulatedGpuBackend(), np.arange(10.0), np.arange(5.0), k=1)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.backend import SimulatedGpuBackend
 from repro.dtw import compute_envelope, dtw_distance, lb_profile
-from repro.gpu import GpuDevice
 from repro.index import direct_lb_en
 
 
@@ -17,7 +17,7 @@ class TestDirectLbEn:
     def test_matches_lb_profile(self):
         series = make_series()
         master = series[-24:]
-        result = direct_lb_en(GpuDevice(), master, series, (12, 24), rho=3)
+        result = direct_lb_en(SimulatedGpuBackend(), master, series, (12, 24), rho=3)
         for d in (12, 24):
             query = master[master.size - d :]
             lbeq, lbec = lb_profile(query, series, 3)
@@ -26,7 +26,7 @@ class TestDirectLbEn:
     def test_bounds_hold(self):
         series = make_series(seed=1)
         master = series[-16:]
-        result = direct_lb_en(GpuDevice(), master, series, (8, 16), rho=2)
+        result = direct_lb_en(SimulatedGpuBackend(), master, series, (8, 16), rho=2)
         for d in (8, 16):
             query = master[master.size - d :]
             for t in range(0, series.size - d + 1, 7):
@@ -35,7 +35,7 @@ class TestDirectLbEn:
 
     def test_accounts_device_time(self):
         series = make_series()
-        device = GpuDevice()
+        device = SimulatedGpuBackend()
         direct_lb_en(device, series[-16:], series, (8, 16), rho=2)
         assert device.elapsed_s > 0
         assert "direct_lb_en" in device.cost.per_kernel_s
@@ -43,6 +43,6 @@ class TestDirectLbEn:
     def test_duplicate_lengths_deduplicated(self):
         series = make_series()
         result = direct_lb_en(
-            GpuDevice(), series[-16:], series, (8, 8, 16), rho=2
+            SimulatedGpuBackend(), series[-16:], series, (8, 8, 16), rho=2
         )
         assert set(result) == {8, 16}

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import SimulatedGpuBackend
 from repro.dtw import dtw_distance
-from repro.gpu import GpuDevice
 from repro.index import GroupLevelIndex, WindowLevelIndex, direct_lb_en
 
 
@@ -17,7 +17,7 @@ def make_series(n, seed=0):
 
 def build_group(series, item_lengths, omega, rho):
     master_len = max(item_lengths)
-    wi = WindowLevelIndex(series, master_len, omega, rho, backend=GpuDevice())
+    wi = WindowLevelIndex(series, master_len, omega, rho, backend=SimulatedGpuBackend())
     wi.build(series[-master_len:])
     return GroupLevelIndex(wi, item_lengths)
 
@@ -80,7 +80,7 @@ class TestBoundCorrectness:
         group = build_group(series, item_lengths, omega, rho)
         bounds = group.compute()
         master = series[-24:]
-        direct = direct_lb_en(GpuDevice(), master, series, item_lengths, rho)
+        direct = direct_lb_en(SimulatedGpuBackend(), master, series, item_lengths, rho)
         for d in item_lengths:
             covered = bounds[d].covered
             assert (
@@ -91,7 +91,7 @@ class TestBoundCorrectness:
         series = make_series(150, seed=4)
         # Plant the master query inside the history.
         master = series[40:64].copy()
-        wi = WindowLevelIndex(series, 24, 4, 2, backend=GpuDevice())
+        wi = WindowLevelIndex(series, 24, 4, 2, backend=SimulatedGpuBackend())
         wi.build(master)
         group = GroupLevelIndex(wi, (12, 24))
         bounds = group.compute()
@@ -137,7 +137,7 @@ class TestAlgorithm1Reference:
 
         series = make_series(n, seed=seed)
         master_len = max(item_lengths)
-        wi = WindowLevelIndex(series, master_len, omega, rho, backend=GpuDevice())
+        wi = WindowLevelIndex(series, master_len, omega, rho, backend=SimulatedGpuBackend())
         wi.build(series[-master_len:])
         fast = GroupLevelIndex(wi, item_lengths).compute()
         slow = algorithm1_reference(wi, item_lengths)

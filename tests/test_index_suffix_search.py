@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import SimulatedGpuBackend
 from repro.dtw import dtw_batch
-from repro.gpu import GpuDevice
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gpu import GpuDevice
+from repro.backend import SimulatedGpuBackend
 from repro.index import WindowLevelIndex
 
 
@@ -13,7 +13,7 @@ def make_series(n, seed=0):
 
 
 def fresh_index(series, master, omega=4, rho=2):
-    idx = WindowLevelIndex(series, master.size, omega, rho, backend=GpuDevice())
+    idx = WindowLevelIndex(series, master.size, omega, rho, backend=SimulatedGpuBackend())
     idx.build(master)
     return idx
 
@@ -141,7 +141,7 @@ class TestContinuousReuse:
 
         series = make_series(12000)
         master = series[-96:]
-        device = GpuDevice(DeviceSpec(launch_overhead_s=0.0))
+        device = SimulatedGpuBackend(DeviceSpec(launch_overhead_s=0.0))
         idx = WindowLevelIndex(series, 96, 16, 8, backend=device)
         idx.build(master)
         build_time = device.elapsed_s

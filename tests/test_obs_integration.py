@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import PredictionService, SMiLerConfig, obs
-from repro.backend import SimulatedGpuBackend
+from repro.backend import BACKEND_NAMES, SimulatedGpuBackend, make_backend
 
 
 @pytest.fixture(autouse=True)
@@ -27,11 +27,12 @@ def tiny_config(predictor: str = "gp") -> SMiLerConfig:
     )
 
 
-def make_service(predictor: str = "gp") -> PredictionService:
+def make_service(predictor: str = "gp", backend=None) -> PredictionService:
     # These tests assert simulated-time spans and kernel counters, so pin
     # the simulated backend regardless of the REPRO_BACKEND default.
     service = PredictionService(
-        config=tiny_config(predictor), backends=SimulatedGpuBackend(),
+        config=tiny_config(predictor),
+        backends=backend or SimulatedGpuBackend(),
         min_history=300,
     )
     rng = np.random.default_rng(7)
@@ -144,12 +145,16 @@ class TestMetricsExport:
         assert series.sum > 0.0
 
     def test_memory_gauge_follows_register_deregister(self):
-        obs.enable()
-        service = make_service(predictor="ar")
-        gauge = obs.get_registry().get("smiler_gpu_memory_allocated_bytes")
-        assert gauge.value() == service.backends[0].allocated_bytes > 0
-        service.deregister("s0")
-        assert gauge.value() == 0
+        # Both backends own the same ledger, so both must move the gauge.
+        for name in BACKEND_NAMES:
+            obs.reset()
+            obs.enable()
+            service = make_service(predictor="ar", backend=make_backend(name))
+            gauge = obs.get_registry().get("smiler_gpu_memory_allocated_bytes")
+            assert gauge is not None, name
+            assert gauge.value() == service.backends[0].allocated_bytes > 0, name
+            service.deregister("s0")
+            assert gauge.value() == 0, name
 
     def test_service_metrics_snapshot(self):
         obs.enable()

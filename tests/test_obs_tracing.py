@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from repro import obs
-from repro.gpu.device import GpuDevice
+from repro.backend import SimulatedGpuBackend
 from repro.obs.tracing import Tracer, format_span_tree
 
 
@@ -92,7 +92,7 @@ class TestSpanNesting:
 
 class TestGpuAttribution:
     def test_span_records_simulated_device_time(self, tracer):
-        device = GpuDevice()
+        device = SimulatedGpuBackend()
         with tracer.span("kernelwork", device=device) as sp:
             device.launch("fake_kernel", n_blocks=4, ops_per_thread=1000)
         assert sp.gpu_sim_s > 0.0
@@ -140,7 +140,7 @@ class TestGlobalSwitch:
         assert obs.get_tracer().last_root is sp
 
     def test_disabled_span_allocates_nothing(self):
-        device = GpuDevice()
+        device = SimulatedGpuBackend()
         obs.span("warmup", device)  # warm caches before measuring
         tracemalloc.start()
         before = tracemalloc.take_snapshot()

@@ -6,7 +6,6 @@ import pytest
 from repro.backend import NativeBackend, SimulatedGpuBackend
 from repro.core import SMiLerConfig
 from repro.gpu.costmodel import DeviceSpec
-from repro.gpu.device import GpuDevice
 from repro.service import Forecast, PredictionService, SnapshotCorruptionError
 
 CONFIG = SMiLerConfig(
@@ -75,7 +74,7 @@ class TestRegistration:
         probe.register("s", raw_history())
         footprint = probe.backends[0].allocated_bytes
         # Headroom for ~2 sensors: any leak blows up within a few laps.
-        device = GpuDevice(DeviceSpec(memory_bytes=int(2.5 * footprint)))
+        device = SimulatedGpuBackend(DeviceSpec(memory_bytes=int(2.5 * footprint)))
         service = make_service(backends=device)
         for _ in range(50):
             service.register("s", raw_history())
