@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench examples results clean
+.PHONY: install test bench bench-round examples results clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -10,6 +10,9 @@ test:
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+
+bench-round:
+	python3 benchmarks/roundbench/run.py --seed 2015
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -27,6 +27,8 @@ from .lower_bounds import (
     lb_keogh_terms,
     lb_profile,
     window_pair_lb_matrices,
+    window_pair_lbec,
+    window_pair_lbeq,
 )
 from .measures import (
     edr_distance,
@@ -62,6 +64,8 @@ __all__ = [
     "lb_keogh_terms",
     "lb_profile",
     "window_pair_lb_matrices",
+    "window_pair_lbeq",
+    "window_pair_lbec",
     "edr_distance",
     "erp_distance",
     "euclidean_distance",

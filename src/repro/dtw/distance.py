@@ -3,12 +3,14 @@
 Conventions (shared by every lower bound in :mod:`repro.dtw.lower_bounds`
 so that ``LB <= DTW`` holds exactly):
 
-* point distance is the squared difference ``(q_i - c_j)**2``,
+* point distance is the squared difference ``(q_i - c_j)**2``, computed
+  as a product (a NumPy scalar's ``** 2`` goes through ``pow`` and can
+  differ from the array ``square`` in the last bit),
 * the DTW distance is the raw accumulated sum ``gamma(d, d)`` — no square
   root, matching the paper's Eqns. (21)-(24),
 * the warping path is restricted to ``|i - j| <= rho`` (warping width).
 
-Four implementations are provided:
+Implementations:
 
 * :func:`dtw_distance` — reference banded DP with a rolling row,
 * :func:`dtw_distance_compressed` — the paper's Algorithm 2 verbatim: the
@@ -16,16 +18,19 @@ Four implementations are provided:
   memory (cross-checked against the reference in tests),
 * :func:`dtw_distance_early_abandon` — row-minimum early abandoning used
   by the FastCPUScan baseline,
-* :func:`dtw_batch` — band DP vectorised across many candidate segments
-  (the shape a GPU block would compute in parallel),
-* :func:`dtw_batch_pruned` — the same batched DP with cumulative-bound
-  early abandoning: candidates whose partial path cost plus an
-  admissible tail bound exceeds the cutoff are dropped from the active
-  set mid-DP.  Survivors' distances are bit-identical to
-  :func:`dtw_batch`; abandoned candidates report ``inf``.
+* :func:`dtw_batch_pruned` — the one batched kernel: the band DP walked
+  anti-diagonal by anti-diagonal, each diagonal evaluated for a block of
+  candidates at once (the shape a GPU block would compute in parallel),
+  with cumulative-bound early abandoning: candidates whose partial path
+  cost plus an admissible tail bound exceeds the cutoff are dropped
+  mid-DP and report ``inf``.  Survivors' distances are bit-identical to
+  :func:`dtw_distance`,
+* :func:`dtw_batch` — the same kernel with no cutoff.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -44,6 +49,11 @@ _INF = np.inf
 #: distance is exactly at the threshold (extra slack only costs a little
 #: wasted verification, never exactness).
 ABANDON_SLACK = 1e-9
+
+#: Candidates per DP block of the batched kernel (the CUDA block's role):
+#: the wavefront state is ``4 x (d + 2) x BLOCK_ROWS`` floats however many
+#: candidates one call verifies.
+BLOCK_ROWS = 1024
 
 
 def _check_inputs(query: np.ndarray, candidate: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +90,8 @@ def dtw_distance(query, candidate, rho: int | None = None) -> float:
         hi = min(d, i + band)
         qi = query[i - 1]
         for j in range(lo, hi + 1):
-            cost = (qi - candidate[j - 1]) ** 2
-            cur[j] = cost + min(prev[j], prev[j - 1], cur[j - 1])
+            diff = qi - candidate[j - 1]
+            cur[j] = diff * diff + min(prev[j], prev[j - 1], cur[j - 1])
         prev, cur = cur, prev
     return float(prev[d])
 
@@ -116,8 +126,8 @@ def dtw_distance_compressed(query, candidate, rho: int) -> float:
         gamma[(j + rho) % m, (j - 1) % 2] = _INF
         cj = candidate[j - 1]
         for i in range(max(1, j - rho), min(d, j + rho) + 1):
-            cost = (query[i - 1] - cj) ** 2
-            gamma[i % m, j % 2] = cost + min(
+            diff = query[i - 1] - cj
+            gamma[i % m, j % 2] = diff * diff + min(
                 gamma[(i - 1) % m, j % 2],
                 gamma[i % m, (j - 1) % 2],
                 gamma[(i - 1) % m, (j - 1) % 2],
@@ -147,8 +157,8 @@ def dtw_distance_early_abandon(
         qi = query[i - 1]
         row_min = _INF
         for j in range(lo, hi + 1):
-            cost = (qi - candidate[j - 1]) ** 2
-            value = cost + min(prev[j], prev[j - 1], cur[j - 1])
+            diff = qi - candidate[j - 1]
+            value = diff * diff + min(prev[j], prev[j - 1], cur[j - 1])
             cur[j] = value
             if value < row_min:
                 row_min = value
@@ -161,53 +171,26 @@ def dtw_distance_early_abandon(
 def dtw_batch(query, candidates, rho: int | None = None) -> np.ndarray:
     """Banded DTW between one query and many candidates, vectorised.
 
-    ``candidates`` has shape ``(n, d)``; the DP loops over matrix cells in
-    Python but evaluates each cell for *all* candidates at once — the same
-    data-parallel shape a GPU block computes with one candidate per thread.
+    ``candidates`` has shape ``(n, d)``.  This is :func:`dtw_batch_pruned`
+    with no cutoff: nothing is abandoned, every candidate gets a distance.
     """
-    query = np.asarray(query, dtype=np.float64)
-    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    d = query.size
-    if candidates.shape[1] != d:
-        raise ValueError(
-            f"candidates of length {candidates.shape[1]} do not match query "
-            f"of length {d}"
-        )
-    n = candidates.shape[0]
-    if n == 0:
-        return np.empty(0)
-    band = d if rho is None else int(rho)
-    if band < 0:
-        raise ValueError(f"warping width must be non-negative, got {rho}")
-
-    prev = np.full((n, d + 1), _INF)
-    prev[:, 0] = 0.0
-    cur = np.empty((n, d + 1))
-    for i in range(1, d + 1):
-        cur[:] = _INF
-        lo = max(1, i - band)
-        hi = min(d, i + band)
-        qi = query[i - 1]
-        for j in range(lo, hi + 1):
-            cost = (qi - candidates[:, j - 1]) ** 2
-            best = np.minimum(prev[:, j], prev[:, j - 1])
-            np.minimum(best, cur[:, j - 1], out=best)
-            cur[:, j] = cost + best
-        prev, cur = cur, prev
-    return prev[:, d].copy()
+    return dtw_batch_pruned(query, candidates, rho)
 
 
 def dtw_batch_pruned(
     query,
     candidates,
-    rho: int,
+    rho: int | None,
     cutoff: float = _INF,
     lb_terms: np.ndarray | None = None,
     return_cells: bool = False,
 ) -> np.ndarray | tuple[np.ndarray, int]:
     """Batched banded DTW with cumulative-bound early abandoning.
 
-    Like :func:`dtw_batch`, but after each DP row the per-candidate
+    The DP walks anti-diagonals (see :func:`_wavefront_block`), evaluating
+    every cell of a diagonal for all candidates of a block at once — the
+    data-parallel shape a GPU block computes with one candidate per
+    thread.  Each time a DP row ``i < d`` completes, the per-candidate
     abandon criterion
 
         ``min(band cells of row i)  +  sum(lb_terms[i + rho :])``
@@ -221,14 +204,17 @@ def dtw_batch_pruned(
     entirely in the future.  A candidate is abandoned only when the
     criterion *strictly* exceeds ``cutoff + ABANDON_SLACK``, so every
     candidate whose true distance is ``<= cutoff`` survives and its
-    distance is **bit-identical** to :func:`dtw_batch` (the per-candidate
-    arithmetic is unchanged; shrinking the active set never reorders it).
+    distance is **bit-identical** to the scalar recurrence (the
+    per-candidate arithmetic never depends on the batch or the cutoff).
     Abandoned candidates report ``inf`` — their true distance is
     guaranteed ``> cutoff``.
 
-    ``lb_terms=None`` disables the tail (row minima still abandon).
-    ``return_cells=True`` additionally returns the number of DP cells
-    actually expanded, for cost-model attribution.
+    ``rho=None`` removes the band; ``lb_terms=None`` disables the tail
+    (row minima still abandon).  ``return_cells=True`` additionally
+    returns the number of DP cells expanded *in row-major terms* — every
+    cell of rows ``1..f`` where ``f`` is the candidate's first failing
+    row — which is what the cost model charges, whatever order the host
+    kernel visits cells in.
     """
     query = np.asarray(query, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
@@ -242,11 +228,9 @@ def dtw_batch_pruned(
     if n == 0:
         empty = np.empty(0)
         return (empty, 0) if return_cells else empty
-    band = int(rho)
+    band = d if rho is None else int(rho)
     if band < 0:
         raise ValueError(f"warping width must be non-negative, got {rho}")
-    threshold = cutoff + ABANDON_SLACK
-
     if lb_terms is not None:
         lb_terms = np.asarray(lb_terms, dtype=np.float64)
         if lb_terms.shape != (n, d):
@@ -254,48 +238,142 @@ def dtw_batch_pruned(
                 f"lb_terms of shape {lb_terms.shape} do not match "
                 f"{n} candidates of length {d}"
             )
+    threshold = cutoff + ABANDON_SLACK
+    query_column = query[:, None]
+    out = np.empty(n)
+    cells = 0
+    for start in range(0, n, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        out[block], block_cells = _wavefront_block(
+            query_column,
+            candidates[block],
+            band,
+            threshold,
+            None if lb_terms is None else lb_terms[block],
+        )
+        cells += block_cells
+    if return_cells:
+        return out, cells
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _band_geometry(d: int, band: int) -> tuple[tuple, tuple]:
+    """Shape of a banded ``d x d`` warping matrix, walked by anti-diagonals.
+
+    Returns ``(diagonals, cells_through)``: one ``(s, lo, hi, row_done)``
+    per diagonal ``i + j = s`` whose band cells are rows ``lo..hi``
+    (``row_done``: row ``lo < d`` gets its last cell here), and the number
+    of band cells in rows ``1..i`` for every ``i``.
+    """
+    diagonals = []
+    for s in range(2, 2 * d + 1):
+        lo = max(1, s - d, (s - band + 1) // 2)
+        hi = min(d, s - 1, (s + band) // 2)
+        diagonals.append((s, lo, hi, lo < d and s - lo == min(d, lo + band)))
+    cells_through = [0]
+    for i in range(1, d + 1):
+        width = min(d, i + band) - max(1, i - band) + 1
+        cells_through.append(cells_through[-1] + width)
+    return tuple(diagonals), tuple(cells_through)
+
+
+def _wavefront_block(
+    query_column: np.ndarray,
+    candidates: np.ndarray,
+    band: int,
+    threshold: float,
+    lb_terms: np.ndarray | None,
+) -> tuple[np.ndarray, int]:
+    """One block of the batched DP: ``(distances, row-major cells)``.
+
+    Cells on an anti-diagonal ``i + j = s`` depend only on diagonals
+    ``s - 1`` (``gamma(i-1, j)``, ``gamma(i, j-1)``) and ``s - 2``
+    (``gamma(i-1, j-1)``), so a diagonal is a handful of NumPy calls over
+    one contiguous ``(band cells, candidates)`` slab and the DP state is
+    three diagonals — the role Algorithm 2's compressed warping matrix
+    plays for columns.  Diagonal ``s`` lives in plane ``s % 3``, indexed
+    by row ``i``; the two cells flanking its band range are set to
+    ``inf`` when it is written, which is all a later diagonal can read
+    outside the range.  Per cell the arithmetic is the scalar
+    recurrence's: ``(q_i - c_j)**2 + min`` of the three predecessors.
+
+    Rows finish in increasing order (row ``i`` on diagonal
+    ``i + min(d, i + band)``, always as the diagonal's first cell), so
+    testing the abandon criterion when a row completes drops each
+    candidate at the same row the row-major order would.  Dropped
+    candidates keep their state columns (nothing reads across columns)
+    until half the columns are dead, then the state is compacted.
+    """
+    n, d = candidates.shape
+    diagonals, cells_through = _band_geometry(d, band)
+    prune = threshold < _INF
+    # cand[k] = candidates[:, d - 1 - k]: the cells (i, s - i) of diagonal
+    # s, i ascending, read the contiguous rows d - s + i.
+    cand = np.ascontiguousarray(candidates[:, ::-1].T)
+    # Planes 0-2: the rotating diagonals; plane 3: running row minima.
+    state = np.full((4 if prune else 3, d + 2, n), _INF)
+    state[0, 0] = 0.0  # gamma(0, 0)
+    cost = np.empty((min(d, band + 1), n))
+    tails = None
+    if prune and lb_terms is not None:
         # tails[:, j] = lb_terms[:, j:].sum() — the admissible tail when
         # candidate positions >= j are still unmatched.
         tails = np.zeros((n, d + 1))
         tails[:, :d] = np.cumsum(lb_terms[:, ::-1], axis=1)[:, ::-1]
-    else:
-        tails = None
-
-    active = np.arange(n)
+    # State column c holds candidate columns[c]; abandoned candidates
+    # stay in the state (live[c] False) until compaction drops them.
+    columns = np.arange(n)
+    live = np.ones(n, dtype=bool)
+    n_live = n
     out = np.full(n, _INF)
-    # prev/cur always hold one row per *active* candidate, in active order;
-    # abandoning compacts them so later rows never touch dead candidates.
-    prev = np.full((active.size, d + 1), _INF)
-    prev[:, 0] = 0.0
-    cur = np.empty((active.size, d + 1))
     cells = 0
-    for i in range(1, d + 1):
-        cur[:] = _INF
-        lo = max(1, i - band)
-        hi = min(d, i + band)
-        qi = query[i - 1]
-        for j in range(lo, hi + 1):
-            cost = (qi - candidates[active, j - 1]) ** 2
-            best = np.minimum(prev[:, j], prev[:, j - 1])
-            np.minimum(best, cur[:, j - 1], out=best)
-            cur[:, j] = cost + best
-        cells += active.size * (hi - lo + 1)
-        if i < d and threshold < _INF:
-            bound = cur[:, lo : hi + 1].min(axis=1)
-            if tails is not None:
-                bound = bound + tails[active, min(i + band, d)]
-            keep = bound <= threshold
-            if not keep.all():
-                active = active[keep]
-                if active.size == 0:
-                    break
-                survivors = cur[keep]
-                cur = np.empty_like(survivors)
-                prev = survivors
-                continue
-        prev, cur = cur, prev
-    if active.size:
-        out[active] = prev[:, d]
-    if return_cells:
-        return out, cells
-    return out
+
+    for s, lo, hi, row_done in diagonals:
+        diagonal = state[s % 3]
+        diagonal[lo - 1] = _INF
+        diagonal[hi + 1] = _INF
+        if lo > hi:  # odd diagonal of a zero-width band
+            continue
+        one_back = state[(s - 1) % 3]
+        slab = diagonal[lo : hi + 1]
+        np.minimum(one_back[lo - 1 : hi], one_back[lo : hi + 1], out=slab)
+        np.minimum(slab, state[(s - 2) % 3][lo - 1 : hi], out=slab)
+        step = cost[: hi - lo + 1]
+        np.subtract(
+            query_column[lo - 1 : hi], cand[d - s + lo : d - s + hi + 1], out=step
+        )
+        np.square(step, out=step)
+        np.add(step, slab, out=slab)
+        if not prune:
+            continue
+        row_min = state[3, lo : hi + 1]
+        np.minimum(row_min, slab, out=row_min)
+        if not row_done:
+            continue
+        # Row `lo` is complete: abandon on its minimum plus the tail.
+        bound = row_min[0]
+        if tails is not None:
+            bound = bound + tails[columns, min(lo + band, d)]
+        failed = ~(bound <= threshold) & live
+        n_failed = int(np.count_nonzero(failed))
+        if n_failed == 0:
+            continue
+        cells += n_failed * cells_through[lo]
+        n_live -= n_failed
+        if n_live == 0:
+            return out, cells
+        live &= ~failed
+        if 2 * n_live <= live.size:
+            # Drop the dead columns once they are half the state: each
+            # compaction at least halves it, so copying stays amortised
+            # O(1) per candidate while dead columns cost at most 2x work.
+            survivors = np.flatnonzero(live)
+            state = state.take(survivors, axis=2)
+            cand = cand.take(survivors, axis=1)
+            cost = np.empty((cost.shape[0], n_live))
+            columns = columns[survivors]
+            live = np.ones(n_live, dtype=bool)
+
+    out[columns[live]] = state[(2 * d) % 3, d, live]
+    return out, cells + n_live * cells_through[d]

@@ -5,10 +5,10 @@ with the window clipped at sequence boundaries.  Three construction
 paths, all producing bit-identical envelopes:
 
 * :func:`compute_envelope` — one sequence, vectorised: pad with
-  ``±inf`` sentinels and reduce a ``(n, 2*rho + 1)`` sliding-window
-  *view* (no materialised copy) along its last axis,
-* :func:`compute_envelope_batch` — the same reduction broadcast over a
-  whole ``(n_candidates, d)`` batch at once; this is what lets the
+  ``±inf`` sentinels and take the sliding ``2*rho + 1`` max/min by
+  log-step doubling (``ceil(log2(2*rho + 1))`` element-wise passes),
+* :func:`compute_envelope_batch` — the same passes over a whole
+  ``(n_candidates, d)`` batch at once; this is what lets the
   search cascade evaluate Lemire's ``LB_Improved`` second pass for every
   surviving candidate in one NumPy expression,
 * :func:`envelope_extend` / :func:`envelope_shift` — streaming reuse for
@@ -21,7 +21,6 @@ paths, all producing bit-identical envelopes:
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 __all__ = [
     "Envelope",
@@ -56,29 +55,53 @@ def _check_rho(rho: int) -> int:
     return int(rho)
 
 
-def compute_envelope(values, rho: int) -> Envelope:
-    """Build the envelope of ``values`` with warping width ``rho``.
+def _window_extreme(
+    values: np.ndarray, rho: int, extreme, sentinel: float
+) -> np.ndarray:
+    """``extreme`` over the ``2*rho + 1`` window around every position of
+    the last axis, the window clipped at the boundaries.
 
-    Vectorised: the ``±inf`` padding reproduces the boundary clipping
-    (``max(values[max(0, i-rho) : i+rho+1])``) exactly, and the sliding
-    window is a stride view, so the whole construction is two NumPy
-    reductions instead of a per-point Python loop.
+    ``sentinel`` padding (``-inf`` for a maximum, ``inf`` for a minimum)
+    reproduces the clipping exactly.  Log-step doubling: a pass that
+    combines the array with itself shifted by ``span`` turns per-position
+    extremes over ``span`` points into extremes over ``2 * span``; the
+    largest power of two not above the width is reached that way and one
+    overlapping pass closes the gap — ``ceil(log2(2*rho + 1))``
+    element-wise passes in all.  max/min are exact, so the result equals
+    the direct per-window reduction.
     """
+    pad = np.full(values.shape[:-1] + (rho,), sentinel)
+    out = np.concatenate([pad, values, pad], axis=-1)
+    width = 2 * rho + 1
+    span = 1
+    while 2 * span <= width:
+        out = extreme(out[..., :-span], out[..., span:])
+        span *= 2
+    if span < width:
+        gap = width - span
+        out = extreme(out[..., :-gap], out[..., gap:])
+    return out
+
+
+def _envelope_arrays(
+    values: np.ndarray, rho: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(upper, lower)`` along the last axis of a 1-D or 2-D array."""
+    if rho == 0 or values.size == 0:
+        return values.copy(), values.copy()
+    return (
+        _window_extreme(values, rho, np.maximum, -np.inf),
+        _window_extreme(values, rho, np.minimum, np.inf),
+    )
+
+
+def compute_envelope(values, rho: int) -> Envelope:
+    """Build the envelope of ``values`` with warping width ``rho``."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 1:
         raise ValueError("envelope expects a 1-D sequence")
     rho = _check_rho(rho)
-    if rho == 0 or values.size == 0:
-        return Envelope(values.copy(), values.copy(), rho)
-    pad_hi = np.full(rho, -np.inf)
-    pad_lo = np.full(rho, np.inf)
-    upper = sliding_window_view(
-        np.concatenate([pad_hi, values, pad_hi]), 2 * rho + 1
-    ).max(axis=1)
-    lower = sliding_window_view(
-        np.concatenate([pad_lo, values, pad_lo]), 2 * rho + 1
-    ).min(axis=1)
-    return Envelope(upper, lower, rho)
+    return Envelope(*_envelope_arrays(values, rho), rho)
 
 
 def compute_envelope_batch(
@@ -87,24 +110,12 @@ def compute_envelope_batch(
     """Envelopes of many equal-length sequences at once.
 
     ``values`` has shape ``(n, d)``; returns ``(upper, lower)`` of the
-    same shape where row ``i`` is the envelope of ``values[i]``.  One
-    broadcast reduction serves the whole batch — the shape the cascade's
+    same shape where row ``i`` is the envelope of ``values[i]``.  The
+    passes run over the whole batch — the shape the cascade's
     ``LB_Improved`` tier computes per filter pass.
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
-    rho = _check_rho(rho)
-    n, d = values.shape
-    if rho == 0 or d == 0 or n == 0:
-        return values.copy(), values.copy()
-    pad_hi = np.full((n, rho), -np.inf)
-    pad_lo = np.full((n, rho), np.inf)
-    upper = sliding_window_view(
-        np.concatenate([pad_hi, values, pad_hi], axis=1), 2 * rho + 1, axis=1
-    ).max(axis=2)
-    lower = sliding_window_view(
-        np.concatenate([pad_lo, values, pad_lo], axis=1), 2 * rho + 1, axis=1
-    ).min(axis=2)
-    return upper, lower
+    return _envelope_arrays(values, _check_rho(rho))
 
 
 def envelope_extend(values, old: Envelope, n_new: int) -> Envelope:

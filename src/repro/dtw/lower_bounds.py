@@ -48,6 +48,8 @@ __all__ = [
     "lb_improved_profile",
     "lb_profile",
     "window_pair_lb_matrices",
+    "window_pair_lbeq",
+    "window_pair_lbec",
 ]
 
 
@@ -228,6 +230,37 @@ def lb_profile(
     return lbeq, lbec
 
 
+def _tube_excess(
+    values: np.ndarray, upper: np.ndarray, lower: np.ndarray
+) -> np.ndarray:
+    """Squared distance of ``values`` to the tube ``[lower, upper]``,
+    summed over the last axis (operands broadcast)."""
+    above = np.clip(values - upper, 0.0, None)
+    below = np.clip(lower - values, 0.0, None)
+    return (above**2 + below**2).sum(axis=-1)
+
+
+def window_pair_lbeq(
+    sw_upper: np.ndarray, sw_lower: np.ndarray, dw_values: np.ndarray
+) -> np.ndarray:
+    """``LB_EQ`` between all (SW, DW) pairs: DW values against the
+    query-window envelope.  ``(n_sw, omega)`` x ``(n_dw, omega)`` in,
+    ``(n_sw, n_dw)`` out."""
+    return _tube_excess(
+        dw_values[None, :, :], sw_upper[:, None, :], sw_lower[:, None, :]
+    )
+
+
+def window_pair_lbec(
+    sw_values: np.ndarray, dw_upper: np.ndarray, dw_lower: np.ndarray
+) -> np.ndarray:
+    """``LB_EC`` between all (SW, DW) pairs: query-window values against
+    the series envelope at the DW.  Shapes as :func:`window_pair_lbeq`."""
+    return _tube_excess(
+        sw_values[:, None, :], dw_upper[None, :, :], dw_lower[None, :, :]
+    )
+
+
 def window_pair_lb_matrices(
     sw_values: np.ndarray,
     sw_upper: np.ndarray,
@@ -245,23 +278,14 @@ def window_pair_lb_matrices(
     omega-point partial bound the group level later shift-sums (Eqn. 5).
 
     This is exactly the computation the paper assigns one GPU block per
-    sliding window; here it is one broadcast expression.
+    sliding window; here it is one broadcast expression per side.
     """
     sw_values = np.asarray(sw_values, dtype=np.float64)
     if sw_values.size == 0 or dw_values.size == 0:
         n_sw = sw_values.shape[0] if sw_values.ndim == 2 else 0
         n_dw = dw_values.shape[0] if np.asarray(dw_values).ndim == 2 else 0
         return np.zeros((n_sw, n_dw)), np.zeros((n_sw, n_dw))
-
-    dwv = dw_values[None, :, :]  # (1, n_dw, omega)
-    # LB_EQ: candidate (DW) values against the query-window envelope.
-    above = np.clip(dwv - sw_upper[:, None, :], 0.0, None)
-    below = np.clip(sw_lower[:, None, :] - dwv, 0.0, None)
-    lbeq = (above**2 + below**2).sum(axis=2)
-
-    # LB_EC: query-window values against the series envelope at the DW.
-    swv = sw_values[:, None, :]
-    above = np.clip(swv - dw_upper[None, :, :], 0.0, None)
-    below = np.clip(dw_lower[None, :, :] - swv, 0.0, None)
-    lbec = (above**2 + below**2).sum(axis=2)
-    return lbeq, lbec
+    return (
+        window_pair_lbeq(sw_upper, sw_lower, dw_values),
+        window_pair_lbec(sw_values, dw_upper, dw_lower),
+    )

@@ -38,6 +38,7 @@ import abc
 import contextlib
 import os
 import time
+import weakref
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -191,11 +192,17 @@ class ExecutionEngine(abc.ABC):
     name: str = "abstract"
 
     def __init__(self, service: "PredictionService") -> None:
-        self._service = service
+        # Weak: service -> engine is strong, and a strong back-reference
+        # would leave every dropped service — histories, indexes and all
+        # — allocated until the cyclic collector happens to run.
+        self._service_ref = weakref.ref(service)
 
     @property
     def service(self) -> "PredictionService":
-        return self._service
+        service = self._service_ref()
+        if service is None:  # pragma: no cover - engine outlived service
+            raise RuntimeError("the owning PredictionService no longer exists")
+        return service
 
     @abc.abstractmethod
     def run_batch(
@@ -223,7 +230,7 @@ class ExecutionEngine(abc.ABC):
     def reset_time(self) -> None:
         """Zero every backend's simulated-time ledger, wherever the
         authoritative backend objects currently live."""
-        for backend in self._service.backends:
+        for backend in self.service.backends:
             backend.reset_time()
 
     def close(self) -> None:

@@ -42,7 +42,7 @@ class ThreadLaneEngine(ExecutionEngine):
     def run_batch(self, entry_point, scope, tasks):
         return _run_lanes(
             self, entry_point, scope, tasks,
-            workers=self._service.max_workers,
+            workers=self.service.max_workers,
         )
 
 

@@ -150,11 +150,7 @@ class ProcessShardEngine(ExecutionEngine):
     name = "process"
 
     def __init__(self, service: "PredictionService") -> None:
-        # Deliberately not calling super().__init__: the engine must hold
-        # the service weakly (service -> engine is strong) or the pair
-        # would only die by cycle collection, after the finalizer below
-        # had already become unreachable.
-        self._service_ref = weakref.ref(service)
+        super().__init__(service)
         #: Serializes batches and lifecycle against each other.
         #: Lock order: this lock is always taken *before* the service's
         #: admission lock, never after (see ``PredictionService.__init__``).
@@ -162,19 +158,6 @@ class ProcessShardEngine(ExecutionEngine):
         self._workers: dict[int, _Worker] = {}
         self._cleanup_state: dict = {"processes": [], "shm_names": []}
         weakref.finalize(service, _finalize_generation, self._cleanup_state)
-
-    @property
-    def service(self) -> "PredictionService":
-        service = self._service_ref()
-        if service is None:  # pragma: no cover - engine outlived service
-            raise RuntimeError("the owning PredictionService no longer exists")
-        return service
-
-    @property
-    def _service(self) -> "PredictionService":
-        # The base class stores a strong reference under this name; keep
-        # the attribute contract for its concrete helpers (reset_time).
-        return self.service
 
     # ------------------------------------------------------------ lifecycle
     def mutating(self):

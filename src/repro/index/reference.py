@@ -7,7 +7,9 @@
 * :func:`suffix_knn_reference` — a full banded-DTW scan over every valid
   candidate start, no filtering of any kind; the oracle the pruning
   cascade in :class:`~repro.index.suffix_search.SuffixKnnEngine` must
-  match **bit-identically** (starts and distances).
+  match **bit-identically** (starts and distances).  Its distances come
+  from a private row-major DP, not from :mod:`repro.dtw.distance`, so
+  the comparison stays differential.
 
 Both are deliberately slow and deliberately simple.
 """
@@ -17,12 +19,33 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ..dtw.distance import dtw_batch
 from ..timeseries.windows import csg_size
 from .group_index import ItemLowerBounds
 from .window_index import WindowLevelIndex
 
 __all__ = ["algorithm1_reference", "suffix_knn_reference"]
+
+
+def _dtw_row_major(query: np.ndarray, candidates: np.ndarray, rho: int) -> np.ndarray:
+    """Banded DTW of ``query`` against every row, one DP cell at a time.
+
+    The textbook row-major recurrence with a rolling row, vectorised over
+    candidates only.  It shares no code with the wavefront kernel the
+    backends dispatch — that independence is the point.
+    """
+    n, d = candidates.shape
+    prev = np.full((n, d + 1), np.inf)
+    prev[:, 0] = 0.0
+    cur = np.empty((n, d + 1))
+    for i in range(1, d + 1):
+        cur[:] = np.inf
+        for j in range(max(1, i - rho), min(d, i + rho) + 1):
+            cost = (query[i - 1] - candidates[:, j - 1]) ** 2
+            best = np.minimum(prev[:, j], prev[:, j - 1])
+            np.minimum(best, cur[:, j - 1], out=best)
+            cur[:, j] = cost + best
+        prev, cur = cur, prev
+    return prev[:, d].copy()
 
 
 def suffix_knn_reference(
@@ -36,11 +59,12 @@ def suffix_knn_reference(
 
     Candidate-mask semantics match the engine's exactly (a start ``t`` is
     valid when ``t + d + margin <= len(series)``, so the h-step target of
-    every answer lies strictly in the past), distances come from the same
-    :func:`~repro.dtw.distance.dtw_batch` kernel the backends dispatch,
-    and ties resolve by smallest start (stable sort over ascending
-    starts) — so a correct cascade must reproduce this answer
-    bit-identically, which the differential tests assert.
+    every answer lies strictly in the past), distances apply the same
+    per-cell arithmetic as the kernel the backends dispatch (through an
+    independent row-major loop), and ties resolve by smallest start
+    (stable sort over ascending starts) — so a correct cascade must
+    reproduce this answer bit-identically, which the differential tests
+    assert.
     """
     series = np.asarray(series, dtype=np.float64)
     query = np.asarray(query, dtype=np.float64)
@@ -51,8 +75,15 @@ def suffix_knn_reference(
             f"no candidates for item length {d}: series too short"
         )
     starts = np.arange(last_valid + 1)
-    segments = sliding_window_view(series, d)[starts]
-    distances = dtw_batch(query, segments, rho)
+    segments = sliding_window_view(series, d)[: starts.size]
+    # A thousand rows at a time: a long history is scanned through three
+    # small arrays instead of three history-sized ones.
+    distances = np.concatenate(
+        [
+            _dtw_row_major(query, segments[lo : lo + 1024], rho)
+            for lo in range(0, starts.size, 1024)
+        ]
+    )
     k = min(k_max, starts.size)
     order = np.argsort(distances, kind="stable")[:k]
     return starts[order], distances[order]

@@ -43,7 +43,11 @@ from ..dtw.envelope import (
     envelope_extend,
     envelope_shift,
 )
-from ..dtw.lower_bounds import window_pair_lb_matrices
+from ..dtw.lower_bounds import (
+    window_pair_lb_matrices,
+    window_pair_lbec,
+    window_pair_lbeq,
+)
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs.hooks import observe_window_reuse
 
@@ -94,6 +98,11 @@ class WindowLevelIndex:
         # Master-query envelope, maintained incrementally across steps
         # (set by build(), slid by step()).
         self._master_env: Envelope | None = None
+        # Row b: master-query positions of sliding window SW_b.
+        self._sw_positions = (
+            np.arange(master_length - omega, master_length)
+            - np.arange(self.n_sw)[:, None]
+        )
 
         # Reuse counters (Remark 1 bookkeeping, asserted in tests).
         self.rows_built_full = 0
@@ -144,10 +153,7 @@ class WindowLevelIndex:
         if env is None:
             env = compute_envelope(master_query, self.rho)
             self._master_env = env
-        d = master_query.size
-        idx = np.stack(
-            [np.arange(d - b - self.omega, d - b) for b in range(self.n_sw)]
-        )
+        idx = self._sw_positions
         return master_query[idx], env.upper[idx], env.lower[idx]
 
     def _dw_slices(self, r_lo: int, r_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,36 +232,30 @@ class WindowLevelIndex:
         sw_vals, sw_up, sw_lo = self._master_env_slices(new_master)
 
         dw_vals, dw_up, dw_lo = self._dw_slices(0, self.n_dw)
-        refresh = range(0, min(self.rho + 1, self.n_sw))
-        for b in refresh:
-            lbeq, lbec = window_pair_lb_matrices(
-                sw_vals[b : b + 1],
-                sw_up[b : b + 1],
-                sw_lo[b : b + 1],
-                dw_vals,
-                dw_up,
-                dw_lo,
-            )
-            slot = self._slot(b)
-            self._lbeq[slot, : self.n_dw] = lbeq[0]
-            if b == 0:
-                # Brand-new window: LB_EC must be produced too.
-                self._lbec[slot, : self.n_dw] = lbec[0]
-                self.rows_built_full += 1
-            else:
-                self.rows_recomputed_lbeq += 1
-        self.rows_reused += self.n_sw - len(list(refresh))
+        # SW_0 is brand new (LB_EQ and LB_EC); the next rho windows only
+        # saw their envelope change (LB_EQ).
+        n_refresh = min(self.rho + 1, self.n_sw)
+        slots = (self._slot0 + np.arange(n_refresh)) % self.n_sw
+        self._lbeq[slots, : self.n_dw] = window_pair_lbeq(
+            sw_up[:n_refresh], sw_lo[:n_refresh], dw_vals
+        )
+        self._lbec[slots[0], : self.n_dw] = window_pair_lbec(
+            sw_vals[:1], dw_up, dw_lo
+        )[0]
+        self.rows_built_full += 1
+        self.rows_recomputed_lbeq += n_refresh - 1
+        self.rows_reused += self.n_sw - n_refresh
         observe_window_reuse(
             rows_built_full=1,
-            rows_recomputed_lbeq=max(len(list(refresh)) - 1, 0),
-            rows_reused=self.n_sw - len(list(refresh)),
+            rows_recomputed_lbeq=n_refresh - 1,
+            rows_reused=self.n_sw - n_refresh,
         )
         per_thread = (
             -(-self.n_dw // THREADS_PER_BLOCK) * self.omega * 2 * OPS_PER_LB_TERM
         )
         self.backend.launch(
             "window_index_step",
-            n_blocks=len(list(refresh)),
+            n_blocks=n_refresh,
             ops_per_thread=per_thread,
             threads_per_block=THREADS_PER_BLOCK,
         )
@@ -272,15 +272,11 @@ class WindowLevelIndex:
             self._series[: self._series_len], self._series_env, 1
         )
 
-        new_n_dw = self._series_len // self.omega
-        if new_n_dw > self.n_dw:
-            self.n_dw = new_n_dw
-            self._refresh_tail_columns()
-        else:
-            # The appended point widened the envelope of the trailing rho
-            # positions; if those fall in an existing DW its LB_EC column
-            # would overestimate — refresh it.
-            self._refresh_tail_columns()
+        # A completed DW adds a column; either way the appended point
+        # widened the envelope of the trailing rho positions, and a stale
+        # LB_EC column there would overestimate — refresh the tail.
+        self.n_dw = self._series_len // self.omega
+        self._refresh_tail_columns()
 
     def _grow_dw_capacity(self) -> None:
         capacity = self._series.size // self.omega

@@ -12,9 +12,11 @@ the process engine's crash semantics (a SIGKILLed shard worker must
 evacuate, never hang) and its flush-on-close telemetry drain.
 """
 
+import gc
 import os
 import signal
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -177,6 +179,24 @@ class TestEngineResolution:
             assert service.status()["engine"] == "thread"
         finally:
             service.close()
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_dropped_service_is_freed_without_the_cycle_collector(self, engine):
+        """Engines hold their service weakly: a served, closed, dropped
+        service (histories, indexes) dies by refcount."""
+        histories, _ = make_workload(n_sensors=2)
+        service = build_service("native", engine=engine, n_backends=2)
+        for sensor_id, history in histories.items():
+            service.register(sensor_id, history)
+        service.forecast_all()
+        service.close()
+        gone = weakref.ref(service)
+        gc.disable()
+        try:
+            del service
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
