@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-round examples results clean
+.PHONY: install test bench bench-round bench-gate examples results clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -13,6 +13,10 @@ bench:
 
 bench-round:
 	python3 benchmarks/roundbench/run.py --seed 2015
+
+bench-gate:
+	PYTHONPATH=src $(PYTHON) -m repro.cli ablate --out fresh.json
+	$(PYTHON) benchmarks/gate.py --fresh fresh.json --threshold-pct 10
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -1,33 +1,29 @@
-"""Benchmark regression gate: fresh smoke runs vs committed baselines.
+"""Benchmark regression gate: a fresh ablation study vs the committed one.
 
-CI regenerates CI-sized ("smoke") runs of every benchmark —
-``bench_search.py --smoke``, ``bench_serving.py --smoke`` and
-``python -m repro.cli ablate --smoke`` — into a scratch directory and
-this gate compares them against the committed baselines under
-``benchmarks/baselines/``, failing the build on a regression larger
-than the threshold (``--threshold-pct``, default 10%).
+``python -m repro.cli ablate --out fresh.json`` re-runs the study (its
+own exactness contracts included) and this gate compares the payload
+against the committed root ``BENCH_ablation.json``, failing on a
+regression larger than the threshold (``--threshold-pct``, default 10%).
 
-What is enforced and what is skipped is **host-aware**, mirroring the
-benchmarks themselves:
+Only host-independent numbers are gated — every one a pure function of
+the seeded workload:
 
-* **Hard invariants** (any threshold): exactness flags —
-  ``modes_identical`` / ``reference_exact`` on the search bench,
-  ``identical_to_sequential`` on every serving row, run-ID agreement on
-  the ablation study (an ID drift means the workload config changed
-  without regenerating the baseline).
-* **Deterministic metrics** (always enforced): simulated kernel
-  seconds, prune/verified rates, MAE.  These are pure functions of the
-  seeded workload, independent of the host, which is why smoke-sized
-  baselines can be committed at all.
-* **Wall-clock metrics** (conditionally enforced): throughput and
-  latency comparisons are skipped unless the *fresh* host has spare
-  cores (``cpu_count > 1``) and the row says ``wall_speedup_meaningful``
-  — a single-core CI runner cannot regress a wall number meaningfully.
+* **Hard invariants** (any threshold): the run-ID set equals the
+  committed one (a drifted ID means the workload or a patch changed
+  without the file being regenerated), every executed search phase
+  matched the full-DTW oracle (``reference_exact``), and every
+  ``claims_exact`` run served the baseline's forecast digest.
+* **Deterministic counters** of the everything-on run: MAE, simulated
+  kernel seconds (summed and per-shard maximum), verified rate, total
+  prune rate.
+
+Wall-clock fields in the payload are informational; whether the round
+got faster is ``benchmarks/roundbench``'s question, answered in
+reference milliseconds over parent/change pairs.
 
 Usage::
 
-    python benchmarks/gate.py --fresh-dir /tmp/fresh [--threshold-pct 10]
-    python benchmarks/gate.py --update          # regenerate the baselines
+    python benchmarks/gate.py --fresh fresh.json [--threshold-pct 10]
 
 Exit codes: 0 = gate green, 1 = regression (or missing fresh file),
 2 = usage / malformed payload.
@@ -38,41 +34,34 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import subprocess
 import sys
 from dataclasses import dataclass
 
 __all__ = [
+    "BASELINE_PATH",
     "Check",
     "GateError",
-    "compare_payloads",
-    "compare_search",
-    "compare_serving",
     "compare_ablation",
-    "gate_directories",
     "render_checks",
 ]
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-BASELINE_DIR = pathlib.Path(__file__).resolve().parent / "baselines"
+#: The one committed bench file: ``python -m repro.cli ablate`` writes it.
+BASELINE_PATH = (
+    pathlib.Path(__file__).resolve().parent.parent / "BENCH_ablation.json"
+)
 
-#: The benchmark files the gate covers, and the command that
-#: regenerates each one's smoke baseline (run from the repo root).
-BASELINE_FILES: dict[str, tuple[str, ...]] = {
-    "BENCH_search.json": (
-        "benchmarks/bench_search.py", "--smoke", "--out", "{out}",
-    ),
-    "BENCH_serving.json": (
-        "benchmarks/bench_serving.py", "--smoke", "--out", "{out}",
-    ),
-    "BENCH_ablation.json": (
-        "-m", "repro.cli", "ablate", "--smoke", "--out", "{out}",
-    ),
-}
+#: Gated counters of the everything-on run: (field, higher is worse).
+_BASELINE_METRICS = (
+    ("serving.mae", True),
+    ("serving.sim_s", True),
+    ("serving.sim_parallel_s", True),
+    ("search.sim_s", True),
+    ("search.verified_rate", True),
+)
 
 
 class GateError(ValueError):
-    """A payload the gate cannot interpret (wrong schema, bad pairing)."""
+    """A payload the gate cannot interpret (wrong schema, not JSON)."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,7 @@ class Check:
     """One gate comparison: a named metric and its verdict."""
 
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     detail: str
 
     @property
@@ -95,13 +84,6 @@ def _get(payload: dict, dotted: str) -> object:
             raise GateError(f"payload is missing {dotted!r} (at {part!r})")
         node = node[part]
     return node
-
-
-def _check_invariant(payload: dict, dotted: str, label: str) -> Check:
-    value = _get(payload, dotted)
-    if value is True:
-        return Check(label, "pass", "holds")
-    return Check(label, "fail", f"{dotted} is {value!r}, expected True")
 
 
 def _check_metric(
@@ -126,323 +108,143 @@ def _check_metric(
     return Check(label, "pass", detail)
 
 
-def _wall_meaningful(fresh_payload: dict, *rows: dict) -> bool:
-    """Whether wall-clock comparisons mean anything on the fresh host."""
-    cpu_count = fresh_payload.get("host", {}).get("cpu_count")
-    if not isinstance(cpu_count, int) or cpu_count <= 1:
-        return False
-    return all(row.get("wall_speedup_meaningful", False) for row in rows)
+def _check_all(label: str, offenders: list[str], holds: str) -> Check:
+    if offenders:
+        return Check(label, "fail", f"violated by {', '.join(offenders)}")
+    return Check(label, "pass", holds)
 
 
-def _skip_wall(label: str) -> Check:
-    return Check(
-        label, "skip",
-        "wall-clock not meaningful on this host (cpu_count<=1 or "
-        "wall_speedup_meaningful false)",
-    )
-
-
-def _require_benchmark(payload: dict, kind: str, role: str) -> None:
-    got = payload.get("benchmark")
-    if got != kind:
+def _runs(payload: dict, role: str) -> list[dict]:
+    if payload.get("benchmark") != "ablation":
         raise GateError(
-            f"{role} payload is benchmark {got!r}, expected {kind!r}"
+            f"{role} payload is benchmark {payload.get('benchmark')!r}, "
+            "expected 'ablation'"
         )
+    runs = _get(payload, "runs")
+    if not isinstance(runs, list) or not all(
+        isinstance(run, dict) and "run_id" in run for run in runs
+    ):
+        raise GateError(f"{role} 'runs' must be a list of run records")
+    return runs
 
 
-# ------------------------------------------------------------------ search
-def compare_search(
-    baseline: dict, fresh: dict, threshold_pct: float
-) -> list[Check]:
-    """Gate the search-cascade bench: exactness + sim time + prune rates."""
-    _require_benchmark(baseline, "search", "baseline")
-    _require_benchmark(fresh, "search", "fresh")
-    checks = [
-        _check_invariant(
-            fresh, "results.modes_identical", "search.modes_identical"
-        ),
-        _check_invariant(
-            fresh, "results.reference_exact", "search.reference_exact"
-        ),
-    ]
-    for mode in ("baseline", "cascade"):
-        checks.append(_check_metric(
-            f"search.{mode}.sim_s",
-            _get(baseline, f"results.{mode}.sim_s"),
-            _get(fresh, f"results.{mode}.sim_s"),
-            threshold_pct, higher_is_worse=True,
-        ))
-        checks.append(_check_metric(
-            f"search.{mode}.verified_rate",
-            _get(baseline, f"results.{mode}.verified_rate"),
-            _get(fresh, f"results.{mode}.verified_rate"),
-            threshold_pct, higher_is_worse=True,
-        ))
-    base_rates = _get(baseline, "results.cascade.prune_rates")
-    fresh_rates = _get(fresh, "results.cascade.prune_rates")
-    if not isinstance(base_rates, dict) or not isinstance(fresh_rates, dict):
-        raise GateError("cascade.prune_rates must be a dict in both payloads")
-    # The total pruned fraction is the cascade's purpose; individual
-    # tiers may legitimately trade candidates between each other.
-    checks.append(_check_metric(
-        "search.cascade.prune_rate_total",
-        sum(base_rates.values()),
-        sum(fresh_rates.values()),
-        threshold_pct, higher_is_worse=False,
-    ))
-    label = "search.speedup_candidates_per_s"
-    if _wall_meaningful(fresh):
-        checks.append(_check_metric(
-            label,
-            _get(baseline, "results.speedup_candidates_per_s"),
-            _get(fresh, "results.speedup_candidates_per_s"),
-            threshold_pct, higher_is_worse=False,
-        ))
-    else:
-        checks.append(_skip_wall(label))
-    return checks
-
-
-# ----------------------------------------------------------------- serving
-def compare_serving(
-    baseline: dict, fresh: dict, threshold_pct: float
-) -> list[Check]:
-    """Gate the serving bench: parity + sim speedup per worker row."""
-    _require_benchmark(baseline, "serving", "baseline")
-    _require_benchmark(fresh, "serving", "fresh")
-    base_rows = {
-        (row["workers"], row.get("engine")): row
-        for row in _get(baseline, "results")  # type: ignore[union-attr]
-    }
-    checks: list[Check] = []
-    fresh_rows = _get(fresh, "results")
-    if not isinstance(fresh_rows, list) or not fresh_rows:
-        raise GateError("serving results must be a non-empty list")
-    for row in fresh_rows:
-        key = (row["workers"], row.get("engine"))
-        tag = f"serving.w{row['workers']}.{row.get('engine') or 'auto'}"
-        base_row = base_rows.get(key)
-        if base_row is None:
-            checks.append(Check(
-                tag, "fail",
-                f"no baseline row for workers={key[0]} engine={key[1]!r} "
-                "(regenerate the baseline?)",
-            ))
-            continue
-        checks.append(
-            _check_invariant(
-                {"row": row}, "row.identical_to_sequential",
-                f"{tag}.identical_to_sequential",
-            )
-        )
-        checks.append(_check_metric(
-            f"{tag}.sim_serial_s",
-            base_row["sim_serial_s"], row["sim_serial_s"],
-            threshold_pct, higher_is_worse=True,
-        ))
-        checks.append(_check_metric(
-            f"{tag}.sim_parallel_speedup",
-            base_row["sim_parallel_speedup"], row["sim_parallel_speedup"],
-            threshold_pct, higher_is_worse=False,
-        ))
-        label = f"{tag}.throughput_forecasts_per_s"
-        if _wall_meaningful(fresh, row, base_row):
-            checks.append(_check_metric(
-                label,
-                base_row["throughput_forecasts_per_s"],
-                row["throughput_forecasts_per_s"],
-                threshold_pct, higher_is_worse=False,
-            ))
-        else:
-            checks.append(_skip_wall(label))
-    return checks
-
-
-# ---------------------------------------------------------------- ablation
-def compare_ablation(
-    baseline: dict, fresh: dict, threshold_pct: float
-) -> list[Check]:
-    """Gate the ablation study: run-ID agreement + baseline-run metrics.
-
-    Component-off deltas are the study's *findings*, not its health —
-    they move legitimately as components evolve.  What the gate pins is
-    the everything-on baseline run (accuracy, simulated time, cascade
-    efficiency) and that the enumerated run-ID set still matches the
-    committed one: a drifted ID means the workload or a patch changed
-    without the baseline being regenerated, which would silently
-    invalidate every cross-PR diff of ``BENCH_ablation.json``.
-    """
-    _require_benchmark(baseline, "ablation", "baseline")
-    _require_benchmark(fresh, "ablation", "fresh")
-    checks: list[Check] = []
-    base_ids = {r["run_id"] for r in _get(baseline, "runs")}  # type: ignore[union-attr]
-    fresh_ids = {r["run_id"] for r in _get(fresh, "runs")}  # type: ignore[union-attr]
-    if base_ids == fresh_ids:
-        checks.append(Check(
-            "ablation.run_ids", "pass", f"{len(base_ids)} stable run IDs"
-        ))
-    else:
-        drifted = sorted(base_ids ^ fresh_ids)
-        checks.append(Check(
-            "ablation.run_ids", "fail",
-            f"run-ID drift ({len(drifted)} IDs differ: "
-            f"{', '.join(drifted[:4])}...) — workload/patch changed; "
-            "regenerate benchmarks/baselines/BENCH_ablation.json",
-        ))
-    base_run = _baseline_run(baseline)
-    fresh_run = _baseline_run(fresh)
-    checks.append(_check_metric(
-        "ablation.baseline.mae",
-        base_run["serving"]["mae"], fresh_run["serving"]["mae"],
-        threshold_pct, higher_is_worse=True,
-    ))
-    checks.append(_check_metric(
-        "ablation.baseline.serving_sim_s",
-        base_run["serving"]["sim_s"], fresh_run["serving"]["sim_s"],
-        threshold_pct, higher_is_worse=True,
-    ))
-    if base_run.get("search") and fresh_run.get("search"):
-        checks.append(_check_metric(
-            "ablation.baseline.search_sim_s",
-            base_run["search"]["sim_s"], fresh_run["search"]["sim_s"],
-            threshold_pct, higher_is_worse=True,
-        ))
-        checks.append(_check_metric(
-            "ablation.baseline.verified_rate",
-            base_run["search"]["verified_rate"],
-            fresh_run["search"]["verified_rate"],
-            threshold_pct, higher_is_worse=True,
-        ))
-        checks.append(_check_invariant(
-            {"search": fresh_run["search"]},
-            "search.reference_exact",
-            "ablation.baseline.reference_exact",
-        ))
-    label = "ablation.baseline.wall_s"
-    if _wall_meaningful(fresh):
-        checks.append(_check_metric(
-            label,
-            base_run["serving"]["wall_s"], fresh_run["serving"]["wall_s"],
-            threshold_pct, higher_is_worse=True,
-        ))
-    else:
-        checks.append(_skip_wall(label))
-    return checks
-
-
-def _baseline_run(payload: dict) -> dict:
+def _baseline_run(payload: dict, runs: list[dict]) -> dict:
     baseline_id = _get(payload, "baseline_run_id")
-    for run in _get(payload, "runs"):  # type: ignore[union-attr]
+    for run in runs:
         if run["run_id"] == baseline_id:
             return run
     raise GateError(f"baseline run {baseline_id!r} missing from runs")
 
 
-# -------------------------------------------------------------- dispatcher
-_COMPARATORS = {
-    "search": compare_search,
-    "serving": compare_serving,
-    "ablation": compare_ablation,
-}
-
-
-def compare_payloads(
+def compare_ablation(
     baseline: dict, fresh: dict, threshold_pct: float = 10.0
 ) -> list[Check]:
-    """Dispatch on the payload's ``benchmark`` field."""
-    kind = baseline.get("benchmark")
-    comparator = _COMPARATORS.get(kind)  # type: ignore[arg-type]
-    if comparator is None:
-        raise GateError(
-            f"no comparator for benchmark {kind!r}; "
-            f"known: {sorted(_COMPARATORS)}"
-        )
-    return comparator(baseline, fresh, threshold_pct)
+    """Gate a fresh study: invariants + the baseline run's counters.
 
-
-def gate_directories(
-    baseline_dir: pathlib.Path,
-    fresh_dir: pathlib.Path,
-    threshold_pct: float = 10.0,
-) -> list[Check]:
-    """Compare every committed baseline against its fresh counterpart.
-
-    A baseline without a fresh file is a failing check (the CI job did
-    not produce it), not a silent skip.
+    Component-off deltas are the study's *findings*, not its health —
+    they move legitimately as components evolve.  What the gate pins is
+    the everything-on run (accuracy, simulated time, cascade efficiency),
+    the exactness contracts of every run in the fresh file, and that the
+    enumerated run-ID set still matches the committed one, since a silent
+    drift would invalidate every cross-PR diff of ``BENCH_ablation.json``.
     """
-    checks: list[Check] = []
-    names = sorted(
-        p.name for p in baseline_dir.glob("BENCH_*.json")
+    base_runs = _runs(baseline, "baseline")
+    fresh_runs = _runs(fresh, "fresh")
+    base_run = _baseline_run(baseline, base_runs)
+    fresh_run = _baseline_run(fresh, fresh_runs)
+
+    drifted = sorted(
+        {r["run_id"] for r in base_runs} ^ {r["run_id"] for r in fresh_runs}
     )
-    if not names:
-        raise GateError(f"no BENCH_*.json baselines under {baseline_dir}")
-    for name in names:
-        fresh_path = fresh_dir / name
-        if not fresh_path.exists():
-            checks.append(Check(
-                name, "fail", f"fresh run missing: {fresh_path}"
-            ))
-            continue
-        baseline = json.loads((baseline_dir / name).read_text())
-        fresh = json.loads(fresh_path.read_text())
-        checks.extend(compare_payloads(baseline, fresh, threshold_pct))
+    if drifted:
+        checks = [Check(
+            "run_ids", "fail",
+            f"run-ID drift ({len(drifted)} IDs differ: "
+            f"{', '.join(drifted[:4])}...) — workload/patch changed; "
+            "regenerate BENCH_ablation.json",
+        )]
+    else:
+        checks = [
+            Check("run_ids", "pass", f"{len(base_runs)} stable run IDs")
+        ]
+    checks.append(_check_all(
+        "reference_exact",
+        [
+            r["run_id"] for r in fresh_runs
+            if r.get("search") is not None
+            and _get(r, "search.reference_exact") is not True
+        ],
+        "every search phase matched the full-DTW oracle",
+    ))
+    digest = _get(fresh_run, "serving.forecast_digest")
+    checks.append(_check_all(
+        "exact_digests",
+        [
+            r["run_id"] for r in fresh_runs
+            if _get(r, "claims_exact")
+            and _get(r, "serving.forecast_digest") != digest
+        ],
+        "every claims_exact run served the baseline's forecasts",
+    ))
+    for dotted, higher_is_worse in _BASELINE_METRICS:
+        checks.append(_check_metric(
+            f"baseline.{dotted}",
+            _get(base_run, dotted), _get(fresh_run, dotted),  # type: ignore[arg-type]
+            threshold_pct, higher_is_worse,
+        ))
+    base_rates = _get(base_run, "search.prune_rates")
+    fresh_rates = _get(fresh_run, "search.prune_rates")
+    if not isinstance(base_rates, dict) or not isinstance(fresh_rates, dict):
+        raise GateError("search.prune_rates must be a dict in both payloads")
+    # The total pruned fraction is the cascade's purpose; individual
+    # tiers may legitimately trade candidates between each other.
+    checks.append(_check_metric(
+        "baseline.search.prune_rate_total",
+        sum(base_rates.values()), sum(fresh_rates.values()),
+        threshold_pct, higher_is_worse=False,
+    ))
     return checks
 
 
 def render_checks(checks: list[Check]) -> str:
     """Human-readable verdict table, failures last so they are visible."""
-    marks = {"pass": "ok  ", "skip": "skip", "fail": "FAIL"}
-    ordered = sorted(checks, key=lambda c: c.status == "fail")
+    marks = {"pass": "ok  ", "fail": "FAIL"}
+    ordered = sorted(checks, key=lambda c: c.failed)
     lines = [
-        f"{marks[c.status]}  {c.name:<42} {c.detail}" for c in ordered
+        f"{marks[c.status]}  {c.name:<34} {c.detail}" for c in ordered
     ]
     n_fail = sum(c.failed for c in checks)
-    n_skip = sum(c.status == "skip" for c in checks)
-    lines.append(
-        f"gate: {len(checks)} checks, {n_fail} failed, {n_skip} skipped"
-    )
+    lines.append(f"gate: {len(checks)} checks, {n_fail} failed")
     return "\n".join(lines)
 
 
-def update_baselines(baseline_dir: pathlib.Path) -> None:
-    """Regenerate every committed smoke baseline in place."""
-    baseline_dir.mkdir(parents=True, exist_ok=True)
-    for name, argv in BASELINE_FILES.items():
-        out = baseline_dir / name
-        cmd = [sys.executable] + [
-            part.format(out=out) for part in argv
-        ]
-        print(f"== {name}: {' '.join(cmd)}", flush=True)
-        subprocess.run(cmd, check=True, cwd=REPO_ROOT)
+def _load(path: pathlib.Path) -> dict:
+    try:
+        payload = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise GateError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise GateError(f"{path} does not hold a JSON object")
+    return payload
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
-        "--baseline-dir", type=pathlib.Path, default=BASELINE_DIR,
-        help="committed baselines (default: benchmarks/baselines)",
-    )
-    parser.add_argument(
-        "--fresh-dir", type=pathlib.Path, default=None,
-        help="directory holding freshly generated smoke BENCH_*.json files",
+        "--fresh", type=pathlib.Path, required=True, metavar="F.json",
+        help="payload of a fresh `python -m repro.cli ablate --out F.json`",
     )
     parser.add_argument(
         "--threshold-pct", type=float, default=10.0, metavar="X",
         help="fail on regressions larger than X%% (default: 10)",
     )
-    parser.add_argument(
-        "--update", action="store_true",
-        help="regenerate the committed smoke baselines and exit",
-    )
     args = parser.parse_args(argv)
-    if args.update:
-        update_baselines(args.baseline_dir)
-        return 0
-    if args.fresh_dir is None:
-        parser.error("--fresh-dir is required (or use --update)")
+    if not args.fresh.exists():
+        print(f"FAIL  fresh run missing: {args.fresh}")
+        return 1
     try:
-        checks = gate_directories(
-            args.baseline_dir, args.fresh_dir, args.threshold_pct
+        checks = compare_ablation(
+            _load(BASELINE_PATH), _load(args.fresh), args.threshold_pct
         )
     except GateError as exc:
         print(f"gate error: {exc}", file=sys.stderr)

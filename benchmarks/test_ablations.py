@@ -1,9 +1,10 @@
 """Ablation benches for the design decisions DESIGN.md calls out.
 
 Not figures from the paper — these quantify the mechanisms the paper
-asserts qualitatively: warm-started online GP training, continuous
-threshold reuse, the ring-buffer window index, the Table 2 parameter
-choices and the Section 6.4.1 history/space trade-off.
+asserts qualitatively: warm-started online GP training, the ring-buffer
+window index, the Table 2 parameter choices and the Section 6.4.1
+history/space trade-off.  (Continuous threshold reuse is the
+``threshold-reuse`` component of ``repro.ablation``, oracle-checked.)
 """
 
 from repro.harness import (
@@ -11,7 +12,6 @@ from repro.harness import (
     SearchScale,
     run_history_tradeoff,
     run_parameter_sensitivity,
-    run_threshold_reuse_ablation,
     run_warmstart_ablation,
     run_window_reuse_ablation,
 )
@@ -32,17 +32,6 @@ def test_ablation_warmstart(benchmark, save_report):
     # The paper's fixed-step warm start: ~same accuracy, much cheaper.
     assert result.warm_seconds_per_query < result.cold_seconds_per_query / 1.5
     assert result.warm_mae < result.cold_mae * 1.2
-
-
-def test_ablation_threshold_reuse(benchmark, save_report):
-    result = benchmark.pedantic(
-        lambda: run_threshold_reuse_ablation(SEARCH), rounds=1, iterations=1
-    )
-    save_report("ablation_threshold_reuse", result.render())
-    print("\n" + result.render())
-    # Both stay exact; neither variant degenerates to a full scan.
-    assert result.reuse_unfiltered < SEARCH.n_points / 2
-    assert result.fresh_unfiltered < SEARCH.n_points / 2
 
 
 def test_ablation_window_reuse(benchmark, save_report):

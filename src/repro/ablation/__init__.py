@@ -14,9 +14,11 @@ The subsystem has three parts (see ``docs/architecture.md``):
   deltas, ranked importance, the text report and the
   ``BENCH_ablation.json`` payload.
 
-Run it via ``python -m repro.cli ablate [--smoke]``; the committed
-smoke baseline under ``benchmarks/baselines/`` is what
-``benchmarks/gate.py`` regresses fresh runs against in CI.
+Run it via ``python -m repro.cli ablate``, which writes the committed
+root ``BENCH_ablation.json`` — the repo's one deterministic-counter
+bench; ``benchmarks/gate.py --fresh F.json`` regresses a fresh run
+against that file (CI's ``bench-gate`` job, ``make bench-gate``).
+Wall-clock is ``benchmarks/roundbench``'s job.
 """
 
 from .registry import (
@@ -32,7 +34,6 @@ from .study import (
     AblationWorkload,
     PlannedRun,
     RunResult,
-    SMOKE_WORKLOAD,
     StudyResult,
     apply_patch,
     check_exactness,
@@ -49,7 +50,6 @@ __all__ = [
     "DEFAULT_COMPONENTS",
     "PlannedRun",
     "RunResult",
-    "SMOKE_WORKLOAD",
     "StudyResult",
     "apply_patch",
     "bench_payload",

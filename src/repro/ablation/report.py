@@ -5,8 +5,8 @@ simulated kernel seconds (the cost model's ledger), the verified-rate
 of the search cascade, and MAE — never from wall-clock, so the ranking
 is bit-reproducible for a given workload seed and stable across hosts.
 Wall-clock deltas are reported alongside as informational columns,
-flagged meaningless on starved hosts the same way the serving bench
-flags them.
+labelled with the host's core count; ``benchmarks/roundbench`` is the
+instrument for time.
 
 Sign convention: a **positive** delta means the system got *worse* with
 the component off (more simulated work, higher MAE, more candidates
@@ -172,27 +172,14 @@ def render_report(
     )
 
 
-def bench_payload(
-    study: StudyResult,
-    smoke: bool,
-    cpu_count: int | None,
-) -> dict:
+def bench_payload(study: StudyResult, cpu_count: int | None) -> dict:
     """The ``BENCH_ablation.json`` document."""
     scores = score_study(study)
     return {
         "benchmark": "ablation",
-        "config": {
-            "workload": _workload_dict(study),
-            "smoke": bool(smoke),
-        },
-        "host": {
-            "cpu_count": cpu_count,
-            # Serving wall numbers need spare cores exactly like the
-            # serving bench; the sim/MAE/prune numbers never do.
-            "wall_speedup_meaningful": (
-                cpu_count is not None and cpu_count > 1
-            ),
-        },
+        "config": {"workload": _workload_dict(study)},
+        # Labels the informational wall fields; nothing gated reads it.
+        "host": {"cpu_count": cpu_count},
         "baseline_run_id": study.baseline.run_id,
         "runs": [run.as_dict() for run in study.runs],
         "ranking": [score.as_dict() for score in scores],

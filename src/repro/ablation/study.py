@@ -49,7 +49,6 @@ from .registry import Component, default_registry, validate_registry
 __all__ = [
     "AblationExactnessError",
     "AblationWorkload",
-    "SMOKE_WORKLOAD",
     "PlannedRun",
     "RunResult",
     "StudyResult",
@@ -113,13 +112,6 @@ class AblationWorkload:
             rho=self.search_rho,
             margin=1,
         )
-
-
-#: CI-sized workload: seconds per run, exactness checks still in full.
-SMOKE_WORKLOAD = AblationWorkload(
-    n_sensors=4, n_points=900, steps=6,
-    search_points=4_000, search_steps=4,
-)
 
 
 @dataclass(frozen=True)
@@ -411,7 +403,7 @@ def check_exactness(baseline: RunResult, run: RunResult) -> None:
       digest.  An ablation that changes answers without declaring it is
       a failed run, not a data point.
     """
-    if run.search is not None and not run.search["reference_exact"]:
+    if run.search is not None and run.search["reference_exact"] is not True:
         raise AblationExactnessError(
             f"run {run.run_id} ({run.component}): search answers diverged "
             "from the full-DTW reference oracle"
@@ -454,29 +446,36 @@ def run_study(
     ``reuse`` maps previously recorded run IDs to their ``as_dict``
     rows (e.g. loaded from an earlier ``BENCH_ablation.json``); runs
     whose stable ID appears there are not re-executed.  The baseline is
-    always executed fresh so digests stay comparable.
+    always executed fresh so digests stay comparable, and a stored row
+    that breaks the exactness contract against it is executed again:
+    run IDs hash the workload and the patch, not the code, so such a row
+    was recorded on different code.
     """
     workload = workload or AblationWorkload()
     plans = enumerate_runs(workload, components)
     study = StudyResult(workload=workload)
     for plan in plans:
-        stored = None if plan.component is None else (reuse or {}).get(
-            plan.run_id
-        )
-        if stored is not None:
+        component = plan.component
+        result: RunResult | None = None
+        if component is not None and reuse and plan.run_id in reuse:
+            stored = reuse[plan.run_id]
             result = RunResult(
                 run_id=plan.run_id,
-                component=stored.get("component"),
-                layer=stored.get("layer"),
-                claims_exact=bool(stored.get("claims_exact", True)),
+                component=component.name,
+                layer=component.layer,
+                claims_exact=component.claims_exact,
                 search=stored.get("search"),
                 serving=stored["serving"],
                 reused=True,
             )
-        else:
+            try:
+                check_exactness(study.baseline, result)
+            except AblationExactnessError:
+                result = None
+        if result is None:
             result = _execute(plan, workload)
-        if plan.component is not None and not result.reused:
-            check_exactness(study.baseline, result)
+            if component is not None:
+                check_exactness(study.baseline, result)
         study.runs.append(result)
         if progress is not None:
             name = result.component or "baseline"

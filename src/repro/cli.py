@@ -9,7 +9,7 @@ Usage (installed as the ``repro`` package)::
     python -m repro.cli demo --dataset MALL --steps 20
     python -m repro.cli stats --dataset ROAD --steps 5
     python -m repro.cli trace --out trace.json --sensors 8 --workers 4
-    python -m repro.cli ablate --smoke
+    python -m repro.cli ablate --out fresh.json
 
 Presets scale the synthetic workloads: ``tiny`` (seconds, CI-friendly),
 ``small`` (the benchmark defaults), ``paper`` (hours; closest to the
@@ -32,10 +32,12 @@ injection and watch the degradation ladder serve through it.
 
 ``ablate`` runs the system-wide ablation study (``repro.ablation``):
 baseline plus one-component-off runs with stable deterministic run IDs,
-a ranked importance report, and ``BENCH_ablation.json``.  Every run is
-exactness-checked against the full-DTW oracle and, for components that
-declare themselves pure optimisations, bit-exact forecast parity with
-the baseline.
+a ranked importance report, and ``BENCH_ablation.json`` — the repo's one
+deterministic-counter bench, on one workload (``benchmarks/gate.py
+--fresh`` compares a fresh payload against the committed file; wall-clock
+is ``benchmarks/roundbench``'s).  Every run is exactness-checked against
+the full-DTW oracle and, for components that declare themselves pure
+optimisations, bit-exact forecast parity with the baseline.
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ EXPERIMENTS = {
     "fig12": ("run_fig12", "accuracy"),
     "fig13": ("run_fig13", "accuracy"),
     "ablation-warmstart": ("run_warmstart_ablation", "accuracy"),
-    "ablation-threshold": ("run_threshold_reuse_ablation", "search"),
     "ablation-window": ("run_window_reuse_ablation", "search"),
     "ablation-parameters": ("run_parameter_sensitivity", "search"),
     "ablation-history": ("run_history_tradeoff", "accuracy"),
@@ -255,11 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "ablate",
         help="system-wide ablation study: ranked component importance "
         "+ BENCH_ablation.json",
-    )
-    ablate.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized workload (seconds per run; exactness checks and "
-        "run-ID stability are identical to the full workload)",
     )
     ablate.add_argument(
         "--out", type=pathlib.Path, default=pathlib.Path("BENCH_ablation.json"),
@@ -513,14 +509,13 @@ def _list_components() -> str:
 
 
 def _run_ablate(
-    smoke: bool,
     out: pathlib.Path,
     backend: str | None = None,
     seed: int | None = None,
     reuse_path: pathlib.Path | None = None,
 ) -> str:
     """Run the study, print the ranked report, write the JSON payload."""
-    workload = ablation.SMOKE_WORKLOAD if smoke else ablation.AblationWorkload()
+    workload = ablation.AblationWorkload()
     overrides: dict[str, object] = {}
     if backend is not None:
         overrides["backend"] = backend
@@ -539,7 +534,7 @@ def _run_ablate(
     study = ablation.run_study(
         workload, reuse=reuse, progress=lambda line: print(line, flush=True)
     )
-    payload = ablation.bench_payload(study, smoke=smoke, cpu_count=os.cpu_count())
+    payload = ablation.bench_payload(study, cpu_count=os.cpu_count())
     if out.parent != pathlib.Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(payload, indent=2) + "\n")
@@ -600,9 +595,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.list_components:
             print(_list_components())
             return 0
-        print(_run_ablate(
-            args.smoke, args.out, args.backend, args.seed, args.reuse,
-        ))
+        print(_run_ablate(args.out, args.backend, args.seed, args.reuse))
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 

@@ -5,8 +5,6 @@ mechanisms the system leans on:
 
 * :func:`run_warmstart_ablation` — the fixed-5-step warm-started CG of
   Section 5.2.2 versus cold-starting the GP hyperparameters each step,
-* :func:`run_threshold_reuse_ablation` — recycling the previous step's
-  kNN as the filtering threshold versus re-seeding from lower bounds,
 * :func:`run_window_reuse_ablation` — the ring-buffer continuous update
   of Fig. 6 versus rebuilding the window-level index every step,
 * :func:`run_parameter_sensitivity` — omega/rho sweeps around the
@@ -37,8 +35,6 @@ from .search_experiments import SearchScale
 __all__ = [
     "WarmstartAblation",
     "run_warmstart_ablation",
-    "ThresholdReuseAblation",
-    "run_threshold_reuse_ablation",
     "WindowReuseAblation",
     "run_window_reuse_ablation",
     "ParameterSensitivity",
@@ -123,72 +119,6 @@ def run_warmstart_ablation(scale: AccuracyScale | None = None) -> WarmstartAblat
         cold_mae=float(np.mean(cold_maes)),
         warm_seconds_per_query=float(np.mean(warm_times)),
         cold_seconds_per_query=float(np.mean(cold_times)),
-    )
-
-
-# --------------------------------------------------------------------------
-# Threshold reuse in the continuous search
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class ThresholdReuseAblation:
-    """Unfiltered candidates with and without threshold reuse."""
-
-    reuse_unfiltered: float
-    fresh_unfiltered: float
-    reuse_sim_s: float
-    fresh_sim_s: float
-
-    def render(self) -> str:
-        """Render this result as an aligned text table."""
-        return render_table(
-            ["variant", "unfiltered/query", "verify sim time/step"],
-            [
-                ["previous-kNN threshold", f"{self.reuse_unfiltered:.0f}",
-                 format_seconds(self.reuse_sim_s)],
-                ["fresh LB-pool threshold", f"{self.fresh_unfiltered:.0f}",
-                 format_seconds(self.fresh_sim_s)],
-            ],
-            title="Ablation: continuous threshold reuse (Section 4.3.3)",
-        )
-
-
-def run_threshold_reuse_ablation(
-    scale: SearchScale | None = None,
-) -> ThresholdReuseAblation:
-    """Previous-kNN threshold vs fresh LB-pool threshold."""
-    scale = scale or SearchScale()
-    ds = make_dataset(
-        "ROAD", n_sensors=scale.n_sensors,
-        n_points=scale.n_points + scale.continuous_steps,
-        test_points=scale.continuous_steps, seed=scale.seed,
-    )
-    stats = {}
-    for reuse in (True, False):
-        total_unfiltered, total_queries, total_sim = 0, 0, 0.0
-        for sensor in range(ds.n_sensors):
-            history, tail = ds.sensor(sensor)
-            config = SuffixSearchConfig(
-                item_lengths=scale.item_lengths, k_max=32,
-                omega=scale.omega, rho=scale.rho, margin=1,
-                reuse_threshold=reuse,
-            )
-            engine = SuffixKnnEngine(
-                history.values, config, backend=scale.backend()
-            )
-            engine.search()
-            for point in tail:
-                for answer in engine.step(float(point)).values():
-                    total_unfiltered += answer.candidates_unfiltered
-                    total_sim += answer.verification_sim_s
-                    total_queries += 1
-        stats[reuse] = (total_unfiltered / total_queries, total_sim / scale.continuous_steps)
-    return ThresholdReuseAblation(
-        reuse_unfiltered=stats[True][0],
-        fresh_unfiltered=stats[False][0],
-        reuse_sim_s=stats[True][1],
-        fresh_sim_s=stats[False][1],
     )
 
 

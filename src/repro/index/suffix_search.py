@@ -79,8 +79,9 @@ class SuffixSearchConfig:
     #: Run the full pruning cascade (LB_Kim → LB_w → LB_Improved →
     #: early-abandoning DTW).  ``False`` falls back to the single LB_w
     #: filter pass with unpruned verification — same answers, more work —
-    #: kept as the measurable pre-cascade baseline for
-    #: ``benchmarks/bench_search.py``.
+    #: kept as the measurable pre-cascade baseline: the ``cascade``
+    #: component of ``repro.ablation`` switches it off and
+    #: ``tests/test_search_cascade.py`` checks both modes agree.
     cascade: bool = True
     #: Per-tier switches within the cascade, for ablation studies
     #: (``repro.ablation``).  Every tier is independently admissible, so

@@ -25,7 +25,6 @@ from repro.ablation import (
     Component,
     DEFAULT_COMPONENTS,
     RunResult,
-    SMOKE_WORKLOAD,
     StudyResult,
     apply_patch,
     bench_payload,
@@ -185,10 +184,10 @@ class TestRunIds:
         and CI hosts."""
         code = textwrap.dedent(
             """
-            from repro.ablation import SMOKE_WORKLOAD, default_registry, run_id
+            from repro.ablation import AblationWorkload, default_registry, run_id
             comps = default_registry()
-            print(run_id(SMOKE_WORKLOAD, None))
-            print(run_id(SMOKE_WORKLOAD, comps[0]))
+            print(run_id(AblationWorkload(), None))
+            print(run_id(AblationWorkload(), comps[0]))
             """
         )
         env = dict(os.environ)
@@ -202,8 +201,8 @@ class TestRunIds:
             capture_output=True, text=True, check=True,
         ).stdout.split()
         assert out == [
-            run_id(SMOKE_WORKLOAD, None),
-            run_id(SMOKE_WORKLOAD, default_registry()[0]),
+            run_id(AblationWorkload(), None),
+            run_id(AblationWorkload(), default_registry()[0]),
         ]
 
     def test_enumerate_is_baseline_plus_one_per_component(self):
@@ -261,10 +260,10 @@ class TestScoring:
         study = StudyResult(workload=MICRO, runs=[baseline, off])
         report = render_report(study)
         assert "cascade" in report and "importance" in report
-        payload = bench_payload(study, smoke=True, cpu_count=1)
+        payload = bench_payload(study, cpu_count=1)
         assert payload["benchmark"] == "ablation"
         assert payload["baseline_run_id"] == "b"
-        assert payload["host"]["wall_speedup_meaningful"] is False
+        assert payload["host"] == {"cpu_count": 1}
         assert len(payload["runs"]) == 2
         assert [r["component"] for r in payload["ranking"]] == ["cascade"]
         json.dumps(payload)  # must be JSON-serialisable as-is
@@ -329,6 +328,36 @@ class TestStudyEndToEnd:
         ]
         assert not resumed.baseline.reused
         assert all(r.reused for r in resumed.runs[1:])
+
+    def test_stale_exact_row_is_rerun_not_reused(self):
+        """Run IDs hash workload + patch, not the code: a stored
+        ``claims_exact`` row whose digest (or oracle flag) disagrees with
+        today's baseline was recorded on other code and must be
+        re-executed, not ranked against the fresh baseline."""
+        cascade = tuple(
+            c for c in DEFAULT_COMPONENTS if c.name == "cascade"
+        )
+        study = run_study(MICRO, components=cascade)
+        honest = study.runs[1].as_dict()
+        stale_digest = dict(
+            honest, serving=dict(honest["serving"], forecast_digest="stale")
+        )
+        stale_oracle = dict(
+            honest, search=dict(honest["search"], reference_exact=False)
+        )
+        for stored in (stale_digest, stale_oracle):
+            resumed = run_study(
+                MICRO, components=cascade,
+                reuse={stored["run_id"]: stored},
+            )
+            rerun = resumed.runs[1]
+            assert rerun.reused is False
+            assert rerun.search["reference_exact"] is True
+            assert (
+                rerun.serving["forecast_digest"]
+                == resumed.baseline.serving["forecast_digest"]
+                == honest["serving"]["forecast_digest"]
+            )
 
     def test_lying_component_fails_the_study(self):
         """An ablation that changes forecasts while claiming exactness

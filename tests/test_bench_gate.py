@@ -1,20 +1,25 @@
-"""The benchmark regression gate, driven entirely by fixture payloads.
+"""The benchmark regression gate, driven by fixture payloads.
 
-No benchmark actually runs here: every test builds the JSON documents
-the benches emit (smoke-shaped) and feeds them to ``benchmarks/gate.py``
-directly, so the pass/fail/skip semantics — thresholds, host-awareness,
-hard invariants — are pinned without benchmark-scale runtimes.
+No study runs here: the comparator tests build the JSON document
+``python -m repro.cli ablate`` emits and feed it to
+``benchmarks/gate.py`` directly, and the command-line tests mutate a
+copy of the committed root ``BENCH_ablation.json`` — so the pass/fail
+semantics (thresholds, hard invariants, exit codes) are pinned without
+benchmark-scale runtimes.  The classes follow the payload: the
+baseline run's ``search`` block, its ``serving`` block, the study-level
+invariants, then files in / exit code out.
 """
 
 from __future__ import annotations
 
-import copy
 import importlib.util
 import json
 import pathlib
 import sys
 
 import pytest
+
+from repro.ablation import AblationWorkload, enumerate_runs
 
 _GATE_PATH = (
     pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "gate.py"
@@ -25,66 +30,18 @@ sys.modules["bench_gate"] = gate  # @dataclass resolves the module by name
 _spec.loader.exec_module(gate)
 
 
-def search_payload(cpu_count=1):
-    return {
-        "benchmark": "search",
-        "config": {"points": 4000, "steps": 4, "smoke": True},
-        "host": {"cpu_count": cpu_count},
-        "results": {
-            "baseline": {
-                "wall_s": 0.3, "sim_s": 1.6e-3, "candidates_total": 47262,
-                "candidates_per_s": 160000.0, "unfiltered_rate": 0.13,
-                "verified_rate": 0.13,
-            },
-            "cascade": {
-                "wall_s": 0.29, "sim_s": 1.5e-3, "candidates_total": 47262,
-                "candidates_per_s": 165000.0, "unfiltered_rate": 0.008,
-                "verified_rate": 0.008,
-                "prune_rates": {
-                    "kim": 0.957, "window": 0.025,
-                    "improved": 0.010, "abandoned": 0.002,
-                },
-            },
-            "speedup_candidates_per_s": 1.03,
-            "modes_identical": True,
-            "reference_exact": True,
-        },
-    }
-
-
-def serving_payload(cpu_count=1, meaningful=False):
-    def row(workers, engine):
-        return {
-            "workers": workers, "engine": engine,
-            "p50_batch_s": 1.4e-3, "p99_batch_s": 1.6e-3,
-            "throughput_forecasts_per_s": 350.0, "wall_total_s": 0.05,
-            "sim_serial_s": 1.05e-3, "sim_parallel_s": 2.6e-4,
-            "sim_parallel_speedup": 4.0,
-            "identical_to_sequential": True,
-            "wall_speedup_vs_sequential": 1.0,
-            "wall_speedup_meaningful": meaningful,
-        }
-
-    return {
-        "benchmark": "serving",
-        "config": {"sensors": 8, "backends": 4},
-        "host": {"cpu_count": cpu_count},
-        "results": [row(1, "inline"), row(4, "thread")],
-    }
-
-
-def ablation_payload(cpu_count=1):
-    def run(rid, component, search):
+def ablation_payload():
+    def run(rid, component, search, claims_exact=True, digest="abc"):
         return {
             "run_id": rid, "component": component,
             "layer": None if component is None else "search",
-            "claims_exact": True, "reused": False,
+            "claims_exact": claims_exact, "reused": False,
             "search": search,
             "serving": {
                 "backend": "simulated", "wall_s": 0.1,
                 "p50_batch_s": 0.015, "sim_s": 1.8e-3,
                 "sim_parallel_s": 9e-4, "mae": 0.093,
-                "degraded_forecasts": 0, "forecast_digest": "abc",
+                "degraded_forecasts": 0, "forecast_digest": digest,
             },
         }
 
@@ -97,219 +54,200 @@ def ablation_payload(cpu_count=1):
     }
     return {
         "benchmark": "ablation",
-        "config": {"workload": {"seed": 2015}, "smoke": True},
-        "host": {"cpu_count": cpu_count,
-                 "wall_speedup_meaningful": cpu_count > 1},
+        "config": {"workload": {"seed": 2015}},
+        "host": {"cpu_count": 2},
         "baseline_run_id": "abl-base",
         "runs": [
             run("abl-base", None, base_search),
             run("abl-casc", "cascade", dict(base_search, sim_s=1.5e-3)),
+            run("abl-ens", "ensemble", None, claims_exact=False,
+                digest="other"),
         ],
         "ranking": [],
     }
+
+
+def compare(fresh, threshold_pct=10.0):
+    return gate.compare_ablation(ablation_payload(), fresh, threshold_pct)
 
 
 def failures(checks):
     return [c.name for c in checks if c.failed]
 
 
-def by_name(checks, name):
-    return next(c for c in checks if c.name == name)
-
-
 class TestSearchGate:
     def test_identical_payloads_pass(self):
-        p = search_payload()
-        checks = gate.compare_search(p, copy.deepcopy(p), 10.0)
+        checks = compare(ablation_payload())
         assert not failures(checks)
+        assert {
+            "baseline.search.sim_s", "baseline.search.verified_rate",
+            "baseline.search.prune_rate_total", "reference_exact",
+        } <= {c.name for c in checks}
 
     def test_sim_time_regression_fails(self):
-        fresh = search_payload()
-        fresh["results"]["cascade"]["sim_s"] *= 1.25
-        checks = gate.compare_search(search_payload(), fresh, 10.0)
-        assert failures(checks) == ["search.cascade.sim_s"]
+        fresh = ablation_payload()
+        fresh["runs"][0]["search"]["sim_s"] *= 1.25
+        assert failures(compare(fresh)) == ["baseline.search.sim_s"]
         # A generous threshold tolerates the same delta.
-        assert not failures(
-            gate.compare_search(search_payload(), fresh, 30.0)
-        )
+        assert not failures(compare(fresh, 30.0))
 
     def test_prune_rate_collapse_fails(self):
-        fresh = search_payload()
-        fresh["results"]["cascade"]["prune_rates"]["kim"] = 0.4
-        checks = gate.compare_search(search_payload(), fresh, 10.0)
-        assert "search.cascade.prune_rate_total" in failures(checks)
+        fresh = ablation_payload()
+        fresh["runs"][0]["search"]["prune_rates"]["kim"] = 0.4
+        assert failures(compare(fresh)) == [
+            "baseline.search.prune_rate_total"
+        ]
 
     def test_improvement_never_fails(self):
-        fresh = search_payload()
-        fresh["results"]["cascade"]["sim_s"] *= 0.5  # got faster
-        assert not failures(
-            gate.compare_search(search_payload(), fresh, 10.0)
-        )
+        fresh = ablation_payload()
+        base_run = fresh["runs"][0]
+        base_run["search"]["sim_s"] *= 0.5  # got faster
+        base_run["search"]["verified_rate"] *= 0.5
+        base_run["search"]["prune_rates"]["kim"] = 0.94
+        base_run["serving"]["sim_parallel_s"] *= 0.5
+        base_run["serving"]["mae"] *= 0.5
+        assert not failures(compare(fresh))
 
     def test_lost_exactness_fails_at_any_threshold(self):
-        fresh = search_payload()
-        fresh["results"]["modes_identical"] = False
-        checks = gate.compare_search(search_payload(), fresh, 1e9)
-        assert "search.modes_identical" in failures(checks)
-
-    def test_wall_skipped_on_single_core_host(self):
-        fresh = search_payload(cpu_count=1)
-        fresh["results"]["speedup_candidates_per_s"] = 0.1  # huge wall hit
-        checks = gate.compare_search(search_payload(), fresh, 10.0)
-        assert by_name(
-            checks, "search.speedup_candidates_per_s"
-        ).status == "skip"
-        assert not failures(checks)
-
-    def test_wall_enforced_on_multicore_host(self):
-        fresh = search_payload(cpu_count=8)
-        fresh["results"]["speedup_candidates_per_s"] = 0.1
-        checks = gate.compare_search(search_payload(cpu_count=8), fresh, 10.0)
-        assert "search.speedup_candidates_per_s" in failures(checks)
+        for row in (0, 1):  # the baseline run or a component-off run
+            fresh = ablation_payload()
+            fresh["runs"][row]["search"]["reference_exact"] = False
+            assert failures(compare(fresh, 1e9)) == ["reference_exact"]
 
 
 class TestServingGate:
     def test_identical_payloads_pass(self):
-        p = serving_payload()
-        assert not failures(gate.compare_serving(p, copy.deepcopy(p), 10.0))
+        checks = compare(ablation_payload())
+        assert not failures(checks)
+        assert {
+            "baseline.serving.mae", "baseline.serving.sim_s",
+            "baseline.serving.sim_parallel_s", "exact_digests",
+        } <= {c.name for c in checks}
 
     def test_sim_speedup_regression_fails(self):
-        fresh = serving_payload()
-        fresh["results"][1]["sim_parallel_speedup"] = 2.0  # was 4.0
-        checks = gate.compare_serving(serving_payload(), fresh, 10.0)
-        assert failures(checks) == ["serving.w4.thread.sim_parallel_speedup"]
+        """The slowest shard's ledger doubling is a lost parallel
+        speedup even when the summed simulated time is unchanged."""
+        fresh = ablation_payload()
+        fresh["runs"][0]["serving"]["sim_parallel_s"] *= 2.0
+        assert failures(compare(fresh)) == [
+            "baseline.serving.sim_parallel_s"
+        ]
 
     def test_parity_loss_fails(self):
-        fresh = serving_payload()
-        fresh["results"][0]["identical_to_sequential"] = False
-        checks = gate.compare_serving(serving_payload(), fresh, 10.0)
-        assert "serving.w1.inline.identical_to_sequential" in failures(checks)
-
-    def test_unknown_row_fails(self):
-        fresh = serving_payload()
-        fresh["results"][1]["workers"] = 16  # no such baseline row
-        checks = gate.compare_serving(serving_payload(), fresh, 10.0)
-        assert "serving.w16.thread" in failures(checks)
-
-    def test_wall_skipped_unless_row_says_meaningful(self):
-        fresh = serving_payload(cpu_count=8, meaningful=False)
-        fresh["results"][0]["throughput_forecasts_per_s"] = 10.0
-        checks = gate.compare_serving(
-            serving_payload(cpu_count=8, meaningful=False), fresh, 10.0
-        )
-        assert not failures(checks)
-        fresh = serving_payload(cpu_count=8, meaningful=True)
-        fresh["results"][0]["throughput_forecasts_per_s"] = 10.0
-        checks = gate.compare_serving(
-            serving_payload(cpu_count=8, meaningful=True), fresh, 10.0
-        )
-        assert "serving.w1.inline.throughput_forecasts_per_s" in failures(
-            checks
-        )
+        fresh = ablation_payload()
+        fresh["runs"][1]["serving"]["forecast_digest"] = "diverged"
+        assert failures(compare(fresh, 1e9)) == ["exact_digests"]
 
 
 class TestAblationGate:
     def test_identical_payloads_pass(self):
-        p = ablation_payload()
-        assert not failures(gate.compare_ablation(p, copy.deepcopy(p), 10.0))
+        """Verdicts are pass or fail only, and wall-clock is not gated:
+        the payload's wall fields are informational."""
+        fresh = ablation_payload()
+        for run in fresh["runs"]:
+            run["serving"]["wall_s"] = 99.0
+            run["serving"]["p50_batch_s"] = 9.0
+        fresh["host"]["cpu_count"] = 64
+        checks = compare(fresh)
+        assert {c.status for c in checks} == {"pass"}
 
     def test_run_id_drift_fails(self):
         fresh = ablation_payload()
         fresh["runs"][1]["run_id"] = "abl-drifted"
-        checks = gate.compare_ablation(ablation_payload(), fresh, 10.0)
-        assert "ablation.run_ids" in failures(checks)
+        assert failures(compare(fresh)) == ["run_ids"]
 
     def test_accuracy_regression_fails(self):
         fresh = ablation_payload()
-        fresh["runs"][0]["serving"]["mae"] *= 1.5
-        checks = gate.compare_ablation(ablation_payload(), fresh, 10.0)
-        assert "ablation.baseline.mae" in failures(checks)
-
-    def test_wall_skipped_on_single_core(self):
-        fresh = ablation_payload(cpu_count=1)
-        fresh["runs"][0]["serving"]["wall_s"] = 99.0
-        checks = gate.compare_ablation(ablation_payload(), fresh, 10.0)
-        assert by_name(checks, "ablation.baseline.wall_s").status == "skip"
-        assert not failures(checks)
+        fresh["runs"][0]["serving"]["mae"] *= 1.25
+        assert failures(compare(fresh)) == ["baseline.serving.mae"]
 
 
 class TestDispatchAndDirectories:
-    def test_unknown_benchmark_is_a_gate_error(self):
-        with pytest.raises(gate.GateError, match="no comparator"):
-            gate.compare_payloads({"benchmark": "mystery"}, {}, 10.0)
+    """Payload validation, then the command line: files in, exit code
+    out, against the committed root ``BENCH_ablation.json``."""
 
     def test_mismatched_kinds_are_a_gate_error(self):
-        with pytest.raises(gate.GateError, match="expected 'search'"):
-            gate.compare_search(search_payload(), serving_payload(), 10.0)
+        other = dict(ablation_payload(), benchmark="search")
+        with pytest.raises(gate.GateError, match="expected 'ablation'"):
+            compare(other)
 
     def test_missing_field_is_a_gate_error(self):
-        broken = search_payload()
-        del broken["results"]["cascade"]["sim_s"]
+        broken = ablation_payload()
+        del broken["runs"][0]["search"]["sim_s"]
         with pytest.raises(gate.GateError, match="missing"):
-            gate.compare_search(search_payload(), broken, 10.0)
+            compare(broken)
+        broken = ablation_payload()
+        del broken["runs"]
+        with pytest.raises(gate.GateError, match="missing 'runs'"):
+            compare(broken)
 
-    def _write_dirs(self, tmp_path, fresh_mutator=None):
-        baseline_dir = tmp_path / "baselines"
-        fresh_dir = tmp_path / "fresh"
-        baseline_dir.mkdir()
-        fresh_dir.mkdir()
-        docs = {
-            "BENCH_search.json": search_payload(),
-            "BENCH_serving.json": serving_payload(),
-            "BENCH_ablation.json": ablation_payload(),
-        }
-        for name, doc in docs.items():
-            (baseline_dir / name).write_text(json.dumps(doc))
-        if fresh_mutator is not None:
-            fresh_mutator(docs)
-        for name, doc in docs.items():
-            (fresh_dir / name).write_text(json.dumps(doc))
-        return baseline_dir, fresh_dir
+    @staticmethod
+    def _fresh_file(tmp_path, mutate=None):
+        payload = json.loads(gate.BASELINE_PATH.read_text())
+        if mutate is not None:
+            baseline_run = next(
+                run for run in payload["runs"]
+                if run["run_id"] == payload["baseline_run_id"]
+            )
+            mutate(payload, baseline_run)
+        path = tmp_path / "fresh.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
 
     def test_green_directories_exit_zero(self, tmp_path, capsys):
-        baseline_dir, fresh_dir = self._write_dirs(tmp_path)
-        checks = gate.gate_directories(baseline_dir, fresh_dir, 10.0)
-        assert not failures(checks)
-        code = gate.main([
-            "--baseline-dir", str(baseline_dir),
-            "--fresh-dir", str(fresh_dir),
-        ])
+        code = gate.main(["--fresh", self._fresh_file(tmp_path)])
         assert code == 0
         assert "0 failed" in capsys.readouterr().out
 
     def test_regression_exits_one(self, tmp_path, capsys):
-        def mutate(docs):
-            docs["BENCH_search.json"]["results"]["cascade"]["sim_s"] *= 2
+        def scale(block, field):
+            def mutate(payload, run):
+                run[block][field] *= 1.25
+            return mutate
 
-        baseline_dir, fresh_dir = self._write_dirs(tmp_path, mutate)
-        code = gate.main([
-            "--baseline-dir", str(baseline_dir),
-            "--fresh-dir", str(fresh_dir),
-        ])
+        def collapse_prune_rates(payload, run):
+            run["search"]["prune_rates"]["kim"] = 0.4
+
+        def lose_exactness(payload, run):
+            run["search"]["reference_exact"] = False
+
+        def drift_run_id(payload, run):
+            payload["runs"][-1]["run_id"] = "abl-drifted"
+
+        for mutate in (
+            scale("search", "sim_s"), scale("serving", "mae"),
+            collapse_prune_rates, lose_exactness, drift_run_id,
+        ):
+            code = gate.main(["--fresh", self._fresh_file(tmp_path, mutate)])
+            assert code == 1
+            assert "FAIL" in capsys.readouterr().out
+
+    def test_missing_fresh_file_is_a_failure(self, tmp_path, capsys):
+        code = gate.main(["--fresh", str(tmp_path / "never-written.json")])
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert "fresh run missing" in capsys.readouterr().out
 
-    def test_missing_fresh_file_is_a_failure(self, tmp_path):
-        baseline_dir, fresh_dir = self._write_dirs(tmp_path)
-        (fresh_dir / "BENCH_serving.json").unlink()
-        checks = gate.gate_directories(baseline_dir, fresh_dir, 10.0)
-        assert "BENCH_serving.json" in failures(checks)
+    def test_malformed_fresh_file_exits_two(self, tmp_path, capsys):
+        def drop_runs(payload, run):
+            del payload["runs"]
 
-    def test_empty_baseline_dir_exits_two(self, tmp_path, capsys):
-        (tmp_path / "baselines").mkdir()
-        (tmp_path / "fresh").mkdir()
-        code = gate.main([
-            "--baseline-dir", str(tmp_path / "baselines"),
-            "--fresh-dir", str(tmp_path / "fresh"),
-        ])
-        assert code == 2
-        assert "gate error" in capsys.readouterr().err
+        no_runs = self._fresh_file(tmp_path, drop_runs)
+        not_json = tmp_path / "truncated.json"
+        not_json.write_text('{"benchmark": "ablation", "runs": [')
+        for path in (no_runs, str(not_json)):
+            assert gate.main(["--fresh", path]) == 2
+            assert "gate error" in capsys.readouterr().err
 
     def test_committed_baselines_parse_and_self_compare(self):
-        """The real committed baselines must stay gate-compatible."""
-        checks = gate.gate_directories(
-            gate.BASELINE_DIR, gate.BASELINE_DIR, 10.0
-        )
-        assert not failures(checks)
-        kinds = {c.name.split(".")[0] for c in checks}
-        assert {"search", "serving", "ablation"} <= kinds
+        """The committed file is what today's registry and workload
+        enumerate — checked without executing a run, so an edit to
+        either that forgets ``python -m repro.cli ablate`` fails here —
+        and it compares green against itself."""
+        committed = json.loads(gate.BASELINE_PATH.read_text())
+        plans = enumerate_runs(AblationWorkload())
+        assert committed["baseline_run_id"] == plans[0].run_id
+        assert [run["run_id"] for run in committed["runs"]] == [
+            plan.run_id for plan in plans
+        ]
+        checks = gate.compare_ablation(committed, committed)
+        assert checks and not failures(checks)

@@ -8,7 +8,6 @@ from repro.harness import (
     SearchScale,
     run_history_tradeoff,
     run_parameter_sensitivity,
-    run_threshold_reuse_ablation,
     run_warmstart_ablation,
     run_window_reuse_ablation,
 )
@@ -28,15 +27,6 @@ class TestWarmstart:
         # Warm starting must not cost real accuracy.
         assert result.warm_mae < result.cold_mae * 1.3
         assert "warm-start" in result.render()
-
-
-class TestThresholdReuse:
-    def test_both_variants_filter(self):
-        result = run_threshold_reuse_ablation(SEARCH)
-        total = SEARCH.n_points  # approximate candidate count per query
-        assert 0 < result.reuse_unfiltered < total
-        assert 0 < result.fresh_unfiltered < total
-        assert "threshold" in result.render()
 
 
 class TestWindowReuse:
