@@ -11,8 +11,10 @@ the seeded workload:
 * **Hard invariants** (any threshold): the run-ID set equals the
   committed one (a drifted ID means the workload or a patch changed
   without the file being regenerated), every executed search phase
-  matched the full-DTW oracle (``reference_exact``), and every
-  ``claims_exact`` run served the baseline's forecast digest.
+  matched the full-DTW oracle (``reference_exact``), every
+  ``claims_exact`` run served the baseline's forecast digest, and no
+  ``claims_exact`` component ranks negative (a pure optimisation the
+  system measures better without has to go, not stay switchable).
 * **Deterministic counters** of the everything-on run: MAE, simulated
   kernel seconds (summed and per-shard maximum), verified rate, total
   prune rate.
@@ -185,6 +187,15 @@ def compare_ablation(
             and _get(r, "serving.forecast_digest") != digest
         ],
         "every claims_exact run served the baseline's forecasts",
+    ))
+    checks.append(_check_all(
+        "no_harmful_exact_component",
+        [
+            f"{_get(row, 'component')} ({_get(row, 'importance'):+.3f})"
+            for row in _get(fresh, "ranking")
+            if _get(row, "claims_exact") and _get(row, "importance") < 0
+        ],
+        "no claims_exact component has negative importance",
     ))
     for dotted, higher_is_worse in _BASELINE_METRICS:
         checks.append(_check_metric(

@@ -18,10 +18,9 @@ it off must not change a single served forecast bit.  The study runner
 enforces the declaration — an exactness-declared ablation whose
 forecasts diverge from baseline fails the whole run
 (:class:`~repro.ablation.study.AblationExactnessError`), which is
-exactly the property the cascade tiers inherit from Lemire's
-``LB_Improved`` (arxiv 0811.3301) and the exact-indexing lower-bound
-framework (arxiv 0906.2459): admissible bounds prune work, never
-answers.
+exactly the property the cascade tiers inherit from the exact-indexing
+lower-bound framework (arxiv 0906.2459): admissible bounds prune work,
+never answers.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ class Component:
     """One ablatable mechanism: a name, a layer tag and a config patch.
 
     ``patch`` maps dotted knob names to the ablated value, e.g.
-    ``(("search.cascade", False),)``.  ``claims_exact`` promises the
+    ``(("search.lb_kim", False),)``.  ``claims_exact`` promises the
     ablation changes *work*, never *answers* — enforced at run time
     against the baseline's forecast digest.
     """
@@ -153,8 +152,9 @@ DEFAULT_COMPONENTS: tuple[Component, ...] = (
     Component(
         name="cascade",
         layer="search",
-        description="tiered pruning cascade (off = single LB_w filter pass)",
-        patch=(("search.cascade", False),),
+        description="tiered pruning cascade (off = the paper's plain LB_w "
+        "filter pass with unpruned verification)",
+        patch=(("search.lb_kim", False), ("search.early_abandon", False)),
     ),
     Component(
         name="lb-kim",
@@ -163,22 +163,10 @@ DEFAULT_COMPONENTS: tuple[Component, ...] = (
         patch=(("search.lb_kim", False),),
     ),
     Component(
-        name="lb-improved",
-        layer="search",
-        description="tier-2 two-pass Lemire LB_Improved filter",
-        patch=(("search.lb_improved", False),),
-    ),
-    Component(
         name="early-abandon",
         layer="search",
-        description="tier-3 early-abandoning banded DTW verification",
+        description="tier-2 early-abandoning banded DTW verification",
         patch=(("search.early_abandon", False),),
-    ),
-    Component(
-        name="envelope-reuse",
-        layer="search",
-        description="O(rho) sliding reuse of per-item query envelopes",
-        patch=(("search.reuse_envelopes", False),),
     ),
     Component(
         name="threshold-reuse",

@@ -240,7 +240,7 @@ def _run_search_phase(
     totals = {
         "candidates_total": 0, "candidates_unfiltered": 0,
         "candidates_verified": 0, "pruned_kim": 0, "pruned_window": 0,
-        "pruned_improved": 0, "abandoned_early": 0,
+        "abandoned_early": 0,
     }
     sim_s = 0.0
     answers = None
@@ -253,7 +253,6 @@ def _run_search_phase(
             totals["candidates_verified"] += a.candidates_verified
             totals["pruned_kim"] += a.pruned_kim
             totals["pruned_window"] += a.pruned_window
-            totals["pruned_improved"] += a.pruned_improved
             totals["abandoned_early"] += a.abandoned_early
             sim_s += a.verification_sim_s + a.selection_sim_s
     wall_s = time.perf_counter() - t0
@@ -279,7 +278,6 @@ def _run_search_phase(
         "prune_rates": {
             "kim": float(totals["pruned_kim"] / total),
             "window": float(totals["pruned_window"] / total),
-            "improved": float(totals["pruned_improved"] / total),
             "abandoned": float(totals["abandoned_early"] / total),
         },
         "reference_exact": bool(reference_exact),

@@ -79,14 +79,12 @@ class ComputeBackend(Protocol):
         candidates: np.ndarray,
         rho: int,
         cutoff: float | None = None,
-        lb_terms: np.ndarray | None = None,
     ) -> np.ndarray:
         """Banded (Sakoe-Chiba ``rho``) DTW of one query vs many candidates.
 
         With a ``cutoff`` the kernel may early-abandon candidates whose
-        cumulative bound (partial DP cost + the admissible ``lb_terms``
-        tail) strictly exceeds it, returning ``inf`` for those; every
-        candidate with true distance ``<= cutoff`` keeps a distance
+        partial DP cost strictly exceeds it, returning ``inf`` for those;
+        every candidate with true distance ``<= cutoff`` keeps a distance
         bit-identical to the unpruned kernel.
         """
         ...
@@ -203,13 +201,12 @@ class SubstrateBackend:
         candidates: np.ndarray,
         rho: int,
         cutoff: float | None = None,
-        lb_terms: np.ndarray | None = None,
     ) -> np.ndarray:
         """Banded DTW of one query against many candidates."""
         candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
         if candidates.shape[0] == 0:
             return np.empty(0)
-        return self._run_dtw_verification(query, candidates, rho, cutoff, lb_terms)
+        return self._run_dtw_verification(query, candidates, rho, cutoff)
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Unbanded DTW of one query against many candidates."""

@@ -41,12 +41,10 @@ class NativeBackend(SubstrateBackend):
         )
 
     # ------------------------------------------------------------- kernels
-    def _run_dtw_verification(self, query, candidates, rho, cutoff, lb_terms):
+    def _run_dtw_verification(self, query, candidates, rho, cutoff):
         if cutoff is None:
             return dtw_batch(query, candidates, rho)
-        return dtw_batch_pruned(
-            query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms
-        )
+        return dtw_batch_pruned(query, candidates, rho, cutoff=cutoff)
 
     def _run_full_dtw(self, query, candidates):
         return dtw_batch(query, candidates, rho=None)

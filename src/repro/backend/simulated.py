@@ -36,12 +36,11 @@ class SimulatedGpuBackend(SubstrateBackend):
         super().__init__(self.spec.memory_bytes)
 
     # ------------------------------------------------------------- kernels
-    def _run_dtw_verification(self, query, candidates, rho, cutoff, lb_terms):
+    def _run_dtw_verification(self, query, candidates, rho, cutoff):
         """Banded DTW via the compressed-warping-matrix kernel."""
         with self._lock:
             return dtw_verification_kernel(
-                self.cost, query, candidates, rho,
-                cutoff=cutoff, lb_terms=lb_terms,
+                self.cost, query, candidates, rho, cutoff=cutoff
             )
 
     def _run_full_dtw(self, query, candidates):

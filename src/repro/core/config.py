@@ -43,15 +43,12 @@ class SMiLerConfig:
     single_d: int = 64
     #: Search-pipeline switches forwarded to
     #: :class:`~repro.index.suffix_search.SuffixSearchConfig` — the
-    #: ablation surface of the tiered pruning cascade.  All default on;
-    #: disabling any of them keeps answers bit-identical (each tier is
-    #: an admissible bound), it only changes how much work the search
+    #: ablation surface of the search step.  All default on; disabling
+    #: any of them keeps answers bit-identical (each tier is an
+    #: admissible bound), it only changes how much work the search
     #: does.  See ``repro.ablation``.
-    cascade: bool = True
     lb_kim: bool = True
-    lb_improved: bool = True
     early_abandon: bool = True
-    reuse_envelopes: bool = True
     reuse_threshold: bool = True
 
     def __post_init__(self) -> None:

@@ -99,11 +99,8 @@ class SMiLer:
             rho=self.config.rho,
             margin=self.config.margin,
             reuse_threshold=self.config.reuse_threshold,
-            cascade=self.config.cascade,
             lb_kim=self.config.lb_kim,
-            lb_improved=self.config.lb_improved,
             early_abandon=self.config.early_abandon,
-            reuse_envelopes=self.config.reuse_envelopes,
         )
 
     # ---------------------------------------------------------------- state

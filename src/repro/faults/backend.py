@@ -141,13 +141,12 @@ class FaultInjectingBackend:
         candidates: np.ndarray,
         rho: int,
         cutoff: float | None = None,
-        lb_terms: np.ndarray | None = None,
     ) -> np.ndarray:
         """Banded DTW, possibly failing or NaN-corrupted per the profile."""
         with self._lock:
             tick = self._kernel_preamble("dtw_verification")
             out = self.inner.dtw_verification(
-                query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms
+                query, candidates, rho, cutoff=cutoff
             )
             return self._maybe_corrupt("dtw_verification", tick, out)
 

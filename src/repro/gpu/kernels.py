@@ -50,7 +50,6 @@ def dtw_verification_kernel(
     candidates: np.ndarray,
     rho: int,
     cutoff: float | None = None,
-    lb_terms: np.ndarray | None = None,
 ) -> np.ndarray:
     """Banded DTW of one query against many candidates (Algorithm 2).
 
@@ -58,7 +57,7 @@ def dtw_verification_kernel(
     matrix fits in shared memory, so no global-memory penalty applies.
 
     With a ``cutoff`` the kernel early-abandons candidates whose partial
-    path cost plus the admissible ``lb_terms`` tail exceeds it (see
+    path cost exceeds it (see
     :func:`~repro.dtw.distance.dtw_batch_pruned`; abandoned candidates
     report ``inf``).  Cost attribution then charges the *mean* DP cells
     actually expanded per thread — a work-conserving assumption: threads
@@ -78,8 +77,7 @@ def dtw_verification_kernel(
         )
         return dtw_batch(query, candidates, rho)
     distances, cells_expanded = dtw_batch_pruned(
-        query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms,
-        return_cells=True,
+        query, candidates, rho, cutoff=cutoff, return_cells=True
     )
     cost.launch(
         "dtw_verify",

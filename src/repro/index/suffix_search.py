@@ -1,20 +1,16 @@
 """(Continuous) Suffix kNN Search (Definition 4.1, Section 4.3.3).
 
-The :class:`SuffixKnnEngine` glues the two index levels to the
-filter → verify → select pipeline.  Filtering is a **tiered pruning
-cascade** in the UCR-suite mold, cheapest bound first, each tier only
-touching survivors of the previous one:
+The :class:`SuffixKnnEngine` glues the two index levels to the paper's
+filter → verify → select pipeline, one straight-line path per item
+query, cheapest bound first, each tier only touching survivors of the
+previous one:
 
 * **tier 0 — LB_Kim**: the O(1) first/last-point bound (two series
   touches per candidate, vectorised over all candidates),
 * **tier 1 — LB_w**: the group-level window-enhanced envelope bound the
-  SMiLer index precomputed (free at query time),
-* **tier 2 — LB_Improved**: Lemire's two-pass bound (arxiv 0811.3301),
-  batched across surviving candidates; its pass-1 per-position terms are
-  kept as admissible tails for the next tier,
-* **tier 3 — early-abandoning DTW**: the verification kernel abandons a
-  candidate mid-DP once its partial path cost plus the remaining
-  LB_Improved tail exceeds the threshold.
+  SMiLer index precomputed (free at query time) — the paper's filter,
+* **tier 2 — early-abandoning DTW**: the verification kernel abandons a
+  candidate mid-DP once a DP row's band minimum exceeds the threshold.
 
 Every tier prunes against the same threshold ``tau_i`` and every bound
 is ``<= DTW`` (admissible), so the cascade is **exact**: the answer set
@@ -35,9 +31,8 @@ pool's k-th smallest DTW rather than the DTW of the k-th-by-LB candidate
 lose exactness).
 
 `step()` advances one continuous-prediction tick: the observed point is
-appended, the window level is ring-updated (Remark 1), the per-item
-query envelopes are slid in O(rho) instead of recomputed, and the search
-repeats with threshold reuse.
+appended, the window level is ring-updated (Remark 1), the master query
+rolls by one point, and the search repeats with threshold reuse.
 """
 
 from __future__ import annotations
@@ -49,8 +44,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend.base import ComputeBackend, as_backend
-from ..dtw.envelope import Envelope, compute_envelope, envelope_shift
-from ..dtw.lower_bounds import lb_improved_profile, lb_kim_profile
+from ..dtw.lower_bounds import lb_kim_profile
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs import hooks as obs
 from .group_index import GroupLevelIndex, ItemLowerBounds
@@ -76,28 +70,14 @@ class SuffixSearchConfig:
     margin: int = 1
     lb_mode: str = "en"
     reuse_threshold: bool = True
-    #: Run the full pruning cascade (LB_Kim → LB_w → LB_Improved →
-    #: early-abandoning DTW).  ``False`` falls back to the single LB_w
-    #: filter pass with unpruned verification — same answers, more work —
-    #: kept as the measurable pre-cascade baseline: the ``cascade``
-    #: component of ``repro.ablation`` switches it off and
-    #: ``tests/test_search_cascade.py`` checks both modes agree.
-    cascade: bool = True
-    #: Per-tier switches within the cascade, for ablation studies
-    #: (``repro.ablation``).  Every tier is independently admissible, so
-    #: disabling any subset keeps the search exact — just slower.
-    #: ``lb_kim`` gates tier 0, ``lb_improved`` gates tier 2 and
-    #: ``early_abandon`` gates the mid-DP abandoning of tier 3 (the LB_w
-    #: tier is the index itself and cannot be disabled).  All ignored
-    #: when ``cascade`` is ``False``.
+    #: Per-tier switches, for ablation studies (``repro.ablation``).
+    #: Every tier is independently admissible, so disabling either keeps
+    #: the search exact — it only changes how much work is done.
+    #: ``lb_kim`` gates tier 0 and ``early_abandon`` gates the mid-DP
+    #: abandoning of tier 2 (the LB_w tier is the index itself and cannot
+    #: be disabled); both off is the paper's plain LB_w filter.
     lb_kim: bool = True
-    lb_improved: bool = True
     early_abandon: bool = True
-    #: Reuse the per-item query envelopes across continuous steps by
-    #: sliding them in O(rho) (``False`` recomputes each envelope from
-    #: scratch on every search — same values, more work; the measurable
-    #: envelope-reuse ablation baseline).
-    reuse_envelopes: bool = True
 
     def __post_init__(self) -> None:
         if self.k_max <= 0:
@@ -125,11 +105,11 @@ class SuffixKnnAnswer:
     true DTW was actually computed — the threshold seeds are verified
     even when their bound later exceeds ``tau``, so verified can exceed
     unfiltered (this distinction is the fixed accounting the bench
-    relies on).  ``pruned_kim``/``pruned_window``/``pruned_improved``
-    count per-tier kills; ``abandoned_early`` counts candidates the DTW
-    kernel dropped mid-DP.  ``verification_sim_s`` is the simulated
-    seconds of threshold seeding + filtering + verification only;
-    k-selection is attributed separately to ``selection_sim_s``.
+    relies on).  ``pruned_kim``/``pruned_window`` count per-tier kills;
+    ``abandoned_early`` counts candidates the DTW kernel dropped mid-DP.
+    ``verification_sim_s`` is the simulated seconds of threshold seeding
+    + filtering + verification only; k-selection is attributed
+    separately to ``selection_sim_s``.
     """
 
     item_length: int
@@ -140,6 +120,7 @@ class SuffixKnnAnswer:
     candidates_verified: int = 0
     pruned_kim: int = 0
     pruned_window: int = 0
+    #: Always 0; kept because benchmarks/roundbench/probes.py reads it.
     pruned_improved: int = 0
     abandoned_early: int = 0
     verification_sim_s: float = 0.0
@@ -180,9 +161,6 @@ class SuffixKnnEngine:
         self.window_index.build(master_query)
         self._master_query = master_query.copy()
         self._previous_knn: dict[int, np.ndarray] = {}
-        # Item-query envelopes, slid (not recomputed) across continuous
-        # steps; keyed by item length, built lazily on first search.
-        self._query_envs: dict[int, Envelope] = {}
 
     # ---------------------------------------------------------------- state
     @property
@@ -198,16 +176,6 @@ class SuffixKnnEngine:
     def item_query(self, d: int) -> np.ndarray:
         """``IQ_i``: the d-length suffix of the master query."""
         return self._master_query[self._master_query.size - d :]
-
-    def _query_envelope(self, d: int) -> Envelope:
-        """Envelope of ``IQ_d``, reused across continuous steps."""
-        if not self.config.reuse_envelopes:
-            return compute_envelope(self.item_query(d), self.config.rho)
-        env = self._query_envs.get(d)
-        if env is None:
-            env = compute_envelope(self.item_query(d), self.config.rho)
-            self._query_envs[d] = env
-        return env
 
     # --------------------------------------------------------------- search
     def search(self) -> dict[int, SuffixKnnAnswer]:
@@ -227,11 +195,6 @@ class SuffixKnnEngine:
         self._master_query = np.concatenate(
             [self._master_query[1:], [float(new_point)]]
         )
-        # Slide the cached item-query envelopes along with the query:
-        # the new IQ_d drops the oldest point and appends the newest, so
-        # only O(rho) envelope positions change.
-        for d, env in self._query_envs.items():
-            self._query_envs[d] = envelope_shift(self.item_query(d), env)
 
     def step(self, new_point: float) -> dict[int, SuffixKnnAnswer]:
         """Advance one continuous tick, then search with reuse."""
@@ -296,7 +259,6 @@ class SuffixKnnEngine:
         segments = sliding_window_view(series, d)
 
         before = self.backend.elapsed_s
-        pruned_kim = pruned_window = pruned_improved = 0
 
         with obs.span("dtw_refine", self.backend) as sp:
             seed_starts, seed_distances, tau = self._seed_threshold(
@@ -304,79 +266,33 @@ class SuffixKnnEngine:
             )
             gate = tau + _FILTER_SLACK
 
-            # --- filtering cascade -------------------------------------------
-            if cfg.cascade:
-                survivors = starts
-                surviving_bound = bound
-                if cfg.lb_kim:
-                    # Tier 0: LB_Kim — two series touches per candidate.
-                    kim = lb_kim_profile(query, series, starts)
-                    keep = kim <= gate
-                    survivors = starts[keep]
-                    surviving_bound = bound[keep]
-                    pruned_kim = int(starts.size - survivors.size)
-                    self.backend.launch(
-                        "search_lb_kim",
-                        n_blocks=-(-starts.size // THREADS_PER_BLOCK),
-                        ops_per_thread=2 * OPS_PER_LB_TERM,
-                        threads_per_block=THREADS_PER_BLOCK,
-                    )
-                # Tier 1: the precomputed window/group envelope bound.
-                keep = surviving_bound <= gate
-                pruned_window = int(survivors.size - keep.sum())
-                survivors = survivors[keep]
-                if cfg.lb_improved:
-                    # Tier 2: LB_Improved on what's left (two batched
-                    # passes; pass-1 terms double as the early-abandon
-                    # tails below).
-                    lbi, lbi_terms = lb_improved_profile(
-                        query,
-                        segments[survivors],
-                        cfg.rho,
-                        query_envelope=self._query_envelope(d),
-                        return_terms=True,
-                    )
-                    self.backend.launch(
-                        "search_lb_improved",
-                        n_blocks=-(
-                            -max(survivors.size, 1) // THREADS_PER_BLOCK
-                        ),
-                        ops_per_thread=3 * d * OPS_PER_LB_TERM,
-                        threads_per_block=THREADS_PER_BLOCK,
-                    )
-                    keep = lbi <= gate
-                    pruned_improved = int(survivors.size - keep.sum())
-                    unfiltered = survivors[keep]
-                    unfiltered_terms = lbi_terms[keep]
-                else:
-                    unfiltered = survivors
-                    unfiltered_terms = None
-            else:
-                unfiltered = starts[bound <= gate]
-                unfiltered_terms = None
-
-            # Seeds are already verified; drop them from the batch (the
-            # mask keeps the LB tails aligned with the surviving rows).
-            novel = ~np.isin(unfiltered, seed_starts)
-            to_verify = unfiltered[novel]
-
-            # --- verification (tier 3: early-abandoning DTW) -----------------
-            if cfg.cascade and cfg.early_abandon:
-                distances = self.backend.dtw_verification(
-                    query,
-                    segments[to_verify],
-                    cfg.rho,
-                    cutoff=tau,
-                    lb_terms=(
-                        unfiltered_terms[novel]
-                        if unfiltered_terms is not None
-                        else None
-                    ),
+            # --- filtering ---------------------------------------------------
+            survivors = starts
+            if cfg.lb_kim:
+                # Tier 0: LB_Kim — two series touches per candidate.
+                keep = lb_kim_profile(query, series, starts) <= gate
+                survivors = starts[keep]
+                bound = bound[keep]
+                self.backend.launch(
+                    "search_lb_kim",
+                    n_blocks=-(-starts.size // THREADS_PER_BLOCK),
+                    ops_per_thread=2 * OPS_PER_LB_TERM,
+                    threads_per_block=THREADS_PER_BLOCK,
                 )
-            else:
-                distances = self.backend.dtw_verification(
-                    query, segments[to_verify], cfg.rho
-                )
+            # Tier 1: the precomputed window/group envelope bound.
+            unfiltered = survivors[bound <= gate]
+            pruned_kim = int(starts.size - survivors.size)
+            pruned_window = int(survivors.size - unfiltered.size)
+
+            # --- verification (tier 2: early-abandoning DTW) -----------------
+            # Seeds are already verified; drop them from the batch.
+            to_verify = unfiltered[~np.isin(unfiltered, seed_starts)]
+            distances = self.backend.dtw_verification(
+                query,
+                segments[to_verify],
+                cfg.rho,
+                cutoff=tau if cfg.early_abandon else None,
+            )
             abandoned_early = int(np.count_nonzero(~np.isfinite(distances)))
             if sp is not None:
                 sp.attrs["item_length"] = d
@@ -414,7 +330,6 @@ class SuffixKnnEngine:
             candidates_verified=int(seed_starts.size + to_verify.size),
             pruned_kim=pruned_kim,
             pruned_window=pruned_window,
-            pruned_improved=pruned_improved,
             abandoned_early=abandoned_early,
         )
 
@@ -427,7 +342,6 @@ class SuffixKnnEngine:
             candidates_verified=int(seed_starts.size + to_verify.size),
             pruned_kim=pruned_kim,
             pruned_window=pruned_window,
-            pruned_improved=pruned_improved,
             abandoned_early=abandoned_early,
             verification_sim_s=after_verify - before,
             selection_sim_s=after_select - after_verify,

@@ -208,10 +208,9 @@ def observe_search(
     item_length: int,
     candidates_total: int,
     candidates_unfiltered: int,
-    candidates_verified: int | None = None,
+    candidates_verified: int,
     pruned_kim: int = 0,
     pruned_window: int = 0,
-    pruned_improved: int = 0,
     abandoned_early: int = 0,
 ) -> None:
     """Record one Suffix kNN search's pruning effectiveness.
@@ -219,14 +218,11 @@ def observe_search(
     ``candidates_verified`` is the number of candidates whose true DTW
     was computed — it can exceed ``candidates_unfiltered`` because
     threshold seeds are verified even when their bound is above ``tau``.
-    When omitted it defaults to ``candidates_unfiltered`` (the old,
-    seed-blind accounting).  The ``pruned_*``/``abandoned_early`` counts
-    attribute kills to individual cascade tiers.
+    The ``pruned_*``/``abandoned_early`` counts attribute kills to
+    individual cascade tiers.
     """
     if not _enabled:
         return
-    if candidates_verified is None:
-        candidates_verified = candidates_unfiltered
     _registry.counter(
         "smiler_search_queries_total",
         "Suffix kNN item-query searches executed.",
@@ -253,15 +249,13 @@ def observe_search(
     tier_counts = (
         ("kim", pruned_kim),
         ("window", pruned_window),
-        ("improved", pruned_improved),
         ("abandoned", abandoned_early),
     )
     if any(count for _, count in tier_counts):
         tier_counter = _registry.counter(
             "smiler_search_pruned_tier_total",
             "Candidates killed per cascade tier: kim (LB_Kim), window "
-            "(LB_w), improved (LB_Improved), abandoned (early-abandoned "
-            "mid-DTW).",
+            "(LB_w), abandoned (early-abandoned mid-DTW).",
             label_names=("item_length", "tier"),
         )
         for tier, count in tier_counts:

@@ -64,8 +64,7 @@ def make_search(sim_s=1.0, verified_rate=0.1, reference_exact=True):
     return {
         "wall_s": 1.0, "sim_s": sim_s, "candidates_total": 1000,
         "verified_rate": verified_rate, "unfiltered_rate": verified_rate,
-        "prune_rates": {"kim": 0.5, "window": 0.2, "improved": 0.1,
-                        "abandoned": 0.05},
+        "prune_rates": {"kim": 0.5, "window": 0.2, "abandoned": 0.05},
         "reference_exact": reference_exact,
     }
 
@@ -88,12 +87,11 @@ class TestRegistry:
         """The ISSUE's minimum component set, by name."""
         names = {c.name for c in DEFAULT_COMPONENTS}
         required = {
-            "cascade", "lb-kim", "lb-improved", "early-abandon",
-            "envelope-reuse", "engine-thread", "engine-process",
-            "breaker", "ensemble", "auto-tuning", "simulated-backend",
+            "cascade", "lb-kim", "early-abandon", "threshold-reuse",
+            "engine-thread", "engine-process", "breaker", "ensemble",
+            "auto-tuning", "sleep-scheduler", "simulated-backend",
         }
-        assert required <= names
-        assert len(names) >= 8
+        assert names == required
 
     def test_every_patched_knob_exists_on_its_config(self):
         """The rename trip-wire: a patch must name only real dataclass
@@ -111,6 +109,29 @@ class TestRegistry:
                 assert field_name in field_sets[prefix], (
                     f"{component.name}: {key} names a missing field"
                 )
+
+    def test_every_search_switch_is_ablated_and_mirrored(self):
+        """The reverse trip-wire: a ``bool`` on ``SuffixSearchConfig``
+        that no component patches is a dead switch, and one that is not
+        also on ``SMiLerConfig`` (or the other way round) never reaches
+        the engine through the service."""
+        def switches(config_cls):
+            return {
+                f.name for f in dataclasses.fields(config_cls)
+                if isinstance(f.default, bool)
+            }
+
+        def patched(prefix):
+            return {
+                key.partition(".")[2]
+                for component in DEFAULT_COMPONENTS
+                for key in component.patched_fields()
+                if key.startswith(prefix + ".")
+            }
+
+        search_switches = switches(SuffixSearchConfig)
+        assert search_switches and search_switches <= patched("search")
+        assert switches(SMiLerConfig) - patched("smiler") == search_switches
 
     def test_renamed_knob_is_rejected(self):
         bogus = Component(
@@ -145,7 +166,7 @@ class TestRegistry:
 class TestApplyPatch:
     def test_baseline_is_everything_on(self):
         setup = apply_patch(MICRO, None)
-        assert setup.search.cascade and setup.search.lb_kim
+        assert setup.search.lb_kim and setup.search.early_abandon
         assert setup.backend_kind == "simulated"
 
     def test_search_patch_mirrors_onto_smiler_config(self):
@@ -153,8 +174,9 @@ class TestApplyPatch:
             c for c in DEFAULT_COMPONENTS if c.name == "cascade"
         )
         setup = apply_patch(MICRO, cascade_off)
-        assert setup.search.cascade is False
-        assert setup.smiler.cascade is False  # end-to-end, not search-only
+        assert not (setup.search.lb_kim or setup.search.early_abandon)
+        # end-to-end, not search-only
+        assert not (setup.smiler.lb_kim or setup.smiler.early_abandon)
 
     def test_engine_and_backend_patches(self):
         by_name = {c.name: c for c in DEFAULT_COMPONENTS}

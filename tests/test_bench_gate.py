@@ -48,8 +48,7 @@ def ablation_payload():
     base_search = {
         "wall_s": 0.3, "sim_s": 1.3e-3, "candidates_total": 20000,
         "verified_rate": 0.039, "unfiltered_rate": 0.039,
-        "prune_rates": {"kim": 0.9, "window": 0.03, "improved": 0.02,
-                        "abandoned": 0.005},
+        "prune_rates": {"kim": 0.9, "window": 0.05, "abandoned": 0.005},
         "reference_exact": True,
     }
     return {
@@ -155,6 +154,23 @@ class TestAblationGate:
         fresh = ablation_payload()
         fresh["runs"][1]["run_id"] = "abl-drifted"
         assert failures(compare(fresh)) == ["run_ids"]
+
+    def test_harmful_exact_component_fails_at_any_threshold(self):
+        """A pure optimisation the system measures better without is a
+        failure; a declared-inexact component may rank negative."""
+        def row(component, claims_exact, importance):
+            return {"component": component, "claims_exact": claims_exact,
+                    "importance": importance}
+
+        fresh = ablation_payload()
+        fresh["ranking"] = [row("cascade", True, 0.4),
+                            row("ensemble", False, -0.2)]
+        assert not failures(compare(fresh))
+        fresh["ranking"].append(row("lb-improved", True, -0.256))
+        checks = compare(fresh, 1e9)
+        assert failures(checks) == ["no_harmful_exact_component"]
+        (failed,) = [c for c in checks if c.failed]
+        assert "lb-improved (-0.256)" in failed.detail
 
     def test_accuracy_regression_fails(self):
         fresh = ablation_payload()

@@ -161,7 +161,7 @@ class TestGlobalSwitch:
         before = tracemalloc.take_snapshot()
         for _ in range(100):
             obs.observe_kernel_launch("k", 1e-6, 4, 1000.0)
-            obs.observe_search(32, 100, 10)
+            obs.observe_search(32, 100, 10, 10)
             obs.observe_window_reuse(rows_reused=5)
             obs.observe_forecast("s", 1, 1e-3)
         after = tracemalloc.take_snapshot()

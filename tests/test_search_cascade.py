@@ -1,13 +1,15 @@
 """The tiered pruning cascade: exactness, admissibility, edge cases.
 
-The contract under test: the cascade (LB_Kim → LB_w → LB_Improved →
-early-abandoning DTW) is a pure optimisation — every answer set is
-**bit-identical** (starts *and* distances) to the full banded-DTW
-reference scan :func:`repro.index.reference.suffix_knn_reference`, under
-both compute backends and with the cascade switched on or off.  Engine
-parity (inline/thread/process execution) over the same search pipeline
-is pinned separately by ``tests/test_exec_parity.py``.
+The contract under test: the cascade (LB_Kim → LB_w → early-abandoning
+DTW) is a pure optimisation — every answer set is **bit-identical**
+(starts *and* distances) to the full banded-DTW reference scan
+:func:`repro.index.reference.suffix_knn_reference`, under both compute
+backends and every subset of the tier switches.  Engine parity
+(inline/thread/process execution) over the same search pipeline is
+pinned separately by ``tests/test_exec_parity.py``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -47,7 +49,7 @@ finite_floats = st.floats(
 )
 
 
-def assert_matches_reference(engine, answers, margin):
+def assert_matches_reference(engine, answers, margin, label=""):
     """Every answer must equal the full-scan reference bit-for-bit."""
     series = engine.series
     for d, answer in answers.items():
@@ -55,53 +57,70 @@ def assert_matches_reference(engine, answers, margin):
             series, engine.item_query(d), engine.config.k_max,
             engine.config.rho, margin=margin,
         )
-        np.testing.assert_array_equal(answer.starts, ref_starts)
-        np.testing.assert_array_equal(answer.distances, ref_dist)
+        np.testing.assert_array_equal(
+            answer.starts, ref_starts, err_msg=f"{label} d={d}"
+        )
+        np.testing.assert_array_equal(
+            answer.distances, ref_dist, err_msg=f"{label} d={d}"
+        )
+
+
+def adversarial_streams():
+    """260 history points + 6 future ones, per shape: the plain walk,
+    magnitudes at which ``tau + _FILTER_SLACK`` (absolute 1e-12) sits
+    below one ULP of the distances, and two shapes full of exact DTW
+    ties — a tiled period whose perturbed period ends make ``LB_Kim ==
+    DTW`` for some candidates, and integer-valued plateaus."""
+    walk = np.concatenate([make_series(260, seed=1), make_series(6, seed=2)])
+    tiled = np.tile(make_series(25, seed=3), 11)[: walk.size]
+    ends = tiled[24::25]
+    ends += 0.05 * np.random.default_rng(4).normal(size=ends.size)
+    return {
+        "walk": walk,
+        "x1e6": walk * 1e6,
+        "x1e8": walk * 1e8,
+        "x1e-6": walk * 1e-6,
+        "+1e6": walk + 1e6,
+        "x1e3+1e9": walk * 1e3 + 1e9,
+        "tiled": tiled,
+        "steps": np.floor(walk),
+    }
 
 
 class TestDifferentialExactness:
     """Cascade answers == reference full scan, bit for bit."""
 
-    @pytest.mark.parametrize("backend_name", ["simulated", "native"])
-    def test_continuous_run_matches_reference(self, backend_name):
-        series = make_series(260, seed=1)
-        future = make_series(6, seed=2)
-        engine = SuffixKnnEngine(
-            series, SMALL_CFG, backend=make_backend(backend_name)
+    @pytest.mark.parametrize(
+        "backend_name, lb_kim, early_abandon",
+        [
+            pytest.param(
+                backend, lb_kim, early_abandon,
+                id=backend
+                + ("" if lb_kim else "-no_kim")
+                + ("" if early_abandon else "-no_abandon"),
+            )
+            for backend in ("simulated", "native")
+            for lb_kim in (True, False)
+            for early_abandon in (True, False)
+        ],
+    )
+    def test_continuous_run_matches_reference(
+        self, backend_name, lb_kim, early_abandon
+    ):
+        """Every reachable switch subset, on every adversarial shape."""
+        cfg = dataclasses.replace(
+            SMALL_CFG, lb_kim=lb_kim, early_abandon=early_abandon
         )
-        assert_matches_reference(engine, engine.search(), SMALL_CFG.margin)
-        for p in future:
-            answers = engine.step(p)
-            assert_matches_reference(engine, answers, SMALL_CFG.margin)
-
-    @pytest.mark.parametrize("backend_name", ["simulated", "native"])
-    def test_cascade_and_baseline_answers_identical(self, backend_name):
-        """cascade=False is the same search, only slower."""
-        series = make_series(240, seed=3)
-        future = make_series(4, seed=4)
-        base_cfg = SuffixSearchConfig(
-            item_lengths=(8, 16, 24), k_max=6, omega=4, rho=2, margin=2,
-            cascade=False,
-        )
-        fast = SuffixKnnEngine(
-            series, SMALL_CFG, backend=make_backend(backend_name)
-        )
-        slow = SuffixKnnEngine(
-            series, base_cfg, backend=make_backend(backend_name)
-        )
-        for fa, sa in zip(fast.search().values(), slow.search().values()):
-            np.testing.assert_array_equal(fa.starts, sa.starts)
-            np.testing.assert_array_equal(fa.distances, sa.distances)
-        for p in future:
-            fast_answers = fast.step(p)
-            slow_answers = slow.step(p)
-            for d in SMALL_CFG.item_lengths:
-                np.testing.assert_array_equal(
-                    fast_answers[d].starts, slow_answers[d].starts
-                )
-                np.testing.assert_array_equal(
-                    fast_answers[d].distances, slow_answers[d].distances
-                )
+        for label, stream in adversarial_streams().items():
+            engine = SuffixKnnEngine(
+                stream[:260], cfg, backend=make_backend(backend_name)
+            )
+            assert_matches_reference(
+                engine, engine.search(), cfg.margin, label
+            )
+            for p in stream[260:]:
+                answers = engine.step(p)
+                assert_matches_reference(engine, answers, cfg.margin, label)
 
     def test_backends_bit_identical_with_cascade(self):
         series = make_series(220, seed=5)
@@ -367,11 +386,7 @@ class TestAccounting:
         for answer in answers.values():
             assert answer.candidates_verified >= answer.candidates_unfiltered
             assert answer.candidates_verified <= answer.candidates_total
-            pruned = (
-                answer.pruned_kim
-                + answer.pruned_window
-                + answer.pruned_improved
-            )
+            pruned = answer.pruned_kim + answer.pruned_window
             assert pruned == answer.candidates_total - answer.candidates_unfiltered
             assert answer.abandoned_early >= 0
 
@@ -416,8 +431,7 @@ class TestAccounting:
         engine.search()
         answers = engine.step(float(series[-1]))
         total_pruned = sum(
-            a.pruned_kim + a.pruned_window + a.pruned_improved
-            for a in answers.values()
+            a.pruned_kim + a.pruned_window for a in answers.values()
         )
         total = sum(a.candidates_total for a in answers.values())
         assert total_pruned > total / 2
