@@ -150,23 +150,11 @@ def validate_registry(components: tuple[Component, ...]) -> None:
 #: change forecasts and say so.
 DEFAULT_COMPONENTS: tuple[Component, ...] = (
     Component(
-        name="cascade",
-        layer="search",
-        description="tiered pruning cascade (off = the paper's plain LB_w "
-        "filter pass with unpruned verification)",
-        patch=(("search.lb_kim", False), ("search.early_abandon", False)),
-    ),
-    Component(
         name="lb-kim",
         layer="search",
-        description="tier-0 O(1) first/last-point LB_Kim pre-filter",
+        description="tier-0 O(1) first/last-point LB_Kim pre-filter (off "
+        "= the paper's plain LB_w filter pass)",
         patch=(("search.lb_kim", False),),
-    ),
-    Component(
-        name="early-abandon",
-        layer="search",
-        description="tier-2 early-abandoning banded DTW verification",
-        patch=(("search.early_abandon", False),),
     ),
     Component(
         name="threshold-reuse",

@@ -240,7 +240,6 @@ def _run_search_phase(
     totals = {
         "candidates_total": 0, "candidates_unfiltered": 0,
         "candidates_verified": 0, "pruned_kim": 0, "pruned_window": 0,
-        "abandoned_early": 0,
     }
     sim_s = 0.0
     answers = None
@@ -253,7 +252,6 @@ def _run_search_phase(
             totals["candidates_verified"] += a.candidates_verified
             totals["pruned_kim"] += a.pruned_kim
             totals["pruned_window"] += a.pruned_window
-            totals["abandoned_early"] += a.abandoned_early
             sim_s += a.verification_sim_s + a.selection_sim_s
     wall_s = time.perf_counter() - t0
     reference_exact = True
@@ -278,7 +276,6 @@ def _run_search_phase(
         "prune_rates": {
             "kim": float(totals["pruned_kim"] / total),
             "window": float(totals["pruned_window"] / total),
-            "abandoned": float(totals["abandoned_early"] / total),
         },
         "reference_exact": bool(reference_exact),
     }

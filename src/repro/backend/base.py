@@ -78,15 +78,8 @@ class ComputeBackend(Protocol):
         query: np.ndarray,
         candidates: np.ndarray,
         rho: int,
-        cutoff: float | None = None,
     ) -> np.ndarray:
-        """Banded (Sakoe-Chiba ``rho``) DTW of one query vs many candidates.
-
-        With a ``cutoff`` the kernel may early-abandon candidates whose
-        partial DP cost strictly exceeds it, returning ``inf`` for those;
-        every candidate with true distance ``<= cutoff`` keeps a distance
-        bit-identical to the unpruned kernel.
-        """
+        """Banded (Sakoe-Chiba ``rho``) DTW of one query vs many candidates."""
         ...
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -200,13 +193,12 @@ class SubstrateBackend:
         query: np.ndarray,
         candidates: np.ndarray,
         rho: int,
-        cutoff: float | None = None,
     ) -> np.ndarray:
         """Banded DTW of one query against many candidates."""
         candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
         if candidates.shape[0] == 0:
             return np.empty(0)
-        return self._run_dtw_verification(query, candidates, rho, cutoff)
+        return self._run_dtw_verification(query, candidates, rho)
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Unbanded DTW of one query against many candidates."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dtw.distance import dtw_batch, dtw_batch_pruned
+from ..dtw.distance import dtw_batch
 from .base import SubstrateBackend
 
 __all__ = ["NativeBackend"]
@@ -41,10 +41,8 @@ class NativeBackend(SubstrateBackend):
         )
 
     # ------------------------------------------------------------- kernels
-    def _run_dtw_verification(self, query, candidates, rho, cutoff):
-        if cutoff is None:
-            return dtw_batch(query, candidates, rho)
-        return dtw_batch_pruned(query, candidates, rho, cutoff=cutoff)
+    def _run_dtw_verification(self, query, candidates, rho):
+        return dtw_batch(query, candidates, rho)
 
     def _run_full_dtw(self, query, candidates):
         return dtw_batch(query, candidates, rho=None)

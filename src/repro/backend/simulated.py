@@ -36,12 +36,10 @@ class SimulatedGpuBackend(SubstrateBackend):
         super().__init__(self.spec.memory_bytes)
 
     # ------------------------------------------------------------- kernels
-    def _run_dtw_verification(self, query, candidates, rho, cutoff):
+    def _run_dtw_verification(self, query, candidates, rho):
         """Banded DTW via the compressed-warping-matrix kernel."""
         with self._lock:
-            return dtw_verification_kernel(
-                self.cost, query, candidates, rho, cutoff=cutoff
-            )
+            return dtw_verification_kernel(self.cost, query, candidates, rho)
 
     def _run_full_dtw(self, query, candidates):
         """Unbanded DTW paying the global-memory penalty (GPUScan)."""

@@ -43,12 +43,11 @@ class SMiLerConfig:
     single_d: int = 64
     #: Search-pipeline switches forwarded to
     #: :class:`~repro.index.suffix_search.SuffixSearchConfig` — the
-    #: ablation surface of the search step.  All default on; disabling
-    #: any of them keeps answers bit-identical (each tier is an
-    #: admissible bound), it only changes how much work the search
-    #: does.  See ``repro.ablation``.
+    #: ablation surface of the search step.  Both default on; disabling
+    #: either keeps answers bit-identical (each tier is an admissible
+    #: bound), it only changes how much work the search does.  See
+    #: ``repro.ablation``.
     lb_kim: bool = True
-    early_abandon: bool = True
     reuse_threshold: bool = True
 
     def __post_init__(self) -> None:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -66,21 +66,7 @@ def save_smiler(smiler: SMiLer, path) -> None:
     meta = {
         "format_version": _FORMAT_VERSION,
         "sensor_id": smiler.sensor_id,
-        "config": {
-            "elv": list(config.elv),
-            "ekv": list(config.ekv),
-            "rho": config.rho,
-            "omega": config.omega,
-            "horizons": list(config.horizons),
-            "predictor": config.predictor,
-            "ensemble": config.ensemble,
-            "self_adaptive": config.self_adaptive,
-            "sleep_enabled": config.sleep_enabled,
-            "initial_train_iters": config.initial_train_iters,
-            "online_train_iters": config.online_train_iters,
-            "single_k": config.single_k,
-            "single_d": config.single_d,
-        },
+        "config": asdict(config),
     }
     arrays: dict[str, np.ndarray] = {"series": np.asarray(smiler.series)}
     ensemble_state: dict[str, dict] = {}
@@ -124,22 +110,12 @@ def load_snapshot(path) -> SmilerSnapshot:
             if name.startswith("gp_")
         }
 
-    cfg = meta["config"]
-    config = SMiLerConfig(
-        elv=tuple(cfg["elv"]),
-        ekv=tuple(cfg["ekv"]),
-        rho=cfg["rho"],
-        omega=cfg["omega"],
-        horizons=tuple(cfg["horizons"]),
-        predictor=cfg["predictor"],
-        ensemble=cfg["ensemble"],
-        self_adaptive=cfg["self_adaptive"],
-        sleep_enabled=cfg["sleep_enabled"],
-        initial_train_iters=cfg["initial_train_iters"],
-        online_train_iters=cfg["online_train_iters"],
-        single_k=cfg["single_k"],
-        single_d=cfg["single_d"],
-    )
+    # JSON turns tuples into lists; an archive written before a field
+    # existed simply leaves that field at its default.
+    config = SMiLerConfig(**{
+        name: tuple(value) if isinstance(value, list) else value
+        for name, value in meta["config"].items()
+    })
     return SmilerSnapshot(
         sensor_id=meta["sensor_id"],
         config=config,

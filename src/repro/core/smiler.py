@@ -100,7 +100,6 @@ class SMiLer:
             margin=self.config.margin,
             reuse_threshold=self.config.reuse_threshold,
             lb_kim=self.config.lb_kim,
-            early_abandon=self.config.early_abandon,
         )
 
     # ---------------------------------------------------------------- state

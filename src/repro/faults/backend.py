@@ -140,14 +140,11 @@ class FaultInjectingBackend:
         query: np.ndarray,
         candidates: np.ndarray,
         rho: int,
-        cutoff: float | None = None,
     ) -> np.ndarray:
         """Banded DTW, possibly failing or NaN-corrupted per the profile."""
         with self._lock:
             tick = self._kernel_preamble("dtw_verification")
-            out = self.inner.dtw_verification(
-                query, candidates, rho, cutoff=cutoff
-            )
+            out = self.inner.dtw_verification(query, candidates, rho)
             return self._maybe_corrupt("dtw_verification", tick, out)
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:

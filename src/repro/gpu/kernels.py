@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dtw.distance import dtw_batch, dtw_batch_pruned
+from ..dtw.distance import dtw_batch
 from .costmodel import GpuCostModel
 
 __all__ = [
@@ -49,43 +49,26 @@ def dtw_verification_kernel(
     query: np.ndarray,
     candidates: np.ndarray,
     rho: int,
-    cutoff: float | None = None,
 ) -> np.ndarray:
     """Banded DTW of one query against many candidates (Algorithm 2).
 
     One thread per candidate; the compressed ``2 x (2*rho + 2)`` warping
     matrix fits in shared memory, so no global-memory penalty applies.
-
-    With a ``cutoff`` the kernel early-abandons candidates whose partial
-    path cost exceeds it (see
-    :func:`~repro.dtw.distance.dtw_batch_pruned`; abandoned candidates
-    report ``inf``).  Cost attribution then charges the *mean* DP cells
-    actually expanded per thread — a work-conserving assumption: threads
-    of a block whose candidates abandoned are modelled as recycled onto
-    the remaining work rather than idling until block exit.
+    Every thread expands the whole band — ``d * min(d, 2*rho + 1)``
+    cells — which is also the block's slowest thread, the count
+    :meth:`GpuCostModel.launch` asks for.
     """
     n = candidates.shape[0]
     d = int(np.asarray(query).size)
     n_blocks = -(-n // THREADS_PER_BLOCK)
-    if cutoff is None:
-        cells = d * min(d, 2 * rho + 1)
-        cost.launch(
-            "dtw_verify",
-            n_blocks=n_blocks,
-            ops_per_thread=cells * OPS_PER_DTW_CELL,
-            threads_per_block=THREADS_PER_BLOCK,
-        )
-        return dtw_batch(query, candidates, rho)
-    distances, cells_expanded = dtw_batch_pruned(
-        query, candidates, rho, cutoff=cutoff, return_cells=True
-    )
+    cells = d * min(d, 2 * rho + 1)
     cost.launch(
         "dtw_verify",
         n_blocks=n_blocks,
-        ops_per_thread=(cells_expanded / n) * OPS_PER_DTW_CELL,
+        ops_per_thread=cells * OPS_PER_DTW_CELL,
         threads_per_block=THREADS_PER_BLOCK,
     )
-    return distances
+    return dtw_batch(query, candidates, rho)
 
 
 def full_dtw_kernel(

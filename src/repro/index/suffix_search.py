@@ -8,15 +8,14 @@ previous one:
 * **tier 0 — LB_Kim**: the O(1) first/last-point bound (two series
   touches per candidate, vectorised over all candidates),
 * **tier 1 — LB_w**: the group-level window-enhanced envelope bound the
-  SMiLer index precomputed (free at query time) — the paper's filter,
-* **tier 2 — early-abandoning DTW**: the verification kernel abandons a
-  candidate mid-DP once a DP row's band minimum exceeds the threshold.
+  SMiLer index precomputed (free at query time) — the paper's filter.
 
-Every tier prunes against the same threshold ``tau_i`` and every bound
-is ``<= DTW`` (admissible), so the cascade is **exact**: the answer set
-is bit-identical to a full-DTW reference scan (pinned by the
-differential tests against
-:func:`repro.index.reference.suffix_knn_reference`).
+Survivors are verified by plain banded DTW, one candidate per thread
+(Algorithm 2); verification has no second mode.  Both tiers prune
+against the same threshold ``tau_i`` and every bound is ``<= DTW``
+(admissible), so the cascade is **exact**: the answer set is
+bit-identical to a full-DTW reference scan (pinned by the differential
+tests against :func:`repro.index.reference.suffix_knn_reference`).
 
 Threshold seeding: initial queries seed ``tau_i`` from a pool of
 candidates with the smallest lower bounds; continuous queries reuse the
@@ -70,14 +69,12 @@ class SuffixSearchConfig:
     margin: int = 1
     lb_mode: str = "en"
     reuse_threshold: bool = True
-    #: Per-tier switches, for ablation studies (``repro.ablation``).
-    #: Every tier is independently admissible, so disabling either keeps
-    #: the search exact — it only changes how much work is done.
-    #: ``lb_kim`` gates tier 0 and ``early_abandon`` gates the mid-DP
-    #: abandoning of tier 2 (the LB_w tier is the index itself and cannot
-    #: be disabled); both off is the paper's plain LB_w filter.
+    #: Tier switch, for ablation studies (``repro.ablation``).  Every
+    #: tier is independently admissible, so disabling this one keeps the
+    #: search exact — it only changes how much work is done.  ``lb_kim``
+    #: gates tier 0 (the LB_w tier is the index itself and cannot be
+    #: disabled); off is the paper's plain LB_w filter.
     lb_kim: bool = True
-    early_abandon: bool = True
 
     def __post_init__(self) -> None:
         if self.k_max <= 0:
@@ -105,8 +102,7 @@ class SuffixKnnAnswer:
     true DTW was actually computed — the threshold seeds are verified
     even when their bound later exceeds ``tau``, so verified can exceed
     unfiltered (this distinction is the fixed accounting the bench
-    relies on).  ``pruned_kim``/``pruned_window`` count per-tier kills;
-    ``abandoned_early`` counts candidates the DTW kernel dropped mid-DP.
+    relies on).  ``pruned_kim``/``pruned_window`` count per-tier kills.
     ``verification_sim_s`` is the simulated seconds of threshold seeding
     + filtering + verification only; k-selection is attributed
     separately to ``selection_sim_s``.
@@ -122,6 +118,7 @@ class SuffixKnnAnswer:
     pruned_window: int = 0
     #: Always 0; kept because benchmarks/roundbench/probes.py reads it.
     pruned_improved: int = 0
+    #: Always 0; kept because benchmarks/roundbench/probes.py reads it.
     abandoned_early: int = 0
     verification_sim_s: float = 0.0
     selection_sim_s: float = 0.0
@@ -159,7 +156,6 @@ class SuffixKnnEngine:
             self.window_index, self.config.item_lengths, backend=self.backend
         )
         self.window_index.build(master_query)
-        self._master_query = master_query.copy()
         self._previous_knn: dict[int, np.ndarray] = {}
 
     # ---------------------------------------------------------------- state
@@ -170,12 +166,13 @@ class SuffixKnnEngine:
 
     @property
     def master_query(self) -> np.ndarray:
-        """Current master query values."""
-        return self._master_query
+        """Current master query values (the window index owns them)."""
+        return self.window_index.master_query
 
     def item_query(self, d: int) -> np.ndarray:
         """``IQ_i``: the d-length suffix of the master query."""
-        return self._master_query[self._master_query.size - d :]
+        master = self.master_query
+        return master[master.size - d :]
 
     # --------------------------------------------------------------- search
     def search(self) -> dict[int, SuffixKnnAnswer]:
@@ -192,9 +189,6 @@ class SuffixKnnEngine:
         """Append one new point and slide the master query (host-side
         only — no backend work, so it cannot fail on a sick device)."""
         self.window_index.step(new_point)
-        self._master_query = np.concatenate(
-            [self._master_query[1:], [float(new_point)]]
-        )
 
     def step(self, new_point: float) -> dict[int, SuffixKnnAnswer]:
         """Advance one continuous tick, then search with reuse."""
@@ -284,16 +278,12 @@ class SuffixKnnEngine:
             pruned_kim = int(starts.size - survivors.size)
             pruned_window = int(survivors.size - unfiltered.size)
 
-            # --- verification (tier 2: early-abandoning DTW) -----------------
+            # --- verification ------------------------------------------------
             # Seeds are already verified; drop them from the batch.
             to_verify = unfiltered[~np.isin(unfiltered, seed_starts)]
             distances = self.backend.dtw_verification(
-                query,
-                segments[to_verify],
-                cfg.rho,
-                cutoff=tau if cfg.early_abandon else None,
+                query, segments[to_verify], cfg.rho
             )
-            abandoned_early = int(np.count_nonzero(~np.isfinite(distances)))
             if sp is not None:
                 sp.attrs["item_length"] = d
                 sp.attrs["verified"] = int(
@@ -304,11 +294,11 @@ class SuffixKnnEngine:
         after_verify = self.backend.elapsed_s
 
         # --- selection -------------------------------------------------------
-        # Abandoned candidates (true distance > tau >= d_k) can never be
-        # answers; drop their inf markers before selection.  Order the
-        # verified pool by start so k-selection's stable tie-breaking
-        # resolves equal distances by smallest start — exactly how the
-        # reference full scan breaks ties.
+        # A faulty kernel can return a NaN distance; drop non-finite
+        # entries so one never reaches an answer.  Order the verified
+        # pool by start so k-selection's stable tie-breaking resolves
+        # equal distances by smallest start — exactly how the reference
+        # full scan breaks ties.
         all_starts = np.concatenate([seed_starts, to_verify])
         all_distances = np.concatenate([seed_distances, distances])
         finite = np.isfinite(all_distances)
@@ -330,7 +320,6 @@ class SuffixKnnEngine:
             candidates_verified=int(seed_starts.size + to_verify.size),
             pruned_kim=pruned_kim,
             pruned_window=pruned_window,
-            abandoned_early=abandoned_early,
         )
 
         return SuffixKnnAnswer(
@@ -342,7 +331,6 @@ class SuffixKnnEngine:
             candidates_verified=int(seed_starts.size + to_verify.size),
             pruned_kim=pruned_kim,
             pruned_window=pruned_window,
-            abandoned_early=abandoned_early,
             verification_sim_s=after_verify - before,
             selection_sim_s=after_select - after_verify,
         )

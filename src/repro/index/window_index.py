@@ -119,6 +119,11 @@ class WindowLevelIndex:
         return view
 
     @property
+    def master_query(self) -> np.ndarray:
+        """Current master query values (set by build(), slid by step())."""
+        return self._master_query
+
+    @property
     def series_length(self) -> int:
         """Number of stored observations."""
         return self._series_len

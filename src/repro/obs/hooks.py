@@ -211,15 +211,13 @@ def observe_search(
     candidates_verified: int,
     pruned_kim: int = 0,
     pruned_window: int = 0,
-    abandoned_early: int = 0,
 ) -> None:
     """Record one Suffix kNN search's pruning effectiveness.
 
     ``candidates_verified`` is the number of candidates whose true DTW
     was computed — it can exceed ``candidates_unfiltered`` because
     threshold seeds are verified even when their bound is above ``tau``.
-    The ``pruned_*``/``abandoned_early`` counts attribute kills to
-    individual cascade tiers.
+    The ``pruned_*`` counts attribute kills to individual cascade tiers.
     """
     if not _enabled:
         return
@@ -249,13 +247,11 @@ def observe_search(
     tier_counts = (
         ("kim", pruned_kim),
         ("window", pruned_window),
-        ("abandoned", abandoned_early),
     )
     if any(count for _, count in tier_counts):
         tier_counter = _registry.counter(
             "smiler_search_pruned_tier_total",
-            "Candidates killed per cascade tier: kim (LB_Kim), window "
-            "(LB_w), abandoned (early-abandoned mid-DTW).",
+            "Candidates killed per cascade tier: kim (LB_Kim), window (LB_w).",
             label_names=("item_length", "tier"),
         )
         for tier, count in tier_counts:

@@ -64,7 +64,7 @@ def make_search(sim_s=1.0, verified_rate=0.1, reference_exact=True):
     return {
         "wall_s": 1.0, "sim_s": sim_s, "candidates_total": 1000,
         "verified_rate": verified_rate, "unfiltered_rate": verified_rate,
-        "prune_rates": {"kim": 0.5, "window": 0.2, "abandoned": 0.05},
+        "prune_rates": {"kim": 0.5, "window": 0.2},
         "reference_exact": reference_exact,
     }
 
@@ -87,7 +87,7 @@ class TestRegistry:
         """The ISSUE's minimum component set, by name."""
         names = {c.name for c in DEFAULT_COMPONENTS}
         required = {
-            "cascade", "lb-kim", "early-abandon", "threshold-reuse",
+            "lb-kim", "threshold-reuse",
             "engine-thread", "engine-process", "breaker", "ensemble",
             "auto-tuning", "sleep-scheduler", "simulated-backend",
         }
@@ -166,17 +166,15 @@ class TestRegistry:
 class TestApplyPatch:
     def test_baseline_is_everything_on(self):
         setup = apply_patch(MICRO, None)
-        assert setup.search.lb_kim and setup.search.early_abandon
+        assert setup.search.lb_kim and setup.search.reuse_threshold
         assert setup.backend_kind == "simulated"
 
     def test_search_patch_mirrors_onto_smiler_config(self):
-        cascade_off = next(
-            c for c in DEFAULT_COMPONENTS if c.name == "cascade"
-        )
-        setup = apply_patch(MICRO, cascade_off)
-        assert not (setup.search.lb_kim or setup.search.early_abandon)
+        kim_off = next(c for c in DEFAULT_COMPONENTS if c.name == "lb-kim")
+        setup = apply_patch(MICRO, kim_off)
+        assert not setup.search.lb_kim
         # end-to-end, not search-only
-        assert not (setup.smiler.lb_kim or setup.smiler.early_abandon)
+        assert not setup.smiler.lb_kim
 
     def test_engine_and_backend_patches(self):
         by_name = {c.name: c for c in DEFAULT_COMPONENTS}
@@ -278,16 +276,16 @@ class TestScoring:
 
     def test_report_and_payload_shapes(self):
         baseline = make_run("b", None, search=make_search())
-        off = make_run("o", "cascade", search=make_search(sim_s=1.4))
+        off = make_run("o", "lb-kim", search=make_search(sim_s=1.4))
         study = StudyResult(workload=MICRO, runs=[baseline, off])
         report = render_report(study)
-        assert "cascade" in report and "importance" in report
+        assert "lb-kim" in report and "importance" in report
         payload = bench_payload(study, cpu_count=1)
         assert payload["benchmark"] == "ablation"
         assert payload["baseline_run_id"] == "b"
         assert payload["host"] == {"cpu_count": 1}
         assert len(payload["runs"]) == 2
-        assert [r["component"] for r in payload["ranking"]] == ["cascade"]
+        assert [r["component"] for r in payload["ranking"]] == ["lb-kim"]
         json.dumps(payload)  # must be JSON-serialisable as-is
 
 
@@ -295,7 +293,7 @@ class TestExactnessContract:
     def test_oracle_divergence_always_fails(self):
         baseline = make_run("b", None, search=make_search())
         lossy = make_run(
-            "l", "cascade", claims_exact=False,  # declaring it buys nothing
+            "l", "lb-kim", claims_exact=False,  # declaring it buys nothing
             search=make_search(reference_exact=False),
         )
         with pytest.raises(AblationExactnessError, match="oracle"):
@@ -324,18 +322,18 @@ class TestStudyEndToEnd:
     #: Two components exercise both phases: one exact search knob, one
     #: declared-inexact predict knob.
     COMPONENTS = tuple(
-        c for c in DEFAULT_COMPONENTS if c.name in ("cascade", "ensemble")
+        c for c in DEFAULT_COMPONENTS if c.name in ("lb-kim", "ensemble")
     )
 
     def test_micro_study_runs_and_reuses(self):
         study = run_study(MICRO, components=self.COMPONENTS)
         assert [r.component for r in study.runs] == [
-            None, "cascade", "ensemble",
+            None, "ensemble", "lb-kim",
         ]
         assert study.baseline.search["reference_exact"] is True
         by_name = {r.component: r for r in study.runs}
         assert (
-            by_name["cascade"].serving["forecast_digest"]
+            by_name["lb-kim"].serving["forecast_digest"]
             == study.baseline.serving["forecast_digest"]
         )
         # Resumed study: stored component rows are reused verbatim,
@@ -356,10 +354,8 @@ class TestStudyEndToEnd:
         ``claims_exact`` row whose digest (or oracle flag) disagrees with
         today's baseline was recorded on other code and must be
         re-executed, not ranked against the fresh baseline."""
-        cascade = tuple(
-            c for c in DEFAULT_COMPONENTS if c.name == "cascade"
-        )
-        study = run_study(MICRO, components=cascade)
+        kim = tuple(c for c in DEFAULT_COMPONENTS if c.name == "lb-kim")
+        study = run_study(MICRO, components=kim)
         honest = study.runs[1].as_dict()
         stale_digest = dict(
             honest, serving=dict(honest["serving"], forecast_digest="stale")
@@ -369,7 +365,7 @@ class TestStudyEndToEnd:
         )
         for stored in (stale_digest, stale_oracle):
             resumed = run_study(
-                MICRO, components=cascade,
+                MICRO, components=kim,
                 reuse={stored["run_id"]: stored},
             )
             rerun = resumed.runs[1]

@@ -48,7 +48,7 @@ def ablation_payload():
     base_search = {
         "wall_s": 0.3, "sim_s": 1.3e-3, "candidates_total": 20000,
         "verified_rate": 0.039, "unfiltered_rate": 0.039,
-        "prune_rates": {"kim": 0.9, "window": 0.05, "abandoned": 0.005},
+        "prune_rates": {"kim": 0.9, "window": 0.05},
         "reference_exact": True,
     }
     return {
@@ -58,7 +58,7 @@ def ablation_payload():
         "baseline_run_id": "abl-base",
         "runs": [
             run("abl-base", None, base_search),
-            run("abl-casc", "cascade", dict(base_search, sim_s=1.5e-3)),
+            run("abl-kim", "lb-kim", dict(base_search, sim_s=1.5e-3)),
             run("abl-ens", "ensemble", None, claims_exact=False,
                 digest="other"),
         ],
@@ -163,7 +163,7 @@ class TestAblationGate:
                     "importance": importance}
 
         fresh = ablation_payload()
-        fresh["ranking"] = [row("cascade", True, 0.4),
+        fresh["ranking"] = [row("lb-kim", True, 0.4),
                             row("ensemble", False, -0.2)]
         assert not failures(compare(fresh))
         fresh["ranking"].append(row("lb-improved", True, -0.256))

@@ -1,5 +1,7 @@
 """Tests for multi-GPU sharding, history truncation and persistence."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,23 @@ class TestPersistence:
         assert restored_state.asleep
         assert restored_state.sleep_span == 4
         assert restored_state.sleep_remaining == 2
+
+    def test_search_switches_survive_both_roundtrips(self, tmp_path):
+        """Every config field is archived, the search switches included:
+        a sensor restored from a snapshot runs what it ran before."""
+        config = dataclasses.replace(
+            SMALL, lb_kim=False, reuse_threshold=False
+        )
+        smiler, history = self._trained_smiler(config, steps=2)
+        save_smiler(smiler, tmp_path / "sensor.npz")
+        assert load_smiler(tmp_path / "sensor.npz").config == config
+
+        service = PredictionService(config, min_history=256)
+        service.register("s0", history)
+        service.snapshot(tmp_path / "fleet")
+        restored = PredictionService(config, min_history=256)
+        restored.restore(tmp_path / "fleet")
+        assert restored.sensor("s0").config == config
 
     def test_version_check(self, tmp_path):
         import json

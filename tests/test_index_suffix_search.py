@@ -126,17 +126,17 @@ class TestPipelineBehaviour:
     def test_lb_en_filters_at_least_as_well_as_one_sided(self):
         """Table 3's headline: LB_en leaves fewer unfiltered candidates.
 
-        Runs with ``lb_kim=False, early_abandon=False`` so the
-        comparison isolates the LB_w filter: the mode-agnostic LB_Kim
-        tier prunes against each mode's own threshold, which can reorder
-        raw survivor counts between modes.
+        Runs with ``lb_kim=False`` so the comparison isolates the LB_w
+        filter: the mode-agnostic LB_Kim tier prunes against each mode's
+        own threshold, which can reorder raw survivor counts between
+        modes.
         """
         series = make_series(2500, seed=3)
         unfiltered = {}
         for mode in ("en", "eq", "ec"):
             cfg = SuffixSearchConfig(
                 item_lengths=(32, 64, 96), k_max=8, omega=16, rho=8,
-                margin=1, lb_mode=mode, lb_kim=False, early_abandon=False,
+                margin=1, lb_mode=mode, lb_kim=False,
             )
             engine = SuffixKnnEngine(series, cfg)
             answers = engine.search()
