@@ -309,52 +309,6 @@ class BackendPool:
             + f": {last_error}"
         )
 
-    def resize(self, placement: Placement, nbytes: int) -> Placement:
-        """Replace a reservation with one of a different size, same backend.
-
-        On failure the original reservation survives: when the new size
-        fits alongside the old one, the new block is allocated *before*
-        the old is freed, so the caller's placement is never at risk; in
-        the tight case (fits only after freeing the old block) the old
-        reservation is re-established on failure and the raised
-        :class:`GpuMemoryError` carries the fresh handle as its
-        ``placement`` attribute (the byte count is preserved, the
-        allocation serial is not).
-        """
-        with self._lock:
-            return self._resize_locked(placement, nbytes)
-
-    def _resize_locked(self, placement: Placement, nbytes: int) -> Placement:
-        backend = self.backend(placement)
-        old = placement.allocation
-        if nbytes - old.nbytes > backend.free_bytes:
-            raise GpuMemoryError(
-                f"cannot grow {old.label!r} to {nbytes} bytes: only "
-                f"{backend.free_bytes} free on its backend"
-            )
-        if nbytes <= backend.free_bytes:
-            # Allocate-then-free: the original reservation is untouched
-            # until the replacement exists.
-            allocation = backend.malloc(nbytes, old.label)
-            backend.free(old)
-            return Placement(placement.backend_index, allocation)
-        # Tight fit: the new block only fits once the old one is freed.
-        backend.free(old)
-        try:
-            allocation = backend.malloc(nbytes, old.label)
-        except Exception as error:
-            # Re-establish the reservation so the pool's ledger (and any
-            # caller adopting err.placement) stays consistent.  Only a
-            # second injected fault can make this restore fail too.
-            restored = backend.malloc(old.nbytes, old.label)
-            err = GpuMemoryError(
-                f"resize of {old.label!r} to {nbytes} bytes failed; the "
-                f"original {old.nbytes}-byte reservation was restored: {error}"
-            )
-            err.placement = Placement(placement.backend_index, restored)  # type: ignore[attr-defined]
-            raise err from error
-        return Placement(placement.backend_index, allocation)
-
     def release(self, placement: Placement) -> None:
         """Free a previous reservation."""
         with self._lock:

@@ -301,15 +301,9 @@ class ProcessShardEngine(ExecutionEngine):
         # A breaker a worker tripped is acted on at the batch boundary:
         # workers never fail over (placements must stay stable while the
         # generation lives), so the parent quiesces and evacuates here,
-        # where moving sensors is safe.
-        if (
-            evacuate_after
-            and service.resilience.failover
-            and len(service._pool) > 1
-        ):
-            for index in evacuate_after:
-                if service._pool.state(index) == "open":
-                    service.evacuate(index)  # re-entrant: quiesces first
+        # where moving sensors is safe (re-entrant: evacuate quiesces first).
+        for index in evacuate_after:
+            service._fail_over(index)
 
         if lane_error is not None:
             raise lane_error
@@ -384,7 +378,7 @@ class ProcessShardEngine(ExecutionEngine):
             except (_WorkerLost, OSError, BrokenPipeError):
                 lost.append(worker)
                 continue
-            self._apply_telemetry(header.get("telemetry"))
+            obs.absorb(header["telemetry"])
             shard_sensors, backend, health = payload
             service._sensors.update(shard_sensors)
             service._pool.backends[index] = backend
@@ -486,7 +480,7 @@ class ProcessShardEngine(ExecutionEngine):
 
     def _apply_reply(self, worker: _Worker, reply: dict) -> None:
         service = self.service
-        self._apply_telemetry(reply.get("telemetry"))
+        obs.absorb(reply["telemetry"])
         health = reply.get("health")
         if health:
             service._pool.adopt_health(worker.backend_index, health)
@@ -502,16 +496,6 @@ class ProcessShardEngine(ExecutionEngine):
             worker.shm[sensor_id] = block
         if reply.get("shm"):
             self._sync_cleanup_state()
-
-    def _apply_telemetry(self, telemetry: dict | None) -> None:
-        if not telemetry:
-            return
-        obs.get_registry().merge_state(telemetry.get("metrics") or {})
-        obs.get_event_log().absorb(
-            telemetry.get("events") or [],
-            telemetry.get("dropped") or 0,
-        )
-        obs.get_slo_tracker().absorb_degraded(telemetry.get("degraded") or {})
 
     @staticmethod
     def _decode_outcomes(wire_outcomes: list) -> list:
@@ -542,22 +526,11 @@ def _rearm_after_fork(service) -> None:
     ``fork`` copies locks in whatever state some *other* parent thread
     held them — a child that ever acquired one would deadlock.  The
     worker therefore gets fresh locks on the pool, the backends and the
-    admission path, and brand-new telemetry objects (its metrics ship as
-    deltas, so inherited state would double-count anyway).
+    admission path, and fresh telemetry sinks (``obs.fork_reset``).
     """
-    import threading as _threading
-
-    from ..obs.events import EventLog
-    from ..obs.registry import MetricsRegistry
-    from ..obs.slo import SLOTracker
-    from ..obs.tracing import Tracer
-
-    obs._registry = MetricsRegistry()
-    obs._tracer = Tracer()
-    obs._events = EventLog(capacity=obs._events.capacity)
-    obs._slo = SLOTracker()
-    service._admission_lock = _threading.RLock()
-    service._pool._lock = _threading.RLock()
+    obs.fork_reset()
+    service._admission_lock = threading.RLock()
+    service._pool._lock = threading.RLock()
     for backend in service._pool.backends:
         backend.rearm_lock()
 
@@ -616,26 +589,10 @@ def _sync_enabled(enabled: bool) -> None:
         obs.disable()
 
 
-def _drain_telemetry() -> dict:
-    """Dump-and-reset this process's telemetry as a mergeable delta."""
-    registry = obs.get_registry()
-    metrics = registry.dump_state()
-    registry.reset()
-    events_log = obs.get_event_log()
-    events = events_log.tail()
-    dropped = events_log.dropped_total
-    events_log.clear()
-    degraded = obs.get_slo_tracker().drain_degraded()
-    return {
-        "metrics": metrics, "events": events,
-        "dropped": dropped, "degraded": degraded,
-    }
-
-
 def _shard_status(service, backend_index) -> dict:
     backend = service.backends[backend_index]
     return {
-        "telemetry": _drain_telemetry(),
+        "telemetry": obs.drain(),
         "health": service._pool.health_dict(backend_index),
         "elapsed": {
             "elapsed_s": float(backend.elapsed_s),
@@ -715,6 +672,6 @@ def _worker_flush(conn, service, arena, backend_index, sensor_ids):
     }
     backend = service.backends[backend_index]
     health = service._pool.health_dict(backend_index)
-    send_json(conn, {"op": "flushed", "telemetry": _drain_telemetry()})
+    send_json(conn, {"op": "flushed", "telemetry": obs.drain()})
     conn.send_bytes(pickle.dumps((shard_sensors, backend, health)))
     arena.unlink_all()

@@ -16,7 +16,7 @@ bounds fall out of one pass over the window-level posting lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,21 +45,10 @@ class ItemLowerBounds:
     lbeq: np.ndarray
     lbec: np.ndarray
     covered: np.ndarray
-    _enhanced: np.ndarray | None = field(
-        default=None, repr=False, compare=False
-    )
 
     def enhanced(self) -> np.ndarray:
-        """``LB_en``-style combined bound ``max(LB_EQ, LB_EC)``, cached.
-
-        The search cascade reads this array once per item query per tier;
-        caching keeps the elementwise max from being recomputed when the
-        same bounds object is consulted repeatedly (threshold seeding and
-        filtering both read it).
-        """
-        if self._enhanced is None:
-            self._enhanced = np.maximum(self.lbeq, self.lbec)
-        return self._enhanced
+        """``LB_en``-style combined bound ``max(LB_EQ, LB_EC)``."""
+        return np.maximum(self.lbeq, self.lbec)
 
     def bound(self, mode: str) -> np.ndarray:
         """Select the bound variant: ``"en"``, ``"eq"`` or ``"ec"``."""
@@ -101,7 +90,6 @@ class GroupLevelIndex:
         omega = wi.omega
         n_dw = wi.n_dw
         series_len = wi.series_length
-        lbeq_mat, lbec_mat = wi.posting_matrices()
 
         results = {
             d: ItemLowerBounds(
@@ -130,8 +118,8 @@ class GroupLevelIndex:
                     break
                 # P_m[r] = P_{m-1}[r] + M[w, r - (m - 1)]  (shift-sum).
                 shift = m - 1
-                peq[shift:] += lbeq_mat[w, : n_dw - shift]
-                pec[shift:] += lbec_mat[w, : n_dw - shift]
+                peq[shift:] += wi.lbeq_row(w)[: n_dw - shift]
+                pec[shift:] += wi.lbec_row(w)[: n_dw - shift]
                 total_sum_elements += 2 * (n_dw - shift)
                 for d, m_i in m_of_item.items():
                     if m_i != m:

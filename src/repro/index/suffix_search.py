@@ -196,16 +196,6 @@ class SuffixKnnEngine:
         return self.search()
 
     # -------------------------------------------------------------- helpers
-    def _candidate_mask(self, d: int) -> np.ndarray:
-        """Valid starts: the h-step target must already be observed."""
-        n = self.window_index.series_length
-        n_starts = n - d + 1
-        mask = np.zeros(n_starts, dtype=bool)
-        last_valid = n - d - self.config.margin
-        if last_valid >= 0:
-            mask[: last_valid + 1] = True
-        return mask
-
     def _seed_threshold(
         self,
         d: int,
@@ -242,8 +232,8 @@ class SuffixKnnEngine:
         cfg = self.config
         series = self.window_index.series
         query = self.item_query(d)
-        mask = self._candidate_mask(d)
-        starts = np.flatnonzero(mask)
+        # Valid starts: the h-step target must already be observed.
+        starts = np.arange(max(series.size - d - cfg.margin + 1, 0))
         if starts.size == 0:
             raise ValueError(
                 f"no candidates for item length {d}: series too short"

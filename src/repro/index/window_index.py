@@ -64,7 +64,6 @@ class WindowLevelIndex:
         omega: int,
         rho: int,
         backend: ComputeBackend | None = None,
-        capacity_hint: int = 0,
     ) -> None:
         series_values = np.asarray(series_values, dtype=np.float64)
         if master_length < omega:
@@ -82,7 +81,7 @@ class WindowLevelIndex:
         self.n_sw = master_length - omega + 1
         self.backend = as_backend(backend)
 
-        capacity = max(capacity_hint, 2 * series_values.size, 1024)
+        capacity = max(2 * series_values.size, 1024)
         self._series = np.empty(capacity, dtype=np.float64)
         self._series[: series_values.size] = series_values
         self._series_len = int(series_values.size)
@@ -133,7 +132,8 @@ class WindowLevelIndex:
         """Global envelope of the stored series."""
         return self._series_env
 
-    def _slot(self, b: int) -> int:
+    def _slot(self, b):
+        """Physical row of logical window ``b`` (an index or an array)."""
         return (self._slot0 + b) % self.n_sw
 
     def lbeq_row(self, b: int) -> np.ndarray:
@@ -155,9 +155,6 @@ class WindowLevelIndex:
         cache in sync with the ``master_query`` it passes.
         """
         env = self._master_env
-        if env is None:
-            env = compute_envelope(master_query, self.rho)
-            self._master_env = env
         idx = self._sw_positions
         return master_query[idx], env.upper[idx], env.lower[idx]
 
@@ -240,7 +237,7 @@ class WindowLevelIndex:
         # SW_0 is brand new (LB_EQ and LB_EC); the next rho windows only
         # saw their envelope change (LB_EQ).
         n_refresh = min(self.rho + 1, self.n_sw)
-        slots = (self._slot0 + np.arange(n_refresh)) % self.n_sw
+        slots = self._slot(np.arange(n_refresh))
         self._lbeq[slots, : self.n_dw] = window_pair_lbeq(
             sw_up[:n_refresh], sw_lo[:n_refresh], dw_vals
         )
@@ -305,22 +302,18 @@ class WindowLevelIndex:
         lbeq, lbec = window_pair_lb_matrices(
             sw_vals, sw_up, sw_lo, dw_vals, dw_up, dw_lo
         )
-        cols = slice(r_lo, self.n_dw)
-        for b in range(self.n_sw):
-            slot = self._slot(b)
-            self._lbeq[slot, cols] = lbeq[b]
-            self._lbec[slot, cols] = lbec[b]
+        slots = self._slot(np.arange(self.n_sw))
+        self._lbeq[slots, r_lo : self.n_dw] = lbeq
+        self._lbec[slots, r_lo : self.n_dw] = lbec
         self.columns_recomputed_lbec += self.n_dw - r_lo
         observe_window_reuse(columns_recomputed_lbec=self.n_dw - r_lo)
 
     # -------------------------------------------------------------- exports
     def posting_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Logical-order ``(lbeq, lbec)`` matrices, shape ``(n_sw, n_dw)``."""
-        order = [(self._slot0 + b) % self.n_sw for b in range(self.n_sw)]
-        return (
-            self._lbeq[order, : self.n_dw].copy(),
-            self._lbec[order, : self.n_dw].copy(),
-        )
+        """Logical-order ``(lbeq, lbec)`` matrices, shape ``(n_sw, n_dw)``
+        (fresh arrays: un-ringing by fancy index already copies)."""
+        order = self._slot(np.arange(self.n_sw))
+        return self._lbeq[order, : self.n_dw], self._lbec[order, : self.n_dw]
 
     def memory_bytes(self) -> int:
         """Device-resident footprint: series + envelope + posting lists."""

@@ -18,7 +18,10 @@ occupancy.  This package makes those quantities first-class at runtime:
   span tree (open in ``chrome://tracing`` or Perfetto);
 * :mod:`repro.obs.exposition` — Prometheus text and JSON snapshots;
 * :mod:`repro.obs.hooks` — the hot-path hooks the serving stack calls,
-  gated by one global switch (:func:`enable` / :func:`disable`).
+  gated by one global switch (:func:`enable` / :func:`disable`); the
+  one table of what they emit (:data:`CATALOG`); and the cross-process
+  seam a forked worker uses (:func:`fork_reset`, then :func:`drain` on
+  its side and :func:`absorb` on the parent's).
 
 Instrumentation is **off by default** and free when off: every hook is a
 single flag check.  Typical use::
@@ -35,10 +38,14 @@ from .context import begin_request, current_request_id, new_request_id
 from .events import EventLog
 from .exposition import to_json, to_prometheus
 from .hooks import (
+    CATALOG,
+    absorb,
     configure_slo,
     detached_span,
     disable,
+    drain,
     enable,
+    fork_reset,
     get_event_log,
     get_registry,
     get_slo_tracker,
@@ -72,6 +79,7 @@ from .slo import DEFAULT_SLOS, SLOTarget, SLOTracker
 from .tracing import Span, Tracer, format_span_tree
 
 __all__ = [
+    "CATALOG",
     "Counter",
     "DEFAULT_SLOS",
     "EventLog",
@@ -83,12 +91,15 @@ __all__ = [
     "SLOTracker",
     "Span",
     "Tracer",
+    "absorb",
     "begin_request",
     "configure_slo",
     "current_request_id",
     "detached_span",
     "disable",
+    "drain",
     "enable",
+    "fork_reset",
     "format_span_tree",
     "get_event_log",
     "get_registry",

@@ -12,24 +12,36 @@ module.  The contract that keeps tier-1 tests and benchmarks honest:
   :class:`~repro.obs.tracing.Tracer` returned by :func:`get_registry`
   and :func:`get_tracer`.
 
-The metric catalog (names, types, labels) lives in
-``docs/observability.md``; hooks here are the single source of truth for
-what gets emitted.
+What gets emitted is declared once, in the :data:`CATALOG` table below:
+one :class:`MetricSpec` row per metric (name, kind, label names, help,
+buckets).  Every hook resolves its rows through :func:`_live`,
+``docs/observability.md`` mirrors the table (``tests/test_docs.py``
+compares the two row for row), and the cross-process seam —
+:func:`fork_reset`, :func:`drain`, :func:`absorb` — ships values only,
+because the receiving process declares from its own copy of the table.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+from typing import NamedTuple
+
 from . import context as reqctx
 from .events import EventLog
-from .registry import MetricsRegistry
+from .registry import DEFAULT_BUCKETS, MetricsRegistry
 from .slo import SLOTarget, SLOTracker
 from .tracing import Span, Tracer
 
 __all__ = [
+    "CATALOG",
+    "MetricSpec",
     "enable",
     "disable",
     "is_enabled",
     "reset",
+    "fork_reset",
+    "drain",
+    "absorb",
     "get_registry",
     "get_tracer",
     "get_event_log",
@@ -69,6 +81,101 @@ _CYCLE_BUCKETS = tuple(10.0 ** e for e in range(3, 11))
 _LANE_SECONDS_BUCKETS = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
     1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
+)
+
+
+# ---------------------------------------------------------- metric catalogue
+class MetricSpec(NamedTuple):
+    """One catalogue row: everything a metric's declaration says."""
+
+    name: str
+    kind: str  # "counter" | "gauge" | "histogram"
+    labels: tuple[str, ...]
+    help: str
+    buckets: tuple[float, ...] | None = None  # histograms only
+
+
+#: Every metric this package emits, by name — the one declaration site.
+CATALOG: dict[str, MetricSpec] = {
+    row[0]: MetricSpec(*row)
+    for row in (
+        ("smiler_gpu_kernel_launches_total", "counter", ("kernel",),
+         "Simulated kernel launches by kernel name."),
+        ("smiler_gpu_kernel_blocks_total", "counter", ("kernel",),
+         "Thread blocks scheduled, by kernel name."),
+        ("smiler_gpu_kernel_sim_seconds", "histogram", ("kernel",),
+         "Simulated duration of one kernel launch.", _SIM_SECONDS_BUCKETS),
+        ("smiler_gpu_kernel_cycles", "histogram", ("kernel",),
+         "Simulated core-cycles of one kernel launch.", _CYCLE_BUCKETS),
+        ("smiler_gpu_memory_allocated_bytes", "gauge", (),
+         "Bytes currently allocated in the backend memory ledger."),
+        ("smiler_search_queries_total", "counter", ("item_length",),
+         "Suffix kNN item-query searches executed."),
+        ("smiler_search_candidates_total", "counter", ("item_length",),
+         "Candidate segments considered, by item length."),
+        ("smiler_search_candidates_pruned_total", "counter", ("item_length",),
+         "Candidates pruned by the lower-bound cascade, by item length."),
+        ("smiler_search_candidates_verified_total", "counter",
+         ("item_length",),
+         "Candidates whose true DTW was computed (seeds included), by "
+         "item length."),
+        ("smiler_search_pruned_tier_total", "counter", ("item_length", "tier"),
+         "Candidates killed per cascade tier: kim (LB_Kim), window (LB_w)."),
+        ("smiler_window_index_rows_total", "counter", ("outcome",),
+         "Window-index posting-list rows by outcome: built_full (from "
+         "scratch), recomputed_lbeq (envelope refresh only), reused "
+         "(survived untouched)."),
+        ("smiler_window_index_lbec_columns_recomputed_total", "counter", (),
+         "Trailing LB_EC columns recomputed after appends."),
+        ("smiler_forecasts_total", "counter", ("sensor_id", "horizon"),
+         "Forecast requests served."),
+        ("smiler_forecast_latency_seconds", "histogram", ("sensor_id",),
+         "End-to-end forecast latency (wall-clock).", DEFAULT_BUCKETS),
+        ("smiler_forecast_degraded_total", "counter", ("sensor_id", "source"),
+         "Forecasts served by a degraded rung, by sensor and rung."),
+        ("smiler_slo_served_degraded_total", "counter", ("rung",),
+         "Forecasts served degraded, by ladder rung (SLO accounting)."),
+        ("smiler_requests_total", "counter", ("class", "outcome"),
+         "Service requests completed, by entry point and outcome."),
+        ("smiler_request_latency_seconds", "histogram", ("class",),
+         "End-to-end request latency by entry point.", DEFAULT_BUCKETS),
+        ("smiler_slo_breaches_total", "counter", ("class",),
+         "Requests that missed their class SLO (error or over budget)."),
+        ("smiler_slo_attainment_ratio", "gauge", ("class",),
+         "Fraction of the rolling window meeting the class SLO."),
+        ("smiler_slo_error_budget_remaining_ratio", "gauge", ("class",),
+         "Unspent fraction of the rolling-window violation budget "
+         "(negative = overdrawn)."),
+        ("smiler_lane_queue_wait_seconds", "histogram", ("lane",),
+         "Time a lane's work waited between submit and first execution.",
+         _LANE_SECONDS_BUCKETS),
+        ("smiler_lane_execute_seconds", "histogram", ("lane",),
+         "Time a lane spent executing its backend shard's work.",
+         _LANE_SECONDS_BUCKETS),
+        ("smiler_lane_sensors_total", "counter", ("lane", "backend"),
+         "Sensors processed per lane."),
+        ("smiler_faults_injected_total", "counter", ("operation", "kind"),
+         "Faults injected by FaultInjectingBackend, by operation and kind."),
+        ("smiler_backend_state", "gauge", ("backend",),
+         "Circuit-breaker state per backend: 0=closed, 1=half_open, 2=open."),
+        ("smiler_breaker_transitions_total", "counter",
+         ("backend", "from_state", "to_state"),
+         "Circuit-breaker state transitions, by backend and edge."),
+        ("smiler_backend_evacuations_total", "counter", ("backend",),
+         "Backend evacuations triggered by health failover."),
+        ("smiler_sensors_evacuated_total", "counter", (),
+         "Sensors re-admitted onto healthy backends by evacuations."),
+        ("smiler_gp_train_calls_total", "counter", ("converged",),
+         "GP hyperparameter training runs, by convergence outcome."),
+        ("smiler_gp_cg_iterations_total", "counter", (),
+         "Conjugate-gradient iterations spent on GP training."),
+    )
+}
+
+#: The rows as attributes, named without the ``smiler_`` prefix: how the
+#: hooks below refer to them, so each name is spelled exactly once.
+_M = SimpleNamespace(
+    **{name.removeprefix("smiler_"): spec for name, spec in CATALOG.items()}
 )
 
 _enabled = False
@@ -120,6 +227,52 @@ def reset() -> None:
     _slo.reset()
 
 
+def fork_reset() -> None:
+    """Replace every sink with a fresh one, in a forked child.
+
+    ``fork`` copies the sinks' locks in whatever state some *other*
+    parent thread held them, and inherited values would double-count
+    once the child's deltas are absorbed.  The event log keeps its
+    capacity; the switch and everything outside this package do not move.
+    """
+    global _registry, _tracer, _events, _slo
+    _registry = MetricsRegistry()
+    _tracer = Tracer()
+    _events = EventLog(capacity=_events.capacity)
+    _slo = SLOTracker()
+
+
+def drain() -> dict:
+    """Dump-and-reset this process's telemetry as one mergeable delta.
+
+    JSON-safe: metric *values* (no declarations — the receiver has the
+    catalogue), retained events and their dropped count, degraded-rung
+    tallies.  Spans are not part of it; a lane ships its own subtree.
+    """
+    delta = {
+        "metrics": _registry.dump_state(),
+        "events": _events.tail(),
+        "dropped": _events.dropped_total,
+        "degraded": _slo.drain_degraded(),
+    }
+    _registry.reset()
+    _events.clear()
+    return delta
+
+
+def absorb(delta: dict) -> None:
+    """Fold another process's :func:`drain` delta into this one's sinks.
+
+    Metrics are declared from *this* process's catalogue; a name it does
+    not hold raises ``KeyError`` (both sides are forks of one program).
+    """
+    for name in delta["metrics"]:
+        _live(CATALOG[name])
+    _registry.merge_state(delta["metrics"])
+    _events.absorb(delta["events"], delta["dropped"])
+    _slo.absorb_degraded(delta["degraded"])
+
+
 def get_registry() -> MetricsRegistry:
     """The process-wide metrics registry."""
     return _registry
@@ -162,6 +315,29 @@ def detached_span(name: str, device=None) -> "Span | _NoopSpan":
     return _tracer.detached_span(name, device)
 
 
+# ----------------------------------------------------------------- metrics
+def _live(spec: MetricSpec):
+    """``spec``'s metric in the *live* registry, declared on first use.
+
+    Resolved on every call, never cached: :func:`reset` empties the
+    registry and :func:`fork_reset` swaps it under running hooks, and it
+    must hold only what actually ran.
+    """
+    if spec.kind == "counter":
+        return _registry.counter(spec.name, spec.help, spec.labels)
+    if spec.kind == "gauge":
+        return _registry.gauge(spec.name, spec.help, spec.labels)
+    return _registry.histogram(
+        spec.name, spec.help, spec.labels, buckets=spec.buckets
+    )
+
+
+def _request_exemplar() -> dict[str, str] | None:
+    """Exemplar naming the request bound to the calling thread, if any."""
+    request_id = reqctx.current_request_id()
+    return None if request_id is None else {"request_id": request_id}
+
+
 # ------------------------------------------------------------- gpu kernels
 def observe_kernel_launch(
     kernel: str, duration_s: float, n_blocks: int, cycles: float
@@ -169,38 +345,17 @@ def observe_kernel_launch(
     """Record one simulated kernel launch (called by the cost model)."""
     if not _enabled:
         return
-    _registry.counter(
-        "smiler_gpu_kernel_launches_total",
-        "Simulated kernel launches by kernel name.",
-        label_names=("kernel",),
-    ).inc(kernel=kernel)
-    _registry.counter(
-        "smiler_gpu_kernel_blocks_total",
-        "Thread blocks scheduled, by kernel name.",
-        label_names=("kernel",),
-    ).inc(n_blocks, kernel=kernel)
-    _registry.histogram(
-        "smiler_gpu_kernel_sim_seconds",
-        "Simulated duration of one kernel launch.",
-        label_names=("kernel",),
-        buckets=_SIM_SECONDS_BUCKETS,
-    ).observe(duration_s, kernel=kernel)
-    _registry.histogram(
-        "smiler_gpu_kernel_cycles",
-        "Simulated core-cycles of one kernel launch.",
-        label_names=("kernel",),
-        buckets=_CYCLE_BUCKETS,
-    ).observe(cycles, kernel=kernel)
+    _live(_M.gpu_kernel_launches_total).inc(kernel=kernel)
+    _live(_M.gpu_kernel_blocks_total).inc(n_blocks, kernel=kernel)
+    _live(_M.gpu_kernel_sim_seconds).observe(duration_s, kernel=kernel)
+    _live(_M.gpu_kernel_cycles).observe(cycles, kernel=kernel)
 
 
 def observe_gpu_memory(allocated_bytes: int) -> None:
     """Track the device-memory ledger after a malloc/free."""
     if not _enabled:
         return
-    _registry.gauge(
-        "smiler_gpu_memory_allocated_bytes",
-        "Bytes currently allocated in the backend memory ledger.",
-    ).set(allocated_bytes)
+    _live(_M.gpu_memory_allocated_bytes).set(allocated_bytes)
 
 
 # ------------------------------------------------------------------ search
@@ -221,42 +376,21 @@ def observe_search(
     """
     if not _enabled:
         return
-    _registry.counter(
-        "smiler_search_queries_total",
-        "Suffix kNN item-query searches executed.",
-        label_names=("item_length",),
-    ).inc(item_length=item_length)
-    _registry.counter(
-        "smiler_search_candidates_total",
-        "Candidate segments considered, by item length.",
-        label_names=("item_length",),
-    ).inc(candidates_total, item_length=item_length)
-    _registry.counter(
-        "smiler_search_candidates_pruned_total",
-        "Candidates pruned by the lower-bound cascade, by item length.",
-        label_names=("item_length",),
-    ).inc(
+    _live(_M.search_queries_total).inc(item_length=item_length)
+    _live(_M.search_candidates_total).inc(
+        candidates_total, item_length=item_length
+    )
+    _live(_M.search_candidates_pruned_total).inc(
         candidates_total - candidates_unfiltered, item_length=item_length
     )
-    _registry.counter(
-        "smiler_search_candidates_verified_total",
-        "Candidates whose true DTW was computed (seeds included), by "
-        "item length.",
-        label_names=("item_length",),
-    ).inc(candidates_verified, item_length=item_length)
-    tier_counts = (
-        ("kim", pruned_kim),
-        ("window", pruned_window),
+    _live(_M.search_candidates_verified_total).inc(
+        candidates_verified, item_length=item_length
     )
-    if any(count for _, count in tier_counts):
-        tier_counter = _registry.counter(
-            "smiler_search_pruned_tier_total",
-            "Candidates killed per cascade tier: kim (LB_Kim), window (LB_w).",
-            label_names=("item_length", "tier"),
-        )
-        for tier, count in tier_counts:
-            if count:
-                tier_counter.inc(count, item_length=item_length, tier=tier)
+    for tier, count in (("kim", pruned_kim), ("window", pruned_window)):
+        if count:
+            _live(_M.search_pruned_tier_total).inc(
+                count, item_length=item_length, tier=tier
+            )
 
 
 def observe_window_reuse(
@@ -268,13 +402,7 @@ def observe_window_reuse(
     """Record window-index posting-list work deltas (Remark 1 reuse)."""
     if not _enabled:
         return
-    counter = _registry.counter(
-        "smiler_window_index_rows_total",
-        "Window-index posting-list rows by outcome: built_full (from "
-        "scratch), recomputed_lbeq (envelope refresh only), reused "
-        "(survived untouched).",
-        label_names=("outcome",),
-    )
+    counter = _live(_M.window_index_rows_total)
     if rows_built_full:
         counter.inc(rows_built_full, outcome="built_full")
     if rows_recomputed_lbeq:
@@ -282,10 +410,9 @@ def observe_window_reuse(
     if rows_reused:
         counter.inc(rows_reused, outcome="reused")
     if columns_recomputed_lbec:
-        _registry.counter(
-            "smiler_window_index_lbec_columns_recomputed_total",
-            "Trailing LB_EC columns recomputed after appends.",
-        ).inc(columns_recomputed_lbec)
+        _live(_M.window_index_lbec_columns_recomputed_total).inc(
+            columns_recomputed_lbec
+        )
 
 
 # ----------------------------------------------------------------- serving
@@ -293,37 +420,25 @@ def observe_forecast(sensor_id: str, horizon: int, latency_s: float) -> None:
     """Record one served forecast and its end-to-end latency."""
     if not _enabled:
         return
-    request_id = reqctx.current_request_id()
-    exemplar = None if request_id is None else {"request_id": request_id}
-    _registry.counter(
-        "smiler_forecasts_total",
-        "Forecast requests served.",
-        label_names=("sensor_id", "horizon"),
-    ).inc(sensor_id=sensor_id, horizon=horizon, exemplar=exemplar)
-    _registry.histogram(
-        "smiler_forecast_latency_seconds",
-        "End-to-end forecast latency (wall-clock).",
-        label_names=("sensor_id",),
-    ).observe(latency_s, sensor_id=sensor_id, exemplar=exemplar)
+    exemplar = _request_exemplar()
+    _live(_M.forecasts_total).inc(
+        sensor_id=sensor_id, horizon=horizon, exemplar=exemplar
+    )
+    _live(_M.forecast_latency_seconds).observe(
+        latency_s, sensor_id=sensor_id, exemplar=exemplar
+    )
 
 
 def observe_degraded_forecast(sensor_id: str, source: str) -> None:
     """Record one forecast served below the full-ensemble rung."""
     if not _enabled:
         return
-    request_id = reqctx.current_request_id()
-    exemplar = None if request_id is None else {"request_id": request_id}
-    _registry.counter(
-        "smiler_forecast_degraded_total",
-        "Forecasts served by a degraded rung, by sensor and rung.",
-        label_names=("sensor_id", "source"),
-    ).inc(sensor_id=sensor_id, source=source, exemplar=exemplar)
+    exemplar = _request_exemplar()
+    _live(_M.forecast_degraded_total).inc(
+        sensor_id=sensor_id, source=source, exemplar=exemplar
+    )
     _slo.record_degraded(source)
-    _registry.counter(
-        "smiler_slo_served_degraded_total",
-        "Forecasts served degraded, by ladder rung (SLO accounting).",
-        label_names=("rung",),
-    ).inc(rung=source, exemplar=exemplar)
+    _live(_M.slo_served_degraded_total).inc(rung=source, exemplar=exemplar)
     _events.emit("degraded", sensor_id=sensor_id, rung=source)
 
 
@@ -356,35 +471,22 @@ def observe_request_end(
     if not _enabled:
         return
     exemplar = {"request_id": request_id}
-    _registry.counter(
-        "smiler_requests_total",
-        "Service requests completed, by entry point and outcome.",
-        label_names=("class", "outcome"),
-    ).inc(**{"class": entry_point, "outcome": "ok" if ok else "error"},
-          exemplar=exemplar)
-    _registry.histogram(
-        "smiler_request_latency_seconds",
-        "End-to-end request latency by entry point.",
-        label_names=("class",),
-    ).observe(latency_s, exemplar=exemplar, **{"class": entry_point})
+    by_class = {"class": entry_point}  # a keyword: cannot be spelled inline
+    _live(_M.requests_total).inc(
+        outcome="ok" if ok else "error", exemplar=exemplar, **by_class
+    )
+    _live(_M.request_latency_seconds).observe(
+        latency_s, exemplar=exemplar, **by_class
+    )
     met = _slo.record(entry_point, latency_s, ok=ok)
     if not met:
-        _registry.counter(
-            "smiler_slo_breaches_total",
-            "Requests that missed their class SLO (error or over budget).",
-            label_names=("class",),
-        ).inc(**{"class": entry_point}, exemplar=exemplar)
-    _registry.gauge(
-        "smiler_slo_attainment_ratio",
-        "Fraction of the rolling window meeting the class SLO.",
-        label_names=("class",),
-    ).set(_slo.attainment(entry_point), **{"class": entry_point})
-    _registry.gauge(
-        "smiler_slo_error_budget_remaining_ratio",
-        "Unspent fraction of the rolling-window violation budget "
-        "(negative = overdrawn).",
-        label_names=("class",),
-    ).set(_slo.error_budget_remaining(entry_point), **{"class": entry_point})
+        _live(_M.slo_breaches_total).inc(exemplar=exemplar, **by_class)
+    _live(_M.slo_attainment_ratio).set(
+        _slo.attainment(entry_point), **by_class
+    )
+    _live(_M.slo_error_budget_remaining_ratio).set(
+        _slo.error_budget_remaining(entry_point), **by_class
+    )
     _events.emit(
         "request_end",
         request_id=request_id,
@@ -407,25 +509,16 @@ def observe_lane(
     """Record one worker lane's queue-wait vs execute attribution."""
     if not _enabled:
         return
-    request_id = reqctx.current_request_id()
-    exemplar = None if request_id is None else {"request_id": request_id}
-    _registry.histogram(
-        "smiler_lane_queue_wait_seconds",
-        "Time a lane's work waited between submit and first execution.",
-        label_names=("lane",),
-        buckets=_LANE_SECONDS_BUCKETS,
-    ).observe(queue_wait_s, lane=lane, exemplar=exemplar)
-    _registry.histogram(
-        "smiler_lane_execute_seconds",
-        "Time a lane spent executing its backend shard's work.",
-        label_names=("lane",),
-        buckets=_LANE_SECONDS_BUCKETS,
-    ).observe(execute_s, lane=lane, exemplar=exemplar)
-    _registry.counter(
-        "smiler_lane_sensors_total",
-        "Sensors processed per lane.",
-        label_names=("lane", "backend"),
-    ).inc(n_sensors, lane=lane, backend=backend_index)
+    exemplar = _request_exemplar()
+    _live(_M.lane_queue_wait_seconds).observe(
+        queue_wait_s, lane=lane, exemplar=exemplar
+    )
+    _live(_M.lane_execute_seconds).observe(
+        execute_s, lane=lane, exemplar=exemplar
+    )
+    _live(_M.lane_sensors_total).inc(
+        n_sensors, lane=lane, backend=backend_index
+    )
 
 
 # -------------------------------------------------------------- resilience
@@ -433,11 +526,7 @@ def observe_fault_injected(operation: str, kind: str) -> None:
     """Record one injected backend fault (called by the fault layer)."""
     if not _enabled:
         return
-    _registry.counter(
-        "smiler_faults_injected_total",
-        "Faults injected by FaultInjectingBackend, by operation and kind.",
-        label_names=("operation", "kind"),
-    ).inc(operation=operation, kind=kind)
+    _live(_M.faults_injected_total).inc(operation=operation, kind=kind)
     _events.emit("fault_injected", operation=operation, fault_kind=kind)
 
 
@@ -446,11 +535,9 @@ def observe_backend_state(backend_index: int, state: str) -> None:
     2=open)."""
     if not _enabled:
         return
-    _registry.gauge(
-        "smiler_backend_state",
-        "Circuit-breaker state per backend: 0=closed, 1=half_open, 2=open.",
-        label_names=("backend",),
-    ).set(_BREAKER_STATE_CODES.get(state, -1.0), backend=backend_index)
+    _live(_M.backend_state).set(
+        _BREAKER_STATE_CODES.get(state, -1.0), backend=backend_index
+    )
 
 
 def observe_breaker_transition(
@@ -459,11 +546,9 @@ def observe_breaker_transition(
     """Record one circuit-breaker transition as a counter and a span."""
     if not _enabled:
         return
-    _registry.counter(
-        "smiler_breaker_transitions_total",
-        "Circuit-breaker state transitions, by backend and edge.",
-        label_names=("backend", "from_state", "to_state"),
-    ).inc(backend=backend_index, from_state=old_state, to_state=new_state)
+    _live(_M.breaker_transitions_total).inc(
+        backend=backend_index, from_state=old_state, to_state=new_state
+    )
     with _tracer.span("breaker_transition") as sp:
         sp.attrs["backend"] = backend_index
         sp.attrs["from_state"] = old_state
@@ -480,15 +565,8 @@ def observe_evacuation(backend_index: int, n_sensors: int) -> None:
     """Record one backend evacuation and how many sensors it moved."""
     if not _enabled:
         return
-    _registry.counter(
-        "smiler_backend_evacuations_total",
-        "Backend evacuations triggered by health failover.",
-        label_names=("backend",),
-    ).inc(backend=backend_index)
-    _registry.counter(
-        "smiler_sensors_evacuated_total",
-        "Sensors re-admitted onto healthy backends by evacuations.",
-    ).inc(n_sensors)
+    _live(_M.backend_evacuations_total).inc(backend=backend_index)
+    _live(_M.sensors_evacuated_total).inc(n_sensors)
     _events.emit("evacuation", backend_id=backend_index, n_sensors=n_sensors)
 
 
@@ -496,12 +574,5 @@ def observe_gp_training(iterations: int, converged: bool) -> None:
     """Record one online GP hyperparameter fit."""
     if not _enabled:
         return
-    _registry.counter(
-        "smiler_gp_train_calls_total",
-        "GP hyperparameter training runs, by convergence outcome.",
-        label_names=("converged",),
-    ).inc(converged=converged)
-    _registry.counter(
-        "smiler_gp_cg_iterations_total",
-        "Conjugate-gradient iterations spent on GP training.",
-    ).inc(iterations)
+    _live(_M.gp_train_calls_total).inc(converged=converged)
+    _live(_M.gp_cg_iterations_total).inc(iterations)

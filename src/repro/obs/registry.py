@@ -361,26 +361,18 @@ class MetricsRegistry:
             self._metrics.clear()
 
     # ------------------------------------------------- cross-process merge
-    def dump_state(self) -> dict:
-        """Snapshot every metric as a JSON-safe dict for :meth:`merge_state`.
+    def dump_state(self) -> dict[str, list[dict]]:
+        """Every series' *values* as JSON-safe rows, keyed by metric name.
 
-        This is the metrics half of the process-engine telemetry channel:
-        a shard worker dumps, resets, and ships the delta with each batch
-        reply; the parent merges.  Counters add, gauges last-write-win,
-        histograms merge bucket-wise; exemplars ride along so request-id
-        joins survive the process hop.
+        The metrics half of the cross-process telemetry delta (see
+        :func:`repro.obs.hooks.drain`).  Declarations (kind, help, label
+        names, buckets) do not ride along: :meth:`merge_state` folds the
+        rows into metrics the receiving registry already declares.
+        Exemplars do, so request-id joins survive the process hop.
         """
-        state: dict = {}
+        state: dict[str, list[dict]] = {}
         for metric in self.metrics():
-            record: dict = {
-                "kind": metric.kind,
-                "help": metric.help,
-                "label_names": list(metric.label_names),
-                "max_series": metric.max_series,
-                "series": [],
-            }
-            if isinstance(metric, Histogram):
-                record["buckets"] = list(metric.bounds)
+            rows = state[metric.name] = []
             with metric._lock:
                 for key in sorted(metric._series):
                     series = metric._series[key]
@@ -389,42 +381,24 @@ class MetricsRegistry:
                         row["bucket_counts"] = list(series.bucket_counts)
                         row["sum"] = series.sum
                         row["count"] = series.count
-                        row["exemplar"] = series.exemplar
                     else:
                         row["value"] = series.value
-                        row["exemplar"] = series.exemplar
-                    record["series"].append(row)
-            state[metric.name] = record
+                    row["exemplar"] = series.exemplar
+                    rows.append(row)
         return state
 
-    def merge_state(self, state: dict) -> None:
-        """Fold a :meth:`dump_state` snapshot from another process in."""
-        for name, record in state.items():
-            kind = record["kind"]
-            label_names = tuple(record["label_names"])
-            if kind == "counter":
-                metric = self.counter(
-                    name, record["help"], label_names=label_names,
-                    max_series=record["max_series"],
-                )
-            elif kind == "gauge":
-                metric = self.gauge(
-                    name, record["help"], label_names=label_names,
-                    max_series=record["max_series"],
-                )
-            elif kind == "histogram":
-                metric = self.histogram(
-                    name, record["help"], label_names=label_names,
-                    buckets=tuple(record["buckets"]),
-                    max_series=record["max_series"],
-                )
-            else:  # pragma: no cover - forward-compat guard
-                raise ValueError(f"unknown metric kind {kind!r} for {name!r}")
-            for row in record["series"]:
+    def merge_state(self, state: dict[str, list[dict]]) -> None:
+        """Fold a :meth:`dump_state` snapshot from another process in:
+        counters add, gauges last-write-win, histograms merge bucket-wise.
+        A name this registry has not declared raises ``KeyError``."""
+        for name, rows in state.items():
+            metric = self.get(name)
+            if metric is None:
+                raise KeyError(f"cannot merge undeclared metric {name!r}")
+            for row in rows:
                 key = tuple(row["labels"])
-                exemplar = row.get("exemplar")
                 with metric._lock:
-                    if kind == "histogram":
+                    if isinstance(metric, Histogram):
                         series = metric._series_slot(
                             key,
                             lambda m=metric: HistogramSeries(len(m.bounds) + 1),
@@ -433,16 +407,14 @@ class MetricsRegistry:
                             series.bucket_counts[i] += int(c)
                         series.sum += float(row["sum"])
                         series.count += int(row["count"])
-                        if exemplar is not None:
-                            series.exemplar = dict(exemplar)
                     else:
-                        cell = metric._series_slot(key, _Cell)
-                        if kind == "counter":
-                            cell.value += float(row["value"])
+                        series = metric._series_slot(key, _Cell)
+                        if isinstance(metric, Counter):
+                            series.value += float(row["value"])
                         else:  # gauge: instantaneous, last write wins
-                            cell.value = float(row["value"])
-                        if exemplar is not None:
-                            cell.exemplar = dict(exemplar)
+                            series.value = float(row["value"])
+                    if row["exemplar"] is not None:
+                        series.exemplar = dict(row["exemplar"])
 
     def __contains__(self, name: str) -> bool:
         with self._lock:

@@ -371,21 +371,17 @@ class PredictionService:
 
         The analytic estimate lets the pool pick a backend *before* the
         index is built, so construction happens exactly once, on the
-        backend that hosts the sensor.
+        backend that hosts the sensor.  The estimate is exact — it *is*
+        ``SMiLer.memory_bytes()`` for a series of ``n_points`` — so the
+        reservation never needs adjusting after the build.
         """
         estimate = SMiLer.estimate_memory_bytes(n_points, config)
         placement = self._pool.allocate(estimate, label=sensor_id)
         try:
             smiler = build(self._pool.backend(placement))
-            actual = smiler.memory_bytes()
-            if actual != placement.allocation.nbytes:
-                placement = self._pool.resize(placement, actual)
-        except Exception as error:
-            # A failed tight-fit resize re-handles the reservation; adopt
-            # the restored placement so the release below frees the right
-            # allocation.  The release itself is best-effort: a backend
-            # that just died mid-admission may refuse it.
-            placement = getattr(error, "placement", placement)
+        except Exception:
+            # Best-effort release: a backend that just died mid-admission
+            # may refuse it.
             try:
                 self._pool.release(placement)
             except Exception:
@@ -437,6 +433,20 @@ class PredictionService:
         )
         obs.observe_evacuation(backend_index, len(moved))
         return moved
+
+    def _fail_over(self, backend_index: int) -> bool:
+        """The one failover rule, applied after a failure was charged to
+        a backend's breaker: when the policy allows it, the pool has
+        peers and the breaker is now open, evacuate the backend.
+        Returns whether it did."""
+        if (
+            self.resilience.failover
+            and len(self._pool) > 1
+            and self._pool.state(backend_index) == "open"
+        ):
+            self.evacuate(backend_index)
+            return True
+        return False
 
     def _readmit(
         self,
@@ -567,12 +577,7 @@ class PredictionService:
                 "(reading retained, answers invalidated): %s",
                 sensor_id, index, error,
             )
-            if (
-                self.resilience.failover
-                and len(self._pool) > 1
-                and self._pool.state(index) == "open"
-            ):
-                self.evacuate(index)
+            self._fail_over(index)
         else:
             self._pool.record_success(index)
 
@@ -690,13 +695,9 @@ class PredictionService:
                             "ensemble rung failed for %s on backend %d: %s",
                             sensor_id, index, error,
                         )
-                        if (
-                            policy.failover
-                            and len(self._pool) > 1
-                            and index not in evacuated
-                            and self._pool.state(index) == "open"
-                        ):
-                            self.evacuate(index)
+                        # The guard comes first: asking the pool for a
+                        # breaker's state advances its cool-down.
+                        if index not in evacuated and self._fail_over(index):
                             evacuated.add(index)
                             # The sensor sits on a fresh backend now; give
                             # the full rung a fresh chance there.

@@ -168,15 +168,10 @@ class TestBackendPool:
         with pytest.raises(GpuMemoryError, match="'big'"):
             pool.allocate(20, "big")
 
-    def test_release_and_resize(self):
+    def test_release(self):
         pool = BackendPool([NativeBackend(capacity_bytes=100)])
         placement = pool.allocate(40, "s")
-        placement = pool.resize(placement, 70)
-        assert pool.allocated_bytes == 70
-        # A resize that cannot fit rolls the old reservation back.
-        with pytest.raises(GpuMemoryError):
-            pool.resize(placement, 200)
-        assert pool.allocated_bytes == 70
+        assert pool.allocated_bytes == 40
         pool.release(placement)
         assert pool.allocated_bytes == 0
 

@@ -60,12 +60,19 @@ class TestFileReferences:
 class TestMetricCatalog:
     def test_catalog_lists_exactly_the_emitted_metrics(self):
         """``docs/observability.md``'s catalog cannot drift from the
-        metric names ``obs/hooks.py`` emits."""
-        hooks = (ROOT / "src/repro/obs/hooks.py").read_text()
-        emitted = set(re.findall(r'"(smiler_[a-z_]+)"', hooks))
+        table the hooks declare from: same rows, same order of labels,
+        same types."""
+        from repro.obs import CATALOG
+
         catalog = (ROOT / "docs/observability.md").read_text()
-        documented = set(
-            re.findall(r"^\| `(smiler_[a-z_]+)` \|", catalog, flags=re.M)
+        documented = [
+            (name, kind, tuple(re.findall(r"`([a-z_]+)`", labels)))
+            for name, kind, labels in re.findall(
+                r"^\| `(smiler_[a-z_]+)` \| ([a-z]+) \| ([^|]*) \|",
+                catalog, flags=re.M,
+            )
+        ]
+        assert len(documented) == len(set(documented))
+        assert sorted(documented) == sorted(
+            (spec.name, spec.kind, spec.labels) for spec in CATALOG.values()
         )
-        assert emitted  # the pattern still matches how hooks name metrics
-        assert documented == emitted

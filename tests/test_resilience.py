@@ -7,7 +7,6 @@ import repro.obs as obs
 from repro.backend import (
     BackendPool,
     BreakerConfig,
-    GpuMemoryError,
     NativeBackend,
     SimulatedGpuBackend,
 )
@@ -131,50 +130,6 @@ class TestCircuitBreaker:
         placement = pool.allocate(64, "sensor")
         assert placement.backend_index == 1
         assert pool.state(0) == "open"
-
-
-class TestResizeAtomicity:
-    """Regression tests for the resize leak: a failed resize used to
-    free the old block and then lose it when the new malloc failed."""
-
-    def faulty_backend(self, burst):
-        return FaultInjectingBackend(
-            NativeBackend(capacity_bytes=1000),
-            FaultProfile(seed=0, malloc_error_rate=1.0, burst=burst),
-        )
-
-    def test_allocate_then_free_path_keeps_old_reservation(self):
-        # Ticks: allocate=0; roomy resize mallocs new first at tick 1.
-        backend = self.faulty_backend(burst=(1, 2))
-        pool = BackendPool([backend])
-        placement = pool.allocate(300, "sensor")
-        with pytest.raises(GpuMemoryError):
-            pool.resize(placement, 400)  # 400 <= 700 free: roomy path
-        assert backend.allocated_bytes == 300  # old block untouched
-        pool.release(placement)  # caller's handle still valid
-        assert backend.allocated_bytes == 0
-
-    def test_tight_path_restores_old_reservation(self):
-        # Ticks: allocate=0; tight resize frees at 1, mallocs at 2 (the
-        # injected failure); the restore malloc at tick 3 succeeds.
-        backend = self.faulty_backend(burst=(2, 3))
-        pool = BackendPool([backend])
-        placement = pool.allocate(600, "sensor")
-        with pytest.raises(GpuMemoryError) as excinfo:
-            pool.resize(placement, 700)  # 700 > 400 free: tight path
-        assert backend.allocated_bytes == 600  # reservation re-established
-        restored = excinfo.value.placement  # fresh handle rides the error
-        assert restored.allocation.nbytes == 600
-        pool.release(restored)
-        assert backend.allocated_bytes == 0
-
-    def test_growth_beyond_capacity_refused_up_front(self):
-        backend = NativeBackend(capacity_bytes=1000)
-        pool = BackendPool([backend])
-        placement = pool.allocate(600, "sensor")
-        with pytest.raises(GpuMemoryError):
-            pool.resize(placement, 1200)
-        assert backend.allocated_bytes == 600
 
 
 class TestDegradationLadder:

@@ -5,6 +5,7 @@ import pytest
 
 from repro.backend import NativeBackend, SimulatedGpuBackend
 from repro.core import SMiLerConfig
+from repro.core.smiler import SMiLer
 from repro.gpu.costmodel import DeviceSpec
 from repro.service import Forecast, PredictionService, SnapshotCorruptionError
 
@@ -79,6 +80,58 @@ class TestRegistration:
         for _ in range(50):
             service.register("s", raw_history())
             service.deregister("s")
+        assert service.backends[0].allocated_bytes == 0
+
+
+class TestExactReservation:
+    """Admission reserves the analytic estimate and never adjusts it:
+    at every point a sensor is (re-)admitted, estimate ==
+    ``memory_bytes()`` == what the pool holds for it."""
+
+    BACKENDS = {"simulated": SimulatedGpuBackend, "native": NativeBackend}
+
+    @staticmethod
+    def assert_exact(service, sensor_ids):
+        assert sensor_ids
+        for sensor_id in sensor_ids:
+            smiler = service.sensor(sensor_id)
+            estimate = SMiLer.estimate_memory_bytes(
+                smiler.series.size, smiler.config
+            )
+            reserved = service._placements[sensor_id].allocation.nbytes
+            assert estimate == smiler.memory_bytes() == reserved
+
+    def make_fleet(self, backend_name, n_backends=1):
+        service = make_service(
+            backends=[self.BACKENDS[backend_name]() for _ in range(n_backends)]
+        )
+        for i in range(3):
+            full = raw_history(n=500 + 37 * i, seed=i)
+            service.register(f"s{i}", full[:-5])
+            self.assert_exact(service, [f"s{i}"])
+            for value in full[-5:]:  # grow past the registered length
+                service.ingest(f"s{i}", value)
+        return service
+
+    @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+    def test_register_and_restore(self, backend_name, tmp_path):
+        service = self.make_fleet(backend_name)
+        assert service._pool.allocated_bytes == sum(
+            p.allocation.nbytes for p in service._placements.values()
+        )
+        service.snapshot(tmp_path)
+        restored = make_service(backends=[self.BACKENDS[backend_name]()])
+        restored.restore(tmp_path)
+        self.assert_exact(restored, restored.sensor_ids)
+        assert restored._pool.allocated_bytes == sum(
+            restored.sensor(sid).memory_bytes() for sid in restored.sensor_ids
+        )
+
+    @pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+    def test_evacuate(self, backend_name):
+        service = self.make_fleet(backend_name, n_backends=2)
+        moved = service.evacuate(0)
+        self.assert_exact(service, moved)
         assert service.backends[0].allocated_bytes == 0
 
 
