@@ -16,8 +16,8 @@ the seeded workload:
   ``claims_exact`` component ranks negative (a pure optimisation the
   system measures better without has to go, not stay switchable).
 * **Deterministic counters** of the everything-on run: MAE, simulated
-  kernel seconds (summed and per-shard maximum), verified rate, total
-  prune rate.
+  kernel seconds (summed and per-shard maximum), kernel launches over
+  the shards, verified rate, total prune rate.
 
 Wall-clock fields in the payload are informational; whether the round
 got faster is ``benchmarks/roundbench``'s question, answered in
@@ -57,6 +57,7 @@ _BASELINE_METRICS = (
     ("serving.mae", True),
     ("serving.sim_s", True),
     ("serving.sim_parallel_s", True),
+    ("serving.launches", True),
     ("search.sim_s", True),
     ("search.verified_rate", True),
 )

@@ -337,12 +337,17 @@ def _run_serving_phase(
     finally:
         service.close()  # flush worker-held ledgers/telemetry
     sim_seconds = [backend.elapsed_s for backend in service.backends]
+    # Kernel launches over the shards; a backend with no cost model
+    # (native) counts none, so the field is null rather than a false 0.
+    costs = [getattr(backend, "cost", None) for backend in service.backends]
+    launches = None if None in costs else sum(cost.launches for cost in costs)
     return {
         "backend": setup.backend_kind,
         "wall_s": float(wall_s),
         "p50_batch_s": float(np.percentile(np.asarray(latencies), 50)),
         "sim_s": float(sum(sim_seconds)),
         "sim_parallel_s": float(max(sim_seconds)),
+        "launches": launches,
         "mae": float(np.mean(abs_errors)),
         "degraded_forecasts": int(degraded),
         "forecast_digest": digest.hexdigest(),

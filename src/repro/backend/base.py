@@ -79,15 +79,24 @@ class ComputeBackend(Protocol):
         candidates: np.ndarray,
         rho: int,
     ) -> np.ndarray:
-        """Banded (Sakoe-Chiba ``rho``) DTW of one query vs many candidates."""
+        """Banded (Sakoe-Chiba ``rho``) DTW of many candidates against
+        one ``(d,)`` query, or — ``query`` of shape ``(n, d)`` — candidate
+        ``i`` against query row ``i`` (one launch fused across sensors)."""
         ...
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Unbanded DTW of one query vs many candidates (GPUScan baseline)."""
         ...
 
-    def k_select(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k smallest values, sorted ascending, ties by index."""
+    def k_select(self, values: np.ndarray, k: int, offsets=None):
+        """Indices of the k smallest values, sorted ascending, ties by index.
+
+        With ``offsets`` (rising strictly from 0 to ``values.size``) the
+        selection is segmented: one kernel op selects within every
+        ``values[offsets[i]:offsets[i + 1]]`` and returns one array of
+        segment-relative indices per segment (``min(k, segment size)``
+        each) — exactly what the plain call returns for that segment.
+        """
         ...
 
     def launch(
@@ -194,7 +203,8 @@ class SubstrateBackend:
         candidates: np.ndarray,
         rho: int,
     ) -> np.ndarray:
-        """Banded DTW of one query against many candidates."""
+        """Banded DTW of many candidates against one query (``(d,)``) or
+        one query each (``(n, d)``)."""
         candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
         if candidates.shape[0] == 0:
             return np.empty(0)
@@ -207,16 +217,33 @@ class SubstrateBackend:
             return np.empty(0)
         return self._run_full_dtw(query, candidates)
 
-    def k_select(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Indices of the k smallest values, ascending, ties by index."""
+    def k_select(self, values: np.ndarray, k: int, offsets=None):
+        """Indices of the k smallest values, ascending, ties by index;
+        per segment when ``offsets`` is given (see :class:`ComputeBackend`).
+
+        The plain call is the one-segment case of the same kernel op.
+        """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("k_select expects a 1-D array")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
-        if values.size == 0:
-            raise ValueError("cannot select from an empty array")
-        return self._run_k_select(values, min(k, values.size))
+        if offsets is None:
+            if values.size == 0:
+                raise ValueError("cannot select from an empty array")
+            return self._run_k_select(values, k, (0, values.size))[0]
+        offsets = [int(offset) for offset in offsets]
+        if (
+            len(offsets) < 2
+            or offsets[0] != 0
+            or offsets[-1] != values.size
+            or any(lo >= hi for lo, hi in zip(offsets, offsets[1:]))
+        ):
+            raise ValueError(
+                "offsets must rise strictly from 0 to values.size "
+                f"({values.size}): no segment may be empty, got {offsets}"
+            )
+        return self._run_k_select(values, k, offsets)
 
     def launch(
         self,

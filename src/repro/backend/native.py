@@ -47,14 +47,17 @@ class NativeBackend(SubstrateBackend):
     def _run_full_dtw(self, query, candidates):
         return dtw_batch(query, candidates, rho=None)
 
-    def _run_k_select(self, values, k):
-        """Stable argsort — the wall-clock fast path.
+    def _run_k_select(self, values, k, offsets):
+        """Stable argsort per segment — the wall-clock fast path.
 
         Matches the simulated kernel's answer exactly — equal values land
         in the same partition bucket there, so both resolve ties by index
         and order the answer ascending by value.
         """
-        return np.argsort(values, kind="stable")[:k]
+        return [
+            np.argsort(values[lo:hi], kind="stable")[:k]
+            for lo, hi in zip(offsets[:-1], offsets[1:])
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"NativeBackend({self.ledger!r})"

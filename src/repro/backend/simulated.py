@@ -46,11 +46,11 @@ class SimulatedGpuBackend(SubstrateBackend):
         with self._lock:
             return full_dtw_kernel(self.cost, query, candidates)
 
-    def _run_k_select(self, values, k):
-        """Device k-selection by distributive partitioning: the pass
-        count feeds the cost model."""
+    def _run_k_select(self, values, k, offsets):
+        """Device k-selection by distributive partitioning, one block per
+        segment: the slowest block's pass count feeds the cost model."""
         with self._lock:
-            return k_select_kernel(self.cost, values, k)
+            return k_select_kernel(self.cost, values, k, offsets)
 
     def launch(
         self,

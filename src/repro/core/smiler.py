@@ -25,7 +25,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend.base import ComputeBackend, as_backend
-from ..index.suffix_search import SuffixKnnAnswer, SuffixKnnEngine, SuffixSearchConfig
+from ..index.suffix_search import (
+    SuffixKnnAnswer,
+    SuffixKnnEngine,
+    SuffixSearchConfig,
+    search_many,
+)
 from ..index.window_index import WindowLevelIndex
 from ..obs import hooks as obs
 from .ar import AggregationPredictor
@@ -88,8 +93,8 @@ class SMiLer:
         }
         # Index of the next unobserved point.
         self._now = history.size
+        # kNN answers for the current step; None = stale (re-search).
         self._answers: dict[int, SuffixKnnAnswer] | None = None
-        self._answers_at = -1
 
     def _search_config(self) -> SuffixSearchConfig:
         return SuffixSearchConfig(
@@ -118,9 +123,8 @@ class SMiLer:
         return self._ensembles[horizon]
 
     def _current_answers(self) -> dict[int, SuffixKnnAnswer]:
-        if self._answers is None or self._answers_at != self._now:
-            self._answers = self.engine.search()
-            self._answers_at = self._now
+        if self._answers is None:
+            self.install(self.engine.search())
         return self._answers
 
     # -------------------------------------------------------------- predict
@@ -209,7 +213,6 @@ class SMiLer:
         self.backend = backend
         self.engine = engine
         self._answers = None
-        self._answers_at = -1
         return self
 
     def _remember(self, horizon: int, output: EnsembleOutput) -> None:
@@ -222,7 +225,20 @@ class SMiLer:
 
     # -------------------------------------------------------------- observe
     def observe(self, value: float) -> None:
-        """Feed the newly revealed true value: auto-tune, then advance."""
+        """Feed the newly revealed true value: auto-tune, advance, search."""
+        self.absorb(value)
+        self.install(self.engine.search())
+
+    def absorb(self, value: float) -> None:
+        """The host-side half of :meth:`observe`: auto-tune on the revealed
+        value and append it.
+
+        The reading is retained whatever happens to the follow-up search
+        (a caller serving many sensors runs that search once for the
+        group, see :func:`~repro.index.suffix_search.search_many`); the
+        kNN answers are stale from here until :meth:`install`, so a
+        predict in between — possibly after a rebind — re-searches.
+        """
         value = float(value)
         arrived = self._now
         for h, queue in self._pending.items():
@@ -235,19 +251,13 @@ class SMiLer:
             if queue and queue[0].due_index == arrived:
                 update = queue.popleft()
                 self._ensembles[h].update(value, update.components)
-        # Host-side append first: the reading is retained even when the
-        # follow-up search dies on a sick backend.  A failed search only
-        # leaves the kNN answers stale — invalidate them so the next
-        # predict (possibly after a rebind) re-searches.
         self.engine.advance(value)
         self._now += 1
-        try:
-            self._answers = self.engine.search()
-            self._answers_at = self._now
-        except Exception:
-            self._answers = None
-            self._answers_at = -1
-            raise
+        self._answers = None
+
+    def install(self, answers: dict[int, SuffixKnnAnswer]) -> None:
+        """Adopt kNN answers searched for the current step."""
+        self._answers = answers
 
     # ------------------------------------------------------------- memory
     def memory_bytes(self) -> int:
@@ -344,8 +354,13 @@ class SensorFleet:
             raise ValueError(
                 f"{values.size} values for {len(self.sensors)} sensors"
             )
+        # Every reading is retained before the one group search runs; if
+        # that fails, every sensor's answers stay invalidated.
         for sensor, value in zip(self.sensors, values):
-            sensor.observe(float(value))
+            sensor.absorb(float(value))
+        found = search_many([sensor.engine for sensor in self.sensors])
+        for sensor, answers in zip(self.sensors, found):
+            sensor.install(answers)
 
     def memory_bytes(self) -> int:
         """Device-resident footprint in bytes."""

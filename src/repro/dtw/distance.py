@@ -171,8 +171,10 @@ def dtw_distance_early_abandon(
 def dtw_batch(query, candidates, rho: int | None = None) -> np.ndarray:
     """Banded DTW between one query and many candidates, vectorised.
 
-    ``candidates`` has shape ``(n, d)``.  This is :func:`dtw_batch_pruned`
-    with no cutoff: nothing is abandoned, every candidate gets a distance.
+    ``candidates`` has shape ``(n, d)``; ``query`` is ``(d,)`` (every
+    candidate against the one query) or ``(n, d)`` (row ``i`` against
+    candidate ``i``).  This is :func:`dtw_batch_pruned` with no cutoff:
+    nothing is abandoned, every candidate gets a distance.
     """
     return dtw_batch_pruned(query, candidates, rho)
 
@@ -209,6 +211,9 @@ def dtw_batch_pruned(
     Abandoned candidates report ``inf`` — their true distance is
     guaranteed ``> cutoff``.
 
+    ``query`` is ``(d,)``, broadcast over the candidates, or ``(n, d)``,
+    one query per candidate — the shape a launch fused across sensors
+    hands over; the per-candidate arithmetic is the same either way.
     ``rho=None`` removes the band; ``lb_terms=None`` disables the tail
     (row minima still abandon).  ``return_cells=True`` additionally
     returns the number of DP cells expanded *in row-major terms* — every
@@ -218,13 +223,12 @@ def dtw_batch_pruned(
     """
     query = np.asarray(query, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-    d = query.size
-    if candidates.shape[1] != d:
+    n, d = candidates.shape
+    if query.shape not in ((d,), (n, d)):
         raise ValueError(
-            f"candidates of length {candidates.shape[1]} do not match query "
-            f"of length {d}"
+            f"query of shape {query.shape} matches neither one query of "
+            f"length {d} nor one per candidate ({n}, {d})"
         )
-    n = candidates.shape[0]
     if n == 0:
         empty = np.empty(0)
         return (empty, 0) if return_cells else empty
@@ -239,13 +243,12 @@ def dtw_batch_pruned(
                 f"{n} candidates of length {d}"
             )
     threshold = cutoff + ABANDON_SLACK
-    query_column = query[:, None]
     out = np.empty(n)
     cells = 0
     for start in range(0, n, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
         out[block], block_cells = _wavefront_block(
-            query_column,
+            query if query.ndim == 1 else query[block],
             candidates[block],
             band,
             threshold,
@@ -279,7 +282,7 @@ def _band_geometry(d: int, band: int) -> tuple[tuple, tuple]:
 
 
 def _wavefront_block(
-    query_column: np.ndarray,
+    query: np.ndarray,
     candidates: np.ndarray,
     band: int,
     threshold: float,
@@ -297,6 +300,8 @@ def _wavefront_block(
     ``inf`` when it is written, which is all a later diagonal can read
     outside the range.  Per cell the arithmetic is the scalar
     recurrence's: ``(q_i - c_j)**2 + min`` of the three predecessors.
+    The query plane is ``(d, 1)`` (one query, broadcast over the slab) or
+    ``(d, n)`` (column ``c`` is candidate ``c``'s own query).
 
     Rows finish in increasing order (row ``i`` on diagonal
     ``i + min(d, i + band)``, always as the diagonal's first cell), so
@@ -311,6 +316,9 @@ def _wavefront_block(
     # cand[k] = candidates[:, d - 1 - k]: the cells (i, s - i) of diagonal
     # s, i ascending, read the contiguous rows d - s + i.
     cand = np.ascontiguousarray(candidates[:, ::-1].T)
+    query_plane = (
+        query[:, None] if query.ndim == 1 else np.ascontiguousarray(query.T)
+    )
     # Planes 0-2: the rotating diagonals; plane 3: running row minima.
     state = np.full((4 if prune else 3, d + 2, n), _INF)
     state[0, 0] = 0.0  # gamma(0, 0)
@@ -341,7 +349,7 @@ def _wavefront_block(
         np.minimum(slab, state[(s - 2) % 3][lo - 1 : hi], out=slab)
         step = cost[: hi - lo + 1]
         np.subtract(
-            query_column[lo - 1 : hi], cand[d - s + lo : d - s + hi + 1], out=step
+            query_plane[lo - 1 : hi], cand[d - s + lo : d - s + hi + 1], out=step
         )
         np.square(step, out=step)
         np.add(step, slab, out=slab)
@@ -371,6 +379,8 @@ def _wavefront_block(
             survivors = np.flatnonzero(live)
             state = state.take(survivors, axis=2)
             cand = cand.take(survivors, axis=1)
+            if query_plane.shape[1] > 1:
+                query_plane = query_plane.take(survivors, axis=1)
             cost = np.empty((cost.shape[0], n_live))
             columns = columns[survivors]
             live = np.ones(n_live, dtype=bool)

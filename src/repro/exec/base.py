@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import abc
 import contextlib
+import itertools
 import os
 import time
 import weakref
@@ -103,28 +104,32 @@ def execute_ops(service: "PredictionService", ops: Sequence[tuple]) -> list:
     single; inline and thread lanes run it on the serving process, the
     process engine runs it inside each shard's worker — so op semantics
     (what a ``forecast`` op catches, what an ``ingest`` op propagates)
-    cannot drift between engines or entry points.
+    cannot drift between engines or entry points.  Forecast ops are
+    served one by one; a run of consecutive ingest ops — a shard's slice
+    of ``ingest_many``, or the one op of ``ingest()`` — is handed to the
+    service as one lane of readings.
     """
     outcomes: list = []
-    for op in ops:
-        if op[0] == "forecast":
-            _, sensor_id, horizon, level = op
-            try:
-                outcomes.append(
-                    ("ok", service._forecast_op(sensor_id, horizon, level))
-                )
-            except Exception as error:  # noqa: BLE001 - per-sensor side-channel
-                outcomes.append(("err", error))
-        elif op[0] == "ingest":
-            _, sensor_id, value = op
-            # Validation happened at the service entry point; failures here
-            # are absorbed by the resilience path, so an ingest op only
-            # propagates genuinely unexpected errors (failing the lane,
-            # exactly as the pre-engine sequential path did).
-            service._observe_resilient(sensor_id, value)
-            outcomes.append(("ok", None))
+    for kind, run in itertools.groupby(ops, key=lambda op: op[0]):
+        if kind == "forecast":
+            for _, sensor_id, horizon, level in run:
+                try:
+                    outcomes.append(
+                        ("ok", service._forecast_op(sensor_id, horizon, level))
+                    )
+                except Exception as error:  # noqa: BLE001 - per-sensor side-channel
+                    outcomes.append(("err", error))
+        elif kind == "ingest":
+            # A run of ingest ops is one lane of readings: absorbed one by
+            # one, searched as a group.  Validation happened at the service
+            # entry point and backend failures are absorbed by the
+            # resilience path, so only genuinely unexpected errors
+            # propagate (failing the lane).
+            readings = [(sensor_id, value) for _, sensor_id, value in run]
+            service._observe_lane(readings)
+            outcomes.extend([("ok", None)] * len(readings))
         else:  # pragma: no cover - programming error
-            raise ValueError(f"unknown lane op {op[0]!r}")
+            raise ValueError(f"unknown lane op {kind!r}")
     return outcomes
 
 

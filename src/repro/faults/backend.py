@@ -141,7 +141,8 @@ class FaultInjectingBackend:
         candidates: np.ndarray,
         rho: int,
     ) -> np.ndarray:
-        """Banded DTW, possibly failing or NaN-corrupted per the profile."""
+        """Banded DTW (one query or one per candidate — one operation
+        either way), possibly failing or NaN-corrupted per the profile."""
         with self._lock:
             tick = self._kernel_preamble("dtw_verification")
             out = self.inner.dtw_verification(query, candidates, rho)
@@ -154,11 +155,12 @@ class FaultInjectingBackend:
             out = self.inner.full_dtw(query, candidates)
             return self._maybe_corrupt("full_dtw", tick, out)
 
-    def k_select(self, values: np.ndarray, k: int) -> np.ndarray:
-        """Device k-selection (indices are never NaN-corrupted)."""
+    def k_select(self, values: np.ndarray, k: int, offsets=None):
+        """Device k-selection, plain or segmented — one operation either
+        way (indices are never NaN-corrupted)."""
         with self._lock:
             self._kernel_preamble("k_select")
-            return self.inner.k_select(values, k)
+            return self.inner.k_select(values, k, offsets)
 
     def launch(
         self,

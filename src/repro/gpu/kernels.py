@@ -8,8 +8,8 @@ stays inspectable and testable.
 
 Inputs arrive coerced and validated by the dispatching backend
 (:class:`repro.backend.base.SubstrateBackend`): ``candidates`` is a
-non-empty 2-D float64 array, ``values`` a non-empty 1-D float64 array
-and ``1 <= k <= values.size``.
+non-empty 2-D float64 array, ``values`` a non-empty 1-D float64 array,
+``offsets`` rises strictly from 0 to ``values.size`` and ``k >= 1``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ def dtw_verification_kernel(
     candidates: np.ndarray,
     rho: int,
 ) -> np.ndarray:
-    """Banded DTW of one query against many candidates (Algorithm 2).
+    """Banded DTW of many candidates against one query, or against one
+    query each — a launch fused across sensors (Algorithm 2).
 
     One thread per candidate; the compressed ``2 x (2*rho + 2)`` warping
     matrix fits in shared memory, so no global-memory penalty applies.
@@ -58,8 +59,7 @@ def dtw_verification_kernel(
     cells — which is also the block's slowest thread, the count
     :meth:`GpuCostModel.launch` asks for.
     """
-    n = candidates.shape[0]
-    d = int(np.asarray(query).size)
+    n, d = candidates.shape
     n_blocks = -(-n // THREADS_PER_BLOCK)
     cells = d * min(d, 2 * rho + 1)
     cost.launch(
@@ -92,23 +92,41 @@ def full_dtw_kernel(
 
 
 def k_select_kernel(
-    cost: GpuCostModel, values: np.ndarray, k: int
-) -> np.ndarray:
-    """Indices of the k smallest values via distributive partitioning [3].
+    cost: GpuCostModel, values: np.ndarray, k: int, offsets
+) -> list[np.ndarray]:
+    """Per-segment indices of the k smallest values via distributive
+    partitioning [3]; segment ``i`` is ``values[offsets[i]:offsets[i+1]]``.
 
     Mirrors the paper's two improvements over [3]: one block handles one
-    query's selection (so many selections run concurrently as separate
-    launches here) and *all* k smallest are returned, not just the k-th.
+    query's selection, so the selections of every segment share one
+    launch (charged at its slowest block), and *all* k smallest are
+    returned, not just the k-th.
+    """
+    chosen: list[np.ndarray] = []
+    slowest = 0
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        indices, passes = _partition_select(values[lo:hi], min(k, hi - lo))
+        chosen.append(indices)
+        slowest = max(slowest, passes * (hi - lo))
+    cost.launch(
+        "k_select",
+        n_blocks=len(chosen),
+        ops_per_thread=slowest * OPS_PER_SELECT_ELEM / THREADS_PER_BLOCK,
+        threads_per_block=THREADS_PER_BLOCK,
+    )
+    return chosen
+
+
+def _partition_select(values: np.ndarray, k: int) -> tuple[np.ndarray, int]:
+    """One block's selection: ``(indices of the k smallest, passes)``.
 
     The algorithm range-partitions into 256 buckets, keeps every bucket
     strictly below the one containing the k-th value, and recurses into
     that pivot bucket; each pass touches the surviving elements once.
     """
-    n = values.size
-
     n_buckets = 256
     selected: list[np.ndarray] = []
-    active = np.arange(n)
+    active = np.arange(values.size)
     remaining = k
     passes = 0
     # Guaranteed to terminate: each pass either resolves ties exactly or
@@ -136,12 +154,6 @@ def k_select_kernel(
         remaining -= int(below.sum())
         active = active[buckets == pivot]
 
-    cost.launch(
-        "k_select",
-        n_blocks=1,
-        ops_per_thread=passes * n * OPS_PER_SELECT_ELEM / THREADS_PER_BLOCK,
-        threads_per_block=THREADS_PER_BLOCK,
-    )
     chosen = np.concatenate(selected) if selected else np.empty(0, dtype=int)
     order = np.argsort(values[chosen], kind="stable")
-    return chosen[order]
+    return chosen[order], passes

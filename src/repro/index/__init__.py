@@ -3,7 +3,12 @@
 from .direct import direct_lb_en
 from .group_index import GroupLevelIndex, ItemLowerBounds
 from .reference import algorithm1_reference
-from .suffix_search import SuffixKnnAnswer, SuffixKnnEngine, SuffixSearchConfig
+from .suffix_search import (
+    SuffixKnnAnswer,
+    SuffixKnnEngine,
+    SuffixSearchConfig,
+    search_many,
+)
 from .window_index import WindowLevelIndex
 
 __all__ = [
@@ -11,6 +16,7 @@ __all__ = [
     "direct_lb_en",
     "GroupLevelIndex",
     "ItemLowerBounds",
+    "search_many",
     "SuffixKnnAnswer",
     "SuffixKnnEngine",
     "SuffixSearchConfig",

@@ -83,6 +83,19 @@ class GroupLevelIndex:
         self.window_index = window_index
         self.item_lengths = lengths
         self.backend = backend if backend is not None else window_index.backend
+        # Per b: the item queries whose CSG_{i,b} has exactly m windows,
+        # each with the start of its first aligned segment (Lemma 4.1 at
+        # r = m - 1) — fixed by (d, b, omega), so tabulated once.
+        omega = window_index.omega
+        self._closing: list[dict[int, list[tuple[int, int]]]] = []
+        for b in range(omega):
+            by_m: dict[int, list[tuple[int, int]]] = {}
+            for d in lengths:
+                m = csg_size(d, b, omega)
+                if m:
+                    offset = aligned_segment_start(d, b, m - 1, omega)
+                    by_m.setdefault(m, []).append((d, offset))
+            self._closing.append(by_m)
 
     def compute(self) -> dict[int, ItemLowerBounds]:
         """One pass of Algorithm 1: bounds for every item query."""
@@ -104,15 +117,12 @@ class GroupLevelIndex:
             return results
 
         total_sum_elements = 0
-        for b in range(omega):
-            # Item queries whose CSG_{i,b} has m windows, grouped by m.
-            m_of_item = {d: csg_size(d, b, omega) for d in self.item_lengths}
-            max_m = max(m_of_item.values())
-            if max_m == 0:
+        for b, closing in enumerate(self._closing):
+            if not closing:
                 continue
             peq = np.zeros(n_dw)
             pec = np.zeros(n_dw)
-            for m in range(1, max_m + 1):
+            for m in range(1, max(closing) + 1):
                 w = b + (m - 1) * omega
                 if w >= wi.n_sw:
                     break
@@ -121,10 +131,8 @@ class GroupLevelIndex:
                 peq[shift:] += wi.lbeq_row(w)[: n_dw - shift]
                 pec[shift:] += wi.lbec_row(w)[: n_dw - shift]
                 total_sum_elements += 2 * (n_dw - shift)
-                for d, m_i in m_of_item.items():
-                    if m_i != m:
-                        continue
-                    self._emit(results[d], peq, pec, b, m, omega, series_len)
+                for d, offset in closing.get(m, ()):
+                    self._emit(results[d], peq, pec, m, offset, omega)
         self.backend.launch(
             "group_index_sum",
             n_blocks=omega,
@@ -141,21 +149,24 @@ class GroupLevelIndex:
         out: ItemLowerBounds,
         peq: np.ndarray,
         pec: np.ndarray,
-        b: int,
         m: int,
+        offset: int,
         omega: int,
-        series_len: int,
     ) -> None:
-        """Write the partial sums into the candidate-start arrays."""
-        d = out.item_length
-        n_dw = peq.size
-        rs = np.arange(m - 1, n_dw)
-        if rs.size == 0:
+        """Write the partial sums into the candidate-start arrays.
+
+        Partial sum ``r = m - 1 + j`` bounds the segment starting at
+        ``offset + j * omega``: a contiguous run of sums against a
+        stride-``omega`` run of starts, clipped to the starts that exist
+        (``0 <= t <= series_len - d``, the last index of ``out``).
+        """
+        first = -(offset // omega)  # least j with a start >= 0
+        last = min(peq.size - m, (out.lbeq.size - 1 - offset) // omega)
+        n = last - first + 1
+        if n <= 0:
             return
-        offset = aligned_segment_start(d, b, m - 1, omega)
-        ts = offset + (rs - (m - 1)) * omega
-        valid = (ts >= 0) & (ts + d <= series_len)
-        ts, rs = ts[valid], rs[valid]
-        out.lbeq[ts] = peq[rs]
-        out.lbec[ts] = pec[rs]
-        out.covered[ts] = True
+        t0 = offset + first * omega
+        r0 = m - 1 + first
+        out.lbeq[t0::omega][:n] = peq[r0 : r0 + n]
+        out.lbec[t0::omega][:n] = pec[r0 : r0 + n]
+        out.covered[t0::omega][:n] = True

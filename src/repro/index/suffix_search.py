@@ -2,8 +2,8 @@
 
 The :class:`SuffixKnnEngine` glues the two index levels to the paper's
 filter → verify → select pipeline, one straight-line path per item
-query, cheapest bound first, each tier only touching survivors of the
-previous one:
+query, cheapest bound first, each candidate charged to the first tier
+that kills it:
 
 * **tier 0 — LB_Kim**: the O(1) first/last-point bound (two series
   touches per candidate, vectorised over all candidates),
@@ -32,15 +32,34 @@ lose exactness).
 `step()` advances one continuous-prediction tick: the observed point is
 appended, the window level is ring-updated (Remark 1), the master query
 rolls by one point, and the search repeats with threshold reuse.
+
+The unit of search is a *group* of engines on one backend — the sensors
+of one shard (Section 4.4: the GPU serves many sensors at once, one
+candidate per thread, one block per query's selection).
+:func:`search_many` computes each engine's lower bounds, then per item
+length runs
+
+* **(A)** per engine: valid starts, their bounds, the seed choice;
+* **(B)** one ``dtw_verification`` over the group's concatenated seeds;
+* **(C)** per engine: ``tau_i``, the two filter tiers, seeds dropped from
+  the survivors by a boolean mask over starts — and one
+  ``search_lb_kim`` launch for the group;
+* **(D)** one ``dtw_verification`` over the concatenated survivors;
+* **(E)** per engine: the verified pool, then one segmented k-selection,
+  one block per engine.
+
+Every fused launch pairs row ``i`` with its own engine's query, so each
+engine's answer is the one it gets searched alone;
+:meth:`SuffixKnnEngine.search` *is* a group of one.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend.base import ComputeBackend, as_backend
 from ..dtw.lower_bounds import lb_kim_profile
@@ -49,7 +68,9 @@ from ..obs import hooks as obs
 from .group_index import GroupLevelIndex, ItemLowerBounds
 from .window_index import WindowLevelIndex
 
-__all__ = ["SuffixSearchConfig", "SuffixKnnEngine", "SuffixKnnAnswer"]
+__all__ = [
+    "SuffixSearchConfig", "SuffixKnnEngine", "SuffixKnnAnswer", "search_many",
+]
 
 logger = logging.getLogger(__name__)
 
@@ -176,14 +197,8 @@ class SuffixKnnEngine:
 
     # --------------------------------------------------------------- search
     def search(self) -> dict[int, SuffixKnnAnswer]:
-        """Run the Suffix kNN Search for every item query."""
-        with obs.span("search", self.backend):
-            with obs.span("lower_bounds", self.backend):
-                bounds = self.group_index.compute()
-            return {
-                d: self._search_one(d, bounds[d])
-                for d in self.config.item_lengths
-            }
+        """Run the Suffix kNN Search for every item query (a group of one)."""
+        return search_many([self])[0]
 
     def advance(self, new_point: float) -> None:
         """Append one new point and slide the master query (host-side
@@ -196,131 +211,244 @@ class SuffixKnnEngine:
         return self.search()
 
     # -------------------------------------------------------------- helpers
-    def _seed_threshold(
-        self,
-        d: int,
-        k: int,
-        starts: np.ndarray,
-        bound: np.ndarray,
-        segments: np.ndarray,
-        query: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray, float]:
-        """Verified seed pool and the threshold ``tau_i`` (its k-th DTW)."""
-        cfg = self.config
+    def _seed_starts(self, d: int, bound: np.ndarray) -> np.ndarray:
+        """The candidate starts whose true DTWs seed ``tau_i`` (at least
+        ``k`` of them; ``bound`` holds one lower bound per valid start)."""
+        k = min(self.config.k_max, bound.size)
         prev = self._previous_knn.get(d)
-        if cfg.reuse_threshold and prev is not None:
+        if self.config.reuse_threshold and prev is not None:
             # Previous kNN segments are near-optimal for the barely-moved
             # query; their k-th smallest current DTW is a tight threshold.
-            seed_starts = prev[(prev >= starts[0]) & (prev <= starts[-1])]
-            if seed_starts.size < k:
-                extra = starts[np.argsort(bound, kind="stable")[:k]]
-                seed_starts = np.union1d(seed_starts, extra)
-        else:
-            logger.debug(
-                "item d=%d: no previous kNN to reuse; seeding tau from "
-                "the smallest-LB pool", d,
-            )
-            pool = min(max(4 * k, 64), starts.size)
-            seed_starts = starts[np.argpartition(bound, pool - 1)[:pool]]
-        seed_distances = self.backend.dtw_verification(
-            query, segments[seed_starts], cfg.rho
+            seeds = prev[prev < bound.size]
+            if seeds.size < k:
+                extra = np.argsort(bound, kind="stable")[:k]
+                seeds = np.union1d(seeds, extra)
+            return seeds
+        logger.debug(
+            "item d=%d: no previous kNN to reuse; seeding tau from "
+            "the smallest-LB pool", d,
         )
-        tau = float(np.partition(seed_distances, k - 1)[k - 1])
-        return seed_starts, seed_distances, tau
+        pool = min(max(4 * k, 64), bound.size)
+        return np.argpartition(bound, pool - 1)[:pool]
 
-    def _search_one(self, d: int, lbs: ItemLowerBounds) -> SuffixKnnAnswer:
-        cfg = self.config
-        series = self.window_index.series
-        query = self.item_query(d)
-        # Valid starts: the h-step target must already be observed.
-        starts = np.arange(max(series.size - d - cfg.margin + 1, 0))
-        if starts.size == 0:
+
+def search_many(
+    engines: Sequence[SuffixKnnEngine],
+) -> list[dict[int, SuffixKnnAnswer]]:
+    """Suffix kNN Search for a group of engines, kernel launches fused.
+
+    The engines must share one backend object and one
+    :class:`SuffixSearchConfig` (the sensors of one backend shard do, by
+    construction; there is no compatibility grouping in here — callers
+    group by placement).  Whatever the group's size, an item length
+    costs four kernel ops: seed verification, ``search_lb_kim``,
+    survivor verification, segmented k-selection.  Returns one
+    ``{item length: answer}`` per engine, in order.
+    """
+    if not engines:
+        return []
+    cfg, backend = engines[0].config, engines[0].backend
+    for engine in engines:
+        if engine.backend is not backend or engine.config != cfg:
             raise ValueError(
-                f"no candidates for item length {d}: series too short"
+                "search_many needs engines that share one backend object "
+                "and one SuffixSearchConfig; group them by placement first"
             )
-        k = min(cfg.k_max, starts.size)
-        bound = lbs.bound(cfg.lb_mode)[starts]
-        segments = sliding_window_view(series, d)
+    with obs.span("search", backend) as sp:
+        if sp is not None:
+            sp.attrs["n_sensors"] = len(engines)
+        with obs.span("lower_bounds", backend):
+            bounds = [engine.group_index.compute() for engine in engines]
+        answers: list[dict[int, SuffixKnnAnswer]] = [{} for _ in engines]
+        for d in cfg.item_lengths:
+            fused = _search_item(engines, d, [lbs[d] for lbs in bounds])
+            for per_engine, answer in zip(answers, fused):
+                per_engine[d] = answer
+    return answers
 
-        before = self.backend.elapsed_s
 
-        with obs.span("dtw_refine", self.backend) as sp:
-            seed_starts, seed_distances, tau = self._seed_threshold(
-                d, k, starts, bound, segments, query
-            )
-            gate = tau + _FILTER_SLACK
+@dataclass
+class _Member:
+    """One engine's slice of a fused item-length search."""
 
-            # --- filtering ---------------------------------------------------
-            survivors = starts
+    series: np.ndarray
+    query: np.ndarray
+    #: One lower bound per valid start ``0 .. bound.size - 1``.
+    bound: np.ndarray
+    #: Starts verified to seed ``tau_i``.
+    seeds: np.ndarray
+    #: Starts that passed both bounds, seeds excluded (set by phase C).
+    survivors: np.ndarray | None = None
+    unfiltered: int = 0
+    pruned_kim: int = 0
+    pruned_window: int = 0
+
+
+def _verify_fused(
+    backend: ComputeBackend,
+    rho: int,
+    members: list[_Member],
+    starts: list[np.ndarray],
+) -> list[np.ndarray]:
+    """One ``dtw_verification`` launch over every member's ``starts``,
+    each row against its own member's query; distances per member."""
+    counts = [picked.size for picked in starts]
+    span = np.arange(members[0].query.size)
+    rows = np.concatenate([
+        member.series[picked[:, None] + span]
+        for member, picked in zip(members, starts)
+    ])
+    queries = np.repeat(
+        np.stack([member.query for member in members]), counts, axis=0
+    )
+    distances = backend.dtw_verification(queries, rows, rho)
+    ends = np.cumsum(counts).tolist()
+    return [distances[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def _apportion(total: float, weights: Sequence[float]) -> list[float]:
+    """``total`` split in proportion to ``weights``: the parts tile it,
+    and a group of one gets all of it, bit for bit."""
+    whole = sum(weights)
+    return [total * (weight / whole) if whole else 0.0 for weight in weights]
+
+
+def _search_item(
+    engines: Sequence[SuffixKnnEngine],
+    d: int,
+    item_bounds: list[ItemLowerBounds],
+) -> list[SuffixKnnAnswer]:
+    """One item length for the whole group (phases A-E of the module
+    docstring); one answer per engine, in order."""
+    cfg, backend = engines[0].config, engines[0].backend
+    t_start = backend.elapsed_s
+
+    with obs.span("dtw_refine", backend) as sp:
+        # (A) Valid starts are 0..n-1: the h-step target of a candidate
+        # must already be observed.
+        members = []
+        for engine, lbs in zip(engines, item_bounds):
+            series = engine.series
+            n = series.size - d - cfg.margin + 1
+            if n <= 0:
+                raise ValueError(
+                    f"no candidates for item length {d}: series too short"
+                )
+            bound = lbs.bound(cfg.lb_mode)[:n]
+            seeds = engine._seed_starts(d, bound)
+            members.append(_Member(series, engine.item_query(d), bound, seeds))
+
+        # (B) One launch verifies every engine's seeds.
+        seed_distances = _verify_fused(
+            backend, cfg.rho, members, [member.seeds for member in members]
+        )
+        t_seeded = backend.elapsed_s
+
+        # (C) tau_i is the k-th smallest seed DTW; both tiers prune
+        # against it.  Seeds are already verified: they leave the
+        # survivors through the same mask over starts.
+        for member, seed_d in zip(members, seed_distances):
+            n = member.bound.size
+            k = min(cfg.k_max, n)
+            gate = float(np.partition(seed_d, k - 1)[k - 1]) + _FILTER_SLACK
+            # Tier 1: the precomputed window/group envelope bound.
+            alive = member.bound <= gate
+            after_kim = n
             if cfg.lb_kim:
                 # Tier 0: LB_Kim — two series touches per candidate.
-                keep = lb_kim_profile(query, series, starts) <= gate
-                survivors = starts[keep]
-                bound = bound[keep]
-                self.backend.launch(
-                    "search_lb_kim",
-                    n_blocks=-(-starts.size // THREADS_PER_BLOCK),
-                    ops_per_thread=2 * OPS_PER_LB_TERM,
-                    threads_per_block=THREADS_PER_BLOCK,
-                )
-            # Tier 1: the precomputed window/group envelope bound.
-            unfiltered = survivors[bound <= gate]
-            pruned_kim = int(starts.size - survivors.size)
-            pruned_window = int(survivors.size - unfiltered.size)
-
-            # --- verification ------------------------------------------------
-            # Seeds are already verified; drop them from the batch.
-            to_verify = unfiltered[~np.isin(unfiltered, seed_starts)]
-            distances = self.backend.dtw_verification(
-                query, segments[to_verify], cfg.rho
+                kim = lb_kim_profile(
+                    member.query, member.series, np.arange(n)
+                ) <= gate
+                after_kim = int(np.count_nonzero(kim))
+                alive &= kim
+            member.unfiltered = int(np.count_nonzero(alive))
+            member.pruned_kim = n - after_kim
+            member.pruned_window = after_kim - member.unfiltered
+            alive[member.seeds] = False
+            member.survivors = alive.nonzero()[0]
+        if cfg.lb_kim:
+            backend.launch(
+                "search_lb_kim",
+                n_blocks=sum(
+                    -(-member.bound.size // THREADS_PER_BLOCK)
+                    for member in members
+                ),
+                ops_per_thread=2 * OPS_PER_LB_TERM,
+                threads_per_block=THREADS_PER_BLOCK,
             )
-            if sp is not None:
-                sp.attrs["item_length"] = d
-                sp.attrs["verified"] = int(
-                    seed_starts.size + to_verify.size
-                )
-        # Snapshot the ledger at the span boundary: everything after this
-        # point is selection work, not verification work.
-        after_verify = self.backend.elapsed_s
+        t_filtered = backend.elapsed_s
 
-        # --- selection -------------------------------------------------------
-        # A faulty kernel can return a NaN distance; drop non-finite
-        # entries so one never reaches an answer.  Order the verified
-        # pool by start so k-selection's stable tie-breaking resolves
-        # equal distances by smallest start — exactly how the reference
-        # full scan breaks ties.
-        all_starts = np.concatenate([seed_starts, to_verify])
-        all_distances = np.concatenate([seed_distances, distances])
-        finite = np.isfinite(all_distances)
-        all_starts = all_starts[finite]
-        all_distances = all_distances[finite]
-        order = np.argsort(all_starts, kind="stable")
-        all_starts = all_starts[order]
-        all_distances = all_distances[order]
-        with obs.span("k_select", self.backend):
-            top = self.backend.k_select(all_distances, k)
-        after_select = self.backend.elapsed_s
-        answer_starts = all_starts[top]
-        answer_distances = all_distances[top]
-        self._previous_knn[d] = answer_starts.copy()
+        # (D) One launch verifies every engine's survivors.
+        distances = _verify_fused(
+            backend, cfg.rho, members, [member.survivors for member in members]
+        )
+        if sp is not None:
+            sp.attrs["item_length"] = d
+            sp.attrs["verified"] = sum(
+                member.seeds.size + member.survivors.size for member in members
+            )
+    # Snapshot the ledger at the span boundary: everything after this
+    # point is selection work, not verification work.
+    t_verified = backend.elapsed_s
+
+    # (E) A faulty kernel can return a NaN distance; drop non-finite
+    # entries so one never reaches an answer.  Order each verified pool
+    # by start so k-selection's stable tie-breaking resolves equal
+    # distances by smallest start — exactly how the reference full scan
+    # breaks ties.  Then one segmented k-selection, one block per engine.
+    pools = []
+    for member, seed_d, survivor_d in zip(members, seed_distances, distances):
+        starts = np.concatenate([member.seeds, member.survivors])
+        pool = np.concatenate([seed_d, survivor_d])
+        finite = np.isfinite(pool)
+        starts, pool = starts[finite], pool[finite]
+        order = np.argsort(starts, kind="stable")
+        pools.append((starts[order], pool[order]))
+    with obs.span("k_select", backend):
+        tops = backend.k_select(
+            np.concatenate([pool for _, pool in pools]),
+            cfg.k_max,
+            np.cumsum([0] + [pool.size for _, pool in pools]),
+        )
+    t_selected = backend.elapsed_s
+
+    # Each answer carries its row-share of each fused launch, normalised
+    # so that a group's answers tile the ledger delta.
+    launches = (
+        (t_seeded - t_start, [m.seeds.size for m in members]),
+        (t_filtered - t_seeded, [m.bound.size for m in members]),
+        (t_verified - t_filtered, [m.survivors.size for m in members]),
+    )
+    verification_s = _apportion(t_verified - t_start, [
+        sum(parts)
+        for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
+    ])
+    selection_s = _apportion(
+        t_selected - t_verified, [pool.size for _, pool in pools]
+    )
+
+    answers = []
+    for i, (engine, member, (starts, pool), top) in enumerate(
+        zip(engines, members, pools, tops)
+    ):
+        verified = int(member.seeds.size + member.survivors.size)
+        engine._previous_knn[d] = starts[top]
         obs.observe_search(
-            d,
-            int(starts.size),
-            int(unfiltered.size),
-            candidates_verified=int(seed_starts.size + to_verify.size),
-            pruned_kim=pruned_kim,
-            pruned_window=pruned_window,
+            d, member.bound.size, member.unfiltered,
+            candidates_verified=verified,
+            pruned_kim=member.pruned_kim,
+            pruned_window=member.pruned_window,
         )
-
-        return SuffixKnnAnswer(
+        answers.append(SuffixKnnAnswer(
             item_length=d,
-            starts=answer_starts,
-            distances=answer_distances,
-            candidates_total=int(starts.size),
-            candidates_unfiltered=int(unfiltered.size),
-            candidates_verified=int(seed_starts.size + to_verify.size),
-            pruned_kim=pruned_kim,
-            pruned_window=pruned_window,
-            verification_sim_s=after_verify - before,
-            selection_sim_s=after_select - after_verify,
-        )
+            starts=starts[top],
+            distances=pool[top],
+            candidates_total=member.bound.size,
+            candidates_unfiltered=member.unfiltered,
+            candidates_verified=verified,
+            pruned_kim=member.pruned_kim,
+            pruned_window=member.pruned_window,
+            verification_sim_s=verification_s[i],
+            selection_sim_s=selection_s[i],
+        ))
+    return answers

@@ -56,7 +56,7 @@ import re
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import erfinv
@@ -75,6 +75,7 @@ from .exec.base import (
     make_engine,
     resolve_engine_name,
 )
+from .index.suffix_search import search_many
 from .obs import context as reqctx
 from .obs import hooks as obs
 from .obs.exposition import to_json
@@ -555,31 +556,49 @@ class PredictionService:
         return self._sensors[sensor_id]
 
     # --------------------------------------------------------------- serving
-    def _observe_resilient(self, sensor_id: str, value: float) -> None:
-        """Feed one validated raw reading; absorb backend failures.
+    def _observe_lane(self, pairs: Sequence[tuple[str, float]]) -> None:
+        """Feed one lane's validated raw readings; absorb backend failures.
 
-        ``SMiLer.observe`` appends the reading host-side *before* the
-        backend search, so a failure here never loses data — it only
-        leaves the sensor's kNN answers stale (the next forecast
-        re-searches, on a healthy backend after failover).  The failure
-        is charged to the hosting backend's breaker and, once it trips,
-        triggers the same evacuation as a failing forecast.
+        Every reading is z-normalised and absorbed host-side *before* any
+        backend search (``SMiLer.absorb``), so a failure here never loses
+        data — it only leaves kNN answers stale (the next forecast
+        re-searches, on a healthy backend after failover).  The searches
+        then run fused, one group per hosting backend and search
+        configuration; a single ``ingest()`` is a lane of one.
         """
-        smiler = self._sensors[sensor_id]
-        z_value = self._norms[sensor_id].apply(np.array([value]))[0]
-        index = self._placements[sensor_id].backend_index
-        try:
-            smiler.observe(z_value)
-        except Exception as error:
-            self._pool.record_failure(index)
-            logger.warning(
-                "ingest search failed for sensor %s on backend %d "
-                "(reading retained, answers invalidated): %s",
-                sensor_id, index, error,
-            )
-            self._fail_over(index)
-        else:
-            self._pool.record_success(index)
+        groups: dict[tuple, list[SMiLer]] = {}
+        for sensor_id, value in pairs:
+            smiler = self._sensors[sensor_id]
+            smiler.absorb(self._norms[sensor_id].apply(np.array([value]))[0])
+            index = self._placements[sensor_id].backend_index
+            groups.setdefault((index, smiler.engine.config), []).append(smiler)
+        for (index, _), smilers in groups.items():
+            self._search_group(index, smilers)
+
+    def _search_group(self, index: int, smilers: list[SMiLer]) -> None:
+        """One fused search for the sensors of one backend, retried in
+        place: a fused launch fails as a group, so each failed attempt is
+        *one* failure on the backend's breaker (and, once that trips, the
+        same evacuation as a failing forecast — re-homed sensors keep
+        their answers invalidated).  Success is recorded per sensor, the
+        pace the breaker's cool-down clock has always run at."""
+        for _ in range(self.resilience.attempts):
+            try:
+                found = search_many([smiler.engine for smiler in smilers])
+            except Exception as error:
+                self._pool.record_failure(index)
+                logger.warning(
+                    "fused ingest search failed for %d sensors on backend "
+                    "%d (readings retained, answers invalidated): %s",
+                    len(smilers), index, error,
+                )
+                if self._fail_over(index):
+                    return
+            else:
+                for smiler, answers in zip(smilers, found):
+                    smiler.install(answers)
+                    self._pool.record_success(index)
+                return
 
     def _checked_reading(self, sensor_id: str, value: float) -> float:
         self._require(sensor_id)
@@ -602,9 +621,11 @@ class PredictionService:
         The whole batch is validated before any sensor advances, so a bad
         reading leaves every stream untouched (no half-applied ticks).
         The validated batch fans out one lane per backend shard on the
-        configured engine; each lane applies its backend's readings in
-        batch order, so every backend sees the same operation sequence
-        as the sequential path and the end state is identical.
+        configured engine; each lane absorbs its backend's readings in
+        batch order and then searches them as one group
+        (:meth:`_observe_lane`), so every backend sees the same
+        operation sequence on every engine and the end state is
+        identical.
         """
         with _Request("ingest_many", n_items=len(readings)) as request:
             checked = {

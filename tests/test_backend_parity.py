@@ -55,6 +55,53 @@ class TestSearchParity:
                 assert a[d].candidates_unfiltered == b[d].candidates_unfiltered
 
 
+class TestFusedKernelParity:
+    """The two shapes a lane-fused search hands the seam: one query per
+    candidate row, and a segmented k-selection."""
+
+    def test_paired_queries_identical(self):
+        rng = np.random.default_rng(31)
+        queries = rng.normal(size=(37, 24)).cumsum(axis=1)
+        candidates = queries + 0.3 * rng.normal(size=(37, 24))
+        sim = SimulatedGpuBackend().dtw_verification(queries, candidates, 4)
+        nat = NativeBackend().dtw_verification(queries, candidates, 4)
+        np.testing.assert_array_equal(sim, nat)
+        for i in (0, 17, 36):
+            np.testing.assert_array_equal(
+                nat[i],
+                NativeBackend().dtw_verification(
+                    queries[i], candidates[i : i + 1], 4
+                )[0],
+            )
+
+    def test_segmented_k_select_identical_with_ties(self):
+        sim, nat = SimulatedGpuBackend(), NativeBackend()
+        rng = np.random.default_rng(32)
+        for _ in range(10):
+            sizes = rng.integers(1, 60, size=6)
+            values = np.round(rng.uniform(0, 3, size=int(sizes.sum())), 1)
+            offsets = np.concatenate([[0], np.cumsum(sizes)])
+            k = int(rng.integers(1, 40))  # above some segment sizes
+            for a, b in zip(
+                sim.k_select(values, k, offsets),
+                nat.k_select(values, k, offsets),
+                strict=True,
+            ):
+                np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("backend_cls", [SimulatedGpuBackend, NativeBackend])
+    def test_a_fused_op_is_one_tick_on_the_fault_wrapper(self, backend_cls):
+        from repro.faults import FaultInjectingBackend, FaultProfile
+
+        backend = FaultInjectingBackend(backend_cls(), FaultProfile(seed=3))
+        rng = np.random.default_rng(33)
+        queries = rng.normal(size=(12, 8))
+        backend.dtw_verification(queries, queries + 0.1, 2)
+        assert backend.tick == 1
+        backend.k_select(rng.normal(size=12), 3, [0, 5, 12])
+        assert backend.tick == 2
+
+
 class TestForecastParity:
     def test_bit_identical_forecasts(self):
         stream = seeded_stream(seed=23)

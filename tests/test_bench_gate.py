@@ -40,7 +40,7 @@ def ablation_payload():
             "serving": {
                 "backend": "simulated", "wall_s": 0.1,
                 "p50_batch_s": 0.015, "sim_s": 1.8e-3,
-                "sim_parallel_s": 9e-4, "mae": 0.093,
+                "sim_parallel_s": 9e-4, "launches": 2336, "mae": 0.093,
                 "degraded_forecasts": 0, "forecast_digest": digest,
             },
         }
@@ -120,8 +120,18 @@ class TestServingGate:
         assert not failures(checks)
         assert {
             "baseline.serving.mae", "baseline.serving.sim_s",
-            "baseline.serving.sim_parallel_s", "exact_digests",
+            "baseline.serving.sim_parallel_s", "baseline.serving.launches",
+            "exact_digests",
         } <= {c.name for c in checks}
+
+    def test_launch_count_regression_fails(self):
+        """Launches creeping back per sensor is a regression even where
+        the simulated seconds hide it; fewer launches never fail."""
+        fresh = ablation_payload()
+        fresh["runs"][0]["serving"]["launches"] = 9776
+        assert failures(compare(fresh)) == ["baseline.serving.launches"]
+        fresh["runs"][0]["serving"]["launches"] = 1168
+        assert not failures(compare(fresh))
 
     def test_sim_speedup_regression_fails(self):
         """The slowest shard's ledger doubling is a lost parallel

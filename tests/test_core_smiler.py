@@ -132,6 +132,52 @@ class TestFleet:
             assert len(outs) == 3
             fleet.observe_all([f[step] for f in futures])
 
+    def test_observe_all_equals_a_sensor_by_sensor_run(self):
+        """One group search for the fleet: answers, forecasts and ``now``
+        are what observing sensor by sensor gives."""
+        histories = [periodic_history(seed=s)[: 600 + 30 * s] for s in range(3)]
+        futures = [periodic_history(seed=s)[700:706] for s in range(3)]
+        fleet = SensorFleet(histories, SMALL, backend=SimulatedGpuBackend())
+        apart = [
+            SMiLer(h, SMALL, backend=SimulatedGpuBackend()) for h in histories
+        ]
+        for step in range(6):
+            outs = fleet.predict_all()
+            for sensor, alone, out in zip(fleet.sensors, apart, outs):
+                expected = alone.predict()[1]
+                assert (out[1].mean, out[1].variance) == (
+                    expected.mean, expected.variance
+                )
+                assert sensor.now == alone.now
+            fleet.observe_all([f[step] for f in futures])
+            for sensor, alone, future in zip(fleet.sensors, apart, futures):
+                alone.observe(future[step])
+                assert sensor.now == alone.now
+                for d, answer in alone._answers.items():
+                    np.testing.assert_array_equal(
+                        sensor._answers[d].starts, answer.starts
+                    )
+                    np.testing.assert_array_equal(
+                        sensor._answers[d].distances, answer.distances
+                    )
+
+    def test_failing_group_search_keeps_readings_and_invalidates_answers(self):
+        from repro.faults import FaultInjectingBackend, FaultProfile, KernelFaultError
+
+        backend = FaultInjectingBackend(SimulatedGpuBackend(), FaultProfile())
+        histories = [periodic_history(seed=s)[:600] for s in range(3)]
+        fleet = SensorFleet(histories, SMALL, backend=backend)
+        fleet.predict_all()
+        fleet.observe_all([0.1, 0.2, 0.3])  # before the burst: all fresh
+        assert all(s._answers is not None for s in fleet.sensors)
+        backend.profile = FaultProfile(kernel_error_rate=1.0)
+        with pytest.raises(KernelFaultError):
+            fleet.observe_all([0.4, 0.5, 0.6])
+        for sensor, value in zip(fleet.sensors, (0.4, 0.5, 0.6)):
+            assert sensor.now == 602
+            assert sensor.series[-1] == value
+            assert sensor._answers is None
+
     def test_fleet_shares_device_memory(self):
         histories = [periodic_history(seed=s)[:600] for s in range(2)]
         fleet = SensorFleet(histories, SMALL)

@@ -184,6 +184,65 @@ class TestKernelAdversarial:
         assert cells == 3 * 9 * 9
 
 
+class TestPairedQueries:
+    """``query`` of shape ``(n, d)``: row ``i`` against candidate ``i`` —
+    the shape a launch fused across sensors hands the kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 24),
+        n=st.sampled_from([1, BLOCK, 2 * BLOCK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_equals_the_scalar_recurrence(self, data, d, n, seed):
+        rho = data.draw(st.one_of(st.none(), st.integers(0, d + 2)))
+        rng = np.random.default_rng(seed)
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d)) * rng.choice([0.05, 1.0])
+        expected = [
+            dtw_distance(q, c, rho) for q, c in zip(queries, candidates)
+        ]
+        np.testing.assert_array_equal(
+            dtw_batch(queries, candidates, rho), expected
+        )
+
+    def test_cutoff_compaction_takes_the_query_columns_too(self):
+        """Far rows are abandoned and compacted away mid-DP; the near
+        rows, scattered among them, must keep their own queries."""
+        rng = np.random.default_rng(11)
+        n, d, rho = 4 * BLOCK, 18, 3
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d)) * 0.05
+        far = rng.permutation(n)[: 3 * n // 4]
+        candidates[far] += 40.0
+        exact = np.array(
+            [dtw_distance(q, c, rho) for q, c in zip(queries, candidates)]
+        )
+        near = np.setdiff1d(np.arange(n), far)
+        cutoff = float(exact[near].max())
+        pruned, cells = dtw_batch_pruned(
+            queries, candidates, rho, cutoff=cutoff, return_cells=True
+        )
+        assert np.isinf(pruned[far]).all()
+        np.testing.assert_array_equal(pruned[near], exact[near])
+        # Cell for cell what one scalar-query call per row reports.
+        assert cells == sum(
+            dtw_batch_pruned(q, c[None], rho, cutoff=cutoff, return_cells=True)[1]
+            for q, c in zip(queries, candidates)
+        )
+
+    def test_query_count_must_match_candidate_count(self):
+        rng = np.random.default_rng(12)
+        candidates = rng.normal(size=(4, 6))
+        with pytest.raises(ValueError, match="query of shape"):
+            dtw_batch(rng.normal(size=(3, 6)), candidates, 2)
+        with pytest.raises(ValueError, match="query of shape"):
+            dtw_batch(rng.normal(size=(4, 5)), candidates, 2)
+        with pytest.raises(ValueError, match="query of shape"):
+            dtw_batch(rng.normal(size=5), candidates, 2)
+
+
 def naive_envelope(values, rho):
     n = len(values)
     upper = np.array(

@@ -199,6 +199,35 @@ class TestEngineResolution:
             gc.enable()
 
 
+class TestLaneFusedLaunches:
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_ingest_lane_is_four_search_ops_per_item_length(self, engine):
+        """Per shard per ``ingest_many``: the window step and the group
+        bounds stay per sensor; the search's four kernel ops per item
+        length do not grow with the lane — on every engine."""
+        histories, futures = make_workload(n_sensors=12)
+        service = build_service("simulated", engine, n_backends=2)
+        try:
+            for sensor_id, history in histories.items():
+                service.register(sensor_id, history)
+            service.forecast_all()
+            service.status()  # sync off-process ledgers
+            before = [backend.cost.launches for backend in service.backends]
+            service.ingest_many(
+                {sid: float(futures[sid][0]) for sid in histories}
+            )
+            service.status()
+            spent = [
+                backend.cost.launches - launches
+                for backend, launches in zip(service.backends, before)
+            ]
+            per_shard = service.sensors_per_backend()
+        finally:
+            service.close()
+        assert per_shard == [6, 6]
+        assert spent == [2 * n + 4 * len(CONFIG.elv) for n in per_shard]
+
+
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
 class TestEngineParity:
     """All three engines, both backends: indistinguishable bits."""

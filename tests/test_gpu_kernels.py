@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend import SimulatedGpuBackend
+from repro.backend import NativeBackend, SimulatedGpuBackend
 from repro.dtw import dtw_distance, knn_bruteforce
 from repro.gpu import fast_gpu_scan, gpu_scan
 
@@ -48,6 +48,20 @@ class TestDtwKernels:
         dev = SimulatedGpuBackend()
         assert dev.dtw_verification(np.arange(4.0), np.empty((0, 4)), 2).size == 0
         assert dev.full_dtw(np.arange(4.0), np.empty((0, 4))).size == 0
+
+    def test_one_query_per_candidate_is_one_launch_of_the_same_charge(self):
+        """A verification fused across sensors: row i against query i,
+        charged by rows and length exactly like the one-query launch."""
+        rng = np.random.default_rng(5)
+        queries = rng.normal(size=(300, 16))
+        cands = rng.normal(size=(300, 16))
+        fused, plain = SimulatedGpuBackend(), SimulatedGpuBackend()
+        got = fused.dtw_verification(queries, cands, rho=4)
+        expected = [dtw_distance(q, c, rho=4) for q, c in zip(queries, cands)]
+        np.testing.assert_array_equal(got, expected)
+        plain.dtw_verification(queries[0], cands, rho=4)
+        assert fused.cost.launches == plain.cost.launches == 1
+        assert fused.elapsed_s == plain.elapsed_s
 
 
 class TestKSelect:
@@ -93,6 +107,48 @@ class TestKSelect:
         values = rng.normal(size=200)
         idx = SimulatedGpuBackend().k_select(values, 10)
         assert (np.diff(values[idx]) >= 0).all()
+
+    @pytest.mark.parametrize("backend_cls", [SimulatedGpuBackend, NativeBackend])
+    def test_segmented_equals_per_segment(self, backend_cls):
+        """Ragged segments, exact ties inside them, ``k`` above some
+        segment sizes: each segment's answer is the plain call's."""
+        rng = np.random.default_rng(9)
+        sizes = [1, 40, 3, 200, 7, 64]
+        values = np.round(rng.uniform(0, 3, size=sum(sizes)), 1)
+        offsets = np.cumsum([0] + sizes)
+        backend = backend_cls()
+        for k in (1, 5, 50):
+            segmented = backend.k_select(values, k, offsets)
+            assert len(segmented) == len(sizes)
+            for lo, hi, got in zip(offsets[:-1], offsets[1:], segmented):
+                np.testing.assert_array_equal(
+                    got, backend.k_select(values[lo:hi], k)
+                )
+                assert got.size == min(k, hi - lo)
+
+    def test_segmented_is_one_launch_charged_at_its_slowest_block(self):
+        rng = np.random.default_rng(10)
+        sizes = [30, 400, 12]
+        values = rng.normal(size=sum(sizes))
+        offsets = np.cumsum([0] + sizes)
+        fused = SimulatedGpuBackend()
+        fused.k_select(values, 8, offsets)
+        assert fused.cost.launches == 1
+        alone = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            dev = SimulatedGpuBackend()
+            dev.k_select(values[lo:hi], 8)
+            alone.append(dev.elapsed_s)
+        # Three blocks fit one wave: the launch lasts as long as its
+        # slowest block would alone — not the sum.
+        assert fused.elapsed_s == max(alone) < sum(alone)
+
+    def test_segment_offsets_validation(self):
+        dev = SimulatedGpuBackend()
+        values = np.arange(6.0)
+        for offsets in ([0, 3], [1, 6], [0, 3, 3, 6], [0, 4, 2, 6], [6]):
+            with pytest.raises(ValueError, match="offsets"):
+                dev.k_select(values, 2, offsets)
 
 
 class TestScans:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.backend import SimulatedGpuBackend
 from repro.dtw import dtw_distance
 from repro.index import GroupLevelIndex, WindowLevelIndex, direct_lb_en
+from repro.index.group_index import ItemLowerBounds
+from repro.timeseries.windows import aligned_segment_start, csg_size
 
 
 def make_series(n, seed=0):
@@ -168,3 +170,59 @@ class TestAlgorithm1Reference:
             seed=seed, omega=omega, rho=rho,
             item_lengths=(2 * omega, 3 * omega, 5 * omega),
         )
+
+
+class TestEmitBySlices:
+    """``_emit`` writes strided slices; the mask-and-fancy-index form it
+    replaced is kept here as the oracle."""
+
+    @staticmethod
+    def emit_by_mask(out, peq, pec, b, m, omega, series_len):
+        d = out.item_length
+        rs = np.arange(m - 1, peq.size)
+        if rs.size == 0:
+            return
+        offset = aligned_segment_start(d, b, m - 1, omega)
+        ts = offset + (rs - (m - 1)) * omega
+        valid = (ts >= 0) & (ts + d <= series_len)
+        ts, rs = ts[valid], rs[valid]
+        out.lbeq[ts] = peq[rs]
+        out.lbec[ts] = pec[rs]
+        out.covered[ts] = True
+
+    @staticmethod
+    def blank(d, series_len):
+        size = series_len - d + 1
+        return ItemLowerBounds(
+            d, np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
+        )
+
+    def test_equals_the_mask_form_on_every_edge(self):
+        """Ragged ``series_len`` (a partial last window), negative
+        offsets (``(d - b) % omega != 0``) and ``n_dw < m`` (fewer
+        partial sums than the CSG has windows)."""
+        rng = np.random.default_rng(0)
+        compared = negative = short = 0
+        for omega in (2, 3, 4, 8):
+            for d in range(omega, 5 * omega + 2):
+                for series_len in range(d, d + 3 * omega + 2):
+                    for b in range(omega):
+                        m = csg_size(d, b, omega)
+                        if m == 0:
+                            continue
+                        offset = aligned_segment_start(d, b, m - 1, omega)
+                        negative += offset < 0
+                        n_dw = series_len // omega
+                        if (series_len + b) % 5 == 0:
+                            n_dw = m - 1
+                        short += n_dw < m
+                        peq, pec = rng.random(n_dw), rng.random(n_dw)
+                        got = self.blank(d, series_len)
+                        want = self.blank(d, series_len)
+                        GroupLevelIndex._emit(got, peq, pec, m, offset, omega)
+                        self.emit_by_mask(want, peq, pec, b, m, omega, series_len)
+                        np.testing.assert_array_equal(got.lbeq, want.lbeq)
+                        np.testing.assert_array_equal(got.lbec, want.lbec)
+                        np.testing.assert_array_equal(got.covered, want.covered)
+                        compared += 1
+        assert compared > 1000 and negative > 100 and short > 100

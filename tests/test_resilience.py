@@ -358,3 +358,105 @@ class TestFailover:
         ))
         assert all(source == "ensemble" for _, _, source in faulty)
         assert faulty == clean
+
+
+class TestIngestLane:
+    """An ingest lane absorbs every reading host-side, then runs one
+    fused search per backend — which fails, and is retried, as a group."""
+
+    N = 4
+
+    def make(self, attempts=2):
+        service = make_service(
+            backends=FaultInjectingBackend(SimulatedGpuBackend(), FaultProfile()),
+            resilience=ResiliencePolicy(attempts=attempts),
+        )
+        for i in range(self.N):
+            service.register(f"s{i}", raw_history(seed=i))
+        assert service.forecast_all().ok  # warm: every sensor has answers
+        return service
+
+    def readings(self, value=201.0):
+        return {f"s{i}": value + i for i in range(self.N)}
+
+    def backend(self, service):
+        """The authoritative backend object (an off-process engine hands
+        a new one back at every sync)."""
+        service.status()
+        return service.backends[0]
+
+    def health(self, service):
+        return service.status()["backends"][0]["health"]
+
+    def inject(self, service, n_ops, **rates):
+        """The next ``n_ops`` backend operations misbehave."""
+        backend = self.backend(service)
+        backend.profile = FaultProfile(
+            seed=5, burst=(backend.tick, backend.tick + n_ops), **rates
+        )
+
+    def test_faulted_fused_launch_is_retried_inside_the_lane(self):
+        service = self.make(attempts=3)
+        successes = self.health(service)["successes_total"]
+        # Attempt 1 dies on the burst's first op, attempt 2 on its
+        # second, attempt 3 runs clean.
+        self.inject(service, 2, kernel_error_rate=1.0)
+        service.ingest_many(self.readings())
+        health = self.health(service)
+        assert self.backend(service).injected["kernel_error"] == 2
+        # One breaker failure per failed *attempt*, success per sensor.
+        assert health["failures_total"] == 2
+        assert health["successes_total"] == successes + self.N
+        assert health["state"] == "closed"
+        for sid in service.sensor_ids:
+            smiler = service.sensor(sid)
+            assert smiler.now == smiler.series.size == 601
+            assert smiler._answers is not None  # fresh
+        # So the forecasts that follow pay for no search at all.
+        tick = self.backend(service).tick
+        batch = service.forecast_all()
+        assert batch.ok and self.backend(service).tick == tick
+        assert all(f.source == "ensemble" for f in batch.values())
+
+    def test_exhausted_attempts_leave_the_whole_group_stale_but_served(self):
+        service = self.make(attempts=2)
+        self.inject(service, 2, kernel_error_rate=1.0)
+        service.ingest_many(self.readings())
+        # ``attempts`` honoured: two tries, two failures, no third.
+        assert self.backend(service).injected["kernel_error"] == 2
+        assert self.health(service)["failures_total"] == 2
+        for sid in service.sensor_ids:
+            smiler = service.sensor(sid)
+            assert smiler.now == smiler.series.size == 601  # retained
+            assert smiler._answers is None  # stale, all of them
+        # The burst is over: the forecasts re-search, sensor by sensor.
+        tick = self.backend(service).tick
+        batch = service.forecast_all()
+        assert batch.ok and len(batch) == self.N
+        assert self.backend(service).tick > tick
+        assert all(f.source == "ensemble" for f in batch.values())
+
+    def test_a_single_ingest_is_a_lane_of_one(self):
+        service = self.make(attempts=2)
+        self.inject(service, 1, kernel_error_rate=1.0)
+        service.ingest("s1", 203.0)
+        assert self.health(service)["failures_total"] == 1
+        smiler = service.sensor("s1")
+        assert smiler.now == 601 and smiler._answers is not None
+        assert service.sensor("s0").now == 600
+
+    def test_injected_nan_reaches_one_pool_and_no_answer(self):
+        service, clean = self.make(), self.make()
+        self.inject(service, 1, kernel_nan_rate=1.0)
+        service.ingest_many(self.readings())
+        clean.ingest_many(self.readings())
+        assert self.backend(service).injected["kernel_nan"] == 1
+        differing = []
+        for sid in service.sensor_ids:
+            got, want = service.sensor(sid)._answers, clean.sensor(sid)._answers
+            for d in got:
+                assert np.isfinite(got[d].distances).all()
+                if not np.array_equal(got[d].starts, want[d].starts):
+                    differing.append((sid, d))
+        # One NaN in one fused launch: one sensor's seed pool lost a row.
+        assert len(differing) == 1

@@ -34,6 +34,7 @@ from repro.dtw import (
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
 from repro.index.reference import suffix_knn_reference
+from repro.index.suffix_search import search_many
 
 
 def make_series(n, seed=0):
@@ -386,6 +387,111 @@ class TestSearchEdgeCases:
         assert_matches_reference(restored.engine, cold, config.margin)
 
 
+class TestFusedGroups:
+    """``search_many``: a group's answers and per-tier counts are each
+    engine's own, whatever shares its launches."""
+
+    COUNTS = (
+        "candidates_total", "candidates_unfiltered", "candidates_verified",
+        "pruned_kim", "pruned_window",
+    )
+
+    @pytest.mark.parametrize("backend_name", ["simulated", "native"])
+    def test_ragged_group_equals_reference_and_each_engine_alone(
+        self, backend_name
+    ):
+        """Unequal series lengths, a sensor with fewer than ``k_max``
+        candidates, the adversarial shapes beside the plain walk, and —
+        as churn produces — a cold engine (LB-pool seeds) joining warm
+        ones (reused seeds) mid-run."""
+        cfg = SMALL_CFG
+        streams = [
+            stream[5 * i :] for i, stream in
+            enumerate(adversarial_streams().values())
+        ]
+        # 24 + margin + 3 points: 4 candidates at d=24, k_max is 6.
+        streams.append(make_series(29 + 6, seed=41))
+        late = make_series(150 + 6, seed=42)
+        shared = make_backend(backend_name)
+        group, solo, feeds = [], [], []
+
+        def join(stream, seen):
+            history = stream[: stream.size - 6 + seen]
+            group.append(SuffixKnnEngine(history, cfg, backend=shared))
+            solo.append(
+                SuffixKnnEngine(history, cfg, backend=make_backend(backend_name))
+            )
+            feeds.append(stream[stream.size - 6 :])
+
+        for stream in streams:
+            join(stream, 0)
+        for step in range(6):
+            if step == 3:
+                join(late, step)
+            fused = search_many(group)
+            assert len(fused) == len(group)
+            if step == 0:
+                assert fused[len(streams) - 1][24].starts.size == 4 < cfg.k_max
+            for i, (engine, twin, answers) in enumerate(zip(group, solo, fused)):
+                assert list(answers) == list(cfg.item_lengths)
+                assert_matches_reference(engine, answers, cfg.margin, f"#{i}")
+                for d, alone in twin.search().items():
+                    np.testing.assert_array_equal(answers[d].starts, alone.starts)
+                    np.testing.assert_array_equal(
+                        answers[d].distances, alone.distances
+                    )
+                    for field in self.COUNTS:
+                        assert getattr(answers[d], field) == getattr(
+                            alone, field
+                        ), (i, d, field)
+            for engine, twin, feed in zip(group, solo, feeds):
+                engine.advance(feed[step])
+                twin.advance(feed[step])
+
+    def test_four_kernel_ops_per_item_length_whatever_the_group_size(self):
+        for n_engines in (1, 5):
+            backend = FaultInjectingBackend(
+                make_backend("simulated"), FaultProfile(seed=1)
+            )
+            engines = [
+                SuffixKnnEngine(
+                    make_series(200 + 10 * i, seed=50 + i), SMALL_CFG,
+                    backend=backend,
+                )
+                for i in range(n_engines)
+            ]
+            search_many(engines)  # warm: the next search reuses seeds
+            launches, tick = backend.cost.launches, backend.tick
+            search_many(engines)
+            n_items = len(SMALL_CFG.item_lengths)
+            # group_index_sum stays per engine; the rest is per group.
+            assert backend.cost.launches - launches == n_engines + 4 * n_items
+            # The fault wrapper sees the three faultable ones of the four.
+            assert backend.tick - tick == 3 * n_items
+
+    def test_refuses_engines_that_do_not_share_backend_and_config(self):
+        series = make_series(120, seed=43)
+        backend = make_backend("simulated")
+        engine = SuffixKnnEngine(series, SMALL_CFG, backend=backend)
+        elsewhere = SuffixKnnEngine(
+            series, SMALL_CFG, backend=make_backend("simulated")
+        )
+        other_cfg = SuffixKnnEngine(
+            series, dataclasses.replace(SMALL_CFG, k_max=5), backend=backend
+        )
+        for stranger in (elsewhere, other_cfg):
+            with pytest.raises(ValueError, match="share one backend"):
+                search_many([engine, stranger])
+        # Equal configs need not be the same object.
+        twin = SuffixKnnEngine(
+            series, dataclasses.replace(SMALL_CFG), backend=backend
+        )
+        assert len(search_many([engine, twin])) == 2
+
+    def test_empty_group(self):
+        assert search_many([]) == []
+
+
 class TestAccounting:
     def test_verified_includes_seeds_above_tau(self):
         """candidates_verified counts seeds ∪ to_verify, never less than
@@ -414,22 +520,39 @@ class TestAccounting:
             assert answer.selection_sim_s > 0.0
 
     def test_total_sim_time_is_conserved(self):
-        """verification + selection spans tile the ledger delta."""
-        series = make_series(280, seed=33)
-        backend = make_backend("simulated")
-        engine = SuffixKnnEngine(series, SMALL_CFG, backend=backend)
-        backend.reset_time()
-        start = backend.elapsed_s
-        answers = engine.search()
-        spent = backend.elapsed_s - start
-        accounted = sum(
-            a.verification_sim_s + a.selection_sim_s
-            for a in answers.values()
-        )
-        # The only other work inside search() is the group-index bound
-        # computation, so the per-answer spans must not exceed the total.
-        assert accounted <= spent + 1e-12
-        assert accounted > 0.0
+        """Every answer carries its row-share of each fused launch: the
+        shares of a group — of one, of three — tile the ledger delta."""
+        for n_engines in (1, 3):
+            backend = make_backend("simulated")
+            engines = [
+                SuffixKnnEngine(
+                    make_series(280 + 40 * i, seed=33 + i), SMALL_CFG,
+                    backend=backend,
+                )
+                for i in range(n_engines)
+            ]
+            backend.reset_time()
+            answers = [
+                a for found in search_many(engines) for a in found.values()
+            ]
+            accounted = sum(
+                a.verification_sim_s + a.selection_sim_s for a in answers
+            )
+            # The only other work inside a search is the group-index bound
+            # computation, charged per engine outside the answers' spans.
+            bounds_s = backend.cost.per_kernel_s["group_index_sum"]
+            assert accounted == pytest.approx(
+                backend.elapsed_s - bounds_s, rel=1e-12
+            )
+            assert all(a.verification_sim_s > 0.0 for a in answers)
+            assert all(a.selection_sim_s > 0.0 for a in answers)
+            # One selection launch per item length, shared by pool rows.
+            for d in SMALL_CFG.item_lengths:
+                per_row = [
+                    a.selection_sim_s / a.candidates_verified
+                    for a in answers if a.item_length == d
+                ]
+                assert per_row == pytest.approx([per_row[0]] * n_engines)
 
     def test_cascade_prunes_on_smooth_data(self):
         """On self-similar data the cascade kills most candidates before
