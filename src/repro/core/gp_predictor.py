@@ -22,7 +22,7 @@ import logging
 import numpy as np
 
 from ..gp.kernels import SquaredExponentialKernel
-from ..gp.loo import loo_objective
+from ..gp.loo import LooProblem
 from ..gp.optimize import conjugate_gradient_minimize
 from ..gp.regression import GaussianProcessRegressor
 from ..obs import hooks as obs
@@ -40,22 +40,31 @@ _LOG_BOUND = 6.0
 _PENALTY = 10.0
 
 
-def _penalised_objective(
-    log_params: np.ndarray, neighbours: np.ndarray, targets: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Negative LOO likelihood plus a quadratic pull-back into the box."""
-    value, grad = loo_objective(np.clip(log_params, -12, 12), neighbours, targets)
-    excess = np.clip(np.abs(log_params) - _LOG_BOUND, 0.0, None)
-    value += _PENALTY * float(np.sum(excess**2))
-    grad = grad + 2.0 * _PENALTY * excess * np.sign(log_params)
-    return value, grad
+class _BoxedLoo:
+    """Negative LOO likelihood plus a quadratic pull-back into the box,
+    as the optimiser's objective (:class:`repro.gp.optimize.Objective`)."""
+
+    def __init__(self, neighbours: np.ndarray, targets: np.ndarray) -> None:
+        self._problem = LooProblem(neighbours, targets)
+        self._excess = self._sign = np.zeros(3)
+
+    def value(self, log_params: np.ndarray) -> float:
+        value = self._problem.value(log_params.clip(-12, 12))
+        self._excess = np.maximum(np.abs(log_params) - _LOG_BOUND, 0.0)
+        self._sign = np.sign(log_params)
+        return value + _PENALTY * float((self._excess**2).sum())
+
+    def gradient(self) -> np.ndarray:
+        pull = 2.0 * _PENALTY * self._excess * self._sign
+        return self._problem.gradient() + pull
 
 
 def _seed_kernel(neighbours: np.ndarray, targets: np.ndarray) -> SquaredExponentialKernel:
     """Data-driven starting hyperparameters.
 
-    Signal amplitude from the target spread, length-scale from the median
-    neighbour distance, noise an order below the signal.
+    Signal amplitude from the target spread, length-scale from the RMS
+    distance of the neighbours to their centroid, noise an order below
+    the signal.
     """
     signal = float(np.std(targets))
     signal = signal if signal > 1e-6 else 1.0
@@ -82,6 +91,8 @@ class GaussianProcessPredictor(SemiLazyPredictor):
         self._log_params: np.ndarray | None = None
         self.train_calls = 0
         self.cg_iterations = 0
+        self.objective_evaluations = 0
+        self.gradient_evaluations = 0
 
     @property
     def kernel(self) -> SquaredExponentialKernel | None:
@@ -99,12 +110,17 @@ class GaussianProcessPredictor(SemiLazyPredictor):
             budget = self.online_train_iters
         if budget > 0:
             result = conjugate_gradient_minimize(
-                lambda lp: _penalised_objective(lp, neighbours, targets),
-                start,
-                max_iters=budget,
+                _BoxedLoo(neighbours, targets), start, max_iters=budget
             )
             self.cg_iterations += result.iterations
-            obs.observe_gp_training(result.iterations, result.converged)
+            self.objective_evaluations += result.evaluations
+            self.gradient_evaluations += result.gradient_evaluations
+            obs.observe_gp_training(
+                result.iterations,
+                result.converged,
+                result.evaluations,
+                result.gradient_evaluations,
+            )
             if not result.converged:
                 logger.debug(
                     "GP LOO-CG training stopped without convergence after "

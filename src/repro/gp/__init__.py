@@ -1,8 +1,15 @@
 """Gaussian Process stack: exact GP, LOO training, sparse approximations."""
 
 from .kernels import SquaredExponentialKernel, squared_distances
-from .loo import LooResult, loo_log_likelihood, loo_objective, loo_quantities
+from .loo import (
+    LooProblem,
+    LooResult,
+    loo_log_likelihood,
+    loo_objective,
+    loo_quantities,
+)
 from .optimize import (
+    Objective,
     OptimizeResult,
     conjugate_gradient_minimize,
     nelder_mead_minimize,
@@ -15,10 +22,12 @@ from .variational import VariationalSparseGP, kmeans
 __all__ = [
     "SquaredExponentialKernel",
     "squared_distances",
+    "LooProblem",
     "LooResult",
     "loo_log_likelihood",
     "loo_objective",
     "loo_quantities",
+    "Objective",
     "OptimizeResult",
     "conjugate_gradient_minimize",
     "nelder_mead_minimize",

@@ -14,6 +14,7 @@ returned here are with respect to ``log theta``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,7 +47,7 @@ class SquaredExponentialKernel:
     def __post_init__(self) -> None:
         for name in ("theta0", "theta1", "theta2"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0:
+            if not math.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
 
     # ------------------------------------------------------------ log-space
@@ -61,7 +62,7 @@ class SquaredExponentialKernel:
         log_params = np.asarray(log_params, dtype=np.float64)
         if log_params.shape != (3,):
             raise ValueError(f"expected 3 log-parameters, got shape {log_params.shape}")
-        t0, t1, t2 = np.exp(np.clip(log_params, -20.0, 20.0))
+        t0, t1, t2 = np.exp(log_params.clip(-20.0, 20.0))
         return cls(theta0=float(t0), theta1=float(t1), theta2=float(t2))
 
     # ------------------------------------------------------------- matrices

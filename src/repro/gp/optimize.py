@@ -16,11 +16,12 @@ standard test functions and against known optima in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 
 __all__ = [
+    "Objective",
     "OptimizeResult",
     "conjugate_gradient_minimize",
     "nelder_mead_minimize",
@@ -29,18 +30,75 @@ __all__ = [
 ValueAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
+class Objective(Protocol):
+    """What :func:`conjugate_gradient_minimize` minimises.
+
+    The value is asked for at every line-search candidate, the gradient
+    only at the start point and at each candidate the search accepts —
+    so an implementation keeps what ``value`` computed and pays for the
+    gradient on demand (:class:`repro.gp.loo.LooProblem`).
+    """
+
+    def value(self, x: np.ndarray) -> float:
+        """Objective at ``x``."""
+        ...
+
+    def gradient(self) -> np.ndarray:
+        """Gradient at the point last passed to :meth:`value`."""
+        ...
+
+
+class _PlainObjective:
+    """A plain ``x -> (value, gradient)`` callable as an :class:`Objective`."""
+
+    def __init__(self, fun: ValueAndGrad) -> None:
+        self._fun = fun
+        self._grad = np.empty(0)
+
+    def value(self, x: np.ndarray) -> float:
+        value, self._grad = self._fun(x)
+        return value
+
+    def gradient(self) -> np.ndarray:
+        return self._grad
+
+
+class _Counted:
+    """An :class:`Objective` with what one run asks of it counted."""
+
+    def __init__(self, objective: Objective) -> None:
+        self._objective = objective
+        self.evaluations = 0
+        self.gradient_evaluations = 0
+
+    def value(self, x: np.ndarray) -> float:
+        self.evaluations += 1
+        return self._objective.value(x)
+
+    def gradient(self) -> np.ndarray:
+        self.gradient_evaluations += 1
+        return self._objective.gradient()
+
+
 @dataclass
 class OptimizeResult:
-    """Terminal state of an optimisation run."""
+    """Terminal state of an optimisation run.
+
+    ``evaluations`` / ``gradient_evaluations`` count what
+    :func:`conjugate_gradient_minimize` asked of its objective (0 from
+    :func:`nelder_mead_minimize`, which does not count).
+    """
 
     x: np.ndarray
     value: float
     iterations: int
     converged: bool
+    evaluations: int = 0
+    gradient_evaluations: int = 0
 
 
 def _backtracking_line_search(
-    fun: ValueAndGrad,
+    objective: Objective,
     x: np.ndarray,
     value: float,
     grad: np.ndarray,
@@ -50,32 +108,41 @@ def _backtracking_line_search(
     shrink: float = 0.5,
     max_backtracks: int = 25,
 ) -> tuple[np.ndarray, float, np.ndarray, float] | None:
-    """Armijo backtracking along ``direction``; None when no progress."""
+    """Armijo backtracking along ``direction``; None when no progress.
+
+    Candidates are valued only; the gradient is taken at the one returned.
+    """
     slope = float(grad @ direction)
     if slope >= 0:
         return None
     step = initial_step
     for _ in range(max_backtracks):
         candidate = x + step * direction
-        cand_value, cand_grad = fun(candidate)
+        cand_value = objective.value(candidate)
         if np.isfinite(cand_value) and cand_value <= value + armijo * step * slope:
-            return candidate, cand_value, cand_grad, step
+            return candidate, cand_value, objective.gradient(), step
         step *= shrink
     return None
 
 
 def conjugate_gradient_minimize(
-    fun: ValueAndGrad,
+    fun: Objective | ValueAndGrad,
     x0: np.ndarray,
     max_iters: int = 100,
     grad_tol: float = 1e-6,
     value_tol: float = 1e-10,
 ) -> OptimizeResult:
-    """Polak-Ribière+ CG with restarts and Armijo backtracking."""
+    """Polak-Ribière+ CG with restarts and Armijo backtracking.
+
+    ``fun`` is an :class:`Objective` or a plain callable returning
+    ``(value, gradient)``.
+    """
+    objective = _Counted(_PlainObjective(fun) if callable(fun) else fun)
     x = np.asarray(x0, dtype=np.float64).copy()
-    value, grad = fun(x)
+    value = objective.value(x)
     if not np.isfinite(value):
         raise ValueError(f"objective not finite at the start point: {value}")
+    grad = objective.gradient()
     direction = -grad
     iterations = 0
     converged = False
@@ -83,10 +150,10 @@ def conjugate_gradient_minimize(
         if np.linalg.norm(grad) < grad_tol:
             converged = True
             break
-        result = _backtracking_line_search(fun, x, value, grad, direction)
+        result = _backtracking_line_search(objective, x, value, grad, direction)
         if result is None:
             # Bad direction (stale conjugacy): restart with steepest descent.
-            result = _backtracking_line_search(fun, x, value, grad, -grad)
+            result = _backtracking_line_search(objective, x, value, grad, -grad)
             if result is None:
                 break
         new_x, new_value, new_grad, _ = result
@@ -106,7 +173,14 @@ def conjugate_gradient_minimize(
         if not np.isfinite(direction).all():
             direction = -new_grad
         x, value, grad = new_x, new_value, new_grad
-    return OptimizeResult(x=x, value=value, iterations=iterations, converged=converged)
+    return OptimizeResult(
+        x=x,
+        value=value,
+        iterations=iterations,
+        converged=converged,
+        evaluations=objective.evaluations,
+        gradient_evaluations=objective.gradient_evaluations,
+    )
 
 
 def nelder_mead_minimize(

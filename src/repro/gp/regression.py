@@ -14,30 +14,54 @@ segments can be near-duplicates, making ``C`` badly conditioned).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, LinAlgError
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf
 
 from .kernels import SquaredExponentialKernel
 
 __all__ = ["GaussianProcessRegressor", "robust_cholesky"]
 
-_JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+_JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+
+
+def _potrf(matrix: np.ndarray) -> tuple[np.ndarray, int]:
+    """LAPACK ``dpotrf`` (lower, upper triangle zeroed) behind the checks
+    ``scipy.linalg.cholesky`` made: ``info > 0`` (not positive definite)
+    is returned for the caller to act on."""
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must not contain infs or NaNs")
+    lower, info = dpotrf(matrix, lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"LAPACK dpotrf: illegal value in argument {-info}")
+    return lower, info
 
 
 def robust_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor with escalating diagonal jitter.
 
     Returns ``(L, jitter)``; raises :class:`numpy.linalg.LinAlgError` only
-    if even the largest jitter fails (pathological input).
+    if even the largest jitter fails (pathological input) and
+    :class:`ValueError` for a matrix that is not square or not finite.
+
+    Calls LAPACK ``dpotrf`` itself — the routine ``scipy.linalg.cholesky``
+    dispatches to for float64, on the same operand, so the factor is the
+    same to the bit — because this runs once per LOO objective evaluation
+    on a matrix of at most 32 x 32, where SciPy's Python wrapper cost many
+    times the factorisation.  The jitter scale, the identity and the sum
+    are formed only if the matrix as given does not factorise.
     """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
+    lower, info = _potrf(matrix)
+    if info == 0:
+        return lower, 0.0
     scale = float(np.mean(np.diag(matrix))) or 1.0
+    eye = np.eye(matrix.shape[0])
     for jitter in _JITTERS:
-        try:
-            lower = cholesky(
-                matrix + jitter * scale * np.eye(matrix.shape[0]), lower=True
-            )
+        lower, info = _potrf(matrix + jitter * scale * eye)
+        if info == 0:
             return lower, jitter * scale
-        except LinAlgError:
-            continue
     raise np.linalg.LinAlgError(
         "matrix is not positive definite even with jitter"
     )

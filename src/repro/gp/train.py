@@ -26,6 +26,45 @@ __all__ = ["marginal_likelihood_objective", "fit_exact_gp"]
 logger = logging.getLogger(__name__)
 
 
+class _MarginalLikelihood:
+    """Negative log marginal likelihood of ``(x, y)`` as an optimiser
+    objective (:class:`repro.gp.optimize.Objective`): ``value`` keeps the
+    kernel, factor and ``alpha`` it computed, ``gradient`` pays for the
+    explicit ``K^-1`` and the kernel gradients only where it is asked."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, kernel_cls) -> None:
+        self._x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        self._y = np.asarray(y, dtype=np.float64).ravel()
+        self._kernel_cls = kernel_cls
+        self._kept: tuple | None = None
+
+    def value(self, log_params: np.ndarray) -> float:
+        y = self._y
+        kernel = self._kernel_cls.from_log_params(log_params)
+        lower, _ = robust_cholesky(kernel.matrix(self._x, noise=True))
+        alpha = cho_solve((lower, True), y)
+        self._kept = (kernel, lower, alpha)
+        return float(
+            0.5 * y @ alpha
+            + np.sum(np.log(np.diag(lower)))
+            + 0.5 * y.size * np.log(2.0 * np.pi)
+        )
+
+    def gradient(self) -> np.ndarray:
+        if self._kept is None:
+            raise RuntimeError("value() must be called first")
+        kernel, lower, alpha = self._kept
+        kinv = cho_solve((lower, True), np.eye(alpha.size))
+        outer = np.outer(alpha, alpha)
+        # d(-logML)/dtheta_j = -1/2 tr((alpha alpha^T - K^{-1}) dK).
+        return np.array(
+            [
+                -0.5 * float(np.sum((outer - kinv) * dk))
+                for dk in kernel.gradients(self._x)
+            ]
+        )
+
+
 def marginal_likelihood_objective(
     log_params: np.ndarray,
     x: np.ndarray,
@@ -37,26 +76,8 @@ def marginal_likelihood_objective(
     Works for any kernel class implementing the shared protocol
     (``from_log_params`` / ``matrix`` / ``gradients``) — SE by default.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64).ravel()
-    kernel = kernel_cls.from_log_params(log_params)
-    cov = kernel.matrix(x, noise=True)
-    lower, _ = robust_cholesky(cov)
-    alpha = cho_solve((lower, True), y)
-    n = y.size
-    value = float(
-        0.5 * y @ alpha
-        + np.sum(np.log(np.diag(lower)))
-        + 0.5 * n * np.log(2.0 * np.pi)
-    )
-    kinv = cho_solve((lower, True), np.eye(n))
-    outer = np.outer(alpha, alpha)
-    kernel_grads = kernel.gradients(x)
-    grads = np.empty(len(kernel_grads))
-    for j, dk in enumerate(kernel_grads):
-        # d(-logML)/dtheta_j = -1/2 tr((alpha alpha^T - K^{-1}) dK).
-        grads[j] = -0.5 * float(np.sum((outer - kinv) * dk))
-    return value, grads
+    objective = _MarginalLikelihood(x, y, kernel_cls)
+    return objective.value(log_params), objective.gradient()
 
 
 def fit_exact_gp(
@@ -78,7 +99,7 @@ def fit_exact_gp(
     seed_kernel = kernel or SquaredExponentialKernel()
     kernel_cls = type(seed_kernel)
     result = conjugate_gradient_minimize(
-        lambda lp: marginal_likelihood_objective(lp, x, y, kernel_cls),
+        _MarginalLikelihood(x, y, kernel_cls),
         seed_kernel.log_params,
         max_iters=max_iters,
     )

@@ -169,6 +169,9 @@ CATALOG: dict[str, MetricSpec] = {
          "GP hyperparameter training runs, by convergence outcome."),
         ("smiler_gp_cg_iterations_total", "counter", (),
          "Conjugate-gradient iterations spent on GP training."),
+        ("smiler_gp_objective_evaluations_total", "counter", ("kind",),
+         "LOO objective evaluations by GP training: values, and the "
+         "gradients taken at accepted line-search steps."),
     )
 }
 
@@ -570,9 +573,14 @@ def observe_evacuation(backend_index: int, n_sensors: int) -> None:
     _events.emit("evacuation", backend_id=backend_index, n_sensors=n_sensors)
 
 
-def observe_gp_training(iterations: int, converged: bool) -> None:
+def observe_gp_training(
+    iterations: int, converged: bool, evaluations: int, gradient_evaluations: int
+) -> None:
     """Record one online GP hyperparameter fit."""
     if not _enabled:
         return
     _live(_M.gp_train_calls_total).inc(converged=converged)
     _live(_M.gp_cg_iterations_total).inc(iterations)
+    evaluated = _live(_M.gp_objective_evaluations_total)
+    evaluated.inc(evaluations, kind="value")
+    evaluated.inc(gradient_evaluations, kind="gradient")

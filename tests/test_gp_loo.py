@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.gp import (
     GaussianProcessRegressor,
+    LooProblem,
     SquaredExponentialKernel,
     loo_log_likelihood,
     loo_objective,
@@ -76,6 +77,20 @@ class TestLooObjective:
             up, _ = loo_objective(lp, x, y)
             lp[j] -= 2 * eps
             down, _ = loo_objective(lp, x, y)
+            fd = (up - down) / (2 * eps)
+            assert grad[j] == pytest.approx(fd, rel=2e-3, abs=1e-5)
+        # The same through one problem object, as training uses it: the
+        # gradient belongs to the point last valued, whatever came before.
+        problem = LooProblem(x, y)
+        problem.value(log_params + 0.5)
+        problem.value(log_params)
+        grad = problem.gradient()
+        for j in range(3):
+            lp = log_params.copy()
+            lp[j] += eps
+            up = problem.value(lp)
+            lp[j] -= 2 * eps
+            down = problem.value(lp)
             fd = (up - down) / (2 * eps)
             assert grad[j] == pytest.approx(fd, rel=2e-3, abs=1e-5)
 

@@ -37,6 +37,7 @@ GOLDEN = [
     ("smiler_forecast_latency_seconds", "histogram", ("sensor_id",), LATENCY),
     ("smiler_forecasts_total", "counter", ("sensor_id", "horizon"), None),
     ("smiler_gp_cg_iterations_total", "counter", (), None),
+    ("smiler_gp_objective_evaluations_total", "counter", ("kind",), None),
     ("smiler_gp_train_calls_total", "counter", ("converged",), None),
     ("smiler_gpu_kernel_blocks_total", "counter", ("kernel",), None),
     ("smiler_gpu_kernel_cycles", "histogram", ("kernel",), CYCLES),
@@ -91,7 +92,7 @@ HOOK_CALLS = {
     "observe_search": (16, 100, 10, 12, 80, 10),
     "observe_window_reuse": (1, 2, 3, 1),
     "observe_forecast": ("s0", 1, 0.01),
-    "observe_gp_training": (5, True),
+    "observe_gp_training": (5, True, 24, 6),
     "observe_fault_injected": ("dtw_verification", "kernel_error"),
     "observe_degraded_forecast": ("s0", "ar"),
     "observe_backend_state": (0, "open"),
@@ -152,10 +153,16 @@ class TestCatalog:
             "smiler_gpu_memory_allocated_bytes"
         ]
         obs.reset()  # mid-run: hooks resolve through the live registry
-        obs.observe_gp_training(2, False)
-        assert sorted(m.name for m in obs.get_registry().metrics()) == [
-            "smiler_gp_cg_iterations_total", "smiler_gp_train_calls_total"
+        obs.observe_gp_training(2, False, 9, 3)
+        registry = obs.get_registry()
+        assert sorted(m.name for m in registry.metrics()) == [
+            "smiler_gp_cg_iterations_total",
+            "smiler_gp_objective_evaluations_total",
+            "smiler_gp_train_calls_total",
         ]
+        evaluated = registry.get("smiler_gp_objective_evaluations_total")
+        assert evaluated.value(kind="value") == 9
+        assert evaluated.value(kind="gradient") == 3
 
     def test_each_name_is_spelled_once_in_the_source(self):
         """No ``"smiler_..."`` literal outside the table: a metric's
