@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,7 +32,7 @@ from ..index.suffix_search import (
     SuffixSearchConfig,
     search_many,
 )
-from ..index.window_index import WindowLevelIndex
+from ..index.window_index import WindowLevelIndex, step_many
 from ..obs import hooks as obs
 from .ar import AggregationPredictor
 from .config import SMiLerConfig
@@ -39,7 +40,7 @@ from .ensemble import AdaptiveEnsemble, Cell, EnsembleOutput
 from .gp_predictor import GaussianProcessPredictor
 from .predictor import GaussianPrediction, SemiLazyPredictor
 
-__all__ = ["SMiLer", "SensorFleet"]
+__all__ = ["SMiLer", "SensorFleet", "absorb_many"]
 
 logger = logging.getLogger(__name__)
 
@@ -133,15 +134,16 @@ class SMiLer:
     ) -> dict[Cell, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         series = self.engine.series
         inputs = {}
-        segment_views = {
-            d: sliding_window_view(series, d) for d in {d for _, d in cells}
+        per_length = {
+            d: (self.engine.item_query(d), sliding_window_view(series, d))
+            for d in {d for _, d in cells}
         }
         for cell in cells:
             k, d = cell
             starts, _ = answers[d].top(k)
-            neighbours = segment_views[d][starts]
+            query, segments = per_length[d]
             targets = series[starts + d - 1 + horizon]
-            inputs[cell] = (self.engine.item_query(d), neighbours, targets)
+            inputs[cell] = (query, segments[starts], targets)
         return inputs
 
     def predict(self, horizon: int | None = None) -> dict[int, EnsembleOutput]:
@@ -230,16 +232,14 @@ class SMiLer:
         self.install(self.engine.search())
 
     def absorb(self, value: float) -> None:
-        """The host-side half of :meth:`observe`: auto-tune on the revealed
-        value and append it.
+        """The host-side half of :meth:`observe` (:func:`absorb_many` for
+        a group of one): auto-tune on the revealed value and append it."""
+        absorb_many([self], [value])
 
-        The reading is retained whatever happens to the follow-up search
-        (a caller serving many sensors runs that search once for the
-        group, see :func:`~repro.index.suffix_search.search_many`); the
-        kNN answers are stale from here until :meth:`install`, so a
-        predict in between — possibly after a rebind — re-searches.
-        """
-        value = float(value)
+    def tune(self, value: float) -> None:
+        """The auto-tuning half of absorbing a reading: score the
+        prediction that was waiting for ``value`` and adapt the ensemble.
+        Touches neither the index nor the backend."""
         arrived = self._now
         for h, queue in self._pending.items():
             while queue and queue[0].due_index < arrived:
@@ -251,9 +251,6 @@ class SMiLer:
             if queue and queue[0].due_index == arrived:
                 update = queue.popleft()
                 self._ensembles[h].update(value, update.components)
-        self.engine.advance(value)
-        self._now += 1
-        self._answers = None
 
     def install(self, answers: dict[int, SuffixKnnAnswer]) -> None:
         """Adopt kNN answers searched for the current step."""
@@ -311,6 +308,31 @@ class SMiLer:
         }
 
 
+def absorb_many(sensors: Sequence[SMiLer], values) -> None:
+    """Absorb one revealed value per sensor, the index work stacked.
+
+    Each sensor auto-tunes on its value (:meth:`SMiLer.tune`), then the
+    group's window indexes advance in one
+    :func:`~repro.index.window_index.step_many` — so the sensors must
+    share one backend object and search configuration (callers group by
+    placement).  Nothing here is a faultable kernel op: the readings are
+    retained whatever happens to the follow-up search (which the caller
+    runs once for the group, see
+    :func:`~repro.index.suffix_search.search_many`); the kNN answers are
+    stale from here until :meth:`SMiLer.install`, so a predict in
+    between — possibly after a rebind — re-searches.
+    """
+    values = [float(value) for value in values]
+    if len(values) != len(sensors):
+        raise ValueError(f"{len(values)} values for {len(sensors)} sensors")
+    for sensor, value in zip(sensors, values):
+        sensor.tune(value)
+    step_many([sensor.engine.window_index for sensor in sensors], values)
+    for sensor in sensors:
+        sensor._now += 1
+        sensor._answers = None
+
+
 class SensorFleet:
     """Many sensors, one device — the scale-out mode of Section 4.4.
 
@@ -356,8 +378,7 @@ class SensorFleet:
             )
         # Every reading is retained before the one group search runs; if
         # that fails, every sensor's answers stay invalidated.
-        for sensor, value in zip(self.sensors, values):
-            sensor.absorb(float(value))
+        absorb_many(self.sensors, values)
         found = search_many([sensor.engine for sensor in self.sensors])
         for sensor, answers in zip(self.sensors, found):
             sensor.install(answers)

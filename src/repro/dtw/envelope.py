@@ -42,7 +42,7 @@ class Envelope:
         self.rho = rho
 
     def __len__(self) -> int:
-        return self.upper.size
+        return self.upper.shape[-1]
 
     def slice(self, start: int, stop: int) -> "Envelope":
         """Envelope restricted to positions ``[start, stop)`` (view)."""
@@ -160,28 +160,31 @@ def envelope_shift(values, old: Envelope) -> Envelope:
     windows included the dropped point) and the last ``rho + 1``
     positions (whose windows include the appended point) are recomputed.
     The result is the *exact* envelope, not a conservative widening.
+
+    Works along the last axis: a ``(n_queries, n)`` stack of queries with
+    an ``old`` envelope of the same shape slides every row at once.
     """
     values = np.asarray(values, dtype=np.float64)
     rho = old.rho
-    n = values.size
-    if n != len(old):
+    n = values.shape[-1]
+    if values.shape != old.upper.shape:
         raise ValueError(
             f"old envelope covers {len(old)} points but the slid query has {n}"
         )
     head = min(rho, n)          # recompute [0, head)
     tail = max(n - 1 - rho, 0)  # recompute [tail, n)
     if head >= tail:
-        return compute_envelope(values, rho)
-    upper = np.empty(n)
-    lower = np.empty(n)
-    upper[head:tail] = old.upper[head + 1 : tail + 1]
-    lower[head:tail] = old.lower[head + 1 : tail + 1]
+        return Envelope(*_envelope_arrays(values, rho), rho)
+    upper = np.empty(values.shape)
+    lower = np.empty(values.shape)
+    upper[..., head:tail] = old.upper[..., head + 1 : tail + 1]
+    lower[..., head:tail] = old.lower[..., head + 1 : tail + 1]
     # Head: centres [0, head) only see values[0 : head + rho).
-    head_env = compute_envelope(values[: head + rho], rho)
-    upper[:head] = head_env.upper[:head]
-    lower[:head] = head_env.lower[:head]
+    head_upper, head_lower = _envelope_arrays(values[..., : head + rho], rho)
+    upper[..., :head] = head_upper[..., :head]
+    lower[..., :head] = head_lower[..., :head]
     # Tail: centres [tail, n) only see values[tail - rho :).
-    tail_env = compute_envelope(values[tail - rho :], rho)
-    upper[tail:] = tail_env.upper[rho:]
-    lower[tail:] = tail_env.lower[rho:]
+    tail_upper, tail_lower = _envelope_arrays(values[..., tail - rho :], rho)
+    upper[..., tail:] = tail_upper[..., rho:]
+    lower[..., tail:] = tail_lower[..., rho:]
     return Envelope(upper, lower, rho)

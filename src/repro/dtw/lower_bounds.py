@@ -245,9 +245,12 @@ def window_pair_lbeq(
 ) -> np.ndarray:
     """``LB_EQ`` between all (SW, DW) pairs: DW values against the
     query-window envelope.  ``(n_sw, omega)`` x ``(n_dw, omega)`` in,
-    ``(n_sw, n_dw)`` out."""
+    ``(n_sw, n_dw)`` out; equal leading axes (a stack of sensors) pair
+    up and are kept."""
     return _tube_excess(
-        dw_values[None, :, :], sw_upper[:, None, :], sw_lower[:, None, :]
+        dw_values[..., None, :, :],
+        sw_upper[..., :, None, :],
+        sw_lower[..., :, None, :],
     )
 
 
@@ -257,7 +260,9 @@ def window_pair_lbec(
     """``LB_EC`` between all (SW, DW) pairs: query-window values against
     the series envelope at the DW.  Shapes as :func:`window_pair_lbeq`."""
     return _tube_excess(
-        sw_values[:, None, :], dw_upper[None, :, :], dw_lower[None, :, :]
+        sw_values[..., :, None, :],
+        dw_upper[..., None, :, :],
+        dw_lower[..., None, :, :],
     )
 
 
@@ -278,7 +283,8 @@ def window_pair_lb_matrices(
     omega-point partial bound the group level later shift-sums (Eqn. 5).
 
     This is exactly the computation the paper assigns one GPU block per
-    sliding window; here it is one broadcast expression per side.
+    sliding window; here it is one broadcast expression per side, and a
+    leading sensor axis on every input stacks it.
     """
     sw_values = np.asarray(sw_values, dtype=np.float64)
     if sw_values.size == 0 or dw_values.size == 0:

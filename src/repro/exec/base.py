@@ -120,8 +120,8 @@ def execute_ops(service: "PredictionService", ops: Sequence[tuple]) -> list:
                 except Exception as error:  # noqa: BLE001 - per-sensor side-channel
                     outcomes.append(("err", error))
         elif kind == "ingest":
-            # A run of ingest ops is one lane of readings: absorbed one by
-            # one, searched as a group.  Validation happened at the service
+            # A run of ingest ops is one lane of readings: absorbed and
+            # searched as a group.  Validation happened at the service
             # entry point and backend failures are absorbed by the
             # resilience path, so only genuinely unexpected errors
             # propagate (failing the lane).

@@ -7,15 +7,15 @@ flushing.  Block layout::
 
     [ int64 committed_len ][ float64 x capacity ]
 
-The worker rebinds the sensor's ``WindowLevelIndex._series`` storage to
-a NumPy view over the block's data region, so every in-place append
-lands in shared memory for free; the int64 header is only advanced at
-batch commit, making it the durability line — a crash mid-batch loses
-at most the uncommitted tail of the batch being executed, never a
-committed point.  When the index outgrows the block (its doubling
-append re-allocates a private array), the next :meth:`commit` detects
-the rebind by identity, migrates to a larger block and reports the new
-block name so the parent's recovery map stays current.
+The series itself lives with its lane (the stacked state of
+:mod:`repro.index.window_index`, which re-packs when a lane's membership
+changes), so the block is a journal of it: :meth:`commit` copies the
+points appended since the last commit into the block and only then
+advances the int64 header, making the header the durability line — a
+crash mid-batch loses at most the uncommitted tail of the batch being
+executed, never a committed point.  When the series outgrows the block,
+the same commit migrates to a larger one and reports the new block name
+so the parent's recovery map stays current.
 
 Posting/index matrices deliberately stay in copy-on-write private
 memory: the parent rebuilds them from the committed series on recovery
@@ -91,45 +91,46 @@ class SharedSeriesArena:
         self._blocks: dict[str, shared_memory.SharedMemory] = {}
         self._views: dict[str, np.ndarray] = {}
 
-    def _bind(
-        self, sensor_id: str, index: WindowLevelIndex, capacity: int
-    ) -> dict:
+    def _bind(self, sensor_id: str, series: np.ndarray, capacity: int) -> dict:
         shm = shared_memory.SharedMemory(
             create=True, size=_HEADER_BYTES + 8 * capacity
         )
         _untrack(shm)
         view = np.ndarray((capacity,), dtype=np.float64, buffer=shm.buf,
                           offset=_HEADER_BYTES)
-        view[: index._series.size] = index._series
-        index._series = view
+        view[: series.size] = series
         header = np.ndarray((1,), dtype=np.int64, buffer=shm.buf)
-        header[0] = index._series_len
+        header[0] = series.size
         self._blocks[sensor_id] = shm
         self._views[sensor_id] = view
         return {"name": shm.name, "capacity": capacity}
 
     def share(self, sensor_id: str, index: WindowLevelIndex) -> dict:
-        """Move ``index``'s series storage into a fresh shared block.
+        """Publish ``index``'s series into a fresh shared block.
 
         Returns the block descriptor (``{"name", "capacity"}``) the
         parent records for crash recovery.
         """
-        return self._bind(sensor_id, index, int(index._series.size))
+        series = index.series
+        return self._bind(sensor_id, series, max(2 * series.size, 1024))
 
     def commit(self, sensor_id: str, index: WindowLevelIndex) -> dict | None:
-        """Publish ``index``'s committed length after a batch.
+        """Publish the points ``index`` appended since the last commit.
 
-        Returns ``None`` in the steady state (header update only) or the
-        new block descriptor when the series outgrew its block and was
-        migrated.
+        Returns ``None`` in the steady state (tail copy, then header
+        update) or the new block descriptor when the series outgrew its
+        block and was migrated.
         """
         old = self._blocks[sensor_id]
-        if index._series is self._views[sensor_id]:
+        view = self._views[sensor_id]
+        series = index.series
+        if series.size <= view.size:
             header = np.ndarray((1,), dtype=np.int64, buffer=old.buf)
-            header[0] = index._series_len
+            committed = int(header[0])
+            view[committed : series.size] = series[committed:]
+            header[0] = series.size
             return None
-        # The index's doubling append re-allocated privately; migrate.
-        descriptor = self._bind(sensor_id, index, int(index._series.size))
+        descriptor = self._bind(sensor_id, series, 2 * series.size)
         old.close()
         _unlink(old)
         logger.debug(

@@ -1,7 +1,7 @@
 """SMiLer Index: two-level inverted-like index + Suffix kNN Search."""
 
 from .direct import direct_lb_en
-from .group_index import GroupLevelIndex, ItemLowerBounds
+from .group_index import GroupLevelIndex, ItemLowerBounds, lower_bounds_many
 from .reference import algorithm1_reference
 from .suffix_search import (
     SuffixKnnAnswer,
@@ -9,14 +9,16 @@ from .suffix_search import (
     SuffixSearchConfig,
     search_many,
 )
-from .window_index import WindowLevelIndex
+from .window_index import WindowLevelIndex, step_many
 
 __all__ = [
     "algorithm1_reference",
     "direct_lb_en",
     "GroupLevelIndex",
     "ItemLowerBounds",
+    "lower_bounds_many",
     "search_many",
+    "step_many",
     "SuffixKnnAnswer",
     "SuffixKnnEngine",
     "SuffixSearchConfig",

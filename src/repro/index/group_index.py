@@ -12,20 +12,27 @@ The construction exploits both reuse opportunities of Remark 2: for each
 partial sum after ``m`` windows *is* the bound of the item query whose
 CSG has exactly ``m`` windows (the suffix property), so all item queries'
 bounds fall out of one pass over the window-level posting lists.
+
+The pass is stacked over a lane (:func:`lower_bounds_many`): the
+shift-sum is element-wise, so a leading sensor axis — and the ``omega``
+values of ``b`` side by side — change no sum's order, and a group costs
+one ``group_index_sum`` launch whatever its size.
+:meth:`GroupLevelIndex.compute` is a stack of one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from ..backend.base import ComputeBackend
 from ..gpu.kernels import THREADS_PER_BLOCK
 from ..timeseries.windows import aligned_segment_start, csg_size
-from .window_index import WindowLevelIndex
+from .window_index import WindowLevelIndex, lane_of
 
-__all__ = ["GroupLevelIndex", "ItemLowerBounds"]
+__all__ = ["GroupLevelIndex", "ItemLowerBounds", "lower_bounds_many"]
 
 #: Abstract ops per shift-sum element (two adds + one max).
 _OPS_PER_SUM_ELEM = 3.0
@@ -83,90 +90,150 @@ class GroupLevelIndex:
         self.window_index = window_index
         self.item_lengths = lengths
         self.backend = backend if backend is not None else window_index.backend
-        # Per b: the item queries whose CSG_{i,b} has exactly m windows,
-        # each with the start of its first aligned segment (Lemma 4.1 at
-        # r = m - 1) — fixed by (d, b, omega), so tabulated once.
-        omega = window_index.omega
-        self._closing: list[dict[int, list[tuple[int, int]]]] = []
-        for b in range(omega):
-            by_m: dict[int, list[tuple[int, int]]] = {}
-            for d in lengths:
-                m = csg_size(d, b, omega)
-                if m:
-                    offset = aligned_segment_start(d, b, m - 1, omega)
-                    by_m.setdefault(m, []).append((d, offset))
-            self._closing.append(by_m)
+        # Level m of the shift-sum serves the b whose CSG of the master
+        # query has at least m windows — a prefix of range(omega), since
+        # that size falls as b rises — and closes the item queries whose
+        # CSG_{i,b} has exactly m, each with the start of its first
+        # aligned segment (Lemma 4.1 at r = m - 1).  All fixed by
+        # (lengths, omega), so tabulated once.
+        omega, master = window_index.omega, window_index.master_length
+        self._levels: list[tuple[int, list[tuple[int, int, int]]]] = []
+        for m in range(1, master // omega + 1):
+            n_b = sum(csg_size(master, b, omega) >= m for b in range(omega))
+            closing = [
+                (b, d, aligned_segment_start(d, b, m - 1, omega))
+                for b in range(n_b) for d in lengths
+                if csg_size(d, b, omega) == m
+            ]
+            self._levels.append((n_b, closing))
+        # Shift-sum elements of one pass: 2 * (pairs * n_dw - shifts).
+        self._sum_pairs = sum(n_b for n_b, _ in self._levels)
+        self._sum_shifts = sum(
+            n_b * shift for shift, (n_b, _) in enumerate(self._levels)
+        )
 
     def compute(self) -> dict[int, ItemLowerBounds]:
-        """One pass of Algorithm 1: bounds for every item query."""
-        wi = self.window_index
-        omega = wi.omega
-        n_dw = wi.n_dw
-        series_len = wi.series_length
+        """One pass of Algorithm 1: bounds for every item query (a stack
+        of one)."""
+        return lower_bounds_many([self])[0]
 
-        results = {
+
+def lower_bounds_many(
+    groups: Sequence[GroupLevelIndex],
+) -> list[dict[int, ItemLowerBounds]]:
+    """One pass of Algorithm 1 for a lane of group indexes.
+
+    The groups must share one backend object, item lengths and window
+    parameters (the sensors of one shard under one search configuration
+    do); their series may differ in length.  One stacked shift-sum over
+    ``(sensor, b, DW)`` and one ``group_index_sum`` launch of ``omega``
+    blocks per sensor, charged at its slowest block.  Returns one
+    ``{item length: bounds}`` per group, in order; the bound arrays are
+    row views of the lane's stacked output.
+    """
+    if not groups:
+        return []
+    first = groups[0]
+    for group in groups:
+        if (
+            group.backend is not first.backend
+            or group.item_lengths != first.item_lengths
+        ):
+            raise ValueError(
+                "lower_bounds_many needs group indexes that share one "
+                "backend object and one set of item lengths"
+            )
+    stack, rows = lane_of([group.window_index for group in groups])
+    omega, n_sw, size = stack.omega, stack.n_sw, len(groups)
+    series_len = stack.series_len[rows]
+    n_dw = series_len // omega
+    widest, longest = int(n_dw.max()), int(series_len.max())
+
+    stacked = {
+        d: ItemLowerBounds(
+            item_length=d,
+            lbeq=np.zeros((size, longest - d + 1)),
+            lbec=np.zeros((size, longest - d + 1)),
+            covered=np.zeros((size, longest - d + 1), dtype=bool),
+        )
+        for d in first.item_lengths
+    }
+    # Un-ring once: logical window w of every sensor, its own columns.
+    order = (rows[:, None], (stack.slot0[rows, None] + np.arange(n_sw)) % n_sw)
+    lbeq = stack.lbeq[order[0], order[1], :widest]
+    lbec = stack.lbec[order[0], order[1], :widest]
+    # P_m[r] = P_{m-1}[r] + M[w, r - (m - 1)] with w = b + (m - 1) * omega
+    # (shift-sum), every sensor and every b of the level at once.  A row
+    # shorter than the widest sums padding beyond its own n_dw; ``live``
+    # keeps those sums out of the bounds (None: no row is shorter).
+    peq = np.zeros((size, omega, widest))
+    pec = np.zeros((size, omega, widest))
+    live = None
+    if n_dw.min() < widest:
+        live = np.arange(widest) < n_dw[:, None]
+    for shift, (n_b, closing) in enumerate(first._levels):
+        w = shift * omega
+        peq[:, :n_b, shift:] += lbeq[:, w : w + n_b, : widest - shift]
+        pec[:, :n_b, shift:] += lbec[:, w : w + n_b, : widest - shift]
+        for b, d, offset in closing:
+            _emit(
+                stacked[d], peq[:, b], pec[:, b], shift + 1, offset, omega, live
+            )
+
+    sum_elements = 2 * (first._sum_pairs * n_dw - first._sum_shifts)
+    first.backend.launch(
+        "group_index_sum",
+        n_blocks=omega * size,
+        ops_per_thread=float(
+            (-(-sum_elements // (omega * THREADS_PER_BLOCK))).max()
+            * _OPS_PER_SUM_ELEM
+        ),
+        threads_per_block=THREADS_PER_BLOCK,
+    )
+    return [
+        {
             d: ItemLowerBounds(
                 item_length=d,
-                lbeq=np.zeros(series_len - d + 1),
-                lbec=np.zeros(series_len - d + 1),
-                covered=np.zeros(series_len - d + 1, dtype=bool),
+                lbeq=out.lbeq[i, : n - d + 1],
+                lbec=out.lbec[i, : n - d + 1],
+                covered=out.covered[i, : n - d + 1],
             )
-            for d in self.item_lengths
+            for d, out in stacked.items()
         }
-        if n_dw == 0:
-            return results
+        for i, n in enumerate(series_len.tolist())
+    ]
 
-        total_sum_elements = 0
-        for b, closing in enumerate(self._closing):
-            if not closing:
-                continue
-            peq = np.zeros(n_dw)
-            pec = np.zeros(n_dw)
-            for m in range(1, max(closing) + 1):
-                w = b + (m - 1) * omega
-                if w >= wi.n_sw:
-                    break
-                # P_m[r] = P_{m-1}[r] + M[w, r - (m - 1)]  (shift-sum).
-                shift = m - 1
-                peq[shift:] += wi.lbeq_row(w)[: n_dw - shift]
-                pec[shift:] += wi.lbec_row(w)[: n_dw - shift]
-                total_sum_elements += 2 * (n_dw - shift)
-                for d, offset in closing.get(m, ()):
-                    self._emit(results[d], peq, pec, m, offset, omega)
-        self.backend.launch(
-            "group_index_sum",
-            n_blocks=omega,
-            ops_per_thread=(
-                -(-total_sum_elements // (omega * THREADS_PER_BLOCK))
-                * _OPS_PER_SUM_ELEM
-            ),
-            threads_per_block=THREADS_PER_BLOCK,
-        )
-        return results
 
-    @staticmethod
-    def _emit(
-        out: ItemLowerBounds,
-        peq: np.ndarray,
-        pec: np.ndarray,
-        m: int,
-        offset: int,
-        omega: int,
-    ) -> None:
-        """Write the partial sums into the candidate-start arrays.
+def _emit(
+    out: ItemLowerBounds,
+    peq: np.ndarray,
+    pec: np.ndarray,
+    m: int,
+    offset: int,
+    omega: int,
+    live: np.ndarray | None = None,
+) -> None:
+    """Write one ``b``'s partial sums into the candidate-start arrays.
 
-        Partial sum ``r = m - 1 + j`` bounds the segment starting at
-        ``offset + j * omega``: a contiguous run of sums against a
-        stride-``omega`` run of starts, clipped to the starts that exist
-        (``0 <= t <= series_len - d``, the last index of ``out``).
-        """
-        first = -(offset // omega)  # least j with a start >= 0
-        last = min(peq.size - m, (out.lbeq.size - 1 - offset) // omega)
-        n = last - first + 1
-        if n <= 0:
-            return
-        t0 = offset + first * omega
-        r0 = m - 1 + first
-        out.lbeq[t0::omega][:n] = peq[r0 : r0 + n]
-        out.lbec[t0::omega][:n] = pec[r0 : r0 + n]
-        out.covered[t0::omega][:n] = True
+    Everything is stacked, one row per sensor: ``peq``/``pec`` are
+    ``(sensors, widest n_dw)``, ``out`` holds ``(sensors, longest
+    series_len - d + 1)`` arrays.  Partial sum ``r = m - 1 + j`` bounds
+    the segment starting at ``offset + j * omega``: a contiguous run of
+    sums against a stride-``omega`` run of starts, clipped to the starts
+    (``0 <= t``, and ``t`` inside ``out``) and the sums the longest row
+    has.  A shorter row's surplus starts fall in its padding; its
+    surplus sums are the ``False`` cells of ``live`` (``r < n_dw`` per
+    row) — their starts keep bound 0 and stay uncovered.
+    """
+    low = -(offset // omega)  # least j with a start >= 0
+    last = min(peq.shape[1] - m, (out.lbeq.shape[1] - 1 - offset) // omega)
+    n = last - low + 1
+    if n <= 0:
+        return
+    t0 = offset + low * omega
+    starts = (slice(None), slice(t0, t0 + (n - 1) * omega + 1, omega))
+    sums = (slice(None), slice(m - 1 + low, m - 1 + low + n))
+    keep = True if live is None else live[sums]
+    out.lbeq[starts] = peq[sums] * keep
+    out.lbec[starts] = pec[sums] * keep
+    out.covered[starts] = keep

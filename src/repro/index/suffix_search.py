@@ -36,8 +36,9 @@ rolls by one point, and the search repeats with threshold reuse.
 The unit of search is a *group* of engines on one backend — the sensors
 of one shard (Section 4.4: the GPU serves many sensors at once, one
 candidate per thread, one block per query's selection).
-:func:`search_many` computes each engine's lower bounds, then per item
-length runs
+:func:`search_many` computes the group's lower bounds in one stacked
+shift-sum (:func:`~repro.index.group_index.lower_bounds_many`), then per
+item length runs
 
 * **(A)** per engine: valid starts, their bounds, the seed choice;
 * **(B)** one ``dtw_verification`` over the group's concatenated seeds;
@@ -65,7 +66,7 @@ from ..backend.base import ComputeBackend, as_backend
 from ..dtw.lower_bounds import lb_kim_profile
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs import hooks as obs
-from .group_index import GroupLevelIndex, ItemLowerBounds
+from .group_index import GroupLevelIndex, ItemLowerBounds, lower_bounds_many
 from .window_index import WindowLevelIndex
 
 __all__ = [
@@ -201,8 +202,10 @@ class SuffixKnnEngine:
         return search_many([self])[0]
 
     def advance(self, new_point: float) -> None:
-        """Append one new point and slide the master query (host-side
-        only — no backend work, so it cannot fail on a sick device)."""
+        """Append one new point and slide the master query (a stack of
+        one of :func:`~repro.index.window_index.step_many`).  Host-side
+        arithmetic plus one ``window_index_step`` ledger entry — no
+        faultable op, so it cannot fail on a sick device."""
         self.window_index.step(new_point)
 
     def step(self, new_point: float) -> dict[int, SuffixKnnAnswer]:
@@ -240,9 +243,10 @@ def search_many(
     The engines must share one backend object and one
     :class:`SuffixSearchConfig` (the sensors of one backend shard do, by
     construction; there is no compatibility grouping in here — callers
-    group by placement).  Whatever the group's size, an item length
-    costs four kernel ops: seed verification, ``search_lb_kim``,
-    survivor verification, segmented k-selection.  Returns one
+    group by placement).  Whatever the group's size, the lower bounds
+    cost one ``group_index_sum`` launch and an item length costs four
+    kernel ops: seed verification, ``search_lb_kim``, survivor
+    verification, segmented k-selection.  Returns one
     ``{item length: answer}`` per engine, in order.
     """
     if not engines:
@@ -258,7 +262,9 @@ def search_many(
         if sp is not None:
             sp.attrs["n_sensors"] = len(engines)
         with obs.span("lower_bounds", backend):
-            bounds = [engine.group_index.compute() for engine in engines]
+            bounds = lower_bounds_many(
+                [engine.group_index for engine in engines]
+            )
         answers: list[dict[int, SuffixKnnAnswer]] = [{} for _ in engines]
         for d in cfg.item_lengths:
             fused = _search_item(engines, d, [lbs[d] for lbs in bounds])
@@ -433,12 +439,6 @@ def _search_item(
     ):
         verified = int(member.seeds.size + member.survivors.size)
         engine._previous_knn[d] = starts[top]
-        obs.observe_search(
-            d, member.bound.size, member.unfiltered,
-            candidates_verified=verified,
-            pruned_kim=member.pruned_kim,
-            pruned_window=member.pruned_window,
-        )
         answers.append(SuffixKnnAnswer(
             item_length=d,
             starts=starts[top],
@@ -451,4 +451,14 @@ def _search_item(
             verification_sim_s=verification_s[i],
             selection_sim_s=selection_s[i],
         ))
+    if obs.is_enabled():  # one emission per lane, the sensors' counts summed
+        obs.observe_search(
+            d,
+            sum(answer.candidates_total for answer in answers),
+            sum(answer.candidates_unfiltered for answer in answers),
+            candidates_verified=sum(a.candidates_verified for a in answers),
+            pruned_kim=sum(answer.pruned_kim for answer in answers),
+            pruned_window=sum(answer.pruned_window for answer in answers),
+            queries=len(answers),
+        )
     return answers

@@ -369,8 +369,11 @@ def observe_search(
     candidates_verified: int,
     pruned_kim: int = 0,
     pruned_window: int = 0,
+    queries: int = 1,
 ) -> None:
-    """Record one Suffix kNN search's pruning effectiveness.
+    """Record the pruning effectiveness of ``queries`` Suffix kNN
+    searches of one item length — a fused lane reports once, with its
+    sensors' counts summed.
 
     ``candidates_verified`` is the number of candidates whose true DTW
     was computed — it can exceed ``candidates_unfiltered`` because
@@ -379,7 +382,7 @@ def observe_search(
     """
     if not _enabled:
         return
-    _live(_M.search_queries_total).inc(item_length=item_length)
+    _live(_M.search_queries_total).inc(queries, item_length=item_length)
     _live(_M.search_candidates_total).inc(
         candidates_total, item_length=item_length
     )

@@ -67,7 +67,7 @@ from .baselines.autoregressive import fit_ar
 from .core.config import SMiLerConfig
 from .core.persistence import build_smiler, load_snapshot, save_smiler
 from .core.scaleout import plan_lanes
-from .core.smiler import SMiLer
+from .core.smiler import SMiLer, absorb_many
 from .exec.base import (
     ENGINE_NAMES,
     ExecutionEngine,
@@ -559,20 +559,27 @@ class PredictionService:
     def _observe_lane(self, pairs: Sequence[tuple[str, float]]) -> None:
         """Feed one lane's validated raw readings; absorb backend failures.
 
-        Every reading is z-normalised and absorbed host-side *before* any
-        backend search (``SMiLer.absorb``), so a failure here never loses
-        data — it only leaves kNN answers stale (the next forecast
-        re-searches, on a healthy backend after failover).  The searches
-        then run fused, one group per hosting backend and search
-        configuration; a single ``ingest()`` is a lane of one.
+        Every reading is z-normalised and absorbed *before* any faultable
+        backend op — per sensor the auto-tune, per group one stacked
+        index step (:func:`~repro.core.smiler.absorb_many`) — so a
+        failure here never loses data: it only leaves kNN answers stale
+        (the next forecast re-searches, on a healthy backend after
+        failover).  The searches then run fused, one group per hosting
+        backend and search configuration; a single ``ingest()`` is a
+        lane of one.
         """
-        groups: dict[tuple, list[SMiLer]] = {}
+        groups: dict[tuple, tuple[list[SMiLer], list[float]]] = {}
         for sensor_id, value in pairs:
             smiler = self._sensors[sensor_id]
-            smiler.absorb(self._norms[sensor_id].apply(np.array([value]))[0])
             index = self._placements[sensor_id].backend_index
-            groups.setdefault((index, smiler.engine.config), []).append(smiler)
-        for (index, _), smilers in groups.items():
+            smilers, values = groups.setdefault(
+                (index, smiler.engine.config), ([], [])
+            )
+            smilers.append(smiler)
+            values.append(self._norms[sensor_id].apply(np.array([value]))[0])
+        for smilers, values in groups.values():
+            absorb_many(smilers, values)
+        for (index, _), (smilers, _) in groups.items():
             self._search_group(index, smilers)
 
     def _search_group(self, index: int, smilers: list[SMiLer]) -> None:

@@ -178,6 +178,32 @@ class TestFleet:
             assert sensor.series[-1] == value
             assert sensor._answers is None
 
+    def test_absorb_is_the_auto_tune_then_one_stacked_index_step(self):
+        from repro.core.smiler import absorb_many
+
+        backend = SimulatedGpuBackend()
+        history = periodic_history()
+        sensors = [
+            SMiLer(history[: 600 + 7 * i], SMALL, backend=backend)
+            for i in range(3)
+        ]
+        for sensor in sensors:
+            sensor.predict()
+        launches = backend.cost.launches
+        sensors[0].tune(0.5)  # scores the waiting prediction, nothing else
+        assert sensors[0].ensemble(1).updates == 1
+        assert sensors[0].now == sensors[0].series.size == 600
+        assert sensors[0]._answers is not None
+        assert backend.cost.launches == launches
+        absorb_many(sensors[1:], [0.25, 0.75])
+        assert backend.cost.launches == launches + 1  # one window_index_step
+        for sensor, value in zip(sensors[1:], (0.25, 0.75)):
+            assert sensor.ensemble(1).updates == 1
+            assert sensor.series[-1] == value and sensor.now == sensor.series.size
+            assert sensor._answers is None
+        with pytest.raises(ValueError):
+            absorb_many(sensors, [1.0])
+
     def test_fleet_shares_device_memory(self):
         histories = [periodic_history(seed=s)[:600] for s in range(2)]
         fleet = SensorFleet(histories, SMALL)

@@ -23,7 +23,7 @@ import pytest
 
 from repro import obs
 from repro.backend import BACKEND_NAMES, make_backend
-from repro.core import SMiLerConfig
+from repro.core import SMiLer, SMiLerConfig, load_smiler, save_smiler
 from repro.exec import ENGINE_ENV_VAR, ENGINE_NAMES
 from repro.faults import FaultProfile
 from repro.service import (
@@ -31,6 +31,7 @@ from repro.service import (
     ResiliencePolicy,
     ServiceConfig,
 )
+from repro.timeseries.series import ZNormStats
 
 CONFIG = SMiLerConfig(
     elv=(8, 16), ekv=(4, 8), rho=2, omega=4, horizons=(1, 3),
@@ -202,9 +203,10 @@ class TestEngineResolution:
 class TestLaneFusedLaunches:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_ingest_lane_is_four_search_ops_per_item_length(self, engine):
-        """Per shard per ``ingest_many``: the window step and the group
-        bounds stay per sensor; the search's four kernel ops per item
-        length do not grow with the lane — on every engine."""
+        """Per shard per ``ingest_many``: one stacked window step, one
+        stacked shift-sum for the group bounds and the search's four
+        kernel ops per item length — none grows with the lane, on every
+        engine."""
         histories, futures = make_workload(n_sensors=12)
         service = build_service("simulated", engine, n_backends=2)
         try:
@@ -225,7 +227,133 @@ class TestLaneFusedLaunches:
         finally:
             service.close()
         assert per_shard == [6, 6]
-        assert spent == [2 * n + 4 * len(CONFIG.elv) for n in per_shard]
+        assert spent == [2 + 4 * len(CONFIG.elv) for _ in per_shard]
+
+    def test_ten_launches_a_round_on_a_24_sensor_shard_ragged_or_not(self):
+        """56 per round before the index steps were stacked (24 window
+        steps + 24 shift-sums + 4 x 2); now 10, every round, and blind to
+        the lane's series lengths."""
+        for ragged in (0, 13):
+            service = build_service("simulated", "inline", n_backends=1)
+            histories, futures = make_workload(n_sensors=24, n_future=10)
+            for i, (sensor_id, history) in enumerate(histories.items()):
+                service.register(sensor_id, history[(i * ragged) % 97 :])
+            service.forecast_all()
+            cost, spent = service.backends[0].cost, []
+            for step in range(10):
+                before = cost.launches
+                service.ingest_many(
+                    {sid: float(futures[sid][step]) for sid in histories}
+                )
+                spent.append(cost.launches - before)
+            service.close()
+            assert spent == [2 + 4 * len(CONFIG.elv)] * 10 == [10] * 10
+
+
+class _StandaloneSensor:
+    """One sensor outside any service: a ``SMiLer`` of its own on a
+    backend of its own, fed what the service feeds its copy."""
+
+    def __init__(self, sensor_id, history, backend_name):
+        self.backend_name = backend_name
+        self.stats = ZNormStats(
+            mean=float(np.mean(history)),
+            std=max(float(np.std(history)), 1e-12),
+        )
+        self.smiler = SMiLer(
+            self.stats.apply(history), CONFIG,
+            backend=make_backend(backend_name), sensor_id=sensor_id,
+        )
+
+    def forecast(self):
+        horizon = min(CONFIG.horizons)
+        output = self.smiler.predict(horizon=horizon)[horizon]
+        mean = float(self.stats.invert(np.array([output.mean]))[0])
+        variance = float(
+            self.stats.invert_variance(np.array([output.variance]))[0]
+        )
+        return mean, float(np.sqrt(max(variance, 0.0)))
+
+    def ingest(self, value):
+        self.smiler.observe(self.stats.apply(np.array([value]))[0])
+
+    def through_a_snapshot(self, directory):
+        path = directory / f"twin-{self.smiler.sensor_id}.npz"
+        save_smiler(self.smiler, path)
+        self.smiler = load_smiler(path, backend=make_backend(self.backend_name))
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("backend_name", BACKEND_NAMES)
+class TestLaneLifecycle:
+    """Sensors join and leave a lane between ticks — deregistered,
+    evacuated onto another shard's lane, restored into new ones — with
+    series lengths that differ from their neighbours'.  Whatever stack a
+    sensor's index shares, its forecasts and kNN answers are the ones a
+    standalone ``SMiLer`` fed the same readings gives."""
+
+    def test_register_ingest_deregister_evacuate_restore(
+        self, engine, backend_name, tmp_path
+    ):
+        histories, futures = make_workload(n_sensors=8, n_future=10)
+        histories = {
+            sid: history[11 * i :] for i, (sid, history) in
+            enumerate(histories.items())
+        }
+        twins = {
+            sid: _StandaloneSensor(sid, history, backend_name)
+            for sid, history in histories.items()
+        }
+        step = 0
+
+        def serve_rounds(service, n):
+            nonlocal step
+            for _ in range(n):
+                batch = service.forecast_all()
+                assert batch.ok and sorted(batch) == sorted(twins)
+                for sid, twin in twins.items():
+                    assert (batch[sid].mean, batch[sid].std) == twin.forecast()
+                    assert batch[sid].source == "ensemble"
+                readings = {sid: float(futures[sid][step]) for sid in twins}
+                service.ingest_many(readings)
+                for sid, twin in twins.items():
+                    twin.ingest(readings[sid])
+                    ours, theirs = service.sensor(sid), twin.smiler
+                    np.testing.assert_array_equal(ours.series, theirs.series)
+                    assert ours.now == theirs.now
+                    assert list(ours._answers) == list(theirs._answers)
+                    for d, answer in theirs._answers.items():
+                        np.testing.assert_array_equal(
+                            ours._answers[d].starts, answer.starts
+                        )
+                        np.testing.assert_array_equal(
+                            ours._answers[d].distances, answer.distances
+                        )
+                step += 1
+
+        service = build_service(backend_name, engine, n_backends=2)
+        try:
+            for sensor_id, history in histories.items():
+                service.register(sensor_id, history)
+            serve_rounds(service, 2)
+            service.deregister("s003")
+            del twins["s003"]
+            serve_rounds(service, 2)
+            moved = service.evacuate(0)
+            assert moved and set(service.sensors_per_backend()) == {0, 7}
+            serve_rounds(service, 2)
+            service.snapshot(tmp_path / "service")
+        finally:
+            service.close()
+        (tmp_path / "twins").mkdir()
+        for twin in twins.values():
+            twin.through_a_snapshot(tmp_path / "twins")
+        restored = build_service(backend_name, engine, n_backends=2)
+        try:
+            restored.restore(tmp_path / "service")
+            serve_rounds(restored, 2)
+        finally:
+            restored.close()
 
 
 @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
@@ -497,6 +625,54 @@ class TestWorkerCrash:
                 assert series.size == HISTORY_POINTS + 1
         finally:
             service.close()
+
+
+class TestSharedSeriesJournal:
+    """The shm block journals a series that lives with its lane: what
+    was committed is recoverable whatever stack the index moved to, and
+    nothing uncommitted is."""
+
+    def test_commit_is_the_durability_line_across_repacks_and_growth(self):
+        from repro.exec.shm import SharedSeriesArena, read_committed_series
+        from repro.index import WindowLevelIndex
+        from repro.index.window_index import step_many
+
+        rng = np.random.default_rng(3)
+        backend = make_backend("native")
+        indexes = [
+            WindowLevelIndex(rng.normal(size=n), 16, 4, 2, backend)
+            for n in (1010, 300)
+        ]
+        for index in indexes:
+            index.build(index.series[-16:])
+        arena = SharedSeriesArena()
+        try:
+            blocks = [
+                arena.share(f"s{i}", index) for i, index in enumerate(indexes)
+            ]
+            assert [block["capacity"] for block in blocks] == [2020, 1024]
+            indexes[0].step(0.5)  # alone, then as a lane: the index re-packs
+            step_many(indexes, [0.25, 0.75])
+            assert arena.commit("s0", indexes[0]) is None
+            committed = np.array(indexes[0].series)
+            step_many(indexes, [1.5, 2.5])  # not committed: not recoverable
+            recovered = read_committed_series(blocks[0]["name"])
+            np.testing.assert_array_equal(recovered, committed)
+            assert read_committed_series(blocks[0]["name"]) is None  # unlinked
+
+            # The short series outgrows its 1024-point block: the commit
+            # migrates it and says where to.
+            for _ in range(730):
+                indexes[1].step(float(rng.normal()))
+            assert indexes[1].series_length == 1032
+            moved = arena.commit("s1", indexes[1])
+            assert moved["capacity"] == 2064 and moved["name"] != blocks[1]["name"]
+            assert read_committed_series(blocks[1]["name"]) is None
+            np.testing.assert_array_equal(
+                read_committed_series(moved["name"]), indexes[1].series
+            )
+        finally:
+            arena.unlink_all()
 
 
 class TestFlushTelemetry:

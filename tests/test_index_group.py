@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.backend import SimulatedGpuBackend
 from repro.dtw import dtw_distance
 from repro.index import GroupLevelIndex, WindowLevelIndex, direct_lb_en
-from repro.index.group_index import ItemLowerBounds
+from repro.index.group_index import ItemLowerBounds, _emit
 from repro.timeseries.windows import aligned_segment_start, csg_size
 
 
@@ -173,8 +173,9 @@ class TestAlgorithm1Reference:
 
 
 class TestEmitBySlices:
-    """``_emit`` writes strided slices; the mask-and-fancy-index form it
-    replaced is kept here as the oracle."""
+    """``_emit`` writes strided slices into a stack of rows, each clipped
+    to its own length; the per-row mask-and-fancy-index form it replaced
+    is kept here as the oracle."""
 
     @staticmethod
     def emit_by_mask(out, peq, pec, b, m, omega, series_len):
@@ -191,16 +192,17 @@ class TestEmitBySlices:
         out.covered[ts] = True
 
     @staticmethod
-    def blank(d, series_len):
-        size = series_len - d + 1
+    def blank(d, series_len, rows=None):
+        shape = series_len - d + 1 if rows is None else (rows, series_len - d + 1)
         return ItemLowerBounds(
-            d, np.zeros(size), np.zeros(size), np.zeros(size, dtype=bool)
+            d, np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
         )
 
     def test_equals_the_mask_form_on_every_edge(self):
         """Ragged ``series_len`` (a partial last window), negative
         offsets (``(d - b) % omega != 0``) and ``n_dw < m`` (fewer
-        partial sums than the CSG has windows)."""
+        partial sums than the CSG has windows) — every row alone, and
+        stacked beside a longer neighbour that must not leak into it."""
         rng = np.random.default_rng(0)
         compared = negative = short = 0
         for omega in (2, 3, 4, 8):
@@ -216,13 +218,32 @@ class TestEmitBySlices:
                         if (series_len + b) % 5 == 0:
                             n_dw = m - 1
                         short += n_dw < m
-                        peq, pec = rng.random(n_dw), rng.random(n_dw)
-                        got = self.blank(d, series_len)
-                        want = self.blank(d, series_len)
-                        GroupLevelIndex._emit(got, peq, pec, m, offset, omega)
-                        self.emit_by_mask(want, peq, pec, b, m, omega, series_len)
-                        np.testing.assert_array_equal(got.lbeq, want.lbeq)
-                        np.testing.assert_array_equal(got.lbec, want.lbec)
-                        np.testing.assert_array_equal(got.covered, want.covered)
-                        compared += 1
-        assert compared > 1000 and negative > 100 and short > 100
+                        # Row 0 is the case; row 1 a neighbour one DW and
+                        # a bit longer, so row 0 sits in a padded stack.
+                        lens = np.array([series_len, series_len + omega + 1])
+                        n_dws = np.array([n_dw, lens[1] // omega])
+                        peq, pec = rng.random((2, 2, n_dws[1]))
+                        for rows in (slice(0, 1), slice(0, 2)):
+                            got = self.blank(d, lens[rows].max(), lens[rows].size)
+                            width = n_dws[rows].max()
+                            live = np.arange(width) < n_dws[rows, None]
+                            _emit(
+                                got, peq[rows, :width], pec[rows, :width],
+                                m, offset, omega,
+                                None if live.all() else live,
+                            )
+                            for i in range(lens[rows].size):
+                                size = lens[i] - d + 1
+                                want = self.blank(d, lens[i])
+                                self.emit_by_mask(
+                                    want, peq[i, : n_dws[i]], pec[i, : n_dws[i]],
+                                    b, m, omega, lens[i],
+                                )
+                                np.testing.assert_array_equal(
+                                    got.lbeq[i, :size], want.lbeq)
+                                np.testing.assert_array_equal(
+                                    got.lbec[i, :size], want.lbec)
+                                np.testing.assert_array_equal(
+                                    got.covered[i, :size], want.covered)
+                                compared += 1
+        assert compared > 3000 and negative > 100 and short > 100

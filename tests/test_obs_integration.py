@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import PredictionService, SMiLerConfig, obs
+from repro.service import ServiceConfig
 from repro.backend import BACKEND_NAMES, SimulatedGpuBackend, make_backend
 
 
@@ -109,6 +110,68 @@ class TestMetricsExport:
         assert counter.value(outcome="built_full") == wi.rows_built_full
         assert counter.value(outcome="recomputed_lbeq") == wi.rows_recomputed_lbeq
         assert counter.value(outcome="reused") == wi.rows_reused
+
+    def test_a_lane_reports_once_with_its_sensors_summed(self, monkeypatch):
+        """One ``observe_window_reuse`` per stacked step and one
+        ``observe_search`` per item length per lane; the totals are the
+        per-sensor ones, the query counter rises by the lane's size."""
+        from repro.index import window_index
+        from repro.obs import hooks
+
+        calls = {"reuse": 0, "search": 0}
+
+        def counting(name, hook):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return hook(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            window_index, "observe_window_reuse",
+            counting("reuse", window_index.observe_window_reuse),
+        )
+        monkeypatch.setattr(
+            hooks, "observe_search", counting("search", hooks.observe_search)
+        )
+        # Inline, so the counted calls happen in this process.
+        service = PredictionService(
+            config=tiny_config("ar"), backends=SimulatedGpuBackend(),
+            min_history=300, service_config=ServiceConfig(engine="inline"),
+        )
+        rng = np.random.default_rng(8)
+        for i in range(3):
+            service.register(
+                f"s{i}", np.cos(np.arange(380 + 9 * i) * 0.1) + 0.05
+                * rng.standard_normal(380 + 9 * i),
+            )
+        obs.enable()
+        calls.update(reuse=0, search=0)  # builds reported at registration
+        service.ingest_many({"s0": 0.1, "s1": 0.2, "s2": 0.3})
+        assert calls == {"reuse": 1, "search": 2}
+
+        registry = obs.get_registry()
+        indexes = [
+            service._sensors[sid].engine.window_index for sid in service.sensor_ids
+        ]
+        rows = registry.get("smiler_window_index_rows_total")
+        assert rows.value(outcome="built_full") == 3
+        assert rows.value(outcome="recomputed_lbeq") == 3 * indexes[0].rho
+        assert rows.value(outcome="reused") == sum(
+            index.rows_reused for index in indexes
+        )
+        assert registry.get(
+            "smiler_window_index_lbec_columns_recomputed_total"
+        ).value() == sum(index.columns_recomputed_lbec for index in indexes)
+        for d in (16, 32):
+            assert registry.get("smiler_search_queries_total").value(
+                item_length=d
+            ) == 3
+            assert registry.get("smiler_search_candidates_total").value(
+                item_length=d
+            ) == sum(
+                service._sensors[sid]._answers[d].candidates_total
+                for sid in service.sensor_ids
+            )
 
     def test_pruning_counters_track_search_accounting(self):
         obs.enable()

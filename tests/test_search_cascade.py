@@ -464,8 +464,9 @@ class TestFusedGroups:
             launches, tick = backend.cost.launches, backend.tick
             search_many(engines)
             n_items = len(SMALL_CFG.item_lengths)
-            # group_index_sum stays per engine; the rest is per group.
-            assert backend.cost.launches - launches == n_engines + 4 * n_items
+            # One group_index_sum for the group's bounds, then four ops
+            # per item length.
+            assert backend.cost.launches - launches == 1 + 4 * n_items
             # The fault wrapper sees the three faultable ones of the four.
             assert backend.tick - tick == 3 * n_items
 
@@ -539,7 +540,7 @@ class TestAccounting:
                 a.verification_sim_s + a.selection_sim_s for a in answers
             )
             # The only other work inside a search is the group-index bound
-            # computation, charged per engine outside the answers' spans.
+            # computation, one launch per group outside the answers' spans.
             bounds_s = backend.cost.per_kernel_s["group_index_sum"]
             assert accounted == pytest.approx(
                 backend.elapsed_s - bounds_s, rel=1e-12
