@@ -26,8 +26,50 @@ class AggregationPredictor(SemiLazyPredictor):
     def predict(
         self, query: np.ndarray, neighbours: np.ndarray, targets: np.ndarray
     ) -> GaussianPrediction:
-        """Gaussian h-step-ahead prediction (see BaseForecaster.predict)."""
+        """Gaussian h-step-ahead prediction (see BaseForecaster.predict);
+        the stacked reduction of :meth:`predict_rows` on ``[1, k]``."""
         _, _, targets = self._validate(query, neighbours, targets)
-        mean = float(targets.mean())
-        variance = float(np.mean((targets - mean) ** 2))
-        return GaussianPrediction(mean, max(variance, self.variance_floor))
+        mean, variance = _moments(targets[None, :])
+        return GaussianPrediction(
+            float(mean[0]), max(float(variance[0]), self.variance_floor)
+        )
+
+    @staticmethod
+    def predict_rows(predictors, queries, neighbours, targets):
+        """Every row's pseudo-mean and pseudo-variance in two last-axis
+        reductions; shapes are checked once for the stack (a mismatch
+        raises), each row's Gaussian is still checked on its own."""
+        rows, k, d = neighbours.shape
+        if (
+            queries.shape != (rows, d)
+            or targets.shape != (rows, k)
+            or len(predictors) != rows
+        ):
+            raise ValueError(
+                f"expected R predictors, queries [R, d], neighbours "
+                f"[R, k, d] and targets [R, k]; got {len(predictors)}, "
+                f"{queries.shape}, {neighbours.shape}, {targets.shape}"
+            )
+        if k == 0:
+            raise ValueError("at least one neighbour is required")
+        means, variances = _moments(targets)
+        outcomes: list[GaussianPrediction | Exception] = []
+        for predictor, mean, variance in zip(
+            predictors, means.tolist(), variances.tolist()
+        ):
+            try:
+                outcomes.append(GaussianPrediction(
+                    mean, max(variance, predictor.variance_floor)
+                ))
+            except ValueError as error:
+                outcomes.append(error.with_traceback(None))
+        return outcomes
+
+
+def _moments(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eqns. 10-13 for every row of ``targets [R, k]``.  Reduced along
+    the last axis only: that is the same pairwise summation a row gets
+    alone, so a row's moments do not depend on its neighbours in the
+    stack (pinned by ``tests/test_forecast_lane.py``)."""
+    mean = targets.mean(axis=1)
+    return mean, ((targets - mean[:, None]) ** 2).mean(axis=1)

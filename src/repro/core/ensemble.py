@@ -117,19 +117,29 @@ class AdaptiveEnsemble:
         missing = [cell for cell in awake if cell not in inputs]
         if missing:
             raise KeyError(f"missing kNN inputs for awake cells: {missing}")
-        components: dict[Cell, GaussianPrediction] = {}
-        for cell in awake:
-            query, neighbours, targets = inputs[cell]
-            components[cell] = self._states[cell].predictor.predict(
-                query, neighbours, targets
-            )
+        return self.mix({
+            cell: self._states[cell].predictor.predict(*inputs[cell])
+            for cell in awake
+        })
+
+    def mix(self, components: dict[Cell, GaussianPrediction]) -> EnsembleOutput:
+        """The mixing half of :meth:`predict`: the moment-matched mixture
+        of the awake cells' predictions, however they were computed
+        (:func:`repro.core.smiler.predict_many` computes them a cell at a
+        time for a whole lane).  ``components`` must hold exactly the
+        awake cells."""
         weights = self.weights()
+        if components.keys() != weights.keys():
+            raise KeyError(
+                f"components {list(components)} are not the awake cells "
+                f"{list(weights)}"
+            )
         total = sum(weights.values())
         norm = {cell: w / total for cell, w in weights.items()}
-        mean = sum(norm[c] * components[c].mean for c in awake)
+        mean = sum(norm[c] * components[c].mean for c in norm)
         second_moment = sum(
             norm[c] * (components[c].variance + components[c].mean ** 2)
-            for c in awake
+            for c in norm
         )
         variance = max(second_moment - mean**2, 1e-10)
         return EnsembleOutput(

@@ -12,8 +12,10 @@ and :class:`repro.core.gp_predictor.GaussianProcessPredictor`
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -28,9 +30,9 @@ class GaussianPrediction:
     variance: float
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.mean):
+        if not math.isfinite(self.mean):
             raise ValueError(f"prediction mean must be finite, got {self.mean}")
-        if not np.isfinite(self.variance) or self.variance <= 0:
+        if not math.isfinite(self.variance) or self.variance <= 0:
             raise ValueError(
                 f"prediction variance must be positive and finite, got "
                 f"{self.variance}"
@@ -66,6 +68,33 @@ class SemiLazyPredictor(ABC):
         targets:
             ``Y_h``: their h-step-ahead values, shape ``(k,)``.
         """
+
+    @staticmethod
+    def predict_rows(
+        predictors: Sequence["SemiLazyPredictor"],
+        queries: np.ndarray,
+        neighbours: np.ndarray,
+        targets: np.ndarray,
+    ) -> list["GaussianPrediction | Exception"]:
+        """One cell of many sensors at once: row ``i`` is
+        ``predictors[i].predict(queries[i], neighbours[i], targets[i])``
+        for ``queries [R, d]``, ``neighbours [R, k, d]``, ``targets
+        [R, k]``, with a row's exception returned in its place so one
+        sensor's failure stays its own.  The default evaluates row by
+        row; a family whose rows reduce together overrides it (called as
+        ``type(predictors[0]).predict_rows(...)`` on rows of one family).
+        """
+        outcomes: list[GaussianPrediction | Exception] = []
+        for predictor, query, segments, values in zip(
+            predictors, queries, neighbours, targets
+        ):
+            try:
+                outcomes.append(predictor.predict(query, segments, values))
+            except Exception as error:  # noqa: BLE001 - returned per row
+                # Without the traceback: kept, it would tie this frame
+                # (and the stacks it reads) into a reference cycle.
+                outcomes.append(error.with_traceback(None))
+        return outcomes
 
     @staticmethod
     def _validate(query, neighbours, targets):

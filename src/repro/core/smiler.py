@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..backend.base import ComputeBackend, as_backend
 from ..index.suffix_search import (
@@ -32,7 +31,7 @@ from ..index.suffix_search import (
     SuffixSearchConfig,
     search_many,
 )
-from ..index.window_index import WindowLevelIndex, step_many
+from ..index.window_index import WindowLevelIndex, lane_of, step_many
 from ..obs import hooks as obs
 from .ar import AggregationPredictor
 from .config import SMiLerConfig
@@ -40,9 +39,13 @@ from .ensemble import AdaptiveEnsemble, Cell, EnsembleOutput
 from .gp_predictor import GaussianProcessPredictor
 from .predictor import GaussianPrediction, SemiLazyPredictor
 
-__all__ = ["SMiLer", "SensorFleet", "absorb_many"]
+__all__ = ["SMiLer", "SensorFleet", "absorb_many", "predict_many"]
 
 logger = logging.getLogger(__name__)
+
+
+#: The reduced rung's predictor (stateless: one serves every sensor).
+_REDUCED = AggregationPredictor()
 
 
 def _make_predictor(config: SMiLerConfig) -> "SemiLazyPredictor":
@@ -129,52 +132,15 @@ class SMiLer:
         return self._answers
 
     # -------------------------------------------------------------- predict
-    def _cell_inputs(
-        self, answers: dict[int, SuffixKnnAnswer], horizon: int, cells: list[Cell]
-    ) -> dict[Cell, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        series = self.engine.series
-        inputs = {}
-        per_length = {
-            d: (self.engine.item_query(d), sliding_window_view(series, d))
-            for d in {d for _, d in cells}
-        }
-        for cell in cells:
-            k, d = cell
-            starts, _ = answers[d].top(k)
-            query, segments = per_length[d]
-            targets = series[starts + d - 1 + horizon]
-            inputs[cell] = (query, segments[starts], targets)
-        return inputs
-
     def predict(self, horizon: int | None = None) -> dict[int, EnsembleOutput]:
-        """Gaussian predictions for the configured horizons.
+        """Gaussian predictions for the configured horizons — a lane of
+        one of :func:`predict_many`, a failed outcome re-raised.
 
-        Each call reuses the current step's kNN answers across all
-        horizons and ensemble cells (the ensemble's whole point: one
-        Suffix kNN Search serves the entire matrix).
+        One Suffix kNN answer per item length serves every horizon and
+        every ensemble cell (the ensemble's whole point); stale answers
+        are searched for first.
         """
-        horizons = self.config.horizons if horizon is None else (horizon,)
-        unknown = [h for h in horizons if h not in self._ensembles]
-        if unknown:
-            raise KeyError(
-                f"horizons {unknown} not configured; available: "
-                f"{self.config.horizons}"
-            )
-        with obs.span("predict", self.backend) as sp:
-            if sp is not None:
-                sp.attrs["sensor_id"] = self.sensor_id
-            answers = self._current_answers()
-            outputs: dict[int, EnsembleOutput] = {}
-            for h in horizons:
-                ensemble = self._ensembles[h]
-                inputs = self._cell_inputs(answers, h, ensemble.awake_cells())
-                with obs.span("ensemble_mix", self.backend) as esp:
-                    if esp is not None:
-                        esp.attrs["horizon"] = h
-                    output = ensemble.predict(inputs)
-                outputs[h] = output
-                self._remember(h, output)
-        return outputs
+        return _raised(predict_many([self], horizon)[0])
 
     def predict_reduced(self, horizon: int) -> GaussianPrediction:
         """Cheapest single-cell prediction: the smallest ``(k, d)`` cell
@@ -191,10 +157,10 @@ class SMiLer:
                 f"horizon {horizon} not configured; available: "
                 f"{self.config.horizons}"
             )
-        answers = self._current_answers()
-        cell = min(self.config.grid)
-        inputs = self._cell_inputs(answers, horizon, [cell])
-        return AggregationPredictor().predict(*inputs[cell])
+        self._current_answers()
+        return _raised(_LaneKnn([self]).predict_cell(
+            min(self.config.grid), horizon, [0], [_REDUCED]
+        )[0])
 
     def rebind(self, backend: ComputeBackend | None) -> "SMiLer":
         """Move this sensor to another backend: rebuild the search index
@@ -308,6 +274,209 @@ class SMiLer:
         }
 
 
+def _raised(outcome):
+    """``outcome``, unless it is an exception: then it is raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class _LaneKnn:
+    """The kNN data of sensors whose answers are current, gathered
+    stacked — one row per sensor — from where their lane already keeps
+    its series and master queries
+    (:class:`~repro.index.window_index.LaneStack`): per item length one
+    gather shared by every ``k`` and every horizon, per horizon one more
+    for the targets."""
+
+    def __init__(self, sensors: Sequence["SMiLer"]) -> None:
+        self._answers = [sensor._answers for sensor in sensors]
+        self._stack, self._rows = lane_of(
+            [sensor.engine.window_index for sensor in sensors]
+        )
+        self._segments: dict[int, tuple] = {}
+        self._targets: dict[tuple[int, int], tuple[np.ndarray, list[bool]]] = {}
+
+    def segments(self, d: int) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """``(starts [S, width], sizes, queries [S, d], neighbours [S,
+        width, d])``.  ``top(k)`` is a prefix of an answer, so answers
+        are stacked whole, in their own order, and every ``k`` is a
+        column slice; an answer shorter than the widest pads its row
+        with start 0 and is sliced to its own size."""
+        if d not in self._segments:
+            stack, rows = self._stack, self._rows
+            found = [answers[d].starts for answers in self._answers]
+            sizes = np.array([starts.size for starts in found])
+            starts = np.zeros((sizes.size, int(sizes.max())), dtype=np.int64)
+            starts[np.arange(starts.shape[1]) < sizes[:, None]] = (
+                np.concatenate(found)
+            )
+            self._segments[d] = (
+                starts,
+                sizes.tolist(),
+                stack.master[rows, stack.master.shape[1] - d :],
+                stack.series[
+                    rows[:, None, None], starts[:, :, None] + np.arange(d)
+                ],
+            )
+        return self._segments[d]
+
+    def targets(self, d: int, horizon: int) -> tuple[np.ndarray, list[bool]]:
+        """``(targets [S, width], observed)``: the ``horizon``-step-ahead
+        value of every segment, and per sensor whether all of them are
+        observed yet — the stack's padding is zero-filled, so an index
+        past a row's own length would read silently; it is clamped and
+        its row reported."""
+        if (d, horizon) not in self._targets:
+            stack, rows = self._stack, self._rows
+            at = self.segments(d)[0] + (d - 1 + horizon)
+            last = stack.series_len[rows][:, None] - 1
+            self._targets[d, horizon] = (
+                stack.series[rows[:, None], np.minimum(at, last)],
+                (at <= last).all(axis=1).tolist(),
+            )
+        return self._targets[d, horizon]
+
+    def predict_cell(
+        self,
+        cell: Cell,
+        horizon: int,
+        rows: Sequence[int],
+        predictors: Sequence[SemiLazyPredictor],
+    ) -> list["GaussianPrediction | Exception"]:
+        """Cell ``(k, d)`` of sensors ``rows`` through their
+        ``predictors``: one :meth:`SemiLazyPredictor.predict_rows` per
+        stack of rows that take as many neighbours (an answer may hold
+        fewer than ``k``) through one predictor family.  One outcome per
+        row; whatever fails a stack fails its rows only."""
+        k, d = cell
+        _, sizes, queries, neighbours = self.segments(d)
+        targets, observed = self.targets(d, horizon)
+        outcomes: list = [None] * len(rows)
+        stacks: dict[tuple, list[int]] = {}
+        for at, (row, predictor) in enumerate(zip(rows, predictors)):
+            if observed[row]:
+                stacks.setdefault(
+                    (min(k, sizes[row]), type(predictor)), []
+                ).append(at)
+            else:
+                outcomes[at] = IndexError(
+                    f"a {horizon}-step-ahead target of an item-length-{d} "
+                    f"neighbour is not observed yet"
+                )
+        for (take, family), members in stacks.items():
+            picked = np.array([rows[at] for at in members])
+            try:
+                results = family.predict_rows(
+                    [predictors[at] for at in members], queries[picked],
+                    neighbours[picked, :take], targets[picked, :take],
+                )
+            except Exception as error:  # noqa: BLE001 - this stack's rows fail
+                results = [error.with_traceback(None)] * len(members)
+            for at, result in zip(members, results):
+                outcomes[at] = result
+        return outcomes
+
+
+def predict_many(
+    sensors: Sequence[SMiLer], horizon: int | None = None
+) -> list["dict[int, EnsembleOutput] | Exception"]:
+    """The prediction step for a lane of sensors, the cells stacked.
+
+    Returns one outcome per sensor, in order: its ``{horizon:
+    EnsembleOutput}`` (every configured horizon when ``horizon`` is
+    None), or the exception that failed *that* sensor — an unknown
+    horizon, an unobserved target, a cell's failed prediction.  Only the
+    search can fail the lane as a group (it raises): members whose
+    answers are stale are searched for first, in one
+    :func:`~repro.index.suffix_search.search_many`, so the sensors must
+    share one backend object and search configuration (callers group by
+    placement; a mixed group is a ``ValueError`` from the search or from
+    :func:`~repro.index.window_index.lane_of`).  Per cell the sensors on
+    which it is awake are one :meth:`_LaneKnn.predict_cell`; mixing
+    (:meth:`AdaptiveEnsemble.mix`) and the pending-update queue stay per
+    sensor.
+    """
+    if not sensors:
+        return []
+    backend = sensors[0].backend
+    outcomes: list = [
+        {} if horizon is None or horizon in sensor._ensembles else KeyError(
+            f"horizon {horizon} not configured; available: "
+            f"{sensor.config.horizons}"
+        )
+        for sensor in sensors
+    ]
+    # The lane proper: the sensors that asked for something it serves.
+    lane = [s for s, out in zip(sensors, outcomes) if isinstance(out, dict)]
+    if not lane:
+        return outcomes
+    with obs.span("predict", backend) as sp:
+        if sp is not None:
+            sp.attrs["n_sensors"] = len(sensors)
+        stale = [sensor for sensor in lane if sensor._answers is None]
+        if stale:
+            found = search_many([sensor.engine for sensor in stale])
+            for sensor, answers in zip(stale, found):
+                sensor.install(answers)
+        knn = _LaneKnn(lane)
+        served: list = [out for out in outcomes if isinstance(out, dict)]
+        for h in (horizon,) if horizon is not None else dict.fromkeys(
+            h for sensor in lane for h in sensor.config.horizons
+        ):
+            with obs.span("ensemble_mix", backend) as esp:
+                if esp is not None:
+                    esp.attrs["horizon"] = h
+                _predict_horizon(lane, served, knn, h)
+    results = iter(served)
+    return [
+        next(results) if isinstance(out, dict) else out for out in outcomes
+    ]
+
+
+def _predict_horizon(
+    lane: list[SMiLer], served: list, knn: _LaneKnn, h: int
+) -> None:
+    """One horizon of :func:`predict_many` for the sensors of ``lane``
+    that serve it and have not failed: ``served[row][h]`` becomes the
+    sensor's mixture (remembered for auto-tuning), or ``served[row]`` the
+    exception that failed it — a failed sensor leaves the request."""
+    # Sensors with one awake pattern join each of its cells together.
+    patterns: dict[tuple[Cell, ...], list[int]] = {}
+    for row, sensor in enumerate(lane):
+        if h in sensor._ensembles and isinstance(served[row], dict):
+            patterns.setdefault(
+                tuple(sensor._ensembles[h].awake_cells()), []
+            ).append(row)
+    by_cell: dict[Cell, list[int]] = {}
+    for cells, rows in patterns.items():
+        for cell in cells:
+            by_cell.setdefault(cell, []).extend(rows)
+    components: dict[int, dict[Cell, GaussianPrediction]] = {
+        row: {} for rows in patterns.values() for row in rows
+    }
+    for cell, rows in by_cell.items():
+        rows = [row for row in rows if row in components]
+        predictors = [
+            lane[row]._ensembles[h].state(cell).predictor for row in rows
+        ]
+        results = knn.predict_cell(cell, h, rows, predictors)
+        for row, result in zip(rows, results):
+            if isinstance(result, Exception):
+                served[row] = result
+                del components[row]
+            else:
+                components[row][cell] = result
+    for cells, rows in patterns.items():
+        for row in rows:
+            if row in components:
+                output = lane[row]._ensembles[h].mix(
+                    {cell: components[row][cell] for cell in cells}
+                )
+                served[row][h] = output
+                lane[row]._remember(h, output)
+
+
 def absorb_many(sensors: Sequence[SMiLer], values) -> None:
     """Absorb one revealed value per sensor, the index work stacked.
 
@@ -366,8 +535,9 @@ class SensorFleet:
     def predict_all(
         self, horizon: int | None = None
     ) -> list[dict[int, EnsembleOutput]]:
-        """Predictions for every sensor (Fig. 3's parallel predictors)."""
-        return [sensor.predict(horizon) for sensor in self.sensors]
+        """Predictions for every sensor (Fig. 3's parallel predictors):
+        one :func:`predict_many`, a failed sensor's exception raised."""
+        return [_raised(out) for out in predict_many(self.sensors, horizon)]
 
     def observe_all(self, values) -> None:
         """Feed each sensor its newly revealed true value."""

@@ -104,21 +104,18 @@ def execute_ops(service: "PredictionService", ops: Sequence[tuple]) -> list:
     single; inline and thread lanes run it on the serving process, the
     process engine runs it inside each shard's worker — so op semantics
     (what a ``forecast`` op catches, what an ``ingest`` op propagates)
-    cannot drift between engines or entry points.  Forecast ops are
-    served one by one; a run of consecutive ingest ops — a shard's slice
-    of ``ingest_many``, or the one op of ``ingest()`` — is handed to the
-    service as one lane of readings.
+    cannot drift between engines or entry points.  A run of consecutive
+    ops of one kind — a shard's slice of ``forecast_all`` /
+    ``ingest_many``, or the one op of ``forecast()`` / ``ingest()`` — is
+    handed to the service as one lane (``_forecast_lane`` /
+    ``_observe_lane``).
     """
     outcomes: list = []
     for kind, run in itertools.groupby(ops, key=lambda op: op[0]):
         if kind == "forecast":
-            for _, sensor_id, horizon, level in run:
-                try:
-                    outcomes.append(
-                        ("ok", service._forecast_op(sensor_id, horizon, level))
-                    )
-                except Exception as error:  # noqa: BLE001 - per-sensor side-channel
-                    outcomes.append(("err", error))
+            # A run of forecast ops is one lane too: served stacked,
+            # group by group, each op's failure its own outcome.
+            outcomes.extend(service._forecast_lane(list(run)))
         elif kind == "ingest":
             # A run of ingest ops is one lane of readings: absorbed and
             # searched as a group.  Validation happened at the service

@@ -51,6 +51,7 @@ documented in ``docs/architecture.md``.
 from __future__ import annotations
 
 import logging
+import math
 import pathlib
 import re
 import threading
@@ -67,7 +68,7 @@ from .baselines.autoregressive import fit_ar
 from .core.config import SMiLerConfig
 from .core.persistence import build_smiler, load_snapshot, save_smiler
 from .core.scaleout import plan_lanes
-from .core.smiler import SMiLer, absorb_many
+from .core.smiler import SMiLer, absorb_many, predict_many
 from .exec.base import (
     ENGINE_NAMES,
     ExecutionEngine,
@@ -576,36 +577,54 @@ class PredictionService:
                 (index, smiler.engine.config), ([], [])
             )
             smilers.append(smiler)
-            values.append(self._norms[sensor_id].apply(np.array([value]))[0])
+            stats = self._norms[sensor_id]
+            values.append((value - stats.mean) / stats.std)
         for smilers, values in groups.values():
             absorb_many(smilers, values)
         for (index, _), (smilers, _) in groups.items():
-            self._search_group(index, smilers)
+            if self._search_group(index, smilers, set()) is None:
+                for _ in smilers:
+                    self._pool.record_success(index)
 
-    def _search_group(self, index: int, smilers: list[SMiLer]) -> None:
-        """One fused search for the sensors of one backend, retried in
-        place: a fused launch fails as a group, so each failed attempt is
-        *one* failure on the backend's breaker (and, once that trips, the
-        same evacuation as a failing forecast — re-homed sensors keep
-        their answers invalidated).  Success is recorded per sensor, the
-        pace the breaker's cool-down clock has always run at."""
+    def _search_group(
+        self, index: int, smilers: list[SMiLer], evacuated: set[int]
+    ) -> Exception | None:
+        """One fused search for sensors of one backend, retried in place;
+        returns ``None`` once the answers are installed, else the last
+        attempt's error with the sensors left stale.
+
+        A fused launch fails as a group, so each failed attempt is *one*
+        failure on the backend's breaker.  Once that trips the backend is
+        evacuated — once per request: ``evacuated`` holds the backends
+        this request already moved off, and gains ``index`` — and the
+        attempts end: the sensors sit on other backends now, their
+        answers invalidated.  Success is the caller's to record, per
+        sensor served."""
+        error: Exception | None = None
         for _ in range(self.resilience.attempts):
             try:
                 found = search_many([smiler.engine for smiler in smilers])
-            except Exception as error:
+            except Exception as failure:
+                # Outlives this block, so without its traceback: that
+                # holds this frame, and through it the lane's stacked
+                # index, in a cycle only the collector can free.
+                error = failure.with_traceback(None)
                 self._pool.record_failure(index)
                 logger.warning(
-                    "fused ingest search failed for %d sensors on backend "
-                    "%d (readings retained, answers invalidated): %s",
-                    len(smilers), index, error,
+                    "fused search failed for %d sensors on backend %d "
+                    "(readings retained, answers invalidated): %s",
+                    len(smilers), index, failure,
                 )
-                if self._fail_over(index):
-                    return
+                # The guard comes first: asking the pool for a breaker's
+                # state advances its cool-down.
+                if index not in evacuated and self._fail_over(index):
+                    evacuated.add(index)
+                    break
             else:
                 for smiler, answers in zip(smilers, found):
                     smiler.install(answers)
-                    self._pool.record_success(index)
-                return
+                return None
+        return error
 
     def _checked_reading(self, sensor_id: str, value: float) -> float:
         self._require(sensor_id)
@@ -693,47 +712,94 @@ class PredictionService:
         """A rung's output must be a usable Gaussian — NaN means or
         non-positive/non-finite variances (a non-PSD GP fit, a corrupted
         kernel) are failures, never served."""
-        if not np.isfinite(mean):
+        if not math.isfinite(mean):
             raise ValueError(f"non-finite predictive mean {mean!r}")
-        if not np.isfinite(variance) or variance <= 0.0:
+        if not math.isfinite(variance) or variance <= 0.0:
             raise ValueError(f"invalid predictive variance {variance!r}")
 
-    def _predict_resilient(
-        self, sensor_id: str, horizon: int
-    ) -> tuple[float, float, str]:
-        """Walk the degradation ladder; returns ``(mean, variance, source)``
-        in normalised space."""
-        policy = self.resilience
-        last_error: Exception | None = None
-        for rung in policy.ladder:
-            if rung == "ensemble":
-                budget = policy.attempts
-                evacuated: set[int] = set()
-                while budget > 0:
-                    budget -= 1
-                    smiler = self._sensors[sensor_id]
-                    index = self._placements[sensor_id].backend_index
-                    try:
-                        output = smiler.predict(horizon=horizon)[horizon]
-                        self._validate_prediction(output.mean, output.variance)
-                    except Exception as error:
-                        last_error = error
-                        self._pool.record_failure(index)
-                        logger.debug(
-                            "ensemble rung failed for %s on backend %d: %s",
-                            sensor_id, index, error,
-                        )
-                        # The guard comes first: asking the pool for a
-                        # breaker's state advances its cool-down.
-                        if index not in evacuated and self._fail_over(index):
-                            evacuated.add(index)
-                            # The sensor sits on a fresh backend now; give
-                            # the full rung a fresh chance there.
-                            budget = max(budget, policy.attempts)
-                        continue
+    def _by_home(self, sensor_ids: Iterable[str]) -> dict[int, list[str]]:
+        """``sensor_ids`` by the backend that hosts each right now."""
+        homes: dict[int, list[str]] = {}
+        for sensor_id in sensor_ids:
+            homes.setdefault(
+                self._placements[sensor_id].backend_index, []
+            ).append(sensor_id)
+        return homes
+
+    def _refresh_group(
+        self, sensor_ids: list[str], evacuated: set[int]
+    ) -> dict[str, Exception]:
+        """Re-search a forecast group's stale members together — one
+        fused search per hosting backend, through the retry loop of
+        :meth:`_search_group`.  Members a failover re-homed get a fresh
+        budget where they landed.  Returns the error of every member
+        still stale when the attempts ran out."""
+        errors: dict[str, Exception] = {}
+        for index, members in self._by_home(sensor_ids).items():
+            moved_off = len(evacuated)
+            error = self._search_group(
+                index, [self._sensors[sid] for sid in members], evacuated
+            )
+            if error is not None:
+                errors.update(
+                    self._refresh_group(members, evacuated)
+                    if len(evacuated) > moved_off
+                    else dict.fromkeys(members, error)
+                )
+        return errors
+
+    def _ensemble_rung(
+        self, sensor_ids: list[str], horizon: int
+    ) -> dict[str, "tuple[float, float, str] | Exception"]:
+        """The ladder's top rung for one forecast group, stacked: stale
+        members re-searched together, then one
+        :func:`~repro.core.smiler.predict_many` per hosting backend (a
+        member evacuated mid-request is served where it landed).
+        Returns per sensor ``(mean, variance, "ensemble")`` in normalised
+        space — validated, one success on its backend's breaker — or
+        what kept it off the rung (still stale, a failed row, an unusable
+        Gaussian): those walk the lower rungs alone."""
+        stale = [
+            sid for sid in sensor_ids if self._sensors[sid]._answers is None
+        ]
+        outcomes: dict = self._refresh_group(stale, set()) if stale else {}
+        fresh = [sid for sid in sensor_ids if sid not in outcomes]
+        for index, members in self._by_home(fresh).items():
+            try:
+                predicted = predict_many(
+                    [self._sensors[sid] for sid in members], horizon
+                )
+            except Exception as error:  # noqa: BLE001 - the members descend
+                predicted = [error] * len(members)
+            for sensor_id, output in zip(members, predicted):
+                try:
+                    if isinstance(output, Exception):
+                        raise output
+                    output = output[horizon]
+                    self._validate_prediction(output.mean, output.variance)
+                except Exception as error:  # noqa: BLE001
+                    outcomes[sensor_id] = error.with_traceback(None)
+                    logger.debug(
+                        "ensemble rung failed for %s on backend %d: %s",
+                        sensor_id, index, error,
+                    )
+                else:
                     self._pool.record_success(index)
-                    return output.mean, output.variance, "ensemble"
-            elif rung == "reduced":
+                    outcomes[sensor_id] = (
+                        output.mean, output.variance, "ensemble"
+                    )
+        return outcomes
+
+    def _predict_resilient(
+        self, sensor_id: str, horizon: int, last_error: Exception | None
+    ) -> tuple[float, float, str]:
+        """Walk the degradation ladder below the (stacked) ensemble rung
+        for one sensor; returns ``(mean, variance, source)`` in
+        normalised space.  ``last_error`` is what kept the sensor off the
+        ensemble rung, if it was tried."""
+        policy = self.resilience
+        for rung in policy.ladder:
+            if rung == "reduced":
                 smiler = self._sensors[sensor_id]
                 try:
                     prediction = smiler.predict_reduced(horizon)
@@ -742,7 +808,7 @@ class PredictionService:
                     )
                     return prediction.mean, prediction.variance, "reduced"
                 except Exception as error:
-                    last_error = error
+                    last_error = error.with_traceback(None)
                     logger.debug(
                         "reduced rung failed for %s: %s", sensor_id, error
                     )
@@ -752,7 +818,7 @@ class PredictionService:
                     self._validate_prediction(mean, variance)
                     return mean, variance, "ar"
                 except Exception as error:
-                    last_error = error
+                    last_error = error.with_traceback(None)
                     logger.debug("ar rung failed for %s: %s", sensor_id, error)
             elif rung == "naive":
                 mean, variance = self._naive_fallback(sensor_id, horizon)
@@ -805,30 +871,83 @@ class PredictionService:
                 raise payload
             return payload
 
-    def _forecast_op(
-        self, sensor_id: str, horizon: int, level: float
-    ) -> Forecast:
-        """The body of one validated ``forecast`` op (run by
+    def _forecast_lane(self, ops: Sequence[tuple]) -> list[tuple]:
+        """Serve one lane's run of validated ``forecast`` ops (run by
         :func:`repro.exec.base.execute_ops`, in-process or inside a shard
-        worker, under the request context its lane adopted)."""
+        worker, under the request context its lane adopted); one
+        ``("ok", Forecast)`` / ``("err", exception)`` per op, in order.
+
+        The unit is a *group*: the ops that share a hosting backend, a
+        search configuration and a horizon.  When the ladder names it,
+        the ``ensemble`` rung serves the group stacked
+        (:meth:`_ensemble_rung`); whoever it did not serve walks the
+        lower rungs alone (:meth:`_predict_resilient`).  A single
+        ``forecast()`` is a lane of one.
+        """
+        request = reqctx.current_request()
+        outcomes: list = [None] * len(ops)
+        groups: dict[tuple, list[int]] = {}
+        for at, (_, sensor_id, horizon, _) in enumerate(ops):
+            groups.setdefault((
+                self._placements[sensor_id].backend_index,
+                self._sensors[sensor_id].engine.config,
+                horizon,
+            ), []).append(at)
+        quantiles: dict[float, float] = {}
+        for (index, _, horizon), members in groups.items():
+            t0 = time.perf_counter()
+            with obs.span("forecast", self._pool.backends[index]) as sp:
+                if sp is not None:
+                    sp.attrs["n_sensors"] = len(members)
+                    if len(members) == 1:
+                        sp.attrs["sensor_id"] = ops[members[0]][1]
+                    sp.attrs["horizon"] = horizon
+                    sp.attrs["request_id"] = request.request_id
+                rung = self._ensemble_rung(
+                    [ops[at][1] for at in members], horizon
+                ) if "ensemble" in self.resilience.ladder else {}
+                share = (time.perf_counter() - t0) / len(members)
+                for at in members:
+                    sensor_id, level = ops[at][1], ops[at][3]
+                    if level not in quantiles:
+                        quantiles[level] = float(np.sqrt(2.0) * erfinv(level))
+                    outcomes[at] = self._finish_forecast(
+                        ops[at], quantiles[level], share, rung.get(sensor_id)
+                    )
+            if sp is not None and request.entry_point == "forecast":
+                # A single forecast's own span is its request's trace; in
+                # a batch the engine points this at the connected root
+                # span after the lanes join.
+                self._last_trace = sp
+        return outcomes
+
+    def _finish_forecast(
+        self, op: tuple, z: float, share_s: float,
+        served: "tuple[float, float, str] | Exception | None",
+    ) -> tuple:
+        """One forecast op's outcome: the lower rungs if the stacked rung
+        did not serve its sensor (``served`` is then why, or ``None`` for
+        a ladder without it), then the raw-scale :class:`Forecast` with
+        the ``z``-quantile interval.  Its latency is ``share_s`` — its
+        equal share of its group's stacked work — plus its time in here."""
+        _, sensor_id, horizon, level = op
         request = reqctx.current_request()
         t0 = time.perf_counter()
-        with obs.span("forecast", self._sensors[sensor_id].backend) as sp:
-            if sp is not None:
-                sp.attrs["sensor_id"] = sensor_id
-                sp.attrs["horizon"] = horizon
-                sp.attrs["request_id"] = request.request_id
-            z_mean, z_variance, source = self._predict_resilient(
-                sensor_id, horizon
-            )
-            if sp is not None:
-                sp.attrs["source"] = source
-        if sp is not None and request.entry_point == "forecast":
-            # A single forecast's own span is its request's trace; in a
-            # batch the engine points this at the connected root span
-            # after the lanes join.
-            self._last_trace = sp
-        obs.observe_forecast(sensor_id, horizon, time.perf_counter() - t0)
+        if not isinstance(served, tuple):
+            try:
+                with obs.span("forecast", self._sensors[sensor_id].backend) as sp:
+                    if sp is not None:
+                        sp.attrs["sensor_id"] = sensor_id
+                        sp.attrs["horizon"] = horizon
+                    served = self._predict_resilient(sensor_id, horizon, served)
+                    if sp is not None:
+                        sp.attrs["source"] = served[2]
+            except Exception as failure:  # noqa: BLE001 - per-sensor side-channel
+                return ("err", failure)
+        z_mean, z_variance, source = served
+        obs.observe_forecast(
+            sensor_id, horizon, share_s + time.perf_counter() - t0
+        )
         degraded = source != "ensemble"
         if degraded:
             obs.observe_degraded_forecast(sensor_id, source)
@@ -836,30 +955,29 @@ class PredictionService:
                 "sensor %s served degraded (%s rung) at horizon %d",
                 sensor_id, source, horizon,
             )
+        # ZNormStats.invert / invert_variance on one value, as floats.
         stats = self._norms[sensor_id]
-        mean = float(stats.invert(np.array([z_mean]))[0])
-        raw_variance = float(
-            stats.invert_variance(np.array([z_variance]))[0]
-        )
+        mean = float(z_mean * stats.std + stats.mean)
+        raw_variance = z_variance * stats.std**2
         # The rung validated z_variance > 0; de-normalisation scales by
         # std^2 > 0, so this is a pure belt-and-braces clamp.
-        std = float(np.sqrt(max(raw_variance, 0.0)))
-        z = float(np.sqrt(2.0) * erfinv(level))
-        return Forecast(
+        std = math.sqrt(max(raw_variance, 0.0))
+        return ("ok", Forecast(
             sensor_id=sensor_id, horizon=horizon, mean=mean, std=std,
             interval_low=mean - z * std, interval_high=mean + z * std,
             level=level, source=source, degraded=degraded,
             request_id=request.request_id,
-        )
+        ))
 
     def forecast_all(
         self, horizon: int | None = None, level: float = 0.95
     ) -> ForecastBatch:
         """Forecasts for every registered sensor, grouped per backend.
 
-        Sensors sharing a backend run back-to-back (good locality on a
-        real device; on the simulated one it keeps each device's time
-        ledger contiguous); the returned mapping is sorted by sensor id.
+        Sensors sharing a backend are served together, as one forecast
+        lane (:meth:`_forecast_lane`: stale members re-searched as one
+        group, the ensemble's cells stacked across the shard's sensors);
+        the returned mapping is sorted by sensor id.
         One sensor's failure no longer aborts the batch: completed
         forecasts are returned and the failure lands in
         :attr:`ForecastBatch.errors`.

@@ -249,6 +249,34 @@ class TestLaneFusedLaunches:
             service.close()
             assert spent == [2 + 4 * len(CONFIG.elv)] * 10 == [10] * 10
 
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_a_stale_forecast_lane_is_one_fused_search(self, engine, tmp_path):
+        """The first ``forecast_all`` after ``restore()`` finds every
+        sensor stale: one shift-sum and four kernel ops per item length
+        for the 24 of them (24 x 9 while each re-searched alone) — and
+        nothing at all once every answer is current."""
+        rng = np.random.default_rng(77)
+        source = build_service("simulated", engine, n_backends=1)
+        for i in range(24):
+            # Rough enough that no survivor launch comes up empty.
+            source.register(f"s{i:03d}", 100.0 + rng.normal(size=900).cumsum())
+        source.snapshot(tmp_path)
+        source.close()
+        service = build_service("simulated", engine, n_backends=1)
+        try:
+            service.restore(tmp_path)
+            spent = []
+            for _ in range(2):
+                service.status()  # sync off-process ledgers
+                before = service.backends[0].cost.launches
+                batch = service.forecast_all()
+                assert batch.ok and len(batch) == 24
+                service.status()
+                spent.append(service.backends[0].cost.launches - before)
+        finally:
+            service.close()
+        assert spent == [1 + 4 * len(CONFIG.elv), 0] == [9, 0]
+
 
 class _StandaloneSensor:
     """One sensor outside any service: a ``SMiLer`` of its own on a

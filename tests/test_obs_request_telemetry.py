@@ -71,10 +71,16 @@ class TestConnectedTraceTree:
         lanes = [c for c in root.children if c.name == "lane"]
         assert len(lanes) == N_BACKENDS
         assert [lane.attrs["lane"] for lane in lanes] == list(range(N_BACKENDS))
-        # Every lane subtree holds its shard's forecast spans — the tree
-        # is connected across worker threads, not four orphan roots.
+        # Every lane subtree holds its shard's forecast group — one span
+        # for the two sensors served stacked — and the tree is connected
+        # across worker threads, not four orphan roots.
         for lane in lanes:
-            assert [c.name for c in lane.children] == ["forecast"] * 2
+            [group] = lane.children
+            assert group.name == "forecast"
+            assert group.attrs["n_sensors"] == 2
+            assert group.attrs["request_id"] == root.attrs["request_id"]
+            assert [c.name for c in group.children] == ["search", "predict"]
+            assert group.find("ensemble_mix").attrs["horizon"] == 1
             assert lane.attrs["queue_wait_s"] >= 0.0
             assert lane.attrs["backend_id"].startswith(backend_name)
 
@@ -92,7 +98,11 @@ class TestConnectedTraceTree:
         assert root.name == "forecast_all"
         lanes = [c for c in root.children if c.name == "lane"]
         assert len(lanes) == N_BACKENDS
-        assert all(len(lane.children) == 2 for lane in lanes)
+        assert all(
+            [c.name for c in lane.children] == ["forecast"]
+            and lane.children[0].attrs["n_sensors"] == 2
+            for lane in lanes
+        )
 
     def test_single_forecast_keeps_plain_tree(self):
         obs.enable()

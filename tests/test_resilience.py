@@ -1,5 +1,8 @@
 """Tests for the health-aware pool, failover and graceful degradation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +14,7 @@ from repro.backend import (
     SimulatedGpuBackend,
 )
 from repro.core import SMiLerConfig
-from repro.core.smiler import SMiLer
+from repro.core.smiler import SMiLer, predict_many
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.service import ForecastError, PredictionService, ResiliencePolicy
 
@@ -144,10 +147,10 @@ class TestDegradationLadder:
         service = make_service()
         service.register("s1", raw_history())
 
-        def broken_predict(self, horizon=None):
+        def broken_predict(sensors, horizon=None):
             raise RuntimeError("ensemble mixer down")
 
-        monkeypatch.setattr(SMiLer, "predict", broken_predict)
+        monkeypatch.setattr("repro.service.predict_many", broken_predict)
         forecast = service.forecast("s1")
         assert forecast.source == "reduced"
         assert forecast.degraded
@@ -180,10 +183,10 @@ class TestDegradationLadder:
         )
         service.register("s1", raw_history())
 
-        def broken_predict(self, horizon=None):
+        def broken_predict(sensors, horizon=None):
             raise RuntimeError("down")
 
-        monkeypatch.setattr(SMiLer, "predict", broken_predict)
+        monkeypatch.setattr("repro.service.predict_many", broken_predict)
         with pytest.raises(ForecastError):
             service.forecast("s1")
 
@@ -197,11 +200,11 @@ class TestDegradationLadder:
         )
         service.register("s1", raw_history())
 
-        def nan_predict(self, horizon=None):
+        def nan_predict(sensors, horizon=None):
             bad = SimpleNamespace(mean=0.1, variance=float("nan"))
-            return {h: bad for h in (self.config.horizons)}
+            return [{h: bad for h in s.config.horizons} for s in sensors]
 
-        monkeypatch.setattr(SMiLer, "predict", nan_predict)
+        monkeypatch.setattr("repro.service.predict_many", nan_predict)
         forecast = service.forecast("s1")
         assert forecast.source == "ar"
         assert np.isfinite(forecast.std)
@@ -210,7 +213,7 @@ class TestDegradationLadder:
             resilience=ResiliencePolicy(ladder=("ensemble",))
         )
         service2.register("s1", raw_history())
-        monkeypatch.setattr(SMiLer, "predict", nan_predict)
+        monkeypatch.setattr("repro.service.predict_many", nan_predict)
         with pytest.raises(ForecastError):
             service2.forecast("s1")
 
@@ -239,16 +242,21 @@ class TestDegradationLadder:
 
 
 class TestForecastAllPartialBatch:
-    def test_partial_batch_with_error_side_channel(self):
+    def test_partial_batch_with_error_side_channel(self, monkeypatch):
         service = make_service(
             resilience=ResiliencePolicy(ladder=("ensemble",))
         )
         service.register("good", raw_history())
         service.register("bad", raw_history(seed=3))
-        smiler = service.sensor("bad")
-        smiler.predict = lambda horizon=None: (_ for _ in ()).throw(
-            RuntimeError("sensor-local meltdown")
-        )
+
+        def one_row_fails(sensors, horizon=None):
+            return [
+                RuntimeError("sensor-local meltdown")
+                if sensor.sensor_id == "bad" else outcome
+                for sensor, outcome in zip(sensors, predict_many(sensors, horizon))
+            ]
+
+        monkeypatch.setattr("repro.service.predict_many", one_row_fails)
         batch = service.forecast_all()
         assert set(batch) == {"good"}
         assert not batch.ok
@@ -460,3 +468,276 @@ class TestIngestLane:
                     differing.append((sid, d))
         # One NaN in one fused launch: one sensor's seed pool lost a row.
         assert len(differing) == 1
+
+
+class TestForecastLane:
+    """A forecast lane serves the ``ensemble`` rung stacked: its stale
+    members re-search as one group — which fails, is retried and fails
+    over as a group — and whoever the rung did not serve walks the lower
+    rungs alone.  A single ``forecast()`` is a lane of one."""
+
+    N = 16
+
+    def make(self, backends=None, n=None, **policy):
+        service = make_service(
+            backends=backends or FaultInjectingBackend(
+                SimulatedGpuBackend(), FaultProfile()
+            ),
+            resilience=ResiliencePolicy(**policy),
+        )
+        for i in range(self.N if n is None else n):
+            service.register(f"s{i:02d}", raw_history(seed=i))
+        return service
+
+    def readings(self, service, value=201.0):
+        return {sid: value + i for i, sid in enumerate(service.sensor_ids)}
+
+    def backend(self, service, index=0):
+        service.status()  # an off-process engine hands back a new object
+        return service.backends[index]
+
+    def health(self, service, index=0):
+        return service.status()["backends"][index]["health"]
+
+    def inject(self, service, n_ops, **rates):
+        backend = self.backend(service)
+        backend.profile = FaultProfile(
+            seed=5, burst=(backend.tick, backend.tick + n_ops), **rates
+        )
+
+    def stale_lane(self, **policy):
+        """A warm lane whose last ingest's fused search failed: every
+        reading retained, every answer stale."""
+        service = self.make(**policy)
+        assert service.forecast_all().ok
+        self.inject(service, service.resilience.attempts, kernel_error_rate=1.0)
+        service.ingest_many(self.readings(service))
+        assert all(
+            service.sensor(sid)._answers is None for sid in service.sensor_ids
+        )
+        return service
+
+    def test_a_lane_of_one_is_the_single_forecast_op_for_op(self):
+        """Pinned at the parent commit (per-sensor ``_forecast_op``): the
+        rung served, the fault tick and the breaker's counters after
+        every forecast of a seeded flaky run."""
+        backend = FaultInjectingBackend(
+            SimulatedGpuBackend(), FaultProfile(seed=3, kernel_error_rate=0.25)
+        )
+        service = make_service(backends=backend)
+        service.register("s1", raw_history())
+        rng = np.random.default_rng(1)
+        seen = []
+        for step in range(12):
+            forecast = service.forecast("s1", horizon=(1, 3)[step % 2])
+            health = self.health(service)
+            seen.append((
+                forecast.source, self.backend(service).tick,
+                health["failures_total"], health["successes_total"],
+            ))
+            service.ingest("s1", 200.0 + float(rng.normal()))
+        assert seen == [
+            ("ar", 6, 2, 0), ("ensemble", 17, 4, 1), ("ensemble", 28, 5, 3),
+            ("reduced", 47, 9, 3), ("ensemble", 59, 11, 4),
+            ("reduced", 75, 15, 4), ("ar", 82, 19, 4), ("ensemble", 97, 21, 5),
+            ("reduced", 114, 25, 5), ("ensemble", 123, 26, 7),
+            ("ensemble", 129, 26, 9), ("ar", 147, 30, 9),
+        ]
+        assert self.backend(service).injected["kernel_error"] == 35
+
+    def test_a_stale_lane_re_searches_once_not_once_per_sensor(self):
+        service = self.stale_lane()
+        backend, before = self.backend(service), self.health(service)
+        tick, launches = backend.tick, backend.cost.launches
+        batch = service.forecast_all()
+        assert batch.ok and len(batch) == self.N
+        assert all(f.source == "ensemble" for f in batch.values())
+        backend, after = self.backend(service), self.health(service)
+        # One fused search: per item length two verifications and one
+        # k-selection are fault ticks; with the LB_Kim launch and the one
+        # shift-sum that is 1 + 4 x len(elv) launches — for 16 sensors.
+        assert backend.tick - tick == 3 * len(CONFIG.elv)
+        assert backend.cost.launches - launches == 1 + 4 * len(CONFIG.elv)
+        assert after["failures_total"] == before["failures_total"]
+        assert after["successes_total"] == before["successes_total"] + self.N
+        # Every answer is current again: the next batch is free.
+        tick = backend.tick
+        assert service.forecast_all().ok and self.backend(service).tick == tick
+
+    def test_a_failed_attempt_is_one_breaker_charge_for_the_lane(self):
+        service = self.stale_lane(attempts=3)
+        before = self.health(service)
+        tick = self.backend(service).tick
+        # Attempt 1 dies on the burst's first op, attempt 2 on its
+        # second, attempt 3 runs clean.
+        self.inject(service, 2, kernel_error_rate=1.0)
+        batch = service.forecast_all()
+        assert batch.ok
+        assert all(f.source == "ensemble" for f in batch.values())
+        after = self.health(service)
+        assert after["failures_total"] == before["failures_total"] + 2
+        assert after["successes_total"] == before["successes_total"] + self.N
+        assert after["state"] == "closed"
+        assert self.backend(service).tick - tick == 2 + 3 * len(CONFIG.elv)
+
+    def test_members_still_stale_after_the_budget_descend_alone(self):
+        service = self.stale_lane(attempts=2)
+        before = self.health(service)
+        tick = self.backend(service).tick
+        # Exactly the group's two attempts fail; what follows is clean,
+        # so each member's ``reduced`` rung re-searches it — alone.
+        self.inject(service, 2, kernel_error_rate=1.0)
+        batch = service.forecast_all()
+        assert batch.ok and len(batch) == self.N
+        assert all(f.source == "reduced" for f in batch.values())
+        after = self.health(service)
+        assert after["failures_total"] == before["failures_total"] + 2
+        assert after["successes_total"] == before["successes_total"]
+        assert self.backend(service).tick - tick == (
+            2 + self.N * 3 * len(CONFIG.elv)
+        )
+
+        # A dead backend: the group's attempts, then every member walks
+        # reduced (its own search fails too) -> ar on its own.
+        dead = self.stale_lane(
+            attempts=2, ladder=("ensemble", "reduced", "ar", "naive")
+        )
+        backend = self.backend(dead)
+        backend.profile = FaultProfile(dies_at_tick=backend.tick)
+        before = self.health(dead)
+        batch = dead.forecast_all()
+        assert batch.ok and len(batch) == self.N
+        assert all(f.source == "ar" and f.degraded for f in batch.values())
+        assert self.health(dead)["failures_total"] == before["failures_total"] + 2
+
+    def test_failover_mid_lane_re_homes_and_serves_from_the_new_backend(self):
+        dying = FaultInjectingBackend(SimulatedGpuBackend(), FaultProfile())
+        service = self.make(backends=[dying, SimulatedGpuBackend()], attempts=2)
+        assert service.sensors_per_backend() == [8, 8]
+        assert service.forecast_all().ok
+        backend = self.backend(service)
+        backend.profile = FaultProfile(dies_at_tick=backend.tick)
+        service.ingest_many(self.readings(service))  # two charges: closed
+        assert self.health(service)["failures_total"] == 2
+        assert self.health(service)["state"] == "closed"
+
+        batch = service.forecast_all()  # the third charge trips it
+        assert batch.ok and len(batch) == self.N
+        if service.engine.name != "process":
+            # The lane's one failed attempt opened the breaker; its eight
+            # members were re-homed, re-searched on the healthy backend
+            # as one group with a fresh budget, and served from there.
+            assert self.health(service)["failures_total"] == 3
+            assert all(f.source == "ensemble" for f in batch.values())
+        # (Shard workers never fail over: the parent evacuates at the
+        # batch boundary, so that batch degrades and the next recovers.)
+        assert service.sensors_per_backend() == [0, self.N]
+        final = service.forecast_all()
+        assert final.ok
+        assert all(f.source == "ensemble" for f in final.values())
+
+    def test_kept_errors_tie_no_service_into_a_reference_cycle(self):
+        """The errors a lane keeps past their ``except`` block (a failed
+        group search, a member's way down the ladder) carry no traceback:
+        one would hold the frames that failed — the service, the lane's
+        stacked index — until the cycle collector happens to run."""
+        gc.disable()
+        try:
+            service = self.stale_lane(attempts=2)  # a failed ingest search
+            backend = self.backend(service)
+            backend.profile = FaultProfile(dies_at_tick=backend.tick)
+            batch = service.forecast_all()  # group fails, members descend
+            assert all(f.source == "ar" for f in batch.values())
+            service.close()
+            gone = weakref.ref(service)
+            del service, backend, batch
+            assert gone() is None
+        finally:
+            gc.enable()
+
+    def test_ladders_without_or_with_only_the_ensemble_rung(self):
+        naive = self.stale_lane(ladder=("naive",))
+        tick = self.backend(naive).tick
+        batch = naive.forecast_all()
+        assert batch.ok and all(f.source == "naive" for f in batch.values())
+        # Never entered the stacked rung: nobody searched.
+        assert self.backend(naive).tick == tick
+        assert all(naive.sensor(sid)._answers is None for sid in naive.sensor_ids)
+
+        only = self.stale_lane(ladder=("ensemble",))
+        backend = self.backend(only)
+        backend.profile = FaultProfile(dies_at_tick=backend.tick)
+        batch = only.forecast_all()
+        assert len(batch) == 0 and sorted(batch.errors) == only.sensor_ids
+        assert all(
+            isinstance(error, ForecastError) for error in batch.errors.values()
+        )
+        with pytest.raises(ForecastError):
+            only.forecast("s00")
+
+    @pytest.mark.parametrize("backend_name", ["simulated", "native"])
+    def test_lifecycle_equals_standalone_sensors_bit_for_bit(
+        self, backend_name, tmp_path
+    ):
+        """register -> ingest_many -> forecast_all -> snapshot -> restore
+        -> forecast_all against standalone ``SMiLer``s fed the same
+        readings."""
+        from repro.backend import make_backend
+        from repro.timeseries.series import ZNormStats
+
+        def make():
+            return make_service(
+                backends=[make_backend(backend_name) for _ in range(2)]
+            )
+
+        service, twins, stats = make(), {}, {}
+        for i in range(8):
+            sid, history = f"s{i}", raw_history(n=400 + 7 * i, seed=i)
+            service.register(sid, history)
+            stats[sid] = ZNormStats(
+                mean=float(np.mean(history)),
+                std=max(float(np.std(history)), 1e-12),
+            )
+            twins[sid] = SMiLer(
+                stats[sid].apply(history), CONFIG,
+                backend=make_backend(backend_name), sensor_id=sid,
+            )
+
+        def check(batch):
+            assert batch.ok and sorted(batch) == sorted(twins)
+            for sid, twin in twins.items():
+                output = twin.predict(horizon=1)[1]
+                mean = float(stats[sid].invert(np.array([output.mean]))[0])
+                variance = float(
+                    stats[sid].invert_variance(np.array([output.variance]))[0]
+                )
+                assert batch[sid].mean.hex() == mean.hex()
+                assert batch[sid].std.hex() == float(np.sqrt(variance)).hex()
+                assert batch[sid].source == "ensemble"
+
+        rng = np.random.default_rng(4)
+        for step in range(6):
+            if step == 3:
+                service.snapshot(tmp_path)
+                service.close()
+                service = make()
+                service.restore(tmp_path)
+                # Everyone is stale after a restore; the twins go
+                # through their own snapshot too.
+                from repro.core.persistence import load_smiler, save_smiler
+
+                for sid, twin in twins.items():
+                    save_smiler(twin, tmp_path / f"twin-{sid}.npz")
+                    twins[sid] = load_smiler(
+                        tmp_path / f"twin-{sid}.npz",
+                        backend=make_backend(backend_name),
+                    )
+            check(service.forecast_all())
+            readings = {
+                sid: 200.0 + 50.0 * float(rng.normal()) for sid in twins
+            }
+            service.ingest_many(readings)
+            for sid, value in readings.items():
+                twins[sid].observe(stats[sid].apply(np.array([value]))[0])
+        check(service.forecast_all())
+        service.close()
