@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-round bench-gate examples results clean
+.PHONY: install test bench bench-round bench-gate profile examples results clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -17,6 +17,11 @@ bench-round:
 bench-gate:
 	PYTHONPATH=src $(PYTHON) -m repro.cli ablate --out fresh.json
 	$(PYTHON) benchmarks/gate.py --fresh fresh.json --threshold-pct 10
+
+# Where a round goes: `make profile WORKLOAD=fleet-stream ARGS=--layers`
+WORKLOAD ?= fleet-stream
+profile:
+	python3 tools/profile_round.py $(WORKLOAD) $(ARGS)
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -48,16 +48,27 @@ class NativeBackend(SubstrateBackend):
         return dtw_batch(query, candidates, rho=None)
 
     def _run_k_select(self, values, k, offsets):
-        """Stable argsort per segment — the wall-clock fast path.
+        """One stable argsort, every segment a row — the wall-clock fast
+        path.
 
         Matches the simulated kernel's answer exactly — equal values land
         in the same partition bucket there, so both resolve ties by index
-        and order the answer ascending by value.
+        and order the answer ascending by value.  Rows are padded with
+        NaN, which a stable sort puts last and behind a segment's own
+        NaNs (their indices are smaller).
         """
-        return [
-            np.argsort(values[lo:hi], kind="stable")[:k]
-            for lo, hi in zip(offsets[:-1], offsets[1:])
-        ]
+        if len(offsets) == 2:
+            return [np.argsort(values, kind="stable")[:k]]
+        offsets = np.array(offsets)
+        first, sizes = offsets[:-1], offsets[1:] - offsets[:-1]
+        segment = np.repeat(np.arange(sizes.size), sizes)
+        padded = np.full((sizes.size, sizes.max()), np.nan)
+        padded[segment, np.arange(values.size) - first[segment]] = values
+        tops = np.argsort(padded, axis=1, kind="stable")[:, :k]
+        if sizes.min() >= tops.shape[1]:
+            return list(tops)
+        kept = np.arange(tops.shape[1]) < sizes[:, None]
+        return np.split(tops[kept], np.cumsum(kept.sum(axis=1))[:-1])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"NativeBackend({self.ledger!r})"

@@ -163,14 +163,19 @@ class BackendPool:
         with self._lock:
             return [i for i in range(len(self.backends)) if self.admits(i)]
 
-    def record_success(self, index: int) -> None:
-        """One successful operation: reset the failure streak; a probe
-        success closes the breaker."""
+    def record_success(self, index: int, count: int = 1) -> None:
+        """``count`` successful operations (a lane's sensors served by
+        one fused call), recorded as that many calls would be: the op
+        clock and the success total advance by ``count`` — breaker
+        cool-downs land on the same op tick — the failure streak resets,
+        and a probe success closes the breaker."""
+        if count <= 0:
+            return
         with self._lock:
-            self._op += 1
+            self._op += count
             health = self._health[index]
             health.consecutive_failures = 0
-            health.successes_total += 1
+            health.successes_total += count
             if health.state != _CLOSED:
                 self._transition(index, _CLOSED)
 

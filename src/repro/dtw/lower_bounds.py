@@ -73,24 +73,32 @@ def lb_kim(query, candidate) -> float:
 
 
 def lb_kim_profile(
-    query: np.ndarray, series: np.ndarray, starts: np.ndarray
+    query: np.ndarray, series: np.ndarray, starts: np.ndarray | int
 ) -> np.ndarray:
     """``LB_Kim`` of one query against many series segments, vectorised.
 
     Entry ``i`` bounds ``DTW(query, series[starts[i] : starts[i] + d])``
     touching only two series values per candidate — the cascade's O(1)
-    tier 0.
+    tier 0.  An integer ``starts`` means the contiguous starts
+    ``0 .. starts - 1`` (two slices, no gather).  Stacked form: ``query``
+    ``(size, d)`` against ``series`` ``(size, capacity)`` bounds every
+    row's query against the same starts of its own series — row ``i`` is
+    the 1-D call on row ``i``, the per-element arithmetic is the same.
     """
     query = np.asarray(query, dtype=np.float64)
     series = np.asarray(series, dtype=np.float64)
-    starts = np.asarray(starts, dtype=np.intp)
-    d = query.size
+    d = query.shape[-1]
     if d == 0:
         raise ValueError("LB_Kim of empty sequences is undefined")
-    first = (query[0] - series[starts]) ** 2
+    if isinstance(starts, (int, np.integer)):
+        heads, tails = series[..., :starts], series[..., d - 1 : d - 1 + starts]
+    else:
+        starts = np.asarray(starts, dtype=np.intp)
+        heads, tails = series[..., starts], series[..., starts + d - 1]
+    first = (query[..., :1] - heads) ** 2
     if d == 1:
         return first
-    return first + (query[-1] - series[starts + d - 1]) ** 2
+    return first + (query[..., -1:] - tails) ** 2
 
 
 def lb_keogh_terms(envelope: Envelope, values: np.ndarray) -> np.ndarray:

@@ -1,7 +1,12 @@
 """SMiLer Index: two-level inverted-like index + Suffix kNN Search."""
 
 from .direct import direct_lb_en
-from .group_index import GroupLevelIndex, ItemLowerBounds, lower_bounds_many
+from .group_index import (
+    GroupLevelIndex,
+    ItemLowerBounds,
+    LaneLowerBounds,
+    lower_bounds_many,
+)
 from .reference import algorithm1_reference
 from .suffix_search import (
     SuffixKnnAnswer,
@@ -16,6 +21,7 @@ __all__ = [
     "direct_lb_en",
     "GroupLevelIndex",
     "ItemLowerBounds",
+    "LaneLowerBounds",
     "lower_bounds_many",
     "search_many",
     "step_many",

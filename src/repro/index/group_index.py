@@ -32,7 +32,9 @@ from ..gpu.kernels import THREADS_PER_BLOCK
 from ..timeseries.windows import aligned_segment_start, csg_size
 from .window_index import WindowLevelIndex, lane_of
 
-__all__ = ["GroupLevelIndex", "ItemLowerBounds", "lower_bounds_many"]
+__all__ = [
+    "GroupLevelIndex", "ItemLowerBounds", "LaneLowerBounds", "lower_bounds_many",
+]
 
 #: Abstract ops per shift-sum element (two adds + one max).
 _OPS_PER_SUM_ELEM = 3.0
@@ -45,7 +47,8 @@ class ItemLowerBounds:
     ``lbeq``/``lbec`` are indexed by segment start ``t`` (length
     ``series_len - d + 1``).  ``covered`` marks starts that received a
     bound; uncovered starts (empty CSG) keep bound 0 and must always be
-    verified.
+    verified.  A lane's bounds are the same record with one row per
+    sensor (:class:`LaneLowerBounds`).
     """
 
     item_length: int
@@ -66,6 +69,35 @@ class ItemLowerBounds:
         if mode == "ec":
             return self.lbec
         raise ValueError(f"unknown lower-bound mode {mode!r}")
+
+
+@dataclass
+class LaneLowerBounds:
+    """``LB_w`` of a lane as :func:`lower_bounds_many` computed it:
+    ``stacked[d]`` holds ``(sensors, longest series_len - d + 1)``
+    arrays, row ``i`` meaningful up to ``series_len[i] - d + 1`` and
+    padding beyond (not all zero, never a candidate).  Indexing or
+    iterating gives one sensor's ``{item length: bounds}`` as 1-D row
+    views, built when asked.
+    """
+
+    stacked: dict[int, ItemLowerBounds]
+    series_len: np.ndarray
+
+    def __len__(self) -> int:
+        return self.series_len.size
+
+    def __getitem__(self, row: int) -> dict[int, ItemLowerBounds]:
+        n = int(self.series_len[row])
+        return {
+            d: ItemLowerBounds(
+                item_length=d,
+                lbeq=out.lbeq[row, : n - d + 1],
+                lbec=out.lbec[row, : n - d + 1],
+                covered=out.covered[row, : n - d + 1],
+            )
+            for d, out in self.stacked.items()
+        }
 
 
 class GroupLevelIndex:
@@ -118,21 +150,19 @@ class GroupLevelIndex:
         return lower_bounds_many([self])[0]
 
 
-def lower_bounds_many(
-    groups: Sequence[GroupLevelIndex],
-) -> list[dict[int, ItemLowerBounds]]:
+def lower_bounds_many(groups: Sequence[GroupLevelIndex]) -> LaneLowerBounds:
     """One pass of Algorithm 1 for a lane of group indexes.
 
     The groups must share one backend object, item lengths and window
     parameters (the sensors of one shard under one search configuration
     do); their series may differ in length.  One stacked shift-sum over
     ``(sensor, b, DW)`` and one ``group_index_sum`` launch of ``omega``
-    blocks per sensor, charged at its slowest block.  Returns one
-    ``{item length: bounds}`` per group, in order; the bound arrays are
-    row views of the lane's stacked output.
+    blocks per sensor, charged at its slowest block.  Returns the
+    lane's stacked output, one row per group in order (indexable per
+    group: ``lower_bounds_many(groups)[i][d]``).
     """
     if not groups:
-        return []
+        return LaneLowerBounds({}, np.empty(0, dtype=np.int64))
     first = groups[0]
     for group in groups:
         if (
@@ -190,18 +220,7 @@ def lower_bounds_many(
         ),
         threads_per_block=THREADS_PER_BLOCK,
     )
-    return [
-        {
-            d: ItemLowerBounds(
-                item_length=d,
-                lbeq=out.lbeq[i, : n - d + 1],
-                lbec=out.lbec[i, : n - d + 1],
-                covered=out.covered[i, : n - d + 1],
-            )
-            for d, out in stacked.items()
-        }
-        for i, n in enumerate(series_len.tolist())
-    ]
+    return LaneLowerBounds(stacked, series_len)
 
 
 def _emit(

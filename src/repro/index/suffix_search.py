@@ -37,27 +37,37 @@ The unit of search is a *group* of engines on one backend — the sensors
 of one shard (Section 4.4: the GPU serves many sensors at once, one
 candidate per thread, one block per query's selection).
 :func:`search_many` computes the group's lower bounds in one stacked
-shift-sum (:func:`~repro.index.group_index.lower_bounds_many`), then per
-item length runs
+shift-sum (:func:`~repro.index.group_index.lower_bounds_many`) and reads
+series, master queries and bounds where the lane keeps them stacked, one
+row per engine (:class:`~repro.index.window_index.LaneStack`).  Per item
+length every phase is one computation over those rows, not a loop over
+members:
 
-* **(A)** per engine: valid starts, their bounds, the seed choice;
-* **(B)** one ``dtw_verification`` over the group's concatenated seeds;
-* **(C)** per engine: ``tau_i``, the two filter tiers, seeds dropped from
-  the survivors by a boolean mask over starts — and one
+* **(A)** valid starts ``n_i``, the bounds as one ``(engines, max n_i)``
+  matrix, the seeds — warm, one concatenation of the remembered answers;
+  a cold, stale or short member sends the lane through the per-row
+  choice (:meth:`SuffixKnnEngine._seed_starts`);
+* **(B)** one gather, one ``dtw_verification`` over the lane's seeds;
+* **(C)** ``tau_i`` as a row-wise k-th order statistic, the two filter
+  tiers as matrix compares (a ragged lane gates the columns at or beyond
+  a row's ``n_i`` with ``-inf``: padding is never a candidate), seeds
+  cleared from the survivors by one assignment — and one
   ``search_lb_kim`` launch for the group;
-* **(D)** one ``dtw_verification`` over the concatenated survivors;
-* **(E)** per engine: the verified pool, then one segmented k-selection,
-  one block per engine.
+* **(D)** one gather, one ``dtw_verification`` over the survivors;
+* **(E)** one flat verified pool ordered by ``(engine, start)``, then one
+  segmented k-selection, one block per engine.
 
-Every fused launch pairs row ``i`` with its own engine's query, so each
-engine's answer is the one it gets searched alone;
-:meth:`SuffixKnnEngine.search` *is* a group of one.
+Every fused launch pairs row ``i`` with its own engine's query, rows in
+the order the engine searched alone would send them, so each engine's
+answer is the one it gets alone; :meth:`SuffixKnnEngine.search` *is* a
+group of one.  ``docs/search_engine.md`` has the reasons.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -67,7 +77,7 @@ from ..dtw.lower_bounds import lb_kim_profile
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs import hooks as obs
 from .group_index import GroupLevelIndex, ItemLowerBounds, lower_bounds_many
-from .window_index import WindowLevelIndex
+from .window_index import WindowLevelIndex, lane_of
 
 __all__ = [
     "SuffixSearchConfig", "SuffixKnnEngine", "SuffixKnnAnswer", "search_many",
@@ -253,7 +263,9 @@ def search_many(
         return []
     cfg, backend = engines[0].config, engines[0].backend
     for engine in engines:
-        if engine.backend is not backend or engine.config != cfg:
+        if engine.backend is not backend or not (
+            engine.config is cfg or engine.config == cfg
+        ):
             raise ValueError(
                 "search_many needs engines that share one backend object "
                 "and one SuffixSearchConfig; group them by placement first"
@@ -265,200 +277,237 @@ def search_many(
             bounds = lower_bounds_many(
                 [engine.group_index for engine in engines]
             )
+        # The lane's series and master queries, one row per engine: read
+        # where the stack keeps them when the group is the whole stack in
+        # order, else the group's rows of it (a few stale members).
+        stack, rows = lane_of([engine.window_index for engine in engines])
+        series, master = stack.series, stack.master
+        if rows.size != stack.size or (rows != np.arange(stack.size)).any():
+            series, master = series[rows], master[rows]
         answers: list[dict[int, SuffixKnnAnswer]] = [{} for _ in engines]
         for d in cfg.item_lengths:
-            fused = _search_item(engines, d, [lbs[d] for lbs in bounds])
+            fused = _search_item(
+                engines, d, bounds.stacked[d], bounds.series_len, series,
+                master[:, master.shape[1] - d :],
+            )
             for per_engine, answer in zip(answers, fused):
                 per_engine[d] = answer
     return answers
 
 
-@dataclass
-class _Member:
-    """One engine's slice of a fused item-length search."""
-
-    series: np.ndarray
-    query: np.ndarray
-    #: One lower bound per valid start ``0 .. bound.size - 1``.
-    bound: np.ndarray
-    #: Starts verified to seed ``tau_i``.
-    seeds: np.ndarray
-    #: Starts that passed both bounds, seeds excluded (set by phase C).
-    survivors: np.ndarray | None = None
-    unfiltered: int = 0
-    pruned_kim: int = 0
-    pruned_window: int = 0
-
-
-def _verify_fused(
-    backend: ComputeBackend,
-    rho: int,
-    members: list[_Member],
-    starts: list[np.ndarray],
-) -> list[np.ndarray]:
-    """One ``dtw_verification`` launch over every member's ``starts``,
-    each row against its own member's query; distances per member."""
-    counts = [picked.size for picked in starts]
-    span = np.arange(members[0].query.size)
-    rows = np.concatenate([
-        member.series[picked[:, None] + span]
-        for member, picked in zip(members, starts)
-    ])
-    queries = np.repeat(
-        np.stack([member.query for member in members]), counts, axis=0
-    )
-    distances = backend.dtw_verification(queries, rows, rho)
-    ends = np.cumsum(counts).tolist()
-    return [distances[lo:hi] for lo, hi in zip([0] + ends, ends)]
-
-
 def _apportion(total: float, weights: Sequence[float]) -> list[float]:
     """``total`` split in proportion to ``weights``: the parts tile it,
-    and a group of one gets all of it, bit for bit."""
+    and a group of one gets all of it, bit for bit.  Python floats summed
+    left to right — a pairwise ``np.sum`` would move the last bit."""
+    if not total:  # an unmodelled clock: every share is 0.0
+        return [0.0] * len(weights)
     whole = sum(weights)
     return [total * (weight / whole) if whole else 0.0 for weight in weights]
+
+
+def _lane_seeds(
+    engines: Sequence[SuffixKnnEngine],
+    d: int,
+    bound: np.ndarray,
+    n: np.ndarray,
+    k_lane: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The lane's threshold seeds: ``(starts, how many per engine)``,
+    engine-major, each engine's as :meth:`SuffixKnnEngine._seed_starts`
+    orders them.  Steady state — every engine remembers an answer of one
+    length, at least ``k_lane`` (the lane's largest ``k``), all in range
+    — is one concatenation; anything else sends every row through
+    ``_seed_starts``.  The cold pool must be chosen per row:
+    ``argpartition``'s pick among tied bounds (uncovered starts all
+    carry bound 0) depends on the array it is handed.
+    """
+    size = len(engines)
+    previous = [engine._previous_knn.get(d) for engine in engines]
+    lengths = {None if prev is None else prev.size for prev in previous}
+    if engines[0].config.reuse_threshold and len(lengths) == 1:
+        (per_engine,) = lengths
+        if per_engine is not None and per_engine >= k_lane:
+            seeds = np.concatenate(previous)
+            if (seeds.reshape(size, -1) < n[:, None]).all():
+                return seeds, np.full(size, per_engine)
+    chosen = [
+        engine._seed_starts(d, row[:valid])
+        for engine, row, valid in zip(engines, bound, n.tolist())
+    ]
+    return np.concatenate(chosen), np.array([seeds.size for seeds in chosen])
 
 
 def _search_item(
     engines: Sequence[SuffixKnnEngine],
     d: int,
-    item_bounds: list[ItemLowerBounds],
+    lbs: ItemLowerBounds,
+    series_len: np.ndarray,
+    series: np.ndarray,
+    queries: np.ndarray,
 ) -> list[SuffixKnnAnswer]:
     """One item length for the whole group (phases A-E of the module
-    docstring); one answer per engine, in order."""
+    docstring); one answer per engine, in order.  ``lbs`` is the lane's
+    stacked bounds, ``series`` / ``queries`` hold one row per engine."""
     cfg, backend = engines[0].config, engines[0].backend
-    t_start = backend.elapsed_s
+    size = len(engines)
+    members = np.arange(size)
+    # windows[i, t] is series[i, t : t + d]: sliding_window_view's view,
+    # built on the (contiguous) rows' buffer without its per-call Python
+    # — the constructor checks the strides stay inside the buffer.
+    windows = np.ndarray(
+        (size, series.shape[1] - d + 1, d), series.dtype, series,
+        strides=series.strides + series.strides[1:],
+    )
 
+    def verify(member: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """One ``dtw_verification`` launch: segment ``start[j]`` of
+        engine ``member[j]`` against that engine's query (one query row
+        per candidate even in a lane of one: the kernel is faster on
+        same-shape operands than on a broadcast ``(d,)`` query)."""
+        return backend.dtw_verification(
+            queries[member], windows[member, start], cfg.rho
+        )
+
+    t_start = backend.elapsed_s
     with obs.span("dtw_refine", backend) as sp:
-        # (A) Valid starts are 0..n-1: the h-step target of a candidate
-        # must already be observed.
-        members = []
-        for engine, lbs in zip(engines, item_bounds):
-            series = engine.series
-            n = series.size - d - cfg.margin + 1
-            if n <= 0:
-                raise ValueError(
-                    f"no candidates for item length {d}: series too short"
-                )
-            bound = lbs.bound(cfg.lb_mode)[:n]
-            seeds = engine._seed_starts(d, bound)
-            members.append(_Member(series, engine.item_query(d), bound, seeds))
+        # (A) Valid starts of a row are 0..n-1: the h-step target of a
+        # candidate must already be observed.
+        n = series_len - (d + cfg.margin - 1)
+        shortest, width = int(n.min()), int(n.max())
+        if shortest <= 0:
+            raise ValueError(
+                f"no candidates for item length {d}: series too short"
+            )
+        k_lane = min(cfg.k_max, width)  # the longest row's k; none is larger
+        bound = lbs.bound(cfg.lb_mode)[:, :width]
+        seed_start, seed_count = _lane_seeds(engines, d, bound, n, k_lane)
+        seed_member = np.repeat(members, seed_count)
 
         # (B) One launch verifies every engine's seeds.
-        seed_distances = _verify_fused(
-            backend, cfg.rho, members, [member.seeds for member in members]
-        )
+        seed_d = verify(seed_member, seed_start)
         t_seeded = backend.elapsed_s
 
         # (C) tau_i is the k-th smallest seed DTW; both tiers prune
-        # against it.  Seeds are already verified: they leave the
-        # survivors through the same mask over starts.
-        for member, seed_d in zip(members, seed_distances):
-            n = member.bound.size
-            k = min(cfg.k_max, n)
-            gate = float(np.partition(seed_d, k - 1)[k - 1]) + _FILTER_SLACK
-            # Tier 1: the precomputed window/group envelope bound.
-            alive = member.bound <= gate
-            after_kim = n
-            if cfg.lb_kim:
-                # Tier 0: LB_Kim — two series touches per candidate.
-                kim = lb_kim_profile(
-                    member.query, member.series, np.arange(n)
-                ) <= gate
-                after_kim = int(np.count_nonzero(kim))
-                alive &= kim
-            member.unfiltered = int(np.count_nonzero(alive))
-            member.pruned_kim = n - after_kim
-            member.pruned_window = after_kim - member.unfiltered
-            alive[member.seeds] = False
-            member.survivors = alive.nonzero()[0]
+        # against it.  The k-th order statistic is a value, so a row-wise
+        # partition gives the bits the per-row one does.
+        if shortest >= k_lane and seed_count.min() == seed_count.max():
+            tau = np.partition(
+                seed_d.reshape(size, -1), k_lane - 1, axis=1
+            )[:, k_lane - 1]
+        else:  # rows differ in k or in seeds: per segment
+            ends = np.cumsum(seed_count).tolist()
+            tau = np.array([
+                np.partition(seed_d[lo:hi], k - 1)[k - 1]
+                for lo, hi, k in zip(
+                    [0] + ends, ends, np.minimum(cfg.k_max, n).tolist()
+                )
+            ])
+        gate = (tau + _FILTER_SLACK)[:, None]
+        if shortest < width:
+            # A ragged lane: columns at or beyond a row's own n hold the
+            # stack's padding (or starts whose target is unobserved) and
+            # pass no tier — no bound is <= -inf.
+            gate = np.where(np.arange(width) < n[:, None], gate, -np.inf)
+        # Tier 1: the precomputed window/group envelope bound.
+        alive = bound <= gate
+        after_kim = n
         if cfg.lb_kim:
+            # Tier 0: LB_Kim — two series touches per candidate.
+            kim = lb_kim_profile(queries, series, width) <= gate
+            after_kim = kim.sum(axis=1)
+            alive &= kim
             backend.launch(
                 "search_lb_kim",
-                n_blocks=sum(
-                    -(-member.bound.size // THREADS_PER_BLOCK)
-                    for member in members
-                ),
+                n_blocks=int((-(-n // THREADS_PER_BLOCK)).sum()),
                 ops_per_thread=2 * OPS_PER_LB_TERM,
                 threads_per_block=THREADS_PER_BLOCK,
             )
+        unfiltered = alive.sum(axis=1)
+        # Seeds are already verified: they leave the survivors through
+        # the same mask over starts.
+        alive[seed_member, seed_start] = False
+        surv_member, surv_start = np.divmod(np.flatnonzero(alive), width)
         t_filtered = backend.elapsed_s
 
         # (D) One launch verifies every engine's survivors.
-        distances = _verify_fused(
-            backend, cfg.rho, members, [member.survivors for member in members]
-        )
+        surv_d = verify(surv_member, surv_start)
+        surv_count = np.bincount(surv_member, minlength=size)
         if sp is not None:
             sp.attrs["item_length"] = d
-            sp.attrs["verified"] = sum(
-                member.seeds.size + member.survivors.size for member in members
-            )
+            sp.attrs["verified"] = seed_start.size + surv_start.size
     # Snapshot the ledger at the span boundary: everything after this
     # point is selection work, not verification work.
     t_verified = backend.elapsed_s
 
     # (E) A faulty kernel can return a NaN distance; drop non-finite
-    # entries so one never reaches an answer.  Order each verified pool
-    # by start so k-selection's stable tie-breaking resolves equal
-    # distances by smallest start — exactly how the reference full scan
-    # breaks ties.  Then one segmented k-selection, one block per engine.
-    pools = []
-    for member, seed_d, survivor_d in zip(members, seed_distances, distances):
-        starts = np.concatenate([member.seeds, member.survivors])
-        pool = np.concatenate([seed_d, survivor_d])
-        finite = np.isfinite(pool)
-        starts, pool = starts[finite], pool[finite]
-        order = np.argsort(starts, kind="stable")
-        pools.append((starts[order], pool[order]))
+    # entries so one never reaches an answer.  Order the verified pool by
+    # (engine, start) — a total order, starts are unique per engine — so
+    # k-selection's stable tie-breaking resolves equal distances by
+    # smallest start, exactly as the reference full scan breaks ties.
+    member = np.concatenate([seed_member, surv_member])
+    start = np.concatenate([seed_start, surv_start])
+    pool = np.concatenate([seed_d, surv_d])
+    finite = np.isfinite(pool)
+    if not finite.all():
+        member, start, pool = member[finite], start[finite], pool[finite]
+    order = np.argsort(member * width + start, kind="stable")
+    start, pool = start[order], pool[order]
+    pool_sizes = np.bincount(member, minlength=size).tolist()
+    offsets = [0, *accumulate(pool_sizes)]
     with obs.span("k_select", backend):
-        tops = backend.k_select(
-            np.concatenate([pool for _, pool in pools]),
-            cfg.k_max,
-            np.cumsum([0] + [pool.size for _, pool in pools]),
-        )
+        tops = backend.k_select(pool, cfg.k_max, offsets)
     t_selected = backend.elapsed_s
 
     # Each answer carries its row-share of each fused launch, normalised
     # so that a group's answers tile the ledger delta.
     launches = (
-        (t_seeded - t_start, [m.seeds.size for m in members]),
-        (t_filtered - t_seeded, [m.bound.size for m in members]),
-        (t_verified - t_filtered, [m.survivors.size for m in members]),
+        (t_seeded - t_start, seed_count.tolist()),
+        (t_filtered - t_seeded, n.tolist()),
+        (t_verified - t_filtered, surv_count.tolist()),
     )
     verification_s = _apportion(t_verified - t_start, [
         sum(parts)
         for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
     ])
-    selection_s = _apportion(
-        t_selected - t_verified, [pool.size for _, pool in pools]
-    )
+    selection_s = _apportion(t_selected - t_verified, pool_sizes)
 
+    verified = seed_count + surv_count
+    pruned_kim, pruned_window = n - after_kim, after_kim - unfiltered
+    # One gather for the lane's answers; each engine's is a slice of it.
+    sizes = [top.size for top in tops]
+    picked = np.concatenate(tops) + np.repeat(offsets[:-1], sizes)
+    found, distances = start[picked], pool[picked]
+    ends = list(accumulate(sizes))
     answers = []
-    for i, (engine, member, (starts, pool), top) in enumerate(
-        zip(engines, members, pools, tops)
+    for (
+        engine, lo, hi, total, passed, checked, by_kim, by_window,
+        verification, selection,
+    ) in zip(
+        engines, [0] + ends, ends, n.tolist(), unfiltered.tolist(),
+        verified.tolist(), pruned_kim.tolist(), pruned_window.tolist(),
+        verification_s, selection_s,
     ):
-        verified = int(member.seeds.size + member.survivors.size)
-        engine._previous_knn[d] = starts[top]
+        engine._previous_knn[d] = starts = found[lo:hi]
         answers.append(SuffixKnnAnswer(
             item_length=d,
-            starts=starts[top],
-            distances=pool[top],
-            candidates_total=member.bound.size,
-            candidates_unfiltered=member.unfiltered,
-            candidates_verified=verified,
-            pruned_kim=member.pruned_kim,
-            pruned_window=member.pruned_window,
-            verification_sim_s=verification_s[i],
-            selection_sim_s=selection_s[i],
+            starts=starts,
+            distances=distances[lo:hi],
+            candidates_total=total,
+            candidates_unfiltered=passed,
+            candidates_verified=checked,
+            pruned_kim=by_kim,
+            pruned_window=by_window,
+            verification_sim_s=verification,
+            selection_sim_s=selection,
         ))
     if obs.is_enabled():  # one emission per lane, the sensors' counts summed
         obs.observe_search(
             d,
-            sum(answer.candidates_total for answer in answers),
-            sum(answer.candidates_unfiltered for answer in answers),
-            candidates_verified=sum(a.candidates_verified for a in answers),
-            pruned_kim=sum(answer.pruned_kim for answer in answers),
-            pruned_window=sum(answer.pruned_window for answer in answers),
-            queries=len(answers),
+            int(n.sum()),
+            int(unfiltered.sum()),
+            candidates_verified=int(verified.sum()),
+            pruned_kim=int(pruned_kim.sum()),
+            pruned_window=int(pruned_window.sum()),
+            queries=size,
         )
     return answers

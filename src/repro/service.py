@@ -583,8 +583,7 @@ class PredictionService:
             absorb_many(smilers, values)
         for (index, _), (smilers, _) in groups.items():
             if self._search_group(index, smilers, set()) is None:
-                for _ in smilers:
-                    self._pool.record_success(index)
+                self._pool.record_success(index, len(smilers))
 
     def _search_group(
         self, index: int, smilers: list[SMiLer], evacuated: set[int]
@@ -598,8 +597,8 @@ class PredictionService:
         evacuated — once per request: ``evacuated`` holds the backends
         this request already moved off, and gains ``index`` — and the
         attempts end: the sensors sit on other backends now, their
-        answers invalidated.  Success is the caller's to record, per
-        sensor served."""
+        answers invalidated.  Success is the caller's to record, one
+        per sensor served (``record_success(index, count)``)."""
         error: Exception | None = None
         for _ in range(self.resilience.attempts):
             try:
@@ -771,6 +770,7 @@ class PredictionService:
                 )
             except Exception as error:  # noqa: BLE001 - the members descend
                 predicted = [error] * len(members)
+            served = 0
             for sensor_id, output in zip(members, predicted):
                 try:
                     if isinstance(output, Exception):
@@ -784,10 +784,11 @@ class PredictionService:
                         sensor_id, index, error,
                     )
                 else:
-                    self._pool.record_success(index)
+                    served += 1
                     outcomes[sensor_id] = (
                         output.mean, output.variance, "ensemble"
                     )
+            self._pool.record_success(index, served)
         return outcomes
 
     def _predict_resilient(

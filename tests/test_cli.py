@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
@@ -128,3 +132,49 @@ class TestRunAll:
         ]) == 0
         assert (tmp_path / "fig1.txt").exists()
         assert (tmp_path / "ablation_window.txt").exists()
+
+
+class TestProfileRound:
+    """``tools/profile_round.py`` on the benchmark's smoke sizes, in a
+    process of its own (it pins BLAS threads and freezes the collector)."""
+
+    TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools/profile_round.py"
+
+    def run_tool(self, *args):
+        return subprocess.run(
+            [sys.executable, str(self.TOOL), *args],
+            capture_output=True, text=True, timeout=300,
+        )
+
+    def test_layers_prints_every_layer_and_the_glue(self):
+        done = self.run_tool("fleet-stream", "--smoke", "--rounds", "3", "--layers")
+        assert done.returncode == 0, done.stderr
+        assert "3 rounds after 3 warm-ups" in done.stdout
+        rows = {}
+        for line in done.stdout.splitlines()[2:]:
+            rows.setdefault(line.split()[0], line.split())  # glue row is last
+        for layer in (
+            "forecast_all", "ingest_many", "absorb_many", "tune", "step_many",
+            "search_many", "lower_bounds_many", "_search_item",
+            "dtw_verification", "k_select",
+        ):
+            assert float(rows[layer][1]) > 0.0, layer
+        # Two shards, two item lengths: four searches a round, two
+        # verification launches each.
+        assert float(rows["_search_item"][2]) == 4.0
+        assert float(rows["dtw_verification"][2]) == 8.0
+        assert "_search_item glue" in done.stdout
+
+    def test_default_is_a_cprofile_table(self):
+        done = self.run_tool(
+            "fleet-stream", "--smoke", "--rounds", "2", "--sort", "cumulative",
+            "--top", "5",
+        )
+        assert done.returncode == 0, done.stderr
+        assert "under cProfile" in done.stdout
+        assert "Ordered by: cumulative time" in done.stdout
+
+    def test_bad_arguments(self):
+        assert self.run_tool("no-such-workload").returncode == 1
+        assert self.run_tool("fleet-stream", "--rounds", "0").returncode == 1
+        assert self.run_tool("fleet-stream", "--sort", "calls").returncode == 2

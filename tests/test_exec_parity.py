@@ -26,6 +26,9 @@ from repro.backend import BACKEND_NAMES, make_backend
 from repro.core import SMiLer, SMiLerConfig, load_smiler, save_smiler
 from repro.exec import ENGINE_ENV_VAR, ENGINE_NAMES
 from repro.faults import FaultProfile
+from repro.index import SuffixKnnEngine, SuffixSearchConfig
+from repro.index.suffix_search import search_many
+from repro.index.window_index import step_many
 from repro.service import (
     PredictionService,
     ResiliencePolicy,
@@ -276,6 +279,66 @@ class TestLaneFusedLaunches:
         finally:
             service.close()
         assert spent == [1 + 4 * len(CONFIG.elv), 0] == [9, 0]
+
+
+    def test_one_search_of_a_ragged_lane_launch_for_launch(self):
+        """The whole ``(kernel, n_blocks, ops_per_thread)`` sequence of a
+        cold and a warm ``search_many`` over six sensors of six series
+        lengths (one with fewer than ``k_max`` candidates at d=24) — the
+        literal below was captured on the commit before the host side of
+        the search was stacked; no launch may be added, dropped,
+        reordered or re-priced."""
+        cfg = SuffixSearchConfig(
+            item_lengths=(8, 16, 24), k_max=6, omega=4, rho=2, margin=2
+        )
+        backend = make_backend("simulated")
+        rng = np.random.default_rng(2323)
+        engines = [
+            SuffixKnnEngine(
+                np.cumsum(rng.normal(size=n)) + np.sin(np.arange(n) / 5.0),
+                cfg, backend=backend,
+            )
+            for n in (150, 331, 29, 204, 600, 87)
+        ]
+        recorded, launch = [], backend.cost.launch
+
+        def recording(name, n_blocks, ops_per_thread, threads_per_block=256):
+            recorded.append((name, int(n_blocks), float(ops_per_thread)))
+            return launch(name, n_blocks, ops_per_thread, threads_per_block)
+
+        backend.cost.launch = recording
+        search_many(engines)
+        cold = [("group_index_sum", 24, 21.0)] + [
+            launch for d in cfg.item_lengths for launch in (
+                # 64 seeds per row cover every survivor: no (D) launch.
+                ("dtw_verify", 2, 40.0 * d),
+                ("search_lb_kim", 9, 12.0),
+                ("k_select", 6, 1.5),
+            )
+        ]
+        assert recorded == cold
+        step_many(
+            [engine.window_index for engine in engines],
+            rng.normal(size=len(engines)),
+        )
+        del recorded[:]
+        search_many(engines)
+        assert recorded == [
+            ("group_index_sum", 24, 21.0),
+            ("dtw_verify", 1, 320.0),
+            ("search_lb_kim", 9, 12.0),
+            ("dtw_verify", 2, 320.0),
+            ("k_select", 6, 4.0546875),
+            ("dtw_verify", 1, 640.0),
+            ("search_lb_kim", 9, 12.0),
+            ("dtw_verify", 2, 640.0),
+            ("k_select", 6, 3.046875),
+            ("dtw_verify", 1, 960.0),
+            ("search_lb_kim", 9, 12.0),
+            ("dtw_verify", 2, 960.0),
+            ("k_select", 6, 2.859375),
+        ]
+        assert backend.cost.elapsed_s.hex() == "0x1.5ba893410572fp-13"
 
 
 class _StandaloneSensor:

@@ -102,6 +102,31 @@ class TestCircuitBreaker:
         pool.mark_unhealthy(0)
         assert pool.state(0) == "open"
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    def test_counted_success_is_that_many_successes(self, count):
+        """A lane's sensors recorded in one call: the op clock — so the
+        tick an open breaker's cool-down ends on — and every counter
+        read what ``count`` single calls leave behind."""
+        counted, single = self.make_pool(), self.make_pool()
+        for pool in (counted, single):
+            pool.record_failure(1)
+            pool.record_failure(0)
+            pool.record_failure(0)  # 0 opens; cool-down is 3 ops
+        counted.record_success(1, count)
+        for _ in range(count):
+            single.record_success(1)
+        assert counted._op == single._op
+        for index in (0, 1):
+            assert counted.health_dict(index) == single.health_dict(index)
+            assert (
+                counted.health(index).opened_at_op
+                == single.health(index).opened_at_op
+            )
+        assert counted.state(0) == ("half_open" if count >= 3 else "open")
+        before = (counted._op, counted.health_dict(1))
+        counted.record_success(1, 0)  # nobody served: nothing recorded
+        assert (counted._op, counted.health_dict(1)) == before
+
     def test_allocate_skips_open_circuits(self):
         pool = self.make_pool()
         pool.mark_unhealthy(0)
@@ -468,6 +493,57 @@ class TestIngestLane:
                     differing.append((sid, d))
         # One NaN in one fused launch: one sensor's seed pool lost a row.
         assert len(differing) == 1
+
+
+class TestOneBreakerUpdatePerLane:
+    """Lanes record their served sensors in one ``record_success``; a
+    seeded ``flaky-kernels`` run must leave the pool exactly as
+    per-sensor calls do."""
+
+    def run(self):
+        service = make_service(
+            backends=[
+                FaultInjectingBackend(
+                    SimulatedGpuBackend(),
+                    FaultProfile(name="flaky-kernels", seed=70 + shard,
+                                 kernel_error_rate=0.05),
+                )
+                for shard in range(2)
+            ],
+            breaker=BreakerConfig(failure_threshold=2, cooldown_ops=16),
+            resilience=ResiliencePolicy(attempts=2),
+        )
+        for i in range(12):
+            service.register(f"s{i}", raw_history(seed=i))
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            service.forecast_all()
+            service.ingest_many(
+                {f"s{i}": 200.0 + 10.0 * rng.normal() for i in range(12)}
+            )
+        pool = service._pool
+        seen = (
+            pool._op,
+            [pool.health_dict(i) for i in range(2)],
+            [pool.health(i).opened_at_op for i in range(2)],
+            [backend.injected["kernel_error"] for backend in service.backends],
+        )
+        service.close()
+        return seen
+
+    def test_pool_health_equals_the_per_sensor_calls(self, monkeypatch):
+        counted = self.run()
+        single = BackendPool.record_success
+
+        def per_sensor(pool, index, count=1):
+            for _ in range(count):
+                single(pool, index)
+
+        monkeypatch.setattr(BackendPool, "record_success", per_sensor)
+        assert self.run() == counted
+        ops, health, _, injected = counted
+        assert sum(injected) > 0 and sum(h["failures_total"] for h in health) > 0
+        assert sum(h["successes_total"] for h in health) > 40 * 12
 
 
 class TestForecastLane:
