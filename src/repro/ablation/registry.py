@@ -159,7 +159,8 @@ DEFAULT_COMPONENTS: tuple[Component, ...] = (
     Component(
         name="threshold-reuse",
         layer="search",
-        description="previous-step kNN answers seeding the filter threshold",
+        description="previous-step kNN answers and their successors seeding "
+        "the filter threshold",
         patch=(("search.reuse_threshold", False),),
     ),
     Component(

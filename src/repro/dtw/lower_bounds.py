@@ -242,10 +242,15 @@ def _tube_excess(
     values: np.ndarray, upper: np.ndarray, lower: np.ndarray
 ) -> np.ndarray:
     """Squared distance of ``values`` to the tube ``[lower, upper]``,
-    summed over the last axis (operands broadcast)."""
-    above = np.clip(values - upper, 0.0, None)
-    below = np.clip(lower - values, 0.0, None)
-    return (above**2 + below**2).sum(axis=-1)
+    summed over the last axis (operands broadcast).  Needs
+    ``lower <= upper`` (an envelope): then at most one side is outside
+    the tube, and the larger of the two excesses, floored at 0, squared
+    is the two-sided ``above**2 + below**2`` bit for bit."""
+    excess = values - upper
+    np.maximum(excess, lower - values, out=excess)
+    np.maximum(excess, 0.0, out=excess)
+    excess *= excess
+    return excess.sum(axis=-1)
 
 
 def window_pair_lbeq(

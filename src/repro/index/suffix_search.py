@@ -19,15 +19,17 @@ tests against :func:`repro.index.reference.suffix_knn_reference`).
 
 Threshold seeding: initial queries seed ``tau_i`` from a pool of
 candidates with the smallest lower bounds; continuous queries reuse the
-previous step's kNN segments (Section 4.3.3).  The pool is verified and
-``tau_i`` is its k-th smallest *true* DTW — a provable upper bound on
-the true k-th NN distance (the pool is a subset of all candidates), so
-the search stays exact.  Two refinements over the paper's wording: the
-pool holds a few multiples of k (a single smallest-LB candidate can have
-a large true distance, which would disable filtering), and we use the
-pool's k-th smallest DTW rather than the DTW of the k-th-by-LB candidate
-(which can *under*-estimate the k-th NN distance on adversarial data and
-lose exactness).
+previous step's kNN segments (Section 4.3.3) *and their successors* —
+the query slid one point since, so the segment that matched at start
+``s`` now matches at ``s + 1``.  The pool is verified and ``tau_i`` is
+its k-th smallest finite *true* DTW — a provable upper bound on the true
+k-th NN distance (the pool is a subset of all candidates), so the search
+stays exact whichever candidates seed it.  Two more refinements over the
+paper's wording: the pool holds a few multiples of k (a single
+smallest-LB candidate can have a large true distance, which would
+disable filtering), and we use the pool's k-th smallest DTW rather than
+the DTW of the k-th-by-LB candidate (which can *under*-estimate the k-th
+NN distance on adversarial data and lose exactness).
 
 `step()` advances one continuous-prediction tick: the observed point is
 appended, the window level is ring-updated (Remark 1), the master query
@@ -44,11 +46,13 @@ length every phase is one computation over those rows, not a loop over
 members:
 
 * **(A)** valid starts ``n_i``, the bounds as one ``(engines, max n_i)``
-  matrix, the seeds — warm, one concatenation of the remembered answers;
-  a cold, stale or short member sends the lane through the per-row
-  choice (:meth:`SuffixKnnEngine._seed_starts`);
+  matrix, the seeds — warm, the remembered answers and their successors
+  as one sorted, de-duplicated ``(engines, 2k)`` union; a cold, stale or
+  short member sends the lane through the per-row choice
+  (:meth:`SuffixKnnEngine._seed_starts`);
 * **(B)** one gather, one ``dtw_verification`` over the lane's seeds;
-* **(C)** ``tau_i`` as a row-wise k-th order statistic, the two filter
+* **(C)** ``tau_i`` as a row-wise k-th order statistic of the finite
+  seed distances (fewer than ``k`` of them: ``ValueError``), the two filter
   tiers as matrix compares (a ragged lane gates the columns at or beyond
   a row's ``n_i`` with ``-inf``: padding is never a candidate), seeds
   cleared from the survivors by one assignment — and one
@@ -230,9 +234,11 @@ class SuffixKnnEngine:
         k = min(self.config.k_max, bound.size)
         prev = self._previous_knn.get(d)
         if self.config.reuse_threshold and prev is not None:
-            # Previous kNN segments are near-optimal for the barely-moved
-            # query; their k-th smallest current DTW is a tight threshold.
-            seeds = prev[prev < bound.size]
+            # The query slid one point since ``prev`` was found, so the
+            # segment that matched at ``s`` now matches at ``s + 1``: the
+            # previous kNN and their successors, ascending.
+            seeds = np.union1d(prev, prev + 1)
+            seeds = seeds[seeds < bound.size]
             if seeds.size < k:
                 extra = np.argsort(bound, kind="stable")[:k]
                 seeds = np.union1d(seeds, extra)
@@ -310,26 +316,28 @@ def _lane_seeds(
     d: int,
     bound: np.ndarray,
     n: np.ndarray,
-    k_lane: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The lane's threshold seeds: ``(starts, how many per engine)``,
     engine-major, each engine's as :meth:`SuffixKnnEngine._seed_starts`
     orders them.  Steady state — every engine remembers an answer of one
-    length, at least ``k_lane`` (the lane's largest ``k``), all in range
-    — is one concatenation; anything else sends every row through
+    length whose in-range starts and successors number at least its
+    ``k`` — is one stacked union; anything else sends every row through
     ``_seed_starts``.  The cold pool must be chosen per row:
     ``argpartition``'s pick among tied bounds (uncovered starts all
     carry bound 0) depends on the array it is handed.
     """
-    size = len(engines)
+    cfg = engines[0].config
     previous = [engine._previous_knn.get(d) for engine in engines]
     lengths = {None if prev is None else prev.size for prev in previous}
-    if engines[0].config.reuse_threshold and len(lengths) == 1:
-        (per_engine,) = lengths
-        if per_engine is not None and per_engine >= k_lane:
-            seeds = np.concatenate(previous)
-            if (seeds.reshape(size, -1) < n[:, None]).all():
-                return seeds, np.full(size, per_engine)
+    if cfg.reuse_threshold and len(lengths) == 1 and None not in lengths:
+        prev = np.stack(previous)
+        both = np.concatenate([prev, prev + 1], axis=1)
+        both.sort(axis=1)
+        keep = both < n[:, None]
+        keep[:, 1:] &= both[:, 1:] != both[:, :-1]
+        count = keep.sum(axis=1)
+        if (count >= np.minimum(cfg.k_max, n)).all():
+            return both[keep], count
     chosen = [
         engine._seed_starts(d, row[:valid])
         for engine, row, valid in zip(engines, bound, n.tolist())
@@ -378,30 +386,34 @@ def _search_item(
             raise ValueError(
                 f"no candidates for item length {d}: series too short"
             )
-        k_lane = min(cfg.k_max, width)  # the longest row's k; none is larger
         bound = lbs.bound(cfg.lb_mode)[:, :width]
-        seed_start, seed_count = _lane_seeds(engines, d, bound, n, k_lane)
+        seed_start, seed_count = _lane_seeds(engines, d, bound, n)
         seed_member = np.repeat(members, seed_count)
 
         # (B) One launch verifies every engine's seeds.
         seed_d = verify(seed_member, seed_start)
         t_seeded = backend.elapsed_s
 
-        # (C) tau_i is the k-th smallest seed DTW; both tiers prune
-        # against it.  The k-th order statistic is a value, so a row-wise
+        # (C) tau_i is the k-th smallest finite seed DTW; both tiers
+        # prune against it.  The seeds go one row per engine into a
+        # matrix padded with +inf (a faulty kernel's NaN counts as
+        # padding); the k-th order statistic is a value, so a row-wise
         # partition gives the bits the per-row one does.
-        if shortest >= k_lane and seed_count.min() == seed_count.max():
-            tau = np.partition(
-                seed_d.reshape(size, -1), k_lane - 1, axis=1
-            )[:, k_lane - 1]
-        else:  # rows differ in k or in seeds: per segment
-            ends = np.cumsum(seed_count).tolist()
-            tau = np.array([
-                np.partition(seed_d[lo:hi], k - 1)[k - 1]
-                for lo, hi, k in zip(
-                    [0] + ends, ends, np.minimum(cfg.k_max, n).tolist()
-                )
-            ])
+        k_row = np.minimum(cfg.k_max, n)
+        first = np.cumsum(seed_count) - seed_count  # of each row's seeds
+        column = np.arange(seed_start.size) - first[seed_member]
+        padded = np.full((size, int(seed_count.max())), np.inf)
+        padded[seed_member, column] = np.where(
+            np.isfinite(seed_d), seed_d, np.inf
+        )
+        tau = np.partition(padded, np.unique(k_row - 1), axis=1)[
+            members, k_row - 1
+        ]
+        if np.isinf(tau).any():
+            raise ValueError(
+                f"fewer than k finite seed distances for item length {d}: "
+                f"no threshold to filter against"
+            )
         gate = (tau + _FILTER_SLACK)[:, None]
         if shortest < width:
             # A ragged lane: columns at or beyond a row's own n hold the

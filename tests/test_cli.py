@@ -164,6 +164,14 @@ class TestProfileRound:
         assert float(rows["_search_item"][2]) == 4.0
         assert float(rows["dtw_verification"][2]) == 8.0
         assert "_search_item glue" in done.stdout
+        # How much reached the kernel, on the row whose wall it explains:
+        # rows and DP cells per round (rho=2: min(d, 5) cells per point).
+        header = done.stdout.splitlines()[1].split()
+        assert header[-2:] == ["rows/round", "cells/round"]
+        verified, cells = map(float, rows["dtw_verification"][-2:])
+        assert len(rows["dtw_verification"]) == 6 and len(rows["k_select"]) == 4
+        assert verified >= 8.0  # at least a row per launch
+        assert 8 * 5 * verified <= cells <= 16 * 5 * verified
 
     def test_default_is_a_cprofile_table(self):
         done = self.run_tool(

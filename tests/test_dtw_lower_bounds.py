@@ -16,6 +16,7 @@ from repro.dtw import (
     lb_profile,
     window_pair_lb_matrices,
 )
+from repro.dtw.lower_bounds import _tube_excess
 from repro.timeseries import disjoint_windows, sliding_windows_right_to_left
 
 floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -154,3 +155,57 @@ class TestWindowPairMatrices:
                 above = np.clip(swv - s_env.upper[dw_slice], 0, None)
                 below = np.clip(s_env.lower[dw_slice] - swv, 0, None)
                 assert lbec[b, r] == pytest.approx((above**2 + below**2).sum())
+
+
+def _two_clip_tube_excess(values, upper, lower):
+    """``_tube_excess`` as it was before its one-sided form, verbatim."""
+    above = np.clip(values - upper, 0.0, None)
+    below = np.clip(lower - values, 0.0, None)
+    return (above**2 + below**2).sum(axis=-1)
+
+
+#: Small integers, halves and signed zeros: tube edges, ``lower ==
+#: upper`` and ±0.0 excesses come up in most draws.
+_grid = st.sampled_from([-3.0, -1.5, -0.0, 0.0, 0.5, 1.0, 2.0]) | floats
+
+
+class TestTubeExcessOneSided:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        data=st.data(),
+        omega=st.sampled_from([1, 4, 7, 8, 16, 17]),
+        shape=st.sampled_from([(), (3,), (2, 5), (2, 1, 3)]),
+    )
+    def test_equals_the_two_clip_form_bit_for_bit(self, data, omega, shape):
+        """Any tube with ``lower <= upper`` (equal included), values
+        inside, outside and on its edge, operands that broadcast."""
+        full = shape + (omega,)
+        a = data.draw(arrays(np.float64, full, elements=_grid))
+        b = data.draw(arrays(np.float64, full, elements=_grid))
+        lower, upper = np.minimum(a, b), np.maximum(a, b)
+        values = data.draw(arrays(np.float64, full, elements=_grid))
+        on_edge = data.draw(arrays(np.int8, full, elements=st.integers(0, 3)))
+        values = np.where(on_edge == 1, upper, np.where(on_edge == 2, lower, values))
+        cases = [(values, upper, lower)]
+        if shape:  # the posting refresh's pairing: values x tubes
+            cases.append((
+                values[..., None, :, :], upper[..., :, None, :],
+                lower[..., :, None, :],
+            ))
+        for v, u, lo in cases:
+            ours = _tube_excess(v, u, lo)
+            theirs = _two_clip_tube_excess(v, u, lo)
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_the_refresh_shape(self):
+        """The posting refresh's stacked operands: ``(S, n_sw, n_dw, omega)``."""
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(2, 1, 60, 16))
+        centre = rng.normal(size=(2, 25, 1, 16))
+        width = np.abs(rng.normal(size=(2, 25, 1, 16))) * (rng.random((2, 25, 1, 16)) < 0.8)
+        ours = _tube_excess(values, centre + width, centre - width)
+        assert ours.shape == (2, 25, 60)
+        assert np.array_equal(
+            ours, _two_clip_tube_excess(values, centre + width, centre - width)
+        )

@@ -7,9 +7,18 @@ per-member body is kept here verbatim as the oracle (``_Member``,
 ``search_many`` loop that drove them): answers, counts, simulated
 seconds and the seeds remembered for the next tick must equal it bit
 for bit, whatever shares the lane.
+
+The oracle chooses its threshold seeds itself (``_seed_starts`` below,
+start by start): the previous kNN *and their successors*, and ``tau_i``
+over the finite seed distances only — the rules the stacked union and
+the padded row-wise partition of ``suffix_search`` must reproduce.
 """
 
 import dataclasses
+import hashlib
+import importlib.util
+import pathlib
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,9 +34,11 @@ from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
 from repro.index.group_index import ItemLowerBounds, lower_bounds_many
+from repro.index.reference import suffix_knn_reference
 from repro.index.suffix_search import (
     _FILTER_SLACK,
     SuffixKnnAnswer,
+    _lane_seeds,
     search_many,
 )
 from repro.index.window_index import step_many
@@ -95,6 +106,24 @@ def _verify_fused(
     return [distances[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
+def _seed_starts(engine: SuffixKnnEngine, d: int, bound: np.ndarray) -> np.ndarray:
+    """One member's threshold seeds, start by start: the previous kNN
+    and their successors (the query slid one point), ascending, padded
+    from the smallest bounds when fewer than ``k`` are in range; cold,
+    the smallest-bound pool."""
+    cfg = engine.config
+    k = min(cfg.k_max, bound.size)
+    prev = engine._previous_knn.get(d)
+    if cfg.reuse_threshold and prev is not None:
+        wanted = {int(s) for s in prev} | {int(s) + 1 for s in prev}
+        seeds = {s for s in wanted if s < bound.size}
+        if len(seeds) < k:
+            seeds |= set(np.argsort(bound, kind="stable")[:k].tolist())
+        return np.array(sorted(seeds), dtype=prev.dtype)
+    pool = min(max(4 * k, 64), bound.size)
+    return np.argpartition(bound, pool - 1)[:pool]
+
+
 def _apportion(total: float, weights: Sequence[float]) -> list[float]:
     """``total`` split in proportion to ``weights``: the parts tile it,
     and a group of one gets all of it, bit for bit."""
@@ -124,7 +153,7 @@ def _search_item(
                     f"no candidates for item length {d}: series too short"
                 )
             bound = lbs.bound(cfg.lb_mode)[:n]
-            seeds = engine._seed_starts(d, bound)
+            seeds = _seed_starts(engine, d, bound)
             members.append(_Member(series, engine.item_query(d), bound, seeds))
 
         # (B) One launch verifies every engine's seeds.
@@ -133,13 +162,16 @@ def _search_item(
         )
         t_seeded = backend.elapsed_s
 
-        # (C) tau_i is the k-th smallest seed DTW; both tiers prune
-        # against it.  Seeds are already verified: they leave the
+        # (C) tau_i is the k-th smallest finite seed DTW; both tiers
+        # prune against it.  Seeds are already verified: they leave the
         # survivors through the same mask over starts.
         for member, seed_d in zip(members, seed_distances):
             n = member.bound.size
             k = min(cfg.k_max, n)
-            gate = float(np.partition(seed_d, k - 1)[k - 1]) + _FILTER_SLACK
+            trusted = seed_d[np.isfinite(seed_d)]
+            if trusted.size < k:
+                raise ValueError(f"fewer than k finite seed distances (d={d})")
+            gate = float(np.partition(trusted, k - 1)[k - 1]) + _FILTER_SLACK
             # Tier 1: the precomputed window/group envelope bound.
             alive = member.bound <= gate
             after_kim = n
@@ -447,24 +479,257 @@ class TestStackedEqualsPerMember:
             lanes.tick([history[tick] for history in histories])
 
     def test_adversarial_lane_matches_the_reference_scan(self, backend_name):
+        """44 warm ticks (successor seeds on every one), 0 mismatches."""
         streams = list(adversarial_streams().values())
         backend = make_backend(backend_name)
         engines = [
-            SuffixKnnEngine(stream[:260], SMALL_CFG, backend=backend)
+            SuffixKnnEngine(stream[:220], SMALL_CFG, backend=backend)
             for stream in streams
         ]
-        for tick in range(7):
+        for tick in range(45):
             for i, (engine, answers) in enumerate(
                 zip(engines, search_many(engines))
             ):
                 assert_matches_reference(
                     engine, answers, SMALL_CFG.margin, f"tick {tick} #{i}"
                 )
-            if tick < 6:
+            if tick < 44:
                 step_many(
                     [engine.window_index for engine in engines],
-                    [stream[260 + tick] for stream in streams],
+                    [stream[220 + tick] for stream in streams],
                 )
+
+    def test_a_lane_of_one_equals_the_engine_inside_a_lane_of_five(
+        self, backend_name
+    ):
+        histories, feeds = ragged_lane(12)
+        backend = make_backend(backend_name)
+        five = [
+            SuffixKnnEngine(history, SMALL_CFG, backend=backend)
+            for history in histories[:5]
+        ]
+        alone = SuffixKnnEngine(
+            histories[3], SMALL_CFG, backend=make_backend(backend_name)
+        )
+        for tick in range(13):
+            together, (single,) = search_many(five)[3], search_many([alone])
+            for d, answer in single.items():
+                assert answer.starts.tolist() == together[d].starts.tolist()
+                assert answer.distances.tobytes() == together[d].distances.tobytes()
+                for field in COUNTS:
+                    assert getattr(answer, field) == getattr(together[d], field)
+            if tick < 12:
+                step_many([e.window_index for e in five], feeds[tick][:5])
+                alone.advance(feeds[tick][3])
+
+
+def seeds_both_ways(engines, d):
+    """Each engine's threshold seeds from the stacked ``_lane_seeds``
+    and from the oracle's per-member rule, on the bounds a search of
+    ``engines`` would be handed."""
+    cfg = engines[0].config
+    bounds = lower_bounds_many([engine.group_index for engine in engines])
+    n = bounds.series_len - (d + cfg.margin - 1)
+    bound = bounds.stacked[d].bound(cfg.lb_mode)[:, : int(n.max())]
+    starts, counts = _lane_seeds(engines, d, bound, n)
+    ends = np.cumsum(counts)
+    stacked = [starts[lo:hi].tolist() for lo, hi in zip(ends - counts, ends)]
+    alone = [
+        _seed_starts(engine, d, row[:valid]).tolist()
+        for engine, row, valid in zip(engines, bound, n.tolist())
+    ]
+    return stacked, alone, n.tolist()
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestSuccessorSeeds:
+    """What ``prev ∪ (prev + 1)`` does at its edges; every case is also
+    searched both ways, so the answers and counts agree too."""
+
+    def lanes(self, backend_name, lengths=(150, 150, 150)):
+        lanes = TwinLanes(
+            [make_series(n, seed=n + i) for i, n in enumerate(lengths)],
+            SMALL_CFG, lambda: make_backend(backend_name),
+        )
+        lanes.search(label="cold")
+        lanes.tick([0.1 * i for i in range(len(lengths))])
+        return lanes
+
+    def remember(self, lanes, d, per_engine):
+        for engines in (lanes.ours, lanes.theirs):
+            for engine, prev in zip(engines, per_engine):
+                engine._previous_knn[d] = np.array(prev)
+
+    def seeds(self, lanes, d, pick=slice(None)):
+        """Asked of both twins: the bounds cost a launch, and the twins'
+        ledgers must stay level for the searches that follow."""
+        found = seeds_both_ways(lanes.ours[pick], d)
+        assert seeds_both_ways(lanes.theirs[pick], d) == found
+        return found
+
+    def test_the_newest_valid_start_and_the_one_beyond_it(self, backend_name):
+        """``prev + 1 == n - 1`` is the newest valid start and a seed;
+        ``prev + 1 == n`` has no target yet and is dropped."""
+        lanes = self.lanes(backend_name)
+        n = lanes.ours[0].series.size - (16 + SMALL_CFG.margin - 1)
+        prev = [n - 2, 5, 40, 9, 90, 60]
+        self.remember(lanes, 16, [prev, [n - 1] + prev[1:], prev])
+        stacked, alone, valid = self.seeds(lanes, 16)
+        assert valid == [n, n, n] and stacked == alone
+        assert stacked[0] == [5, 6, 9, 10, 40, 41, 60, 61, 90, 91, n - 2, n - 1]
+        assert stacked[1] == [5, 6, 9, 10, 40, 41, 60, 61, 90, 91, n - 1]
+        lanes.search(label="edges")
+
+    def test_a_run_of_adjacent_starts_is_a_union_of_k_plus_one(self, backend_name):
+        lanes = self.lanes(backend_name)
+        self.remember(lanes, 8, [[12, 10, 11, 15, 13, 14]] * 3)
+        stacked, alone, _ = self.seeds(lanes, 8)
+        assert stacked == alone == [list(range(10, 17))] * 3
+        found = lanes.search(label="run")
+        assert all(answers[8].starts.size == 6 for answers in found)
+
+    def test_a_row_with_fewer_than_k_valid_starts(self, backend_name):
+        """Four candidates at d=24 (``k_max`` is 6): its union fills the
+        row, alone (stacked) and beside longer rows (their answers are
+        longer, so the lane takes the per-row choice)."""
+        lanes = self.lanes(backend_name, lengths=(28, 150))
+        for pick in ((0,), None):
+            stacked, alone, valid = self.seeds(
+                lanes, 24, slice(1) if pick else slice(None)
+            )
+            assert valid[0] == 4 and stacked == alone
+            assert stacked[0] == [0, 1, 2, 3]
+            found = lanes.search(pick, label=f"short {pick}")
+            assert found[0][24].starts.size == 4
+
+    def test_out_of_range_leftovers_are_padded_from_the_bounds(self, backend_name):
+        """Fewer than ``k`` seeds left in range: the whole lane goes
+        through the per-row choice, which pads from the smallest bounds."""
+        lanes = self.lanes(backend_name)
+        self.remember(lanes, 16, [[10**6, 3, 10**6 + 1, 5, 10**6 + 2, 10**6 + 3]] * 3)
+        stacked, alone, _ = self.seeds(lanes, 16)
+        assert stacked == alone
+        assert {3, 4, 5, 6} <= set(stacked[0]) and 6 <= len(stacked[0]) <= 10
+        assert max(stacked[0]) < 10**6
+        lanes.search(label="padded")
+
+
+def poisoned_backend(backend_name):
+    """A backend whose next ``dtw_verification`` launch returns NaN at
+    the positions in ``.poison`` (then forgets them)."""
+
+    class Poisoned(type(make_backend(backend_name))):
+        poison = ()
+
+        def _run_dtw_verification(self, query, candidates, rho):
+            out = np.array(super()._run_dtw_verification(query, candidates, rho))
+            out[list(self.poison)] = np.nan
+            self.poison = ()
+            return out
+
+    return Poisoned()
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestNanAmongTheSeeds:
+    """A NaN seed distance may cost its own candidate, never the
+    threshold: ``tau_i`` is taken over the finite seeds."""
+
+    CFG = dataclasses.replace(SMALL_CFG, item_lengths=(16,))
+
+    def warm_engine(self, backend_name):
+        engine = SuffixKnnEngine(
+            make_series(300, seed=77), self.CFG,
+            backend=poisoned_backend(backend_name),
+        )
+        engine.search()
+        engine.advance(0.3)
+        return engine
+
+    def test_one_nan_among_two_k_seeds_leaves_the_answer_exact(self, backend_name):
+        engine = self.warm_engine(backend_name)
+        engine._previous_knn[16] = np.array([20, 50, 80, 110, 140, 170])
+        (seeds,), _, _ = seeds_both_ways([engine], 16)
+        assert len(seeds) == 12
+        truth, _ = suffix_knn_reference(
+            engine.series, engine.item_query(16), 6, self.CFG.rho,
+            margin=self.CFG.margin,
+        )
+        # Poison a seed the true answer does not hold: the finite filter
+        # drops that candidate, and nothing else may change.
+        victim = next(i for i, s in enumerate(seeds) if s not in set(truth.tolist()))
+        engine.backend.poison = (victim,)
+        answers = engine.search()
+        assert engine.backend.poison == ()
+        assert answers[16].candidates_unfiltered > 0
+        assert_matches_reference(engine, answers, self.CFG.margin)
+
+    def test_fewer_than_k_finite_seeds_is_refused(self, backend_name):
+        """The parent took the k-th of k seeds with a NaN among them:
+        ``tau`` NaN, every survivor killed, a ``k - 1``-long answer
+        installed.  Now the search raises and the caller retries."""
+        engine = self.warm_engine(backend_name)
+        engine._previous_knn[16] = np.array([20, 21, 22, 23, 24, 25])  # 7 seeds
+        before = dict(engine._previous_knn)
+        engine.backend.poison = (0, 3)
+        with pytest.raises(ValueError, match="finite seed distances"):
+            engine.search()
+        assert engine._previous_knn == before
+        retried = engine.search()  # the poison is spent
+        assert_matches_reference(engine, retried, self.CFG.margin)
+
+
+def _deep_search_streams(seed, history, ticks):
+    """roundbench's ``deep-search`` signal (its generator, loaded from
+    its file: ``benchmarks`` is not a package), z-normalised on the
+    history as the service does."""
+    path = pathlib.Path(__file__).resolve().parents[1] / (
+        "benchmarks/roundbench/workloads.py"
+    )
+    spec = importlib.util.spec_from_file_location("_roundbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    streams = workloads.generate(workloads.WORKLOADS["deep-search"], seed)
+    streams = streams[:, : history + ticks]
+    head = streams[:, :history]
+    return (streams - head.mean(axis=1, keepdims=True)) / head.std(
+        axis=1, keepdims=True
+    )
+
+
+class TestVerifiedRowsCounter:
+    def test_a_third_fewer_rows_reach_the_kernel_for_the_same_answers(self):
+        """The deterministic count behind the successor seeds: two
+        ``deep-search``-shaped engines (rho=24, omega=16, paper item
+        lengths and k), the first 4 000 points of the seed-2015 streams,
+        a cold search and 59 ticks.  The literals are the parent
+        commit's, which verified the previous kNN unshifted."""
+        parent_verified = 63_926
+        parent_answers = (
+            "22747d15cd3fb79a3203c231d428374f0c976213a77a83ac4d0c2eb143257be1"
+        )
+        streams = _deep_search_streams(2015, history=4000, ticks=59)
+        cfg = SuffixSearchConfig(rho=24, omega=16)
+        backend = make_backend("native")
+        engines = [
+            SuffixKnnEngine(stream[:4000], cfg, backend=backend)
+            for stream in streams
+        ]
+        verified, digest = 0, hashlib.sha256()
+        for tick in range(60):
+            if tick:
+                step_many(
+                    [engine.window_index for engine in engines],
+                    streams[:, 3999 + tick],
+                )
+            for answers in search_many(engines):
+                for answer in answers.values():
+                    verified += answer.candidates_verified
+                    digest.update(answer.starts.astype("<i8").tobytes())
+                    digest.update(answer.distances.astype("<f8").tobytes())
+        assert digest.hexdigest() == parent_answers
+        assert verified <= 0.75 * parent_verified, verified
 
 
 class _AllNanBackend(type(make_backend("native"))):
@@ -477,9 +742,9 @@ class _AllNanBackend(type(make_backend("native"))):
 class TestRefusals:
     @pytest.mark.parametrize("n_engines", [1, 3])
     def test_an_all_nan_pool_still_raises(self, n_engines):
-        """Nothing finite to select from: ``k_select`` refuses the empty
-        segment and the group search fails, to be retried by the caller
-        — as the per-member body did."""
+        """Nothing finite to take a threshold from: the group search
+        fails, to be retried by the caller — as the per-member body
+        did (there it was ``k_select`` refusing the empty pool)."""
         for search in (search_many, oracle_search_many):
             backend = _AllNanBackend()
             engines = [
@@ -487,7 +752,7 @@ class TestRefusals:
                                 backend=backend)
                 for i in range(n_engines)
             ]
-            with pytest.raises(ValueError, match="empty"):
+            with pytest.raises(ValueError, match="finite seed distances"):
                 search(engines)
 
     def test_series_too_short_for_an_item_length(self):

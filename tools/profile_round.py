@@ -23,7 +23,10 @@ share; ``--layers`` instead wraps the layer boundaries in
                                  (dtw_verification, k_select))
 
 — so a PR can quote glue = ``_search_item`` − kernels.  ``search_many``
-rows include the forecast side's stale re-searches, if any.
+rows include the forecast side's stale re-searches, if any.  The
+``dtw_verification`` row also says how much reached the kernel: rows
+verified and DP cells (``Σ n·d·min(d, 2ρ+1)``) per round, beside the
+wall they explain.
 """
 
 from __future__ import annotations
@@ -59,14 +62,26 @@ LAYERS = (
 )
 
 
-def _timed(fn, totals: dict, label: str):
+def _timed(fn, entry: list):
     def wrapper(*args, **kwargs):
         t0 = time.perf_counter()
         try:
             return fn(*args, **kwargs)
         finally:
-            totals[label][0] += time.perf_counter() - t0
-            totals[label][1] += 1
+            entry[0] += time.perf_counter() - t0
+            entry[1] += 1
+
+    return wrapper
+
+
+def _counting_rows(verify, entry: list):
+    """``dtw_verification(self, query, candidates, rho)`` with the rows
+    and band cells it was handed added to ``entry[2:4]``."""
+    def wrapper(self, query, candidates, rho):
+        rows, d = candidates.shape
+        entry[2] += rows
+        entry[3] += rows * d * min(d, 2 * rho + 1)
+        return verify(self, query, candidates, rho)
 
     return wrapper
 
@@ -74,7 +89,8 @@ def _timed(fn, totals: dict, label: str):
 @contextlib.contextmanager
 def layer_timers():
     """Wrap every layer boundary for the block; yields
-    ``{label: [seconds, calls]}``."""
+    ``{label: [seconds, calls, rows, DP cells]}`` (the last two only
+    counted for ``dtw_verification``)."""
     totals: dict[str, list] = {}
     patched = []
     try:
@@ -84,8 +100,11 @@ def layer_timers():
             if cls:
                 owner = getattr(owner, cls)
             original = getattr(owner, attribute)
-            totals[label] = [0.0, 0]
-            setattr(owner, attribute, _timed(original, totals, label))
+            entry = totals[label] = [0.0, 0, 0, 0]
+            timed = _timed(original, entry)
+            if label == "dtw_verification":
+                timed = _counting_rows(timed, entry)
+            setattr(owner, attribute, timed)
             patched.append((owner, attribute, original))
         yield totals
     finally:
@@ -95,14 +114,21 @@ def layer_timers():
 
 def print_layers(totals: dict[str, list], rounds: int, out) -> None:
     ingest = totals["ingest_many"][0] or float("nan")
-    print(f"{'layer':<30}{'ms/round':>10}{'calls/round':>13}{'of ingest':>11}",
-          file=out)
+    print(
+        f"{'layer':<30}{'ms/round':>10}{'calls/round':>13}{'of ingest':>11}"
+        f"{'rows/round':>12}{'cells/round':>13}",
+        file=out,
+    )
     for label, depth, _, _ in LAYERS:
-        seconds, calls = totals[label]
+        seconds, calls, n_rows, cells = totals[label]
         share = "" if label == "forecast_all" else f"{seconds / ingest:>10.1%}"
+        work = (
+            f"{n_rows / rounds:>12.1f}{cells / rounds:>13.0f}"
+            if label == "dtw_verification" else ""
+        )
         print(
             f"{'  ' * depth + label:<30}{seconds / rounds * 1e3:>10.3f}"
-            f"{calls / rounds:>13.1f}{share:>11}",
+            f"{calls / rounds:>13.1f}{share:>11}{work}",
             file=out,
         )
     kernels = totals["dtw_verification"][0] + totals["k_select"][0]
@@ -167,7 +193,7 @@ def main(argv=None, out=sys.stdout) -> int:
         driver.setup()
         if totals is not None:
             for entry in totals.values():
-                entry[:] = [0.0, 0]
+                entry[:] = [0.0, 0, 0, 0]
         gc.collect()
         gc.freeze()
         stack.callback(gc.unfreeze)
