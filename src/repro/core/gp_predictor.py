@@ -12,7 +12,9 @@ Two training regimes, exactly as the paper describes:
 * **continuous** — later requests warm-start from the previous step's
   hyperparameters and take a small *fixed* number of CG steps ("the
   energy paid for the training process in previous steps is partially
-  preserved").
+  preserved").  The step length is warm-started too: a training's first
+  line search starts at twice the last step the cell accepted (capped at
+  1.0), not at 1.0.
 """
 
 from __future__ import annotations
@@ -89,6 +91,9 @@ class GaussianProcessPredictor(SemiLazyPredictor):
         self.initial_train_iters = initial_train_iters
         self.online_train_iters = online_train_iters
         self._log_params: np.ndarray | None = None
+        #: Last step length a line search accepted; the next training's
+        #: first search starts at twice it (capped at 1.0).
+        self._step = 1.0
         self.train_calls = 0
         self.cg_iterations = 0
         self.objective_evaluations = 0
@@ -105,13 +110,18 @@ class GaussianProcessPredictor(SemiLazyPredictor):
         if self._log_params is None:
             start = _seed_kernel(neighbours, targets).log_params
             budget = self.initial_train_iters
+            self._step = 1.0
         else:
             start = self._log_params
             budget = self.online_train_iters
         if budget > 0:
             result = conjugate_gradient_minimize(
-                _BoxedLoo(neighbours, targets), start, max_iters=budget
+                _BoxedLoo(neighbours, targets),
+                start,
+                max_iters=budget,
+                initial_step=min(1.0, 2.0 * self._step),
             )
+            self._step = result.step
             self.cg_iterations += result.iterations
             self.objective_evaluations += result.evaluations
             self.gradient_evaluations += result.gradient_evaluations
@@ -163,5 +173,6 @@ class GaussianProcessPredictor(SemiLazyPredictor):
         return GaussianPrediction(float(mean[0]), float(max(var[0], 1e-10)))
 
     def reset(self) -> None:
-        """Forget the warm-started hyperparameters (fresh sensor)."""
+        """Forget the warm-started hyperparameters and step (fresh sensor)."""
         self._log_params = None
+        self._step = 1.0

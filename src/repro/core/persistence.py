@@ -3,7 +3,10 @@
 A deployed SMiLer instance carries state worth keeping: the accrued
 history, each horizon's auto-tuned ensemble matrix (weights, sleep
 scheduler) and every GP cell's warm-started hyperparameters.  This
-module serialises all of it to a single ``.npz`` archive.
+module serialises all of it to a single ``.npz`` archive, each GP
+cell's remembered line-search step beside its hyperparameters (format
+2; a format-1 archive, written before the step was kept, loads with
+the step at 1.0).
 
 The search index itself is *rebuilt* from the stored history on load —
 it is a deterministic function of the series and configuration, and
@@ -34,7 +37,9 @@ __all__ = [
     "load_smiler",
 ]
 
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
+#: Archive formats :func:`load_snapshot` reads.
+_READABLE_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -52,6 +57,7 @@ class SmilerSnapshot:
     series: np.ndarray
     ensemble_state: dict[str, dict]
     gp_params: dict[str, np.ndarray]
+    gp_steps: dict[str, float]
     path: pathlib.Path
 
 
@@ -87,6 +93,7 @@ def save_smiler(smiler: SMiLer, path) -> None:
                 log_params = predictor._log_params
                 if log_params is not None:
                     arrays[f"gp_{key}"] = np.asarray(log_params)
+                    arrays[f"step_{key}"] = np.float64(predictor._step)
     meta["ensemble_state"] = ensemble_state
     arrays["meta_json"] = np.frombuffer(
         json.dumps(meta).encode("utf-8"), dtype=np.uint8
@@ -99,7 +106,7 @@ def load_snapshot(path) -> SmilerSnapshot:
     path = pathlib.Path(path)
     with np.load(path) as archive:
         meta = json.loads(bytes(archive["meta_json"].tobytes()).decode("utf-8"))
-        if meta.get("format_version") != _FORMAT_VERSION:
+        if meta.get("format_version") not in _READABLE_VERSIONS:
             raise ValueError(
                 f"unsupported archive version {meta.get('format_version')!r}"
             )
@@ -108,6 +115,11 @@ def load_snapshot(path) -> SmilerSnapshot:
             name[len("gp_") :]: np.asarray(archive[name])
             for name in archive.files
             if name.startswith("gp_")
+        }
+        gp_steps = {
+            name[len("step_") :]: float(archive[name])
+            for name in archive.files
+            if name.startswith("step_")
         }
 
     # JSON turns tuples into lists; an archive written before a field
@@ -122,6 +134,7 @@ def load_snapshot(path) -> SmilerSnapshot:
         series=series,
         ensemble_state=meta["ensemble_state"],
         gp_params=gp_params,
+        gp_steps=gp_steps,
         path=path,
     )
 
@@ -151,6 +164,7 @@ def build_smiler(
                 state.predictor, GaussianProcessPredictor
             ):
                 state.predictor._log_params = snapshot.gp_params[key]
+                state.predictor._step = snapshot.gp_steps.get(key, 1.0)
     return smiler
 
 

@@ -16,7 +16,6 @@ from .optimize import (
 )
 from .regression import GaussianProcessRegressor, robust_cholesky
 from .sparse import ProjectedSparseGP, select_active_points
-from .train import fit_exact_gp, marginal_likelihood_objective
 from .variational import VariationalSparseGP, kmeans
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "robust_cholesky",
     "ProjectedSparseGP",
     "select_active_points",
-    "fit_exact_gp",
-    "marginal_likelihood_objective",
     "VariationalSparseGP",
     "kmeans",
 ]

@@ -86,7 +86,9 @@ class OptimizeResult:
 
     ``evaluations`` / ``gradient_evaluations`` count what
     :func:`conjugate_gradient_minimize` asked of its objective (0 from
-    :func:`nelder_mead_minimize`, which does not count).
+    :func:`nelder_mead_minimize`, which does not count); ``step`` is the
+    last step length a CG line search accepted (``initial_step`` when
+    none was).
     """
 
     x: np.ndarray
@@ -95,6 +97,7 @@ class OptimizeResult:
     converged: bool
     evaluations: int = 0
     gradient_evaluations: int = 0
+    step: float = 1.0
 
 
 def _backtracking_line_search(
@@ -131,12 +134,20 @@ def conjugate_gradient_minimize(
     max_iters: int = 100,
     grad_tol: float = 1e-6,
     value_tol: float = 1e-10,
+    initial_step: float = 1.0,
 ) -> OptimizeResult:
     """Polak-Ribière+ CG with restarts and Armijo backtracking.
 
     ``fun`` is an :class:`Objective` or a plain callable returning
-    ``(value, gradient)``.
+    ``(value, gradient)``.  The first line search starts at
+    ``initial_step`` (in ``(0, 1]``); every later one, the
+    steepest-descent restart included, at ``min(1, 2 × the last accepted
+    step)``.  No search starts above 1.0, and from a power-of-two
+    ``initial_step`` every candidate is a rung of the 1, 1/2, 1/4, …
+    ladder.
     """
+    if not 0.0 < initial_step <= 1.0:
+        raise ValueError(f"initial_step must be in (0, 1], got {initial_step}")
     objective = _Counted(_PlainObjective(fun) if callable(fun) else fun)
     x = np.asarray(x0, dtype=np.float64).copy()
     value = objective.value(x)
@@ -146,18 +157,28 @@ def conjugate_gradient_minimize(
     direction = -grad
     iterations = 0
     converged = False
+    accepted = start = initial_step
     for iterations in range(1, max_iters + 1):
         if np.linalg.norm(grad) < grad_tol:
             converged = True
             break
-        result = _backtracking_line_search(objective, x, value, grad, direction)
+        result = _backtracking_line_search(
+            objective, x, value, grad, direction, start
+        )
         if result is None:
             # Bad direction (stale conjugacy): restart with steepest descent.
-            result = _backtracking_line_search(objective, x, value, grad, -grad)
+            result = _backtracking_line_search(
+                objective, x, value, grad, -grad, start
+            )
             if result is None:
                 break
-        new_x, new_value, new_grad, _ = result
-        if value - new_value < value_tol * (abs(value) + value_tol):
+        new_x, new_value, new_grad, accepted = result
+        # A step accepted at a first try below 1.0 was never tested
+        # longer, so a small decrease there is not evidence of a minimum.
+        untested = accepted == start < 1.0
+        start = min(1.0, 2.0 * accepted)
+        stalled = value - new_value < value_tol * (abs(value) + value_tol)
+        if stalled and not untested:
             x, value, grad = new_x, new_value, new_grad
             converged = True
             break
@@ -180,6 +201,7 @@ def conjugate_gradient_minimize(
         converged=converged,
         evaluations=objective.evaluations,
         gradient_evaluations=objective.gradient_evaluations,
+        step=accepted,
     )
 
 

@@ -172,6 +172,26 @@ class TestProfileRound:
         assert len(rows["dtw_verification"]) == 6 and len(rows["k_select"]) == 4
         assert verified >= 8.0  # at least a row per launch
         assert 8 * 5 * verified <= cells <= 16 * 5 * verified
+        # AR sensors: no GP training under forecast_all.
+        assert rows["gp_train"][1:3] == ["0.000", "0.0"]
+
+    def test_layers_gp_train_row(self):
+        """How much training a GP round asked for: wall, trainings, and
+        the objective's value and gradient evaluations per round."""
+        done = self.run_tool("gp-forecast", "--smoke", "--rounds", "3", "--layers")
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert lines[2].split()[0] == "forecast_all"
+        assert lines[3].startswith("  gp_train")
+        _, wall, trainings, values, gradients, *note = lines[3].split()
+        assert 0.0 < float(wall) < float(lines[2].split()[1])
+        # One sensor, 3 x 3 cells: at most nine trainings a round.
+        assert 0.0 < float(trainings) <= 9.0
+        # Per training: one gradient at the start and one per accepted
+        # step, a value at every line-search candidate.
+        assert float(gradients) >= 2.0 * float(trainings)
+        assert float(values) > float(gradients)
+        assert " ".join(note) == "(value, gradient evaluations)"
 
     def test_default_is_a_cprofile_table(self):
         done = self.run_tool(

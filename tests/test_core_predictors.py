@@ -101,6 +101,35 @@ class TestGaussianProcessPredictor:
         assert gp.cg_iterations - iters_after_first <= 5
         assert gp.kernel is not None and first_kernel is not None
 
+    def test_each_training_starts_at_twice_the_last_step(self, monkeypatch):
+        """One step memory per predictor: passed in doubled (capped at
+        1.0), replaced by what the run accepted; a cold start and
+        ``reset()`` go back to 1.0."""
+        from repro.core import gp_predictor
+
+        asked = []
+        minimize = gp_predictor.conjugate_gradient_minimize
+
+        def recording(*args, **kwargs):
+            asked.append(kwargs["initial_step"])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gp_predictor, "conjugate_gradient_minimize", recording)
+        query, neighbours, targets = knn_data(k=16)
+        gp = GaussianProcessPredictor()
+        assert gp._step == 1.0
+        steps = []
+        for shift in range(4):
+            gp.predict(query, neighbours, targets + 0.01 * shift)
+            steps.append(gp._step)
+        assert asked == [1.0] + [min(1.0, 2.0 * s) for s in steps[:-1]]
+        assert min(steps) < 1.0
+        gp._log_params = None  # a cold start ignores the memory
+        gp.predict(query, neighbours, targets)
+        assert asked[-1] == 1.0
+        gp.reset()
+        assert gp._step == 1.0 and gp.kernel is None
+
     def test_single_neighbour_fallback(self):
         gp = GaussianProcessPredictor()
         pred = gp.predict(np.zeros(4), np.ones((1, 4)), np.array([7.0]))

@@ -1,6 +1,7 @@
 """Tests for multi-GPU sharding, history truncation and persistence."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -248,3 +249,116 @@ class TestServiceWithGpConfig:
         restored.restore(tmp_path)
         after = restored.forecast("gp-sensor")
         assert after.mean == pytest.approx(before.mean, rel=1e-3)
+
+
+# Paper-default 3 x 3 GP ensemble, sleep scheduler on.
+PAPER_GP = SMiLerConfig(predictor="gp")
+HISTORY, STEPS, SPLIT = 700, 40, 20
+
+
+def gp_cells(smiler):
+    ensemble = smiler.ensemble(1)
+    return [ensemble.state(cell).predictor for cell in ensemble.cells]
+
+
+def final_state(digest, smiler):
+    """Fold every cell's trained hyperparameters and remembered line-search
+    step into ``digest``; return it."""
+    for predictor in gp_cells(smiler):
+        digest.update(np.asarray(predictor._log_params, np.float64).tobytes())
+        digest.update(float(predictor._step).hex().encode())
+    return digest.hexdigest()
+
+
+class TestGpStepSurvivesASnapshot:
+    """Each GP cell's line search starts where its last one left off, so
+    snapshot -> restore -> continue must equal never stopping, bit for
+    bit: forecasts, hyperparameters and the remembered steps."""
+
+    values = periodic_history(HISTORY + STEPS, seed=0)
+
+    @staticmethod
+    def forget(smiler):
+        """What a restore that dropped the step would leave."""
+        for predictor in gp_cells(smiler):
+            predictor._step = 1.0
+
+    def smiler_run(self, tmp_path=None, forget_step=False):
+        smiler = SMiLer(self.values[:HISTORY], PAPER_GP)
+        digest = hashlib.sha256()
+        for t, value in enumerate(self.values[HISTORY:]):
+            if t == SPLIT and tmp_path is not None:
+                steps = [p._step for p in gp_cells(smiler)]
+                assert min(steps) < 0.5  # something worth remembering
+                save_smiler(smiler, tmp_path / "gp.npz")
+                smiler = load_smiler(tmp_path / "gp.npz")
+                assert [p._step for p in gp_cells(smiler)] == steps
+                if forget_step:
+                    self.forget(smiler)
+            output = smiler.predict()[1]
+            digest.update((output.mean.hex() + output.variance.hex()).encode())
+            smiler.observe(float(value))
+        return final_state(digest, smiler)
+
+    def service_run(self, tmp_path=None, forget_step=False):
+        service = PredictionService(PAPER_GP, min_history=100)
+        service.register("s0", self.values[:HISTORY])
+        digest = hashlib.sha256()
+        for t, value in enumerate(self.values[HISTORY:]):
+            if t == SPLIT and tmp_path is not None:
+                service.snapshot(tmp_path)
+                service.close()
+                service = PredictionService(PAPER_GP, min_history=100)
+                service.restore(tmp_path)
+                if forget_step:
+                    self.forget(service.sensor("s0"))
+            forecast = service.forecast("s0")
+            digest.update((forecast.mean.hex() + forecast.std.hex()).encode())
+            service.ingest("s0", float(value))
+        try:
+            return final_state(digest, service.sensor("s0"))
+        finally:
+            service.close()
+
+    def test_save_load_continue_equals_never_stopping(self, tmp_path):
+        never_stopped = self.smiler_run()
+        assert self.smiler_run(tmp_path) == never_stopped
+        # The pin has teeth: restarting every search at 1.0 differs.
+        assert self.smiler_run(tmp_path, forget_step=True) != never_stopped
+
+    def test_service_snapshot_restore_continue_equals_never_stopping(
+        self, tmp_path
+    ):
+        never_stopped = self.service_run()
+        assert self.service_run(tmp_path / "a") == never_stopped
+        assert self.service_run(tmp_path / "b", forget_step=True) != never_stopped
+
+    def test_format_1_archive_loads_with_step_one(self, tmp_path):
+        """An archive written before the step was kept: no ``step_*``
+        arrays, format 1 — it still loads, every step at 1.0."""
+        import json
+
+        smiler = SMiLer(self.values[:HISTORY], PAPER_GP)
+        for value in self.values[HISTORY : HISTORY + 3]:
+            smiler.predict()
+            smiler.observe(float(value))
+        path = tmp_path / "v1.npz"
+        save_smiler(smiler, path)
+        with np.load(path) as archive:
+            arrays = {
+                name: archive[name]
+                for name in archive.files
+                if not name.startswith("step_")
+            }
+        assert any(name.startswith("gp_") for name in arrays)
+        meta = json.loads(bytes(arrays["meta_json"].tobytes()).decode("utf-8"))
+        assert meta["format_version"] == 2
+        meta["format_version"] = 1
+        arrays["meta_json"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        )
+        np.savez_compressed(path, **arrays)
+        restored = load_smiler(path)
+        for before, after in zip(gp_cells(smiler), gp_cells(restored)):
+            assert np.array_equal(before._log_params, after._log_params)
+            assert after._step == 1.0

@@ -18,15 +18,17 @@ and nothing inside native code, so call-heavy glue reads about twice its
 share; ``--layers`` instead wraps the layer boundaries in
 ``perf_counter`` timers and prints untraced wall per round —
 
+    forecast_all -> gp_train
     ingest_many -> absorb_many (tune, step_many)
                 -> search_many (lower_bounds_many, _search_item
                                  (dtw_verification, k_select))
 
 — so a PR can quote glue = ``_search_item`` − kernels.  ``search_many``
-rows include the forecast side's stale re-searches, if any.  The
-``dtw_verification`` row also says how much reached the kernel: rows
-verified and DP cells (``Σ n·d·min(d, 2ρ+1)``) per round, beside the
-wall they explain.
+rows include the forecast side's stale re-searches, if any.  Two rows
+also say how much work their wall bought: ``dtw_verification`` the rows
+verified and DP cells (``Σ n·d·min(d, 2ρ+1)``) per round, ``gp_train``
+(every GP cell's hyperparameter training, 0 on AR workloads) the LOO
+objective's value and gradient evaluations per round.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: where its caller looks it up, outermost first.
 LAYERS = (
     ("forecast_all", 0, "repro.service:PredictionService", "forecast_all"),
+    ("gp_train", 1, "repro.core.gp_predictor:GaussianProcessPredictor",
+     "_train"),
     ("ingest_many", 0, "repro.service:PredictionService", "ingest_many"),
     ("absorb_many", 1, "repro.service", "absorb_many"),
     ("tune", 2, "repro.core.smiler:SMiLer", "tune"),
@@ -86,11 +90,33 @@ def _counting_rows(verify, entry: list):
     return wrapper
 
 
+def _counting_evaluations(train, entry: list):
+    """``GaussianProcessPredictor._train`` with the value and gradient
+    evaluations it asked of its objective added to ``entry[2:4]``."""
+    def wrapper(self, *args, **kwargs):
+        values, gradients = self.objective_evaluations, self.gradient_evaluations
+        try:
+            return train(self, *args, **kwargs)
+        finally:
+            entry[2] += self.objective_evaluations - values
+            entry[3] += self.gradient_evaluations - gradients
+
+    return wrapper
+
+
+#: Rows that count the work beside their wall, and how.
+COUNTERS = {
+    "dtw_verification": _counting_rows,
+    "gp_train": _counting_evaluations,
+}
+
+
 @contextlib.contextmanager
 def layer_timers():
     """Wrap every layer boundary for the block; yields
-    ``{label: [seconds, calls, rows, DP cells]}`` (the last two only
-    counted for ``dtw_verification``)."""
+    ``{label: [seconds, calls, work, work]}`` (the last two only counted
+    for :data:`COUNTERS`: rows and DP cells, value and gradient
+    evaluations)."""
     totals: dict[str, list] = {}
     patched = []
     try:
@@ -102,8 +128,8 @@ def layer_timers():
             original = getattr(owner, attribute)
             entry = totals[label] = [0.0, 0, 0, 0]
             timed = _timed(original, entry)
-            if label == "dtw_verification":
-                timed = _counting_rows(timed, entry)
+            if label in COUNTERS:
+                timed = COUNTERS[label](timed, entry)
             setattr(owner, attribute, timed)
             patched.append((owner, attribute, original))
         yield totals
@@ -121,11 +147,16 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
     )
     for label, depth, _, _ in LAYERS:
         seconds, calls, n_rows, cells = totals[label]
-        share = "" if label == "forecast_all" else f"{seconds / ingest:>10.1%}"
-        work = (
-            f"{n_rows / rounds:>12.1f}{cells / rounds:>13.0f}"
-            if label == "dtw_verification" else ""
-        )
+        forecast_side = label in ("forecast_all", "gp_train")
+        share = "" if forecast_side else f"{seconds / ingest:>10.1%}"
+        work = ""
+        if label == "dtw_verification":
+            work = f"{n_rows / rounds:>12.1f}{cells / rounds:>13.0f}"
+        elif label == "gp_train":
+            work = (
+                f"{n_rows / rounds:>12.1f}{cells / rounds:>13.1f}"
+                "   (value, gradient evaluations)"
+            )
         print(
             f"{'  ' * depth + label:<30}{seconds / rounds * 1e3:>10.3f}"
             f"{calls / rounds:>13.1f}{share:>11}{work}",
