@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test bench bench-round bench-gate profile examples results clean
+.PHONY: install test bench bench-round bench-gate profile size examples results clean
 
 install:
 	pip install -e . || $(PYTHON) setup.py develop
@@ -22,6 +22,10 @@ bench-gate:
 WORKLOAD ?= fleet-stream
 profile:
 	python3 tools/profile_round.py $(WORKLOAD) $(ARGS)
+
+# Line total of src/**/*.py, the number ROADMAP's size aim is stated in.
+size:
+	@find src -name '*.py' -exec cat {} + | wc -l
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -1,19 +1,11 @@
-"""Statistical-regression baselines: AR(p)/ARI(p,d) models ([15]).
-
-The paper's related work groups classical forecasting into linear
-statistical models, headlined by ARIMA.  This module provides the
-linear-autoregression core of that family, implemented from scratch:
+"""Least-squares AR(p) models ([15]) for the service's ``ar`` rung.
 
 * :func:`fit_ar` — least-squares AR(p) with innovation variance,
-* :func:`select_ar_order` — AIC order selection,
-* :class:`ARForecaster` — an (optionally differenced) AR model behind
-  the common forecaster protocol, with exact h-step-ahead forecast
-  variance via the psi (impulse response) weights.
+* :meth:`ArModel.forecast` — iterated h-step-ahead mean with the exact
+  forecast variance via the psi (impulse response) weights.
 
 MA terms are deliberately left out (fitting them needs nonlinear MLE
-for little benefit on sensor streams); with differencing this covers
-the ARI(p, d) sub-family — enough to represent the statistical camp the
-paper compares against.
+for little benefit on sensor streams).
 """
 
 from __future__ import annotations
@@ -22,9 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import BaseForecaster
-
-__all__ = ["ArModel", "fit_ar", "select_ar_order", "ARForecaster"]
+__all__ = ["ArModel", "fit_ar"]
 
 
 @dataclass(frozen=True)
@@ -34,22 +24,11 @@ class ArModel:
     coefficients: np.ndarray  # phi_1 .. phi_p
     intercept: float
     noise_variance: float
-    n_fitted: int
 
     @property
     def order(self) -> int:
         """Autoregressive order p."""
         return self.coefficients.size
-
-    def log_likelihood(self) -> float:
-        """Gaussian conditional log likelihood of the fitted sample."""
-        n, var = self.n_fitted, max(self.noise_variance, 1e-300)
-        return -0.5 * n * (np.log(2.0 * np.pi * var) + 1.0)
-
-    def aic(self) -> float:
-        """Akaike information criterion (parameters: p coefficients,
-        intercept, noise variance)."""
-        return 2.0 * (self.order + 2) - 2.0 * self.log_likelihood()
 
     def psi_weights(self, horizon: int) -> np.ndarray:
         """MA(infinity) weights psi_0..psi_{h-1} of the AR recursion.
@@ -106,7 +85,7 @@ def fit_ar(values: np.ndarray, order: int) -> ArModel:
         mean = float(values.mean())
         return ArModel(
             coefficients=np.empty(0), intercept=mean,
-            noise_variance=float(np.var(values)) + 1e-12, n_fitted=values.size,
+            noise_variance=float(np.var(values)) + 1e-12,
         )
     design = np.ones((n_rows, order + 1))
     for lag in range(1, order + 1):
@@ -116,89 +95,5 @@ def fit_ar(values: np.ndarray, order: int) -> ArModel:
     residuals = targets - design @ solution
     return ArModel(
         coefficients=solution[1:], intercept=float(solution[0]),
-        noise_variance=float(np.mean(residuals**2)) + 1e-12, n_fitted=n_rows,
+        noise_variance=float(np.mean(residuals**2)) + 1e-12,
     )
-
-
-def select_ar_order(
-    values: np.ndarray, max_order: int = 12
-) -> ArModel:
-    """Fit AR(p) for p = 0..max_order and return the AIC winner."""
-    if max_order < 0:
-        raise ValueError(f"max_order must be non-negative, got {max_order}")
-    best: ArModel | None = None
-    for order in range(max_order + 1):
-        try:
-            model = fit_ar(values, order)
-        except ValueError:
-            break
-        if best is None or model.aic() < best.aic():
-            best = model
-    if best is None:
-        raise ValueError("series too short to fit any AR order")
-    return best
-
-
-class ARForecaster(BaseForecaster):
-    """ARI(p, d): differenced autoregression with AIC order selection.
-
-    ``d_diff=1`` models the differenced series and integrates the
-    forecast back (the "I" of ARIMA); the integrated h-step variance uses
-    the cumulative psi weights of the integrated process.
-    """
-
-    name = "ARIMA"
-    is_offline = True
-
-    def __init__(
-        self,
-        max_order: int = 12,
-        d_diff: int = 0,
-        refit_every: int | None = None,
-    ) -> None:
-        if d_diff not in (0, 1):
-            raise ValueError(f"d_diff must be 0 or 1, got {d_diff}")
-        if max_order <= 0:
-            raise ValueError(f"max_order must be positive, got {max_order}")
-        if refit_every is not None and refit_every <= 0:
-            raise ValueError(f"refit_every must be positive, got {refit_every}")
-        self.max_order = max_order
-        self.d_diff = d_diff
-        self.refit_every = refit_every
-        self._model: ArModel | None = None
-        self._since_fit = 0
-
-    def fit(self, history: np.ndarray) -> "ARForecaster":
-        """Train on the historical stream (see BaseForecaster.fit)."""
-        history = np.asarray(history, dtype=np.float64)
-        series = np.diff(history) if self.d_diff else history
-        self._model = select_ar_order(series, self.max_order)
-        self._since_fit = 0
-        return self
-
-    def predict(self, context: np.ndarray, horizon: int) -> tuple[float, float]:
-        """Gaussian h-step-ahead prediction (see BaseForecaster.predict)."""
-        if self._model is None:
-            raise RuntimeError("fit() must be called first")
-        context = np.asarray(context, dtype=np.float64)
-        if self.refit_every is not None and self._since_fit >= self.refit_every:
-            self.fit(context)
-        if self.d_diff == 0:
-            return self._model.forecast(context, horizon)
-        # Integrated forecast: accumulate the differenced means; the
-        # variance of a sum of forecasts needs the cumulative psis.
-        diffed = np.diff(context)
-        mean = float(context[-1])
-        working = list(diffed)
-        for step in range(1, horizon + 1):
-            step_mean, _ = self._model.forecast(np.asarray(working), 1)
-            working.append(step_mean)
-            mean += step_mean
-        psi = self._model.psi_weights(horizon)
-        cumulative = np.cumsum(psi)
-        variance = self._model.noise_variance * float(np.sum(cumulative**2))
-        return mean, max(variance, 1e-12)
-
-    def observe(self, value: float) -> None:
-        """Consume the newly revealed true value (see BaseForecaster.observe)."""
-        self._since_fit += 1

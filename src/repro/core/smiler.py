@@ -521,13 +521,22 @@ class SensorFleet:
         self.config = config or SMiLerConfig()
         self.backend = as_backend(backend)
         self.sensors: list[SMiLer] = []
-        for i, history in enumerate(histories):
-            sensor = SMiLer(
-                history, self.config, backend=self.backend,
-                sensor_id=f"sensor-{i}",
-            )
-            self.backend.malloc(sensor.memory_bytes(), label=sensor.sensor_id)
-            self.sensors.append(sensor)
+        allocations = []
+        try:
+            for i, history in enumerate(histories):
+                sensor = SMiLer(
+                    history, self.config, backend=self.backend,
+                    sensor_id=f"sensor-{i}",
+                )
+                allocations.append(self.backend.malloc(
+                    sensor.memory_bytes(), label=sensor.sensor_id
+                ))
+                self.sensors.append(sensor)
+        except BaseException:
+            # A fleet that failed to construct holds no device memory.
+            for allocation in allocations:
+                self.backend.free(allocation)
+            raise
 
     def __len__(self) -> int:
         return len(self.sensors)

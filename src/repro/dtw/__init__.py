@@ -11,7 +11,6 @@ from .envelope import (
     Envelope,
     compute_envelope,
     compute_envelope_batch,
-    envelope_extend,
     envelope_shift,
 )
 from .knn import KnnResult, ScanStats, fast_cpu_scan, knn_bruteforce
@@ -19,7 +18,6 @@ from .lower_bounds import (
     lb_ec,
     lb_en,
     lb_eq,
-    lb_improved,
     lb_improved_profile,
     lb_keogh,
     lb_kim,
@@ -47,7 +45,6 @@ __all__ = [
     "Envelope",
     "compute_envelope",
     "compute_envelope_batch",
-    "envelope_extend",
     "envelope_shift",
     "KnnResult",
     "ScanStats",
@@ -56,7 +53,6 @@ __all__ = [
     "lb_ec",
     "lb_en",
     "lb_eq",
-    "lb_improved",
     "lb_improved_profile",
     "lb_keogh",
     "lb_kim",

@@ -11,11 +11,10 @@ paths, all producing bit-identical envelopes:
   ``(n_candidates, d)`` batch at once; this is what lets the
   search cascade evaluate Lemire's ``LB_Improved`` second pass for every
   surviving candidate in one NumPy expression,
-* :func:`envelope_extend` / :func:`envelope_shift` — streaming reuse for
-  continuous queries: appending a point only changes the trailing
-  ``rho`` positions; sliding a fixed-length query by one point only
-  changes the first ``rho`` and last ``rho + 1`` positions, everything
-  in between is the old envelope shifted left by one.
+* :func:`envelope_shift` — streaming reuse for continuous queries:
+  sliding a fixed-length query by one point only changes the first
+  ``rho`` and last ``rho + 1`` positions, everything in between is the
+  old envelope shifted left by one.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "Envelope",
     "compute_envelope",
     "compute_envelope_batch",
-    "envelope_extend",
     "envelope_shift",
 ]
 
@@ -116,37 +114,6 @@ def compute_envelope_batch(
     """
     values = np.atleast_2d(np.asarray(values, dtype=np.float64))
     return _envelope_arrays(values, _check_rho(rho))
-
-
-def envelope_extend(values, old: Envelope, n_new: int) -> Envelope:
-    """Envelope of ``values`` given the envelope of its prefix.
-
-    ``values`` is the full sequence after ``n_new`` points were appended;
-    ``old`` is the envelope of ``values[:-n_new]``.  Only the trailing
-    ``rho + n_new`` positions can differ from ``old``, so the update is
-    O(rho + n_new) amortised instead of O(n).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    rho = old.rho
-    n = values.size
-    n_old = n - n_new
-    if n_old != len(old):
-        raise ValueError(
-            f"old envelope covers {len(old)} points but values imply {n_old}"
-        )
-    upper = np.empty(n)
-    lower = np.empty(n)
-    stable = max(0, n_old - rho)
-    upper[:stable] = old.upper[:stable]
-    lower[:stable] = old.lower[:stable]
-    # Recompute the affected tail via the vectorised path: the envelope
-    # of the slice starting rho before the first affected centre agrees
-    # with the full envelope on every affected position.
-    tail_lo = max(0, stable - rho)
-    tail_env = compute_envelope(values[tail_lo:], rho)
-    upper[stable:] = tail_env.upper[stable - tail_lo :]
-    lower[stable:] = tail_env.lower[stable - tail_lo :]
-    return Envelope(upper, lower, rho)
 
 
 def envelope_shift(values, old: Envelope) -> Envelope:

@@ -44,7 +44,6 @@ __all__ = [
     "lb_eq",
     "lb_ec",
     "lb_en",
-    "lb_improved",
     "lb_improved_profile",
     "lb_profile",
     "window_pair_lb_matrices",
@@ -188,14 +187,6 @@ def lb_improved_profile(
     if return_terms:
         return bound, terms1
     return bound
-
-
-def lb_improved(query, candidate, rho: int) -> float:
-    """``LB_Improved(Q, C)`` — Lemire's two-pass bound for one pair."""
-    candidate = np.asarray(candidate, dtype=np.float64)
-    result = lb_improved_profile(query, candidate[None, :], rho)
-    assert isinstance(result, np.ndarray)
-    return float(result[0])
 
 
 def lb_profile(

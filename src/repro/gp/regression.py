@@ -144,39 +144,3 @@ class GaussianProcessRegressor:
         """``C^{-1} Y`` of the fitted model."""
         self._require_fit()
         return self._alpha
-
-    @property
-    def train_x(self) -> np.ndarray:
-        """Training inputs of the fitted model."""
-        self._require_fit()
-        return self._x
-
-    @property
-    def train_y(self) -> np.ndarray:
-        """Training targets of the fitted model."""
-        self._require_fit()
-        return self._y
-
-    # ------------------------------------------------------------ sampling
-    def sample_functions(
-        self, x_star: np.ndarray, n_samples: int = 1, seed: int | None = None
-    ) -> np.ndarray:
-        """Draw joint posterior function samples at ``x_star``.
-
-        Returns an array of shape ``(n_samples, len(x_star))`` from the
-        *noise-free* latent posterior (scenario generation: each row is a
-        coherent possible future, not independent pointwise draws).
-        """
-        self._require_fit()
-        if n_samples <= 0:
-            raise ValueError(f"n_samples must be positive, got {n_samples}")
-        x_star = np.atleast_2d(np.asarray(x_star, dtype=np.float64))
-        cross = self.kernel.matrix(self._x, x_star)
-        mean = cross.T @ self._alpha
-        v = cho_solve((self._lower, True), cross)
-        prior = self.kernel.matrix(x_star)
-        posterior_cov = prior - cross.T @ v
-        lower, _ = robust_cholesky(posterior_cov)
-        rng = np.random.default_rng(seed)
-        draws = rng.standard_normal((n_samples, x_star.shape[0]))
-        return mean[None, :] + draws @ lower.T

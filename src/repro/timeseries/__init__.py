@@ -1,9 +1,7 @@
 """Time-series substrate: containers, windows, generators and datasets."""
 
-from .anomalies import Injection, inject_dropout, inject_level_shift, inject_spike
 from .datasets import DATASET_NAMES, SensorDataset, make_dataset
 from .generators import mall_like, net_like, road_like
-from .quality import QualityReport, assess_quality, longest_constant_run
 from .io import fill_missing, load_csv, load_directory, reinterpolate, save_csv
 from .series import (
     TimeSeries,
@@ -25,13 +23,6 @@ from .windows import (
 )
 
 __all__ = [
-    "QualityReport",
-    "assess_quality",
-    "longest_constant_run",
-    "Injection",
-    "inject_dropout",
-    "inject_level_shift",
-    "inject_spike",
     "DATASET_NAMES",
     "SensorDataset",
     "make_dataset",

@@ -1,4 +1,4 @@
-"""Tests for LazyKNN, Holt-Winters, NysSVR, sparse-GP forecasters, CV."""
+"""Tests for LazyKNN, Holt-Winters, NysSVR and sparse-GP forecasters."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from repro.baselines import (
     PSGPForecaster,
     ResidualVariance,
     VLGPForecaster,
-    grid_search_cv,
-    kfold_slices,
 )
 from repro.baselines.holt_winters import fit_holt_winters
 from repro.gp.kernels import squared_distances
@@ -179,44 +177,3 @@ class TestSparseGpForecasters:
         model.fit(seasonal_stream(300))
         with pytest.raises(KeyError):
             model.predict(seasonal_stream(300), 9)
-
-
-class TestGridSearch:
-    def test_kfold_partition(self):
-        folds = kfold_slices(10, 5)
-        all_test = np.concatenate([test for _, test in folds])
-        np.testing.assert_array_equal(np.sort(all_test), np.arange(10))
-        for train, test in folds:
-            assert np.intersect1d(train, test).size == 0
-
-    def test_kfold_validation(self):
-        with pytest.raises(ValueError):
-            kfold_slices(10, 1)
-        with pytest.raises(ValueError):
-            kfold_slices(3, 5)
-
-    def test_grid_search_finds_good_ridge(self):
-        class Ridge:
-            def __init__(self, lam):
-                self.lam = lam
-
-            def fit(self, x, y):
-                a = x.T @ x + self.lam * np.eye(x.shape[1])
-                self.w = np.linalg.solve(a, x.T @ y)
-                return self
-
-            def predict(self, x):
-                return x @ self.w
-
-        rng = np.random.default_rng(5)
-        x = rng.normal(size=(100, 5))
-        y = x @ np.array([1.0, -1.0, 0.5, 0.0, 2.0]) + 0.01 * rng.normal(size=100)
-        result = grid_search_cv(
-            Ridge, {"lam": [1e-6, 1.0, 1e6]}, x, y, n_folds=5
-        )
-        assert result.best_params["lam"] in (1e-6, 1.0)
-        assert len(result.scores) == 3
-
-    def test_grid_search_validation(self):
-        with pytest.raises(ValueError):
-            grid_search_cv(lambda: None, {}, np.zeros((4, 1)), np.zeros(4))

@@ -214,6 +214,8 @@ class TestFleet:
         histories = [periodic_history(seed=s)[:600] for s in range(8)]
         with pytest.raises(GpuMemoryError):
             SensorFleet(histories, SMALL, backend=tiny)
+        # The sensors allocated before the failing one are freed again.
+        assert tiny.allocated_bytes == 0
 
     def test_fleet_validation(self):
         with pytest.raises(ValueError):

@@ -40,16 +40,40 @@ class TestModuleReferences:
             assert hasattr(parent, parts[-1]), f"{doc.name}: {match}"
 
 
+def expand_braces(path):
+    """``a/{b,c}.py`` -> ``["a/b.py", "a/c.py"]``, every group expanded."""
+    group = re.search(r"\{([^{}]*)\}", path)
+    if group is None:
+        return [path]
+    head, tail = path[: group.start()], path[group.end() :]
+    return [
+        expanded
+        for choice in group.group(1).split(",")
+        for expanded in expand_braces(head + choice + tail)
+    ]
+
+
 class TestFileReferences:
     FILE_PATTERN = re.compile(
-        r"`((?:src|tests|benchmarks|examples|docs)/[A-Za-z0-9_./]+\.(?:py|md))`"
+        r"`((?:src|tests|benchmarks|examples|docs|repro)/[A-Za-z0-9_./{},]+"
+        r"\.(?:py|md))`"
     )
 
     @pytest.mark.parametrize("doc", DOC_FILES, ids=lambda p: p.name)
     def test_referenced_files_exist(self, doc):
         text = doc.read_text()
         for match in set(self.FILE_PATTERN.findall(text)):
-            assert (ROOT / match).exists(), f"{doc.name}: {match}"
+            for path in expand_braces(match):
+                # A bare ``repro/...`` path names the package under src/.
+                if path.startswith("repro/"):
+                    path = "src/" + path
+                assert (ROOT / path).exists(), f"{doc.name}: {path}"
+
+    def test_brace_groups_expand(self):
+        assert expand_braces("repro/{a,b}/{c,d}.py") == [
+            "repro/a/c.py", "repro/a/d.py", "repro/b/c.py", "repro/b/d.py",
+        ]
+        assert expand_braces("src/repro/cli.py") == ["src/repro/cli.py"]
 
     def test_readme_examples_exist(self):
         text = (ROOT / "README.md").read_text()

@@ -1,4 +1,4 @@
-"""Tests for envelope construction and streaming extension."""
+"""Tests for envelope construction."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.dtw import compute_envelope, envelope_extend
+from repro.dtw import compute_envelope
 
 floats = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -65,27 +65,3 @@ class TestComputeEnvelope:
         sub = env.slice(3, 7)
         np.testing.assert_array_equal(sub.upper, env.upper[3:7])
         assert len(sub) == 4
-
-
-class TestEnvelopeExtend:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        data=st.data(),
-        n_old=st.integers(1, 50),
-        n_new=st.integers(1, 10),
-        rho=st.integers(0, 8),
-    )
-    def test_extend_matches_recompute(self, data, n_old, n_new, rho):
-        old_values = data.draw(arrays(np.float64, (n_old,), elements=floats))
-        new_values = data.draw(arrays(np.float64, (n_new,), elements=floats))
-        full = np.concatenate([old_values, new_values])
-        old_env = compute_envelope(old_values, rho)
-        extended = envelope_extend(full, old_env, n_new)
-        fresh = compute_envelope(full, rho)
-        np.testing.assert_array_equal(extended.upper, fresh.upper)
-        np.testing.assert_array_equal(extended.lower, fresh.lower)
-
-    def test_length_mismatch(self):
-        env = compute_envelope(np.arange(5.0), 1)
-        with pytest.raises(ValueError):
-            envelope_extend(np.arange(10.0), env, 3)

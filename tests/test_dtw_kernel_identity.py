@@ -19,7 +19,6 @@ from repro.dtw import (
     dtw_batch,
     dtw_batch_pruned,
     dtw_distance,
-    envelope_extend,
     envelope_shift,
 )
 from repro.dtw import distance as distance_module
@@ -277,15 +276,11 @@ class TestEnvelopeIdentity:
             np.testing.assert_array_equal(batch_upper[r], row_upper)
             np.testing.assert_array_equal(batch_lower[r], row_lower)
 
-        # Slide by one point / append one point, reusing the old envelope.
+        # Slide by one point, reusing the old envelope.
         slid_upper, slid_lower = naive_envelope(values[1:], rho)
         slid = envelope_shift(values[1:], env)
         np.testing.assert_array_equal(slid.upper, slid_upper)
         np.testing.assert_array_equal(slid.lower, slid_lower)
-        grown_upper, grown_lower = naive_envelope(values, rho)
-        grown = envelope_extend(values, env, 1)
-        np.testing.assert_array_equal(grown.upper, grown_upper)
-        np.testing.assert_array_equal(grown.lower, grown_lower)
 
     @pytest.mark.parametrize("d, rho", [(1, 0), (1, 3), (5, 0), (5, 5), (5, 9)])
     def test_edge_shapes(self, d, rho):

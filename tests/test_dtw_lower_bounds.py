@@ -1,4 +1,4 @@
-"""Tests for LB_Keogh / LB_EQ / LB_EC / LB_en and the profile helpers."""
+"""Tests for LB_Kim / LB_Keogh / LB_EQ / LB_EC / LB_en and the profile helpers."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from repro.dtw import (
     lb_en,
     lb_eq,
     lb_keogh,
+    lb_kim,
     lb_profile,
     window_pair_lb_matrices,
 )
@@ -209,3 +210,23 @@ class TestTubeExcessOneSided:
         assert np.array_equal(
             ours, _two_clip_tube_excess(values, centre + width, centre - width)
         )
+
+
+class TestLbKim:
+    def test_known_value(self):
+        assert lb_kim([1.0, 5.0, 2.0], [0.0, 9.0, 4.0]) == pytest.approx(1.0 + 4.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 500),
+        n=st.integers(2, 20),
+        rho=st.integers(0, 6),
+    )
+    def test_lower_bounds_dtw(self, seed, n, rho):
+        rng = np.random.default_rng(seed)
+        q, c = rng.normal(size=n), rng.normal(size=n)
+        assert lb_kim(q, c) <= dtw_distance(q, c, rho=rho) + 1e-9
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            lb_kim([], [])

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from repro.core import SMiLer, SMiLerConfig
-from repro.timeseries import inject_dropout, inject_spike
+
+from .anomalies import inject_dropout, inject_spike
 
 CONFIG = SMiLerConfig(
     elv=(8, 16), ekv=(4, 8), rho=2, omega=4, horizons=(1,),

@@ -130,44 +130,3 @@ class TestMarginalLikelihood:
         gp = GaussianProcessRegressor(kernel).fit(x, y)
         expected = np.linalg.inv(kernel.matrix(x, noise=True))
         np.testing.assert_allclose(gp.kinv(), expected, atol=1e-8)
-
-
-class TestPosteriorSampling:
-    def test_sample_shapes(self):
-        x, y = toy_problem(n=20)
-        gp = GaussianProcessRegressor().fit(x, y)
-        x_star = np.linspace(-2, 2, 9)[:, None]
-        samples = gp.sample_functions(x_star, n_samples=5, seed=0)
-        assert samples.shape == (5, 9)
-
-    def test_samples_concentrate_near_posterior_mean(self):
-        x, y = toy_problem(n=40, seed=7)
-        gp = GaussianProcessRegressor(
-            SquaredExponentialKernel(1.0, 1.0, 0.05)
-        ).fit(x, y)
-        x_star = np.array([[0.0], [1.0]])
-        samples = gp.sample_functions(x_star, n_samples=4000, seed=1)
-        mean, var = gp.predict(x_star, include_noise=False)
-        np.testing.assert_allclose(samples.mean(axis=0), mean, atol=0.05)
-        np.testing.assert_allclose(samples.var(axis=0), var, atol=0.05)
-
-    def test_samples_are_smooth_draws(self):
-        """Joint draws respect the kernel's correlation (not iid noise)."""
-        x, y = toy_problem(n=30, seed=8)
-        gp = GaussianProcessRegressor(
-            SquaredExponentialKernel(1.0, 2.0, 0.05)
-        ).fit(x, y)
-        grid = np.linspace(5.0, 6.0, 20)[:, None]  # off-data region
-        samples = gp.sample_functions(grid, n_samples=50, seed=2)
-        steps = np.abs(np.diff(samples, axis=1))
-        # Adjacent points 0.05 apart under length-scale 2 are tightly
-        # correlated: the increments are far smaller than the marginal std.
-        assert steps.mean() < 0.2
-
-    def test_validation(self):
-        x, y = toy_problem(n=10)
-        gp = GaussianProcessRegressor().fit(x, y)
-        with pytest.raises(ValueError):
-            gp.sample_functions(np.zeros((2, 1)), n_samples=0)
-        with pytest.raises(RuntimeError):
-            GaussianProcessRegressor().sample_functions(np.zeros((2, 1)))

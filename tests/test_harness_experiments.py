@@ -161,45 +161,6 @@ class TestFig9Offline:
                 "SgdSVR", "SgdRR"} == methods
 
 
-class TestPaperTargets:
-    def test_table3_targets_consistent(self):
-        from repro.harness.paper_targets import TABLE3_PAPER, table3_ratios
-
-        for dataset, rows in TABLE3_PAPER.items():
-            # LB_en is the best bound in the paper's own numbers.
-            assert rows["en"][0] <= rows["eq"][0]
-            assert rows["en"][1] <= rows["ec"][1]
-            ratios = table3_ratios(dataset)
-            assert ratios["eq_over_en"] > 1.0
-            assert ratios["ec_over_en"] > 1.0
-
-    def test_table4_targets_consistent(self):
-        from repro.harness.paper_targets import TABLE4_PAPER
-
-        # Online/lazy rows train nothing; the sparse GPs dominate training.
-        assert TABLE4_PAPER["SMiLer-GP"][0] == 0.0
-        assert TABLE4_PAPER["PSGP"][0] > TABLE4_PAPER["VLGP"][0]
-        assert TABLE4_PAPER["FullHW"][1] > TABLE4_PAPER["SMiLer-GP"][1]
-
-    def test_fig13_shape_targets(self):
-        import numpy as np
-
-        from repro.harness.paper_targets import FIG13_PAPER_SHAPE
-
-        times = np.asarray(FIG13_PAPER_SHAPE["train_seconds"], dtype=float)
-        maes = np.asarray(FIG13_PAPER_SHAPE["mae"], dtype=float)
-        assert (np.diff(times) > 0).all()
-        assert (np.diff(maes) <= 0).all()
-        assert FIG13_PAPER_SHAPE["smiler_gp_mae"] < maes.min()
-
-    def test_shape_checks_have_sources(self):
-        from repro.harness.paper_targets import SHAPE_CHECKS
-
-        assert len(SHAPE_CHECKS) >= 9
-        for check in SHAPE_CHECKS:
-            assert check.source
-
-
 class TestMemoryModelCrossCheck:
     def test_analytic_matches_real_index(self):
         """index_memory_bytes must track the actual index footprint."""

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from repro.backend import make_backend
-from repro.dtw.envelope import (
-    Envelope,
-    compute_envelope,
-    envelope_extend,
-    envelope_shift,
-)
+from repro.dtw.envelope import Envelope, compute_envelope, envelope_shift
 from repro.dtw.lower_bounds import (
     window_pair_lb_matrices,
     window_pair_lbec,
@@ -161,8 +156,8 @@ class OracleWindowIndex:
             self._grow_dw_capacity()
         self._series[self._series_len] = value
         self._series_len += 1
-        self._series_env = envelope_extend(
-            self._series[: self._series_len], self._series_env, 1
+        self._series_env = compute_envelope(
+            self._series[: self._series_len], self.rho
         )
         self.n_dw = self._series_len // self.omega
         self._refresh_tail_columns()

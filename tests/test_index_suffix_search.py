@@ -195,7 +195,7 @@ class TestExactnessUnderAnomalies:
         magnitude=st.floats(5.0, 1e4),
     )
     def test_spiked_series_stays_exact(self, seed, magnitude):
-        from repro.timeseries import inject_spike
+        from .anomalies import inject_spike
 
         base = make_series(150, seed=seed)
         injected = inject_spike(base, start=60, magnitude=magnitude, length=3)
@@ -213,7 +213,7 @@ class TestExactnessUnderAnomalies:
             )
 
     def test_dropout_series_stays_exact(self):
-        from repro.timeseries import inject_dropout
+        from .anomalies import inject_dropout
 
         base = make_series(160, seed=11)
         series = inject_dropout(base, start=40, length=30).values

@@ -26,7 +26,6 @@ from repro.dtw import (
     envelope_shift,
     lb_en,
     lb_eq,
-    lb_improved,
     lb_improved_profile,
     lb_kim,
     lb_kim_profile,
@@ -154,7 +153,7 @@ class TestTierAdmissibility:
         slack = 1e-9 * max(1.0, dtw)
         assert lb_kim(query, candidate) <= dtw + slack
         assert lb_en(query, candidate, rho) <= dtw + slack
-        lbi = lb_improved(query, candidate, rho)
+        lbi = lb_improved_profile(query, candidate[None], rho)[0]
         assert lbi <= dtw + slack
         # Lemire's second pass only ever adds: LB_Improved >= LB_EQ.
         assert lbi >= lb_eq(query, candidate, rho) - slack

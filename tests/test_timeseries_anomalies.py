@@ -1,16 +1,9 @@
-"""Tests for anomaly injection and the LB_Kim prefilter."""
+"""Tests for the anomaly-injection fixture."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.dtw import dtw_distance, lb_kim
-from repro.timeseries import (
-    inject_dropout,
-    inject_level_shift,
-    inject_spike,
-)
+from .anomalies import inject_dropout, inject_level_shift, inject_spike
 
 
 class TestInjectors:
@@ -44,23 +37,3 @@ class TestInjectors:
             inject_spike(np.zeros(5), start=1, magnitude=1.0, length=0)
         with pytest.raises(IndexError):
             inject_level_shift(np.zeros(5), start=-1, magnitude=1.0)
-
-
-class TestLbKim:
-    def test_known_value(self):
-        assert lb_kim([1.0, 5.0, 2.0], [0.0, 9.0, 4.0]) == pytest.approx(1.0 + 4.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 500),
-        n=st.integers(2, 20),
-        rho=st.integers(0, 6),
-    )
-    def test_lower_bounds_dtw(self, seed, n, rho):
-        rng = np.random.default_rng(seed)
-        q, c = rng.normal(size=n), rng.normal(size=n)
-        assert lb_kim(q, c) <= dtw_distance(q, c, rho=rho) + 1e-9
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lb_kim([], [])
