@@ -18,8 +18,8 @@ Run with::
 
 import numpy as np
 
-from repro import SMiLerConfig, SensorFleet
-from repro.harness import format_seconds, index_memory_bytes, render_table
+from repro import SMiLer, SMiLerConfig, SensorFleet
+from repro.harness import format_seconds, render_table
 from repro.metrics import mae
 from repro.timeseries import make_dataset
 
@@ -64,7 +64,7 @@ def main() -> None:
     print(f"device memory in use: {device.allocated_bytes / 1e6:.1f} MB "
           f"of {device.spec.memory_bytes / 1e9:.1f} GB")
 
-    per_sensor = index_memory_bytes(52_560)  # one year at 10-minute sampling
+    per_sensor = SMiLer.estimate_memory_bytes(52_560)  # one year at 10-minute sampling
     capacity = device.spec.memory_bytes // per_sensor
     print(f"capacity estimate: ~{capacity} one-year sensors per 6 GB card "
           "(Fig. 12(c))")

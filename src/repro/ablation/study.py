@@ -5,9 +5,8 @@ The enumerator expands a component registry into **baseline + N runs**
 deterministic run ID — the SHA-256 of the canonicalised (disabled
 component set, applied patch, workload config) triple.  The same study
 on the same workload therefore produces the same IDs in every process
-and every PR, which makes ``BENCH_ablation.json`` diffable across
-commits and lets a re-run reuse previously recorded results
-(``reuse=`` — resumability without a scheduler).
+and every commit, which makes ``BENCH_ablation.json`` diffable across
+commits.
 
 Every run measures two phases:
 
@@ -365,7 +364,6 @@ class RunResult:
     claims_exact: bool
     search: dict | None
     serving: dict
-    reused: bool = False
 
     def as_dict(self) -> dict:
         """JSON-friendly record (the ``runs`` rows of the bench file)."""
@@ -374,7 +372,6 @@ class RunResult:
             "component": self.component,
             "layer": self.layer,
             "claims_exact": self.claims_exact,
-            "reused": self.reused,
             "search": self.search,
             "serving": self.serving,
         }
@@ -438,51 +435,22 @@ def _execute(plan: PlannedRun, workload: AblationWorkload) -> RunResult:
 def run_study(
     workload: AblationWorkload | None = None,
     components: tuple[Component, ...] | None = None,
-    reuse: dict[str, dict] | None = None,
     progress=None,
 ) -> StudyResult:
-    """Execute baseline + one-off runs; enforce exactness per run.
-
-    ``reuse`` maps previously recorded run IDs to their ``as_dict``
-    rows (e.g. loaded from an earlier ``BENCH_ablation.json``); runs
-    whose stable ID appears there are not re-executed.  The baseline is
-    always executed fresh so digests stay comparable, and a stored row
-    that breaks the exactness contract against it is executed again:
-    run IDs hash the workload and the patch, not the code, so such a row
-    was recorded on different code.
-    """
+    """Execute baseline + one-off runs; enforce exactness per run."""
     workload = workload or AblationWorkload()
     plans = enumerate_runs(workload, components)
     study = StudyResult(workload=workload)
     for plan in plans:
-        component = plan.component
-        result: RunResult | None = None
-        if component is not None and reuse and plan.run_id in reuse:
-            stored = reuse[plan.run_id]
-            result = RunResult(
-                run_id=plan.run_id,
-                component=component.name,
-                layer=component.layer,
-                claims_exact=component.claims_exact,
-                search=stored.get("search"),
-                serving=stored["serving"],
-                reused=True,
-            )
-            try:
-                check_exactness(study.baseline, result)
-            except AblationExactnessError:
-                result = None
-        if result is None:
-            result = _execute(plan, workload)
-            if component is not None:
-                check_exactness(study.baseline, result)
+        result = _execute(plan, workload)
+        if plan.component is not None:
+            check_exactness(study.baseline, result)
         study.runs.append(result)
         if progress is not None:
             name = result.component or "baseline"
-            flag = " (reused)" if result.reused else ""
             progress(
                 f"{result.run_id}  {name:<18} "
                 f"serving {result.serving['wall_s']:.2f}s wall, "
-                f"mae {result.serving['mae']:.4f}{flag}"
+                f"mae {result.serving['mae']:.4f}"
             )
     return study

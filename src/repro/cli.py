@@ -91,10 +91,6 @@ EXPERIMENTS = {
     "table4": ("run_table4", "accuracy"),
     "fig12": ("run_fig12", "accuracy"),
     "fig13": ("run_fig13", "accuracy"),
-    "ablation-warmstart": ("run_warmstart_ablation", "accuracy"),
-    "ablation-window": ("run_window_reuse_ablation", "search"),
-    "ablation-parameters": ("run_parameter_sensitivity", "search"),
-    "ablation-history": ("run_history_tradeoff", "accuracy"),
     "calibration": ("run_calibration_study", "accuracy"),
     "measures": ("run_measure_comparison", None),
 }
@@ -270,11 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablate.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="override the workload seed (changes every run ID)",
-    )
-    ablate.add_argument(
-        "--reuse", type=pathlib.Path, default=None, metavar="PATH",
-        help="an earlier BENCH_ablation.json; runs whose stable ID "
-        "appears there are not re-executed (the baseline always is)",
     )
     ablate.add_argument(
         "--list-components", action="store_true",
@@ -512,7 +503,6 @@ def _run_ablate(
     out: pathlib.Path,
     backend: str | None = None,
     seed: int | None = None,
-    reuse_path: pathlib.Path | None = None,
 ) -> str:
     """Run the study, print the ranked report, write the JSON payload."""
     workload = ablation.AblationWorkload()
@@ -523,16 +513,8 @@ def _run_ablate(
         overrides["seed"] = seed
     if overrides:
         workload = dataclasses.replace(workload, **overrides)
-    reuse = None
-    if reuse_path is not None:
-        stored = json.loads(reuse_path.read_text())
-        reuse = {
-            row["run_id"]: row
-            for row in stored.get("runs", [])
-            if row.get("component") is not None
-        }
     study = ablation.run_study(
-        workload, reuse=reuse, progress=lambda line: print(line, flush=True)
+        workload, progress=lambda line: print(line, flush=True)
     )
     payload = ablation.bench_payload(study, cpu_count=os.cpu_count())
     if out.parent != pathlib.Path(""):
@@ -562,14 +544,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"== {name} ({args.preset}) ==", flush=True)
             metrics_out = None
             if args.metrics:
-                metrics_out = (
-                    args.out_dir / f"{name.replace('-', '_')}_metrics.json"
-                )
+                metrics_out = args.out_dir / f"{name}_metrics.json"
             report = _run_experiment(name, args.preset, metrics_out)
             print(report)
-            (args.out_dir / f"{name.replace('-', '_')}.txt").write_text(
-                report + "\n"
-            )
+            (args.out_dir / f"{name}.txt").write_text(report + "\n")
         return 0
     if args.command == "demo":
         print(_run_demo(
@@ -595,7 +573,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.list_components:
             print(_list_components())
             return 0
-        print(_run_ablate(args.out, args.backend, args.seed, args.reuse))
+        print(_run_ablate(args.out, args.backend, args.seed))
         return 0
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 

@@ -12,7 +12,7 @@ from .persistence import (
     save_smiler,
 )
 from .predictor import GaussianPrediction, SemiLazyPredictor
-from .scaleout import plan_lanes, truncate_history
+from .scaleout import plan_lanes
 from .smiler import SensorFleet, SMiLer
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "load_snapshot",
     "save_smiler",
     "plan_lanes",
-    "truncate_history",
     "SemiLazyPredictor",
     "SensorFleet",
     "SMiLer",

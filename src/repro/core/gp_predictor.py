@@ -171,8 +171,3 @@ class GaussianProcessPredictor(SemiLazyPredictor):
             var_value = float(np.var(targets)) + 1e-6
             return GaussianPrediction(mean_value, var_value)
         return GaussianPrediction(float(mean[0]), float(max(var[0], 1e-10)))
-
-    def reset(self) -> None:
-        """Forget the warm-started hyperparameters and step (fresh sensor)."""
-        self._log_params = None
-        self._step = 1.0

@@ -13,35 +13,19 @@ The paper names two ways to host more sensors than one 6 GB card fits:
    path has been removed; construct a ``PredictionService`` with several
    backends instead.)
 2. **less history per sensor** — trading accuracy for space.  SMiLer
-   accepts a truncated history directly; :func:`truncate_history`
-   implements the policy (keep the most recent fraction) and the
-   ablation benchmark measures the accuracy cost.
+   accepts a shorter history directly: pass the most recent slice
+   (recency keeps segment semantics; uniform subsampling would warp the
+   time axis under DTW), and the footprint shrinks linearly
+   (:meth:`repro.core.smiler.SMiLer.estimate_memory_bytes`).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from ..exec.base import LanePlan
 
-__all__ = ["plan_lanes", "truncate_history"]
-
-
-def truncate_history(values: np.ndarray, fraction: float) -> np.ndarray:
-    """Keep the most recent ``fraction`` of a sensor's history.
-
-    The paper's space/accuracy trade-off ("a sample of ten percent of
-    ROAD ... more than ten thousands of sensors [per GPU]"): recency
-    truncation preserves segment semantics (uniform subsampling would
-    warp the time axis under DTW).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    keep = max(1, int(round(values.size * fraction)))
-    return values[-keep:]
+__all__ = ["plan_lanes"]
 
 
 def plan_lanes(

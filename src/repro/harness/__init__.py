@@ -1,15 +1,5 @@
 """Experiment harness: runners, reporting and per-figure drivers."""
 
-from .ablation_experiments import (
-    HistoryTradeoff,
-    ParameterSensitivity,
-    WarmstartAblation,
-    WindowReuseAblation,
-    run_history_tradeoff,
-    run_parameter_sensitivity,
-    run_warmstart_ablation,
-    run_window_reuse_ablation,
-)
 from .calibration_experiments import CalibrationStudy, run_calibration_study
 from .measure_experiments import MeasureComparison, run_measure_comparison
 from .accuracy_experiments import (
@@ -18,7 +8,6 @@ from .accuracy_experiments import (
     Fig12Result,
     Fig13Result,
     Table4Result,
-    index_memory_bytes,
     offline_competitors,
     online_competitors,
     run_accuracy,
@@ -48,20 +37,11 @@ __all__ = [
     "run_calibration_study",
     "MeasureComparison",
     "run_measure_comparison",
-    "HistoryTradeoff",
-    "ParameterSensitivity",
-    "WarmstartAblation",
-    "WindowReuseAblation",
-    "run_history_tradeoff",
-    "run_parameter_sensitivity",
-    "run_warmstart_ablation",
-    "run_window_reuse_ablation",
     "AccuracyResult",
     "AccuracyScale",
     "Fig12Result",
     "Fig13Result",
     "Table4Result",
-    "index_memory_bytes",
     "offline_competitors",
     "online_competitors",
     "run_accuracy",

@@ -30,7 +30,6 @@ from ..core.config import SMiLerConfig
 from ..core.smiler import SMiLer
 from ..gp.sparse import ProjectedSparseGP
 from ..gpu.costmodel import DeviceSpec
-from ..metrics.errors import mae
 from ..timeseries.datasets import DATASET_NAMES, make_dataset
 from ..timeseries.generators import POINTS_PER_DAY
 from ..timeseries.series import segment_matrix
@@ -367,20 +366,6 @@ class Fig12Result:
         return block_a + "\n\n" + block_c
 
 
-def index_memory_bytes(
-    n_points: int, config: SMiLerConfig | None = None
-) -> int:
-    """Analytic device footprint of one sensor's SMiLer Index.
-
-    Series + envelope + the two window-level posting matrices — the
-    ``O(n M)`` of Section 6.4.1.
-    """
-    config = config or SMiLerConfig()
-    n_sw = config.master_length - config.omega + 1
-    n_dw = n_points // config.omega
-    return 8 * (n_points + 2 * n_points + 2 * n_sw * n_dw)
-
-
 def run_fig12(
     scale: AccuracyScale | None = None,
     points_per_sensor: int = 52_560,
@@ -420,7 +405,7 @@ def run_fig12(
                 search_sim / steps,
                 predict_wall / steps,
             )
-        per_sensor = index_memory_bytes(points_per_sensor)
+        per_sensor = SMiLer.estimate_memory_bytes(points_per_sensor)
         capacity[dataset] = int(spec.memory_bytes // per_sensor)
     return Fig12Result(
         step_times=step_times, capacity=capacity,

@@ -325,7 +325,7 @@ class TestStudyEndToEnd:
         c for c in DEFAULT_COMPONENTS if c.name in ("lb-kim", "ensemble")
     )
 
-    def test_micro_study_runs_and_reuses(self):
+    def test_micro_study_runs(self):
         study = run_study(MICRO, components=self.COMPONENTS)
         assert [r.component for r in study.runs] == [
             None, "ensemble", "lb-kim",
@@ -336,46 +336,6 @@ class TestStudyEndToEnd:
             by_name["lb-kim"].serving["forecast_digest"]
             == study.baseline.serving["forecast_digest"]
         )
-        # Resumed study: stored component rows are reused verbatim,
-        # the baseline is always fresh.
-        reuse = {
-            r.run_id: r.as_dict() for r in study.runs
-            if r.component is not None
-        }
-        resumed = run_study(MICRO, components=self.COMPONENTS, reuse=reuse)
-        assert [r.run_id for r in resumed.runs] == [
-            r.run_id for r in study.runs
-        ]
-        assert not resumed.baseline.reused
-        assert all(r.reused for r in resumed.runs[1:])
-
-    def test_stale_exact_row_is_rerun_not_reused(self):
-        """Run IDs hash workload + patch, not the code: a stored
-        ``claims_exact`` row whose digest (or oracle flag) disagrees with
-        today's baseline was recorded on other code and must be
-        re-executed, not ranked against the fresh baseline."""
-        kim = tuple(c for c in DEFAULT_COMPONENTS if c.name == "lb-kim")
-        study = run_study(MICRO, components=kim)
-        honest = study.runs[1].as_dict()
-        stale_digest = dict(
-            honest, serving=dict(honest["serving"], forecast_digest="stale")
-        )
-        stale_oracle = dict(
-            honest, search=dict(honest["search"], reference_exact=False)
-        )
-        for stored in (stale_digest, stale_oracle):
-            resumed = run_study(
-                MICRO, components=kim,
-                reuse={stored["run_id"]: stored},
-            )
-            rerun = resumed.runs[1]
-            assert rerun.reused is False
-            assert rerun.search["reference_exact"] is True
-            assert (
-                rerun.serving["forecast_digest"]
-                == resumed.baseline.serving["forecast_digest"]
-                == honest["serving"]["forecast_digest"]
-            )
 
     def test_lying_component_fails_the_study(self):
         """An ablation that changes forecasts while claiming exactness

@@ -35,7 +35,7 @@ def ablation_payload():
         return {
             "run_id": rid, "component": component,
             "layer": None if component is None else "search",
-            "claims_exact": claims_exact, "reused": False,
+            "claims_exact": claims_exact,
             "search": search,
             "serving": {
                 "backend": "simulated", "wall_s": 0.1,

@@ -26,10 +26,6 @@ class TestRun:
         assert main(["run", "fig8", "--preset", "tiny"]) == 0
         assert "SMiLer-Idx" in capsys.readouterr().out
 
-    def test_run_ablation_window_tiny(self, capsys):
-        assert main(["run", "ablation-window", "--preset", "tiny"]) == 0
-        assert "ring update" in capsys.readouterr().out
-
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "nested" / "fig1.txt"
         assert main(["run", "fig1", "--out", str(out)]) == 0
@@ -124,14 +120,14 @@ class TestRunAll:
 
         trimmed = {
             "fig1": cli.EXPERIMENTS["fig1"],
-            "ablation-window": cli.EXPERIMENTS["ablation-window"],
+            "fig8": cli.EXPERIMENTS["fig8"],
         }
         monkeypatch.setattr(cli, "EXPERIMENTS", trimmed)
         assert cli.main([
             "run-all", "--preset", "tiny", "--out-dir", str(tmp_path)
         ]) == 0
         assert (tmp_path / "fig1.txt").exists()
-        assert (tmp_path / "ablation_window.txt").exists()
+        assert (tmp_path / "fig8.txt").exists()
 
 
 class TestProfileRound:

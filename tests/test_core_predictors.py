@@ -103,8 +103,8 @@ class TestGaussianProcessPredictor:
 
     def test_each_training_starts_at_twice_the_last_step(self, monkeypatch):
         """One step memory per predictor: passed in doubled (capped at
-        1.0), replaced by what the run accepted; a cold start and
-        ``reset()`` go back to 1.0."""
+        1.0), replaced by what the run accepted; a cold start goes back
+        to 1.0."""
         from repro.core import gp_predictor
 
         asked = []
@@ -127,8 +127,6 @@ class TestGaussianProcessPredictor:
         gp._log_params = None  # a cold start ignores the memory
         gp.predict(query, neighbours, targets)
         assert asked[-1] == 1.0
-        gp.reset()
-        assert gp._step == 1.0 and gp.kernel is None
 
     def test_single_neighbour_fallback(self):
         gp = GaussianProcessPredictor()
@@ -143,14 +141,6 @@ class TestGaussianProcessPredictor:
         pred = gp.predict(np.arange(4.0), neighbours, targets)
         assert np.isfinite(pred.mean)
         assert pred.variance > 0
-
-    def test_reset(self):
-        query, neighbours, targets = knn_data()
-        gp = GaussianProcessPredictor()
-        gp.predict(query, neighbours, targets)
-        assert gp.kernel is not None
-        gp.reset()
-        assert gp.kernel is None
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from repro.core import (
     load_smiler,
     plan_lanes,
     save_smiler,
-    truncate_history,
 )
 from repro.gpu import DeviceSpec, GpuMemoryError
 from repro.service import PredictionService
@@ -35,24 +34,12 @@ SMALL_GP = SMiLerConfig(
 
 
 class TestTruncateHistory:
-    def test_keeps_recent_fraction(self):
-        values = np.arange(100.0)
-        kept = truncate_history(values, 0.25)
-        np.testing.assert_array_equal(kept, np.arange(75.0, 100.0))
-
-    def test_full_fraction_is_identity(self):
-        values = np.arange(10.0)
-        np.testing.assert_array_equal(truncate_history(values, 1.0), values)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            truncate_history(np.arange(10.0), 0.0)
-        with pytest.raises(ValueError):
-            truncate_history(np.arange(10.0), 1.5)
+    """Section 6.4.1 option 2 — SMiLer accepts a shorter history."""
 
     def test_truncated_history_costs_less_memory(self):
-        full = SMiLer(periodic_history(), SMALL)
-        short = SMiLer(truncate_history(periodic_history(), 0.5), SMALL)
+        history = periodic_history()
+        full = SMiLer(history, SMALL)
+        short = SMiLer(history[-history.size // 2:], SMALL)
         assert short.memory_bytes() < full.memory_bytes()
 
 

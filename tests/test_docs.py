@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import subprocess
 
 import pytest
 
@@ -79,6 +80,32 @@ class TestFileReferences:
         text = (ROOT / "README.md").read_text()
         for match in re.findall(r"examples/([a-z_]+)\.py", text):
             assert (ROOT / "examples" / f"{match}.py").exists(), match
+
+
+class TestResultWriters:
+    @staticmethod
+    def committed_tables():
+        """Stems of the tracked ``results/*.txt`` (``run-all`` also writes
+        untracked reports there); every file when not in a git checkout."""
+        try:
+            tracked = subprocess.run(
+                ["git", "ls-files", "results/*.txt"], cwd=ROOT,
+                capture_output=True, text=True, check=True,
+            ).stdout.split()
+        except (OSError, subprocess.CalledProcessError):
+            tracked = [str(p) for p in (ROOT / "results").glob("*.txt")]
+        return {pathlib.Path(path).stem for path in tracked}
+
+    def test_every_committed_table_has_a_writer(self):
+        """The committed tables are exactly what the benchmarks write: a
+        committed table nothing regenerates, or a writer whose table is
+        not committed, fails."""
+        written = {
+            name
+            for bench in (ROOT / "benchmarks").glob("test_*.py")
+            for name in re.findall(r'save_report\(\s*"([^"]+)"', bench.read_text())
+        }
+        assert written and self.committed_tables() == written
 
 
 class TestMetricCatalog:

@@ -8,10 +8,10 @@ that must hold at any scale.
 import numpy as np
 import pytest
 
+from repro.core import SMiLer, SMiLerConfig
 from repro.harness import (
     AccuracyScale,
     SearchScale,
-    index_memory_bytes,
     render_fig1,
     run_fig7,
     run_fig8,
@@ -143,8 +143,8 @@ class TestAccuracyDrivers:
 
 class TestMemoryModel:
     def test_linear_in_points(self):
-        small = index_memory_bytes(10_000)
-        large = index_memory_bytes(20_000)
+        small = SMiLer.estimate_memory_bytes(10_000)
+        large = SMiLer.estimate_memory_bytes(20_000)
         assert large == pytest.approx(2 * small, rel=0.05)
 
     def test_fig1_render(self):
@@ -163,10 +163,8 @@ class TestFig9Offline:
 
 class TestMemoryModelCrossCheck:
     def test_analytic_matches_real_index(self):
-        """index_memory_bytes must track the actual index footprint."""
-        import numpy as np
-
-        from repro.core import SMiLerConfig
+        """The admission estimate must track the built index's inventory:
+        series + envelope + posting lists at nominal size."""
         from repro.index import WindowLevelIndex
 
         n = 8000
@@ -176,13 +174,20 @@ class TestMemoryModelCrossCheck:
             series, config.master_length, config.omega, config.rho
         )
         index.build(series[-config.master_length :])
-        analytic = index_memory_bytes(n, config)
         # The live index holds a growth buffer (2x series capacity), so
-        # compare against the analytic model's own inventory instead:
-        # series + envelope + posting lists at nominal size.
+        # count the built posting matrices at their nominal shape.
         real_postings = 2 * index.n_sw * index.n_dw * 8
-        model_postings = 2 * (config.master_length - config.omega + 1) * (
-            n // config.omega
-        ) * 8
-        assert real_postings == model_postings
-        assert analytic == 8 * (3 * n) + model_postings
+        assert SMiLer.estimate_memory_bytes(n, config) == 8 * (3 * n) + real_postings
+
+
+@pytest.mark.slow
+class TestMeasureComparison:
+    def test_structure_and_ranking(self):
+        from repro.harness import run_measure_comparison
+
+        result = run_measure_comparison(n_points=600, steps=5)
+        assert set(result.mae) == {
+            "DTW (rho=8)", "Euclidean", "ERP", "EDR", "LCSS"
+        }
+        assert all(v >= 0 for v in result.mae.values())
+        assert "Similarity measures" in result.render()
