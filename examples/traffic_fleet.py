@@ -4,8 +4,10 @@ The paper's motivating scenario (Example 1.1): a city operates hundreds
 of road sensors and wants real-time short-term forecasts for all of them
 without ever training a global model.  This example:
 
-1. builds a fleet of road sensors sharing one simulated 6 GB device,
-2. runs continuous prediction for the whole fleet,
+1. registers a fleet of road sensors with one prediction service on a
+   simulated 6 GB device,
+2. runs continuous prediction for the whole fleet (``forecast_all`` then
+   ``ingest_many`` per step),
 3. reports per-sensor accuracy, the device's simulated search time and
    its memory ledger,
 4. estimates how many one-year sensors a single card could host
@@ -18,7 +20,8 @@ Run with::
 
 import numpy as np
 
-from repro import SMiLer, SMiLerConfig, SensorFleet
+from repro import PredictionService, SMiLer, SMiLerConfig
+from repro.backend import SimulatedGpuBackend
 from repro.harness import format_seconds, render_table
 from repro.metrics import mae
 from repro.timeseries import make_dataset
@@ -32,32 +35,34 @@ def main() -> None:
         "ROAD", n_sensors=N_SENSORS, n_points=2500, test_points=STEPS
     )
     config = SMiLerConfig(predictor="ar")  # AR keeps the fleet demo snappy
-    fleet = SensorFleet(
-        [dataset.history[i].values for i in range(N_SENSORS)], config
-    )
+    device = SimulatedGpuBackend()
+    service = PredictionService(config, backends=device)
+    ids = [series.sensor_id for series in dataset.history]
+    for sensor_id, series in zip(ids, dataset.history):
+        service.register(sensor_id, series.values)
 
-    errors: dict[int, list[float]] = {i: [] for i in range(N_SENSORS)}
+    errors: dict[str, list[float]] = {sensor_id: [] for sensor_id in ids}
     for step in range(STEPS):
-        outputs = fleet.predict_all(horizon=1)
-        truths = [dataset.test_tails[i][step] for i in range(N_SENSORS)]
-        for i, (output, truth) in enumerate(zip(outputs, truths)):
-            errors[i].append(abs(output[1].mean - float(truth)))
-        fleet.observe_all(truths)
+        forecasts = service.forecast_all(horizon=1)
+        truths = {
+            sensor_id: float(tail[step])
+            for sensor_id, tail in zip(ids, dataset.test_tails)
+        }
+        for sensor_id, truth in truths.items():
+            errors[sensor_id].append(abs(forecasts[sensor_id].mean - truth))
+        service.ingest_many(truths)
 
     rows = []
-    for i in range(N_SENSORS):
-        truth_tail = dataset.test_tails[i][:STEPS]
-        pred_mae = float(np.mean(errors[i]))
+    for sensor_id, tail in zip(ids, dataset.test_tails):
+        truth_tail = tail[:STEPS]
+        pred_mae = float(np.mean(errors[sensor_id]))
         naive = mae(truth_tail[1:], truth_tail[:-1])  # persistence baseline
-        rows.append(
-            [dataset.history[i].sensor_id, f"{pred_mae:.4f}", f"{naive:.4f}"]
-        )
+        rows.append([sensor_id, f"{pred_mae:.4f}", f"{naive:.4f}"])
     print(render_table(
         ["sensor", "SMiLer MAE", "persistence MAE"], rows,
         title=f"Fleet of {N_SENSORS} road sensors, {STEPS} continuous steps",
     ))
 
-    device = fleet.backend
     print()
     print(f"simulated GPU time (search kernels): "
           f"{format_seconds(device.elapsed_s)}")

@@ -5,7 +5,8 @@ pieces a downstream user needs:
 
 * :class:`repro.core.SMiLer` — the full system (search step + prediction
   step + auto-tuning) for one sensor,
-* :class:`repro.core.SensorFleet` — many sensors processed the same way,
+* :class:`repro.PredictionService` — a fleet of sensors served the same
+  way, sharded over a backend pool,
 * :mod:`repro.timeseries` — data containers and synthetic datasets,
 * :mod:`repro.dtw` / :mod:`repro.index` — the Suffix kNN search engine,
 * :mod:`repro.gp` — Gaussian Process stack (exact, sparse, variational),
@@ -33,13 +34,12 @@ from . import (
     obs,
     timeseries,
 )
-from .core import SensorFleet, SMiLer, SMiLerConfig
+from .core import SMiLer, SMiLerConfig
 from .service import Forecast, PredictionService, ServiceConfig
 
 __all__ = [
     "SMiLer",
     "SMiLerConfig",
-    "SensorFleet",
     "Forecast",
     "PredictionService",
     "ServiceConfig",

@@ -79,10 +79,6 @@ class Component:
         """Whether any patched knob lives in the search pipeline."""
         return any(key.split(".", 1)[0] == "search" for key, _ in self.patch)
 
-    def patched_fields(self) -> dict[str, object]:
-        """``dotted-key -> value`` view of the patch."""
-        return dict(self.patch)
-
 
 def validate_component(component: Component) -> None:
     """Raise ``ValueError`` unless every patched knob actually exists.

@@ -158,11 +158,6 @@ class BackendPool:
         """Whether placement may use this backend (breaker not open)."""
         return self.state(index) != _OPEN
 
-    def healthy_indices(self) -> list[int]:
-        """Backends placement may currently use."""
-        with self._lock:
-            return [i for i in range(len(self.backends)) if self.admits(i)]
-
     def record_success(self, index: int, count: int = 1) -> None:
         """``count`` successful operations (a lane's sensors served by
         one fused call), recorded as that many calls would be: the op

@@ -1,4 +1,4 @@
-"""Command-line interface: regenerate any paper table/figure or run a demo.
+"""Command-line interface: regenerate any paper table/figure or serve a fleet.
 
 Usage (installed as the ``repro`` package)::
 
@@ -6,29 +6,26 @@ Usage (installed as the ``repro`` package)::
     python -m repro.cli run fig8 --preset small
     python -m repro.cli run table3 --preset paper --out results/table3.txt
     python -m repro.cli run fig7 --preset tiny --metrics-out results/fig7_metrics.json
-    python -m repro.cli demo --dataset MALL --steps 20
-    python -m repro.cli stats --dataset ROAD --steps 5
-    python -m repro.cli trace --out trace.json --sensors 8 --workers 4
+    python -m repro.cli serve --dataset MALL --steps 20
+    python -m repro.cli serve --sensors 8 --backends 4 --predictor ar --telemetry prom
     python -m repro.cli ablate --out fresh.json
 
 Presets scale the synthetic workloads: ``tiny`` (seconds, CI-friendly),
 ``small`` (the benchmark defaults), ``paper`` (hours; closest to the
 paper's data sizes).
 
-``stats`` runs a short instrumented serving loop and prints the span
-tree of the last forecast, SLO attainment, the tail of the structured
-event log and a Prometheus-text metrics export — the quickest way to
-see the observability layer (``docs/observability.md``) in action.
-
-``trace`` runs an instrumented multi-sensor ``forecast_all`` loop and
-exports the last request's span tree (one track per worker lane) plus
-its event-log lines as Chrome trace-event JSON — open the file at
-https://ui.perfetto.dev or ``chrome://tracing``.
-
-``demo`` and ``stats`` accept ``--fault-profile`` (a named profile such
-as ``flaky-kernels``, or a ``key=value`` spec — see
-``docs/robustness.md``) to run the loop under deterministic fault
-injection and watch the degradation ladder serve through it.
+``serve`` runs the serving loop — ``forecast_all`` then ``ingest_many``
+per round over a fleet sharded across ``--backends`` backends — and
+prints one line per sensor per round.  Three reporters hang off that one
+loop (``docs/observability.md``): ``--telemetry prom|json`` prints the
+span tree of the first ``forecast_all`` (the round whose forecast runs
+the search), SLO attainment, the tail of the event log and the metrics;
+``--trace-out`` writes that request as Chrome trace-event JSON (one
+track per lane; open it at https://ui.perfetto.dev); ``--metrics-out``
+dumps the registry.  ``--fault-profile`` (a named profile such as
+``flaky-kernels``, or a ``key=value`` spec — see ``docs/robustness.md``)
+runs the loop under deterministic fault injection, and the source
+column shows the degradation ladder serving through it.
 
 ``ablate`` runs the system-wide ablation study (``repro.ablation``):
 baseline plus one-component-off runs with stable deterministic run IDs,
@@ -131,121 +128,60 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also dump <experiment>_metrics.json alongside each result",
     )
 
-    demo = sub.add_parser("demo", help="continuous prediction on one sensor")
-    demo.add_argument("--dataset", default="ROAD", help="ROAD, MALL or NET")
-    demo.add_argument("--steps", type=int, default=20)
-    demo.add_argument(
-        "--predictor", choices=("gp", "ar"), default="gp",
+    serve = sub.add_parser(
+        "serve",
+        help="serve a sensor fleet: forecast_all -> ingest_many rounds, "
+        "with optional telemetry, Chrome-trace and metrics reporters",
     )
-    demo.add_argument(
+    serve.add_argument("--dataset", default="ROAD", help="ROAD, MALL or NET")
+    serve.add_argument(
+        "--sensors", type=int, default=1, metavar="N",
+        help="fleet size (default: 1)",
+    )
+    serve.add_argument(
+        "--backends", type=int, default=1, metavar="N",
+        help="backend pool size — one serving lane per backend (default: 1)",
+    )
+    serve.add_argument(
         "--backend", choices=BACKEND_NAMES, default="simulated",
         help="compute backend: 'simulated' keeps the paper's cost-model "
         "accounting, 'native' is the plain-NumPy fast path",
     )
-    demo.add_argument(
+    serve.add_argument(
         "--fault-profile", default=None, metavar="PROFILE",
-        help="wrap the backend in deterministic fault injection: a named "
+        help="wrap every backend in deterministic fault injection: a named "
         f"profile ({', '.join(FAULT_PROFILE_NAMES)}) or a key=value spec "
         "(see docs/robustness.md)",
     )
-    demo.add_argument(
+    serve.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="lane bound of the thread engine (--engine thread; one lane "
-        "per backend shard, default 1) — results are bit-identical at any "
-        "worker count",
+        help="lane bound of the thread engine (--engine thread; default 1) "
+        "— results are bit-identical at any worker count",
     )
-    demo.add_argument(
+    serve.add_argument(
         "--engine", choices=ENGINE_NAMES, default=None,
         help="execution engine (default: REPRO_EXEC, else inline) — "
         "results are bit-identical on every engine",
     )
-
-    stats = sub.add_parser(
-        "stats", help="short instrumented serving loop: trace + metrics"
+    serve.add_argument("--steps", type=int, default=5, help="rounds (default: 5)")
+    serve.add_argument("--predictor", choices=("gp", "ar"), default="gp")
+    serve.add_argument(
+        "--telemetry", choices=("prom", "json"), default=None,
+        help="print the first forecast_all's span tree, the SLO block, the "
+        "last --events event lines and the metrics in this format",
     )
-    stats.add_argument("--dataset", default="ROAD", help="ROAD, MALL or NET")
-    stats.add_argument("--steps", type=int, default=5)
-    stats.add_argument(
-        "--predictor", choices=("gp", "ar"), default="gp",
-    )
-    stats.add_argument(
-        "--format", choices=("prom", "json"), default="prom",
-        help="metrics output format (default: prom)",
-    )
-    stats.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="simulated",
-        help="compute backend serving the loop (default: simulated)",
-    )
-    stats.add_argument(
-        "--fault-profile", default=None, metavar="PROFILE",
-        help="wrap the backend in deterministic fault injection: a named "
-        f"profile ({', '.join(FAULT_PROFILE_NAMES)}) or a key=value spec "
-        "(see docs/robustness.md)",
-    )
-    stats.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="lane bound of the thread engine (--engine thread; one lane "
-        "per backend shard, default 1)",
-    )
-    stats.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
-        help="execution engine (default: REPRO_EXEC, else inline)",
-    )
-    stats.add_argument(
+    serve.add_argument(
         "--events", type=int, default=10, metavar="N",
-        help="show the last N structured event-log lines (default: 10)",
+        help="event-log lines --telemetry shows (default: 10)",
     )
-
-    trace = sub.add_parser(
-        "trace",
-        help="export one forecast_all request as Chrome trace-event JSON",
+    serve.add_argument(
+        "--trace-out", type=pathlib.Path, default=None, metavar="PATH",
+        help="write the first forecast_all as Chrome trace-event JSON (open "
+        "in Perfetto or chrome://tracing)",
     )
-    trace.add_argument(
-        "--out", type=pathlib.Path, required=True, metavar="PATH",
-        help="write the Chrome trace-event JSON here (open in Perfetto "
-        "or chrome://tracing)",
-    )
-    trace.add_argument("--dataset", default="ROAD", help="ROAD, MALL or NET")
-    trace.add_argument(
-        "--sensors", type=int, default=8, metavar="N",
-        help="fleet size (default: 8)",
-    )
-    trace.add_argument(
-        "--backends", type=int, default=4, metavar="N",
-        help="backend pool size — one worker lane per backend (default: 4)",
-    )
-    trace.add_argument(
-        "--workers", type=int, default=4, metavar="N",
-        help="lane bound of the thread engine (--engine thread; default: 4)",
-    )
-    trace.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
-        help="execution engine; 'process' shows one shard worker process "
-        "per lane in the exported trace (default: REPRO_EXEC, else "
-        "inline)",
-    )
-    trace.add_argument(
-        "--steps", type=int, default=2,
-        help="ingest_many + forecast_all rounds before the export "
-        "(default: 2; the last round's forecast_all is exported)",
-    )
-    trace.add_argument(
-        "--predictor", choices=("gp", "ar"), default="ar",
-        help="per-sensor predictor (default: ar — fast, trace-friendly)",
-    )
-    trace.add_argument(
-        "--backend", choices=BACKEND_NAMES, default="simulated",
-        help="compute backend; 'simulated' adds gpu_sim async slices "
-        "to the trace (default: simulated)",
-    )
-    trace.add_argument(
-        "--fault-profile", default=None, metavar="PROFILE",
-        help="wrap every backend in deterministic fault injection so "
-        "degradations and breaker trips show up as trace instants",
-    )
-    trace.add_argument(
+    serve.add_argument(
         "--metrics-out", type=pathlib.Path, default=None, metavar="PATH",
-        help="also dump a JSON metrics snapshot here",
+        help="dump a JSON metrics snapshot here",
     )
 
     ablate = sub.add_parser(
@@ -294,89 +230,101 @@ def _run_experiment(
         if metrics_out is not None and not was_enabled:
             obs.disable()
     if metrics_out is not None:
-        metrics_out.parent.mkdir(parents=True, exist_ok=True)
-        metrics_out.write_text(
-            json.dumps(obs.to_json(obs.get_registry()), indent=2) + "\n"
-        )
+        _write_metrics(metrics_out)
     return result.render() if hasattr(result, "render") else result
 
 
-def _run_demo(
-    dataset: str, steps: int, predictor: str, backend: str,
-    fault_profile: str | None = None, workers: int | None = None,
-    engine: str | None = None,
-) -> str:
-    if steps <= 0:
-        raise SystemExit("--steps must be positive")
+def _write_metrics(path: pathlib.Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(obs.to_json(obs.get_registry()), indent=2) + "\n")
+
+
+def _run_serve(args: argparse.Namespace) -> str:
+    """The one serving loop: ``--steps`` rounds of ``forecast_all`` ->
+    ``ingest_many`` over a fleet, one line per sensor per round, then
+    whichever reporters were asked for.  Any reporter turns
+    :mod:`repro.obs` on for the loop and restores the switch after."""
+    for flag in ("steps", "sensors", "backends"):
+        if getattr(args, flag) <= 0:
+            raise SystemExit(f"--{flag} must be positive")
     ds = make_dataset(
-        dataset, n_sensors=1, n_points=3000, test_points=max(steps, 8)
+        args.dataset, n_sensors=args.sensors, n_points=1500,
+        test_points=max(args.steps, 8),
     )
-    history, tail = ds.sensor(0)
-    # Serve through PredictionService so an injected fault degrades
-    # gracefully (visible in the source column) instead of crashing.
-    service = PredictionService(
-        config=SMiLerConfig(predictor=predictor),
-        backends=make_backend(backend, fault_profile=fault_profile),
-        normalize=False,
-        service_config=ServiceConfig(max_workers=workers, engine=engine),
-    )
-    service.register("demo", history.values)
-    lines = [f"{dataset.upper()} sensor, SMiLer-{predictor.upper()} "
-             f"({backend} backend), {steps} continuous steps",
-             "step  prediction   truth     source"]
+    reporting = bool(args.telemetry or args.trace_out or args.metrics_out)
+    was_enabled = obs.is_enabled()
+    if reporting:
+        obs.reset()
+        obs.enable()
+    lines = [
+        f"{args.dataset.upper()} fleet: {args.sensors} sensors on "
+        f"{args.backends} {args.backend} backend(s), "
+        f"SMiLer-{args.predictor.upper()}, {args.steps} rounds",
+        "step  sensor    prediction     truth  source",
+    ]
     try:
-        for step in range(steps):
-            forecast = service.forecast("demo")
-            truth = float(tail[step])
-            lines.append(
-                f"{step:4d}   {forecast.mean:+8.4f}  {truth:+8.4f}  "
-                f"{forecast.source}"
-            )
-            service.ingest("demo", truth)
+        with PredictionService(
+            config=SMiLerConfig(predictor=args.predictor),
+            backends=[
+                make_backend(args.backend, fault_profile=args.fault_profile)
+                for _ in range(args.backends)
+            ],
+            min_history=256,
+            service_config=ServiceConfig(
+                max_workers=args.workers, engine=args.engine
+            ),
+        ) as service:
+            fleet = {
+                f"{args.dataset.lower()}-{i:03d}": ds.sensor(i)
+                for i in range(args.sensors)
+            }
+            for sid, (history, _) in fleet.items():
+                service.register(sid, history.values)
+            for step in range(args.steps):
+                batch = service.forecast_all()
+                if step == 0:
+                    # The round whose forecast runs the search (later ones
+                    # reuse the ingest-time kNN answers).
+                    first = service.trace_last_request()
+                truths = {sid: float(tail[step]) for sid, (_, tail) in fleet.items()}
+                for sid, truth in truths.items():
+                    if sid in batch:
+                        mean, source = batch[sid].mean, batch[sid].source
+                    else:
+                        mean, source = float("nan"), type(batch.errors[sid]).__name__
+                    lines.append(
+                        f"{step:4d}  {sid}  {mean:+10.4f}  {truth:+8.4f}  {source}"
+                    )
+                service.ingest_many(truths)
+        # Leaving the block closed the service, which drains worker-held
+        # telemetry on the process engine.
     finally:
-        service.close()
+        if reporting and not was_enabled:
+            obs.disable()
+    if args.telemetry:
+        lines += ["", *_telemetry(first, args.telemetry, args.events)]
+    if args.trace_out:
+        request_id = str(first.attrs.get("request_id", "")) or None
+        obs.write_chrome_trace(
+            args.trace_out, first, event_log=obs.get_event_log(),
+            request_id=request_id,
+        )
+        n_lanes = sum(1 for child in first.children if child.name == "lane")
+        lines += [
+            "",
+            f"wrote {args.trace_out}: request {request_id} over {n_lanes} "
+            "lanes — open it at https://ui.perfetto.dev or chrome://tracing",
+        ]
+    if args.metrics_out:
+        _write_metrics(args.metrics_out)
+        lines.append(f"metrics snapshot: {args.metrics_out}")
     return "\n".join(lines)
 
 
-def _run_stats(
-    dataset: str, steps: int, predictor: str, fmt: str, backend: str,
-    fault_profile: str | None = None, workers: int | None = None,
-    events: int = 10, engine: str | None = None,
-) -> str:
-    """A short instrumented serving loop: last-request trace + metrics."""
-    if steps <= 0:
-        raise SystemExit("--steps must be positive")
-    ds = make_dataset(
-        dataset, n_sensors=1, n_points=1500, test_points=max(steps, 8)
-    )
-    history, tail = ds.sensor(0)
-    was_enabled = obs.is_enabled()
-    obs.reset()
-    obs.enable()
-    try:
-        service = PredictionService(
-            config=SMiLerConfig(predictor=predictor),
-            backends=make_backend(backend, fault_profile=fault_profile),
-            min_history=min(256, history.values.size),
-            service_config=ServiceConfig(max_workers=workers, engine=engine),
-        )
-        service.register("demo-sensor", history.values)
-        service.forecast("demo-sensor")
-        # The first forecast runs the full pipeline (later ones reuse the
-        # ingest-time kNN answers), so its trace is the one worth showing.
-        trace = service.trace_last_request()
-        for step in range(steps):
-            service.ingest("demo-sensor", float(tail[step]))
-            service.forecast("demo-sensor")
-        service.close()  # drains worker-held telemetry on the process engine
-    finally:
-        if not was_enabled:
-            obs.disable()
-    lines = [f"== first-request trace ({dataset.upper()}, "
-             f"SMiLer-{predictor.upper()}) =="]
-    lines.append(obs.format_span_tree(trace))
-    lines.append("")
-    lines.append("== slo ==")
+def _telemetry(trace, fmt: str, events: int) -> list[str]:
+    """Span tree, SLO attainment, event-log tail and metrics export."""
+    lines = ["== first forecast_all trace ==", obs.format_span_tree(trace)]
+    lines += ["", "== slo =="]
     snapshot = obs.get_slo_tracker().snapshot()
     for class_, record in snapshot["classes"].items():
         lines.append(
@@ -392,92 +340,17 @@ def _run_stats(
                 for rung, count in sorted(snapshot["served_degraded"].items())
             )
         )
-    event_log = obs.get_event_log()
     if events > 0:
-        lines.append("")
-        lines.append(f"== last {events} events ==")
+        event_log = obs.get_event_log()
         tail = event_log.to_jsonl(event_log.tail(events)).rstrip("\n")
-        lines.append(tail if tail else "(no events)")
-    lines.append("")
-    lines.append("== metrics ==")
+        lines += ["", f"== last {events} events ==", tail or "(no events)"]
+    registry = obs.get_registry()
+    lines += ["", "== metrics =="]
     if fmt == "json":
-        lines.append(json.dumps(service.metrics(), indent=2))
+        lines.append(json.dumps(obs.to_json(registry), indent=2))
     else:
-        lines.append(obs.to_prometheus(obs.get_registry()).rstrip("\n"))
-    return "\n".join(lines)
-
-
-def _run_trace(
-    out: pathlib.Path,
-    dataset: str,
-    sensors: int,
-    n_backends: int,
-    workers: int,
-    steps: int,
-    predictor: str,
-    backend: str,
-    fault_profile: str | None = None,
-    metrics_out: pathlib.Path | None = None,
-    engine: str | None = None,
-) -> str:
-    """Instrumented multi-sensor loop → Chrome trace-event export."""
-    if steps <= 0:
-        raise SystemExit("--steps must be positive")
-    if sensors <= 0:
-        raise SystemExit("--sensors must be positive")
-    if n_backends <= 0:
-        raise SystemExit("--backends must be positive")
-    ds = make_dataset(
-        dataset, n_sensors=sensors, n_points=1200, test_points=max(steps, 8)
-    )
-    was_enabled = obs.is_enabled()
-    obs.reset()
-    obs.enable()
-    try:
-        service = PredictionService(
-            config=SMiLerConfig(predictor=predictor),
-            backends=[
-                make_backend(backend, fault_profile=fault_profile)
-                for _ in range(n_backends)
-            ],
-            min_history=256,
-            service_config=ServiceConfig(max_workers=workers, engine=engine),
-        )
-        tails = {}
-        for i in range(sensors):
-            history, tail = ds.sensor(i)
-            sensor_id = f"{dataset.lower()}-{i:03d}"
-            service.register(sensor_id, history.values)
-            tails[sensor_id] = tail
-        for step in range(steps):
-            if step:
-                service.ingest_many(
-                    {sid: float(t[step - 1]) for sid, t in tails.items()}
-                )
-            batch = service.forecast_all()
-        root = service.trace_last_request()
-        service.close()  # drains worker-held telemetry on the process engine
-        request_id = str(root.attrs.get("request_id", "")) or None
-        obs.write_chrome_trace(
-            out, root, event_log=obs.get_event_log(), request_id=request_id
-        )
-        if metrics_out is not None:
-            metrics_out.parent.mkdir(parents=True, exist_ok=True)
-            metrics_out.write_text(
-                json.dumps(obs.to_json(obs.get_registry()), indent=2) + "\n"
-            )
-    finally:
-        if not was_enabled:
-            obs.disable()
-    n_lanes = sum(1 for child in root.children if child.name == "lane")
-    lines = [
-        f"wrote {out}: request {request_id}, {len(batch)} forecasts over "
-        f"{n_lanes} lanes ({backend} backend, workers={workers})",
-        "open it at https://ui.perfetto.dev or chrome://tracing",
-    ]
-    if metrics_out is not None:
-        lines.append(f"metrics snapshot: {metrics_out}")
-    return "\n".join(lines)
+        lines.append(obs.to_prometheus(registry).rstrip("\n"))
+    return lines
 
 
 def _list_components() -> str:
@@ -549,25 +422,8 @@ def main(argv: list[str] | None = None) -> int:
             print(report)
             (args.out_dir / f"{name}.txt").write_text(report + "\n")
         return 0
-    if args.command == "demo":
-        print(_run_demo(
-            args.dataset, args.steps, args.predictor, args.backend,
-            args.fault_profile, args.workers, args.engine,
-        ))
-        return 0
-    if args.command == "stats":
-        print(_run_stats(
-            args.dataset, args.steps, args.predictor, args.format,
-            args.backend, args.fault_profile, args.workers, args.events,
-            args.engine,
-        ))
-        return 0
-    if args.command == "trace":
-        print(_run_trace(
-            args.out, args.dataset, args.sensors, args.backends,
-            args.workers, args.steps, args.predictor, args.backend,
-            args.fault_profile, args.metrics_out, args.engine,
-        ))
+    if args.command == "serve":
+        print(_run_serve(args))
         return 0
     if args.command == "ablate":
         if args.list_components:

@@ -7,13 +7,12 @@ from .gp_predictor import GaussianProcessPredictor
 from .persistence import (
     SmilerSnapshot,
     build_smiler,
-    load_smiler,
     load_snapshot,
     save_smiler,
 )
 from .predictor import GaussianPrediction, SemiLazyPredictor
 from .scaleout import plan_lanes
-from .smiler import SensorFleet, SMiLer
+from .smiler import SMiLer
 
 __all__ = [
     "AggregationPredictor",
@@ -26,11 +25,9 @@ __all__ = [
     "GaussianPrediction",
     "SmilerSnapshot",
     "build_smiler",
-    "load_smiler",
     "load_snapshot",
     "save_smiler",
     "plan_lanes",
     "SemiLazyPredictor",
-    "SensorFleet",
     "SMiLer",
 ]

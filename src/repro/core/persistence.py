@@ -34,7 +34,6 @@ __all__ = [
     "save_smiler",
     "load_snapshot",
     "build_smiler",
-    "load_smiler",
 ]
 
 _FORMAT_VERSION = 2
@@ -167,7 +166,3 @@ def build_smiler(
                 state.predictor._step = snapshot.gp_steps.get(key, 1.0)
     return smiler
 
-
-def load_smiler(path, backend: ComputeBackend | None = None) -> SMiLer:
-    """Restore a SMiLer instance saved by :func:`save_smiler`."""
-    return build_smiler(load_snapshot(path), backend=backend)

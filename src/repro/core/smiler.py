@@ -10,16 +10,16 @@ One :class:`SMiLer` instance serves one sensor:
    kNN data into a Gaussian prediction, mixes them by the auto-tuned
    weights, and self-adapts once the true value arrives (Section 5).
 
-:class:`SensorFleet` scales the same machinery to many sensors sharing
-one (simulated) GPU, including the device-memory accounting behind
-Fig. 12(c).
+:func:`predict_many` and :func:`absorb_many` run the same machinery for
+a lane of sensors sharing one backend; :class:`repro.PredictionService`
+serves a fleet through them.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .ensemble import AdaptiveEnsemble, Cell, EnsembleOutput
 from .gp_predictor import GaussianProcessPredictor
 from .predictor import GaussianPrediction, SemiLazyPredictor
 
-__all__ = ["SMiLer", "SensorFleet", "absorb_many", "predict_many"]
+__all__ = ["SMiLer", "absorb_many", "predict_many"]
 
 logger = logging.getLogger(__name__)
 
@@ -501,67 +501,3 @@ def absorb_many(sensors: Sequence[SMiLer], values) -> None:
         sensor._now += 1
         sensor._answers = None
 
-
-class SensorFleet:
-    """Many sensors, one device — the scale-out mode of Section 4.4.
-
-    Construction allocates each sensor's index in the device's global
-    memory, so exceeding the GPU's capacity raises
-    :class:`repro.gpu.GpuMemoryError` exactly as Fig. 12(c) measures.
-    """
-
-    def __init__(
-        self,
-        histories: list[np.ndarray],
-        config: SMiLerConfig | None = None,
-        backend: ComputeBackend | None = None,
-    ) -> None:
-        if not histories:
-            raise ValueError("a fleet needs at least one sensor")
-        self.config = config or SMiLerConfig()
-        self.backend = as_backend(backend)
-        self.sensors: list[SMiLer] = []
-        allocations = []
-        try:
-            for i, history in enumerate(histories):
-                sensor = SMiLer(
-                    history, self.config, backend=self.backend,
-                    sensor_id=f"sensor-{i}",
-                )
-                allocations.append(self.backend.malloc(
-                    sensor.memory_bytes(), label=sensor.sensor_id
-                ))
-                self.sensors.append(sensor)
-        except BaseException:
-            # A fleet that failed to construct holds no device memory.
-            for allocation in allocations:
-                self.backend.free(allocation)
-            raise
-
-    def __len__(self) -> int:
-        return len(self.sensors)
-
-    def predict_all(
-        self, horizon: int | None = None
-    ) -> list[dict[int, EnsembleOutput]]:
-        """Predictions for every sensor (Fig. 3's parallel predictors):
-        one :func:`predict_many`, a failed sensor's exception raised."""
-        return [_raised(out) for out in predict_many(self.sensors, horizon)]
-
-    def observe_all(self, values) -> None:
-        """Feed each sensor its newly revealed true value."""
-        values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size != len(self.sensors):
-            raise ValueError(
-                f"{values.size} values for {len(self.sensors)} sensors"
-            )
-        # Every reading is retained before the one group search runs; if
-        # that fails, every sensor's answers stay invalidated.
-        absorb_many(self.sensors, values)
-        found = search_many([sensor.engine for sensor in self.sensors])
-        for sensor, answers in zip(self.sensors, found):
-            sensor.install(answers)
-
-    def memory_bytes(self) -> int:
-        """Device-resident footprint in bytes."""
-        return sum(sensor.memory_bytes() for sensor in self.sensors)

@@ -16,7 +16,6 @@ from .envelope import (
 from .knn import KnnResult, ScanStats, fast_cpu_scan, knn_bruteforce
 from .lower_bounds import (
     lb_ec,
-    lb_en,
     lb_eq,
     lb_improved_profile,
     lb_keogh,
@@ -51,7 +50,6 @@ __all__ = [
     "fast_cpu_scan",
     "knn_bruteforce",
     "lb_ec",
-    "lb_en",
     "lb_eq",
     "lb_improved_profile",
     "lb_keogh",

@@ -43,7 +43,6 @@ __all__ = [
     "lb_keogh_terms",
     "lb_eq",
     "lb_ec",
-    "lb_en",
     "lb_improved_profile",
     "lb_profile",
     "window_pair_lb_matrices",
@@ -128,11 +127,6 @@ def lb_ec(query, candidate, rho: int) -> float:
     """``LB_EC(Q, C)`` — candidate-envelope bound (Section 4.2)."""
     candidate = np.asarray(candidate, dtype=np.float64)
     return lb_keogh(compute_envelope(candidate, rho), query)
-
-
-def lb_en(query, candidate, rho: int) -> float:
-    """Enhanced lower bound ``max(LB_EQ, LB_EC)`` (Theorem 4.1)."""
-    return max(lb_eq(query, candidate, rho), lb_ec(query, candidate, rho))
 
 
 def lb_improved_profile(

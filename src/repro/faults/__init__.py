@@ -22,7 +22,6 @@ from .profile import (
     FAULT_PROFILE_NAMES,
     FaultProfile,
     as_fault_profile,
-    format_fault_profile,
     parse_fault_profile,
 )
 
@@ -35,6 +34,5 @@ __all__ = [
     "FaultProfile",
     "KernelFaultError",
     "as_fault_profile",
-    "format_fault_profile",
     "parse_fault_profile",
 ]

@@ -13,7 +13,7 @@ Profiles are selected three ways (mirroring ``REPRO_BACKEND``):
 
 * programmatically — ``make_backend("simulated", fault_profile=...)``,
 * per process — the ``REPRO_FAULT_PROFILE`` environment variable,
-* per CLI run — the ``--fault-profile`` flag of ``repro demo``/``stats``.
+* per CLI run — the ``--fault-profile`` flag of ``repro serve``.
 
 Each accepts a registered name (:data:`FAULT_PROFILE_NAMES`) or a
 ``key=value[,key=value...]`` spec, e.g.
@@ -29,7 +29,6 @@ __all__ = [
     "FAULT_PROFILE_NAMES",
     "FaultProfile",
     "as_fault_profile",
-    "format_fault_profile",
     "parse_fault_profile",
 ]
 
@@ -171,47 +170,6 @@ def parse_fault_profile(spec: str) -> FaultProfile:
         overrides.setdefault("name", "custom")
         profile = replace(profile, **overrides)
     return profile
-
-
-def format_fault_profile(profile: FaultProfile) -> str:
-    """The inverse of :func:`parse_fault_profile`.
-
-    Emits a spec string that parses back to an *equal* profile:
-    ``parse_fault_profile(format_fault_profile(p)) == p`` for every
-    profile the parser can produce (pinned by a Hypothesis round-trip
-    property in ``tests/test_faults_profile.py``).  A registered profile
-    formats as its bare name; anything else formats as a ``key=value``
-    spec.  ``seed`` is always emitted so the spec is never empty (the
-    parser rejects empty specs), and floats use ``repr`` so the value
-    survives the text round trip bit-exactly.
-
-    Profiles with a name that is neither registered nor ``"custom"``
-    are outside the parser's image (the spec grammar cannot carry an
-    arbitrary name) and raise ``ValueError``.
-    """
-    for name in FAULT_PROFILE_NAMES:
-        if profile == _NAMED[name]:
-            return name
-    if profile.name != "custom":
-        raise ValueError(
-            f"profile name {profile.name!r} is not representable as a "
-            "spec: it is neither a registered profile nor 'custom'"
-        )
-    parts = [f"seed={profile.seed}"]
-    if profile.kernel_error_rate != 0.0:
-        parts.append(f"kernel_error={profile.kernel_error_rate!r}")
-    if profile.kernel_nan_rate != 0.0:
-        parts.append(f"nan={profile.kernel_nan_rate!r}")
-    if profile.malloc_error_rate != 0.0:
-        parts.append(f"malloc_error={profile.malloc_error_rate!r}")
-    if profile.added_latency_s != 0.0:
-        parts.append(f"latency={profile.added_latency_s!r}")
-    if profile.dies_at_tick is not None:
-        parts.append(f"dies_at={profile.dies_at_tick}")
-    if profile.burst is not None:
-        start, end = profile.burst
-        parts.append(f"burst={start}:{end}")
-    return ",".join(parts)
 
 
 def as_fault_profile(obj: object) -> FaultProfile | None:

@@ -112,11 +112,3 @@ class VariationalSparseGP:
         if self._posterior is None:
             raise RuntimeError("fit() must be called first")
         return self._posterior.predict(x_star, include_noise=include_noise)
-
-    def elbo(self) -> float:
-        """The collapsed variational bound of the fitted model."""
-        if self._posterior is None:
-            raise RuntimeError("fit() must be called first")
-        return self._posterior.log_marginal_likelihood() - (
-            self._posterior.trace_correction() / (2.0 * self.kernel.theta2**2)
-        )

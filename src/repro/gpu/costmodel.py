@@ -52,11 +52,6 @@ class DeviceSpec:
     #: Fig. 7/8 and Table 3 drivers).
     work_conserving: bool = False
 
-    @property
-    def total_cores(self) -> int:
-        """Total cores across all SMs."""
-        return self.n_sms * self.cores_per_sm
-
 
 #: The paper's CPU host: Intel Core i7-3820 (3.6 GHz); we credit the
 #: serial baseline ~2 abstract ops per cycle for superscalar execution.

@@ -33,18 +33,7 @@ from typing import Iterable
 
 from . import context as reqctx
 
-__all__ = ["EventLog", "EVENT_KINDS"]
-
-#: The event vocabulary the serving stack emits (extensible — the log
-#: itself accepts any kind; this tuple documents the built-in ones).
-EVENT_KINDS = (
-    "request_start",
-    "request_end",
-    "degraded",
-    "breaker_transition",
-    "fault_injected",
-    "evacuation",
-)
+__all__ = ["EventLog"]
 
 #: Default ring capacity — roomy enough for thousands of requests,
 #: bounded so a chatty fleet can never eat the process's memory.
@@ -133,14 +122,6 @@ class EventLog:
                 raise ValueError(f"n must be non-negative, got {n}")
             events = events[len(events) - min(n, len(events)):]
         return events
-
-    def for_request(self, request_id: str) -> list[dict]:
-        """Every retained event stamped with one request id."""
-        return [e for e in self.tail() if e["request_id"] == request_id]
-
-    def of_kind(self, kind: str) -> list[dict]:
-        """Every retained event of one kind, oldest first."""
-        return [e for e in self.tail() if e["kind"] == kind]
 
     def to_jsonl(self, events: Iterable[dict] | None = None) -> str:
         """Render events (default: the whole ring) as JSON Lines."""

@@ -177,10 +177,6 @@ class Gauge(_MetricBase):
         with self._lock:
             self._series_slot(key, _Cell).value += amount
 
-    def dec(self, amount: float = 1.0, **labels) -> None:
-        """Subtract ``amount``."""
-        self.inc(-amount, **labels)
-
     def value(self, **labels) -> float:
         """Current value of one series (0.0 if never set)."""
         key = _label_key(self, labels)

@@ -249,11 +249,6 @@ class ForecastBatch(dict):
         super().__init__(*args, **kwargs)
         self.errors: dict[str, Exception] = {}
 
-    @property
-    def ok(self) -> bool:
-        """True when every sensor produced a forecast."""
-        return not self.errors
-
 
 class _Request:
     """The one request envelope every serving entry point runs inside.
@@ -302,7 +297,6 @@ class PredictionService:
         config: SMiLerConfig | None = None,
         backends: ComputeBackend | Iterable[object] | None = None,
         min_history: int = 256,
-        normalize: bool = True,
         resilience: ResiliencePolicy | None = None,
         breaker: BreakerConfig | None = None,
         service_config: ServiceConfig | None = None,
@@ -322,7 +316,6 @@ class PredictionService:
         #: Effective thread-lane bound.
         self.max_workers = self.service_config.max_workers or 1
         self.min_history = min_history
-        self.normalize = normalize
         self._sensors: dict[str, SMiLer] = {}
         self._norms: dict[str, ZNormStats] = {}
         self._placements: dict[str, Placement] = {}
@@ -504,11 +497,9 @@ class PredictionService:
                 f"sensor {sensor_id!r} history contains non-finite values; "
                 "repair with repro.timeseries.fill_missing first"
             )
-        if self.normalize:
-            std = float(np.std(history))
-            stats = ZNormStats(mean=float(np.mean(history)), std=max(std, 1e-12))
-        else:
-            stats = ZNormStats(mean=0.0, std=1.0)
+        stats = ZNormStats(
+            mean=float(np.mean(history)), std=max(float(np.std(history)), 1e-12)
+        )
         normalised = stats.apply(history)
         smiler = self._admit(
             sensor_id,

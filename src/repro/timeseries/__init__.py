@@ -13,13 +13,9 @@ from .series import (
 from .windows import (
     aligned_segment_start,
     csg_size,
-    csg_window_ids,
-    disjoint_window,
     disjoint_window_count,
-    disjoint_windows,
     sliding_window,
     sliding_window_count,
-    sliding_windows_right_to_left,
 )
 
 __all__ = [
@@ -41,11 +37,7 @@ __all__ = [
     "train_test_split_tail",
     "aligned_segment_start",
     "csg_size",
-    "csg_window_ids",
-    "disjoint_window",
     "disjoint_window_count",
-    "disjoint_windows",
     "sliding_window",
     "sliding_window_count",
-    "sliding_windows_right_to_left",
 ]

@@ -52,12 +52,6 @@ class SensorDataset:
         """Return ``(history, test_tail)`` for one sensor."""
         return self.history[index], self.test_tails[index]
 
-    def total_points(self) -> int:
-        """Total stored observations across all sensors (history + tails)."""
-        return sum(len(h) for h in self.history) + sum(
-            t.size for t in self.test_tails
-        )
-
 
 _GENERATORS = {
     "ROAD": road_like,

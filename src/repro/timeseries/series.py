@@ -17,7 +17,7 @@ This module provides:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -126,12 +126,6 @@ class TimeSeries:
         values = self.values
         std = float(np.std(values))
         return ZNormStats(mean=float(np.mean(values)), std=max(std, 1e-12))
-
-    def znormalised(self) -> "TimeSeries":
-        """Return a z-normalised copy of this series."""
-        stats = self.znorm_stats()
-        copy = TimeSeries(stats.apply(self.values), sensor_id=self.sensor_id)
-        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TimeSeries({self.sensor_id!r}, n={self._length})"

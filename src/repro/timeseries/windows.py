@@ -16,13 +16,9 @@ import numpy as np
 
 __all__ = [
     "disjoint_window_count",
-    "disjoint_window",
-    "disjoint_windows",
     "sliding_window_count",
     "sliding_window",
-    "sliding_windows_right_to_left",
     "csg_size",
-    "csg_window_ids",
     "aligned_segment_start",
 ]
 
@@ -31,22 +27,6 @@ def disjoint_window_count(series_length: int, omega: int) -> int:
     """Number of complete disjoint windows in a series."""
     _check_omega(omega)
     return series_length // omega
-
-
-def disjoint_window(values: np.ndarray, r: int, omega: int) -> np.ndarray:
-    """The paper's ``DW_r``: the r-th complete omega-length block."""
-    values = np.asarray(values)
-    count = disjoint_window_count(values.size, omega)
-    if not 0 <= r < count:
-        raise IndexError(f"DW_{r} out of range (series has {count} windows)")
-    return values[r * omega : (r + 1) * omega]
-
-
-def disjoint_windows(values: np.ndarray, omega: int) -> np.ndarray:
-    """All complete disjoint windows, shape ``(count, omega)``."""
-    values = np.asarray(values)
-    count = disjoint_window_count(values.size, omega)
-    return values[: count * omega].reshape(count, omega)
 
 
 def sliding_window_count(query_length: int, omega: int) -> int:
@@ -67,16 +47,6 @@ def sliding_window(query: np.ndarray, b: int, omega: int) -> np.ndarray:
     return query[end - omega : end]
 
 
-def sliding_windows_right_to_left(query: np.ndarray, omega: int) -> np.ndarray:
-    """All sliding windows ordered ``SW_0, SW_1, ...`` (right to left)."""
-    query = np.asarray(query)
-    count = sliding_window_count(query.size, omega)
-    rows = [sliding_window(query, b, omega) for b in range(count)]
-    if not rows:
-        return np.empty((0, omega), dtype=query.dtype)
-    return np.stack(rows)
-
-
 def csg_size(item_length: int, b: int, omega: int) -> int:
     """``|CSG_{i,b}|`` — windows in the Catenated Sliding Window Group.
 
@@ -90,11 +60,6 @@ def csg_size(item_length: int, b: int, omega: int) -> int:
     if item_length - b < omega:
         return 0
     return (item_length - b) // omega
-
-
-def csg_window_ids(item_length: int, b: int, omega: int) -> list[int]:
-    """Sliding-window identifiers ``[b, b+omega, ...]`` of ``CSG_{i,b}``."""
-    return [b + j * omega for j in range(csg_size(item_length, b, omega))]
 
 
 def aligned_segment_start(

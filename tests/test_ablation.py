@@ -104,7 +104,7 @@ class TestRegistry:
             "backend": {"kind"},
         }
         for component in DEFAULT_COMPONENTS:
-            for key in component.patched_fields():
+            for key, _ in component.patch:
                 prefix, _, field_name = key.partition(".")
                 assert field_name in field_sets[prefix], (
                     f"{component.name}: {key} names a missing field"
@@ -125,7 +125,7 @@ class TestRegistry:
             return {
                 key.partition(".")[2]
                 for component in DEFAULT_COMPONENTS
-                for key in component.patched_fields()
+                for key, _ in component.patch
                 if key.startswith(prefix + ".")
             }
 

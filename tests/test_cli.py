@@ -55,50 +55,84 @@ class TestMetricsOut:
         assert not obs.is_enabled()
 
 
-class TestStats:
-    def test_stats_prints_trace_and_prometheus(self, capsys):
+class TestServe:
+    """The one serving loop and its three reporters."""
+
+    def test_trace_and_metrics_reporters(self, tmp_path, capsys, monkeypatch):
+        import json
+
+        from repro.obs.chrome import validate_chrome_trace
+
+        monkeypatch.chdir(tmp_path)
         assert main(
-            ["stats", "--dataset", "MALL", "--steps", "2",
-             "--predictor", "ar"]
+            ["serve", "--sensors", "8", "--backends", "4", "--steps", "2",
+             "--predictor", "ar", "--trace-out", "t.json",
+             "--metrics-out", "m.json"]
         ) == 0
         out = capsys.readouterr().out
-        assert "forecast" in out
-        assert "search" in out
+        assert out.count("\n   0  road-") == out.count("\n   1  road-") == 8
+        payload = json.loads((tmp_path / "t.json").read_text())
+        validate_chrome_trace(payload)
+        lanes = {
+            event["args"]["name"]
+            for event in payload["traceEvents"]
+            if event["ph"] == "M" and event["name"] == "thread_name"
+            and event["args"]["name"].startswith("lane-")
+        }
+        assert len(lanes) == 4, lanes
+        metrics = json.loads((tmp_path / "m.json").read_text())
+        assert "smiler_lane_sensors_total" in metrics
+
+    def test_telemetry_prints_trace_and_prometheus(self, capsys):
+        assert main(
+            ["serve", "--dataset", "MALL", "--steps", "2",
+             "--predictor", "ar", "--telemetry", "prom"]
+        ) == 0
+        out = capsys.readouterr().out
+        tree = out.split("== first forecast_all trace ==\n", 1)[1]
+        tree = tree.split("\n\n", 1)[0]
+        assert "forecast" in tree
+        assert "search" in tree  # the first round is the one that searches
         assert "smiler_gpu_kernel_launches_total" in out
         assert "smiler_forecast_latency_seconds_bucket" in out
 
-    def test_stats_json_format(self, capsys):
+    def test_telemetry_json_parses(self, capsys):
         import json
 
         assert main(
-            ["stats", "--dataset", "MALL", "--steps", "1",
-             "--predictor", "ar", "--format", "json"]
+            ["serve", "--dataset", "MALL", "--steps", "1",
+             "--predictor", "ar", "--telemetry", "json"]
         ) == 0
         out = capsys.readouterr().out
-        payload = out.split("== metrics ==\n", 1)[1]
-        snapshot = json.loads(payload)
+        snapshot = json.loads(out.split("== metrics ==\n", 1)[1])
         assert "smiler_forecasts_total" in snapshot
 
-    def test_stats_validation(self):
-        with pytest.raises(SystemExit):
-            main(["stats", "--steps", "0"])
-
-
-class TestDemo:
-    def test_demo_runs(self, capsys):
-        assert main(["demo", "--dataset", "MALL", "--steps", "3",
+    def test_one_line_per_sensor_per_round(self, capsys):
+        assert main(["serve", "--dataset", "MALL", "--steps", "3",
                      "--predictor", "ar"]) == 0
-        out = capsys.readouterr().out
-        assert "MALL sensor" in out
-        assert out.count("\n") >= 4
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("MALL fleet: 1 sensors")
+        assert lines[1].split() == [
+            "step", "sensor", "prediction", "truth", "source"
+        ]
+        assert [line.split()[:2] for line in lines[2:]] == [
+            [str(step), "mall-000"] for step in range(3)
+        ]
 
-    def test_demo_validation(self):
-        with pytest.raises(SystemExit):
-            main(["demo", "--steps", "0"])
+    def test_validation(self):
+        for flag in ("--steps", "--sensors", "--backends"):
+            with pytest.raises(SystemExit):
+                main(["serve", flag, "0"])
 
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
-            main(["demo", "--dataset", "XX", "--steps", "2"])
+            main(["serve", "--dataset", "XX", "--steps", "2"])
+
+    def test_without_a_reporter_stays_uninstrumented(self, capsys):
+        from repro import obs
+
+        assert main(["serve", "--steps", "1", "--predictor", "ar"]) == 0
+        assert not obs.is_enabled()
 
 
 class TestParser:

@@ -114,7 +114,7 @@ class TestConcurrentParity:
         batches_seq = drive(sequential, histories, futures)
         batches_con = drive(concurrent, histories, futures)
         assert_batches_identical(batches_seq, batches_con)
-        assert all(batch.ok for batch in batches_seq)
+        assert all(not batch.errors for batch in batches_seq)
         assert all(len(batch) == N_SENSORS for batch in batches_con)
 
     def test_placements_and_sim_time_identical(self, backend_name):
@@ -209,7 +209,7 @@ class TestChaosStress:
 
     def _check_invariants(self, service, capacities):
         pool = service._pool
-        healthy = set(pool.healthy_indices())
+        healthy = {i for i in range(len(pool)) if pool.admits(i)}
         for i in range(len(pool)):
             state = pool.state(i)
             assert state in ("closed", "open", "half_open")

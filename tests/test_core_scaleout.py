@@ -10,12 +10,19 @@ from repro.backend import SimulatedGpuBackend
 from repro.core import (
     SMiLer,
     SMiLerConfig,
-    load_smiler,
+    build_smiler,
+    load_snapshot,
     plan_lanes,
     save_smiler,
 )
 from repro.gpu import DeviceSpec, GpuMemoryError
 from repro.service import PredictionService
+
+
+def restore_smiler(path):
+    """Parse an archive and rebuild its sensor — what ``restore()`` does
+    per sensor once admission picked a backend."""
+    return build_smiler(load_snapshot(path))
 
 
 def periodic_history(n=700, seed=0):
@@ -132,7 +139,7 @@ class TestPersistence:
         smiler, _ = self._trained_smiler(SMALL)
         path = tmp_path / "sensor.npz"
         save_smiler(smiler, path)
-        restored = load_smiler(path)
+        restored = restore_smiler(path)
         np.testing.assert_allclose(restored.series, smiler.series)
         assert restored.sensor_id == smiler.sensor_id
         assert restored.config == smiler.config
@@ -146,7 +153,7 @@ class TestPersistence:
         smiler, _ = self._trained_smiler(SMALL_GP, steps=5)
         path = tmp_path / "gp.npz"
         save_smiler(smiler, path)
-        restored = load_smiler(path)
+        restored = restore_smiler(path)
         for cell in smiler.ensemble(1).cells:
             original = smiler.ensemble(1).state(cell).predictor.kernel
             loaded = restored.ensemble(1).state(cell).predictor.kernel
@@ -161,7 +168,7 @@ class TestPersistence:
         smiler, history = self._trained_smiler(SMALL)
         path = tmp_path / "s.npz"
         save_smiler(smiler, path)
-        restored = load_smiler(path)
+        restored = restore_smiler(path)
         a = smiler.predict()[1]
         b = restored.predict()[1]
         assert b.mean == pytest.approx(a.mean, abs=1e-6)
@@ -176,7 +183,7 @@ class TestPersistence:
         ensemble.state(cell).sleep_remaining = 2
         path = tmp_path / "sleep.npz"
         save_smiler(smiler, path)
-        restored_state = load_smiler(path).ensemble(1).state(cell)
+        restored_state = restore_smiler(path).ensemble(1).state(cell)
         assert restored_state.asleep
         assert restored_state.sleep_span == 4
         assert restored_state.sleep_remaining == 2
@@ -189,7 +196,7 @@ class TestPersistence:
         )
         smiler, history = self._trained_smiler(config, steps=2)
         save_smiler(smiler, tmp_path / "sensor.npz")
-        assert load_smiler(tmp_path / "sensor.npz").config == config
+        assert restore_smiler(tmp_path / "sensor.npz").config == config
 
         service = PredictionService(config, min_history=256)
         service.register("s0", history)
@@ -213,7 +220,7 @@ class TestPersistence:
         )
         np.savez_compressed(path, **arrays)
         with pytest.raises(ValueError):
-            load_smiler(path)
+            restore_smiler(path)
 
 
 class TestServiceWithGpConfig:
@@ -278,7 +285,7 @@ class TestGpStepSurvivesASnapshot:
                 steps = [p._step for p in gp_cells(smiler)]
                 assert min(steps) < 0.5  # something worth remembering
                 save_smiler(smiler, tmp_path / "gp.npz")
-                smiler = load_smiler(tmp_path / "gp.npz")
+                smiler = restore_smiler(tmp_path / "gp.npz")
                 assert [p._step for p in gp_cells(smiler)] == steps
                 if forget_step:
                     self.forget(smiler)
@@ -345,7 +352,7 @@ class TestGpStepSurvivesASnapshot:
             json.dumps(meta).encode("utf-8"), dtype=np.uint8
         )
         np.savez_compressed(path, **arrays)
-        restored = load_smiler(path)
+        restored = restore_smiler(path)
         for before, after in zip(gp_cells(smiler), gp_cells(restored)):
             assert np.array_equal(before._log_params, after._log_params)
             assert after._step == 1.0

@@ -1,11 +1,13 @@
-"""End-to-end tests for the SMiLer facade and the sensor fleet."""
+"""End-to-end tests for the SMiLer facade and the lane functions a fleet
+is served through."""
 
 import numpy as np
 import pytest
 
 from repro.backend import SimulatedGpuBackend
-from repro.core import SMiLer, SMiLerConfig, SensorFleet
-from repro.gpu import DeviceSpec, GpuMemoryError
+from repro.core import SMiLer, SMiLerConfig
+from repro.core.smiler import absorb_many, predict_many
+from repro.index import search_many
 
 
 def periodic_history(n=800, period=50, seed=0, noise=0.05):
@@ -121,36 +123,40 @@ class TestSingleSensor:
             assert w == pytest.approx(1.0 / 4)
 
 
+def observe_lane(sensors, values):
+    """What ``PredictionService`` does per ingest lane: absorb every
+    reading, then one group search whose answers every member adopts."""
+    absorb_many(sensors, values)
+    found = search_many([sensor.engine for sensor in sensors])
+    for sensor, answers in zip(sensors, found):
+        sensor.install(answers)
+
+
 class TestFleet:
-    def test_fleet_predict_observe(self):
-        histories = [periodic_history(seed=s)[:600] for s in range(3)]
-        futures = [periodic_history(seed=s)[600:620] for s in range(3)]
-        fleet = SensorFleet(histories, SMALL)
-        assert len(fleet) == 3
-        for step in range(5):
-            outs = fleet.predict_all()
-            assert len(outs) == 3
-            fleet.observe_all([f[step] for f in futures])
+    """The lane functions a fleet is served through —
+    :func:`predict_many`, :func:`absorb_many`, :func:`search_many` — on
+    sensors sharing one backend, against the same sensors run alone."""
 
     def test_observe_all_equals_a_sensor_by_sensor_run(self):
-        """One group search for the fleet: answers, forecasts and ``now``
+        """One group search for the lane: answers, forecasts and ``now``
         are what observing sensor by sensor gives."""
         histories = [periodic_history(seed=s)[: 600 + 30 * s] for s in range(3)]
         futures = [periodic_history(seed=s)[700:706] for s in range(3)]
-        fleet = SensorFleet(histories, SMALL, backend=SimulatedGpuBackend())
+        backend = SimulatedGpuBackend()
+        lane = [SMiLer(h, SMALL, backend=backend) for h in histories]
         apart = [
             SMiLer(h, SMALL, backend=SimulatedGpuBackend()) for h in histories
         ]
         for step in range(6):
-            outs = fleet.predict_all()
-            for sensor, alone, out in zip(fleet.sensors, apart, outs):
+            outs = predict_many(lane)
+            for sensor, alone, out in zip(lane, apart, outs):
                 expected = alone.predict()[1]
                 assert (out[1].mean, out[1].variance) == (
                     expected.mean, expected.variance
                 )
                 assert sensor.now == alone.now
-            fleet.observe_all([f[step] for f in futures])
-            for sensor, alone, future in zip(fleet.sensors, apart, futures):
+            observe_lane(lane, [f[step] for f in futures])
+            for sensor, alone, future in zip(lane, apart, futures):
                 alone.observe(future[step])
                 assert sensor.now == alone.now
                 for d, answer in alone._answers.items():
@@ -165,22 +171,22 @@ class TestFleet:
         from repro.faults import FaultInjectingBackend, FaultProfile, KernelFaultError
 
         backend = FaultInjectingBackend(SimulatedGpuBackend(), FaultProfile())
-        histories = [periodic_history(seed=s)[:600] for s in range(3)]
-        fleet = SensorFleet(histories, SMALL, backend=backend)
-        fleet.predict_all()
-        fleet.observe_all([0.1, 0.2, 0.3])  # before the burst: all fresh
-        assert all(s._answers is not None for s in fleet.sensors)
+        lane = [
+            SMiLer(periodic_history(seed=s)[:600], SMALL, backend=backend)
+            for s in range(3)
+        ]
+        predict_many(lane)
+        observe_lane(lane, [0.1, 0.2, 0.3])  # before the burst: all fresh
+        assert all(s._answers is not None for s in lane)
         backend.profile = FaultProfile(kernel_error_rate=1.0)
         with pytest.raises(KernelFaultError):
-            fleet.observe_all([0.4, 0.5, 0.6])
-        for sensor, value in zip(fleet.sensors, (0.4, 0.5, 0.6)):
+            observe_lane(lane, [0.4, 0.5, 0.6])
+        for sensor, value in zip(lane, (0.4, 0.5, 0.6)):
             assert sensor.now == 602
             assert sensor.series[-1] == value
             assert sensor._answers is None
 
     def test_absorb_is_the_auto_tune_then_one_stacked_index_step(self):
-        from repro.core.smiler import absorb_many
-
         backend = SimulatedGpuBackend()
         history = periodic_history()
         sensors = [
@@ -203,26 +209,6 @@ class TestFleet:
             assert sensor._answers is None
         with pytest.raises(ValueError):
             absorb_many(sensors, [1.0])
-
-    def test_fleet_shares_device_memory(self):
-        histories = [periodic_history(seed=s)[:600] for s in range(2)]
-        fleet = SensorFleet(histories, SMALL)
-        assert fleet.backend.allocated_bytes >= fleet.memory_bytes()
-
-    def test_fleet_out_of_memory(self):
-        tiny = SimulatedGpuBackend(DeviceSpec(memory_bytes=50_000))
-        histories = [periodic_history(seed=s)[:600] for s in range(8)]
-        with pytest.raises(GpuMemoryError):
-            SensorFleet(histories, SMALL, backend=tiny)
-        # The sensors allocated before the failing one are freed again.
-        assert tiny.allocated_bytes == 0
-
-    def test_fleet_validation(self):
-        with pytest.raises(ValueError):
-            SensorFleet([], SMALL)
-        fleet = SensorFleet([periodic_history()[:600]], SMALL)
-        with pytest.raises(ValueError):
-            fleet.observe_all([1.0, 2.0])
 
 
 class TestDiagnostics:

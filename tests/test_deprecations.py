@@ -9,7 +9,7 @@ import pytest
 
 from repro import PredictionService, SMiLer, SMiLerConfig
 from repro.backend import NativeBackend, SimulatedGpuBackend, as_backend
-from repro.core.smiler import SensorFleet
+from repro.core.smiler import predict_many
 from repro.harness.search_experiments import SearchScale
 
 CONFIG = SMiLerConfig(
@@ -34,10 +34,13 @@ class TestDeviceAliasesRemoved:
         assert not hasattr(smiler, "device")
         assert smiler.backend is not None
 
-    def test_sensor_fleet(self):
-        fleet = SensorFleet([history()], CONFIG, backend=NativeBackend())
-        assert not hasattr(fleet, "device")
-        assert fleet.backend is not None
+    def test_predict_many(self):
+        backend = NativeBackend()
+        lane = [SMiLer(history(), CONFIG, backend=backend) for _ in range(2)]
+        for sensor, out in zip(lane, predict_many(lane)):
+            assert not hasattr(sensor, "device")
+            assert not hasattr(out[1], "device")
+            assert sensor.backend is backend
 
     def test_index_layers(self):
         smiler = SMiLer(history(), CONFIG, backend=NativeBackend())

@@ -2,6 +2,7 @@
 
 import pathlib
 import re
+import shlex
 import subprocess
 
 import pytest
@@ -11,6 +12,12 @@ DOC_FILES = sorted(
     [ROOT / "README.md", ROOT / "DESIGN.md", ROOT / "EXPERIMENTS.md"]
     + list((ROOT / "docs").glob("*.md"))
 )
+#: Files whose ``python -m repro.cli …`` lines must still parse.
+COMMAND_FILES = DOC_FILES + [
+    ROOT / "benchmarks/README.md",
+    ROOT / ".claude/skills/verify/SKILL.md",
+    ROOT / ".github/workflows/ci.yml",
+]
 
 
 class TestDocsExist:
@@ -127,3 +134,60 @@ class TestMetricCatalog:
         assert sorted(documented) == sorted(
             (spec.name, spec.kind, spec.labels) for spec in CATALOG.values()
         )
+
+
+CLI = re.compile(r"python3? -m repro\.cli\b")
+
+
+def documented_commands(text):
+    """The argument lists of every ``python -m repro.cli …`` in a
+    markdown or YAML file: fenced blocks and plain lines line by line
+    (a trailing backslash continues one), inline code spans whole (they
+    may wrap); each cut at a shell operator, ``#`` comments dropped."""
+    pieces = []
+    fence = r"^ *```[^\n]*\n(.*?)^ *```"
+    for block in re.findall(fence, text, flags=re.M | re.S):
+        pieces += block.replace("\\\n", " ").splitlines()
+    text = re.sub(fence, "", text, flags=re.M | re.S)
+    pieces += re.findall(r"`([^`]+)`", text)
+    pieces += re.sub(r"`[^`]+`", "", text).splitlines()
+    commands = []
+    for piece in pieces:
+        for match in CLI.finditer(piece):
+            rest = re.split(r"&&|\|\||[|;]", piece[match.end():])[0]
+            commands.append(shlex.split(rest, comments=True))
+    return commands
+
+
+class TestDocumentedCommands:
+    @pytest.mark.parametrize(
+        "doc", COMMAND_FILES, ids=lambda p: str(p.relative_to(ROOT))
+    )
+    def test_every_documented_command_line_parses(self, doc):
+        """Parse only: a renamed subcommand or flag fails here until
+        every documented line is swept."""
+        from repro.cli import _build_parser
+
+        for argv in documented_commands(doc.read_text()):
+            try:
+                _build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{doc.name}: repro.cli {' '.join(argv)}")
+
+    def test_the_extraction_finds_what_is_documented(self):
+        text = (
+            "```bash\nPYTHONPATH=src python -m repro.cli run fig8 \\\n"
+            "  --preset tiny   # comment\n```\n"
+            "see `python -m repro.cli ablate --out\n  f.json && gate` and\n"
+            "run: python -m repro.cli list\n"
+        )
+        assert sorted(documented_commands(text)) == [
+            ["ablate", "--out", "f.json"], ["list"],
+            ["run", "fig8", "--preset", "tiny"],
+        ]
+        found = [
+            argv for doc in COMMAND_FILES
+            for argv in documented_commands(doc.read_text())
+        ]
+        assert len(found) >= 20
+        assert any(argv[:1] == ["serve"] for argv in found)

@@ -1,4 +1,5 @@
-"""Tests for LB_Kim / LB_Keogh / LB_EQ / LB_EC / LB_en and the profile helpers."""
+"""Tests for LB_Kim / LB_Keogh / LB_EQ / LB_EC (LB_en is their max) and the
+profile helpers."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from repro.dtw import (
     compute_envelope,
     dtw_distance,
     lb_ec,
-    lb_en,
     lb_eq,
     lb_keogh,
     lb_kim,
@@ -18,7 +18,6 @@ from repro.dtw import (
     window_pair_lb_matrices,
 )
 from repro.dtw.lower_bounds import _tube_excess
-from repro.timeseries import disjoint_windows, sliding_windows_right_to_left
 
 floats = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -36,19 +35,14 @@ class TestLowerBoundProperty:
         dist = dtw_distance(q, c, rho=rho)
         assert lb_eq(q, c, rho) <= dist + 1e-9
         assert lb_ec(q, c, rho) <= dist + 1e-9
-        assert lb_en(q, c, rho) <= dist + 1e-9
-
-    def test_lb_en_is_max(self):
-        rng = np.random.default_rng(0)
-        q, c = rng.normal(size=16), rng.normal(size=16)
-        assert lb_en(q, c, 3) == max(lb_eq(q, c, 3), lb_ec(q, c, 3))
 
     def test_lb_en_tighter_than_parts(self):
         rng = np.random.default_rng(1)
         tighter_than_eq = tighter_than_ec = 0
         for _ in range(50):
             q, c = rng.normal(size=20), rng.normal(size=20)
-            en, eq_, ec_ = lb_en(q, c, 2), lb_eq(q, c, 2), lb_ec(q, c, 2)
+            eq_, ec_ = lb_eq(q, c, 2), lb_ec(q, c, 2)
+            en = max(eq_, ec_)  # LB_en, Theorem 4.1
             tighter_than_eq += en > eq_
             tighter_than_ec += en > ec_
         # On random data each one-sided bound loses sometimes.
@@ -57,7 +51,7 @@ class TestLowerBoundProperty:
 
     def test_identical_sequences_zero(self):
         x = np.arange(8.0)
-        assert lb_en(x, x, 2) == 0.0
+        assert lb_eq(x, x, 2) == lb_ec(x, x, 2) == 0.0
 
     def test_lb_keogh_zero_inside_envelope(self):
         x = np.array([0.0, 1.0, 0.0, -1.0])
@@ -105,17 +99,20 @@ class TestWindowPairMatrices:
     def _build(self, query, series, omega, rho):
         q_env = compute_envelope(query, rho)
         s_env = compute_envelope(series, rho)
-        sw = sliding_windows_right_to_left(query, omega)
-        n_sw = sw.shape[0]
+        # SW_0, SW_1, ... right to left, and the complete DW blocks.
         d = query.size
+        n_sw = max(d - omega + 1, 0)
+        sw = np.array(
+            [query[d - b - omega : d - b] for b in range(n_sw)]
+        ).reshape(n_sw, omega)
         sw_upper = np.stack(
             [q_env.upper[d - b - omega : d - b] for b in range(n_sw)]
         )
         sw_lower = np.stack(
             [q_env.lower[d - b - omega : d - b] for b in range(n_sw)]
         )
-        dw = disjoint_windows(series, omega)
-        n_dw = dw.shape[0]
+        n_dw = series.size // omega
+        dw = series[: n_dw * omega].reshape(n_dw, omega)
         dw_upper = s_env.upper[: n_dw * omega].reshape(n_dw, omega)
         dw_lower = s_env.lower[: n_dw * omega].reshape(n_dw, omega)
         return window_pair_lb_matrices(sw, sw_upper, sw_lower, dw, dw_upper, dw_lower)

@@ -23,7 +23,9 @@ import pytest
 
 from repro import obs
 from repro.backend import BACKEND_NAMES, make_backend
-from repro.core import SMiLer, SMiLerConfig, load_smiler, save_smiler
+from repro.core import (
+    SMiLer, SMiLerConfig, build_smiler, load_snapshot, save_smiler,
+)
 from repro.exec import ENGINE_ENV_VAR, ENGINE_NAMES
 from repro.faults import FaultProfile
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
@@ -273,7 +275,7 @@ class TestLaneFusedLaunches:
                 service.status()  # sync off-process ledgers
                 before = service.backends[0].cost.launches
                 batch = service.forecast_all()
-                assert batch.ok and len(batch) == 24
+                assert not batch.errors and len(batch) == 24
                 service.status()
                 spent.append(service.backends[0].cost.launches - before)
         finally:
@@ -371,7 +373,9 @@ class _StandaloneSensor:
     def through_a_snapshot(self, directory):
         path = directory / f"twin-{self.smiler.sensor_id}.npz"
         save_smiler(self.smiler, path)
-        self.smiler = load_smiler(path, backend=make_backend(self.backend_name))
+        self.smiler = build_smiler(
+            load_snapshot(path), backend=make_backend(self.backend_name)
+        )
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
@@ -401,7 +405,7 @@ class TestLaneLifecycle:
             nonlocal step
             for _ in range(n):
                 batch = service.forecast_all()
-                assert batch.ok and sorted(batch) == sorted(twins)
+                assert not batch.errors and sorted(batch) == sorted(twins)
                 for sid, twin in twins.items():
                     assert (batch[sid].mean, batch[sid].std) == twin.forecast()
                     assert batch[sid].source == "ensemble"
@@ -462,7 +466,7 @@ class TestEngineParity:
             results["inline"]
         )
         assert all(len(batch) == N_SENSORS for batch in ref_batches)
-        assert all(batch.ok for batch in ref_batches)
+        assert all(not batch.errors for batch in ref_batches)
         for engine in ("thread", "process"):
             batches, singles, placements, elapsed, ledgers = results[engine]
             assert_batches_identical(ref_batches, batches)
@@ -597,7 +601,7 @@ class TestWorkerCrash:
                 sid: service.placement_of(sid) for sid in histories
             }
             first = service.forecast_all()  # forks the workers
-            assert first.ok and len(first) == self.N_CRASH_SENSORS
+            assert not first.errors and len(first) == self.N_CRASH_SENSORS
             pids = service.engine.worker_pids()
             assert len(pids) == self.N_CRASH_BACKENDS
             victim_index = sorted(pids)[0]
@@ -660,7 +664,7 @@ class TestWorkerCrash:
                 sid: service.placement_of(sid) for sid in histories
             }
             for op in ("forecast", "ingest"):
-                assert service.forecast_all().ok  # (re)forks the workers
+                assert not service.forecast_all().errors  # (re)forks the workers
                 pids = service.engine.worker_pids()
                 victim_index = sorted(pids)[0]
                 sensor_id = sorted(
@@ -808,7 +812,7 @@ class TestFlushTelemetry:
             for sensor_id, history in histories.items():
                 service.register(sensor_id, history)
             batch = service.forecast_all()
-            assert batch.ok
+            assert not batch.errors
         finally:
             service.close()
         metrics = obs.to_json(obs.get_registry())

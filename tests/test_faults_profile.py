@@ -1,11 +1,11 @@
-"""Fault-profile spec grammar: ``parse`` and ``format`` are inverses.
+"""Fault-profile spec grammar: the parser covers its whole image.
 
 The property pinned here is the round trip over the parser's entire
 image: for every profile the spec grammar can express,
-``parse_fault_profile(format_fault_profile(p)) == p`` — including
-bit-exact float rates (``repr`` round-tripping) and the ``burst``
-window.  Registered names format back to the bare name; names outside
-the grammar raise.
+``parse_fault_profile(spec_of(p)) == p`` — including bit-exact float
+rates (``repr`` round-tripping) and the ``burst`` window.  ``spec_of``
+writes the spec a user would type; registered profiles parse from their
+bare name.
 """
 
 from __future__ import annotations
@@ -15,12 +15,30 @@ import dataclasses
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.faults import (
-    FAULT_PROFILE_NAMES,
-    FaultProfile,
-    format_fault_profile,
-    parse_fault_profile,
-)
+from repro.faults import FAULT_PROFILE_NAMES, FaultProfile, parse_fault_profile
+
+
+def spec_of(profile: FaultProfile) -> str:
+    """A spec string for ``profile``: a registered profile's bare name,
+    else ``seed=…`` plus every non-default field (floats by ``repr``, so
+    the text round trip is bit-exact)."""
+    for name in FAULT_PROFILE_NAMES:
+        if profile == parse_fault_profile(name):
+            return name
+    assert profile.name == "custom", "the grammar cannot carry other names"
+    parts = [f"seed={profile.seed}"]
+    for key, field in (
+        ("kernel_error", "kernel_error_rate"), ("nan", "kernel_nan_rate"),
+        ("malloc_error", "malloc_error_rate"), ("latency", "added_latency_s"),
+    ):
+        if getattr(profile, field) != 0.0:
+            parts.append(f"{key}={getattr(profile, field)!r}")
+    if profile.dies_at_tick is not None:
+        parts.append(f"dies_at={profile.dies_at_tick}")
+    if profile.burst is not None:
+        parts.append("burst={}:{}".format(*profile.burst))
+    return ",".join(parts)
+
 
 rates = st.floats(
     min_value=0.0, max_value=1.0, allow_nan=False, allow_infinity=False
@@ -50,21 +68,14 @@ custom_profiles = st.builds(
 
 @given(custom_profiles)
 def test_round_trip_over_the_parser_image(profile):
-    assert parse_fault_profile(format_fault_profile(profile)) == profile
-
-
-@given(custom_profiles)
-def test_format_is_canonical(profile):
-    """Formatting is a normal form: format∘parse∘format is format."""
-    spec = format_fault_profile(profile)
-    assert format_fault_profile(parse_fault_profile(spec)) == spec
+    assert parse_fault_profile(spec_of(profile)) == profile
 
 
 @pytest.mark.parametrize("name", FAULT_PROFILE_NAMES)
 def test_registered_profiles_format_as_their_name(name):
     profile = parse_fault_profile(name)
-    assert format_fault_profile(profile) == name
-    assert parse_fault_profile(format_fault_profile(profile)) == profile
+    assert profile.name == name
+    assert spec_of(profile) == name
 
 
 def test_near_named_profile_falls_back_to_spec():
@@ -72,7 +83,7 @@ def test_near_named_profile_falls_back_to_spec():
     registered name (parse would return a different ``name`` field)."""
     flaky = parse_fault_profile("flaky-kernels")
     twin = dataclasses.replace(flaky, name="custom")
-    spec = format_fault_profile(twin)
+    spec = spec_of(twin)
     assert spec != "flaky-kernels"
     assert parse_fault_profile(spec) == twin
 
@@ -81,11 +92,6 @@ def test_default_profile_survives_despite_empty_overrides():
     """The all-defaults profile must format to a non-empty spec (the
     parser rejects empty strings)."""
     profile = FaultProfile()
-    spec = format_fault_profile(profile)
+    spec = spec_of(profile)
     assert spec
     assert parse_fault_profile(spec) == profile
-
-
-def test_unrepresentable_name_raises():
-    with pytest.raises(ValueError, match="not representable"):
-        format_fault_profile(FaultProfile(name="my-bespoke-profile", seed=1))

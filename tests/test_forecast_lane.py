@@ -439,7 +439,7 @@ def test_forecast_fields_equal_the_per_sensor_shell(backend_name):
         for tick in range(TICKS):
             horizon, level = (1, 0.95) if tick % 2 else (3, 0.8)
             batch = service.forecast_all(horizon=horizon, level=level)
-            assert batch.ok
+            assert not batch.errors
             for sid, twin in twins.items():
                 output = oracle_predict(twin, horizon)[horizon]
                 want = oracle_forecast_fields(

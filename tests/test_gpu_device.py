@@ -61,7 +61,7 @@ class TestCostModel:
         assert dev.elapsed_s == 0.0
 
     def test_cpu_spec_is_serial(self):
-        assert CPU_SPEC.total_cores == 1
+        assert CPU_SPEC.n_sms * CPU_SPEC.cores_per_sm == 1
 
 
 class LedgerContract:

@@ -78,7 +78,7 @@ class TestRegistryUnderThreads:
         def worker(amounts):
             for amount in amounts:
                 gauge.inc(amount, lane="shared")
-                gauge.dec(amount, lane="shared")
+                gauge.inc(-amount, lane="shared")
 
         run_threads(worker, [(w,) for w in workloads])
         assert gauge.value(lane="shared") == 0.0

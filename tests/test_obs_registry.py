@@ -76,12 +76,12 @@ class TestGauge:
         g = registry.gauge("memory_bytes")
         g.set(100.0)
         g.inc(50.0)
-        g.dec(25.0)
+        g.inc(-25.0)  # a decrement
         assert g.value() == 125.0
 
     def test_gauge_may_go_negative(self, registry):
         g = registry.gauge("delta")
-        g.dec(3.0)
+        g.inc(-3.0)
         assert g.value() == -3.0
 
 

@@ -1,4 +1,5 @@
-"""Every ``src/repro`` module must have a caller that is not its own test.
+"""Every ``src/repro`` module, and every public name in it, must have a
+reader that is not its own test.
 
 A module is *reached* when a name it defines is imported, or read as
 ``package.attr``, by a ``src/repro`` module other than a package
@@ -8,6 +9,18 @@ up by name).  Re-exports through package ``__init__`` files are followed
 to the module that defines the name, but an ``__init__`` importing a
 module does not by itself reach it.  ``__init__``, ``__main__`` and
 ``cli`` are the entry points and are exempt.
+
+A public name is an ``__all__`` entry defined in its module, or a public
+method (property included) of a public class.  It is *read* when a
+reader other than its own definition uses it: an ``__all__`` name is
+imported (not merely re-exported by an ``__init__``), read as
+``module.name`` or, in its own module, used by another definition; a
+method is read as ``.name`` on anything, or by ``getattr`` with that
+string.  Readers are the ``src/repro`` modules, ``examples/``,
+``tools/``, ``benchmarks/`` outside its self-tests and the
+``cli.EXPERIMENTS`` drivers.  :data:`KEPT_UNREAD` lists the names kept
+without a reader, each with why, and :data:`NOT_YET_SWEPT` the unread
+ones left for a later sweep.
 
 The analysis is static (AST only), so a module reached only through a
 string the code builds at run time would be reported; none is.
@@ -185,3 +198,235 @@ def test_the_analysis_follows_imports_and_re_exports():
     assert package.resolve("repro.harness", "run_fig7") == (
         "repro.harness.search_experiments"
     )
+
+
+#: Public names with no non-test reader that stay, and why.  Reference
+#: oracles are what tests compare the optimised code against; test seams
+#: expose state a test must observe.
+KEPT_UNREAD = {
+    "repro.index.reference.algorithm1_reference":
+        "reference oracle: Algorithm 1 transcribed, GroupLevelIndex's oracle",
+    "repro.dtw.distance.dtw_distance_compressed":
+        "reference oracle: Appendix C's compressed-band DTW, the kernels' oracle",
+    "repro.dtw.distance.dtw_distance":
+        "reference oracle: cell-by-cell banded DTW every kernel is checked against",
+    "repro.dtw.knn.knn_bruteforce":
+        "reference oracle: the exhaustive kNN scan the search is checked against",
+    "repro.dtw.measures.euclidean_distance":
+        "reference: the upper bound banded DTW is checked against",
+    "repro.gp.loo.loo_log_likelihood":
+        "reference oracle: the brute-force LOO likelihood LooProblem matches",
+    "repro.gp.kernels.SquaredExponentialKernel.gradients":
+        "reference: the kept LOO-objective oracle differentiates through it",
+    "repro.core.predictor.GaussianPrediction.density":
+        "reference: the likelihoods ensemble weight updates are checked against",
+    "repro.timeseries.series.ZNormStats.invert_variance":
+        "reference: maps lane variances to raw units for forecast parity tests",
+    "repro.exec.process.ProcessShardEngine.worker_pids":
+        "test seam: crash tests kill a shard worker by pid",
+    "repro.gpu.device.MemoryLedger.live_allocations":
+        "test seam: ledger tests inspect what is still allocated",
+    "repro.core.smiler.SMiLer.now":
+        "test seam: lane and lifecycle tests compare stream positions",
+    "repro.index.window_index.WindowLevelIndex.series_envelope":
+        "test seam: the lane battery compares it with the per-sensor oracle",
+    "repro.obs.hooks.get_tracer":
+        "test seam: tracing tests read the process-wide tracer",
+    "repro.obs.hooks.configure_slo":
+        "test seam: SLO tests set objectives the defaults do not",
+    "repro.obs.tracing.Tracer.current":
+        "test seam: tracer tests read the active span per thread",
+    "repro.obs.tracing.Span.find":
+        "test seam: trace tests locate the spans they assert on",
+    "repro.obs.tracing.Span.find_all":
+        "test seam: trace tests locate the spans they assert on",
+    "repro.dtw.lower_bounds.lb_eq":
+        "reference: scalar LB_EQ, checked <= DTW and <= LB_Improved",
+    "repro.dtw.lower_bounds.lb_ec":
+        "reference: scalar LB_EC; with lb_eq, LB_en = their max (Thm 4.1)",
+    "repro.timeseries.windows.disjoint_window_count":
+        "reference: the DW range the Theorem 4.2 / Lemma 4.1 properties span",
+}
+
+#: Unread names found beyond the ones the name-level sweep deleted: each
+#: has unit tests of its own that would go with it, so they are listed
+#: for the next sweep rather than deleted here.
+NOT_YET_SWEPT = {
+    "repro.dtw.envelope.Envelope.slice": "own tests only",
+    "repro.dtw.knn.ScanStats.merge": "own tests only",
+    "repro.gp.regression.GaussianProcessRegressor.kinv": "own tests only",
+    "repro.metrics.calibration.pit_values": "own tests only",
+    "repro.timeseries.io.load_directory": "own tests only",
+    "repro.timeseries.series.TimeSeries.segment": "own tests only",
+    "repro.timeseries.series.TimeSeries.suffix": "own tests only",
+    "repro.timeseries.windows.sliding_window": "own tests only",
+}
+
+READER_TOPS = ("examples", "tools", "benchmarks")
+
+
+def _all_names(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            return [element.value for element in node.value.elts]
+    return []
+
+
+def public_names(package):
+    """``{qualified name: module}``: ``module.name`` per ``__all__`` entry
+    the module defines, ``module.Class.method`` per public method of a
+    public class."""
+    names = {}
+    for module, path in package.paths.items():
+        if path.stem in EXEMPT - {"__init__"}:
+            continue
+        tree = ast.parse(path.read_text())
+        for name in _all_names(tree):
+            if name in package.defined[module]:
+                names[f"{module}.{name}"] = module
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(
+                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ) and not item.name.startswith("_"):
+                        names[f"{module}.{node.name}.{item.name}"] = module
+    return names
+
+
+def _defined_in(package, module, attr, depth=0):
+    """``module.attr`` followed through re-exports to its definition."""
+    if module not in package.paths or depth > 10:
+        return None
+    if attr in package.reexports[module]:
+        source, original = package.reexports[module][attr]
+        return _defined_in(package, source, original, depth + 1)
+    if attr in package.defined[module]:
+        return f"{module}.{attr}"
+    return None
+
+
+def names_read_by(package, path):
+    """``(qualified module-level names, attribute names)`` a file reads."""
+    tree = ast.parse(path.read_text())
+    this = module_name(path) if SRC in path.parents else ""
+    names, attrs, bound, modules = set(), set(), {}, {}
+    for source, original, alias in _from_imports(tree, this, path):
+        target = package.resolve(source, original)
+        if target in package.paths:
+            modules[alias] = target
+        defined = _defined_in(package, source, original)
+        if defined is not None:
+            bound[alias] = defined
+            if path.name != "__init__.py":  # a re-export is not a read
+                names.add(defined)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for item in node.names:
+                if item.name.split(".")[0] == "repro":
+                    alias = item.asname or item.name.split(".")[0]
+                    modules[alias] = item.name if item.asname else "repro"
+    own_names = package.defined.get(this, set())
+    for statement in tree.body:
+        own = getattr(statement, "name", None)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                if node.id in bound:
+                    names.add(bound[node.id])
+                elif node.id in own_names and node.id != own:
+                    names.add(f"{this}.{node.id}")
+            elif isinstance(node, ast.Attribute):
+                owner = package._module_of(node.value, modules)
+                if owner is not None:
+                    defined = _defined_in(package, owner, node.attr)
+                    if defined is not None:
+                        names.add(defined)
+    _attribute_reads(tree, None, attrs)
+    return names, attrs
+
+
+def _attribute_reads(node, own, attrs):
+    """Every ``.attr`` and ``getattr(x, "attr")`` under ``node``, except a
+    method reading itself."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        own = node.name
+    if isinstance(node, ast.Attribute) and node.attr != own:
+        attrs.add(node.attr)
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("getattr", "hasattr")
+        and len(node.args) > 1
+        and isinstance(node.args[1], ast.Constant)
+    ):
+        attrs.add(node.args[1].value)
+    for child in ast.iter_child_nodes(node):
+        _attribute_reads(child, own, attrs)
+
+
+def readers(package):
+    return list(package.paths.values()) + [
+        path
+        for top in READER_TOPS
+        for path in sorted((ROOT / top).rglob("*.py"))
+        if "tests" not in path.relative_to(ROOT).parts
+    ]
+
+
+def read_status():
+    """``{public name: whether a reader reads it}``."""
+    from repro import harness
+    from repro.cli import EXPERIMENTS
+
+    package = Package()
+    names, attrs = set(), set()
+    for path in readers(package):
+        file_names, file_attrs = names_read_by(package, path)
+        names |= file_names
+        attrs |= file_attrs
+    for driver, _ in EXPERIMENTS.values():
+        names.add(f"{getattr(harness, driver).__module__}.{driver}")
+    status = {}
+    for qualified, module in public_names(package).items():
+        tail = qualified[len(module) + 1 :]
+        status[qualified] = (
+            tail.split(".")[1] in attrs if "." in tail else qualified in names
+        )
+    return status
+
+
+def test_every_public_name_is_read():
+    unread = sorted(
+        name for name, read in read_status().items()
+        if not read and name not in KEPT_UNREAD | NOT_YET_SWEPT
+    )
+    assert not unread, (
+        "public names no non-test reader reads (delete them, or add them "
+        "to KEPT_UNREAD with why):\n" + "\n".join(unread)
+    )
+
+
+def test_allowances_are_for_existing_unread_names():
+    """An allowance for a name that is gone, or that has since gained a
+    reader, is stale."""
+    status = read_status()
+    for name in KEPT_UNREAD | NOT_YET_SWEPT:
+        assert status.get(name) is False, name
+
+
+def test_the_name_analysis_sees_every_kind_of_read():
+    """Pin one read of each kind, so a vacuous analysis cannot pass."""
+    package = Package()
+    bench = ROOT / "benchmarks/roundbench/probes.py"
+    names, _ = names_read_by(package, bench)
+    assert "repro.dtw.distance.dtw_batch_pruned" in names  # from-import
+    _, attrs = names_read_by(package, package.paths["repro.exec.process"])
+    assert "injected_s" in attrs  # getattr(backend, "injected_s", 0.0)
+    names, _ = names_read_by(package, package.paths["repro.timeseries.windows"])
+    assert "repro.timeseries.windows.csg_size" in names  # own module
+    names, _ = names_read_by(package, package.paths["repro.core"])
+    assert "repro.core.smiler.SMiLer" not in names  # a re-export only
+    assert "repro.core.smiler.predict_many" in public_names(package)

@@ -64,7 +64,7 @@ class TestCircuitBreaker:
         pool.record_failure(0)
         assert pool.state(0) == "open"
         assert not pool.admits(0)
-        assert pool.healthy_indices() == [1]
+        assert [i for i in range(len(pool)) if pool.admits(i)] == [1]
         assert pool.health(0).trips == 1
 
     def test_success_resets_the_streak(self):
@@ -284,7 +284,7 @@ class TestForecastAllPartialBatch:
         monkeypatch.setattr("repro.service.predict_many", one_row_fails)
         batch = service.forecast_all()
         assert set(batch) == {"good"}
-        assert not batch.ok
+        assert batch.errors
         assert isinstance(batch.errors["bad"], ForecastError)
         assert batch["good"].source == "ensemble"
 
@@ -293,7 +293,7 @@ class TestForecastAllPartialBatch:
         service.register("a", raw_history())
         service.register("b", raw_history(seed=1))
         batch = service.forecast_all()
-        assert batch.ok
+        assert not batch.errors
         assert sorted(batch) == ["a", "b"]
         assert all(f.source == "ensemble" for f in batch.values())
 
@@ -320,7 +320,7 @@ class TestFailover:
 
         for step in range(12):
             batch = service.forecast_all()
-            assert batch.ok, batch.errors  # nobody ever drops
+            assert not batch.errors, batch.errors  # nobody ever drops
             assert len(batch) == 4
             for sid in batch:
                 service.ingest(sid, 200.0 + float(rng.normal()))
@@ -406,7 +406,7 @@ class TestIngestLane:
         )
         for i in range(self.N):
             service.register(f"s{i}", raw_history(seed=i))
-        assert service.forecast_all().ok  # warm: every sensor has answers
+        assert not service.forecast_all().errors  # warm: every sensor has answers
         return service
 
     def readings(self, value=201.0):
@@ -448,7 +448,7 @@ class TestIngestLane:
         # So the forecasts that follow pay for no search at all.
         tick = self.backend(service).tick
         batch = service.forecast_all()
-        assert batch.ok and self.backend(service).tick == tick
+        assert not batch.errors and self.backend(service).tick == tick
         assert all(f.source == "ensemble" for f in batch.values())
 
     def test_exhausted_attempts_leave_the_whole_group_stale_but_served(self):
@@ -465,7 +465,7 @@ class TestIngestLane:
         # The burst is over: the forecasts re-search, sensor by sensor.
         tick = self.backend(service).tick
         batch = service.forecast_all()
-        assert batch.ok and len(batch) == self.N
+        assert not batch.errors and len(batch) == self.N
         assert self.backend(service).tick > tick
         assert all(f.source == "ensemble" for f in batch.values())
 
@@ -585,7 +585,7 @@ class TestForecastLane:
         """A warm lane whose last ingest's fused search failed: every
         reading retained, every answer stale."""
         service = self.make(**policy)
-        assert service.forecast_all().ok
+        assert not service.forecast_all().errors
         self.inject(service, service.resilience.attempts, kernel_error_rate=1.0)
         service.ingest_many(self.readings(service))
         assert all(
@@ -626,7 +626,7 @@ class TestForecastLane:
         backend, before = self.backend(service), self.health(service)
         tick, launches = backend.tick, backend.cost.launches
         batch = service.forecast_all()
-        assert batch.ok and len(batch) == self.N
+        assert not batch.errors and len(batch) == self.N
         assert all(f.source == "ensemble" for f in batch.values())
         backend, after = self.backend(service), self.health(service)
         # One fused search: per item length two verifications and one
@@ -638,7 +638,7 @@ class TestForecastLane:
         assert after["successes_total"] == before["successes_total"] + self.N
         # Every answer is current again: the next batch is free.
         tick = backend.tick
-        assert service.forecast_all().ok and self.backend(service).tick == tick
+        assert not service.forecast_all().errors and self.backend(service).tick == tick
 
     def test_a_failed_attempt_is_one_breaker_charge_for_the_lane(self):
         service = self.stale_lane(attempts=3)
@@ -648,7 +648,7 @@ class TestForecastLane:
         # second, attempt 3 runs clean.
         self.inject(service, 2, kernel_error_rate=1.0)
         batch = service.forecast_all()
-        assert batch.ok
+        assert not batch.errors
         assert all(f.source == "ensemble" for f in batch.values())
         after = self.health(service)
         assert after["failures_total"] == before["failures_total"] + 2
@@ -664,7 +664,7 @@ class TestForecastLane:
         # so each member's ``reduced`` rung re-searches it — alone.
         self.inject(service, 2, kernel_error_rate=1.0)
         batch = service.forecast_all()
-        assert batch.ok and len(batch) == self.N
+        assert not batch.errors and len(batch) == self.N
         assert all(f.source == "reduced" for f in batch.values())
         after = self.health(service)
         assert after["failures_total"] == before["failures_total"] + 2
@@ -682,7 +682,7 @@ class TestForecastLane:
         backend.profile = FaultProfile(dies_at_tick=backend.tick)
         before = self.health(dead)
         batch = dead.forecast_all()
-        assert batch.ok and len(batch) == self.N
+        assert not batch.errors and len(batch) == self.N
         assert all(f.source == "ar" and f.degraded for f in batch.values())
         assert self.health(dead)["failures_total"] == before["failures_total"] + 2
 
@@ -690,7 +690,7 @@ class TestForecastLane:
         dying = FaultInjectingBackend(SimulatedGpuBackend(), FaultProfile())
         service = self.make(backends=[dying, SimulatedGpuBackend()], attempts=2)
         assert service.sensors_per_backend() == [8, 8]
-        assert service.forecast_all().ok
+        assert not service.forecast_all().errors
         backend = self.backend(service)
         backend.profile = FaultProfile(dies_at_tick=backend.tick)
         service.ingest_many(self.readings(service))  # two charges: closed
@@ -698,7 +698,7 @@ class TestForecastLane:
         assert self.health(service)["state"] == "closed"
 
         batch = service.forecast_all()  # the third charge trips it
-        assert batch.ok and len(batch) == self.N
+        assert not batch.errors and len(batch) == self.N
         if service.engine.name != "process":
             # The lane's one failed attempt opened the breaker; its eight
             # members were re-homed, re-searched on the healthy backend
@@ -709,7 +709,7 @@ class TestForecastLane:
         # batch boundary, so that batch degrades and the next recovers.)
         assert service.sensors_per_backend() == [0, self.N]
         final = service.forecast_all()
-        assert final.ok
+        assert not final.errors
         assert all(f.source == "ensemble" for f in final.values())
 
     def test_kept_errors_tie_no_service_into_a_reference_cycle(self):
@@ -735,7 +735,7 @@ class TestForecastLane:
         naive = self.stale_lane(ladder=("naive",))
         tick = self.backend(naive).tick
         batch = naive.forecast_all()
-        assert batch.ok and all(f.source == "naive" for f in batch.values())
+        assert not batch.errors and all(f.source == "naive" for f in batch.values())
         # Never entered the stacked rung: nobody searched.
         assert self.backend(naive).tick == tick
         assert all(naive.sensor(sid)._answers is None for sid in naive.sensor_ids)
@@ -780,7 +780,7 @@ class TestForecastLane:
             )
 
         def check(batch):
-            assert batch.ok and sorted(batch) == sorted(twins)
+            assert not batch.errors and sorted(batch) == sorted(twins)
             for sid, twin in twins.items():
                 output = twin.predict(horizon=1)[1]
                 mean = float(stats[sid].invert(np.array([output.mean]))[0])
@@ -800,12 +800,14 @@ class TestForecastLane:
                 service.restore(tmp_path)
                 # Everyone is stale after a restore; the twins go
                 # through their own snapshot too.
-                from repro.core.persistence import load_smiler, save_smiler
+                from repro.core.persistence import (
+                    build_smiler, load_snapshot, save_smiler,
+                )
 
                 for sid, twin in twins.items():
                     save_smiler(twin, tmp_path / f"twin-{sid}.npz")
-                    twins[sid] = load_smiler(
-                        tmp_path / f"twin-{sid}.npz",
+                    twins[sid] = build_smiler(
+                        load_snapshot(tmp_path / f"twin-{sid}.npz"),
                         backend=make_backend(backend_name),
                     )
             check(service.forecast_all())

@@ -24,7 +24,7 @@ from repro.dtw import (
     dtw_batch_pruned,
     dtw_distance,
     envelope_shift,
-    lb_en,
+    lb_ec,
     lb_eq,
     lb_improved_profile,
     lb_kim,
@@ -152,7 +152,8 @@ class TestTierAdmissibility:
         dtw = dtw_distance(query, candidate, rho)
         slack = 1e-9 * max(1.0, dtw)
         assert lb_kim(query, candidate) <= dtw + slack
-        assert lb_en(query, candidate, rho) <= dtw + slack
+        assert lb_eq(query, candidate, rho) <= dtw + slack
+        assert lb_ec(query, candidate, rho) <= dtw + slack
         lbi = lb_improved_profile(query, candidate[None], rho)[0]
         assert lbi <= dtw + slack
         # Lemire's second pass only ever adds: LB_Improved >= LB_EQ.
@@ -181,7 +182,7 @@ class TestTierAdmissibility:
         # cascade's tiers prune independently rather than monotonically.
         q, c = np.array([0.0, 5.0]), np.array([5.0, 0.0])
         assert lb_kim(q, c) == 50.0
-        assert lb_en(q, c, rho=1) == 0.0
+        assert max(lb_eq(q, c, rho=1), lb_ec(q, c, rho=1)) == 0.0  # LB_en
         assert dtw_distance(q, c, rho=1) == 50.0
 
 
@@ -359,7 +360,7 @@ class TestSearchEdgeCases:
         """restore() rebuilds the engine with no _previous_knn; the next
         prediction must be bit-identical to the never-saved instance."""
         from repro.core import SMiLerConfig
-        from repro.core.persistence import load_smiler, save_smiler
+        from repro.core.persistence import build_smiler, load_snapshot, save_smiler
         from repro.core.smiler import SMiLer
 
         config = SMiLerConfig(
@@ -371,7 +372,7 @@ class TestSearchEdgeCases:
         original.predict()
         original.observe(0.31)
         save_smiler(original, tmp_path / "edge-0.npz")
-        restored = load_smiler(tmp_path / "edge-0.npz")
+        restored = build_smiler(load_snapshot(tmp_path / "edge-0.npz"))
         assert restored.engine._previous_knn == {}
 
         # The restored engine answers its very first (reuse-free) search

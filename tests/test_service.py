@@ -83,6 +83,25 @@ class TestRegistration:
         assert service.backends[0].allocated_bytes == 0
 
 
+def test_failed_build_releases_its_reservation(monkeypatch):
+    """Admission reserves before it builds; a build that raises leaves
+    nothing allocated and nothing registered."""
+    backend = SimulatedGpuBackend()
+    service = make_service(backends=backend)
+    reserved = []
+
+    def failing_build(self, *args, **kwargs):
+        reserved.append(backend.allocated_bytes)
+        raise RuntimeError("index build failed")
+
+    monkeypatch.setattr(SMiLer, "__init__", failing_build)
+    with pytest.raises(RuntimeError, match="index build failed"):
+        service.register("s1", raw_history())
+    assert reserved and reserved[0] > 0  # the pool had allocated
+    assert backend.allocated_bytes == 0
+    assert service.sensor_ids == []
+
+
 class TestExactReservation:
     """Admission reserves the analytic estimate and never adjusts it:
     at every point a sensor is (re-)admitted, estimate ==

@@ -72,7 +72,9 @@ class TestDatasetRegistry:
 
     def test_total_points(self):
         ds = make_dataset("NET", n_sensors=3, n_points=500, test_points=50)
-        assert ds.total_points() == 3 * 500
+        # The split keeps every generated point: history + tail per sensor.
+        stored = [len(h) + t.size for h, t in zip(ds.history, ds.test_tails)]
+        assert stored == [500] * 3
 
     def test_datasets_differ(self):
         road = make_dataset("ROAD", 1, 500, 50, seed=0)

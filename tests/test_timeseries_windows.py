@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 from repro.timeseries import (
     aligned_segment_start,
     csg_size,
-    csg_window_ids,
-    disjoint_window,
     disjoint_window_count,
-    disjoint_windows,
     sliding_window,
     sliding_window_count,
-    sliding_windows_right_to_left,
 )
+
+
+def csg_window_ids(item_length, b, omega):
+    """``CSG_{i,b} = {SW_b, SW_{b+omega}, ...}`` (Definition 4.2), as
+    sliding-window ids: ``csg_size`` of them, ``omega`` apart."""
+    return [b + j * omega for j in range(csg_size(item_length, b, omega))]
 
 
 class TestDisjointWindows:
@@ -23,20 +25,6 @@ class TestDisjointWindows:
         assert disjoint_window_count(12, 4) == 3
         assert disjoint_window_count(13, 4) == 3
         assert disjoint_window_count(3, 4) == 0
-
-    def test_window_values(self):
-        values = np.arange(12.0)
-        np.testing.assert_array_equal(disjoint_window(values, 1, 4), [4, 5, 6, 7])
-
-    def test_window_out_of_range(self):
-        with pytest.raises(IndexError):
-            disjoint_window(np.arange(8.0), 2, 4)
-
-    def test_matrix(self):
-        values = np.arange(9.0)
-        mat = disjoint_windows(values, 3)
-        assert mat.shape == (3, 3)
-        np.testing.assert_array_equal(mat[2], [6, 7, 8])
 
     def test_bad_omega(self):
         with pytest.raises(ValueError):
@@ -58,16 +46,6 @@ class TestSlidingWindows:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             sliding_window(np.arange(6.0), 4, 3)
-
-    def test_stack(self):
-        query = np.arange(5.0)
-        mat = sliding_windows_right_to_left(query, 3)
-        assert mat.shape == (3, 3)
-        np.testing.assert_array_equal(mat[0], [2, 3, 4])
-        np.testing.assert_array_equal(mat[2], [0, 1, 2])
-
-    def test_stack_empty(self):
-        assert sliding_windows_right_to_left(np.arange(2.0), 3).shape == (0, 3)
 
 
 class TestCsg:
