@@ -124,6 +124,14 @@ class TestServe:
             with pytest.raises(SystemExit):
                 main(["serve", flag, "0"])
 
+    def test_telemetry_validation(self):
+        from repro import obs
+
+        for fmt in ("prom", "json"):
+            with pytest.raises(SystemExit):
+                main(["serve", "--steps", "0", "--telemetry", fmt])
+            assert not obs.is_enabled()
+
     def test_unknown_dataset(self):
         with pytest.raises(KeyError):
             main(["serve", "--dataset", "XX", "--steps", "2"])
