@@ -15,18 +15,26 @@ Two training regimes, exactly as the paper describes:
   preserved").  The step length is warm-started too: a training's first
   line search starts at twice the last step the cell accepted (capped at
   1.0), not at 1.0.
+
+Training runs as a *lane*: every awake GP cell of a forecast lane is a
+member of one :func:`_predict_lane` call, stacked by ``k`` across item
+lengths and sensors.  Each member runs the one CG body as a coroutine;
+each tick answers a stack's value requests with one stacked
+:meth:`~repro.gp.loo.LooProblem.values` call, then its gradient requests
+with at most one stacked gradient call.  Members share calls, not
+numbers, so :meth:`GaussianProcessPredictor.predict` is a lane of one.
 """
 
 from __future__ import annotations
 
 import logging
+from typing import Sequence
 
 import numpy as np
 
-from ..gp.kernels import SquaredExponentialKernel
+from ..gp.kernels import SquaredExponentialKernel, squared_distances
 from ..gp.loo import LooProblem
-from ..gp.optimize import conjugate_gradient_minimize
-from ..gp.regression import GaussianProcessRegressor
+from ..gp.optimize import CgRun, OptimizeResult, conjugate_gradient
 from ..obs import hooks as obs
 from .predictor import GaussianPrediction, SemiLazyPredictor
 
@@ -42,23 +50,210 @@ _LOG_BOUND = 6.0
 _PENALTY = 10.0
 
 
-class _BoxedLoo:
+class _BoxedStack:
     """Negative LOO likelihood plus a quadratic pull-back into the box,
-    as the optimiser's objective (:class:`repro.gp.optimize.Objective`)."""
+    per member of a :class:`~repro.gp.loo.LooProblem` stack."""
 
-    def __init__(self, neighbours: np.ndarray, targets: np.ndarray) -> None:
-        self._problem = LooProblem(neighbours, targets)
-        self._excess = self._sign = np.zeros(3)
+    def __init__(self, problem: LooProblem) -> None:
+        self.problem = problem
+        self._pull: dict[int, np.ndarray] | None = None  # None: all inside
 
-    def value(self, log_params: np.ndarray) -> float:
-        value = self._problem.value(log_params.clip(-12, 12))
-        self._excess = np.maximum(np.abs(log_params) - _LOG_BOUND, 0.0)
-        self._sign = np.sign(log_params)
-        return value + _PENALTY * float((self._excess**2).sum())
+    def values(self, points: np.ndarray, members: list[int]) -> tuple:
+        values, failed = self.problem.values(points.clip(-12, 12), members)
+        self._pull = None
+        if np.abs(points).max() > _LOG_BOUND:
+            excess = np.maximum(np.abs(points) - _LOG_BOUND, 0.0)
+            self._pull = dict(
+                zip(members, 2.0 * _PENALTY * excess * np.sign(points))
+            )
+            values = values + _PENALTY * (excess**2).sum(axis=1)
+        return values, failed
 
-    def gradient(self) -> np.ndarray:
-        pull = 2.0 * _PENALTY * self._excess * self._sign
-        return self._problem.gradient() + pull
+    def gradients(self, members: list[int]) -> np.ndarray:
+        grads = self.problem.gradients(members)
+        if self._pull is None:
+            return grads
+        return grads + np.array([self._pull[member] for member in members])
+
+
+def _lock_step(boxed: _BoxedStack, runs: dict[int, CgRun]) -> tuple[dict, dict]:
+    """Answer the CG runs of one stack tick by tick: every run that asks
+    for a value gets it from one stacked value call, then every run that
+    now asks for a gradient from at most one stacked gradient call.
+    Returns ``({member: OptimizeResult or the exception that failed
+    it}, {member: (log theta, K^-1, alpha) where its run last valued})``."""
+    finished: dict = {}
+    factors: dict = {}
+    asks: dict = {}
+
+    def advance(member, answer):
+        try:
+            asks[member] = runs[member].send(answer)
+        except StopIteration as stop:
+            finished[member] = stop.value
+            factors[member] = boxed.problem.factor(member)
+        except Exception as error:  # noqa: BLE001 - fails this member
+            finished[member] = error.with_traceback(None)
+
+    for member in runs:
+        advance(member, None)
+    while asks:
+        members = list(asks)
+        values, failed = boxed.values(
+            np.array([asks.pop(member) for member in members]), members
+        )
+        for at, (member, value) in enumerate(zip(members, values.tolist())):
+            if at in failed:
+                runs[member].close()
+                finished[member] = failed[at]
+            else:
+                advance(member, value)
+        wanting = [member for member, ask in asks.items() if ask is None]
+        if wanting:
+            for member, grad in zip(wanting, boxed.gradients(wanting)):
+                del asks[member]
+                advance(member, grad)
+    return finished, factors
+
+
+def _train_stack(
+    predictors: Sequence["GaussianProcessPredictor"],
+    problem: LooProblem,
+    neighbours: Sequence[np.ndarray],
+    targets: np.ndarray,
+) -> tuple[dict, dict]:
+    """The lane trainer: train one stack in lock step and move each
+    predictor to its trained hyperparameters.  Returns ``{member:
+    exception}`` (those predictors untouched) and the kept factors."""
+    starts, budgets, runs = [], [], {}
+    for member, predictor in enumerate(predictors):
+        if predictor._log_params is None:
+            start = _seed_kernel(neighbours[member], targets[member]).log_params
+            budget = predictor.initial_train_iters
+            predictor._step = 1.0
+        else:
+            start, budget = predictor._log_params, predictor.online_train_iters
+        starts.append(start)
+        budgets.append(budget)
+        if budget > 0:
+            runs[member] = conjugate_gradient(
+                start, max_iters=budget, initial_step=min(1.0, 2.0 * predictor._step)
+            )
+    finished, factors = _lock_step(_BoxedStack(problem), runs)
+    failed = {}
+    for member, predictor in enumerate(predictors):
+        result = finished.get(member)
+        if isinstance(result, Exception):
+            failed[member] = result
+            continue
+        if isinstance(result, OptimizeResult):
+            predictor._step = result.step
+            predictor.cg_iterations += result.iterations
+            predictor.objective_evaluations += result.evaluations
+            predictor.gradient_evaluations += result.gradient_evaluations
+            obs.observe_gp_training(
+                result.iterations, result.converged, result.evaluations,
+                result.gradient_evaluations,
+            )
+            if not result.converged:
+                logger.debug(
+                    "GP LOO-CG training stopped without convergence after "
+                    "%d/%d iterations (objective %.6g)",
+                    result.iterations, budgets[member], result.value,
+                )
+            starts[member] = result.x
+        predictor._log_params = np.clip(
+            np.asarray(starts[member]), -_LOG_BOUND, _LOG_BOUND
+        )
+        predictor.train_calls += 1
+    return failed, factors
+
+
+def _fit_stack(predictors, queries, neighbours, targets) -> list:
+    """Train, then predict, one stack (one ``k``); one outcome per member.
+    The posterior reads the factor a member's training kept at its
+    trained point, or — trained elsewhere (a clipped point, a rejected
+    last candidate, no budget) — one more stacked factorisation there."""
+    targets = np.array(targets)
+    # Centre the targets: the zero-mean prior of Appendix B.3 is right for
+    # the *local* residual, not the raw values — without this the
+    # posterior shrinks towards 0 whenever the kernel correlation is weak
+    # (long horizons), losing to plain aggregation.
+    target_means = targets.mean(axis=1)
+    centred = targets - target_means[:, None]
+    problem = LooProblem(neighbours, centred)
+    outcomes: list = [None] * len(predictors)
+    failed, factors = _train_stack(predictors, problem, neighbours, centred)
+    for member, error in failed.items():
+        outcomes[member] = error
+    stale = [
+        member for member, predictor in enumerate(predictors)
+        if member not in failed and not (
+            member in factors
+            and np.array_equal(factors[member][0], predictor._log_params)
+        )
+    ]
+    if stale:
+        _, refused = problem.values(
+            np.array([predictors[member]._log_params for member in stale]), stale
+        )
+        for at, member in enumerate(stale):
+            if at in refused:
+                outcomes[member] = refused[at]
+            else:
+                factors[member] = problem.factor(member)
+    served = [member for member, outcome in enumerate(outcomes) if outcome is None]
+    if not served:
+        return outcomes
+    theta_sq = np.exp(np.array([predictors[m]._log_params for m in served])) ** 2
+    kinv = np.array([factors[member][1] for member in served])
+    alpha = np.array([factors[member][2] for member in served])
+    query_sq = np.array([
+        squared_distances(neighbours[member], queries[member][None, :])[:, 0]
+        for member in served
+    ])
+    cross = theta_sq[:, :1] * np.exp(-0.5 * query_sq / theta_sq[:, 1:2])
+    means = (cross * alpha).sum(axis=1) + target_means[served]
+    variances = theta_sq[:, 0] + theta_sq[:, 2] - (
+        cross * (kinv @ cross[:, :, None])[:, :, 0]
+    ).sum(axis=1)
+    for member, mean, variance in zip(served, means.tolist(), variances.tolist()):
+        if np.isfinite(mean) and np.isfinite(variance):
+            outcomes[member] = GaussianPrediction(mean, max(variance, 1e-10))
+        else:
+            # Pathological conditioning: degrade gracefully to aggregation.
+            outcomes[member] = GaussianPrediction(
+                float(targets[member].mean()), float(np.var(targets[member])) + 1e-6
+            )
+    return outcomes
+
+
+def _predict_lane(predictors, queries, neighbours, targets) -> list:
+    """The GP family's prediction step for a lane's members (one ``(query,
+    neighbours, targets)`` each): members of one ``k`` are one stack
+    (:func:`_fit_stack`) under one ``gp_fit`` span.  One outcome per
+    member, its exception in its place."""
+    outcomes: list = [None] * len(predictors)
+    stacks: dict[int, list[int]] = {}
+    for member, (x, y) in enumerate(zip(neighbours, targets)):
+        if x.shape[0] < 2:
+            # A one-point GP posterior is degenerate; fall back to the
+            # neighbour's target with prior-scale uncertainty.
+            outcomes[member] = GaussianPrediction(float(y[0]), 1.0)
+        else:
+            stacks.setdefault(x.shape[0], []).append(member)
+    for k, members in stacks.items():
+        with obs.span("gp_fit") as sp:
+            if sp is not None:
+                sp.attrs["k"] = k
+                sp.attrs["members"] = len(members)
+            fitted = _fit_stack(
+                [predictors[m] for m in members], [queries[m] for m in members],
+                [neighbours[m] for m in members], [targets[m] for m in members],
+            )
+        for member, outcome in zip(members, fitted):
+            outcomes[member] = outcome
+    return outcomes
 
 
 def _seed_kernel(neighbours: np.ndarray, targets: np.ndarray) -> SquaredExponentialKernel:
@@ -106,68 +301,24 @@ class GaussianProcessPredictor(SemiLazyPredictor):
             return None
         return SquaredExponentialKernel.from_log_params(self._log_params)
 
-    def _train(self, neighbours: np.ndarray, targets: np.ndarray) -> SquaredExponentialKernel:
-        if self._log_params is None:
-            start = _seed_kernel(neighbours, targets).log_params
-            budget = self.initial_train_iters
-            self._step = 1.0
-        else:
-            start = self._log_params
-            budget = self.online_train_iters
-        if budget > 0:
-            result = conjugate_gradient_minimize(
-                _BoxedLoo(neighbours, targets),
-                start,
-                max_iters=budget,
-                initial_step=min(1.0, 2.0 * self._step),
-            )
-            self._step = result.step
-            self.cg_iterations += result.iterations
-            self.objective_evaluations += result.evaluations
-            self.gradient_evaluations += result.gradient_evaluations
-            obs.observe_gp_training(
-                result.iterations,
-                result.converged,
-                result.evaluations,
-                result.gradient_evaluations,
-            )
-            if not result.converged:
-                logger.debug(
-                    "GP LOO-CG training stopped without convergence after "
-                    "%d/%d iterations (objective %.6g)",
-                    result.iterations, budget, result.value,
-                )
-            start = result.x
-        self._log_params = np.clip(np.asarray(start), -_LOG_BOUND, _LOG_BOUND)
-        self.train_calls += 1
-        return SquaredExponentialKernel.from_log_params(self._log_params)
-
     def predict(
         self, query: np.ndarray, neighbours: np.ndarray, targets: np.ndarray
     ) -> GaussianPrediction:
-        """Gaussian h-step-ahead prediction (see BaseForecaster.predict)."""
+        """Gaussian h-step-ahead prediction (see BaseForecaster.predict):
+        a lane of one."""
         query, neighbours, targets = self._validate(query, neighbours, targets)
-        if neighbours.shape[0] < 2:
-            # A one-point GP posterior is degenerate; fall back to the
-            # neighbour's target with prior-scale uncertainty.
-            return GaussianPrediction(float(targets[0]), 1.0)
-        # Centre the targets: the zero-mean prior of Appendix B.3 is right
-        # for the *local* residual, not the raw values — without this the
-        # posterior shrinks towards 0 whenever the kernel correlation is
-        # weak (long horizons), losing to plain aggregation.
-        target_mean = float(targets.mean())
-        centred = targets - target_mean
-        with obs.span("gp_fit") as sp:
-            if sp is not None:
-                sp.attrs["k"] = int(neighbours.shape[0])
-                sp.attrs["d"] = int(neighbours.shape[1])
-            kernel = self._train(neighbours, centred)
-            gp = GaussianProcessRegressor(kernel).fit(neighbours, centred)
-        mean, var = gp.predict(query[None, :], include_noise=True)
-        mean = mean + target_mean
-        if not np.isfinite(mean[0]) or not np.isfinite(var[0]):
-            # Pathological conditioning: degrade gracefully to aggregation.
-            mean_value = float(targets.mean())
-            var_value = float(np.var(targets)) + 1e-6
-            return GaussianPrediction(mean_value, var_value)
-        return GaussianPrediction(float(mean[0]), float(max(var[0], 1e-10)))
+        [outcome] = _predict_lane([self], [query], [neighbours], [targets])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    @staticmethod
+    def predict_stacks(stacks):
+        """Every row of every stack is one member of one GP lane
+        (:func:`_predict_lane`): cells of one ``k`` train in lock step
+        whatever their ``d`` and sensor."""
+        members = [
+            member for stack in stacks for member in zip(*stack)
+        ]
+        outcomes = iter(_predict_lane(*zip(*members)))
+        return [[next(outcomes) for _ in stack[0]] for stack in stacks]

@@ -96,6 +96,20 @@ class SemiLazyPredictor(ABC):
                 outcomes.append(error.with_traceback(None))
         return outcomes
 
+    @classmethod
+    def predict_stacks(cls, stacks) -> list[list["GaussianPrediction | Exception"]]:
+        """One outcome list per ``(predictors, queries, neighbours,
+        targets)`` stack of :meth:`predict_rows` arguments — every stack of
+        one family a prediction step asks for.  The default is
+        :meth:`predict_rows` per stack, an exception failing its rows."""
+        outcomes = []
+        for stack in stacks:
+            try:
+                outcomes.append(cls.predict_rows(*stack))
+            except Exception as error:  # noqa: BLE001 - this stack's rows fail
+                outcomes.append([error.with_traceback(None)] * len(stack[0]))
+        return outcomes
+
     @staticmethod
     def _validate(query, neighbours, targets):
         query = np.asarray(query, dtype=np.float64).ravel()

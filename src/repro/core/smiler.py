@@ -158,9 +158,9 @@ class SMiLer:
                 f"{self.config.horizons}"
             )
         self._current_answers()
-        return _raised(_LaneKnn([self]).predict_cell(
-            min(self.config.grid), horizon, [0], [_REDUCED]
-        )[0])
+        return _raised(_LaneKnn([self]).predict_cells(
+            horizon, [(min(self.config.grid), [0], [_REDUCED])]
+        )[0][0])
 
     def rebind(self, backend: ComputeBackend | None) -> "SMiLer":
         """Move this sensor to another backend: rebuild the search index
@@ -337,44 +337,50 @@ class _LaneKnn:
             )
         return self._targets[d, horizon]
 
-    def predict_cell(
+    def predict_cells(
         self,
-        cell: Cell,
         horizon: int,
-        rows: Sequence[int],
-        predictors: Sequence[SemiLazyPredictor],
-    ) -> list["GaussianPrediction | Exception"]:
-        """Cell ``(k, d)`` of sensors ``rows`` through their
-        ``predictors``: one :meth:`SemiLazyPredictor.predict_rows` per
-        stack of rows that take as many neighbours (an answer may hold
-        fewer than ``k``) through one predictor family.  One outcome per
-        row; whatever fails a stack fails its rows only."""
-        k, d = cell
-        _, sizes, queries, neighbours = self.segments(d)
-        targets, observed = self.targets(d, horizon)
-        outcomes: list = [None] * len(rows)
-        stacks: dict[tuple, list[int]] = {}
-        for at, (row, predictor) in enumerate(zip(rows, predictors)):
-            if observed[row]:
-                stacks.setdefault(
-                    (min(k, sizes[row]), type(predictor)), []
-                ).append(at)
-            else:
-                outcomes[at] = IndexError(
-                    f"a {horizon}-step-ahead target of an item-length-{d} "
-                    f"neighbour is not observed yet"
-                )
-        for (take, family), members in stacks.items():
-            picked = np.array([rows[at] for at in members])
-            try:
-                results = family.predict_rows(
+        cells: Sequence[tuple[Cell, Sequence[int], Sequence[SemiLazyPredictor]]],
+    ) -> list[list["GaussianPrediction | Exception"]]:
+        """Each ``(cell, rows, predictors)``: cell ``(k, d)`` of sensors
+        ``rows`` through their ``predictors``, one outcome per row.  The
+        rows of a cell that take as many neighbours (an answer may hold
+        fewer than ``k``) through one predictor family form a stack, and
+        each family gets every stack of every cell in one
+        :meth:`SemiLazyPredictor.predict_stacks`; whatever fails a family
+        call fails its rows only."""
+        outcomes: list[list] = [[None] * len(rows) for _, rows, _ in cells]
+        families: dict[type, list] = {}
+        for c, (cell, rows, predictors) in enumerate(cells):
+            k, d = cell
+            _, sizes, queries, neighbours = self.segments(d)
+            targets, observed = self.targets(d, horizon)
+            stacks: dict[tuple, list[int]] = {}
+            for at, (row, predictor) in enumerate(zip(rows, predictors)):
+                if observed[row]:
+                    stacks.setdefault(
+                        (min(k, sizes[row]), type(predictor)), []
+                    ).append(at)
+                else:
+                    outcomes[c][at] = IndexError(
+                        f"a {horizon}-step-ahead target of an item-length-{d} "
+                        f"neighbour is not observed yet"
+                    )
+            for (take, family), members in stacks.items():
+                picked = np.array([rows[at] for at in members])
+                families.setdefault(family, []).append((c, members, (
                     [predictors[at] for at in members], queries[picked],
                     neighbours[picked, :take], targets[picked, :take],
-                )
-            except Exception as error:  # noqa: BLE001 - this stack's rows fail
-                results = [error.with_traceback(None)] * len(members)
-            for at, result in zip(members, results):
-                outcomes[at] = result
+                )))
+        for family, jobs in families.items():
+            try:
+                results = family.predict_stacks([stack for _, _, stack in jobs])
+            except Exception as error:  # noqa: BLE001 - this family's rows fail
+                error = error.with_traceback(None)
+                results = [[error] * len(members) for _, members, _ in jobs]
+            for (c, members, _), stack_results in zip(jobs, results):
+                for at, result in zip(members, stack_results):
+                    outcomes[c][at] = result
         return outcomes
 
 
@@ -392,8 +398,10 @@ def predict_many(
     :func:`~repro.index.suffix_search.search_many`, so the sensors must
     share one backend object and search configuration (callers group by
     placement; a mixed group is a ``ValueError`` from the search or from
-    :func:`~repro.index.window_index.lane_of`).  Per cell the sensors on
-    which it is awake are one :meth:`_LaneKnn.predict_cell`; mixing
+    :func:`~repro.index.window_index.lane_of`).  Per horizon every awake
+    cell of every sensor is one :meth:`_LaneKnn.predict_cells` — one
+    :meth:`SemiLazyPredictor.predict_stacks` per predictor family, so a
+    GP lane trains all its cells in lock step; mixing
     (:meth:`AdaptiveEnsemble.mix`) and the pending-update queue stay per
     sensor.
     """
@@ -455,13 +463,14 @@ def _predict_horizon(
     components: dict[int, dict[Cell, GaussianPrediction]] = {
         row: {} for rows in patterns.values() for row in rows
     }
-    for cell, rows in by_cell.items():
-        rows = [row for row in rows if row in components]
-        predictors = [
-            lane[row]._ensembles[h].state(cell).predictor for row in rows
-        ]
-        results = knn.predict_cell(cell, h, rows, predictors)
+    asked = [
+        (cell, rows, [lane[row]._ensembles[h].state(cell).predictor for row in rows])
+        for cell, rows in by_cell.items()
+    ]
+    for (cell, rows, _), results in zip(asked, knn.predict_cells(h, asked)):
         for row, result in zip(rows, results):
+            if row not in components:
+                continue  # failed at an earlier cell
             if isinstance(result, Exception):
                 served[row] = result
                 del components[row]

@@ -42,10 +42,6 @@ class Envelope:
     def __len__(self) -> int:
         return self.upper.shape[-1]
 
-    def slice(self, start: int, stop: int) -> "Envelope":
-        """Envelope restricted to positions ``[start, stop)`` (view)."""
-        return Envelope(self.upper[start:stop], self.lower[start:stop], self.rho)
-
 
 def _check_rho(rho: int) -> int:
     if rho < 0:

@@ -35,13 +35,6 @@ class ScanStats:
     candidates_total: int = 0
     candidates_verified: int = 0
 
-    def merge(self, other: "ScanStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.lb_positions += other.lb_positions
-        self.dtw_cells += other.dtw_cells
-        self.candidates_total += other.candidates_total
-        self.candidates_verified += other.candidates_verified
-
 
 @dataclass
 class KnnResult:

@@ -13,12 +13,13 @@ so all n leave-one-out posteriors come from ONE factorisation instead of
 n rank-down-dated ones.  Gradients w.r.t. ``log theta_j`` follow GPML
 Eqn. 5.13 and are verified against finite differences in the tests.
 
-All of it lives in :class:`LooProblem`: one object per training call that
-holds what the hyperparameters cannot change (the pairwise squared
-distances, the targets, the identity) and splits an evaluation into the
-value every line-search candidate needs and the gradient only an accepted
-one does.  :func:`loo_quantities`, :func:`loo_log_likelihood` and
-:func:`loo_objective` are one-shot views of it.
+All of it lives in :class:`LooProblem`: one object per stack of training
+problems of one size ``k`` that holds what the hyperparameters cannot
+change (the pairwise squared distances, the targets, the identity) and
+splits an evaluation into the value every line-search candidate needs and
+the gradient only an accepted one does — for every member of the stack
+in one call.  :func:`loo_quantities`, :func:`loo_log_likelihood` and
+:func:`loo_objective` are one-shot views of a stack of one.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.lapack import dtrtri
 
 from .kernels import SquaredExponentialKernel, squared_distances
 from .regression import robust_cholesky
@@ -52,56 +53,84 @@ class LooResult:
 
 
 class LooProblem:
-    """The LOO training problem of one ``(inputs, targets)`` set.
+    """The LOO training problems of a stack of ``(inputs, targets)`` sets
+    with one neighbour count ``k`` (the input lengths may differ).
 
-    Implements the objective protocol of
-    :func:`repro.gp.optimize.conjugate_gradient_minimize`:
-    :meth:`value` at any point, :meth:`gradient` at the point last valued
-    (it reuses that evaluation's SE matrix, ``K^-1``, ``alpha`` and
-    diagonal).  Every operand reaches every LAPACK / BLAS / ufunc call
-    with the values and in the order the one-evaluation-at-a-time code
-    had, so values and gradients are bit-identical to it.
+    Every member is factorised on its own through
+    :func:`~repro.gp.regression.robust_cholesky` (its checks and jitter
+    ladder), and every stacked operation works per member along the last
+    axes, so a member's numbers do not depend on what shares its stack;
+    a member whose factorisation raises fails alone.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray) -> None:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        self._y = np.asarray(y, dtype=np.float64).ravel()
-        if x.shape[0] != self._y.size:
-            raise ValueError(f"{x.shape[0]} inputs but {self._y.size} targets")
-        self._sq = squared_distances(x, x)
+    def __init__(self, inputs, targets) -> None:
+        self._y = np.asarray(targets, dtype=np.float64)
+        if self._y.ndim != 2 or self._y.shape[0] != len(inputs):
+            raise ValueError(
+                f"expected one target row per input set, got targets "
+                f"{self._y.shape} for {len(inputs)} input sets"
+            )
+        members, k = self._y.shape
+        self._sq = np.empty((members, k, k))
+        for member, x in enumerate(inputs):
+            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+            if x.shape[0] != k:
+                raise ValueError(f"{x.shape[0]} inputs but {k} targets")
+            self._sq[member] = squared_distances(x, x)
         self._exponent = -0.5 * self._sq  # times 1 / theta1^2, per evaluation
-        self._eye = np.eye(self._y.size)
+        self._eye = np.eye(k)
         self._kept: tuple | None = None
+        #: Stacked :meth:`values` / :meth:`gradients` calls made so far.
+        self.value_calls = self.gradient_calls = 0
 
-    def evaluate(self, kernel: SquaredExponentialKernel) -> LooResult:
-        """LOO posterior of every held-out point under ``kernel`` (Eqn. 19,
-        GPML eq. 5.10-5.12); the point :meth:`gradient` then refers to."""
-        y = self._y
-        se = kernel.theta0**2 * np.exp(self._exponent / kernel.theta1**2)
-        lower, _ = robust_cholesky(se + kernel.theta2**2 * self._eye)
-        kinv, info = dpotrs(lower, self._eye, lower=1)
-        if info != 0:
-            raise ValueError(f"LAPACK dpotrs: illegal value in argument {-info}")
-        alpha = kinv @ y
-        diag = np.maximum(kinv.diagonal(), 1e-300)
-        variances = 1.0 / diag
-        means = y - alpha / diag
-        logp = (
-            -0.5 * np.log(variances)
-            - (y - means) ** 2 / (2.0 * variances)
-            - 0.5 * _LOG_2PI
+    def values(self, log_params: np.ndarray, members) -> tuple[np.ndarray, dict]:
+        """Negative LOO log likelihood of each of ``members`` at its row of
+        ``log theta [R, 3]`` (the optimiser minimises, hence the sign), and
+        ``{position: exception}`` for the members that failed (NaN).
+
+        With ``mu_i - y_i = -alpha_i / Kinv_ii`` and ``sigma_i^2 = 1 /
+        Kinv_ii``, ``-log p_i = (alpha_i^2 / Kinv_ii - log Kinv_ii + log
+        2 pi) / 2``.
+        """
+        self.value_calls += 1
+        members = np.asarray(members, dtype=np.intp)
+        log_params = np.clip(log_params, -20.0, 20.0)
+        theta_sq = np.exp(log_params) ** 2
+        se = theta_sq[:, 0, None, None] * np.exp(
+            self._exponent[members] / theta_sq[:, 1, None, None]
         )
-        self._kept = (kernel, se, kinv, alpha, diag)
-        return LooResult(means, variances, float(logp.sum()))
+        cov = se + theta_sq[:, 2, None, None] * self._eye
+        # K^-1 = L^-T L^-1: one triangular inverse per member, one stacked
+        # product (exactly symmetric) for all of them.
+        inverse = np.empty_like(cov)
+        failed = {}
+        for at, matrix in enumerate(cov):
+            try:
+                lower, _ = robust_cholesky(matrix)
+                inverse[at], info = dtrtri(lower, lower=1)
+                if info != 0:
+                    raise np.linalg.LinAlgError(
+                        f"LAPACK dtrtri: singular factor (info {info})"
+                    )
+            except Exception as error:  # noqa: BLE001 - fails this member
+                failed[at] = error.with_traceback(None)
+                inverse[at] = self._eye
+        kinv = inverse.transpose(0, 2, 1) @ inverse
+        alpha = (kinv @ self._y[members, :, None])[:, :, 0]
+        diag = np.maximum(np.diagonal(kinv, axis1=1, axis2=2), 1e-300)
+        self._kept = (
+            {int(m): at for at, m in enumerate(members)},
+            log_params, theta_sq, se, kinv, alpha, diag,
+        )
+        values = 0.5 * (alpha * alpha / diag - np.log(diag)).sum(axis=1) + (
+            0.5 * alpha.shape[1] * _LOG_2PI
+        )
+        values[list(failed)] = np.nan
+        return values, failed
 
-    def value(self, log_params: np.ndarray) -> float:
-        """Negative LOO log likelihood at ``log theta`` (the optimiser
-        minimises, hence the sign)."""
-        kernel = SquaredExponentialKernel.from_log_params(log_params)
-        return -self.evaluate(kernel).log_likelihood
-
-    def gradient(self) -> np.ndarray:
-        """Gradient w.r.t. ``log theta`` at the point last evaluated.
+    def gradients(self, members) -> np.ndarray:
+        """``[R, 3]`` gradients w.r.t. ``log theta`` of ``members`` (a
+        subset of the last :meth:`values` call's) where they were valued.
 
         GPML eq. 5.13: for each hyperparameter j with
         ``Z_j = Kinv dK/dtheta_j``,
@@ -109,32 +138,70 @@ class LooProblem:
             dL/dtheta_j = sum_i [ alpha_i (Z_j alpha)_i
                           - 0.5 (1 + alpha_i^2 / Kinv_ii) (Z_j Kinv)_ii ]
                           / Kinv_ii
+
+        The theta2 term is algebraic: ``dK/dlog theta2 = 2 theta2^2 I``,
+        so ``Z_2 = 2 theta2^2 Kinv`` needs only ``Kinv alpha`` and
+        ``diag(Kinv^2)``.  The theta0 term is not: its algebraic form,
+        ``Z_0 = 2 (I - theta2^2 Kinv)``, cancels ``theta2^2 Kinv`` against
+        ``I`` and loses every digit on near-duplicate neighbours under a
+        noise term that rounds away, so ``Kinv dK_0`` is a stacked matrix
+        product, as ``Kinv dK_1`` is.
         """
         if self._kept is None:
-            raise RuntimeError("value() or evaluate() must be called first")
-        kernel, se, kinv, alpha, diag = self._kept
-        kernel_grads = (
-            2.0 * se,
-            se * (self._sq / kernel.theta1**2),
-            2.0 * kernel.theta2**2 * self._eye,
+            raise RuntimeError("values() must be called first")
+        self.gradient_calls += 1
+        position, _, theta_sq, se, kinv, alpha, diag = self._kept
+        at = np.array([position[int(m)] for m in members], dtype=np.intp)
+        theta_sq, se, kinv, alpha, diag = (
+            theta_sq[at], se[at], kinv[at], alpha[at], diag[at]
         )
-        grads = np.empty(3)
-        for j, dk in enumerate(kernel_grads):
-            zj = kinv @ dk
-            zj_alpha = zj @ alpha
-            zj_kinv_diag = np.sum(zj * kinv.T, axis=1)
-            per_point = (
-                alpha * zj_alpha - 0.5 * (1.0 + alpha**2 / diag) * zj_kinv_diag
-            ) / diag
-            grads[j] = -float(per_point.sum())
+        # Z_0 / 2 and Z_1 of every member, [R, k, k] each.
+        z0 = kinv @ se
+        z1 = kinv @ (
+            se * (self._sq[np.asarray(members, dtype=np.intp)]
+                  / theta_sq[:, 1, None, None])
+        )
+        # Per point: alpha_i (Z alpha)_i / Kinv_ii and the (Z Kinv)_ii
+        # weight, against [Z alpha] and [diag Z Kinv] for Z_0 / 2, Z_1 and
+        # Kinv (which is symmetric).
+        ratio = alpha / diag
+        weight = 0.5 * (1.0 + alpha * ratio) / diag
+        column = alpha[:, :, None]
+        products = np.stack(
+            [(z0 @ column)[:, :, 0], (z1 @ column)[:, :, 0],
+             (kinv @ column)[:, :, 0]],
+            axis=1,
+        )
+        diagonals = np.stack(
+            [(z0 * kinv).sum(axis=2), (z1 * kinv).sum(axis=2),
+             (kinv * kinv).sum(axis=2)],
+            axis=1,
+        )
+        grads = -(
+            ratio[:, None, :] * products - weight[:, None, :] * diagonals
+        ).sum(axis=2)
+        grads[:, 0] *= 2.0
+        grads[:, 2] *= 2.0 * theta_sq[:, 2]
         return grads
+
+    def factor(self, member: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(log theta, K^-1, alpha)`` of ``member`` where the last
+        :meth:`values` call valued it (``log theta`` clipped as the
+        evaluation clipped it)."""
+        position, log_params, _, _, kinv, alpha, _ = self._kept
+        at = position[member]
+        return log_params[at], kinv[at], alpha[at]
 
 
 def loo_quantities(
     kernel: SquaredExponentialKernel, x: np.ndarray, y: np.ndarray
 ) -> LooResult:
-    """LOO posterior for every held-out training point (Eqn. 19)."""
-    return LooProblem(x, y).evaluate(kernel)
+    """LOO posterior for every held-out training point (Eqn. 19):
+    ``mu_i = y_i - alpha_i / Kinv_ii``, ``sigma_i^2 = 1 / Kinv_ii``."""
+    problem, values = _one(kernel.log_params, x, y)
+    _, kinv, alpha = problem.factor(0)
+    diag = np.maximum(kinv.diagonal(), 1e-300)
+    return LooResult(problem._y[0] - alpha / diag, 1.0 / diag, -float(values[0]))
 
 
 def loo_log_likelihood(
@@ -148,6 +215,17 @@ def loo_objective(
     log_params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Negative LOO log likelihood and gradient w.r.t. ``log theta``:
-    one evaluation of a :class:`LooProblem` built for the purpose."""
-    problem = LooProblem(x, y)
-    return problem.value(log_params), problem.gradient()
+    one evaluation of a :class:`LooProblem` stack of one."""
+    problem, values = _one(log_params, x, y)
+    return float(values[0]), problem.gradients([0])[0]
+
+
+def _one(log_params, x, y) -> tuple[LooProblem, np.ndarray]:
+    """A stack of one, valued at ``log_params``; its failure raised."""
+    problem = LooProblem([x], np.asarray(y, dtype=np.float64).ravel()[None, :])
+    values, failed = problem.values(
+        np.asarray(log_params, dtype=np.float64)[None, :], [0]
+    )
+    if failed:
+        raise failed[0]
+    return problem, values

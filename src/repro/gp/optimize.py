@@ -1,10 +1,12 @@
 """Optimisers for online GP training (Section 5.2.2) and baselines.
 
-* :func:`conjugate_gradient_minimize` — Polak-Ribière+ conjugate gradient
-  with Armijo backtracking.  Supports the paper's two training regimes:
-  full optimisation for the initial query and *fixed-step* pursuit
-  (``max_iters=5``) warm-started from the previous step's
-  hyperparameters for continuous prediction.
+* :func:`conjugate_gradient` — Polak-Ribière+ conjugate gradient with
+  Armijo backtracking, written as a coroutine so that one body serves a
+  single objective (:func:`conjugate_gradient_minimize`) and a stack of
+  GP cells trained in lock step (:mod:`repro.core.gp_predictor`).
+  Supports the paper's two training regimes: full optimisation for the
+  initial query and *fixed-step* pursuit (``max_iters=5``) warm-started
+  from the previous step's hyperparameters for continuous prediction.
 * :func:`nelder_mead_minimize` — derivative-free simplex search used by
   the Holt-Winters and sparse-GP baselines (whose objectives we do not
   differentiate analytically).
@@ -16,68 +18,26 @@ standard test functions and against known optima in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, Generator, Protocol
 
 import numpy as np
 
 __all__ = [
     "Objective",
     "OptimizeResult",
+    "conjugate_gradient",
     "conjugate_gradient_minimize",
     "nelder_mead_minimize",
 ]
 
-ValueAndGrad = Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-
 class Objective(Protocol):
-    """What :func:`conjugate_gradient_minimize` minimises.
+    """What :func:`conjugate_gradient_minimize` minimises: ``value(x)``
+    at every line-search candidate, ``gradient()`` at the point last
+    valued — asked only at the start and at accepted steps."""
 
-    The value is asked for at every line-search candidate, the gradient
-    only at the start point and at each candidate the search accepts —
-    so an implementation keeps what ``value`` computed and pays for the
-    gradient on demand (:class:`repro.gp.loo.LooProblem`).
-    """
+    def value(self, x: np.ndarray) -> float: ...
 
-    def value(self, x: np.ndarray) -> float:
-        """Objective at ``x``."""
-        ...
-
-    def gradient(self) -> np.ndarray:
-        """Gradient at the point last passed to :meth:`value`."""
-        ...
-
-
-class _PlainObjective:
-    """A plain ``x -> (value, gradient)`` callable as an :class:`Objective`."""
-
-    def __init__(self, fun: ValueAndGrad) -> None:
-        self._fun = fun
-        self._grad = np.empty(0)
-
-    def value(self, x: np.ndarray) -> float:
-        value, self._grad = self._fun(x)
-        return value
-
-    def gradient(self) -> np.ndarray:
-        return self._grad
-
-
-class _Counted:
-    """An :class:`Objective` with what one run asks of it counted."""
-
-    def __init__(self, objective: Objective) -> None:
-        self._objective = objective
-        self.evaluations = 0
-        self.gradient_evaluations = 0
-
-    def value(self, x: np.ndarray) -> float:
-        self.evaluations += 1
-        return self._objective.value(x)
-
-    def gradient(self) -> np.ndarray:
-        self.gradient_evaluations += 1
-        return self._objective.gradient()
+    def gradient(self) -> np.ndarray: ...
 
 
 @dataclass
@@ -85,7 +45,7 @@ class OptimizeResult:
     """Terminal state of an optimisation run.
 
     ``evaluations`` / ``gradient_evaluations`` count what
-    :func:`conjugate_gradient_minimize` asked of its objective (0 from
+    :func:`conjugate_gradient` asked of its objective (0 from
     :func:`nelder_mead_minimize`, which does not count); ``step`` is the
     last step length a CG line search accepted (``initial_step`` when
     none was).
@@ -100,78 +60,80 @@ class OptimizeResult:
     step: float = 1.0
 
 
-def _backtracking_line_search(
-    objective: Objective,
+#: A :func:`conjugate_gradient` run: yields a point and is sent the value
+#: there, or yields ``None`` and is sent the gradient at the point last
+#: valued (asked only at the start and at each accepted step).
+CgRun = Generator["np.ndarray | None", "float | np.ndarray", OptimizeResult]
+
+
+def _line_search(
     x: np.ndarray,
     value: float,
     grad: np.ndarray,
     direction: np.ndarray,
-    initial_step: float = 1.0,
+    initial_step: float,
     armijo: float = 1e-4,
     shrink: float = 0.5,
     max_backtracks: int = 25,
-) -> tuple[np.ndarray, float, np.ndarray, float] | None:
-    """Armijo backtracking along ``direction``; None when no progress.
-
-    Candidates are valued only; the gradient is taken at the one returned.
-    """
+) -> Generator["np.ndarray | None", "float | np.ndarray", tuple]:
+    """Armijo backtracking along ``direction``, as a sub-coroutine of
+    :func:`conjugate_gradient`: candidates are valued only, the gradient
+    is asked for at the one accepted.  Returns ``(new_x, new_value,
+    new_grad, step)`` or None when no progress, and the values asked."""
     slope = float(grad @ direction)
     if slope >= 0:
-        return None
+        return None, 0
     step = initial_step
-    for _ in range(max_backtracks):
+    for tries in range(1, max_backtracks + 1):
         candidate = x + step * direction
-        cand_value = objective.value(candidate)
+        cand_value = yield candidate
         if np.isfinite(cand_value) and cand_value <= value + armijo * step * slope:
-            return candidate, cand_value, objective.gradient(), step
+            return (candidate, cand_value, (yield None), step), tries
         step *= shrink
-    return None
+    return None, max_backtracks
 
 
-def conjugate_gradient_minimize(
-    fun: Objective | ValueAndGrad,
+def conjugate_gradient(
     x0: np.ndarray,
     max_iters: int = 100,
     grad_tol: float = 1e-6,
     value_tol: float = 1e-10,
     initial_step: float = 1.0,
-) -> OptimizeResult:
-    """Polak-Ribière+ CG with restarts and Armijo backtracking.
+) -> CgRun:
+    """Polak-Ribière+ CG with restarts and Armijo backtracking, as a
+    coroutine (see :data:`CgRun`) returning an :class:`OptimizeResult`.
 
-    ``fun`` is an :class:`Objective` or a plain callable returning
-    ``(value, gradient)``.  The first line search starts at
-    ``initial_step`` (in ``(0, 1]``); every later one, the
-    steepest-descent restart included, at ``min(1, 2 × the last accepted
-    step)``.  No search starts above 1.0, and from a power-of-two
-    ``initial_step`` every candidate is a rung of the 1, 1/2, 1/4, …
-    ladder.
+    The first line search starts at ``initial_step`` (in ``(0, 1]``);
+    every later one, the steepest-descent restart included, at ``min(1,
+    2 × the last accepted step)``.  No search starts above 1.0, and from
+    a power-of-two ``initial_step`` every candidate is a rung of the 1,
+    1/2, 1/4, … ladder.
     """
     if not 0.0 < initial_step <= 1.0:
         raise ValueError(f"initial_step must be in (0, 1], got {initial_step}")
-    objective = _Counted(_PlainObjective(fun) if callable(fun) else fun)
     x = np.asarray(x0, dtype=np.float64).copy()
-    value = objective.value(x)
+    value = yield x
     if not np.isfinite(value):
         raise ValueError(f"objective not finite at the start point: {value}")
-    grad = objective.gradient()
+    grad = yield None
+    evaluations = gradient_evaluations = 1
     direction = -grad
     iterations = 0
     converged = False
     accepted = start = initial_step
     for iterations in range(1, max_iters + 1):
-        if np.linalg.norm(grad) < grad_tol:
+        if np.sqrt(grad @ grad) < grad_tol:  # np.linalg.norm, without its checks
             converged = True
             break
-        result = _backtracking_line_search(
-            objective, x, value, grad, direction, start
-        )
+        result, tries = yield from _line_search(x, value, grad, direction, start)
+        evaluations += tries
         if result is None:
             # Bad direction (stale conjugacy): restart with steepest descent.
-            result = _backtracking_line_search(
-                objective, x, value, grad, -grad, start
-            )
+            result, tries = yield from _line_search(x, value, grad, -grad, start)
+            evaluations += tries
             if result is None:
                 break
+        gradient_evaluations += 1
         new_x, new_value, new_grad, accepted = result
         # A step accepted at a first try below 1.0 was never tested
         # longer, so a small decrease there is not evidence of a minimum.
@@ -199,10 +161,39 @@ def conjugate_gradient_minimize(
         value=value,
         iterations=iterations,
         converged=converged,
-        evaluations=objective.evaluations,
-        gradient_evaluations=objective.gradient_evaluations,
+        evaluations=evaluations,
+        gradient_evaluations=gradient_evaluations,
         step=accepted,
     )
+
+
+def conjugate_gradient_minimize(
+    fun: Objective | Callable[[np.ndarray], tuple[float, np.ndarray]],
+    x0: np.ndarray,
+    max_iters: int = 100,
+    grad_tol: float = 1e-6,
+    value_tol: float = 1e-10,
+    initial_step: float = 1.0,
+) -> OptimizeResult:
+    """Minimise one objective with :func:`conjugate_gradient`.
+
+    ``fun`` is an :class:`Objective` or a plain callable returning
+    ``(value, gradient)``.
+    """
+    run = conjugate_gradient(x0, max_iters, grad_tol, value_tol, initial_step)
+    grad = None
+    try:
+        ask = next(run)
+        while True:
+            if not callable(fun):
+                ask = run.send(fun.gradient() if ask is None else fun.value(ask))
+            elif ask is None:
+                ask = run.send(grad)
+            else:
+                value, grad = fun(ask)
+                ask = run.send(value)
+    except StopIteration as stop:
+        return stop.value
 
 
 def nelder_mead_minimize(

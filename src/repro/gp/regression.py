@@ -133,12 +133,6 @@ class GaussianProcessRegressor:
             - 0.5 * n * np.log(2.0 * np.pi)
         )
 
-    def kinv(self) -> np.ndarray:
-        """``C^{-1}`` (needed by the LOO machinery)."""
-        self._require_fit()
-        n = self._y.size
-        return cho_solve((self._lower, True), np.eye(n))
-
     @property
     def alpha(self) -> np.ndarray:
         """``C^{-1} Y`` of the fitted model."""

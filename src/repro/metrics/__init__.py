@@ -3,7 +3,6 @@
 from .calibration import (
     calibration_error,
     interval_coverage,
-    pit_values,
     sharpness,
 )
 from .errors import mae, mnlpd, nlpd_terms, rmse
@@ -11,7 +10,6 @@ from .errors import mae, mnlpd, nlpd_terms, rmse
 __all__ = [
     "calibration_error",
     "interval_coverage",
-    "pit_values",
     "sharpness",
     "mae",
     "mnlpd",

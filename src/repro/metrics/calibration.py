@@ -5,8 +5,6 @@ these diagnostics unpack it, answering the question an operator actually
 asks of SMiLer's intervals ("do my 95% bands contain 95% of outcomes?"):
 
 * :func:`interval_coverage` — empirical coverage of central intervals,
-* :func:`pit_values` — probability integral transform; uniform iff the
-  predictive distributions are perfectly calibrated,
 * :func:`calibration_error` — mean |empirical - nominal| coverage over a
   grid of levels (0 = perfectly calibrated),
 * :func:`sharpness` — mean predictive standard deviation (narrower is
@@ -16,11 +14,10 @@ asks of SMiLer's intervals ("do my 95% bands contain 95% of outcomes?"):
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, erfinv
+from scipy.special import erfinv
 
 __all__ = [
     "interval_coverage",
-    "pit_values",
     "calibration_error",
     "sharpness",
 ]
@@ -50,13 +47,6 @@ def interval_coverage(truth, means, variances, level: float = 0.95) -> float:
     half_width = z * np.sqrt(variances)
     inside = np.abs(truth - means) <= half_width
     return float(np.mean(inside))
-
-
-def pit_values(truth, means, variances) -> np.ndarray:
-    """``Phi((y - mean) / std)`` per prediction; Uniform(0,1) iff calibrated."""
-    truth, means, variances = _validate(truth, means, variances)
-    z = (truth - means) / np.sqrt(variances)
-    return 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
 
 
 def calibration_error(

@@ -2,7 +2,7 @@
 
 from .datasets import DATASET_NAMES, SensorDataset, make_dataset
 from .generators import mall_like, net_like, road_like
-from .io import fill_missing, load_csv, load_directory, reinterpolate, save_csv
+from .io import fill_missing, load_csv, reinterpolate, save_csv
 from .series import (
     TimeSeries,
     ZNormStats,
@@ -14,8 +14,6 @@ from .windows import (
     aligned_segment_start,
     csg_size,
     disjoint_window_count,
-    sliding_window,
-    sliding_window_count,
 )
 
 __all__ = [
@@ -27,7 +25,6 @@ __all__ = [
     "road_like",
     "fill_missing",
     "load_csv",
-    "load_directory",
     "reinterpolate",
     "save_csv",
     "TimeSeries",
@@ -38,6 +35,4 @@ __all__ = [
     "aligned_segment_start",
     "csg_size",
     "disjoint_window_count",
-    "sliding_window",
-    "sliding_window_count",
 ]

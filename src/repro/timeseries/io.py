@@ -1,11 +1,10 @@
-"""Loading real sensor data: CSV files, directories, re-interpolation.
+"""Loading real sensor data: CSV files, re-interpolation.
 
 The evaluation uses synthetic stand-ins, but a downstream user will feed
 their own exports.  This module covers the common shapes:
 
 * :func:`load_csv` — one sensor per column (or a chosen column), header
   optional, blank/NaN cells tolerated,
-* :func:`load_directory` — one sensor per ``*.csv`` file,
 * :func:`save_csv` — the matching writer,
 * :func:`fill_missing` — linear interpolation over NaN gaps (sensor
   feeds drop samples),
@@ -27,7 +26,6 @@ from .series import TimeSeries
 __all__ = [
     "load_csv",
     "save_csv",
-    "load_directory",
     "fill_missing",
     "reinterpolate",
 ]
@@ -116,22 +114,6 @@ def save_csv(path, sensors: dict[str, TimeSeries] | dict[str, np.ndarray]) -> No
                     for c in columns
                 ]
             )
-
-
-def load_directory(directory, pattern: str = "*.csv") -> dict[str, TimeSeries]:
-    """One sensor per matching file (first column of each)."""
-    directory = pathlib.Path(directory)
-    sensors: dict[str, TimeSeries] = {}
-    for path in sorted(directory.glob(pattern)):
-        loaded = load_csv(path, column=0)
-        series = next(iter(loaded.values()))
-        series.sensor_id = path.stem
-        sensors[path.stem] = series
-    if not sensors:
-        raise FileNotFoundError(
-            f"no files matching {pattern!r} under {directory}"
-        )
-    return sensors
 
 
 def fill_missing(values: np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ equally spaced observations ``C = {c_0, c_1, ...}``.  A *segment*
 This module provides:
 
 * :class:`TimeSeries` — an append-friendly container over a float array
-  with z-normalisation helpers and segment extraction,
+  with z-normalisation helpers,
 * :func:`segment_matrix` — the ``(X_{k,d}, Y_h)`` design-matrix builder
   used to assemble GP training sets from raw history,
 * :func:`sliding_segments` — a zero-copy view of every d-length segment.
@@ -100,25 +100,6 @@ class TimeSeries:
         """Push several observations, oldest first."""
         for value in np.asarray(values, dtype=np.float64).ravel():
             self.append(value)
-
-    # -------------------------------------------------------------- segments
-    def segment(self, start: int, length: int) -> np.ndarray:
-        """Return the paper's ``C_{t,d}``: ``d`` points starting at ``t``."""
-        if start < 0 or length <= 0 or start + length > self._length:
-            raise IndexError(
-                f"segment [{start}, {start + length}) out of range for "
-                f"series of length {self._length}"
-            )
-        return self.values[start : start + length]
-
-    def suffix(self, length: int) -> np.ndarray:
-        """Return the d-length segment ending at the newest observation."""
-        if length <= 0 or length > self._length:
-            raise IndexError(
-                f"suffix of length {length} out of range for series of "
-                f"length {self._length}"
-            )
-        return self.values[self._length - length :]
 
     # ---------------------------------------------------------- normalisation
     def znorm_stats(self) -> ZNormStats:

@@ -12,12 +12,8 @@ its tests can reason about alignments independently of DTW.
 
 from __future__ import annotations
 
-import numpy as np
-
 __all__ = [
     "disjoint_window_count",
-    "sliding_window_count",
-    "sliding_window",
     "csg_size",
     "aligned_segment_start",
 ]
@@ -27,24 +23,6 @@ def disjoint_window_count(series_length: int, omega: int) -> int:
     """Number of complete disjoint windows in a series."""
     _check_omega(omega)
     return series_length // omega
-
-
-def sliding_window_count(query_length: int, omega: int) -> int:
-    """Number of sliding windows of the master query."""
-    _check_omega(omega)
-    if query_length < omega:
-        return 0
-    return query_length - omega + 1
-
-
-def sliding_window(query: np.ndarray, b: int, omega: int) -> np.ndarray:
-    """The paper's ``SW_b``: omega points at offset ``b`` from the right end."""
-    query = np.asarray(query)
-    count = sliding_window_count(query.size, omega)
-    if not 0 <= b < count:
-        raise IndexError(f"SW_{b} out of range (query has {count} windows)")
-    end = query.size - b
-    return query[end - omega : end]
 
 
 def csg_size(item_length: int, b: int, omega: int) -> int:

@@ -214,14 +214,16 @@ class TestProfileRound:
         assert rows["gp_train"][1:3] == ["0.000", "0.0"]
 
     def test_layers_gp_train_row(self):
-        """How much training a GP round asked for: wall, trainings, and
-        the objective's value and gradient evaluations per round."""
+        """How much training a GP round asked for: wall, cells trained,
+        the objective's value and gradient evaluations, and the stacked
+        calls of the lane that answered them, per round."""
         done = self.run_tool("gp-forecast", "--smoke", "--rounds", "3", "--layers")
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert lines[2].split()[0] == "forecast_all"
         assert lines[3].startswith("  gp_train")
-        _, wall, trainings, values, gradients, *note = lines[3].split()
+        _, wall, trainings, values, gradients, stacked_values, \
+            stacked_gradients, *note = lines[3].split()
         assert 0.0 < float(wall) < float(lines[2].split()[1])
         # One sensor, 3 x 3 cells: at most nine trainings a round.
         assert 0.0 < float(trainings) <= 9.0
@@ -229,7 +231,13 @@ class TestProfileRound:
         # step, a value at every line-search candidate.
         assert float(gradients) >= 2.0 * float(trainings)
         assert float(values) > float(gradients)
-        assert " ".join(note) == "(value, gradient evaluations)"
+        # The lane answers many members' requests with one stacked call.
+        assert 0.0 < float(stacked_values) <= float(values)
+        assert 0.0 < float(stacked_gradients) <= float(gradients)
+        assert " ".join(note) == (
+            "(trainings; value, gradient evaluations; stacked value, "
+            "gradient calls)"
+        )
 
     def test_default_is_a_cprofile_table(self):
         done = self.run_tool(

@@ -108,13 +108,13 @@ class TestGaussianProcessPredictor:
         from repro.core import gp_predictor
 
         asked = []
-        minimize = gp_predictor.conjugate_gradient_minimize
+        run = gp_predictor.conjugate_gradient
 
         def recording(*args, **kwargs):
             asked.append(kwargs["initial_step"])
-            return minimize(*args, **kwargs)
+            return run(*args, **kwargs)
 
-        monkeypatch.setattr(gp_predictor, "conjugate_gradient_minimize", recording)
+        monkeypatch.setattr(gp_predictor, "conjugate_gradient", recording)
         query, neighbours, targets = knn_data(k=16)
         gp = GaussianProcessPredictor()
         assert gp._step == 1.0

@@ -58,10 +58,3 @@ class TestComputeEnvelope:
             compute_envelope(np.arange(4.0), -1)
         with pytest.raises(ValueError):
             compute_envelope(np.zeros((2, 2)), 1)
-
-    def test_slice(self):
-        x = np.arange(10.0)
-        env = compute_envelope(x, 2)
-        sub = env.slice(3, 7)
-        np.testing.assert_array_equal(sub.upper, env.upper[3:7])
-        assert len(sub) == 4

@@ -87,18 +87,3 @@ class TestFastCpuScan:
         res = fast_cpu_scan(query, series, k=1, rho=8)
         assert res.starts[0] == 123
         assert res.distances[0] == 0.0
-
-
-class TestScanStats:
-    def test_merge_accumulates(self):
-        from repro.dtw import ScanStats
-
-        a = ScanStats(lb_positions=10, dtw_cells=5, candidates_total=3,
-                      candidates_verified=2)
-        b = ScanStats(lb_positions=1, dtw_cells=1, candidates_total=1,
-                      candidates_verified=1)
-        a.merge(b)
-        assert a.lb_positions == 11
-        assert a.dtw_cells == 6
-        assert a.candidates_total == 4
-        assert a.candidates_verified == 3

@@ -1,13 +1,19 @@
-"""The accuracy-equivalence gate (``tests/gp_equivalence.py``) on the GP
-step memory.
+"""The accuracy-equivalence gate (``tests/gp_equivalence.py``) on GP
+training as loaded: every awake GP cell of a lane trained in lock step.
 
-The variant is the optimiser as loaded: each Armijo line search starts at
-``min(1, 2 × the last accepted step)``, per cell across requests.  The
-reference is the optimiser before it remembered a step — every search
-starts at 1.0 — kept below as :func:`restart_at_one`, the previous body
-of ``conjugate_gradient_minimize`` verbatim (its signature only absorbs
-the ``initial_step`` the predictor now passes) and monkeypatched into
-``repro.core.gp_predictor`` for the reference's runs.
+Two references, each installed by monkeypatching and collected over the
+same seeded streams:
+
+* the step memory (:class:`TestGate`): the lane with each Armijo line
+  search starting at ``min(1, 2 × the last accepted step)``, against the
+  lane with the optimiser from before it remembered a step — every
+  search starts at 1.0 — kept below as :func:`restart_at_one`, the
+  previous body of the CG loop with its objective calls turned into the
+  coroutine's yields, patched in where the lane calls
+  ``conjugate_gradient``;
+* the lane itself (:class:`TestLaneGate`): against the per-cell trainer
+  it replaced, kept verbatim in ``tests/gp_cell_oracle.py`` and
+  installed through ``repro.core.smiler._make_predictor``.
 """
 
 import dataclasses
@@ -15,39 +21,30 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import gp_predictor
-from repro.gp.optimize import (
-    Objective,
-    OptimizeResult,
-    ValueAndGrad,
-    _backtracking_line_search,
-    _Counted,
-    _PlainObjective,
-)
+from repro.core import gp_predictor, smiler
+from repro.gp import optimize
+from repro.gp.optimize import OptimizeResult
 
+from . import gp_cell_oracle
 from . import gp_equivalence as gate
 
 
 # ------------------------------------------------------------------ oracle
 def restart_at_one(
-    fun: Objective | ValueAndGrad,
     x0: np.ndarray,
     max_iters: int = 100,
     grad_tol: float = 1e-6,
     value_tol: float = 1e-10,
     initial_step: float = 1.0,
-) -> OptimizeResult:
-    """Polak-Ribière+ CG with restarts and Armijo backtracking.
-
-    ``fun`` is an :class:`Objective` or a plain callable returning
-    ``(value, gradient)``.
-    """
-    objective = _Counted(_PlainObjective(fun) if callable(fun) else fun)
+):
+    """Polak-Ribière+ CG with restarts and Armijo backtracking, every line
+    search starting at 1.0 (``initial_step`` is absorbed, not used)."""
+    evaluations = gradient_evaluations = 1
     x = np.asarray(x0, dtype=np.float64).copy()
-    value = objective.value(x)
+    value = yield x
     if not np.isfinite(value):
         raise ValueError(f"objective not finite at the start point: {value}")
-    grad = objective.gradient()
+    grad = yield None
     direction = -grad
     iterations = 0
     converged = False
@@ -55,12 +52,19 @@ def restart_at_one(
         if np.linalg.norm(grad) < grad_tol:
             converged = True
             break
-        result = _backtracking_line_search(objective, x, value, grad, direction)
+        result, tries = yield from optimize._line_search(
+            x, value, grad, direction, 1.0
+        )
+        evaluations += tries
         if result is None:
             # Bad direction (stale conjugacy): restart with steepest descent.
-            result = _backtracking_line_search(objective, x, value, grad, -grad)
+            result, tries = yield from optimize._line_search(
+                x, value, grad, -grad, 1.0
+            )
+            evaluations += tries
             if result is None:
                 break
+        gradient_evaluations += 1
         new_x, new_value, new_grad, _ = result
         if value - new_value < value_tol * (abs(value) + value_tol):
             x, value, grad = new_x, new_value, new_grad
@@ -83,19 +87,33 @@ def restart_at_one(
         value=value,
         iterations=iterations,
         converged=converged,
-        evaluations=objective.evaluations,
-        gradient_evaluations=objective.gradient_evaluations,
+        evaluations=evaluations,
+        gradient_evaluations=gradient_evaluations,
     )
 
 
 @pytest.fixture(scope="module")
-def runs():
-    """(variant, reference): every dataset × seed, both sides."""
-    variant = gate.collect()
+def lane():
+    """Every dataset × seed through the lane as loaded."""
+    return gate.collect()
+
+
+@pytest.fixture(scope="module")
+def runs(lane):
+    """(variant, reference): the lane, and the lane restarting at 1.0."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(gp_predictor, "conjugate_gradient_minimize", restart_at_one)
+        patch.setattr(gp_predictor, "conjugate_gradient", restart_at_one)
         reference = gate.collect()
-    return variant, reference
+    return lane, reference
+
+
+@pytest.fixture(scope="module")
+def cells(lane):
+    """(variant, reference): the lane, and the per-cell trainer."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(smiler, "_make_predictor", gp_cell_oracle.per_cell)
+        reference = gate.collect()
+    return lane, reference
 
 
 def pooled(runs, key):
@@ -155,7 +173,9 @@ class TestGate:
 
     def test_what_training_asks_for(self, runs):
         """Value evaluations per training fall from ≈ 33 to ≤ 14; gradient
-        evaluations (the start plus one per accepted step) stay level."""
+        evaluations (the start plus one per accepted step) stay level.
+        Without the patch reaching the lane the reference would read
+        ≤ 14 too."""
         variant, reference = runs
         assert pooled(reference, "values") > 30.0
         assert pooled(variant, "values") <= 14.0
@@ -170,3 +190,37 @@ class TestGate:
         mae = variant["mall_like", 0].scores()["mae"]
         assert lines[2].startswith("| mall_like | 0 | ")
         assert lines[2].split(" | ")[2].endswith(f"→ {mae:.4f}")
+
+
+class TestLaneGate:
+    def test_lane_passes_against_the_per_cell_trainer(self, cells):
+        variant, reference = cells
+        assert gate.violations(variant, reference) == []
+
+    def test_it_is_the_per_cell_trainer(self, cells):
+        """The reference really trained cell by cell: its GP predictors
+        are the oracle's, and it is not the lane's numbers."""
+        variant, reference = cells
+        assert any(
+            not np.array_equal(run.means, reference[key].means)
+            for key, run in variant.items()
+        )
+        for key, run in variant.items():
+            assert np.array_equal(run.truth, reference[key].truth)
+
+    def test_negative_control_fails(self, cells):
+        variant, reference = cells
+        shifted = {
+            key: dataclasses.replace(run, means=run.means + 1.0)
+            for key, run in variant.items()
+        }
+        found = gate.violations(shifted, reference)
+        for dataset in gate.DATASETS:
+            assert any(v.startswith(f"{dataset} mae:") for v in found), found
+
+    @pytest.mark.parametrize("key", ["values", "gradients", "cg"])
+    def test_training_asks_no_more(self, cells, key):
+        """Value and gradient evaluations and CG iterations per training
+        do not rise beyond ``CG_SLACK``."""
+        variant, reference = cells
+        assert pooled(variant, key) - pooled(reference, key) <= gate.CG_SLACK

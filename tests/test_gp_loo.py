@@ -81,16 +81,20 @@ class TestLooObjective:
             assert grad[j] == pytest.approx(fd, rel=2e-3, abs=1e-5)
         # The same through one problem object, as training uses it: the
         # gradient belongs to the point last valued, whatever came before.
-        problem = LooProblem(x, y)
-        problem.value(log_params + 0.5)
-        problem.value(log_params)
-        grad = problem.gradient()
+        problem = LooProblem([x], [y])
+
+        def value(lp):
+            return problem.values(lp[None, :], [0])[0][0]
+
+        value(log_params + 0.5)
+        value(log_params)
+        grad = problem.gradients([0])[0]
         for j in range(3):
             lp = log_params.copy()
             lp[j] += eps
-            up = problem.value(lp)
+            up = value(lp)
             lp[j] -= 2 * eps
-            down = problem.value(lp)
+            down = value(lp)
             fd = (up - down) / (2 * eps)
             assert grad[j] == pytest.approx(fd, rel=2e-3, abs=1e-5)
 

@@ -83,14 +83,16 @@ class TestConjugateGradient:
 def traced_searches(monkeypatch):
     """Record ``(starting step, accepted step or None)`` per line search."""
     searches = []
-    search = optimize._backtracking_line_search
+    search = optimize._line_search
 
-    def recording(objective, x, value, grad, direction, initial_step=1.0, **kw):
-        result = search(objective, x, value, grad, direction, initial_step, **kw)
+    def recording(x, value, grad, direction, initial_step, **kw):
+        result, tries = yield from search(
+            x, value, grad, direction, initial_step, **kw
+        )
         searches.append((initial_step, None if result is None else result[3]))
-        return result
+        return result, tries
 
-    monkeypatch.setattr(optimize, "_backtracking_line_search", recording)
+    monkeypatch.setattr(optimize, "_line_search", recording)
     return searches
 
 
@@ -192,28 +194,33 @@ class TestStepMemory:
 
 
 class TestLineSearch:
-    """``_backtracking_line_search`` from any start: ``max_backtracks``
-    halvings, non-finite candidates passed over."""
+    """``_line_search`` from any start: ``max_backtracks`` halvings,
+    non-finite candidates passed over."""
 
     @staticmethod
-    def tried(values):
+    def search(values, *args, **kwargs):
+        """Drive one line search along the unit direction; returns its
+        result and the step of every candidate it asked to value."""
         steps = []
-
-        class Line:
-            def value(self, x):
-                steps.append(float(x[0]))
-                return values(float(x[0]))
-
-            def gradient(self):
-                return np.array([0.0])
-
-        return Line(), steps
+        run = optimize._line_search(*args, **kwargs)
+        try:
+            ask = next(run)
+            while True:
+                if ask is None:
+                    ask = run.send(np.array([0.0]))
+                else:
+                    steps.append(float(ask[0]))
+                    ask = run.send(values(float(ask[0])))
+        except StopIteration as stop:
+            result, tries = stop.value
+        assert tries == len(steps)
+        return result, steps
 
     @pytest.mark.parametrize("initial_step", [1.0, 0.25])
     def test_max_backtracks(self, initial_step):
-        line, steps = self.tried(lambda s: 1.0)  # never below the start
-        result = optimize._backtracking_line_search(
-            line, np.zeros(1), 0.0, np.array([-1.0]), np.array([1.0]),
+        result, steps = self.search(
+            lambda s: 1.0,  # never below the start
+            np.zeros(1), 0.0, np.array([-1.0]), np.array([1.0]),
             initial_step, max_backtracks=5,
         )
         assert result is None
@@ -223,11 +230,9 @@ class TestLineSearch:
     @pytest.mark.parametrize("initial_step", [1.0, 0.25])
     def test_non_finite_candidates_are_passed_over(self, beyond, initial_step):
         # f(s) = (s - 0.05)^2 - 0.0025 below a wall at s = 0.1.
-        line, steps = self.tried(
-            lambda s: (s - 0.05) ** 2 - 0.0025 if s < 0.1 else beyond
-        )
-        result = optimize._backtracking_line_search(
-            line, np.zeros(1), 0.0, np.array([-0.1]), np.array([1.0]),
+        result, steps = self.search(
+            lambda s: (s - 0.05) ** 2 - 0.0025 if s < 0.1 else beyond,
+            np.zeros(1), 0.0, np.array([-0.1]), np.array([1.0]),
             initial_step,
         )
         accepted = result[3]
@@ -236,10 +241,11 @@ class TestLineSearch:
         assert steps[0] == initial_step
 
     def test_not_downhill_is_refused_before_any_evaluation(self):
-        line, steps = self.tried(lambda s: 0.0)
-        assert optimize._backtracking_line_search(
-            line, np.zeros(1), 0.0, np.array([1.0]), np.array([1.0]), 0.5
-        ) is None
+        result, steps = self.search(
+            lambda s: 0.0, np.zeros(1), 0.0, np.array([1.0]), np.array([1.0]),
+            0.5,
+        )
+        assert result is None
         assert steps == []
 
 

@@ -123,10 +123,3 @@ class TestMarginalLikelihood:
             SquaredExponentialKernel(1.0, 1e-2, 1.0)
         ).fit(x, y)
         assert good.log_marginal_likelihood() > bad.log_marginal_likelihood()
-
-    def test_kinv(self):
-        x, y = toy_problem(n=8)
-        kernel = SquaredExponentialKernel()
-        gp = GaussianProcessRegressor(kernel).fit(x, y)
-        expected = np.linalg.inv(kernel.matrix(x, noise=True))
-        np.testing.assert_allclose(gp.kinv(), expected, atol=1e-8)

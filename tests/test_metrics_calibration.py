@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.metrics import (
     calibration_error,
     interval_coverage,
-    pit_values,
     sharpness,
 )
 
@@ -43,26 +42,6 @@ class TestCoverage:
             interval_coverage([], [], [])
         with pytest.raises(ValueError):
             interval_coverage([0.0, 1.0], [0.0], [1.0])
-
-
-class TestPit:
-    def test_calibrated_pit_is_uniform(self):
-        truth, means, variances = calibrated_sample(seed=2)
-        pit = pit_values(truth, means, variances)
-        assert pit.min() >= 0.0 and pit.max() <= 1.0
-        assert float(pit.mean()) == pytest.approx(0.5, abs=0.02)
-        # Roughly uniform deciles.
-        counts, _ = np.histogram(pit, bins=10, range=(0, 1))
-        assert counts.min() > 0.7 * len(pit) / 10
-
-    def test_known_value(self):
-        pit = pit_values([0.0], [0.0], [1.0])
-        assert pit[0] == pytest.approx(0.5)
-
-    def test_biased_model_skews_pit(self):
-        truth, means, variances = calibrated_sample(seed=3)
-        pit = pit_values(truth, means - 2.0, variances)
-        assert float(pit.mean()) > 0.8
 
 
 class TestCalibrationError:

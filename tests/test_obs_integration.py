@@ -235,6 +235,62 @@ class TestMetricsExport:
         assert len(obs.get_registry()) == 0
 
 
+class TestGpLaneTelemetry:
+    def test_training_metrics_equal_the_predictors_counters(self):
+        """Over several rounds of a three-sensor GP lane, the training
+        counters obs exports are the predictors' own, summed: one
+        ``observe_gp_training`` per member training, however the lane
+        stacked them.  Each stack is one ``gp_fit`` span saying its ``k``
+        and how many members it held."""
+        service = PredictionService(
+            config=tiny_config("gp"), backends=SimulatedGpuBackend(),
+            min_history=300, service_config=ServiceConfig(engine="inline"),
+        )
+        rng = np.random.default_rng(9)
+        for i in range(3):
+            service.register(
+                f"s{i}", np.sin(np.arange(400) * (0.1 + 0.01 * i))
+                + 0.05 * rng.standard_normal(400),
+            )
+        obs.enable()
+        for tick in range(4):
+            batch = service.forecast_all()
+            assert not batch.errors
+            service.ingest_many({
+                sid: float(np.sin(0.3 * tick + i))
+                for i, sid in enumerate(service.sensor_ids)
+            })
+        predictors = [
+            service._sensors[sid].ensemble(h).state(cell).predictor
+            for sid in service.sensor_ids
+            for h in (1, 3) for cell in tiny_config().grid
+        ]
+        registry = obs.get_registry()
+        trainings = registry.get("smiler_gp_train_calls_total")
+        evaluations = registry.get("smiler_gp_objective_evaluations_total")
+        assert trainings.value(converged=True) + trainings.value(
+            converged=False
+        ) == sum(p.train_calls for p in predictors) > 0
+        assert evaluations.value(kind="value") == sum(
+            p.objective_evaluations for p in predictors
+        )
+        assert evaluations.value(kind="gradient") == sum(
+            p.gradient_evaluations for p in predictors
+        )
+        assert registry.get("smiler_gp_cg_iterations_total").value() == sum(
+            p.cg_iterations for p in predictors
+        )
+
+        service.forecast_all()
+        fits = [
+            span for span in service.trace_last_request().find_all("gp_fit")
+        ]
+        assert {span.attrs["k"] for span in fits} <= {4, 8}
+        # Two k stacks per horizon, each holding up to 3 sensors x 2 d.
+        assert len(fits) <= 2 * 2
+        assert max(span.attrs["members"] for span in fits) > 2
+
+
 class TestDisabledOverhead:
     def test_disabled_no_slower_than_enabled(self):
         """Instrumentation off: the hot path pays only flag checks.

@@ -216,8 +216,9 @@ KEPT_UNREAD = {
         "reference: the upper bound banded DTW is checked against",
     "repro.gp.loo.loo_log_likelihood":
         "reference oracle: the brute-force LOO likelihood LooProblem matches",
-    "repro.gp.kernels.SquaredExponentialKernel.gradients":
-        "reference: the kept LOO-objective oracle differentiates through it",
+    "repro.gp.optimize.conjugate_gradient_minimize":
+        "reference: the CG coroutine driven for one objective, as the kept "
+        "per-cell trainer drives it",
     "repro.core.predictor.GaussianPrediction.density":
         "reference: the likelihoods ensemble weight updates are checked against",
     "repro.timeseries.series.ZNormStats.invert_variance":
@@ -251,16 +252,7 @@ KEPT_UNREAD = {
 #: Unread names found beyond the ones the name-level sweep deleted: each
 #: has unit tests of its own that would go with it, so they are listed
 #: for the next sweep rather than deleted here.
-NOT_YET_SWEPT = {
-    "repro.dtw.envelope.Envelope.slice": "own tests only",
-    "repro.dtw.knn.ScanStats.merge": "own tests only",
-    "repro.gp.regression.GaussianProcessRegressor.kinv": "own tests only",
-    "repro.metrics.calibration.pit_values": "own tests only",
-    "repro.timeseries.io.load_directory": "own tests only",
-    "repro.timeseries.series.TimeSeries.segment": "own tests only",
-    "repro.timeseries.series.TimeSeries.suffix": "own tests only",
-    "repro.timeseries.windows.sliding_window": "own tests only",
-}
+NOT_YET_SWEPT: dict[str, str] = {}
 
 READER_TOPS = ("examples", "tools", "benchmarks")
 

@@ -7,7 +7,6 @@ from repro.timeseries import (
     TimeSeries,
     fill_missing,
     load_csv,
-    load_directory,
     reinterpolate,
     save_csv,
 )
@@ -74,19 +73,6 @@ def load_csv_with_header(tmp_path, column):
     path = tmp_path / "hh.csv"
     path.write_text("a,b\n1,2\n")
     return load_csv(path, column=column)
-
-
-class TestDirectory:
-    def test_one_file_per_sensor(self, tmp_path):
-        (tmp_path / "s1.csv").write_text("1.0\n2.0\n")
-        (tmp_path / "s2.csv").write_text("3.0\n4.0\n")
-        sensors = load_directory(tmp_path)
-        assert list(sensors) == ["s1", "s2"]
-        assert sensors["s2"].sensor_id == "s2"
-
-    def test_empty_directory(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_directory(tmp_path)
 
 
 class TestFillMissing:

@@ -37,33 +37,6 @@ class TestTimeSeries:
         ts.extend([1.0, 2.0])
         np.testing.assert_array_equal(ts.values, [0.0, 1.0, 2.0])
 
-    def test_segment_matches_paper_definition(self):
-        ts = TimeSeries(np.arange(10.0))
-        np.testing.assert_array_equal(ts.segment(3, 4), [3.0, 4.0, 5.0, 6.0])
-
-    def test_segment_out_of_range(self):
-        ts = TimeSeries(np.arange(5.0))
-        with pytest.raises(IndexError):
-            ts.segment(3, 4)
-        with pytest.raises(IndexError):
-            ts.segment(-1, 2)
-        with pytest.raises(IndexError):
-            ts.segment(0, 0)
-
-    def test_suffix(self):
-        ts = TimeSeries(np.arange(6.0))
-        np.testing.assert_array_equal(ts.suffix(2), [4.0, 5.0])
-
-    def test_suffix_too_long(self):
-        ts = TimeSeries(np.arange(3.0))
-        with pytest.raises(IndexError):
-            ts.suffix(4)
-
-    def test_append_then_suffix_sees_new_point(self):
-        ts = TimeSeries([1.0, 2.0])
-        ts.append(3.0)
-        np.testing.assert_array_equal(ts.suffix(2), [2.0, 3.0])
-
 
 class TestZNorm:
     def test_roundtrip(self):

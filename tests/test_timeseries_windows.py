@@ -1,6 +1,5 @@
 """Tests for the DualMatch window geometry and CSG alignment math."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,8 +8,6 @@ from repro.timeseries import (
     aligned_segment_start,
     csg_size,
     disjoint_window_count,
-    sliding_window,
-    sliding_window_count,
 )
 
 
@@ -29,23 +26,6 @@ class TestDisjointWindows:
     def test_bad_omega(self):
         with pytest.raises(ValueError):
             disjoint_window_count(10, 0)
-
-
-class TestSlidingWindows:
-    def test_count(self):
-        assert sliding_window_count(9, 3) == 7
-        assert sliding_window_count(2, 3) == 0
-
-    def test_right_to_left_order(self):
-        query = np.arange(6.0)
-        # SW_0 is the rightmost omega points; SW_b shifts left by b.
-        np.testing.assert_array_equal(sliding_window(query, 0, 3), [3, 4, 5])
-        np.testing.assert_array_equal(sliding_window(query, 1, 3), [2, 3, 4])
-        np.testing.assert_array_equal(sliding_window(query, 3, 3), [0, 1, 2])
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            sliding_window(np.arange(6.0), 4, 3)
 
 
 class TestCsg:

@@ -27,8 +27,10 @@ share; ``--layers`` instead wraps the layer boundaries in
 rows include the forecast side's stale re-searches, if any.  Two rows
 also say how much work their wall bought: ``dtw_verification`` the rows
 verified and DP cells (``Σ n·d·min(d, 2ρ+1)``) per round, ``gp_train``
-(every GP cell's hyperparameter training, 0 on AR workloads) the LOO
-objective's value and gradient evaluations per round.
+(the GP lane trainer, every GP cell's hyperparameter training; 0 on AR
+workloads) the cells trained, the LOO value and gradient evaluations
+they asked for, and the stacked value and gradient calls that answered
+them, per round.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: where its caller looks it up, outermost first.
 LAYERS = (
     ("forecast_all", 0, "repro.service:PredictionService", "forecast_all"),
-    ("gp_train", 1, "repro.core.gp_predictor:GaussianProcessPredictor",
-     "_train"),
+    ("gp_train", 1, "repro.core.gp_predictor", "_train_stack"),
     ("ingest_many", 0, "repro.service:PredictionService", "ingest_many"),
     ("absorb_many", 1, "repro.service", "absorb_many"),
     ("tune", 2, "repro.core.smiler:SMiLer", "tune"),
@@ -91,15 +92,25 @@ def _counting_rows(verify, entry: list):
 
 
 def _counting_evaluations(train, entry: list):
-    """``GaussianProcessPredictor._train`` with the value and gradient
-    evaluations it asked of its objective added to ``entry[2:4]``."""
-    def wrapper(self, *args, **kwargs):
-        values, gradients = self.objective_evaluations, self.gradient_evaluations
+    """The lane trainer ``_train_stack(predictors, problem, ...)`` with
+    the trainings and the value and gradient evaluations of its members
+    added to ``entry[2:5]``, and the stacked value and gradient calls
+    that answered them to ``entry[5:7]``."""
+    def wrapper(predictors, problem, *args, **kwargs):
+        def counts():
+            return [
+                sum(getattr(p, name) for p in predictors)
+                for name in (
+                    "train_calls", "objective_evaluations", "gradient_evaluations"
+                )
+            ] + [problem.value_calls, problem.gradient_calls]
+
+        before = counts()
         try:
-            return train(self, *args, **kwargs)
+            return train(predictors, problem, *args, **kwargs)
         finally:
-            entry[2] += self.objective_evaluations - values
-            entry[3] += self.gradient_evaluations - gradients
+            for at, (now, then) in enumerate(zip(counts(), before)):
+                entry[2 + at] += now - then
 
     return wrapper
 
@@ -113,10 +124,10 @@ COUNTERS = {
 
 @contextlib.contextmanager
 def layer_timers():
-    """Wrap every layer boundary for the block; yields
-    ``{label: [seconds, calls, work, work]}`` (the last two only counted
-    for :data:`COUNTERS`: rows and DP cells, value and gradient
-    evaluations)."""
+    """Wrap every layer boundary for the block; yields ``{label:
+    [seconds, calls, work...]}`` (the work only counted for
+    :data:`COUNTERS`: rows and DP cells; trainings, value and gradient
+    evaluations, stacked value and gradient calls)."""
     totals: dict[str, list] = {}
     patched = []
     try:
@@ -126,7 +137,7 @@ def layer_timers():
             if cls:
                 owner = getattr(owner, cls)
             original = getattr(owner, attribute)
-            entry = totals[label] = [0.0, 0, 0, 0]
+            entry = totals[label] = [0.0, 0, 0, 0, 0, 0, 0]
             timed = _timed(original, entry)
             if label in COUNTERS:
                 timed = COUNTERS[label](timed, entry)
@@ -146,20 +157,23 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
         file=out,
     )
     for label, depth, _, _ in LAYERS:
-        seconds, calls, n_rows, cells = totals[label]
+        seconds, calls, *work = totals[label]
         forecast_side = label in ("forecast_all", "gp_train")
         share = "" if forecast_side else f"{seconds / ingest:>10.1%}"
-        work = ""
+        note = ""
         if label == "dtw_verification":
-            work = f"{n_rows / rounds:>12.1f}{cells / rounds:>13.0f}"
+            note = f"{work[0] / rounds:>12.1f}{work[1] / rounds:>13.0f}"
         elif label == "gp_train":
-            work = (
-                f"{n_rows / rounds:>12.1f}{cells / rounds:>13.1f}"
-                "   (value, gradient evaluations)"
+            # Cells trained in the calls column; then what they asked for
+            # and how many stacked calls answered it.
+            calls = work[0]
+            note = "".join(f"{n / rounds:>12.1f}" for n in work[1:5]) + (
+                "   (trainings; value, gradient evaluations; stacked value, "
+                "gradient calls)"
             )
         print(
             f"{'  ' * depth + label:<30}{seconds / rounds * 1e3:>10.3f}"
-            f"{calls / rounds:>13.1f}{share:>11}{work}",
+            f"{calls / rounds:>13.1f}{share:>11}{note}",
             file=out,
         )
     kernels = totals["dtw_verification"][0] + totals["k_select"][0]
@@ -224,7 +238,7 @@ def main(argv=None, out=sys.stdout) -> int:
         driver.setup()
         if totals is not None:
             for entry in totals.values():
-                entry[:] = [0.0, 0, 0, 0]
+                entry[:] = [0.0, 0, 0, 0, 0, 0, 0]
         gc.collect()
         gc.freeze()
         stack.callback(gc.unfreeze)
