@@ -16,13 +16,22 @@ The ensemble is agnostic to what the predictors are: a factory builds
 one :class:`~repro.core.predictor.SemiLazyPredictor` per matrix cell.
 The combined output is the moment-matched Gaussian of the weighted
 mixture (Eqn. 3).
+
+The unit of auto-tuning is a *lane*: ensembles that tune together keep
+their per-cell scalars as rows of one :class:`EnsembleStack`, so
+:func:`update_many` and :func:`mix_many` are array computations;
+:meth:`AdaptiveEnsemble.update` / :meth:`AdaptiveEnsemble.mix` are lanes
+of one.  Sums are folded left to right in cell order and ``x ** 2`` is
+``np.float_power(x, 2.0)`` (the same ``pow``), so a row's bits are the
+ones it gets alone.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from itertools import compress
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,17 +44,96 @@ logger = logging.getLogger(__name__)
 #: A matrix cell: (k_i, d_j) — neighbour count and segment length.
 Cell = tuple[int, int]
 
+#: The per-cell scalars of an :class:`EnsembleStack` (``sleep_span`` is
+#: sigma, how long the next sleep lasts).
+_FIELDS = ("weight", "asleep", "sleep_span", "sleep_remaining", "just_recovered")
 
-@dataclass
+
+def _row_field(name: str, kind: type) -> property:
+    """``name`` of a :class:`CellState`'s cell, in its ensemble's row."""
+
+    def get(state):
+        ensemble = state._ensemble
+        return kind(getattr(ensemble._stack, name)[ensemble._row, state._column])
+
+    def put(state, value) -> None:
+        ensemble = state._ensemble
+        getattr(ensemble._stack, name)[ensemble._row, state._column] = value
+
+    return property(get, put)
+
+
 class CellState:
-    """Book-keeping for one predictor ``f_{i,j}``."""
+    """Book-keeping for one predictor ``f_{i,j}``: a read-write view of
+    its cell — the ensemble's predictor, and the ensemble's stack row
+    read back as Python ``float``, ``bool`` and ``int``."""
 
-    predictor: SemiLazyPredictor
-    weight: float
-    asleep: bool = False
-    sleep_span: int = 1       # sigma_{i,j}: how long the next sleep lasts
-    sleep_remaining: int = 0
-    just_recovered: bool = False
+    def __init__(self, ensemble: "AdaptiveEnsemble", cell: Cell) -> None:
+        self._ensemble, self._cell = ensemble, cell
+        self._column = ensemble._columns[cell]
+
+    @property
+    def predictor(self) -> SemiLazyPredictor:
+        return self._ensemble.predictors[self._cell]
+
+    @predictor.setter
+    def predictor(self, predictor: SemiLazyPredictor) -> None:
+        self._ensemble.predictors[self._cell] = predictor
+
+    weight = _row_field("weight", float)
+    asleep = _row_field("asleep", bool)
+    sleep_span = _row_field("sleep_span", int)
+    sleep_remaining = _row_field("sleep_remaining", int)
+    just_recovered = _row_field("just_recovered", bool)
+
+
+class EnsembleStack:
+    """Struct-of-arrays state of the ensembles that tune together: one
+    ``(ensembles × cells)`` array per :data:`_FIELDS` entry, rows sharing
+    their cells.  The :class:`~repro.index.window_index.LaneStack`
+    convention: a handle knows its stack and row, the stack holds arrays
+    only."""
+
+    def __init__(self, size: int, n_cells: int) -> None:
+        self.size = size
+        # Uniform weights, everyone awake, spans of 1: a fresh ensemble.
+        for name, fresh in zip(_FIELDS, (1.0 / n_cells, False, 1, 0, False)):
+            setattr(self, name, np.full((size, n_cells), fresh))
+
+    @classmethod
+    def of(cls, ensembles: Sequence["AdaptiveEnsemble"]) -> "EnsembleStack":
+        """The stack whose rows are exactly ``ensembles``, in order —
+        packed afresh (and the handles re-seated) when they are not
+        already that: a sensor joined or left, or the group is new."""
+        stack = ensembles[0]._stack
+        if stack.size == len(ensembles) and all(
+            ensemble._stack is stack and ensemble._row == row
+            for row, ensemble in enumerate(ensembles)
+        ):
+            return stack
+        if any(ensemble.cells != ensembles[0].cells for ensemble in ensembles):
+            raise ValueError("ensembles that tune together must share their cells")
+        if len({id(ensemble) for ensemble in ensembles}) != len(ensembles):
+            raise ValueError("the same ensemble appears twice in one group")
+        packed = cls(len(ensembles), len(ensembles[0].cells))
+        for row, ensemble in enumerate(ensembles):
+            source, at = ensemble._stack, ensemble._row
+            for name in _FIELDS:
+                getattr(packed, name)[row] = getattr(source, name)[at]
+            ensemble._stack, ensemble._row = packed, row
+        return packed
+
+
+def lane_of(
+    ensembles: Sequence["AdaptiveEnsemble"],
+) -> tuple[EnsembleStack, np.ndarray]:
+    """The stack behind ``ensembles`` and their rows in it, for reading:
+    where they are if they share one (any subset, any order), packed
+    together first if they live apart."""
+    stack = ensembles[0]._stack
+    if any(ensemble._stack is not stack for ensemble in ensembles):
+        stack = EnsembleStack.of(ensembles)
+    return stack, np.array([ensemble._row for ensemble in ensembles])
 
 
 @dataclass
@@ -59,7 +147,8 @@ class EnsembleOutput:
 
 
 class AdaptiveEnsemble:
-    """The ensemble matrix ``lambda`` with self-adaptive weights."""
+    """The ensemble matrix ``lambda`` with self-adaptive weights: a
+    handle on one row of an :class:`EnsembleStack`."""
 
     def __init__(
         self,
@@ -72,36 +161,32 @@ class AdaptiveEnsemble:
             raise ValueError("the ensemble matrix must have at least one cell")
         if len(set(cells)) != len(cells):
             raise ValueError(f"duplicate cells in the ensemble matrix: {cells}")
-        uniform = 1.0 / len(cells)
-        self._states = {
-            cell: CellState(predictor=predictor_factory(cell), weight=uniform)
-            for cell in cells
-        }
+        #: All matrix cells in creation order: the stack's columns.
+        self.cells: tuple[Cell, ...] = tuple(cells)
+        self._columns = {cell: column for column, cell in enumerate(self.cells)}
+        self.predictors = {cell: predictor_factory(cell) for cell in self.cells}
         self.self_adaptive = self_adaptive
         self.sleep_enabled = sleep_enabled and self_adaptive and len(cells) > 1
         #: eta of Section 5.1.2 (n*m is the matrix size).
         self.eta = 1.0 / (2.0 * len(cells))
         self.updates = 0
+        # A private stack of one until this ensemble first tunes in a group.
+        self._stack, self._row = EnsembleStack(1, len(cells)), 0
 
     # ---------------------------------------------------------------- views
-    @property
-    def cells(self) -> list[Cell]:
-        """All matrix cells in creation order."""
-        return list(self._states)
-
     def awake_cells(self) -> list[Cell]:
         """Cells that must be evaluated this step (sleepers cost nothing)."""
-        return [cell for cell, st in self._states.items() if not st.asleep]
+        asleep = self._stack.asleep[self._row].tolist()
+        return [cell for cell, slept in zip(self.cells, asleep) if not slept]
 
     def weights(self) -> dict[Cell, float]:
         """Current normalised weights of the awake cells."""
-        return {
-            cell: st.weight for cell, st in self._states.items() if not st.asleep
-        }
+        weight = self._stack.weight[self._row].tolist()
+        return {cell: weight[self._columns[cell]] for cell in self.awake_cells()}
 
     def state(self, cell: Cell) -> CellState:
-        """Mutable book-keeping record of one cell."""
-        return self._states[cell]
+        """Book-keeping record of one cell (a read-write view)."""
+        return CellState(self, cell)
 
     # -------------------------------------------------------------- predict
     def predict(
@@ -118,123 +203,194 @@ class AdaptiveEnsemble:
         if missing:
             raise KeyError(f"missing kNN inputs for awake cells: {missing}")
         return self.mix({
-            cell: self._states[cell].predictor.predict(*inputs[cell])
-            for cell in awake
+            cell: self.predictors[cell].predict(*inputs[cell]) for cell in awake
         })
 
     def mix(self, components: dict[Cell, GaussianPrediction]) -> EnsembleOutput:
-        """The mixing half of :meth:`predict`: the moment-matched mixture
-        of the awake cells' predictions, however they were computed
-        (:func:`repro.core.smiler.predict_many` computes them a cell at a
-        time for a whole lane).  ``components`` must hold exactly the
-        awake cells."""
-        weights = self.weights()
-        if components.keys() != weights.keys():
+        """The mixing half of :meth:`predict` — a lane of one of
+        :func:`mix_many`.  ``components`` must hold exactly the awake
+        cells."""
+        awake = self.awake_cells()
+        if components.keys() != set(awake):
             raise KeyError(
-                f"components {list(components)} are not the awake cells "
-                f"{list(weights)}"
+                f"components {list(components)} are not the awake cells {awake}"
             )
-        total = sum(weights.values())
-        norm = {cell: w / total for cell, w in weights.items()}
-        mean = sum(norm[c] * components[c].mean for c in norm)
-        second_moment = sum(
-            norm[c] * (components[c].variance + components[c].mean ** 2)
-            for c in norm
-        )
-        variance = max(second_moment - mean**2, 1e-10)
-        return EnsembleOutput(
-            mean=mean, variance=variance, components=components, weights=norm
-        )
+        return mix_many([self], [{cell: components[cell] for cell in awake}])[0]
 
     # --------------------------------------------------------------- update
     def update(
         self, true_value: float, components: dict[Cell, GaussianPrediction]
     ) -> None:
-        """Auto-tune after observing ``true_value`` (Eqns. 6-9 + Section 5.1.2).
+        """Auto-tune after observing ``true_value`` (Eqns. 6-9 + Section
+        5.1.2) — a lane of one of :func:`update_many`.
 
         ``components`` are the per-cell predictions produced for this very
         time step (from :class:`EnsembleOutput.components`).
         """
-        self.updates += 1
-        if not self.self_adaptive:
-            return
-        awake = [cell for cell in self.awake_cells() if cell in components]
-        if awake:
-            # Normalised likelihoods via a softmax over log densities —
-            # identical to l / sum(l) of Eqn. 8 but immune to underflow.
-            log_dens = np.array(
-                [components[c].log_density(true_value) for c in awake]
-            )
-            shifted = np.exp(log_dens - log_dens.max())
-            norm_lik = shifted / shifted.sum()
-            for cell, lik in zip(awake, norm_lik):
-                self._states[cell].weight += float(lik)
-            self._normalise_awake()
+        update_many([self], [true_value], [{
+            cell: components[cell] for cell in self.cells if cell in components
+        }])
 
-        if self.sleep_enabled:
-            just_slept = self._sleep_phase()
-            self._recovery_phase(just_slept)
 
-    def _normalise_awake(self) -> None:
-        awake = self.awake_cells()
-        total = sum(self._states[c].weight for c in awake)
-        if total <= 0:
-            uniform = 1.0 / len(awake)
-            for cell in awake:
-                self._states[cell].weight = uniform
-            return
-        for cell in awake:
-            self._states[cell].weight /= total
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """Row sums of ``terms [R, C]`` added left to right, from 0: Python's
+    ``sum()`` on CPython 3.11 (3.12's is compensated).  An accumulation
+    folds from the first term; ``+ 0.0`` turns an all-(-0.0) row +0.0."""
+    return np.add.accumulate(terms, axis=1)[:, -1] + 0.0
 
-    def _sleep_phase(self) -> set[Cell]:
-        """Put under-performing predictors to sleep; adapt sleep spans.
 
-        Returns the cells that fell asleep *this* step so the recovery
-        phase does not tick them immediately (a span of 1 must mean one
-        full skipped prediction step).
-        """
-        going_to_sleep = []
-        for cell in self.awake_cells():
-            st = self._states[cell]
-            if st.weight < self.eta and len(self.awake_cells()) > 1:
-                going_to_sleep.append(cell)
-            else:
-                # Survived a step awake: halve the span towards 1.
-                st.sleep_span = max(1, st.sleep_span // 2)
-                st.just_recovered = False
-        for cell in going_to_sleep:
-            st = self._states[cell]
-            if st.just_recovered:
-                # Fell straight back asleep: the sleep trap — double.
-                st.sleep_span *= 2
-            st.asleep = True
-            st.sleep_remaining = st.sleep_span
-            st.just_recovered = False
-            st.weight = 0.0
-            logger.debug(
-                "cell %s falls asleep for %d steps", cell, st.sleep_span
-            )
-        if going_to_sleep:
-            self._normalise_awake()
-        return set(going_to_sleep)
+def _numpy_sum(terms: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """Per row, ``terms[row, live[row]].sum()`` as the row alone gets it,
+    for ``terms`` zero where not live: NumPy folds fewer than 8 terms left
+    to right (the zeros change nothing) and sums 8 or more as a pairwise
+    tree, so those rows are compacted per live pattern."""
+    if terms.shape[1] < 8:
+        return terms.sum(axis=1)
+    patterns: dict[tuple[bool, ...], list[int]] = {}
+    for row, flags in enumerate(live.tolist()):
+        patterns.setdefault(tuple(flags), []).append(row)
+    total = np.empty(terms.shape[0])
+    for flags, rows in patterns.items():
+        # One indexing step leaves the rows C-contiguous: summed along a
+        # strided last axis they would fold column by column instead.
+        total[rows] = terms[np.array(rows)[:, None], np.flatnonzero(flags)].sum(1)
+    return total
 
-    def _recovery_phase(self, just_slept: set[Cell]) -> None:
-        """Tick sleepers; recovered ones re-enter at weight ``eta``."""
-        recovered = []
-        for cell, st in self._states.items():
-            if not st.asleep or cell in just_slept:
-                continue
-            st.sleep_remaining -= 1
-            if st.sleep_remaining <= 0:
-                recovered.append(cell)
-        if not recovered:
-            return
-        kappa = len(recovered)
-        raw = self.eta / max(1.0 - kappa * self.eta, 1e-9)
-        for cell in recovered:
-            st = self._states[cell]
-            st.asleep = False
-            st.weight = raw
-            st.just_recovered = True
-            logger.debug("cell %s wakes at weight %.4f", cell, raw)
-        self._normalise_awake()
+
+def _normalised(weight: np.ndarray, awake: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``weight`` with the awake cells of ``rows [R, 1]`` divided by
+    their total — or, where that total is not positive, set uniform."""
+    if not rows.any():
+        return weight
+    total = _fold(np.where(awake, weight, 0.0))[:, None]
+    flat = total <= 0
+    scaled = weight / np.where(flat, 1.0, total)
+    if flat.any():
+        uniform = 1.0 / np.maximum(awake.sum(axis=1, keepdims=True), 1)
+        scaled = np.where(flat, uniform, scaled)
+    return np.where(rows & awake, scaled, weight)
+
+
+def _gathered(
+    components: Sequence[dict[Cell, GaussianPrediction]], cells: tuple[Cell, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(present, means, variances)`` ``[R, C]``: the cells each dict
+    holds — in the order of ``cells``, as a mix leaves them — and their
+    predictions (zero where absent)."""
+    present = np.ones((len(components), len(cells)), dtype=bool)
+    for row, found in enumerate(components):
+        held = tuple(found)
+        if held != cells:
+            present[row] = flags = [cell in found for cell in cells]
+            if held != tuple(compress(cells, flags)):
+                raise ValueError(f"cells {list(held)} are not in the order of {cells}")
+    found = [prediction for row in components for prediction in row.values()]
+    mean, variance = np.zeros(present.shape), np.zeros(present.shape)
+    mean[present] = [prediction.mean for prediction in found]
+    variance[present] = [prediction.variance for prediction in found]
+    return present, mean, variance
+
+
+def update_many(
+    ensembles: Sequence[AdaptiveEnsemble],
+    values: Sequence[float],
+    components: Sequence["dict[Cell, GaussianPrediction] | None"],
+) -> None:
+    """Auto-tune a lane of ensembles sharing their cells, stacked (one
+    :class:`EnsembleStack` from here on): ensemble ``i`` scores
+    ``components[i]`` — the predictions, in cell order, made for the step
+    ``values[i]`` reveals — or, where that is ``None``, has nothing due.
+    Each phase renormalises the awake weights of the rows it touched."""
+    tuned = []
+    for at, (ensemble, found) in enumerate(zip(ensembles, components)):
+        if found is not None:
+            ensemble.updates += 1
+            if ensemble.self_adaptive:
+                tuned.append(at)
+    if not tuned:
+        return
+    stack = EnsembleStack.of(ensembles)
+    rows = slice(None) if len(tuned) == stack.size else np.array(tuned)
+    cells = ensembles[0].cells
+    weight, asleep = stack.weight[rows], stack.asleep[rows]
+
+    # Eqns. 6-9: a softmax over log densities (GaussianPrediction
+    # .log_density) — l / sum(l) of Eqn. 8, immune to underflow.  A cell
+    # asleep or without a prediction has density 0: its weight stays.
+    present, mean, variance = _gathered([components[at] for at in tuned], cells)
+    live = present & ~asleep
+    scored = live.any(axis=1)
+    if scored.any():
+        value = np.array([values[at] for at in tuned], dtype=np.float64)[:, None]
+        variance[~live] = np.inf
+        log_density = -0.5 * np.log(2.0 * np.pi * variance) - np.float_power(
+            value - mean, 2.0
+        ) / (2.0 * variance)
+        peak = np.where(scored, log_density.max(axis=1), 0.0)[:, None]
+        shifted = np.exp(log_density - peak)
+        total = _numpy_sum(shifted, live)
+        total[~scored] = 1.0
+        weight = np.where(live, weight + shifted / total[:, None], weight)
+        weight = _normalised(weight, ~asleep, scored[:, None])
+
+    flags = [(ensembles[at].sleep_enabled, ensembles[at].eta) for at in tuned]
+    sleeps, eta = (np.array(column)[:, None] for column in zip(*flags))
+    stack.weight[rows] = weight
+    if not sleeps.any():
+        return
+    span, remaining = stack.sleep_span[rows], stack.sleep_remaining[rows]
+    recovered_last = stack.just_recovered[rows]
+
+    # Sleep: an awake cell under eta sleeps (unless it is the last one
+    # awake) for its span, doubled if it only just woke; every other
+    # awake cell halves its span towards 1.
+    awake = ~asleep & sleeps
+    going = awake & (weight < eta) & (awake.sum(axis=1, keepdims=True) > 1)
+    span = np.where(awake & ~going, np.maximum(1, span // 2), span)
+    span = np.where(going & recovered_last, span * 2, span)
+    recovered_last = recovered_last & ~awake
+    asleep = asleep | going
+    remaining = np.where(going, span, remaining)
+    weight = _normalised(np.where(going, 0.0, weight), ~asleep, going.any(1)[:, None])
+
+    # Recovery: the other sleepers tick; those done re-enter at eta,
+    # scaled so that after renormalisation they hold eta each.
+    ticking = asleep & ~going & sleeps
+    remaining = np.where(ticking, remaining - 1, remaining)
+    woken = ticking & (remaining <= 0)
+    raw = eta / np.maximum(1.0 - woken.sum(axis=1, keepdims=True) * eta, 1e-9)
+    asleep = asleep & ~woken
+    recovered_last = recovered_last | woken
+    weight = _normalised(np.where(woken, raw, weight), ~asleep, woken.any(1)[:, None])
+
+    for name, array in zip(_FIELDS, (weight, asleep, span, remaining, recovered_last)):
+        getattr(stack, name)[rows] = array
+    for row, column in zip(*np.nonzero(going)):
+        logger.debug(
+            "cell %s falls asleep for %d steps", cells[column], span[row, column]
+        )
+    for row, column in zip(*np.nonzero(woken)):
+        logger.debug("cell %s wakes at weight %.4f", cells[column], raw[row, 0])
+
+
+def mix_many(
+    ensembles: Sequence[AdaptiveEnsemble],
+    components: Sequence[dict[Cell, GaussianPrediction]],
+) -> list[EnsembleOutput]:
+    """The moment-matched mixtures (Eqn. 3) of a lane of ensembles that
+    share their cells, stacked: ensemble ``i`` mixes ``components[i]``,
+    its awake cells' predictions in cell order.  The mean is the weighted
+    mean and the variance includes the between-component spread."""
+    stack, rows = lane_of(ensembles)
+    awake, mean, variance = _gathered(components, ensembles[0].cells)
+    weight = np.where(awake, stack.weight[rows], 0.0)
+    norm = weight / _fold(weight)[:, None]
+    mixed = _fold(norm * mean)
+    second_moment = _fold(norm * (variance + np.float_power(mean, 2.0)))
+    spread = np.maximum(second_moment - np.float_power(mixed, 2.0), 1e-10)
+    # Each dict takes as many normalised weights as it has (awake) cells.
+    weights = iter(norm[awake].tolist())
+    return [
+        EnsembleOutput(m, v, found, dict(zip(found, weights)))
+        for m, v, found in zip(mixed.tolist(), spread.tolist(), components)
+    ]

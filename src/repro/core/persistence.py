@@ -19,6 +19,7 @@ pin down.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import asdict, dataclass
 
@@ -101,7 +102,10 @@ def save_smiler(smiler: SMiLer, path) -> None:
 
 
 def load_snapshot(path) -> SmilerSnapshot:
-    """Parse an archive written by :func:`save_smiler` — no index build."""
+    """Parse an archive written by :func:`save_smiler` — no index build.
+    Ensemble state no run produces (a horizon with every cell asleep, a
+    non-finite or negative weight, ``sleep_span < 1``,
+    ``sleep_remaining < 0``) is a ``ValueError`` naming its key."""
     path = pathlib.Path(path)
     with np.load(path) as archive:
         meta = json.loads(bytes(archive["meta_json"].tobytes()).decode("utf-8"))
@@ -127,6 +131,7 @@ def load_snapshot(path) -> SmilerSnapshot:
         name: tuple(value) if isinstance(value, list) else value
         for name, value in meta["config"].items()
     })
+    _check_ensemble_state(meta["ensemble_state"], config)
     return SmilerSnapshot(
         sensor_id=meta["sensor_id"],
         config=config,
@@ -136,6 +141,31 @@ def load_snapshot(path) -> SmilerSnapshot:
         gp_steps=gp_steps,
         path=path,
     )
+
+
+def _check_ensemble_state(states: dict[str, dict], config: SMiLerConfig) -> None:
+    """Refuse archived ensemble state no run produces, naming its key:
+    restored, it would be served as an ``ensemble`` forecast no later
+    check catches (every cell asleep mixes to mean 0 and variance 1e-10;
+    a NaN weight to a NaN mean)."""
+    for horizon in config.horizons:
+        awake = False
+        for cell in config.grid:
+            key = _cell_key(horizon, cell)
+            saved = states.get(key, {"weight": 1.0, "asleep": False})
+            weight = float(saved["weight"])
+            if not (math.isfinite(weight) and weight >= 0.0):
+                raise ValueError(
+                    f"ensemble state {key!r}: weight {weight!r} is negative or NaN"
+                )
+            for name, least in (("sleep_span", 1), ("sleep_remaining", 0)):
+                if int(saved.get(name, least)) < least:
+                    raise ValueError(
+                        f"ensemble state {key!r}: {name} {saved[name]!r} < {least}"
+                    )
+            awake = awake or not bool(saved["asleep"])
+        if not awake:
+            raise ValueError(f"ensemble state h{horizon}: every cell asleep")
 
 
 def build_smiler(

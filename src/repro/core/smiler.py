@@ -35,7 +35,8 @@ from ..index.window_index import WindowLevelIndex, lane_of, step_many
 from ..obs import hooks as obs
 from .ar import AggregationPredictor
 from .config import SMiLerConfig
-from .ensemble import AdaptiveEnsemble, Cell, EnsembleOutput
+from .ensemble import AdaptiveEnsemble, Cell, EnsembleOutput, mix_many, update_many
+from .ensemble import lane_of as _ensemble_lane
 from .gp_predictor import GaussianProcessPredictor
 from .predictor import GaussianPrediction, SemiLazyPredictor
 
@@ -203,20 +204,9 @@ class SMiLer:
         absorb_many([self], [value])
 
     def tune(self, value: float) -> None:
-        """The auto-tuning half of absorbing a reading: score the
-        prediction that was waiting for ``value`` and adapt the ensemble.
-        Touches neither the index nor the backend."""
-        arrived = self._now
-        for h, queue in self._pending.items():
-            while queue and queue[0].due_index < arrived:
-                logger.debug(
-                    "%s: dropping stale h=%d prediction due at %d (now %d)",
-                    self.sensor_id, h, queue[0].due_index, arrived,
-                )
-                queue.popleft()  # stale (prediction was never scored)
-            if queue and queue[0].due_index == arrived:
-                update = queue.popleft()
-                self._ensembles[h].update(value, update.components)
+        """The auto-tuning half of absorbing a reading — a lane of one of
+        :func:`tune_many`."""
+        tune_many([self], [value])
 
     def install(self, answers: dict[int, SuffixKnnAnswer]) -> None:
         """Adopt kNN answers searched for the current step."""
@@ -401,9 +391,9 @@ def predict_many(
     :func:`~repro.index.window_index.lane_of`).  Per horizon every awake
     cell of every sensor is one :meth:`_LaneKnn.predict_cells` — one
     :meth:`SemiLazyPredictor.predict_stacks` per predictor family, so a
-    GP lane trains all its cells in lock step; mixing
-    (:meth:`AdaptiveEnsemble.mix`) and the pending-update queue stay per
-    sensor.
+    GP lane trains all its cells in lock step — and a grid's sensors mix
+    as one stack (:func:`~repro.core.ensemble.mix_many`); the
+    pending-update queue stays per sensor.
     """
     if not sensors:
         return []
@@ -449,24 +439,26 @@ def _predict_horizon(
     that serve it and have not failed: ``served[row][h]`` becomes the
     sensor's mixture (remembered for auto-tuning), or ``served[row]`` the
     exception that failed it — a failed sensor leaves the request."""
-    # Sensors with one awake pattern join each of its cells together.
-    patterns: dict[tuple[Cell, ...], list[int]] = {}
+    # The sensors of one grid ask for their awake cells together, a cell
+    # at a time in grid order, and mix as one stack.
+    grids: dict[tuple[Cell, ...], list[int]] = {}
     for row, sensor in enumerate(lane):
         if h in sensor._ensembles and isinstance(served[row], dict):
-            patterns.setdefault(
-                tuple(sensor._ensembles[h].awake_cells()), []
-            ).append(row)
-    by_cell: dict[Cell, list[int]] = {}
-    for cells, rows in patterns.items():
-        for cell in cells:
-            by_cell.setdefault(cell, []).extend(rows)
+            grids.setdefault(sensor._ensembles[h].cells, []).append(row)
+    asked = []
+    for grid, rows in grids.items():
+        ensembles = [lane[row]._ensembles[h] for row in rows]
+        stack, seated = _ensemble_lane(ensembles)
+        for cell, asleep in zip(grid, stack.asleep[seated].T.tolist()):
+            awake = [at for at, slept in enumerate(asleep) if not slept]
+            if awake:
+                asked.append((
+                    cell, [rows[at] for at in awake],
+                    [ensembles[at].predictors[cell] for at in awake],
+                ))
     components: dict[int, dict[Cell, GaussianPrediction]] = {
-        row: {} for rows in patterns.values() for row in rows
+        row: {} for rows in grids.values() for row in rows
     }
-    asked = [
-        (cell, rows, [lane[row]._ensembles[h].state(cell).predictor for row in rows])
-        for cell, rows in by_cell.items()
-    ]
     for (cell, rows, _), results in zip(asked, knn.predict_cells(h, asked)):
         for row, result in zip(rows, results):
             if row not in components:
@@ -476,21 +468,50 @@ def _predict_horizon(
                 del components[row]
             else:
                 components[row][cell] = result
-    for cells, rows in patterns.items():
-        for row in rows:
-            if row in components:
-                output = lane[row]._ensembles[h].mix(
-                    {cell: components[row][cell] for cell in cells}
-                )
+    for rows in grids.values():
+        rows = [row for row in rows if row in components]
+        if rows:
+            outputs = mix_many(
+                [lane[row]._ensembles[h] for row in rows],
+                [components[row] for row in rows],
+            )
+            for row, output in zip(rows, outputs):
                 served[row][h] = output
                 lane[row]._remember(h, output)
+
+
+def tune_many(sensors: Sequence[SMiLer], values: Sequence[float]) -> None:
+    """The auto-tuning half of absorbing one reading per sensor: score
+    the predictions the values were waiting for (the queues stay per
+    sensor) in one :func:`~repro.core.ensemble.update_many` per horizon
+    and grid.  Touches neither the index nor the backend."""
+    lanes: dict[tuple, tuple[list, list, list]] = {}
+    for sensor, value in zip(sensors, values):
+        arrived = sensor._now
+        for h, queue in sensor._pending.items():
+            while queue and queue[0].due_index < arrived:
+                logger.debug(
+                    "%s: dropping stale h=%d prediction due at %d (now %d)",
+                    sensor.sensor_id, h, queue[0].due_index, arrived,
+                )
+                queue.popleft()  # stale (prediction was never scored)
+            ensemble = sensor._ensembles[h]
+            members, scored, due = lanes.setdefault((h, ensemble.cells), ([], [], []))
+            members.append(ensemble)
+            scored.append(value)
+            due.append(
+                queue.popleft().components
+                if queue and queue[0].due_index == arrived else None
+            )
+    for members, scored, due in lanes.values():
+        update_many(members, scored, due)
 
 
 def absorb_many(sensors: Sequence[SMiLer], values) -> None:
     """Absorb one revealed value per sensor, the index work stacked.
 
-    Each sensor auto-tunes on its value (:meth:`SMiLer.tune`), then the
-    group's window indexes advance in one
+    The sensors auto-tune on their values as one lane
+    (:func:`tune_many`), then the group's window indexes advance in one
     :func:`~repro.index.window_index.step_many` — so the sensors must
     share one backend object and search configuration (callers group by
     placement).  Nothing here is a faultable kernel op: the readings are
@@ -503,8 +524,7 @@ def absorb_many(sensors: Sequence[SMiLer], values) -> None:
     values = [float(value) for value in values]
     if len(values) != len(sensors):
         raise ValueError(f"{len(values)} values for {len(sensors)} sensors")
-    for sensor, value in zip(sensors, values):
-        sensor.tune(value)
+    tune_many(sensors, values)
     step_many([sensor.engine.window_index for sensor in sensors], values)
     for sensor in sensors:
         sensor._now += 1

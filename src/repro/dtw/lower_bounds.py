@@ -230,12 +230,25 @@ def _tube_excess(
     summed over the last axis (operands broadcast).  Needs
     ``lower <= upper`` (an envelope): then at most one side is outside
     the tube, and the larger of the two excesses, floored at 0, squared
-    is the two-sided ``above**2 + below**2`` bit for bit."""
+    is the two-sided ``above**2 + below**2`` bit for bit.  NumPy sums a
+    last axis shorter than 8 left to right, and a leading axis too, so
+    below 8 the sum runs over operands laid out omega-major: the same
+    bits in whole-array adds.  From 8 up the last-axis sum is pairwise."""
+    axis = -1
+    if values.shape[-1] < 8:
+        nd = max(values.ndim, upper.ndim, lower.ndim)
+        values, upper, lower = (
+            operand.reshape((1,) * (nd - operand.ndim) + operand.shape)
+            .transpose(nd - 1, *range(nd - 1))
+            .copy()
+            for operand in (values, upper, lower)
+        )
+        axis = 0
     excess = values - upper
     np.maximum(excess, lower - values, out=excess)
     np.maximum(excess, 0.0, out=excess)
     excess *= excess
-    return excess.sum(axis=-1)
+    return excess.sum(axis=axis)
 
 
 def window_pair_lbeq(

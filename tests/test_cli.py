@@ -192,11 +192,18 @@ class TestProfileRound:
         for line in done.stdout.splitlines()[2:]:
             rows.setdefault(line.split()[0], line.split())  # glue row is last
         for layer in (
-            "forecast_all", "ingest_many", "absorb_many", "tune", "step_many",
-            "search_many", "lower_bounds_many", "_search_item",
-            "dtw_verification", "k_select",
+            "forecast_all", "mix", "ingest_many", "absorb_many", "tune",
+            "step_many", "_tube_excess", "search_many", "lower_bounds_many",
+            "_search_item", "dtw_verification", "k_select",
         ):
             assert float(rows[layer][1]) > 0.0, layer
+        # Two shards, one grid: the ensemble lane tunes and mixes once
+        # per shard.
+        assert float(rows["tune"][2]) == 2.0
+        assert float(rows["mix"][2]) == 2.0
+        # Per window step, one LB_EQ and one LB_EC sum for the tail
+        # columns and one of each for the refreshed windows.
+        assert float(rows["_tube_excess"][2]) == 8.0
         # Two shards, two item lengths: four searches a round, two
         # verification launches each.
         assert float(rows["_search_item"][2]) == 4.0

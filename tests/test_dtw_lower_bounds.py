@@ -208,6 +208,18 @@ class TestTubeExcessOneSided:
             ours, _two_clip_tube_excess(values, centre + width, centre - width)
         )
 
+    def test_the_omega_major_refresh_shape(self):
+        """``fleet-stream``'s refresh, ``omega = 4``: summed omega-major,
+        the same bytes as the last-axis oracle."""
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(24, 1, 75, 4))
+        centre = rng.normal(size=(24, 3, 1, 4))
+        width = np.abs(rng.normal(size=(24, 3, 1, 4))) * (rng.random((24, 3, 1, 4)) < 0.8)
+        ours = _tube_excess(values, centre + width, centre - width)
+        theirs = _two_clip_tube_excess(values, centre + width, centre - width)
+        assert ours.shape == (24, 3, 75) and ours.flags.c_contiguous
+        assert ours.tobytes() == theirs.tobytes()
+
 
 class TestLbKim:
     def test_known_value(self):

@@ -65,6 +65,16 @@ def oracle_cell_inputs(smiler, answers, horizon, cells):
     return inputs
 
 
+def fold(terms):
+    """``sum()`` as CPython 3.11 computes it: left to right, from 0.  The
+    oracles fold explicitly so their bits do not move with the
+    interpreter (from 3.12 ``sum()`` of floats is compensated)."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
 def oracle_ensemble_predict(ensemble, inputs):
     """``AdaptiveEnsemble.predict`` as it was (cells and mixing in one)."""
     awake = ensemble.awake_cells()
@@ -75,10 +85,10 @@ def oracle_ensemble_predict(ensemble, inputs):
             query, neighbours, targets
         )
     weights = ensemble.weights()
-    total = sum(weights.values())
+    total = fold(weights.values())
     norm = {cell: w / total for cell, w in weights.items()}
-    mean = sum(norm[c] * components[c].mean for c in awake)
-    second_moment = sum(
+    mean = fold(norm[c] * components[c].mean for c in awake)
+    second_moment = fold(
         norm[c] * (components[c].variance + components[c].mean ** 2)
         for c in awake
     )
