@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .predictor import GaussianPrediction, SemiLazyPredictor
+from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, checked, failed
 
 __all__ = ["AggregationPredictor"]
 
@@ -27,7 +27,7 @@ class AggregationPredictor(SemiLazyPredictor):
         self, query: np.ndarray, neighbours: np.ndarray, targets: np.ndarray
     ) -> GaussianPrediction:
         """Gaussian h-step-ahead prediction (see BaseForecaster.predict);
-        the stacked reduction of :meth:`predict_rows` on ``[1, k]``."""
+        the stacked reduction of :meth:`predict_stacks` on ``[1, k]``."""
         _, _, targets = self._validate(query, neighbours, targets)
         mean, variance = _moments(targets[None, :])
         return GaussianPrediction(
@@ -35,35 +35,37 @@ class AggregationPredictor(SemiLazyPredictor):
         )
 
     @staticmethod
-    def predict_rows(predictors, queries, neighbours, targets):
-        """Every row's pseudo-mean and pseudo-variance in two last-axis
-        reductions; shapes are checked once for the stack (a mismatch
-        raises), each row's Gaussian is still checked on its own."""
-        rows, k, d = neighbours.shape
-        if (
-            queries.shape != (rows, d)
-            or targets.shape != (rows, k)
-            or len(predictors) != rows
-        ):
-            raise ValueError(
-                f"expected R predictors, queries [R, d], neighbours "
-                f"[R, k, d] and targets [R, k]; got {len(predictors)}, "
-                f"{queries.shape}, {neighbours.shape}, {targets.shape}"
-            )
-        if k == 0:
-            raise ValueError("at least one neighbour is required")
-        means, variances = _moments(targets)
-        outcomes: list[GaussianPrediction | Exception] = []
-        for predictor, mean, variance in zip(
-            predictors, means.tolist(), variances.tolist()
-        ):
+    def predict_stacks(stacks) -> list[Outcome]:
+        """Per stack, every row's pseudo-mean and pseudo-variance in two
+        last-axis reductions; shapes are checked once for the stack (a
+        mismatch fails its rows), each row's Gaussian on its own."""
+        outcomes = []
+        for stack in stacks:
             try:
-                outcomes.append(GaussianPrediction(
-                    mean, max(variance, predictor.variance_floor)
-                ))
+                outcomes.append(_stack_moments(*stack))
             except ValueError as error:
-                outcomes.append(error.with_traceback(None))
+                outcomes.append(failed(len(stack[0]), error))
         return outcomes
+
+
+def _stack_moments(predictors, queries, neighbours, targets) -> Outcome:
+    """One stack of :meth:`AggregationPredictor.predict_stacks`."""
+    rows, k, d = neighbours.shape
+    if (
+        queries.shape != (rows, d)
+        or targets.shape != (rows, k)
+        or len(predictors) != rows
+    ):
+        raise ValueError(
+            f"expected R predictors, queries [R, d], neighbours [R, k, d] "
+            f"and targets [R, k]; got {len(predictors)}, {queries.shape}, "
+            f"{neighbours.shape}, {targets.shape}"
+        )
+    if k == 0:
+        raise ValueError("at least one neighbour is required")
+    mean, variance = _moments(targets)
+    floor = np.array([predictor.variance_floor for predictor in predictors])
+    return checked(mean, np.maximum(variance, floor), {})
 
 
 def _moments(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,25 +19,24 @@ mixture (Eqn. 3).
 
 The unit of auto-tuning is a *lane*: ensembles that tune together keep
 their per-cell scalars as rows of one :class:`EnsembleStack`, so
-:func:`update_many` and :func:`mix_many` are array computations;
-:meth:`AdaptiveEnsemble.update` / :meth:`AdaptiveEnsemble.mix` are lanes
-of one.  Sums are folded left to right in cell order and ``x ** 2`` is
-``np.float_power(x, 2.0)`` (the same ``pow``), so a row's bits are the
-ones it gets alone.
+:func:`update_many` and :func:`mix_many` are array computations over
+``(ensembles × cells)`` :class:`Components`; :meth:`AdaptiveEnsemble.update`
+/ :meth:`AdaptiveEnsemble.predict` are lanes of one.  Sums are folded
+left to right in cell order and ``x ** 2`` is ``np.float_power(x, 2.0)``
+(the same ``pow``), so a row's bits are the ones it gets alone.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from itertools import compress
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .predictor import GaussianPrediction, SemiLazyPredictor
+from .predictor import SemiLazyPredictor
 
-__all__ = ["Cell", "CellState", "AdaptiveEnsemble", "EnsembleOutput"]
+__all__ = ["Cell", "CellState", "AdaptiveEnsemble", "Components", "EnsembleOutput"]
 
 logger = logging.getLogger(__name__)
 
@@ -136,14 +135,26 @@ def lane_of(
     return stack, np.array([ensemble._row for ensemble in ensembles])
 
 
+class Components(NamedTuple):
+    """Per-cell Gaussians in an ensemble's cell order: ``[C]`` for one
+    ensemble, ``[R, C]`` for a lane of them.  ``present`` flags the cells
+    that predicted; ``mean`` and ``variance`` are their posteriors, 0.0
+    where absent (the mixture's and the update's folds add those terms)."""
+
+    present: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+
+
 @dataclass
 class EnsembleOutput:
-    """Mixture prediction plus the per-cell components (for auto-tuning)."""
+    """Mixture prediction plus its per-cell components (for auto-tuning)
+    and mixing weights (0.0 where a cell did not predict), in cell order."""
 
     mean: float
     variance: float
-    components: dict[Cell, GaussianPrediction]
-    weights: dict[Cell, float]
+    components: Components
+    weights: np.ndarray
 
 
 class AdaptiveEnsemble:
@@ -192,7 +203,8 @@ class AdaptiveEnsemble:
     def predict(
         self, inputs: dict[Cell, tuple[np.ndarray, np.ndarray, np.ndarray]]
     ) -> EnsembleOutput:
-        """Mixture prediction from per-cell ``(query, X_{k,d}, Y_h)`` data.
+        """Mixture prediction from per-cell ``(query, X_{k,d}, Y_h)`` data
+        — a lane of one of :func:`mix_many`.
 
         ``inputs`` must cover every awake cell.  The output Gaussian
         moment-matches the weighted mixture: its mean is the weighted mean
@@ -202,34 +214,25 @@ class AdaptiveEnsemble:
         missing = [cell for cell in awake if cell not in inputs]
         if missing:
             raise KeyError(f"missing kNN inputs for awake cells: {missing}")
-        return self.mix({
-            cell: self.predictors[cell].predict(*inputs[cell]) for cell in awake
-        })
-
-    def mix(self, components: dict[Cell, GaussianPrediction]) -> EnsembleOutput:
-        """The mixing half of :meth:`predict` — a lane of one of
-        :func:`mix_many`.  ``components`` must hold exactly the awake
-        cells."""
-        awake = self.awake_cells()
-        if components.keys() != set(awake):
-            raise KeyError(
-                f"components {list(components)} are not the awake cells {awake}"
-            )
-        return mix_many([self], [{cell: components[cell] for cell in awake}])[0]
+        present = ~self._stack.asleep[self._row]
+        mean, variance = np.zeros(len(self.cells)), np.zeros(len(self.cells))
+        for cell in awake:
+            column = self._columns[cell]
+            prediction = self.predictors[cell].predict(*inputs[cell])
+            mean[column], variance[column] = prediction.mean, prediction.variance
+        return mix_many(
+            [self], Components(present[None], mean[None], variance[None])
+        )[0]
 
     # --------------------------------------------------------------- update
-    def update(
-        self, true_value: float, components: dict[Cell, GaussianPrediction]
-    ) -> None:
+    def update(self, true_value: float, components: Components) -> None:
         """Auto-tune after observing ``true_value`` (Eqns. 6-9 + Section
         5.1.2) — a lane of one of :func:`update_many`.
 
         ``components`` are the per-cell predictions produced for this very
-        time step (from :class:`EnsembleOutput.components`).
+        time step (:attr:`EnsembleOutput.components`).
         """
-        update_many([self], [true_value], [{
-            cell: components[cell] for cell in self.cells if cell in components
-        }])
+        update_many([self], [true_value], [components])
 
 
 def _fold(terms: np.ndarray) -> np.ndarray:
@@ -271,35 +274,15 @@ def _normalised(weight: np.ndarray, awake: np.ndarray, rows: np.ndarray) -> np.n
     return np.where(rows & awake, scaled, weight)
 
 
-def _gathered(
-    components: Sequence[dict[Cell, GaussianPrediction]], cells: tuple[Cell, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(present, means, variances)`` ``[R, C]``: the cells each dict
-    holds — in the order of ``cells``, as a mix leaves them — and their
-    predictions (zero where absent)."""
-    present = np.ones((len(components), len(cells)), dtype=bool)
-    for row, found in enumerate(components):
-        held = tuple(found)
-        if held != cells:
-            present[row] = flags = [cell in found for cell in cells]
-            if held != tuple(compress(cells, flags)):
-                raise ValueError(f"cells {list(held)} are not in the order of {cells}")
-    found = [prediction for row in components for prediction in row.values()]
-    mean, variance = np.zeros(present.shape), np.zeros(present.shape)
-    mean[present] = [prediction.mean for prediction in found]
-    variance[present] = [prediction.variance for prediction in found]
-    return present, mean, variance
-
-
 def update_many(
     ensembles: Sequence[AdaptiveEnsemble],
     values: Sequence[float],
-    components: Sequence["dict[Cell, GaussianPrediction] | None"],
+    components: Sequence[Components | None],
 ) -> None:
     """Auto-tune a lane of ensembles sharing their cells, stacked (one
     :class:`EnsembleStack` from here on): ensemble ``i`` scores
-    ``components[i]`` — the predictions, in cell order, made for the step
-    ``values[i]`` reveals — or, where that is ``None``, has nothing due.
+    ``components[i]`` — its ``[C]`` row of the predictions made for the
+    step ``values[i]`` reveals — or, where that is ``None``, has nothing due.
     Each phase renormalises the awake weights of the rows it touched."""
     tuned = []
     for at, (ensemble, found) in enumerate(zip(ensembles, components)):
@@ -317,7 +300,9 @@ def update_many(
     # Eqns. 6-9: a softmax over log densities (GaussianPrediction
     # .log_density) — l / sum(l) of Eqn. 8, immune to underflow.  A cell
     # asleep or without a prediction has density 0: its weight stays.
-    present, mean, variance = _gathered([components[at] for at in tuned], cells)
+    present, mean, variance = (
+        np.array(field) for field in zip(*(components[at] for at in tuned))
+    )
     live = present & ~asleep
     scored = live.any(axis=1)
     if scored.any():
@@ -374,23 +359,22 @@ def update_many(
 
 
 def mix_many(
-    ensembles: Sequence[AdaptiveEnsemble],
-    components: Sequence[dict[Cell, GaussianPrediction]],
+    ensembles: Sequence[AdaptiveEnsemble], components: Components
 ) -> list[EnsembleOutput]:
     """The moment-matched mixtures (Eqn. 3) of a lane of ensembles that
-    share their cells, stacked: ensemble ``i`` mixes ``components[i]``,
-    its awake cells' predictions in cell order.  The mean is the weighted
-    mean and the variance includes the between-component spread."""
+    share their cells, stacked: ensemble ``i`` mixes row ``i`` of the
+    ``[R, C]`` ``components``, present where it is awake.  The mean is
+    the weighted mean, the variance includes the between-component spread."""
     stack, rows = lane_of(ensembles)
-    awake, mean, variance = _gathered(components, ensembles[0].cells)
+    awake, mean, variance = components
     weight = np.where(awake, stack.weight[rows], 0.0)
     norm = weight / _fold(weight)[:, None]
     mixed = _fold(norm * mean)
     second_moment = _fold(norm * (variance + np.float_power(mean, 2.0)))
     spread = np.maximum(second_moment - np.float_power(mixed, 2.0), 1e-10)
-    # Each dict takes as many normalised weights as it has (awake) cells.
-    weights = iter(norm[awake].tolist())
     return [
-        EnsembleOutput(m, v, found, dict(zip(found, weights)))
-        for m, v, found in zip(mixed.tolist(), spread.tolist(), components)
+        EnsembleOutput(
+            m, v, Components(awake[row], mean[row], variance[row]), norm[row]
+        )
+        for row, (m, v) in enumerate(zip(mixed.tolist(), spread.tolist()))
     ]

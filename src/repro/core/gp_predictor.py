@@ -36,7 +36,7 @@ from ..gp.kernels import SquaredExponentialKernel, squared_distances
 from ..gp.loo import LooProblem
 from ..gp.optimize import CgRun, OptimizeResult, conjugate_gradient
 from ..obs import hooks as obs
-from .predictor import GaussianPrediction, SemiLazyPredictor
+from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, checked
 
 __all__ = ["GaussianProcessPredictor"]
 
@@ -169,11 +169,11 @@ def _train_stack(
     return failed, factors
 
 
-def _fit_stack(predictors, queries, neighbours, targets) -> list:
-    """Train, then predict, one stack (one ``k``); one outcome per member.
-    The posterior reads the factor a member's training kept at its
-    trained point, or — trained elsewhere (a clipped point, a rejected
-    last candidate, no budget) — one more stacked factorisation there."""
+def _fit_stack(predictors, queries, neighbours, targets) -> Outcome:
+    """Train, then predict, one stack (one ``k``).  The posterior reads
+    the factor a member's training kept at its trained point, or —
+    trained elsewhere (a clipped point, a rejected last candidate, no
+    budget) — one more stacked factorisation there."""
     targets = np.array(targets)
     # Centre the targets: the zero-mean prior of Appendix B.3 is right for
     # the *local* residual, not the raw values — without this the
@@ -182,13 +182,11 @@ def _fit_stack(predictors, queries, neighbours, targets) -> list:
     target_means = targets.mean(axis=1)
     centred = targets - target_means[:, None]
     problem = LooProblem(neighbours, centred)
-    outcomes: list = [None] * len(predictors)
-    failed, factors = _train_stack(predictors, problem, neighbours, centred)
-    for member, error in failed.items():
-        outcomes[member] = error
+    mean, variance = np.zeros(len(predictors)), np.zeros(len(predictors))
+    errors, factors = _train_stack(predictors, problem, neighbours, centred)
     stale = [
         member for member, predictor in enumerate(predictors)
-        if member not in failed and not (
+        if member not in errors and not (
             member in factors
             and np.array_equal(factors[member][0], predictor._log_params)
         )
@@ -199,12 +197,12 @@ def _fit_stack(predictors, queries, neighbours, targets) -> list:
         )
         for at, member in enumerate(stale):
             if at in refused:
-                outcomes[member] = refused[at]
+                errors[member] = refused[at]
             else:
                 factors[member] = problem.factor(member)
-    served = [member for member, outcome in enumerate(outcomes) if outcome is None]
+    served = [member for member in range(len(predictors)) if member not in errors]
     if not served:
-        return outcomes
+        return mean, variance, errors
     theta_sq = np.exp(np.array([predictors[m]._log_params for m in served])) ** 2
     kinv = np.array([factors[member][1] for member in served])
     alpha = np.array([factors[member][2] for member in served])
@@ -217,29 +215,27 @@ def _fit_stack(predictors, queries, neighbours, targets) -> list:
     variances = theta_sq[:, 0] + theta_sq[:, 2] - (
         cross * (kinv @ cross[:, :, None])[:, :, 0]
     ).sum(axis=1)
-    for member, mean, variance in zip(served, means.tolist(), variances.tolist()):
-        if np.isfinite(mean) and np.isfinite(variance):
-            outcomes[member] = GaussianPrediction(mean, max(variance, 1e-10))
-        else:
-            # Pathological conditioning: degrade gracefully to aggregation.
-            outcomes[member] = GaussianPrediction(
-                float(targets[member].mean()), float(np.var(targets[member])) + 1e-6
-            )
-    return outcomes
+    mean[served], variance[served] = means, np.maximum(variances, 1e-10)
+    for at in np.flatnonzero(~(np.isfinite(means) & np.isfinite(variances))):
+        # Pathological conditioning: degrade gracefully to aggregation.
+        member = served[at]
+        mean[member] = targets[member].mean()
+        variance[member] = np.var(targets[member]) + 1e-6
+    return mean, variance, errors
 
 
-def _predict_lane(predictors, queries, neighbours, targets) -> list:
+def _predict_lane(predictors, queries, neighbours, targets) -> Outcome:
     """The GP family's prediction step for a lane's members (one ``(query,
     neighbours, targets)`` each): members of one ``k`` are one stack
-    (:func:`_fit_stack`) under one ``gp_fit`` span.  One outcome per
-    member, its exception in its place."""
-    outcomes: list = [None] * len(predictors)
+    (:func:`_fit_stack`) under one ``gp_fit`` span.  ``(mean, variance,
+    {member: exception})`` over the members."""
+    mean, variance, errors = *np.zeros((2, len(predictors))), {}
     stacks: dict[int, list[int]] = {}
     for member, (x, y) in enumerate(zip(neighbours, targets)):
         if x.shape[0] < 2:
             # A one-point GP posterior is degenerate; fall back to the
             # neighbour's target with prior-scale uncertainty.
-            outcomes[member] = GaussianPrediction(float(y[0]), 1.0)
+            mean[member], variance[member] = y[0], 1.0
         else:
             stacks.setdefault(x.shape[0], []).append(member)
     for k, members in stacks.items():
@@ -247,13 +243,13 @@ def _predict_lane(predictors, queries, neighbours, targets) -> list:
             if sp is not None:
                 sp.attrs["k"] = k
                 sp.attrs["members"] = len(members)
-            fitted = _fit_stack(
+            fitted_mean, fitted_variance, fitted_errors = _fit_stack(
                 [predictors[m] for m in members], [queries[m] for m in members],
                 [neighbours[m] for m in members], [targets[m] for m in members],
             )
-        for member, outcome in zip(members, fitted):
-            outcomes[member] = outcome
-    return outcomes
+        mean[members], variance[members] = fitted_mean, fitted_variance
+        errors.update((members[at], error) for at, error in fitted_errors.items())
+    return checked(mean, variance, errors)
 
 
 def _seed_kernel(neighbours: np.ndarray, targets: np.ndarray) -> SquaredExponentialKernel:
@@ -307,18 +303,22 @@ class GaussianProcessPredictor(SemiLazyPredictor):
         """Gaussian h-step-ahead prediction (see BaseForecaster.predict):
         a lane of one."""
         query, neighbours, targets = self._validate(query, neighbours, targets)
-        [outcome] = _predict_lane([self], [query], [neighbours], [targets])
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+        mean, variance, errors = _predict_lane(
+            [self], [query], [neighbours], [targets]
+        )
+        if errors:
+            raise errors[0]
+        return GaussianPrediction(float(mean[0]), float(variance[0]))
 
     @staticmethod
-    def predict_stacks(stacks):
+    def predict_stacks(stacks) -> list[Outcome]:
         """Every row of every stack is one member of one GP lane
         (:func:`_predict_lane`): cells of one ``k`` train in lock step
         whatever their ``d`` and sensor."""
-        members = [
-            member for stack in stacks for member in zip(*stack)
-        ]
-        outcomes = iter(_predict_lane(*zip(*members)))
-        return [[next(outcomes) for _ in stack[0]] for stack in stacks]
+        members = [member for stack in stacks for member in zip(*stack)]
+        mean, variance, errors = _predict_lane(*zip(*members))
+        ends = np.cumsum([len(stack[0]) for stack in stacks]).tolist()
+        return [(mean[start:end], variance[start:end], {
+            member - start: error for member, error in errors.items()
+            if start <= member < end
+        }) for start, end in zip([0] + ends, ends)]

@@ -103,9 +103,11 @@ def save_smiler(smiler: SMiLer, path) -> None:
 
 def load_snapshot(path) -> SmilerSnapshot:
     """Parse an archive written by :func:`save_smiler` — no index build.
-    Ensemble state no run produces (a horizon with every cell asleep, a
-    non-finite or negative weight, ``sleep_span < 1``,
-    ``sleep_remaining < 0``) is a ``ValueError`` naming its key."""
+    A series ``register`` would refuse (a non-finite value, which the
+    naive rung would serve) is a ``ValueError``, and so is ensemble state
+    no run produces (a horizon with every cell asleep, a non-finite or
+    negative weight, ``sleep_span < 1``, ``sleep_remaining < 0``), naming
+    its key."""
     path = pathlib.Path(path)
     with np.load(path) as archive:
         meta = json.loads(bytes(archive["meta_json"].tobytes()).decode("utf-8"))
@@ -131,6 +133,8 @@ def load_snapshot(path) -> SmilerSnapshot:
         name: tuple(value) if isinstance(value, list) else value
         for name, value in meta["config"].items()
     })
+    if not np.isfinite(series).all():
+        raise ValueError("the series holds non-finite values")
     _check_ensemble_state(meta["ensemble_state"], config)
     return SmilerSnapshot(
         sensor_id=meta["sensor_id"],

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -30,13 +29,8 @@ class GaussianPrediction:
     variance: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.mean):
-            raise ValueError(f"prediction mean must be finite, got {self.mean}")
-        if not math.isfinite(self.variance) or self.variance <= 0:
-            raise ValueError(
-                f"prediction variance must be positive and finite, got "
-                f"{self.variance}"
-            )
+        if (error := _refusal(self.mean, self.variance)) is not None:
+            raise error
 
     def log_density(self, value: float) -> float:
         """``log N(value; mean, variance)`` (the auto-tuner's likelihood)."""
@@ -48,6 +42,39 @@ class GaussianPrediction:
     def density(self, value: float) -> float:
         """``N(value; mean, variance)`` (Eqn. 7)."""
         return float(np.exp(self.log_density(value)))
+
+
+def _refusal(mean: float, variance: float) -> ValueError | None:
+    """Why ``N(mean, variance)`` is no prediction, or None."""
+    if not math.isfinite(mean):
+        return ValueError(f"prediction mean must be finite, got {mean}")
+    if not math.isfinite(variance) or variance <= 0:
+        return ValueError(
+            f"prediction variance must be positive and finite, got {variance}"
+        )
+    return None
+
+
+#: What a family's :meth:`SemiLazyPredictor.predict_stacks` returns per
+#: stack: ``(mean [R], variance [R], {row: exception})``.
+Outcome = tuple[np.ndarray, np.ndarray, dict[int, Exception]]
+
+
+def checked(mean: np.ndarray, variance: np.ndarray, errors: dict) -> Outcome:
+    """``(mean, variance, errors)`` with every other row that
+    :class:`GaussianPrediction` would refuse failed by the ``ValueError``
+    it would raise."""
+    bad = ~(np.isfinite(mean) & np.isfinite(variance) & (variance > 0))
+    if bad.any():
+        for row in np.flatnonzero(bad).tolist():
+            errors.setdefault(row, _refusal(float(mean[row]), float(variance[row])))
+    return mean, variance, errors
+
+
+def failed(size: int, error: Exception) -> Outcome:
+    """The outcome of a stack of ``size`` rows that ``error`` failed."""
+    error = error.with_traceback(None)
+    return np.zeros(size), np.zeros(size), dict.fromkeys(range(size), error)
 
 
 class SemiLazyPredictor(ABC):
@@ -70,44 +97,29 @@ class SemiLazyPredictor(ABC):
         """
 
     @staticmethod
-    def predict_rows(
-        predictors: Sequence["SemiLazyPredictor"],
-        queries: np.ndarray,
-        neighbours: np.ndarray,
-        targets: np.ndarray,
-    ) -> list["GaussianPrediction | Exception"]:
-        """One cell of many sensors at once: row ``i`` is
-        ``predictors[i].predict(queries[i], neighbours[i], targets[i])``
-        for ``queries [R, d]``, ``neighbours [R, k, d]``, ``targets
-        [R, k]``, with a row's exception returned in its place so one
-        sensor's failure stays its own.  The default evaluates row by
-        row; a family whose rows reduce together overrides it (called as
-        ``type(predictors[0]).predict_rows(...)`` on rows of one family).
-        """
-        outcomes: list[GaussianPrediction | Exception] = []
-        for predictor, query, segments, values in zip(
-            predictors, queries, neighbours, targets
-        ):
-            try:
-                outcomes.append(predictor.predict(query, segments, values))
-            except Exception as error:  # noqa: BLE001 - returned per row
-                # Without the traceback: kept, it would tie this frame
-                # (and the stacks it reads) into a reference cycle.
-                outcomes.append(error.with_traceback(None))
-        return outcomes
-
-    @classmethod
-    def predict_stacks(cls, stacks) -> list[list["GaussianPrediction | Exception"]]:
-        """One outcome list per ``(predictors, queries, neighbours,
-        targets)`` stack of :meth:`predict_rows` arguments — every stack of
-        one family a prediction step asks for.  The default is
-        :meth:`predict_rows` per stack, an exception failing its rows."""
+    def predict_stacks(stacks) -> list["Outcome"]:
+        """Per ``(predictors, queries [R, d], neighbours [R, k, d], targets
+        [R, k])`` stack of one family, ``(mean [R], variance [R], {row:
+        exception})``: row ``i`` is ``predictors[i].predict(queries[i],
+        neighbours[i], targets[i])``, or the exception that failed that row
+        alone; every other row passes :class:`GaussianPrediction`'s checks.
+        The default evaluates row by row; a family whose rows reduce
+        together overrides it."""
         outcomes = []
-        for stack in stacks:
-            try:
-                outcomes.append(cls.predict_rows(*stack))
-            except Exception as error:  # noqa: BLE001 - this stack's rows fail
-                outcomes.append([error.with_traceback(None)] * len(stack[0]))
+        for predictors, queries, neighbours, targets in stacks:
+            mean, variance, errors = *np.zeros((2, len(predictors))), {}
+            for row, (predictor, query, segments, values) in enumerate(
+                zip(predictors, queries, neighbours, targets)
+            ):
+                try:
+                    prediction = predictor.predict(query, segments, values)
+                except Exception as error:  # noqa: BLE001 - kept per row
+                    # Without the traceback: kept, it would tie this frame
+                    # (and the stacks it reads) into a reference cycle.
+                    errors[row] = error.with_traceback(None)
+                else:
+                    mean[row], variance[row] = prediction.mean, prediction.variance
+            outcomes.append((mean, variance, errors))
         return outcomes
 
     @staticmethod

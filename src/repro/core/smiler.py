@@ -35,10 +35,11 @@ from ..index.window_index import WindowLevelIndex, lane_of, step_many
 from ..obs import hooks as obs
 from .ar import AggregationPredictor
 from .config import SMiLerConfig
-from .ensemble import AdaptiveEnsemble, Cell, EnsembleOutput, mix_many, update_many
+from .ensemble import AdaptiveEnsemble, Cell, Components, EnsembleOutput, mix_many
 from .ensemble import lane_of as _ensemble_lane
+from .ensemble import update_many
 from .gp_predictor import GaussianProcessPredictor
-from .predictor import GaussianPrediction, SemiLazyPredictor
+from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, failed
 
 __all__ = ["SMiLer", "absorb_many", "predict_many"]
 
@@ -63,7 +64,7 @@ class _PendingUpdate:
     """A prediction awaiting its true value (auto-tuning is delayed by h)."""
 
     due_index: int
-    components: dict[Cell, GaussianPrediction]
+    components: Components
 
 
 class SMiLer:
@@ -141,7 +142,10 @@ class SMiLer:
         every ensemble cell (the ensemble's whole point); stale answers
         are searched for first.
         """
-        return _raised(predict_many([self], horizon)[0])
+        [outcome] = predict_many([self], horizon)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def predict_reduced(self, horizon: int) -> GaussianPrediction:
         """Cheapest single-cell prediction: the smallest ``(k, d)`` cell
@@ -159,9 +163,12 @@ class SMiLer:
                 f"{self.config.horizons}"
             )
         self._current_answers()
-        return _raised(_LaneKnn([self]).predict_cells(
+        [(mean, variance, errors)] = _LaneKnn([self]).predict_cells(
             horizon, [(min(self.config.grid), [0], [_REDUCED])]
-        )[0][0])
+        )
+        if errors:
+            raise errors[0]
+        return GaussianPrediction(float(mean[0]), float(variance[0]))
 
     def rebind(self, backend: ComputeBackend | None) -> "SMiLer":
         """Move this sensor to another backend: rebuild the search index
@@ -202,11 +209,6 @@ class SMiLer:
         """The host-side half of :meth:`observe` (:func:`absorb_many` for
         a group of one): auto-tune on the revealed value and append it."""
         absorb_many([self], [value])
-
-    def tune(self, value: float) -> None:
-        """The auto-tuning half of absorbing a reading — a lane of one of
-        :func:`tune_many`."""
-        tune_many([self], [value])
 
     def install(self, answers: dict[int, SuffixKnnAnswer]) -> None:
         """Adopt kNN answers searched for the current step."""
@@ -262,13 +264,6 @@ class SMiLer:
             },
             "horizons": per_horizon,
         }
-
-
-def _raised(outcome):
-    """``outcome``, unless it is an exception: then it is raised."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 class _LaneKnn:
@@ -331,15 +326,15 @@ class _LaneKnn:
         self,
         horizon: int,
         cells: Sequence[tuple[Cell, Sequence[int], Sequence[SemiLazyPredictor]]],
-    ) -> list[list["GaussianPrediction | Exception"]]:
+    ) -> list[Outcome]:
         """Each ``(cell, rows, predictors)``: cell ``(k, d)`` of sensors
-        ``rows`` through their ``predictors``, one outcome per row.  The
-        rows of a cell that take as many neighbours (an answer may hold
-        fewer than ``k``) through one predictor family form a stack, and
-        each family gets every stack of every cell in one
-        :meth:`SemiLazyPredictor.predict_stacks`; whatever fails a family
-        call fails its rows only."""
-        outcomes: list[list] = [[None] * len(rows) for _, rows, _ in cells]
+        ``rows`` through their ``predictors``, ``(mean, variance, {at:
+        exception})`` over the rows.  The rows of a cell that take as many
+        neighbours (an answer may hold fewer than ``k``) through one family
+        form a stack; each family gets every stack of every cell in one
+        :meth:`SemiLazyPredictor.predict_stacks`, whatever fails that call
+        failing its rows only."""
+        outcomes = [(np.zeros(len(r)), np.zeros(len(r)), {}) for _, r, _ in cells]
         families: dict[type, list] = {}
         for c, (cell, rows, predictors) in enumerate(cells):
             k, d = cell
@@ -352,7 +347,7 @@ class _LaneKnn:
                         (min(k, sizes[row]), type(predictor)), []
                     ).append(at)
                 else:
-                    outcomes[c][at] = IndexError(
+                    outcomes[c][2][at] = IndexError(
                         f"a {horizon}-step-ahead target of an item-length-{d} "
                         f"neighbour is not observed yet"
                     )
@@ -366,11 +361,12 @@ class _LaneKnn:
             try:
                 results = family.predict_stacks([stack for _, _, stack in jobs])
             except Exception as error:  # noqa: BLE001 - this family's rows fail
-                error = error.with_traceback(None)
-                results = [[error] * len(members) for _, members, _ in jobs]
-            for (c, members, _), stack_results in zip(jobs, results):
-                for at, result in zip(members, stack_results):
-                    outcomes[c][at] = result
+                results = [failed(len(members), error) for _, members, _ in jobs]
+            for (c, members, _), (mean, variance, errors) in zip(jobs, results):
+                cell_mean, cell_variance, cell_errors = outcomes[c]
+                cell_mean[members], cell_variance[members] = mean, variance
+                for at, error in errors.items():
+                    cell_errors[members[at]] = error
         return outcomes
 
 
@@ -445,39 +441,41 @@ def _predict_horizon(
     for row, sensor in enumerate(lane):
         if h in sensor._ensembles and isinstance(served[row], dict):
             grids.setdefault(sensor._ensembles[h].cells, []).append(row)
-    asked = []
+    lanes, asked = [], []
     for grid, rows in grids.items():
         ensembles = [lane[row]._ensembles[h] for row in rows]
         stack, seated = _ensemble_lane(ensembles)
-        for cell, asleep in zip(grid, stack.asleep[seated].T.tolist()):
-            awake = [at for at, slept in enumerate(asleep) if not slept]
+        asleep, first = stack.asleep[seated], len(asked)
+        for cell, slept in zip(grid, asleep.T.tolist()):
+            awake = [at for at, off in enumerate(slept) if not off]
             if awake:
                 asked.append((
                     cell, [rows[at] for at in awake],
                     [ensembles[at].predictors[cell] for at in awake],
                 ))
-    components: dict[int, dict[Cell, GaussianPrediction]] = {
-        row: {} for rows in grids.values() for row in rows
-    }
-    for (cell, rows, _), results in zip(asked, knn.predict_cells(h, asked)):
-        for row, result in zip(rows, results):
-            if row not in components:
-                continue  # failed at an earlier cell
-            if isinstance(result, Exception):
-                served[row] = result
-                del components[row]
-            else:
-                components[row][cell] = result
-    for rows in grids.values():
-        rows = [row for row in rows if row in components]
-        if rows:
+        lanes.append((rows, ensembles, ~asleep, slice(first, len(asked))))
+    outcomes = knn.predict_cells(h, asked)
+    failures: dict[int, Exception] = {}  # a sensor's first failed cell
+    for (_, rows, _), (_, _, errors) in zip(asked, outcomes):
+        for at, error in errors.items():
+            failures.setdefault(rows[at], error)
+    for row, error in failures.items():
+        served[row] = error
+    for rows, ensembles, awake, cells in lanes:
+        # [sensors, cells], 0.0 where a cell sleeps: the cells' rows, in
+        # grid order, fill the awake flags column by column.
+        mean, variance = np.zeros((2, *awake.shape))
+        mean.T[awake.T] = np.concatenate([m for m, _, _ in outcomes[cells]])
+        variance.T[awake.T] = np.concatenate([v for _, v, _ in outcomes[cells]])
+        kept = [at for at, row in enumerate(rows) if row not in failures]
+        if kept:
             outputs = mix_many(
-                [lane[row]._ensembles[h] for row in rows],
-                [components[row] for row in rows],
+                [ensembles[at] for at in kept],
+                Components(awake[kept], mean[kept], variance[kept]),
             )
-            for row, output in zip(rows, outputs):
-                served[row][h] = output
-                lane[row]._remember(h, output)
+            for at, output in zip(kept, outputs):
+                served[rows[at]][h] = output
+                lane[rows[at]]._remember(h, output)
 
 
 def tune_many(sensors: Sequence[SMiLer], values: Sequence[float]) -> None:

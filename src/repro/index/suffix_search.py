@@ -71,7 +71,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -303,11 +305,12 @@ def search_many(
 
 def _apportion(total: float, weights: Sequence[float]) -> list[float]:
     """``total`` split in proportion to ``weights``: the parts tile it,
-    and a group of one gets all of it, bit for bit.  Python floats summed
-    left to right — a pairwise ``np.sum`` would move the last bit."""
+    and a group of one gets all of it, bit for bit.  Python floats folded
+    left to right — a pairwise ``np.sum`` would move the last bit, and so
+    would the compensated builtin ``sum()`` of CPython 3.12."""
     if not total:  # an unmodelled clock: every share is 0.0
         return [0.0] * len(weights)
-    whole = sum(weights)
+    whole = reduce(add, weights, 0)
     return [total * (weight / whole) if whole else 0.0 for weight in weights]
 
 
@@ -478,7 +481,7 @@ def _search_item(
         (t_verified - t_filtered, surv_count.tolist()),
     )
     verification_s = _apportion(t_verified - t_start, [
-        sum(parts)
+        reduce(add, parts, 0)
         for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
     ])
     selection_s = _apportion(t_selected - t_verified, pool_sizes)

@@ -67,6 +67,7 @@ from .backend.pool import BackendPool, BreakerConfig, Placement
 from .baselines.autoregressive import fit_ar
 from .core.config import SMiLerConfig
 from .core.persistence import build_smiler, load_snapshot, save_smiler
+from .core.predictor import GaussianPrediction
 from .core.scaleout import plan_lanes
 from .core.smiler import SMiLer, absorb_many, predict_many
 from .exec.base import (
@@ -697,16 +698,6 @@ class PredictionService:
             )
         return horizon
 
-    @staticmethod
-    def _validate_prediction(mean: float, variance: float) -> None:
-        """A rung's output must be a usable Gaussian — NaN means or
-        non-positive/non-finite variances (a non-PSD GP fit, a corrupted
-        kernel) are failures, never served."""
-        if not math.isfinite(mean):
-            raise ValueError(f"non-finite predictive mean {mean!r}")
-        if not math.isfinite(variance) or variance <= 0.0:
-            raise ValueError(f"invalid predictive variance {variance!r}")
-
     def _by_home(self, sensor_ids: Iterable[str]) -> dict[int, list[str]]:
         """``sensor_ids`` by the backend that hosts each right now."""
         homes: dict[int, list[str]] = {}
@@ -766,8 +757,10 @@ class PredictionService:
                 try:
                     if isinstance(output, Exception):
                         raise output
+                    # A rung's output must be a usable Gaussian: NaN means
+                    # or non-positive variances are failures, never served.
                     output = output[horizon]
-                    self._validate_prediction(output.mean, output.variance)
+                    GaussianPrediction(output.mean, output.variance)
                 except Exception as error:  # noqa: BLE001
                     outcomes[sensor_id] = error.with_traceback(None)
                     logger.debug(
@@ -795,9 +788,6 @@ class PredictionService:
                 smiler = self._sensors[sensor_id]
                 try:
                     prediction = smiler.predict_reduced(horizon)
-                    self._validate_prediction(
-                        prediction.mean, prediction.variance
-                    )
                     return prediction.mean, prediction.variance, "reduced"
                 except Exception as error:
                     last_error = error.with_traceback(None)
@@ -807,7 +797,7 @@ class PredictionService:
             elif rung == "ar":
                 try:
                     mean, variance = self._ar_fallback(sensor_id, horizon)
-                    self._validate_prediction(mean, variance)
+                    GaussianPrediction(mean, variance)  # usable, or raises
                     return mean, variance, "ar"
                 except Exception as error:
                     last_error = error.with_traceback(None)

@@ -192,7 +192,8 @@ class TestProfileRound:
         for line in done.stdout.splitlines()[2:]:
             rows.setdefault(line.split()[0], line.split())  # glue row is last
         for layer in (
-            "forecast_all", "mix", "ingest_many", "absorb_many", "tune",
+            "forecast_all", "predict_cells", "mix", "ingest_many", "absorb_many",
+            "tune",
             "step_many", "_tube_excess", "search_many", "lower_bounds_many",
             "_search_item", "dtw_verification", "k_select",
         ):
@@ -201,6 +202,10 @@ class TestProfileRound:
         # per shard.
         assert float(rows["tune"][2]) == 2.0
         assert float(rows["mix"][2]) == 2.0
+        # The family dispatch between them: once per shard (one horizon
+        # asked), never per sensor or per cell.
+        assert float(rows["predict_cells"][2]) == 2.0
+        assert float(rows["predict_cells"][1]) >= float(rows["gp_train"][1])
         # Per window step, one LB_EQ and one LB_EC sum for the tail
         # columns and one of each for the refreshed windows.
         assert float(rows["_tube_excess"][2]) == 8.0
@@ -228,10 +233,12 @@ class TestProfileRound:
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert lines[2].split()[0] == "forecast_all"
-        assert lines[3].startswith("  gp_train")
+        assert lines[3].startswith("  predict_cells")
+        assert lines[4].startswith("    gp_train")
         _, wall, trainings, values, gradients, stacked_values, \
-            stacked_gradients, *note = lines[3].split()
-        assert 0.0 < float(wall) < float(lines[2].split()[1])
+            stacked_gradients, *note = lines[4].split()
+        assert 0.0 < float(wall) < float(lines[3].split()[1])
+        assert float(lines[3].split()[1]) < float(lines[2].split()[1])
         # One sensor, 3 x 3 cells: at most nine trainings a round.
         assert 0.0 < float(trainings) <= 9.0
         # Per training: one gradient at the start and one per accepted

@@ -72,8 +72,10 @@ class TestWeights:
         ens, cells = make_ensemble([0.0, 1.0], sleep=False, variance=1.0)
         out = ens.predict(dummy_inputs(cells))
         truth = 0.0
-        l0 = out.components[cells[0]].density(truth)
-        l1 = out.components[cells[1]].density(truth)
+        l0, l1 = (
+            GaussianPrediction(m, v).density(truth)
+            for m, v in zip(out.components.mean, out.components.variance)
+        )
         expected0 = (0.5 + l0 / (l0 + l1)) / 2.0
         ens.update(truth, out.components)
         assert ens.weights()[cells[0]] == pytest.approx(expected0)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.backend import SimulatedGpuBackend
 from repro.core import SMiLer, SMiLerConfig
-from repro.core.smiler import absorb_many, predict_many
+from repro.core.smiler import absorb_many, predict_many, tune_many
 from repro.index import search_many
 
 
@@ -196,7 +196,7 @@ class TestFleet:
         for sensor in sensors:
             sensor.predict()
         launches = backend.cost.launches
-        sensors[0].tune(0.5)  # scores the waiting prediction, nothing else
+        tune_many(sensors[:1], [0.5])  # scores the waiting prediction only
         assert sensors[0].ensemble(1).updates == 1
         assert sensors[0].now == sensors[0].series.size == 600
         assert sensors[0]._answers is not None

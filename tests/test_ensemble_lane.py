@@ -6,9 +6,11 @@ and ``_recovery_phase``) and ``AdaptiveEnsemble.mix``, and
 ``tune_many`` the per-sensor ``SMiLer.tune``.  The replaced bodies are
 kept here verbatim as the oracle — except that every ``sum()`` is the
 explicit left fold :func:`fold`, which is what ``sum()`` computed on
-CPython 3.11 and what the lane computes on every version.  Every state
-field, mixture and weight the lane produces must be ``float.hex()``-equal
-to the oracle's, whatever shares the lane.
+CPython 3.11 and what the lane computes on every version.  The oracle
+mixes and scores ``{cell: GaussianPrediction}`` dicts; the lane the same
+predictions as ``Components`` rows in cell order (:func:`stacked`).
+Every state field, mixture and weight the lane produces must be
+``float.hex()``-equal to the oracle's, whatever shares the lane.
 """
 
 import json
@@ -26,6 +28,7 @@ from repro.core import SMiLerConfig
 from repro.core.ar import AggregationPredictor
 from repro.core.ensemble import (
     AdaptiveEnsemble,
+    Components,
     EnsembleOutput,
     EnsembleStack,
     mix_many,
@@ -236,13 +239,35 @@ def assert_same_state(ensemble, oracle, who):
         ], (who, cell)
 
 
-def assert_same_output(got, want, who):
+def stacked(grid, rows):
+    """``{cell: GaussianPrediction}`` dicts as the lane's ``[R, C]``
+    components: cell order, 0.0 where a cell did not predict."""
+    def field(name):
+        return np.array([
+            [getattr(row[cell], name) if cell in row else 0.0 for cell in grid]
+            for row in rows
+        ], dtype=np.float64)
+
+    present = np.array([[cell in row for cell in grid] for row in rows])
+    return Components(present, field("mean"), field("variance"))
+
+
+def row_of(grid, predictions):
+    """One dict as a ``[C]`` row, as a pending update holds it."""
+    return Components(*(field[0] for field in stacked(grid, [predictions])))
+
+
+def assert_same_output(got, want, grid, who):
+    """The lane's mixture against the oracle's; its rows against the
+    oracle's dicts laid out in grid order."""
     assert got.mean.hex() == float(want.mean).hex(), who
     assert got.variance.hex() == want.variance.hex(), who
-    assert list(got.components) == list(want.components), who
-    assert list(got.weights) == list(want.weights), who
-    assert [w.hex() for w in got.weights.values()] == [
-        w.hex() for w in want.weights.values()
+    for got_row, want_row in zip(got.components, stacked(grid, [want.components])):
+        assert [float(v).hex() for v in got_row.tolist()] == [
+            float(v).hex() for v in want_row[0].tolist()
+        ], who
+    assert [w.hex() for w in got.weights.tolist()] == [
+        float(want.weights.get(cell, 0.0)).hex() for cell in grid
     ], who
 
 
@@ -283,7 +308,7 @@ def grid_of(n_cells):
 def run_synthetic_lane(seed, flags, n_cells, steps=STEPS, delay=2):
     """``flags[i] = (self_adaptive, sleep_enabled)`` per member.  Every
     tick each member mixes its awake cells (the lane: one ``mix_many``;
-    alone: ``AdaptiveEnsemble.mix``; the oracle); ``delay`` ticks later
+    alone: a ``mix_many`` of one; the oracle); ``delay`` ticks later
     the mixture's components are scored — by then cells may have fallen
     asleep or woken — except on ticks a member skips.  Returns the
     event counts the oracle went through."""
@@ -302,10 +327,11 @@ def run_synthetic_lane(seed, flags, n_cells, steps=STEPS, delay=2):
             for i, oracle in enumerate(oracles)
         ]
         wanted = [oracle.mix(c) for oracle, c in zip(oracles, comps)]
-        got = mix_many(lane, comps)
+        got = mix_many(lane, stacked(grid, comps))
         for i in range(size):
-            assert_same_output(got[i], wanted[i], (tick, i, "lane"))
-            assert_same_output(alone[i].mix(comps[i]), wanted[i], (tick, i, "alone"))
+            assert_same_output(got[i], wanted[i], grid, (tick, i, "lane"))
+            [mine] = mix_many([alone[i]], stacked(grid, comps[i : i + 1]))
+            assert_same_output(mine, wanted[i], grid, (tick, i, "alone"))
         pending.append((truths, comps))
         if len(pending) <= delay:
             continue
@@ -318,10 +344,12 @@ def run_synthetic_lane(seed, flags, n_cells, steps=STEPS, delay=2):
             for oracle in oracles
         ]
         truths = truths.tolist()
-        update_many(lane, truths, scored)
+        update_many(lane, truths, [
+            None if found is None else row_of(grid, found) for found in scored
+        ])
         for i in range(size):
             if scored[i] is not None:
-                alone[i].update(truths[i], scored[i])
+                alone[i].update(truths[i], row_of(grid, scored[i]))
                 oracles[i].update(truths[i], scored[i])
             assert_same_state(lane[i], oracles[i], (tick, i, "lane"))
             assert_same_state(alone[i], oracles[i], (tick, i, "alone"))
@@ -427,10 +455,6 @@ def test_a_stack_follows_its_members():
         EnsembleStack.of([group[0], group[0]])
     with pytest.raises(ValueError, match="share their cells"):
         EnsembleStack.of([group[0], AdaptiveEnsemble(grid[:2], lambda c: None)])
-    with pytest.raises(ValueError, match="order"):
-        update_many(group[:1], [0.0], [{
-            cell: GaussianPrediction(0.0, 1.0) for cell in reversed(grid)
-        }])
 
 
 # ------------------------------------------------------------ real sensors
@@ -466,7 +490,9 @@ def test_smiler_lanes_equal_their_oracle_twins():
         got = predict_many(lane, None)
         for sensor, twin, outputs in zip(lane, twins, got):
             for h in CONFIG.horizons:
-                assert_same_output(outputs[h], twin.predict(h), (tick, sensor.sensor_id))
+                assert_same_output(
+                    outputs[h], twin.predict(h), CONFIG.grid, (tick, sensor.sensor_id)
+                )
         values = [float(future[tick]) for future in futures]
         if tick % 5 == 2:
             absorb_many(lane[:4], values[:4])

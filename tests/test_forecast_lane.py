@@ -1,12 +1,15 @@
 """Differential identity battery for the forecast lane.
 
 ``predict_many`` replaced the per-sensor body of ``SMiLer.predict`` (and
-``_cell_inputs``), ``AggregationPredictor.predict_rows`` the one-row
+``_cell_inputs``), ``AggregationPredictor.predict_stacks`` the one-row
 reduction, ``PredictionService._forecast_lane`` the per-sensor
 ``_forecast_op``.  The deleted bodies are kept here verbatim as the
 oracle — twins of the lane's sensors, fed the same readings, predicted
-one sensor and one cell at a time — and every float the lane produces
-must be ``float.hex()``-equal to theirs, whatever shares the stack.
+one sensor and one cell at a time, one ``GaussianPrediction`` per cell —
+and every float the lane produces must be ``float.hex()``-equal to
+theirs, whatever shares the stack.  The oracle's per-cell dicts are laid
+out as the lane's rows (cell order, 0.0 where a cell did not predict)
+only to be remembered and compared.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ from scipy.special import erfinv
 from repro.backend import make_backend
 from repro.core import SMiLerConfig
 from repro.core.ar import AggregationPredictor
-from repro.core.ensemble import EnsembleOutput
+from repro.core.ensemble import Components, EnsembleOutput
 from repro.core.predictor import GaussianPrediction, SemiLazyPredictor
 from repro.core.smiler import SMiLer, absorb_many, predict_many
 from repro.index import search_many
@@ -94,7 +97,23 @@ def oracle_ensemble_predict(ensemble, inputs):
     )
     variance = max(second_moment - mean**2, 1e-10)
     return EnsembleOutput(
-        mean=mean, variance=variance, components=components, weights=norm
+        mean=mean, variance=variance,
+        components=as_components(ensemble.cells, components),
+        weights=as_row(ensemble.cells, norm),
+    )
+
+
+def as_row(cells, by_cell):
+    """A ``{cell: float}`` dict as a row in cell order, 0.0 where absent."""
+    return np.array([by_cell.get(cell, 0.0) for cell in cells], dtype=np.float64)
+
+
+def as_components(cells, predictions):
+    """``{cell: GaussianPrediction}`` as the lane's ``[C]`` row."""
+    return Components(
+        np.array([cell in predictions for cell in cells]),
+        as_row(cells, {cell: p.mean for cell, p in predictions.items()}),
+        as_row(cells, {cell: p.variance for cell, p in predictions.items()}),
     )
 
 
@@ -166,20 +185,24 @@ def hexes(prediction):
     return prediction.mean.hex(), prediction.variance.hex()
 
 
+def row_hexes(row):
+    return [float(value).hex() for value in row.tolist()]
+
+
+def assert_same_components(got, want, who):
+    """Same cells present, every mean and variance to the bit."""
+    assert got.present.tolist() == want.present.tolist(), who
+    assert row_hexes(got.mean) == row_hexes(want.mean), who
+    assert row_hexes(got.variance) == row_hexes(want.variance), who
+
+
 def assert_same_outputs(got, want, who):
     assert not isinstance(got, Exception), (who, got)
     assert sorted(got) == sorted(want), who
     for h in want:
-        assert list(got[h].components) == list(want[h].components), (who, h)
-        for cell in want[h].components:
-            assert hexes(got[h].components[cell]) == hexes(
-                want[h].components[cell]
-            ), (who, h, cell)
+        assert_same_components(got[h].components, want[h].components, (who, h))
         assert hexes(got[h]) == hexes(want[h]), (who, h)
-        assert list(got[h].weights) == list(want[h].weights), (who, h)
-        assert [w.hex() for w in got[h].weights.values()] == [
-            w.hex() for w in want[h].weights.values()
-        ], (who, h)
+        assert row_hexes(got[h].weights) == row_hexes(want[h].weights), (who, h)
 
 
 def assert_same_state(sensor, twin):
@@ -189,11 +212,7 @@ def assert_same_state(sensor, twin):
         got, want = sensor._pending[h], twin._pending[h]
         assert [u.due_index for u in got] == [u.due_index for u in want]
         for mine, theirs in zip(got, want):
-            assert list(mine.components) == list(theirs.components)
-            for cell in theirs.components:
-                assert hexes(mine.components[cell]) == hexes(
-                    theirs.components[cell]
-                )
+            assert_same_components(mine.components, theirs.components, h)
         mine, theirs = sensor.ensemble(h), twin.ensemble(h)
         assert mine.awake_cells() == theirs.awake_cells()
         for cell in theirs.cells:
@@ -369,7 +388,7 @@ def test_an_unknown_horizon_fails_only_its_sensor_and_unobserved_targets_too():
 
 
 def test_a_two_sensor_gp_lane_keeps_its_bits_and_its_training():
-    """GP cells go through the default ``predict_rows``: same
+    """GP cells go through the GP lane's ``predict_stacks``: same
     predictions, same trained hyperparameters, same CG and evaluation
     counts as each sensor predicted alone."""
     config = SMiLerConfig(
@@ -499,7 +518,7 @@ def test_scalar_z_normalisation_is_the_array_one(value, mean, std):
     ).hex()
 
 
-# ------------------------------------------------------------ predict_rows
+# ---------------------------------------------------------- predict_stacks
 @settings(max_examples=150, deadline=None)
 @given(
     k=st.integers(1, 64),
@@ -509,7 +528,7 @@ def test_scalar_z_normalisation_is_the_array_one(value, mean, std):
     seed=st.integers(0, 2**32 - 1),
     constant=st.booleans(),
 )
-def test_predict_rows_row_i_is_predict_on_row_i(
+def test_predict_stacks_row_i_is_predict_on_row_i(
     k, rows, surplus, exponent, seed, constant
 ):
     """The pinned observation: a last-axis reduction over a ``[R, k]``
@@ -530,36 +549,45 @@ def test_predict_rows_row_i_is_predict_on_row_i(
         "view": (slice(None), wide[:, :k], neighbours[:, :k]),
         "copy": (picked, wide[picked, :k], neighbours[picked, :k]),
     }
-    for name, (order, targets, segments) in stacks.items():
-        outcomes = AggregationPredictor.predict_rows(
-            predictors, queries[order], segments, targets
-        )
-        for row, outcome in zip(np.arange(rows)[order], outcomes):
+    outcomes = AggregationPredictor.predict_stacks([
+        (predictors, queries[order], segments, targets)
+        for order, targets, segments in stacks.values()
+    ])
+    for name, (order, _, _), (mean, variance, errors) in zip(
+        stacks, stacks.values(), outcomes
+    ):
+        assert errors == {}, name
+        for at, row in enumerate(np.arange(rows)[order]):
             want = oracle.predict(queries[row], neighbours[row, :k], wide[row, :k])
-            assert hexes(outcome) == hexes(want), name
+            assert (mean[at].hex(), variance[at].hex()) == hexes(want), name
             alone = predictors[0].predict(
                 queries[row], neighbours[row, :k], wide[row, :k]
             )
             assert hexes(alone) == hexes(want), name
             if constant:
-                assert outcome.variance == predictors[0].variance_floor
+                assert variance[at] == predictors[0].variance_floor
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_predict_rows_failures_per_row_and_shapes_per_stack():
+def test_predict_stacks_failures_per_row_and_shapes_per_stack():
+    """A row ``GaussianPrediction`` would refuse fails with the error it
+    would raise and alone; a stack of the wrong shape fails its rows and
+    no other stack's."""
     predictors = [AggregationPredictor() for _ in range(3)]
     queries = np.zeros((3, 4))
     neighbours = np.zeros((3, 5, 4))
     targets = np.arange(15.0).reshape(3, 5)
     targets[1, 2] = np.nan
     targets[2, 0] = np.inf
-    good, nan, inf = AggregationPredictor.predict_rows(
-        predictors, queries, neighbours, targets
-    )
-    assert hexes(good) == hexes(predictors[0].predict(
-        queries[0], neighbours[0], targets[0]
-    ))
-    assert isinstance(nan, ValueError) and isinstance(inf, ValueError)
+    good = (predictors, queries, neighbours, targets)
+    [(mean, variance, errors)] = AggregationPredictor.predict_stacks([good])
+    want = predictors[0].predict(queries[0], neighbours[0], targets[0])
+    assert (mean[0].hex(), variance[0].hex()) == hexes(want)
+    assert sorted(errors) == [1, 2]
+    for row, error in errors.items():
+        with pytest.raises(ValueError) as raised:
+            predictors[row].predict(queries[row], neighbours[row], targets[row])
+        assert type(error) is ValueError and str(error) == str(raised.value)
 
     for bad in (
         (predictors[:2], queries, neighbours, targets),
@@ -567,12 +595,15 @@ def test_predict_rows_failures_per_row_and_shapes_per_stack():
         (predictors, queries, neighbours, targets[:, :4]),
         (predictors, queries, neighbours[:, :0], targets[:, :0]),
         (predictors, queries[0], neighbours, targets),
+        (predictors, queries, neighbours[0], targets),
     ):
-        with pytest.raises(ValueError):
-            AggregationPredictor.predict_rows(*bad)
+        failed, kept = AggregationPredictor.predict_stacks([bad, good])
+        assert sorted(failed[2]) == list(range(len(bad[0])))
+        assert all(isinstance(e, ValueError) for e in failed[2].values())
+        assert sorted(kept[2]) == [1, 2]
 
 
-def test_default_predict_rows_loops_predict_and_returns_row_exceptions():
+def test_default_predict_stacks_loops_predict_and_keeps_row_exceptions():
     class Fussy(SemiLazyPredictor):
         def predict(self, query, neighbours, targets):
             if targets[0] < 0:
@@ -580,9 +611,12 @@ def test_default_predict_rows_loops_predict_and_returns_row_exceptions():
             return GaussianPrediction(float(targets.sum()), 1.0)
 
     targets = np.array([[1.0, 2.0], [-1.0, 0.0], [3.0, 4.0]])
-    outcomes = Fussy.predict_rows(
+    [(mean, variance, errors)] = Fussy.predict_stacks([(
         [Fussy() for _ in range(3)], np.zeros((3, 2)), np.zeros((3, 2, 2)),
         targets,
+    )])
+    assert (mean[[0, 2]].tolist(), variance[[0, 2]].tolist()) == (
+        [3.0, 7.0], [1.0, 1.0]
     )
-    assert [getattr(o, "mean", None) for o in outcomes] == [3.0, None, 7.0]
-    assert isinstance(outcomes[1], RuntimeError)
+    assert list(errors) == [1] and isinstance(errors[1], RuntimeError)
+    assert errors[1].__traceback__ is None

@@ -74,9 +74,9 @@ def fingerprint(outcome, sensor):
     for h in sorted(outcome):
         output = outcome[h]
         floats += [output.mean, output.variance]
-        for cell, component in output.components.items():
-            floats += [component.mean, component.variance]
-        floats += list(output.weights.values())
+        floats += output.components.mean.tolist()
+        floats += output.components.variance.tolist()
+        floats += output.weights.tolist()
     for predictor in gp_cells(sensor):
         if predictor._log_params is not None:
             floats += [float(p) for p in predictor._log_params]
@@ -192,15 +192,17 @@ def test_one_stack_holds_every_kind_of_member(monkeypatch):
         gp_predictor, "_fit_stack",
         lambda p, *a: sizes.append(len(p)) or original(p, *a),
     )
-    outcomes = gp_predictor._predict_lane(predictors, queries, neighbours, targets)
+    mean, variance, errors = gp_predictor._predict_lane(
+        predictors, queries, neighbours, targets
+    )
     assert sizes == [3]  # one stack; the k = 1 member never reaches it
-    for predictor, twin, outcome, q, x, y in zip(
-        predictors, twins, outcomes, queries, neighbours, targets
+    assert errors == {}
+    for predictor, twin, m, v, q, x, y in zip(
+        predictors, twins, mean.tolist(), variance.tolist(), queries, neighbours,
+        targets,
     ):
         want = twin.predict(q, x, y)
-        assert (outcome.mean.hex(), outcome.variance.hex()) == (
-            want.mean.hex(), want.variance.hex()
-        )
+        assert (m.hex(), v.hex()) == (want.mean.hex(), want.variance.hex())
         assert (
             predictor.train_calls, predictor.cg_iterations,
             predictor.objective_evaluations, predictor.gradient_evaluations,
@@ -215,7 +217,7 @@ def test_one_stack_holds_every_kind_of_member(monkeypatch):
     assert warm.train_calls == 2 and warm.cg_iterations <= 25 + 5
     assert frozen.train_calls == 2 and frozen.cg_iterations == frozen_iterations
     assert tiny.train_calls == 0 and tiny._log_params is None
-    assert (outcomes[3].mean, outcomes[3].variance) == (float(targets[3][0]), 1.0)
+    assert (mean[3], variance[3]) == (float(targets[3][0]), 1.0)
 
 
 # ------------------------------------- (iv) snapshot, restore, continue

@@ -229,9 +229,6 @@ KEPT_UNREAD = {
         "test seam: ledger tests inspect what is still allocated",
     "repro.core.smiler.SMiLer.now":
         "test seam: lane and lifecycle tests compare stream positions",
-    "repro.core.smiler.SMiLer.tune":
-        "test seam: tune_many for a lane of one, scoring a sensor's waiting "
-        "prediction without stepping its index",
     "repro.index.window_index.WindowLevelIndex.series_envelope":
         "test seam: the lane battery compares it with the per-sensor oracle",
     "repro.obs.hooks.get_tracer":

@@ -44,6 +44,7 @@ from repro.index.suffix_search import (
 from repro.index.window_index import step_many
 from repro.obs import hooks as obs
 
+from .test_forecast_lane import fold
 from .test_search_cascade import (
     SMALL_CFG,
     adversarial_streams,
@@ -127,7 +128,7 @@ def _seed_starts(engine: SuffixKnnEngine, d: int, bound: np.ndarray) -> np.ndarr
 def _apportion(total: float, weights: Sequence[float]) -> list[float]:
     """``total`` split in proportion to ``weights``: the parts tile it,
     and a group of one gets all of it, bit for bit."""
-    whole = sum(weights)
+    whole = fold(weights)
     return [total * (weight / whole) if whole else 0.0 for weight in weights]
 
 
@@ -241,7 +242,7 @@ def _search_item(
         (t_verified - t_filtered, [m.survivors.size for m in members]),
     )
     verification_s = _apportion(t_verified - t_start, [
-        sum(parts)
+        fold(parts)
         for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
     ])
     selection_s = _apportion(

@@ -360,6 +360,22 @@ class TestSnapshotRestore:
         with pytest.raises(SnapshotCorruptionError, match="s1.npz"):
             make_service().restore(tmp_path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_restore_rejects_a_non_finite_series(self, tmp_path, bad):
+        """register() refuses a non-finite history, so restore() refuses
+        one too: restored, the naive rung would forecast mean=nan."""
+        service = make_service()
+        service.register("s1", raw_history())
+        service.snapshot(tmp_path)
+        with np.load(tmp_path / "s1.npz") as archive:
+            data = {name: archive[name] for name in archive.files}
+        data["series"][-1] = bad
+        np.savez(tmp_path / "s1.npz", **data)
+        fresh = make_service()
+        with pytest.raises(SnapshotCorruptionError, match="s1.npz"):
+            fresh.restore(tmp_path)
+        assert sum(fresh.sensors_per_backend()) == 0
+
     def test_restore_unparseable_archive_names_the_file(self, tmp_path):
         """Any npz that is not a sensor snapshot (here: missing keys) is
         reported as corruption with the offending filename."""

@@ -18,15 +18,18 @@ and nothing inside native code, so call-heavy glue reads about twice its
 share; ``--layers`` instead wraps the layer boundaries in
 ``perf_counter`` timers and prints untraced wall per round —
 
-    forecast_all -> gp_train, mix
+    forecast_all -> predict_cells (gp_train), mix
     ingest_many -> absorb_many (tune, step_many (_tube_excess))
                 -> search_many (lower_bounds_many, _search_item
                                  (dtw_verification, k_select))
 
 — so a PR can quote glue = ``_search_item`` − kernels.  ``search_many``
-rows include the forecast side's stale re-searches, if any.  ``tune``
-and ``mix`` are the ensemble lane's stacked update and mix, so they
-count lanes (``mix``: a lane's grids), not sensors.  Two rows
+rows include the forecast side's stale re-searches, if any.
+``predict_cells`` is the family dispatch — every awake cell of a
+horizon's lane through one ``predict_stacks`` per predictor family —
+and counts horizons per lane (the reduced rung's single cells too).
+``tune`` and ``mix`` are the ensemble lane's stacked update and mix, so
+they count lanes (``mix``: a lane's grids), not sensors.  Two rows
 also say how much work their wall bought: ``dtw_verification`` the rows
 verified and DP cells (``Σ n·d·min(d, 2ρ+1)``) per round, ``gp_train``
 (the GP lane trainer, every GP cell's hyperparameter training; 0 on AR
@@ -55,7 +58,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 #: where its caller looks it up, outermost first.
 LAYERS = (
     ("forecast_all", 0, "repro.service:PredictionService", "forecast_all"),
-    ("gp_train", 1, "repro.core.gp_predictor", "_train_stack"),
+    ("predict_cells", 1, "repro.core.smiler:_LaneKnn", "predict_cells"),
+    ("gp_train", 2, "repro.core.gp_predictor", "_train_stack"),
     ("mix", 1, "repro.core.smiler", "mix_many"),
     ("ingest_many", 0, "repro.service:PredictionService", "ingest_many"),
     ("absorb_many", 1, "repro.service", "absorb_many"),
@@ -162,7 +166,7 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
     )
     for label, depth, _, _ in LAYERS:
         seconds, calls, *work = totals[label]
-        forecast_side = label in ("forecast_all", "gp_train", "mix")
+        forecast_side = label in ("forecast_all", "predict_cells", "gp_train", "mix")
         share = "" if forecast_side else f"{seconds / ingest:>10.1%}"
         note = ""
         if label == "dtw_verification":
