@@ -33,6 +33,7 @@ dispatch layer, no device underneath it.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import threading
 from typing import Protocol, runtime_checkable
@@ -95,7 +96,8 @@ class ComputeBackend(Protocol):
         selection is segmented: one kernel op selects within every
         ``values[offsets[i]:offsets[i + 1]]`` and returns one array of
         segment-relative indices per segment (``min(k, segment size)``
-        each) — exactly what the plain call returns for that segment.
+        each) — exactly what the plain call returns for that segment;
+        values holding NaN raise :class:`ValueError`.
         """
         ...
 
@@ -221,13 +223,19 @@ class SubstrateBackend:
         """Indices of the k smallest values, ascending, ties by index;
         per segment when ``offsets`` is given (see :class:`ComputeBackend`).
 
-        The plain call is the one-segment case of the same kernel op.
+        The plain call is the one-segment case of the same kernel op.  A
+        NaN has no rank: values holding any raise :class:`ValueError`.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
             raise ValueError("k_select expects a 1-D array")
         if k <= 0:
             raise ValueError(f"k must be positive, got {k}")
+        if math.isnan(np.minimum.reduce(values, initial=np.inf)):
+            nan = np.count_nonzero(np.isnan(values))
+            raise ValueError(
+                f"k_select cannot rank NaN: {nan} of {values.size} values are NaN"
+            )
         if offsets is None:
             if values.size == 0:
                 raise ValueError("cannot select from an empty array")

@@ -47,8 +47,8 @@ class SimulatedGpuBackend(SubstrateBackend):
             return full_dtw_kernel(self.cost, query, candidates)
 
     def _run_k_select(self, values, k, offsets):
-        """Device k-selection by distributive partitioning, one block per
-        segment: the slowest block's pass count feeds the cost model."""
+        """The shared selection, charged as device partitioning: the
+        slowest block's replayed passes feed the cost model."""
         with self._lock:
             return k_select_kernel(self.cost, values, k, offsets)
 

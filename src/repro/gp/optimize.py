@@ -33,7 +33,7 @@ __all__ = [
 class Objective(Protocol):
     """What :func:`conjugate_gradient_minimize` minimises: ``value(x)``
     at every line-search candidate, ``gradient()`` at the point last
-    valued — asked only at the start and at accepted steps."""
+    valued — asked only at the start and at steps the run goes on from."""
 
     def value(self, x: np.ndarray) -> float: ...
 
@@ -62,7 +62,8 @@ class OptimizeResult:
 
 #: A :func:`conjugate_gradient` run: yields a point and is sent the value
 #: there, or yields ``None`` and is sent the gradient at the point last
-#: valued (asked only at the start and at each accepted step).
+#: valued (asked at the start and at each step the run goes on from: as
+#: many gradients as iterations).
 CgRun = Generator["np.ndarray | None", "float | np.ndarray", OptimizeResult]
 
 
@@ -77,9 +78,9 @@ def _line_search(
     max_backtracks: int = 25,
 ) -> Generator["np.ndarray | None", "float | np.ndarray", tuple]:
     """Armijo backtracking along ``direction``, as a sub-coroutine of
-    :func:`conjugate_gradient`: candidates are valued only, the gradient
-    is asked for at the one accepted.  Returns ``(new_x, new_value,
-    new_grad, step)`` or None when no progress, and the values asked."""
+    :func:`conjugate_gradient`: candidates are valued only.  Returns
+    ``(new_x, new_value, step)`` or None when no progress, and the values
+    asked."""
     slope = float(grad @ direction)
     if slope >= 0:
         return None, 0
@@ -88,7 +89,7 @@ def _line_search(
         candidate = x + step * direction
         cand_value = yield candidate
         if np.isfinite(cand_value) and cand_value <= value + armijo * step * slope:
-            return (candidate, cand_value, (yield None), step), tries
+            return (candidate, cand_value, step), tries
         step *= shrink
     return None, max_backtracks
 
@@ -133,17 +134,18 @@ def conjugate_gradient(
             evaluations += tries
             if result is None:
                 break
-        gradient_evaluations += 1
-        new_x, new_value, new_grad, accepted = result
+        new_x, new_value, accepted = result
         # A step accepted at a first try below 1.0 was never tested
         # longer, so a small decrease there is not evidence of a minimum.
         untested = accepted == start < 1.0
         start = min(1.0, 2.0 * accepted)
         stalled = value - new_value < value_tol * (abs(value) + value_tol)
-        if stalled and not untested:
-            x, value, grad = new_x, new_value, new_grad
-            converged = True
+        x, value = new_x, new_value
+        converged = stalled and not untested
+        if converged or iterations == max_iters:
             break
+        new_grad = yield None  # only a run that goes on needs it
+        gradient_evaluations += 1
         # Polak-Ribière+ update with automatic restart (beta clipped to
         # [0, 1e6]; runaway beta on ill-scaled problems degenerates the
         # direction and is caught by the steepest-descent restart above).
@@ -155,7 +157,7 @@ def conjugate_gradient(
             direction = -new_grad + beta * direction
         if not np.isfinite(direction).all():
             direction = -new_grad
-        x, value, grad = new_x, new_value, new_grad
+        grad = new_grad
     return OptimizeResult(
         x=x,
         value=value,

@@ -8,8 +8,8 @@ stays inspectable and testable.
 
 Inputs arrive coerced and validated by the dispatching backend
 (:class:`repro.backend.base.SubstrateBackend`): ``candidates`` is a
-non-empty 2-D float64 array, ``values`` a non-empty 1-D float64 array,
-``offsets`` rises strictly from 0 to ``values.size`` and ``k >= 1``.
+non-empty 2-D float64 array, ``values`` a non-empty 1-D float64 array
+without NaN, ``offsets`` rises strictly from 0 to ``values.size``, ``k >= 1``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ __all__ = [
     "dtw_verification_kernel",
     "full_dtw_kernel",
     "k_select_kernel",
+    "k_smallest",
 ]
 
 #: Abstract operations per banded-DTW DP cell (distance + 3-way min + add).
@@ -91,69 +92,76 @@ def full_dtw_kernel(
     return dtw_batch(query, candidates, rho=None)
 
 
+def k_smallest(
+    values: np.ndarray, k: int, offsets
+) -> tuple[list, np.ndarray, np.ndarray]:
+    """Every backend's k-selection answer: per segment, the k smallest
+    values' indices, ascending, ties by index, by one stable argsort of
+    the segments as rows padded with ``+inf`` (behind a segment's own;
+    every row ends in one).  Returns them, the rows and a size column."""
+    widths = [hi - lo for lo, hi in zip(offsets[:-1], offsets[1:])]
+    sizes = np.array(widths)[:, None]
+    rows = np.empty((sizes.size, max(widths) + 1))
+    rows.fill(np.inf)
+    rows[np.arange(rows.shape[1]) < sizes] = values
+    tops = rows.argsort(axis=1, kind="stable")[:, :k]
+    if min(widths) >= k:
+        return list(tops), rows, sizes
+    return [top[:width] for top, width in zip(tops, widths)], rows, sizes
+
+
 def k_select_kernel(
     cost: GpuCostModel, values: np.ndarray, k: int, offsets
 ) -> list[np.ndarray]:
-    """Per-segment indices of the k smallest values via distributive
-    partitioning [3]; segment ``i`` is ``values[offsets[i]:offsets[i+1]]``.
-
-    Mirrors the paper's two improvements over [3]: one block handles one
-    query's selection, so the selections of every segment share one
-    launch (charged at its slowest block), and *all* k smallest are
-    returned, not just the k-th.
-    """
-    chosen: list[np.ndarray] = []
-    slowest = 0
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        indices, passes = _partition_select(values[lo:hi], min(k, hi - lo))
-        chosen.append(indices)
-        slowest = max(slowest, passes * (hi - lo))
+    """:func:`k_smallest`'s answer, charged as distributive partitioning
+    [3] with the paper's two improvements: one block per segment (query),
+    all in one launch charged at its slowest block, and *all* k smallest
+    returned, not just the k-th.  The passes are replayed on sorted rows."""
+    chosen, rows, sizes = k_smallest(values, k, offsets)
+    rows.sort(axis=1)
     cost.launch(
         "k_select",
         n_blocks=len(chosen),
-        ops_per_thread=slowest * OPS_PER_SELECT_ELEM / THREADS_PER_BLOCK,
+        ops_per_thread=_slowest_block(rows, sizes, k)
+        * OPS_PER_SELECT_ELEM / THREADS_PER_BLOCK,
         threads_per_block=THREADS_PER_BLOCK,
     )
     return chosen
 
 
-def _partition_select(values: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-    """One block's selection: ``(indices of the k smallest, passes)``.
+_BUCKETS, _MAX_PASSES = 256, 64  # per pass; passes before a block stops
+_PAIR = np.array([[[0]], [[1]]])  # a slice's two ends, a pass's two cuts
 
-    The algorithm range-partitions into 256 buckets, keeps every bucket
-    strictly below the one containing the k-th value, and recurses into
-    that pivot bucket; each pass touches the surviving elements once.
-    """
-    n_buckets = 256
-    selected: list[np.ndarray] = []
-    active = np.arange(values.size)
-    remaining = k
-    passes = 0
-    # Guaranteed to terminate: each pass either resolves ties exactly or
-    # strictly shrinks the active pivot bucket.
-    while remaining > 0:
-        passes += 1
-        active_values = values[active]
-        lo = float(active_values.min())
-        hi = float(active_values.max())
-        if lo == hi or passes > 64:
-            # All remaining candidates tie (or precision exhausted):
-            # take the first `remaining` of them.
-            selected.append(active[:remaining])
-            remaining = 0
-            break
-        scale = (n_buckets - 1) / (hi - lo)
-        buckets = np.minimum(
-            ((active_values - lo) * scale).astype(np.int64), n_buckets - 1
-        )
-        counts = np.bincount(buckets, minlength=n_buckets)
-        cumulative = np.cumsum(counts)
-        pivot = int(np.searchsorted(cumulative, remaining))
-        below = buckets < pivot
-        selected.append(active[below])
-        remaining -= int(below.sum())
-        active = active[buckets == pivot]
 
-    chosen = np.concatenate(selected) if selected else np.empty(0, dtype=int)
-    order = np.argsort(values[chosen], kind="stable")
-    return chosen[order], passes
+def _slowest_block(ranked: np.ndarray, sizes: np.ndarray, k: int) -> int:
+    """``max(passes x size)`` over the blocks, replayed in lock step on the
+    sorted rows.  A pass buckets a block's active values by ``(v - lo) *
+    255 / (hi - lo)``, keeps those below the k-th value's bucket and
+    recurses into it; a block stops when its values tie, when ``255 /
+    span`` overflows, or after 64 passes (counted as 65).  Active values
+    are a slice of the row (flat indices of its ends, clipped to the last
+    slice: a stopped block stays stopped) whose bucket positions rise, so
+    a pass is where two cuts are first reached (by the ``+inf`` end)."""
+    flat = ranked.ravel()
+    starts = np.arange(0, flat.size, ranked.shape[1])[:, None] - _PAIR
+    bounds = sizes * _PAIR + starts  # [first, last] of each slice
+    kth = flat[np.minimum(sizes, k) + starts[1]]
+    passes = 1
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_PASSES):
+            lo, hi = flat[bounds]
+            scale = (_BUCKETS - 1.0) / (hi - lo)
+            alive = np.isfinite(scale)  # inf: a tie (-0.0 too) or too narrow
+            if not np.count_nonzero(alive):
+                break
+            passes = passes + alive
+            cuts = np.floor((kth - lo) * scale) + _PAIR  # the k-th's bucket
+            position = ranked - lo
+            position *= scale
+            counts = (position >= cuts).argmax(axis=2, keepdims=True)
+            counts += starts
+            np.maximum(counts, bounds[0], out=counts)
+            bounds = np.minimum(counts, bounds[1], out=counts)
+            if not np.count_nonzero(bounds[1] > bounds[0]):
+                break  # one value a slice: every block stops next pass
+    return int(np.maximum.reduce(passes * sizes, axis=None))

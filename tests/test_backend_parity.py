@@ -90,6 +90,18 @@ class TestFusedKernelParity:
                 np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("backend_cls", [SimulatedGpuBackend, NativeBackend])
+    @pytest.mark.parametrize("offsets", [None, [0, 2, 5]])
+    def test_nan_is_refused_alike(self, backend_cls, offsets):
+        """A NaN has no rank: both backends refuse it with one message that
+        names the count, plain and segmented (the simulated kernel used to
+        fail inside ``np.bincount``, the native one ranked NaN last)."""
+        values = np.array([3.0, np.nan, 1.0, 2.0, np.nan])
+        with pytest.raises(
+            ValueError, match=r"^k_select cannot rank NaN: 2 of 5 values are NaN$"
+        ):
+            backend_cls().k_select(values, 2, offsets)
+
+    @pytest.mark.parametrize("backend_cls", [SimulatedGpuBackend, NativeBackend])
     def test_a_fused_op_is_one_tick_on_the_fault_wrapper(self, backend_cls):
         from repro.faults import FaultInjectingBackend, FaultProfile
 

@@ -219,11 +219,30 @@ class TestProfileRound:
         header = done.stdout.splitlines()[1].split()
         assert header[-2:] == ["rows/round", "cells/round"]
         verified, cells = map(float, rows["dtw_verification"][-2:])
-        assert len(rows["dtw_verification"]) == 6 and len(rows["k_select"]) == 4
+        assert len(rows["dtw_verification"]) == 6 and len(rows["k_select"]) == 5
+        # Two shards of four sensors, two item lengths: four selections a
+        # round, a segment (one row of the stacked selection) per sensor.
+        assert float(rows["k_select"][-1]) == 16.0
         assert verified >= 8.0  # at least a row per launch
         assert 8 * 5 * verified <= cells <= 16 * 5 * verified
         # AR sensors: no GP training under forecast_all.
         assert rows["gp_train"][1:3] == ["0.000", "0.0"]
+
+    def test_layers_k_select_row_on_a_simulated_workload(self):
+        """churn-faulted runs the simulated backend behind seeded kernel
+        faults while sensors come and go: its k_select row counts the
+        stacked selections and the segments they took per round."""
+        done = self.run_tool("churn-faulted", "--smoke", "--rounds", "3", "--layers")
+        assert done.returncode == 0, done.stderr
+        assert "3 rounds after 3 warm-ups" in done.stdout
+        rows = {}
+        for line in done.stdout.splitlines()[2:]:
+            rows.setdefault(line.split()[0], line.split())
+        _, wall, calls, _, segments = rows["k_select"]
+        assert float(wall) > 0.0
+        # 17 selections in 3 rounds, fewer than the 19 searches (a search
+        # a fault fails before it selects is retried), 62 segments.
+        assert (calls, rows["_search_item"][2], segments) == ("5.7", "6.3", "20.7")
 
     def test_layers_gp_train_row(self):
         """How much training a GP round asked for: wall, cells trained,
@@ -242,7 +261,8 @@ class TestProfileRound:
         # One sensor, 3 x 3 cells: at most nine trainings a round.
         assert 0.0 < float(trainings) <= 9.0
         # Per training: one gradient at the start and one per accepted
-        # step, a value at every line-search candidate.
+        # step the run goes on from, a value at every line-search
+        # candidate.
         assert float(gradients) >= 2.0 * float(trainings)
         assert float(values) > float(gradients)
         # The lane answers many members' requests with one stacked call.

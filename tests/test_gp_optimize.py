@@ -89,7 +89,7 @@ def traced_searches(monkeypatch):
         result, tries = yield from search(
             x, value, grad, direction, initial_step, **kw
         )
-        searches.append((initial_step, None if result is None else result[3]))
+        searches.append((initial_step, None if result is None else result[-1]))
         return result, tries
 
     monkeypatch.setattr(optimize, "_line_search", recording)
@@ -235,7 +235,7 @@ class TestLineSearch:
             np.zeros(1), 0.0, np.array([-0.1]), np.array([1.0]),
             initial_step,
         )
-        accepted = result[3]
+        accepted = result[-1]
         assert accepted == 0.0625
         assert steps[-1] == accepted and all(s >= 0.1 for s in steps[:-1])
         assert steps[0] == initial_step

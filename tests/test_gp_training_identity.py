@@ -363,7 +363,7 @@ class TestStream:
         oracle = run_stream()
         assert native == oracle
         for _, iterations, evaluations, gradients, trainings in (native, lane):
-            assert evaluations > gradients > iterations > 0
+            assert evaluations > gradients == iterations > 0
             assert trainings < 9 * 40  # the sleep scheduler did rest some cells
             # Each line search starts at twice the cell's last accepted
             # step, not at 1.0: 12.1 value evaluations per training (33.9
@@ -419,9 +419,10 @@ class TestWhatTheOptimiserAsks:
             for i, event in enumerate(events)
             if event == "gradient"
         )
-        # 30 iterations, none converged: 30 accepted steps and the start.
+        # 30 iterations, none converged: the start and the 29 accepted
+        # steps the run went on from (not the last, where it stopped).
         assert not result.converged and result.iterations == 30
-        assert result.gradient_evaluations == events.count("gradient") == 31
+        assert result.gradient_evaluations == events.count("gradient") == 30
         assert result.evaluations == events.count("value")
         assert result.evaluations > 2 * result.gradient_evaluations
         # Accepted points only: the graded values strictly decrease, which

@@ -29,9 +29,11 @@ rows include the forecast side's stale re-searches, if any.
 horizon's lane through one ``predict_stacks`` per predictor family —
 and counts horizons per lane (the reduced rung's single cells too).
 ``tune`` and ``mix`` are the ensemble lane's stacked update and mix, so
-they count lanes (``mix``: a lane's grids), not sensors.  Two rows
+they count lanes (``mix``: a lane's grids), not sensors.  Three rows
 also say how much work their wall bought: ``dtw_verification`` the rows
-verified and DP cells (``Σ n·d·min(d, 2ρ+1)``) per round, ``gp_train``
+verified and DP cells (``Σ n·d·min(d, 2ρ+1)``) per round, ``k_select``
+the segments selected (a sensor's pool per item length, one row each of
+the stacked selection) per round, ``gp_train``
 (the GP lane trainer, every GP cell's hyperparameter training; 0 on AR
 workloads) the cells trained, the LOO value and gradient evaluations
 they asked for, and the stacked value and gradient calls that answered
@@ -123,9 +125,21 @@ def _counting_evaluations(train, entry: list):
     return wrapper
 
 
+def _counting_segments(select, entry: list):
+    """``k_select(self, values, k, offsets=None)`` with the segments it
+    selected in (one row each of the stacked selection) added to
+    ``entry[2]``."""
+    def wrapper(self, values, k, offsets=None):
+        entry[2] += 1 if offsets is None else len(offsets) - 1
+        return select(self, values, k, offsets)
+
+    return wrapper
+
+
 #: Rows that count the work beside their wall, and how.
 COUNTERS = {
     "dtw_verification": _counting_rows,
+    "k_select": _counting_segments,
     "gp_train": _counting_evaluations,
 }
 
@@ -134,8 +148,8 @@ COUNTERS = {
 def layer_timers():
     """Wrap every layer boundary for the block; yields ``{label:
     [seconds, calls, work...]}`` (the work only counted for
-    :data:`COUNTERS`: rows and DP cells; trainings, value and gradient
-    evaluations, stacked value and gradient calls)."""
+    :data:`COUNTERS`: rows and DP cells; segments selected; trainings,
+    value and gradient evaluations, stacked value and gradient calls)."""
     totals: dict[str, list] = {}
     patched = []
     try:
@@ -171,6 +185,8 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
         note = ""
         if label == "dtw_verification":
             note = f"{work[0] / rounds:>12.1f}{work[1] / rounds:>13.0f}"
+        elif label == "k_select":
+            note = f"{work[0] / rounds:>12.1f}"  # segments, one row each
         elif label == "gp_train":
             # Cells trained in the calls column; then what they asked for
             # and how many stacked calls answered it.
