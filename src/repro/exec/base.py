@@ -7,7 +7,7 @@ It receives *lane tasks*: one per backend shard, each carrying a
 flat tuple of declarative operations.  Ops are plain tuples so they can
 cross a process boundary without pickling::
 
-    ("forecast", sensor_id, horizon, level)
+    ("forecast", sensor_id, horizon)
     ("ingest",   sensor_id, value)
 
 A single-sensor ``forecast()`` / ``ingest()`` is the same thing with one
@@ -18,8 +18,12 @@ op order is the whole bit-identical concurrency contract (each backend's
 kernel stream, simulated-time ledger and fault-injection tick sequence
 depend only on it) — and return one outcome per op::
 
-    ("ok", Forecast | None)    # forecast served / reading applied
-    ("err", Exception)         # forecast failed; lands in batch.errors
+    (z_mean, z_variance, source)   # forecast served: a normalised row
+    Exception                      # forecast failed; lands in batch.errors
+    None                           # reading applied
+
+A lane never sees a request's ``level`` or a sensor's normalisation: the
+service turns rows into raw-scale forecasts once, at its boundary.
 
 Wherever a lane executes — the calling thread, a pool thread, a shard
 worker process, or the parent replaying a crashed worker's lane — it
@@ -124,7 +128,7 @@ def execute_ops(service: "PredictionService", ops: Sequence[tuple]) -> list:
             # propagate (failing the lane).
             readings = [(sensor_id, value) for _, sensor_id, value in run]
             service._observe_lane(readings)
-            outcomes.extend([("ok", None)] * len(readings))
+            outcomes.extend([None] * len(readings))
         else:  # pragma: no cover - programming error
             raise ValueError(f"unknown lane op {kind!r}")
     return outcomes

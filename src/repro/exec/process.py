@@ -13,9 +13,10 @@ Correctness model
 op order, through the same lane runner and interpreter
 (:func:`repro.exec.base.run_lane` / ``execute_ops``) the inline engine
 uses — so every backend's kernel sequence, simulated-time ledger and
-fault-injection tick stream is identical to a sequential run.  Results cross back as
-JSON (which round-trips every finite float exactly), so forecasts are
-bit-identical to the inline engine's.
+fault-injection tick stream is identical to a sequential run.  A lane's
+normalised forecast rows cross back as JSON lists (JSON round-trips
+every finite float exactly) and the parent builds the forecasts, so they
+are bit-identical to the inline engine's.
 
 *Authority.*  While a generation of workers is live, each worker's copy
 of its shard is authoritative and the parent's is stale.  Everything
@@ -73,14 +74,7 @@ from .base import (
     run_lane,
 )
 from .shm import SharedSeriesArena, read_committed_series, unlink_block
-from .wire import (
-    error_from_wire,
-    error_to_wire,
-    forecast_from_wire,
-    forecast_to_wire,
-    recv_json,
-    send_json,
-)
+from .wire import error_from_wire, error_to_wire, recv_json, send_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> exec)
     from multiprocessing.connection import Connection
@@ -325,7 +319,7 @@ class ProcessShardEngine(ExecutionEngine):
         if not placements:
             return
         ctx = multiprocessing.get_context("fork")
-        started: dict[int, _Worker] = {}
+        forked: list[_Worker] = []
         try:
             for plan in plan_lanes(placements, sorted(placements)):
                 parent_conn, child_conn = ctx.Pipe()
@@ -344,21 +338,27 @@ class ProcessShardEngine(ExecutionEngine):
                     sensor_ids=plan.sensor_ids, shm={},
                     pid=process.pid,
                 )
-                ready = self._await_reply(worker)
-                worker.shm = dict(ready["shm"])
-                started[plan.backend_index] = worker
+                forked.append(worker)
+                worker.shm = dict(self._await_reply(worker)["shm"])
         except (_WorkerLost, OSError) as error:
-            for worker in started.values():
+            # Reap every process this attempt forked, the one that never
+            # answered too, and free every block a started worker
+            # reported: the arena untracks its blocks, so nothing else
+            # would before reboot.
+            for worker in forked:
                 worker.process.kill()
                 worker.process.join(timeout=5.0)
+                worker.conn.close()
+                for block in worker.shm.values():
+                    unlink_block(block["name"])
             raise RuntimeError(
                 "process engine failed to start shard workers"
             ) from error
-        self._workers = started
+        self._workers = {worker.backend_index: worker for worker in forked}
         self._sync_cleanup_state()
         logger.debug(
             "process engine: forked %d shard workers (pids %s)",
-            len(started), sorted(w.pid for w in started.values()),
+            len(forked), sorted(worker.pid for worker in forked),
         )
 
     def _quiesce(self) -> None:
@@ -499,16 +499,13 @@ class ProcessShardEngine(ExecutionEngine):
 
     @staticmethod
     def _decode_outcomes(wire_outcomes: list) -> list:
-        outcomes = []
-        for status, payload in wire_outcomes:
-            if status == "ok":
-                outcomes.append(
-                    ("ok", None if payload is None
-                     else forecast_from_wire(payload))
-                )
-            else:
-                outcomes.append(("err", error_from_wire(payload)))
-        return outcomes
+        """Undo :func:`_wire_outcomes`: ``None``, a row, or an error."""
+        return [
+            wire if wire is None
+            else tuple(wire) if isinstance(wire, list)
+            else error_from_wire(wire)
+            for wire in wire_outcomes
+        ]
 
     def _sync_cleanup_state(self) -> None:
         state = self._cleanup_state
@@ -603,15 +600,13 @@ def _shard_status(service, backend_index) -> dict:
 
 
 def _wire_outcomes(outcomes: list) -> list:
-    wire = []
-    for status, payload in outcomes:
-        if status == "ok":
-            wire.append(
-                [status, None if payload is None else forecast_to_wire(payload)]
-            )
-        else:
-            wire.append([status, error_to_wire(payload)])
-    return wire
+    """A lane's outcomes as JSON: ``None`` for an applied reading, a
+    ``[z_mean, z_variance, source]`` list for a served forecast, an
+    error record for a failed one."""
+    return [
+        error_to_wire(outcome) if isinstance(outcome, Exception) else outcome
+        for outcome in outcomes
+    ]
 
 
 def _worker_batch(conn, service, arena, backend_index, msg):

@@ -9,11 +9,12 @@ state back on FLUSH — is a separate, explicit frame; see
 ``repro.exec.process``.)
 
 JSON round-trips every finite float exactly (``repr``-based encoding),
-which is what lets forecasts cross the boundary while staying
-bit-identical to the inline engine's.  Exceptions cross as a small
-``{type, message, args}`` record and are rebuilt from an allow-list of
-known service/backend error types; anything unrecognised degrades to a
-``RuntimeError`` that embeds the original type name.
+which is what lets a lane's normalised forecast rows cross the boundary
+as plain ``[z_mean, z_variance, source]`` lists and still become
+forecasts bit-identical to the inline engine's.  Exceptions cross as a
+small ``{type, message, args}`` record and are rebuilt from an
+allow-list of known service/backend error types; anything unrecognised
+degrades to a ``RuntimeError`` that embeds the original type name.
 """
 
 from __future__ import annotations
@@ -24,29 +25,12 @@ from typing import TYPE_CHECKING, Any
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from multiprocessing.connection import Connection
 
-    from ..service import Forecast
-
 __all__ = [
     "error_from_wire",
     "error_to_wire",
-    "forecast_from_wire",
-    "forecast_to_wire",
     "recv_json",
     "send_json",
 ]
-
-_FORECAST_FIELDS = (
-    "sensor_id",
-    "horizon",
-    "mean",
-    "std",
-    "interval_low",
-    "interval_high",
-    "level",
-    "source",
-    "degraded",
-    "request_id",
-)
 
 
 def send_json(conn: Connection, obj: dict) -> None:
@@ -57,19 +41,6 @@ def send_json(conn: Connection, obj: dict) -> None:
 def recv_json(conn: Connection) -> dict:
     """Receive one JSON frame."""
     return json.loads(conn.recv_bytes().decode("utf-8"))
-
-
-# ------------------------------------------------------------- forecasts
-def forecast_to_wire(forecast: Forecast) -> dict:
-    """Flatten a :class:`~repro.service.Forecast` to a JSON-safe dict."""
-    return {name: getattr(forecast, name) for name in _FORECAST_FIELDS}
-
-
-def forecast_from_wire(record: dict) -> Forecast:
-    """Rebuild a :class:`~repro.service.Forecast` from its wire record."""
-    from ..service import Forecast
-
-    return Forecast(**{name: record[name] for name in _FORECAST_FIELDS})
 
 
 # ------------------------------------------------------------ exceptions

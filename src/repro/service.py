@@ -677,7 +677,9 @@ class PredictionService:
             for plan in plan_lanes(placements, sensor_ids)
         ]
 
-    def _run_single(self, scope: reqctx.RequestScope, op: tuple) -> tuple:
+    def _run_single(
+        self, scope: reqctx.RequestScope, op: tuple
+    ) -> "tuple | Exception | None":
         """Serve one validated op as a one-op lane through the engine's
         one execution method; returns the op's outcome."""
         tasks = self._plan_tasks([op[1]], lambda sid: op)
@@ -841,23 +843,53 @@ class PredictionService:
         :attr:`Forecast.source` / :attr:`Forecast.degraded` and in the
         ``smiler_forecast_degraded_total`` metric.
         """
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {level}")
+        to_forecast = self._forecaster(level)
         self._require(sensor_id)
         horizon = self._resolve_horizon(horizon)
         with _Request("forecast") as request:
-            status, payload = self._run_single(
-                request.scope, ("forecast", sensor_id, horizon, level)
+            row = self._run_single(
+                request.scope, ("forecast", sensor_id, horizon)
             )
-            if status == "err":
-                raise payload
-            return payload
+            if isinstance(row, Exception):
+                raise row
+            return to_forecast(sensor_id, horizon, row, request.scope.request_id)
 
-    def _forecast_lane(self, ops: Sequence[tuple]) -> list[tuple]:
+    def _forecaster(
+        self, level: float
+    ) -> Callable[[str, int, tuple, str], Forecast]:
+        """The one place a lane's normalised row becomes a
+        :class:`Forecast`, at the service boundary: validates ``level``
+        and computes its ``z``-quantile once per request, then returns
+        the builder that de-normalises a row ``(z_mean, z_variance,
+        source)`` with the sensor's stats and stamps the request id."""
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must be in (0, 1), got {level}")
+        z = float(np.sqrt(2.0) * erfinv(level))
+
+        def build(sensor_id: str, horizon: int, row: tuple, request_id: str):
+            z_mean, z_variance, source = row
+            # ZNormStats.invert / invert_variance on one value, as floats.
+            stats = self._norms[sensor_id]
+            mean = float(z_mean * stats.std + stats.mean)
+            # The rung validated z_variance > 0; de-normalisation scales
+            # by std^2 > 0, so this is a pure belt-and-braces clamp.
+            std = math.sqrt(max(z_variance * stats.std**2, 0.0))
+            return Forecast(
+                sensor_id=sensor_id, horizon=horizon, mean=mean, std=std,
+                interval_low=mean - z * std, interval_high=mean + z * std,
+                level=level, source=source, degraded=source != "ensemble",
+                request_id=request_id,
+            )
+
+        return build
+
+    def _forecast_lane(self, ops: Sequence[tuple]) -> list:
         """Serve one lane's run of validated ``forecast`` ops (run by
         :func:`repro.exec.base.execute_ops`, in-process or inside a shard
         worker, under the request context its lane adopted); one
-        ``("ok", Forecast)`` / ``("err", exception)`` per op, in order.
+        normalised row ``(z_mean, z_variance, source)`` — or the
+        exception that stopped it — per op, in order.  The caller turns
+        rows into :class:`Forecast` objects (:meth:`_forecaster`).
 
         The unit is a *group*: the ops that share a hosting backend, a
         search configuration and a horizon.  When the ladder names it,
@@ -869,13 +901,12 @@ class PredictionService:
         request = reqctx.current_request()
         outcomes: list = [None] * len(ops)
         groups: dict[tuple, list[int]] = {}
-        for at, (_, sensor_id, horizon, _) in enumerate(ops):
+        for at, (_, sensor_id, horizon) in enumerate(ops):
             groups.setdefault((
                 self._placements[sensor_id].backend_index,
                 self._sensors[sensor_id].engine.config,
                 horizon,
             ), []).append(at)
-        quantiles: dict[float, float] = {}
         for (index, _, horizon), members in groups.items():
             t0 = time.perf_counter()
             with obs.span("forecast", self._pool.backends[index]) as sp:
@@ -890,11 +921,9 @@ class PredictionService:
                 ) if "ensemble" in self.resilience.ladder else {}
                 share = (time.perf_counter() - t0) / len(members)
                 for at in members:
-                    sensor_id, level = ops[at][1], ops[at][3]
-                    if level not in quantiles:
-                        quantiles[level] = float(np.sqrt(2.0) * erfinv(level))
-                    outcomes[at] = self._finish_forecast(
-                        ops[at], quantiles[level], share, rung.get(sensor_id)
+                    sensor_id = ops[at][1]
+                    outcomes[at] = self._finish_row(
+                        sensor_id, horizon, share, rung.get(sensor_id)
                     )
             if sp is not None and request.entry_point == "forecast":
                 # A single forecast's own span is its request's trace; in
@@ -903,17 +932,15 @@ class PredictionService:
                 self._last_trace = sp
         return outcomes
 
-    def _finish_forecast(
-        self, op: tuple, z: float, share_s: float,
+    def _finish_row(
+        self, sensor_id: str, horizon: int, share_s: float,
         served: "tuple[float, float, str] | Exception | None",
-    ) -> tuple:
+    ) -> "tuple[float, float, str] | Exception":
         """One forecast op's outcome: the lower rungs if the stacked rung
         did not serve its sensor (``served`` is then why, or ``None`` for
-        a ladder without it), then the raw-scale :class:`Forecast` with
-        the ``z``-quantile interval.  Its latency is ``share_s`` — its
-        equal share of its group's stacked work — plus its time in here."""
-        _, sensor_id, horizon, level = op
-        request = reqctx.current_request()
+        a ladder without it), then its normalised row — or the exception
+        the last rung ended in.  Its latency is ``share_s`` — its equal
+        share of its group's stacked work — plus its time in here."""
         t0 = time.perf_counter()
         if not isinstance(served, tuple):
             try:
@@ -925,31 +952,18 @@ class PredictionService:
                     if sp is not None:
                         sp.attrs["source"] = served[2]
             except Exception as failure:  # noqa: BLE001 - per-sensor side-channel
-                return ("err", failure)
-        z_mean, z_variance, source = served
+                return failure
         obs.observe_forecast(
             sensor_id, horizon, share_s + time.perf_counter() - t0
         )
-        degraded = source != "ensemble"
-        if degraded:
+        source = served[2]
+        if source != "ensemble":
             obs.observe_degraded_forecast(sensor_id, source)
             logger.info(
                 "sensor %s served degraded (%s rung) at horizon %d",
                 sensor_id, source, horizon,
             )
-        # ZNormStats.invert / invert_variance on one value, as floats.
-        stats = self._norms[sensor_id]
-        mean = float(z_mean * stats.std + stats.mean)
-        raw_variance = z_variance * stats.std**2
-        # The rung validated z_variance > 0; de-normalisation scales by
-        # std^2 > 0, so this is a pure belt-and-braces clamp.
-        std = math.sqrt(max(raw_variance, 0.0))
-        return ("ok", Forecast(
-            sensor_id=sensor_id, horizon=horizon, mean=mean, std=std,
-            interval_low=mean - z * std, interval_high=mean + z * std,
-            level=level, source=source, degraded=degraded,
-            request_id=request.request_id,
-        ))
+        return served
 
     def forecast_all(
         self, horizon: int | None = None, level: float = 0.95
@@ -971,31 +985,30 @@ class PredictionService:
         and the batch — forecasts *and* errors — is bit-identical to an
         inline run on every engine.
         """
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"level must be in (0, 1), got {level}")
+        to_forecast = self._forecaster(level)
         horizon = self._resolve_horizon(horizon)  # reject bad ones up front
         sensor_ids = self.sensor_ids
         with _Request("forecast_all", n_items=len(sensor_ids)) as request:
             tasks = self._plan_tasks(
-                sensor_ids, lambda sid: ("forecast", sid, horizon, level)
+                sensor_ids, lambda sid: ("forecast", sid, horizon)
             )
             lane_outcomes = self._engine.run_batch(
                 "forecast_all", request.scope, tasks
             )
             results: dict[str, Forecast] = {}
             errors: dict[str, Exception] = {}
-            for task, outcomes in zip(tasks, lane_outcomes):
-                for sensor_id, (status, payload) in zip(
-                    task.plan.sensor_ids, outcomes
-                ):
-                    if status == "ok":
-                        results[sensor_id] = payload
-                    else:
+            for task, rows in zip(tasks, lane_outcomes):
+                for sensor_id, row in zip(task.plan.sensor_ids, rows):
+                    if isinstance(row, Exception):
                         logger.warning(
                             "forecast_all: sensor %s failed: %s",
-                            sensor_id, payload,
+                            sensor_id, row,
                         )
-                        errors[sensor_id] = payload
+                        errors[sensor_id] = row
+                    else:
+                        results[sensor_id] = to_forecast(
+                            sensor_id, horizon, row, request.scope.request_id
+                        )
             batch = ForecastBatch(sorted(results.items()))
             batch.errors = dict(sorted(errors.items()))
             request.n_errors = len(batch.errors)

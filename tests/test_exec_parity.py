@@ -574,6 +574,45 @@ class TestEngineParity:
             assert metrics == ref_metrics
 
 
+    def test_a_non_default_level_is_applied_in_the_parent(self, backend_name):
+        """``level`` never enters a lane: on one live worker generation,
+        every ``forecast_all`` at levels 0.8 and 0.99 on both horizons,
+        and a single ``forecast`` at 0.5, equal the inline engine's
+        ``Forecast`` float for float."""
+        histories, _ = make_workload(n_sensors=12)
+        first = sorted(histories)[0]
+        served, generations = {}, []
+        for engine in ("inline", "process"):
+            service = build_service(backend_name, engine, n_backends=2)
+            try:
+                for sensor_id, history in histories.items():
+                    service.register(sensor_id, history)
+                forecasts = []
+                for level in (0.8, 0.99):
+                    for horizon in CONFIG.horizons:
+                        batch = service.forecast_all(horizon=horizon, level=level)
+                        assert not batch.errors
+                        assert len(batch) == len(histories)
+                        forecasts.extend(batch.values())
+                        if engine == "process":
+                            generations.append(service.engine.worker_pids())
+                forecasts.append(service.forecast(first, level=0.5))
+                if engine == "process":
+                    generations.append(service.engine.worker_pids())
+            finally:
+                service.close()
+            served[engine] = [
+                (f.sensor_id, f.horizon, f.level, f.source, f.mean.hex(),
+                 f.std.hex(), f.interval_low.hex(), f.interval_high.hex())
+                for f in forecasts
+            ]
+        assert len(generations[0]) == 2
+        assert all(pids == generations[0] for pids in generations)
+        assert served["process"] == served["inline"]
+        assert served["inline"][-1][2] == 0.5
+        assert {row[2] for row in served["inline"][:-1]} == {0.8, 0.99}
+
+
 class TestWorkerCrash:
     """SIGKILL a shard worker: the batch completes (no hang), the dead
     shard's sensors evacuate to survivors, and serving continues."""
@@ -587,6 +626,53 @@ class TestWorkerCrash:
             n_backends=self.N_CRASH_BACKENDS,
             engine_timeout_s=20.0,
         )
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_a_failed_start_leaks_no_block_and_no_worker(self, monkeypatch):
+        """A shard worker that exits before it shares anything fails the
+        start loudly, and the attempt leaves nothing behind: every
+        process it forked is reaped, every block a started worker shared
+        is unlinked, and the next batch forks a working generation."""
+        import multiprocessing
+
+        from repro.exec import process as process_engine
+
+        def shm_blocks():
+            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+        real_main = process_engine._worker_main
+
+        def exits_on_backend_1(conn, backend_index, sensor_ids, service):
+            if backend_index == 1:
+                os._exit(1)
+            real_main(conn, backend_index, sensor_ids, service)
+
+        histories, _ = make_workload(n_sensors=4)
+        service = build_service(
+            "native", "process", n_backends=2, engine_timeout_s=20.0
+        )
+        try:
+            for sensor_id, history in histories.items():
+                service.register(sensor_id, history)
+            before = shm_blocks()
+            monkeypatch.setattr(
+                process_engine, "_worker_main", exits_on_backend_1
+            )
+            with pytest.raises(RuntimeError, match="failed to start"):
+                service.forecast_all()
+            assert shm_blocks() <= before
+            assert not [
+                child for child in multiprocessing.active_children()
+                if child.name.startswith("smiler-shard-")
+            ]
+            monkeypatch.setattr(process_engine, "_worker_main", real_main)
+            batch = service.forecast_all()
+            assert not batch.errors and set(batch) == set(histories)
+            assert len(service.engine.worker_pids()) == 2
+        finally:
+            service.close()
 
     def test_killed_worker_evacuates_without_hanging(self):
         histories, futures = make_workload(n_sensors=self.N_CRASH_SENSORS)
