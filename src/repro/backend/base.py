@@ -125,16 +125,6 @@ class ComputeBackend(Protocol):
         """Zero the simulated-time ledger."""
         ...
 
-    def set_elapsed(self, elapsed_s: float, injected_s: float = 0.0) -> None:
-        """Overwrite the clock with another copy's reading.
-
-        The process engine mirrors each live worker's clock onto the
-        parent's stale copy of the backend.  ``injected_s`` is the part
-        of the reading a fault wrapper added on top of its inner
-        backend's; a bare backend is never handed any.
-        """
-        ...
-
     def rearm_lock(self) -> None:
         """Replace every lock this backend holds with a fresh one.
 
@@ -271,9 +261,6 @@ class SubstrateBackend:
 
     def reset_time(self) -> None:
         """Nothing to reset."""
-
-    def set_elapsed(self, elapsed_s: float, injected_s: float = 0.0) -> None:
-        """No clock to overwrite."""
 
     # -------------------------------------------------------------- memory
     def malloc(self, nbytes: int, label: str = "buffer") -> Allocation:

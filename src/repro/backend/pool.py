@@ -208,31 +208,22 @@ class BackendPool:
 
         ``opened_at_op`` is re-anchored to *this* pool's operation
         counter — cooldowns are measured in local pool ops, and the
-        worker's counter is meaningless here.  A state change fires the
-        same telemetry as a local :meth:`_transition`, so breaker events
-        and the ``smiler_backend_state`` gauge stay truthful regardless
-        of which process tripped the breaker.
+        worker's counter is meaningless here.  Nothing is emitted: the
+        worker's own transitions already reached this process in its
+        drained telemetry (counter, event and ``smiler_backend_state``
+        gauge), so each is counted once.
         """
         with self._lock:
             self._op += 1
             health = self._health[index]
-            old_state = health.state
+            new_state = str(fields["state"])
+            if new_state == _OPEN and health.state != _OPEN:
+                health.opened_at_op = self._op
+            health.state = new_state
             health.consecutive_failures = int(fields["consecutive_failures"])
             health.failures_total = int(fields["failures_total"])
             health.successes_total = int(fields["successes_total"])
             health.trips = int(fields["trips"])
-            new_state = str(fields["state"])
-            if new_state == old_state:
-                return
-            health.state = new_state
-            if new_state == _OPEN:
-                health.opened_at_op = self._op
-            logger.info(
-                "backend %d (%s): breaker %s -> %s (adopted from worker)",
-                index, self.backends[index].name, old_state, new_state,
-            )
-            obs.observe_breaker_transition(index, old_state, new_state)
-            obs.observe_backend_state(index, new_state)
 
     def _maybe_half_open(self, index: int) -> None:
         health = self._health[index]

@@ -76,11 +76,6 @@ class SimulatedGpuBackend(SubstrateBackend):
         with self._lock:
             self.cost.reset()
 
-    def set_elapsed(self, elapsed_s: float, injected_s: float = 0.0) -> None:
-        """Overwrite the simulated clock (see :class:`ComputeBackend`)."""
-        with self._lock:
-            self.cost.elapsed_s = elapsed_s
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SimulatedGpuBackend({self.spec.name!r}, "

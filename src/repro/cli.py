@@ -333,11 +333,11 @@ def _telemetry(trace, fmt: str, events: int) -> list[str]:
             f"{record['objective_s']:g}s, budget remaining "
             f"{record['error_budget_remaining']:+.2f})"
         )
-    if snapshot["served_degraded"]:
+    served = obs.served_degraded()
+    if served:
         lines.append(
             "served degraded: " + ", ".join(
-                f"{rung}={count}"
-                for rung, count in sorted(snapshot["served_degraded"].items())
+                f"{rung}={count}" for rung, count in sorted(served.items())
             )
         )
     if events > 0:

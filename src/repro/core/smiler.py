@@ -97,8 +97,6 @@ class SMiLer:
         self._pending: dict[int, deque[_PendingUpdate]] = {
             h: deque() for h in self.config.horizons
         }
-        # Index of the next unobserved point.
-        self._now = history.size
         # kNN answers for the current step; None = stale (re-search).
         self._answers: dict[int, SuffixKnnAnswer] | None = None
 
@@ -117,7 +115,7 @@ class SMiLer:
     @property
     def now(self) -> int:
         """Index of the next unobserved point of this sensor's stream."""
-        return self._now
+        return self.engine.window_index.series_length
 
     @property
     def series(self) -> np.ndarray:
@@ -192,7 +190,7 @@ class SMiLer:
         return self
 
     def _remember(self, horizon: int, output: EnsembleOutput) -> None:
-        due = self._now - 1 + horizon
+        due = self.now - 1 + horizon
         queue = self._pending[horizon]
         if queue and queue[-1].due_index == due:
             queue[-1].components = output.components  # re-predicted this step
@@ -253,7 +251,7 @@ class SMiLer:
             }
         return {
             "sensor_id": self.sensor_id,
-            "now": self._now,
+            "now": self.now,
             "series_length": wi.series_length,
             "memory_bytes": self.memory_bytes(),
             "device_sim_seconds": self.backend.elapsed_s,
@@ -483,9 +481,11 @@ def tune_many(sensors: Sequence[SMiLer], values: Sequence[float]) -> None:
     the predictions the values were waiting for (the queues stay per
     sensor) in one :func:`~repro.core.ensemble.update_many` per horizon
     and grid.  Touches neither the index nor the backend."""
+    stack, rows = lane_of([sensor.engine.window_index for sensor in sensors])
     lanes: dict[tuple, tuple[list, list, list]] = {}
-    for sensor, value in zip(sensors, values):
-        arrived = sensor._now
+    for sensor, value, arrived in zip(
+        sensors, values, stack.series_len[rows].tolist()
+    ):
         for h, queue in sensor._pending.items():
             while queue and queue[0].due_index < arrived:
                 logger.debug(
@@ -525,6 +525,5 @@ def absorb_many(sensors: Sequence[SMiLer], values) -> None:
     tune_many(sensors, values)
     step_many([sensor.engine.window_index for sensor in sensors], values)
     for sensor in sensors:
-        sensor._now += 1
         sensor._answers = None
 

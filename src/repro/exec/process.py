@@ -19,8 +19,10 @@ every finite float exactly) and the parent builds the forecasts, so they
 are bit-identical to the inline engine's.
 
 *Authority.*  While a generation of workers is live, each worker's copy
-of its shard is authoritative and the parent's is stale.  Everything
-that needs the parent's view current — ``sensor()`` / ``status()`` /
+of its shard is authoritative and the parent's is stale — its backends'
+clocks too: simulated time, launches and injected latency reach the
+parent only at the flush.  Everything that needs the parent's view
+current — ``sensor()`` / ``status()`` / ``placement_of()`` /
 ``snapshot()`` / ``register()`` / ``restore()`` / ``evacuate()`` /
 ``close()`` — quiesces first: each worker drains its telemetry, ships
 its shard state back in one pickle (preserving the ``smiler.backend is
@@ -43,7 +45,10 @@ degradation ladder applies as usual.  A crashed batch — or a single op
 sent to a dead worker — is therefore served, degraded and not
 bit-identical, instead of hanging.
 
-Wire protocol: JSON command frames (:mod:`repro.exec.wire`); the single
+Wire protocol: JSON command frames (:mod:`repro.exec.wire`).  A batch
+reply carries the lane's outcomes, its error and span, new shared-memory
+blocks, one :func:`repro.obs.drain` delta and the backend's breaker
+record — no clock, and no count the delta already holds.  The single
 pickled frame is the shard-state transfer on FLUSH, sent by our own
 worker from a quiesced state.
 """
@@ -259,7 +264,7 @@ class ProcessShardEngine(ExecutionEngine):
                     continue
                 worker = self._workers[task.plan.backend_index]
                 self._apply_reply(worker, reply)
-                if reply.get("health_open"):
+                if reply["health"]["state"] == "open":
                     evacuate_after.append(task.plan.backend_index)
                 span_record = reply.get("lane_span")
                 lane_spans.append(
@@ -479,22 +484,10 @@ class ProcessShardEngine(ExecutionEngine):
             ) from error
 
     def _apply_reply(self, worker: _Worker, reply: dict) -> None:
-        service = self.service
         obs.absorb(reply["telemetry"])
-        health = reply.get("health")
-        if health:
-            service._pool.adopt_health(worker.backend_index, health)
-        elapsed = reply.get("elapsed")
-        if elapsed:
-            # Mirror the worker's clock onto the parent's stale copy, so
-            # ``pool.elapsed_s`` / benchmarks read true fleet time
-            # between batches without a flush.
-            service._pool.backends[worker.backend_index].set_elapsed(
-                elapsed["elapsed_s"], elapsed["injected_s"]
-            )
-        for sensor_id, block in (reply.get("shm") or {}).items():
-            worker.shm[sensor_id] = block
-        if reply.get("shm"):
+        self.service._pool.adopt_health(worker.backend_index, reply["health"])
+        if reply["shm"]:
+            worker.shm.update(reply["shm"])
             self._sync_cleanup_state()
 
     @staticmethod
@@ -586,19 +579,6 @@ def _sync_enabled(enabled: bool) -> None:
         obs.disable()
 
 
-def _shard_status(service, backend_index) -> dict:
-    backend = service.backends[backend_index]
-    return {
-        "telemetry": obs.drain(),
-        "health": service._pool.health_dict(backend_index),
-        "elapsed": {
-            "elapsed_s": float(backend.elapsed_s),
-            "injected_s": float(getattr(backend, "injected_s", 0.0)),
-        },
-        "health_open": service._pool.state(backend_index) == "open",
-    }
-
-
 def _wire_outcomes(outcomes: list) -> list:
     """A lane's outcomes as JSON: ``None`` for an applied reading, a
     ``[z_mean, z_variance, source]`` list for a served forecast, an
@@ -645,7 +625,8 @@ def _worker_batch(conn, service, arena, backend_index, msg):
         "lane_error": None if lane_error is None else error_to_wire(lane_error),
         "lane_span": None if lane_sp is None else lane_sp.as_dict(),
         "shm": shm_changes,
-        **_shard_status(service, backend_index),
+        "telemetry": obs.drain(),
+        "health": service._pool.health_dict(backend_index),
     })
 
 

@@ -178,23 +178,11 @@ class FaultInjectingBackend:
         """Inner simulated seconds plus everything injected as latency."""
         return self.inner.elapsed_s + self._injected_s
 
-    @property
-    def injected_s(self) -> float:
-        """Simulated seconds injected as latency since the last reset."""
-        return self._injected_s
-
     def reset_time(self) -> None:
         """Zero both the inner ledger and the injected-latency ledger."""
         with self._lock:
             self.inner.reset_time()
             self._injected_s = 0.0
-
-    def set_elapsed(self, elapsed_s: float, injected_s: float = 0.0) -> None:
-        """Overwrite both clocks: ``injected_s`` stays here, the rest of
-        ``elapsed_s`` is the inner backend's reading."""
-        with self._lock:
-            self._injected_s = injected_s
-            self.inner.set_elapsed(elapsed_s - injected_s)
 
     # -------------------------------------------------------------- memory
     def malloc(self, nbytes: int, label: str = "buffer") -> Allocation:

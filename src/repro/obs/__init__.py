@@ -12,8 +12,8 @@ occupancy.  This package makes those quantities first-class at runtime:
   propagation (always on; the rest of the layer is switch-gated);
 * :mod:`repro.obs.events` — a bounded structured event log (request
   lifecycle, degradations, breaker trips, faults, evacuations);
-* :mod:`repro.obs.slo` — per-request-class latency objectives, rolling
-  error budgets and served-degraded accounting;
+* :mod:`repro.obs.slo` — per-request-class latency objectives and
+  rolling error budgets;
 * :mod:`repro.obs.chrome` — Chrome trace-event export of one request's
   span tree (open in ``chrome://tracing`` or Perfetto);
 * :mod:`repro.obs.exposition` — Prometheus text and JSON snapshots;
@@ -66,6 +66,7 @@ from .hooks import (
     observe_search,
     observe_window_reuse,
     reset,
+    served_degraded,
     span,
 )
 from .registry import (
@@ -122,6 +123,7 @@ __all__ = [
     "observe_search",
     "observe_window_reuse",
     "reset",
+    "served_degraded",
     "span",
     "to_json",
     "to_prometheus",

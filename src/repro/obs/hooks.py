@@ -46,6 +46,7 @@ __all__ = [
     "get_tracer",
     "get_event_log",
     "get_slo_tracker",
+    "served_degraded",
     "configure_slo",
     "span",
     "detached_span",
@@ -249,14 +250,15 @@ def drain() -> dict:
     """Dump-and-reset this process's telemetry as one mergeable delta.
 
     JSON-safe: metric *values* (no declarations — the receiver has the
-    catalogue), retained events and their dropped count, degraded-rung
-    tallies.  Spans are not part of it; a lane ships its own subtree.
+    catalogue), retained events and their dropped count.  Spans are not
+    part of it (a lane ships its own subtree), nor are SLO windows:
+    request-end samples are recorded in the process that took the
+    request.
     """
     delta = {
         "metrics": _registry.dump_state(),
         "events": _events.tail(),
         "dropped": _events.dropped_total,
-        "degraded": _slo.drain_degraded(),
     }
     _registry.reset()
     _events.clear()
@@ -273,7 +275,6 @@ def absorb(delta: dict) -> None:
         _live(CATALOG[name])
     _registry.merge_state(delta["metrics"])
     _events.absorb(delta["events"], delta["dropped"])
-    _slo.absorb_degraded(delta["degraded"])
 
 
 def get_registry() -> MetricsRegistry:
@@ -294,6 +295,18 @@ def get_event_log() -> EventLog:
 def get_slo_tracker() -> SLOTracker:
     """The process-wide SLO tracker."""
     return _slo
+
+
+def served_degraded() -> dict[str, int]:
+    """Forecasts served per degradation-ladder rung since the last
+    reset, read from ``smiler_slo_served_degraded_total`` (a shard
+    worker's count arrives in its drained delta)."""
+    counter = _registry.get(_M.slo_served_degraded_total.name)
+    if counter is None:
+        return {}
+    return {
+        rung: int(counter.value(rung=rung)) for (rung,) in counter.series_keys()
+    }
 
 
 def configure_slo(objectives: dict[str, SLOTarget]) -> None:
@@ -443,7 +456,6 @@ def observe_degraded_forecast(sensor_id: str, source: str) -> None:
     _live(_M.forecast_degraded_total).inc(
         sensor_id=sensor_id, source=source, exemplar=exemplar
     )
-    _slo.record_degraded(source)
     _live(_M.slo_served_degraded_total).inc(rung=source, exemplar=exemplar)
     _events.emit("degraded", sensor_id=sensor_id, rung=source)
 

@@ -1,5 +1,4 @@
-"""SLOs: per-class latency objectives, rolling error budgets, and
-served-degraded accounting.
+"""SLOs: per-class latency objectives and rolling error budgets.
 
 SMiLer's pitch is *bounded-latency* semi-lazy prediction, so the
 telemetry layer tracks the bound explicitly.  Each request class (the
@@ -7,26 +6,26 @@ service entry points: ``forecast``, ``forecast_all``, ``ingest``,
 ``ingest_many``, ``restore``) carries an :class:`SLOTarget` — a latency
 objective plus an attainment target over a rolling sample window.  The
 :class:`SLOTracker` consumes one sample per completed request and
-answers the three operator questions:
+answers two operator questions:
 
 * **attainment** — what fraction of the window met the objective,
 * **error budget** — of the violations the target permits over the
-  window, how much is left (negative = overdrawn),
-* **served degraded** — how many forecasts each degradation-ladder rung
-  served (a request can meet its latency SLO *because* it degraded;
-  this surface keeps that honest).
+  window, how much is left (negative = overdrawn).
 
 The tracker is registry-agnostic; :mod:`repro.obs.hooks` mirrors its
 state into Prometheus metrics (``smiler_slo_*``) on every request end,
 so scrapes and :meth:`repro.service.PredictionService.status` see the
-same numbers.
+same numbers.  The third question — how many forecasts each
+degradation-ladder rung served (a request can meet its latency SLO
+*because* it degraded) — is answered by the
+``smiler_slo_served_degraded_total`` counter alone
+(:func:`repro.obs.hooks.served_degraded`).
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import Counter as TallyCounter
 from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
@@ -101,7 +100,6 @@ class SLOTracker:
     ) -> None:
         self._objectives = dict(DEFAULT_SLOS if objectives is None else objectives)
         self._windows: dict[str, _ClassWindow] = {}
-        self._degraded: TallyCounter[str] = TallyCounter()
         self._lock = threading.Lock()
 
     # -------------------------------------------------------------- config
@@ -129,11 +127,6 @@ class SLOTracker:
                 window = self._windows[class_] = _ClassWindow(target.window)
             window.record(met)
         return met
-
-    def record_degraded(self, rung: str) -> None:
-        """Tally one forecast served by a degradation-ladder rung."""
-        with self._lock:
-            self._degraded[str(rung)] += 1
 
     # -------------------------------------------------------------- queries
     def attainment(self, class_: str) -> float:
@@ -163,32 +156,6 @@ class SLOTracker:
                 return 1.0 if violations == 0 else -float(violations)
             return (budget - violations) / budget
 
-    def served_degraded(self) -> dict[str, int]:
-        """Forecasts served per degradation rung since the last reset."""
-        with self._lock:
-            return dict(self._degraded)
-
-    # ------------------------------------------------- cross-process merge
-    def drain_degraded(self) -> dict[str, int]:
-        """Return and clear the served-degraded tallies.
-
-        Shard workers record rung tallies locally (degradation happens
-        inside ``forecast`` op execution) and drain them into each batch
-        reply; the parent :meth:`absorb_degraded`\\ s them.  Latency
-        windows are untouched — request-end samples are recorded on the
-        parent side only, so they never need to cross the boundary.
-        """
-        with self._lock:
-            drained = dict(self._degraded)
-            self._degraded.clear()
-        return drained
-
-    def absorb_degraded(self, tallies: Mapping[str, int]) -> None:
-        """Fold another process's drained rung tallies into this tracker."""
-        with self._lock:
-            for rung, count in tallies.items():
-                self._degraded[str(rung)] += int(count)
-
     def classes(self) -> list[str]:
         """Request classes with at least one recorded sample, sorted."""
         with self._lock:
@@ -196,7 +163,7 @@ class SLOTracker:
 
     def snapshot(self) -> dict:
         """JSON-friendly state for ``status()`` and the stats CLI."""
-        out: dict = {"classes": {}, "served_degraded": self.served_degraded()}
+        out: dict = {"classes": {}}
         for class_ in self.classes():
             target = self.objective(class_)
             with self._lock:
@@ -217,7 +184,6 @@ class SLOTracker:
         return out
 
     def reset(self) -> None:
-        """Forget every window and tally (objectives survive)."""
+        """Forget every window (objectives survive)."""
         with self._lock:
             self._windows.clear()
-            self._degraded.clear()

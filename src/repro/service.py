@@ -1154,7 +1154,10 @@ class PredictionService:
             "device_memory_bytes": self._pool.allocated_bytes,
             "device_sim_seconds": self._pool.elapsed_s,
             "max_workers": self.max_workers,
-            "slo": obs.get_slo_tracker().snapshot(),
+            "slo": {
+                **obs.get_slo_tracker().snapshot(),
+                "served_degraded": obs.served_degraded(),
+            },
             "events": {
                 "retained": len(event_log),
                 "emitted_total": event_log.emitted_total,

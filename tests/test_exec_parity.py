@@ -23,11 +23,12 @@ import pytest
 
 from repro import obs
 from repro.backend import BACKEND_NAMES, make_backend
+from repro.backend.simulated import SimulatedGpuBackend
 from repro.core import (
     SMiLer, SMiLerConfig, build_smiler, load_snapshot, save_smiler,
 )
 from repro.exec import ENGINE_ENV_VAR, ENGINE_NAMES
-from repro.faults import FaultProfile
+from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
 from repro.index.suffix_search import search_many
 from repro.index.window_index import step_many
@@ -611,6 +612,92 @@ class TestEngineParity:
         assert served["process"] == served["inline"]
         assert served["inline"][-1][2] == 0.5
         assert {row[2] for row in served["inline"][:-1]} == {0.8, 0.99}
+
+
+class TestCountedOnce:
+    """What a shard worker counts crosses to the parent once: breaker
+    transitions in its drained telemetry delta, clocks in the flush."""
+
+    def serve(self, engine, backends, rounds, kill_first=False):
+        """Register eight sensors on ``backends``, serve ``rounds`` of
+        ``forecast_all`` -> ``ingest_many``, close; returns the service."""
+        histories, futures = make_workload(n_sensors=8)
+        service = PredictionService(
+            CONFIG, backends=backends, min_history=100,
+            service_config=ServiceConfig(engine=engine),
+        )
+        for sensor_id, history in histories.items():
+            service.register(sensor_id, history)
+        if kill_first:  # dies now: the first batch trips its breaker
+            backends[0].profile = FaultProfile(dies_at_tick=backends[0].tick)
+        try:
+            for step in range(rounds):
+                assert not service.forecast_all().errors
+                service.ingest_many(
+                    {sid: float(futures[sid][step]) for sid in histories}
+                )
+        finally:
+            service.close()
+        return service
+
+    def test_a_worker_trip_is_one_transition(self):
+        """A breaker a shard worker trips is counted, logged and gauged
+        once — by the worker, in its drained delta — exactly as inline;
+        adopting the worker's record emits nothing."""
+        served = {}
+        for engine in ("inline", "process"):
+            obs.reset()
+            obs.enable()
+            backends = [
+                FaultInjectingBackend(SimulatedGpuBackend(), FaultProfile()),
+                SimulatedGpuBackend(),
+            ]
+            service = self.serve(engine, backends, 2, kill_first=True)
+            registry = obs.get_registry()
+            transitions = registry.get("smiler_breaker_transitions_total")
+            served[engine] = (
+                {key: transitions.value(**transitions.labels_of(key))
+                 for key in transitions.series_keys()},
+                [(e["backend_id"], e["from_state"], e["to_state"])
+                 for e in obs.get_event_log().tail(10_000)
+                 if e["kind"] == "breaker_transition"],
+                registry.get("smiler_backend_state").value(backend=0),
+            )
+            # Read last: status() may half-open the breaker on its own
+            # pool clock.
+            status = service.status()
+            served[engine] += (
+                [backend["health"]["trips"] for backend in status["backends"]],
+                status["slo"]["served_degraded"],
+            )
+        assert served["inline"][:4] == (
+            {("0", "closed", "open"): 1.0}, [(0, "closed", "open")], 2.0, [1, 0],
+        )
+        assert served["inline"][4]  # the batch that tripped it degraded
+        assert served["process"] == served["inline"]
+
+    def test_the_flush_carries_every_clock(self):
+        """No batch reply carries a clock: the injected-latency ledger
+        and the inner cost model reach the parent in the flush pickle,
+        equal to the inline engine's to the bit."""
+        clocks = {}
+        for engine in ("inline", "process"):
+            backends = [
+                FaultInjectingBackend(
+                    SimulatedGpuBackend(), FaultProfile(added_latency_s=1e-4)
+                )
+                for _ in range(2)
+            ]
+            service = self.serve(engine, backends, 3)
+            status = service.status()
+            clocks[engine] = (
+                status["device_sim_seconds"].hex(),
+                [backend["sim_seconds"].hex() for backend in status["backends"]],
+                [(backend.inner.cost.launches, backend.injected["latency"])
+                 for backend in service.backends],
+            )
+        assert all(latency > 0 for _, latency in clocks["inline"][2])
+        assert clocks["process"] == clocks["inline"]
 
 
 class TestWorkerCrash:

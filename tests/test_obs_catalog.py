@@ -194,9 +194,7 @@ class TestSeam:
                     "labels", "exemplar", "value",
                     "bucket_counts", "sum", "count",
                 }
-        assert obs.drain() == {
-            "metrics": {}, "events": [], "dropped": 0, "degraded": {},
-        }
+        assert obs.drain() == {"metrics": {}, "events": [], "dropped": 0}
 
         # The receiving side has values of its own.
         obs.observe_forecast("s0", 1, 0.02)
@@ -221,7 +219,7 @@ class TestSeam:
             "request_id": worker_request
         }
         assert series.exemplar == {"request_id": worker_request}
-        assert obs.get_slo_tracker().served_degraded() == {"ar": 2}
+        assert obs.served_degraded() == {"ar": 2}
         kinds = [e["kind"] for e in obs.get_event_log().tail()]
         assert kinds == ["degraded"] + [e["kind"] for e in delta["events"]]
         assert worker_request in {
@@ -264,7 +262,7 @@ class TestSeam:
         assert obs.is_enabled()
         assert obs.get_event_log().capacity == 7
         assert len(obs.get_registry()) == 0 and len(obs.get_event_log()) == 0
-        assert obs.get_slo_tracker().served_degraded() == {}
+        assert obs.served_degraded() == {}
         obs.observe_gpu_memory(1)  # hooks write to the fresh sinks
         assert "smiler_gpu_memory_allocated_bytes" in obs.get_registry()
         assert len(before[0]) == len(obs.CATALOG)  # the old one is untouched

@@ -310,8 +310,7 @@ class TestSLO:
         obs.observe_degraded_forecast("s1", "naive")
         obs.observe_degraded_forecast("s2", "ar")
         obs.observe_degraded_forecast("s3", "naive")
-        assert obs.get_slo_tracker().served_degraded() \
-            == {"naive": 2, "ar": 1}
+        assert obs.served_degraded() == {"naive": 2, "ar": 1}
         registry = obs.get_registry()
         counter = registry.get("smiler_slo_served_degraded_total")
         assert counter.value(rung="naive") == 2.0

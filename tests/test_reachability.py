@@ -227,8 +227,6 @@ KEPT_UNREAD = {
         "test seam: crash tests kill a shard worker by pid",
     "repro.gpu.device.MemoryLedger.live_allocations":
         "test seam: ledger tests inspect what is still allocated",
-    "repro.core.smiler.SMiLer.now":
-        "test seam: lane and lifecycle tests compare stream positions",
     "repro.index.window_index.WindowLevelIndex.series_envelope":
         "test seam: the lane battery compares it with the per-sensor oracle",
     "repro.obs.hooks.get_tracer":
@@ -415,8 +413,8 @@ def test_the_name_analysis_sees_every_kind_of_read():
     bench = ROOT / "benchmarks/roundbench/probes.py"
     names, _ = names_read_by(package, bench)
     assert "repro.dtw.distance.dtw_batch_pruned" in names  # from-import
-    _, attrs = names_read_by(package, package.paths["repro.exec.process"])
-    assert "injected_s" in attrs  # getattr(backend, "injected_s", 0.0)
+    _, attrs = names_read_by(package, package.paths["repro.ablation.study"])
+    assert "cost" in attrs  # getattr(backend, "cost", None)
     names, _ = names_read_by(package, package.paths["repro.timeseries.windows"])
     assert "repro.timeseries.windows.csg_size" in names  # own module
     names, _ = names_read_by(package, package.paths["repro.core"])
