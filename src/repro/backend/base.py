@@ -79,10 +79,19 @@ class ComputeBackend(Protocol):
         query: np.ndarray,
         candidates: np.ndarray,
         rho: int,
+        lengths=None,
+        need=None,
     ) -> np.ndarray:
         """Banded (Sakoe-Chiba ``rho``) DTW of many candidates against
         one ``(d,)`` query, or — ``query`` of shape ``(n, d)`` — candidate
-        ``i`` against query row ``i`` (one launch fused across sensors)."""
+        ``i`` against query row ``i`` (one launch fused across sensors).
+
+        With ``lengths`` (strictly ascending suffix lengths; those a row
+        needs at most ``d``) the answer is ``(n, len(lengths))``: row
+        ``i``'s DTW of its
+        ``lengths[l]``-suffixes for ``l < need[i]``, ``inf`` beyond — one
+        end-anchored wavefront per row answers every length it needs
+        (:func:`repro.dtw.distance.dtw_batch`)."""
         ...
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -194,13 +203,16 @@ class SubstrateBackend:
         query: np.ndarray,
         candidates: np.ndarray,
         rho: int,
+        lengths=None,
+        need=None,
     ) -> np.ndarray:
         """Banded DTW of many candidates against one query (``(d,)``) or
-        one query each (``(n, d)``)."""
+        one query each (``(n, d)``); every needed suffix length with
+        ``lengths`` (see :class:`ComputeBackend`)."""
         candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
         if candidates.shape[0] == 0:
-            return np.empty(0)
-        return self._run_dtw_verification(query, candidates, rho)
+            return np.empty(0 if lengths is None else (0, len(lengths)))
+        return self._run_dtw_verification(query, candidates, rho, lengths, need)
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Unbanded DTW of one query against many candidates."""

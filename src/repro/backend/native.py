@@ -42,8 +42,8 @@ class NativeBackend(SubstrateBackend):
         )
 
     # ------------------------------------------------------------- kernels
-    def _run_dtw_verification(self, query, candidates, rho):
-        return dtw_batch(query, candidates, rho)
+    def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+        return dtw_batch(query, candidates, rho, lengths, need)
 
     def _run_full_dtw(self, query, candidates):
         return dtw_batch(query, candidates, rho=None)

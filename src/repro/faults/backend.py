@@ -130,7 +130,8 @@ class FaultInjectingBackend:
         self.injected["kernel_nan"] += 1
         obs.observe_fault_injected(operation, "kernel_nan")
         corrupted = np.array(out, dtype=np.float64, copy=True)
-        corrupted[int(self._rng.integers(corrupted.size))] = np.nan
+        # One row: a scalar, or every suffix length one thread answered.
+        corrupted[int(self._rng.integers(corrupted.shape[0]))] = np.nan
         logger.debug("injected NaN into %s output at tick %d", operation, tick)
         return corrupted
 
@@ -140,12 +141,15 @@ class FaultInjectingBackend:
         query: np.ndarray,
         candidates: np.ndarray,
         rho: int,
+        lengths=None,
+        need=None,
     ) -> np.ndarray:
-        """Banded DTW (one query or one per candidate — one operation
-        either way), possibly failing or NaN-corrupted per the profile."""
+        """Banded DTW (one query or one per candidate, one length or
+        many — one operation either way), possibly failing or
+        NaN-corrupted per the profile."""
         with self._lock:
             tick = self._kernel_preamble("dtw_verification")
-            out = self.inner.dtw_verification(query, candidates, rho)
+            out = self.inner.dtw_verification(query, candidates, rho, lengths, need)
             return self._maybe_corrupt("dtw_verification", tick, out)
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:

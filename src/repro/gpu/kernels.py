@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dtw.distance import dtw_batch
+from ..dtw.distance import band_cells, dtw_batch
 from .costmodel import GpuCostModel
 
 __all__ = [
@@ -50,26 +50,32 @@ def dtw_verification_kernel(
     query: np.ndarray,
     candidates: np.ndarray,
     rho: int,
+    lengths=None,
+    need=None,
 ) -> np.ndarray:
     """Banded DTW of many candidates against one query, or against one
-    query each — a launch fused across sensors (Algorithm 2).
+    query each — a launch fused across sensors (Algorithm 2); with
+    ``lengths``, every suffix DTW a row needs (see
+    :func:`~repro.dtw.distance.dtw_batch`).
 
     One thread per candidate; the compressed ``2 x (2*rho + 2)`` warping
     matrix fits in shared memory, so no global-memory penalty applies.
-    Every thread expands the whole band — ``d * min(d, 2*rho + 1)``
-    cells — which is also the block's slowest thread, the count
+    A thread computes the band through its longest needed suffix; the
+    launch is charged at its slowest thread — the band cells through the
+    launch's longest suffix, ``band_cells(d, rho)`` — the count
     :meth:`GpuCostModel.launch` asks for.
     """
     n, d = candidates.shape
+    if lengths is not None:
+        d = int(lengths[-1 if need is None else int(np.max(need)) - 1])
     n_blocks = -(-n // THREADS_PER_BLOCK)
-    cells = d * min(d, 2 * rho + 1)
     cost.launch(
         "dtw_verify",
         n_blocks=n_blocks,
-        ops_per_thread=cells * OPS_PER_DTW_CELL,
+        ops_per_thread=band_cells(d, rho) * OPS_PER_DTW_CELL,
         threads_per_block=THREADS_PER_BLOCK,
     )
-    return dtw_batch(query, candidates, rho)
+    return dtw_batch(query, candidates, rho, lengths, need)
 
 
 def full_dtw_kernel(

@@ -30,10 +30,13 @@ def _dtw_row_major(query: np.ndarray, candidates: np.ndarray, rho: int) -> np.nd
     """Banded DTW of ``query`` against every row, one DP cell at a time.
 
     The textbook row-major recurrence with a rolling row, vectorised over
-    candidates only.  It shares no code with the wavefront kernel the
-    backends dispatch — that independence is the point.
+    candidates only, end-anchored as every DTW of the search is: DP row
+    ``i`` is the query's ``i``-th point from the end.  It shares no code
+    with the wavefront kernel the backends dispatch — that independence
+    is the point.
     """
     n, d = candidates.shape
+    query, candidates = query[::-1], candidates[:, ::-1]
     prev = np.full((n, d + 1), np.inf)
     prev[:, 0] = 0.0
     cur = np.empty((n, d + 1))

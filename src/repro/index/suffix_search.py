@@ -10,8 +10,8 @@ that kills it:
 * **tier 1 — LB_w**: the group-level window-enhanced envelope bound the
   SMiLer index precomputed (free at query time) — the paper's filter.
 
-Survivors are verified by plain banded DTW, one candidate per thread
-(Algorithm 2); verification has no second mode.  Both tiers prune
+Survivors are verified by plain banded DTW, end-anchored, one candidate
+per thread (Algorithm 2); verification has no second mode.  Both tiers prune
 against the same threshold ``tau_i`` and every bound is ``<= DTW``
 (admissible), so the cascade is **exact**: the answer set is
 bit-identical to a full-DTW reference scan (pinned by the differential
@@ -41,30 +41,46 @@ candidate per thread, one block per query's selection).
 :func:`search_many` computes the group's lower bounds in one stacked
 shift-sum (:func:`~repro.index.group_index.lower_bounds_many`) and reads
 series, master queries and bounds where the lane keeps them stacked, one
-row per engine (:class:`~repro.index.window_index.LaneStack`).  Per item
-length every phase is one computation over those rows, not a loop over
-members:
+row per engine (:class:`~repro.index.window_index.LaneStack`).
 
-* **(A)** valid starts ``n_i``, the bounds as one ``(engines, max n_i)``
-  matrix, the seeds — warm, the remembered answers and their successors
-  as one sorted, de-duplicated ``(engines, 2k)`` union; a cold, stale or
-  short member sends the lane through the per-row choice
-  (:meth:`SuffixKnnEngine._seed_starts`);
-* **(B)** one gather, one ``dtw_verification`` over the lane's seeds;
-* **(C)** ``tau_i`` as a row-wise k-th order statistic of the finite
-  seed distances (fewer than ``k`` of them: ``ValueError``), the two filter
-  tiers as matrix compares (a ragged lane gates the columns at or beyond
-  a row's ``n_i`` with ``-inf``: padding is never a candidate), seeds
-  cleared from the survivors by one assignment — and one
-  ``search_lb_kim`` launch for the group;
-* **(D)** one gather, one ``dtw_verification`` over the survivors;
-* **(E)** one flat verified pool ordered by ``(engine, start)``, then one
-  segmented k-selection, one block per engine.
+The item queries are suffixes of one master query (Definition 4.1), so
+candidates of different lengths that end at the same point are suffixes
+of one another, and the end-anchored DTW of
+:mod:`repro.dtw.distance` answers all of them from one DP over the
+longest (the group-level reuse of Section 4.3, carried from the lower
+bounds to verification).  A candidate is therefore verified as an
+``(engine, end)`` row, read at every item length up to the longest it
+is wanted at, and one pass over the lane serves every item length —
+each phase one computation over the lane's rows (the filters once per
+length), not a loop over members:
 
-Every fused launch pairs row ``i`` with its own engine's query, rows in
-the order the engine searched alone would send them, so each engine's
+* **(A)** per length, valid starts ``n_i``, the bounds as one
+  ``(engines, max n_i)`` matrix, the seeds — warm, the remembered
+  answers and their successors as one sorted, de-duplicated
+  ``(engines, 2k)`` union; a cold, stale or short member sends the lane
+  through the per-row choice (:meth:`SuffixKnnEngine._seed_starts`);
+* **(B)** one gather, one ``dtw_verification`` over every length's
+  seeds as distinct ``(engine, end)`` rows;
+* **(C)** per length, ``tau_i`` as a row-wise k-th order statistic of
+  the finite distances (B) read at that length — the seeds and every
+  other length's seeds ending where one of its candidates does — fewer
+  than ``k`` of them: ``ValueError``; the two filter tiers as matrix
+  compares (a ragged lane gates the columns at or beyond a row's
+  ``n_i`` with ``-inf``: padding is never a candidate); what (B) read
+  cleared from the survivors by one assignment; one ``search_lb_kim``
+  launch per length;
+* **(D)** one gather, one ``dtw_verification`` over every length's
+  survivors as distinct ``(engine, end)`` rows, skipping at each length
+  an end (B) already read there;
+* **(E)** one flat verified pool ordered by ``(length, engine, start)``,
+  then one segmented k-selection, one block per ``(engine, length)``.
+
+Every distance is a function of its own row alone, so each engine's
 answer is the one it gets alone; :meth:`SuffixKnnEngine.search` *is* a
-group of one.  ``docs/search_engine.md`` has the reasons.
+group of one.  Reading a candidate at a length no filter asked for is
+free and harmless: it can only lower ``tau_i``, and the pool still holds
+every candidate whose DTW is at most ``tau_i``.
+``docs/search_engine.md`` has the reasons.
 """
 
 from __future__ import annotations
@@ -82,7 +98,7 @@ from ..backend.base import ComputeBackend, as_backend
 from ..dtw.lower_bounds import lb_kim_profile
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs import hooks as obs
-from .group_index import GroupLevelIndex, ItemLowerBounds, lower_bounds_many
+from .group_index import GroupLevelIndex, LaneLowerBounds, lower_bounds_many
 from .window_index import WindowLevelIndex, lane_of
 
 __all__ = [
@@ -262,10 +278,10 @@ def search_many(
     :class:`SuffixSearchConfig` (the sensors of one backend shard do, by
     construction; there is no compatibility grouping in here — callers
     group by placement).  Whatever the group's size, the lower bounds
-    cost one ``group_index_sum`` launch and an item length costs four
-    kernel ops: seed verification, ``search_lb_kim``, survivor
-    verification, segmented k-selection.  Returns one
-    ``{item length: answer}`` per engine, in order.
+    cost one ``group_index_sum`` launch, an item length one
+    ``search_lb_kim`` launch, and the lane three kernel ops: seed
+    verification, survivor verification, segmented k-selection.
+    Returns one ``{item length: answer}`` per engine, in order.
     """
     if not engines:
         return []
@@ -292,15 +308,7 @@ def search_many(
         series, master = stack.series, stack.master
         if rows.size != stack.size or (rows != np.arange(stack.size)).any():
             series, master = series[rows], master[rows]
-        answers: list[dict[int, SuffixKnnAnswer]] = [{} for _ in engines]
-        for d in cfg.item_lengths:
-            fused = _search_item(
-                engines, d, bounds.stacked[d], bounds.series_len, series,
-                master[:, master.shape[1] - d :],
-            )
-            for per_engine, answer in zip(answers, fused):
-                per_engine[d] = answer
-    return answers
+        return _search_lane(engines, bounds, series, master)
 
 
 def _apportion(total: float, weights: Sequence[float]) -> list[float]:
@@ -348,181 +356,242 @@ def _lane_seeds(
     return np.concatenate(chosen), np.array([seeds.size for seeds in chosen])
 
 
-def _search_item(
+def _search_lane(
     engines: Sequence[SuffixKnnEngine],
-    d: int,
-    lbs: ItemLowerBounds,
-    series_len: np.ndarray,
+    bounds: LaneLowerBounds,
     series: np.ndarray,
-    queries: np.ndarray,
-) -> list[SuffixKnnAnswer]:
-    """One item length for the whole group (phases A-E of the module
-    docstring); one answer per engine, in order.  ``lbs`` is the lane's
-    stacked bounds, ``series`` / ``queries`` hold one row per engine."""
+    master: np.ndarray,
+) -> list[dict[int, SuffixKnnAnswer]]:
+    """Every item length for the whole group (phases A-E of the module
+    docstring); one ``{item length: answer}`` per engine, in order.
+    ``bounds`` is the lane's stacked bounds, ``series`` / ``master`` hold
+    one row per engine."""
     cfg, backend = engines[0].config, engines[0].backend
     size = len(engines)
     members = np.arange(size)
-    # windows[i, t] is series[i, t : t + d]: sliding_window_view's view,
-    # built on the (contiguous) rows' buffer without its per-call Python
-    # — the constructor checks the strides stay inside the buffer.
-    windows = np.ndarray(
-        (size, series.shape[1] - d + 1, d), series.dtype, series,
-        strides=series.strides + series.strides[1:],
-    )
-
-    def verify(member: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """One ``dtw_verification`` launch: segment ``start[j]`` of
-        engine ``member[j]`` against that engine's query (one query row
-        per candidate even in a lane of one: the kernel is faster on
-        same-shape operands than on a broadcast ``(d,)`` query)."""
-        return backend.dtw_verification(
-            queries[member], windows[member, start], cfg.rho
-        )
-
-    t_start = backend.elapsed_s
-    with obs.span("dtw_refine", backend) as sp:
-        # (A) Valid starts of a row are 0..n-1: the h-step target of a
-        # candidate must already be observed.
-        n = series_len - (d + cfg.margin - 1)
-        shortest, width = int(n.min()), int(n.max())
-        if shortest <= 0:
+    lengths = np.array(sorted(cfg.item_lengths))
+    # A candidate is a row's (engine, end): the segment of length d that
+    # ends just before ``end`` starts at ``end - d``.  Keys number them
+    # engine-major, ends ascending.
+    ends = series.shape[1] + 1
+    # (A) Valid starts of a row are 0..n-1: the h-step target of a
+    # candidate must already be observed.
+    valid = [bounds.series_len - (d + cfg.margin - 1) for d in lengths.tolist()]
+    for d, n in zip(lengths, valid):
+        if n.min() <= 0:
             raise ValueError(
                 f"no candidates for item length {d}: series too short"
             )
-        bound = lbs.bound(cfg.lb_mode)[:, :width]
-        seed_start, seed_count = _lane_seeds(engines, d, bound, n)
-        seed_member = np.repeat(members, seed_count)
 
-        # (B) One launch verifies every engine's seeds.
-        seed_d = verify(seed_member, seed_start)
+    def verify(need: np.ndarray) -> tuple:
+        """One ``dtw_verification`` launch over the keys ``need`` marks
+        (``need[key]``: how many of the lengths, shortest first, the
+        candidate is wanted at), each row read at all of them out of one
+        wavefront over the longest, against its engine's own query.
+        Rows go longest first — the kernel drops finished rows as a
+        tail, and the rows read at a length are a prefix.  Returns
+        ``(-counts, engines, ends, distances[rows, lengths])``, ``inf``
+        past a row's count."""
+        keys = np.flatnonzero(need != 0)
+        fewer = -need[keys]
+        order = np.argsort(fewer, kind="stable")
+        fewer = fewer[order]
+        member, end = np.divmod(keys[order], ends)
+        longest = int(lengths[-fewer[0] - 1]) if keys.size else int(lengths[0])
+        start = end - longest
+        if keys.size and start.min() < 0:
+            # An end nearer the series start than the launch's longest
+            # suffix: right-align what there is (the kernel never reads
+            # past the row's own longest suffix).
+            at = np.maximum(start[:, None] + np.arange(longest), 0)
+            candidates = series[member[:, None], at]
+        else:
+            # windows[i, t] is series[i, t : t + longest]:
+            # sliding_window_view's view, built on the (contiguous) rows'
+            # buffer without its per-call Python — the constructor checks
+            # the strides stay inside the buffer.
+            windows = np.ndarray(
+                (size, series.shape[1] - longest + 1, longest), series.dtype,
+                series, strides=series.strides + series.strides[1:],
+            )
+            candidates = windows[member, start]
+        found = backend.dtw_verification(
+            master[member, master.shape[1] - longest :], candidates, cfg.rho,
+            lengths, -fewer,
+        )
+        return fewer, member, end, found
+
+    t_start = backend.elapsed_s
+    with obs.span("dtw_refine", backend) as sp:
+        # (B) One launch verifies every length's seeds, each distinct
+        # candidate once, read at every length up to its longest.
+        need = np.zeros(size * ends, dtype=np.int8)
+        seeds = []
+        for at, (d, n) in enumerate(zip(lengths.tolist(), valid)):
+            bound = bounds.stacked[d].bound(cfg.lb_mode)[:, : int(n.max())]
+            start, count = _lane_seeds(engines, d, bound, n)
+            seeds.append((bound, np.repeat(members, count), start))
+            need[seeds[-1][1] * ends + start + d] = at + 1
+        first = verify(need)
+        seeded = need
         t_seeded = backend.elapsed_s
 
-        # (C) tau_i is the k-th smallest finite seed DTW; both tiers
-        # prune against it.  The seeds go one row per engine into a
-        # matrix padded with +inf (a faulty kernel's NaN counts as
-        # padding); the k-th order statistic is a value, so a row-wise
-        # partition gives the bits the per-row one does.
-        k_row = np.minimum(cfg.k_max, n)
-        first = np.cumsum(seed_count) - seed_count  # of each row's seeds
-        column = np.arange(seed_start.size) - first[seed_member]
-        padded = np.full((size, int(seed_count.max())), np.inf)
-        padded[seed_member, column] = np.where(
-            np.isfinite(seed_d), seed_d, np.inf
-        )
-        tau = np.partition(padded, np.unique(k_row - 1), axis=1)[
-            members, k_row - 1
-        ]
-        if np.isinf(tau).any():
-            raise ValueError(
-                f"fewer than k finite seed distances for item length {d}: "
-                f"no threshold to filter against"
+        # (C) Per length, tau_i is the k-th smallest finite distance the
+        # launch read at that length; both tiers prune against it.  The
+        # k-th order statistic is a value, so one sort by (engine,
+        # distance) gives the bits a per-row partition does.
+        need = np.zeros(size * ends, dtype=np.int8)
+        tiers = []
+        fewer, member, end, found = first
+        for at, (d, n, (bound, seed_member, seed_start)) in enumerate(
+            zip(lengths.tolist(), valid, seeds)
+        ):
+            read = np.searchsorted(fewer, -at)  # the rows read at d
+            start = end[:read] - d
+            # A faulty kernel's NaN sorts behind every distance: padding.
+            ranked = np.lexsort((found[:read, at], member[:read]))
+            k_row = np.minimum(cfg.k_max, n)
+            per_row = np.bincount(member[:read], minlength=size)
+            tau = found[:read, at][ranked][np.minimum(
+                np.cumsum(per_row) - per_row + k_row - 1, read - 1
+            )]
+            if (per_row < k_row).any() or not np.isfinite(tau).all():
+                raise ValueError(
+                    f"fewer than k finite seed distances for item length "
+                    f"{d}: no threshold to filter against"
+                )
+            width = bound.shape[1]
+            gate = (tau + _FILTER_SLACK)[:, None]
+            if n.min() < width:
+                # A ragged lane: columns at or beyond a row's own n hold
+                # the stack's padding (or starts whose target is
+                # unobserved) and pass no tier — no bound is <= -inf.
+                gate = np.where(np.arange(width) < n[:, None], gate, -np.inf)
+            # Tier 1: the precomputed window/group envelope bound.
+            alive = bound <= gate
+            after_kim = n
+            if cfg.lb_kim:
+                # Tier 0: LB_Kim — two series touches per candidate.
+                kim = lb_kim_profile(
+                    master[:, master.shape[1] - d :], series, width
+                ) <= gate
+                after_kim = kim.sum(axis=1)
+                alive &= kim
+                backend.launch(
+                    "search_lb_kim",
+                    n_blocks=int((-(-n // THREADS_PER_BLOCK)).sum()),
+                    ops_per_thread=2 * OPS_PER_LB_TERM,
+                    threads_per_block=THREADS_PER_BLOCK,
+                )
+            unfiltered = alive.sum(axis=1)
+            # Verified at this length: the seeds and every survivor.
+            verified = unfiltered + np.bincount(
+                seed_member[~alive[seed_member, seed_start]], minlength=size
             )
-        gate = (tau + _FILTER_SLACK)[:, None]
-        if shortest < width:
-            # A ragged lane: columns at or beyond a row's own n hold the
-            # stack's padding (or starts whose target is unobserved) and
-            # pass no tier — no bound is <= -inf.
-            gate = np.where(np.arange(width) < n[:, None], gate, -np.inf)
-        # Tier 1: the precomputed window/group envelope bound.
-        alive = bound <= gate
-        after_kim = n
-        if cfg.lb_kim:
-            # Tier 0: LB_Kim — two series touches per candidate.
-            kim = lb_kim_profile(queries, series, width) <= gate
-            after_kim = kim.sum(axis=1)
-            alive &= kim
-            backend.launch(
-                "search_lb_kim",
-                n_blocks=int((-(-n // THREADS_PER_BLOCK)).sum()),
-                ops_per_thread=2 * OPS_PER_LB_TERM,
-                threads_per_block=THREADS_PER_BLOCK,
-            )
-        unfiltered = alive.sum(axis=1)
-        # Seeds are already verified: they leave the survivors through
-        # the same mask over starts.
-        alive[seed_member, seed_start] = False
-        surv_member, surv_start = np.divmod(np.flatnonzero(alive), width)
+            # What the first launch read at this length is verified: it
+            # leaves the survivors through the same mask over starts.
+            alive[member[:read], start] = False
+            survivor, start = np.divmod(np.flatnonzero(alive), width)
+            need[survivor * ends + start + d] = at + 1
+            tiers.append((
+                n - after_kim, after_kim - unfiltered, unfiltered, verified,
+            ))
         t_filtered = backend.elapsed_s
 
-        # (D) One launch verifies every engine's survivors.
-        surv_d = verify(surv_member, surv_start)
-        surv_count = np.bincount(surv_member, minlength=size)
+        # (D) One launch verifies every length's survivors.
+        second = verify(need)
         if sp is not None:
-            sp.attrs["item_length"] = d
-            sp.attrs["verified"] = seed_start.size + surv_start.size
+            sp.attrs["item_lengths"] = lengths.size
+            sp.attrs["verified"] = first[0].size + second[0].size
     # Snapshot the ledger at the span boundary: everything after this
     # point is selection work, not verification work.
     t_verified = backend.elapsed_s
 
-    # (E) A faulty kernel can return a NaN distance; drop non-finite
-    # entries so one never reaches an answer.  Order the verified pool by
-    # (engine, start) — a total order, starts are unique per engine — so
+    # (E) One pool per (length, engine): every finite distance either
+    # launch read at that length, a candidate the second read again only
+    # once (a read no tier asked for has DTW > tau_i: it cannot displace
+    # an answer).  A faulty kernel can return a NaN distance — an
+    # injected fault takes a row at every length it was read at — and
+    # it is dropped, so one never reaches an answer.  The pool is
+    # ordered by (length, engine, start) — a total order — so
     # k-selection's stable tie-breaking resolves equal distances by
     # smallest start, exactly as the reference full scan breaks ties.
-    member = np.concatenate([seed_member, surv_member])
-    start = np.concatenate([seed_start, surv_start])
-    pool = np.concatenate([seed_d, surv_d])
-    finite = np.isfinite(pool)
-    if not finite.all():
-        member, start, pool = member[finite], start[finite], pool[finite]
-    order = np.argsort(member * width + start, kind="stable")
+    segment, start, pool, read = [], [], [], []
+    columns = np.arange(lengths.size)
+    for (_, member, end, found), fresh in (
+        (first, 0), (second, seeded[second[1] * ends + second[2]][:, None])
+    ):
+        # What the first launch read at a length keeps its value there;
+        # the lengths past a row's count read +inf.
+        row, at = np.nonzero(np.isfinite(found) & (columns >= fresh))
+        segment.append(at * size + member[row])
+        start.append(end[row] - lengths[at])
+        pool.append(found[row, at])
+        read.append(np.bincount(segment[-1], minlength=lengths.size * size))
+    segment, start, pool = (np.concatenate(part) for part in (segment, start, pool))
+    order = np.argsort(segment * ends + start, kind="stable")
     start, pool = start[order], pool[order]
-    pool_sizes = np.bincount(member, minlength=size).tolist()
-    offsets = [0, *accumulate(pool_sizes)]
+    offsets = [0, *accumulate((read[0] + read[1]).tolist())]
     with obs.span("k_select", backend):
         tops = backend.k_select(pool, cfg.k_max, offsets)
     t_selected = backend.elapsed_s
 
-    # Each answer carries its row-share of each fused launch, normalised
-    # so that a group's answers tile the ledger delta.
+    # Each answer carries its share of each fused launch — by the rows
+    # it read there, the filter launches by candidates, the selection by
+    # candidates verified — normalised so that a group's answers tile
+    # the ledger delta.
+    verified = [count for tier in tiers for count in tier[3].tolist()]
     launches = (
-        (t_seeded - t_start, seed_count.tolist()),
-        (t_filtered - t_seeded, n.tolist()),
-        (t_verified - t_filtered, surv_count.tolist()),
+        (t_seeded - t_start, read[0].tolist()),
+        (t_filtered - t_seeded, np.concatenate(valid).tolist()),
+        (t_verified - t_filtered, read[1].tolist()),
     )
     verification_s = _apportion(t_verified - t_start, [
         reduce(add, parts, 0)
         for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
     ])
-    selection_s = _apportion(t_selected - t_verified, pool_sizes)
+    selection_s = _apportion(t_selected - t_verified, verified)
 
-    verified = seed_count + surv_count
-    pruned_kim, pruned_window = n - after_kim, after_kim - unfiltered
-    # One gather for the lane's answers; each engine's is a slice of it.
+    # One gather for the lane's answers; each is a slice of it.
     sizes = [top.size for top in tops]
     picked = np.concatenate(tops) + np.repeat(offsets[:-1], sizes)
     found, distances = start[picked], pool[picked]
-    ends = list(accumulate(sizes))
-    answers = []
-    for (
-        engine, lo, hi, total, passed, checked, by_kim, by_window,
-        verification, selection,
-    ) in zip(
-        engines, [0] + ends, ends, n.tolist(), unfiltered.tolist(),
-        verified.tolist(), pruned_kim.tolist(), pruned_window.tolist(),
-        verification_s, selection_s,
+    bounds_of = [0, *accumulate(sizes)]
+    answers: list[dict[int, SuffixKnnAnswer]] = [{} for _ in engines]
+    by_length = {}
+    for at, (d, n, (by_kim, by_window, passed, checked)) in enumerate(
+        zip(lengths.tolist(), valid, tiers)
     ):
-        engine._previous_knn[d] = starts = found[lo:hi]
-        answers.append(SuffixKnnAnswer(
-            item_length=d,
-            starts=starts,
-            distances=distances[lo:hi],
-            candidates_total=total,
-            candidates_unfiltered=passed,
-            candidates_verified=checked,
-            pruned_kim=by_kim,
-            pruned_window=by_window,
-            verification_sim_s=verification,
-            selection_sim_s=selection,
-        ))
-    if obs.is_enabled():  # one emission per lane, the sensors' counts summed
-        obs.observe_search(
-            d,
-            int(n.sum()),
-            int(unfiltered.sum()),
-            candidates_verified=int(verified.sum()),
-            pruned_kim=int(pruned_kim.sum()),
-            pruned_window=int(pruned_window.sum()),
-            queries=size,
-        )
+        by_length[d] = []
+        for i, (total, unfiltered, kim, window) in enumerate(zip(
+            n.tolist(), passed.tolist(), by_kim.tolist(), by_window.tolist(),
+        )):
+            seg = at * size + i
+            lo, hi = bounds_of[seg], bounds_of[seg + 1]
+            engines[i]._previous_knn[d] = found[lo:hi]
+            by_length[d].append(SuffixKnnAnswer(
+                item_length=d,
+                starts=found[lo:hi],
+                distances=distances[lo:hi],
+                candidates_total=total,
+                candidates_unfiltered=unfiltered,
+                candidates_verified=verified[seg],
+                pruned_kim=kim,
+                pruned_window=window,
+                verification_sim_s=verification_s[seg],
+                selection_sim_s=selection_s[seg],
+            ))
+        if obs.is_enabled():  # one emission per lane, the sensors' counts summed
+            obs.observe_search(
+                d,
+                int(n.sum()),
+                int(passed.sum()),
+                candidates_verified=int(checked.sum()),
+                pruned_kim=int(by_kim.sum()),
+                pruned_window=int(by_window.sum()),
+                queries=size,
+            )
+    for d in cfg.item_lengths:
+        for per_engine, answer in zip(answers, by_length[d]):
+            per_engine[d] = answer
     return answers

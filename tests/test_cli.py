@@ -195,7 +195,7 @@ class TestProfileRound:
             "forecast_all", "predict_cells", "mix", "ingest_many", "absorb_many",
             "tune",
             "step_many", "_tube_excess", "search_many", "lower_bounds_many",
-            "_search_item", "dtw_verification", "k_select",
+            "_search_lane", "dtw_verification", "k_select",
         ):
             assert float(rows[layer][1]) > 0.0, layer
         # Two shards, one grid: the ensemble lane tunes and mixes once
@@ -209,22 +209,25 @@ class TestProfileRound:
         # Per window step, one LB_EQ and one LB_EC sum for the tail
         # columns and one of each for the refreshed windows.
         assert float(rows["_tube_excess"][2]) == 8.0
-        # Two shards, two item lengths: four searches a round, two
-        # verification launches each.
-        assert float(rows["_search_item"][2]) == 4.0
-        assert float(rows["dtw_verification"][2]) == 8.0
-        assert "_search_item glue" in done.stdout
+        # Two shards: two lane searches a round, each serving both item
+        # lengths with two verification launches.
+        assert float(rows["_search_lane"][2]) == 2.0
+        assert float(rows["dtw_verification"][2]) == 4.0
+        assert "_search_lane glue" in done.stdout
         # How much reached the kernel, on the row whose wall it explains:
-        # rows and DP cells per round (rho=2: min(d, 5) cells per point).
+        # rows and band cells per round (rho=2: a row read up to d=8
+        # computes 8*5 - 2*3 = 34 cells, up to d=16 74).
         header = done.stdout.splitlines()[1].split()
         assert header[-2:] == ["rows/round", "cells/round"]
         verified, cells = map(float, rows["dtw_verification"][-2:])
         assert len(rows["dtw_verification"]) == 6 and len(rows["k_select"]) == 5
-        # Two shards of four sensors, two item lengths: four selections a
-        # round, a segment (one row of the stacked selection) per sensor.
+        # Two shards of four sensors, two item lengths: two selections a
+        # round, a segment (one row of the stacked selection) per sensor
+        # and item length.
+        assert float(rows["k_select"][2]) == 2.0
         assert float(rows["k_select"][-1]) == 16.0
-        assert verified >= 8.0  # at least a row per launch
-        assert 8 * 5 * verified <= cells <= 16 * 5 * verified
+        assert verified >= 4.0  # at least a row per launch
+        assert 34 * verified <= cells <= 74 * verified
         # AR sensors: no GP training under forecast_all.
         assert rows["gp_train"][1:3] == ["0.000", "0.0"]
 
@@ -240,9 +243,10 @@ class TestProfileRound:
             rows.setdefault(line.split()[0], line.split())
         _, wall, calls, _, segments = rows["k_select"]
         assert float(wall) > 0.0
-        # 17 selections in 3 rounds, fewer than the 19 searches (a search
-        # a fault fails before it selects is retried), 62 segments.
-        assert (calls, rows["_search_item"][2], segments) == ("5.7", "6.3", "20.7")
+        # 7 selections in 3 rounds, fewer than the 9 lane searches (a
+        # search a fault fails before it selects is retried), 50
+        # (sensor, item length) segments.
+        assert (calls, rows["_search_lane"][2], segments) == ("2.3", "3.0", "16.7")
 
     def test_layers_gp_train_row(self):
         """How much training a GP round asked for: wall, cells trained,

@@ -3,9 +3,12 @@
 The batched kernel walks anti-diagonals in candidate blocks; everything
 above ``repro.dtw`` (cost model, prune counts, forecast digests) relies on
 it returning exactly what the row-major order returns: every distance,
-every abandoned (``inf``) position and the row-major cell count.  The
-oracles here are written out cell by cell and share no code with the
-kernel.
+every abandoned (``inf``) position and the row-major cell count.  Every
+DTW is end-anchored (the DP starts at the last points), so one launch
+reads each row's shorter suffixes out of the wavefront over its longest
+— :class:`TestSuffixReadOut` pins those reads against a call per length
+and the oracle.  The oracles here are written out cell by cell and share
+no code with the kernel.
 """
 
 import numpy as np
@@ -21,8 +24,10 @@ from repro.dtw import (
     dtw_distance,
     envelope_shift,
 )
+from repro.backend import make_backend
 from repro.dtw import distance as distance_module
-from repro.dtw.distance import ABANDON_SLACK
+from repro.dtw.distance import ABANDON_SLACK, band_cells
+from repro.gpu.kernels import OPS_PER_DTW_CELL
 
 BLOCK = 5
 
@@ -36,7 +41,9 @@ def small_blocks():
 
 
 def row_major_oracle(query, candidates, rho, cutoff=np.inf, lb_terms=None):
-    """``(distances, cells)`` by the row-major scalar recurrence.
+    """``(distances, cells)`` by the end-anchored row-major scalar
+    recurrence: DP row ``i`` (column ``j``) is the query's (candidate's)
+    ``i``-th (``j``-th) point from the end.
 
     One candidate at a time, one cell at a time; the abandon criterion is
     tested after every row but the last, as the kernel documents it.
@@ -53,16 +60,17 @@ def row_major_oracle(query, candidates, rho, cutoff=np.inf, lb_terms=None):
             cur = np.full(d + 1, np.inf)
             lo, hi = max(1, i - band), min(d, i + band)
             for j in range(lo, hi + 1):
-                diff = query[i - 1] - candidate[j - 1]
+                diff = query[d - i] - candidate[d - j]
                 cur[j] = diff * diff + min(prev[j], prev[j - 1], cur[j - 1])
             cells += hi - lo + 1
             prev = cur
             if i < d and threshold < np.inf:
                 bound = cur[lo : hi + 1].min()
                 if lb_terms is not None:
-                    # Same summation order as the kernel's reversed cumsum.
+                    # The positions no query point matched so far can
+                    # reach, summed as the kernel's cumsum does.
                     tail = 0.0
-                    for term in lb_terms[c, min(i + band, d) :][::-1]:
+                    for term in lb_terms[c, : d - min(i + band, d)]:
                         tail = tail + term
                     bound = bound + tail
                 if not bound <= threshold:
@@ -240,6 +248,116 @@ class TestPairedQueries:
             dtw_batch(rng.normal(size=(4, 5)), candidates, 2)
         with pytest.raises(ValueError, match="query of shape"):
             dtw_batch(rng.normal(size=5), candidates, 2)
+
+
+class TestSuffixReadOut:
+    """``lengths`` / ``need``: row ``r``'s DTW of its ``lengths[l]``-
+    suffixes for every ``l < need[r]``, read at diagonal ``2 * lengths[l]``
+    of the one wavefront over its longest, rows regrouped longest first
+    and dropped a length at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 30),
+        n=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_read_is_the_call_at_that_length(self, data, d, n, seed):
+        rho = data.draw(
+            st.one_of(st.none(), st.just(0), st.integers(0, d + 2), st.just(d))
+        )
+        lengths = sorted(data.draw(
+            st.sets(st.integers(1, d), min_size=1, max_size=4)
+        ))
+        rng = np.random.default_rng(seed)
+        need = rng.integers(1, len(lengths) + 1, size=n)
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d)) * rng.choice([0.05, 1.0])
+        for r, count in enumerate(need):
+            # A row's points before its longest suffix are never read —
+            # an end nearer the series start than the launch's longest.
+            candidates[r, : d - lengths[count - 1]] = np.nan
+        one_query = data.draw(st.booleans())
+        query = queries[0] if one_query else queries
+        got = dtw_batch(query, candidates, rho, lengths=lengths, need=need)
+        assert got.shape == (n, len(lengths))
+        for at, e in enumerate(lengths):
+            rows = np.flatnonzero(need > at)
+            assert np.isinf(got[need <= at, at]).all()
+            suffix = query[..., d - e :]
+            alone = dtw_batch(
+                suffix if one_query else suffix[rows],
+                candidates[rows, d - e :], rho,
+            )
+            np.testing.assert_array_equal(got[rows, at], alone)
+            for r, distance in zip(rows, alone):
+                q = suffix if one_query else suffix[r]
+                (expected,), _ = row_major_oracle(
+                    q, candidates[r : r + 1, d - e :], rho
+                )
+                assert distance == expected
+                assert distance == dtw_distance(q, candidates[r, d - e :], rho)
+
+    def test_rows_in_any_order_answer_in_their_own_order(self):
+        rng = np.random.default_rng(21)
+        n, d, lengths = 3 * BLOCK + 2, 16, (4, 9, 16)
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d))
+        need = rng.integers(1, 4, size=n)
+        got = dtw_batch(queries, candidates, 3, lengths=lengths, need=need)
+        order = np.argsort(-need, kind="stable")
+        np.testing.assert_array_equal(
+            dtw_batch(
+                queries[order], candidates[order], 3,
+                lengths=lengths, need=need[order],
+            ),
+            got[order],
+        )
+
+    @pytest.mark.parametrize("backend_name", ["simulated", "native"])
+    def test_backends_read_the_kernel_and_charge_the_longest_band(
+        self, backend_name
+    ):
+        rng = np.random.default_rng(22)
+        n, d, rho, lengths = 2 * BLOCK + 1, 20, 3, (5, 12, 20)
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d))
+        need = np.sort(rng.integers(1, 3, size=n))[::-1]  # longest is 12
+        backend = make_backend(backend_name)
+        got = backend.dtw_verification(
+            queries, candidates, rho, lengths=lengths, need=need
+        )
+        np.testing.assert_array_equal(
+            got, dtw_batch(queries, candidates, rho, lengths=lengths, need=need)
+        )
+        if backend_name == "simulated":
+            kernel = backend.cost.per_kernel_s["dtw_verify"]
+            twin = make_backend("simulated")
+            twin.launch("dtw_verify", 1, band_cells(12, rho) * OPS_PER_DTW_CELL)
+            assert kernel == twin.cost.per_kernel_s["dtw_verify"]
+        empty = backend.dtw_verification(
+            queries[:0], candidates[:0], rho, lengths=lengths, need=need[:0]
+        )
+        assert empty.shape == (0, 3)
+
+    def test_band_cells_counts_the_band(self):
+        for d in range(1, 30):
+            for rho in (0, 1, 2, 5, d, d + 3, None):
+                band = d if rho is None else rho
+                assert band_cells(d, rho) == sum(
+                    1 for i in range(d) for j in range(d) if abs(i - j) <= band
+                )
+        assert band_cells(96, 24) == 96 * 49 - 24 * 25
+
+    def test_malformed_lengths_and_needs_are_refused(self):
+        query, candidates = np.zeros(6), np.zeros((2, 6))
+        for lengths in ((), (0, 3), (3, 3), (4, 2), (7,), (3, 7)):
+            with pytest.raises(ValueError, match="lengths"):
+                dtw_batch(query, candidates, 2, lengths=lengths)
+        for need in ([0, 1], [1, 3], [1]):
+            with pytest.raises(ValueError, match="need"):
+                dtw_batch(query, candidates, 2, lengths=(3, 6), need=need)
 
 
 def naive_envelope(values, rho):

@@ -210,9 +210,11 @@ class TestLaneFusedLaunches:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_ingest_lane_is_four_search_ops_per_item_length(self, engine):
         """Per shard per ``ingest_many``: one stacked window step, one
-        stacked shift-sum for the group bounds and the search's four
-        kernel ops per item length — none grows with the lane, on every
-        engine."""
+        stacked shift-sum for the group bounds, one LB_Kim launch per
+        item length and the search's three kernel ops for every length
+        at once (the name predates the end-anchored lane pass, which
+        answers all item lengths from two verification launches and one
+        selection) — none grows with the lane, on every engine."""
         histories, futures = make_workload(n_sensors=12)
         service = build_service("simulated", engine, n_backends=2)
         try:
@@ -233,12 +235,13 @@ class TestLaneFusedLaunches:
         finally:
             service.close()
         assert per_shard == [6, 6]
-        assert spent == [2 + 4 * len(CONFIG.elv) for _ in per_shard]
+        assert spent == [2 + len(CONFIG.elv) + 3 for _ in per_shard]
 
-    def test_ten_launches_a_round_on_a_24_sensor_shard_ragged_or_not(self):
+    def test_seven_launches_a_round_on_a_24_sensor_shard_ragged_or_not(self):
         """56 per round before the index steps were stacked (24 window
-        steps + 24 shift-sums + 4 x 2); now 10, every round, and blind to
-        the lane's series lengths."""
+        steps + 24 shift-sums + 4 x 2), 10 while the search ran per item
+        length; now 7 (2 + 2 LB_Kim + 3), every round, and blind to the
+        lane's series lengths."""
         for ragged in (0, 13):
             service = build_service("simulated", "inline", n_backends=1)
             histories, futures = make_workload(n_sensors=24, n_future=10)
@@ -253,13 +256,14 @@ class TestLaneFusedLaunches:
                 )
                 spent.append(cost.launches - before)
             service.close()
-            assert spent == [2 + 4 * len(CONFIG.elv)] * 10 == [10] * 10
+            assert spent == [2 + len(CONFIG.elv) + 3] * 10 == [7] * 10
 
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_a_stale_forecast_lane_is_one_fused_search(self, engine, tmp_path):
         """The first ``forecast_all`` after ``restore()`` finds every
-        sensor stale: one shift-sum and four kernel ops per item length
-        for the 24 of them (24 x 9 while each re-searched alone) — and
+        sensor stale: one shift-sum, one LB_Kim launch per item length
+        and three kernel ops for the 24 of them (24 x 9 while each
+        re-searched alone, 9 while the search ran per item length) — and
         nothing at all once every answer is current."""
         rng = np.random.default_rng(77)
         source = build_service("simulated", engine, n_backends=1)
@@ -281,7 +285,7 @@ class TestLaneFusedLaunches:
                 spent.append(service.backends[0].cost.launches - before)
         finally:
             service.close()
-        assert spent == [1 + 4 * len(CONFIG.elv), 0] == [9, 0]
+        assert spent == [1 + len(CONFIG.elv) + 3, 0] == [6, 0]
 
 
     def test_one_search_of_a_ragged_lane_launch_for_launch(self):
@@ -290,7 +294,8 @@ class TestLaneFusedLaunches:
         lengths (one with fewer than ``k_max`` candidates at d=24).  No
         launch may be added, dropped or reordered; the warm search's row
         counts (survivor blocks, ``k_select`` pool sizes, the clock) are
-        those of the successor-seeded threshold."""
+        those of the successor-seeded threshold, one end-anchored lane
+        pass serving the three item lengths."""
         cfg = SuffixSearchConfig(
             item_lengths=(8, 16, 24), k_max=6, omega=4, rho=2, margin=2
         )
@@ -311,13 +316,16 @@ class TestLaneFusedLaunches:
 
         backend.cost.launch = recording
         search_many(engines)
-        cold = [("group_index_sum", 24, 21.0)] + [
-            launch for d in cfg.item_lengths for launch in (
-                # 64 seeds per row cover every survivor: no (D) launch.
-                ("dtw_verify", 2, 40.0 * d),
-                ("search_lb_kim", 9, 12.0),
-                ("k_select", 6, 1.5),
-            )
+        # Every length's seeds in one launch, priced at the band through
+        # the longest (d = 24, rho = 2: 24 x 5 - 2 x 3 = 114 cells); 64
+        # seeds per row cover every survivor: no (D) launch.
+        cold = [
+            ("group_index_sum", 24, 21.0),
+            ("dtw_verify", 2, 912.0),
+            ("search_lb_kim", 9, 12.0),
+            ("search_lb_kim", 9, 12.0),
+            ("search_lb_kim", 9, 12.0),
+            ("k_select", 18, 1.828125),
         ]
         assert recorded == cold
         step_many(
@@ -328,20 +336,14 @@ class TestLaneFusedLaunches:
         search_many(engines)
         assert recorded == [
             ("group_index_sum", 24, 21.0),
-            ("dtw_verify", 1, 320.0),
+            ("dtw_verify", 1, 912.0),
             ("search_lb_kim", 9, 12.0),
-            ("dtw_verify", 2, 320.0),
-            ("k_select", 6, 3.796875),
-            ("dtw_verify", 1, 640.0),
             ("search_lb_kim", 9, 12.0),
-            ("dtw_verify", 1, 640.0),
-            ("k_select", 6, 2.6953125),
-            ("dtw_verify", 1, 960.0),
             ("search_lb_kim", 9, 12.0),
-            ("dtw_verify", 1, 960.0),
-            ("k_select", 6, 2.8125),
+            ("dtw_verify", 2, 912.0),
+            ("k_select", 18, 4.265625),
         ]
-        assert backend.cost.elapsed_s.hex() == "0x1.5ba7bbbc6511bp-13"
+        assert backend.cost.elapsed_s.hex() == "0x1.c74593600148ap-14"
 
 
 class _StandaloneSensor:

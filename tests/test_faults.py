@@ -128,6 +128,25 @@ class TestFaultInjectingBackend:
         assert np.isnan(out).sum() == 1
         assert backend.injected["kernel_nan"] == 1
 
+    @pytest.mark.parametrize("inner", [NativeBackend, SimulatedGpuBackend])
+    def test_nan_corruption_of_a_suffix_launch_marks_one_whole_row(self, inner):
+        """A launch reading several suffix lengths answers a row per
+        candidate: the corruption takes one row at every length — one
+        thread's output — and draws the row as a scalar launch draws its
+        entry, so the seeded fault stream is the same."""
+        lengths, need = (3, 5, 8), np.array([3, 3, 2, 2, 1, 1])
+        rows = []
+        for wide in (True, False):
+            backend = wrapped(FaultProfile(seed=4, kernel_nan_rate=1.0), inner())
+            out = backend.dtw_verification(
+                QUERY, CANDS, 2, *((lengths, need) if wide else ())
+            )
+            corrupted = np.isnan(out) if wide else np.isnan(out)[:, None]
+            (row,) = np.flatnonzero(corrupted.any(axis=1))
+            assert corrupted[row].all() and corrupted.sum() == corrupted.shape[1]
+            rows.append(row)
+        assert rows[0] == rows[1]
+
     def test_k_select_never_corrupted(self):
         backend = wrapped(FaultProfile(seed=0, kernel_nan_rate=1.0))
         out = backend.k_select(np.array([3.0, 1.0, 2.0]), 2)

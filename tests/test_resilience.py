@@ -491,8 +491,12 @@ class TestIngestLane:
                 assert np.isfinite(got[d].distances).all()
                 if not np.array_equal(got[d].starts, want[d].starts):
                     differing.append((sid, d))
-        # One NaN in one fused launch: one sensor's seed pool lost a row.
-        assert len(differing) == 1
+        # One NaN in one fused launch: one (sensor, end) row, dropped at
+        # every item length it was read at, so at most one sensor's
+        # answers can move (whether they do depends on whether the row
+        # held an answer: tests/test_search_lane.py::TestFusedNanRow
+        # poisons a chosen row and pins exactly what changes).
+        assert len({sid for sid, _ in differing}) <= 1
 
 
 class TestOneBreakerUpdatePerLane:
@@ -594,9 +598,12 @@ class TestForecastLane:
         return service
 
     def test_a_lane_of_one_is_the_single_forecast_op_for_op(self):
-        """Pinned at the parent commit (per-sensor ``_forecast_op``): the
-        rung served, the fault tick and the breaker's counters after
-        every forecast of a seeded flaky run."""
+        """The rung served, the fault tick and the breaker's counters
+        after every forecast of a seeded flaky run — pinned when a lane
+        of one matched the per-sensor ``_forecast_op`` op for op, and
+        re-pinned when a search became three faultable ops for all item
+        lengths (was three per item length): fewer ops draw fewer
+        faults, so more forecasts are served from the ensemble."""
         backend = FaultInjectingBackend(
             SimulatedGpuBackend(), FaultProfile(seed=3, kernel_error_rate=0.25)
         )
@@ -613,13 +620,14 @@ class TestForecastLane:
             ))
             service.ingest("s1", 200.0 + float(rng.normal()))
         assert seen == [
-            ("ar", 6, 2, 0), ("ensemble", 17, 4, 1), ("ensemble", 28, 5, 3),
-            ("reduced", 47, 9, 3), ("ensemble", 59, 11, 4),
-            ("reduced", 75, 15, 4), ("ar", 82, 19, 4), ("ensemble", 97, 21, 5),
-            ("reduced", 114, 25, 5), ("ensemble", 123, 26, 7),
-            ("ensemble", 129, 26, 9), ("ar", 147, 30, 9),
+            ("ar", 6, 2, 0), ("ensemble", 14, 4, 1), ("ensemble", 17, 4, 3),
+            ("ensemble", 20, 4, 5), ("ensemble", 25, 5, 7),
+            ("ensemble", 28, 5, 9), ("ensemble", 39, 8, 10),
+            ("ensemble", 44, 9, 12), ("ensemble", 47, 9, 14),
+            ("ensemble", 52, 10, 16), ("ensemble", 56, 11, 18),
+            ("ensemble", 59, 11, 20),
         ]
-        assert self.backend(service).injected["kernel_error"] == 35
+        assert self.backend(service).injected["kernel_error"] == 14
 
     def test_a_stale_lane_re_searches_once_not_once_per_sensor(self):
         service = self.stale_lane()
@@ -629,11 +637,12 @@ class TestForecastLane:
         assert not batch.errors and len(batch) == self.N
         assert all(f.source == "ensemble" for f in batch.values())
         backend, after = self.backend(service), self.health(service)
-        # One fused search: per item length two verifications and one
-        # k-selection are fault ticks; with the LB_Kim launch and the one
-        # shift-sum that is 1 + 4 x len(elv) launches — for 16 sensors.
-        assert backend.tick - tick == 3 * len(CONFIG.elv)
-        assert backend.cost.launches - launches == 1 + 4 * len(CONFIG.elv)
+        # One fused search: two verifications and one k-selection serve
+        # every item length and are the fault ticks; with an LB_Kim
+        # launch per item length and the one shift-sum that is
+        # 1 + len(elv) + 3 launches — for 16 sensors.
+        assert backend.tick - tick == 3
+        assert backend.cost.launches - launches == 1 + len(CONFIG.elv) + 3
         assert after["failures_total"] == before["failures_total"]
         assert after["successes_total"] == before["successes_total"] + self.N
         # Every answer is current again: the next batch is free.
@@ -654,7 +663,7 @@ class TestForecastLane:
         assert after["failures_total"] == before["failures_total"] + 2
         assert after["successes_total"] == before["successes_total"] + self.N
         assert after["state"] == "closed"
-        assert self.backend(service).tick - tick == 2 + 3 * len(CONFIG.elv)
+        assert self.backend(service).tick - tick == 2 + 3
 
     def test_members_still_stale_after_the_budget_descend_alone(self):
         service = self.stale_lane(attempts=2)
@@ -669,9 +678,7 @@ class TestForecastLane:
         after = self.health(service)
         assert after["failures_total"] == before["failures_total"] + 2
         assert after["successes_total"] == before["successes_total"]
-        assert self.backend(service).tick - tick == (
-            2 + self.N * 3 * len(CONFIG.elv)
-        )
+        assert self.backend(service).tick - tick == 2 + self.N * 3
 
         # A dead backend: the group's attempts, then every member walks
         # reduced (its own search fails too) -> ar on its own.

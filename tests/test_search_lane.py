@@ -1,12 +1,14 @@
 """Differential identity battery for the stacked search lane.
 
-``_search_item`` used to walk the lane one ``_Member`` at a time between
-its fused launches; it is now stacked computations over the lane.  The
-per-member body is kept here verbatim as the oracle (``_Member``,
-``_verify_fused``, ``_apportion``, ``_search_item`` and the
-``search_many`` loop that drove them): answers, counts, simulated
-seconds and the seeds remembered for the next tick must equal it bit
-for bit, whatever shares the lane.
+``_search_lane`` serves every item length of a lane in one pass of
+stacked computations: one end-anchored verification launch over every
+length's seeds as distinct ``(engine, end)`` rows, per-length
+thresholds and tiers, one launch over the survivors, one segmented
+selection.  The oracle here writes the same pass per member and per
+length with Python sets and dicts (``oracle_search_many``,
+``_verify_rows``): answers, counts, simulated seconds, launches and the
+seeds remembered for the next tick must equal it bit for bit, whatever
+shares the lane.
 
 The oracle chooses its threshold seeds itself (``_seed_starts`` below,
 start by start): the previous kNN *and their successors*, and ``tau_i``
@@ -24,16 +26,17 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import make_backend
-from repro.backend.base import ComputeBackend
+from repro.dtw import dtw_batch
 from repro.dtw.lower_bounds import lb_kim_profile
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
-from repro.index.group_index import ItemLowerBounds, lower_bounds_many
+from repro.index.group_index import lower_bounds_many
 from repro.index.reference import suffix_knn_reference
 from repro.index.suffix_search import (
     _FILTER_SLACK,
@@ -57,54 +60,225 @@ BACKENDS = ["simulated", "native"]
 
 # --------------------------------------------------------------- the oracle
 def oracle_search_many(engines):
-    """The ``search_many`` loop as it drove the per-member body."""
-    cfg = engines[0].config
+    """The lane pass written per member and per item length, with Python
+    sets and dicts: the answers, counts, simulated seconds and launches
+    ``search_many`` must produce, bit for bit (phases as in the module
+    docstring of ``repro.index.suffix_search``)."""
+    cfg, backend = engines[0].config, engines[0].backend
+    lengths = sorted(cfg.item_lengths)
     bounds = list(lower_bounds_many([engine.group_index for engine in engines]))
+    members = []
+    for engine, lbs in zip(engines, bounds):
+        items = []
+        for d in lengths:
+            n = engine.series.size - d - cfg.margin + 1
+            if n <= 0:
+                raise ValueError(
+                    f"no candidates for item length {d}: series too short"
+                )
+            items.append(_Item(d, n, lbs[d].bound(cfg.lb_mode)[:n]))
+        members.append(items)
+    t_start = backend.elapsed_s
+
+    with obs.span("dtw_refine", backend):
+        # (B) Every length's seeds, one row per (member, end), read at
+        # every length up to the longest that seeded it.
+        for engine, items in zip(engines, members):
+            for item in items:
+                item.seeds = {int(s) for s in _seed_starts(engine, item.d, item.bound)}
+        first = _verify_rows(backend, cfg, engines, lengths, [
+            {s + item.d: at + 1 for at, item in enumerate(items) for s in item.seeds}
+            for items in members
+        ])
+        t_seeded = backend.elapsed_s
+
+        # (C) tau_i over the finite distances read at this length, the
+        # two tiers, survivors not yet read at this length.
+        survivors = [{} for _ in engines]
+        for at, d in enumerate(lengths):
+            for i, items in enumerate(members):
+                item = items[at]
+                item.first = {
+                    end - d: read[at]
+                    for end, read in first[i].items() if len(read) > at
+                }
+                trusted = sorted(
+                    distance for distance in item.first.values()
+                    if np.isfinite(distance)
+                )
+                k = min(cfg.k_max, item.n)
+                if len(trusted) < k:
+                    raise ValueError(
+                        f"fewer than k finite seed distances (d={d})"
+                    )
+                gate = trusted[k - 1] + _FILTER_SLACK
+                # Tier 1: the precomputed window/group envelope bound.
+                alive = item.bound <= gate
+                after_kim = item.n
+                if cfg.lb_kim:
+                    # Tier 0: LB_Kim — two series touches per candidate.
+                    kim = lb_kim_profile(
+                        engines[i].item_query(d), engines[i].series,
+                        np.arange(item.n),
+                    ) <= gate
+                    after_kim = int(np.count_nonzero(kim))
+                    alive &= kim
+                passed = {int(s) for s in np.flatnonzero(alive)}
+                item.unfiltered = len(passed)
+                item.pruned_kim = item.n - after_kim
+                item.pruned_window = after_kim - item.unfiltered
+                item.wanted = passed | item.seeds
+                for start in passed - set(item.first):
+                    survivors[i][start + d] = at + 1
+            if cfg.lb_kim:
+                backend.launch(
+                    "search_lb_kim",
+                    n_blocks=sum(
+                        -(-items[at].n // THREADS_PER_BLOCK) for items in members
+                    ),
+                    ops_per_thread=2 * OPS_PER_LB_TERM,
+                    threads_per_block=THREADS_PER_BLOCK,
+                )
+        t_filtered = backend.elapsed_s
+
+        # (D) Every length's survivors, one row per (member, end).
+        second = _verify_rows(backend, cfg, engines, lengths, survivors)
+    t_verified = backend.elapsed_s
+
+    # (E) Per (length, member): every finite distance read at the
+    # length, by start; one segmented k-selection.
+    pools, rows_first, rows_second = [], [], []
+    for at, d in enumerate(lengths):
+        for i, items in enumerate(members):
+            item = items[at]
+            again = {
+                end - d: read[at]
+                for end, read in second[i].items()
+                if len(read) > at and end - d not in item.first
+            }
+            pool = {
+                start: distance
+                for start, distance in {**item.first, **again}.items()
+                if np.isfinite(distance)
+            }
+            rows_first.append(sum(
+                bool(np.isfinite(distance)) for distance in item.first.values()
+            ))
+            rows_second.append(len(pool) - rows_first[-1])
+            starts = np.array(sorted(pool), dtype=np.intp)
+            pools.append((starts, np.array([pool[s] for s in starts.tolist()])))
+    with obs.span("k_select", backend):
+        tops = backend.k_select(
+            np.concatenate([pool for _, pool in pools]),
+            cfg.k_max,
+            np.cumsum([0] + [pool.size for _, pool in pools]),
+        )
+    t_selected = backend.elapsed_s
+
+    # Each answer carries its share of each fused launch: by the rows it
+    # read there, the filter launches by candidates, the selection by
+    # candidates verified.
+    launches = (
+        (t_seeded - t_start, rows_first),
+        (t_filtered - t_seeded, [items[at].n for at in range(len(lengths))
+                                 for items in members]),
+        (t_verified - t_filtered, rows_second),
+    )
+    verification_s = _apportion(t_verified - t_start, [
+        fold(parts)
+        for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
+    ])
+    selection_s = _apportion(t_selected - t_verified, [
+        len(items[at].wanted) for at in range(len(lengths)) for items in members
+    ])
+
     answers = [{} for _ in engines]
+    by_length = {}
+    for at, d in enumerate(lengths):
+        by_length[d] = []
+        for i, (engine, items) in enumerate(zip(engines, members)):
+            item, segment = items[at], at * len(engines) + i
+            starts, pool = pools[segment]
+            top = tops[segment]
+            engine._previous_knn[d] = starts[top]
+            by_length[d].append(SuffixKnnAnswer(
+                item_length=d,
+                starts=starts[top],
+                distances=pool[top],
+                candidates_total=item.n,
+                candidates_unfiltered=item.unfiltered,
+                candidates_verified=len(item.wanted),
+                pruned_kim=item.pruned_kim,
+                pruned_window=item.pruned_window,
+                verification_sim_s=verification_s[segment],
+                selection_sim_s=selection_s[segment],
+            ))
+        if obs.is_enabled():
+            found = by_length[d]
+            obs.observe_search(
+                d,
+                sum(answer.candidates_total for answer in found),
+                sum(answer.candidates_unfiltered for answer in found),
+                candidates_verified=sum(a.candidates_verified for a in found),
+                pruned_kim=sum(answer.pruned_kim for answer in found),
+                pruned_window=sum(answer.pruned_window for answer in found),
+                queries=len(found),
+            )
     for d in cfg.item_lengths:
-        fused = _search_item(engines, d, [lbs[d] for lbs in bounds])
-        for per_engine, answer in zip(answers, fused):
+        for per_engine, answer in zip(answers, by_length[d]):
             per_engine[d] = answer
     return answers
 
 
 @dataclass
-class _Member:
-    """One engine's slice of a fused item-length search."""
+class _Item:
+    """One member's search at one item length."""
 
-    series: np.ndarray
-    query: np.ndarray
-    #: One lower bound per valid start ``0 .. bound.size - 1``.
+    d: int
+    #: Valid starts are ``0 .. n - 1``; one lower bound each.
+    n: int
     bound: np.ndarray
-    #: Starts verified to seed ``tau_i``.
-    seeds: np.ndarray
-    #: Starts that passed both bounds, seeds excluded (set by phase C).
-    survivors: np.ndarray | None = None
+    seeds: set = None
+    #: ``{start: distance}`` the seed launch read at this length.
+    first: dict = None
+    #: The seeds and every survivor of the tiers: what it verified.
+    wanted: set = None
     unfiltered: int = 0
     pruned_kim: int = 0
     pruned_window: int = 0
 
 
-def _verify_fused(
-    backend: ComputeBackend,
-    rho: int,
-    members: list[_Member],
-    starts: list[np.ndarray],
-) -> list[np.ndarray]:
-    """One ``dtw_verification`` launch over every member's ``starts``,
-    each row against its own member's query; distances per member."""
-    counts = [picked.size for picked in starts]
-    span = np.arange(members[0].query.size)
-    rows = np.concatenate([
-        member.series[picked[:, None] + span]
-        for member, picked in zip(members, starts)
-    ])
-    queries = np.repeat(
-        np.stack([member.query for member in members]), counts, axis=0
+def _verify_rows(backend, cfg, engines, lengths, wanted):
+    """One ``dtw_verification`` launch over every member's wanted ends
+    (``{end: how many lengths, shortest first}``), one row per (member,
+    end) against the member's query, rows ordered longest first, then
+    member, then end.  Returns per member ``{end: distances read}``."""
+    rows = sorted(
+        (-count, i, end) for i, ends in enumerate(wanted) for end, count in ends.items()
     )
-    distances = backend.dtw_verification(queries, rows, rho)
-    ends = np.cumsum(counts).tolist()
-    return [distances[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    depth = -rows[0][0] if rows else len(lengths)
+    longest = lengths[depth - 1]
+    candidates, queries = [], []
+    for _, i, end in rows:
+        series = engines[i].series
+        window = series[max(0, end - longest) : end]
+        # An end nearer the start than the longest suffix: padded, and
+        # the padding is never read.
+        candidates.append(np.concatenate(
+            [np.full(longest - window.size, series[0]), window]
+        ))
+        queries.append(engines[i].item_query(longest))
+    out = backend.dtw_verification(
+        np.array(queries).reshape(-1, longest),
+        np.array(candidates).reshape(-1, longest),
+        cfg.rho,
+        lengths[:depth],
+        np.array([-negative for negative, _, _ in rows], dtype=np.intp),
+    )
+    found = [{} for _ in engines]
+    for (negative, i, end), row in zip(rows, out):
+        found[i][end] = row[:-negative].tolist()
+    return found
 
 
 def _seed_starts(engine: SuffixKnnEngine, d: int, bound: np.ndarray) -> np.ndarray:
@@ -130,154 +304,6 @@ def _apportion(total: float, weights: Sequence[float]) -> list[float]:
     and a group of one gets all of it, bit for bit."""
     whole = fold(weights)
     return [total * (weight / whole) if whole else 0.0 for weight in weights]
-
-
-def _search_item(
-    engines: Sequence[SuffixKnnEngine],
-    d: int,
-    item_bounds: list[ItemLowerBounds],
-) -> list[SuffixKnnAnswer]:
-    """One item length for the whole group (phases A-E of the module
-    docstring); one answer per engine, in order."""
-    cfg, backend = engines[0].config, engines[0].backend
-    t_start = backend.elapsed_s
-
-    with obs.span("dtw_refine", backend) as sp:
-        # (A) Valid starts are 0..n-1: the h-step target of a candidate
-        # must already be observed.
-        members = []
-        for engine, lbs in zip(engines, item_bounds):
-            series = engine.series
-            n = series.size - d - cfg.margin + 1
-            if n <= 0:
-                raise ValueError(
-                    f"no candidates for item length {d}: series too short"
-                )
-            bound = lbs.bound(cfg.lb_mode)[:n]
-            seeds = _seed_starts(engine, d, bound)
-            members.append(_Member(series, engine.item_query(d), bound, seeds))
-
-        # (B) One launch verifies every engine's seeds.
-        seed_distances = _verify_fused(
-            backend, cfg.rho, members, [member.seeds for member in members]
-        )
-        t_seeded = backend.elapsed_s
-
-        # (C) tau_i is the k-th smallest finite seed DTW; both tiers
-        # prune against it.  Seeds are already verified: they leave the
-        # survivors through the same mask over starts.
-        for member, seed_d in zip(members, seed_distances):
-            n = member.bound.size
-            k = min(cfg.k_max, n)
-            trusted = seed_d[np.isfinite(seed_d)]
-            if trusted.size < k:
-                raise ValueError(f"fewer than k finite seed distances (d={d})")
-            gate = float(np.partition(trusted, k - 1)[k - 1]) + _FILTER_SLACK
-            # Tier 1: the precomputed window/group envelope bound.
-            alive = member.bound <= gate
-            after_kim = n
-            if cfg.lb_kim:
-                # Tier 0: LB_Kim — two series touches per candidate.
-                kim = lb_kim_profile(
-                    member.query, member.series, np.arange(n)
-                ) <= gate
-                after_kim = int(np.count_nonzero(kim))
-                alive &= kim
-            member.unfiltered = int(np.count_nonzero(alive))
-            member.pruned_kim = n - after_kim
-            member.pruned_window = after_kim - member.unfiltered
-            alive[member.seeds] = False
-            member.survivors = alive.nonzero()[0]
-        if cfg.lb_kim:
-            backend.launch(
-                "search_lb_kim",
-                n_blocks=sum(
-                    -(-member.bound.size // THREADS_PER_BLOCK)
-                    for member in members
-                ),
-                ops_per_thread=2 * OPS_PER_LB_TERM,
-                threads_per_block=THREADS_PER_BLOCK,
-            )
-        t_filtered = backend.elapsed_s
-
-        # (D) One launch verifies every engine's survivors.
-        distances = _verify_fused(
-            backend, cfg.rho, members, [member.survivors for member in members]
-        )
-        if sp is not None:
-            sp.attrs["item_length"] = d
-            sp.attrs["verified"] = sum(
-                member.seeds.size + member.survivors.size for member in members
-            )
-    # Snapshot the ledger at the span boundary: everything after this
-    # point is selection work, not verification work.
-    t_verified = backend.elapsed_s
-
-    # (E) A faulty kernel can return a NaN distance; drop non-finite
-    # entries so one never reaches an answer.  Order each verified pool
-    # by start so k-selection's stable tie-breaking resolves equal
-    # distances by smallest start — exactly how the reference full scan
-    # breaks ties.  Then one segmented k-selection, one block per engine.
-    pools = []
-    for member, seed_d, survivor_d in zip(members, seed_distances, distances):
-        starts = np.concatenate([member.seeds, member.survivors])
-        pool = np.concatenate([seed_d, survivor_d])
-        finite = np.isfinite(pool)
-        starts, pool = starts[finite], pool[finite]
-        order = np.argsort(starts, kind="stable")
-        pools.append((starts[order], pool[order]))
-    with obs.span("k_select", backend):
-        tops = backend.k_select(
-            np.concatenate([pool for _, pool in pools]),
-            cfg.k_max,
-            np.cumsum([0] + [pool.size for _, pool in pools]),
-        )
-    t_selected = backend.elapsed_s
-
-    # Each answer carries its row-share of each fused launch, normalised
-    # so that a group's answers tile the ledger delta.
-    launches = (
-        (t_seeded - t_start, [m.seeds.size for m in members]),
-        (t_filtered - t_seeded, [m.bound.size for m in members]),
-        (t_verified - t_filtered, [m.survivors.size for m in members]),
-    )
-    verification_s = _apportion(t_verified - t_start, [
-        fold(parts)
-        for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
-    ])
-    selection_s = _apportion(
-        t_selected - t_verified, [pool.size for _, pool in pools]
-    )
-
-    answers = []
-    for i, (engine, member, (starts, pool), top) in enumerate(
-        zip(engines, members, pools, tops)
-    ):
-        verified = int(member.seeds.size + member.survivors.size)
-        engine._previous_knn[d] = starts[top]
-        answers.append(SuffixKnnAnswer(
-            item_length=d,
-            starts=starts[top],
-            distances=pool[top],
-            candidates_total=member.bound.size,
-            candidates_unfiltered=member.unfiltered,
-            candidates_verified=verified,
-            pruned_kim=member.pruned_kim,
-            pruned_window=member.pruned_window,
-            verification_sim_s=verification_s[i],
-            selection_sim_s=selection_s[i],
-        ))
-    if obs.is_enabled():  # one emission per lane, the sensors' counts summed
-        obs.observe_search(
-            d,
-            sum(answer.candidates_total for answer in answers),
-            sum(answer.candidates_unfiltered for answer in answers),
-            candidates_verified=sum(a.candidates_verified for a in answers),
-            pruned_kim=sum(answer.pruned_kim for answer in answers),
-            pruned_window=sum(answer.pruned_window for answer in answers),
-            queries=len(answers),
-        )
-    return answers
 
 
 # ---------------------------------------------------------------- the twins
@@ -459,8 +485,9 @@ class TestStackedEqualsPerMember:
             for answers in lanes.search(label=f"tick {tick}"):
                 for answer in answers.values():
                     assert np.isfinite(answer.distances).all()
-        # Every seed launch at least (a survivor launch can be empty).
-        assert lanes.backends[0].injected["kernel_nan"] >= 3 * 10
+        # Every seed launch at least (a survivor launch can be empty),
+        # one a tick for all item lengths.
+        assert lanes.backends[0].injected["kernel_nan"] >= 10
 
     def test_duplicated_distances_resolve_by_smallest_start(self, backend_name):
         """Exactly periodic integer series: every period repeats its
@@ -622,8 +649,10 @@ def poisoned_backend(backend_name):
     class Poisoned(type(make_backend(backend_name))):
         poison = ()
 
-        def _run_dtw_verification(self, query, candidates, rho):
-            out = np.array(super()._run_dtw_verification(query, candidates, rho))
+        def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+            out = np.array(super()._run_dtw_verification(
+                query, candidates, rho, lengths, need
+            ))
             out[list(self.poison)] = np.nan
             self.poison = ()
             return out
@@ -680,6 +709,91 @@ class TestNanAmongTheSeeds:
         assert_matches_reference(engine, retried, self.CFG.margin)
 
 
+def row_poisoning_backend(backend_name):
+    """A backend whose next suffix-reading ``dtw_verification`` launch
+    returns NaN, at every length, for the row holding ``target`` — a
+    ``(query, candidate)`` pair of some suffix length — and remembers the
+    longest length that row was read at."""
+
+    class RowPoisoning(type(make_backend(backend_name))):
+        target, read_to = None, None
+
+        def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+            out = np.array(super()._run_dtw_verification(
+                query, candidates, rho, lengths, need
+            ))
+            if self.target is not None and lengths is not None:
+                q, c = self.target
+                (row,) = np.flatnonzero(
+                    (candidates[:, -c.size :] == c).all(axis=1)
+                    & (query[:, -q.size :] == q).all(axis=1)
+                )
+                out[row] = np.nan
+                self.target, self.read_to = None, lengths[need[row] - 1]
+            return out
+
+    return RowPoisoning()
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestFusedNanRow:
+    def test_a_nan_row_is_dropped_at_every_length_that_reads_it(
+        self, backend_name
+    ):
+        """The fused seed launch returns NaN for the row of one
+        ``(sensor, end)`` — a seed that is one of the sensor's exact
+        answers at the longest item length, so an answer is at stake: the candidate
+        ending there is gone from every length it was read at — never
+        re-verified, never an answer — and every answer is the exact kNN
+        of the rest, on both backends."""
+        backend = row_poisoning_backend(backend_name)
+        rng = np.random.default_rng(8)
+        engines = [
+            SuffixKnnEngine(100.0 + rng.normal(size=n).cumsum(), SMALL_CFG,
+                            backend=backend)
+            for n in (260, 300, 340)
+        ]
+        longest = max(SMALL_CFG.item_lengths)
+        prev = search_many(engines)[0][longest].starts.tolist()
+        step_many(
+            [engine.window_index for engine in engines],
+            [engine.series[-1] + 0.1 for engine in engines],
+        )
+        series = engines[0].series
+        truth, _ = suffix_knn_reference(
+            series, engines[0].item_query(longest), SMALL_CFG.k_max,
+            SMALL_CFG.rho, margin=SMALL_CFG.margin,
+        )
+        # A seed of the next search (a remembered start or its successor)
+        # that is an exact answer.
+        start = next(s for s in truth.tolist() if s in prev or s - 1 in prev)
+        end = start + longest
+        backend.target = (
+            engines[0].item_query(longest), series[end - longest : end]
+        )
+        found = search_many(engines)
+        assert backend.read_to == longest
+        held = []
+        for i, engine in enumerate(engines):
+            for d, answer in found[i].items():
+                n = engine.series.size - d - SMALL_CFG.margin + 1
+                exact = dtw_batch(
+                    engine.item_query(d),
+                    sliding_window_view(engine.series, d)[:n], SMALL_CFG.rho,
+                )
+                if i == 0:
+                    clean = np.argsort(exact, kind="stable")[: SMALL_CFG.k_max]
+                    held.append(end - d in clean.tolist())
+                    exact[end - d] = np.inf  # dropped, not re-verified
+                    assert end - d not in answer.starts.tolist()
+                top = np.argsort(exact, kind="stable")[: SMALL_CFG.k_max]
+                assert answer.starts.tolist() == top.tolist(), (i, d)
+                assert answer.distances.tobytes() == exact[top].tobytes()
+                assert np.isfinite(answer.distances).all()
+        # The poisoned candidate was an exact answer: dropping it moved one.
+        assert any(held)
+
+
 def _deep_search_streams(seed, history, ticks):
     """roundbench's ``deep-search`` signal (its generator, loaded from
     its file: ``benchmarks`` is not a package), z-normalised on the
@@ -699,45 +813,68 @@ def _deep_search_streams(seed, history, ticks):
     )
 
 
+class _RowCountingBackend(type(make_backend("native"))):
+    """Counts the rows every ``dtw_verification`` launch is handed."""
+
+    rows = 0
+
+    def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+        self.rows += candidates.shape[0]
+        return super()._run_dtw_verification(query, candidates, rho, lengths, need)
+
+
 class TestVerifiedRowsCounter:
     def test_a_third_fewer_rows_reach_the_kernel_for_the_same_answers(self):
-        """The deterministic count behind the successor seeds: two
-        ``deep-search``-shaped engines (rho=24, omega=16, paper item
-        lengths and k), the first 4 000 points of the seed-2015 streams,
-        a cold search and 59 ticks.  The literals are the parent
-        commit's, which verified the previous kNN unshifted."""
-        parent_verified = 63_926
-        parent_answers = (
-            "22747d15cd3fb79a3203c231d428374f0c976213a77a83ac4d0c2eb143257be1"
+        """The deterministic count behind the successor seeds and the
+        end-anchored lane pass: two ``deep-search``-shaped engines
+        (rho=24, omega=16, paper item lengths and k), the first 4 000
+        points of the seed-2015 streams, a cold search and 59 ticks.
+        Before the lane pass a row was verified per (sensor, item
+        length, start): 45 112 rows for 45 112 verified candidates (and
+        63 926 before the successor seeds).  Now a row per (sensor, end)
+        answers every length it is read at.  The answers' starts are the
+        per-length pass's, literally; their distances moved in the last
+        bits (at most 1.6e-15 relative), the end-anchored DP summing each
+        warping path in the other order."""
+        parent_rows = 45_112
+        parent_starts = (
+            "55fadc5bede998eb5173f5f212e26fb8b7dd47fdd0409a1e48b0eccc4ca7fe81"
+        )
+        answers = (
+            "1a88e6f234214f7eca096d602de95b9a48f87365a33657562da301070446a0c2"
         )
         streams = _deep_search_streams(2015, history=4000, ticks=59)
         cfg = SuffixSearchConfig(rho=24, omega=16)
-        backend = make_backend("native")
+        backend = _RowCountingBackend()
         engines = [
             SuffixKnnEngine(stream[:4000], cfg, backend=backend)
             for stream in streams
         ]
-        verified, digest = 0, hashlib.sha256()
+        verified, digest, starts = 0, hashlib.sha256(), hashlib.sha256()
         for tick in range(60):
             if tick:
                 step_many(
                     [engine.window_index for engine in engines],
                     streams[:, 3999 + tick],
                 )
-            for answers in search_many(engines):
-                for answer in answers.values():
+            for found in search_many(engines):
+                for answer in found.values():
                     verified += answer.candidates_verified
                     digest.update(answer.starts.astype("<i8").tobytes())
                     digest.update(answer.distances.astype("<f8").tobytes())
-        assert digest.hexdigest() == parent_answers
-        assert verified <= 0.75 * parent_verified, verified
+                    starts.update(answer.starts.astype("<i8").tobytes())
+        assert starts.hexdigest() == parent_starts
+        assert digest.hexdigest() == answers
+        assert (backend.rows, verified) == (27_894, 41_885)
+        assert backend.rows <= 0.65 * parent_rows
 
 
 class _AllNanBackend(type(make_backend("native"))):
     """Every verified distance comes back NaN."""
 
-    def _run_dtw_verification(self, query, candidates, rho):
-        return np.full(candidates.shape[0], np.nan)
+    def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+        rows = candidates.shape[0]
+        return np.full(rows if lengths is None else (rows, len(lengths)), np.nan)
 
 
 class TestRefusals:

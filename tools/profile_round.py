@@ -20,10 +20,12 @@ share; ``--layers`` instead wraps the layer boundaries in
 
     forecast_all -> predict_cells (gp_train), mix
     ingest_many -> absorb_many (tune, step_many (_tube_excess))
-                -> search_many (lower_bounds_many, _search_item
+                -> search_many (lower_bounds_many, _search_lane
                                  (dtw_verification, k_select))
 
-— so a PR can quote glue = ``_search_item`` − kernels.  ``search_many``
+— so a PR can quote glue = ``_search_lane`` − kernels.  ``_search_lane``
+is the one pass over a lane that serves every item length (two
+``dtw_verification`` launches and one ``k_select``).  ``search_many``
 rows include the forecast side's stale re-searches, if any.
 ``predict_cells`` is the family dispatch — every awake cell of a
 horizon's lane through one ``predict_stacks`` per predictor family —
@@ -31,9 +33,12 @@ and counts horizons per lane (the reduced rung's single cells too).
 ``tune`` and ``mix`` are the ensemble lane's stacked update and mix, so
 they count lanes (``mix``: a lane's grids), not sensors.  Three rows
 also say how much work their wall bought: ``dtw_verification`` the rows
-verified and DP cells (``Σ n·d·min(d, 2ρ+1)``) per round, ``k_select``
-the segments selected (a sensor's pool per item length, one row each of
-the stacked selection) per round, ``gp_train``
+verified (one per ``(sensor, end)``, whatever lengths it is read at) and
+the band cells computed — each row's through its longest needed suffix,
+``repro.dtw.distance.band_cells``, the count the simulated ledger charges
+a launch's slowest thread — per round, ``k_select`` the segments
+selected (a ``(sensor, item length)`` pool, one row each of the stacked
+selection) per round, ``gp_train``
 (the GP lane trainer, every GP cell's hyperparameter training; 0 on AR
 workloads) the cells trained, the LOO value and gradient evaluations
 they asked for, and the stacked value and gradient calls that answered
@@ -70,7 +75,7 @@ LAYERS = (
     ("_tube_excess", 3, "repro.dtw.lower_bounds", "_tube_excess"),
     ("search_many", 1, "repro.service", "search_many"),
     ("lower_bounds_many", 2, "repro.index.suffix_search", "lower_bounds_many"),
-    ("_search_item", 2, "repro.index.suffix_search", "_search_item"),
+    ("_search_lane", 2, "repro.index.suffix_search", "_search_lane"),
     ("dtw_verification", 3, "repro.backend.base:SubstrateBackend",
      "dtw_verification"),
     ("k_select", 3, "repro.backend.base:SubstrateBackend", "k_select"),
@@ -90,13 +95,24 @@ def _timed(fn, entry: list):
 
 
 def _counting_rows(verify, entry: list):
-    """``dtw_verification(self, query, candidates, rho)`` with the rows
-    and band cells it was handed added to ``entry[2:4]``."""
-    def wrapper(self, query, candidates, rho):
+    """``dtw_verification(self, query, candidates, rho, lengths, need)``
+    with the rows it was handed and the band cells they compute (each
+    row's through its longest needed suffix) added to ``entry[2:4]``."""
+    import numpy as np
+    from repro.dtw.distance import band_cells
+
+    def wrapper(self, query, candidates, rho, lengths=None, need=None):
         rows, d = candidates.shape
         entry[2] += rows
-        entry[3] += rows * d * min(d, 2 * rho + 1)
-        return verify(self, query, candidates, rho)
+        if lengths is None:
+            entry[3] += rows * band_cells(d, rho)
+        else:
+            needs = np.bincount(need, minlength=len(lengths) + 1)[1:]
+            entry[3] += sum(
+                int(count) * band_cells(length, rho)
+                for length, count in zip(lengths, needs)
+            )
+        return verify(self, query, candidates, rho, lengths, need)
 
     return wrapper
 
@@ -201,10 +217,10 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
             file=out,
         )
     kernels = totals["dtw_verification"][0] + totals["k_select"][0]
-    glue = totals["_search_item"][0] - kernels
+    glue = totals["_search_lane"][0] - kernels
     print(
-        f"{'_search_item glue':<30}{glue / rounds * 1e3:>10.3f}"
-        f"{'':>13}{glue / ingest:>10.1%}   (= _search_item - kernels)",
+        f"{'_search_lane glue':<30}{glue / rounds * 1e3:>10.3f}"
+        f"{'':>13}{glue / ingest:>10.1%}   (= _search_lane - kernels)",
         file=out,
     )
 
