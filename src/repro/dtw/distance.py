@@ -312,8 +312,6 @@ def _run(query, candidates, rho, cutoff, lb_terms, lengths, need):
         need, candidates = need[order], candidates[order]
         if query.ndim == 2:
             query = query[order]
-        if lb_terms is not None:
-            lb_terms = lb_terms[order]
     threshold = cutoff + ABANDON_SLACK
     out = np.empty((n, len(lengths)))
     cells = 0
