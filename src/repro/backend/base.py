@@ -32,6 +32,7 @@ dispatch layer, no device underneath it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -360,6 +361,18 @@ def default_backend() -> "ComputeBackend":
     )
 
 
+@functools.cache
+def _backend_class(cls: type) -> bool:
+    """Whether ``cls`` itself holds every :class:`ComputeBackend` member,
+    so its instances pass the runtime protocol check — which re-walks the
+    protocol and reads every property on each call (tens of µs)."""
+    members = (*vars(ComputeBackend), *ComputeBackend.__annotations__)
+    return all(
+        getattr(cls, name, None) is not None
+        for name in members if not name.startswith("_")
+    )
+
+
 def as_backend(obj: object = None) -> "ComputeBackend":
     """Coerce ``obj`` to a :class:`ComputeBackend`.
 
@@ -368,7 +381,7 @@ def as_backend(obj: object = None) -> "ComputeBackend":
     """
     if obj is None:
         return default_backend()
-    if isinstance(obj, ComputeBackend):
+    if _backend_class(type(obj)) or isinstance(obj, ComputeBackend):
         return obj
     raise TypeError(
         f"expected a ComputeBackend or None, got {type(obj).__name__}"

@@ -79,9 +79,11 @@ class _BoxedStack:
 def _lock_step(boxed: _BoxedStack, runs: dict[int, CgRun]) -> tuple[dict, dict]:
     """Answer the CG runs of one stack tick by tick: every run that asks
     for a value gets it from one stacked value call, then every run that
-    now asks for a gradient from at most one stacked gradient call.
-    Returns ``({member: OptimizeResult or the exception that failed
-    it}, {member: (log theta, K^-1, alpha) where its run last valued})``."""
+    now asks for a gradient from at most one stacked gradient call, in
+    member order (a tick that asks every member covers the stack as
+    stored).  Returns ``({member: OptimizeResult or the exception that
+    failed it}, {member: (log theta, K^-1, alpha) where its run last
+    valued})``."""
     finished: dict = {}
     factors: dict = {}
     asks: dict = {}
@@ -98,7 +100,7 @@ def _lock_step(boxed: _BoxedStack, runs: dict[int, CgRun]) -> tuple[dict, dict]:
     for member in runs:
         advance(member, None)
     while asks:
-        members = list(asks)
+        members = sorted(asks)
         values, failed = boxed.values(
             np.array([asks.pop(member) for member in members]), members
         )

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .kernels import SquaredExponentialKernel, squared_distances
 from .regression import robust_cholesky
@@ -56,11 +56,14 @@ class LooProblem:
     """The LOO training problems of a stack of ``(inputs, targets)`` sets
     with one neighbour count ``k`` (the input lengths may differ).
 
-    Every member is factorised on its own through
-    :func:`~repro.gp.regression.robust_cholesky` (its checks and jitter
-    ladder), and every stacked operation works per member along the last
-    axes, so a member's numbers do not depend on what shares its stack;
-    a member whose factorisation raises fails alone.
+    Every member is factorised on its own — LAPACK ``dpotrf`` as
+    :func:`~repro.gp.regression.robust_cholesky` calls it after one
+    finiteness check per stack, or ``robust_cholesky`` itself (its errors
+    and jitter ladder) for a member not finite or not positive definite —
+    and every stacked operation works per member along the last axes, so
+    a member's numbers do not depend on what shares its stack; a member
+    whose factorisation raises fails alone.  A call over the whole stack
+    in member order reads the stored arrays without gathers.
     """
 
     def __init__(self, inputs, targets) -> None:
@@ -79,6 +82,7 @@ class LooProblem:
             self._sq[member] = squared_distances(x, x)
         self._exponent = -0.5 * self._sq  # times 1 / theta1^2, per evaluation
         self._eye = np.eye(k)
+        self._stack = list(range(members))
         self._kept: tuple | None = None
         #: Stacked :meth:`values` / :meth:`gradients` calls made so far.
         self.value_calls = self.gradient_calls = 0
@@ -93,20 +97,28 @@ class LooProblem:
         2 pi) / 2``.
         """
         self.value_calls += 1
-        members = np.asarray(members, dtype=np.intp)
-        log_params = np.clip(log_params, -20.0, 20.0)
+        members = list(members)
+        if members == self._stack:
+            exponent, y = self._exponent, self._y
+        else:
+            exponent, y = self._exponent[members], self._y[members]
+        log_params = log_params.clip(-20.0, 20.0)
         theta_sq = np.exp(log_params) ** 2
         se = theta_sq[:, 0, None, None] * np.exp(
-            self._exponent[members] / theta_sq[:, 1, None, None]
+            exponent / theta_sq[:, 1, None, None]
         )
         cov = se + theta_sq[:, 2, None, None] * self._eye
         # K^-1 = L^-T L^-1: one triangular inverse per member, one stacked
         # product (exactly symmetric) for all of them.
+        finite = np.isfinite(cov).all(axis=(1, 2)).tolist()
         inverse = np.empty_like(cov)
         failed = {}
         for at, matrix in enumerate(cov):
             try:
-                lower, _ = robust_cholesky(matrix)
+                if finite[at]:
+                    lower, info = dpotrf(matrix, lower=1, clean=1)
+                if not finite[at] or info != 0:
+                    lower, _ = robust_cholesky(matrix)
                 inverse[at], info = dtrtri(lower, lower=1)
                 if info != 0:
                     raise np.linalg.LinAlgError(
@@ -116,16 +128,14 @@ class LooProblem:
                 failed[at] = error.with_traceback(None)
                 inverse[at] = self._eye
         kinv = inverse.transpose(0, 2, 1) @ inverse
-        alpha = (kinv @ self._y[members, :, None])[:, :, 0]
-        diag = np.maximum(np.diagonal(kinv, axis1=1, axis2=2), 1e-300)
-        self._kept = (
-            {int(m): at for at, m in enumerate(members)},
-            log_params, theta_sq, se, kinv, alpha, diag,
-        )
+        alpha = (kinv @ y[:, :, None])[:, :, 0]
+        diag = np.maximum(kinv.diagonal(0, 1, 2), 1e-300)
+        self._kept = (members, log_params, theta_sq, se, kinv, alpha, diag)
         values = 0.5 * (alpha * alpha / diag - np.log(diag)).sum(axis=1) + (
             0.5 * alpha.shape[1] * _LOG_2PI
         )
-        values[list(failed)] = np.nan
+        if failed:
+            values[list(failed)] = np.nan
         return values, failed
 
     def gradients(self, members) -> np.ndarray:
@@ -145,38 +155,32 @@ class LooProblem:
         ``Z_0 = 2 (I - theta2^2 Kinv)``, cancels ``theta2^2 Kinv`` against
         ``I`` and loses every digit on near-duplicate neighbours under a
         noise term that rounds away, so ``Kinv dK_0`` is a stacked matrix
-        product, as ``Kinv dK_1`` is.
+        product, as ``Kinv dK_1`` is.  ``Z_0 / 2``, ``Z_1`` and ``Kinv``
+        of every member are one ``[R, 3, k, k]`` stack: one product with
+        ``alpha`` and one product-sum with ``Kinv`` serve all three.
         """
         if self._kept is None:
             raise RuntimeError("values() must be called first")
         self.gradient_calls += 1
-        position, _, theta_sq, se, kinv, alpha, diag = self._kept
-        at = np.array([position[int(m)] for m in members], dtype=np.intp)
-        theta_sq, se, kinv, alpha, diag = (
-            theta_sq[at], se[at], kinv[at], alpha[at], diag[at]
-        )
-        # Z_0 / 2 and Z_1 of every member, [R, k, k] each.
-        z0 = kinv @ se
-        z1 = kinv @ (
-            se * (self._sq[np.asarray(members, dtype=np.intp)]
-                  / theta_sq[:, 1, None, None])
-        )
+        members = list(members)
+        valued, _, theta_sq, se, kinv, alpha, diag = self._kept
+        if members != valued:
+            at = [valued.index(member) for member in members]
+            theta_sq, se, kinv, alpha, diag = (
+                theta_sq[at], se[at], kinv[at], alpha[at], diag[at]
+            )
+        sq = self._sq if members == self._stack else self._sq[members]
+        z = np.empty((len(members), 3) + kinv.shape[1:])
+        np.matmul(kinv, se, out=z[:, 0])
+        np.matmul(kinv, se * (sq / theta_sq[:, 1, None, None]), out=z[:, 1])
+        z[:, 2] = kinv
         # Per point: alpha_i (Z alpha)_i / Kinv_ii and the (Z Kinv)_ii
         # weight, against [Z alpha] and [diag Z Kinv] for Z_0 / 2, Z_1 and
         # Kinv (which is symmetric).
         ratio = alpha / diag
         weight = 0.5 * (1.0 + alpha * ratio) / diag
-        column = alpha[:, :, None]
-        products = np.stack(
-            [(z0 @ column)[:, :, 0], (z1 @ column)[:, :, 0],
-             (kinv @ column)[:, :, 0]],
-            axis=1,
-        )
-        diagonals = np.stack(
-            [(z0 * kinv).sum(axis=2), (z1 * kinv).sum(axis=2),
-             (kinv * kinv).sum(axis=2)],
-            axis=1,
-        )
+        products = (z @ alpha[:, None, :, None])[..., 0]
+        diagonals = (z * kinv[:, None]).sum(axis=3)
         grads = -(
             ratio[:, None, :] * products - weight[:, None, :] * diagonals
         ).sum(axis=2)
@@ -188,8 +192,8 @@ class LooProblem:
         """``(log theta, K^-1, alpha)`` of ``member`` where the last
         :meth:`values` call valued it (``log theta`` clipped as the
         evaluation clipped it)."""
-        position, log_params, _, _, kinv, alpha, _ = self._kept
-        at = position[member]
+        valued, log_params, _, _, kinv, alpha, _ = self._kept
+        at = valued.index(member)
         return log_params[at], kinv[at], alpha[at]
 
 

@@ -17,6 +17,7 @@ standard test functions and against known optima in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Generator, Protocol
 
@@ -88,7 +89,7 @@ def _line_search(
     for tries in range(1, max_backtracks + 1):
         candidate = x + step * direction
         cand_value = yield candidate
-        if np.isfinite(cand_value) and cand_value <= value + armijo * step * slope:
+        if math.isfinite(cand_value) and cand_value <= value + armijo * step * slope:
             return (candidate, cand_value, step), tries
         step *= shrink
     return None, max_backtracks
@@ -114,7 +115,7 @@ def conjugate_gradient(
         raise ValueError(f"initial_step must be in (0, 1], got {initial_step}")
     x = np.asarray(x0, dtype=np.float64).copy()
     value = yield x
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"objective not finite at the start point: {value}")
     grad = yield None
     evaluations = gradient_evaluations = 1

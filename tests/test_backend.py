@@ -60,6 +60,47 @@ class TestAsBackend:
         with pytest.raises(TypeError):
             as_backend(42)
 
+    def test_accepts_what_the_protocol_check_accepts(self):
+        """The per-class check answers as ``isinstance`` on the runtime
+        protocol does: on the shipped backends, the fault wrapper, a
+        structural backend whose name is set per instance (with and
+        without it), and objects missing a member or holding None for a
+        method."""
+        from repro.faults.backend import FaultInjectingBackend
+        from repro.faults.profile import FaultProfile
+
+        class Structural:
+            """No base class; ``name`` only where the constructor sets it."""
+
+            def __init__(self, name=None):
+                if name is not None:
+                    self.name = name
+
+            def _kernel(self, *args):
+                return None
+
+            dtw_verification = full_dtw = k_select = launch = _kernel
+            reset_time = rearm_lock = malloc = free = _kernel
+            elapsed_s = allocated_bytes = free_bytes = 0
+
+        class NoKernel(NativeBackend):
+            k_select = None
+
+        candidates = [
+            NativeBackend(), SimulatedGpuBackend(), Structural("custom"),
+            FaultInjectingBackend(NativeBackend(), FaultProfile()), Structural(),
+            NoKernel(), NativeBackend().ledger, object(), 42,
+        ]
+        for candidate in candidates:
+            if isinstance(candidate, ComputeBackend):
+                assert as_backend(candidate) is candidate
+            else:
+                with pytest.raises(TypeError, match="expected a ComputeBackend"):
+                    as_backend(candidate)
+        assert [isinstance(c, ComputeBackend) for c in candidates] == [
+            True, True, True, True, False, False, False, False, False
+        ]
+
 
 class TestSimulatedGpuBackend:
     def test_kernels_attribute_time(self):

@@ -230,6 +230,8 @@ class TestProfileRound:
         assert 34 * verified <= cells <= 74 * verified
         # AR sensors: no GP training under forecast_all.
         assert rows["gp_train"][1:3] == ["0.000", "0.0"]
+        assert rows["loo_values"][1:3] == ["0.000", "0.0"]
+        assert rows["loo_gradients"][1:3] == ["0.000", "0.0"]
 
     def test_layers_k_select_row_on_a_simulated_workload(self):
         """churn-faulted runs the simulated backend behind seeded kernel
@@ -276,6 +278,13 @@ class TestProfileRound:
             "(trainings; value, gradient evaluations; stacked value, "
             "gradient calls)"
         )
+        # The stacked calls themselves, under gp_train: one call each.
+        assert lines[5].startswith("      loo_values")
+        assert lines[6].startswith("      loo_gradients")
+        _, values_wall, value_calls = lines[5].split()
+        _, gradients_wall, gradient_calls = lines[6].split()
+        assert (value_calls, gradient_calls) == (stacked_values, stacked_gradients)
+        assert 0.0 < float(values_wall) + float(gradients_wall) < float(wall)
 
     def test_default_is_a_cprofile_table(self):
         done = self.run_tool(

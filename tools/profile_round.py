@@ -18,7 +18,7 @@ and nothing inside native code, so call-heavy glue reads about twice its
 share; ``--layers`` instead wraps the layer boundaries in
 ``perf_counter`` timers and prints untraced wall per round —
 
-    forecast_all -> predict_cells (gp_train), mix
+    forecast_all -> predict_cells (gp_train (loo_values, loo_gradients)), mix
     ingest_many -> absorb_many (tune, step_many (_tube_excess))
                 -> search_many (lower_bounds_many, _search_lane
                                  (dtw_verification, k_select))
@@ -42,7 +42,10 @@ selection) per round, ``gp_train``
 (the GP lane trainer, every GP cell's hyperparameter training; 0 on AR
 workloads) the cells trained, the LOO value and gradient evaluations
 they asked for, and the stacked value and gradient calls that answered
-them, per round.
+them, per round.  ``loo_values`` and ``loo_gradients`` are those stacked
+calls (``LooProblem.values`` / ``.gradients``) made inside ``gp_train``,
+so their calls read its stacked-call columns; the posterior's
+refactorisation at a point training did not value is not counted.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ LAYERS = (
     ("forecast_all", 0, "repro.service:PredictionService", "forecast_all"),
     ("predict_cells", 1, "repro.core.smiler:_LaneKnn", "predict_cells"),
     ("gp_train", 2, "repro.core.gp_predictor", "_train_stack"),
+    ("loo_values", 3, "repro.gp.loo:LooProblem", "values"),
+    ("loo_gradients", 3, "repro.gp.loo:LooProblem", "gradients"),
     ("mix", 1, "repro.core.smiler", "mix_many"),
     ("ingest_many", 0, "repro.service:PredictionService", "ingest_many"),
     ("absorb_many", 1, "repro.service", "absorb_many"),
@@ -152,6 +157,29 @@ def _counting_segments(select, entry: list):
     return wrapper
 
 
+def _running(fn, flag: list):
+    """``fn`` with ``flag[0]`` raised while it runs."""
+    def wrapper(*args, **kwargs):
+        flag[0] += 1
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            flag[0] -= 1
+
+    return wrapper
+
+
+def _while(fn, timed, flag: list):
+    """``timed`` while ``flag`` is raised, ``fn`` untimed otherwise."""
+    def wrapper(*args, **kwargs):
+        return (timed if flag[0] else fn)(*args, **kwargs)
+
+    return wrapper
+
+
+#: Rows timed only while their parent row's call runs.
+WITHIN = {"loo_values": "gp_train", "loo_gradients": "gp_train"}
+
 #: Rows that count the work beside their wall, and how.
 COUNTERS = {
     "dtw_verification": _counting_rows,
@@ -168,6 +196,7 @@ def layer_timers():
     value and gradient evaluations, stacked value and gradient calls)."""
     totals: dict[str, list] = {}
     patched = []
+    flags = {parent: [0] for parent in WITHIN.values()}
     try:
         for label, _, where, attribute in LAYERS:
             module, _, cls = where.partition(":")
@@ -179,6 +208,10 @@ def layer_timers():
             timed = _timed(original, entry)
             if label in COUNTERS:
                 timed = COUNTERS[label](timed, entry)
+            if label in flags:
+                timed = _running(timed, flags[label])
+            if label in WITHIN:
+                timed = _while(original, timed, flags[WITHIN[label]])
             setattr(owner, attribute, timed)
             patched.append((owner, attribute, original))
         yield totals
@@ -196,7 +229,10 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
     )
     for label, depth, _, _ in LAYERS:
         seconds, calls, *work = totals[label]
-        forecast_side = label in ("forecast_all", "predict_cells", "gp_train", "mix")
+        forecast_side = label in (
+            "forecast_all", "predict_cells", "gp_train", "loo_values",
+            "loo_gradients", "mix",
+        )
         share = "" if forecast_side else f"{seconds / ingest:>10.1%}"
         note = ""
         if label == "dtw_verification":
