@@ -14,9 +14,8 @@ op order, through the same lane runner and interpreter
 (:func:`repro.exec.base.run_lane` / ``execute_ops``) the inline engine
 uses — so every backend's kernel sequence, simulated-time ledger and
 fault-injection tick stream is identical to a sequential run.  A lane's
-normalised forecast rows cross back as JSON lists (JSON round-trips
-every finite float exactly) and the parent builds the forecasts, so they
-are bit-identical to the inline engine's.
+normalised forecast rows cross back as raw float64 bytes and the parent
+builds the forecasts, so they are bit-identical to the inline engine's.
 
 *Authority.*  While a generation of workers is live, each worker's copy
 of its shard is authoritative and the parent's is stale — its backends'
@@ -46,26 +45,33 @@ sent to a dead worker — is therefore served, degraded and not
 bit-identical, instead of hanging.
 
 Wire protocol: JSON command frames (:mod:`repro.exec.wire`).  A batch
-reply carries the lane's outcomes, its error and span, new shared-memory
+reply is a JSON envelope — the lane's outcomes (``None``, a forecast's
+``source`` or an error record), its error and span, new shared-memory
 blocks, one :func:`repro.obs.drain` delta and the backend's breaker
-record — no clock, and no count the delta already holds.  The single
-pickled frame is the shard-state transfer on FLUSH, sent by our own
-worker from a quiesced state.
+record; no clock, and no count the delta already holds — then a row
+frame: the served rows' ``z_mean, z_variance`` as float64, in op order.
+A frame that does not match the sources is a lost worker, as a
+malformed envelope is.  The single pickled frame is the shard-state
+transfer on FLUSH, sent by our own worker from a quiesced state.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import multiprocessing
 import os
 import pickle
+import select
 import signal
 import threading
 import time
 import weakref
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..obs import context as reqctx
 from ..obs import hooks as obs
@@ -105,6 +111,11 @@ class _Worker:
     sensor_ids: tuple[str, ...]
     shm: dict  # sensor_id -> {"name", "capacity"}
     pid: int
+    poller: select.poll = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        self.poller = select.poll()
+        self.poller.register(self.conn, select.POLLIN)
 
 
 def _context_to_wire(context: reqctx.RequestContext) -> dict:
@@ -248,7 +259,7 @@ class ProcessShardEngine(ExecutionEngine):
                     replies.append(None)
                     continue
                 try:
-                    replies.append(self._await_reply(worker))
+                    replies.append(self._await_reply(worker, rows=True))
                 except _WorkerLost:
                     replies.append(None)
                     lost[worker.backend_index] = worker
@@ -272,7 +283,7 @@ class ProcessShardEngine(ExecutionEngine):
                 )
                 if reply.get("lane_error") is not None and lane_error is None:
                     lane_error = error_from_wire(reply["lane_error"])
-                lane_outcomes.append(self._decode_outcomes(reply["outcomes"]))
+                lane_outcomes.append(reply["outcomes"])
 
             if lost:
                 # Recovery re-places the dead shards' sensors; the lost
@@ -449,7 +460,7 @@ class ProcessShardEngine(ExecutionEngine):
         conn = worker.conn
         while True:
             try:
-                if conn.poll(0.05):
+                if worker.poller.poll(50):
                     return conn.recv_bytes()
             except (EOFError, OSError) as error:
                 raise _WorkerLost(
@@ -458,7 +469,7 @@ class ProcessShardEngine(ExecutionEngine):
                 ) from error
             if not worker.process.is_alive():
                 try:
-                    if conn.poll(0):  # drain a reply sent just before death
+                    if worker.poller.poll(0):  # a reply sent just before death
                         return conn.recv_bytes()
                 except (EOFError, OSError):
                     pass
@@ -472,11 +483,16 @@ class ProcessShardEngine(ExecutionEngine):
                     f"(pid {worker.pid}) unresponsive after {timeout_s}s"
                 )
 
-    def _await_reply(self, worker: _Worker) -> dict:
-        import json
-
+    def _await_reply(self, worker: _Worker, rows: bool = False) -> dict:
+        """One JSON reply; with ``rows``, a lane reply whose row frame
+        follows it, decoded into the lane's outcomes."""
         try:
-            return json.loads(self._await_bytes(worker).decode("utf-8"))
+            reply = json.loads(self._await_bytes(worker).decode("utf-8"))
+            if rows:
+                reply["outcomes"] = _decode_outcomes(
+                    reply["outcomes"], self._await_bytes(worker)
+                )
+            return reply
         except ValueError as error:
             raise _WorkerLost(
                 f"shard worker for backend {worker.backend_index} sent a "
@@ -489,16 +505,6 @@ class ProcessShardEngine(ExecutionEngine):
         if reply["shm"]:
             worker.shm.update(reply["shm"])
             self._sync_cleanup_state()
-
-    @staticmethod
-    def _decode_outcomes(wire_outcomes: list) -> list:
-        """Undo :func:`_wire_outcomes`: ``None``, a row, or an error."""
-        return [
-            wire if wire is None
-            else tuple(wire) if isinstance(wire, list)
-            else error_from_wire(wire)
-            for wire in wire_outcomes
-        ]
 
     def _sync_cleanup_state(self) -> None:
         state = self._cleanup_state
@@ -534,6 +540,12 @@ def _worker_main(conn, backend_index, sensor_ids, service) -> None:
     stay frozen for the generation.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        # Woken by its command, a SCHED_BATCH worker does not preempt the
+        # parent still sending the others theirs: every lane starts at once.
+        os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+    except (AttributeError, OSError):
+        pass
     _rearm_after_fork(service)
     service.resilience = dataclasses.replace(
         service.resilience, failover=False
@@ -579,13 +591,34 @@ def _sync_enabled(enabled: bool) -> None:
         obs.disable()
 
 
-def _wire_outcomes(outcomes: list) -> list:
-    """A lane's outcomes as JSON: ``None`` for an applied reading, a
-    ``[z_mean, z_variance, source]`` list for a served forecast, an
-    error record for a failed one."""
+def _wire_outcomes(outcomes: list) -> tuple[list, bytes]:
+    """A lane's outcomes as a JSON list and a row frame: ``None`` for an
+    applied reading, the ``source`` for a served forecast (its ``z_mean,
+    z_variance`` go to the float64 frame, in op order), an error record
+    for a failed one."""
+    wire, values = [], []
+    for outcome in outcomes:
+        if isinstance(outcome, tuple):
+            values += outcome[:2]
+            wire.append(outcome[2])
+        else:
+            wire.append(None if outcome is None else error_to_wire(outcome))
+    return wire, np.array(values, dtype=np.float64).tobytes()
+
+
+def _decode_outcomes(wire_outcomes: list, frame: bytes) -> list:
+    """Undo :func:`_wire_outcomes`: ``None``, a row, or an error.  A
+    frame that does not hold two floats per source is a ``ValueError``."""
+    values = np.frombuffer(frame, dtype=np.float64).tolist()
+    sources = sum(isinstance(wire, str) for wire in wire_outcomes)
+    if len(values) != 2 * sources:
+        raise ValueError(f"row frame: {len(values)} floats, {sources} rows")
+    pairs = zip(values[::2], values[1::2])
     return [
-        error_to_wire(outcome) if isinstance(outcome, Exception) else outcome
-        for outcome in outcomes
+        wire if wire is None
+        else (*next(pairs), wire) if isinstance(wire, str)
+        else error_from_wire(wire)
+        for wire in wire_outcomes
     ]
 
 
@@ -619,15 +652,17 @@ def _worker_batch(conn, service, arena, backend_index, msg):
         )
         if block is not None:
             shm_changes[sensor_id] = block
+    wire, frame = _wire_outcomes(outcomes)
     send_json(conn, {
         "op": "lane",
-        "outcomes": _wire_outcomes(outcomes),
+        "outcomes": wire,
         "lane_error": None if lane_error is None else error_to_wire(lane_error),
         "lane_span": None if lane_sp is None else lane_sp.as_dict(),
         "shm": shm_changes,
         "telemetry": obs.drain(),
         "health": service._pool.health_dict(backend_index),
     })
+    conn.send_bytes(frame)
 
 
 def _worker_flush(conn, service, arena, backend_index, sensor_ids):

@@ -13,8 +13,9 @@ changes), so the block is a journal of it: :meth:`commit` copies the
 points appended since the last commit into the block and only then
 advances the int64 header, making the header the durability line — a
 crash mid-batch loses at most the uncommitted tail of the batch being
-executed, never a committed point.  When the series outgrows the block,
-the same commit migrates to a larger one and reports the new block name
+executed, never a committed point.  A commit of a series that did not
+grow (a forecast-only batch) touches nothing.  When the series outgrows
+the block, the same commit migrates to a larger one and reports the new block name
 so the parent's recovery map stays current.
 
 Posting/index matrices deliberately stay in copy-on-write private
@@ -88,8 +89,9 @@ class SharedSeriesArena:
     """Worker-side registry of one shared block per hosted sensor."""
 
     def __init__(self) -> None:
-        self._blocks: dict[str, shared_memory.SharedMemory] = {}
-        self._views: dict[str, np.ndarray] = {}
+        #: sensor_id -> (block, series view, header view)
+        self._blocks: dict[str, tuple] = {}
+        self._committed: dict[str, int] = {}
 
     def _bind(self, sensor_id: str, series: np.ndarray, capacity: int) -> dict:
         shm = shared_memory.SharedMemory(
@@ -101,8 +103,8 @@ class SharedSeriesArena:
         view[: series.size] = series
         header = np.ndarray((1,), dtype=np.int64, buffer=shm.buf)
         header[0] = series.size
-        self._blocks[sensor_id] = shm
-        self._views[sensor_id] = view
+        self._blocks[sensor_id] = (shm, view, header)
+        self._committed[sensor_id] = series.size
         return {"name": shm.name, "capacity": capacity}
 
     def share(self, sensor_id: str, index: WindowLevelIndex) -> dict:
@@ -117,20 +119,22 @@ class SharedSeriesArena:
     def commit(self, sensor_id: str, index: WindowLevelIndex) -> dict | None:
         """Publish the points ``index`` appended since the last commit.
 
-        Returns ``None`` in the steady state (tail copy, then header
-        update) or the new block descriptor when the series outgrew its
-        block and was migrated.
+        Returns ``None`` in the steady state (no growth: no write; else
+        tail copy, then header update) or the new block descriptor when
+        the series outgrew its block and was migrated.
         """
-        old = self._blocks[sensor_id]
-        view = self._views[sensor_id]
-        series = index.series
-        if series.size <= view.size:
-            header = np.ndarray((1,), dtype=np.int64, buffer=old.buf)
-            committed = int(header[0])
-            view[committed : series.size] = series[committed:]
-            header[0] = series.size
+        committed = self._committed[sensor_id]
+        length = index.series_length
+        if length == committed:
             return None
-        descriptor = self._bind(sensor_id, series, 2 * series.size)
+        old, view, header = self._blocks[sensor_id]
+        series = index.series
+        if length <= view.size:
+            view[committed:length] = series[committed:]
+            header[0] = length
+            self._committed[sensor_id] = length
+            return None
+        descriptor = self._bind(sensor_id, series, 2 * length)
         old.close()
         _unlink(old)
         logger.debug(
@@ -144,11 +148,11 @@ class SharedSeriesArena:
 
     def unlink_all(self) -> None:
         """Release every block (graceful worker shutdown after FLUSH)."""
-        for shm in self._blocks.values():
+        for shm, _, _ in self._blocks.values():
             shm.close()
             _unlink(shm)
         self._blocks.clear()
-        self._views.clear()
+        self._committed.clear()
 
 
 def read_committed_series(name: str) -> np.ndarray | None:

@@ -8,10 +8,11 @@ code execution.  (The one pickled transfer — shipping a quiesced shard's
 state back on FLUSH — is a separate, explicit frame; see
 ``repro.exec.process``.)
 
-JSON round-trips every finite float exactly (``repr``-based encoding),
-which is what lets a lane's normalised forecast rows cross the boundary
-as plain ``[z_mean, z_variance, source]`` lists and still become
-forecasts bit-identical to the inline engine's.  Exceptions cross as a
+A lane's normalised forecast rows do not cross as JSON: their
+``z_mean, z_variance`` pairs travel as one float64 frame beside the
+envelope, which keeps only each row's ``source`` (see
+``repro.exec.process``), so the parent's forecasts are bit-identical to
+the inline engine's.  Exceptions cross as a
 small ``{type, message, args}`` record and are rebuilt from an
 allow-list of known service/backend error types; anything unrecognised
 degrades to a ``RuntimeError`` that embeds the original type name.

@@ -13,6 +13,7 @@ evacuate, never hang) and its flush-on-close telemetry drain.
 """
 
 import gc
+import json
 import os
 import signal
 import time
@@ -140,6 +141,20 @@ def drive(service, histories, futures, rounds=2, singles=4):
             "per_kernel_s": None if cost is None else dict(cost.per_kernel_s),
         })
     return batches, single_forecasts, placements, elapsed, ledgers
+
+
+def shm_block_bytes(name):
+    """A shared-memory block's bytes, read without taking it over."""
+    from multiprocessing import shared_memory
+
+    from repro.exec.shm import _untrack
+
+    shm = shared_memory.SharedMemory(name=name)
+    _untrack(shm)
+    try:
+        return bytes(shm.buf)
+    finally:
+        shm.close()
 
 
 def assert_batches_identical(reference, other):
@@ -897,6 +912,74 @@ class TestWorkerCrash:
             service.close()
 
 
+    def test_forecast_only_batches_leave_the_journal_as_committed(
+        self, monkeypatch
+    ):
+        """After ``ingest → forecast-only batches`` every block holds the
+        same header and bytes the ingest committed, and a worker killed
+        then is rebuilt from shared memory with every committed point:
+        the series an inline twin holds, to the bit."""
+        from repro.exec import process as process_engine
+
+        histories, futures = make_workload(n_sensors=6)
+        twin = build_service("simulated", "inline",
+                             n_backends=self.N_CRASH_BACKENDS)
+        service = self._build()
+        read = {}
+        real_read = process_engine.read_committed_series
+
+        def recording_read(name):
+            read[name] = real_read(name)
+            return read[name]
+
+        try:
+            for svc in (twin, service):
+                for sensor_id, history in histories.items():
+                    svc.register(sensor_id, history)
+            placements = {  # before forking; see the liveness test
+                sid: service.placement_of(sid) for sid in histories
+            }
+            for svc in (twin, service):
+                svc.forecast_all()
+                svc.ingest_many(
+                    {sid: float(futures[sid][0]) for sid in histories}
+                )
+            blocks = {
+                sid: block["name"]
+                for worker in service.engine._workers.values()
+                for sid, block in worker.shm.items()
+            }
+            assert set(blocks) == set(histories)
+            committed = {sid: shm_block_bytes(n) for sid, n in blocks.items()}
+            for _ in range(2):
+                for svc in (twin, service):
+                    assert not svc.forecast_all().errors
+                assert {
+                    sid: shm_block_bytes(n) for sid, n in blocks.items()
+                } == committed
+
+            pids = service.engine.worker_pids()
+            victim_index = sorted(pids)[0]
+            evacuees = sorted(
+                sid for sid in histories if placements[sid] == victim_index
+            )
+            monkeypatch.setattr(
+                process_engine, "read_committed_series", recording_read
+            )
+            os.kill(pids[victim_index], signal.SIGKILL)
+            service.forecast_all()
+            assert sorted(read) == sorted(blocks[sid] for sid in evacuees)
+            for sensor_id in evacuees:
+                expected = twin.sensor(sensor_id).series
+                assert expected.size == HISTORY_POINTS + 1
+                assert read[blocks[sensor_id]].tobytes() == expected.tobytes()
+                assert (service.sensor(sensor_id).series.tobytes()
+                        == expected.tobytes())
+        finally:
+            service.close()
+            twin.close()
+
+
 class TestSharedSeriesJournal:
     """The shm block journals a series that lives with its lane: what
     was committed is recoverable whatever stack the index moved to, and
@@ -943,6 +1026,165 @@ class TestSharedSeriesJournal:
             )
         finally:
             arena.unlink_all()
+
+    def test_a_commit_without_growth_reads_and_writes_nothing(self):
+        """The fast path: a series that did not grow since its last commit
+        is neither read nor written; the next growth publishes exactly
+        the appended points, and outgrowing the block still migrates."""
+        from repro.exec.shm import SharedSeriesArena, read_committed_series
+        from repro.index import WindowLevelIndex
+
+        class LengthOnly:  # an index whose series must not be read
+            def __init__(self, index):
+                self.series_length = index.series_length
+
+            @property
+            def series(self):
+                raise AssertionError("a commit without growth read the series")
+
+        rng = np.random.default_rng(5)
+        index = WindowLevelIndex(rng.normal(size=1000), 16, 4, 2,
+                                 make_backend("native"))
+        index.build(index.series[-16:])
+        arena = SharedSeriesArena()
+        try:
+            block = arena.share("s0", index)
+            before = shm_block_bytes(block["name"])
+            for _ in range(3):
+                assert arena.commit("s0", LengthOnly(index)) is None
+                assert arena.commit("s0", index) is None
+            assert shm_block_bytes(block["name"]) == before
+
+            index.step(0.5)
+            index.step(-1.25)
+            assert arena.commit("s0", index) is None
+            after = shm_block_bytes(block["name"])
+            header = np.frombuffer(after[:8], dtype=np.int64)[0]
+            assert header == 1002
+            # Everything but the header and the two appended points is
+            # byte for byte what was there.
+            assert after[8 : 8 + 8 * 1000] == before[8 : 8 + 8 * 1000]
+            assert after[8 + 8 * 1002 :] == before[8 + 8 * 1002 :]
+            np.testing.assert_array_equal(
+                np.frombuffer(after[8 + 8 * 1000 : 8 + 8 * 1002]),
+                index.series[-2:],
+            )
+
+            for _ in range(1000):  # past the 2000-point block
+                index.step(float(rng.normal()))
+            moved = arena.commit("s0", index)
+            assert moved["capacity"] == 2 * 2002
+            assert read_committed_series(block["name"]) is None
+            np.testing.assert_array_equal(
+                read_committed_series(moved["name"]), index.series
+            )
+        finally:
+            arena.unlink_all()
+
+
+class TestRowFrame:
+    """A lane's forecast rows cross the process boundary as one float64
+    frame beside the JSON envelope: every bit survives, and a frame that
+    does not match its sources is a lost worker."""
+
+    EXTREMES = (0.0, -0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                1e308, -1e308, 1.7976931348623157e308, np.nextafter(1.0, 2.0))
+
+    @staticmethod
+    def lanes():
+        from repro.service import ForecastError
+
+        rows = [(m, v, source) for m, v, source in zip(
+            TestRowFrame.EXTREMES, TestRowFrame.EXTREMES[::-1],
+            ("ensemble", "reduced", "ar", "naive") * 3,
+        )]
+        return [
+            [],
+            [None, None],
+            rows,
+            [None, rows[0], ForecastError("s001: no rung served"), rows[1],
+             None, KeyError("s404"), rows[2], ValueError("nan row")],
+            [ForecastError("every rung failed")],
+        ]
+
+    @staticmethod
+    def cross(outcomes, flip=None):
+        from repro.exec.process import _decode_outcomes, _wire_outcomes
+
+        wire, frame = _wire_outcomes(outcomes)
+        if flip is not None:
+            frame = bytearray(frame)
+            frame[flip] ^= 0x01
+        envelope = json.dumps({"outcomes": wire}, separators=(",", ":"))
+        return _decode_outcomes(json.loads(envelope)["outcomes"], bytes(frame))
+
+    @staticmethod
+    def same(a, b):
+        """Byte-for-byte: row floats by their IEEE bytes, errors by type
+        and args."""
+        import struct
+
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            if x is None or y is None:
+                assert x is None and y is None
+            elif isinstance(x, tuple):
+                assert isinstance(y, tuple) and len(y) == 3
+                assert struct.pack("<2d", *x[:2]) == struct.pack("<2d", *y[:2])
+                assert x[2] == y[2]
+            else:
+                assert type(x) is type(y) and x.args == y.args
+
+    def test_every_bit_crosses(self):
+        for outcomes in self.lanes():
+            self.same(outcomes, self.cross(outcomes))
+
+    def test_a_flipped_byte_is_caught(self):
+        """The negative control: the comparison sees one flipped bit."""
+        rows = self.lanes()[2]
+        for at in (0, 8, 8 * (2 * len(rows) - 1) + 7):
+            with pytest.raises(AssertionError):
+                self.same(rows, self.cross(rows, flip=at))
+
+    def test_a_mismatched_frame_is_the_malformed_reply_loss(self):
+        import multiprocessing
+
+        from repro.exec.process import _Worker, _WorkerLost
+        from repro.exec.wire import error_to_wire
+
+        class Alive:
+            def is_alive(self):
+                return True
+
+        service = build_service("native", "process", n_backends=1)
+        parent, child = multiprocessing.Pipe()
+        worker = _Worker(process=Alive(), conn=parent, backend_index=0,
+                         sensor_ids=(), shm={}, pid=0)
+        envelope = json.dumps({"outcomes": [
+            None, "ensemble", error_to_wire(KeyError("s1")),
+        ]}).encode()
+        try:
+            losses = []
+            child.send_bytes(b'{"outcomes": [nul')  # malformed envelope
+            for frame in (b"", bytes(8), bytes(24), bytes(12)):
+                child.send_bytes(envelope)
+                child.send_bytes(frame)
+            for _ in range(5):
+                with pytest.raises(_WorkerLost) as lost:
+                    service.engine._await_reply(worker, rows=True)
+                losses.append(str(lost.value))
+            assert losses == [
+                "shard worker for backend 0 sent a malformed frame"
+            ] * 5
+            child.send_bytes(envelope)  # the one frame that matches
+            child.send_bytes(np.array([1.5, 0.25]).tobytes())
+            reply = service.engine._await_reply(worker, rows=True)
+            self.same(reply["outcomes"], [None, (1.5, 0.25, "ensemble"),
+                                          KeyError("s1")])
+        finally:
+            parent.close()
+            child.close()
+            service.close()
 
 
 class TestFlushTelemetry:
