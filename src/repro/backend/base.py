@@ -191,7 +191,7 @@ class SubstrateBackend:
         #: Process-unique identity stamped on telemetry (event-log lines,
         #: lane spans, Chrome-trace track names).
         self.backend_id = f"{self.name}-{next(_BACKEND_SEQ)}"
-        self.ledger = MemoryLedger(capacity_bytes)
+        self.ledger = MemoryLedger(capacity_bytes, self.backend_id)
         self.rearm_lock()
 
     def rearm_lock(self) -> None:

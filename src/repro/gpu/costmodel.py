@@ -106,7 +106,7 @@ class GpuCostModel:
         self.elapsed_s += duration
         self.per_kernel_s[name] = self.per_kernel_s.get(name, 0.0) + duration
         self.launches += 1
-        observe_kernel_launch(name, duration, n_blocks, occupancy * block_cycles)
+        observe_kernel_launch(name, duration, n_blocks)
         return duration
 
     def reset(self) -> None:

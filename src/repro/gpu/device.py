@@ -34,8 +34,10 @@ class Allocation:
 class MemoryLedger:
     """A capacity-bounded malloc/free ledger (callers hold the lock)."""
 
-    def __init__(self, capacity_bytes: int) -> None:
+    def __init__(self, capacity_bytes: int, backend_id: str) -> None:
         self.capacity_bytes = capacity_bytes
+        #: The owning backend's id: the memory gauge's label.
+        self.backend_id = backend_id
         self._allocated = 0
         self._serial = 0
         self._live: dict[int, Allocation] = {}
@@ -54,7 +56,7 @@ class MemoryLedger:
         handle = Allocation(label=label, nbytes=nbytes, serial=self._serial)
         self._live[handle.serial] = handle
         self._allocated += nbytes
-        observe_gpu_memory(self._allocated)
+        observe_gpu_memory(self.backend_id, self._allocated)
         return handle
 
     def free(self, handle: Allocation) -> None:
@@ -63,7 +65,7 @@ class MemoryLedger:
             raise KeyError(f"allocation {handle} is not live")
         del self._live[handle.serial]
         self._allocated -= handle.nbytes
-        observe_gpu_memory(self._allocated)
+        observe_gpu_memory(self.backend_id, self._allocated)
 
     @property
     def allocated_bytes(self) -> int:

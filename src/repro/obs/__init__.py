@@ -56,7 +56,7 @@ from .hooks import (
     observe_degraded_forecast,
     observe_evacuation,
     observe_fault_injected,
-    observe_forecast,
+    observe_forecasts,
     observe_gp_training,
     observe_gpu_memory,
     observe_kernel_launch,
@@ -113,7 +113,7 @@ __all__ = [
     "observe_degraded_forecast",
     "observe_evacuation",
     "observe_fault_injected",
-    "observe_forecast",
+    "observe_forecasts",
     "observe_gp_training",
     "observe_gpu_memory",
     "observe_kernel_launch",

@@ -14,7 +14,10 @@ module.  The contract that keeps tier-1 tests and benchmarks honest:
 
 What gets emitted is declared once, in the :data:`CATALOG` table below:
 one :class:`MetricSpec` row per metric (name, kind, label names, help,
-buckets).  Every hook resolves its rows through :func:`_live`,
+buckets), one metric per fact.  No row is labelled by sensor: a fleet
+adds no series, and the serving path reports once per lane or group
+with counts (per-sensor detail rides the event log, e.g. ``degraded``).
+Every hook resolves its rows through :func:`_live`,
 ``docs/observability.md`` mirrors the table (``tests/test_docs.py``
 compares the two row for row), and the cross-process seam —
 :func:`fork_reset`, :func:`drain`, :func:`absorb` — ships values only,
@@ -54,7 +57,7 @@ __all__ = [
     "observe_gpu_memory",
     "observe_search",
     "observe_window_reuse",
-    "observe_forecast",
+    "observe_forecasts",
     "observe_gp_training",
     "observe_fault_injected",
     "observe_degraded_forecast",
@@ -75,8 +78,6 @@ _SIM_SECONDS_BUCKETS = (
     1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
     1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 0.1, 1.0,
 )
-#: Device-cycle buckets (decades from 1k to 10G cycles).
-_CYCLE_BUCKETS = tuple(10.0 ** e for e in range(3, 11))
 
 #: Lane queue-wait/execute buckets — sub-millisecond to seconds.
 _LANE_SECONDS_BUCKETS = (
@@ -106,10 +107,8 @@ CATALOG: dict[str, MetricSpec] = {
          "Thread blocks scheduled, by kernel name."),
         ("smiler_gpu_kernel_sim_seconds", "histogram", ("kernel",),
          "Simulated duration of one kernel launch.", _SIM_SECONDS_BUCKETS),
-        ("smiler_gpu_kernel_cycles", "histogram", ("kernel",),
-         "Simulated core-cycles of one kernel launch.", _CYCLE_BUCKETS),
-        ("smiler_gpu_memory_allocated_bytes", "gauge", (),
-         "Bytes currently allocated in the backend memory ledger."),
+        ("smiler_gpu_memory_allocated_bytes", "gauge", ("backend_id",),
+         "Bytes currently allocated in a backend's memory ledger."),
         ("smiler_search_queries_total", "counter", ("item_length",),
          "Suffix kNN item-query searches executed."),
         ("smiler_search_candidates_total", "counter", ("item_length",),
@@ -128,14 +127,9 @@ CATALOG: dict[str, MetricSpec] = {
          "(survived untouched)."),
         ("smiler_window_index_lbec_columns_recomputed_total", "counter", (),
          "Trailing LB_EC columns recomputed after appends."),
-        ("smiler_forecasts_total", "counter", ("sensor_id", "horizon"),
-         "Forecast requests served."),
-        ("smiler_forecast_latency_seconds", "histogram", ("sensor_id",),
-         "End-to-end forecast latency (wall-clock).", DEFAULT_BUCKETS),
-        ("smiler_forecast_degraded_total", "counter", ("sensor_id", "source"),
-         "Forecasts served by a degraded rung, by sensor and rung."),
-        ("smiler_slo_served_degraded_total", "counter", ("rung",),
-         "Forecasts served degraded, by ladder rung (SLO accounting)."),
+        ("smiler_forecasts_total", "counter", ("horizon", "source"),
+         "Forecasts served, by horizon and the ladder rung that served "
+         "them."),
         ("smiler_requests_total", "counter", ("class", "outcome"),
          "Service requests completed, by entry point and outcome."),
         ("smiler_request_latency_seconds", "histogram", ("class",),
@@ -298,15 +292,18 @@ def get_slo_tracker() -> SLOTracker:
 
 
 def served_degraded() -> dict[str, int]:
-    """Forecasts served per degradation-ladder rung since the last
-    reset, read from ``smiler_slo_served_degraded_total`` (a shard
-    worker's count arrives in its drained delta)."""
-    counter = _registry.get(_M.slo_served_degraded_total.name)
-    if counter is None:
-        return {}
-    return {
-        rung: int(counter.value(rung=rung)) for (rung,) in counter.series_keys()
-    }
+    """Forecasts served per degraded ladder rung since the last reset:
+    ``smiler_forecasts_total`` summed over horizons, every source but
+    ``ensemble`` (a shard worker's count arrives in its drained delta)."""
+    counter = _registry.get(_M.forecasts_total.name)
+    served: dict[str, int] = {}
+    if counter is not None:
+        for horizon, source in counter.series_keys():
+            if source != "ensemble":
+                served[source] = served.get(source, 0) + int(
+                    counter.value(horizon=horizon, source=source)
+                )
+    return served
 
 
 def configure_slo(objectives: dict[str, SLOTarget]) -> None:
@@ -355,23 +352,22 @@ def _request_exemplar() -> dict[str, str] | None:
 
 
 # ------------------------------------------------------------- gpu kernels
-def observe_kernel_launch(
-    kernel: str, duration_s: float, n_blocks: int, cycles: float
-) -> None:
+def observe_kernel_launch(kernel: str, duration_s: float, n_blocks: int) -> None:
     """Record one simulated kernel launch (called by the cost model)."""
     if not _enabled:
         return
     _live(_M.gpu_kernel_launches_total).inc(kernel=kernel)
     _live(_M.gpu_kernel_blocks_total).inc(n_blocks, kernel=kernel)
     _live(_M.gpu_kernel_sim_seconds).observe(duration_s, kernel=kernel)
-    _live(_M.gpu_kernel_cycles).observe(cycles, kernel=kernel)
 
 
-def observe_gpu_memory(allocated_bytes: int) -> None:
-    """Track the device-memory ledger after a malloc/free."""
+def observe_gpu_memory(backend_id: str, allocated_bytes: int) -> None:
+    """Track one backend's memory ledger after a malloc/free."""
     if not _enabled:
         return
-    _live(_M.gpu_memory_allocated_bytes).set(allocated_bytes)
+    _live(_M.gpu_memory_allocated_bytes).set(
+        allocated_bytes, backend_id=backend_id
+    )
 
 
 # ------------------------------------------------------------------ search
@@ -435,28 +431,28 @@ def observe_window_reuse(
 
 
 # ----------------------------------------------------------------- serving
-def observe_forecast(sensor_id: str, horizon: int, latency_s: float) -> None:
-    """Record one served forecast and its end-to-end latency."""
+def observe_forecasts(horizon: int, rows) -> None:
+    """Record one forecast group's outcomes: ``smiler_forecasts_total``
+    rises once per rung that served any, by the rows it served.  A row
+    is ``(z_mean, z_variance, source)``, or the exception that stopped
+    it (not counted)."""
     if not _enabled:
         return
+    served: dict[str, int] = {}
+    for row in rows:
+        if isinstance(row, tuple):
+            served[row[2]] = served.get(row[2], 0) + 1
     exemplar = _request_exemplar()
-    _live(_M.forecasts_total).inc(
-        sensor_id=sensor_id, horizon=horizon, exemplar=exemplar
-    )
-    _live(_M.forecast_latency_seconds).observe(
-        latency_s, sensor_id=sensor_id, exemplar=exemplar
-    )
+    counter = _live(_M.forecasts_total)
+    for source, count in served.items():
+        counter.inc(count, horizon=horizon, source=source, exemplar=exemplar)
 
 
 def observe_degraded_forecast(sensor_id: str, source: str) -> None:
-    """Record one forecast served below the full-ensemble rung."""
+    """Log one forecast served below the full-ensemble rung: the
+    per-sensor record (its count is in ``smiler_forecasts_total``)."""
     if not _enabled:
         return
-    exemplar = _request_exemplar()
-    _live(_M.forecast_degraded_total).inc(
-        sensor_id=sensor_id, source=source, exemplar=exemplar
-    )
-    _live(_M.slo_served_degraded_total).inc(rung=source, exemplar=exemplar)
     _events.emit("degraded", sensor_id=sensor_id, rung=source)
 
 

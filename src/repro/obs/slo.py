@@ -17,8 +17,8 @@ state into Prometheus metrics (``smiler_slo_*``) on every request end,
 so scrapes and :meth:`repro.service.PredictionService.status` see the
 same numbers.  The third question — how many forecasts each
 degradation-ladder rung served (a request can meet its latency SLO
-*because* it degraded) — is answered by the
-``smiler_slo_served_degraded_total`` counter alone
+*because* it degraded) — is answered by ``smiler_forecasts_total``
+alone, every ``source`` but ``ensemble``
 (:func:`repro.obs.hooks.served_degraded`).
 """
 

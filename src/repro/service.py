@@ -840,8 +840,8 @@ class PredictionService:
         propagating: transient kernel faults are retried, a tripped
         backend is evacuated mid-request (when the pool has healthy
         peers), and the served rung is visible on
-        :attr:`Forecast.source` / :attr:`Forecast.degraded` and in the
-        ``smiler_forecast_degraded_total`` metric.
+        :attr:`Forecast.source` / :attr:`Forecast.degraded`, in the
+        ``degraded`` event and in ``smiler_forecasts_total``'s ``source``.
         """
         to_forecast = self._forecaster(level)
         self._require(sensor_id)
@@ -908,7 +908,6 @@ class PredictionService:
                 horizon,
             ), []).append(at)
         for (index, _, horizon), members in groups.items():
-            t0 = time.perf_counter()
             with obs.span("forecast", self._pool.backends[index]) as sp:
                 if sp is not None:
                     sp.attrs["n_sensors"] = len(members)
@@ -916,15 +915,18 @@ class PredictionService:
                         sp.attrs["sensor_id"] = ops[members[0]][1]
                     sp.attrs["horizon"] = horizon
                     sp.attrs["request_id"] = request.request_id
-                rung = self._ensemble_rung(
-                    [ops[at][1] for at in members], horizon
-                ) if "ensemble" in self.resilience.ladder else {}
-                share = (time.perf_counter() - t0) / len(members)
-                for at in members:
-                    sensor_id = ops[at][1]
-                    outcomes[at] = self._finish_row(
-                        sensor_id, horizon, share, rung.get(sensor_id)
-                    )
+                sensor_ids = [ops[at][1] for at in members]
+                rung = (
+                    self._ensemble_rung(sensor_ids, horizon)
+                    if "ensemble" in self.resilience.ladder else {}
+                )
+                rows = [
+                    self._finish_row(sensor_id, horizon, rung.get(sensor_id))
+                    for sensor_id in sensor_ids
+                ]
+                obs.observe_forecasts(horizon, rows)
+                for at, row in zip(members, rows):
+                    outcomes[at] = row
             if sp is not None and request.entry_point == "forecast":
                 # A single forecast's own span is its request's trace; in
                 # a batch the engine points this at the connected root
@@ -933,15 +935,13 @@ class PredictionService:
         return outcomes
 
     def _finish_row(
-        self, sensor_id: str, horizon: int, share_s: float,
+        self, sensor_id: str, horizon: int,
         served: "tuple[float, float, str] | Exception | None",
     ) -> "tuple[float, float, str] | Exception":
         """One forecast op's outcome: the lower rungs if the stacked rung
         did not serve its sensor (``served`` is then why, or ``None`` for
         a ladder without it), then its normalised row — or the exception
-        the last rung ended in.  Its latency is ``share_s`` — its equal
-        share of its group's stacked work — plus its time in here."""
-        t0 = time.perf_counter()
+        the last rung ended in."""
         if not isinstance(served, tuple):
             try:
                 with obs.span("forecast", self._sensors[sensor_id].backend) as sp:
@@ -953,9 +953,6 @@ class PredictionService:
                         sp.attrs["source"] = served[2]
             except Exception as failure:  # noqa: BLE001 - per-sensor side-channel
                 return failure
-        obs.observe_forecast(
-            sensor_id, horizon, share_s + time.perf_counter() - t0
-        )
         source = served[2]
         if source != "ensemble":
             obs.observe_degraded_forecast(sensor_id, source)

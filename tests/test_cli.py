@@ -94,7 +94,8 @@ class TestServe:
         assert "forecast" in tree
         assert "search" in tree  # the first round is the one that searches
         assert "smiler_gpu_kernel_launches_total" in out
-        assert "smiler_forecast_latency_seconds_bucket" in out
+        assert "smiler_request_latency_seconds_bucket" in out
+        assert "smiler_forecasts_total{horizon=" in out
 
     def test_telemetry_json_parses(self, capsys):
         import json

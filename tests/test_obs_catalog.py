@@ -18,7 +18,6 @@ SIM_SECONDS = (
     1e-7, 2.5e-7, 5e-7, 1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5,
     1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 0.1, 1.0,
 )
-CYCLES = (1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10)
 LANE_SECONDS = (
     1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3,
     1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
@@ -32,18 +31,14 @@ GOLDEN = [
     ("smiler_breaker_transitions_total", "counter",
      ("backend", "from_state", "to_state"), None),
     ("smiler_faults_injected_total", "counter", ("operation", "kind"), None),
-    ("smiler_forecast_degraded_total", "counter",
-     ("sensor_id", "source"), None),
-    ("smiler_forecast_latency_seconds", "histogram", ("sensor_id",), LATENCY),
-    ("smiler_forecasts_total", "counter", ("sensor_id", "horizon"), None),
+    ("smiler_forecasts_total", "counter", ("horizon", "source"), None),
     ("smiler_gp_cg_iterations_total", "counter", (), None),
     ("smiler_gp_objective_evaluations_total", "counter", ("kind",), None),
     ("smiler_gp_train_calls_total", "counter", ("converged",), None),
     ("smiler_gpu_kernel_blocks_total", "counter", ("kernel",), None),
-    ("smiler_gpu_kernel_cycles", "histogram", ("kernel",), CYCLES),
     ("smiler_gpu_kernel_launches_total", "counter", ("kernel",), None),
     ("smiler_gpu_kernel_sim_seconds", "histogram", ("kernel",), SIM_SECONDS),
-    ("smiler_gpu_memory_allocated_bytes", "gauge", (), None),
+    ("smiler_gpu_memory_allocated_bytes", "gauge", ("backend_id",), None),
     ("smiler_lane_execute_seconds", "histogram", ("lane",), LANE_SECONDS),
     ("smiler_lane_queue_wait_seconds", "histogram", ("lane",), LANE_SECONDS),
     ("smiler_lane_sensors_total", "counter", ("lane", "backend"), None),
@@ -61,7 +56,6 @@ GOLDEN = [
     ("smiler_slo_attainment_ratio", "gauge", ("class",), None),
     ("smiler_slo_breaches_total", "counter", ("class",), None),
     ("smiler_slo_error_budget_remaining_ratio", "gauge", ("class",), None),
-    ("smiler_slo_served_degraded_total", "counter", ("rung",), None),
     ("smiler_window_index_lbec_columns_recomputed_total", "counter", (),
      None),
     ("smiler_window_index_rows_total", "counter", ("outcome",), None),
@@ -87,11 +81,11 @@ REQUEST_ID = object()
 #: One call per hook, with arguments under which every row it owns fires
 #: (the request ends failed and over budget, so the breach counter does).
 HOOK_CALLS = {
-    "observe_kernel_launch": ("dtw_verify", 1e-5, 4, 1e5),
-    "observe_gpu_memory": (4096,),
+    "observe_kernel_launch": ("dtw_verify", 1e-5, 4),
+    "observe_gpu_memory": ("simulated-0", 4096),
     "observe_search": (16, 100, 10, 12, 80, 10),
     "observe_window_reuse": (1, 2, 3, 1),
-    "observe_forecast": ("s0", 1, 0.01),
+    "observe_forecasts": (1, [(0.0, 1.0, "ensemble"), (0.0, 1.0, "ar")]),
     "observe_gp_training": (5, True, 24, 6),
     "observe_fault_injected": ("dtw_verification", "kernel_error"),
     "observe_degraded_forecast": ("s0", "ar"),
@@ -148,7 +142,7 @@ class TestCatalog:
 
     def test_registry_holds_only_what_ran(self):
         obs.enable()
-        obs.observe_gpu_memory(1)
+        obs.observe_gpu_memory("simulated-0", 1)
         assert [m.name for m in obs.get_registry().metrics()] == [
             "smiler_gpu_memory_allocated_bytes"
         ]
@@ -197,25 +191,27 @@ class TestSeam:
         assert obs.drain() == {"metrics": {}, "events": [], "dropped": 0}
 
         # The receiving side has values of its own.
-        obs.observe_forecast("s0", 1, 0.02)
-        obs.observe_gpu_memory(7)
+        obs.observe_forecasts(1, [(0.0, 1.0, "ar"), ValueError("lost")])
+        obs.observe_gpu_memory("simulated-0", 7)
+        obs.observe_lane(0, 0, 1e-4, 0.02, 1)
         obs.observe_degraded_forecast("s1", "ar")
         obs.absorb(delta)
         registry = obs.get_registry()
         # Counters add ...
         forecasts = registry.get("smiler_forecasts_total")
-        assert forecasts.value(sensor_id="s0", horizon=1) == 2
+        assert forecasts.value(horizon=1, source="ar") == 2
+        assert forecasts.value(horizon=1, source="ensemble") == 1
         # ... gauges last-write-win ...
         memory = registry.get("smiler_gpu_memory_allocated_bytes")
-        assert memory.value() == 4096
+        assert memory.value(backend_id="simulated-0") == 4096
         # ... histograms merge bucket-wise ...
-        latency = registry.get("smiler_forecast_latency_seconds")
-        series = latency.series(sensor_id="s0")
-        assert (series.count, series.sum) == (2, pytest.approx(0.03))
-        by_bound = dict(zip(latency.bounds, series.bucket_counts))
-        assert (by_bound[0.01], by_bound[0.025]) == (1, 1)
+        execute = registry.get("smiler_lane_execute_seconds")
+        series = execute.series(lane=0)
+        assert (series.count, series.sum) == (2, pytest.approx(0.021))
+        by_bound = dict(zip(execute.bounds, series.bucket_counts))
+        assert (by_bound[1e-3], by_bound[2.5e-2]) == (1, 1)
         # ... and exemplars, events and rung tallies survive the hop.
-        assert forecasts.exemplar(sensor_id="s0", horizon=1) == {
+        assert forecasts.exemplar(horizon=1, source="ensemble") == {
             "request_id": worker_request
         }
         assert series.exemplar == {"request_id": worker_request}
@@ -263,6 +259,6 @@ class TestSeam:
         assert obs.get_event_log().capacity == 7
         assert len(obs.get_registry()) == 0 and len(obs.get_event_log()) == 0
         assert obs.served_degraded() == {}
-        obs.observe_gpu_memory(1)  # hooks write to the fresh sinks
+        obs.observe_gpu_memory("simulated-0", 1)  # hooks write to the fresh sinks
         assert "smiler_gpu_memory_allocated_bytes" in obs.get_registry()
         assert len(before[0]) == len(obs.CATALOG)  # the old one is untouched

@@ -1,6 +1,6 @@
 """Integration tests: one forecast() produces the documented span tree,
-per-kernel counters, reuse counters and latency histograms — and costs
-nothing when the switch is off."""
+per-kernel counters, reuse counters and forecast counts — a fleet adds
+no series — and costs nothing when the switch is off."""
 
 import time
 
@@ -199,15 +199,15 @@ class TestMetricsExport:
             assert unfiltered >= 0
             assert verified >= unfiltered
 
-    def test_forecast_latency_histogram(self):
+    def test_forecasts_counted_per_horizon_and_rung(self):
         obs.enable()
         service = make_service(predictor="ar")
-        service.forecast("s0")
-        service.forecast("s0")
-        hist = obs.get_registry().get("smiler_forecast_latency_seconds")
-        series = hist.series(sensor_id="s0")
-        assert series.count == 2
-        assert series.sum > 0.0
+        served = {service.forecast("s0", horizon=h).source for h in (1, 3, 1)}
+        (source,) = served
+        counter = obs.get_registry().get("smiler_forecasts_total")
+        assert counter.series_keys() == [("1", source), ("3", source)]
+        assert counter.value(horizon=1, source=source) == 2
+        assert counter.value(horizon=3, source=source) == 1
 
     def test_memory_gauge_follows_register_deregister(self):
         # Both backends own the same ledger, so both must move the gauge.
@@ -215,11 +215,41 @@ class TestMetricsExport:
             obs.reset()
             obs.enable()
             service = make_service(predictor="ar", backend=make_backend(name))
+            backend = service.backends[0]
             gauge = obs.get_registry().get("smiler_gpu_memory_allocated_bytes")
             assert gauge is not None, name
-            assert gauge.value() == service.backends[0].allocated_bytes > 0, name
+            assert gauge.value(backend_id=backend.backend_id) \
+                == backend.allocated_bytes > 0, name
             service.deregister("s0")
-            assert gauge.value() == 0, name
+            assert gauge.value(backend_id=backend.backend_id) == 0, name
+
+    @pytest.mark.parametrize("engine", ["inline", "process"])
+    def test_memory_gauge_has_a_series_per_backend(self, engine):
+        obs.enable()
+        service = PredictionService(
+            config=tiny_config("ar"),
+            backends=[SimulatedGpuBackend(), SimulatedGpuBackend()],
+            min_history=300,
+            service_config=ServiceConfig(engine=engine),
+        )
+        rng = np.random.default_rng(5)
+        try:
+            for i in range(3):  # two sensors on one backend, one on the other
+                service.register(f"s{i}", rng.standard_normal(400))
+            assert not service.forecast_all().errors
+            service.status()  # the process engine's workers flush back
+            gauge = obs.get_registry().get("smiler_gpu_memory_allocated_bytes")
+            held = {b.backend_id: b.allocated_bytes for b in service.backends}
+            assert len(set(held.values())) == 2 and min(held.values()) > 0
+            assert {
+                backend_id: gauge.value(backend_id=backend_id)
+                for (backend_id,) in gauge.series_keys()
+            } == held
+            for sensor_id in service.sensor_ids:
+                service.deregister(sensor_id)
+            assert all(gauge.value(backend_id=b) == 0 for b in held)
+        finally:
+            service.close()
 
     def test_service_metrics_snapshot(self):
         obs.enable()
@@ -233,6 +263,54 @@ class TestMetricsExport:
         service = make_service(predictor="ar")
         service.forecast("s0")
         assert len(obs.get_registry()) == 0
+
+
+class TestFleetScale:
+    """Forecast telemetry is lane-granular: no series per sensor, so a
+    fleet of any size fits the registry's cardinality cap."""
+
+    @staticmethod
+    def fleet(n_sensors: int, engine: str = "inline") -> PredictionService:
+        service = PredictionService(
+            config=tiny_config("ar"),
+            backends=[make_backend("native"), make_backend("native")],
+            min_history=300,
+            service_config=ServiceConfig(engine=engine),
+        )
+        rng = np.random.default_rng(11)
+        for i in range(n_sensors):
+            history = np.sin(np.arange(300) * 0.1 + i)
+            service.register(
+                f"s{i:04d}", history + 0.05 * rng.standard_normal(300)
+            )
+        return service
+
+    def test_a_thousand_sensor_fleet_is_served(self):
+        obs.enable()
+        batch = self.fleet(1001).forecast_all()
+        assert len(batch) == 1001 and not batch.errors
+
+    @pytest.mark.parametrize("engine", ["inline", "process"])
+    def test_series_count_does_not_grow_with_the_fleet(self, engine):
+        counts = []
+        for n_sensors in (8, 32):
+            obs.reset()
+            obs.enable()
+            service = self.fleet(n_sensors, engine)
+            try:
+                assert not service.forecast_all().errors
+            finally:
+                service.close()  # the process engine's workers flush back
+            counts.append(sum(
+                len(metric.series_keys())
+                for metric in obs.get_registry().metrics()
+            ))
+        assert counts[0] == counts[1] > 0
+
+    def test_no_catalog_row_is_labelled_by_sensor(self):
+        assert all(
+            "sensor_id" not in spec.labels for spec in obs.CATALOG.values()
+        )
 
 
 class TestGpLaneTelemetry:

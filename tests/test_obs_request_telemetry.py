@@ -307,13 +307,15 @@ class TestSLO:
 
     def test_served_degraded_accounting_flows_from_hook(self):
         obs.enable()
-        obs.observe_degraded_forecast("s1", "naive")
-        obs.observe_degraded_forecast("s2", "ar")
-        obs.observe_degraded_forecast("s3", "naive")
+        obs.observe_forecasts(1, [
+            (0.0, 1.0, "naive"), (0.0, 1.0, "ar"), (0.0, 1.0, "ensemble"),
+        ])
+        obs.observe_forecasts(3, [(0.0, 1.0, "naive"), ValueError("lost")])
         assert obs.served_degraded() == {"naive": 2, "ar": 1}
         registry = obs.get_registry()
-        counter = registry.get("smiler_slo_served_degraded_total")
-        assert counter.value(rung="naive") == 2.0
+        counter = registry.get("smiler_forecasts_total")
+        assert counter.value(horizon=1, source="naive") == 1.0
+        assert counter.value(horizon=1, source="ensemble") == 1.0
 
     def test_request_end_mirrors_slo_gauges_and_status(self):
         obs.enable()
@@ -372,11 +374,11 @@ class TestConcurrentScrape:
 
         def mutate():
             counter = registry.counter(
-                "smiler_forecasts_total", "f.",
+                "scrape_probe_total", "f.",
                 label_names=("sensor_id", "horizon"),
             )
             hist = registry.histogram(
-                "smiler_forecast_latency_seconds", "l.",
+                "scrape_probe_seconds", "l.",
                 label_names=("sensor_id",),
             )
             i = 0

@@ -156,14 +156,17 @@ class TestGlobalSwitch:
         assert sum(s.size_diff for s in grown) < 512, grown
 
     def test_disabled_hooks_allocate_nothing(self):
-        obs.observe_kernel_launch("warmup", 0.0, 1, 1.0)
+        obs.observe_kernel_launch("warmup", 0.0, 1)
+        rows = [(0.0, 1.0, "ensemble"), (0.0, 1.0, "ar")]
         tracemalloc.start()
         before = tracemalloc.take_snapshot()
         for _ in range(100):
-            obs.observe_kernel_launch("k", 1e-6, 4, 1000.0)
+            obs.observe_kernel_launch("k", 1e-6, 4)
+            obs.observe_gpu_memory("simulated-0", 4096)
             obs.observe_search(32, 100, 10, 10)
             obs.observe_window_reuse(rows_reused=5)
-            obs.observe_forecast("s", 1, 1e-3)
+            obs.observe_forecasts(1, rows)
+            obs.observe_degraded_forecast("s", "ar")
         after = tracemalloc.take_snapshot()
         tracemalloc.stop()
         grown = [

@@ -260,10 +260,15 @@ class TestDegradationLadder:
             service.register("s1", raw_history())
             service.forecast("s1")
             prom = obs.to_prometheus(obs.get_registry())
+            events = obs.get_event_log().tail()
+            served = obs.served_degraded()
         finally:
             obs.disable()
             obs.reset()
-        assert 'smiler_forecast_degraded_total{sensor_id="s1",source="naive"} 1' in prom
+        assert 'smiler_forecasts_total{horizon="1",source="naive"} 1' in prom
+        assert served == {"naive": 1}
+        (degraded,) = [e for e in events if e["kind"] == "degraded"]
+        assert (degraded["sensor_id"], degraded["rung"]) == ("s1", "naive")
 
 
 class TestForecastAllPartialBatch:
