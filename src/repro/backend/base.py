@@ -361,6 +361,13 @@ def default_backend() -> "ComputeBackend":
     )
 
 
+def kernel_seconds(backend: object, names: tuple[str, ...]) -> float:
+    """The simulated seconds ``backend``'s per-kernel ledger holds for the
+    kernels ``names`` (0.0 on a backend that does not model time)."""
+    ledger = getattr(getattr(backend, "cost", None), "per_kernel_s", {})
+    return sum(ledger.get(name, 0.0) for name in names)
+
+
 @functools.cache
 def _backend_class(cls: type) -> bool:
     """Whether ``cls`` itself holds every :class:`ComputeBackend` member,

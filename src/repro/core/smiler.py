@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,6 +30,8 @@ from ..index.suffix_search import (
     SuffixKnnAnswer,
     SuffixKnnEngine,
     SuffixSearchConfig,
+    lane_behind,
+    pad_rows,
     search_many,
 )
 from ..index.window_index import WindowLevelIndex, lane_of, step_many
@@ -98,7 +101,7 @@ class SMiLer:
             h: deque() for h in self.config.horizons
         }
         # kNN answers for the current step; None = stale (re-search).
-        self._answers: dict[int, SuffixKnnAnswer] | None = None
+        self._answers: Mapping[int, SuffixKnnAnswer] | None = None
 
     def _search_config(self) -> SuffixSearchConfig:
         return SuffixSearchConfig(
@@ -126,9 +129,9 @@ class SMiLer:
         """The adaptive ensemble serving one horizon."""
         return self._ensembles[horizon]
 
-    def _current_answers(self) -> dict[int, SuffixKnnAnswer]:
+    def _current_answers(self) -> Mapping[int, SuffixKnnAnswer]:
         if self._answers is None:
-            self.install(self.engine.search())
+            self.install(search_many([self.engine])[0])
         return self._answers
 
     # -------------------------------------------------------------- predict
@@ -201,14 +204,14 @@ class SMiLer:
     def observe(self, value: float) -> None:
         """Feed the newly revealed true value: auto-tune, advance, search."""
         self.absorb(value)
-        self.install(self.engine.search())
+        self.install(search_many([self.engine])[0])
 
     def absorb(self, value: float) -> None:
         """The host-side half of :meth:`observe` (:func:`absorb_many` for
         a group of one): auto-tune on the revealed value and append it."""
         absorb_many([self], [value])
 
-    def install(self, answers: dict[int, SuffixKnnAnswer]) -> None:
+    def install(self, answers: Mapping[int, SuffixKnnAnswer]) -> None:
         """Adopt kNN answers searched for the current step."""
         self._answers = answers
 
@@ -268,12 +271,13 @@ class _LaneKnn:
     """The kNN data of sensors whose answers are current, gathered
     stacked — one row per sensor — from where their lane already keeps
     its series and master queries
-    (:class:`~repro.index.window_index.LaneStack`): per item length one
-    gather shared by every ``k`` and every horizon, per horizon one more
-    for the targets."""
+    (:class:`~repro.index.window_index.LaneStack`) and its answers: per
+    item length one gather shared by every ``k`` and every horizon, per
+    horizon one more for the targets."""
 
     def __init__(self, sensors: Sequence["SMiLer"]) -> None:
         self._answers = [sensor._answers for sensor in sensors]
+        self._found = lane_behind(self._answers)
         self._stack, self._rows = lane_of(
             [sensor.engine.window_index for sensor in sensors]
         )
@@ -288,12 +292,13 @@ class _LaneKnn:
         with start 0 and is sliced to its own size."""
         if d not in self._segments:
             stack, rows = self._stack, self._rows
-            found = [answers[d].starts for answers in self._answers]
-            sizes = np.array([starts.size for starts in found])
-            starts = np.zeros((sizes.size, int(sizes.max())), dtype=np.int64)
-            starts[np.arange(starts.shape[1]) < sizes[:, None]] = (
-                np.concatenate(found)
-            )
+            if self._found is not None:  # one search's rows: read in place
+                sizes = self._found.sizes[self._found.at[d]]
+                starts = self._found.starts[self._found.at[d], :, : sizes.max()]
+            else:
+                found = [answers[d].starts for answers in self._answers]
+                sizes = np.array([starts.size for starts in found])
+                starts = pad_rows(np.concatenate(found), sizes, int(sizes.max()))
             self._segments[d] = (
                 starts,
                 sizes.tolist(),

@@ -253,6 +253,6 @@ def _emit(
     starts = (slice(None), slice(t0, t0 + (n - 1) * omega + 1, omega))
     sums = (slice(None), slice(m - 1 + low, m - 1 + low + n))
     keep = True if live is None else live[sums]
-    out.lbeq[starts] = peq[sums] * keep
-    out.lbec[starts] = pec[sums] * keep
+    out.lbeq[starts] = peq[sums] if live is None else peq[sums] * keep
+    out.lbec[starts] = pec[sums] if live is None else pec[sums] * keep
     out.covered[starts] = keep

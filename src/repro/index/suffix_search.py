@@ -51,29 +51,22 @@ longest (the group-level reuse of Section 4.3, carried from the lower
 bounds to verification).  A candidate is therefore verified as an
 ``(engine, end)`` row, read at every item length up to the longest it
 is wanted at, and one pass over the lane serves every item length —
-each phase one computation over the lane's rows (the filters once per
-length), not a loop over members:
+each phase one computation over the lane's ``(length, engine)`` rows,
+not a loop over lengths or members:
 
-* **(A)** per length, valid starts ``n_i``, the bounds as one
-  ``(engines, max n_i)`` matrix, the seeds — warm, the remembered
-  answers and their successors as one sorted, de-duplicated
-  ``(engines, 2k)`` union; a cold, stale or short member sends the lane
-  through the per-row choice (:meth:`SuffixKnnEngine._seed_starts`);
-* **(B)** one gather, one ``dtw_verification`` over every length's
-  seeds as distinct ``(engine, end)`` rows;
-* **(C)** per length, ``tau_i`` as a row-wise k-th order statistic of
-  the finite distances (B) read at that length — the seeds and every
-  other length's seeds ending where one of its candidates does — fewer
-  than ``k`` of them: ``ValueError``; the two filter tiers as matrix
-  compares (a ragged lane gates the columns at or beyond a row's
-  ``n_i`` with ``-inf``: padding is never a candidate); what (B) read
-  cleared from the survivors by one assignment; one ``search_lb_kim``
-  launch per length;
-* **(D)** one gather, one ``dtw_verification`` over every length's
-  survivors as distinct ``(engine, end)`` rows, skipping at each length
-  an end (B) already read there;
-* **(E)** one flat verified pool ordered by ``(length, engine, start)``,
-  then one segmented k-selection, one block per ``(engine, length)``.
+* **(A)** valid starts ``n`` and bounds; the seeds — warm, the last
+  answers and their successors as one sorted, de-duplicated union; a
+  cold, stale or short member sends the lane through the per-row choice;
+* **(B)** one ``dtw_verification`` over the seeds as distinct
+  ``(engine, end)`` rows;
+* **(C)** ``tau_i`` per row, the k-th smallest finite distance (B) read
+  at that length (fewer than ``k``: ``ValueError``); both filter tiers
+  as compares over ``(length, engine, start)``, a row's padding past its
+  ``n`` never a candidate; one ``search_lb_kim`` launch per length;
+* **(D)** one ``dtw_verification`` over the survivors (B) did not read;
+* **(E)** one verified pool ordered by ``(length, engine, start)``, one
+  segmented k-selection; the answers stay stacked (:class:`LaneAnswers`),
+  a :class:`SuffixKnnAnswer` built only when read.
 
 Every distance is a function of its own row alone, so each engine's
 answer is the one it gets alone; :meth:`SuffixKnnEngine.search` *is* a
@@ -85,17 +78,14 @@ every candidate whose DTW is at most ``tau_i``.
 
 from __future__ import annotations
 
-import logging
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import reduce
-from itertools import accumulate
-from operator import add
-from typing import Sequence
+from functools import partial
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..backend.base import ComputeBackend, as_backend
-from ..dtw.lower_bounds import lb_kim_profile
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs import hooks as obs
 from .group_index import GroupLevelIndex, LaneLowerBounds, lower_bounds_many
@@ -104,8 +94,6 @@ from .window_index import WindowLevelIndex, lane_of
 __all__ = [
     "SuffixSearchConfig", "SuffixKnnEngine", "SuffixKnnAnswer", "search_many",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Slack added to the filtering threshold so float rounding in a lower
 #: bound can never prune a candidate sitting exactly at ``tau``.
@@ -157,9 +145,8 @@ class SuffixKnnAnswer:
     even when their bound later exceeds ``tau``, so verified can exceed
     unfiltered (this distinction is the fixed accounting the bench
     relies on).  ``pruned_kim``/``pruned_window`` count per-tier kills.
-    ``verification_sim_s`` is the simulated seconds of threshold seeding
-    + filtering + verification only; k-selection is attributed
-    separately to ``selection_sim_s``.
+    No seconds: a lane's launches serve all its answers at once, and
+    their cost is the backend's per-kernel ledger.
     """
 
     item_length: int
@@ -174,12 +161,57 @@ class SuffixKnnAnswer:
     pruned_improved: int = 0
     #: Always 0; kept because benchmarks/roundbench/probes.py reads it.
     abandoned_early: int = 0
-    verification_sim_s: float = 0.0
-    selection_sim_s: float = 0.0
 
     def top(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest of the stored (k_max-sized) answer."""
         return self.starts[:k], self.distances[:k]
+
+
+class LaneAnswers(NamedTuple):
+    """What one :func:`search_many` found, stacked over its ``(length,
+    engine)`` rows, lengths ascending (``at[d]`` is length ``d``'s): row
+    ``[at, i]`` of ``starts`` / ``distances`` holds engine ``i``'s answer
+    in its first ``sizes[at, i]`` columns (zero beyond), and
+    ``counts[:, at, i]`` its five candidate counts, in field order."""
+
+    at: dict[int, int]
+    starts: np.ndarray
+    distances: np.ndarray
+    sizes: np.ndarray
+    counts: np.ndarray
+
+
+def lane_behind(rows: Sequence[object]) -> LaneAnswers | None:
+    """The search whose answers ``rows`` (one mapping per engine) are,
+    when they are all of one search, in its order; else ``None``."""
+    lane = getattr(rows[0], "lane", None)
+    return lane if lane is not None and lane.sizes.shape[1] == len(rows) and all(
+        getattr(row, "lane", None) is lane and row.index == index
+        for index, row in enumerate(rows)
+    ) else None
+
+
+@dataclass(slots=True)
+class EngineAnswers(Mapping):
+    """Engine ``index``'s ``{item length: answer}`` out of ``lane``, each
+    :class:`SuffixKnnAnswer` built when read (on views of the lane's)."""
+
+    lane: LaneAnswers
+    index: int
+
+    def __getitem__(self, d: int) -> SuffixKnnAnswer:
+        lane, at, index = self.lane, self.lane.at[d], self.index
+        size = lane.sizes[at, index]
+        return SuffixKnnAnswer(
+            d, lane.starts[at, index, :size], lane.distances[at, index, :size],
+            *lane.counts[:, at, index].tolist(),
+        )
+
+    def __iter__(self):
+        return iter(self.lane.at)
+
+    def __len__(self) -> int:
+        return len(self.lane.at)
 
 
 class SuffixKnnEngine:
@@ -210,7 +242,9 @@ class SuffixKnnEngine:
             self.window_index, self.config.item_lengths, backend=self.backend
         )
         self.window_index.build(master_query)
-        self._previous_knn: dict[int, np.ndarray] = {}
+        #: The last search's answers until ``_previous_knn`` is read.
+        self._found: EngineAnswers | None = None
+        self._remembered: dict[int, np.ndarray] = {}
 
     # ---------------------------------------------------------------- state
     @property
@@ -223,6 +257,16 @@ class SuffixKnnEngine:
         """Current master query values (the window index owns them)."""
         return self.window_index.master_query
 
+    @property
+    def _previous_knn(self) -> dict[int, np.ndarray]:
+        """The last answers' starts by item length, for threshold seeding:
+        caught up with the last search when read; may be edited."""
+        if self._found is not None:
+            found = sorted(self._found.items())
+            self._remembered.update((d, answer.starts) for d, answer in found)
+            self._found = None
+        return self._remembered
+
     def item_query(self, d: int) -> np.ndarray:
         """``IQ_i``: the d-length suffix of the master query."""
         master = self.master_query
@@ -230,8 +274,9 @@ class SuffixKnnEngine:
 
     # --------------------------------------------------------------- search
     def search(self) -> dict[int, SuffixKnnAnswer]:
-        """Run the Suffix kNN Search for every item query (a group of one)."""
-        return search_many([self])[0]
+        """Run the Suffix kNN Search for every item query (a group of
+        one), the answers built."""
+        return dict(search_many([self])[0])
 
     def advance(self, new_point: float) -> None:
         """Append one new point and slide the master query (a stack of
@@ -245,43 +290,20 @@ class SuffixKnnEngine:
         self.advance(new_point)
         return self.search()
 
-    # -------------------------------------------------------------- helpers
-    def _seed_starts(self, d: int, bound: np.ndarray) -> np.ndarray:
-        """The candidate starts whose true DTWs seed ``tau_i`` (at least
-        ``k`` of them; ``bound`` holds one lower bound per valid start)."""
-        k = min(self.config.k_max, bound.size)
-        prev = self._previous_knn.get(d)
-        if self.config.reuse_threshold and prev is not None:
-            # The query slid one point since ``prev`` was found, so the
-            # segment that matched at ``s`` now matches at ``s + 1``: the
-            # previous kNN and their successors, ascending.
-            seeds = np.union1d(prev, prev + 1)
-            seeds = seeds[seeds < bound.size]
-            if seeds.size < k:
-                extra = np.argsort(bound, kind="stable")[:k]
-                seeds = np.union1d(seeds, extra)
-            return seeds
-        logger.debug(
-            "item d=%d: no previous kNN to reuse; seeding tau from "
-            "the smallest-LB pool", d,
-        )
-        pool = min(max(4 * k, 64), bound.size)
-        return np.argpartition(bound, pool - 1)[:pool]
-
 
 def search_many(
     engines: Sequence[SuffixKnnEngine],
-) -> list[dict[int, SuffixKnnAnswer]]:
+) -> list[EngineAnswers]:
     """Suffix kNN Search for a group of engines, kernel launches fused.
 
     The engines must share one backend object and one
     :class:`SuffixSearchConfig` (the sensors of one backend shard do, by
-    construction; there is no compatibility grouping in here — callers
-    group by placement).  Whatever the group's size, the lower bounds
-    cost one ``group_index_sum`` launch, an item length one
-    ``search_lb_kim`` launch, and the lane three kernel ops: seed
-    verification, survivor verification, segmented k-selection.
-    Returns one ``{item length: answer}`` per engine, in order.
+    construction; callers group by placement).  Whatever the group's
+    size, the lower bounds cost one ``group_index_sum`` launch, an item
+    length one ``search_lb_kim`` launch, and the lane three kernel ops:
+    seed verification, survivor verification, segmented k-selection.
+    Returns one ``{item length: answer}`` mapping per engine, in order,
+    over one :class:`LaneAnswers` (an answer is built when read).
     """
     if not engines:
         return []
@@ -308,52 +330,52 @@ def search_many(
         series, master = stack.series, stack.master
         if rows.size != stack.size or (rows != np.arange(stack.size)).any():
             series, master = series[rows], master[rows]
-        return _search_lane(engines, bounds, series, master)
-
-
-def _apportion(total: float, weights: Sequence[float]) -> list[float]:
-    """``total`` split in proportion to ``weights``: the parts tile it,
-    and a group of one gets all of it, bit for bit.  Python floats folded
-    left to right — a pairwise ``np.sum`` would move the last bit, and so
-    would the compensated builtin ``sum()`` of CPython 3.12."""
-    if not total:  # an unmodelled clock: every share is 0.0
-        return [0.0] * len(weights)
-    whole = reduce(add, weights, 0)
-    return [total * (weight / whole) if whole else 0.0 for weight in weights]
+        lane = _search_lane(engines, bounds, series, master)
+    found = [EngineAnswers(lane, index) for index in range(len(engines))]
+    for engine, answers in zip(engines, found):
+        engine._found = answers
+    return found
 
 
 def _lane_seeds(
-    engines: Sequence[SuffixKnnEngine],
-    d: int,
-    bound: np.ndarray,
-    n: np.ndarray,
+    engines: Sequence[SuffixKnnEngine], bound: list[np.ndarray], n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The lane's threshold seeds: ``(starts, how many per engine)``,
-    engine-major, each engine's as :meth:`SuffixKnnEngine._seed_starts`
-    orders them.  Steady state — every engine remembers an answer of one
-    length whose in-range starts and successors number at least its
-    ``k`` — is one stacked union; anything else sends every row through
-    ``_seed_starts``.  The cold pool must be chosen per row:
-    ``argpartition``'s pick among tied bounds (uncovered starts all
-    carry bound 0) depends on the array it is handed.
-    """
+    """The starts whose true DTWs seed ``tau_i``, at least ``k`` per
+    ``(length, engine)`` row: ``(how many per row, starts)``.  Warm, the
+    previous kNN and their successors (module docstring), padded from the
+    smallest bounds when fewer than ``k`` are in range; cold, the
+    smallest-bound pool.  Steady state — the last answers one search's
+    rows in order, all one size, no padding — is one stacked union read
+    where that search keeps them; else each row is chosen alone (the cold
+    pool must be: ``argpartition``'s pick among tied bounds depends on the
+    array it is handed)."""
     cfg = engines[0].config
-    previous = [engine._previous_knn.get(d) for engine in engines]
-    lengths = {None if prev is None else prev.size for prev in previous}
-    if cfg.reuse_threshold and len(lengths) == 1 and None not in lengths:
-        prev = np.stack(previous)
-        both = np.concatenate([prev, prev + 1], axis=1)
-        both.sort(axis=1)
-        keep = both < n[:, None]
-        keep[:, 1:] &= both[:, 1:] != both[:, :-1]
-        count = keep.sum(axis=1)
+    last = lane_behind([engine._found for engine in engines])
+    if cfg.reuse_threshold and last is not None and (
+        last.sizes.min() == last.starts.shape[2]
+    ):
+        both = np.concatenate([last.starts, last.starts + 1], axis=2)
+        both.sort(axis=2)
+        keep = both < n[..., None]
+        keep[..., 1:] &= both[..., 1:] != both[..., :-1]
+        count = keep.sum(axis=2)
         if (count >= np.minimum(cfg.k_max, n)).all():
-            return both[keep], count
-    chosen = [
-        engine._seed_starts(d, row[:valid])
-        for engine, row, valid in zip(engines, bound, n.tolist())
-    ]
-    return np.concatenate(chosen), np.array([seeds.size for seeds in chosen])
+            return count.ravel(), both[keep]
+    chosen = []
+    for d, rows, counts in zip(sorted(cfg.item_lengths), bound, n.tolist()):
+        for engine, row, valid in zip(engines, rows, counts):
+            k, prev = min(cfg.k_max, valid), engine._previous_knn.get(d)
+            row = row[:valid]
+            if cfg.reuse_threshold and prev is not None:
+                seeds = np.union1d(prev, prev + 1)
+                seeds = seeds[seeds < valid]
+                if seeds.size < k:
+                    seeds = np.union1d(seeds, np.argsort(row, kind="stable")[:k])
+            else:
+                pool = min(max(4 * k, 64), valid)
+                seeds = np.argpartition(row, pool - 1)[:pool]
+            chosen.append(seeds)
+    return np.array([seeds.size for seeds in chosen]), np.concatenate(chosen)
 
 
 def _search_lane(
@@ -361,237 +383,194 @@ def _search_lane(
     bounds: LaneLowerBounds,
     series: np.ndarray,
     master: np.ndarray,
-) -> list[dict[int, SuffixKnnAnswer]]:
-    """Every item length for the whole group (phases A-E of the module
-    docstring); one ``{item length: answer}`` per engine, in order.
-    ``bounds`` is the lane's stacked bounds, ``series`` / ``master`` hold
-    one row per engine."""
+) -> LaneAnswers:
+    """Phases A-E of the module docstring for the whole group; ``series``
+    / ``master`` hold one row per engine."""
     cfg, backend = engines[0].config, engines[0].backend
     size = len(engines)
-    members = np.arange(size)
-    lengths = np.array(sorted(cfg.item_lengths))
+    lengths = sorted(cfg.item_lengths)
+    depth, item, queried = len(lengths), np.array(lengths), master.shape[1]
     # A candidate is a row's (engine, end): the segment of length d that
     # ends just before ``end`` starts at ``end - d``.  Keys number them
     # engine-major, ends ascending.
     ends = series.shape[1] + 1
     # (A) Valid starts of a row are 0..n-1: the h-step target of a
     # candidate must already be observed.
-    valid = [bounds.series_len - (d + cfg.margin - 1) for d in lengths.tolist()]
-    for d, n in zip(lengths, valid):
-        if n.min() <= 0:
-            raise ValueError(
-                f"no candidates for item length {d}: series too short"
-            )
-
-    def verify(need: np.ndarray) -> tuple:
-        """One ``dtw_verification`` launch over the keys ``need`` marks
-        (``need[key]``: how many of the lengths, shortest first, the
-        candidate is wanted at), each row read at all of them out of one
-        wavefront over the longest, against its engine's own query.
-        Rows go longest first — the kernel drops finished rows as a
-        tail, and the rows read at a length are a prefix.  Returns
-        ``(-counts, engines, ends, distances[rows, lengths])``, ``inf``
-        past a row's count."""
-        keys = np.flatnonzero(need != 0)
-        fewer = -need[keys]
-        order = np.argsort(fewer, kind="stable")
-        fewer = fewer[order]
-        member, end = np.divmod(keys[order], ends)
-        longest = int(lengths[-fewer[0] - 1]) if keys.size else int(lengths[0])
-        start = end - longest
-        if keys.size and start.min() < 0:
-            # An end nearer the series start than the launch's longest
-            # suffix: right-align what there is (the kernel never reads
-            # past the row's own longest suffix).
-            at = np.maximum(start[:, None] + np.arange(longest), 0)
-            candidates = series[member[:, None], at]
-        else:
-            # windows[i, t] is series[i, t : t + longest]:
-            # sliding_window_view's view, built on the (contiguous) rows'
-            # buffer without its per-call Python — the constructor checks
-            # the strides stay inside the buffer.
-            windows = np.ndarray(
-                (size, series.shape[1] - longest + 1, longest), series.dtype,
-                series, strides=series.strides + series.strides[1:],
-            )
-            candidates = windows[member, start]
-        found = backend.dtw_verification(
-            master[member, master.shape[1] - longest :], candidates, cfg.rho,
-            lengths, -fewer,
+    n = bounds.series_len - (cfg.margin - 1) - item[:, None]
+    short = n.min(axis=1) <= 0
+    if short.any():
+        raise ValueError(
+            f"no candidates for item length {lengths[int(short.argmax())]}: "
+            f"series too short"
         )
-        return fewer, member, end, found
+    widths = n.max(axis=1).tolist()
+    width = widths[0]  # the shortest length has the most starts
+    bound = [
+        bounds.stacked[d].bound(cfg.lb_mode)[:, :w] for d, w in zip(lengths, widths)
+    ]
+    blocks = (-(-n // THREADS_PER_BLOCK)).sum(axis=1).tolist()
+    launch_kim = partial(  # a length's LB_Kim tier: two touches a candidate
+        backend.launch, "search_lb_kim", ops_per_thread=2 * OPS_PER_LB_TERM,
+        threads_per_block=THREADS_PER_BLOCK)
+    # The rows behind ``reach`` copies of their first point: an end nearer
+    # the start than a launch's longest suffix is right-aligned on them
+    # (the kernel never reads past a row's own longest suffix).
+    reach = lengths[-1]
+    padded = np.empty((size, reach + series.shape[1]))
+    padded[:, :reach], padded[:, reach:] = series[:, :1], series
 
-    t_start = backend.elapsed_s
+    def verify(need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One ``dtw_verification`` launch over the ``(engine, end)`` keys
+        ``need`` marks with how many lengths, shortest first, each is
+        wanted at, rows longest first (the kernel drops finished rows as
+        a tail).  Returns ``(keys, distances[keys, lengths])``, ``inf``
+        past a key's count."""
+        keys = np.flatnonzero(need != 0)
+        count = need[keys]
+        order = np.argsort(-count, kind="stable")
+        member, end = np.divmod(keys[order], ends)
+        count = count[order]
+        longest = lengths[count[0] - 1] if keys.size else lengths[0]
+        # windows[i, t] is padded[i, t : t + longest]: sliding_window_view
+        # without its per-call Python (the constructor checks the bounds).
+        windows = np.ndarray(
+            (size, padded.shape[1] - longest + 1, longest), padded.dtype,
+            padded, strides=padded.strides + padded.strides[1:],
+        )
+        found = backend.dtw_verification(
+            master[member, queried - longest :],
+            windows[member, end + (reach - longest)], cfg.rho,
+            tuple(lengths), count,
+        )
+        by_key = np.empty_like(found)
+        by_key[order] = found
+        return keys, by_key
+
     with obs.span("dtw_refine", backend) as sp:
         # (B) One launch verifies every length's seeds, each distinct
         # candidate once, read at every length up to its longest.
-        need = np.zeros(size * ends, dtype=np.int8)
-        seeds = []
-        for at, (d, n) in enumerate(zip(lengths.tolist(), valid)):
-            bound = bounds.stacked[d].bound(cfg.lb_mode)[:, : int(n.max())]
-            start, count = _lane_seeds(engines, d, bound, n)
-            seeds.append((bound, np.repeat(members, count), start))
-            need[seeds[-1][1] * ends + start + d] = at + 1
-        first = verify(need)
-        seeded = need
-        t_seeded = backend.elapsed_s
+        count, seed_start = _lane_seeds(engines, bound, n)
+        seed_row = np.repeat(np.arange(depth * size), count)
+        seed_key = seed_row % size * ends + seed_start + item[seed_row // size]
+        seeded = np.zeros(size * ends, dtype=np.int8)
+        cut = [0, *np.cumsum(count.reshape(depth, size).sum(axis=1)).tolist()]
+        for at in range(depth):  # a key wanted at several lengths: the longest
+            seeded[seed_key[cut[at] : cut[at + 1]]] = at + 1
+        first = verify(seeded)
 
-        # (C) Per length, tau_i is the k-th smallest finite distance the
-        # launch read at that length; both tiers prune against it.  The
-        # k-th order statistic is a value, so one sort by (engine,
-        # distance) gives the bits a per-row partition does.
-        need = np.zeros(size * ends, dtype=np.int8)
-        tiers = []
-        fewer, member, end, found = first
-        for at, (d, n, (bound, seed_member, seed_start)) in enumerate(
-            zip(lengths.tolist(), valid, seeds)
-        ):
-            read = np.searchsorted(fewer, -at)  # the rows read at d
-            start = end[:read] - d
-            # A faulty kernel's NaN sorts behind every distance: padding.
-            ranked = np.lexsort((found[:read, at], member[:read]))
-            k_row = np.minimum(cfg.k_max, n)
-            per_row = np.bincount(member[:read], minlength=size)
-            tau = found[:read, at][ranked][np.minimum(
-                np.cumsum(per_row) - per_row + k_row - 1, read - 1
-            )]
-            if (per_row < k_row).any() or not np.isfinite(tau).all():
-                raise ValueError(
-                    f"fewer than k finite seed distances for item length "
-                    f"{d}: no threshold to filter against"
-                )
-            width = bound.shape[1]
-            gate = (tau + _FILTER_SLACK)[:, None]
-            if n.min() < width:
-                # A ragged lane: columns at or beyond a row's own n hold
-                # the stack's padding (or starts whose target is
-                # unobserved) and pass no tier — no bound is <= -inf.
-                gate = np.where(np.arange(width) < n[:, None], gate, -np.inf)
-            # Tier 1: the precomputed window/group envelope bound.
-            alive = bound <= gate
-            after_kim = n
-            if cfg.lb_kim:
-                # Tier 0: LB_Kim — two series touches per candidate.
-                kim = lb_kim_profile(
-                    master[:, master.shape[1] - d :], series, width
-                ) <= gate
-                after_kim = kim.sum(axis=1)
-                alive &= kim
-                backend.launch(
-                    "search_lb_kim",
-                    n_blocks=int((-(-n // THREADS_PER_BLOCK)).sum()),
-                    ops_per_thread=2 * OPS_PER_LB_TERM,
-                    threads_per_block=THREADS_PER_BLOCK,
-                )
-            unfiltered = alive.sum(axis=1)
-            # Verified at this length: the seeds and every survivor.
-            verified = unfiltered + np.bincount(
-                seed_member[~alive[seed_member, seed_start]], minlength=size
+        # (C) tau_i per row is the k-th smallest finite distance the
+        # launch read at that length: the engine's rows padded with +inf
+        # (as is a length past a row's count) and sorted, a faulty
+        # kernel's NaN behind every distance.  The k-th order statistic
+        # is a value, so any sort gives the bits a per-row partition does.
+        keys, found = first
+        member = keys // ends
+        at_row = np.arange(keys.size) - np.searchsorted(member, member)
+        k = np.minimum(cfg.k_max, n).ravel()
+        ranked = np.full(
+            (depth, size, max(int(at_row.max()) + 1, int(k.max()))), np.inf
+        )
+        ranked[:, member, at_row] = found.T
+        ranked.sort(axis=2)
+        tau = ranked.reshape(k.size, -1)[np.arange(k.size), k - 1]
+        tau = tau.reshape(depth, size)
+        if not np.isfinite(tau).all():
+            at = int(np.isfinite(tau).all(axis=1).argmin())
+            for blocks_at in blocks[:at] if cfg.lb_kim else ():
+                launch_kim(n_blocks=blocks_at)  # the lengths filtered first
+            raise ValueError(
+                f"fewer than k finite seed distances for item length "
+                f"{lengths[at]}: no threshold to filter against"
             )
-            # What the first launch read at this length is verified: it
-            # leaves the survivors through the same mask over starts.
-            alive[member[:read], start] = False
-            survivor, start = np.divmod(np.flatnonzero(alive), width)
-            need[survivor * ends + start + d] = at + 1
-            tiers.append((
-                n - after_kim, after_kim - unfiltered, unfiltered, verified,
-            ))
-        t_filtered = backend.elapsed_s
-
-        # (D) One launch verifies every length's survivors.
-        second = verify(need)
+        gate = (tau + _FILTER_SLACK)[..., None]
+        # Columns at or beyond a row's own n hold the stack's padding (or
+        # starts whose target is unobserved) and pass no tier.
+        valid = np.arange(width) < n[..., None]
+        # Tier 1: the precomputed window/group envelope bound.
+        alive = np.zeros((depth, size, width), dtype=bool)
+        for at, rows in enumerate(bound):
+            np.less_equal(rows, gate[at], out=alive[at, :, : rows.shape[1]])
+        after_kim = n
+        if cfg.lb_kim:
+            # Tier 0: LB_Kim, two series touches per candidate, with
+            # lb_kim_profile's arithmetic: the suffixes share the query's
+            # last point, and a segment's last point is d - 1 on.
+            tails = master[:, queried - 1 :] - series
+            tails *= tails
+            kim = master[:, queried - item].T[..., None] - series[:, :width]
+            kim *= kim
+            for at, (d, w) in enumerate(zip(lengths, widths)):
+                kim[at, :, :w] += tails[:, d - 1 : d - 1 + w]
+            kim = kim <= gate
+            kim &= valid
+            after_kim = kim.sum(axis=2, dtype=np.int32)
+            alive &= kim
+            for blocks_at in blocks:
+                launch_kim(n_blocks=blocks_at)
+        else:
+            alive &= valid
+        unfiltered = alive.sum(axis=2, dtype=np.int32)
+        # Verified at a length: the seeds and every survivor.
+        verified = unfiltered + np.bincount(
+            seed_row[~alive.reshape(depth * size, width)[seed_row, seed_start]],
+            minlength=depth * size,
+        ).reshape(depth, size)
+        # (D) One launch verifies every length's survivors, but what the
+        # first launch already read at that length.
+        survivors = np.zeros_like(seeded)
+        done, wanted = seeded.reshape(size, ends), survivors.reshape(size, ends)
+        for at, (d, w) in enumerate(zip(lengths, widths)):
+            wanted[:, d : d + w][alive[at, :, :w] & (done[:, d : d + w] <= at)] = (
+                at + 1
+            )
+        second = verify(survivors)
         if sp is not None:
-            sp.attrs["item_lengths"] = lengths.size
+            sp.attrs["item_lengths"] = depth
             sp.attrs["verified"] = first[0].size + second[0].size
-    # Snapshot the ledger at the span boundary: everything after this
-    # point is selection work, not verification work.
-    t_verified = backend.elapsed_s
 
     # (E) One pool per (length, engine): every finite distance either
-    # launch read at that length, a candidate the second read again only
-    # once (a read no tier asked for has DTW > tau_i: it cannot displace
-    # an answer).  A faulty kernel can return a NaN distance — an
-    # injected fault takes a row at every length it was read at — and
-    # it is dropped, so one never reaches an answer.  The pool is
-    # ordered by (length, engine, start) — a total order — so
-    # k-selection's stable tie-breaking resolves equal distances by
-    # smallest start, exactly as the reference full scan breaks ties.
-    segment, start, pool, read = [], [], [], []
-    columns = np.arange(lengths.size)
-    for (_, member, end, found), fresh in (
-        (first, 0), (second, seeded[second[1] * ends + second[2]][:, None])
-    ):
-        # What the first launch read at a length keeps its value there;
-        # the lengths past a row's count read +inf.
-        row, at = np.nonzero(np.isfinite(found) & (columns >= fresh))
-        segment.append(at * size + member[row])
-        start.append(end[row] - lengths[at])
+    # launch read there, the first's kept (a read no tier asked for has
+    # DTW > tau_i: it cannot displace an answer); an injected NaN is
+    # dropped.  Ordered by (length, engine, start), k-selection's stable
+    # ties resolve by smallest start, as the reference full scan's do.
+    place, pool = [], []
+    for (keys, found), fresh in ((first, 0), (second, seeded[second[0]])):
+        at, row = np.nonzero(
+            np.isfinite(found.T) & (np.arange(depth)[:, None] >= fresh)
+        )
+        place.append(at * (size * ends) + keys[row])
         pool.append(found[row, at])
-        read.append(np.bincount(segment[-1], minlength=lengths.size * size))
-    segment, start, pool = (np.concatenate(part) for part in (segment, start, pool))
-    order = np.argsort(segment * ends + start, kind="stable")
-    start, pool = start[order], pool[order]
-    offsets = [0, *accumulate((read[0] + read[1]).tolist())]
+    place, pool = np.concatenate(place), np.concatenate(pool)
+    order = np.argsort(place, kind="stable")
+    place, pool = place[order], pool[order]
+    pooled = np.bincount(place // ends, minlength=depth * size)
+    offsets = np.concatenate([[0], np.cumsum(pooled)])
     with obs.span("k_select", backend):
-        tops = backend.k_select(pool, cfg.k_max, offsets)
-    t_selected = backend.elapsed_s
+        tops = backend.k_select(pool, cfg.k_max, offsets.tolist())
 
-    # Each answer carries its share of each fused launch — by the rows
-    # it read there, the filter launches by candidates, the selection by
-    # candidates verified — normalised so that a group's answers tile
-    # the ledger delta.
-    verified = [count for tier in tiers for count in tier[3].tolist()]
-    launches = (
-        (t_seeded - t_start, read[0].tolist()),
-        (t_filtered - t_seeded, np.concatenate(valid).tolist()),
-        (t_verified - t_filtered, read[1].tolist()),
-    )
-    verification_s = _apportion(t_verified - t_start, [
-        reduce(add, parts, 0)
-        for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
-    ])
-    selection_s = _apportion(t_selected - t_verified, verified)
-
-    # One gather for the lane's answers; each is a slice of it.
-    sizes = [top.size for top in tops]
+    # The answers stay stacked: one gather for the lane.
+    sizes = np.minimum(cfg.k_max, pooled)
     picked = np.concatenate(tops) + np.repeat(offsets[:-1], sizes)
-    found, distances = start[picked], pool[picked]
-    bounds_of = [0, *accumulate(sizes)]
-    answers: list[dict[int, SuffixKnnAnswer]] = [{} for _ in engines]
-    by_length = {}
-    for at, (d, n, (by_kim, by_window, passed, checked)) in enumerate(
-        zip(lengths.tolist(), valid, tiers)
-    ):
-        by_length[d] = []
-        for i, (total, unfiltered, kim, window) in enumerate(zip(
-            n.tolist(), passed.tolist(), by_kim.tolist(), by_window.tolist(),
-        )):
-            seg = at * size + i
-            lo, hi = bounds_of[seg], bounds_of[seg + 1]
-            engines[i]._previous_knn[d] = found[lo:hi]
-            by_length[d].append(SuffixKnnAnswer(
-                item_length=d,
-                starts=found[lo:hi],
-                distances=distances[lo:hi],
-                candidates_total=total,
-                candidates_unfiltered=unfiltered,
-                candidates_verified=verified[seg],
-                pruned_kim=kim,
-                pruned_window=window,
-                verification_sim_s=verification_s[seg],
-                selection_sim_s=selection_s[seg],
-            ))
-        if obs.is_enabled():  # one emission per lane, the sensors' counts summed
-            obs.observe_search(
-                d,
-                int(n.sum()),
-                int(passed.sum()),
-                candidates_verified=int(checked.sum()),
-                pruned_kim=int(by_kim.sum()),
-                pruned_window=int(by_window.sum()),
-                queries=size,
-            )
-    for d in cfg.item_lengths:
-        for per_engine, answer in zip(answers, by_length[d]):
-            per_engine[d] = answer
-    return answers
+    place, widest = place[picked], int(sizes.max())
+    found = [
+        pad_rows(values, sizes, widest).reshape(depth, size, widest)
+        for values in (place % ends - item[place // (size * ends)], pool[picked])
+    ]
+    counts = np.stack([n, unfiltered, verified, n - after_kim, after_kim - unfiltered])
+    if obs.is_enabled():  # one emission per length, the sensors' counts summed
+        for d, (total, passed, checked, kim, window) in zip(
+            lengths, counts.sum(axis=2).T.tolist()
+        ):
+            obs.observe_search(d, total, passed, candidates_verified=checked,
+                               pruned_kim=kim, pruned_window=window, queries=size)
+    by_length = {d: lengths.index(d) for d in cfg.item_lengths}
+    return LaneAnswers(by_length, *found, sizes.reshape(depth, size), counts)
+
+
+def pad_rows(values: np.ndarray, sizes: np.ndarray, width: int) -> np.ndarray:
+    """``values`` cut into rows of ``sizes``, each zero-filled to ``width``."""
+    if sizes.min() == width:
+        return values.reshape(sizes.size, width)
+    rows = np.zeros((sizes.size, width), dtype=values.dtype)
+    rows[np.arange(width) < sizes[:, None]] = values
+    return rows

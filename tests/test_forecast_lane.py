@@ -12,6 +12,8 @@ out as the lane's rows (cell order, 0.0 where a cell did not predict)
 only to be remembered and compared.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,10 +227,14 @@ def assert_same_state(sensor, twin):
 
 def truncate_answer(smiler, d, keep):
     """What a faulty kernel leaves: NaN distances dropped, an answer
-    shorter than ``k_max``."""
-    answer = smiler._answers[d]
-    answer.starts = answer.starts[:keep]
-    answer.distances = answer.distances[:keep]
+    shorter than ``k_max`` (installed as a plain dict: a lane's answers
+    are built when read, so editing one read edits nothing)."""
+    answers = dict(smiler._answers)
+    answer = answers[d]
+    answers[d] = dataclasses.replace(
+        answer, starts=answer.starts[:keep], distances=answer.distances[:keep]
+    )
+    smiler.install(answers)
 
 
 # ------------------------------------------------------------- core lane

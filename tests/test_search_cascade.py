@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ablation.study import SEARCH_KERNELS
 from repro.backend import make_backend
+from repro.backend.base import kernel_seconds
 from repro.dtw import (
     compute_envelope,
     compute_envelope_batch,
@@ -33,6 +35,7 @@ from repro.dtw import (
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
 from repro.index.reference import suffix_knn_reference
+from repro.harness.search_experiments import TABLE3_KERNELS
 from repro.index.suffix_search import search_many
 
 
@@ -509,21 +512,12 @@ class TestAccounting:
             assert pruned == answer.candidates_total - answer.candidates_unfiltered
             assert answer.abandoned_early == 0
 
-    def test_sim_time_split_between_verification_and_selection(self):
-        """The k_select span must be charged to selection_sim_s, not to
-        verification_sim_s (the fixed attribution)."""
-        series = make_series(300, seed=32)
-        engine = SuffixKnnEngine(
-            series, SMALL_CFG, backend=make_backend("simulated")
-        )
-        answers = engine.search()
-        for answer in answers.values():
-            assert answer.verification_sim_s > 0.0
-            assert answer.selection_sim_s > 0.0
-
-    def test_total_sim_time_is_conserved(self):
-        """Every answer carries its row-share of each fused launch: the
-        shares of a group — of one, of three — tile the ledger delta."""
+    def test_ablation_and_table3_totals_are_the_ledger_deltas(self):
+        """An answer carries no seconds; the ablation's search phase and
+        Table 3 total the search kernels off the per-kernel ledger.  For a
+        cold and a warm search of a group of one and of three, those
+        totals are exactly the kernels' deltas, both positive, and with
+        the lower bounds' shift-sum they account for the whole clock."""
         for n_engines in (1, 3):
             backend = make_backend("simulated")
             engines = [
@@ -533,24 +527,42 @@ class TestAccounting:
                 )
                 for i in range(n_engines)
             ]
-            backend.reset_time()
-            answers = [
-                a for found in search_many(engines) for a in found.values()
-            ]
-            accounted = sum(
-                a.verification_sim_s + a.selection_sim_s for a in answers
-            )
-            # The only other work inside a search is the group-index bound
-            # computation, one launch per group outside the answers' spans.
-            bounds_s = backend.cost.per_kernel_s["group_index_sum"]
-            assert accounted == pytest.approx(
-                backend.elapsed_s - bounds_s, rel=1e-12
-            )
-            assert all(a.verification_sim_s > 0.0 for a in answers)
-            assert all(a.selection_sim_s > 0.0 for a in answers)
-            # One selection launch for every length, shared by pool rows.
-            per_row = [a.selection_sim_s / a.candidates_verified for a in answers]
-            assert per_row == pytest.approx([per_row[0]] * len(answers))
+            for phase in ("cold", "warm"):
+                ledger = backend.cost.per_kernel_s
+                before, clock = dict(ledger), backend.elapsed_s
+                totals = [
+                    kernel_seconds(backend, kernels)
+                    for kernels in (SEARCH_KERNELS, TABLE3_KERNELS)
+                ]
+                search_many(engines)
+                delta = {
+                    name: spent - before.get(name, 0.0)
+                    for name, spent in ledger.items()
+                    if spent != before.get(name, 0.0)
+                }
+                label = (n_engines, phase)
+                assert set(delta) == {
+                    "group_index_sum", "dtw_verify", "search_lb_kim", "k_select",
+                }, label
+                assert all(spent > 0.0 for spent in delta.values()), label
+                ablation, table3 = (
+                    kernel_seconds(backend, kernels) - total
+                    for kernels, total in zip(
+                        (SEARCH_KERNELS, TABLE3_KERNELS), totals
+                    )
+                )
+                assert ablation == pytest.approx(
+                    delta["dtw_verify"] + delta["search_lb_kim"]
+                    + delta["k_select"], rel=1e-12,
+                ), label
+                assert table3 == pytest.approx(
+                    delta["dtw_verify"] + delta["search_lb_kim"], rel=1e-12
+                ), label
+                assert ablation + delta["group_index_sum"] == pytest.approx(
+                    backend.elapsed_s - clock, rel=1e-12
+                ), label
+                for engine in engines:
+                    engine.advance(0.25)
 
     def test_cascade_prunes_on_smooth_data(self):
         """On self-similar data the cascade kills most candidates before

@@ -22,7 +22,6 @@ import importlib.util
 import pathlib
 import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 import pytest
@@ -31,6 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import make_backend
+from repro.core import SMiLerConfig
+from repro.core.smiler import SMiLer, _LaneKnn, absorb_many
 from repro.dtw import dtw_batch
 from repro.dtw.lower_bounds import lb_kim_profile
 from repro.faults import FaultInjectingBackend, FaultProfile
@@ -42,12 +43,12 @@ from repro.index.suffix_search import (
     _FILTER_SLACK,
     SuffixKnnAnswer,
     _lane_seeds,
+    lane_behind,
     search_many,
 )
-from repro.index.window_index import step_many
+from repro.index.window_index import lane_of, step_many
 from repro.obs import hooks as obs
 
-from .test_forecast_lane import fold
 from .test_search_cascade import (
     SMALL_CFG,
     adversarial_streams,
@@ -78,7 +79,6 @@ def oracle_search_many(engines):
                 )
             items.append(_Item(d, n, lbs[d].bound(cfg.lb_mode)[:n]))
         members.append(items)
-    t_start = backend.elapsed_s
 
     with obs.span("dtw_refine", backend):
         # (B) Every length's seeds, one row per (member, end), read at
@@ -90,7 +90,6 @@ def oracle_search_many(engines):
             {s + item.d: at + 1 for at, item in enumerate(items) for s in item.seeds}
             for items in members
         ])
-        t_seeded = backend.elapsed_s
 
         # (C) tau_i over the finite distances read at this length, the
         # two tiers, survivors not yet read at this length.
@@ -139,15 +138,13 @@ def oracle_search_many(engines):
                     ops_per_thread=2 * OPS_PER_LB_TERM,
                     threads_per_block=THREADS_PER_BLOCK,
                 )
-        t_filtered = backend.elapsed_s
 
         # (D) Every length's survivors, one row per (member, end).
         second = _verify_rows(backend, cfg, engines, lengths, survivors)
-    t_verified = backend.elapsed_s
 
     # (E) Per (length, member): every finite distance read at the
     # length, by start; one segmented k-selection.
-    pools, rows_first, rows_second = [], [], []
+    pools = []
     for at, d in enumerate(lengths):
         for i, items in enumerate(members):
             item = items[at]
@@ -161,10 +158,6 @@ def oracle_search_many(engines):
                 for start, distance in {**item.first, **again}.items()
                 if np.isfinite(distance)
             }
-            rows_first.append(sum(
-                bool(np.isfinite(distance)) for distance in item.first.values()
-            ))
-            rows_second.append(len(pool) - rows_first[-1])
             starts = np.array(sorted(pool), dtype=np.intp)
             pools.append((starts, np.array([pool[s] for s in starts.tolist()])))
     with obs.span("k_select", backend):
@@ -173,24 +166,6 @@ def oracle_search_many(engines):
             cfg.k_max,
             np.cumsum([0] + [pool.size for _, pool in pools]),
         )
-    t_selected = backend.elapsed_s
-
-    # Each answer carries its share of each fused launch: by the rows it
-    # read there, the filter launches by candidates, the selection by
-    # candidates verified.
-    launches = (
-        (t_seeded - t_start, rows_first),
-        (t_filtered - t_seeded, [items[at].n for at in range(len(lengths))
-                                 for items in members]),
-        (t_verified - t_filtered, rows_second),
-    )
-    verification_s = _apportion(t_verified - t_start, [
-        fold(parts)
-        for parts in zip(*(_apportion(spent, rows) for spent, rows in launches))
-    ])
-    selection_s = _apportion(t_selected - t_verified, [
-        len(items[at].wanted) for at in range(len(lengths)) for items in members
-    ])
 
     answers = [{} for _ in engines]
     by_length = {}
@@ -210,8 +185,6 @@ def oracle_search_many(engines):
                 candidates_verified=len(item.wanted),
                 pruned_kim=item.pruned_kim,
                 pruned_window=item.pruned_window,
-                verification_sim_s=verification_s[segment],
-                selection_sim_s=selection_s[segment],
             ))
         if obs.is_enabled():
             found = by_length[d]
@@ -299,13 +272,6 @@ def _seed_starts(engine: SuffixKnnEngine, d: int, bound: np.ndarray) -> np.ndarr
     return np.argpartition(bound, pool - 1)[:pool]
 
 
-def _apportion(total: float, weights: Sequence[float]) -> list[float]:
-    """``total`` split in proportion to ``weights``: the parts tile it,
-    and a group of one gets all of it, bit for bit."""
-    whole = fold(weights)
-    return [total * (weight / whole) if whole else 0.0 for weight in weights]
-
-
 # ---------------------------------------------------------------- the twins
 COUNTS = (
     "candidates_total", "candidates_unfiltered", "candidates_verified",
@@ -330,11 +296,6 @@ def assert_answers_equal(ours, theirs, label=""):
                 assert getattr(answer, field) == getattr(expected, field), (
                     where, field,
                 )
-            for field in ("verification_sim_s", "selection_sim_s"):
-                assert type(getattr(answer, field)) is float, (where, field)
-                assert getattr(answer, field).hex() == getattr(
-                    expected, field
-                ).hex(), (where, field)
 
 
 class TwinLanes:
@@ -551,22 +512,115 @@ class TestStackedEqualsPerMember:
                 alone.advance(feeds[tick][3])
 
 
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestMixedOrigin:
+    """Answers of mixed origin: a ragged lane of six searched whole, then
+    a stale subset of two re-searched alone.  What reads the answers in
+    place — the forecast's stacked gather, the next search's seeds — may
+    do so only when they are one search's rows in its order, and must
+    gather otherwise."""
+
+    CONFIG = SMiLerConfig(
+        elv=(8, 16, 24), ekv=(2, 6), rho=2, omega=4, horizons=(1, 3),
+        predictor="ar",
+    )
+    STALE = (1, 4)
+
+    def lane(self, backend_name, picked=(0, 2, 4, 6, 7, 8)):
+        """Six sensors of six series lengths in one stack (by default the
+        last with fewer than ``k_max`` candidates at d=24), searched as
+        one lane."""
+        histories, feeds = ragged_lane(1)
+        backend = make_backend(backend_name)
+        sensors = [
+            SMiLer(histories[i], self.CONFIG, backend=backend, sensor_id=f"s{i}")
+            for i in picked
+        ]
+        absorb_many(sensors, [feeds[0][i] for i in picked])
+        for sensor, answers in zip(sensors, search_many([s.engine for s in sensors])):
+            sensor.install(answers)
+        return sensors
+
+    def re_search_stale(self, sensors):
+        """Two sensors take one more reading, then search alone."""
+        stale = [sensors[i] for i in self.STALE]
+        absorb_many(stale, [0.3, -0.2])
+        for sensor, answers in zip(stale, search_many([s.engine for s in stale])):
+            sensor.install(answers)
+
+    def assert_restacked(self, sensors):
+        """``_LaneKnn.segments`` against the per-sensor restack it
+        replaced, byte for byte."""
+        knn = _LaneKnn(sensors)
+        stack, rows = lane_of([sensor.engine.window_index for sensor in sensors])
+        for d in self.CONFIG.elv:
+            found = [sensor._answers[d].starts for sensor in sensors]
+            sizes = np.array([starts.size for starts in found])
+            want = np.zeros((sizes.size, int(sizes.max())), dtype=np.int64)
+            want[np.arange(want.shape[1]) < sizes[:, None]] = np.concatenate(found)
+            starts, got, queries, neighbours = knn.segments(d)
+            assert (starts.dtype, starts.shape) == (want.dtype, want.shape), d
+            assert starts.tobytes() == want.tobytes(), d
+            assert got == sizes.tolist(), d
+            assert queries.tobytes() == (
+                stack.master[rows, stack.master.shape[1] - d :].tobytes()
+            ), d
+            assert neighbours.tobytes() == stack.series[
+                rows[:, None, None], want[:, :, None] + np.arange(d)
+            ].tobytes(), d
+
+    def test_the_stacked_gather_reads_in_place_or_gathers(self, backend_name):
+        sensors = self.lane(backend_name)
+        assert lane_behind([s._answers for s in sensors]) is not None
+        assert len({s._answers[24].starts.size for s in sensors}) == 2
+        self.assert_restacked(sensors)
+        self.re_search_stale(sensors)
+        assert lane_behind([s._answers for s in sensors]) is None
+        self.assert_restacked(sensors)
+
+    def test_a_search_of_one_is_its_row_of_the_lane(self, backend_name):
+        """With every engine remembering answers of one of two searches
+        (all ``k_max`` long, so the stacked seed path is open), the seeds
+        are each engine's own, and a fused search of the lane and each
+        engine's ``search()`` (on a twin) agree row for row: answers and
+        counts."""
+        ours, twins = (self.lane(backend_name, (0, 1, 2, 4, 6, 7)) for _ in "ab")
+        for sensors in (ours, twins):
+            self.re_search_stale(sensors)
+        engines = [sensor.engine for sensor in ours]
+        for d in self.CONFIG.elv:  # the seeds each engine's own answers give
+            stacked, alone, _ = seeds_both_ways(engines, d)
+            assert stacked == alone, d
+        fused = search_many(engines)
+        assert_answers_equal(
+            fused, [twin.engine.search() for twin in twins], "mixed origin"
+        )
+
+
 def seeds_both_ways(engines, d):
     """Each engine's threshold seeds from the stacked ``_lane_seeds``
     and from the oracle's per-member rule, on the bounds a search of
     ``engines`` would be handed."""
     cfg = engines[0].config
     bounds = lower_bounds_many([engine.group_index for engine in engines])
-    n = bounds.series_len - (d + cfg.margin - 1)
-    bound = bounds.stacked[d].bound(cfg.lb_mode)[:, : int(n.max())]
-    starts, counts = _lane_seeds(engines, d, bound, n)
+    lengths = sorted(cfg.item_lengths)
+    n = bounds.series_len - (cfg.margin - 1) - np.array(lengths)[:, None]
+    bound = [
+        bounds.stacked[e].bound(cfg.lb_mode)[:, : int(valid.max())]
+        for e, valid in zip(lengths, n)
+    ]
+    counts, starts = _lane_seeds(engines, bound, n)
     ends = np.cumsum(counts)
-    stacked = [starts[lo:hi].tolist() for lo, hi in zip(ends - counts, ends)]
+    at = lengths.index(d)
+    rows = slice(at * len(engines), (at + 1) * len(engines))
+    stacked = [
+        starts[lo:hi].tolist() for lo, hi in zip((ends - counts)[rows], ends[rows])
+    ]
     alone = [
         _seed_starts(engine, d, row[:valid]).tolist()
-        for engine, row, valid in zip(engines, bound, n.tolist())
+        for engine, row, valid in zip(engines, bound[at], n[at].tolist())
     ]
-    return stacked, alone, n.tolist()
+    return stacked, alone, n[at].tolist()
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
