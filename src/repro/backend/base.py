@@ -243,16 +243,17 @@ class SubstrateBackend:
             if values.size == 0:
                 raise ValueError("cannot select from an empty array")
             return self._run_k_select(values, k, (0, values.size))[0]
-        offsets = [int(offset) for offset in offsets]
+        offsets = np.asarray(offsets, dtype=np.intp)
         if (
-            len(offsets) < 2
+            offsets.ndim != 1
+            or offsets.size < 2
             or offsets[0] != 0
             or offsets[-1] != values.size
-            or any(lo >= hi for lo, hi in zip(offsets, offsets[1:]))
+            or not (np.diff(offsets) > 0).all()
         ):
             raise ValueError(
                 "offsets must rise strictly from 0 to values.size "
-                f"({values.size}): no segment may be empty, got {offsets}"
+                f"({values.size}): no segment may be empty, got {offsets.tolist()}"
             )
         return self._run_k_select(values, k, offsets)
 

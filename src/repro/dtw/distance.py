@@ -28,11 +28,12 @@ Implementations:
   by the FastCPUScan baseline (forward too),
 * :func:`dtw_batch_pruned` — the one batched kernel: the band DP walked
   anti-diagonal by anti-diagonal, each diagonal evaluated for a block of
-  candidates at once (the shape a GPU block would compute in parallel),
-  with cumulative-bound early abandoning: candidates whose partial path
-  cost plus an admissible tail bound exceeds the cutoff are dropped
-  mid-DP and report ``inf``.  Survivors' distances are bit-identical to
-  :func:`dtw_distance`,
+  candidates at once (the shape a GPU block would compute in parallel)
+  in Algorithm 2's compressed band, indexed by band offset and updated
+  in place, with cumulative-bound early abandoning: candidates whose
+  partial path cost plus an admissible tail bound exceeds the cutoff are
+  dropped mid-DP and report ``inf``.  Survivors' distances are
+  bit-identical to :func:`dtw_distance`,
 * :func:`dtw_batch` — the same kernel with no cutoff; given suffix
   ``lengths`` it reads every one of a row's suffix DTWs out of the one
   wavefront over its longest.
@@ -62,8 +63,8 @@ _INF = np.inf
 ABANDON_SLACK = 1e-9
 
 #: Candidates per DP block of the batched kernel (the CUDA block's role):
-#: the wavefront state is ``4 x (d + 2) x BLOCK_ROWS`` floats however many
-#: candidates one call verifies.
+#: the wavefront state is ``(2 rho + 4) x BLOCK_ROWS`` floats (a cutoff adds
+#: ``d x BLOCK_ROWS`` row minima) however many candidates one call verifies.
 BLOCK_ROWS = 1024
 
 
@@ -262,7 +263,8 @@ def band_cells(d: int, rho: int | None) -> int:
     """Cells of the Sakoe-Chiba band of a ``d x d`` warping matrix:
     ``d * (2 * rho + 1) - rho * (rho + 1)`` once ``d > rho``, ``d * d``
     otherwise — what one thread computes for one length-``d`` DTW."""
-    return _band_geometry(d, d if rho is None else int(rho))[1][d]
+    band = d if rho is None else int(rho)
+    return d * (2 * band + 1) - band * (band + 1) if d > band else d * d
 
 
 def _run(query, candidates, rho, cutoff, lb_terms, lengths, need):
@@ -336,16 +338,34 @@ def _run(query, candidates, rho, cutoff, lb_terms, lengths, need):
 def _band_geometry(d: int, band: int) -> tuple[tuple, tuple]:
     """Shape of a banded ``d x d`` warping matrix, walked by anti-diagonals.
 
-    Returns ``(diagonals, cells_through)``: one ``(s, lo, hi, row_done)``
-    per diagonal ``i + j = s`` whose band cells are rows ``lo..hi``
-    (``row_done``: row ``lo < d`` gets its last cell here), and the number
-    of band cells in rows ``1..i`` for every ``i``.
+    Returns ``(diagonals, cells_through)``: per diagonal ``i + j = s``
+    with band cells (rows ``lo..hi``) the plan :func:`_wavefront_block`
+    walks, ``(s, lo, row_done, target, left, up, rows, columns, span)``
+    (``row_done``: row ``lo < d`` gets its last cell here; then the state
+    keys of the cells and of their ``gamma(i, j-1)`` / ``gamma(i-1, j)``,
+    the query / row-minimum, candidate and cost rows, all ``i``
+    descending), and the number of band cells in rows ``1..i``.
     """
+    w = min(band, d - 1)  # W: band offsets k = j - i run over -W..W
     diagonals = []
     for s in range(2, 2 * d + 1):
         lo = max(1, s - d, (s - band + 1) // 2)
         hi = min(d, s - 1, (s + band) // 2)
-        diagonals.append((s, lo, hi, lo < d and s - lo == min(d, lo + band)))
+        if lo > hi:  # odd diagonal of a zero-width band
+            continue
+        # Slot p = k + W + 1 of the cell (i, s - i) is buf[p % 2, p // 2];
+        # every cell of the diagonal shares the parity of s + W + 1.
+        p = s - 2 * hi + w + 1
+        plane, row = p % 2, p // 2
+        cells = hi - lo + 1
+        left = row - 1 + plane  # slot p - 1 in the other plane
+        diagonals.append((
+            s, lo, lo < d and s - lo == min(d, lo + band),
+            (plane, slice(row, row + cells)),
+            (1 - plane, slice(left, left + cells)),
+            (1 - plane, slice(left + 1, left + 1 + cells)),
+            slice(d - hi, d - lo + 1), slice(s - hi - 1, s - lo), slice(0, cells),
+        ))
     cells_through = [0]
     for i in range(1, d + 1):
         width = min(d, i + band) - max(1, i - band) + 1
@@ -370,15 +390,22 @@ def _wavefront_block(
     ``i + j = s`` depend only on diagonals ``s - 1`` (``gamma(i-1, j)``,
     ``gamma(i, j-1)``) and ``s - 2`` (``gamma(i-1, j-1)``), so a diagonal
     is a handful of NumPy calls over one contiguous ``(band cells,
-    candidates)`` slab and the DP state is three diagonals — the role
-    Algorithm 2's compressed warping matrix plays for columns.  Diagonal
-    ``s`` lives in plane ``s % 3``, indexed by row ``i``; the two cells
-    flanking its band range are set to ``inf`` when it is written, which
-    is all a later diagonal can read outside the range.  Per cell the
+    candidates)`` slab.
+
+    The state is Algorithm 2's compressed warping matrix turned to the
+    anti-diagonals: one ``(2, W + 2, n)`` buffer, ``W = min(band, d -
+    1)``, indexed by band offset ``k = j - i``.  Slot ``p = k + W + 1``
+    lives at ``buf[p % 2, p // 2]``, so a diagonal's cells are one
+    contiguous slab of one plane (``i`` descending), and it is written in
+    place: the slab first holds ``gamma(i-1, j-1)`` (same offset, two
+    diagonals back), and ``gamma(i, j-1)`` / ``gamma(i-1, j)`` (offsets
+    ``k -/+ 1``, the last diagonal) are two adjacent slabs of the other
+    plane.  Slots ``k = +/-(W + 1)`` and every slot whose cells have not
+    started are never written: they stay ``inf``, the DP's boundary
+    (``gamma(0, 0) = 0`` is slot ``W + 1``'s first value).  Per cell the
     arithmetic is the scalar recurrence's: ``(q_i - c_j)**2 + min`` of
-    the three predecessors.  The query plane is ``(d, 1)`` (one query,
-    broadcast over the slab) or ``(d, n)`` (column ``c`` is candidate
-    ``c``'s own query).
+    the three predecessors.  The query rows are ``(d, 1)`` (one query,
+    broadcast) or ``(d, n)`` (candidate ``c``'s own in column ``c``).
 
     Rows arrive sorted by ``need``, longest first.  Diagonal
     ``2 * lengths[l]`` holds cell ``(lengths[l], lengths[l])``: it is
@@ -387,27 +414,28 @@ def _wavefront_block(
     The wavefront spans only the block's longest needed suffix.
 
     Rows finish in increasing order (row ``i`` on diagonal
-    ``i + min(d, i + band)``, always as the diagonal's first cell), so
-    testing the abandon criterion when a row completes drops each
-    candidate at the same row the row-major order would.  Abandoned
-    candidates keep their state columns (nothing reads across columns)
-    until half the columns are dead, then the state is compacted.
+    ``i + min(d, i + band)``, always as the diagonal's lowest row: its
+    slab's last cell), so testing the abandon criterion when a row
+    completes drops each candidate at the same row the row-major order
+    would.  The running row minima are a ``(d, n)`` plane indexed like
+    the query rows, by ``d - i``.  Abandoned candidates keep their state
+    columns (nothing reads across columns) until half the columns are
+    dead, then the state is compacted.
     """
     n = candidates.shape[0]
     d = lengths[need[0] - 1]  # the block's longest suffix
     diagonals, cells_through = _band_geometry(d, band)
     prune = threshold < _INF
-    # cand[k] = the candidates' k-th point of their d-suffix: the cells
-    # (i, s - i) of diagonal s, i ascending, read the contiguous rows
-    # d - s + i.
-    cand = np.ascontiguousarray(candidates[:, candidates.shape[1] - d :].T)
+    # cand[j - 1] = the candidates' j-th point from the end, qrows[d - i]
+    # the query's i-th: a diagonal reads contiguous rows of both.
+    cand = np.ascontiguousarray(candidates[:, : -d - 1 : -1].T)
     suffix = query[..., query.shape[-1] - d :]
-    query_plane = np.ascontiguousarray(
-        suffix[::-1, None] if suffix.ndim == 1 else suffix[:, ::-1].T
-    )
-    # Planes 0-2: the rotating diagonals; plane 3: running row minima.
-    state = np.full((4 if prune else 3, d + 2, n), _INF)
-    state[0, 0] = 0.0  # gamma(0, 0)
+    qrows = np.ascontiguousarray(suffix[:, None] if suffix.ndim == 1 else suffix.T)
+    w = min(band, d - 1)
+    zero = ((w + 1) % 2, (w + 1) // 2)  # slot of k = 0: cells (e, e)
+    buf = np.full((2, w + 2, n), _INF)
+    buf[zero] = 0.0  # gamma(0, 0)
+    row_min = np.full((d, n), _INF) if prune else None
     cost = np.empty((min(d, band + 1), n))
     tails = None
     if prune and lb_terms is not None:
@@ -424,28 +452,21 @@ def _wavefront_block(
     reads = {2 * e: at for at, e in enumerate(lengths[: need[0]])}
     cells = 0
 
-    for s, lo, hi, row_done in diagonals:
-        diagonal = state[s % 3]
-        diagonal[lo - 1] = _INF
-        diagonal[hi + 1] = _INF
-        if lo > hi:  # odd diagonal of a zero-width band
-            continue
-        one_back = state[(s - 1) % 3]
-        slab = diagonal[lo : hi + 1]
-        np.minimum(one_back[lo - 1 : hi], one_back[lo : hi + 1], out=slab)
-        np.minimum(slab, state[(s - 2) % 3][lo - 1 : hi], out=slab)
-        step = cost[: hi - lo + 1]
-        np.subtract(
-            query_plane[lo - 1 : hi], cand[d - s + lo : d - s + hi + 1], out=step
-        )
+    for s, lo, row_done, target, left, up, rows, cols, span in diagonals:
+        slab = buf[target]
+        np.minimum(slab, buf[left], out=slab)
+        np.minimum(slab, buf[up], out=slab)
+        step = cost[span]
+        np.subtract(qrows[rows], cand[cols], out=step)
         np.square(step, out=step)
         np.add(step, slab, out=slab)
         if prune:
-            row_min = state[3, lo : hi + 1]
-            np.minimum(row_min, slab, out=row_min)
+            mins = row_min[rows]
+            np.minimum(mins, slab, out=mins)
             if row_done:
-                # Row `lo` is complete: abandon on its minimum plus the tail.
-                bound = row_min[0]
+                # Row `lo` (the slab's last cell) is complete: abandon on
+                # its minimum plus the tail.
+                bound = mins[-1]
                 if tails is not None:
                     bound = bound + tails[columns, min(lo + band, d)]
                 failed = ~(bound <= threshold) & live
@@ -461,26 +482,27 @@ def _wavefront_block(
                     # amortised O(1) per candidate while dead columns cost
                     # at most 2x work.
                     survivors = np.flatnonzero(live)
-                    state = state.take(survivors, axis=2)
+                    buf = buf.take(survivors, axis=2)
+                    row_min = row_min.take(survivors, axis=1)
                     cand = cand.take(survivors, axis=1)
-                    if query_plane.shape[1] > 1:
-                        query_plane = query_plane.take(survivors, axis=1)
+                    if qrows.shape[1] > 1:
+                        qrows = qrows.take(survivors, axis=1)
                     cost = np.empty((cost.shape[0], n_live))
                     columns = columns[survivors]
                     live = np.ones(n_live, dtype=bool)
         if s in reads:
             # Cell (e, e): the DTW of every live row's e-suffixes.
             at, e = reads[s], s // 2
-            out[columns[live], at] = state[s % 3][e, live]
+            out[columns[live], at] = buf[zero][live]
             keep = int(np.count_nonzero(need[columns] > at + 1))
             cells += int(np.count_nonzero(live[keep:])) * band_cells(e, band)
             if 0 < keep < columns.size:
                 # The rows that need no longer suffix are the tail: one
-                # copy drops them.
-                state = state[:, :, :keep].copy()
+                # copy drops them (a cutoff comes with one length only).
+                buf = buf[:, :, :keep].copy()
                 cand = cand[:, :keep].copy()
-                if query_plane.shape[1] > 1:
-                    query_plane = query_plane[:, :keep].copy()
+                if qrows.shape[1] > 1:
+                    qrows = qrows[:, :keep].copy()
                 cost = np.empty((cost.shape[0], keep))
                 columns, live = columns[:keep], live[:keep]
                 n_live = int(np.count_nonzero(live))

@@ -105,15 +105,15 @@ def k_smallest(
     values' indices, ascending, ties by index, by one stable argsort of
     the segments as rows padded with ``+inf`` (behind a segment's own;
     every row ends in one).  Returns them, the rows and a size column."""
-    widths = [hi - lo for lo, hi in zip(offsets[:-1], offsets[1:])]
-    sizes = np.array(widths)[:, None]
-    rows = np.empty((sizes.size, max(widths) + 1))
+    widths = np.diff(offsets)
+    sizes = widths[:, None]
+    rows = np.empty((widths.size, widths.max() + 1))
     rows.fill(np.inf)
     rows[np.arange(rows.shape[1]) < sizes] = values
     tops = rows.argsort(axis=1, kind="stable")[:, :k]
-    if min(widths) >= k:
+    if widths.min() >= k:
         return list(tops), rows, sizes
-    return [top[:width] for top, width in zip(tops, widths)], rows, sizes
+    return [top[:width] for top, width in zip(tops, widths.tolist())], rows, sizes
 
 
 def k_select_kernel(

@@ -1,12 +1,15 @@
 """Tests for the command-line interface."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.dtw.distance import BLOCK_ROWS
 
 
 class TestList:
@@ -216,12 +219,15 @@ class TestProfileRound:
         assert float(rows["dtw_verification"][2]) == 4.0
         assert "_search_lane glue" in done.stdout
         # How much reached the kernel, on the row whose wall it explains:
-        # rows and band cells per round (rho=2: a row read up to d=8
-        # computes 8*5 - 2*3 = 34 cells, up to d=16 74).
+        # rows, band cells and anti-diagonals per round (rho=2: a row read
+        # up to d=8 computes 8*5 - 2*3 = 34 cells, up to d=16 74; a launch
+        # of under 1024 rows is one block, 2*8 - 1 or 2*16 - 1 diagonals).
         header = done.stdout.splitlines()[1].split()
-        assert header[-2:] == ["rows/round", "cells/round"]
-        verified, cells = map(float, rows["dtw_verification"][-2:])
-        assert len(rows["dtw_verification"]) == 6 and len(rows["k_select"]) == 5
+        assert header[-3:] == ["rows/round", "cells/round", "diagonals/round"]
+        verified, cells, diagonals = map(float, rows["dtw_verification"][-3:])
+        assert len(rows["dtw_verification"]) == 7 and len(rows["k_select"]) == 5
+        launches = float(rows["dtw_verification"][2])
+        assert 15 * launches <= diagonals <= 31 * launches
         # Two shards of four sensors, two item lengths: two selections a
         # round, a segment (one row of the stacked selection) per sensor
         # and item length.
@@ -233,6 +239,25 @@ class TestProfileRound:
         assert rows["gp_train"][1:3] == ["0.000", "0.0"]
         assert rows["loo_values"][1:3] == ["0.000", "0.0"]
         assert rows["loo_gradients"][1:3] == ["0.000", "0.0"]
+
+    def test_diagonals_are_counted_per_block_of_a_launch(self):
+        """``2 x longest - 1`` per ``BLOCK_ROWS`` block, each block's
+        longest needed suffix, the rows taken longest first."""
+        spec = importlib.util.spec_from_file_location("profile_round", self.TOOL)
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        entry = [0.0, 0, 0, 0, 0, 0, 0]
+        count = tool._counting_rows(lambda *args: None, entry)
+        n = 2 * BLOCK_ROWS + 1
+        need = np.ones(n, dtype=int)
+        need[7:1107] = 2
+        need[[1500, 3]] = 3
+        count(None, np.zeros((n, 16)), np.zeros((n, 16)), 2, (4, 9, 16), need)
+        assert entry[4] == 31 + 17 + 7
+        count(None, np.zeros((n, 12)), np.zeros((n, 12)), 2)
+        assert entry[4] == 55 + 3 * 23
+        count(None, np.zeros((0, 12)), np.zeros((0, 12)), 2, (4, 12), need[:0])
+        assert entry[2] == 2 * n and entry[4] == 55 + 3 * 23
 
     def test_layers_k_select_row_on_a_simulated_workload(self):
         """churn-faulted runs the simulated backend behind seeded kernel

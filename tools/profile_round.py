@@ -33,10 +33,13 @@ and counts horizons per lane (the reduced rung's single cells too).
 ``tune`` and ``mix`` are the ensemble lane's stacked update and mix, so
 they count lanes (``mix``: a lane's grids), not sensors.  Three rows
 also say how much work their wall bought: ``dtw_verification`` the rows
-verified (one per ``(sensor, end)``, whatever lengths it is read at) and
+verified (one per ``(sensor, end)``, whatever lengths it is read at),
 the band cells computed — each row's through its longest needed suffix,
 ``repro.dtw.distance.band_cells``, the count the simulated ledger charges
-a launch's slowest thread — per round, ``k_select`` the segments
+a launch's slowest thread — and the anti-diagonals walked (``2 x
+longest - 1`` per ``BLOCK_ROWS`` block of a launch, each block's longest
+needed suffix; the kernel's fixed cost is paid per diagonal, so its wall
+over this column is the cost of one) per round, ``k_select`` the segments
 selected (a ``(sensor, item length)`` pool, one row each of the stacked
 selection) per round, ``gp_train``
 (the GP lane trainer, every GP cell's hyperparameter training; 0 on AR
@@ -101,22 +104,28 @@ def _timed(fn, entry: list):
 
 def _counting_rows(verify, entry: list):
     """``dtw_verification(self, query, candidates, rho, lengths, need)``
-    with the rows it was handed and the band cells they compute (each
-    row's through its longest needed suffix) added to ``entry[2:4]``."""
+    with the rows it was handed, the band cells they compute (each row's
+    through its longest needed suffix) and the anti-diagonals its blocks
+    walk added to ``entry[2:5]``."""
     import numpy as np
-    from repro.dtw.distance import band_cells
+    from repro.dtw.distance import BLOCK_ROWS, band_cells
 
     def wrapper(self, query, candidates, rho, lengths=None, need=None):
         rows, d = candidates.shape
         entry[2] += rows
         if lengths is None:
             entry[3] += rows * band_cells(d, rho)
+            longest = np.full(-(-rows // BLOCK_ROWS), d)
         else:
             needs = np.bincount(need, minlength=len(lengths) + 1)[1:]
             entry[3] += sum(
                 int(count) * band_cells(length, rho)
                 for length, count in zip(lengths, needs)
             )
+            # The kernel's blocks take the rows longest first.
+            first = np.sort(need)[::-1][::BLOCK_ROWS]
+            longest = np.asarray(lengths)[first - 1]
+        entry[4] += int((2 * longest - 1).sum())
         return verify(self, query, candidates, rho, lengths, need)
 
     return wrapper
@@ -192,8 +201,9 @@ COUNTERS = {
 def layer_timers():
     """Wrap every layer boundary for the block; yields ``{label:
     [seconds, calls, work...]}`` (the work only counted for
-    :data:`COUNTERS`: rows and DP cells; segments selected; trainings,
-    value and gradient evaluations, stacked value and gradient calls)."""
+    :data:`COUNTERS`: rows, DP cells and diagonals; segments selected;
+    trainings, value and gradient evaluations, stacked value and gradient
+    calls)."""
     totals: dict[str, list] = {}
     patched = []
     flags = {parent: [0] for parent in WITHIN.values()}
@@ -224,7 +234,7 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
     ingest = totals["ingest_many"][0] or float("nan")
     print(
         f"{'layer':<30}{'ms/round':>10}{'calls/round':>13}{'of ingest':>11}"
-        f"{'rows/round':>12}{'cells/round':>13}",
+        f"{'rows/round':>12}{'cells/round':>13}{'diagonals/round':>17}",
         file=out,
     )
     for label, depth, _, _ in LAYERS:
@@ -236,7 +246,10 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
         share = "" if forecast_side else f"{seconds / ingest:>10.1%}"
         note = ""
         if label == "dtw_verification":
-            note = f"{work[0] / rounds:>12.1f}{work[1] / rounds:>13.0f}"
+            note = (
+                f"{work[0] / rounds:>12.1f}{work[1] / rounds:>13.0f}"
+                f"{work[2] / rounds:>17.1f}"
+            )
         elif label == "k_select":
             note = f"{work[0] / rounds:>12.1f}"  # segments, one row each
         elif label == "gp_train":
