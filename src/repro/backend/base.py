@@ -104,10 +104,11 @@ class ComputeBackend(Protocol):
 
         With ``offsets`` (rising strictly from 0 to ``values.size``) the
         selection is segmented: one kernel op selects within every
-        ``values[offsets[i]:offsets[i + 1]]`` and returns one array of
-        segment-relative indices per segment (``min(k, segment size)``
-        each) — exactly what the plain call returns for that segment;
-        values holding NaN raise :class:`ValueError`.
+        ``values[offsets[i]:offsets[i + 1]]`` and returns one flat array
+        of indices into ``values``: each segment's ``min(k, segment
+        size)`` picks, in segment order — exactly what the plain call
+        returns for that segment, plus its offset; values holding NaN
+        raise :class:`ValueError`.
         """
         ...
 
@@ -242,7 +243,7 @@ class SubstrateBackend:
         if offsets is None:
             if values.size == 0:
                 raise ValueError("cannot select from an empty array")
-            return self._run_k_select(values, k, (0, values.size))[0]
+            return self._run_k_select(values, k, (0, values.size))
         offsets = np.asarray(offsets, dtype=np.intp)
         if (
             offsets.ndim != 1

@@ -100,25 +100,29 @@ def full_dtw_kernel(
 
 def k_smallest(
     values: np.ndarray, k: int, offsets
-) -> tuple[list, np.ndarray, np.ndarray]:
-    """Every backend's k-selection answer: per segment, the k smallest
-    values' indices, ascending, ties by index, by one stable argsort of
-    the segments as rows padded with ``+inf`` (behind a segment's own;
-    every row ends in one).  Returns them, the rows and a size column."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every backend's k-selection answer: per segment, the indices into
+    ``values`` of its ``min(k, size)`` smallest, ascending, ties by
+    index, segment after segment in one flat array — by one stable
+    argsort of the segments as rows padded with ``+inf`` (behind a
+    segment's own; every row ends in one).  Returns it, the rows and a
+    size column."""
+    offsets = np.asarray(offsets)
     widths = np.diff(offsets)
     sizes = widths[:, None]
     rows = np.empty((widths.size, widths.max() + 1))
     rows.fill(np.inf)
     rows[np.arange(rows.shape[1]) < sizes] = values
     tops = rows.argsort(axis=1, kind="stable")[:, :k]
+    tops += offsets[:-1, None]
     if widths.min() >= k:
-        return list(tops), rows, sizes
-    return [top[:width] for top, width in zip(tops, widths.tolist())], rows, sizes
+        return tops.ravel(), rows, sizes
+    return tops[np.arange(tops.shape[1]) < sizes], rows, sizes
 
 
 def k_select_kernel(
     cost: GpuCostModel, values: np.ndarray, k: int, offsets
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """:func:`k_smallest`'s answer, charged as distributive partitioning
     [3] with the paper's two improvements: one block per segment (query),
     all in one launch charged at its slowest block, and *all* k smallest
@@ -127,7 +131,7 @@ def k_select_kernel(
     rows.sort(axis=1)
     cost.launch(
         "k_select",
-        n_blocks=len(chosen),
+        n_blocks=sizes.shape[0],
         ops_per_thread=_slowest_block(rows, sizes, k)
         * OPS_PER_SELECT_ELEM / THREADS_PER_BLOCK,
         threads_per_block=THREADS_PER_BLOCK,

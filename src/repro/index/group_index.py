@@ -125,19 +125,24 @@ class GroupLevelIndex:
         # Level m of the shift-sum serves the b whose CSG of the master
         # query has at least m windows — a prefix of range(omega), since
         # that size falls as b rises — and closes the item queries whose
-        # CSG_{i,b} has exactly m, each with the start of its first
-        # aligned segment (Lemma 4.1 at r = m - 1).  All fixed by
-        # (lengths, omega), so tabulated once.
+        # CSG_{i,b} has exactly m: for one length a run of b, each
+        # writing the starts of one residue mod omega from its first
+        # aligned segment's on (Lemma 4.1 at r = m - 1, within
+        # (-omega, 0]).  Start t is at flat position t + omega - 1 of the
+        # omega-wide rows _emit writes (_start_grids), so the run writes a
+        # block of columns.  All fixed by (lengths, omega), so tabulated
+        # once.
         omega, master = window_index.omega, window_index.master_length
-        self._levels: list[tuple[int, list[tuple[int, int, int]]]] = []
+        self._levels: list[tuple[int, list[tuple[int, int, int, int]]]] = []
         for m in range(1, master // omega + 1):
             n_b = sum(csg_size(master, b, omega) >= m for b in range(omega))
-            closing = [
-                (b, d, aligned_segment_start(d, b, m - 1, omega))
-                for b in range(n_b) for d in lengths
-                if csg_size(d, b, omega) == m
-            ]
-            self._levels.append((n_b, closing))
+            writes = []
+            for d in lengths:
+                run = [b for b in range(n_b) if csg_size(d, b, omega) == m]
+                if run:
+                    column = aligned_segment_start(d, run[0], m - 1, omega)
+                    writes.append((d, run[0], len(run), column + omega - 1))
+            self._levels.append((n_b, writes))
         # Shift-sum elements of one pass: 2 * (pairs * n_dw - shifts).
         self._sum_pairs = sum(n_b for n_b, _ in self._levels)
         self._sum_shifts = sum(
@@ -179,15 +184,9 @@ def lower_bounds_many(groups: Sequence[GroupLevelIndex]) -> LaneLowerBounds:
     n_dw = series_len // omega
     widest, longest = int(n_dw.max()), int(series_len.max())
 
-    stacked = {
-        d: ItemLowerBounds(
-            item_length=d,
-            lbeq=np.zeros((size, longest - d + 1)),
-            lbec=np.zeros((size, longest - d + 1)),
-            covered=np.zeros((size, longest - d + 1), dtype=bool),
-        )
-        for d in first.item_lengths
-    }
+    grids, stacked = {}, {}
+    for d in first.item_lengths:
+        grids[d], stacked[d] = _start_grids(d, size, longest, omega)
     # Un-ring once: logical window w of every sensor, its own columns.
     order = (rows[:, None], (stack.slot0[rows, None] + np.arange(n_sw)) % n_sw)
     lbeq = stack.lbeq[order[0], order[1], :widest]
@@ -201,14 +200,15 @@ def lower_bounds_many(groups: Sequence[GroupLevelIndex]) -> LaneLowerBounds:
     live = None
     if n_dw.min() < widest:
         live = np.arange(widest) < n_dw[:, None]
-    for shift, (n_b, closing) in enumerate(first._levels):
+    for shift, (n_b, writes) in enumerate(first._levels):
         w = shift * omega
         peq[:, :n_b, shift:] += lbeq[:, w : w + n_b, : widest - shift]
         pec[:, :n_b, shift:] += lbec[:, w : w + n_b, : widest - shift]
-        for b, d, offset in closing:
-            _emit(
-                stacked[d], peq[:, b], pec[:, b], shift + 1, offset, omega, live
-            )
+        for d, b, n, column in writes:
+            _emit(grids[d], peq[:, b : b + n], pec[:, b : b + n], shift, column, live)
+    if live is not None:
+        for length_grids in grids.values():
+            _zero_uncovered(length_grids)
 
     sum_elements = 2 * (first._sum_pairs * n_dw - first._sum_shifts)
     first.backend.launch(
@@ -223,36 +223,58 @@ def lower_bounds_many(groups: Sequence[GroupLevelIndex]) -> LaneLowerBounds:
     return LaneLowerBounds(stacked, series_len)
 
 
+def _start_grids(
+    d: int, size: int, longest: int, omega: int
+) -> tuple[list[np.ndarray], ItemLowerBounds]:
+    """Zeroed ``lbeq``, ``lbec`` and ``covered`` grids of ``(size, rows,
+    omega)`` for item length ``d`` over series of up to ``longest``
+    points, and the bounds that are views of them.  Start ``t`` sits at
+    flat position ``t + omega - 1`` of a row, so the starts one ``b``
+    writes (one residue mod omega, from a first start in ``(-omega,
+    0]``) are a column and those of a run of ``b`` a block of columns."""
+    starts = longest - d + 1
+    shape = (size, -(-(starts + omega - 1) // omega), omega)
+    grids = [np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)]
+    span = slice(omega - 1, omega - 1 + starts)
+    views = (grid.reshape(size, -1)[:, span] for grid in grids)
+    return grids, ItemLowerBounds(d, *views)
+
+
 def _emit(
-    out: ItemLowerBounds,
+    grids: list[np.ndarray],
     peq: np.ndarray,
     pec: np.ndarray,
-    m: int,
-    offset: int,
-    omega: int,
-    live: np.ndarray | None = None,
+    shift: int,
+    column: int,
+    live: np.ndarray | None,
 ) -> None:
-    """Write one ``b``'s partial sums into the candidate-start arrays.
+    """Write a run of ``b``'s partial sums into one length's candidate
+    starts, one strided write per array.
 
     Everything is stacked, one row per sensor: ``peq``/``pec`` are
-    ``(sensors, widest n_dw)``, ``out`` holds ``(sensors, longest
-    series_len - d + 1)`` arrays.  Partial sum ``r = m - 1 + j`` bounds
-    the segment starting at ``offset + j * omega``: a contiguous run of
-    sums against a stride-``omega`` run of starts, clipped to the starts
-    (``0 <= t``, and ``t`` inside ``out``) and the sums the longest row
-    has.  A shorter row's surplus starts fall in its padding; its
-    surplus sums are the ``False`` cells of ``live`` (``r < n_dw`` per
-    row) — their starts keep bound 0 and stay uncovered.
+    ``(sensors, run, widest n_dw)``, ``grids`` the ``(sensors, rows,
+    omega)`` grids of ``lbeq``, ``lbec`` and ``covered``.  Partial sum
+    ``r = shift + q`` of the run's ``k``-th ``b`` bounds the start in row
+    ``q``, column ``column + k``: sums against rows, ``b`` against
+    columns, clipped to the rows the grids and the longest row's sums
+    have.  A start below 0 or past the arrays' end is grid padding,
+    outside the arrays.  A shorter row's surplus sums (the ``False``
+    cells of ``live``, ``r < n_dw`` per row) are written uncovered;
+    :func:`_zero_uncovered` then gives their starts bound 0.
     """
-    low = -(offset // omega)  # least j with a start >= 0
-    last = min(peq.shape[1] - m, (out.lbeq.shape[1] - 1 - offset) // omega)
-    n = last - low + 1
-    if n <= 0:
+    q = min(grids[0].shape[1], peq.shape[2] - shift)
+    if q <= 0:
         return
-    t0 = offset + low * omega
-    starts = (slice(None), slice(t0, t0 + (n - 1) * omega + 1, omega))
-    sums = (slice(None), slice(m - 1 + low, m - 1 + low + n))
-    keep = True if live is None else live[sums]
-    out.lbeq[starts] = peq[sums] if live is None else peq[sums] * keep
-    out.lbec[starts] = pec[sums] if live is None else pec[sums] * keep
-    out.covered[starts] = keep
+    target = (slice(None), slice(0, q), slice(column, column + peq.shape[1]))
+    sums = (slice(None), slice(None), slice(shift, shift + q))
+    for grid, partial in zip(grids, (peq, pec)):
+        grid[target] = partial[sums].transpose(0, 2, 1)
+    grids[2][target] = True if live is None else live[:, shift : shift + q, None]
+
+
+def _zero_uncovered(grids: list[np.ndarray]) -> None:
+    """Multiply every uncovered start's bounds by 0 — a shorter row's
+    surplus sums, written uncovered by :func:`_emit` — and every covered
+    one's by 1, the product the per-``b`` writes took with ``live``."""
+    grids[0] *= grids[2]
+    grids[1] *= grids[2]

@@ -546,11 +546,10 @@ def _search_lane(
     pooled = np.bincount(place // ends, minlength=depth * size)
     offsets = np.concatenate([[0], np.cumsum(pooled)])
     with obs.span("k_select", backend):
-        tops = backend.k_select(pool, cfg.k_max, offsets)
+        picked = backend.k_select(pool, cfg.k_max, offsets)
 
     # The answers stay stacked: one gather for the lane.
     sizes = np.minimum(cfg.k_max, pooled)
-    picked = np.concatenate(tops) + np.repeat(offsets[:-1], sizes)
     place, widest = place[picked], int(sizes.max())
     found = [
         pad_rows(values, sizes, widest).reshape(depth, size, widest)

@@ -12,8 +12,11 @@ Continuous reuse (Remark 1) is implemented with a ring buffer over the
 ``b`` axis: advancing the master query by one point relabels every
 surviving sliding window (``SW_b -> SW_{b+1}``), writes the brand-new
 ``SW_0`` into the slot the dropped oldest window vacates, and recomputes
-``LB_EQ`` for the ``rho`` right-end windows whose envelope the new point
-changed.  ``LB_EC`` rows survive untouched because they depend only on
+``LB_EQ`` for the right-end windows whose envelope the new point changed:
+among ``SW_1 .. SW_rho`` a window's ``LB_EQ`` is recomputed iff its
+envelope bits changed (old position ``i + 1`` against new position
+``i``), every other one already holds the bytes a recomputation would
+write.  ``LB_EC`` rows survive untouched because they depend only on
 raw query values and the series envelope.
 
 Two conservative deviations from the printed description, both noted in
@@ -70,7 +73,9 @@ __all__ = ["WindowLevelIndex", "step_many"]
 
 #: Cells a stacked posting refresh computes at once (1 MiB of float64
 #: per temporary): a host-side working-set bound, like ``BLOCK_ROWS`` in
-#: the DTW kernel — not the modelled CUDA block, and not a launch.
+#: the DTW kernel — not the modelled CUDA block, and not a launch.  A
+#: row bigger than this is a block of its own (one ``deep-search`` row
+#: is 25 windows x 500 DWs x 16 = 200 k cells).
 BLOCK_CELLS = 1 << 17
 
 
@@ -364,9 +369,9 @@ def step_many(indexes: Sequence[WindowLevelIndex], points) -> None:
     query (drop the oldest point, append the new one), relabels its ring
     buffer and refreshes only the affected posting lists — for the whole
     group in one stacked computation and one ``window_index_step``
-    launch of ``n_refresh`` blocks per index, charged at its slowest
-    block.  The indexes must share one backend object, master length,
-    omega and rho; they need not share a series length.  Host-side
+    launch of one block per ``(index, window)`` refreshed, charged at
+    its slowest block.  The indexes must share one backend object,
+    master length, omega and rho; they need not share a series length.  Host-side
     arithmetic plus a ledger entry: nothing here is a faultable kernel
     op.
     """
@@ -431,26 +436,29 @@ def step_many(indexes: Sequence[WindowLevelIndex], points) -> None:
     stack.master = master = np.concatenate(
         [stack.master[:, 1:], points[:, None]], axis=1
     )
-    stack.master_env = master_env = envelope_shift(master, stack.master_env)
+    old_env = stack.master_env
+    stack.master_env = master_env = envelope_shift(master, old_env)
 
     # Ring relabel: old SW_b becomes SW_{b+1}; new SW_0 takes the slot
     # the dropped oldest window vacates.  SW_0 is brand new (LB_EQ and
-    # LB_EC); the next rho windows only saw their envelope change
-    # (LB_EQ).  Every column up to the longest row's is computed; a
-    # shorter row's surplus lands in its padding.
+    # LB_EC); of the next rho windows, those whose envelope bits the
+    # slide changed are refreshed (LB_EQ), the rest already hold what a
+    # refresh would write.  Every column up to the longest row's is
+    # computed; a shorter row's surplus lands in its padding.
     stack.slot0 = slot0 = (stack.slot0 - 1) % n_sw
     n_refresh = min(rho + 1, n_sw)
+    counts = _windows_to_refresh(old_env, master_env, n_refresh, omega)
     widest = int(n_dw.max())
     span, shape = slice(0, widest * omega), (-1, widest, omega)
-    refreshed = sw[:n_refresh]
-    slots = (slot0[:, None] + np.arange(n_refresh)) % n_sw
     # Rows are taken BLOCK_CELLS of (SW, DW, omega) cells at a time, so
     # the temporaries stay cache-sized whether the lane is 24 short
-    # series or two of 8 000 points.
+    # series or two of 8 000 points; a block refreshes its rows' most.
     block = max(1, BLOCK_CELLS // (n_refresh * widest * omega))
     for lo in range(0, stack.size, block):
         part = rows[lo : lo + block]
-        stack.lbeq[part[:, None], slots[part], :widest] = window_pair_lbeq(
+        refreshed = sw[: counts[part].max()]
+        slots = (slot0[part, None] + np.arange(len(refreshed))) % n_sw
+        stack.lbeq[part[:, None], slots, :widest] = window_pair_lbeq(
             master_env.upper[part][:, refreshed],
             master_env.lower[part][:, refreshed],
             stack.series[part, span].reshape(shape),
@@ -462,25 +470,49 @@ def step_many(indexes: Sequence[WindowLevelIndex], points) -> None:
         )[:, 0]
 
     recomputed = (n_dw - first).tolist()
-    for index, columns in zip(indexes, recomputed):
+    for index, columns, count in zip(indexes, recomputed, counts.tolist()):
         index.rows_built_full += 1
-        index.rows_recomputed_lbeq += n_refresh - 1
-        index.rows_reused += n_sw - n_refresh
+        index.rows_recomputed_lbeq += count - 1
+        index.rows_reused += n_sw - count
         index.columns_recomputed_lbec += columns
+    windows = int(counts.sum())
     observe_window_reuse(
         rows_built_full=stack.size,
-        rows_recomputed_lbeq=stack.size * (n_refresh - 1),
-        rows_reused=stack.size * (n_sw - n_refresh),
+        rows_recomputed_lbeq=windows - stack.size,
+        rows_reused=stack.size * n_sw - windows,
         columns_recomputed_lbec=sum(recomputed),
     )
     indexes[0].backend.launch(
         "window_index_step",
-        n_blocks=stack.size * n_refresh,
+        n_blocks=windows,
         ops_per_thread=(
             -(-widest // THREADS_PER_BLOCK) * omega * 2 * OPS_PER_LB_TERM
         ),
         threads_per_block=THREADS_PER_BLOCK,
     )
+
+
+def _windows_to_refresh(
+    old: Envelope, new: Envelope, n_refresh: int, omega: int
+) -> np.ndarray:
+    """Per row, how many of ``SW_0 .. SW_{n_refresh - 1}`` a slide must
+    refresh: ``1 +`` the largest ``b`` whose positions hold an envelope
+    change.  Position ``i`` of the slid query was ``i + 1`` before; bits
+    are compared (a zero that changed sign counts as changed, a NaN that
+    stayed does not) and the last position, the new point's, always
+    counts as changed.  ``SW_b`` covers
+    positions ``length - omega - b .. length - 1 - b``, so the lowest
+    changed position ``p`` at or after ``SW_{n_refresh - 1}``'s first
+    sets ``b = length - 1 - p``."""
+    length = new.upper.shape[1]
+    first = length - omega - n_refresh + 1  # SW_{n_refresh - 1}'s first
+
+    def moved(now: np.ndarray, then: np.ndarray) -> np.ndarray:
+        return now[:, first:-1].view(np.int64) != then[:, first + 1 :].view(np.int64)
+
+    changed = np.ones((new.upper.shape[0], length - first), dtype=bool)
+    changed[:, :-1] = moved(new.upper, old.upper) | moved(new.lower, old.lower)
+    return np.minimum(length - first - changed.argmax(axis=1), n_refresh)
 
 
 def lane_of(

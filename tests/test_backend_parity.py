@@ -82,12 +82,9 @@ class TestFusedKernelParity:
             values = np.round(rng.uniform(0, 3, size=int(sizes.sum())), 1)
             offsets = np.concatenate([[0], np.cumsum(sizes)])
             k = int(rng.integers(1, 40))  # above some segment sizes
-            for a, b in zip(
-                sim.k_select(values, k, offsets),
-                nat.k_select(values, k, offsets),
-                strict=True,
-            ):
-                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(
+                sim.k_select(values, k, offsets), nat.k_select(values, k, offsets)
+            )
 
     @pytest.mark.parametrize("backend_cls", [SimulatedGpuBackend, NativeBackend])
     @pytest.mark.parametrize("offsets", [None, [0, 2, 5]])

@@ -213,6 +213,13 @@ class TestProfileRound:
         # Per window step, one LB_EQ and one LB_EC sum for the tail
         # columns and one of each for the refreshed windows.
         assert float(rows["_tube_excess"][2]) == 8.0
+        # Work columns of the index maintenance.  Eight sensors at rho=2:
+        # a row refreshes SW_0 and those of SW_1, SW_2 whose envelope the
+        # new point changed, 1 to 3 windows.  Two item lengths at
+        # omega=4 close at two levels each: four strided writes a lane.
+        assert rows["step_many"][5:] == ["(LB_EQ", "windows", "refreshed)"]
+        assert 8.0 <= float(rows["step_many"][4]) <= 24.0
+        assert rows["lower_bounds_many"][4:] == ["8.0", "(strided", "writes)"]
         # Two shards: two lane searches a round, each serving both item
         # lengths with two verification launches.
         assert float(rows["_search_lane"][2]) == 2.0

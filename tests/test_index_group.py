@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from repro.backend import SimulatedGpuBackend
 from repro.dtw import dtw_distance
 from repro.index import GroupLevelIndex, WindowLevelIndex, direct_lb_en
-from repro.index.group_index import ItemLowerBounds, _emit
+from repro.index.group_index import (
+    ItemLowerBounds,
+    _emit,
+    _start_grids,
+    _zero_uncovered,
+)
 from repro.timeseries.windows import aligned_segment_start, csg_size
 
 
@@ -175,7 +180,10 @@ class TestAlgorithm1Reference:
 class TestEmitBySlices:
     """``_emit`` writes strided slices into a stack of rows, each clipped
     to its own length; the per-row mask-and-fancy-index form it replaced
-    is kept here as the oracle."""
+    is kept here as the oracle.  ``_emit`` writes a run of ``b`` into a
+    length's start grids (``_zero_uncovered`` then masks a shorter row's
+    surplus, as ``lower_bounds_many`` does); here every run is one ``b``
+    long."""
 
     @staticmethod
     def emit_by_mask(out, peq, pec, b, m, omega, series_len):
@@ -192,8 +200,8 @@ class TestEmitBySlices:
         out.covered[ts] = True
 
     @staticmethod
-    def blank(d, series_len, rows=None):
-        shape = series_len - d + 1 if rows is None else (rows, series_len - d + 1)
+    def blank(d, series_len):
+        shape = series_len - d + 1
         return ItemLowerBounds(
             d, np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)
         )
@@ -224,14 +232,19 @@ class TestEmitBySlices:
                         n_dws = np.array([n_dw, lens[1] // omega])
                         peq, pec = rng.random((2, 2, n_dws[1]))
                         for rows in (slice(0, 1), slice(0, 2)):
-                            got = self.blank(d, lens[rows].max(), lens[rows].size)
+                            grids, got = _start_grids(
+                                d, lens[rows].size, lens[rows].max(), omega
+                            )
                             width = n_dws[rows].max()
                             live = np.arange(width) < n_dws[rows, None]
                             _emit(
-                                got, peq[rows, :width], pec[rows, :width],
-                                m, offset, omega,
+                                grids, peq[rows, None, :width],
+                                pec[rows, None, :width], m - 1,
+                                offset + omega - 1,
                                 None if live.all() else live,
                             )
+                            if not live.all():
+                                _zero_uncovered(grids)
                             for i in range(lens[rows].size):
                                 size = lens[i] - d + 1
                                 want = self.blank(d, lens[i])

@@ -5,10 +5,15 @@
 bodies are kept here verbatim as the oracle (one private object per
 sensor, exactly the state the old class held); everything the stacked
 path maintains must equal it bit for bit, whatever shares the stack.
+The oracle still refreshes every right-end window; only its reuse
+counters and its launch count the windows whose envelope bits changed,
+read off its own envelopes, as the stacked step counts them.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.backend import make_backend
 from repro.dtw.envelope import Envelope, compute_envelope, envelope_shift
@@ -20,8 +25,12 @@ from repro.dtw.lower_bounds import (
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from repro.index import GroupLevelIndex, SuffixKnnEngine, WindowLevelIndex
-from repro.index.group_index import ItemLowerBounds, lower_bounds_many
-from repro.index.window_index import step_many
+from repro.index.group_index import (
+    ItemLowerBounds,
+    LaneLowerBounds,
+    lower_bounds_many,
+)
+from repro.index.window_index import lane_of, step_many
 from repro.timeseries.windows import aligned_segment_start, csg_size
 
 from .test_search_cascade import SMALL_CFG, adversarial_streams, make_series
@@ -30,7 +39,8 @@ BACKENDS = ["simulated", "native"]
 
 
 class OracleWindowIndex:
-    """The per-sensor window index this PR deleted, kept verbatim."""
+    """The deleted per-sensor window index, kept verbatim but for the
+    counting of refreshed windows (see the module docstring)."""
 
     def __init__(self, series_values, master_length, omega, rho, backend):
         series_values = np.asarray(series_values, dtype=np.float64)
@@ -120,7 +130,8 @@ class OracleWindowIndex:
             [self._master_query[1:], [float(new_point)]]
         )
         assert self._master_env is not None
-        self._master_env = envelope_shift(new_master, self._master_env)
+        old_env = self._master_env
+        self._master_env = envelope_shift(new_master, old_env)
         self._master_query = new_master
 
         self._slot0 = (self._slot0 - 1) % self.n_sw
@@ -135,15 +146,20 @@ class OracleWindowIndex:
         self._lbec[slots[0], : self.n_dw] = window_pair_lbec(
             sw_vals[:1], dw_up, dw_lo
         )[0]
+        # The refresh above stays unconditional; what it is counted and
+        # charged as is the windows whose envelope bits the slide changed.
+        n_windows = windows_with_changed_bits(
+            old_env, self._master_env, self._sw_positions[:n_refresh]
+        )
         self.rows_built_full += 1
-        self.rows_recomputed_lbeq += n_refresh - 1
-        self.rows_reused += self.n_sw - n_refresh
+        self.rows_recomputed_lbeq += n_windows - 1
+        self.rows_reused += self.n_sw - n_windows
         per_thread = (
             -(-self.n_dw // THREADS_PER_BLOCK) * self.omega * 2 * OPS_PER_LB_TERM
         )
         self.backend.launch(
             "window_index_step",
-            n_blocks=n_refresh,
+            n_blocks=n_windows,
             ops_per_thread=per_thread,
             threads_per_block=THREADS_PER_BLOCK,
         )
@@ -191,6 +207,17 @@ class OracleWindowIndex:
     def posting_matrices(self):
         order = self._slot(np.arange(self.n_sw))
         return self._lbeq[order, : self.n_dw], self._lbec[order, : self.n_dw]
+
+
+def windows_with_changed_bits(old_env, new_env, positions):
+    """``1 +`` the largest ``b`` whose window ``positions[b]`` of the slid
+    query holds a position whose envelope bits differ from the old
+    envelope's one position further on; the new point's position has no
+    old counterpart and always counts as changed."""
+    upper = new_env.upper[:-1].view(np.int64) != old_env.upper[1:].view(np.int64)
+    lower = new_env.lower[:-1].view(np.int64) != old_env.lower[1:].view(np.int64)
+    changed = np.append(upper | lower, True)
+    return 1 + max(b for b, window in enumerate(positions) if changed[window].any())
 
 
 def oracle_compute(wi, item_lengths, backend):
@@ -562,3 +589,329 @@ class TestRefusals:
         step_many([], [])
         assert len(lower_bounds_many([])) == 0
         assert a.series_length == 100
+
+
+# ------------------------------------------------------------------------
+# Refresh by envelope change, strided bound writes: the identity battery.
+#
+# ``step_many`` recomputes a right-end window's LB_EQ only when the slide
+# changed its envelope bits; ``lower_bounds_many`` writes a run of b's
+# bounds in one strided write.  Both must leave every byte where the
+# unconditional refresh (``OracleWindowIndex``) and the per-(b, d) writes
+# (``previous_lower_bounds_many``) left it, after every tick.
+
+
+def previous_lower_bounds_many(groups):
+    """``lower_bounds_many`` with one ``_emit`` per ``(b, item length)``
+    as it stood before its writes were grouped, kept verbatim but for its
+    launch (the ledger is pinned by :class:`TestLedger`) and with the
+    ``_levels`` table it read rebuilt here."""
+    first = groups[0]
+    wi = first.window_index
+    omega, master, lengths = wi.omega, wi.master_length, first.item_lengths
+    levels = []
+    for m in range(1, master // omega + 1):
+        n_b = sum(csg_size(master, b, omega) >= m for b in range(omega))
+        closing = [
+            (b, d, aligned_segment_start(d, b, m - 1, omega))
+            for b in range(n_b) for d in lengths
+            if csg_size(d, b, omega) == m
+        ]
+        levels.append((n_b, closing))
+
+    stack, rows = lane_of([group.window_index for group in groups])
+    omega, n_sw, size = stack.omega, stack.n_sw, len(groups)
+    series_len = stack.series_len[rows]
+    n_dw = series_len // omega
+    widest, longest = int(n_dw.max()), int(series_len.max())
+
+    stacked = {
+        d: ItemLowerBounds(
+            item_length=d,
+            lbeq=np.zeros((size, longest - d + 1)),
+            lbec=np.zeros((size, longest - d + 1)),
+            covered=np.zeros((size, longest - d + 1), dtype=bool),
+        )
+        for d in first.item_lengths
+    }
+    order = (rows[:, None], (stack.slot0[rows, None] + np.arange(n_sw)) % n_sw)
+    lbeq = stack.lbeq[order[0], order[1], :widest]
+    lbec = stack.lbec[order[0], order[1], :widest]
+    peq = np.zeros((size, omega, widest))
+    pec = np.zeros((size, omega, widest))
+    live = None
+    if n_dw.min() < widest:
+        live = np.arange(widest) < n_dw[:, None]
+    for shift, (n_b, closing) in enumerate(levels):
+        w = shift * omega
+        peq[:, :n_b, shift:] += lbeq[:, w : w + n_b, : widest - shift]
+        pec[:, :n_b, shift:] += lbec[:, w : w + n_b, : widest - shift]
+        for b, d, offset in closing:
+            previous_emit(
+                stacked[d], peq[:, b], pec[:, b], shift + 1, offset, omega, live
+            )
+    return LaneLowerBounds(stacked, series_len)
+
+
+def previous_emit(out, peq, pec, m, offset, omega, live=None):
+    """``_emit`` as it stood: one ``b``'s sums, one stride-omega run."""
+    low = -(offset // omega)  # least j with a start >= 0
+    last = min(peq.shape[1] - m, (out.lbeq.shape[1] - 1 - offset) // omega)
+    n = last - low + 1
+    if n <= 0:
+        return
+    t0 = offset + low * omega
+    starts = (slice(None), slice(t0, t0 + (n - 1) * omega + 1, omega))
+    sums = (slice(None), slice(m - 1 + low, m - 1 + low + n))
+    keep = True if live is None else live[sums]
+    out.lbeq[starts] = peq[sums] if live is None else peq[sums] * keep
+    out.lbec[starts] = pec[sums] if live is None else pec[sums] * keep
+    out.covered[starts] = keep
+
+
+def assert_bytes_equal(got, want, label):
+    """Same shape, same bytes: ``assert_array_equal`` would let a ``-0.0``
+    for a ``0.0`` or another NaN payload by."""
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    assert got.shape == want.shape, label
+    assert got.tobytes() == want.tobytes(), label
+
+
+def assert_row_bytes(twin, label):
+    """Postings, envelopes, series and counters of ``twin``'s live row
+    hold its unconditional-refresh oracle's bytes."""
+    live, want = twin.index, twin.oracle
+    for got, expected in zip(live.posting_matrices(), want.posting_matrices()):
+        assert_bytes_equal(got, expected, label)
+    n, stack, row = want._series_len, live._stack, live._row
+    for got, expected in (
+        (live.series, want._series[:n]),
+        (live.series_envelope.upper, want._series_env.upper),
+        (live.series_envelope.lower, want._series_env.lower),
+        (live.master_query, want._master_query),
+        (stack.master_env.upper[row], want._master_env.upper),
+        (stack.master_env.lower[row], want._master_env.lower),
+    ):
+        assert_bytes_equal(got, expected, label)
+    for counter in (
+        "rows_built_full", "rows_recomputed_lbeq", "rows_reused",
+        "columns_recomputed_lbec",
+    ):
+        assert getattr(live, counter) == getattr(want, counter), (label, counter)
+
+
+def assert_lane_bounds(twins, label):
+    """One ``lower_bounds_many`` of the lane == the per-(b, d) writes on
+    the whole stacked arrays (padding included) and == each row's
+    per-sensor oracle."""
+    groups = [twin.group for twin in twins]
+    found = lower_bounds_many(groups)
+    previous = previous_lower_bounds_many(groups)
+    assert_bytes_equal(found.series_len, previous.series_len, label)
+    for d, want in previous.stacked.items():
+        got = found.stacked[d]
+        for name in ("lbeq", "lbec", "covered"):
+            assert_bytes_equal(getattr(got, name), getattr(want, name), (label, d))
+    for i, twin in enumerate(twins):
+        want = oracle_compute(twin.oracle, twin.item_lengths, twin.oracle_backend)
+        for d, expected in want.items():
+            for name in ("lbeq", "lbec", "covered"):
+                assert_bytes_equal(
+                    getattr(found[i][d], name), getattr(expected, name),
+                    (label, i, d),
+                )
+
+
+FEEDS = (
+    "walk", "plateau", "rising", "falling", "alternating", "signed-zeros",
+    "x1e8", "nan",
+)
+
+
+def stream(kind, n_history, ticks, rng):
+    """``(history, feed)`` of one shape: plateaus refresh SW_0 alone,
+    strictly monotone runs every window; alternating extremes, signed
+    zeros, 1e8 magnitudes and a NaN reading try the bit comparison."""
+    walk = np.cumsum(0.3 * rng.normal(size=n_history + ticks))
+    history, feed = walk[:n_history], walk[n_history:]
+    last = history[-1]
+    if kind == "plateau":
+        feed = np.full(ticks, np.round(last))
+        history[-ticks:] = feed[0]
+    elif kind == "rising":
+        feed = last + np.arange(1, ticks + 1) * 0.7
+    elif kind == "falling":
+        feed = last - np.arange(1, ticks + 1) * 0.7
+    elif kind == "alternating":
+        extreme = np.abs(history).max() + 1.0
+        feed = extreme * np.arange(1, ticks + 1) * (-1.0) ** np.arange(ticks)
+    elif kind == "signed-zeros":
+        history = np.where(rng.random(n_history) < 0.5, 0.0, -0.0)
+        feed = np.where(rng.random(ticks) < 0.5, 0.0, -0.0)
+        history[:: max(1, n_history // 4)] = 1.0
+    elif kind == "x1e8":
+        history, feed = history * 1e8, feed * 1e8
+    elif kind == "nan":
+        feed = feed.copy()
+        feed[rng.integers(ticks)] = np.nan
+    return history, feed
+
+
+@st.composite
+def lanes(draw):
+    """Window parameters (omega in {1, 2, 3, 4, 8, 16}, up to three item
+    lengths, rho up to past the master length), rows of different series
+    lengths and shapes, and the ticks at which a row joins, one leaves
+    and one is restored from its series."""
+    omega = draw(st.sampled_from([1, 2, 3, 4, 8, 16]))
+    master = draw(st.integers(omega, 3 * omega + 5))
+    others = draw(st.lists(st.integers(1, master), max_size=2))
+    lengths = tuple(sorted({master, *others}))
+    rho = draw(st.integers(0, master + 2))
+    ticks = draw(st.integers(1, 24))
+    rows = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = [draw(st.sampled_from(FEEDS)) for _ in range(rows + 1)]
+    sizes = [
+        max(master, ticks) + draw(st.integers(0, 3 * omega + 5))
+        for _ in range(rows + 1)
+    ]
+    streams = [stream(kind, n, ticks, rng) for kind, n in zip(kinds, sizes)]
+    event_tick = st.none() | st.integers(0, ticks - 1)
+    return dict(
+        lengths=lengths, omega=omega, rho=rho, ticks=ticks,
+        streams=streams, join_at=draw(event_tick), leave_at=draw(event_tick),
+        restore_at=draw(event_tick),
+    )
+
+
+def run_battery(case, backend_name):
+    """Step the lane tick by tick, checking every row and the lane's
+    bounds after every tick."""
+    lengths, omega, rho = case["lengths"], case["omega"], case["rho"]
+    shared = make_backend(backend_name)
+
+    def twin(history):
+        return Twin(history, lengths, omega, rho, shared, backend_name)
+
+    *streams, joiner = case["streams"]
+    twins = [twin(history) for history, _ in streams]
+    feeds = [feed for _, feed in streams]
+    assert_lane_bounds(twins, "built")
+    for tick in range(case["ticks"]):
+        if tick == case["join_at"]:
+            twins.append(twin(joiner[0]))
+            feeds.append(joiner[1])
+        if tick == case["leave_at"] and len(twins) > 1:
+            twins, feeds = twins[1:], feeds[1:]
+        if tick == case["restore_at"]:
+            # A restore rebuilds the index from the stored series.
+            twins[-1] = twin(np.array(twins[-1].index.series))
+        points = [feed[tick] for feed in feeds]
+        step_many([t.index for t in twins], points)
+        for t, point in zip(twins, points):
+            t.step_oracle(point)
+        for i, t in enumerate(twins):
+            assert_row_bytes(t, f"tick {tick} row {i}")
+        assert_lane_bounds(twins, f"tick {tick}")
+    return twins
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestRefreshByEnvelopeChange:
+    @settings(max_examples=120, deadline=None)
+    @given(case=lanes())
+    def test_every_tick_equals_the_unconditional_refresh(self, backend_name, case):
+        with np.errstate(invalid="ignore"):
+            run_battery(case, backend_name)
+
+    @pytest.mark.parametrize(
+        "kind, refreshed", [("plateau", "SW_0"), ("rising", "all"),
+                            ("falling", "all")],
+    )
+    def test_plateaus_refresh_sw0_and_monotone_runs_every_window(
+        self, backend_name, kind, refreshed
+    ):
+        lengths, omega, rho = (10, 21), 4, 3
+        history, feed = stream(kind, 120, 30, np.random.default_rng(3))
+        twin = Twin(history, lengths, omega, rho, make_backend(backend_name),
+                    backend_name)
+        n_refresh = rho + 1
+        for tick, point in enumerate(feed):
+            before = twin.index.rows_recomputed_lbeq
+            step_many([twin.index], [point])
+            twin.step_oracle(point)
+            assert_row_bytes(twin, f"tick {tick}")
+            if tick >= 2 * rho + 1:  # the master query's tail is all feed
+                extra = 0 if refreshed == "SW_0" else n_refresh - 1
+                assert twin.index.rows_recomputed_lbeq - before == extra
+
+    def test_one_window_fewer_fails_the_battery(self, backend_name, monkeypatch):
+        """Negative control: a refresh that stops one window short of the
+        last one whose envelope changed is caught."""
+        from repro.index import window_index
+
+        counted = window_index._windows_to_refresh
+        monkeypatch.setattr(
+            window_index, "_windows_to_refresh", lambda *args: counted(*args) - 1
+        )
+        rng = np.random.default_rng(5)
+        case = dict(
+            lengths=(6, 13), omega=4, rho=3, ticks=12, join_at=None,
+            leave_at=None, restore_at=None,
+            streams=[stream(kind, 90, 12, rng) for kind in ("walk", "rising", "walk")],
+        )
+        with pytest.raises(AssertionError):
+            run_battery(case, backend_name)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestStridedWrites:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        omega=st.sampled_from([2, 4, 16]),
+        data=st.data(),
+    )
+    def test_grouped_writes_equal_the_per_b_writes(self, backend_name, omega, data):
+        """Item lengths that are not multiples of omega, rows whose
+        ``n_dw`` differ (the ``live`` padding), stepped a few ticks."""
+        master = data.draw(st.integers(omega, 5 * omega + 3), label="master")
+        others = data.draw(
+            st.lists(st.integers(1, master).filter(lambda d: d % omega), max_size=3),
+            label="lengths",
+        )
+        lengths = tuple(sorted({master, *others}))
+        rho = data.draw(st.integers(0, 6), label="rho")
+        sizes = data.draw(
+            st.lists(st.integers(master, master + 4 * omega + 9), min_size=1,
+                     max_size=4),
+            label="series lengths",
+        )
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        shared = make_backend(backend_name)
+        twins = [
+            Twin(make_series(n, seed=seed + i), lengths, omega, rho, shared,
+                 backend_name)
+            for i, n in enumerate(sizes)
+        ]
+        assert_lane_bounds(twins, "built")
+        feeds = [make_series(omega + 2, seed=seed + 50 + i) for i in range(len(sizes))]
+        for tick in range(omega + 2):
+            step_many([t.index for t in twins], [feed[tick] for feed in feeds])
+            for t, feed in zip(twins, feeds):
+                t.step_oracle(feed[tick])
+            assert_lane_bounds(twins, f"tick {tick}")
+
+    def test_write_groups_per_lane(self, backend_name):
+        """The paper's (32, 64, 96) at omega = 16 closes each length at two
+        levels (6 writes where 48 (b, d) pairs were); (8, 16) at omega =
+        4 at two levels each (4 for 8)."""
+        series = make_series(300, seed=1)
+        backend = make_backend(backend_name)
+        for lengths, omega, writes, pairs in (
+            ((32, 64, 96), 16, 6, 48), ((8, 16), 4, 4, 8),
+        ):
+            index = WindowLevelIndex(series, max(lengths), omega, 2, backend)
+            group = GroupLevelIndex(index, lengths)
+            assert sum(len(w) for _, w in group._levels) == writes
+            assert sum(n for _, w in group._levels for _, _, n, _ in w) == pairs

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.backend import SimulatedGpuBackend
+from repro.dtw.envelope import compute_envelope
 from repro.index import WindowLevelIndex
 
 
@@ -74,7 +75,8 @@ class TestContinuousReuse:
         np.testing.assert_allclose(lbec_stepped, lbec_fresh, atol=1e-12)
 
     def test_lbeq_right_rows_match_fresh(self):
-        """Rows b <= rho are recomputed each step and must match fresh."""
+        """Rows b <= rho are current after each step (recomputed when
+        their envelope changed) and must match fresh."""
         idx, series, master = self._run_steps(7)
         fresh = fresh_index(series, master)
         lbeq_stepped, _ = idx.posting_matrices()
@@ -105,12 +107,29 @@ class TestContinuousReuse:
         )
 
     def test_reuse_counters(self):
-        idx, _, _ = self._run_steps(5)
-        # Each step rebuilds 1 row fully, refreshes rho LB_EQ rows and
-        # reuses the rest.
+        idx, current, _ = self._run_steps(5)
+        # Each step rebuilds 1 row fully, refreshes the LB_EQ rows of
+        # those of the next rho windows whose envelope the new point
+        # changed (up to the last that changed) and reuses the rest.
+        length, omega, rho = idx.master_length, idx.omega, idx.rho
+        envelopes = [
+            compute_envelope(current[current.size - length - 5 + s :][:length], rho)
+            for s in range(6)
+        ]
+        refreshed = []
+        for old, new in zip(envelopes, envelopes[1:]):
+            changed = np.append(
+                (new.upper[:-1] != old.upper[1:]) | (new.lower[:-1] != old.lower[1:]),
+                True,
+            )
+            refreshed.append(max(
+                b for b in range(rho + 1)
+                if changed[length - omega - b : length - b].any()
+            ))
+        assert 0 < sum(refreshed) < 5 * rho  # fewer than every window
         assert idx.rows_built_full == idx.n_sw + 5
-        assert idx.rows_recomputed_lbeq == 5 * idx.rho
-        assert idx.rows_reused == 5 * (idx.n_sw - idx.rho - 1)
+        assert idx.rows_recomputed_lbeq == sum(refreshed)
+        assert idx.rows_reused == 5 * (idx.n_sw - 1) - sum(refreshed)
 
     def test_series_grows(self):
         idx, series, _ = self._run_steps(8, n=60)

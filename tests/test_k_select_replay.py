@@ -115,10 +115,12 @@ def stable_answer(values, k, offsets):
     ]
 
 
-def assert_same(found, expected):
-    assert len(found) == len(expected)
-    for mine, theirs in zip(found, expected):
-        assert mine.tolist() == theirs.tolist()
+def assert_same(found, expected, offsets):
+    """``found``, one flat array of indices into the values, holds the
+    per-segment answers ``expected`` (segment-relative), in order."""
+    assert found.ndim == 1
+    flat = [index + lo for lo, chosen in zip(offsets, expected) for index in chosen]
+    assert found.tolist() == flat
 
 
 # -------------------------------------------------------------- the inputs
@@ -150,7 +152,7 @@ class TestAgainstTheOracle:
         values, k, offsets = case
         new, old = RecordingCost(), RecordingCost()
         found = k_select_kernel(new, values, k, offsets)
-        assert_same(found, stable_answer(values, k, offsets))
+        assert_same(found, stable_answer(values, k, offsets), offsets)
         event("over 10 segments" if len(offsets) > 11 else "up to 10 segments")
         try:
             with np.errstate(invalid="ignore"):
@@ -163,7 +165,7 @@ class TestAgainstTheOracle:
             event("the per-segment kernel failed")
             assert new.launches == 1
             return
-        assert_same(found, expected)
+        assert_same(found, expected, offsets)
         assert ledger(new) == ledger(old)
 
     @settings(max_examples=150, deadline=None)
@@ -172,17 +174,17 @@ class TestAgainstTheOracle:
         values, k, offsets = case
         native = NativeBackend().k_select(values, k, offsets)
         simulated = SimulatedGpuBackend().k_select(values, k, offsets)
-        assert_same(native, simulated)
+        assert native.tolist() == simulated.tolist()
         if len(offsets) == 2:
             for backend in (NativeBackend(), SimulatedGpuBackend()):
-                assert backend.k_select(values, k).tolist() == native[0].tolist()
+                assert backend.k_select(values, k).tolist() == native.tolist()
 
     @pytest.mark.parametrize("k", [1, 7, 300])
     def test_plain_call_is_a_segment_of_one(self, k):
         values = np.round(np.random.default_rng(5).normal(size=120), 1)
         new, old = RecordingCost(), RecordingCost()
         found = k_select_kernel(new, values, k, (0, values.size))
-        assert_same(found, oracle_kernel(old, values, k, (0, values.size)))
+        assert_same(found, oracle_kernel(old, values, k, (0, values.size)), [0])
         assert ledger(new) == ledger(old)
 
 
@@ -197,7 +199,7 @@ class TestWhereThePassesStop:
         values = np.array([2.0] * 5 + [-1.5] * 9)
         found, slowest = self.charge(values, 3, [0, 5, 14])
         assert slowest == 1 * 9
-        assert_same(found, [np.arange(3), np.arange(3)])
+        assert found.tolist() == [0, 1, 2, 5, 6, 7]
 
     def test_the_64_pass_cap_charges_65_and_answers_exactly(self):
         """Values spread over 600 decades narrow about 2.4 decades a
@@ -210,8 +212,8 @@ class TestWhereThePassesStop:
         found, slowest = self.charge(values, 3, [0, 300])
         assert slowest == 65 * 300
         assert ledger(old)[0] == [("k_select", 1, slowest * 2.0 / 256, 256)]
-        assert_same(found, stable_answer(values, 3, [0, 300]))
-        assert previous[0].tolist() != found[0].tolist()
+        assert_same(found, stable_answer(values, 3, [0, 300]), [0])
+        assert previous[0].tolist() != found.tolist()
 
     def test_a_span_too_narrow_to_scale_ends_the_block(self):
         """``255 / 5e-324`` overflows: the old block computed NaN bucket
@@ -222,7 +224,7 @@ class TestWhereThePassesStop:
             oracle_kernel(GpuCostModel(), values, 1, [0, 3])
         found, slowest = self.charge(values, 1, [0, 3])
         assert slowest == 2 * 3
-        assert_same(found, [np.array([0])])
+        assert found.tolist() == [0]
 
     def test_k_smallest_pads_rows_behind_a_segments_own_infinities(self):
         values = np.array([np.inf, 1.0, np.inf, 5.0, -np.inf])
@@ -232,4 +234,5 @@ class TestWhereThePassesStop:
         assert rows.tolist() == [
             [np.inf, 1.0, np.inf, np.inf], [5.0, -np.inf, np.inf, np.inf]
         ]
-        assert [c.tolist() for c in chosen] == [[1, 0, 2], [1, 0]]
+        # Indices into the values: the second segment's start at 3.
+        assert chosen.tolist() == [1, 0, 2, 4, 3]

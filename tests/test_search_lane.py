@@ -161,11 +161,16 @@ def oracle_search_many(engines):
             starts = np.array(sorted(pool), dtype=np.intp)
             pools.append((starts, np.array([pool[s] for s in starts.tolist()])))
     with obs.span("k_select", backend):
-        tops = backend.k_select(
-            np.concatenate([pool for _, pool in pools]),
-            cfg.k_max,
-            np.cumsum([0] + [pool.size for _, pool in pools]),
+        offsets = np.cumsum([0] + [pool.size for _, pool in pools])
+        flat = backend.k_select(
+            np.concatenate([pool for _, pool in pools]), cfg.k_max, offsets
         )
+    # The selection answers one flat array of indices into the pools;
+    # this body read one segment-relative array per pool.
+    ends = np.cumsum([min(cfg.k_max, pool.size) for _, pool in pools])
+    tops = [
+        top - lo for top, lo in zip(np.split(flat, ends[:-1]), offsets.tolist())
+    ]
 
     answers = [{} for _ in engines]
     by_length = {}
@@ -1061,12 +1066,10 @@ class TestNativeSegmentedSelect:
             values[rng.random(values.size) < 0.08] = value
         offsets = np.concatenate([[0], np.cumsum(sizes)])
         k = int(rng.integers(1, 45))
-        expected = [
-            np.argsort(values[lo:hi], kind="stable")[:k]
+        expected = np.concatenate([
+            np.argsort(values[lo:hi], kind="stable")[:k] + lo
             for lo, hi in zip(offsets[:-1], offsets[1:])
-        ]
+        ])
         for name in ("native", "simulated"):
             found = make_backend(name).k_select(values, k, offsets)
-            assert len(found) == len(expected)
-            for mine, oracle in zip(found, expected):
-                assert mine.tolist() == oracle.tolist()
+            assert found.tolist() == expected.tolist()

@@ -31,7 +31,7 @@ rows include the forecast side's stale re-searches, if any.
 horizon's lane through one ``predict_stacks`` per predictor family —
 and counts horizons per lane (the reduced rung's single cells too).
 ``tune`` and ``mix`` are the ensemble lane's stacked update and mix, so
-they count lanes (``mix``: a lane's grids), not sensors.  Three rows
+they count lanes (``mix``: a lane's grids), not sensors.  Five rows
 also say how much work their wall bought: ``dtw_verification`` the rows
 verified (one per ``(sensor, end)``, whatever lengths it is read at),
 the band cells computed — each row's through its longest needed suffix,
@@ -39,7 +39,11 @@ the band cells computed — each row's through its longest needed suffix,
 a launch's slowest thread — and the anti-diagonals walked (``2 x
 longest - 1`` per ``BLOCK_ROWS`` block of a launch, each block's longest
 needed suffix; the kernel's fixed cost is paid per diagonal, so its wall
-over this column is the cost of one) per round, ``k_select`` the segments
+over this column is the cost of one) per round, ``step_many`` the
+sliding windows whose LB_EQ it refreshed (``SW_0`` and those whose
+envelope the new point changed, summed over rows), ``lower_bounds_many``
+its strided writes of bounds into candidate starts (one per level and
+item length a lane's bounds close at), ``k_select`` the segments
 selected (a ``(sensor, item length)`` pool, one row each of the stacked
 selection) per round, ``gp_train``
 (the GP lane trainer, every GP cell's hyperparameter training; 0 on AR
@@ -166,6 +170,35 @@ def _counting_segments(select, entry: list):
     return wrapper
 
 
+def _counting_windows(step, entry: list):
+    """``step_many(indexes, points)`` with the sliding windows whose
+    LB_EQ it refreshed (``SW_0`` and the ones whose envelope changed,
+    summed over rows) added to ``entry[2]``."""
+    def wrapper(indexes, points):
+        def refreshed():
+            return sum(i.rows_built_full + i.rows_recomputed_lbeq for i in indexes)
+
+        before = refreshed()
+        try:
+            return step(indexes, points)
+        finally:
+            entry[2] += refreshed() - before
+
+    return wrapper
+
+
+def _counting_writes(bound, entry: list):
+    """``lower_bounds_many(groups)`` with its strided writes (one per
+    ``(level, item length)`` the lane's bounds close at) added to
+    ``entry[2]``."""
+    def wrapper(groups):
+        if groups:
+            entry[2] += sum(len(writes) for _, writes in groups[0]._levels)
+        return bound(groups)
+
+    return wrapper
+
+
 def _running(fn, flag: list):
     """``fn`` with ``flag[0]`` raised while it runs."""
     def wrapper(*args, **kwargs):
@@ -191,6 +224,8 @@ WITHIN = {"loo_values": "gp_train", "loo_gradients": "gp_train"}
 
 #: Rows that count the work beside their wall, and how.
 COUNTERS = {
+    "step_many": _counting_windows,
+    "lower_bounds_many": _counting_writes,
     "dtw_verification": _counting_rows,
     "k_select": _counting_segments,
     "gp_train": _counting_evaluations,
@@ -201,7 +236,8 @@ COUNTERS = {
 def layer_timers():
     """Wrap every layer boundary for the block; yields ``{label:
     [seconds, calls, work...]}`` (the work only counted for
-    :data:`COUNTERS`: rows, DP cells and diagonals; segments selected;
+    :data:`COUNTERS`: windows refreshed; writes; rows, DP cells and
+    diagonals; segments selected;
     trainings, value and gradient evaluations, stacked value and gradient
     calls)."""
     totals: dict[str, list] = {}
@@ -252,6 +288,11 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
             )
         elif label == "k_select":
             note = f"{work[0] / rounds:>12.1f}"  # segments, one row each
+        elif label in ("step_many", "lower_bounds_many"):
+            note = f"{work[0] / rounds:>12.1f}   " + (
+                "(LB_EQ windows refreshed)" if label == "step_many"
+                else "(strided writes)"
+            )
         elif label == "gp_train":
             # Cells trained in the calls column; then what they asked for
             # and how many stacked calls answered it.
