@@ -16,8 +16,18 @@ bounds fall out of one pass over the window-level posting lists.
 The pass is stacked over a lane (:func:`lower_bounds_many`): the
 shift-sum is element-wise, so a leading sensor axis — and the ``omega``
 values of ``b`` side by side — change no sum's order, and a group costs
-one ``group_index_sum`` launch whatever its size.
-:meth:`GroupLevelIndex.compute` is a stack of one.
+one ``group_index_sum`` launch whatever its size.  The posting lists
+are read where the lane's :class:`~repro.index.window_index.LaneStack`
+keeps them, window-major under one ring phase: a level's windows of
+every row are at most two contiguous runs, and with the partial sums
+and the bounds laid out alike each add and each write is one flat NumPy
+call.  The pass writes only the variants it is asked for — the search
+its ``lb_mode``, one ``(sensors, starts)`` array per item length (for
+``"en"`` the ``max`` is taken as the sums are written) — while the
+simulated launch charges Algorithm 1's full pass.  No coverage mask is
+kept: :func:`covered_starts` is Lemma 4.1 in closed form, and an
+uncovered start is never written.  :meth:`GroupLevelIndex.compute` is a
+stack of one asking for ``"eq"`` and ``"ec"``.
 """
 
 from __future__ import annotations
@@ -38,6 +48,10 @@ __all__ = [
 
 #: Abstract ops per shift-sum element (two adds + one max).
 _OPS_PER_SUM_ELEM = 3.0
+
+#: The shift-sums each bound variant is made of: ``LB_en`` is the larger
+#: of the two (Theorem 4.3).
+_SIDES = {"en": ("eq", "ec"), "eq": ("eq",), "ec": ("ec",)}
 
 
 @dataclass
@@ -73,30 +87,34 @@ class ItemLowerBounds:
 
 @dataclass
 class LaneLowerBounds:
-    """``LB_w`` of a lane as :func:`lower_bounds_many` computed it:
-    ``stacked[d]`` holds ``(sensors, longest series_len - d + 1)``
-    arrays, row ``i`` meaningful up to ``series_len[i] - d + 1`` and
-    padding beyond (not all zero, never a candidate).  Indexing or
-    iterating gives one sensor's ``{item length: bounds}`` as 1-D row
-    views, built when asked.
+    """``LB_w`` of a lane as :func:`lower_bounds_many` wrote it:
+    ``stacked[mode][d]`` holds a ``(sensors, longest series_len - d +
+    1)`` array for each mode asked for, row ``i`` meaningful up to
+    ``series_len[i] - d + 1`` and padding beyond (a shorter row's
+    surplus sums, never a candidate).  With ``"eq"`` and ``"ec"``
+    written, indexing or iterating gives one sensor's ``{item length:
+    bounds}`` as 1-D row views, ``covered`` in closed form
+    (:func:`covered_starts`), built when asked.
     """
 
-    stacked: dict[int, ItemLowerBounds]
+    stacked: dict[str, dict[int, np.ndarray]]
     series_len: np.ndarray
+    omega: int
 
     def __len__(self) -> int:
         return self.series_len.size
 
     def __getitem__(self, row: int) -> dict[int, ItemLowerBounds]:
         n = int(self.series_len[row])
+        lbeq, lbec = self.stacked["eq"], self.stacked["ec"]
         return {
             d: ItemLowerBounds(
                 item_length=d,
-                lbeq=out.lbeq[row, : n - d + 1],
-                lbec=out.lbec[row, : n - d + 1],
-                covered=out.covered[row, : n - d + 1],
+                lbeq=lbeq[d][row, : n - d + 1],
+                lbec=lbec[d][row, : n - d + 1],
+                covered=covered_starts(d, n, self.omega),
             )
-            for d, out in self.stacked.items()
+            for d in lbeq
         }
 
 
@@ -128,10 +146,10 @@ class GroupLevelIndex:
         # CSG_{i,b} has exactly m: for one length a run of b, each
         # writing the starts of one residue mod omega from its first
         # aligned segment's on (Lemma 4.1 at r = m - 1, within
-        # (-omega, 0]).  Start t is at flat position t + omega - 1 of the
-        # omega-wide rows _emit writes (_start_grids), so the run writes a
-        # block of columns.  All fixed by (lengths, omega), so tabulated
-        # once.
+        # (-omega, 0]).  Start t is at flat position p = t + omega - 1 of
+        # omega-wide rows, in column p mod omega of the grids _emit
+        # writes, so the run writes a block of columns.  All fixed by
+        # (lengths, omega), so tabulated once.
         omega, master = window_index.omega, window_index.master_length
         self._levels: list[tuple[int, list[tuple[int, int, int, int]]]] = []
         for m in range(1, master // omega + 1):
@@ -155,19 +173,24 @@ class GroupLevelIndex:
         return lower_bounds_many([self])[0]
 
 
-def lower_bounds_many(groups: Sequence[GroupLevelIndex]) -> LaneLowerBounds:
-    """One pass of Algorithm 1 for a lane of group indexes.
+def lower_bounds_many(
+    groups: Sequence[GroupLevelIndex], modes: Sequence[str] = ("eq", "ec")
+) -> LaneLowerBounds:
+    """One pass of Algorithm 1 for a lane of group indexes, writing the
+    bound variants ``modes`` names (``"en"``, ``"eq"``, ``"ec"``).
 
     The groups must share one backend object, item lengths and window
     parameters (the sensors of one shard under one search configuration
     do); their series may differ in length.  One stacked shift-sum over
-    ``(sensor, b, DW)`` and one ``group_index_sum`` launch of ``omega``
-    blocks per sensor, charged at its slowest block.  Returns the
-    lane's stacked output, one row per group in order (indexable per
-    group: ``lower_bounds_many(groups)[i][d]``).
+    ``(sensor, b, DW)`` — of the posting lists a mode needs, read where
+    the lane's stack keeps them — and one ``group_index_sum`` launch of
+    ``omega`` blocks per sensor, charged at its slowest block (the full
+    pass, whatever was asked).  Returns the lane's stacked output, one
+    row per group in order; with ``"eq"`` and ``"ec"`` written it is
+    indexable per group: ``lower_bounds_many(groups)[i][d]``.
     """
     if not groups:
-        return LaneLowerBounds({}, np.empty(0, dtype=np.int64))
+        return LaneLowerBounds({}, np.empty(0, dtype=np.int64), 1)
     first = groups[0]
     for group in groups:
         if (
@@ -178,37 +201,53 @@ def lower_bounds_many(groups: Sequence[GroupLevelIndex]) -> LaneLowerBounds:
                 "lower_bounds_many needs group indexes that share one "
                 "backend object and one set of item lengths"
             )
+    for mode in modes:
+        if mode not in _SIDES:
+            raise ValueError(f"unknown lower-bound mode {mode!r}")
     stack, rows = lane_of([group.window_index for group in groups])
     omega, n_sw, size = stack.omega, stack.n_sw, len(groups)
     series_len = stack.series_len[rows]
     n_dw = series_len // omega
     widest, longest = int(n_dw.max()), int(series_len.max())
 
-    grids, stacked = {}, {}
-    for d in first.item_lengths:
-        grids[d], stacked[d] = _start_grids(d, size, longest, omega)
-    # Un-ring once: logical window w of every sensor, its own columns.
-    order = (rows[:, None], (stack.slot0[rows, None] + np.arange(n_sw)) % n_sw)
-    lbeq = stack.lbeq[order[0], order[1], :widest]
-    lbec = stack.lbec[order[0], order[1], :widest]
+    # The shift-sums the modes need, over the postings where the stack
+    # keeps them (gathered only for a group that is not the whole stack
+    # in order): window-major, so logical window w of every row is one
+    # (sensors, width) plane, physical plane (phase + w) mod n_sw.
+    needed = {side for mode in modes for side in _SIDES[mode]}
+    postings = {
+        side: posting
+        for side, posting in (("eq", stack.lbeq), ("ec", stack.lbec))
+        if side in needed
+    }
+    width = stack.lbeq.shape[2]
+    if rows.size != stack.size or (rows != np.arange(size)).any():
+        postings = {
+            side: posting[:, rows, :widest] for side, posting in postings.items()
+        }
+        width = widest
+    partial = {side: np.zeros((omega, size, width)) for side in postings}
+    grids = {
+        mode: {d: np.zeros((omega, size, width)) for d in first.item_lengths}
+        for mode in modes
+    }
+    sides = {
+        mode: tuple(partial[side] for side in _SIDES[mode]) for mode in modes
+    }
     # P_m[r] = P_{m-1}[r] + M[w, r - (m - 1)] with w = b + (m - 1) * omega
     # (shift-sum), every sensor and every b of the level at once.  A row
-    # shorter than the widest sums padding beyond its own n_dw; ``live``
-    # keeps those sums out of the bounds (None: no row is shorter).
-    peq = np.zeros((size, omega, widest))
-    pec = np.zeros((size, omega, widest))
-    live = None
-    if n_dw.min() < widest:
-        live = np.arange(widest) < n_dw[:, None]
+    # shorter than the widest sums its padding beyond its own n_dw; those
+    # sums bound starts past its own last one, never a candidate.
     for shift, (n_b, writes) in enumerate(first._levels):
-        w = shift * omega
-        peq[:, :n_b, shift:] += lbeq[:, w : w + n_b, : widest - shift]
-        pec[:, :n_b, shift:] += lbec[:, w : w + n_b, : widest - shift]
+        lo = (stack.phase + shift * omega) % n_sw
+        head = min(n_b, n_sw - lo)  # the level's windows up to the ring's end
+        for side, posting in postings.items():
+            _shift_add(partial[side], posting, 0, lo, head, shift)
+            if head < n_b:
+                _shift_add(partial[side], posting, head, 0, n_b - head, shift)
         for d, b, n, column in writes:
-            _emit(grids[d], peq[:, b : b + n], pec[:, b : b + n], shift, column, live)
-    if live is not None:
-        for length_grids in grids.values():
-            _zero_uncovered(length_grids)
+            for mode, by_length in grids.items():
+                _emit(by_length[d], sides[mode], b, n, shift, column)
 
     sum_elements = 2 * (first._sum_pairs * n_dw - first._sum_shifts)
     first.backend.launch(
@@ -220,61 +259,72 @@ def lower_bounds_many(groups: Sequence[GroupLevelIndex]) -> LaneLowerBounds:
         ),
         threads_per_block=THREADS_PER_BLOCK,
     )
-    return LaneLowerBounds(stacked, series_len)
+    stacked = {
+        mode: {d: _in_start_order(grid, d, longest) for d, grid in by_length.items()}
+        for mode, by_length in grids.items()
+    }
+    return LaneLowerBounds(stacked, series_len, omega)
 
 
-def _start_grids(
-    d: int, size: int, longest: int, omega: int
-) -> tuple[list[np.ndarray], ItemLowerBounds]:
-    """Zeroed ``lbeq``, ``lbec`` and ``covered`` grids of ``(size, rows,
-    omega)`` for item length ``d`` over series of up to ``longest``
-    points, and the bounds that are views of them.  Start ``t`` sits at
-    flat position ``t + omega - 1`` of a row, so the starts one ``b``
-    writes (one residue mod omega, from a first start in ``(-omega,
-    0]``) are a column and those of a run of ``b`` a block of columns."""
-    starts = longest - d + 1
-    shape = (size, -(-(starts + omega - 1) // omega), omega)
-    grids = [np.zeros(shape), np.zeros(shape), np.zeros(shape, dtype=bool)]
-    span = slice(omega - 1, omega - 1 + starts)
-    views = (grid.reshape(size, -1)[:, span] for grid in grids)
-    return grids, ItemLowerBounds(d, *views)
+def _shift_add(
+    partial: np.ndarray, posting: np.ndarray, at: int, lo: int, n: int, shift: int
+) -> None:
+    """``partial[at + j, :, shift:] += posting[lo + j, :, :-shift]`` for
+    ``j < n`` as one flat add: planes ``(sensors, width)`` of both are
+    contiguous and equally wide, so the shift runs across a plane's rows.
+    A sum ``r < shift`` then takes the row before's tail — junk, but at a
+    partial sum no level from ``shift`` on reads (a level writes its
+    sums ``r >= shift`` only)."""
+    plane = partial[0].size
+    sums = partial.reshape(-1)[at * plane + shift : (at + n) * plane]
+    sums += posting.reshape(-1)[lo * plane : (lo + n) * plane - shift]
 
 
 def _emit(
-    grids: list[np.ndarray],
-    peq: np.ndarray,
-    pec: np.ndarray,
+    grid: np.ndarray,
+    sides: tuple[np.ndarray, ...],
+    b: int,
+    run: int,
     shift: int,
     column: int,
-    live: np.ndarray | None,
 ) -> None:
-    """Write a run of ``b``'s partial sums into one length's candidate
-    starts, one strided write per array.
+    """Write a run of ``b``'s partial sums into one length's grid of one
+    mode as one flat write: one side's sums, or the ``max`` of two.
 
-    Everything is stacked, one row per sensor: ``peq``/``pec`` are
-    ``(sensors, run, widest n_dw)``, ``grids`` the ``(sensors, rows,
-    omega)`` grids of ``lbeq``, ``lbec`` and ``covered``.  Partial sum
-    ``r = shift + q`` of the run's ``k``-th ``b`` bounds the start in row
-    ``q``, column ``column + k``: sums against rows, ``b`` against
-    columns, clipped to the rows the grids and the longest row's sums
-    have.  A start below 0 or past the arrays' end is grid padding,
-    outside the arrays.  A shorter row's surplus sums (the ``False``
-    cells of ``live``, ``r < n_dw`` per row) are written uncovered;
-    :func:`_zero_uncovered` then gives their starts bound 0.
+    Each side is ``(omega, sensors, width)``, sums of ``b`` over every
+    sensor's DWs; ``grid`` too, start ``t`` of sensor ``i`` at ``[p mod
+    omega, i, p // omega]`` with ``p = t + omega - 1``.  Sum ``r = shift
+    + q`` of the run's ``k``-th ``b`` bounds the start at row ``q`` of
+    column ``column + k``, so the run is one contiguous block of each.
+    Past a sensor's last sum the write reads the next sensor's: it lands
+    on rows ``q >= width - shift``, starts past every sensor's last (the
+    DWs would end past the series), never a candidate.
     """
-    q = min(grids[0].shape[1], peq.shape[2] - shift)
-    if q <= 0:
-        return
-    target = (slice(None), slice(0, q), slice(column, column + peq.shape[1]))
-    sums = (slice(None), slice(None), slice(shift, shift + q))
-    for grid, partial in zip(grids, (peq, pec)):
-        grid[target] = partial[sums].transpose(0, 2, 1)
-    grids[2][target] = True if live is None else live[:, shift : shift + q, None]
+    plane = grid[0].size
+    target = grid.reshape(-1)[column * plane : (column + run) * plane - shift]
+    sums = [side.reshape(-1)[b * plane + shift : (b + run) * plane] for side in sides]
+    if len(sums) == 2:
+        np.maximum(sums[0], sums[1], out=target)
+    else:
+        target[...] = sums[0]
 
 
-def _zero_uncovered(grids: list[np.ndarray]) -> None:
-    """Multiply every uncovered start's bounds by 0 — a shorter row's
-    surplus sums, written uncovered by :func:`_emit` — and every covered
-    one's by 1, the product the per-``b`` writes took with ``live``."""
-    grids[0] *= grids[2]
-    grids[1] *= grids[2]
+def _in_start_order(grid: np.ndarray, d: int, longest: int) -> np.ndarray:
+    """``(sensors, longest - d + 1)`` bounds in start order out of ``d``'s
+    ``(omega, sensors, width)`` grid (one transposing copy); rows the
+    grid lacks are starts past every sensor's last, left 0."""
+    omega, size, width = grid.shape
+    rows = -(-(longest - d + omega) // omega)
+    out = np.zeros((size, rows, omega))
+    fit = min(rows, width)
+    out[:, :fit] = grid[:, :, :fit].transpose(1, 2, 0)
+    return out.reshape(size, -1)[:, omega - 1 : omega - 1 + longest - d + 1]
+
+
+def covered_starts(d: int, series_len: int, omega: int) -> np.ndarray:
+    """Which starts of item length ``d`` over ``series_len`` points have
+    a non-empty CSG (Lemma 4.1): ``t`` iff ``d - b >= omega`` with ``b =
+    (d + t) mod omega`` — the last disjoint window inside ``C_{t,d}``
+    ends ``b`` points before it does, and must begin at or after ``t``.
+    An uncovered start's bounds are 0 and it must always be verified."""
+    return d - (d + np.arange(series_len - d + 1)) % omega >= omega

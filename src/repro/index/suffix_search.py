@@ -54,9 +54,10 @@ is wanted at, and one pass over the lane serves every item length —
 each phase one computation over the lane's ``(length, engine)`` rows,
 not a loop over lengths or members:
 
-* **(A)** valid starts ``n`` and bounds; the seeds — warm, the last
+* **(A)** valid starts ``n`` and the one bound array per length the
+  group-level pass wrote for ``lb_mode``; the seeds — warm, the last
   answers and their successors as one sorted, de-duplicated union; a
-  cold, stale or short member sends the lane through the per-row choice;
+  cold, stale or short member is chosen row by row, alone;
 * **(B)** one ``dtw_verification`` over the seeds as distinct
   ``(engine, end)`` rows;
 * **(C)** ``tau_i`` per row, the k-th smallest finite distance (B) read
@@ -321,7 +322,7 @@ def search_many(
             sp.attrs["n_sensors"] = len(engines)
         with obs.span("lower_bounds", backend):
             bounds = lower_bounds_many(
-                [engine.group_index for engine in engines]
+                [engine.group_index for engine in engines], (cfg.lb_mode,)
             )
         # The lane's series and master queries, one row per engine: read
         # where the stack keeps them when the group is the whole stack in
@@ -341,41 +342,98 @@ def _lane_seeds(
     engines: Sequence[SuffixKnnEngine], bound: list[np.ndarray], n: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The starts whose true DTWs seed ``tau_i``, at least ``k`` per
-    ``(length, engine)`` row: ``(how many per row, starts)``.  Warm, the
-    previous kNN and their successors (module docstring), padded from the
-    smallest bounds when fewer than ``k`` are in range; cold, the
-    smallest-bound pool.  Steady state — the last answers one search's
-    rows in order, all one size, no padding — is one stacked union read
-    where that search keeps them; else each row is chosen alone (the cold
-    pool must be: ``argpartition``'s pick among tied bounds depends on the
-    array it is handed)."""
+    ``(length, engine)`` row: ``(how many per row, starts)``, chosen as
+    :func:`_row_seeds` chooses them.  The members whose last answers fill
+    rows of the search most of them came from take one stacked union,
+    read where that search keeps them (in place when they are all of
+    its rows, in order); the others — new, restored, short, stale, or a
+    union short of ``k`` — are chosen row by row (the cold pool must be:
+    ``argpartition``'s pick among tied bounds depends on the array it is
+    handed)."""
     cfg = engines[0].config
-    last = lane_behind([engine._found for engine in engines])
-    if cfg.reuse_threshold and last is not None and (
-        last.sizes.min() == last.starts.shape[2]
-    ):
-        both = np.concatenate([last.starts, last.starts + 1], axis=2)
+    depth, size = n.shape
+    search = (
+        _largest_search([engine._found for engine in engines])
+        if cfg.reuse_threshold else None
+    )
+    chosen: list[np.ndarray] = []
+    owner: list[np.ndarray] = []
+    counts = np.zeros((depth, size), dtype=np.int64)
+    alone = np.ones(size, dtype=bool)
+    if search is not None:
+        last, members, rows = search
+        starts, sizes, within = last.starts, last.sizes, n
+        if rows is not None:
+            starts, sizes, within = starts[:, rows], sizes[:, rows], n[:, members]
+        both = np.concatenate([starts, starts + 1], axis=2)
         both.sort(axis=2)
-        keep = both < n[..., None]
+        keep = both < within[..., None]
         keep[..., 1:] &= both[..., 1:] != both[..., :-1]
         count = keep.sum(axis=2)
-        if (count >= np.minimum(cfg.k_max, n)).all():
+        union = (sizes == starts.shape[2]).all(axis=0)
+        union &= (count >= np.minimum(cfg.k_max, within)).all(axis=0)
+        if rows is None and union.all():
             return count.ravel(), both[keep]
-    chosen = []
-    for d, rows, counts in zip(sorted(cfg.item_lengths), bound, n.tolist()):
-        for engine, row, valid in zip(engines, rows, counts):
-            k, prev = min(cfg.k_max, valid), engine._previous_knn.get(d)
-            row = row[:valid]
-            if cfg.reuse_threshold and prev is not None:
-                seeds = np.union1d(prev, prev + 1)
-                seeds = seeds[seeds < valid]
-                if seeds.size < k:
-                    seeds = np.union1d(seeds, np.argsort(row, kind="stable")[:k])
-            else:
-                pool = min(max(4 * k, 64), valid)
-                seeds = np.argpartition(row, pool - 1)[:pool]
+        keep[:, ~union] = False
+        members, count = members[union], count[:, union]
+        counts[:, members] = count
+        alone[members] = False
+        chosen.append(both[keep])
+        rows_of = np.arange(depth)[:, None] * size + members
+        owner.append(np.repeat(rows_of.ravel(), count.ravel()))
+    lengths = sorted(cfg.item_lengths)
+    for at, (d, lane_bounds, valid) in enumerate(zip(lengths, bound, n.tolist())):
+        for i in np.flatnonzero(alone).tolist():
+            seeds = _row_seeds(
+                cfg, engines[i]._previous_knn.get(d), lane_bounds[i, : valid[i]]
+            )
+            counts[at, i] = seeds.size
             chosen.append(seeds)
-    return np.array([seeds.size for seeds in chosen]), np.concatenate(chosen)
+            owner.append(np.full(seeds.size, at * size + i))
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    return counts.ravel(), np.concatenate(chosen)[order]
+
+
+def _largest_search(
+    found: list[EngineAnswers | None],
+) -> tuple[LaneAnswers, np.ndarray, np.ndarray | None] | None:
+    """The search most of the last answers ``found`` came from, the
+    positions of those members and their rows of it (``None``: all its
+    rows, in order); ``None`` if no member has answers."""
+    last = lane_behind(found)
+    if last is not None:
+        return last, np.arange(len(found)), None
+    by_search: dict[int, list[tuple[int, EngineAnswers]]] = {}
+    for position, answers in enumerate(found):
+        if answers is not None:
+            by_search.setdefault(id(answers.lane), []).append((position, answers))
+    if not by_search:
+        return None
+    members = max(by_search.values(), key=len)
+    return (
+        members[0][1].lane,
+        np.array([position for position, _ in members]),
+        np.array([answers.index for _, answers in members]),
+    )
+
+
+def _row_seeds(
+    cfg: SuffixSearchConfig, prev: np.ndarray | None, bound: np.ndarray
+) -> np.ndarray:
+    """One ``(length, engine)`` row's seeds over its valid starts'
+    ``bound``: warm, the previous kNN and their successors (module
+    docstring) in range, padded from the smallest bounds when fewer than
+    ``k``; cold, the smallest-bound pool."""
+    valid = bound.size
+    k = min(cfg.k_max, valid)
+    if cfg.reuse_threshold and prev is not None:
+        seeds = np.union1d(prev, prev + 1)
+        seeds = seeds[seeds < valid]
+        if seeds.size < k:
+            seeds = np.union1d(seeds, np.argsort(bound, kind="stable")[:k])
+        return seeds
+    pool = min(max(4 * k, 64), valid)
+    return np.argpartition(bound, pool - 1)[:pool]
 
 
 def _search_lane(
@@ -405,9 +463,8 @@ def _search_lane(
         )
     widths = n.max(axis=1).tolist()
     width = widths[0]  # the shortest length has the most starts
-    bound = [
-        bounds.stacked[d].bound(cfg.lb_mode)[:, :w] for d, w in zip(lengths, widths)
-    ]
+    written = bounds.stacked[cfg.lb_mode]
+    bound = [written[d][:, :w] for d, w in zip(lengths, widths)]
     blocks = (-(-n // THREADS_PER_BLOCK)).sum(axis=1).tolist()
     launch_kim = partial(  # a length's LB_Kim tier: two touches a candidate
         backend.launch, "search_lb_kim", ops_per_thread=2 * OPS_PER_LB_TERM,

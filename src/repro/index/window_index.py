@@ -44,7 +44,13 @@ the Fig. 7/8 cost accounting.  A stack forms the first time a group
 steps (or is bounded) together and is re-packed when the group's
 membership changes; rows may differ in series length, so every
 per-column loop pads to the longest row and never reads a column at or
-beyond a row's own ``n_dw``.
+beyond a row's own ``n_dw``.  Every row of a stack steps together (a
+subset that steps is re-packed out of it first), so the ring buffer has
+one phase per stack: logical window ``b`` of every row sits in physical
+posting row ``(phase + b) mod n_sw``, a row adopted from a stack in
+another phase is rolled into this one.  The postings are window-major
+(``[slot, row, r]``), so the group-level pass reads a run of consecutive
+windows of the whole lane as at most two contiguous blocks.
 """
 
 from __future__ import annotations
@@ -89,13 +95,15 @@ def _with_room(n_points: int) -> int:
 class LaneStack:
     """Struct-of-arrays state of the indexes that step together.
 
-    One row per index; rows share ``(master_length, omega, rho)`` and the
-    series capacity, and differ in everything else (``series_len``, ring
-    phase ``slot0``).  Padding is zero-filled and never read: series and
-    envelope positions at or beyond a row's ``series_len``, posting
-    columns at or beyond its ``series_len // omega``.  Holds arrays only
-    — no reference back to the handles — so dropping the last handle
-    frees it.
+    One row per index; rows share ``(master_length, omega, rho)``, the
+    series capacity and the ring ``phase``, and differ in everything
+    else (``series_len`` first).  Every row of a stack steps together (a
+    subset that steps is re-packed out first), so one phase serves them
+    all; a row adopted from another stack is rolled into it.  Padding is
+    never read: series and envelope positions at or beyond a row's
+    ``series_len``, posting columns at or beyond its ``series_len //
+    omega``.  Holds arrays only — no reference back to the handles — so
+    dropping the last handle frees it.
     """
 
     def __init__(
@@ -118,10 +126,12 @@ class LaneStack:
         self.master_env = Envelope(
             np.zeros((size, master_length)), np.zeros((size, master_length)), rho
         )
-        self.lbeq = np.zeros((size, self.n_sw, capacity // omega))
-        self.lbec = np.zeros((size, self.n_sw, capacity // omega))
-        #: Ring buffer: physical row of logical window 0, per index.
-        self.slot0 = np.zeros(size, dtype=np.int64)
+        #: Posting lists, window-major: ``lbeq[slot, row, r]``, so one
+        #: window of every row is one contiguous block.
+        self.lbeq = np.zeros((self.n_sw, size, capacity // omega))
+        self.lbec = np.zeros((self.n_sw, size, capacity // omega))
+        #: Ring buffer: physical row of logical window 0, every index's.
+        self.phase = 0
         #: Row b: master-query positions of sliding window SW_b.
         self.sw_positions = (
             np.arange(master_length - omega, master_length)
@@ -131,6 +141,10 @@ class LaneStack:
     @property
     def capacity(self) -> int:
         return self.series.shape[1]
+
+    def slots(self, count: int) -> np.ndarray:
+        """Physical posting rows of logical windows ``0 .. count - 1``."""
+        return (self.phase + np.arange(count)) % self.n_sw
 
     @classmethod
     def of(cls, indexes: Sequence["WindowLevelIndex"]) -> "LaneStack":
@@ -160,27 +174,48 @@ class LaneStack:
             len(indexes), _with_room(longest),
             first.master_length, first.omega, first.rho,
         )
+        packed.phase = first._stack.phase
+        # Rows leave their stacks a stack at a time: one copy per array.
+        moving: dict[int, tuple[LaneStack, list[int], list[int]]] = {}
         for row, index in enumerate(indexes):
-            packed._adopt(row, index)
+            _, rows, ats = moving.setdefault(id(index._stack), (index._stack, [], []))
+            rows.append(row)
+            ats.append(index._row)
+        for old, rows, ats in moving.values():
+            packed._adopt(_run_or_rows(rows), old, _run_or_rows(ats))
+        for row, index in enumerate(indexes):
+            index._stack, index._row = packed, row
         return packed
 
-    def _adopt(self, row: int, index: "WindowLevelIndex") -> None:
-        """Copy ``index``'s row out of its current stack into ``row`` of
-        this one (physical ring layout kept) and re-seat the handle."""
-        old, at = index._stack, index._row
-        n = int(old.series_len[at])
+    def _adopt(
+        self, rows: slice | np.ndarray, old: "LaneStack", at: slice | np.ndarray
+    ) -> None:
+        """Copy rows ``at`` of ``old`` into ``rows`` of this stack, their
+        posting rows rolled into this stack's phase.  Columns are copied
+        up to the longest of them: a shorter row takes its own padding
+        along (zero series and envelope, postings never read)."""
+        n = int(old.series_len[at].max())
         n_dw = n // self.omega
-        self.series[row, :n] = old.series[at, :n]
-        self.series_env.upper[row, :n] = old.series_env.upper[at, :n]
-        self.series_env.lower[row, :n] = old.series_env.lower[at, :n]
-        self.series_len[row] = n
-        self.master[row] = old.master[at]
-        self.master_env.upper[row] = old.master_env.upper[at]
-        self.master_env.lower[row] = old.master_env.lower[at]
-        self.lbeq[row, :, :n_dw] = old.lbeq[at, :, :n_dw]
-        self.lbec[row, :, :n_dw] = old.lbec[at, :, :n_dw]
-        self.slot0[row] = old.slot0[at]
-        index._stack, index._row = self, row
+        for mine, theirs in (
+            (self.series, old.series),
+            (self.series_env.upper, old.series_env.upper),
+            (self.series_env.lower, old.series_env.lower),
+        ):
+            mine[rows, :n] = theirs[at, :n]
+        self.series_len[rows] = old.series_len[at]
+        for mine, theirs in (
+            (self.master, old.master),
+            (self.master_env.upper, old.master_env.upper),
+            (self.master_env.lower, old.master_env.lower),
+        ):
+            mine[rows] = theirs[at]
+        # Physical row p holds logical window (p - phase) mod n_sw here,
+        # which the old stack holds in row (p - phase + old.phase): a
+        # roll by the phases' difference, two slices.
+        cut = (old.phase - self.phase) % self.n_sw
+        for mine, theirs in ((self.lbeq, old.lbeq), (self.lbec, old.lbec)):
+            mine[: self.n_sw - cut, rows, :n_dw] = theirs[cut:, at, :n_dw]
+            mine[self.n_sw - cut :, rows, :n_dw] = theirs[:cut, at, :n_dw]
 
     def grow(self) -> None:
         """Widen the series capacity (and the posting columns with it)."""
@@ -199,6 +234,13 @@ class LaneStack:
         )
         self.lbeq = widened(self.lbeq, capacity // self.omega)
         self.lbec = widened(self.lbec, capacity // self.omega)
+
+
+def _run_or_rows(rows: list[int]) -> slice | np.ndarray:
+    """``rows`` as a slice when they are consecutive (a copy by slices
+    is a plain strided one), else as an index array."""
+    run = range(rows[0], rows[0] + len(rows))
+    return slice(run.start, run.stop) if rows == list(run) else np.array(rows)
 
 
 class WindowLevelIndex:
@@ -301,9 +343,9 @@ class WindowLevelIndex:
             stack.series_env.upper[row, span].reshape(shape),
             stack.series_env.lower[row, span].reshape(shape),
         )
-        stack.slot0[row] = 0
-        stack.lbeq[row, :, :n_dw] = lbeq
-        stack.lbec[row, :, :n_dw] = lbec
+        slots = stack.slots(self.n_sw)
+        stack.lbeq[slots, row, :n_dw] = lbeq
+        stack.lbec[slots, row, :n_dw] = lbec
         self._built = True
         self.rows_built_full += self.n_sw
         observe_window_reuse(rows_built_full=self.n_sw)
@@ -336,8 +378,8 @@ class WindowLevelIndex:
         """Logical-order ``(lbeq, lbec)`` matrices, shape ``(n_sw, n_dw)``
         (fresh arrays: un-ringing by fancy index already copies)."""
         stack, row, n_dw = self._stack, self._row, self.n_dw
-        order = (stack.slot0[row] + np.arange(self.n_sw)) % self.n_sw
-        return stack.lbeq[row, order, :n_dw], stack.lbec[row, order, :n_dw]
+        order = stack.slots(self.n_sw)
+        return stack.lbeq[order, row, :n_dw], stack.lbec[order, row, :n_dw]
 
     def memory_bytes(self) -> int:
         """Device-resident footprint: series + envelope + posting lists."""
@@ -426,8 +468,8 @@ def step_many(indexes: Sequence[WindowLevelIndex], points) -> None:
         stack.series_env.upper[cells],
         stack.series_env.lower[cells],
     )
-    slots = (stack.slot0[:, None] + np.arange(n_sw)) % n_sw
-    where = (rows[:, None, None], slots[:, :, None], columns[:, None, :])
+    slots = stack.slots(n_sw)
+    where = (slots[:, None], rows[:, None, None], columns[:, None, :])
     stack.lbeq[where] = lbeq
     stack.lbec[where] = lbec
 
@@ -445,7 +487,7 @@ def step_many(indexes: Sequence[WindowLevelIndex], points) -> None:
     # slide changed are refreshed (LB_EQ), the rest already hold what a
     # refresh would write.  Every column up to the longest row's is
     # computed; a shorter row's surplus lands in its padding.
-    stack.slot0 = slot0 = (stack.slot0 - 1) % n_sw
+    stack.phase = phase = (stack.phase - 1) % n_sw
     n_refresh = min(rho + 1, n_sw)
     counts = _windows_to_refresh(old_env, master_env, n_refresh, omega)
     widest = int(n_dw.max())
@@ -457,13 +499,13 @@ def step_many(indexes: Sequence[WindowLevelIndex], points) -> None:
     for lo in range(0, stack.size, block):
         part = rows[lo : lo + block]
         refreshed = sw[: counts[part].max()]
-        slots = (slot0[part, None] + np.arange(len(refreshed))) % n_sw
-        stack.lbeq[part[:, None], slots, :widest] = window_pair_lbeq(
+        slots = stack.slots(len(refreshed))
+        stack.lbeq[slots, part[:, None], :widest] = window_pair_lbeq(
             master_env.upper[part][:, refreshed],
             master_env.lower[part][:, refreshed],
             stack.series[part, span].reshape(shape),
         )
-        stack.lbec[part, slot0[part], :widest] = window_pair_lbec(
+        stack.lbec[phase, part, :widest] = window_pair_lbec(
             master[part][:, sw[:1]],
             stack.series_env.upper[part, span].reshape(shape),
             stack.series_env.lower[part, span].reshape(shape),

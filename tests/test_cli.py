@@ -215,11 +215,18 @@ class TestProfileRound:
         assert float(rows["_tube_excess"][2]) == 8.0
         # Work columns of the index maintenance.  Eight sensors at rho=2:
         # a row refreshes SW_0 and those of SW_1, SW_2 whose envelope the
-        # new point changed, 1 to 3 windows.  Two item lengths at
-        # omega=4 close at two levels each: four strided writes a lane.
+        # new point changed, 1 to 3 windows.  The search asks the
+        # shift-sum for its one bound mode: one array per item length, two
+        # a lane.  A steady lane (no sensor joined, left or was restored)
+        # seeds every row from the stacked union, none alone.
         assert rows["step_many"][5:] == ["(LB_EQ", "windows", "refreshed)"]
         assert 8.0 <= float(rows["step_many"][4]) <= 24.0
-        assert rows["lower_bounds_many"][4:] == ["8.0", "(strided", "writes)"]
+        assert rows["lower_bounds_many"][4:] == [
+            "4.0", "(bound", "arrays", "written)"
+        ]
+        assert rows["_search_lane"][4:] == [
+            "0.0", "(seed", "rows", "chosen", "alone)"
+        ]
         # Two shards: two lane searches a round, each serving both item
         # lengths with two verification launches.
         assert float(rows["_search_lane"][2]) == 2.0
@@ -282,6 +289,10 @@ class TestProfileRound:
         # search a fault fails before it selects is retried), 50
         # (sensor, item length) segments.
         assert (calls, rows["_search_lane"][2], segments) == ("2.3", "3.0", "16.7")
+        # A sensor that joined (or a search a fault failed) has no
+        # stacked answers: its rows are seeded alone, not its lane's —
+        # 8 of the 50 (sensor, item length) rows in 3 rounds.
+        assert rows["_search_lane"][4] == "2.7"
 
     def test_layers_gp_train_row(self):
         """How much training a GP round asked for: wall, cells trained,

@@ -11,8 +11,7 @@ from repro.index import GroupLevelIndex, WindowLevelIndex, direct_lb_en
 from repro.index.group_index import (
     ItemLowerBounds,
     _emit,
-    _start_grids,
-    _zero_uncovered,
+    _in_start_order,
 )
 from repro.timeseries.windows import aligned_segment_start, csg_size
 
@@ -178,12 +177,12 @@ class TestAlgorithm1Reference:
 
 
 class TestEmitBySlices:
-    """``_emit`` writes strided slices into a stack of rows, each clipped
-    to its own length; the per-row mask-and-fancy-index form it replaced
-    is kept here as the oracle.  ``_emit`` writes a run of ``b`` into a
-    length's start grids (``_zero_uncovered`` then masks a shorter row's
-    surplus, as ``lower_bounds_many`` does); here every run is one ``b``
-    long."""
+    """``_emit`` writes flat blocks into a stack of rows, each clipped to
+    its own length; the per-row mask-and-fancy-index form it replaced is
+    kept here as the oracle.  ``_emit`` writes a run of ``b`` into one
+    length's ``(omega, sensors, width)`` grid of one mode — one side's
+    sums, or the ``max`` of two — read out in start order by
+    ``_in_start_order``; here every run is one ``b`` long."""
 
     @staticmethod
     def emit_by_mask(out, peq, pec, b, m, omega, series_len):
@@ -210,7 +209,8 @@ class TestEmitBySlices:
         """Ragged ``series_len`` (a partial last window), negative
         offsets (``(d - b) % omega != 0``) and ``n_dw < m`` (fewer
         partial sums than the CSG has windows) — every row alone, and
-        stacked beside a longer neighbour that must not leak into it."""
+        stacked beside a longer neighbour that must not leak into its
+        starts (its own sums past ``n_dw`` are the stack's padding)."""
         rng = np.random.default_rng(0)
         compared = negative = short = 0
         for omega in (2, 3, 4, 8):
@@ -227,24 +227,24 @@ class TestEmitBySlices:
                             n_dw = m - 1
                         short += n_dw < m
                         # Row 0 is the case; row 1 a neighbour one DW and
-                        # a bit longer, so row 0 sits in a padded stack.
+                        # a bit longer, so row 0 sits in a padded stack —
+                        # only as long as its sums are all a series of
+                        # its length has (a forced short row is alone).
                         lens = np.array([series_len, series_len + omega + 1])
                         n_dws = np.array([n_dw, lens[1] // omega])
                         peq, pec = rng.random((2, 2, n_dws[1]))
-                        for rows in (slice(0, 1), slice(0, 2)):
-                            grids, got = _start_grids(
-                                d, lens[rows].size, lens[rows].max(), omega
-                            )
+                        stacks = [slice(0, 1)]
+                        if n_dw == series_len // omega:
+                            stacks.append(slice(0, 2))
+                        for rows in stacks:
                             width = n_dws[rows].max()
-                            live = np.arange(width) < n_dws[rows, None]
-                            _emit(
-                                grids, peq[rows, None, :width],
-                                pec[rows, None, :width], m - 1,
-                                offset + omega - 1,
-                                None if live.all() else live,
-                            )
-                            if not live.all():
-                                _zero_uncovered(grids)
+                            sides = peq[None, rows, :width], pec[None, rows, :width]
+                            got = {}
+                            for mode, used in (("eq", sides[:1]), ("ec", sides[1:]),
+                                               ("en", sides)):
+                                grid = np.zeros((omega, lens[rows].size, width))
+                                _emit(grid, used, 0, 1, m - 1, offset + omega - 1)
+                                got[mode] = _in_start_order(grid, d, lens[rows].max())
                             for i in range(lens[rows].size):
                                 size = lens[i] - d + 1
                                 want = self.blank(d, lens[i])
@@ -252,11 +252,8 @@ class TestEmitBySlices:
                                     want, peq[i, : n_dws[i]], pec[i, : n_dws[i]],
                                     b, m, omega, lens[i],
                                 )
-                                np.testing.assert_array_equal(
-                                    got.lbeq[i, :size], want.lbeq)
-                                np.testing.assert_array_equal(
-                                    got.lbec[i, :size], want.lbec)
-                                np.testing.assert_array_equal(
-                                    got.covered[i, :size], want.covered)
+                                for mode, found in got.items():
+                                    np.testing.assert_array_equal(
+                                        found[i, :size], want.bound(mode))
                                 compared += 1
         assert compared > 3000 and negative > 100 and short > 100

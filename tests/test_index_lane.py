@@ -378,8 +378,9 @@ def run_lane(
 class TestStackedEqualsPerSensor:
     def test_ragged_lane_with_a_join_and_a_leave(self, backend_name):
         """Different series lengths (rows complete a DW on different
-        ticks), every adversarial shape, a freshly built index
-        (``slot0 = 0``) joining the warm lane and a row leaving it."""
+        ticks), every adversarial shape, a freshly built index (its
+        stack of one at phase 0) joining the warm lane and a row leaving
+        it."""
         lengths, omega, rho = (8, 16, 24), 4, 2
         shared = make_backend(backend_name)
         streams = [
@@ -592,20 +593,26 @@ class TestRefusals:
 
 
 # ------------------------------------------------------------------------
-# Refresh by envelope change, strided bound writes: the identity battery.
+# Refresh by envelope change, one ring phase, bounds by mode: the identity
+# battery.
 #
 # ``step_many`` recomputes a right-end window's LB_EQ only when the slide
-# changed its envelope bits; ``lower_bounds_many`` writes a run of b's
-# bounds in one strided write.  Both must leave every byte where the
-# unconditional refresh (``OracleWindowIndex``) and the per-(b, d) writes
+# changed its envelope bits; a stack keeps one ring phase for all its
+# rows (an adopted row is rolled into it); ``lower_bounds_many`` reads a
+# level's windows as slices of the stack and writes only the modes it is
+# asked for, a run of b's bounds in one block write.  All of it must
+# leave every byte where the unconditional refresh (``OracleWindowIndex``)
+# and the per-(b, d) writes of every start's three arrays
 # (``previous_lower_bounds_many``) left it, after every tick.
 
 
 def previous_lower_bounds_many(groups):
-    """``lower_bounds_many`` with one ``_emit`` per ``(b, item length)``
-    as it stood before its writes were grouped, kept verbatim but for its
-    launch (the ledger is pinned by :class:`TestLedger`) and with the
-    ``_levels`` table it read rebuilt here."""
+    """``lower_bounds_many`` with one ``_emit`` per ``(b, item length)``,
+    every start's ``lbeq``, ``lbec`` and ``covered`` written, kept
+    verbatim but for its launch (the ledger is pinned by
+    :class:`TestLedger`), the one ring phase and the window-major layout
+    of the stack it un-rings, and its return, ``({d: stacked bounds}, series_len)``; the
+    ``_levels`` table it read is rebuilt here."""
     first = groups[0]
     wi = first.window_index
     omega, master, lengths = wi.omega, wi.master_length, first.item_lengths
@@ -634,9 +641,9 @@ def previous_lower_bounds_many(groups):
         )
         for d in first.item_lengths
     }
-    order = (rows[:, None], (stack.slot0[rows, None] + np.arange(n_sw)) % n_sw)
-    lbeq = stack.lbeq[order[0], order[1], :widest]
-    lbec = stack.lbec[order[0], order[1], :widest]
+    order = (rows[:, None], (stack.phase + np.arange(n_sw)) % n_sw)
+    lbeq = stack.lbeq.transpose(1, 0, 2)[order[0], order[1], :widest]
+    lbec = stack.lbec.transpose(1, 0, 2)[order[0], order[1], :widest]
     peq = np.zeros((size, omega, widest))
     pec = np.zeros((size, omega, widest))
     live = None
@@ -650,7 +657,7 @@ def previous_lower_bounds_many(groups):
             previous_emit(
                 stacked[d], peq[:, b], pec[:, b], shift + 1, offset, omega, live
             )
-    return LaneLowerBounds(stacked, series_len)
+    return stacked, series_len
 
 
 def previous_emit(out, peq, pec, m, offset, omega, live=None):
@@ -700,26 +707,41 @@ def assert_row_bytes(twin, label):
         assert getattr(live, counter) == getattr(want, counter), (label, counter)
 
 
+MODES = ("en", "eq", "ec")
+
+
 def assert_lane_bounds(twins, label):
-    """One ``lower_bounds_many`` of the lane == the per-(b, d) writes on
-    the whole stacked arrays (padding included) and == each row's
+    """Each mode's one-array pass over the lane == ``bound(mode)`` of
+    the previous pass over every row's own starts (a shorter row's
+    padding beyond them holds whatever its surplus sums wrote); the
+    two-sided pass's row views and each row's ``compute()`` == the
+    previous pass's rows (``covered`` in closed form) and == each row's
     per-sensor oracle."""
     groups = [twin.group for twin in twins]
-    found = lower_bounds_many(groups)
-    previous = previous_lower_bounds_many(groups)
-    assert_bytes_equal(found.series_len, previous.series_len, label)
-    for d, want in previous.stacked.items():
-        got = found.stacked[d]
-        for name in ("lbeq", "lbec", "covered"):
-            assert_bytes_equal(getattr(got, name), getattr(want, name), (label, d))
-    for i, twin in enumerate(twins):
-        want = oracle_compute(twin.oracle, twin.item_lengths, twin.oracle_backend)
-        for d, expected in want.items():
-            for name in ("lbeq", "lbec", "covered"):
+    previous, series_len = previous_lower_bounds_many(groups)
+    for mode in MODES:
+        found = lower_bounds_many(groups, (mode,))
+        assert_bytes_equal(found.series_len, series_len, label)
+        assert list(found.stacked) == [mode], label
+        for d, want in previous.items():
+            got = found.stacked[mode][d]
+            assert got.shape == want.lbeq.shape, (label, mode, d)
+            for i, n in enumerate(series_len.tolist()):
                 assert_bytes_equal(
-                    getattr(found[i][d], name), getattr(expected, name),
-                    (label, i, d),
+                    got[i, : n - d + 1], want.bound(mode)[i, : n - d + 1],
+                    (label, mode, d, i),
                 )
+    found = lower_bounds_many(groups)
+    assert sorted(found.stacked) == ["ec", "eq"]
+    for i, (twin, n) in enumerate(zip(twins, series_len.tolist())):
+        oracle = oracle_compute(twin.oracle, twin.item_lengths, twin.oracle_backend)
+        alone = twin.group.compute()
+        for d, expected in oracle.items():
+            for name in ("lbeq", "lbec", "covered"):
+                want = getattr(previous[d], name)[i, : n - d + 1]
+                for got in (found[i][d], alone[d]):
+                    assert_bytes_equal(getattr(got, name), want, (label, i, d, name))
+                assert_bytes_equal(want, getattr(expected, name), (label, i, d, name))
 
 
 FEEDS = (
@@ -915,3 +937,101 @@ class TestStridedWrites:
             group = GroupLevelIndex(index, lengths)
             assert sum(len(w) for _, w in group._levels) == writes
             assert sum(n for _, w in group._levels for _, _, n, _ in w) == pairs
+
+
+def stepped_alone(twin, points):
+    """Step ``twin`` on a stack of its own, a point at a time: each step
+    turns its ring one phase back."""
+    for point in points:
+        twin.index.step(point)
+        twin.step_oracle(point)
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestOnePhasePerStack:
+    def twins(self, backend_name, omega=4):
+        shared = make_backend(backend_name)
+        twins = [
+            Twin(make_series(90 + 7 * i, seed=200 + i), (6, 13), omega, 3,
+                 shared, backend_name)
+            for i in range(4)
+        ]
+        for i, twin in enumerate(twins):  # phases 0, -2, -4, -6 (n_sw = 10)
+            stepped_alone(twin, make_series(2 * i, seed=210 + i))
+        return twins
+
+    def test_rows_adopted_from_stacks_in_different_phases(self, backend_name):
+        """Packing rows out of four stacks of four phases — as a read and
+        as a step, in two orders — rolls each into the new stack's phase:
+        every row's logical posting lists keep their bytes."""
+        twins = self.twins(backend_name)
+        phases = {twin.index._stack.phase for twin in twins}
+        assert len(phases) == 4
+        before = [twin.index.posting_matrices() for twin in twins]
+        for order in ([3, 0, 2, 1], [0, 1, 2, 3]):
+            lane = [twins[i] for i in order]
+            stack, _ = lane_of([twin.index for twin in lane])
+            assert all(twin.index._stack is stack for twin in twins)
+            for twin, want in zip(twins, before):
+                for got, expected in zip(twin.index.posting_matrices(), want):
+                    assert_bytes_equal(got, expected, order)
+                assert_row_bytes(twin, order)
+            assert_lane_bounds(lane, order)
+        feeds = [make_series(9, seed=220 + i) for i in range(4)]
+        for tick in range(9):
+            if tick == 4:  # a row leaves, comes back from its own phase
+                stepped_alone(twins[2], [feeds[2][tick]])
+                rest = [twins[i] for i in (0, 1, 3)]
+                step_many([t.index for t in rest], [feeds[i][tick] for i in (0, 1, 3)])
+                for i in (0, 1, 3):
+                    twins[i].step_oracle(feeds[i][tick])
+                assert twins[2].index._stack is not twins[0].index._stack
+                continue
+            step_many([t.index for t in twins], [feed[tick] for feed in feeds])
+            for twin, feed in zip(twins, feeds):
+                twin.step_oracle(feed[tick])
+            for i, twin in enumerate(twins):
+                assert_row_bytes(twin, f"tick {tick} row {i}")
+            assert_lane_bounds(twins, f"tick {tick}")
+
+    def test_a_rebuilt_row_writes_in_its_stacks_phase(self, backend_name):
+        twins = self.twins(backend_name)
+        lane_of([twin.index for twin in twins])
+        twin = twins[1]
+        twin.index.build(twin.index.master_query.copy())
+        twin.oracle.build(twin.oracle._master_query.copy())
+        assert_row_bytes(twin, "rebuilt")
+        assert_lane_bounds(twins, "rebuilt")
+
+    @pytest.mark.parametrize("where", ["pass", "adoption"])
+    def test_a_phase_off_by_one_fails_the_battery(
+        self, backend_name, where, monkeypatch
+    ):
+        """Negative controls: the pass reading the lane one phase late,
+        or a row adopted one phase off, is caught."""
+        import copy
+
+        from repro.index import group_index
+        from repro.index.window_index import LaneStack
+
+        if where == "pass":
+            def late(indexes):
+                stack, rows = lane_of(indexes)
+                stack = copy.copy(stack)
+                stack.phase = (stack.phase + 1) % stack.n_sw
+                return stack, rows
+
+            monkeypatch.setattr(group_index, "lane_of", late)
+        else:
+            adopt = LaneStack._adopt
+
+            def off_by_one(self, rows, old, at):
+                phase, old.phase = old.phase, (old.phase + 1) % old.n_sw
+                try:
+                    adopt(self, rows, old, at)
+                finally:
+                    old.phase = phase
+
+            monkeypatch.setattr(LaneStack, "_adopt", off_by_one)
+        with pytest.raises(AssertionError):
+            self.test_rows_adopted_from_stacks_in_different_phases(backend_name)

@@ -603,29 +603,43 @@ class TestMixedOrigin:
 
 
 def seeds_both_ways(engines, d):
-    """Each engine's threshold seeds from the stacked ``_lane_seeds``
-    and from the oracle's per-member rule, on the bounds a search of
-    ``engines`` would be handed."""
+    """Each engine's threshold seeds at length ``d`` from the stacked
+    ``_lane_seeds`` and from the oracle's per-member rule, on the bounds
+    a search of ``engines`` would be handed."""
+    stacked, alone, valid = seeds_of_every_length(engines)
+    return stacked[d], alone[d], valid[d]
+
+
+def seeds_of_every_length(engines):
+    """:func:`seeds_both_ways` at every item length, ``_lane_seeds``
+    asked first (the oracle reads ``_previous_knn``, after which no
+    answers are read in place)."""
     cfg = engines[0].config
-    bounds = lower_bounds_many([engine.group_index for engine in engines])
+    bounds = lower_bounds_many(
+        [engine.group_index for engine in engines], (cfg.lb_mode,)
+    )
     lengths = sorted(cfg.item_lengths)
     n = bounds.series_len - (cfg.margin - 1) - np.array(lengths)[:, None]
     bound = [
-        bounds.stacked[e].bound(cfg.lb_mode)[:, : int(valid.max())]
+        bounds.stacked[cfg.lb_mode][e][:, : int(valid.max())]
         for e, valid in zip(lengths, n)
     ]
     counts, starts = _lane_seeds(engines, bound, n)
     ends = np.cumsum(counts)
-    at = lengths.index(d)
-    rows = slice(at * len(engines), (at + 1) * len(engines))
-    stacked = [
-        starts[lo:hi].tolist() for lo, hi in zip((ends - counts)[rows], ends[rows])
-    ]
-    alone = [
-        _seed_starts(engine, d, row[:valid]).tolist()
-        for engine, row, valid in zip(engines, bound[at], n[at].tolist())
-    ]
-    return stacked, alone, n[at].tolist()
+    stacked, alone, valid = {}, {}, {}
+    for at, d in enumerate(lengths):
+        rows = slice(at * len(engines), (at + 1) * len(engines))
+        stacked[d] = [
+            starts[lo:hi].tolist()
+            for lo, hi in zip((ends - counts)[rows], ends[rows])
+        ]
+        valid[d] = n[at].tolist()
+    for at, d in enumerate(lengths):
+        alone[d] = [
+            _seed_starts(engine, d, row[:count]).tolist()
+            for engine, row, count in zip(engines, bound[at], valid[d])
+        ]
+    return stacked, alone, valid
 
 
 @pytest.mark.parametrize("backend_name", BACKENDS)
@@ -699,6 +713,85 @@ class TestSuccessorSeeds:
         assert {3, 4, 5, 6} <= set(stacked[0]) and 6 <= len(stacked[0]) <= 10
         assert max(stacked[0]) < 10**6
         lanes.search(label="padded")
+
+
+@pytest.mark.parametrize("backend_name", BACKENDS)
+class TestSeedsByOrigin:
+    """The members whose last answers fill rows of the search most of
+    them came from take the stacked union; a new member, a restored one
+    (rebuilt from its series: no answers), a short answer and a stale
+    pair searched alone since are chosen row by row — and every row's
+    seeds are the per-row choice's."""
+
+    def lanes(self, backend_name):
+        histories = [make_series(150 + 3 * i, seed=300 + i) for i in range(6)]
+        histories.append(make_series(27, seed=41))  # 3 answers at d=24
+        lanes = TwinLanes(histories, SMALL_CFG, lambda: make_backend(backend_name))
+        lanes.search(label="cold")
+        lanes.tick([0.1 * i for i in range(7)])
+        for engines, backend in zip((lanes.ours, lanes.theirs), lanes.backends):
+            # Not lanes.search: its check reads _previous_knn, which
+            # leaves the engines no answers to read in place.
+            search_many(engines)
+        lanes.tick([-0.1 * i for i in range(7)])
+        for engines, backend in zip((lanes.ours, lanes.theirs), lanes.backends):
+            search_many(engines[:2])
+            engines[2] = SuffixKnnEngine(
+                np.array(engines[2].series), SMALL_CFG, backend=backend
+            )
+            engines.append(
+                SuffixKnnEngine(make_series(170, seed=320), SMALL_CFG, backend=backend)
+            )
+        return lanes
+
+    def assert_seeds_are_the_per_row_choice(self, lanes):
+        """Both twins asked, so their ledgers stay level."""
+        stacked, alone, _ = seeds_of_every_length(lanes.ours)
+        assert seeds_of_every_length(lanes.theirs)[:2] == (stacked, alone)
+        for d in SMALL_CFG.item_lengths:
+            assert stacked[d] == alone[d], d
+
+    def test_every_row_is_seeded_as_alone(self, backend_name, monkeypatch):
+        from repro.index import suffix_search
+
+        lanes = self.lanes(backend_name)
+        assert lanes.ours[6]._found[24].starts.size == 3
+        chosen = []
+        row_seeds = suffix_search._row_seeds
+        monkeypatch.setattr(
+            suffix_search, "_row_seeds",
+            lambda cfg, prev, bound: chosen.append(prev is None) or row_seeds(
+                cfg, prev, bound),
+        )
+        self.assert_seeds_are_the_per_row_choice(lanes)
+        # Members 3, 4 and 5 from the stacked union; 0 and 1 (stale),
+        # 2 (restored), 6 (short) and 7 (new) alone, three lengths each,
+        # on each twin — the restored and the new member cold.
+        assert len(chosen) == 2 * 5 * 3 and sum(chosen) == 2 * 2 * 3
+        lanes.search(label="mixed")
+
+    def test_a_seed_row_read_from_the_wrong_search_fails(
+        self, backend_name, monkeypatch
+    ):
+        """Negative control: the members' rows of the search before the
+        one their answers came from."""
+        from repro.index import suffix_search
+
+        lanes = self.lanes(backend_name)
+        largest = suffix_search._largest_search
+        earlier = {}
+
+        def one_search_late(found):
+            last, members, rows = largest(found)
+            return earlier[id(last)], members, rows
+
+        for engines in (lanes.ours, lanes.theirs):
+            searched = engines[3]._found.lane
+            search_many(engines[3:6])
+            earlier[id(engines[3]._found.lane)] = searched
+        monkeypatch.setattr(suffix_search, "_largest_search", one_search_late)
+        with pytest.raises(AssertionError):
+            self.assert_seeds_are_the_per_row_choice(lanes)
 
 
 def poisoned_backend(backend_name):
@@ -1003,7 +1096,7 @@ class TestStackedBounds:
         for i, engine in enumerate(engines):
             alone = engine.group_index.compute()
             for d in SMALL_CFG.item_lengths:
-                assert bounds.stacked[d].lbeq.shape == (3, 140 - d + 1)
+                assert bounds.stacked["eq"][d].shape == (3, 140 - d + 1)
                 row = bounds[i][d]
                 assert row.lbeq.shape == (engine.series.size - d + 1,)
                 for field in ("lbeq", "lbec", "covered"):

@@ -31,7 +31,7 @@ rows include the forecast side's stale re-searches, if any.
 horizon's lane through one ``predict_stacks`` per predictor family —
 and counts horizons per lane (the reduced rung's single cells too).
 ``tune`` and ``mix`` are the ensemble lane's stacked update and mix, so
-they count lanes (``mix``: a lane's grids), not sensors.  Five rows
+they count lanes (``mix``: a lane's grids), not sensors.  Six rows
 also say how much work their wall bought: ``dtw_verification`` the rows
 verified (one per ``(sensor, end)``, whatever lengths it is read at),
 the band cells computed — each row's through its longest needed suffix,
@@ -42,8 +42,11 @@ needed suffix; the kernel's fixed cost is paid per diagonal, so its wall
 over this column is the cost of one) per round, ``step_many`` the
 sliding windows whose LB_EQ it refreshed (``SW_0`` and those whose
 envelope the new point changed, summed over rows), ``lower_bounds_many``
-its strided writes of bounds into candidate starts (one per level and
-item length a lane's bounds close at), ``k_select`` the segments
+the bound arrays it wrote (one ``(sensors, starts)`` array per item
+length and mode asked for: the search asks for its ``lb_mode`` alone),
+``_search_lane`` the ``(item length, sensor)`` rows whose threshold
+seeds ``_lane_seeds`` chose alone rather than by the stacked union (a
+new, restored, short or stale member), ``k_select`` the segments
 selected (a ``(sensor, item length)`` pool, one row each of the stacked
 selection) per round, ``gp_train``
 (the GP lane trainer, every GP cell's hyperparameter training; 0 on AR
@@ -187,14 +190,36 @@ def _counting_windows(step, entry: list):
     return wrapper
 
 
-def _counting_writes(bound, entry: list):
-    """``lower_bounds_many(groups)`` with its strided writes (one per
-    ``(level, item length)`` the lane's bounds close at) added to
-    ``entry[2]``."""
-    def wrapper(groups):
-        if groups:
-            entry[2] += sum(len(writes) for _, writes in groups[0]._levels)
-        return bound(groups)
+def _counting_arrays(bound, entry: list):
+    """``lower_bounds_many(groups, modes)`` with the bound arrays it
+    wrote (one ``(sensors, starts)`` array per item length and mode
+    asked for) added to ``entry[2]``."""
+    def wrapper(groups, *args, **kwargs):
+        found = bound(groups, *args, **kwargs)
+        entry[2] += sum(len(by_length) for by_length in found.stacked.values())
+        return found
+
+    return wrapper
+
+
+def _counting_alone(search_lane, entry: list):
+    """``_search_lane`` with the ``(length, sensor)`` rows whose seeds
+    ``_lane_seeds`` chose alone (one ``_row_seeds`` call each, not the
+    stacked union) added to ``entry[2]``."""
+    from repro.index import suffix_search
+
+    def wrapper(*args, **kwargs):
+        choose = suffix_search._row_seeds
+
+        def counted(*row_args):
+            entry[2] += 1
+            return choose(*row_args)
+
+        suffix_search._row_seeds = counted
+        try:
+            return search_lane(*args, **kwargs)
+        finally:
+            suffix_search._row_seeds = choose
 
     return wrapper
 
@@ -222,10 +247,18 @@ def _while(fn, timed, flag: list):
 #: Rows timed only while their parent row's call runs.
 WITHIN = {"loo_values": "gp_train", "loo_gradients": "gp_train"}
 
+#: What the rows/round column counts on rows that say it in words.
+WORK_NOTES = {
+    "step_many": "(LB_EQ windows refreshed)",
+    "lower_bounds_many": "(bound arrays written)",
+    "_search_lane": "(seed rows chosen alone)",
+}
+
 #: Rows that count the work beside their wall, and how.
 COUNTERS = {
     "step_many": _counting_windows,
-    "lower_bounds_many": _counting_writes,
+    "lower_bounds_many": _counting_arrays,
+    "_search_lane": _counting_alone,
     "dtw_verification": _counting_rows,
     "k_select": _counting_segments,
     "gp_train": _counting_evaluations,
@@ -236,8 +269,8 @@ COUNTERS = {
 def layer_timers():
     """Wrap every layer boundary for the block; yields ``{label:
     [seconds, calls, work...]}`` (the work only counted for
-    :data:`COUNTERS`: windows refreshed; writes; rows, DP cells and
-    diagonals; segments selected;
+    :data:`COUNTERS`: windows refreshed; bound arrays written; seed rows
+    chosen alone; rows, DP cells and diagonals; segments selected;
     trainings, value and gradient evaluations, stacked value and gradient
     calls)."""
     totals: dict[str, list] = {}
@@ -288,11 +321,8 @@ def print_layers(totals: dict[str, list], rounds: int, out) -> None:
             )
         elif label == "k_select":
             note = f"{work[0] / rounds:>12.1f}"  # segments, one row each
-        elif label in ("step_many", "lower_bounds_many"):
-            note = f"{work[0] / rounds:>12.1f}   " + (
-                "(LB_EQ windows refreshed)" if label == "step_many"
-                else "(strided writes)"
-            )
+        elif label in WORK_NOTES:
+            note = f"{work[0] / rounds:>12.1f}   {WORK_NOTES[label]}"
         elif label == "gp_train":
             # Cells trained in the calls column; then what they asked for
             # and how many stacked calls answered it.
