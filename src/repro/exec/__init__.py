@@ -10,8 +10,9 @@ they run:
 * :class:`ThreadLaneEngine` — one thread-pool lane per backend shard
   (overlaps NumPy kernel time; the GIL serialises the rest).
 * :class:`ProcessShardEngine` — one long-lived worker process per
-  backend shard, readings held in ``multiprocessing.shared_memory``,
-  commands on a pickle-free JSON channel (real wall-clock parallelism).
+  backend shard, commands on a pickle-free JSON channel (real
+  wall-clock parallelism); a dead worker's shard is rebuilt from the
+  readings the parent sent it.
 
 All three serve **bit-identical** results because the per-backend
 operation order — the only thing the numerics can see — is fixed by the

@@ -240,8 +240,8 @@ class ExecutionEngine(abc.ABC):
             backend.reset_time()
 
     def close(self) -> None:
-        """Release engine resources (worker processes, shared memory).
-        The service remains usable; a later batch may restart workers."""
+        """Release engine resources (shard worker processes).  The
+        service remains usable; a later batch may restart workers."""
 
 
 def resolve_engine_name(explicit: str | None) -> str:

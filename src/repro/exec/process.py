@@ -20,34 +20,44 @@ builds the forecasts, so they are bit-identical to the inline engine's.
 *Authority.*  While a generation of workers is live, each worker's copy
 of its shard is authoritative and the parent's is stale — its backends'
 clocks too: simulated time, launches and injected latency reach the
-parent only at the flush.  Everything that needs the parent's view
-current — ``sensor()`` / ``status()`` / ``placement_of()`` /
+parent only at the flush.  The parent's stale copy is left untouched
+until then: with the readings sent since the fork it is what a dead
+worker's shard is rebuilt from.  Everything that needs the parent's
+view current — ``sensor()`` / ``status()`` / ``placement_of()`` /
 ``snapshot()`` / ``register()`` / ``restore()`` / ``evacuate()`` /
 ``close()`` — quiesces first: each worker drains its telemetry, ships
 its shard state back in one pickle (preserving the ``smiler.backend is
-pool.backends[i]`` identity), unlinks its shared memory and exits; the
-next batch re-forks.  Workers run with failover disabled, so placements
-never change while a generation is live and the parent's placement
-table always routes a lane — a whole shard's batch or a single
+pool.backends[i]`` identity) and exits; the next batch re-forks with a
+fresh record.  Workers run with failover disabled, so placements never
+change while a generation is live and the parent's placement table
+always routes a lane — a whole shard's batch or a single
 ``forecast()`` / ``ingest()`` op, one command either way — to the right
 worker.  A single op rides a live generation but never forks one.
 
-*Crash semantics.*  Every sensor's (normalised) series lives in a
-``multiprocessing.shared_memory`` block whose committed length the
-worker advances only at batch boundaries (see :mod:`repro.exec.shm`).
-If a worker dies or hangs (``ServiceConfig.engine_timeout_s``), the
-parent marks the shard's backend unhealthy, flushes the survivors,
-rebuilds the dead shard's sensors from their committed series onto
-healthy backends (the evacuation path: ensemble auto-tuning state is
-rebuilt fresh) and replays the dead lane's ops in-process, where the
-degradation ladder applies as usual.  A crashed batch — or a single op
-sent to a dead worker — is therefore served, degraded and not
-bit-identical, instead of hanging.
+*Crash semantics.*  A sensor's index and predictors are functions of
+its series, so a series is all a dead worker's shard needs back, and
+every point it gained since the fork passed through the parent.  The
+parent keeps, per live worker, the normalised readings it sent each
+hosted sensor (:meth:`PredictionService._normalised`, the one
+normalisation the lane applies) and each sensor's series length as of
+the worker's last reply: every reply carries its lane's lengths, so the
+reply is the commit.  If a worker dies or hangs
+(``ServiceConfig.engine_timeout_s``), the parent marks the shard's
+backend unhealthy, flushes the survivors, rebuilds each dead-shard
+sensor from its own copy of the series (untouched while the generation
+lived) plus the readings sent since, cut at the acknowledged length,
+onto healthy backends (the evacuation path: ensemble auto-tuning state
+is rebuilt fresh) and replays the dead lane's ops in-process, where the
+degradation ladder applies as usual.  Nothing acknowledged is lost, and
+a batch that got no reply counts as not applied, so its replay applies
+it exactly once.  A crashed batch — or a single op sent to a dead
+worker — is therefore served, degraded and not bit-identical, instead
+of hanging.
 
 Wire protocol: JSON command frames (:mod:`repro.exec.wire`).  A batch
 reply is a JSON envelope — the lane's outcomes (``None``, a forecast's
-``source`` or an error record), its error and span, new shared-memory
-blocks, one :func:`repro.obs.drain` delta and the backend's breaker
+``source`` or an error record), its error and span, its sensors' series
+lengths, one :func:`repro.obs.drain` delta and the backend's breaker
 record; no clock, and no count the delta already holds — then a row
 frame: the served rows' ``z_mean, z_variance`` as float64, in op order.
 A frame that does not match the sources is a lost worker, as a
@@ -68,6 +78,7 @@ import signal
 import threading
 import time
 import weakref
+from array import array
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -84,7 +95,6 @@ from .base import (
     root_span,
     run_lane,
 )
-from .shm import SharedSeriesArena, read_committed_series, unlink_block
 from .wire import error_from_wire, error_to_wire, recv_json, send_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (service -> exec)
@@ -103,59 +113,47 @@ class _WorkerLost(RuntimeError):
 
 @dataclasses.dataclass
 class _Worker:
-    """Parent-side handle on one live shard worker."""
+    """Parent-side handle on one live shard worker, and the record its
+    shard is rebuilt from if it dies: per hosted sensor, the normalised
+    readings sent to it since the fork (``sent``) and its series length
+    as of the worker's last reply (``acked``)."""
 
     process: multiprocessing.process.BaseProcess
     conn: "Connection"
     backend_index: int
     sensor_ids: tuple[str, ...]
-    shm: dict  # sensor_id -> {"name", "capacity"}
     pid: int
+    acked: dict[str, int] = dataclasses.field(init=False, default_factory=dict)
+    sent: dict[str, array] = dataclasses.field(init=False)
     poller: select.poll = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
+        # float64 like the series: a reading costs the record 8 bytes.
+        self.sent = {sensor_id: array("d") for sensor_id in self.sensor_ids}
         self.poller = select.poll()
         self.poller.register(self.conn, select.POLLIN)
 
 
-def _context_to_wire(context: reqctx.RequestContext) -> dict:
-    return {
-        "request_id": context.request_id,
-        "entry_point": context.entry_point,
-        "started_s": context.started_s,
-    }
+def _finalize_generation(processes: list) -> None:
+    """GC/exit backstop: reap worker processes.
 
-
-def _context_from_wire(record: dict) -> reqctx.RequestContext:
-    return reqctx.RequestContext(
-        request_id=record["request_id"],
-        entry_point=record["entry_point"],
-        started_s=record["started_s"],
-    )
-
-
-def _finalize_generation(state: dict) -> None:
-    """GC/exit backstop: reap worker processes and unlink shared memory.
-
-    ``state`` is a plain mutable container (never the service or engine,
-    which would defeat the weakref) kept current by the engine.
+    ``processes`` is a plain list (never the service or engine, which
+    would defeat the weakref) the engine keeps current.
     """
-    for process in state["processes"]:
+    for process in processes:
         if process.is_alive():
             process.terminate()
-    for process in state["processes"]:
+    for process in processes:
         process.join(timeout=1.0)
         if process.is_alive():  # pragma: no cover - stuck in a syscall
             process.kill()
             process.join(timeout=1.0)
-    for name in state["shm_names"]:
-        unlink_block(name)
-    state["processes"] = []
-    state["shm_names"] = []
+    processes.clear()
 
 
 class ProcessShardEngine(ExecutionEngine):
-    """One worker process per backend shard, shared-memory durability."""
+    """One worker process per backend shard; the parent's record of what
+    it sent each worker is the crash-recovery source."""
 
     name = "process"
 
@@ -166,7 +164,7 @@ class ProcessShardEngine(ExecutionEngine):
         #: admission lock, never after (see ``PredictionService.__init__``).
         self._op_lock = threading.RLock()
         self._workers: dict[int, _Worker] = {}
-        self._cleanup_state: dict = {"processes": [], "shm_names": []}
+        self._cleanup_state: list = []  # the live workers' processes
         weakref.finalize(service, _finalize_generation, self._cleanup_state)
 
     # ------------------------------------------------------------ lifecycle
@@ -230,7 +228,7 @@ class ProcessShardEngine(ExecutionEngine):
 
         enabled = obs.is_enabled()
         submit_s = time.perf_counter()
-        context = _context_to_wire(scope.context)
+        context = dataclasses.asdict(scope.context)
         with root_span(entry_point) as root:
             if root is not None:
                 root.attrs["request_id"] = scope.request_id
@@ -239,6 +237,11 @@ class ProcessShardEngine(ExecutionEngine):
             lost: dict[int, _Worker] = {}  # by backend index
             for task in tasks:
                 worker = self._workers[task.plan.backend_index]
+                for kind, sensor_id, value in task.ops:
+                    if kind == "ingest":
+                        worker.sent[sensor_id].append(
+                            service._normalised(sensor_id, value)
+                        )
                 try:
                     send_json(worker.conn, {
                         "op": "batch",
@@ -274,7 +277,7 @@ class ProcessShardEngine(ExecutionEngine):
                     lane_spans.append(None)
                     continue
                 worker = self._workers[task.plan.backend_index]
-                self._apply_reply(worker, reply)
+                self._apply_reply(worker, task, reply)
                 if reply["health"]["state"] == "open":
                     evacuate_after.append(task.plan.backend_index)
                 span_record = reply.get("lane_span")
@@ -286,10 +289,11 @@ class ProcessShardEngine(ExecutionEngine):
                 lane_outcomes.append(reply["outcomes"])
 
             if lost:
-                # Recovery re-places the dead shards' sensors; the lost
-                # lanes then replay in-process, where the ladder serves
-                # what shared memory preserved.  They run on this thread,
-                # so their spans nest under the open root by themselves.
+                # Recovery re-places the dead shards' sensors as of
+                # their last reply; the lost lanes then replay
+                # in-process, where the ladder serves them.  They run on
+                # this thread, so their spans nest under the open root by
+                # themselves.
                 self._handle_lost(list(lost.values()))
                 for i, (task, reply) in enumerate(zip(tasks, replies)):
                     if reply is None:
@@ -351,22 +355,19 @@ class ProcessShardEngine(ExecutionEngine):
                 worker = _Worker(
                     process=process, conn=parent_conn,
                     backend_index=plan.backend_index,
-                    sensor_ids=plan.sensor_ids, shm={},
-                    pid=process.pid,
+                    sensor_ids=plan.sensor_ids, pid=process.pid,
                 )
                 forked.append(worker)
-                worker.shm = dict(self._await_reply(worker)["shm"])
+                worker.acked.update(zip(
+                    plan.sensor_ids, self._await_reply(worker)["lengths"]
+                ))
         except (_WorkerLost, OSError) as error:
             # Reap every process this attempt forked, the one that never
-            # answered too, and free every block a started worker
-            # reported: the arena untracks its blocks, so nothing else
-            # would before reboot.
+            # answered too.
             for worker in forked:
                 worker.process.kill()
                 worker.process.join(timeout=5.0)
                 worker.conn.close()
-                for block in worker.shm.values():
-                    unlink_block(block["name"])
             raise RuntimeError(
                 "process engine failed to start shard workers"
             ) from error
@@ -410,7 +411,7 @@ class ProcessShardEngine(ExecutionEngine):
 
     def _handle_lost(self, lost: list[_Worker]) -> None:
         """Retire the generation after worker loss: reap the dead, flush
-        the survivors, rebuild dead shards from committed shared memory."""
+        the survivors, rebuild dead shards from the parent's record."""
         for worker in lost:
             self._workers.pop(worker.backend_index, None)
         self._quiesce()  # survivors flush gracefully
@@ -419,6 +420,9 @@ class ProcessShardEngine(ExecutionEngine):
         self._sync_cleanup_state()
 
     def _recover_dead_shard(self, worker: _Worker) -> None:
+        """Rebuild a dead worker's sensors from the parent's copy of each
+        series, the readings sent since the fork, cut at the length the
+        worker last acknowledged."""
         from ..core.smiler import SMiLer
 
         service = self.service
@@ -433,14 +437,10 @@ class ProcessShardEngine(ExecutionEngine):
         recovered = 0
         with service._admission_lock:
             for sensor_id in worker.sensor_ids:
-                block = worker.shm.get(sensor_id)
-                series = (
-                    read_committed_series(block["name"])
-                    if block is not None else None
-                )
-                stale = service._sensors.get(sensor_id)
-                if series is None or series.size == 0 or stale is None:
-                    continue
+                stale = service._sensors[sensor_id]
+                series = np.concatenate(
+                    [stale.series, worker.sent[sensor_id]]
+                )[: worker.acked[sensor_id]]
                 recovered += service._readmit(
                     sensor_id, series.size,
                     lambda backend, s=series, c=stale.config, i=sensor_id:
@@ -449,7 +449,7 @@ class ProcessShardEngine(ExecutionEngine):
         obs.observe_evacuation(worker.backend_index, recovered)
         logger.warning(
             "shard worker for backend %d lost; rebuilt %d/%d sensors from "
-            "committed shared memory",
+            "their acknowledged readings",
             worker.backend_index, recovered, len(worker.sensor_ids),
         )
 
@@ -499,20 +499,24 @@ class ProcessShardEngine(ExecutionEngine):
                 f"malformed frame"
             ) from error
 
-    def _apply_reply(self, worker: _Worker, reply: dict) -> None:
+    def _apply_reply(
+        self, worker: _Worker, task: LaneTask, reply: dict
+    ) -> None:
         obs.absorb(reply["telemetry"])
         self.service._pool.adopt_health(worker.backend_index, reply["health"])
-        if reply["shm"]:
-            worker.shm.update(reply["shm"])
-            self._sync_cleanup_state()
+        worker.acked.update(zip(task.plan.sensor_ids, reply["lengths"]))
+        if reply["lane_error"] is not None:
+            # A lane that failed partway applied only what its lengths
+            # say: the readings it did not apply leave the record (the
+            # parent's copy still has its length at the fork).
+            sensors = self.service._sensors
+            for sensor_id in task.plan.sensor_ids:
+                del worker.sent[sensor_id][
+                    worker.acked[sensor_id] - sensors[sensor_id].now :
+                ]
 
     def _sync_cleanup_state(self) -> None:
-        state = self._cleanup_state
-        state["processes"] = [w.process for w in self._workers.values()]
-        state["shm_names"] = [
-            block["name"]
-            for w in self._workers.values() for block in w.shm.values()
-        ]
+        self._cleanup_state[:] = [w.process for w in self._workers.values()]
 
 
 # ----------------------------------------------------------------- worker
@@ -554,34 +558,34 @@ def _worker_main(conn, backend_index, sensor_ids, service) -> None:
 
     service._engine = InlineEngine(service)
     service._last_trace = None  # from here on: this worker's single-op traces
-    arena = SharedSeriesArena()
-    shm_info = {}
-    for sensor_id in sensor_ids:
-        index = service._sensors[sensor_id].engine.window_index
-        shm_info[sensor_id] = arena.share(sensor_id, index)
-    send_json(conn, {"op": "ready", "pid": os.getpid(), "shm": shm_info})
+    send_json(conn, {
+        "op": "ready", "pid": os.getpid(),
+        "lengths": _series_lengths(service, sensor_ids),
+    })
     try:
         while True:
             try:
                 msg = recv_json(conn)
-            except (EOFError, OSError):
-                # Parent gone (or gave up on us after recovering from
-                # shared memory): nobody will read our blocks now.
-                arena.unlink_all()
+            except (EOFError, OSError):  # parent gone, or gave up on us
                 return
             op = msg["op"]
             if op == "batch":
-                _worker_batch(conn, service, arena, backend_index, msg)
+                _worker_batch(conn, service, backend_index, msg)
             elif op == "reset_time":
                 service.backends[backend_index].reset_time()
                 send_json(conn, {"op": "ok"})
             elif op == "flush":
-                _worker_flush(conn, service, arena, backend_index, sensor_ids)
+                _worker_flush(conn, service, backend_index, sensor_ids)
                 return
             else:  # pragma: no cover - protocol error
                 send_json(conn, {"op": "error", "message": f"unknown {op!r}"})
     finally:
         conn.close()
+
+
+def _series_lengths(service, sensor_ids) -> list[int]:
+    """What a reply commits: each sensor's series length, in order."""
+    return [service._sensors[sensor_id].now for sensor_id in sensor_ids]
 
 
 def _sync_enabled(enabled: bool) -> None:
@@ -622,7 +626,7 @@ def _decode_outcomes(wire_outcomes: list, frame: bytes) -> list:
     ]
 
 
-def _worker_batch(conn, service, arena, backend_index, msg):
+def _worker_batch(conn, service, backend_index, msg):
     _sync_enabled(msg["enabled"])
     task = LaneTask(
         plan=LanePlan(
@@ -637,7 +641,7 @@ def _worker_batch(conn, service, arena, backend_index, msg):
     try:
         outcomes, lane_sp = run_lane(
             service, msg["entry_point"], task,
-            _context_from_wire(msg["context"]), msg["submit_s"],
+            reqctx.RequestContext(**msg["context"]), msg["submit_s"],
             detached=True, attrs={"worker_pid": os.getpid()},
         )
     except Exception as error:  # noqa: BLE001 - shipped to parent
@@ -645,39 +649,27 @@ def _worker_batch(conn, service, arena, backend_index, msg):
     if lane_sp is None:
         # No lane frame: a single forecast left its own span here.
         lane_sp, service._last_trace = service._last_trace, None
-    shm_changes = {}
-    for sensor_id in task.plan.sensor_ids:  # only these can have advanced
-        block = arena.commit(
-            sensor_id, service._sensors[sensor_id].engine.window_index
-        )
-        if block is not None:
-            shm_changes[sensor_id] = block
     wire, frame = _wire_outcomes(outcomes)
     send_json(conn, {
         "op": "lane",
         "outcomes": wire,
         "lane_error": None if lane_error is None else error_to_wire(lane_error),
         "lane_span": None if lane_sp is None else lane_sp.as_dict(),
-        "shm": shm_changes,
+        "lengths": _series_lengths(service, task.plan.sensor_ids),
         "telemetry": obs.drain(),
         "health": service._pool.health_dict(backend_index),
     })
     conn.send_bytes(frame)
 
 
-def _worker_flush(conn, service, arena, backend_index, sensor_ids):
-    """FLUSH: commit, drain, ship shard state in one pickle, clean up.
+def _worker_flush(conn, service, backend_index, sensor_ids):
+    """FLUSH: drain, ship shard state in one pickle.
 
     One pickle for (sensors, backend, health) so shared references
     survive: every shipped ``smiler.backend`` is the shipped backend
     object, and the parent's ``pool.backends[i]`` identity holds after
     adoption.
     """
-    for sensor_id in sensor_ids:
-        if sensor_id in arena:
-            arena.commit(
-                sensor_id, service._sensors[sensor_id].engine.window_index
-            )
     shard_sensors = {
         sensor_id: service._sensors[sensor_id] for sensor_id in sensor_ids
     }
@@ -685,4 +677,3 @@ def _worker_flush(conn, service, arena, backend_index, sensor_ids):
     health = service._pool.health_dict(backend_index)
     send_json(conn, {"op": "flushed", "telemetry": obs.drain()})
     conn.send_bytes(pickle.dumps((shard_sensors, backend, health)))
-    arena.unlink_all()

@@ -569,13 +569,18 @@ class PredictionService:
                 (index, smiler.engine.config), ([], [])
             )
             smilers.append(smiler)
-            stats = self._norms[sensor_id]
-            values.append((value - stats.mean) / stats.std)
+            values.append(self._normalised(sensor_id, value))
         for smilers, values in groups.values():
             absorb_many(smilers, values)
         for (index, _), (smilers, _) in groups.items():
             if self._search_group(index, smilers, set()) is None:
                 self._pool.record_success(index, len(smilers))
+
+    def _normalised(self, sensor_id: str, value: float) -> float:
+        """One raw reading z-normalised by its sensor's stats: the point
+        the sensor's series gains when the reading is absorbed."""
+        stats = self._norms[sensor_id]
+        return (value - stats.mean) / stats.std
 
     def _search_group(
         self, index: int, smilers: list[SMiLer], evacuated: set[int]
@@ -1184,8 +1189,8 @@ class PredictionService:
         self._engine.reset_time()
 
     def close(self) -> None:
-        """Release engine resources (worker processes, shared memory),
-        syncing any off-process state back first.  The service stays
+        """Release engine resources (shard worker processes), syncing
+        any off-process state back first.  The service stays
         usable — a later batch restarts what it needs."""
         self._engine.close()
 

@@ -9,7 +9,8 @@ per-backend simulated-time ledgers.  These tests pin that contract
 differentially — identically-constructed services, one per engine,
 driven through the same 52-sensor / 4-backend workload — then exercise
 the process engine's crash semantics (a SIGKILLed shard worker must
-evacuate, never hang) and its flush-on-close telemetry drain.
+evacuate, never hang, and its sensors come back with every acknowledged
+reading, none twice) and its flush-on-close telemetry drain.
 """
 
 import gc
@@ -141,20 +142,6 @@ def drive(service, histories, futures, rounds=2, singles=4):
             "per_kernel_s": None if cost is None else dict(cost.per_kernel_s),
         })
     return batches, single_forecasts, placements, elapsed, ledgers
-
-
-def shm_block_bytes(name):
-    """A shared-memory block's bytes, read without taking it over."""
-    from multiprocessing import shared_memory
-
-    from repro.exec.shm import _untrack
-
-    shm = shared_memory.SharedMemory(name=name)
-    _untrack(shm)
-    try:
-        return bytes(shm.buf)
-    finally:
-        shm.close()
 
 
 def assert_batches_identical(reference, other):
@@ -719,7 +706,8 @@ class TestCountedOnce:
 
 class TestWorkerCrash:
     """SIGKILL a shard worker: the batch completes (no hang), the dead
-    shard's sensors evacuate to survivors, and serving continues."""
+    shard's sensors are rebuilt from the parent's record onto survivors,
+    and serving continues."""
 
     N_CRASH_BACKENDS = 3
     N_CRASH_SENSORS = 9
@@ -731,20 +719,21 @@ class TestWorkerCrash:
             engine_timeout_s=20.0,
         )
 
+    @staticmethod
+    def shm_blocks():
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
     @pytest.mark.skipif(
         not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
     )
     def test_a_failed_start_leaks_no_block_and_no_worker(self, monkeypatch):
-        """A shard worker that exits before it shares anything fails the
+        """A shard worker that exits before it reports ready fails the
         start loudly, and the attempt leaves nothing behind: every
-        process it forked is reaped, every block a started worker shared
-        is unlinked, and the next batch forks a working generation."""
+        process it forked is reaped, no shared-memory block appears, and
+        the next batch forks a working generation."""
         import multiprocessing
 
         from repro.exec import process as process_engine
-
-        def shm_blocks():
-            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
 
         real_main = process_engine._worker_main
 
@@ -760,13 +749,13 @@ class TestWorkerCrash:
         try:
             for sensor_id, history in histories.items():
                 service.register(sensor_id, history)
-            before = shm_blocks()
+            before = self.shm_blocks()
             monkeypatch.setattr(
                 process_engine, "_worker_main", exits_on_backend_1
             )
             with pytest.raises(RuntimeError, match="failed to start"):
                 service.forecast_all()
-            assert shm_blocks() <= before
+            assert self.shm_blocks() <= before
             assert not [
                 child for child in multiprocessing.active_children()
                 if child.name.startswith("smiler-shard-")
@@ -884,8 +873,8 @@ class TestWorkerCrash:
             service.close()
 
     def test_crash_recovery_preserves_committed_history(self):
-        """Recovered sensors are rebuilt from the shared-memory series:
-        ingests committed before the crash survive into the rebuild."""
+        """Recovered sensors are rebuilt from the parent's record: ingests
+        acknowledged before the crash survive into the rebuild."""
         histories, futures = make_workload(n_sensors=6)
         service = self._build()
         try:
@@ -895,7 +884,7 @@ class TestWorkerCrash:
                 sid: service.placement_of(sid) for sid in histories
             }
             service.forecast_all()
-            service.ingest_many(  # committed by the batch boundary
+            service.ingest_many(  # acknowledged by the lane replies
                 {sid: float(futures[sid][0]) for sid in histories}
             )
             pids = service.engine.worker_pids()
@@ -912,26 +901,14 @@ class TestWorkerCrash:
             service.close()
 
 
-    def test_forecast_only_batches_leave_the_journal_as_committed(
-        self, monkeypatch
-    ):
-        """After ``ingest → forecast-only batches`` every block holds the
-        same header and bytes the ingest committed, and a worker killed
-        then is rebuilt from shared memory with every committed point:
-        the series an inline twin holds, to the bit."""
-        from repro.exec import process as process_engine
-
+    def test_a_crash_after_forecast_only_batches_keeps_every_point(self):
+        """After ``ingest → forecast-only batches`` a worker killed then
+        is rebuilt from the parent's record with every acknowledged
+        point: the series an inline twin holds, to the bit."""
         histories, futures = make_workload(n_sensors=6)
         twin = build_service("simulated", "inline",
                              n_backends=self.N_CRASH_BACKENDS)
         service = self._build()
-        read = {}
-        real_read = process_engine.read_committed_series
-
-        def recording_read(name):
-            read[name] = real_read(name)
-            return read[name]
-
         try:
             for svc in (twin, service):
                 for sensor_id, history in histories.items():
@@ -944,142 +921,159 @@ class TestWorkerCrash:
                 svc.ingest_many(
                     {sid: float(futures[sid][0]) for sid in histories}
                 )
-            blocks = {
-                sid: block["name"]
-                for worker in service.engine._workers.values()
-                for sid, block in worker.shm.items()
-            }
-            assert set(blocks) == set(histories)
-            committed = {sid: shm_block_bytes(n) for sid, n in blocks.items()}
             for _ in range(2):
                 for svc in (twin, service):
                     assert not svc.forecast_all().errors
-                assert {
-                    sid: shm_block_bytes(n) for sid, n in blocks.items()
-                } == committed
 
             pids = service.engine.worker_pids()
             victim_index = sorted(pids)[0]
             evacuees = sorted(
                 sid for sid in histories if placements[sid] == victim_index
             )
-            monkeypatch.setattr(
-                process_engine, "read_committed_series", recording_read
-            )
             os.kill(pids[victim_index], signal.SIGKILL)
             service.forecast_all()
-            assert sorted(read) == sorted(blocks[sid] for sid in evacuees)
+            assert service._pool.state(victim_index) == "open"
             for sensor_id in evacuees:
                 expected = twin.sensor(sensor_id).series
                 assert expected.size == HISTORY_POINTS + 1
-                assert read[blocks[sensor_id]].tobytes() == expected.tobytes()
                 assert (service.sensor(sensor_id).series.tobytes()
                         == expected.tobytes())
         finally:
             service.close()
             twin.close()
 
+    def test_a_batch_applied_before_a_crash_is_replayed_once(self, monkeypatch):
+        """A worker that applies an ``ingest_many`` lane and dies before
+        it replies never acknowledged the batch: its shard is rebuilt as
+        of its last reply and the replay applies the batch once, so every
+        sensor holds the inline twin's series, to the bit."""
+        from repro.exec import process as process_engine
 
-class TestSharedSeriesJournal:
-    """The shm block journals a series that lives with its lane: what
-    was committed is recoverable whatever stack the index moved to, and
-    nothing uncommitted is."""
+        class Mute:  # takes the reply the dying worker never sends
+            def send_bytes(self, data):
+                pass
 
-    def test_commit_is_the_durability_line_across_repacks_and_growth(self):
-        from repro.exec.shm import SharedSeriesArena, read_committed_series
-        from repro.index import WindowLevelIndex
-        from repro.index.window_index import step_many
+        real_batch = process_engine._worker_batch
 
-        rng = np.random.default_rng(3)
-        backend = make_backend("native")
-        indexes = [
-            WindowLevelIndex(rng.normal(size=n), 16, 4, 2, backend)
-            for n in (1010, 300)
-        ]
-        for index in indexes:
-            index.build(index.series[-16:])
-        arena = SharedSeriesArena()
+        def dies_after_applying(conn, *args):
+            # args end with (backend_index, msg)
+            if args[-1]["entry_point"] == "ingest_many" \
+                    and args[-2] == victim_index:
+                real_batch(Mute(), *args)
+                os._exit(0)
+            real_batch(conn, *args)
+
+        histories, futures = make_workload(n_sensors=6)
+        twin = build_service("simulated", "inline",
+                             n_backends=self.N_CRASH_BACKENDS)
+        service = self._build()
         try:
-            blocks = [
-                arena.share(f"s{i}", index) for i, index in enumerate(indexes)
-            ]
-            assert [block["capacity"] for block in blocks] == [2020, 1024]
-            indexes[0].step(0.5)  # alone, then as a lane: the index re-packs
-            step_many(indexes, [0.25, 0.75])
-            assert arena.commit("s0", indexes[0]) is None
-            committed = np.array(indexes[0].series)
-            step_many(indexes, [1.5, 2.5])  # not committed: not recoverable
-            recovered = read_committed_series(blocks[0]["name"])
-            np.testing.assert_array_equal(recovered, committed)
-            assert read_committed_series(blocks[0]["name"]) is None  # unlinked
-
-            # The short series outgrows its 1024-point block: the commit
-            # migrates it and says where to.
-            for _ in range(730):
-                indexes[1].step(float(rng.normal()))
-            assert indexes[1].series_length == 1032
-            moved = arena.commit("s1", indexes[1])
-            assert moved["capacity"] == 2064 and moved["name"] != blocks[1]["name"]
-            assert read_committed_series(blocks[1]["name"]) is None
-            np.testing.assert_array_equal(
-                read_committed_series(moved["name"]), indexes[1].series
+            for svc in (twin, service):
+                for sensor_id, history in histories.items():
+                    svc.register(sensor_id, history)
+            placements = {  # before forking; see the liveness test
+                sid: service.placement_of(sid) for sid in histories
+            }
+            victim_index = min(placements.values())
+            monkeypatch.setattr(
+                process_engine, "_worker_batch", dies_after_applying
             )
+            for svc in (twin, service):
+                assert not svc.forecast_all().errors  # forks the workers
+                svc.ingest_many(
+                    {sid: float(futures[sid][0]) for sid in histories}
+                )
+            assert service._pool.state(victim_index) == "open"
+            for sensor_id in histories:
+                expected = twin.sensor(sensor_id).series
+                assert expected.size == HISTORY_POINTS + 1
+                assert (service.sensor(sensor_id).series.tobytes()
+                        == expected.tobytes())
         finally:
-            arena.unlink_all()
+            service.close()
+            twin.close()
 
-    def test_a_commit_without_growth_reads_and_writes_nothing(self):
-        """The fast path: a series that did not grow since its last commit
-        is neither read nor written; the next growth publishes exactly
-        the appended points, and outgrowing the block still migrates."""
-        from repro.exec.shm import SharedSeriesArena, read_committed_series
-        from repro.index import WindowLevelIndex
+    def test_a_failed_lane_commits_only_what_it_applied(self, monkeypatch):
+        """A lane that raises before it absorbs its readings replies with
+        the lengths it has, so the readings it never applied leave the
+        record: a crash after the next batch rebuilds the shard with the
+        readings the worker did apply — the inline twin's series."""
+        import repro.service as service_module
 
-        class LengthOnly:  # an index whose series must not be read
-            def __init__(self, index):
-                self.series_length = index.series_length
+        real_absorb = service_module.absorb_many
+        failed = []  # per process: a worker forks with it still empty
 
-            @property
-            def series(self):
-                raise AssertionError("a commit without growth read the series")
+        def fails_once(smilers, values):
+            if not failed and any(
+                smiler.sensor_id in victims for smiler in smilers
+            ):
+                failed.append(True)
+                raise RuntimeError("absorb failed")
+            real_absorb(smilers, values)
 
-        rng = np.random.default_rng(5)
-        index = WindowLevelIndex(rng.normal(size=1000), 16, 4, 2,
-                                 make_backend("native"))
-        index.build(index.series[-16:])
-        arena = SharedSeriesArena()
+        histories, futures = make_workload(n_sensors=6)
+        twin = build_service("simulated", "inline",
+                             n_backends=self.N_CRASH_BACKENDS)
+        service = self._build()
         try:
-            block = arena.share("s0", index)
-            before = shm_block_bytes(block["name"])
-            for _ in range(3):
-                assert arena.commit("s0", LengthOnly(index)) is None
-                assert arena.commit("s0", index) is None
-            assert shm_block_bytes(block["name"]) == before
-
-            index.step(0.5)
-            index.step(-1.25)
-            assert arena.commit("s0", index) is None
-            after = shm_block_bytes(block["name"])
-            header = np.frombuffer(after[:8], dtype=np.int64)[0]
-            assert header == 1002
-            # Everything but the header and the two appended points is
-            # byte for byte what was there.
-            assert after[8 : 8 + 8 * 1000] == before[8 : 8 + 8 * 1000]
-            assert after[8 + 8 * 1002 :] == before[8 + 8 * 1002 :]
-            np.testing.assert_array_equal(
-                np.frombuffer(after[8 + 8 * 1000 : 8 + 8 * 1002]),
-                index.series[-2:],
-            )
-
-            for _ in range(1000):  # past the 2000-point block
-                index.step(float(rng.normal()))
-            moved = arena.commit("s0", index)
-            assert moved["capacity"] == 2 * 2002
-            assert read_committed_series(block["name"]) is None
-            np.testing.assert_array_equal(
-                read_committed_series(moved["name"]), index.series
-            )
+            for svc in (twin, service):
+                for sensor_id, history in histories.items():
+                    svc.register(sensor_id, history)
+            placements = {  # before forking; see the liveness test
+                sid: service.placement_of(sid) for sid in histories
+            }
+            # The last lane, so that inline every other lane has run when
+            # it raises, as every other worker's lane has.
+            victim_index = max(placements.values())
+            victims = {
+                sid for sid in histories if placements[sid] == victim_index
+            }
+            monkeypatch.setattr(service_module, "absorb_many", fails_once)
+            for svc in (twin, service):
+                assert not svc.forecast_all().errors  # forks the workers
+            for svc in (twin, service):
+                with pytest.raises(RuntimeError, match="absorb failed"):
+                    svc.ingest_many(
+                        {sid: float(futures[sid][0]) for sid in histories}
+                    )
+                svc.ingest_many(
+                    {sid: float(futures[sid][1]) for sid in histories}
+                )
+            pids = service.engine.worker_pids()
+            os.kill(pids[victim_index], signal.SIGKILL)
+            service.forecast_all()
+            assert service._pool.state(victim_index) == "open"
+            for sensor_id in histories:
+                expected = twin.sensor(sensor_id).series
+                assert expected.size == HISTORY_POINTS + (
+                    1 if sensor_id in victims else 2
+                )
+                assert (service.sensor(sensor_id).series.tobytes()
+                        == expected.tobytes())
         finally:
-            arena.unlink_all()
+            service.close()
+            twin.close()
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory"
+    )
+    def test_a_started_generation_creates_no_shared_memory_block(self):
+        """Workers that forked and served a batch of each kind leave
+        ``/dev/shm`` as they found it: recovery needs no block."""
+        histories, futures = make_workload(n_sensors=6)
+        service = self._build()
+        try:
+            for sensor_id, history in histories.items():
+                service.register(sensor_id, history)
+            before = self.shm_blocks()
+            service.forecast_all()
+            service.ingest_many(
+                {sid: float(futures[sid][0]) for sid in histories}
+            )
+            assert len(service.engine.worker_pids()) == self.N_CRASH_BACKENDS
+            assert self.shm_blocks() <= before
+        finally:
+            service.close()
 
 
 class TestRowFrame:
@@ -1159,7 +1153,7 @@ class TestRowFrame:
         service = build_service("native", "process", n_backends=1)
         parent, child = multiprocessing.Pipe()
         worker = _Worker(process=Alive(), conn=parent, backend_index=0,
-                         sensor_ids=(), shm={}, pid=0)
+                         sensor_ids=(), pid=0)
         envelope = json.dumps({"outcomes": [
             None, "ensemble", error_to_wire(KeyError("s1")),
         ]}).encode()
