@@ -151,8 +151,8 @@ def lb_improved_profile(
     ``LB_Improved >= LB_EQ`` always.
 
     ``return_terms=True`` additionally returns the per-position pass-1
-    terms (shape ``(n, d)``) so the verification kernel can reuse them
-    as cumulative-bound tails for early abandoning.
+    terms (shape ``(n, d)``), whose row sums ``dtw_batch_pruned`` uses
+    as an admissible pre-filter against its cutoff.
     """
     query = np.asarray(query, dtype=np.float64)
     candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))

@@ -228,7 +228,7 @@ class ProcessShardEngine(ExecutionEngine):
 
         enabled = obs.is_enabled()
         submit_s = time.perf_counter()
-        context = dataclasses.asdict(scope.context)
+        context = dict(vars(scope.context))
         with root_span(entry_point) as root:
             if root is not None:
                 root.attrs["request_id"] = scope.request_id

@@ -625,9 +625,12 @@ class PredictionService:
     def _checked_reading(self, sensor_id: str, value: float) -> float:
         self._require(sensor_id)
         value = float(value)
-        if not np.isfinite(value):
+        # A finite reading can still overflow once normalised (1e308
+        # against a small std): either way the series would gain inf.
+        if not np.isfinite(self._normalised(sensor_id, value)):
             raise ValueError(
-                f"non-finite reading for {sensor_id!r}; impute before ingest"
+                f"non-finite reading {value!r} for {sensor_id!r}, raw or "
+                "normalised; impute before ingest"
             )
         return value
 
@@ -1101,6 +1104,13 @@ class PredictionService:
                     f"{norm_path.name!r} has no normalisation stats for it "
                     "— orphan archive from another snapshot?"
                 )
+            mean, std = raw[mean_key], raw[std_key]
+            if not (np.isfinite(mean) and np.isfinite(std) and std > 0):
+                raise SnapshotCorruptionError(
+                    f"{norm_path.name!r} holds mean {mean!r}, std {std!r} "
+                    f"for sensor {sensor_id!r}; expected a finite mean and a "
+                    "finite std > 0 — hand-edited snapshot?"
+                )
             self._admit(
                 sensor_id,
                 snapshot.series.size,
@@ -1109,9 +1119,7 @@ class PredictionService:
                     snap, backend=backend
                 ),
             )
-            self._norms[sensor_id] = ZNormStats(
-                mean=raw[mean_key], std=raw[std_key]
-            )
+            self._norms[sensor_id] = ZNormStats(mean=mean, std=std)
 
     # ------------------------------------------------------- observability
     def metrics(self) -> dict:

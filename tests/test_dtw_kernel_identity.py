@@ -2,19 +2,22 @@
 
 The batched kernel walks anti-diagonals in candidate blocks; everything
 above ``repro.dtw`` (cost model, prune counts, forecast digests) relies on
-it returning exactly what the row-major order returns: every distance,
-every abandoned (``inf``) position and the row-major cell count.  Every
-DTW is end-anchored (the DP starts at the last points), so one launch
-reads each row's shorter suffixes out of the wavefront over its longest
-— :class:`TestSuffixReadOut` pins those reads against a call per length
-and the oracle.  The oracles here are written out cell by cell and share
-no code with the kernel.
+it returning exactly what the row-major order returns.  Every DTW is
+end-anchored (the DP starts at the last points), so one launch reads each
+row's shorter suffixes out of the wavefront over its longest —
+:class:`TestSuffixReadOut` pins those reads against a call per length and
+the oracle.  The oracles here are written out cell by cell and share no
+code with the kernel.
+
+``dtw_batch_pruned`` is a filter over ``dtw_batch``: every distance at or
+below the cutoff is ``dtw_batch``'s to the byte, every other row ``inf``,
+and a row whose ``lb_terms`` already exceed the cutoff never reaches the
+kernel (:class:`TestPrunedContract`).
 
 :class:`TestBandOffsetLayout` replays every path against the previous
 kernel — three rotating ``(d + 2, n)`` diagonals indexed by row — kept
-below verbatim with its geometry and swapped in for the band-offset one:
-distances, ``inf`` and NaN positions and ``return_cells`` must be the
-same bytes.
+below with its geometry and driven through its own blocks: distances and
+NaN positions must be the same bytes.
 """
 
 import functools
@@ -49,57 +52,43 @@ def small_blocks():
         yield
 
 
-def row_major_oracle(query, candidates, rho, cutoff=np.inf, lb_terms=None):
-    """``(distances, cells)`` by the end-anchored row-major scalar
-    recurrence: DP row ``i`` (column ``j``) is the query's (candidate's)
-    ``i``-th (``j``-th) point from the end.
-
-    One candidate at a time, one cell at a time; the abandon criterion is
-    tested after every row but the last, as the kernel documents it.
-    """
+def row_major_oracle(query, candidates, rho):
+    """Distances by the end-anchored row-major scalar recurrence: DP row
+    ``i`` (column ``j``) is the query's (candidate's) ``i``-th (``j``-th)
+    point from the end.  One candidate at a time, one cell at a time."""
     d = len(query)
     band = d if rho is None else rho
-    threshold = cutoff + ABANDON_SLACK
-    distances, cells = [], 0
-    for c, candidate in enumerate(candidates):
+    distances = []
+    for candidate in candidates:
         prev = np.full(d + 1, np.inf)
         prev[0] = 0.0
-        abandoned = False
         for i in range(1, d + 1):
             cur = np.full(d + 1, np.inf)
-            lo, hi = max(1, i - band), min(d, i + band)
-            for j in range(lo, hi + 1):
+            for j in range(max(1, i - band), min(d, i + band) + 1):
                 diff = query[d - i] - candidate[d - j]
                 cur[j] = diff * diff + min(prev[j], prev[j - 1], cur[j - 1])
-            cells += hi - lo + 1
             prev = cur
-            if i < d and threshold < np.inf:
-                bound = cur[lo : hi + 1].min()
-                if lb_terms is not None:
-                    # The positions no query point matched so far can
-                    # reach, summed as the kernel's cumsum does.
-                    tail = 0.0
-                    for term in lb_terms[c, : d - min(i + band, d)]:
-                        tail = tail + term
-                    bound = bound + tail
-                if not bound <= threshold:
-                    abandoned = True
-                    break
-        distances.append(np.inf if abandoned else prev[d])
-    return np.array(distances), cells
+        distances.append(prev[d])
+    return np.array(distances)
 
 
-def assert_kernel_equals_oracle(query, candidates, rho, cutoff, lb_terms):
-    expected, expected_cells = row_major_oracle(
-        query, candidates, rho, cutoff, lb_terms
+def admissible_terms(rng, exact, d):
+    """Random ``lb_terms`` whose row sums stay at or below half the
+    row's DTW (zero where that is not finite): a valid lower bound."""
+    scale = np.where(np.isfinite(exact), exact, 0.0) / (2 * d)
+    return rng.random((exact.size, d)) * scale[:, None]
+
+
+def assert_pruned_contract(query, candidates, rho, cutoff, lb_terms=None):
+    """Rows within ``cutoff`` are ``dtw_batch``'s bytes, the rest ``inf``
+    (``lb_terms`` must be admissible)."""
+    exact = dtw_batch(query, candidates, rho)
+    got = dtw_batch_pruned(
+        query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms
     )
-    got, cells = dtw_batch_pruned(
-        query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms,
-        return_cells=True,
-    )
-    np.testing.assert_array_equal(got, expected)
-    assert cells == expected_cells
-    assert type(cells) is int
+    within = exact <= cutoff
+    assert same_bits(got[within], exact[within])
+    assert (got[~within] == np.inf).all()
 
 
 class TestKernelProperty:
@@ -117,7 +106,7 @@ class TestKernelProperty:
         candidates = query + rng.normal(size=(n, d)) * rng.choice([0.05, 1.0])
         exact = dtw_batch(query, candidates, rho)
         np.testing.assert_array_equal(
-            exact, row_major_oracle(query, candidates, rho)[0]
+            exact, row_major_oracle(query, candidates, rho)
         )
         np.testing.assert_array_equal(
             exact, [dtw_distance(query, c, rho) for c in candidates]
@@ -129,8 +118,8 @@ class TestKernelProperty:
         )
         lb_terms = None
         if data.draw(st.booleans()):
-            lb_terms = rng.random((n, d)) * exact.min() / d
-        assert_kernel_equals_oracle(query, candidates, rho, cutoff, lb_terms)
+            lb_terms = admissible_terms(rng, exact, d)
+        assert_pruned_contract(query, candidates, rho, cutoff, lb_terms)
 
 
 class TestKernelAdversarial:
@@ -139,9 +128,10 @@ class TestKernelAdversarial:
         query = 1e6 + rng.normal(size=24).cumsum()
         candidates = 1e6 + rng.normal(size=(2 * BLOCK + 1, 24)).cumsum(axis=1)
         exact = dtw_batch(query, candidates, 4)
-        assert_kernel_equals_oracle(
-            query, candidates, 4, float(np.median(exact)), None
+        np.testing.assert_array_equal(
+            exact, row_major_oracle(query, candidates, 4)
         )
+        assert_pruned_contract(query, candidates, 4, float(np.median(exact)))
 
     def test_constant_series(self):
         query = np.full(12, 2.5)
@@ -149,7 +139,7 @@ class TestKernelAdversarial:
         np.testing.assert_array_equal(
             dtw_batch(query, candidates, 3), [0.0, 0.0, 12 * 4.5**2]
         )
-        assert_kernel_equals_oracle(query, candidates, 3, 0.0, None)
+        assert_pruned_contract(query, candidates, 3, 0.0)
 
     def test_duplicated_rows_tie(self):
         rng = np.random.default_rng(4)
@@ -158,9 +148,7 @@ class TestKernelAdversarial:
         candidates = np.tile(row, (BLOCK + 2, 1))
         distances = dtw_batch(query, candidates, 2)
         assert np.unique(distances).size == 1
-        assert_kernel_equals_oracle(
-            query, candidates, 2, float(distances[0]), None
-        )
+        assert_pruned_contract(query, candidates, 2, float(distances[0]))
 
     def test_cutoff_equal_to_exact_distance_survives(self):
         rng = np.random.default_rng(5)
@@ -174,30 +162,108 @@ class TestKernelAdversarial:
             )
             at_most = exact <= cutoff
             np.testing.assert_array_equal(pruned[at_most], exact[at_most])
-            assert_kernel_equals_oracle(
-                query, candidates, 3, float(cutoff), lb_terms
-            )
+            assert_pruned_contract(query, candidates, 3, float(cutoff), lb_terms)
 
     def test_every_candidate_abandoned(self):
         rng = np.random.default_rng(6)
         query = rng.normal(size=10)
         candidates = 50.0 + rng.normal(size=(BLOCK + 1, 10))
-        distances, cells = dtw_batch_pruned(
-            query, candidates, 2, cutoff=1.0, return_cells=True
-        )
-        assert np.isinf(distances).all()
-        # Row 1 has rho + 1 band cells; everything fails right after it.
-        assert cells == (BLOCK + 1) * 3
+        distances = dtw_batch_pruned(query, candidates, 2, cutoff=1.0)
+        assert (distances == np.inf).all()
 
     def test_batch_is_the_pruned_kernel_without_cutoff(self):
         rng = np.random.default_rng(7)
         query = rng.normal(size=9)
         candidates = rng.normal(size=(3, 9))
-        distances, cells = dtw_batch_pruned(
-            query, candidates, None, return_cells=True
+        np.testing.assert_array_equal(
+            dtw_batch_pruned(query, candidates, None),
+            dtw_batch(query, candidates),
         )
-        np.testing.assert_array_equal(distances, dtw_batch(query, candidates))
-        assert cells == 3 * 9 * 9
+
+
+class TestPrunedContract:
+    """``dtw_batch_pruned`` computes the rows its ``lb_terms`` cannot rule
+    out with one ``dtw_batch`` call, and only those."""
+
+    @staticmethod
+    def received(query, candidates, rho, **kwargs):
+        """``(result, [(query, candidates)] dtw_batch was handed)``."""
+        calls = []
+
+        def spy(q, c, *args, **kw):
+            calls.append((np.array(q), np.array(c)))
+            return dtw_batch(q, c, *args, **kw)
+
+        with mock.patch.object(distance_module, "dtw_batch", spy):
+            got = dtw_batch_pruned(query, candidates, rho, **kwargs)
+        return got, calls
+
+    def test_rows_whose_terms_exceed_the_cutoff_never_reach_the_kernel(self):
+        rng = np.random.default_rng(8)
+        n, d, cutoff = 3 * BLOCK + 1, 12, 4.0
+        query = rng.normal(size=d)
+        candidates = query + rng.normal(size=(n, d)) * 0.2
+        sums = rng.choice([0.0, cutoff, cutoff + ABANDON_SLACK, 9.0], size=n)
+        sums[:4] = [0.0, cutoff, cutoff + ABANDON_SLACK, 9.0]
+        lb_terms = np.zeros((n, d))
+        lb_terms[:, 0] = sums  # a one-term row sums to its term exactly
+        got, calls = self.received(
+            query, candidates, 3, cutoff=cutoff, lb_terms=lb_terms
+        )
+        computed = sums <= cutoff + ABANDON_SLACK  # only "exceeds" is skipped
+        assert len(calls) == 1
+        sent_query, sent = calls[0]
+        assert sent.shape[0] == np.count_nonzero(computed)
+        assert sent.tobytes() == candidates[computed].tobytes()
+        assert sent_query.tobytes() == query.tobytes()
+        assert (got[~computed] == np.inf).all()
+        exact = dtw_batch(query, candidates, 3)
+        within = computed & (exact <= cutoff)
+        assert same_bits(got[within], exact[within])
+        assert (got[computed & ~within] == np.inf).all()
+
+    def test_every_row_ruled_out_computes_none(self):
+        rng = np.random.default_rng(9)
+        query, candidates = rng.normal(size=6), rng.normal(size=(BLOCK, 6))
+        got, calls = self.received(
+            query, candidates, 2, cutoff=0.5, lb_terms=np.ones((BLOCK, 6))
+        )
+        assert [c.shape[0] for _, c in calls] == [0]
+        assert (got == np.inf).all()
+
+    def test_filtered_rows_keep_their_own_queries(self):
+        """Far rows are ruled out by their terms; the near rows, scattered
+        among them, reach the kernel with their own queries."""
+        rng = np.random.default_rng(11)
+        n, d, rho = 4 * BLOCK, 18, 3
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d)) * 0.05
+        far = rng.permutation(n)[: 3 * n // 4]
+        candidates[far] += 40.0
+        exact = np.array(
+            [dtw_distance(q, c, rho) for q, c in zip(queries, candidates)]
+        )
+        near = np.setdiff1d(np.arange(n), far)
+        cutoff = float(exact[near].max())
+        lb_terms = admissible_terms(rng, exact, d)
+        lb_terms[far] = exact[far, None] / d * 0.9  # above the cutoff
+        got, calls = self.received(
+            queries, candidates, rho, cutoff=cutoff, lb_terms=lb_terms
+        )
+        (sent_queries, sent), = calls
+        assert sent_queries.tobytes() == queries[near].tobytes()
+        assert sent.tobytes() == candidates[near].tobytes()
+        assert (got[far] == np.inf).all()
+        np.testing.assert_array_equal(got[near], exact[near])
+
+    def test_malformed_terms_are_refused(self):
+        query, candidates = np.zeros(6), np.zeros((3, 6))
+        with pytest.raises(ValueError, match="lb_terms"):
+            dtw_batch_pruned(
+                query, candidates, 2, cutoff=1.0, lb_terms=np.zeros((2, 6))
+            )
+        with pytest.raises(ValueError, match="query of shape"):
+            dtw_batch_pruned(np.zeros((2, 6)), candidates, 2, cutoff=1.0)
 
 
 class TestPairedQueries:
@@ -221,31 +287,6 @@ class TestPairedQueries:
         ]
         np.testing.assert_array_equal(
             dtw_batch(queries, candidates, rho), expected
-        )
-
-    def test_cutoff_compaction_takes_the_query_columns_too(self):
-        """Far rows are abandoned and compacted away mid-DP; the near
-        rows, scattered among them, must keep their own queries."""
-        rng = np.random.default_rng(11)
-        n, d, rho = 4 * BLOCK, 18, 3
-        queries = rng.normal(size=(n, d)).cumsum(axis=1)
-        candidates = queries + rng.normal(size=(n, d)) * 0.05
-        far = rng.permutation(n)[: 3 * n // 4]
-        candidates[far] += 40.0
-        exact = np.array(
-            [dtw_distance(q, c, rho) for q, c in zip(queries, candidates)]
-        )
-        near = np.setdiff1d(np.arange(n), far)
-        cutoff = float(exact[near].max())
-        pruned, cells = dtw_batch_pruned(
-            queries, candidates, rho, cutoff=cutoff, return_cells=True
-        )
-        assert np.isinf(pruned[far]).all()
-        np.testing.assert_array_equal(pruned[near], exact[near])
-        # Cell for cell what one scalar-query call per row reports.
-        assert cells == sum(
-            dtw_batch_pruned(q, c[None], rho, cutoff=cutoff, return_cells=True)[1]
-            for q, c in zip(queries, candidates)
         )
 
     def test_query_count_must_match_candidate_count(self):
@@ -302,7 +343,7 @@ class TestSuffixReadOut:
             np.testing.assert_array_equal(got[rows, at], alone)
             for r, distance in zip(rows, alone):
                 q = suffix if one_query else suffix[r]
-                (expected,), _ = row_major_oracle(
+                (expected,) = row_major_oracle(
                     q, candidates[r : r + 1, d - e :], rho
                 )
                 assert distance == expected
@@ -371,42 +412,33 @@ class TestSuffixReadOut:
 
 
 # ------------------------------------------------------------------ oracle
-# The previous kernel and its geometry, verbatim: state in three rotating
-# (d + 2, n) diagonals indexed by row, flanks written to inf per diagonal.
+# The previous kernel and its geometry, verbatim but for the cutoff path
+# they no longer serve: state in three rotating (d + 2, n) diagonals
+# indexed by row, flanks written to inf per diagonal.
 _INF = np.inf
 
 
 @functools.lru_cache(maxsize=64)
-def _band_geometry(d: int, band: int) -> tuple[tuple, tuple]:
-    """Shape of a banded ``d x d`` warping matrix, walked by anti-diagonals.
-
-    Returns ``(diagonals, cells_through)``: one ``(s, lo, hi, row_done)``
-    per diagonal ``i + j = s`` whose band cells are rows ``lo..hi``
-    (``row_done``: row ``lo < d`` gets its last cell here), and the number
-    of band cells in rows ``1..i`` for every ``i``.
-    """
+def _band_geometry(d: int, band: int) -> tuple[tuple, ...]:
+    """Shape of a banded ``d x d`` warping matrix, walked by anti-diagonals:
+    one ``(s, lo, hi)`` per diagonal ``i + j = s`` whose band cells are
+    rows ``lo..hi``."""
     diagonals = []
     for s in range(2, 2 * d + 1):
         lo = max(1, s - d, (s - band + 1) // 2)
         hi = min(d, s - 1, (s + band) // 2)
-        diagonals.append((s, lo, hi, lo < d and s - lo == min(d, lo + band)))
-    cells_through = [0]
-    for i in range(1, d + 1):
-        width = min(d, i + band) - max(1, i - band) + 1
-        cells_through.append(cells_through[-1] + width)
-    return tuple(diagonals), tuple(cells_through)
+        diagonals.append((s, lo, hi))
+    return tuple(diagonals)
 
 
 def _wavefront_block(
     query: np.ndarray,
     candidates: np.ndarray,
     band: int,
-    threshold: float,
-    lb_terms: np.ndarray | None,
     lengths: tuple[int, ...],
     need: np.ndarray,
-) -> tuple[np.ndarray, int]:
-    """One block of the batched DP: ``(distances, row-major cells)``.
+) -> np.ndarray:
+    """One block of the batched DP: the ``(n, len(lengths))`` distances.
 
     The DP is end-anchored: DP row ``i`` is the query's ``i``-th point
     from the end, column ``j`` the candidate's, so cell ``(e, e)`` is the
@@ -429,18 +461,10 @@ def _wavefront_block(
     read for every row still in the state, then the rows that need no
     longer suffix — the state's tail — are dropped by one compaction.
     The wavefront spans only the block's longest needed suffix.
-
-    Rows finish in increasing order (row ``i`` on diagonal
-    ``i + min(d, i + band)``, always as the diagonal's first cell), so
-    testing the abandon criterion when a row completes drops each
-    candidate at the same row the row-major order would.  Abandoned
-    candidates keep their state columns (nothing reads across columns)
-    until half the columns are dead, then the state is compacted.
     """
     n = candidates.shape[0]
     d = lengths[need[0] - 1]  # the block's longest suffix
-    diagonals, cells_through = _band_geometry(d, band)
-    prune = threshold < _INF
+    diagonals = _band_geometry(d, band)
     # cand[k] = the candidates' k-th point of their d-suffix: the cells
     # (i, s - i) of diagonal s, i ascending, read the contiguous rows
     # d - s + i.
@@ -449,26 +473,15 @@ def _wavefront_block(
     query_plane = np.ascontiguousarray(
         suffix[::-1, None] if suffix.ndim == 1 else suffix[:, ::-1].T
     )
-    # Planes 0-2: the rotating diagonals; plane 3: running row minima.
-    state = np.full((4 if prune else 3, d + 2, n), _INF)
+    # Planes 0-2: the rotating diagonals.
+    state = np.full((3, d + 2, n), _INF)
     state[0, 0] = 0.0  # gamma(0, 0)
     cost = np.empty((min(d, band + 1), n))
-    tails = None
-    if prune and lb_terms is not None:
-        # tails[:, j] = lb_terms[:, : d - j].sum() — the admissible tail
-        # when the candidate's last j positions are matched.
-        tails = np.zeros((n, d + 1))
-        tails[:, :d] = np.cumsum(lb_terms, axis=1)[:, ::-1]
-    # State column c holds candidate columns[c]; abandoned candidates
-    # stay in the state (live[c] False) until compaction drops them.
-    columns = np.arange(n)
-    live = np.ones(n, dtype=bool)
-    n_live = n
     out = np.full((n, len(lengths)), _INF)
     reads = {2 * e: at for at, e in enumerate(lengths[: need[0]])}
-    cells = 0
+    m = n  # rows still in the state
 
-    for s, lo, hi, row_done in diagonals:
+    for s, lo, hi in diagonals:
         diagonal = state[s % 3]
         diagonal[lo - 1] = _INF
         diagonal[hi + 1] = _INF
@@ -484,41 +497,12 @@ def _wavefront_block(
         )
         np.square(step, out=step)
         np.add(step, slab, out=slab)
-        if prune:
-            row_min = state[3, lo : hi + 1]
-            np.minimum(row_min, slab, out=row_min)
-            if row_done:
-                # Row `lo` is complete: abandon on its minimum plus the tail.
-                bound = row_min[0]
-                if tails is not None:
-                    bound = bound + tails[columns, min(lo + band, d)]
-                failed = ~(bound <= threshold) & live
-                n_failed = int(np.count_nonzero(failed))
-                cells += n_failed * cells_through[lo]
-                n_live -= n_failed
-                if n_live == 0:
-                    return out, cells
-                live &= ~failed
-                if n_failed and 2 * n_live <= live.size:
-                    # Drop the dead columns once they are half the state:
-                    # each compaction at least halves it, so copying stays
-                    # amortised O(1) per candidate while dead columns cost
-                    # at most 2x work.
-                    survivors = np.flatnonzero(live)
-                    state = state.take(survivors, axis=2)
-                    cand = cand.take(survivors, axis=1)
-                    if query_plane.shape[1] > 1:
-                        query_plane = query_plane.take(survivors, axis=1)
-                    cost = np.empty((cost.shape[0], n_live))
-                    columns = columns[survivors]
-                    live = np.ones(n_live, dtype=bool)
         if s in reads:
-            # Cell (e, e): the DTW of every live row's e-suffixes.
+            # Cell (e, e): the DTW of every remaining row's e-suffixes.
             at, e = reads[s], s // 2
-            out[columns[live], at] = state[s % 3][e, live]
-            keep = int(np.count_nonzero(need[columns] > at + 1))
-            cells += int(np.count_nonzero(live[keep:])) * band_cells(e, band)
-            if 0 < keep < columns.size:
+            out[:m, at] = state[s % 3][e]
+            keep = int(np.count_nonzero(need[:m] > at + 1))
+            if 0 < keep < m:
                 # The rows that need no longer suffix are the tail: one
                 # copy drops them.
                 state = state[:, :, :keep].copy()
@@ -526,16 +510,29 @@ def _wavefront_block(
                 if query_plane.shape[1] > 1:
                     query_plane = query_plane[:, :keep].copy()
                 cost = np.empty((cost.shape[0], keep))
-                columns, live = columns[:keep], live[:keep]
-                n_live = int(np.count_nonzero(live))
-    return out, cells
+                m = keep
+    return out
 
 
-def previous_call(fn, *args, **kwargs):
-    """``fn(*args, **kwargs)`` with the previous kernel in the current
-    one's place (the same blocks, the same row order)."""
-    with mock.patch.object(distance_module, "_wavefront_block", _wavefront_block):
-        return fn(*args, **kwargs)
+def previous_batch(query, candidates, rho=None, lengths=None, need=None):
+    """``dtw_batch`` by the previous kernel, driven as the current one is:
+    rows longest-need first, ``BLOCK`` rows at a time."""
+    query = np.asarray(query, dtype=np.float64)
+    candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+    n, d = candidates.shape
+    plain = lengths is None
+    lengths = (d,) if plain else tuple(lengths)
+    need = np.full(n, len(lengths)) if need is None else np.asarray(need)
+    band = d if rho is None else rho
+    order = np.argsort(-need, kind="stable")
+    out = np.empty((n, len(lengths)))
+    for start in range(0, n, BLOCK):
+        rows = order[start : start + BLOCK]
+        out[rows] = _wavefront_block(
+            query if query.ndim == 1 else query[rows],
+            candidates[rows], band, lengths, need[rows],
+        )
+    return out[:, 0] if plain else out
 
 
 def same_bits(got, expected) -> bool:
@@ -577,28 +574,18 @@ def draw_rho(data, d):
 
 def assert_paths_equal_the_previous_kernel(query, candidates, rho, lengths, need):
     exact = dtw_batch(query, candidates, rho)
-    assert same_bits(exact, previous_call(dtw_batch, query, candidates, rho))
+    assert same_bits(exact, previous_batch(query, candidates, rho))
     got = dtw_batch(query, candidates, rho, lengths=lengths, need=need)
-    expected = previous_call(
-        dtw_batch, query, candidates, rho, lengths=lengths, need=need
-    )
+    expected = previous_batch(query, candidates, rho, lengths, need)
     assert same_bits(got, expected)
     finite = exact[np.isfinite(exact)]
+    terms = admissible_terms(np.random.default_rng(0), exact, candidates.shape[1])
     for cutoff in (
         [np.inf, 0.0] if finite.size == 0
         else [np.inf, 0.0, float(np.median(finite)), float(finite.min()) / 2]
     ):
-        for lb_terms in (None, np.abs(candidates - candidates.mean()) / 64):
-            got, cells = dtw_batch_pruned(
-                query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms,
-                return_cells=True,
-            )
-            expected, expected_cells = previous_call(
-                dtw_batch_pruned, query, candidates, rho, cutoff=cutoff,
-                lb_terms=lb_terms, return_cells=True,
-            )
-            assert same_bits(got, expected)
-            assert cells == expected_cells and type(cells) is int
+        for lb_terms in (None, terms):
+            assert_pruned_contract(query, candidates, rho, cutoff, lb_terms)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -622,9 +609,7 @@ class TestBandOffsetLayout:
         ))
         need = rng.integers(1, len(lengths) + 1, size=n)
         got = dtw_batch(query, candidates, rho, lengths=lengths, need=need)
-        expected = previous_call(
-            dtw_batch, query, candidates, rho, lengths=lengths, need=need
-        )
+        expected = previous_batch(query, candidates, rho, lengths, need)
         assert same_bits(got, expected)
 
     @settings(max_examples=150, deadline=None)
@@ -639,7 +624,7 @@ class TestBandOffsetLayout:
         rho = draw_rho(data, d)
         query, candidates = draw_rows(data, rng, n, d)
         exact = dtw_batch(query, candidates, rho)
-        assert same_bits(exact, previous_call(dtw_batch, query, candidates, rho))
+        assert same_bits(exact, previous_batch(query, candidates, rho))
         finite = exact[np.isfinite(exact)]
         cutoff = data.draw(st.sampled_from(
             [np.inf, 0.0] if finite.size == 0
@@ -647,17 +632,8 @@ class TestBandOffsetLayout:
         ))
         lb_terms = None
         if data.draw(st.booleans()):
-            lb_terms = rng.random((n, d)) * (finite.min() / d if finite.size else 1.0)
-        got, cells = dtw_batch_pruned(
-            query, candidates, rho, cutoff=cutoff, lb_terms=lb_terms,
-            return_cells=True,
-        )
-        expected, expected_cells = previous_call(
-            dtw_batch_pruned, query, candidates, rho, cutoff=cutoff,
-            lb_terms=lb_terms, return_cells=True,
-        )
-        assert same_bits(got, expected)
-        assert cells == expected_cells
+            lb_terms = admissible_terms(rng, exact, d)
+        assert_pruned_contract(query, candidates, rho, cutoff, lb_terms)
 
     @pytest.mark.parametrize(
         "d, rho",
@@ -707,9 +683,7 @@ class TestBandOffsetLayout:
         queries = rng.normal(size=(BLOCK + 2, 9)).cumsum(axis=1)
         candidates = queries + rng.normal(size=queries.shape)
         got = dtw_batch(queries, candidates, 2, lengths=(4, 9))
-        assert same_bits(got, previous_call(
-            dtw_batch, queries, candidates, 2, lengths=(4, 9)
-        ))
+        assert same_bits(got, previous_batch(queries, candidates, 2, (4, 9)))
         bumped = got.copy()
         bumped[3, 1] = np.nextafter(bumped[3, 1], np.inf)
         assert not same_bits(got, bumped)

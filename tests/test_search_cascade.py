@@ -272,20 +272,6 @@ class TestBatchedPrimitives:
             dtw_batch(query, candidates, rho=4),
         )
 
-    def test_pruned_dtw_reports_cell_savings(self):
-        rng = np.random.default_rng(13)
-        query = rng.normal(size=32)
-        candidates = np.concatenate(
-            [query[None, :] + 0.01, rng.normal(size=(63, 32)) + 50.0]
-        )
-        _, terms = lb_improved_profile(query, candidates, 4, return_terms=True)
-        _, cells = dtw_batch_pruned(
-            query, candidates, 4, cutoff=1.0, lb_terms=terms,
-            return_cells=True,
-        )
-        full_cells = 64 * 32 * min(32, 2 * 4 + 1)
-        assert 0 < cells < full_cells / 2
-
 
 class TestSearchEdgeCases:
     def test_empty_to_verify_batch(self):

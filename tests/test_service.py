@@ -349,6 +349,28 @@ class TestSnapshotRestore:
         with pytest.raises(SnapshotCorruptionError, match="s1.npz"):
             make_service().restore(tmp_path)
 
+    @pytest.mark.parametrize(
+        "key, bad",
+        [("std", 0.0), ("std", -1.0), ("std", np.nan), ("std", np.inf),
+         ("mean", np.nan), ("mean", np.inf)],
+    )
+    def test_restore_rejects_unusable_norm_stats(self, tmp_path, key, bad):
+        """A non-finite mean or a std that is not finite and positive
+        would divide every later reading into a non-finite point (std 0:
+        a ZeroDivisionError inside the lane); the sensor is refused
+        before it is admitted."""
+        service = make_service()
+        service.register("s1", raw_history())
+        service.snapshot(tmp_path)
+        with np.load(tmp_path / "_norms.npz") as archive:
+            norms = {name: archive[name] for name in archive.files}
+        norms[f"s1_{key}"] = np.array([bad])
+        np.savez(tmp_path / "_norms.npz", **norms)
+        fresh = make_service()
+        with pytest.raises(SnapshotCorruptionError, match="_norms.npz.*'s1'"):
+            fresh.restore(tmp_path)
+        assert sum(fresh.sensors_per_backend()) == 0
+
     def test_restore_rejects_hand_edited_series_shape(self, tmp_path):
         service = make_service()
         service.register("s1", raw_history())
@@ -408,6 +430,21 @@ class TestIngestMany:
             service.ingest_many({"a": 201.0, "b": np.nan})
         with pytest.raises(KeyError):
             service.ingest_many({"a": 201.0, "ghost": 1.0})
+        for sid in ("a", "b"):
+            assert service.sensor(sid).now == before[sid]
+
+    def test_a_reading_that_overflows_when_normalised_applies_nothing(self):
+        """A finite reading can still overflow once normalised (1e308
+        against a std of about 0.07): it is refused like a non-finite
+        one, before any sensor of the batch advances."""
+        service = make_service()
+        service.register("a", raw_history())
+        service.register("b", raw_history(seed=3, scale=0.1))
+        before = {sid: service.sensor(sid).now for sid in ("a", "b")}
+        with pytest.raises(ValueError, match="'b'"):
+            service.ingest_many({"a": 201.0, "b": 1e308})
+        with pytest.raises(ValueError, match="'b'"):
+            service.ingest("b", -1e308)
         for sid in ("a", "b"):
             assert service.sensor(sid).now == before[sid]
 
