@@ -181,22 +181,23 @@ class TestKernelAdversarial:
         )
 
 
+def received(query, candidates, rho, **kwargs):
+    """``dtw_batch_pruned``'s ``(result, [(query, candidates)] dtw_batch
+    was handed)``."""
+    calls = []
+
+    def spy(q, c, *args, **kw):
+        calls.append((np.array(q), np.array(c)))
+        return dtw_batch(q, c, *args, **kw)
+
+    with mock.patch.object(distance_module, "dtw_batch", spy):
+        got = dtw_batch_pruned(query, candidates, rho, **kwargs)
+    return got, calls
+
+
 class TestPrunedContract:
     """``dtw_batch_pruned`` computes the rows its ``lb_terms`` cannot rule
     out with one ``dtw_batch`` call, and only those."""
-
-    @staticmethod
-    def received(query, candidates, rho, **kwargs):
-        """``(result, [(query, candidates)] dtw_batch was handed)``."""
-        calls = []
-
-        def spy(q, c, *args, **kw):
-            calls.append((np.array(q), np.array(c)))
-            return dtw_batch(q, c, *args, **kw)
-
-        with mock.patch.object(distance_module, "dtw_batch", spy):
-            got = dtw_batch_pruned(query, candidates, rho, **kwargs)
-        return got, calls
 
     def test_rows_whose_terms_exceed_the_cutoff_never_reach_the_kernel(self):
         rng = np.random.default_rng(8)
@@ -207,7 +208,7 @@ class TestPrunedContract:
         sums[:4] = [0.0, cutoff, cutoff + ABANDON_SLACK, 9.0]
         lb_terms = np.zeros((n, d))
         lb_terms[:, 0] = sums  # a one-term row sums to its term exactly
-        got, calls = self.received(
+        got, calls = received(
             query, candidates, 3, cutoff=cutoff, lb_terms=lb_terms
         )
         computed = sums <= cutoff + ABANDON_SLACK  # only "exceeds" is skipped
@@ -225,36 +226,11 @@ class TestPrunedContract:
     def test_every_row_ruled_out_computes_none(self):
         rng = np.random.default_rng(9)
         query, candidates = rng.normal(size=6), rng.normal(size=(BLOCK, 6))
-        got, calls = self.received(
+        got, calls = received(
             query, candidates, 2, cutoff=0.5, lb_terms=np.ones((BLOCK, 6))
         )
         assert [c.shape[0] for _, c in calls] == [0]
         assert (got == np.inf).all()
-
-    def test_filtered_rows_keep_their_own_queries(self):
-        """Far rows are ruled out by their terms; the near rows, scattered
-        among them, reach the kernel with their own queries."""
-        rng = np.random.default_rng(11)
-        n, d, rho = 4 * BLOCK, 18, 3
-        queries = rng.normal(size=(n, d)).cumsum(axis=1)
-        candidates = queries + rng.normal(size=(n, d)) * 0.05
-        far = rng.permutation(n)[: 3 * n // 4]
-        candidates[far] += 40.0
-        exact = np.array(
-            [dtw_distance(q, c, rho) for q, c in zip(queries, candidates)]
-        )
-        near = np.setdiff1d(np.arange(n), far)
-        cutoff = float(exact[near].max())
-        lb_terms = admissible_terms(rng, exact, d)
-        lb_terms[far] = exact[far, None] / d * 0.9  # above the cutoff
-        got, calls = self.received(
-            queries, candidates, rho, cutoff=cutoff, lb_terms=lb_terms
-        )
-        (sent_queries, sent), = calls
-        assert sent_queries.tobytes() == queries[near].tobytes()
-        assert sent.tobytes() == candidates[near].tobytes()
-        assert (got[far] == np.inf).all()
-        np.testing.assert_array_equal(got[near], exact[near])
 
     def test_malformed_terms_are_refused(self):
         query, candidates = np.zeros(6), np.zeros((3, 6))
@@ -287,6 +263,38 @@ class TestPairedQueries:
         ]
         np.testing.assert_array_equal(
             dtw_batch(queries, candidates, rho), expected
+        )
+
+    def test_cutoff_compaction_takes_the_query_columns_too(self):
+        """Far rows are ruled out by their terms and compacted away before
+        the kernel; the near rows, scattered among them, must keep their
+        own queries."""
+        rng = np.random.default_rng(11)
+        n, d, rho = 4 * BLOCK, 18, 3
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d)) * 0.05
+        far = rng.permutation(n)[: 3 * n // 4]
+        candidates[far] += 40.0
+        exact = np.array(
+            [dtw_distance(q, c, rho) for q, c in zip(queries, candidates)]
+        )
+        near = np.setdiff1d(np.arange(n), far)
+        cutoff = float(exact[near].max())
+        lb_terms = admissible_terms(rng, exact, d)
+        lb_terms[far] = exact[far, None] / d * 0.9  # above the cutoff
+        pruned, calls = received(
+            queries, candidates, rho, cutoff=cutoff, lb_terms=lb_terms
+        )
+        (sent_queries, sent), = calls
+        assert sent_queries.tobytes() == queries[near].tobytes()
+        assert sent.tobytes() == candidates[near].tobytes()
+        assert np.isinf(pruned[far]).all()
+        np.testing.assert_array_equal(pruned[near], exact[near])
+        # Row for row what one scalar-query call per row computes.
+        assert sent.shape[0] == sum(
+            received(q, c[None], rho, cutoff=cutoff, lb_terms=t[None])[1][0][1]
+            .shape[0]
+            for q, c, t in zip(queries, candidates, lb_terms)
         )
 
     def test_query_count_must_match_candidate_count(self):

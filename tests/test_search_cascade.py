@@ -10,6 +10,7 @@ pipeline is pinned separately by ``tests/test_exec_parity.py``.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +33,8 @@ from repro.dtw import (
     lb_kim,
     lb_kim_profile,
 )
+from repro.dtw import distance as distance_module
+from repro.dtw.distance import band_cells
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
 from repro.index.reference import suffix_knn_reference
@@ -271,6 +274,27 @@ class TestBatchedPrimitives:
             dtw_batch_pruned(query, candidates, rho=4),
             dtw_batch(query, candidates, rho=4),
         )
+
+    def test_pruned_dtw_reports_cell_savings(self):
+        rng = np.random.default_rng(13)
+        query = rng.normal(size=32)
+        candidates = np.concatenate(
+            [query[None, :] + 0.01, rng.normal(size=(63, 32)) + 50.0]
+        )
+        _, terms = lb_improved_profile(query, candidates, 4, return_terms=True)
+        computed = []
+
+        def spy(q, c, *args, **kwargs):
+            computed.append(len(c))
+            return dtw_batch(q, c, *args, **kwargs)
+
+        with mock.patch.object(distance_module, "dtw_batch", spy):
+            dtw_batch_pruned(
+                query, candidates, 4, cutoff=1.0, lb_terms=terms
+            )
+        cells = sum(computed) * band_cells(32, 4)
+        full_cells = 64 * 32 * min(32, 2 * 4 + 1)
+        assert 0 < cells < full_cells / 2
 
 
 class TestSearchEdgeCases:
