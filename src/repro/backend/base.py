@@ -41,7 +41,9 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from ..dtw.distance import launch_work
 from ..gpu.device import Allocation, GpuMemoryError, MemoryLedger
+from ..obs import hooks as obs
 
 __all__ = [
     "Allocation",
@@ -211,10 +213,13 @@ class SubstrateBackend:
         """Banded DTW of many candidates against one query (``(d,)``) or
         one query each (``(n, d)``); every needed suffix length with
         ``lengths`` (see :class:`ComputeBackend`)."""
-        candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
-        if candidates.shape[0] == 0:
-            return np.empty(0 if lengths is None else (0, len(lengths)))
-        return self._run_dtw_verification(query, candidates, rho, lengths, need)
+        with obs.span("dtw_verification", self) as sp:
+            candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+            if sp is not None:
+                sp.attrs.update(launch_work(candidates.shape, rho, lengths, need))
+            if candidates.shape[0] == 0:
+                return np.empty(0 if lengths is None else (0, len(lengths)))
+            return self._run_dtw_verification(query, candidates, rho, lengths, need)
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Unbanded DTW of one query against many candidates."""
@@ -230,33 +235,36 @@ class SubstrateBackend:
         The plain call is the one-segment case of the same kernel op.  A
         NaN has no rank: values holding any raise :class:`ValueError`.
         """
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("k_select expects a 1-D array")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        if math.isnan(np.minimum.reduce(values, initial=np.inf)):
-            nan = np.count_nonzero(np.isnan(values))
-            raise ValueError(
-                f"k_select cannot rank NaN: {nan} of {values.size} values are NaN"
-            )
-        if offsets is None:
-            if values.size == 0:
-                raise ValueError("cannot select from an empty array")
-            return self._run_k_select(values, k, (0, values.size))
-        offsets = np.asarray(offsets, dtype=np.intp)
-        if (
-            offsets.ndim != 1
-            or offsets.size < 2
-            or offsets[0] != 0
-            or offsets[-1] != values.size
-            or not (np.diff(offsets) > 0).all()
-        ):
-            raise ValueError(
-                "offsets must rise strictly from 0 to values.size "
-                f"({values.size}): no segment may be empty, got {offsets.tolist()}"
-            )
-        return self._run_k_select(values, k, offsets)
+        with obs.span("k_select", self) as sp:
+            if sp is not None:  # one row each of the stacked selection
+                sp.attrs["segments"] = 1 if offsets is None else len(offsets) - 1
+            values = np.asarray(values, dtype=np.float64)
+            if values.ndim != 1:
+                raise ValueError("k_select expects a 1-D array")
+            if k <= 0:
+                raise ValueError(f"k must be positive, got {k}")
+            if math.isnan(np.minimum.reduce(values, initial=np.inf)):
+                nan = np.count_nonzero(np.isnan(values))
+                raise ValueError(
+                    f"k_select cannot rank NaN: {nan} of {values.size} values are NaN"
+                )
+            if offsets is None:
+                if values.size == 0:
+                    raise ValueError("cannot select from an empty array")
+                return self._run_k_select(values, k, (0, values.size))
+            offsets = np.asarray(offsets, dtype=np.intp)
+            if (
+                offsets.ndim != 1
+                or offsets.size < 2
+                or offsets[0] != 0
+                or offsets[-1] != values.size
+                or not (np.diff(offsets) > 0).all()
+            ):
+                raise ValueError(
+                    "offsets must rise strictly from 0 to values.size "
+                    f"({values.size}): no segment may be empty, got {offsets.tolist()}"
+                )
+            return self._run_k_select(values, k, offsets)
 
     def launch(
         self,

@@ -59,7 +59,8 @@ class _BoxedStack:
         self._pull: dict[int, np.ndarray] | None = None  # None: all inside
 
     def values(self, points: np.ndarray, members: list[int]) -> tuple:
-        values, failed = self.problem.values(points.clip(-12, 12), members)
+        with obs.span("loo_values"):
+            values, failed = self.problem.values(points.clip(-12, 12), members)
         self._pull = None
         if np.abs(points).max() > _LOG_BOUND:
             excess = np.maximum(np.abs(points) - _LOG_BOUND, 0.0)
@@ -70,7 +71,8 @@ class _BoxedStack:
         return values, failed
 
     def gradients(self, members: list[int]) -> np.ndarray:
-        grads = self.problem.gradients(members)
+        with obs.span("loo_gradients"):
+            grads = self.problem.gradients(members)
         if self._pull is None:
             return grads
         return grads + np.array([self._pull[member] for member in members])
@@ -143,6 +145,14 @@ def _train_stack(
             )
     finished, factors = _lock_step(_BoxedStack(problem), runs)
     failed = {}
+    if obs.is_enabled():  # one report for the stack's trainings
+        trained = [
+            (result.converged, not result.converged, result.iterations,
+             result.evaluations, result.gradient_evaluations)
+            for result in finished.values() if isinstance(result, OptimizeResult)
+        ]
+        if trained:
+            obs.observe_gp_training(*np.sum(trained, axis=0).tolist())
     for member, predictor in enumerate(predictors):
         result = finished.get(member)
         if isinstance(result, Exception):
@@ -153,10 +163,6 @@ def _train_stack(
             predictor.cg_iterations += result.iterations
             predictor.objective_evaluations += result.evaluations
             predictor.gradient_evaluations += result.gradient_evaluations
-            obs.observe_gp_training(
-                result.iterations, result.converged, result.evaluations,
-                result.gradient_evaluations,
-            )
             if not result.converged:
                 logger.debug(
                     "GP LOO-CG training stopped without convergence after "
@@ -185,7 +191,8 @@ def _fit_stack(predictors, queries, neighbours, targets) -> Outcome:
     centred = targets - target_means[:, None]
     problem = LooProblem(neighbours, centred)
     mean, variance = np.zeros(len(predictors)), np.zeros(len(predictors))
-    errors, factors = _train_stack(predictors, problem, neighbours, centred)
+    with obs.span("gp_train"):
+        errors, factors = _train_stack(predictors, problem, neighbours, centred)
     stale = [
         member for member, predictor in enumerate(predictors)
         if member not in errors and not (

@@ -337,40 +337,41 @@ class _LaneKnn:
         form a stack; each family gets every stack of every cell in one
         :meth:`SemiLazyPredictor.predict_stacks`, whatever fails that call
         failing its rows only."""
-        outcomes = [(np.zeros(len(r)), np.zeros(len(r)), {}) for _, r, _ in cells]
-        families: dict[type, list] = {}
-        for c, (cell, rows, predictors) in enumerate(cells):
-            k, d = cell
-            _, sizes, queries, neighbours = self.segments(d)
-            targets, observed = self.targets(d, horizon)
-            stacks: dict[tuple, list[int]] = {}
-            for at, (row, predictor) in enumerate(zip(rows, predictors)):
-                if observed[row]:
-                    stacks.setdefault(
-                        (min(k, sizes[row]), type(predictor)), []
-                    ).append(at)
-                else:
-                    outcomes[c][2][at] = IndexError(
-                        f"a {horizon}-step-ahead target of an item-length-{d} "
-                        f"neighbour is not observed yet"
-                    )
-            for (take, family), members in stacks.items():
-                picked = np.array([rows[at] for at in members])
-                families.setdefault(family, []).append((c, members, (
-                    [predictors[at] for at in members], queries[picked],
-                    neighbours[picked, :take], targets[picked, :take],
-                )))
-        for family, jobs in families.items():
-            try:
-                results = family.predict_stacks([stack for _, _, stack in jobs])
-            except Exception as error:  # noqa: BLE001 - this family's rows fail
-                results = [failed(len(members), error) for _, members, _ in jobs]
-            for (c, members, _), (mean, variance, errors) in zip(jobs, results):
-                cell_mean, cell_variance, cell_errors = outcomes[c]
-                cell_mean[members], cell_variance[members] = mean, variance
-                for at, error in errors.items():
-                    cell_errors[members[at]] = error
-        return outcomes
+        with obs.span("predict_cells"):
+            outcomes = [(np.zeros(len(r)), np.zeros(len(r)), {}) for _, r, _ in cells]
+            families: dict[type, list] = {}
+            for c, (cell, rows, predictors) in enumerate(cells):
+                k, d = cell
+                _, sizes, queries, neighbours = self.segments(d)
+                targets, observed = self.targets(d, horizon)
+                stacks: dict[tuple, list[int]] = {}
+                for at, (row, predictor) in enumerate(zip(rows, predictors)):
+                    if observed[row]:
+                        stacks.setdefault(
+                            (min(k, sizes[row]), type(predictor)), []
+                        ).append(at)
+                    else:
+                        outcomes[c][2][at] = IndexError(
+                            f"a {horizon}-step-ahead target of an item-length-{d} "
+                            f"neighbour is not observed yet"
+                        )
+                for (take, family), members in stacks.items():
+                    picked = np.array([rows[at] for at in members])
+                    families.setdefault(family, []).append((c, members, (
+                        [predictors[at] for at in members], queries[picked],
+                        neighbours[picked, :take], targets[picked, :take],
+                    )))
+            for family, jobs in families.items():
+                try:
+                    results = family.predict_stacks([stack for _, _, stack in jobs])
+                except Exception as error:  # noqa: BLE001 - this family's rows fail
+                    results = [failed(len(members), error) for _, members, _ in jobs]
+                for (c, members, _), (mean, variance, errors) in zip(jobs, results):
+                    cell_mean, cell_variance, cell_errors = outcomes[c]
+                    cell_mean[members], cell_variance[members] = mean, variance
+                    for at, error in errors.items():
+                        cell_errors[members[at]] = error
+            return outcomes
 
 
 def predict_many(
@@ -472,10 +473,11 @@ def _predict_horizon(
         variance.T[awake.T] = np.concatenate([v for _, v, _ in outcomes[cells]])
         kept = [at for at, row in enumerate(rows) if row not in failures]
         if kept:
-            outputs = mix_many(
-                [ensembles[at] for at in kept],
-                Components(awake[kept], mean[kept], variance[kept]),
-            )
+            with obs.span("mix"):
+                outputs = mix_many(
+                    [ensembles[at] for at in kept],
+                    Components(awake[kept], mean[kept], variance[kept]),
+                )
             for at, output in zip(kept, outputs):
                 served[rows[at]][h] = output
                 lane[rows[at]]._remember(h, output)
@@ -524,11 +526,14 @@ def absorb_many(sensors: Sequence[SMiLer], values) -> None:
     stale from here until :meth:`SMiLer.install`, so a predict in
     between — possibly after a rebind — re-searches.
     """
-    values = [float(value) for value in values]
-    if len(values) != len(sensors):
-        raise ValueError(f"{len(values)} values for {len(sensors)} sensors")
-    tune_many(sensors, values)
-    step_many([sensor.engine.window_index for sensor in sensors], values)
-    for sensor in sensors:
-        sensor._answers = None
+    with obs.span("absorb_many"):
+        values = [float(value) for value in values]
+        if len(values) != len(sensors):
+            raise ValueError(f"{len(values)} values for {len(sensors)} sensors")
+        with obs.span("tune"):
+            tune_many(sensors, values)
+        with obs.span("step_many"):
+            step_many([sensor.engine.window_index for sensor in sensors], values)
+        for sensor in sensors:
+            sensor._answers = None
 

@@ -51,6 +51,7 @@ __all__ = [
     "dtw_batch",
     "dtw_batch_pruned",
     "band_cells",
+    "launch_work",
 ]
 
 _INF = np.inf
@@ -251,6 +252,23 @@ def band_cells(d: int, rho: int | None) -> int:
     otherwise — what one thread computes for one length-``d`` DTW."""
     band = d if rho is None else int(rho)
     return d * (2 * band + 1) - band * (band + 1) if d > band else d * d
+
+
+def launch_work(shape, rho: int | None, lengths=None, need=None) -> dict:
+    """The work of a :func:`dtw_batch` launch over ``(n, d)`` candidates
+    (``lengths`` / ``need`` as there): its ``rows``, the band ``cells``
+    they compute (each row's through its longest needed suffix) and the
+    anti-``diagonals`` its blocks walk, ``2 x longest - 1`` per
+    :data:`BLOCK_ROWS` block of rows taken longest first."""
+    n, d = shape
+    if lengths is None:
+        cells = n * band_cells(d, rho)
+        longest = np.full(-(-n // BLOCK_ROWS), d)
+    else:
+        needs = np.bincount(need, minlength=len(lengths) + 1)[1:]
+        cells = int(np.dot(needs, [band_cells(e, rho) for e in lengths]))
+        longest = np.asarray(lengths)[np.sort(need)[::-1][::BLOCK_ROWS] - 1]
+    return {"rows": n, "cells": cells, "diagonals": int((2 * longest - 1).sum())}
 
 
 def _checked_rows(query, candidates) -> tuple[np.ndarray, np.ndarray]:

@@ -34,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..obs import hooks as obs
 from .envelope import Envelope, compute_envelope, compute_envelope_batch
 
 __all__ = [
@@ -234,21 +235,22 @@ def _tube_excess(
     last axis shorter than 8 left to right, and a leading axis too, so
     below 8 the sum runs over operands laid out omega-major: the same
     bits in whole-array adds.  From 8 up the last-axis sum is pairwise."""
-    axis = -1
-    if values.shape[-1] < 8:
-        nd = max(values.ndim, upper.ndim, lower.ndim)
-        values, upper, lower = (
-            operand.reshape((1,) * (nd - operand.ndim) + operand.shape)
-            .transpose(nd - 1, *range(nd - 1))
-            .copy()
-            for operand in (values, upper, lower)
-        )
-        axis = 0
-    excess = values - upper
-    np.maximum(excess, lower - values, out=excess)
-    np.maximum(excess, 0.0, out=excess)
-    excess *= excess
-    return excess.sum(axis=axis)
+    with obs.span("_tube_excess"):
+        axis = -1
+        if values.shape[-1] < 8:
+            nd = max(values.ndim, upper.ndim, lower.ndim)
+            values, upper, lower = (
+                operand.reshape((1,) * (nd - operand.ndim) + operand.shape)
+                .transpose(nd - 1, *range(nd - 1))
+                .copy()
+                for operand in (values, upper, lower)
+            )
+            axis = 0
+        excess = values - upper
+        np.maximum(excess, lower - values, out=excess)
+        np.maximum(excess, 0.0, out=excess)
+        excess *= excess
+        return excess.sum(axis=axis)
 
 
 def window_pair_lbeq(

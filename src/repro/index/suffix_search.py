@@ -320,10 +320,12 @@ def search_many(
     with obs.span("search", backend) as sp:
         if sp is not None:
             sp.attrs["n_sensors"] = len(engines)
-        with obs.span("lower_bounds", backend):
+        with obs.span("lower_bounds", backend) as bounds_sp:
             bounds = lower_bounds_many(
                 [engine.group_index for engine in engines], (cfg.lb_mode,)
             )
+            if bounds_sp is not None:  # a (sensors, starts) array per mode, length
+                bounds_sp.attrs["arrays"] = len(bounds.stacked) * len(cfg.item_lengths)
         # The lane's series and master queries, one row per engine: read
         # where the stack keeps them when the group is the whole stack in
         # order, else the group's rows of it (a few stale members).
@@ -331,7 +333,8 @@ def search_many(
         series, master = stack.series, stack.master
         if rows.size != stack.size or (rows != np.arange(stack.size)).any():
             series, master = series[rows], master[rows]
-        lane = _search_lane(engines, bounds, series, master)
+        with obs.span("_search_lane", backend):
+            lane = _search_lane(engines, bounds, series, master)
     found = [EngineAnswers(lane, index) for index in range(len(engines))]
     for engine, answers in zip(engines, found):
         engine._found = answers
@@ -340,16 +343,16 @@ def search_many(
 
 def _lane_seeds(
     engines: Sequence[SuffixKnnEngine], bound: list[np.ndarray], n: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, int]:
     """The starts whose true DTWs seed ``tau_i``, at least ``k`` per
-    ``(length, engine)`` row: ``(how many per row, starts)``, chosen as
-    :func:`_row_seeds` chooses them.  The members whose last answers fill
-    rows of the search most of them came from take one stacked union,
-    read where that search keeps them (in place when they are all of
-    its rows, in order); the others — new, restored, short, stale, or a
-    union short of ``k`` — are chosen row by row (the cold pool must be:
-    ``argpartition``'s pick among tied bounds depends on the array it is
-    handed)."""
+    ``(length, engine)`` row: ``(how many per row, starts, how many rows
+    were seeded alone)``, chosen as :func:`_row_seeds` chooses them.  The
+    members whose last answers fill rows of the search most of them came
+    from take one stacked union, read where that search keeps them (in
+    place when they are all of its rows, in order); the others — new,
+    restored, short, stale, or a union short of ``k`` — are chosen row
+    by row (the cold pool must be: ``argpartition``'s pick among tied
+    bounds depends on the array it is handed)."""
     cfg = engines[0].config
     depth, size = n.shape
     search = (
@@ -373,7 +376,7 @@ def _lane_seeds(
         union = (sizes == starts.shape[2]).all(axis=0)
         union &= (count >= np.minimum(cfg.k_max, within)).all(axis=0)
         if rows is None and union.all():
-            return count.ravel(), both[keep]
+            return count.ravel(), both[keep], 0
         keep[:, ~union] = False
         members, count = members[union], count[:, union]
         counts[:, members] = count
@@ -391,7 +394,7 @@ def _lane_seeds(
             chosen.append(seeds)
             owner.append(np.full(seeds.size, at * size + i))
     order = np.argsort(np.concatenate(owner), kind="stable")
-    return counts.ravel(), np.concatenate(chosen)[order]
+    return counts.ravel(), np.concatenate(chosen)[order], depth * int(alone.sum())
 
 
 def _largest_search(
@@ -506,7 +509,9 @@ def _search_lane(
     with obs.span("dtw_refine", backend) as sp:
         # (B) One launch verifies every length's seeds, each distinct
         # candidate once, read at every length up to its longest.
-        count, seed_start = _lane_seeds(engines, bound, n)
+        count, seed_start, alone = _lane_seeds(engines, bound, n)
+        if sp is not None:
+            sp.attrs["seeded_alone"] = alone
         seed_row = np.repeat(np.arange(depth * size), count)
         seed_key = seed_row % size * ends + seed_start + item[seed_row // size]
         seeded = np.zeros(size * ends, dtype=np.int8)
@@ -602,8 +607,7 @@ def _search_lane(
     place, pool = place[order], pool[order]
     pooled = np.bincount(place // ends, minlength=depth * size)
     offsets = np.concatenate([[0], np.cumsum(pooled)])
-    with obs.span("k_select", backend):
-        picked = backend.k_select(pool, cfg.k_max, offsets)
+    picked = backend.k_select(pool, cfg.k_max, offsets)
 
     # The answers stay stacked: one gather for the lane.
     sizes = np.minimum(cfg.k_max, pooled)

@@ -19,7 +19,8 @@ occupancy.  This package makes those quantities first-class at runtime:
 * :mod:`repro.obs.exposition` — Prometheus text and JSON snapshots;
 * :mod:`repro.obs.hooks` — the hot-path hooks the serving stack calls,
   gated by one global switch (:func:`enable` / :func:`disable`); the
-  one table of what they emit (:data:`CATALOG`); and the cross-process
+  one table of what they emit (:data:`CATALOG`); the one table of the
+  spans they open (:data:`LAYERS`); and the cross-process
   seam a forked worker uses (:func:`fork_reset`, then :func:`drain` on
   its side and :func:`absorb` on the parent's).
 
@@ -39,6 +40,7 @@ from .events import EventLog
 from .exposition import to_json, to_prometheus
 from .hooks import (
     CATALOG,
+    LAYERS,
     absorb,
     configure_slo,
     detached_span,
@@ -86,6 +88,7 @@ __all__ = [
     "EventLog",
     "Gauge",
     "Histogram",
+    "LAYERS",
     "LabelCardinalityError",
     "MetricsRegistry",
     "SLOTarget",

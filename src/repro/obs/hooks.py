@@ -22,6 +22,10 @@ Every hook resolves its rows through :func:`_live`,
 compares the two row for row), and the cross-process seam —
 :func:`fork_reset`, :func:`drain`, :func:`absorb` — ships values only,
 because the receiving process declares from its own copy of the table.
+
+Every span the stack opens is named in :data:`LAYERS` (name and
+parent), the one layer table that traces, Chrome exports and
+``tools/profile_round.py --layers`` share.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .tracing import Span, Tracer
 
 __all__ = [
     "CATALOG",
+    "LAYERS",
     "MetricSpec",
     "enable",
     "disable",
@@ -169,6 +174,26 @@ CATALOG: dict[str, MetricSpec] = {
          "gradients taken at accepted line-search steps."),
     )
 }
+
+#: Every span the serving stack opens, as ``(name, parent)``: the layer
+#: it opens under on a serving round (``None``: it roots a trace or is
+#: adopted by a request's root), a parent before its children.  A name
+#: is one span site, so a layer's wall, calls and work attrs are the sums
+#: of its spans (``docs/observability.md`` lists each span's attrs).
+LAYERS: tuple[tuple[str, str | None], ...] = (
+    ("forecast_all", None), ("ingest_many", None), ("lane", None),
+    ("forecast", "lane"), ("ladder", "forecast"), ("predict", "forecast"),
+    ("ensemble_mix", "predict"), ("predict_cells", "ensemble_mix"),
+    ("gp_fit", "predict_cells"), ("gp_train", "gp_fit"),
+    ("loo_values", "gp_train"), ("loo_gradients", "gp_train"),
+    ("mix", "ensemble_mix"),
+    ("absorb_many", "lane"), ("tune", "absorb_many"),
+    ("step_many", "absorb_many"), ("_tube_excess", "step_many"),
+    ("search", "lane"), ("lower_bounds", "search"),
+    ("_search_lane", "search"), ("dtw_refine", "_search_lane"),
+    ("dtw_verification", "dtw_refine"), ("k_select", "_search_lane"),
+    ("breaker_transition", None),
+)
 
 #: The rows as attributes, named without the ``smiler_`` prefix: how the
 #: hooks below refer to them, so each name is spelled exactly once.
@@ -585,12 +610,18 @@ def observe_evacuation(backend_index: int, n_sensors: int) -> None:
 
 
 def observe_gp_training(
-    iterations: int, converged: bool, evaluations: int, gradient_evaluations: int
+    converged: int, unconverged: int, iterations: int, evaluations: int,
+    gradient_evaluations: int,
 ) -> None:
-    """Record one online GP hyperparameter fit."""
+    """Record one stack's online GP hyperparameter trainings: how many
+    converged and how many stopped short, and their summed iterations
+    and objective evaluations."""
     if not _enabled:
         return
-    _live(_M.gp_train_calls_total).inc(converged=converged)
+    trainings = _live(_M.gp_train_calls_total)
+    for outcome, count in ((True, converged), (False, unconverged)):
+        if count:
+            trainings.inc(count, converged=outcome)
     _live(_M.gp_cg_iterations_total).inc(iterations)
     evaluated = _live(_M.gp_objective_evaluations_total)
     evaluated.inc(evaluations, kind="value")

@@ -952,7 +952,7 @@ class PredictionService:
         the last rung ended in."""
         if not isinstance(served, tuple):
             try:
-                with obs.span("forecast", self._sensors[sensor_id].backend) as sp:
+                with obs.span("ladder", self._sensors[sensor_id].backend) as sp:
                     if sp is not None:
                         sp.attrs["sensor_id"] = sensor_id
                         sp.attrs["horizon"] = horizon
@@ -1021,7 +1021,10 @@ class PredictionService:
 
     # ------------------------------------------------------------ snapshots
     def snapshot(self, directory) -> list[pathlib.Path]:
-        """Persist every sensor's state; returns the written paths."""
+        """Persist every sensor's state into ``directory``; returns the
+        written paths.  A ``<sensor id>.npz`` there that this snapshot did
+        not write (an earlier snapshot's) is removed: the directory
+        restores to exactly this snapshot's sensors."""
         with self._engine.mutating():
             return self._snapshot_synced(directory)
 
@@ -1046,6 +1049,9 @@ class PredictionService:
         )
         np.savez(directory / "_norms.npz", **norms)
         paths.append(directory / "_norms.npz")
+        for path in directory.glob("*.npz"):
+            if path not in paths and _SENSOR_ID_RE.fullmatch(path.stem):
+                path.unlink()
         return paths
 
     def restore(self, directory) -> None:

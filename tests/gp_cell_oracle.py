@@ -144,8 +144,9 @@ class CellGaussianProcessPredictor(GaussianProcessPredictor):
             self.objective_evaluations += result.evaluations
             self.gradient_evaluations += result.gradient_evaluations
             obs.observe_gp_training(
+                int(result.converged),
+                int(not result.converged),
                 result.iterations,
-                result.converged,
                 result.evaluations,
                 result.gradient_evaluations,
             )

@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import importlib.util
 import pathlib
 import subprocess
 import sys
@@ -9,7 +8,9 @@ import numpy as np
 import pytest
 
 from repro.cli import EXPERIMENTS, main
-from repro.dtw.distance import BLOCK_ROWS
+from repro import obs
+from repro.backend import make_backend
+from repro.dtw.distance import BLOCK_ROWS, launch_work
 
 
 class TestList:
@@ -198,7 +199,7 @@ class TestProfileRound:
         for layer in (
             "forecast_all", "predict_cells", "mix", "ingest_many", "absorb_many",
             "tune",
-            "step_many", "_tube_excess", "search_many", "lower_bounds_many",
+            "step_many", "_tube_excess", "search", "lower_bounds",
             "_search_lane", "dtw_verification", "k_select",
         ):
             assert float(rows[layer][1]) > 0.0, layer
@@ -221,10 +222,10 @@ class TestProfileRound:
         # seeds every row from the stacked union, none alone.
         assert rows["step_many"][5:] == ["(LB_EQ", "windows", "refreshed)"]
         assert 8.0 <= float(rows["step_many"][4]) <= 24.0
-        assert rows["lower_bounds_many"][4:] == [
+        assert rows["lower_bounds"][4:] == [
             "4.0", "(bound", "arrays", "written)"
         ]
-        assert rows["_search_lane"][4:] == [
+        assert rows["dtw_refine"][4:] == [
             "0.0", "(seed", "rows", "chosen", "alone)"
         ]
         # Two shards: two lane searches a round, each serving both item
@@ -256,22 +257,34 @@ class TestProfileRound:
 
     def test_diagonals_are_counted_per_block_of_a_launch(self):
         """``2 x longest - 1`` per ``BLOCK_ROWS`` block, each block's
-        longest needed suffix, the rows taken longest first."""
-        spec = importlib.util.spec_from_file_location("profile_round", self.TOOL)
-        tool = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tool)
-        entry = [0.0, 0, 0, 0, 0, 0, 0]
-        count = tool._counting_rows(lambda *args: None, entry)
+        longest needed suffix, the rows taken longest first: the
+        ``dtw_verification`` span's attrs, summed over three launches."""
         n = 2 * BLOCK_ROWS + 1
         need = np.ones(n, dtype=int)
         need[7:1107] = 2
         need[[1500, 3]] = 3
-        count(None, np.zeros((n, 16)), np.zeros((n, 16)), 2, (4, 9, 16), need)
-        assert entry[4] == 31 + 17 + 7
-        count(None, np.zeros((n, 12)), np.zeros((n, 12)), 2)
-        assert entry[4] == 55 + 3 * 23
-        count(None, np.zeros((0, 12)), np.zeros((0, 12)), 2, (4, 12), need[:0])
-        assert entry[2] == 2 * n and entry[4] == 55 + 3 * 23
+        backend = make_backend("native")
+        totals = {"rows": 0, "cells": 0, "diagonals": 0}
+
+        def launch(*args):
+            obs.enable()
+            try:
+                with obs.span("search") as root:
+                    backend.dtw_verification(*args)
+            finally:
+                obs.disable()
+                obs.reset()
+            [span] = root.find_all("dtw_verification")
+            for attr in totals:
+                totals[attr] += span.attrs[attr]
+
+        launch(np.zeros((n, 16)), np.zeros((n, 16)), 2, (4, 9, 16), need)
+        assert totals["diagonals"] == 31 + 17 + 7
+        assert launch_work((n, 16), 2, (4, 9, 16), need)["diagonals"] == 31 + 17 + 7
+        launch(np.zeros((n, 12)), np.zeros((n, 12)), 2)
+        assert totals["diagonals"] == 55 + 3 * 23
+        launch(np.zeros((0, 12)), np.zeros((0, 12)), 2, (4, 12), need[:0])
+        assert totals["rows"] == 2 * n and totals["diagonals"] == 55 + 3 * 23
 
     def test_layers_k_select_row_on_a_simulated_workload(self):
         """churn-faulted runs the simulated backend behind seeded kernel
@@ -292,7 +305,7 @@ class TestProfileRound:
         # A sensor that joined (or a search a fault failed) has no
         # stacked answers: its rows are seeded alone, not its lane's —
         # 8 of the 50 (sensor, item length) rows in 3 rounds.
-        assert rows["_search_lane"][4] == "2.7"
+        assert rows["dtw_refine"][4] == "2.7"
 
     def test_layers_gp_train_row(self):
         """How much training a GP round asked for: wall, cells trained,
@@ -302,12 +315,26 @@ class TestProfileRound:
         assert done.returncode == 0, done.stderr
         lines = done.stdout.splitlines()
         assert lines[2].split()[0] == "forecast_all"
-        assert lines[3].startswith("  predict_cells")
-        assert lines[4].startswith("    gp_train")
+        at = {}  # each layer's row; the summary lines after them repeat names
+        for n, line in enumerate(lines[2:], 2):
+            at.setdefault(line.split()[0], n)
+        depth = {
+            name: (len(lines[n]) - len(lines[n].lstrip())) // 2
+            for name, n in at.items()
+        }
+        # Each row nests under its parent in the layer table.
+        chain = ("predict_cells", "gp_fit", "gp_train", "loo_values")
+        assert [depth[name] for name in chain] == list(
+            range(depth["predict_cells"], depth["predict_cells"] + 4)
+        )
+        assert depth["loo_gradients"] == depth["loo_values"]
+        assert at["predict_cells"] < at["gp_fit"] < at["gp_train"]
+        assert at["gp_train"] + 1 == at["loo_values"] == at["loo_gradients"] - 1
+        predict_cells = lines[at["predict_cells"]].split()
         _, wall, trainings, values, gradients, stacked_values, \
-            stacked_gradients, *note = lines[4].split()
-        assert 0.0 < float(wall) < float(lines[3].split()[1])
-        assert float(lines[3].split()[1]) < float(lines[2].split()[1])
+            stacked_gradients, *note = lines[at["gp_train"]].split()
+        assert 0.0 < float(wall) < float(predict_cells[1])
+        assert float(predict_cells[1]) < float(lines[2].split()[1])
         # One sensor, 3 x 3 cells: at most nine trainings a round.
         assert 0.0 < float(trainings) <= 9.0
         # Per training: one gradient at the start and one per accepted
@@ -323,12 +350,30 @@ class TestProfileRound:
             "gradient calls)"
         )
         # The stacked calls themselves, under gp_train: one call each.
-        assert lines[5].startswith("      loo_values")
-        assert lines[6].startswith("      loo_gradients")
-        _, values_wall, value_calls = lines[5].split()
-        _, gradients_wall, gradient_calls = lines[6].split()
+        _, values_wall, value_calls = lines[at["loo_values"]].split()
+        _, gradients_wall, gradient_calls = lines[at["loo_gradients"]].split()
         assert (value_calls, gradient_calls) == (stacked_values, stacked_gradients)
         assert 0.0 < float(values_wall) + float(gradients_wall) < float(wall)
+
+    def test_process_engine_rows_equal_the_inline_rows(self):
+        """``fleet-stream-proc`` is ``fleet-stream``'s inputs through the
+        process engine: the shard workers' spans come back with their
+        lanes, so every calls and work column reads the same."""
+        def columns(workload):
+            done = self.run_tool(workload, "--smoke", "--rounds", "3", "--layers")
+            assert done.returncode == 0, done.stderr
+            rows = {}
+            for line in done.stdout.splitlines()[2:]:  # the layer rows first
+                name, _, calls, *rest = line.split()
+                rows.setdefault(name, [calls] + [
+                    word for word in rest if not word.endswith("%")
+                ])
+            return rows
+
+        inline, process = columns("fleet-stream"), columns("fleet-stream-proc")
+        assert process == inline
+        assert float(process["dtw_verification"][0]) == 4.0
+        assert float(process["step_many"][1]) > 0.0
 
     def test_default_is_a_cprofile_table(self):
         done = self.run_tool(

@@ -1,6 +1,7 @@
 """The metric catalogue (``repro.obs.CATALOG``) and the cross-process
 telemetry seam (``fork_reset`` / ``drain`` / ``absorb``)."""
 
+import ast
 import json
 import pathlib
 import re
@@ -86,7 +87,7 @@ HOOK_CALLS = {
     "observe_search": (16, 100, 10, 12, 80, 10),
     "observe_window_reuse": (1, 2, 3, 1),
     "observe_forecasts": (1, [(0.0, 1.0, "ensemble"), (0.0, 1.0, "ar")]),
-    "observe_gp_training": (5, True, 24, 6),
+    "observe_gp_training": (4, 1, 5, 24, 6),
     "observe_fault_injected": ("dtw_verification", "kernel_error"),
     "observe_degraded_forecast": ("s0", "ar"),
     "observe_backend_state": (0, "open"),
@@ -147,7 +148,7 @@ class TestCatalog:
             "smiler_gpu_memory_allocated_bytes"
         ]
         obs.reset()  # mid-run: hooks resolve through the live registry
-        obs.observe_gp_training(2, False, 9, 3)
+        obs.observe_gp_training(0, 1, 2, 9, 3)
         registry = obs.get_registry()
         assert sorted(m.name for m in registry.metrics()) == [
             "smiler_gp_cg_iterations_total",
@@ -172,6 +173,30 @@ class TestCatalog:
                         path.relative_to(SRC).as_posix()
                     )
         assert found == {name: ["obs/hooks.py"] for name in obs.CATALOG}
+
+
+class TestLayerTable:
+    def test_every_span_the_source_opens_is_one_row(self):
+        """The spans ``src/`` opens by name — and the batch requests'
+        roots, named by their ``run_batch`` entry point — are exactly the
+        rows of :data:`repro.obs.LAYERS`, each named once, a parent
+        listed before its children."""
+        names = [name for name, _ in obs.LAYERS]
+        assert len(set(names)) == len(names)
+        for at, (name, parent) in enumerate(obs.LAYERS):
+            assert parent is None or parent in names[:at], name
+        opened = set()
+        for path in sorted(SRC.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.Call) and node.args):
+                    continue
+                called = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                first = node.args[0]
+                if called in ("span", "detached_span", "run_batch") and (
+                    isinstance(first, ast.Constant) and isinstance(first.value, str)
+                ):
+                    opened.add(first.value)
+        assert opened == set(names)
 
 
 class TestSeam:

@@ -59,6 +59,20 @@ class TestSpanTree:
         assert search.find("lower_bounds") is not None
         assert search.find("dtw_refine") is not None
         assert predict.find("gp_fit") is not None
+        # The layers under them, each nested where the layer table says.
+        [lane_pass] = [c for c in search.children if c.name == "_search_lane"]
+        assert [c.name for c in lane_pass.children] == ["dtw_refine", "k_select"]
+        assert [c.name for c in lane_pass.children[0].children] == [
+            "dtw_verification", "dtw_verification"
+        ]
+        [mix] = predict.find_all("mix")
+        assert predict.find("ensemble_mix").children[-1] is mix
+        for fit in predict.find_all("gp_fit"):
+            [train] = fit.children
+            assert train.name == "gp_train" and train.children
+            assert {c.name for c in train.children} <= {
+                "loo_values", "loo_gradients"
+            }
 
         def walk(span):
             yield span
@@ -321,9 +335,9 @@ class TestGpLaneTelemetry:
     def test_training_metrics_equal_the_predictors_counters(self):
         """Over several rounds of a three-sensor GP lane, the training
         counters obs exports are the predictors' own, summed: one
-        ``observe_gp_training`` per member training, however the lane
-        stacked them.  Each stack is one ``gp_fit`` span saying its ``k``
-        and how many members it held."""
+        ``observe_gp_training`` per stack the lane trained, its members'
+        sums split by whether they converged.  Each stack is one
+        ``gp_fit`` span saying its ``k`` and how many members it held."""
         service = PredictionService(
             config=tiny_config("gp"), backends=SimulatedGpuBackend(),
             min_history=300, service_config=ServiceConfig(engine="inline"),

@@ -81,6 +81,9 @@ class TestConnectedTraceTree:
             assert group.attrs["request_id"] == root.attrs["request_id"]
             assert [c.name for c in group.children] == ["search", "predict"]
             assert group.find("ensemble_mix").attrs["horizon"] == 1
+            assert [c.name for c in group.find("ensemble_mix").children] == [
+                "predict_cells", "mix"
+            ]
             assert lane.attrs["queue_wait_s"] >= 0.0
             assert lane.attrs["backend_id"].startswith(backend_name)
 
@@ -159,6 +162,11 @@ class TestRequestIdPropagation:
         root = service.trace_last_request()
         assert root.name == "ingest_many"
         assert sum(c.name == "lane" for c in root.children) == N_BACKENDS
+        for lane in root.children:
+            assert [c.name for c in lane.children] == ["absorb_many", "search"]
+            assert [c.name for c in lane.children[0].children] == [
+                "tune", "step_many"
+            ]
         end = [
             e for e in obs.get_event_log().tail() if e["kind"] == "request_end"
         ][-1]

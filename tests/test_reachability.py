@@ -235,8 +235,6 @@ KEPT_UNREAD = {
         "test seam: SLO tests set objectives the defaults do not",
     "repro.obs.tracing.Tracer.current":
         "test seam: tracer tests read the active span per thread",
-    "repro.obs.tracing.Span.find":
-        "test seam: trace tests locate the spans they assert on",
     "repro.obs.tracing.Span.find_all":
         "test seam: trace tests locate the spans they assert on",
     "repro.dtw.lower_bounds.lb_eq":

@@ -624,7 +624,7 @@ def seeds_of_every_length(engines):
         bounds.stacked[cfg.lb_mode][e][:, : int(valid.max())]
         for e, valid in zip(lengths, n)
     ]
-    counts, starts = _lane_seeds(engines, bound, n)
+    counts, starts, _ = _lane_seeds(engines, bound, n)
     ends = np.cumsum(counts)
     stacked, alone, valid = {}, {}, {}
     for at, d in enumerate(lengths):

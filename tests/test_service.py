@@ -291,6 +291,32 @@ class TestSnapshotRestore:
         assert after.mean == pytest.approx(before.mean, rel=1e-4)
         assert after.std == pytest.approx(before.std, rel=1e-3)
 
+    def second_snapshot(self, tmp_path):
+        """``a`` and ``b`` snapshotted, then ``b`` deregistered and the
+        service snapshotted into the same directory again."""
+        service = make_service()
+        service.register("a", raw_history(seed=4))
+        service.register("b", raw_history(seed=5))
+        service.snapshot(tmp_path)
+        service.deregister("b")
+        service.snapshot(tmp_path)
+        return service
+
+    def test_a_second_snapshot_restores_exactly_its_sensors(self, tmp_path):
+        self.second_snapshot(tmp_path)
+        restored = make_service()
+        restored.restore(tmp_path)
+        assert restored.sensor_ids == ["a"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "_norms.npz", "a.npz"
+        ]
+
+    def test_a_second_snapshot_restores_the_live_forecasts(self, tmp_path):
+        service = self.second_snapshot(tmp_path)
+        restored = make_service()
+        restored.restore(tmp_path)
+        assert restored.forecast_all() == service.forecast_all()
+
     def test_restore_requires_empty_service(self, tmp_path):
         service = make_service()
         service.register("s1", raw_history())
