@@ -54,6 +54,7 @@ __all__ = [
     "SubstrateBackend",
     "as_backend",
     "default_backend",
+    "kernel_domain",
     "make_backend",
 ]
 
@@ -369,6 +370,34 @@ def default_backend() -> "ComputeBackend":
         os.environ.get(BACKEND_ENV_VAR, "simulated"),
         fault_profile=os.environ.get(FAULT_PROFILE_ENV_VAR),
     )
+
+
+#: The kernel domain every unwrapped :class:`NativeBackend` shares.
+HOST_DOMAIN = "host"
+
+
+@functools.cache
+def _on_host(cls: type) -> bool:
+    """Whether instances of ``cls`` run their kernels as pure host
+    functions: exactly :class:`NativeBackend`, not a subclass that could
+    override a kernel."""
+    from .native import NativeBackend
+
+    return cls is NativeBackend
+
+
+def kernel_domain(backend: object) -> object:
+    """The domain whose backends may serve one fused lane, a key to
+    group by.
+
+    Every unwrapped :class:`NativeBackend` returns :data:`HOST_DOMAIN`:
+    its kernels are pure functions, ``launch`` is a no-op and there is
+    no clock or fault stream, so which of them runs a launch changes no
+    bit and no ledger.  Any other backend is its own domain — a
+    simulated backend has its own clock, a fault-injecting one its own
+    tick sequence.
+    """
+    return HOST_DOMAIN if _on_host(type(backend)) else backend
 
 
 def kernel_seconds(backend: object, names: tuple[str, ...]) -> float:

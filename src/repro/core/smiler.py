@@ -11,7 +11,7 @@ One :class:`SMiLer` instance serves one sensor:
    weights, and self-adapts once the true value arrives (Section 5).
 
 :func:`predict_many` and :func:`absorb_many` run the same machinery for
-a lane of sensors sharing one backend; :class:`repro.PredictionService`
+a lane of sensors sharing one kernel domain; :class:`repro.PredictionService`
 serves a fleet through them.
 """
 
@@ -386,8 +386,8 @@ def predict_many(
     search can fail the lane as a group (it raises): members whose
     answers are stale are searched for first, in one
     :func:`~repro.index.suffix_search.search_many`, so the sensors must
-    share one backend object and search configuration (callers group by
-    placement; a mixed group is a ``ValueError`` from the search or from
+    share one kernel domain and search configuration (callers group by
+    domain; a mixed group is a ``ValueError`` from the search or from
     :func:`~repro.index.window_index.lane_of`).  Per horizon every awake
     cell of every sensor is one :meth:`_LaneKnn.predict_cells` — one
     :meth:`SemiLazyPredictor.predict_stacks` per predictor family, so a
@@ -518,8 +518,8 @@ def absorb_many(sensors: Sequence[SMiLer], values) -> None:
     The sensors auto-tune on their values as one lane
     (:func:`tune_many`), then the group's window indexes advance in one
     :func:`~repro.index.window_index.step_many` — so the sensors must
-    share one backend object and search configuration (callers group by
-    placement).  Nothing here is a faultable kernel op: the readings are
+    share one kernel domain and search configuration (callers group by
+    domain).  Nothing here is a faultable kernel op: the readings are
     retained whatever happens to the follow-up search (which the caller
     runs once for the group, see
     :func:`~repro.index.suffix_search.search_many`); the kNN answers are

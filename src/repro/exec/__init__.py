@@ -6,7 +6,9 @@ lane plans to an :class:`ExecutionEngine`, which decides *where and how*
 they run:
 
 * :class:`InlineEngine` — everything on the calling thread (the exact
-  sequential path; the default).
+  sequential path; the default), one lane per kernel domain
+  (:func:`repro.backend.base.kernel_domain`): the shards of unwrapped
+  native backends serve as one stacked lane.
 * :class:`ThreadLaneEngine` — one thread-pool lane per backend shard
   (overlaps NumPy kernel time; the GIL serialises the rest).
 * :class:`ProcessShardEngine` — one long-lived worker process per
@@ -16,7 +18,8 @@ they run:
 
 All three serve **bit-identical** results because the per-backend
 operation order — the only thing the numerics can see — is fixed by the
-lane plan, not by the engine.  See ``docs/architecture.md`` ("Execution
+lane plans, not by the engine, and a stacked row's answers do not depend
+on the group it is stacked in.  See ``docs/architecture.md`` ("Execution
 engines") and ``tests/test_exec_parity.py``.
 """
 

@@ -4,8 +4,13 @@ lane runner every engine shares.
 An engine has **one** execution method, :meth:`ExecutionEngine.run_batch`.
 It receives *lane tasks*: one per backend shard, each carrying a
 :class:`LanePlan` (which backend, which sensors, in which order) and a
-flat tuple of declarative operations.  Ops are plain tuples so they can
-cross a process boundary without pickling::
+flat tuple of declarative operations.  The engine decides which tasks
+run together as one *lane*: one task each on the thread and process
+engines; on the inline engine, every task whose backend is in one
+kernel domain (:func:`repro.backend.base.kernel_domain` — all unwrapped
+native backends share one), so their sensors are served as one stacked
+group.  Ops are plain tuples so they can cross a process boundary
+without pickling::
 
     ("forecast", sensor_id, horizon)
     ("ingest",   sensor_id, value)
@@ -13,7 +18,7 @@ cross a process boundary without pickling::
 A single-sensor ``forecast()`` / ``ingest()`` is the same thing with one
 lane holding one op — there is no second dispatch path.
 
-The engine must execute every lane's ops **in order** — that per-backend
+The engine must execute every task's ops **in order** — that per-backend
 op order is the whole bit-identical concurrency contract (each backend's
 kernel stream, simulated-time ledger and fault-injection tick sequence
 depend only on it) — and return one outcome per op::
@@ -109,7 +114,7 @@ def execute_ops(service: "PredictionService", ops: Sequence[tuple]) -> list:
     process engine runs it inside each shard's worker — so op semantics
     (what a ``forecast`` op catches, what an ``ingest`` op propagates)
     cannot drift between engines or entry points.  A run of consecutive
-    ops of one kind — a shard's slice of ``forecast_all`` /
+    ops of one kind — a lane's slice of ``forecast_all`` /
     ``ingest_many``, or the one op of ``forecast()`` / ``ingest()`` — is
     handed to the service as one lane (``_forecast_lane`` /
     ``_observe_lane``).
@@ -145,30 +150,37 @@ def root_span(entry_point: str):
 def run_lane(
     service: "PredictionService",
     entry_point: str,
-    task: LaneTask,
+    tasks: Sequence[LaneTask],
     context: reqctx.RequestContext,
     submit_s: float,
     detached: bool = False,
     attrs: Mapping[str, object] | None = None,
-) -> tuple[list, "Span | None"]:
-    """Run one lane's ops on the current thread; returns ``(outcomes,
+) -> tuple[list[list], "Span | None"]:
+    """Run one lane on the current thread; returns ``(outcomes per task,
     lane span)``.
 
-    The one lane runner: it re-binds the request's context (pool threads
-    and worker processes inherit neither it nor the span stack), opens
-    the ``lane`` span, stamps the attrs and records queue-wait (submit →
-    lane start) vs execute time.  ``detached`` roots the span on this
-    thread for the request root to adopt after the join — a lane that
-    runs anywhere but nested under the root on the calling thread;
-    ``attrs`` are the caller's extra span attrs (``worker_pid``,
-    ``replayed_after_crash``).  A single op
+    A lane is one shard's task or — on the inline engine — the tasks of
+    every shard in one kernel domain, their ops run as one op stream
+    (one :func:`execute_ops`, so their sensors form one group) and the
+    outcomes split back per task.  The one lane runner: it re-binds the
+    request's context (pool threads and worker processes inherit
+    neither it nor the span stack), opens the ``lane`` span, stamps the
+    attrs and records queue-wait (submit → lane start) vs execute time
+    once per member shard, each its share of the lane's sensors, so the
+    lane series read alike on every engine.  ``detached`` roots the span
+    on this thread for the request root to adopt after the join — a
+    lane that runs anywhere but nested under the root on the calling
+    thread; ``attrs`` are the caller's extra span attrs
+    (``worker_pid``, ``replayed_after_crash``).  A single op
     (:data:`SINGLE_ENTRY_POINTS`) runs unframed and returns no span.
     """
     queue_wait_s = time.perf_counter() - submit_s
-    plan = task.plan
+    ops = [op for task in tasks for op in task.ops]
     with reqctx.adopt(context):
         if entry_point in SINGLE_ENTRY_POINTS:
-            return execute_ops(service, task.ops), None
+            return _split(execute_ops(service, ops), tasks), None
+        plans = [task.plan for task in tasks]
+        plan, n_sensors = plans[0], sum(len(p.sensor_ids) for p in plans)
         span_cm = obs.detached_span("lane") if detached else obs.span("lane")
         with span_cm as lane_sp:
             if lane_sp is not None:
@@ -178,17 +190,28 @@ def run_lane(
                 lane_sp.attrs["backend_id"] = getattr(
                     backend, "backend_id", f"backend-{plan.backend_index}"
                 )
+                if len(plans) > 1:  # a fused lane names its member shards
+                    lane_sp.attrs["shards"] = [p.backend_index for p in plans]
                 lane_sp.attrs["queue_wait_s"] = queue_wait_s
-                lane_sp.attrs["n_sensors"] = len(plan.sensor_ids)
+                lane_sp.attrs["n_sensors"] = n_sensors
                 lane_sp.attrs["request_id"] = context.request_id
                 lane_sp.attrs.update(attrs or {})
             t_exec = time.perf_counter()
-            outcomes = execute_ops(service, task.ops)
-        obs.observe_lane(
-            plan.lane_index, plan.backend_index, queue_wait_s,
-            time.perf_counter() - t_exec, len(plan.sensor_ids),
-        )
-    return outcomes, lane_sp
+            outcomes = execute_ops(service, ops)
+        execute_s = time.perf_counter() - t_exec
+        for member in plans:
+            share = len(member.sensor_ids)
+            obs.observe_lane(
+                member.lane_index, member.backend_index, queue_wait_s,
+                execute_s * share / n_sensors, share,
+            )
+    return _split(outcomes, tasks), lane_sp
+
+
+def _split(outcomes: list, tasks: Sequence[LaneTask]) -> list[list]:
+    """One lane's outcomes, cut back into one list per task."""
+    rest = iter(outcomes)
+    return [list(itertools.islice(rest, len(task.ops))) for task in tasks]
 
 
 class ExecutionEngine(abc.ABC):
@@ -217,10 +240,10 @@ class ExecutionEngine(abc.ABC):
         scope: reqctx.RequestScope,
         tasks: list[LaneTask],
     ) -> list[list]:
-        """Run every lane's ops through :func:`run_lane`; return per-lane
-        outcome lists, in lane order.  Must execute each lane's ops in
-        op order and leave ``service._last_trace`` pointing at the
-        request's root span when observability is enabled."""
+        """Run every task's ops through :func:`run_lane`; return
+        per-task outcome lists, in task order.  Must execute each task's
+        ops in op order and leave ``service._last_trace`` pointing at
+        the request's root span when observability is enabled."""
 
     def mutating(self):
         """Context manager the service enters around any fleet-membership

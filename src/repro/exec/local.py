@@ -1,9 +1,14 @@
 """In-process engines: the sequential path and thread-pool lanes.
 
 Both run the shared lane runner (:func:`repro.exec.base.run_lane`) on
-the serving process; they differ only in *where* each lane runs.  The
-telemetry shape: one root span adopting one ``lane`` child per shard,
-connected across worker threads.
+the serving process; they differ in *where* each lane runs and in what
+a lane is.  The thread engine runs one lane per backend shard; the
+inline engine runs one lane per kernel domain
+(:func:`repro.backend.base.kernel_domain`), so the shards of unwrapped
+native backends serve as one stacked group while a simulated or
+fault-injecting shard stays a lane of its own.  The telemetry shape:
+one root span adopting one ``lane`` child per lane, connected across
+worker threads.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+from ..backend.base import kernel_domain
 from ..obs import context as reqctx
 from .base import ExecutionEngine, LaneTask, root_span, run_lane
 
@@ -18,12 +24,33 @@ __all__ = ["InlineEngine", "ThreadLaneEngine"]
 
 
 class InlineEngine(ExecutionEngine):
-    """Every lane on the calling thread — the exact sequential path."""
+    """Every lane on the calling thread — the exact sequential path, one
+    lane per kernel domain.
+
+    Native kernels are pure functions with no clock and no fault
+    stream, so a second native lane would buy nothing but the fixed
+    per-layer cost again: the tasks of one domain run as one
+    :func:`run_lane`, their sensors searched, stepped and predicted as
+    one group, and the outcomes split back per task.  Each backend's op
+    order is unchanged, so every answer is bit-identical to the other
+    engines'.
+    """
 
     name = "inline"
 
     def run_batch(self, entry_point, scope, tasks):
-        return _run_lanes(self, entry_point, scope, tasks, workers=1)
+        backends = self.service.backends
+        lanes: dict[object, list[LaneTask]] = {}
+        for task in tasks:
+            lanes.setdefault(
+                kernel_domain(backends[task.plan.backend_index]), []
+            ).append(task)
+        grouped = list(lanes.values())
+        outcomes = dict(zip(
+            (task.plan.lane_index for lane in grouped for task in lane),
+            _run_lanes(self, entry_point, scope, grouped, workers=1),
+        ))
+        return [outcomes[task.plan.lane_index] for task in tasks]
 
 
 class ThreadLaneEngine(ExecutionEngine):
@@ -34,14 +61,14 @@ class ThreadLaneEngine(ExecutionEngine):
     :class:`InlineEngine` because each backend's whole op stream stays
     on exactly one lane.  ``max_workers`` (from
     :class:`~repro.service.ServiceConfig`) bounds the pool; a single
-    lane or a single worker degenerates to the inline path.
+    lane or a single worker runs the lanes one after another.
     """
 
     name = "thread"
 
     def run_batch(self, entry_point, scope, tasks):
         return _run_lanes(
-            self, entry_point, scope, tasks,
+            self, entry_point, scope, [[task] for task in tasks],
             workers=self.service.max_workers,
         )
 
@@ -50,10 +77,11 @@ def _run_lanes(
     engine: ExecutionEngine,
     name: str,
     scope: reqctx.RequestScope,
-    tasks: list[LaneTask],
+    lanes: list[list[LaneTask]],
     workers: int,
 ) -> list[list]:
-    """Run every lane under one root span; returns per-lane outcomes.
+    """Run every lane under one root span; returns per-task outcomes, in
+    the order ``lanes`` lists the tasks.
 
     The telemetry contract: one request yields one *connected* trace
     tree.  Sequentially, each ``lane`` span nests under the root via the
@@ -65,33 +93,33 @@ def _run_lanes(
     """
     service = engine.service
     submit_s = time.perf_counter()
-    concurrent = len(tasks) > 1 and workers > 1
+    concurrent = len(lanes) > 1 and workers > 1
 
-    def lane(task: LaneTask):
+    def lane(tasks: list[LaneTask]):
         return run_lane(
-            service, name, task, scope.context, submit_s, detached=concurrent
+            service, name, tasks, scope.context, submit_s, detached=concurrent
         )
 
     with root_span(name) as root:
         if root is not None:
             root.attrs["request_id"] = scope.request_id
-            root.attrs["n_lanes"] = len(tasks)
+            root.attrs["n_lanes"] = len(lanes)
             root.attrs["workers"] = (
-                min(workers, len(tasks)) if concurrent else 1
+                min(workers, len(lanes)) if concurrent else 1
             )
         if not concurrent:
-            outputs = [lane(task) for task in tasks]
+            outputs = [lane(tasks) for tasks in lanes]
         else:
             with ThreadPoolExecutor(
-                max_workers=min(workers, len(tasks)),
+                max_workers=min(workers, len(lanes)),
                 thread_name_prefix=f"smiler-{name}",
             ) as executor:
                 # list() drains the iterator so lane exceptions propagate.
-                outputs = list(executor.map(lane, tasks))
+                outputs = list(executor.map(lane, lanes))
             if root is not None:
                 for _, lane_sp in outputs:
                     if lane_sp is not None:
                         root.adopt(lane_sp)
     if root is not None:
         service._last_trace = root
-    return [outcomes for outcomes, _ in outputs]
+    return [outcomes for per_task, _ in outputs for outcomes in per_task]

@@ -224,7 +224,9 @@ class ProcessShardEngine(ExecutionEngine):
             # definitionally identical.
             from .local import _run_lanes
 
-            return _run_lanes(self, entry_point, scope, tasks, workers=1)
+            return _run_lanes(
+                self, entry_point, scope, [[task] for task in tasks], workers=1
+            )
 
         enabled = obs.is_enabled()
         submit_s = time.perf_counter()
@@ -297,8 +299,8 @@ class ProcessShardEngine(ExecutionEngine):
                 self._handle_lost(list(lost.values()))
                 for i, (task, reply) in enumerate(zip(tasks, replies)):
                     if reply is None:
-                        lane_outcomes[i], _ = run_lane(
-                            service, entry_point, task, scope.context,
+                        [lane_outcomes[i]], _ = run_lane(
+                            service, entry_point, [task], scope.context,
                             submit_s, attrs={"replayed_after_crash": True},
                         )
 
@@ -639,8 +641,8 @@ def _worker_batch(conn, service, backend_index, msg):
     outcomes: list = []
     lane_sp = None
     try:
-        outcomes, lane_sp = run_lane(
-            service, msg["entry_point"], task,
+        [outcomes], lane_sp = run_lane(
+            service, msg["entry_point"], [task],
             reqctx.RequestContext(**msg["context"]), msg["submit_s"],
             detached=True, attrs={"worker_pid": os.getpid()},
         )

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.base import ComputeBackend
+from ..backend.base import ComputeBackend, kernel_domain
 from ..gpu.kernels import THREADS_PER_BLOCK
 from ..timeseries.windows import aligned_segment_start, csg_size
 from .window_index import WindowLevelIndex, lane_of
@@ -179,27 +179,29 @@ def lower_bounds_many(
     """One pass of Algorithm 1 for a lane of group indexes, writing the
     bound variants ``modes`` names (``"en"``, ``"eq"``, ``"ec"``).
 
-    The groups must share one backend object, item lengths and window
-    parameters (the sensors of one shard under one search configuration
+    The groups must share one kernel domain
+    (:func:`~repro.backend.base.kernel_domain`), item lengths and window
+    parameters (the sensors of one domain under one search configuration
     do); their series may differ in length.  One stacked shift-sum over
     ``(sensor, b, DW)`` — of the posting lists a mode needs, read where
     the lane's stack keeps them — and one ``group_index_sum`` launch of
-    ``omega`` blocks per sensor, charged at its slowest block (the full
-    pass, whatever was asked).  Returns the lane's stacked output, one
+    ``omega`` blocks per sensor on the first group's backend, charged at
+    its slowest block (the full pass, whatever was asked).  Returns the lane's stacked output, one
     row per group in order; with ``"eq"`` and ``"ec"`` written it is
     indexable per group: ``lower_bounds_many(groups)[i][d]``.
     """
     if not groups:
         return LaneLowerBounds({}, np.empty(0, dtype=np.int64), 1)
     first = groups[0]
+    domain = kernel_domain(first.backend)
     for group in groups:
         if (
-            group.backend is not first.backend
+            kernel_domain(group.backend) is not domain
             or group.item_lengths != first.item_lengths
         ):
             raise ValueError(
                 "lower_bounds_many needs group indexes that share one "
-                "backend object and one set of item lengths"
+                "kernel domain and one set of item lengths"
             )
     for mode in modes:
         if mode not in _SIDES:

@@ -35,8 +35,9 @@ NN distance on adversarial data and lose exactness).
 appended, the window level is ring-updated (Remark 1), the master query
 rolls by one point, and the search repeats with threshold reuse.
 
-The unit of search is a *group* of engines on one backend — the sensors
-of one shard (Section 4.4: the GPU serves many sensors at once, one
+The unit of search is a *group* of engines in one kernel domain — the
+sensors of one shard, or of every native shard of an inline service
+(Section 4.4: the GPU serves many sensors at once, one
 candidate per thread, one block per query's selection).
 :func:`search_many` computes the group's lower bounds in one stacked
 shift-sum (:func:`~repro.index.group_index.lower_bounds_many`) and reads
@@ -86,7 +87,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..backend.base import ComputeBackend, as_backend
+from ..backend.base import ComputeBackend, as_backend, kernel_domain
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs import hooks as obs
 from .group_index import GroupLevelIndex, LaneLowerBounds, lower_bounds_many
@@ -297,9 +298,10 @@ def search_many(
 ) -> list[EngineAnswers]:
     """Suffix kNN Search for a group of engines, kernel launches fused.
 
-    The engines must share one backend object and one
-    :class:`SuffixSearchConfig` (the sensors of one backend shard do, by
-    construction; callers group by placement).  Whatever the group's
+    The engines must share one kernel domain
+    (:func:`~repro.backend.base.kernel_domain`) and one
+    :class:`SuffixSearchConfig` (callers group by domain); launches and
+    spans go to the first engine's backend.  Whatever the group's
     size, the lower bounds cost one ``group_index_sum`` launch, an item
     length one ``search_lb_kim`` launch, and the lane three kernel ops:
     seed verification, survivor verification, segmented k-selection.
@@ -309,12 +311,13 @@ def search_many(
     if not engines:
         return []
     cfg, backend = engines[0].config, engines[0].backend
+    domain = kernel_domain(backend)
     for engine in engines:
-        if engine.backend is not backend or not (
+        if kernel_domain(engine.backend) is not domain or not (
             engine.config is cfg or engine.config == cfg
         ):
             raise ValueError(
-                "search_many needs engines that share one backend object "
+                "search_many needs engines that share one kernel domain "
                 "and one SuffixSearchConfig; group them by placement first"
             )
     with obs.span("search", backend) as sp:

@@ -31,7 +31,7 @@ DESIGN.md:
   the affected trailing DW columns are recomputed on every append.
 
 The unit of maintenance is a *lane*: the indexes that step together —
-the sensors of one backend shard that share a search configuration
+the sensors of one kernel domain that share a search configuration
 (Section 4.4 serves many sensors from one device; Section 4.3 updates all
 their posting lists in one kernel).  Their state lives stacked, one row
 per index, in arrays that stay with the lane between ticks, so
@@ -59,7 +59,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.base import ComputeBackend, as_backend
+from ..backend.base import ComputeBackend, as_backend, kernel_domain
 from ..dtw.envelope import (
     Envelope,
     compute_envelope,
@@ -158,13 +158,14 @@ class LaneStack:
         ):
             return stack
         first = indexes[0]
+        domain = kernel_domain(first.backend)
         for index in indexes:
-            if index.backend is not first.backend or (
+            if kernel_domain(index.backend) is not domain or (
                 index.master_length, index.omega, index.rho
             ) != (first.master_length, first.omega, first.rho):
                 raise ValueError(
-                    "indexes that step together must share one backend "
-                    "object, master length, omega and rho; group them by "
+                    "indexes that step together must share one kernel "
+                    "domain, master length, omega and rho; group them by "
                     "placement first"
                 )
         if len({id(index) for index in indexes}) != len(indexes):
@@ -412,7 +413,8 @@ def step_many(indexes: Sequence[WindowLevelIndex], points) -> None:
     buffer and refreshes only the affected posting lists — for the whole
     group in one stacked computation and one ``window_index_step``
     launch of one block per ``(index, window)`` refreshed, charged at
-    its slowest block.  The indexes must share one backend object,
+    its slowest block, on the first index's backend.  The indexes must
+    share one kernel domain (:func:`~repro.backend.base.kernel_domain`),
     master length, omega and rho; they need not share a series length.  Host-side
     arithmetic plus a ledger entry: nothing here is a faultable kernel
     op.

@@ -34,11 +34,12 @@ a one-op lane through that same path.
 :class:`~repro.exec.ExecutionEngine` (``ServiceConfig(engine=...)``, the
 ``REPRO_EXEC`` environment variable, or the CLI's ``--engine``): the
 service decides the per-backend operation order, the engine decides
-where it runs — inline on the calling thread (the default), on a thread
-pool with **one worker lane per backend shard** (bounded by
+where it runs — inline on the calling thread (the default; one lane per
+kernel domain, so native shards serve as one stacked group), on a
+thread pool with **one worker lane per backend shard** (bounded by
 ``max_workers`` / ``--workers``), or on one
-long-lived worker *process* per shard.  Each lane walks its own
-backend's sensors in the same order the sequential path would, so
+long-lived worker *process* per shard.  Each lane walks its
+backends' sensors in the same order the sequential path would, so
 per-backend kernel streams, simulated-time ledgers and fault-injection
 tick sequences are identical — results are bit-identical to sequential
 ones across every engine (same :class:`Forecast` floats, same
@@ -62,7 +63,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import erfinv
 
-from .backend.base import ComputeBackend
+from .backend.base import ComputeBackend, kernel_domain
 from .backend.pool import BackendPool, BreakerConfig, Placement
 from .baselines.autoregressive import fit_ar
 from .core.config import SMiLerConfig
@@ -557,24 +558,46 @@ class PredictionService:
         index step (:func:`~repro.core.smiler.absorb_many`) — so a
         failure here never loses data: it only leaves kNN answers stale
         (the next forecast re-searches, on a healthy backend after
-        failover).  The searches then run fused, one group per hosting
-        backend and search configuration; a single ``ingest()`` is a
-        lane of one.
+        failover).  The searches then run fused, one group per kernel
+        domain (:meth:`_domain_of`) and search configuration; a single
+        ``ingest()`` is a lane of one.
         """
-        groups: dict[tuple, tuple[list[SMiLer], list[float]]] = {}
+        groups: dict[tuple, tuple[list[str], list[float]]] = {}
         for sensor_id, value in pairs:
-            smiler = self._sensors[sensor_id]
-            index = self._placements[sensor_id].backend_index
-            smilers, values = groups.setdefault(
-                (index, smiler.engine.config), ([], [])
+            key = (
+                self._domain_of(sensor_id),
+                self._sensors[sensor_id].engine.config,
             )
-            smilers.append(smiler)
+            sensor_ids, values = groups.setdefault(key, ([], []))
+            sensor_ids.append(sensor_id)
             values.append(self._normalised(sensor_id, value))
-        for smilers, values in groups.values():
-            absorb_many(smilers, values)
-        for (index, _), (smilers, _) in groups.items():
-            if self._search_group(index, smilers, set()) is None:
-                self._pool.record_success(index, len(smilers))
+        for sensor_ids, values in groups.values():
+            absorb_many([self._sensors[sid] for sid in sensor_ids], values)
+        for sensor_ids, _ in groups.values():
+            if self._search_group(sensor_ids, set()) is None:
+                self._record_successes(sensor_ids)
+
+    def _domain_of(self, sensor_id: str) -> object:
+        """The kernel domain of the backend hosting ``sensor_id`` now:
+        the key that fuses sensors into one stacked group
+        (:func:`~repro.backend.base.kernel_domain`)."""
+        return kernel_domain(
+            self._pool.backends[self._placements[sensor_id].backend_index]
+        )
+
+    def _homes(self, sensor_ids: Iterable[str]) -> dict[int, int]:
+        """How many of ``sensor_ids`` each hosting backend holds: a fused
+        group's breakers, in first-member order."""
+        homes: dict[int, int] = {}
+        for sensor_id in sensor_ids:
+            index = self._placements[sensor_id].backend_index
+            homes[index] = homes.get(index, 0) + 1
+        return homes
+
+    def _record_successes(self, served: Iterable[str]) -> None:
+        """One success per served sensor on its own backend's breaker."""
+        for index, count in self._homes(served).items():
+            self._pool.record_success(index, count)
 
     def _normalised(self, sensor_id: str, value: float) -> float:
         """One raw reading z-normalised by its sensor's stats: the point
@@ -583,19 +606,22 @@ class PredictionService:
         return (value - stats.mean) / stats.std
 
     def _search_group(
-        self, index: int, smilers: list[SMiLer], evacuated: set[int]
+        self, sensor_ids: list[str], evacuated: set[int]
     ) -> Exception | None:
-        """One fused search for sensors of one backend, retried in place;
-        returns ``None`` once the answers are installed, else the last
-        attempt's error with the sensors left stale.
+        """One fused search for sensors of one kernel domain, retried in
+        place; returns ``None`` once the answers are installed, else the
+        last attempt's error with the sensors left stale.
 
         A fused launch fails as a group, so each failed attempt is *one*
-        failure on the backend's breaker.  Once that trips the backend is
-        evacuated — once per request: ``evacuated`` holds the backends
-        this request already moved off, and gains ``index`` — and the
-        attempts end: the sensors sit on other backends now, their
-        answers invalidated.  Success is the caller's to record, one
-        per sensor served (``record_success(index, count)``)."""
+        failure on the breaker of every backend hosting a member.  Once
+        one trips that backend is evacuated — once per request:
+        ``evacuated`` holds the backends this request already moved off,
+        and gains it — and the attempts end: its sensors sit on other
+        backends now, their answers invalidated.  Success is the
+        caller's to record, one per sensor served on its own backend
+        (:meth:`_record_successes`)."""
+        smilers = [self._sensors[sid] for sid in sensor_ids]
+        homes = self._homes(sensor_ids)
         error: Exception | None = None
         for _ in range(self.resilience.attempts):
             try:
@@ -605,16 +631,21 @@ class PredictionService:
                 # holds this frame, and through it the lane's stacked
                 # index, in a cycle only the collector can free.
                 error = failure.with_traceback(None)
-                self._pool.record_failure(index)
+                for index in homes:
+                    self._pool.record_failure(index)
                 logger.warning(
-                    "fused search failed for %d sensors on backend %d "
+                    "fused search failed for %d sensors on backends %s "
                     "(readings retained, answers invalidated): %s",
-                    len(smilers), index, failure,
+                    len(smilers), list(homes), failure,
                 )
                 # The guard comes first: asking the pool for a breaker's
                 # state advances its cool-down.
-                if index not in evacuated and self._fail_over(index):
-                    evacuated.add(index)
+                tripped = [
+                    index for index in homes
+                    if index not in evacuated and self._fail_over(index)
+                ]
+                if tripped:
+                    evacuated.update(tripped)
                     break
             else:
                 for smiler, answers in zip(smilers, found):
@@ -645,8 +676,9 @@ class PredictionService:
 
         The whole batch is validated before any sensor advances, so a bad
         reading leaves every stream untouched (no half-applied ticks).
-        The validated batch fans out one lane per backend shard on the
-        configured engine; each lane absorbs its backend's readings in
+        The validated batch fans out one task per backend shard to the
+        configured engine, which runs them as lanes (on the inline
+        engine, one per kernel domain); each lane absorbs its readings in
         batch order and then searches them as one group
         (:meth:`_observe_lane`), so every backend sees the same
         operation sequence on every engine and the end state is
@@ -708,29 +740,27 @@ class PredictionService:
             )
         return horizon
 
-    def _by_home(self, sensor_ids: Iterable[str]) -> dict[int, list[str]]:
-        """``sensor_ids`` by the backend that hosts each right now."""
-        homes: dict[int, list[str]] = {}
+    def _by_home(self, sensor_ids: Iterable[str]) -> list[list[str]]:
+        """``sensor_ids`` grouped by the kernel domain of the backend
+        that hosts each right now."""
+        homes: dict[object, list[str]] = {}
         for sensor_id in sensor_ids:
-            homes.setdefault(
-                self._placements[sensor_id].backend_index, []
-            ).append(sensor_id)
-        return homes
+            homes.setdefault(self._domain_of(sensor_id), []).append(sensor_id)
+        return list(homes.values())
 
     def _refresh_group(
         self, sensor_ids: list[str], evacuated: set[int]
     ) -> dict[str, Exception]:
         """Re-search a forecast group's stale members together — one
-        fused search per hosting backend, through the retry loop of
-        :meth:`_search_group`.  Members a failover re-homed get a fresh
-        budget where they landed.  Returns the error of every member
-        still stale when the attempts ran out."""
+        fused search per hosting kernel domain, through the retry loop
+        of :meth:`_search_group`.  After a failover the members regroup
+        where they sit now — the re-homed where they landed — and get a
+        fresh budget.  Returns the error of every member still stale
+        when the attempts ran out."""
         errors: dict[str, Exception] = {}
-        for index, members in self._by_home(sensor_ids).items():
+        for members in self._by_home(sensor_ids):
             moved_off = len(evacuated)
-            error = self._search_group(
-                index, [self._sensors[sid] for sid in members], evacuated
-            )
+            error = self._search_group(members, evacuated)
             if error is not None:
                 errors.update(
                     self._refresh_group(members, evacuated)
@@ -744,8 +774,8 @@ class PredictionService:
     ) -> dict[str, "tuple[float, float, str] | Exception"]:
         """The ladder's top rung for one forecast group, stacked: stale
         members re-searched together, then one
-        :func:`~repro.core.smiler.predict_many` per hosting backend (a
-        member evacuated mid-request is served where it landed).
+        :func:`~repro.core.smiler.predict_many` per hosting kernel domain
+        (a member evacuated mid-request is served where it landed).
         Returns per sensor ``(mean, variance, "ensemble")`` in normalised
         space — validated, one success on its backend's breaker — or
         what kept it off the rung (still stale, a failed row, an unusable
@@ -755,14 +785,14 @@ class PredictionService:
         ]
         outcomes: dict = self._refresh_group(stale, set()) if stale else {}
         fresh = [sid for sid in sensor_ids if sid not in outcomes]
-        for index, members in self._by_home(fresh).items():
+        for members in self._by_home(fresh):
             try:
                 predicted = predict_many(
                     [self._sensors[sid] for sid in members], horizon
                 )
             except Exception as error:  # noqa: BLE001 - the members descend
                 predicted = [error] * len(members)
-            served = 0
+            served = []
             for sensor_id, output in zip(members, predicted):
                 try:
                     if isinstance(output, Exception):
@@ -775,14 +805,15 @@ class PredictionService:
                     outcomes[sensor_id] = error.with_traceback(None)
                     logger.debug(
                         "ensemble rung failed for %s on backend %d: %s",
-                        sensor_id, index, error,
+                        sensor_id, self._placements[sensor_id].backend_index,
+                        error,
                     )
                 else:
-                    served += 1
+                    served.append(sensor_id)
                     outcomes[sensor_id] = (
                         output.mean, output.variance, "ensemble"
                     )
-            self._pool.record_success(index, served)
+            self._record_successes(served)
         return outcomes
 
     def _predict_resilient(
@@ -899,8 +930,8 @@ class PredictionService:
         exception that stopped it — per op, in order.  The caller turns
         rows into :class:`Forecast` objects (:meth:`_forecaster`).
 
-        The unit is a *group*: the ops that share a hosting backend, a
-        search configuration and a horizon.  When the ladder names it,
+        The unit is a *group*: the ops that share a hosting kernel
+        domain, a search configuration and a horizon.  When the ladder names it,
         the ``ensemble`` rung serves the group stacked
         (:meth:`_ensemble_rung`); whoever it did not serve walks the
         lower rungs alone (:meth:`_predict_resilient`).  A single
@@ -911,12 +942,13 @@ class PredictionService:
         groups: dict[tuple, list[int]] = {}
         for at, (_, sensor_id, horizon) in enumerate(ops):
             groups.setdefault((
-                self._placements[sensor_id].backend_index,
+                self._domain_of(sensor_id),
                 self._sensors[sensor_id].engine.config,
                 horizon,
             ), []).append(at)
-        for (index, _, horizon), members in groups.items():
-            with obs.span("forecast", self._pool.backends[index]) as sp:
+        for (_, _, horizon), members in groups.items():
+            first = self._placements[ops[members[0]][1]].backend_index
+            with obs.span("forecast", self._pool.backends[first]) as sp:
                 if sp is not None:
                     sp.attrs["n_sensors"] = len(members)
                     if len(members) == 1:
@@ -973,22 +1005,22 @@ class PredictionService:
     def forecast_all(
         self, horizon: int | None = None, level: float = 0.95
     ) -> ForecastBatch:
-        """Forecasts for every registered sensor, grouped per backend.
+        """Forecasts for every registered sensor, grouped per lane.
 
-        Sensors sharing a backend are served together, as one forecast
+        Sensors sharing a lane are served together, as one forecast
         lane (:meth:`_forecast_lane`: stale members re-searched as one
-        group, the ensemble's cells stacked across the shard's sensors);
+        group, the ensemble's cells stacked across the lane's sensors);
         the returned mapping is sorted by sensor id.
         One sensor's failure no longer aborts the batch: completed
         forecasts are returned and the failure lands in
         :attr:`ForecastBatch.errors`.
 
-        The per-backend groups run as one lane per shard on the
-        configured engine.  Each lane preserves the sequential path's
-        per-backend sensor order, so kernel dispatch, simulated-time
-        attribution and fault-injection ticks are identical per backend
-        and the batch — forecasts *and* errors — is bit-identical to an
-        inline run on every engine.
+        The per-backend tasks run as lanes on the configured engine (on
+        the inline engine, one per kernel domain).  Each lane preserves
+        the sequential path's per-backend sensor order, so kernel
+        dispatch, simulated-time attribution and fault-injection ticks
+        are identical per backend and the batch — forecasts *and*
+        errors — is bit-identical to an inline run on every engine.
         """
         to_forecast = self._forecaster(level)
         horizon = self._resolve_horizon(horizon)  # reject bad ones up front

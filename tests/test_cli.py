@@ -203,17 +203,17 @@ class TestProfileRound:
             "_search_lane", "dtw_verification", "k_select",
         ):
             assert float(rows[layer][1]) > 0.0, layer
-        # Two shards, one grid: the ensemble lane tunes and mixes once
-        # per shard.
-        assert float(rows["tune"][2]) == 2.0
-        assert float(rows["mix"][2]) == 2.0
-        # The family dispatch between them: once per shard (one horizon
-        # asked), never per sensor or per cell.
-        assert float(rows["predict_cells"][2]) == 2.0
+        # Two native shards on the inline engine are one lane, one grid:
+        # the ensemble lane tunes and mixes once a round.
+        assert float(rows["tune"][2]) == 1.0
+        assert float(rows["mix"][2]) == 1.0
+        # The family dispatch between them: once a round (one horizon
+        # asked), never per shard, sensor or cell.
+        assert float(rows["predict_cells"][2]) == 1.0
         assert float(rows["predict_cells"][1]) >= float(rows["gp_train"][1])
         # Per window step, one LB_EQ and one LB_EC sum for the tail
         # columns and one of each for the refreshed windows.
-        assert float(rows["_tube_excess"][2]) == 8.0
+        assert float(rows["_tube_excess"][2]) == 4.0
         # Work columns of the index maintenance.  Eight sensors at rho=2:
         # a row refreshes SW_0 and those of SW_1, SW_2 whose envelope the
         # new point changed, 1 to 3 windows.  The search asks the
@@ -223,15 +223,15 @@ class TestProfileRound:
         assert rows["step_many"][5:] == ["(LB_EQ", "windows", "refreshed)"]
         assert 8.0 <= float(rows["step_many"][4]) <= 24.0
         assert rows["lower_bounds"][4:] == [
-            "4.0", "(bound", "arrays", "written)"
+            "2.0", "(bound", "arrays", "written)"
         ]
         assert rows["dtw_refine"][4:] == [
             "0.0", "(seed", "rows", "chosen", "alone)"
         ]
-        # Two shards: two lane searches a round, each serving both item
-        # lengths with two verification launches.
-        assert float(rows["_search_lane"][2]) == 2.0
-        assert float(rows["dtw_verification"][2]) == 4.0
+        # One fused lane: one search a round, serving both item lengths
+        # with two verification launches.
+        assert float(rows["_search_lane"][2]) == 1.0
+        assert float(rows["dtw_verification"][2]) == 2.0
         assert "_search_lane glue" in done.stdout
         # How much reached the kernel, on the row whose wall it explains:
         # rows, band cells and anti-diagonals per round (rho=2: a row read
@@ -243,10 +243,10 @@ class TestProfileRound:
         assert len(rows["dtw_verification"]) == 7 and len(rows["k_select"]) == 5
         launches = float(rows["dtw_verification"][2])
         assert 15 * launches <= diagonals <= 31 * launches
-        # Two shards of four sensors, two item lengths: two selections a
+        # Eight sensors in one lane, two item lengths: one selection a
         # round, a segment (one row of the stacked selection) per sensor
         # and item length.
-        assert float(rows["k_select"][2]) == 2.0
+        assert float(rows["k_select"][2]) == 1.0
         assert float(rows["k_select"][-1]) == 16.0
         assert verified >= 4.0  # at least a row per launch
         assert 34 * verified <= cells <= 74 * verified
@@ -358,7 +358,10 @@ class TestProfileRound:
     def test_process_engine_rows_equal_the_inline_rows(self):
         """``fleet-stream-proc`` is ``fleet-stream``'s inputs through the
         process engine: the shard workers' spans come back with their
-        lanes, so every calls and work column reads the same."""
+        lanes, so every work column counted per sensor reads the same.
+        The process engine runs a lane per shard where the inline engine
+        fuses the two native shards into one, so every layer a lane runs
+        is called twice as often, and so is a per-launch count."""
         def columns(workload):
             done = self.run_tool(workload, "--smoke", "--rounds", "3", "--layers")
             assert done.returncode == 0, done.stderr
@@ -371,7 +374,22 @@ class TestProfileRound:
             return rows
 
         inline, process = columns("fleet-stream"), columns("fleet-stream-proc")
-        assert process == inline
+        assert process.keys() == inline.keys()
+        for name, (calls, *_) in inline.items():
+            if name in ("forecast_all", "ingest_many", "breaker_transition"):
+                assert process[name] == inline[name], name
+            else:
+                assert float(process[name][0]) == 2 * float(calls), name
+        for name in ("step_many", "dtw_refine", "k_select", "gp_train"):
+            assert process[name][1:] == inline[name][1:], name
+        verified = inline["dtw_verification"]
+        assert process["dtw_verification"][1:3] == verified[1:3]
+        assert float(verified[3]) < float(process["dtw_verification"][3])
+        assert float(process["dtw_verification"][3]) <= 2 * float(verified[3])
+        assert process["lower_bounds"][2:] == inline["lower_bounds"][2:]
+        assert float(process["lower_bounds"][1]) == 2 * float(
+            inline["lower_bounds"][1]
+        )
         assert float(process["dtw_verification"][0]) == 4.0
         assert float(process["step_many"][1]) > 0.0
 

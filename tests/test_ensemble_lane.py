@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backend import make_backend
+from repro.backend.base import kernel_domain
 from repro.core import SMiLerConfig
 from repro.core.ar import AggregationPredictor
 from repro.core.ensemble import (
@@ -538,17 +539,22 @@ def test_register_deregister_evacuate_repack_and_keep_the_bits(tmp_path):
         futures[sid] = raw[i][history.size :]
 
     def assert_one_stack_per_lane():
-        """Each shard's sensors tuned horizon 1 as one stack holding
-        exactly their ensembles: re-packed on every membership change."""
+        """Each lane's sensors tuned horizon 1 as one stack holding
+        exactly their ensembles: re-packed on every membership change.
+        Both native shards are one kernel domain, so on the inline engine
+        the lane is the whole fleet, elsewhere a shard.  Returns how many
+        shards host the fleet."""
+        fused = service.engine.name == "inline"
         lanes = {}
         for sid in twins:
-            lanes.setdefault(service._placements[sid].backend_index, []).append(
-                service.sensor(sid).ensemble(1)
-            )
+            index = service._placements[sid].backend_index
+            lane = kernel_domain(service.backends[index]) if fused else index
+            lanes.setdefault(lane, []).append(service.sensor(sid).ensemble(1))
+        assert len(lanes) == 1 or not fused
         for members in lanes.values():
             assert len({id(ensemble._stack) for ensemble in members}) == 1
             assert members[0]._stack.size == len(members)
-        return len(lanes)
+        return sum(1 for count in service.sensors_per_backend() if count)
 
     try:
         for i in range(7):

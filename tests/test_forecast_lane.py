@@ -27,6 +27,7 @@ from repro.core.ar import AggregationPredictor
 from repro.core.ensemble import Components, EnsembleOutput
 from repro.core.predictor import GaussianPrediction, SemiLazyPredictor
 from repro.core.smiler import SMiLer, absorb_many, predict_many
+from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.index import search_many
 from repro.service import PredictionService
 from repro.timeseries.series import ZNormStats
@@ -388,9 +389,37 @@ def test_an_unknown_horizon_fails_only_its_sensor_and_unobserved_targets_too():
     [outcome] = predict_many([both], 1)
     assert isinstance(outcome, IndexError)
 
-    other = SMiLer(history, CONFIG, backend=make_backend("native"))
-    with pytest.raises(ValueError, match="share one backend"):
-        predict_many([both, other], 1)
+
+def test_a_lane_spans_native_backends_but_no_other_kernel_domain():
+    """Two native backends share one kernel domain: their sensors
+    predict as one lane, bit for bit as each alone.  Any other pairing —
+    simulated with simulated, native with simulated, a fault-wrapped
+    native backend — is refused."""
+    history, _ = split(histories(2)[0])
+
+    def pair(first, second):
+        return [
+            SMiLer(history, CONFIG, backend=backend, sensor_id=f"s{at}")
+            for at, backend in enumerate((first, second))
+        ]
+
+    lane = pair(make_backend("native"), make_backend("native"))
+    twins = pair(make_backend("native"), make_backend("native"))
+    got = predict_many(lane, None)
+    for at, twin in enumerate(twins):
+        assert_same_outputs(got[at], predict_many([twin], None)[0], at)
+
+    def wrapped():
+        return FaultInjectingBackend(make_backend("native"), FaultProfile())
+
+    for first, second in (
+        (make_backend("simulated"), make_backend("simulated")),
+        (make_backend("native"), make_backend("simulated")),
+        (make_backend("native"), wrapped()),
+        (wrapped(), make_backend("native")),
+    ):
+        with pytest.raises(ValueError, match="share one kernel domain"):
+            predict_many(pair(first, second), 1)
 
 
 def test_a_two_sensor_gp_lane_keeps_its_bits_and_its_training():

@@ -565,20 +565,37 @@ class TestLedger:
 
 
 class TestRefusals:
+    def test_native_backends_step_as_one_lane(self):
+        """Every unwrapped native backend is in one kernel domain:
+        indexes on three of them step and bound as one lane, every field
+        equal to its oracle's."""
+        twins = [
+            Twin(
+                make_series(120 + 7 * i, seed=i), (8, 16), 4, 2,
+                make_backend("native"), "native",
+            )
+            for i in range(3)
+        ]
+        run_lane(twins, [make_series(30, seed=10 + i) for i in range(3)], 30)
+        assert len({id(twin.index._stack) for twin in twins}) == 1
+
     def test_mismatched_groups_and_unbuilt_indexes(self):
         backend = make_backend("native")
         series = make_series(100, seed=1)
         a = WindowLevelIndex(series, 16, 4, 2, backend)
         b = WindowLevelIndex(series, 16, 4, 3, backend)
-        c = WindowLevelIndex(series, 16, 4, 2, make_backend("native"))
+        c = WindowLevelIndex(series, 16, 4, 2, make_backend("simulated"))
+        wrapped = FaultInjectingBackend(make_backend("native"), FaultProfile())
+        d = WindowLevelIndex(series, 16, 4, 2, wrapped)
         with pytest.raises(RuntimeError):
             a.step(0.0)
-        for index in (a, b, c):
+        for index in (a, b, c, d):
             index.build(series[-16:])
         with pytest.raises(ValueError):
             step_many([a, b], [0.0, 0.0])
-        with pytest.raises(ValueError):
-            step_many([a, c], [0.0, 0.0])
+        for stranger in (c, d):  # each a kernel domain of its own
+            with pytest.raises(ValueError, match="share one kernel domain"):
+                step_many([a, stranger], [0.0, 0.0])
         with pytest.raises(ValueError):
             step_many([a, a], [0.0, 0.0])
         with pytest.raises(ValueError):

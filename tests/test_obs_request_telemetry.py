@@ -94,12 +94,22 @@ class TestConnectedTraceTree:
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_sequential_tree_has_same_shape(self, backend_name):
+        """One lane per shard — except on the inline engine, where the
+        four native shards are one kernel domain: one fused lane that
+        names them, serving all eight sensors as one forecast group."""
         obs.enable()
         service = make_fleet(backend_name, workers=1)
         service.forecast_all()
         root = service.trace_last_request()
         assert root.name == "forecast_all"
         lanes = [c for c in root.children if c.name == "lane"]
+        if backend_name == "native" and service.engine.name == "inline":
+            [lane] = lanes
+            assert lane.attrs["shards"] == list(range(N_BACKENDS))
+            assert lane.attrs["n_sensors"] == N_SENSORS
+            assert [c.name for c in lane.children] == ["forecast"]
+            assert lane.children[0].attrs["n_sensors"] == N_SENSORS
+            return
         assert len(lanes) == N_BACKENDS
         assert all(
             [c.name for c in lane.children] == ["forecast"]

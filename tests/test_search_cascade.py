@@ -485,6 +485,8 @@ class TestFusedGroups:
             assert backend.tick - tick == 3
 
     def test_refuses_engines_that_do_not_share_backend_and_config(self):
+        """The backend a group shares is its kernel domain: only
+        unwrapped native backends share one."""
         series = make_series(120, seed=43)
         backend = make_backend("simulated")
         engine = SuffixKnnEngine(series, SMALL_CFG, backend=backend)
@@ -494,14 +496,45 @@ class TestFusedGroups:
         other_cfg = SuffixKnnEngine(
             series, dataclasses.replace(SMALL_CFG, k_max=5), backend=backend
         )
-        for stranger in (elsewhere, other_cfg):
-            with pytest.raises(ValueError, match="share one backend"):
-                search_many([engine, stranger])
+        native = SuffixKnnEngine(series, SMALL_CFG, backend=make_backend("native"))
+        wrapped = SuffixKnnEngine(series, SMALL_CFG, backend=FaultInjectingBackend(
+            make_backend("native"), FaultProfile(seed=1)
+        ))
+        for group in (
+            [engine, elsewhere], [engine, other_cfg], [native, engine],
+            [native, wrapped], [wrapped, native],
+        ):
+            with pytest.raises(ValueError, match="share one kernel domain"):
+                search_many(group)
         # Equal configs need not be the same object.
         twin = SuffixKnnEngine(
             series, dataclasses.replace(SMALL_CFG), backend=backend
         )
         assert len(search_many([engine, twin])) == 2
+
+    def test_native_backends_share_one_kernel_domain(self):
+        """Engines on two native backends search as one group, each
+        answer bit-identical to its engine searched alone."""
+        streams = [make_series(n, seed=n) for n in (140, 121, 160)]
+        backends = [make_backend("native") for _ in range(2)]
+        engines = [
+            SuffixKnnEngine(series, SMALL_CFG, backend=backends[at % 2])
+            for at, series in enumerate(streams)
+        ]
+        alone = [
+            SuffixKnnEngine(series, SMALL_CFG, backend=make_backend("native"))
+            for series in streams
+        ]
+        for tick in range(4):
+            fused = search_many(engines)
+            for got, twin in zip(fused, alone):
+                want = twin.search()
+                for d, answer in want.items():
+                    np.testing.assert_array_equal(got[d].starts, answer.starts)
+                    assert got[d].distances.tobytes() == answer.distances.tobytes()
+            for engine, twin, series in zip(engines, alone, streams):
+                engine.advance(series[tick])
+                twin.advance(series[tick])
 
     def test_empty_group(self):
         assert search_many([]) == []

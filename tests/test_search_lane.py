@@ -1080,7 +1080,7 @@ class TestRefusals:
         stranger = SuffixKnnEngine(
             series, dataclasses.replace(SMALL_CFG, k_max=5), backend=backend
         )
-        with pytest.raises(ValueError, match="share one backend"):
+        with pytest.raises(ValueError, match="share one kernel domain"):
             search_many(engines + [stranger])
 
 
