@@ -553,9 +553,7 @@ def _worker_main(conn, backend_index, sensor_ids, service) -> None:
     except (AttributeError, OSError):
         pass
     _rearm_after_fork(service)
-    service.resilience = dataclasses.replace(
-        service.resilience, failover=False
-    )
+    service._failover = False
     from .local import InlineEngine
 
     service._engine = InlineEngine(service)

@@ -49,10 +49,9 @@ def _error_types() -> dict[str, type[BaseException]]:
     # Lazy: repro.service imports this package at module load.
     from ..faults.backend import BackendDeadError, FaultError, KernelFaultError
     from ..gpu.device import GpuMemoryError
-    from ..service import ForecastError, SnapshotCorruptionError
+    from ..service import SnapshotCorruptionError
 
     return {
-        "ForecastError": ForecastError,
         "SnapshotCorruptionError": SnapshotCorruptionError,
         "FaultError": FaultError,
         "KernelFaultError": KernelFaultError,

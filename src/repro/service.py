@@ -88,9 +88,8 @@ from .timeseries.series import ZNormStats
 __all__ = [
     "Forecast",
     "ForecastBatch",
-    "ForecastError",
     "PredictionService",
-    "ResiliencePolicy",
+    "SEARCH_ATTEMPTS",
     "ServiceConfig",
     "SnapshotCorruptionError",
 ]
@@ -108,14 +107,11 @@ class SnapshotCorruptionError(RuntimeError):
     hand-edited archives); the message names the offending file."""
 
 
-class ForecastError(RuntimeError):
-    """Every rung of the degradation ladder failed for one sensor (only
-    reachable with a truncated :class:`ResiliencePolicy` ladder — the
-    ``naive`` rung never fails)."""
-
-
-#: The degradation ladder, best rung first (see ``docs/robustness.md``).
-DEGRADATION_LADDER = ("ensemble", "reduced", "ar", "naive")
+#: How often one fused search runs before its members are left stale:
+#: a transient kernel fault usually passes on the retry, and each failed
+#: attempt is one more charge on the hosting breakers, so a second retry
+#: would mostly trip them faster (see ``docs/robustness.md``).
+SEARCH_ATTEMPTS = 2
 
 
 @dataclass(frozen=True)
@@ -159,36 +155,6 @@ class ServiceConfig:
         """The effective engine name: explicit value, else the
         ``REPRO_EXEC`` environment variable, else ``"inline"``."""
         return resolve_engine_name(self.engine)
-
-
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """How :meth:`PredictionService.forecast` behaves under failure.
-
-    ``attempts`` bounds the retries of the full-ensemble rung (transient
-    kernel faults usually pass on retry); after that the ladder descends:
-    ``reduced`` (single smallest ensemble cell, reusing cached kNN
-    answers), ``ar`` (host-side AR fit on recent history — no backend),
-    ``naive`` (last value — cannot fail).  ``failover`` lets a forecast
-    that trips a backend's circuit breaker evacuate that backend's
-    sensors onto healthy peers mid-request.
-    """
-
-    attempts: int = 2
-    ladder: tuple[str, ...] = DEGRADATION_LADDER
-    failover: bool = True
-
-    def __post_init__(self) -> None:
-        if self.attempts <= 0:
-            raise ValueError(f"attempts must be positive, got {self.attempts}")
-        if not self.ladder:
-            raise ValueError("the degradation ladder must have at least one rung")
-        unknown = [r for r in self.ladder if r not in DEGRADATION_LADDER]
-        if unknown:
-            raise ValueError(
-                f"unknown ladder rungs {unknown}; available: "
-                f"{DEGRADATION_LADDER}"
-            )
 
 
 def _validate_sensor_id(sensor_id: str) -> str:
@@ -294,12 +260,16 @@ class _Request:
 class PredictionService:
     """Multi-sensor forecast service sharded over a backend pool."""
 
+    #: Whether a breaker tripped mid-request evacuates its backend there
+    #: and then.  A shard worker turns it off: its placements stay frozen
+    #: for its generation, and the parent evacuates at the batch boundary.
+    _failover = True
+
     def __init__(
         self,
         config: SMiLerConfig | None = None,
         backends: ComputeBackend | Iterable[object] | None = None,
         min_history: int = 256,
-        resilience: ResiliencePolicy | None = None,
         breaker: BreakerConfig | None = None,
         service_config: ServiceConfig | None = None,
     ) -> None:
@@ -313,7 +283,6 @@ class PredictionService:
         else:
             backends = [backends]
         self._pool = BackendPool(backends, breaker=breaker)
-        self.resilience = resilience or ResiliencePolicy()
         self.service_config = service_config or ServiceConfig()
         #: Effective thread-lane bound.
         self.max_workers = self.service_config.max_workers or 1
@@ -433,11 +402,11 @@ class PredictionService:
 
     def _fail_over(self, backend_index: int) -> bool:
         """The one failover rule, applied after a failure was charged to
-        a backend's breaker: when the policy allows it, the pool has
-        peers and the breaker is now open, evacuate the backend.
-        Returns whether it did."""
+        a backend's breaker: when failover is on, the pool has peers and
+        the breaker is now open, evacuate the backend.  Returns whether
+        it did."""
         if (
-            self.resilience.failover
+            self._failover
             and len(self._pool) > 1
             and self._pool.state(backend_index) == "open"
         ):
@@ -524,10 +493,15 @@ class PredictionService:
         with self._engine.mutating():
             with self._admission_lock:
                 self._require(sensor_id)
-                del self._sensors[sensor_id]
-                del self._norms[sensor_id]
-                self._pool.release(self._placements.pop(sensor_id))
+                self._drop(sensor_id)
         logger.debug("deregistered sensor %s", sensor_id)
+
+    def _drop(self, sensor_id: str) -> None:
+        """Forget one admitted sensor and free its reservation.  Caller
+        holds the admission lock."""
+        del self._sensors[sensor_id]
+        del self._norms[sensor_id]
+        self._pool.release(self._placements.pop(sensor_id))
 
     @property
     def sensor_ids(self) -> list[str]:
@@ -623,7 +597,7 @@ class PredictionService:
         smilers = [self._sensors[sid] for sid in sensor_ids]
         homes = self._homes(sensor_ids)
         error: Exception | None = None
-        for _ in range(self.resilience.attempts):
+        for _ in range(SEARCH_ATTEMPTS):
             try:
                 found = search_many([smiler.engine for smiler in smilers])
             except Exception as failure:
@@ -817,39 +791,25 @@ class PredictionService:
         return outcomes
 
     def _predict_resilient(
-        self, sensor_id: str, horizon: int, last_error: Exception | None
+        self, sensor_id: str, horizon: int
     ) -> tuple[float, float, str]:
-        """Walk the degradation ladder below the (stacked) ensemble rung
-        for one sensor; returns ``(mean, variance, source)`` in
-        normalised space.  ``last_error`` is what kept the sensor off the
-        ensemble rung, if it was tried."""
-        policy = self.resilience
-        for rung in policy.ladder:
-            if rung == "reduced":
-                smiler = self._sensors[sensor_id]
-                try:
-                    prediction = smiler.predict_reduced(horizon)
-                    return prediction.mean, prediction.variance, "reduced"
-                except Exception as error:
-                    last_error = error.with_traceback(None)
-                    logger.debug(
-                        "reduced rung failed for %s: %s", sensor_id, error
-                    )
-            elif rung == "ar":
-                try:
-                    mean, variance = self._ar_fallback(sensor_id, horizon)
-                    GaussianPrediction(mean, variance)  # usable, or raises
-                    return mean, variance, "ar"
-                except Exception as error:
-                    last_error = error.with_traceback(None)
-                    logger.debug("ar rung failed for %s: %s", sensor_id, error)
-            elif rung == "naive":
-                mean, variance = self._naive_fallback(sensor_id, horizon)
-                return mean, variance, "naive"
-        raise ForecastError(
-            f"every degradation rung {policy.ladder} failed for sensor "
-            f"{sensor_id!r}: {last_error}"
-        ) from last_error
+        """The ladder below the (stacked) ensemble rung for one sensor,
+        best rung first: ``reduced`` (the smallest ensemble cell, on the
+        cached kNN answers), ``ar`` (a host-side fit, no backend) and
+        ``naive`` (the last value, which cannot fail).  Returns ``(mean,
+        variance, source)`` in normalised space."""
+        try:
+            prediction = self._sensors[sensor_id].predict_reduced(horizon)
+            return prediction.mean, prediction.variance, "reduced"
+        except Exception as error:
+            logger.debug("reduced rung failed for %s: %s", sensor_id, error)
+        try:
+            mean, variance = self._ar_fallback(sensor_id, horizon)
+            GaussianPrediction(mean, variance)  # usable, or raises
+            return mean, variance, "ar"
+        except Exception as error:
+            logger.debug("ar rung failed for %s: %s", sensor_id, error)
+        return (*self._naive_fallback(sensor_id, horizon), "naive")
 
     def _ar_fallback(self, sensor_id: str, horizon: int) -> tuple[float, float]:
         """Host-side AR(d) on the recent normalised history — no backend
@@ -875,8 +835,9 @@ class PredictionService:
     ) -> Forecast:
         """Raw-scale forecast with a central predictive interval.
 
-        Failures descend the :class:`ResiliencePolicy` ladder instead of
-        propagating: transient kernel faults are retried, a tripped
+        Failures descend the degradation ladder (``ensemble`` →
+        ``reduced`` → ``ar`` → ``naive``) instead of propagating: a
+        failed search is retried once (:data:`SEARCH_ATTEMPTS`), a tripped
         backend is evacuated mid-request (when the pool has healthy
         peers), and the served rung is visible on
         :attr:`Forecast.source` / :attr:`Forecast.degraded`, in the
@@ -931,10 +892,10 @@ class PredictionService:
         rows into :class:`Forecast` objects (:meth:`_forecaster`).
 
         The unit is a *group*: the ops that share a hosting kernel
-        domain, a search configuration and a horizon.  When the ladder names it,
-        the ``ensemble`` rung serves the group stacked
-        (:meth:`_ensemble_rung`); whoever it did not serve walks the
-        lower rungs alone (:meth:`_predict_resilient`).  A single
+        domain, a search configuration and a horizon.  The ``ensemble``
+        rung serves the group stacked (:meth:`_ensemble_rung`); whoever
+        it did not serve walks the lower rungs alone
+        (:meth:`_predict_resilient`).  A single
         ``forecast()`` is a lane of one.
         """
         request = reqctx.current_request()
@@ -956,12 +917,9 @@ class PredictionService:
                     sp.attrs["horizon"] = horizon
                     sp.attrs["request_id"] = request.request_id
                 sensor_ids = [ops[at][1] for at in members]
-                rung = (
-                    self._ensemble_rung(sensor_ids, horizon)
-                    if "ensemble" in self.resilience.ladder else {}
-                )
+                rung = self._ensemble_rung(sensor_ids, horizon)
                 rows = [
-                    self._finish_row(sensor_id, horizon, rung.get(sensor_id))
+                    self._finish_row(sensor_id, horizon, rung[sensor_id])
                     for sensor_id in sensor_ids
                 ]
                 obs.observe_forecasts(horizon, rows)
@@ -976,19 +934,18 @@ class PredictionService:
 
     def _finish_row(
         self, sensor_id: str, horizon: int,
-        served: "tuple[float, float, str] | Exception | None",
+        served: "tuple[float, float, str] | Exception",
     ) -> "tuple[float, float, str] | Exception":
         """One forecast op's outcome: the lower rungs if the stacked rung
-        did not serve its sensor (``served`` is then why, or ``None`` for
-        a ladder without it), then its normalised row — or the exception
-        the last rung ended in."""
-        if not isinstance(served, tuple):
+        did not serve its sensor (``served`` is then why), then its
+        normalised row — or the exception the ladder raised."""
+        if isinstance(served, Exception):
             try:
                 with obs.span("ladder", self._sensors[sensor_id].backend) as sp:
                     if sp is not None:
                         sp.attrs["sensor_id"] = sensor_id
                         sp.attrs["horizon"] = horizon
-                    served = self._predict_resilient(sensor_id, horizon, served)
+                    served = self._predict_resilient(sensor_id, horizon)
                     if sp is not None:
                         sp.attrs["source"] = served[2]
             except Exception as failure:  # noqa: BLE001 - per-sensor side-channel
@@ -1089,9 +1046,9 @@ class PredictionService:
     def restore(self, directory) -> None:
         """Load every snapshotted sensor into this (empty) service.
 
-        Each archive is parsed first, its memory estimated, and the pool
-        picks the hosting backend before the index is rebuilt — the same
-        admission path as :meth:`register`.
+        Every archive is parsed and checked before any is admitted (a
+        corrupt one admits nothing); each then takes :meth:`register`'s
+        admission path, and a failed one releases those admitted before it.
         """
         with _Request("restore") as request:
             try:
@@ -1110,6 +1067,7 @@ class PredictionService:
             raise FileNotFoundError(f"no snapshot at {directory}")
         with np.load(norm_path) as archive:
             raw = {name: float(archive[name][0]) for name in archive.files}
+        checked = []
         for path in sorted(directory.glob("*.npz")):
             if path.name == "_norms.npz":
                 continue
@@ -1149,15 +1107,18 @@ class PredictionService:
                     f"for sensor {sensor_id!r}; expected a finite mean and a "
                     "finite std > 0 — hand-edited snapshot?"
                 )
-            self._admit(
-                sensor_id,
-                snapshot.series.size,
-                snapshot.config,
-                lambda backend, snap=snapshot: build_smiler(
-                    snap, backend=backend
-                ),
-            )
-            self._norms[sensor_id] = ZNormStats(mean=mean, std=std)
+            checked.append((snapshot, ZNormStats(mean=mean, std=std)))
+        try:
+            for snapshot, stats in checked:
+                self._admit(
+                    snapshot.sensor_id, snapshot.series.size, snapshot.config,
+                    lambda backend, snap=snapshot: build_smiler(snap, backend=backend),
+                )
+                self._norms[snapshot.sensor_id] = stats
+        except Exception:
+            for sensor_id in list(self._norms):
+                self._drop(sensor_id)
+            raise
 
     # ------------------------------------------------------- observability
     def metrics(self) -> dict:

@@ -17,11 +17,7 @@ import pytest
 from repro.backend import BACKEND_NAMES, BreakerConfig, make_backend
 from repro.core import SMiLerConfig
 from repro.faults import FaultProfile
-from repro.service import (
-    PredictionService,
-    ResiliencePolicy,
-    ServiceConfig,
-)
+from repro.service import PredictionService, ServiceConfig
 
 CONFIG = SMiLerConfig(
     elv=(8, 16), ekv=(4, 8), rho=2, omega=4, horizons=(1, 3),
@@ -53,7 +49,6 @@ def build_service(
     workers,
     n_backends=N_BACKENDS,
     fault_profiles=None,
-    resilience=None,
     breaker=None,
 ):
     """A fresh service over ``n_backends`` identically-seeded backends."""
@@ -68,7 +63,6 @@ def build_service(
         CONFIG,
         backends=backends,
         min_history=100,
-        resilience=resilience,
         breaker=breaker,
         service_config=ServiceConfig(
             max_workers=workers, engine="thread" if workers > 1 else None
@@ -137,28 +131,37 @@ class TestConcurrentParity:
         if backend_name == "simulated":
             assert all(s > 0.0 for s in elapsed_seq)
 
-    def test_error_side_channel_identical(self, backend_name):
+    def test_error_side_channel_identical(self, backend_name, monkeypatch):
         """Injected failures land in ForecastBatch.errors identically.
 
-        One seeded FaultProfile per backend and a truncated ladder with
-        failover off make every injection deterministic per backend, so
-        the *same* sensors must fail with the *same* exceptions at any
-        worker count — and the surviving forecasts stay bit-identical.
+        One seeded FaultProfile per backend, a ladder that raises below
+        the ensemble rung and breakers that never trip (so no failover)
+        make every injection deterministic per backend, so the *same*
+        sensors must fail with the *same* exceptions at any worker count
+        — and the surviving forecasts stay bit-identical.
         """
         histories, futures = make_workload(n_sensors=24)
+        # A search is three faultable ops: at 0.19 an attempt fails with
+        # p ~ 0.47, so both SEARCH_ATTEMPTS fail with p ~ 0.22 — what one
+        # attempt did at 0.08.
         profiles = [
-            FaultProfile(seed=100 + i, kernel_error_rate=0.08,
+            FaultProfile(seed=100 + i, kernel_error_rate=0.19,
                          kernel_nan_rate=0.05)
             for i in range(N_BACKENDS)
         ]
-        policy = ResiliencePolicy(
-            attempts=1, ladder=("ensemble",), failover=False
+
+        def no_lower_rung(service, sensor_id, horizon):
+            raise RuntimeError(f"{sensor_id}: no rung below the ensemble")
+
+        monkeypatch.setattr(
+            PredictionService, "_predict_resilient", no_lower_rung
         )
+        breaker = BreakerConfig(failure_threshold=10**9)
         sequential = build_service(
-            backend_name, workers=1, fault_profiles=profiles, resilience=policy
+            backend_name, workers=1, fault_profiles=profiles, breaker=breaker
         )
         concurrent = build_service(
-            backend_name, workers=4, fault_profiles=profiles, resilience=policy
+            backend_name, workers=4, fault_profiles=profiles, breaker=breaker
         )
         batches_seq = drive(sequential, histories, futures, rounds=3)
         batches_con = drive(concurrent, histories, futures, rounds=3)

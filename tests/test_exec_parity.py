@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.backend import BACKEND_NAMES, make_backend
+from repro.backend import BACKEND_NAMES, BreakerConfig, make_backend
 from repro.backend.simulated import SimulatedGpuBackend
 from repro.core import (
     SMiLer, SMiLerConfig, build_smiler, load_snapshot, save_smiler,
@@ -34,11 +34,7 @@ from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.index import SuffixKnnEngine, SuffixSearchConfig
 from repro.index.suffix_search import search_many
 from repro.index.window_index import step_many
-from repro.service import (
-    PredictionService,
-    ResiliencePolicy,
-    ServiceConfig,
-)
+from repro.service import PredictionService, ServiceConfig
 from repro.timeseries.series import ZNormStats
 
 CONFIG = SMiLerConfig(
@@ -80,7 +76,7 @@ def build_service(
     engine,
     n_backends=N_BACKENDS,
     fault_profiles=None,
-    resilience=None,
+    breaker=None,
     **config_kwargs,
 ):
     backends = [
@@ -94,7 +90,7 @@ def build_service(
         CONFIG,
         backends=backends,
         min_history=100,
-        resilience=resilience,
+        breaker=breaker,
         service_config=ServiceConfig(
             engine=engine, max_workers=4, **config_kwargs
         ),
@@ -486,23 +482,33 @@ class TestEngineParity:
             assert all(s > 0.0 for s in ref_elapsed)
             assert all(ledger["launches"] > 0 for ledger in ref_ledgers)
 
-    def test_error_side_channel_identical(self, backend_name):
+    def test_error_side_channel_identical(self, backend_name, monkeypatch):
         """Deterministic injected faults cross the process boundary with
-        their type and message intact, and land on the same sensors."""
+        their type and message intact, and land on the same sensors.
+        The ladder raises below the ensemble rung — patched before the
+        first batch, so forked shard workers inherit it — and breakers
+        never trip, so no engine fails over."""
         histories, futures = make_workload(n_sensors=24)
+        # A search is three faultable ops: at 0.19 an attempt fails with
+        # p ~ 0.47, so both SEARCH_ATTEMPTS fail with p ~ 0.22 — what one
+        # attempt did at 0.08.
         profiles = [
-            FaultProfile(seed=100 + i, kernel_error_rate=0.08,
+            FaultProfile(seed=100 + i, kernel_error_rate=0.19,
                          kernel_nan_rate=0.05)
             for i in range(N_BACKENDS)
         ]
-        policy = ResiliencePolicy(
-            attempts=1, ladder=("ensemble",), failover=False
+
+        def no_lower_rung(service, sensor_id, horizon):
+            raise RuntimeError(f"{sensor_id}: no rung below the ensemble")
+
+        monkeypatch.setattr(
+            PredictionService, "_predict_resilient", no_lower_rung
         )
         results = {}
         for engine in ENGINE_NAMES:
             service = build_service(
-                backend_name, engine,
-                fault_profiles=profiles, resilience=policy,
+                backend_name, engine, fault_profiles=profiles,
+                breaker=BreakerConfig(failure_threshold=10**9),
             )
             results[engine] = drive(service, histories, futures, rounds=3)
         ref_batches = results["inline"][0]
@@ -1086,7 +1092,7 @@ class TestRowFrame:
 
     @staticmethod
     def lanes():
-        from repro.service import ForecastError
+        from repro.service import SnapshotCorruptionError
 
         rows = [(m, v, source) for m, v, source in zip(
             TestRowFrame.EXTREMES, TestRowFrame.EXTREMES[::-1],
@@ -1096,9 +1102,9 @@ class TestRowFrame:
             [],
             [None, None],
             rows,
-            [None, rows[0], ForecastError("s001: no rung served"), rows[1],
+            [None, rows[0], RuntimeError("s001: no rung served"), rows[1],
              None, KeyError("s404"), rows[2], ValueError("nan row")],
-            [ForecastError("every rung failed")],
+            [SnapshotCorruptionError("archive 's404.npz' is hand-edited")],
         ]
 
     @staticmethod

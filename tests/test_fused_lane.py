@@ -21,7 +21,7 @@ from repro.backend import BreakerConfig, make_backend
 from repro.backend.base import HOST_DOMAIN, kernel_domain
 from repro.core import SMiLerConfig
 from repro.faults import FaultInjectingBackend, FaultProfile, KernelFaultError
-from repro.service import PredictionService, ServiceConfig
+from repro.service import SEARCH_ATTEMPTS, PredictionService, ServiceConfig
 
 CONFIG = SMiLerConfig(
     elv=(8, 16), ekv=(4, 8), rho=2, omega=4, horizons=(1, 3),
@@ -256,7 +256,7 @@ def test_a_failed_fused_search_charges_every_member_breaker_once(
     calls = failing_search(monkeypatch, lambda: failing)
     before = health()
     service.ingest_many(readings)
-    attempts = service.resilience.attempts
+    attempts = SEARCH_ATTEMPTS
     assert calls == [len(ids)] * attempts  # one fused group, every attempt
     for was, now in zip(before, health()):
         assert now["failures_total"] - was["failures_total"] == attempts

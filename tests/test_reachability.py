@@ -20,7 +20,9 @@ string.  Readers are the ``src/repro`` modules, ``examples/``,
 ``tools/``, ``benchmarks/`` outside its self-tests and the
 ``cli.EXPERIMENTS`` drivers.  :data:`KEPT_UNREAD` lists the names kept
 without a reader, each with why, and :data:`NOT_YET_SWEPT` the unread
-ones left for a later sweep.
+ones left for a later sweep.  :data:`BENCH_ONLY` lists the names whose
+only readers are in the frozen ``benchmarks/roundbench/``, which no
+change may edit, so they stay while it reads them.
 
 The analysis is static (AST only), so a module reached only through a
 string the code builds at run time would be reported; none is.
@@ -364,26 +366,33 @@ def readers(package):
     ]
 
 
-def read_status():
-    """``{public name: whether a reader reads it}``."""
+def read_by():
+    """``{public name: the reader files that read it}``; a CLI experiment
+    driver is read by ``repro.cli``, which looks it up by name."""
     from repro import harness
     from repro.cli import EXPERIMENTS
 
     package = Package()
-    names, attrs = set(), set()
-    for path in readers(package):
-        file_names, file_attrs = names_read_by(package, path)
-        names |= file_names
-        attrs |= file_attrs
-    for driver, _ in EXPERIMENTS.values():
-        names.add(f"{getattr(harness, driver).__module__}.{driver}")
-    status = {}
+    reads = {path: names_read_by(package, path) for path in readers(package)}
+    drivers = {
+        f"{getattr(harness, driver).__module__}.{driver}"
+        for driver, _ in EXPERIMENTS.values()
+    }
+    found = {}
     for qualified, module in public_names(package).items():
         tail = qualified[len(module) + 1 :]
-        status[qualified] = (
-            tail.split(".")[1] in attrs if "." in tail else qualified in names
-        )
-    return status
+        found[qualified] = {
+            path for path, (names, attrs) in reads.items()
+            if (tail.split(".")[1] in attrs if "." in tail else qualified in names)
+        }
+        if qualified in drivers:
+            found[qualified].add(package.paths["repro.cli"])
+    return found
+
+
+def read_status():
+    """``{public name: whether a reader reads it}``."""
+    return {name: bool(paths) for name, paths in read_by().items()}
 
 
 def test_every_public_name_is_read():
@@ -418,3 +427,51 @@ def test_the_name_analysis_sees_every_kind_of_read():
     names, _ = names_read_by(package, package.paths["repro.core"])
     assert "repro.core.smiler.SMiLer" not in names  # a re-export only
     assert "repro.core.smiler.predict_many" in public_names(package)
+
+
+#: Public names whose only non-test readers are in the frozen
+#: ``benchmarks/roundbench/``: each with the bench file that reads it and
+#: what the read measures or checks.  A change that gives one a reader
+#: elsewhere, or takes the last other reader from a name, edits this.
+#: (``ItemLowerBounds.bound`` is read in ``probes.py``; ``compare.py``
+#: only reads a field of the same name on its own records.)
+BENCH_ONLY = {
+    "repro.dtw.distance.dtw_batch_pruned": (
+        "probes.py", "dtw.dtw_batch_pruned: the cutoff filter over dtw_batch",
+    ),
+    "repro.dtw.lower_bounds.lb_improved_profile": (
+        "probes.py", "dtw.lb_improved: the LB_Improved tier replayed",
+    ),
+    "repro.dtw.lower_bounds.lb_kim_profile": (
+        "probes.py", "dtw.lb_kim: LB_Kim over every candidate",
+    ),
+    "repro.gp.loo.loo_objective": (
+        "probes.py", "gp.loo_objective: one LOO objective per probed cell",
+    ),
+    "repro.gp.regression.GaussianProcessRegressor": (
+        "probes.py", "gp.fit: one stand-alone GP fit per probed cell",
+    ),
+    "repro.index.group_index.GroupLevelIndex.compute": (
+        "probes.py", "index.group_lb: one sensor's shift-sum replayed alone",
+    ),
+    "repro.index.group_index.ItemLowerBounds.bound": (
+        "compare.py, probes.py",
+        "dtw.lb_improved: the window bounds of the replayed candidates",
+    ),
+    "repro.service.PredictionService.deregister": (
+        "loop.py", "churn rounds deregister the oldest sensor",
+    ),
+    "repro.service.PredictionService.placement_of": (
+        "checks.py", "check_placement: every live sensor on one valid shard",
+    ),
+}
+
+
+def test_bench_only_names_are_the_committed_list():
+    bench = ROOT / "benchmarks" / "roundbench"
+    found = {
+        name: ", ".join(sorted(path.name for path in paths))
+        for name, paths in read_by().items()
+        if paths and all(bench in path.parents for path in paths)
+    }
+    assert found == {name: files for name, (files, _) in BENCH_ONLY.items()}

@@ -16,7 +16,7 @@ from repro.backend import (
 from repro.core import SMiLerConfig
 from repro.core.smiler import SMiLer, predict_many
 from repro.faults import FaultInjectingBackend, FaultProfile
-from repro.service import ForecastError, PredictionService, ResiliencePolicy
+from repro.service import SEARCH_ATTEMPTS, PredictionService
 
 CONFIG = SMiLerConfig(
     elv=(8, 16), ekv=(4, 8), rho=2, omega=4, horizons=(1, 3),
@@ -33,6 +33,17 @@ def raw_history(n=600, seed=0, scale=50.0, offset=200.0):
 
 def make_service(**kwargs):
     return PredictionService(CONFIG, min_history=100, **kwargs)
+
+
+def fail(*args, **kwargs):
+    raise RuntimeError("rung down")
+
+
+def break_rungs_above_naive(monkeypatch):
+    """Every rung above ``naive`` raises, so the ladder ends there."""
+    monkeypatch.setattr("repro.service.predict_many", fail)
+    monkeypatch.setattr(SMiLer, "predict_reduced", fail)
+    monkeypatch.setattr(PredictionService, "_ar_fallback", fail)
 
 
 class ExplodingMalloc(NativeBackend):
@@ -194,25 +205,24 @@ class TestDegradationLadder:
         assert forecast.degraded
         assert np.isfinite(forecast.mean) and forecast.std > 0
 
-    def test_naive_rung_cannot_fail(self):
-        service = make_service(resilience=ResiliencePolicy(ladder=("naive",)))
+    def test_naive_rung_cannot_fail(self, monkeypatch):
+        service = make_service()
         service.register("s1", raw_history())
+        break_rungs_above_naive(monkeypatch)
         forecast = service.forecast("s1")
         assert forecast.source == "naive"
         assert forecast.mean == pytest.approx(raw_history()[-1])
         assert forecast.std > 0
 
     def test_truncated_ladder_raises_forecast_error(self, monkeypatch):
-        service = make_service(
-            resilience=ResiliencePolicy(ladder=("ensemble",))
-        )
+        """The ladder has no final raise (``naive`` cannot fail), so a
+        forecast() raises only what the walk below the ensemble rung
+        itself raised, unwrapped."""
+        service = make_service()
         service.register("s1", raw_history())
-
-        def broken_predict(sensors, horizon=None):
-            raise RuntimeError("down")
-
-        monkeypatch.setattr("repro.service.predict_many", broken_predict)
-        with pytest.raises(ForecastError):
+        monkeypatch.setattr("repro.service.predict_many", fail)
+        monkeypatch.setattr(PredictionService, "_predict_resilient", fail)
+        with pytest.raises(RuntimeError, match="rung down"):
             service.forecast("s1")
 
     def test_nan_variance_never_served(self, monkeypatch):
@@ -220,9 +230,7 @@ class TestDegradationLadder:
         raise, never reach the caller as a NaN interval."""
         from types import SimpleNamespace
 
-        service = make_service(
-            resilience=ResiliencePolicy(ladder=("ensemble", "ar"))
-        )
+        service = make_service()
         service.register("s1", raw_history())
 
         def nan_predict(sensors, horizon=None):
@@ -230,34 +238,27 @@ class TestDegradationLadder:
             return [{h: bad for h in s.config.horizons} for s in sensors]
 
         monkeypatch.setattr("repro.service.predict_many", nan_predict)
+        monkeypatch.setattr(SMiLer, "predict_reduced", fail)
         forecast = service.forecast("s1")
         assert forecast.source == "ar"
         assert np.isfinite(forecast.std)
 
-        service2 = make_service(
-            resilience=ResiliencePolicy(ladder=("ensemble",))
+        # An AR fit with a NaN variance is refused too: naive serves.
+        monkeypatch.setattr(
+            PredictionService, "_ar_fallback",
+            lambda self, sensor_id, horizon: (0.1, float("nan")),
         )
-        service2.register("s1", raw_history())
-        monkeypatch.setattr("repro.service.predict_many", nan_predict)
-        with pytest.raises(ForecastError):
-            service2.forecast("s1")
+        forecast = service.forecast("s1")
+        assert forecast.source == "naive"
+        assert np.isfinite(forecast.std) and forecast.std > 0
 
-    def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(attempts=0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(ladder=())
-        with pytest.raises(ValueError):
-            ResiliencePolicy(ladder=("ensemble", "prayer"))
-
-    def test_degraded_forecasts_are_counted(self):
+    def test_degraded_forecasts_are_counted(self, monkeypatch):
         obs.reset()
         obs.enable()
         try:
-            service = make_service(
-                resilience=ResiliencePolicy(ladder=("naive",))
-            )
+            service = make_service()
             service.register("s1", raw_history())
+            break_rungs_above_naive(monkeypatch)
             service.forecast("s1")
             prom = obs.to_prometheus(obs.get_registry())
             events = obs.get_event_log().tail()
@@ -273,9 +274,7 @@ class TestDegradationLadder:
 
 class TestForecastAllPartialBatch:
     def test_partial_batch_with_error_side_channel(self, monkeypatch):
-        service = make_service(
-            resilience=ResiliencePolicy(ladder=("ensemble",))
-        )
+        service = make_service()
         service.register("good", raw_history())
         service.register("bad", raw_history(seed=3))
 
@@ -287,10 +286,11 @@ class TestForecastAllPartialBatch:
             ]
 
         monkeypatch.setattr("repro.service.predict_many", one_row_fails)
+        monkeypatch.setattr(PredictionService, "_predict_resilient", fail)
         batch = service.forecast_all()
         assert set(batch) == {"good"}
         assert batch.errors
-        assert isinstance(batch.errors["bad"], ForecastError)
+        assert str(batch.errors["bad"]) == "rung down"
         assert batch["good"].source == "ensemble"
 
     def test_clean_batch_is_ok_and_dictlike(self):
@@ -404,10 +404,9 @@ class TestIngestLane:
 
     N = 4
 
-    def make(self, attempts=2):
+    def make(self):
         service = make_service(
             backends=FaultInjectingBackend(SimulatedGpuBackend(), FaultProfile()),
-            resilience=ResiliencePolicy(attempts=attempts),
         )
         for i in range(self.N):
             service.register(f"s{i}", raw_history(seed=i))
@@ -434,16 +433,17 @@ class TestIngestLane:
         )
 
     def test_faulted_fused_launch_is_retried_inside_the_lane(self):
-        service = self.make(attempts=3)
+        service = self.make()
         successes = self.health(service)["successes_total"]
-        # Attempt 1 dies on the burst's first op, attempt 2 on its
-        # second, attempt 3 runs clean.
-        self.inject(service, 2, kernel_error_rate=1.0)
+        # Every attempt but the last dies on the burst's next op; the
+        # last runs clean.
+        failed = SEARCH_ATTEMPTS - 1
+        self.inject(service, failed, kernel_error_rate=1.0)
         service.ingest_many(self.readings())
         health = self.health(service)
-        assert self.backend(service).injected["kernel_error"] == 2
+        assert self.backend(service).injected["kernel_error"] == failed
         # One breaker failure per failed *attempt*, success per sensor.
-        assert health["failures_total"] == 2
+        assert health["failures_total"] == failed
         assert health["successes_total"] == successes + self.N
         assert health["state"] == "closed"
         for sid in service.sensor_ids:
@@ -457,12 +457,12 @@ class TestIngestLane:
         assert all(f.source == "ensemble" for f in batch.values())
 
     def test_exhausted_attempts_leave_the_whole_group_stale_but_served(self):
-        service = self.make(attempts=2)
-        self.inject(service, 2, kernel_error_rate=1.0)
+        service = self.make()
+        self.inject(service, SEARCH_ATTEMPTS, kernel_error_rate=1.0)
         service.ingest_many(self.readings())
-        # ``attempts`` honoured: two tries, two failures, no third.
-        assert self.backend(service).injected["kernel_error"] == 2
-        assert self.health(service)["failures_total"] == 2
+        # The attempts are bounded: one failure each, no further try.
+        assert self.backend(service).injected["kernel_error"] == SEARCH_ATTEMPTS
+        assert self.health(service)["failures_total"] == SEARCH_ATTEMPTS
         for sid in service.sensor_ids:
             smiler = service.sensor(sid)
             assert smiler.now == smiler.series.size == 601  # retained
@@ -475,7 +475,7 @@ class TestIngestLane:
         assert all(f.source == "ensemble" for f in batch.values())
 
     def test_a_single_ingest_is_a_lane_of_one(self):
-        service = self.make(attempts=2)
+        service = self.make()
         self.inject(service, 1, kernel_error_rate=1.0)
         service.ingest("s1", 203.0)
         assert self.health(service)["failures_total"] == 1
@@ -520,7 +520,6 @@ class TestOneBreakerUpdatePerLane:
                 for shard in range(2)
             ],
             breaker=BreakerConfig(failure_threshold=2, cooldown_ops=16),
-            resilience=ResiliencePolicy(attempts=2),
         )
         for i in range(12):
             service.register(f"s{i}", raw_history(seed=i))
@@ -563,12 +562,11 @@ class TestForecastLane:
 
     N = 16
 
-    def make(self, backends=None, n=None, **policy):
+    def make(self, backends=None, n=None):
         service = make_service(
             backends=backends or FaultInjectingBackend(
                 SimulatedGpuBackend(), FaultProfile()
             ),
-            resilience=ResiliencePolicy(**policy),
         )
         for i in range(self.N if n is None else n):
             service.register(f"s{i:02d}", raw_history(seed=i))
@@ -590,12 +588,12 @@ class TestForecastLane:
             seed=5, burst=(backend.tick, backend.tick + n_ops), **rates
         )
 
-    def stale_lane(self, **policy):
+    def stale_lane(self):
         """A warm lane whose last ingest's fused search failed: every
         reading retained, every answer stale."""
-        service = self.make(**policy)
+        service = self.make()
         assert not service.forecast_all().errors
-        self.inject(service, service.resilience.attempts, kernel_error_rate=1.0)
+        self.inject(service, SEARCH_ATTEMPTS, kernel_error_rate=1.0)
         service.ingest_many(self.readings(service))
         assert all(
             service.sensor(sid)._answers is None for sid in service.sensor_ids
@@ -655,52 +653,54 @@ class TestForecastLane:
         assert not service.forecast_all().errors and self.backend(service).tick == tick
 
     def test_a_failed_attempt_is_one_breaker_charge_for_the_lane(self):
-        service = self.stale_lane(attempts=3)
+        service = self.stale_lane()
         before = self.health(service)
         tick = self.backend(service).tick
-        # Attempt 1 dies on the burst's first op, attempt 2 on its
-        # second, attempt 3 runs clean.
-        self.inject(service, 2, kernel_error_rate=1.0)
+        # Every attempt but the last dies on the burst's next op; the
+        # last runs clean.
+        failed = SEARCH_ATTEMPTS - 1
+        self.inject(service, failed, kernel_error_rate=1.0)
         batch = service.forecast_all()
         assert not batch.errors
         assert all(f.source == "ensemble" for f in batch.values())
         after = self.health(service)
-        assert after["failures_total"] == before["failures_total"] + 2
+        assert after["failures_total"] == before["failures_total"] + failed
         assert after["successes_total"] == before["successes_total"] + self.N
         assert after["state"] == "closed"
-        assert self.backend(service).tick - tick == 2 + 3
+        assert self.backend(service).tick - tick == failed + 3
 
     def test_members_still_stale_after_the_budget_descend_alone(self):
-        service = self.stale_lane(attempts=2)
+        service = self.stale_lane()
         before = self.health(service)
         tick = self.backend(service).tick
-        # Exactly the group's two attempts fail; what follows is clean,
-        # so each member's ``reduced`` rung re-searches it — alone.
-        self.inject(service, 2, kernel_error_rate=1.0)
+        # Exactly the group's attempts fail; what follows is clean, so
+        # each member's ``reduced`` rung re-searches it — alone.
+        self.inject(service, SEARCH_ATTEMPTS, kernel_error_rate=1.0)
         batch = service.forecast_all()
         assert not batch.errors and len(batch) == self.N
         assert all(f.source == "reduced" for f in batch.values())
         after = self.health(service)
-        assert after["failures_total"] == before["failures_total"] + 2
+        assert after["failures_total"] == before["failures_total"] + SEARCH_ATTEMPTS
         assert after["successes_total"] == before["successes_total"]
-        assert self.backend(service).tick - tick == 2 + self.N * 3
+        assert self.backend(service).tick - tick == SEARCH_ATTEMPTS + self.N * 3
 
         # A dead backend: the group's attempts, then every member walks
         # reduced (its own search fails too) -> ar on its own.
-        dead = self.stale_lane(
-            attempts=2, ladder=("ensemble", "reduced", "ar", "naive")
-        )
+        dead = self.stale_lane()
         backend = self.backend(dead)
         backend.profile = FaultProfile(dies_at_tick=backend.tick)
         before = self.health(dead)
         batch = dead.forecast_all()
         assert not batch.errors and len(batch) == self.N
         assert all(f.source == "ar" and f.degraded for f in batch.values())
-        assert self.health(dead)["failures_total"] == before["failures_total"] + 2
+        assert (
+            self.health(dead)["failures_total"]
+            == before["failures_total"] + SEARCH_ATTEMPTS
+        )
 
     def test_failover_mid_lane_re_homes_and_serves_from_the_new_backend(self):
         dying = FaultInjectingBackend(SimulatedGpuBackend(), FaultProfile())
-        service = self.make(backends=[dying, SimulatedGpuBackend()], attempts=2)
+        service = self.make(backends=[dying, SimulatedGpuBackend()])
         assert service.sensors_per_backend() == [8, 8]
         assert not service.forecast_all().errors
         backend = self.backend(service)
@@ -731,7 +731,7 @@ class TestForecastLane:
         stacked index — until the cycle collector happens to run."""
         gc.disable()
         try:
-            service = self.stale_lane(attempts=2)  # a failed ingest search
+            service = self.stale_lane()  # a failed ingest search
             backend = self.backend(service)
             backend.profile = FaultProfile(dies_at_tick=backend.tick)
             batch = service.forecast_all()  # group fails, members descend
@@ -743,24 +743,20 @@ class TestForecastLane:
         finally:
             gc.enable()
 
-    def test_ladders_without_or_with_only_the_ensemble_rung(self):
-        naive = self.stale_lane(ladder=("naive",))
-        tick = self.backend(naive).tick
-        batch = naive.forecast_all()
-        assert not batch.errors and all(f.source == "naive" for f in batch.values())
-        # Never entered the stacked rung: nobody searched.
-        assert self.backend(naive).tick == tick
-        assert all(naive.sensor(sid)._answers is None for sid in naive.sensor_ids)
-
-        only = self.stale_lane(ladder=("ensemble",))
+    def test_ladders_without_or_with_only_the_ensemble_rung(self, monkeypatch):
+        """With the ensemble rung the only one that works (every rung
+        below it raising), a dead backend leaves each member's own error
+        in ``batch.errors`` and a single forecast raises it."""
+        monkeypatch.setattr(PredictionService, "_predict_resilient", fail)
+        only = self.stale_lane()
         backend = self.backend(only)
         backend.profile = FaultProfile(dies_at_tick=backend.tick)
         batch = only.forecast_all()
         assert len(batch) == 0 and sorted(batch.errors) == only.sensor_ids
         assert all(
-            isinstance(error, ForecastError) for error in batch.errors.values()
+            str(error) == "rung down" for error in batch.errors.values()
         )
-        with pytest.raises(ForecastError):
+        with pytest.raises(RuntimeError, match="rung down"):
             only.forecast("s00")
 
     @pytest.mark.parametrize("backend_name", ["simulated", "native"])

@@ -424,6 +424,54 @@ class TestSnapshotRestore:
             fresh.restore(tmp_path)
         assert sum(fresh.sensors_per_backend()) == 0
 
+    def three_sensor_snapshot(self, tmp_path):
+        service = make_service()
+        for i in range(3):
+            service.register(f"s{i}", raw_history(seed=i))
+        service.snapshot(tmp_path)
+        return service
+
+    def test_a_refused_restore_admits_nothing(self, tmp_path):
+        """Every archive is checked before any is admitted: a corrupt
+        last archive leaves no sensor and no reservation behind, so the
+        same service restores once the snapshot is whole again."""
+        service = self.three_sensor_snapshot(tmp_path)
+        with np.load(tmp_path / "s2.npz") as archive:
+            data = {name: archive[name] for name in archive.files}
+        data["series"] = data["series"].reshape(2, -1)
+        np.savez(tmp_path / "s2.npz", **data)
+        fresh = make_service()
+        with pytest.raises(SnapshotCorruptionError, match="s2.npz"):
+            fresh.restore(tmp_path)
+        assert fresh.sensor_ids == [] and fresh._norms == {}
+        assert fresh._pool.allocated_bytes == 0
+        service.snapshot(tmp_path)
+        fresh.restore(tmp_path)
+        assert fresh.sensor_ids == ["s0", "s1", "s2"]
+
+    def test_a_failed_admission_releases_the_restored(
+        self, tmp_path, monkeypatch
+    ):
+        """An admission that fails mid-restore (here the third index
+        build) releases the sensors admitted before it and re-raises."""
+        import repro.service
+
+        self.three_sensor_snapshot(tmp_path)
+        build = repro.service.build_smiler
+
+        def third_fails(snapshot, backend):
+            if snapshot.sensor_id == "s2":
+                raise RuntimeError("index build failed")
+            return build(snapshot, backend=backend)
+
+        monkeypatch.setattr(repro.service, "build_smiler", third_fails)
+        fresh = make_service()
+        with pytest.raises(RuntimeError, match="index build failed"):
+            fresh.restore(tmp_path)
+        assert fresh.sensor_ids == [] and fresh._norms == {}
+        assert fresh._placements == {}
+        assert fresh._pool.allocated_bytes == 0
+
     def test_restore_unparseable_archive_names_the_file(self, tmp_path):
         """Any npz that is not a sensor snapshot (here: missing keys) is
         reported as corruption with the offending filename."""
