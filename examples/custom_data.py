@@ -21,6 +21,7 @@ import numpy as np
 from repro import SMiLer, SMiLerConfig
 from repro.timeseries import (
     TimeSeries,
+    ZNormStats,
     fill_missing,
     load_csv,
     reinterpolate,
@@ -54,7 +55,7 @@ def main() -> None:
 
         # --- normalise + split --------------------------------------------
         series = TimeSeries(resampled, sensor_id="temperature_c")
-        stats = series.znorm_stats()
+        stats = ZNormStats.of(series.values)
         normalised = stats.apply(series.values)
         history, tail = normalised[:-30], normalised[-30:]
 

@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..tolerances import AR_VARIANCE_FLOOR
 from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, checked, failed
 
 __all__ = ["AggregationPredictor"]
 
 
 class AggregationPredictor(SemiLazyPredictor):
-    """Eqns. 10-13: plain average + biased variance of the kNN targets."""
-
-    def __init__(self, variance_floor: float = 1e-8) -> None:
-        if variance_floor <= 0:
-            raise ValueError(f"variance_floor must be positive, got {variance_floor}")
-        self.variance_floor = variance_floor
+    """Eqns. 10-13: plain average + biased variance (floored) of the targets."""
 
     def predict(
         self, query: np.ndarray, neighbours: np.ndarray, targets: np.ndarray
@@ -31,7 +27,7 @@ class AggregationPredictor(SemiLazyPredictor):
         _, _, targets = self._validate(query, neighbours, targets)
         mean, variance = _moments(targets[None, :])
         return GaussianPrediction(
-            float(mean[0]), max(float(variance[0]), self.variance_floor)
+            float(mean[0]), max(float(variance[0]), AR_VARIANCE_FLOOR)
         )
 
     @staticmethod
@@ -64,8 +60,7 @@ def _stack_moments(predictors, queries, neighbours, targets) -> Outcome:
     if k == 0:
         raise ValueError("at least one neighbour is required")
     mean, variance = _moments(targets)
-    floor = np.array([predictor.variance_floor for predictor in predictors])
-    return checked(mean, np.maximum(variance, floor), {})
+    return checked(mean, np.maximum(variance, AR_VARIANCE_FLOOR), {})
 
 
 def _moments(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

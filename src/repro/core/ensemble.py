@@ -34,6 +34,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from ..tolerances import MIX_SPREAD_FLOOR, RECOVERY_FLOOR
 from .predictor import SemiLazyPredictor
 
 __all__ = ["Cell", "CellState", "AdaptiveEnsemble", "Components", "EnsembleOutput"]
@@ -343,7 +344,7 @@ def update_many(
     ticking = asleep & ~going & sleeps
     remaining = np.where(ticking, remaining - 1, remaining)
     woken = ticking & (remaining <= 0)
-    raw = eta / np.maximum(1.0 - woken.sum(axis=1, keepdims=True) * eta, 1e-9)
+    raw = eta / np.maximum(1.0 - woken.sum(1, keepdims=True) * eta, RECOVERY_FLOOR)
     asleep = asleep & ~woken
     recovered_last = recovered_last | woken
     weight = _normalised(np.where(woken, raw, weight), ~asleep, woken.any(1)[:, None])
@@ -371,7 +372,7 @@ def mix_many(
     norm = weight / _fold(weight)[:, None]
     mixed = _fold(norm * mean)
     second_moment = _fold(norm * (variance + np.float_power(mean, 2.0)))
-    spread = np.maximum(second_moment - np.float_power(mixed, 2.0), 1e-10)
+    spread = np.maximum(second_moment - np.float_power(mixed, 2.0), MIX_SPREAD_FLOOR)
     return [
         EnsembleOutput(
             m, v, Components(awake[row], mean[row], variance[row]), norm[row]

@@ -36,6 +36,7 @@ from ..gp.kernels import SquaredExponentialKernel, squared_distances
 from ..gp.loo import LooProblem
 from ..gp.optimize import CgRun, OptimizeResult, conjugate_gradient
 from ..obs import hooks as obs
+from ..tolerances import GP_FALLBACK_VARIANCE, GP_VARIANCE_FLOOR
 from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, checked
 
 __all__ = ["GaussianProcessPredictor"]
@@ -224,12 +225,12 @@ def _fit_stack(predictors, queries, neighbours, targets) -> Outcome:
     variances = theta_sq[:, 0] + theta_sq[:, 2] - (
         cross * (kinv @ cross[:, :, None])[:, :, 0]
     ).sum(axis=1)
-    mean[served], variance[served] = means, np.maximum(variances, 1e-10)
+    mean[served], variance[served] = means, np.maximum(variances, GP_VARIANCE_FLOOR)
     for at in np.flatnonzero(~(np.isfinite(means) & np.isfinite(variances))):
         # Pathological conditioning: degrade gracefully to aggregation.
         member = served[at]
         mean[member] = targets[member].mean()
-        variance[member] = np.var(targets[member]) + 1e-6
+        variance[member] = np.var(targets[member]) + GP_FALLBACK_VARIANCE
     return mean, variance, errors
 
 

@@ -150,8 +150,8 @@ def load_snapshot(path) -> SmilerSnapshot:
 def _check_ensemble_state(states: dict[str, dict], config: SMiLerConfig) -> None:
     """Refuse archived ensemble state no run produces, naming its key:
     restored, it would be served as an ``ensemble`` forecast no later
-    check catches (every cell asleep mixes to mean 0 and variance 1e-10;
-    a NaN weight to a NaN mean)."""
+    check catches (every cell asleep mixes to mean 0 and variance
+    ``MIX_SPREAD_FLOOR``; a NaN weight to a NaN mean)."""
     for horizon in config.horizons:
         awake = False
         for cell in config.grid:

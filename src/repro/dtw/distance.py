@@ -44,6 +44,8 @@ import functools
 
 import numpy as np
 
+from ..tolerances import ABANDON_SLACK
+
 __all__ = [
     "dtw_distance",
     "dtw_distance_compressed",
@@ -55,13 +57,6 @@ __all__ = [
 ]
 
 _INF = np.inf
-
-#: Absolute slack added to the cutoff :func:`dtw_batch_pruned`'s
-#: ``lb_terms`` pre-filter compares against, so float rounding in the
-#: terms' sum can never skip a candidate whose true distance is exactly at
-#: the cutoff (extra slack only costs a little wasted verification, never
-#: exactness).
-ABANDON_SLACK = 1e-9
 
 #: Candidates per DP block of the batched kernel (the CUDA block's role):
 #: the wavefront state is ``(2 rho + 4) x BLOCK_ROWS`` floats however many

@@ -38,7 +38,7 @@ worker.  A single op rides a live generation but never forks one.
 its series, so a series is all a dead worker's shard needs back, and
 every point it gained since the fork passed through the parent.  The
 parent keeps, per live worker, the normalised readings it sent each
-hosted sensor (:meth:`PredictionService._normalised`, the one
+hosted sensor (its :class:`~repro.timeseries.ZNormStats`, the one
 normalisation the lane applies) and each sensor's series length as of
 the worker's last reply: every reply carries its lane's lengths, so the
 reply is the commit.  If a worker dies or hangs
@@ -242,7 +242,7 @@ class ProcessShardEngine(ExecutionEngine):
                 for kind, sensor_id, value in task.ops:
                     if kind == "ingest":
                         worker.sent[sensor_id].append(
-                            service._normalised(sensor_id, value)
+                            service._norms[sensor_id].apply(value)
                         )
                 try:
                     send_json(worker.conn, {

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dtrtri
 
+from ..tolerances import LOO_DIAGONAL_FLOOR
 from .kernels import SquaredExponentialKernel, squared_distances
 from .regression import robust_cholesky
 
@@ -129,7 +130,7 @@ class LooProblem:
                 inverse[at] = self._eye
         kinv = inverse.transpose(0, 2, 1) @ inverse
         alpha = (kinv @ y[:, :, None])[:, :, 0]
-        diag = np.maximum(kinv.diagonal(0, 1, 2), 1e-300)
+        diag = np.maximum(kinv.diagonal(0, 1, 2), LOO_DIAGONAL_FLOOR)
         self._kept = (members, log_params, theta_sq, se, kinv, alpha, diag)
         values = 0.5 * (alpha * alpha / diag - np.log(diag)).sum(axis=1) + (
             0.5 * alpha.shape[1] * _LOG_2PI
@@ -204,7 +205,7 @@ def loo_quantities(
     ``mu_i = y_i - alpha_i / Kinv_ii``, ``sigma_i^2 = 1 / Kinv_ii``."""
     problem, values = _one(kernel.log_params, x, y)
     _, kinv, alpha = problem.factor(0)
-    diag = np.maximum(kinv.diagonal(), 1e-300)
+    diag = np.maximum(kinv.diagonal(), LOO_DIAGONAL_FLOOR)
     return LooResult(problem._y[0] - alpha / diag, 1.0 / diag, -float(values[0]))
 
 

@@ -23,6 +23,8 @@ from typing import Callable, Generator, Protocol
 
 import numpy as np
 
+from ..tolerances import CG_DENOMINATOR_FLOOR
+
 __all__ = [
     "Objective",
     "OptimizeResult",
@@ -152,7 +154,7 @@ def conjugate_gradient(
         # direction and is caught by the steepest-descent restart above).
         with np.errstate(over="ignore", invalid="ignore"):
             beta = float(
-                new_grad @ (new_grad - grad) / max(grad @ grad, 1e-300)
+                new_grad @ (new_grad - grad) / max(grad @ grad, CG_DENOMINATOR_FLOOR)
             )
             beta = min(max(0.0, beta), 1e6)
             direction = -new_grad + beta * direction

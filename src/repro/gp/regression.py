@@ -17,11 +17,10 @@ import numpy as np
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
+from ..tolerances import CHOLESKY_JITTERS
 from .kernels import SquaredExponentialKernel
 
 __all__ = ["GaussianProcessRegressor", "robust_cholesky"]
-
-_JITTERS = (1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
 
 
 def _potrf(matrix: np.ndarray) -> tuple[np.ndarray, int]:
@@ -58,7 +57,7 @@ def robust_cholesky(matrix: np.ndarray) -> tuple[np.ndarray, float]:
         return lower, 0.0
     scale = float(np.mean(np.diag(matrix))) or 1.0
     eye = np.eye(matrix.shape[0])
-    for jitter in _JITTERS:
+    for jitter in CHOLESKY_JITTERS:
         lower, info = _potrf(matrix + jitter * scale * eye)
         if info == 0:
             return lower, jitter * scale

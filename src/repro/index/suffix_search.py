@@ -90,16 +90,13 @@ import numpy as np
 from ..backend.base import ComputeBackend, as_backend, kernel_domain
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs import hooks as obs
+from ..tolerances import FILTER_REL_SLACK, FILTER_SLACK
 from .group_index import GroupLevelIndex, LaneLowerBounds, lower_bounds_many
 from .window_index import WindowLevelIndex, lane_of
 
 __all__ = [
     "SuffixSearchConfig", "SuffixKnnEngine", "SuffixKnnAnswer", "search_many",
 ]
-
-#: Slack added to the filtering threshold so float rounding in a lower
-#: bound can never prune a candidate sitting exactly at ``tau``.
-_FILTER_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -547,7 +544,7 @@ def _search_lane(
                 f"fewer than k finite seed distances for item length "
                 f"{lengths[at]}: no threshold to filter against"
             )
-        gate = (tau + _FILTER_SLACK)[..., None]
+        gate = (tau * (1.0 + FILTER_REL_SLACK) + FILTER_SLACK)[..., None]
         # Columns at or beyond a row's own n hold the stack's padding (or
         # starts whose target is unobserved) and pass no tier.
         valid = np.arange(width) < n[..., None]

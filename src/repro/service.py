@@ -84,6 +84,7 @@ from .obs import hooks as obs
 from .obs.exposition import to_json
 from .obs.tracing import Span
 from .timeseries.series import ZNormStats
+from .tolerances import NAIVE_VARIANCE
 
 __all__ = [
     "Forecast",
@@ -337,9 +338,9 @@ class PredictionService:
 
         The analytic estimate lets the pool pick a backend *before* the
         index is built, so construction happens exactly once, on the
-        backend that hosts the sensor.  The estimate is exact — it *is*
-        ``SMiLer.memory_bytes()`` for a series of ``n_points`` — so the
-        reservation never needs adjusting after the build.
+        backend that hosts the sensor.  The estimate is exact at
+        admission — it *is* ``SMiLer.memory_bytes()`` for a series of
+        ``n_points`` — and does not follow the index as ingest grows it.
         """
         estimate = SMiLer.estimate_memory_bytes(n_points, config)
         placement = self._pool.allocate(estimate, label=sensor_id)
@@ -468,9 +469,7 @@ class PredictionService:
                 f"sensor {sensor_id!r} history contains non-finite values; "
                 "repair with repro.timeseries.fill_missing first"
             )
-        stats = ZNormStats(
-            mean=float(np.mean(history)), std=max(float(np.std(history)), 1e-12)
-        )
+        stats = ZNormStats.of(history)
         normalised = stats.apply(history)
         smiler = self._admit(
             sensor_id,
@@ -544,7 +543,7 @@ class PredictionService:
             )
             sensor_ids, values = groups.setdefault(key, ([], []))
             sensor_ids.append(sensor_id)
-            values.append(self._normalised(sensor_id, value))
+            values.append(self._norms[sensor_id].apply(value))
         for sensor_ids, values in groups.values():
             absorb_many([self._sensors[sid] for sid in sensor_ids], values)
         for sensor_ids, _ in groups.values():
@@ -572,12 +571,6 @@ class PredictionService:
         """One success per served sensor on its own backend's breaker."""
         for index, count in self._homes(served).items():
             self._pool.record_success(index, count)
-
-    def _normalised(self, sensor_id: str, value: float) -> float:
-        """One raw reading z-normalised by its sensor's stats: the point
-        the sensor's series gains when the reading is absorbed."""
-        stats = self._norms[sensor_id]
-        return (value - stats.mean) / stats.std
 
     def _search_group(
         self, sensor_ids: list[str], evacuated: set[int]
@@ -632,7 +625,7 @@ class PredictionService:
         value = float(value)
         # A finite reading can still overflow once normalised (1e308
         # against a small std): either way the series would gain inf.
-        if not np.isfinite(self._normalised(sensor_id, value)):
+        if not np.isfinite(self._norms[sensor_id].apply(value)):
             raise ValueError(
                 f"non-finite reading {value!r} for {sensor_id!r}, raw or "
                 "normalised; impute before ingest"
@@ -827,7 +820,7 @@ class PredictionService:
         diffs = np.diff(series[-65:])
         variance = float(np.mean(diffs**2)) * horizon if diffs.size else 0.0
         if not np.isfinite(variance) or variance <= 0.0:
-            variance = 1e-8
+            variance = NAIVE_VARIANCE
         return mean, variance
 
     def forecast(
@@ -868,12 +861,10 @@ class PredictionService:
 
         def build(sensor_id: str, horizon: int, row: tuple, request_id: str):
             z_mean, z_variance, source = row
-            # ZNormStats.invert / invert_variance on one value, as floats.
             stats = self._norms[sensor_id]
-            mean = float(z_mean * stats.std + stats.mean)
-            # The rung validated z_variance > 0; de-normalisation scales
-            # by std^2 > 0, so this is a pure belt-and-braces clamp.
-            std = math.sqrt(max(z_variance * stats.std**2, 0.0))
+            mean = float(stats.invert(z_mean))
+            # Every rung validated z_variance > 0, and std > 0.
+            std = math.sqrt(stats.invert_variance(z_variance))
             return Forecast(
                 sensor_id=sensor_id, horizon=horizon, mean=mean, std=std,
                 interval_low=mean - z * std, interval_high=mean + z * std,

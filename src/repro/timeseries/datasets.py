@@ -97,11 +97,9 @@ def make_dataset(
     tails: list[np.ndarray] = []
     stats: list[ZNormStats] = []
     for idx, raw in enumerate(raw_sensors):
-        series = TimeSeries(raw, sensor_id=f"{key.lower()}-{idx}")
-        zstats = series.znorm_stats()
-        normalised = zstats.apply(series.values)
-        train, test = train_test_split_tail(normalised, test_points)
-        history.append(TimeSeries(train, sensor_id=series.sensor_id))
+        zstats = ZNormStats.of(raw)
+        train, test = train_test_split_tail(zstats.apply(raw), test_points)
+        history.append(TimeSeries(train, sensor_id=f"{key.lower()}-{idx}"))
         tails.append(test)
         stats.append(zstats)
     return SensorDataset(name=key, history=history, test_tails=tails, norm_stats=stats)

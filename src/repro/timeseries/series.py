@@ -8,8 +8,8 @@ equally spaced observations ``C = {c_0, c_1, ...}``.  A *segment*
 
 This module provides:
 
-* :class:`TimeSeries` — an append-friendly container over a float array
-  with z-normalisation helpers,
+* :class:`TimeSeries` — an append-friendly container over a float array,
+* :class:`ZNormStats` — one stream's z-normalisation arithmetic,
 * :func:`segment_matrix` — the ``(X_{k,d}, Y_h)`` design-matrix builder
   used to assemble GP training sets from raw history,
 * :func:`sliding_segments` — a zero-copy view of every d-length segment.
@@ -22,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ..tolerances import STD_FLOOR
+
 __all__ = [
     "TimeSeries",
     "ZNormStats",
@@ -33,22 +35,27 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ZNormStats:
-    """Mean/std pair used for (de-)normalising one sensor's stream."""
+    """One stream's mean/std; (de-)normalising is plain arithmetic: float in, out."""
 
     mean: float
     std: float
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """Return the z-normalised copy of ``values``."""
-        return (np.asarray(values, dtype=np.float64) - self.mean) / self.std
+    @classmethod
+    def of(cls, values: np.ndarray) -> ZNormStats:
+        """The stats of ``values``, std floored at ``STD_FLOOR``."""
+        return cls(float(np.mean(values)), max(float(np.std(values)), STD_FLOOR))
 
-    def invert(self, values: np.ndarray) -> np.ndarray:
-        """Map z-normalised values back to the raw scale."""
-        return np.asarray(values, dtype=np.float64) * self.std + self.mean
+    def apply(self, values):
+        """``values`` z-normalised."""
+        return (values - self.mean) / self.std
 
-    def invert_variance(self, variances: np.ndarray) -> np.ndarray:
-        """Map predictive variances back to the raw scale."""
-        return np.asarray(variances, dtype=np.float64) * (self.std**2)
+    def invert(self, values):
+        """z-normalised ``values`` mapped back to the raw scale."""
+        return values * self.std + self.mean
+
+    def invert_variance(self, variances):
+        """Predictive variances mapped back to the raw scale."""
+        return variances * self.std**2
 
 
 class TimeSeries:
@@ -100,13 +107,6 @@ class TimeSeries:
         """Push several observations, oldest first."""
         for value in np.asarray(values, dtype=np.float64).ravel():
             self.append(value)
-
-    # ---------------------------------------------------------- normalisation
-    def znorm_stats(self) -> ZNormStats:
-        """Mean/std of the stream (std floored to avoid division by zero)."""
-        values = self.values
-        std = float(np.std(values))
-        return ZNormStats(mean=float(np.mean(values)), std=max(std, 1e-12))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"TimeSeries({self.sensor_id!r}, n={self._length})"

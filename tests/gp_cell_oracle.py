@@ -31,6 +31,11 @@ from repro.gp.loo import LooResult
 from repro.gp.optimize import conjugate_gradient_minimize
 from repro.gp.regression import GaussianProcessRegressor, robust_cholesky
 from repro.obs import hooks as obs
+from repro.tolerances import (
+    GP_FALLBACK_VARIANCE,
+    GP_VARIANCE_FLOOR,
+    LOO_DIAGONAL_FLOOR,
+)
 
 __all__ = ["CellGaussianProcessPredictor", "CellLooProblem", "per_cell"]
 
@@ -61,7 +66,7 @@ class CellLooProblem:
         if info != 0:
             raise ValueError(f"LAPACK dpotrs: illegal value in argument {-info}")
         alpha = kinv @ y
-        diag = np.maximum(kinv.diagonal(), 1e-300)
+        diag = np.maximum(kinv.diagonal(), LOO_DIAGONAL_FLOOR)
         variances = 1.0 / diag
         means = y - alpha / diag
         logp = (
@@ -187,9 +192,9 @@ class CellGaussianProcessPredictor(GaussianProcessPredictor):
         if not np.isfinite(mean[0]) or not np.isfinite(var[0]):
             # Pathological conditioning: degrade gracefully to aggregation.
             mean_value = float(targets.mean())
-            var_value = float(np.var(targets)) + 1e-6
+            var_value = float(np.var(targets)) + GP_FALLBACK_VARIANCE
             return GaussianPrediction(mean_value, var_value)
-        return GaussianPrediction(float(mean[0]), float(max(var[0], 1e-10)))
+        return GaussianPrediction(float(mean[0]), float(max(var[0], GP_VARIANCE_FLOOR)))
 
 
 def per_cell(config) -> GaussianProcessPredictor:

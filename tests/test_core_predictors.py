@@ -9,6 +9,7 @@ from repro.core import (
     GaussianProcessPredictor,
     SMiLerConfig,
 )
+from repro.tolerances import AR_VARIANCE_FLOOR
 
 
 def knn_data(k=16, d=8, seed=0, noise=0.01):
@@ -48,7 +49,7 @@ class TestAggregationPredictor:
         targets = np.full(4, 2.5)
         pred = AggregationPredictor().predict(query, neighbours, targets)
         assert pred.mean == 2.5
-        assert pred.variance == 1e-8
+        assert pred.variance == AR_VARIANCE_FLOOR == 1e-8
 
     def test_shape_validation(self):
         query, neighbours, targets = knn_data()
@@ -59,8 +60,6 @@ class TestAggregationPredictor:
             ar.predict(query[:-1], neighbours, targets)
         with pytest.raises(ValueError):
             ar.predict(query, neighbours[:0], targets[:0])
-        with pytest.raises(ValueError):
-            AggregationPredictor(variance_floor=0.0)
 
 
 class TestGaussianProcessPredictor:

@@ -38,8 +38,9 @@ from repro.dtw import (
 )
 from repro.backend import make_backend
 from repro.dtw import distance as distance_module
-from repro.dtw.distance import ABANDON_SLACK, band_cells
+from repro.dtw.distance import band_cells
 from repro.gpu.kernels import OPS_PER_DTW_CELL
+from repro.tolerances import ABANDON_SLACK
 
 BLOCK = 5
 

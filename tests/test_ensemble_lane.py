@@ -40,6 +40,7 @@ from repro.core.smiler import SMiLer, _PendingUpdate, absorb_many, predict_many
 from repro.index import search_many
 from repro.service import PredictionService, SnapshotCorruptionError
 from repro.timeseries.series import ZNormStats
+from repro.tolerances import MIX_SPREAD_FLOOR, RECOVERY_FLOOR
 
 from .test_forecast_lane import fold, oracle_cell_inputs, oracle_forecast_fields
 
@@ -92,7 +93,7 @@ class OracleEnsemble:
             norm[c] * (components[c].variance + components[c].mean ** 2)
             for c in norm
         )
-        variance = max(second_moment - mean**2, 1e-10)
+        variance = max(second_moment - mean**2, MIX_SPREAD_FLOOR)
         return EnsembleOutput(
             mean=mean, variance=variance, components=components, weights=norm
         )
@@ -159,7 +160,7 @@ class OracleEnsemble:
         if not recovered:
             return
         kappa = len(recovered)
-        raw = self.eta / max(1.0 - kappa * self.eta, 1e-9)
+        raw = self.eta / max(1.0 - kappa * self.eta, RECOVERY_FLOOR)
         for cell in recovered:
             st = self._states[cell]
             st.asleep = False
@@ -532,9 +533,7 @@ def test_register_deregister_evacuate_repack_and_keep_the_bits(tmp_path):
         sid = f"s{i}"
         history = raw[i][: 240 + 5 * i]
         service.register(sid, history)
-        stats[sid] = ZNormStats(
-            mean=float(np.mean(history)), std=max(float(np.std(history)), 1e-12)
-        )
+        stats[sid] = ZNormStats.of(history)
         twins[sid] = OracleTwin(stats[sid].apply(history), CONFIG, "native", sid)
         futures[sid] = raw[i][history.size :]
 

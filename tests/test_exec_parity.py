@@ -350,10 +350,7 @@ class _StandaloneSensor:
 
     def __init__(self, sensor_id, history, backend_name):
         self.backend_name = backend_name
-        self.stats = ZNormStats(
-            mean=float(np.mean(history)),
-            std=max(float(np.std(history)), 1e-12),
-        )
+        self.stats = ZNormStats.of(history)
         self.smiler = SMiLer(
             self.stats.apply(history), CONFIG,
             backend=make_backend(backend_name), sensor_id=sensor_id,

@@ -31,6 +31,7 @@ from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.index import search_many
 from repro.service import PredictionService
 from repro.timeseries.series import ZNormStats
+from repro.tolerances import AR_VARIANCE_FLOOR, STD_FLOOR
 
 BACKENDS = ["simulated", "native"]
 
@@ -45,7 +46,7 @@ TICKS = 60
 class OracleAggregationPredictor(SemiLazyPredictor):
     """``AggregationPredictor.predict`` as it was: one row, reduced alone."""
 
-    variance_floor = 1e-8
+    variance_floor = AR_VARIANCE_FLOOR
 
     def predict(self, query, neighbours, targets):
         _, _, targets = self._validate(query, neighbours, targets)
@@ -491,9 +492,7 @@ def test_forecast_fields_equal_the_per_sensor_shell(backend_name):
         )
         sid = f"s{i}"
         service.register(sid, raw[:n])
-        stats[sid] = ZNormStats(
-            mean=float(np.mean(raw[:n])), std=max(float(np.std(raw[:n])), 1e-12)
-        )
+        stats[sid] = ZNormStats.of(raw[:n])
         twins[sid] = as_oracle(SMiLer(
             stats[sid].apply(raw[:n]), config,
             backend=make_backend(backend_name), sensor_id=sid,
@@ -537,18 +536,26 @@ def test_forecast_fields_equal_the_per_sensor_shell(backend_name):
 @given(
     value=st.floats(-1e9, 1e9, allow_nan=False, width=64),
     mean=st.floats(-1e6, 1e6, allow_nan=False, width=64),
-    std=st.floats(1e-12, 1e6, allow_nan=False, width=64),
+    std=st.floats(STD_FLOOR, 1e6, allow_nan=False, width=64),
 )
 def test_scalar_z_normalisation_is_the_array_one(value, mean, std):
+    """The service's scalar (de-)normalisation is ``ZNormStats`` on a
+    float: a float out, the bits of the array form and of the arithmetic
+    written out."""
     stats = ZNormStats(mean=mean, std=std)
-    scalar = (value - stats.mean) / stats.std
-    assert scalar.hex() == float(stats.apply(np.array([value]))[0]).hex()
-    z = scalar
-    assert (z * stats.std + stats.mean).hex() == float(
-        stats.invert(np.array([z]))[0]
-    ).hex()
+    z = stats.apply(value)
+    assert type(z) is float
+    assert z.hex() == ((value - mean) / std).hex()
+    assert z.hex() == float(stats.apply(np.array([value]))[0]).hex()
+    raw = stats.invert(z)
+    assert type(raw) is float
+    assert raw.hex() == (z * std + mean).hex()
+    assert raw.hex() == float(stats.invert(np.array([z]))[0]).hex()
     variance = abs(z) + 1e-9
-    assert (variance * stats.std**2).hex() == float(
+    scaled = stats.invert_variance(variance)
+    assert type(scaled) is float
+    assert scaled.hex() == (variance * std**2).hex()
+    assert scaled.hex() == float(
         stats.invert_variance(np.array([variance]))[0]
     ).hex()
 
@@ -600,7 +607,7 @@ def test_predict_stacks_row_i_is_predict_on_row_i(
             )
             assert hexes(alone) == hexes(want), name
             if constant:
-                assert variance[at] == predictors[0].variance_floor
+                assert variance[at] == AR_VARIANCE_FLOOR
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import gp_predictor, smiler
 from repro.gp.optimize import OptimizeResult
+from repro.tolerances import CG_DENOMINATOR_FLOOR
 
 from . import gp_cell_oracle
 from . import gp_equivalence as gate
@@ -101,7 +102,8 @@ def restart_at_one(
         # direction and is caught by the steepest-descent restart above).
         with np.errstate(over="ignore", invalid="ignore"):
             beta = float(
-                new_grad @ (new_grad - grad) / max(grad @ grad, 1e-300)
+                new_grad @ (new_grad - grad)
+                / max(grad @ grad, CG_DENOMINATOR_FLOOR)
             )
             beta = min(max(0.0, beta), 1e6)
             direction = -new_grad + beta * direction

@@ -19,6 +19,7 @@ from scipy.linalg.lapack import dpotrf, dtrtri
 
 from repro.gp.loo import LooProblem
 from repro.gp.regression import robust_cholesky
+from repro.tolerances import LOO_DIAGONAL_FLOOR
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -54,7 +55,9 @@ class OracleLooProblem(LooProblem):
                 inverse[at] = self._eye
         kinv = inverse.transpose(0, 2, 1) @ inverse
         alpha = (kinv @ self._y[members, :, None])[:, :, 0]
-        diag = np.maximum(np.diagonal(kinv, axis1=1, axis2=2), 1e-300)
+        diag = np.maximum(
+            np.diagonal(kinv, axis1=1, axis2=2), LOO_DIAGONAL_FLOOR
+        )
         self._kept = (
             {int(m): at for at, m in enumerate(members)},
             log_params, theta_sq, se, kinv, alpha, diag,

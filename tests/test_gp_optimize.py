@@ -1,10 +1,13 @@
 """Tests for the CG and Nelder-Mead optimisers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.gp import conjugate_gradient_minimize, nelder_mead_minimize
 from repro.gp import optimize
+from repro.tolerances import CG_DENOMINATOR_FLOOR
 
 
 def quadratic(center, scales):
@@ -150,6 +153,37 @@ class TestStepMemory:
         )
         assert searches == [(0.125, 0.125), (0.25, None), (0.25, 0.25)]
         assert result.converged and result.step == 0.25
+
+    @pytest.mark.parametrize("floor", [CG_DENOMINATOR_FLOOR, 0.0])
+    def test_beta_after_a_subnormal_gradient(self, monkeypatch, floor):
+        """``grad @ grad`` of g0 = (1e-160, 0) is subnormal (reachable with
+        ``grad_tol=0``): beta's quotient is 1e300 under the floor and
+        overflows without it (negative control), and either is clipped
+        to 1e6 — the floor keeps the quotient finite, it does not change
+        the run."""
+        monkeypatch.setattr(optimize, "CG_DENOMINATOR_FLOOR", floor)
+        searches = traced_searches(monkeypatch)
+
+        class Scripted:
+            values = iter([0.0, -1.0, -2.0])
+            gradients = iter([np.array([1e-160, 0.0]), np.array([1.0, 0.0]),
+                              np.zeros(2)])
+
+            def value(self, x):
+                return next(self.values)
+
+            def gradient(self):
+                return next(self.gradients)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = conjugate_gradient_minimize(
+                Scripted(), np.zeros(2), max_iters=3, grad_tol=0.0
+            )
+        assert result.value == -2.0
+        # The second step went along d1 = -g1 + 1e6 * d0: beta clipped.
+        np.testing.assert_array_equal(result.x, [-1e-160 - (1.0 + 1e-154), 0.0])
+        assert [accepted for _, accepted in searches[:2]] == [1.0, 1.0]
 
     def test_no_search_starts_above_one(self, monkeypatch):
         searches = traced_searches(monkeypatch)

@@ -28,11 +28,12 @@ from repro.gp import (
     loo_objective,
     robust_cholesky,
 )
+from repro.tolerances import CHOLESKY_JITTERS, LOO_DIAGONAL_FLOOR
 
 from . import gp_cell_oracle
 
 _LOG_2PI = np.log(2.0 * np.pi)
-_JITTERS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2)
+_JITTERS = (0.0, *CHOLESKY_JITTERS)
 
 
 # ------------------------------------------------------------------ oracles
@@ -59,7 +60,7 @@ def oracle_loo_objective(log_params, x, y):
     lower, _ = oracle_robust_cholesky(cov)
     kinv = cho_solve((lower, True), np.eye(y.size))
     alpha = kinv @ y
-    diag = np.clip(np.diag(kinv), 1e-300, None)
+    diag = np.clip(np.diag(kinv), LOO_DIAGONAL_FLOOR, None)
 
     variances = 1.0 / diag
     means = y - alpha / diag

@@ -223,8 +223,6 @@ KEPT_UNREAD = {
         "per-cell trainer drives it",
     "repro.core.predictor.GaussianPrediction.density":
         "reference: the likelihoods ensemble weight updates are checked against",
-    "repro.timeseries.series.ZNormStats.invert_variance":
-        "reference: maps lane variances to raw units for forecast parity tests",
     "repro.exec.process.ProcessShardEngine.worker_pids":
         "test seam: crash tests kill a shard worker by pid",
     "repro.gpu.device.MemoryLedger.live_allocations":

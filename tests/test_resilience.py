@@ -1,6 +1,7 @@
 """Tests for the health-aware pool, failover and graceful degradation."""
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -17,6 +18,8 @@ from repro.core import SMiLerConfig
 from repro.core.smiler import SMiLer, predict_many
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.service import SEARCH_ATTEMPTS, PredictionService
+from repro.timeseries.series import ZNormStats
+from repro.tolerances import NAIVE_VARIANCE
 
 CONFIG = SMiLerConfig(
     elv=(8, 16), ekv=(4, 8), rho=2, omega=4, horizons=(1, 3),
@@ -213,6 +216,19 @@ class TestDegradationLadder:
         assert forecast.source == "naive"
         assert forecast.mean == pytest.approx(raw_history()[-1])
         assert forecast.std > 0
+
+    def test_naive_rung_floors_a_flat_tail(self, monkeypatch):
+        """A flat tail's random-walk variance is 0: the rung serves
+        NAIVE_VARIANCE, de-normalised, instead."""
+        history = raw_history()
+        history[-80:] = history[-80]
+        service = make_service()
+        service.register("s1", history)
+        break_rungs_above_naive(monkeypatch)
+        forecast = service.forecast("s1")
+        assert forecast.source == "naive"
+        raw_variance = ZNormStats.of(history).invert_variance(NAIVE_VARIANCE)
+        assert forecast.std == math.sqrt(raw_variance) > 0
 
     def test_truncated_ladder_raises_forecast_error(self, monkeypatch):
         """The ladder has no final raise (``naive`` cannot fail), so a
@@ -767,7 +783,6 @@ class TestForecastLane:
         -> forecast_all against standalone ``SMiLer``s fed the same
         readings."""
         from repro.backend import make_backend
-        from repro.timeseries.series import ZNormStats
 
         def make():
             return make_service(
@@ -778,10 +793,7 @@ class TestForecastLane:
         for i in range(8):
             sid, history = f"s{i}", raw_history(n=400 + 7 * i, seed=i)
             service.register(sid, history)
-            stats[sid] = ZNormStats(
-                mean=float(np.mean(history)),
-                std=max(float(np.std(history)), 1e-12),
-            )
+            stats[sid] = ZNormStats.of(history)
             twins[sid] = SMiLer(
                 stats[sid].apply(history), CONFIG,
                 backend=make_backend(backend_name), sensor_id=sid,

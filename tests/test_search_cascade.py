@@ -74,7 +74,7 @@ def assert_matches_reference(engine, answers, margin, label=""):
 
 def adversarial_streams():
     """260 history points + 6 future ones, per shape: the plain walk,
-    magnitudes at which ``tau + _FILTER_SLACK`` (absolute 1e-12) sits
+    magnitudes at which ``tau + FILTER_SLACK`` (absolute 1e-12) sits
     below one ULP of the distances, and two shapes full of exact DTW
     ties — a tiled period whose perturbed period ends make ``LB_Kim ==
     DTW`` for some candidates, and integer-valued plateaus."""
@@ -263,7 +263,8 @@ class TestBatchedPrimitives:
         # Survivors are bit-identical; abandoned truly exceed the cutoff.
         np.testing.assert_array_equal(pruned[survivors], reference[survivors])
         assert (reference[~survivors] > cutoff).all()
-        # Nothing at or below the cutoff may ever be abandoned.
+        # Nothing at or below the cutoff may ever be abandoned: at
+        # ABANDON_SLACK = 0 a row whose terms round above it would be.
         assert survivors[reference <= cutoff].all()
 
     def test_pruned_dtw_without_cutoff_equals_batch(self):

@@ -40,7 +40,6 @@ from repro.index import SuffixKnnEngine, SuffixSearchConfig
 from repro.index.group_index import lower_bounds_many
 from repro.index.reference import suffix_knn_reference
 from repro.index.suffix_search import (
-    _FILTER_SLACK,
     SuffixKnnAnswer,
     _lane_seeds,
     lane_behind,
@@ -48,6 +47,7 @@ from repro.index.suffix_search import (
 )
 from repro.index.window_index import lane_of, step_many
 from repro.obs import hooks as obs
+from repro.tolerances import FILTER_REL_SLACK, FILTER_SLACK
 
 from .test_search_cascade import (
     SMALL_CFG,
@@ -110,7 +110,7 @@ def oracle_search_many(engines):
                     raise ValueError(
                         f"fewer than k finite seed distances (d={d})"
                     )
-                gate = trusted[k - 1] + _FILTER_SLACK
+                gate = trusted[k - 1] * (1.0 + FILTER_REL_SLACK) + FILTER_SLACK
                 # Tier 1: the precomputed window/group envelope bound.
                 alive = item.bound <= gate
                 after_kim = item.n

@@ -72,10 +72,7 @@ class ServiceModel(RuleBasedStateMachine):
         self.registered += 1
         history = raw_history(n, seed)
         self.service.register(sensor_id, history)
-        stats = ZNormStats(
-            mean=float(np.mean(history)),
-            std=max(float(np.std(history)), 1e-12),
-        )
+        stats = ZNormStats.of(history)
         self.stats[sensor_id] = stats
         self.twins[sensor_id] = SMiLer(
             stats.apply(history), CONFIG,

@@ -12,6 +12,7 @@ from repro.timeseries import (
     sliding_segments,
     train_test_split_tail,
 )
+from repro.tolerances import STD_FLOOR
 
 
 class TestTimeSeries:
@@ -41,19 +42,21 @@ class TestTimeSeries:
 class TestZNorm:
     def test_roundtrip(self):
         ts = TimeSeries([5.0, 7.0, 9.0, 11.0])
-        stats = ts.znorm_stats()
+        stats = ZNormStats.of(ts.values)
         z = stats.apply(ts.values)
         np.testing.assert_allclose(stats.invert(z), ts.values)
 
     def test_normalised_stats(self):
         ts = TimeSeries(np.random.default_rng(0).normal(3.0, 2.0, size=500))
-        z = ts.znorm_stats().apply(ts.values)
+        z = ZNormStats.of(ts.values).apply(ts.values)
         assert abs(float(np.mean(z))) < 1e-9
         assert abs(float(np.std(z)) - 1.0) < 1e-9
 
     def test_constant_series_does_not_divide_by_zero(self):
         ts = TimeSeries([4.0, 4.0, 4.0])
-        z = ts.znorm_stats().apply(ts.values)
+        stats = ZNormStats.of(ts.values)
+        assert stats == ZNormStats(4.0, STD_FLOOR)
+        z = stats.apply(ts.values)
         assert np.isfinite(z).all()
 
     def test_invert_variance(self):
