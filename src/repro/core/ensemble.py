@@ -19,9 +19,12 @@ mixture (Eqn. 3).
 
 The unit of auto-tuning is a *lane*: ensembles that tune together keep
 their per-cell scalars as rows of one :class:`EnsembleStack`, so
-:func:`update_many` and :func:`mix_many` are array computations over
-``(ensembles × cells)`` :class:`Components`; :meth:`AdaptiveEnsemble.update`
-/ :meth:`AdaptiveEnsemble.predict` are lanes of one.  Sums are folded
+:func:`update_many` and :func:`mix` are array computations over
+``(ensembles × cells)`` :class:`Components`.  The stack also keeps each
+row's predictions until their true values arrive
+(:meth:`EnsembleStack.remember`), so a lane that mixed them stacked is
+scored stacked (:func:`tune_due`).  :meth:`AdaptiveEnsemble.update` /
+:meth:`AdaptiveEnsemble.predict` are lanes of one.  Sums are folded
 left to right in cell order and ``x ** 2`` is ``np.float_power(x, 2.0)``
 (the same ``pow``), so a row's bits are the ones it gets alone.
 """
@@ -90,15 +93,23 @@ class CellState:
 class EnsembleStack:
     """Struct-of-arrays state of the ensembles that tune together: one
     ``(ensembles × cells)`` array per :data:`_FIELDS` entry, rows sharing
-    their cells.  The :class:`~repro.index.window_index.LaneStack`
-    convention: a handle knows its stack and row, the stack holds arrays
-    only."""
+    their cells, and each row's predictions awaiting their true value
+    (:meth:`remember`).  The
+    :class:`~repro.index.window_index.LaneStack` convention: a handle
+    knows its stack and row, the stack holds arrays only."""
 
-    def __init__(self, size: int, n_cells: int) -> None:
+    def __init__(self, size: int, n_cells: int, depth: int = 0) -> None:
         self.size = size
         # Uniform weights, everyone awake, spans of 1: a fresh ensemble.
         for name, fresh in zip(_FIELDS, (1.0 / n_cells, False, 1, 0, False)):
             setattr(self, name, np.full((size, n_cells), fresh))
+        # The pending ring: slot ``due % horizon`` of a row holds the
+        # components predicted for step ``due`` (``-1``: never written).
+        self.due = np.full((size, depth), -1)
+        self.pending = Components(
+            np.zeros((size, depth, n_cells), dtype=bool),
+            *np.zeros((2, size, depth, n_cells)),
+        )
 
     @classmethod
     def of(cls, ensembles: Sequence["AdaptiveEnsemble"]) -> "EnsembleStack":
@@ -106,22 +117,64 @@ class EnsembleStack:
         packed afresh (and the handles re-seated) when they are not
         already that: a sensor joined or left, or the group is new."""
         stack = ensembles[0]._stack
-        if stack.size == len(ensembles) and all(
-            ensemble._stack is stack and ensemble._row == row
-            for row, ensemble in enumerate(ensembles)
-        ):
+        if stack.size == len(ensembles) and all([
+            ensemble._stack is stack for ensemble in ensembles
+        ]) and [ensemble._row for ensemble in ensembles] == list(range(stack.size)):
             return stack
         if any(ensemble.cells != ensembles[0].cells for ensemble in ensembles):
             raise ValueError("ensembles that tune together must share their cells")
         if len({id(ensemble) for ensemble in ensembles}) != len(ensembles):
             raise ValueError("the same ensemble appears twice in one group")
-        packed = cls(len(ensembles), len(ensembles[0].cells))
+        depth = max(ensemble._stack.due.shape[1] for ensemble in ensembles)
+        packed = cls(len(ensembles), len(ensembles[0].cells), depth)
         for row, ensemble in enumerate(ensembles):
             source, at = ensemble._stack, ensemble._row
             for name in _FIELDS:
                 getattr(packed, name)[row] = getattr(source, name)[at]
+            packed._copy_ring(row, source, at)
             ensemble._stack, ensemble._row = packed, row
         return packed
+
+    def _copy_ring(self, rows, source: "EnsembleStack", at) -> None:
+        """Rows ``rows`` of the pending ring take ``source``'s rows
+        ``at``; a shallower ring fills the first slots, where ``due %
+        horizon`` put its steps."""
+        held = source.due.shape[1]
+        self.due[rows, :held] = source.due[at]
+        for mine, theirs in zip(self.pending, source.pending):
+            mine[rows, :held] = theirs[at]
+
+    def remember(
+        self, rows: np.ndarray, due: np.ndarray, horizon: int,
+        components: Components,
+    ) -> None:
+        """Keep ``components [R, C]`` of ``rows`` until the readings at
+        ``due [R]`` arrive, in place of whatever those rows predicted for
+        the same step before.  A row predicts for steps ``now - 1 +
+        horizon``, so every due index it still waits for falls in
+        ``[now, now + horizon)``: the ring holds ``horizon`` slots, and a
+        slot's older step is one no reading will score any more."""
+        if self.due.shape[1] < horizon:  # deepen, slots where they were
+            grown = EnsembleStack(self.size, self.weight.shape[1], horizon)
+            grown._copy_ring(slice(None), self, slice(None))
+            self.due, self.pending = grown.due, grown.pending
+        slot = due % horizon
+        self.due[rows, slot] = due
+        for ring, part in zip(self.pending, components):
+            ring[rows, slot] = part
+
+    def recall(
+        self, arrived: np.ndarray, horizon: int
+    ) -> tuple[list[int], Components | None]:
+        """The rows holding a prediction for their step ``arrived [R]``,
+        and those predictions' components ``[F, C]``."""
+        if self.due.shape[1] < horizon:  # nothing remembered at this depth
+            return [], None
+        rows, slot = np.arange(self.size), arrived % horizon
+        found = (self.due[rows, slot] == arrived).nonzero()[0]
+        if found.size < self.size:
+            rows, slot = found, slot[found]
+        return found.tolist(), Components(*(ring[rows, slot] for ring in self.pending))
 
 
 def lane_of(
@@ -131,7 +184,7 @@ def lane_of(
     where they are if they share one (any subset, any order), packed
     together first if they live apart."""
     stack = ensembles[0]._stack
-    if any(ensemble._stack is not stack for ensemble in ensembles):
+    if not all([ensemble._stack is stack for ensemble in ensembles]):
         stack = EnsembleStack.of(ensembles)
     return stack, np.array([ensemble._row for ensemble in ensembles])
 
@@ -283,17 +336,49 @@ def update_many(
     """Auto-tune a lane of ensembles sharing their cells, stacked (one
     :class:`EnsembleStack` from here on): ensemble ``i`` scores
     ``components[i]`` — its ``[C]`` row of the predictions made for the
-    step ``values[i]`` reveals — or, where that is ``None``, has nothing due.
-    Each phase renormalises the awake weights of the rows it touched."""
-    tuned = []
-    for at, (ensemble, found) in enumerate(zip(ensembles, components)):
-        if found is not None:
-            ensemble.updates += 1
-            if ensemble.self_adaptive:
-                tuned.append(at)
-    if not tuned:
-        return
+    step ``values[i]`` reveals — or, where that is ``None``, has nothing due."""
+    scored = [at for at, found in enumerate(components) if found is not None]
+    if scored:
+        stacked = Components(*(
+            np.array(field) for field in zip(*(components[at] for at in scored))
+        ))
+        _tune(ensembles, EnsembleStack.of(ensembles), scored, values, stacked)
+
+
+def tune_due(
+    ensembles: Sequence[AdaptiveEnsemble],
+    values: Sequence[float],
+    arrived: np.ndarray,
+    horizon: int,
+) -> None:
+    """:func:`update_many` on what the lane remembered: ensemble ``i``
+    scores its pending ``horizon``-step prediction for step
+    ``arrived[i]`` (:meth:`EnsembleStack.remember`), if it made one."""
     stack = EnsembleStack.of(ensembles)
+    scored, components = stack.recall(arrived, horizon)
+    if scored:
+        _tune(ensembles, stack, scored, values, components)
+
+
+def _tune(
+    ensembles: Sequence[AdaptiveEnsemble],
+    stack: EnsembleStack,
+    scored: list[int],
+    values: Sequence[float],
+    components: Components,
+) -> None:
+    """The update of :func:`update_many`: the ensembles at ``scored``
+    (their rows of ``stack``) score ``components [len(scored), C]``.
+    Each phase renormalises the awake weights of the rows it touched."""
+    for at in scored:
+        ensembles[at].updates += 1
+    adaptive = [i for i, at in enumerate(scored) if ensembles[at].self_adaptive]
+    if not adaptive:
+        return
+    tuned = scored
+    if len(adaptive) < len(scored):
+        tuned = [scored[i] for i in adaptive]
+        components = Components(*(field[adaptive] for field in components))
     rows = slice(None) if len(tuned) == stack.size else np.array(tuned)
     cells = ensembles[0].cells
     weight, asleep = stack.weight[rows], stack.asleep[rows]
@@ -301,23 +386,21 @@ def update_many(
     # Eqns. 6-9: a softmax over log densities (GaussianPrediction
     # .log_density) — l / sum(l) of Eqn. 8, immune to underflow.  A cell
     # asleep or without a prediction has density 0: its weight stays.
-    present, mean, variance = (
-        np.array(field) for field in zip(*(components[at] for at in tuned))
-    )
+    present, mean, variance = components
     live = present & ~asleep
-    scored = live.any(axis=1)
-    if scored.any():
+    scored_any = live.any(axis=1)
+    if scored_any.any():
         value = np.array([values[at] for at in tuned], dtype=np.float64)[:, None]
-        variance[~live] = np.inf
+        variance = np.where(live, variance, np.inf)
         log_density = -0.5 * np.log(2.0 * np.pi * variance) - np.float_power(
             value - mean, 2.0
         ) / (2.0 * variance)
-        peak = np.where(scored, log_density.max(axis=1), 0.0)[:, None]
+        peak = np.where(scored_any, log_density.max(axis=1), 0.0)[:, None]
         shifted = np.exp(log_density - peak)
         total = _numpy_sum(shifted, live)
-        total[~scored] = 1.0
+        total[~scored_any] = 1.0
         weight = np.where(live, weight + shifted / total[:, None], weight)
-        weight = _normalised(weight, ~asleep, scored[:, None])
+        weight = _normalised(weight, ~asleep, scored_any[:, None])
 
     flags = [(ensembles[at].sleep_enabled, ensembles[at].eta) for at in tuned]
     sleeps, eta = (np.array(column)[:, None] for column in zip(*flags))
@@ -364,18 +447,30 @@ def mix_many(
 ) -> list[EnsembleOutput]:
     """The moment-matched mixtures (Eqn. 3) of a lane of ensembles that
     share their cells, stacked: ensemble ``i`` mixes row ``i`` of the
-    ``[R, C]`` ``components``, present where it is awake.  The mean is
-    the weighted mean, the variance includes the between-component spread."""
+    ``[R, C]`` ``components``, present where it is awake — :func:`mix`
+    with one :class:`EnsembleOutput` per ensemble."""
     stack, rows = lane_of(ensembles)
     awake, mean, variance = components
-    weight = np.where(awake, stack.weight[rows], 0.0)
-    norm = weight / _fold(weight)[:, None]
-    mixed = _fold(norm * mean)
-    second_moment = _fold(norm * (variance + np.float_power(mean, 2.0)))
-    spread = np.maximum(second_moment - np.float_power(mixed, 2.0), MIX_SPREAD_FLOOR)
+    mixed, spread, norm = mix(stack.weight[rows], components)
     return [
         EnsembleOutput(
             m, v, Components(awake[row], mean[row], variance[row]), norm[row]
         )
         for row, (m, v) in enumerate(zip(mixed.tolist(), spread.tolist()))
     ]
+
+
+def mix(
+    weight: np.ndarray, components: Components
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(mean [R], variance [R], weights [R, C])`` of the mixtures of
+    rows ``weight [R, C]`` over ``components [R, C]``: the weighted mean,
+    the variance with the between-component spread, and the mixing
+    weights (0.0 where a cell did not predict)."""
+    awake, mean, variance = components
+    weight = np.where(awake, weight, 0.0)
+    norm = weight / _fold(weight)[:, None]
+    mixed = _fold(norm * mean)
+    second_moment = _fold(norm * (variance + np.float_power(mean, 2.0)))
+    spread = np.maximum(second_moment - np.float_power(mixed, 2.0), MIX_SPREAD_FLOOR)
+    return mixed, spread, norm

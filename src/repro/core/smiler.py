@@ -11,16 +11,16 @@ One :class:`SMiLer` instance serves one sensor:
    weights, and self-adapts once the true value arrives (Section 5).
 
 :func:`predict_many` and :func:`absorb_many` run the same machinery for
-a lane of sensors sharing one kernel domain; :class:`repro.PredictionService`
-serves a fleet through them.
+a lane of sensors sharing one kernel domain, and :func:`predict_lane` is
+the prediction step as arrays, one row per sensor, with no per-sensor
+object; :class:`repro.PredictionService` serves a fleet through
+:func:`predict_lane` and :func:`absorb_many`.
 """
 
 from __future__ import annotations
 
-import logging
-from collections import deque
+import functools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,15 +38,13 @@ from ..index.window_index import WindowLevelIndex, lane_of, step_many
 from ..obs import hooks as obs
 from .ar import AggregationPredictor
 from .config import SMiLerConfig
-from .ensemble import AdaptiveEnsemble, Cell, Components, EnsembleOutput, mix_many
+from .ensemble import AdaptiveEnsemble, Cell, Components, EnsembleOutput, mix
 from .ensemble import lane_of as _ensemble_lane
-from .ensemble import update_many
+from .ensemble import tune_due
 from .gp_predictor import GaussianProcessPredictor
 from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, failed
 
-__all__ = ["SMiLer", "absorb_many", "predict_many"]
-
-logger = logging.getLogger(__name__)
+__all__ = ["SMiLer", "absorb_many", "group_rows", "predict_lane", "predict_many"]
 
 
 #: The reduced rung's predictor (stateless: one serves every sensor).
@@ -62,12 +60,48 @@ def _make_predictor(config: SMiLerConfig) -> "SemiLazyPredictor":
     )
 
 
-@dataclass
-class _PendingUpdate:
-    """A prediction awaiting its true value (auto-tuning is delayed by h)."""
+@functools.lru_cache(maxsize=64)
+def _search_config(config: SMiLerConfig) -> SuffixSearchConfig:
+    """The search configuration of ``config``: one object for every
+    equal ``config``, so a lane's members share it by identity."""
+    return SuffixSearchConfig(
+        item_lengths=config.effective_elv(),
+        k_max=config.k_max,
+        omega=config.omega,
+        rho=config.rho,
+        margin=config.margin,
+        reuse_threshold=config.reuse_threshold,
+        lb_kim=config.lb_kim,
+    )
 
-    due_index: int
-    components: Components
+
+def _windows(series: np.ndarray, d: int) -> np.ndarray:
+    """``[S, width - d + 1, d]``: every length-``d`` window of each row of
+    the C-contiguous ``series [S, width]``, as a strided view of it
+    (``sliding_window_view`` without the fixed cost of its checks, which
+    a lane of one or two sensors would feel)."""
+    rows, width = series.shape
+    return np.ndarray(
+        (rows, width - d + 1, d), series.dtype, series, 0,
+        series.strides + series.strides[1:],
+    )
+
+
+def group_rows(*columns: Sequence) -> list[list[int]]:
+    """The positions of equal-length ``columns`` grouped by equal entries
+    in every column, groups in order of first appearance.  When each
+    column's entries all equal its first — compared by identity first,
+    so members sharing one object pay no ``__eq__`` — that is one group,
+    found without hashing."""
+    size = len(columns[0])
+    if not size:
+        return []
+    if all([column.count(column[0]) == size for column in columns]):
+        return [list(range(size))]
+    groups: dict = {}
+    for at, key in enumerate(zip(*columns)):
+        groups.setdefault(key, []).append(at)
+    return list(groups.values())
 
 
 class SMiLer:
@@ -85,7 +119,7 @@ class SMiLer:
         self.backend = as_backend(backend)
         history = np.asarray(history, dtype=np.float64)
         self.engine = SuffixKnnEngine(
-            history, self._search_config(), backend=self.backend
+            history, _search_config(self.config), backend=self.backend
         )
 
         self._ensembles: dict[int, AdaptiveEnsemble] = {
@@ -97,22 +131,8 @@ class SMiLer:
             )
             for h in self.config.horizons
         }
-        self._pending: dict[int, deque[_PendingUpdate]] = {
-            h: deque() for h in self.config.horizons
-        }
         # kNN answers for the current step; None = stale (re-search).
         self._answers: Mapping[int, SuffixKnnAnswer] | None = None
-
-    def _search_config(self) -> SuffixSearchConfig:
-        return SuffixSearchConfig(
-            item_lengths=self.config.effective_elv(),
-            k_max=self.config.k_max,
-            omega=self.config.omega,
-            rho=self.config.rho,
-            margin=self.config.margin,
-            reuse_threshold=self.config.reuse_threshold,
-            lb_kim=self.config.lb_kim,
-        )
 
     # ---------------------------------------------------------------- state
     @property
@@ -128,6 +148,18 @@ class SMiLer:
     def ensemble(self, horizon: int) -> AdaptiveEnsemble:
         """The adaptive ensemble serving one horizon."""
         return self._ensembles[horizon]
+
+    def pending(self, horizon: int) -> list[tuple[int, Components]]:
+        """The ``horizon``-step predictions still awaiting their true
+        value, ``(due index, components)`` by due index: what the next
+        readings will score."""
+        ensemble = self._ensembles[horizon]
+        stack, row = ensemble._stack, ensemble._row
+        due = stack.due[row].tolist()
+        return sorted(
+            (step, Components(*(ring[row, slot].copy() for ring in stack.pending)))
+            for slot, step in enumerate(due) if step >= self.now
+        )
 
     def _current_answers(self) -> Mapping[int, SuffixKnnAnswer]:
         if self._answers is None:
@@ -186,19 +218,11 @@ class SMiLer:
         # Build the new engine before touching any state, so a failed
         # rebuild (e.g. a fault on the target backend) leaves this sensor
         # consistently bound to its old backend.
-        engine = SuffixKnnEngine(series, self._search_config(), backend=backend)
+        engine = SuffixKnnEngine(series, _search_config(self.config), backend=backend)
         self.backend = backend
         self.engine = engine
         self._answers = None
         return self
-
-    def _remember(self, horizon: int, output: EnsembleOutput) -> None:
-        due = self.now - 1 + horizon
-        queue = self._pending[horizon]
-        if queue and queue[-1].due_index == due:
-            queue[-1].components = output.components  # re-predicted this step
-            return
-        queue.append(_PendingUpdate(due_index=due, components=output.components))
 
     # -------------------------------------------------------------- observe
     def observe(self, value: float) -> None:
@@ -251,6 +275,7 @@ class SMiLer:
                     if ensemble.state(cell).asleep
                 ],
                 "updates": ensemble.updates,
+                "pending": [due for due, _ in self.pending(horizon)],
             }
         return {
             "sensor_id": self.sensor_id,
@@ -303,9 +328,7 @@ class _LaneKnn:
                 starts,
                 sizes.tolist(),
                 stack.master[rows, stack.master.shape[1] - d :],
-                stack.series[
-                    rows[:, None, None], starts[:, :, None] + np.arange(d)
-                ],
+                _windows(stack.series, d)[rows[:, None], starts],
             )
         return self._segments[d]
 
@@ -324,6 +347,11 @@ class _LaneKnn:
                 (at <= last).all(axis=1).tolist(),
             )
         return self._targets[d, horizon]
+
+    @property
+    def now(self) -> np.ndarray:
+        """``[S]``: each sensor's series length, the step it predicts from."""
+        return self._stack.series_len[self._rows]
 
     def predict_cells(
         self,
@@ -344,21 +372,28 @@ class _LaneKnn:
                 k, d = cell
                 _, sizes, queries, neighbours = self.segments(d)
                 targets, observed = self.targets(d, horizon)
-                stacks: dict[tuple, list[int]] = {}
-                for at, (row, predictor) in enumerate(zip(rows, predictors)):
-                    if observed[row]:
-                        stacks.setdefault(
-                            (min(k, sizes[row]), type(predictor)), []
-                        ).append(at)
+                # An unobserved row takes no neighbours: a group of its own.
+                takes = [
+                    (k if k <= sizes[row] else sizes[row]) if observed[row] else None
+                    for row in rows
+                ]
+                kinds = [predictor.__class__ for predictor in predictors]
+                for members in group_rows(takes, kinds):
+                    take, family = takes[members[0]], kinds[members[0]]
+                    if take is None:
+                        for at in members:
+                            outcomes[c][2][at] = IndexError(
+                                f"a {horizon}-step-ahead target of an "
+                                f"item-length-{d} neighbour is not observed yet"
+                            )
+                        continue
+                    if len(members) < len(rows):
+                        picked = np.array([rows[at] for at in members])
+                        chosen = [predictors[at] for at in members]
                     else:
-                        outcomes[c][2][at] = IndexError(
-                            f"a {horizon}-step-ahead target of an item-length-{d} "
-                            f"neighbour is not observed yet"
-                        )
-                for (take, family), members in stacks.items():
-                    picked = np.array([rows[at] for at in members])
+                        picked, chosen = np.asarray(rows), predictors
                     families.setdefault(family, []).append((c, members, (
-                        [predictors[at] for at in members], queries[picked],
+                        chosen, queries[picked],
                         neighbours[picked, :take], targets[picked, :take],
                     )))
             for family, jobs in families.items():
@@ -368,6 +403,9 @@ class _LaneKnn:
                     results = [failed(len(members), error) for _, members, _ in jobs]
                 for (c, members, _), (mean, variance, errors) in zip(jobs, results):
                     cell_mean, cell_variance, cell_errors = outcomes[c]
+                    if len(members) == len(cell_mean):  # the cell's one stack
+                        outcomes[c] = (mean, variance, errors)
+                        continue
                     cell_mean[members], cell_variance[members] = mean, variance
                     for at, error in errors.items():
                         cell_errors[members[at]] = error
@@ -392,124 +430,180 @@ def predict_many(
     cell of every sensor is one :meth:`_LaneKnn.predict_cells` — one
     :meth:`SemiLazyPredictor.predict_stacks` per predictor family, so a
     GP lane trains all its cells in lock step — and a grid's sensors mix
-    as one stack (:func:`~repro.core.ensemble.mix_many`); the
-    pending-update queue stays per sensor.
+    as one stack (:func:`~repro.core.ensemble.mix`), their components
+    remembered for auto-tuning as rows of their
+    :class:`~repro.core.ensemble.EnsembleStack`.  :func:`predict_lane`
+    is the same step for one horizon as arrays, with no per-sensor
+    object.
     """
-    if not sensors:
-        return []
-    backend = sensors[0].backend
-    outcomes: list = [
-        {} if horizon is None or horizon in sensor._ensembles else KeyError(
-            f"horizon {horizon} not configured; available: "
-            f"{sensor.config.horizons}"
-        )
-        for sensor in sensors
-    ]
+    outcomes: list = [{} for _ in sensors]
+    errors, mixtures = _predict(sensors, horizon)
+    for h, groups in mixtures.items():
+        for positions, mean, variance, components, weights in groups:
+            present, means, variances = components
+            for i, (at, m, v) in enumerate(
+                zip(positions, mean.tolist(), variance.tolist())
+            ):
+                if at not in errors:
+                    outcomes[at][h] = EnsembleOutput(m, v, Components(
+                        present[i], means[i], variances[i]
+                    ), weights[i])
+    for at, error in errors.items():
+        outcomes[at] = error
+    return outcomes
+
+
+def predict_lane(sensors: Sequence[SMiLer], horizon: int) -> Outcome:
+    """:func:`predict_many` at one horizon as arrays: ``(mean [S],
+    variance [S], {position: exception})``, 0.0 where a sensor failed.
+    The same search, cells, mixtures and remembered components; no
+    :class:`~repro.core.ensemble.EnsembleOutput` is built."""
+    errors, mixtures = _predict(sensors, horizon)
+    groups = mixtures.get(horizon, [])
+    if len(groups) == 1 and len(groups[0][0]) == len(sensors):
+        return groups[0][1], groups[0][2], errors
+    mean, variance = np.zeros((2, len(sensors)))
+    for positions, mixed, spread, _, _ in groups:
+        mean[positions], variance[positions] = mixed, spread
+    return mean, variance, errors
+
+
+def _predict(
+    sensors: Sequence[SMiLer], horizon: int | None
+) -> tuple[dict[int, Exception], dict[int, list[tuple]]]:
+    """The body of :func:`predict_many` and :func:`predict_lane`:
+    ``(errors, mixtures)`` — the exception that failed each failed
+    sensor (by position), and per horizon the mixtures of its grid
+    groups, ``(positions, mean, variance, components, weights)``.  A
+    sensor failed at one horizon leaves the request: it is not predicted
+    at the next, and its earlier mixtures are not its outcome."""
+    errors: dict[int, Exception] = {}
+    if horizon is not None:
+        errors = {
+            at: KeyError(
+                f"horizon {horizon} not configured; available: "
+                f"{sensor.config.horizons}"
+            )
+            for at, sensor in enumerate(sensors) if horizon not in sensor._ensembles
+        }
     # The lane proper: the sensors that asked for something it serves.
-    lane = [s for s, out in zip(sensors, outcomes) if isinstance(out, dict)]
+    lane = [at for at in range(len(sensors)) if at not in errors]
     if not lane:
-        return outcomes
+        return errors, {}
+    members = [sensors[at] for at in lane] if errors else list(sensors)
+    mixtures: dict[int, list[tuple]] = {}
+    backend = sensors[0].backend
     with obs.span("predict", backend) as sp:
         if sp is not None:
             sp.attrs["n_sensors"] = len(sensors)
-        stale = [sensor for sensor in lane if sensor._answers is None]
+        stale = [sensor for sensor in members if sensor._answers is None]
         if stale:
             found = search_many([sensor.engine for sensor in stale])
             for sensor, answers in zip(stale, found):
                 sensor.install(answers)
-        knn = _LaneKnn(lane)
-        served: list = [out for out in outcomes if isinstance(out, dict)]
-        for h in (horizon,) if horizon is not None else dict.fromkeys(
-            h for sensor in lane for h in sensor.config.horizons
-        ):
+        knn = _LaneKnn(members)
+        horizons = (horizon,) if horizon is not None else dict.fromkeys(
+            [h for sensor in members for h in sensor.config.horizons]
+        )
+        failed_rows: dict[int, Exception] = {}
+        for h in horizons:
             with obs.span("ensemble_mix", backend) as esp:
                 if esp is not None:
                     esp.attrs["horizon"] = h
-                _predict_horizon(lane, served, knn, h)
-    results = iter(served)
-    return [
-        next(results) if isinstance(out, dict) else out for out in outcomes
-    ]
+                rows = [
+                    row for row, sensor in enumerate(members)
+                    if h in sensor._ensembles and row not in failed_rows
+                ]
+                groups = _predict_horizon(members, knn, h, rows, failed_rows)
+            mixtures[h] = groups if len(lane) == len(sensors) else [
+                ([lane[row] for row in positions], *mixture)
+                for positions, *mixture in groups
+            ]
+    errors.update((lane[row], error) for row, error in failed_rows.items())
+    return errors, mixtures
 
 
 def _predict_horizon(
-    lane: list[SMiLer], served: list, knn: _LaneKnn, h: int
-) -> None:
-    """One horizon of :func:`predict_many` for the sensors of ``lane``
-    that serve it and have not failed: ``served[row][h]`` becomes the
-    sensor's mixture (remembered for auto-tuning), or ``served[row]`` the
-    exception that failed it — a failed sensor leaves the request."""
+    lane: list[SMiLer], knn: _LaneKnn, h: int, rows: list[int],
+    failures: dict[int, Exception],
+) -> list[tuple]:
+    """One horizon of :func:`_predict` for the sensors at ``rows`` of
+    ``lane``: the mixtures of each grid group that served, ``(rows,
+    mean, variance, components, weights)``, their components remembered
+    for auto-tuning; a sensor whose cell failed goes to ``failures``
+    (its first failed cell's exception) and leaves the request."""
+    if not rows:
+        return []
     # The sensors of one grid ask for their awake cells together, a cell
     # at a time in grid order, and mix as one stack.
-    grids: dict[tuple[Cell, ...], list[int]] = {}
-    for row, sensor in enumerate(lane):
-        if h in sensor._ensembles and isinstance(served[row], dict):
-            grids.setdefault(sensor._ensembles[h].cells, []).append(row)
+    ensembles = [lane[row]._ensembles[h] for row in rows]
     lanes, asked = [], []
-    for grid, rows in grids.items():
-        ensembles = [lane[row]._ensembles[h] for row in rows]
-        stack, seated = _ensemble_lane(ensembles)
+    for members in group_rows([ensemble.cells for ensemble in ensembles]):
+        if len(members) < len(rows):
+            grid_rows = [rows[at] for at in members]
+            grid = [ensembles[at] for at in members]
+        else:
+            grid_rows, grid = rows, ensembles
+        stack, seated = _ensemble_lane(grid)
         asleep, first = stack.asleep[seated], len(asked)
-        for cell, slept in zip(grid, asleep.T.tolist()):
-            awake = [at for at, off in enumerate(slept) if not off]
+        for cell, slept in zip(grid[0].cells, asleep.T.tolist()):
+            awake = [row for row, off in zip(grid_rows, slept) if not off]
             if awake:
-                asked.append((
-                    cell, [rows[at] for at in awake],
-                    [ensembles[at].predictors[cell] for at in awake],
-                ))
-        lanes.append((rows, ensembles, ~asleep, slice(first, len(asked))))
+                asked.append((cell, awake, [
+                    ensemble.predictors[cell]
+                    for ensemble, off in zip(grid, slept) if not off
+                ]))
+        lanes.append((grid_rows, stack, seated, ~asleep, slice(first, len(asked))))
     outcomes = knn.predict_cells(h, asked)
-    failures: dict[int, Exception] = {}  # a sensor's first failed cell
-    for (_, rows, _), (_, _, errors) in zip(asked, outcomes):
+    failed_before = len(failures)
+    for (_, cell_rows, _), (_, _, errors) in zip(asked, outcomes):
         for at, error in errors.items():
-            failures.setdefault(rows[at], error)
-    for row, error in failures.items():
-        served[row] = error
-    for rows, ensembles, awake, cells in lanes:
+            failures.setdefault(cell_rows[at], error)
+    now = knn.now
+    mixtures = []
+    for grid_rows, stack, seated, awake, cells in lanes:
         # [sensors, cells], 0.0 where a cell sleeps: the cells' rows, in
         # grid order, fill the awake flags column by column.
         mean, variance = np.zeros((2, *awake.shape))
         mean.T[awake.T] = np.concatenate([m for m, _, _ in outcomes[cells]])
         variance.T[awake.T] = np.concatenate([v for _, v, _ in outcomes[cells]])
-        kept = [at for at, row in enumerate(rows) if row not in failures]
-        if kept:
-            with obs.span("mix"):
-                outputs = mix_many(
-                    [ensembles[at] for at in kept],
-                    Components(awake[kept], mean[kept], variance[kept]),
-                )
-            for at, output in zip(kept, outputs):
-                served[rows[at]][h] = output
-                lane[rows[at]]._remember(h, output)
+        components = Components(awake, mean, variance)
+        if len(failures) > failed_before:
+            kept = [at for at, row in enumerate(grid_rows) if row not in failures]
+            if not kept:
+                continue
+            grid_rows = [grid_rows[at] for at in kept]
+            seated = seated[kept]
+            components = Components(*(field[kept] for field in components))
+        with obs.span("mix"):
+            mixed, spread, weights = mix(stack.weight[seated], components)
+            stack.remember(seated, now[grid_rows] - 1 + h, h, components)
+        mixtures.append((grid_rows, mixed, spread, components, weights))
+    return mixtures
 
 
 def tune_many(sensors: Sequence[SMiLer], values: Sequence[float]) -> None:
     """The auto-tuning half of absorbing one reading per sensor: score
-    the predictions the values were waiting for (the queues stay per
-    sensor) in one :func:`~repro.core.ensemble.update_many` per horizon
-    and grid.  Touches neither the index nor the backend."""
+    the predictions the values were waiting for, remembered as rows of
+    each horizon's :class:`~repro.core.ensemble.EnsembleStack`, in one
+    :func:`~repro.core.ensemble.tune_due` per horizon and grid.  Touches
+    neither the index nor the backend."""
     stack, rows = lane_of([sensor.engine.window_index for sensor in sensors])
-    lanes: dict[tuple, tuple[list, list, list]] = {}
-    for sensor, value, arrived in zip(
-        sensors, values, stack.series_len[rows].tolist()
-    ):
-        for h, queue in sensor._pending.items():
-            while queue and queue[0].due_index < arrived:
-                logger.debug(
-                    "%s: dropping stale h=%d prediction due at %d (now %d)",
-                    sensor.sensor_id, h, queue[0].due_index, arrived,
-                )
-                queue.popleft()  # stale (prediction was never scored)
-            ensemble = sensor._ensembles[h]
-            members, scored, due = lanes.setdefault((h, ensemble.cells), ([], [], []))
-            members.append(ensemble)
-            scored.append(value)
-            due.append(
-                queue.popleft().components
-                if queue and queue[0].due_index == arrived else None
+    arrived = stack.series_len[rows]
+    for h in dict.fromkeys([h for sensor in sensors for h in sensor._ensembles]):
+        serving = [
+            at for at, sensor in enumerate(sensors) if h in sensor._ensembles
+        ]
+        ensembles = [sensors[at]._ensembles[h] for at in serving]
+        for members in group_rows([ensemble.cells for ensemble in ensembles]):
+            if len(members) == len(sensors):  # the whole lane, in order
+                tune_due(ensembles, values, arrived, h)
+                continue
+            positions = [serving[i] for i in members]
+            tune_due(
+                [ensembles[i] for i in members],
+                [values[at] for at in positions], arrived[positions], h,
             )
-    for members, scored, due in lanes.values():
-        update_many(members, scored, due)
 
 
 def absorb_many(sensors: Sequence[SMiLer], values) -> None:

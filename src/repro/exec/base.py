@@ -46,6 +46,7 @@ from __future__ import annotations
 import abc
 import contextlib
 import itertools
+import operator
 import os
 import time
 import weakref
@@ -120,7 +121,7 @@ def execute_ops(service: "PredictionService", ops: Sequence[tuple]) -> list:
     ``_observe_lane``).
     """
     outcomes: list = []
-    for kind, run in itertools.groupby(ops, key=lambda op: op[0]):
+    for kind, run in itertools.groupby(ops, key=operator.itemgetter(0)):
         if kind == "forecast":
             # A run of forecast ops is one lane too: served stacked,
             # group by group, each op's failure its own outcome.

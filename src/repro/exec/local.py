@@ -40,11 +40,12 @@ class InlineEngine(ExecutionEngine):
 
     def run_batch(self, entry_point, scope, tasks):
         backends = self.service.backends
+        domains = [kernel_domain(backends[task.plan.backend_index]) for task in tasks]
+        if tasks and domains.count(domains[0]) == len(tasks):  # one lane, in order
+            return _run_lanes(self, entry_point, scope, [tasks], workers=1)
         lanes: dict[object, list[LaneTask]] = {}
-        for task in tasks:
-            lanes.setdefault(
-                kernel_domain(backends[task.plan.backend_index]), []
-            ).append(task)
+        for task, domain in zip(tasks, domains):
+            lanes.setdefault(domain, []).append(task)
         grouped = list(lanes.values())
         outcomes = dict(zip(
             (task.plan.lane_index for lane in grouped for task in lane),

@@ -23,7 +23,6 @@ from typing import Callable, Generator, Protocol
 
 import numpy as np
 
-from ..tolerances import CG_DENOMINATOR_FLOOR
 
 __all__ = [
     "Objective",
@@ -152,10 +151,11 @@ def conjugate_gradient(
         # Polak-Ribière+ update with automatic restart (beta clipped to
         # [0, 1e6]; runaway beta on ill-scaled problems degenerates the
         # direction and is caught by the steepest-descent restart above).
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta = float(
-                new_grad @ (new_grad - grad) / max(grad @ grad, CG_DENOMINATOR_FLOOR)
-            )
+        # ``grad @ grad`` is not floored: ``grad_tol`` stops a run long
+        # before it is subnormal, an overflowing quotient clips to 1e6,
+        # and 0 / 0 is NaN, which ``max`` turns into 0.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            beta = float(new_grad @ (new_grad - grad) / (grad @ grad))
             beta = min(max(0.0, beta), 1e6)
             direction = -new_grad + beta * direction
         if not np.isfinite(direction).all():

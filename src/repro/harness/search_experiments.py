@@ -8,7 +8,7 @@ accounts exactly, so winners and approximate ratios mirror the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,7 +23,7 @@ from ..gpu.scan import fast_gpu_scan, gpu_scan
 from ..index.direct import direct_lb_en
 from ..index.suffix_search import SuffixKnnEngine, SuffixSearchConfig
 from ..timeseries.datasets import DATASET_NAMES, make_dataset
-from ..tolerances import FILTER_REL_SLACK, FILTER_SLACK
+from ..tolerances import FILTER_REL_SLACK
 from .reporting import format_seconds, render_series, render_table
 
 __all__ = [
@@ -209,7 +209,7 @@ def _direct_suffix_knn(
         seeds = starts[np.argpartition(lb, pool - 1)[:pool]]
         seed_distances = backend.dtw_verification(query, segments[seeds], rho)
         tau = float(np.partition(seed_distances, min(k, pool) - 1)[min(k, pool) - 1])
-        unfiltered = starts[lb <= tau * (1.0 + FILTER_REL_SLACK) + FILTER_SLACK]
+        unfiltered = starts[lb <= tau * (1.0 + FILTER_REL_SLACK)]
         to_verify = np.setdiff1d(unfiltered, seeds)
         distances = backend.dtw_verification(query, segments[to_verify], rho)
         merged = np.concatenate([seed_distances, distances])

@@ -90,7 +90,7 @@ import numpy as np
 from ..backend.base import ComputeBackend, as_backend, kernel_domain
 from ..gpu.kernels import OPS_PER_LB_TERM, THREADS_PER_BLOCK
 from ..obs import hooks as obs
-from ..tolerances import FILTER_REL_SLACK, FILTER_SLACK
+from ..tolerances import FILTER_REL_SLACK
 from .group_index import GroupLevelIndex, LaneLowerBounds, lower_bounds_many
 from .window_index import WindowLevelIndex, lane_of
 
@@ -184,9 +184,14 @@ def lane_behind(rows: Sequence[object]) -> LaneAnswers | None:
     """The search whose answers ``rows`` (one mapping per engine) are,
     when they are all of one search, in its order; else ``None``."""
     lane = getattr(rows[0], "lane", None)
-    return lane if lane is not None and lane.sizes.shape[1] == len(rows) and all(
-        getattr(row, "lane", None) is lane and row.index == index
-        for index, row in enumerate(rows)
+    if lane is None or lane.sizes.shape[1] != len(rows):
+        return None
+    try:
+        lanes, order = [row.lane for row in rows], [row.index for row in rows]
+    except AttributeError:  # a member without lane answers
+        return None
+    return lane if all([of is lane for of in lanes]) and order == list(
+        range(len(rows))
     ) else None
 
 
@@ -544,7 +549,7 @@ def _search_lane(
                 f"fewer than k finite seed distances for item length "
                 f"{lengths[at]}: no threshold to filter against"
             )
-        gate = (tau * (1.0 + FILTER_REL_SLACK) + FILTER_SLACK)[..., None]
+        gate = (tau * (1.0 + FILTER_REL_SLACK))[..., None]
         # Columns at or beyond a row's own n hold the stack's padding (or
         # starts whose target is unobserved) and pass no tier.
         valid = np.arange(width) < n[..., None]

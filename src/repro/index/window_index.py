@@ -569,6 +569,6 @@ def lane_of(
     lane); indexes living apart are packed together first.
     """
     stack = indexes[0]._stack
-    if any(index._stack is not stack for index in indexes):
+    if not all([index._stack is stack for index in indexes]):
         stack = LaneStack.of(indexes)
     return stack, np.array([index._row for index in indexes])

@@ -68,9 +68,9 @@ from .backend.pool import BackendPool, BreakerConfig, Placement
 from .baselines.autoregressive import fit_ar
 from .core.config import SMiLerConfig
 from .core.persistence import build_smiler, load_snapshot, save_smiler
-from .core.predictor import GaussianPrediction
+from .core.predictor import GaussianPrediction, Outcome, checked, failed
 from .core.scaleout import plan_lanes
-from .core.smiler import SMiLer, absorb_many, predict_many
+from .core.smiler import SMiLer, absorb_many, group_rows, predict_lane
 from .exec.base import (
     ENGINE_NAMES,
     ExecutionEngine,
@@ -532,40 +532,42 @@ class PredictionService:
         failure here never loses data: it only leaves kNN answers stale
         (the next forecast re-searches, on a healthy backend after
         failover).  The searches then run fused, one group per kernel
-        domain (:meth:`_domain_of`) and search configuration; a single
+        domain and search configuration (:meth:`_groups`); a single
         ``ingest()`` is a lane of one.
         """
-        groups: dict[tuple, tuple[list[str], list[float]]] = {}
-        for sensor_id, value in pairs:
-            key = (
-                self._domain_of(sensor_id),
-                self._sensors[sensor_id].engine.config,
-            )
-            sensor_ids, values = groups.setdefault(key, ([], []))
-            sensor_ids.append(sensor_id)
-            values.append(self._norms[sensor_id].apply(value))
-        for sensor_ids, values in groups.values():
-            absorb_many([self._sensors[sid] for sid in sensor_ids], values)
-        for sensor_ids, _ in groups.values():
-            if self._search_group(sensor_ids, set()) is None:
-                self._record_successes(sensor_ids)
+        sensor_ids = [sensor_id for sensor_id, _ in pairs]
+        values = [
+            self._norms[sensor_id].apply(value) for sensor_id, value in pairs
+        ]
+        groups = [
+            ([sensor_ids[at] for at in members], [values[at] for at in members])
+            for members in self._groups(sensor_ids)
+        ]
+        for members, readings in groups:
+            absorb_many([self._sensors[sid] for sid in members], readings)
+        for members, _ in groups:
+            if self._search_group(members, set()) is None:
+                self._record_successes(members)
 
-    def _domain_of(self, sensor_id: str) -> object:
-        """The kernel domain of the backend hosting ``sensor_id`` now:
-        the key that fuses sensors into one stacked group
-        (:func:`~repro.backend.base.kernel_domain`)."""
-        return kernel_domain(
-            self._pool.backends[self._placements[sensor_id].backend_index]
+    def _groups(self, sensor_ids: list[str], *keys: list) -> list[list[int]]:
+        """The positions of ``sensor_ids`` that serve as one stacked
+        group: one kernel domain
+        (:func:`~repro.backend.base.kernel_domain`) of the backend
+        hosting each now, one search configuration (by equality), and
+        equal ``keys`` entries.  Usually the whole lane, found without
+        hashing anything."""
+        domains = [kernel_domain(backend) for backend in self._pool.backends]
+        return group_rows(
+            [domains[self._placements[sid].backend_index] for sid in sensor_ids],
+            [self._sensors[sid].engine.config for sid in sensor_ids],
+            *keys,
         )
 
     def _homes(self, sensor_ids: Iterable[str]) -> dict[int, int]:
         """How many of ``sensor_ids`` each hosting backend holds: a fused
         group's breakers, in first-member order."""
-        homes: dict[int, int] = {}
-        for sensor_id in sensor_ids:
-            index = self._placements[sensor_id].backend_index
-            homes[index] = homes.get(index, 0) + 1
-        return homes
+        homes = [self._placements[sid].backend_index for sid in sensor_ids]
+        return {index: homes.count(index) for index in dict.fromkeys(homes)}
 
     def _record_successes(self, served: Iterable[str]) -> None:
         """One success per served sensor on its own backend's breaker."""
@@ -656,32 +658,26 @@ class PredictionService:
                 sensor_id: self._checked_reading(sensor_id, value)
                 for sensor_id, value in readings.items()
             }
-            tasks = self._plan_tasks(
-                checked, lambda sid: ("ingest", sid, checked[sid])
-            )
+            tasks = self._plan_tasks("ingest", checked)
             self._engine.run_batch("ingest_many", request.scope, tasks)
 
-    def _plan_tasks(
-        self,
-        sensor_ids: Iterable[str],
-        op_of: Callable[[str], tuple],
-    ) -> list[LaneTask]:
-        """Partition sensors into one :class:`LaneTask` per hosting
-        backend, keeping the given order within each lane (a snapshot:
-        mid-batch failover may re-place a sensor, but its lane
-        assignment is decided here, exactly as the sequential path
-        decides its grouping up front)."""
-        sensor_ids = list(sensor_ids)
+    def _plan_tasks(self, kind: str, values: Mapping[str, object]) -> list[LaneTask]:
+        """Partition the sensors of ``values`` into one :class:`LaneTask`
+        per hosting backend, one ``(kind, sensor_id, value)`` op each,
+        keeping the given order within each lane (a snapshot: mid-batch
+        failover may re-place a sensor, but its lane assignment is
+        decided here, exactly as the sequential path decides its
+        grouping up front)."""
         with self._admission_lock:
             placements = {
-                sid: self._placements[sid].backend_index for sid in sensor_ids
+                sid: self._placements[sid].backend_index for sid in values
             }
         return [
             LaneTask(
                 plan=plan,
-                ops=tuple(op_of(sid) for sid in plan.sensor_ids),
+                ops=tuple([(kind, sid, values[sid]) for sid in plan.sensor_ids]),
             )
-            for plan in plan_lanes(placements, sensor_ids)
+            for plan in plan_lanes(placements, values)
         ]
 
     def _run_single(
@@ -689,8 +685,9 @@ class PredictionService:
     ) -> "tuple | Exception | None":
         """Serve one validated op as a one-op lane through the engine's
         one execution method; returns the op's outcome."""
-        tasks = self._plan_tasks([op[1]], lambda sid: op)
-        [[outcome]] = self._engine.run_batch(op[0], scope, tasks)
+        kind, sensor_id, value = op
+        tasks = self._plan_tasks(kind, {sensor_id: value})
+        [[outcome]] = self._engine.run_batch(kind, scope, tasks)
         return outcome
 
     def _resolve_horizon(self, horizon: int | None) -> int:
@@ -707,14 +704,6 @@ class PredictionService:
             )
         return horizon
 
-    def _by_home(self, sensor_ids: Iterable[str]) -> list[list[str]]:
-        """``sensor_ids`` grouped by the kernel domain of the backend
-        that hosts each right now."""
-        homes: dict[object, list[str]] = {}
-        for sensor_id in sensor_ids:
-            homes.setdefault(self._domain_of(sensor_id), []).append(sensor_id)
-        return list(homes.values())
-
     def _refresh_group(
         self, sensor_ids: list[str], evacuated: set[int]
     ) -> dict[str, Exception]:
@@ -725,7 +714,8 @@ class PredictionService:
         fresh budget.  Returns the error of every member still stale
         when the attempts ran out."""
         errors: dict[str, Exception] = {}
-        for members in self._by_home(sensor_ids):
+        for group in self._groups(sensor_ids):
+            members = [sensor_ids[at] for at in group]
             moved_off = len(evacuated)
             error = self._search_group(members, evacuated)
             if error is not None:
@@ -736,52 +726,63 @@ class PredictionService:
                 )
         return errors
 
-    def _ensemble_rung(
-        self, sensor_ids: list[str], horizon: int
-    ) -> dict[str, "tuple[float, float, str] | Exception"]:
+    def _ensemble_rung(self, sensor_ids: list[str], horizon: int) -> Outcome:
         """The ladder's top rung for one forecast group, stacked: stale
         members re-searched together, then one
-        :func:`~repro.core.smiler.predict_many` per hosting kernel domain
+        :func:`~repro.core.smiler.predict_lane` per hosting kernel domain
         (a member evacuated mid-request is served where it landed).
-        Returns per sensor ``(mean, variance, "ensemble")`` in normalised
-        space — validated, one success on its backend's breaker — or
-        what kept it off the rung (still stale, a failed row, an unusable
-        Gaussian): those walk the lower rungs alone."""
-        stale = [
-            sid for sid in sensor_ids if self._sensors[sid]._answers is None
-        ]
-        outcomes: dict = self._refresh_group(stale, set()) if stale else {}
-        fresh = [sid for sid in sensor_ids if sid not in outcomes]
-        for members in self._by_home(fresh):
+        Returns ``(mean [S], variance [S], {position: exception})`` in
+        normalised space: a served row is validated and one success on
+        its backend's breaker; an error is what kept its sensor off the
+        rung (still stale, a failed row, an unusable Gaussian), and that
+        sensor walks the lower rungs alone."""
+        smilers = [self._sensors[sid] for sid in sensor_ids]
+        stale = [sid for sid, smiler in zip(sensor_ids, smilers) if smiler._answers is None]
+        errors: dict[int, Exception] = {}
+        groups = [list(range(len(sensor_ids)))]
+        if stale:
+            refused = self._refresh_group(stale, set())
+            errors = {
+                at: refused[sid] for at, sid in enumerate(sensor_ids) if sid in refused
+            }
+            fresh = [at for at in groups[0] if at not in errors]
+            # Only a stale member can have moved since the lane was
+            # grouped (a rebound sensor has no answers): regroup.
+            groups = [
+                [fresh[at] for at in group]
+                for group in self._groups([sensor_ids[at] for at in fresh])
+            ]
+        served = []
+        for members in groups:
+            lane = smilers if len(members) == len(smilers) else [
+                smilers[at] for at in members
+            ]
             try:
-                predicted = predict_many(
-                    [self._sensors[sid] for sid in members], horizon
-                )
+                outcome = predict_lane(lane, horizon)
             except Exception as error:  # noqa: BLE001 - the members descend
-                predicted = [error] * len(members)
-            served = []
-            for sensor_id, output in zip(members, predicted):
-                try:
-                    if isinstance(output, Exception):
-                        raise output
-                    # A rung's output must be a usable Gaussian: NaN means
-                    # or non-positive variances are failures, never served.
-                    output = output[horizon]
-                    GaussianPrediction(output.mean, output.variance)
-                except Exception as error:  # noqa: BLE001
-                    outcomes[sensor_id] = error.with_traceback(None)
-                    logger.debug(
-                        "ensemble rung failed for %s on backend %d: %s",
-                        sensor_id, self._placements[sensor_id].backend_index,
-                        error,
-                    )
-                else:
-                    served.append(sensor_id)
-                    outcomes[sensor_id] = (
-                        output.mean, output.variance, "ensemble"
-                    )
-            self._record_successes(served)
-        return outcomes
+                outcome = failed(len(members), error)
+            # A rung's output must be a usable Gaussian: NaN means or
+            # non-positive variances are failures, never served.
+            mean, variance, failures = checked(*outcome)
+            for row, error in failures.items():
+                errors[members[row]] = error.with_traceback(None)
+                logger.debug(
+                    "ensemble rung failed for %s on backend %d: %s",
+                    sensor_ids[members[row]],
+                    self._placements[sensor_ids[members[row]]].backend_index,
+                    error,
+                )
+            self._record_successes([
+                sensor_ids[at] for row, at in enumerate(members)
+                if row not in failures
+            ])
+            served.append((members, mean, variance))
+        if len(served) == 1 and len(served[0][0]) == len(sensor_ids):
+            return served[0][1], served[0][2], errors
+        mean, variance = np.zeros((2, len(sensor_ids)))
+        for members, group_mean, group_variance in served:
+            mean[members], variance[members] = group_mean, group_variance
+        return mean, variance, errors
 
     def _predict_resilient(
         self, sensor_id: str, horizon: int
@@ -836,7 +837,7 @@ class PredictionService:
         :attr:`Forecast.source` / :attr:`Forecast.degraded`, in the
         ``degraded`` event and in ``smiler_forecasts_total``'s ``source``.
         """
-        to_forecast = self._forecaster(level)
+        z = self._quantile(level)
         self._require(sensor_id)
         horizon = self._resolve_horizon(horizon)
         with _Request("forecast") as request:
@@ -845,34 +846,41 @@ class PredictionService:
             )
             if isinstance(row, Exception):
                 raise row
-            return to_forecast(sensor_id, horizon, row, request.scope.request_id)
+            [forecast] = self._forecasts(
+                [sensor_id], horizon, [row], level, z, request.scope.request_id
+            )
+            return forecast
 
-    def _forecaster(
-        self, level: float
-    ) -> Callable[[str, int, tuple, str], Forecast]:
-        """The one place a lane's normalised row becomes a
-        :class:`Forecast`, at the service boundary: validates ``level``
-        and computes its ``z``-quantile once per request, then returns
-        the builder that de-normalises a row ``(z_mean, z_variance,
-        source)`` with the sensor's stats and stamps the request id."""
+    @staticmethod
+    def _quantile(level: float) -> float:
+        """The ``z``-quantile of a central interval at ``level``,
+        validated: computed once per request."""
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {level}")
-        z = float(np.sqrt(2.0) * erfinv(level))
+        return float(np.sqrt(2.0) * erfinv(level))
 
-        def build(sensor_id: str, horizon: int, row: tuple, request_id: str):
-            z_mean, z_variance, source = row
+    def _forecasts(
+        self, sensor_ids: list[str], horizon: int, rows: list[tuple],
+        level: float, z: float, request_id: str,
+    ) -> list[Forecast]:
+        """The one place lane rows become :class:`Forecast` objects, at
+        the service boundary: each served row ``(z_mean, z_variance,
+        source)`` de-normalised with its sensor's stats (every rung
+        validated ``z_variance > 0``, and ``std > 0``) and stamped with
+        the request id.  Per sensor by :class:`ZNormStats`, the one home
+        of the arithmetic: a stacked form would need ``np.float_power``
+        for ``std ** 2`` (NumPy's square is not Python's ``pow`` to the
+        bit) and fixed NumPy calls a lane of one does not pay now."""
+        forecasts = []
+        for sensor_id, (z_mean, z_variance, source) in zip(sensor_ids, rows):
             stats = self._norms[sensor_id]
-            mean = float(stats.invert(z_mean))
-            # Every rung validated z_variance > 0, and std > 0.
+            mean = stats.invert(z_mean)
             std = math.sqrt(stats.invert_variance(z_variance))
-            return Forecast(
-                sensor_id=sensor_id, horizon=horizon, mean=mean, std=std,
-                interval_low=mean - z * std, interval_high=mean + z * std,
-                level=level, source=source, degraded=source != "ensemble",
-                request_id=request_id,
-            )
-
-        return build
+            forecasts.append(Forecast(
+                sensor_id, horizon, mean, std, mean - z * std, mean + z * std,
+                level, source, source != "ensemble", request_id,
+            ))
+        return forecasts
 
     def _forecast_lane(self, ops: Sequence[tuple]) -> list:
         """Serve one lane's run of validated ``forecast`` ops (run by
@@ -880,41 +888,43 @@ class PredictionService:
         worker, under the request context its lane adopted); one
         normalised row ``(z_mean, z_variance, source)`` — or the
         exception that stopped it — per op, in order.  The caller turns
-        rows into :class:`Forecast` objects (:meth:`_forecaster`).
+        rows into :class:`Forecast` objects (:meth:`_forecasts`).
 
         The unit is a *group*: the ops that share a hosting kernel
-        domain, a search configuration and a horizon.  The ``ensemble``
-        rung serves the group stacked (:meth:`_ensemble_rung`); whoever
-        it did not serve walks the lower rungs alone
-        (:meth:`_predict_resilient`).  A single
+        domain, a search configuration and a horizon (:meth:`_groups`:
+        usually the whole lane, as the engine planned it).  The
+        ``ensemble`` rung serves the group stacked, as arrays
+        (:meth:`_ensemble_rung`); whoever it did not serve walks the
+        lower rungs alone (:meth:`_finish_row`), in op order.  A single
         ``forecast()`` is a lane of one.
         """
         request = reqctx.current_request()
+        sensor_ids = [sensor_id for _, sensor_id, _ in ops]
+        horizons = [horizon for _, _, horizon in ops]
         outcomes: list = [None] * len(ops)
-        groups: dict[tuple, list[int]] = {}
-        for at, (_, sensor_id, horizon) in enumerate(ops):
-            groups.setdefault((
-                self._domain_of(sensor_id),
-                self._sensors[sensor_id].engine.config,
-                horizon,
-            ), []).append(at)
-        for (_, _, horizon), members in groups.items():
-            first = self._placements[ops[members[0]][1]].backend_index
+        for group in self._groups(sensor_ids, horizons):
+            whole = len(group) == len(ops)
+            members = sensor_ids if whole else [sensor_ids[at] for at in group]
+            horizon = horizons[group[0]]
+            first = self._placements[members[0]].backend_index
             with obs.span("forecast", self._pool.backends[first]) as sp:
                 if sp is not None:
                     sp.attrs["n_sensors"] = len(members)
                     if len(members) == 1:
-                        sp.attrs["sensor_id"] = ops[members[0]][1]
+                        sp.attrs["sensor_id"] = members[0]
                     sp.attrs["horizon"] = horizon
                     sp.attrs["request_id"] = request.request_id
-                sensor_ids = [ops[at][1] for at in members]
-                rung = self._ensemble_rung(sensor_ids, horizon)
-                rows = [
-                    self._finish_row(sensor_id, horizon, rung[sensor_id])
-                    for sensor_id in sensor_ids
-                ]
+                mean, variance, errors = self._ensemble_rung(members, horizon)
+                rows = list(zip(
+                    mean.tolist(), variance.tolist(), ["ensemble"] * len(members)
+                ))
+                for at in sorted(errors):
+                    rows[at] = self._finish_row(members[at], horizon)
                 obs.observe_forecasts(horizon, rows)
-                for at, row in zip(members, rows):
+            if whole:
+                outcomes = rows
+            else:
+                for at, row in zip(group, rows):
                     outcomes[at] = row
             if sp is not None and request.entry_point == "forecast":
                 # A single forecast's own span is its request's trace; in
@@ -924,30 +934,26 @@ class PredictionService:
         return outcomes
 
     def _finish_row(
-        self, sensor_id: str, horizon: int,
-        served: "tuple[float, float, str] | Exception",
+        self, sensor_id: str, horizon: int
     ) -> "tuple[float, float, str] | Exception":
-        """One forecast op's outcome: the lower rungs if the stacked rung
-        did not serve its sensor (``served`` is then why), then its
-        normalised row — or the exception the ladder raised."""
-        if isinstance(served, Exception):
-            try:
-                with obs.span("ladder", self._sensors[sensor_id].backend) as sp:
-                    if sp is not None:
-                        sp.attrs["sensor_id"] = sensor_id
-                        sp.attrs["horizon"] = horizon
-                    served = self._predict_resilient(sensor_id, horizon)
-                    if sp is not None:
-                        sp.attrs["source"] = served[2]
-            except Exception as failure:  # noqa: BLE001 - per-sensor side-channel
-                return failure
-        source = served[2]
-        if source != "ensemble":
-            obs.observe_degraded_forecast(sensor_id, source)
-            logger.info(
-                "sensor %s served degraded (%s rung) at horizon %d",
-                sensor_id, source, horizon,
-            )
+        """One forecast op the stacked rung did not serve: the lower
+        rungs, then its normalised row — or the exception the ladder
+        raised."""
+        try:
+            with obs.span("ladder", self._sensors[sensor_id].backend) as sp:
+                if sp is not None:
+                    sp.attrs["sensor_id"] = sensor_id
+                    sp.attrs["horizon"] = horizon
+                served = self._predict_resilient(sensor_id, horizon)
+                if sp is not None:
+                    sp.attrs["source"] = served[2]
+        except Exception as failure:  # noqa: BLE001 - per-sensor side-channel
+            return failure
+        obs.observe_degraded_forecast(sensor_id, served[2])
+        logger.info(
+            "sensor %s served degraded (%s rung) at horizon %d",
+            sensor_id, served[2], horizon,
+        )
         return served
 
     def forecast_all(
@@ -970,20 +976,19 @@ class PredictionService:
         are identical per backend and the batch — forecasts *and*
         errors — is bit-identical to an inline run on every engine.
         """
-        to_forecast = self._forecaster(level)
+        z = self._quantile(level)
         horizon = self._resolve_horizon(horizon)  # reject bad ones up front
         sensor_ids = self.sensor_ids
         with _Request("forecast_all", n_items=len(sensor_ids)) as request:
             tasks = self._plan_tasks(
-                sensor_ids, lambda sid: ("forecast", sid, horizon)
+                "forecast", dict.fromkeys(sensor_ids, horizon)
             )
             lane_outcomes = self._engine.run_batch(
                 "forecast_all", request.scope, tasks
             )
-            results: dict[str, Forecast] = {}
-            errors: dict[str, Exception] = {}
-            for task, rows in zip(tasks, lane_outcomes):
-                for sensor_id, row in zip(task.plan.sensor_ids, rows):
+            served, rows, errors = [], [], {}
+            for task, outcomes in zip(tasks, lane_outcomes):
+                for sensor_id, row in zip(task.plan.sensor_ids, outcomes):
                     if isinstance(row, Exception):
                         logger.warning(
                             "forecast_all: sensor %s failed: %s",
@@ -991,10 +996,12 @@ class PredictionService:
                         )
                         errors[sensor_id] = row
                     else:
-                        results[sensor_id] = to_forecast(
-                            sensor_id, horizon, row, request.scope.request_id
-                        )
-            batch = ForecastBatch(sorted(results.items()))
+                        served.append(sensor_id)
+                        rows.append(row)
+            forecasts = self._forecasts(
+                served, horizon, rows, level, z, request.scope.request_id
+            )
+            batch = ForecastBatch(sorted(zip(served, forecasts)))
             batch.errors = dict(sorted(errors.items()))
             request.n_errors = len(batch.errors)
             return batch

@@ -393,6 +393,18 @@ class TestProfileRound:
         assert float(process["dtw_verification"][0]) == 4.0
         assert float(process["step_many"][1]) > 0.0
 
+    def test_sensors_sets_the_fleet_size(self):
+        """``--sensors`` serves the workload at another fleet size: three
+        sensors refresh one to three LB_EQ windows each a round."""
+        done = self.run_tool(
+            "fleet-stream", "--smoke", "--sensors", "3", "--rounds", "2",
+            "--layers",
+        )
+        assert done.returncode == 0, done.stderr
+        assert "fleet-stream seed=7 sensors=3: 2 rounds" in done.stdout
+        rows = {line.split()[0]: line.split() for line in done.stdout.splitlines()[2:]}
+        assert 3.0 <= float(rows["step_many"][4]) <= 9.0
+
     def test_default_is_a_cprofile_table(self):
         done = self.run_tool(
             "fleet-stream", "--smoke", "--rounds", "2", "--sort", "cumulative",
@@ -406,3 +418,4 @@ class TestProfileRound:
         assert self.run_tool("no-such-workload").returncode == 1
         assert self.run_tool("fleet-stream", "--rounds", "0").returncode == 1
         assert self.run_tool("fleet-stream", "--sort", "calls").returncode == 2
+        assert self.run_tool("fleet-stream", "--sensors", "0").returncode == 1

@@ -36,7 +36,7 @@ from repro.core.ensemble import (
     update_many,
 )
 from repro.core.predictor import GaussianPrediction
-from repro.core.smiler import SMiLer, _PendingUpdate, absorb_many, predict_many
+from repro.core.smiler import SMiLer, absorb_many, predict_many
 from repro.index import search_many
 from repro.service import PredictionService, SnapshotCorruptionError
 from repro.timeseries.series import ZNormStats
@@ -178,6 +178,15 @@ def oracle_tune(sensor, value):
         if queue and queue[0].due_index == arrived:
             update = queue.popleft()
             sensor._ensembles[h].update(value, update.components)
+
+
+@dataclass
+class _PendingUpdate:
+    """``smiler._PendingUpdate`` as it was: one prediction awaiting its
+    true value."""
+
+    due_index: int
+    components: Components
 
 
 class OracleTwin:
@@ -507,7 +516,7 @@ def test_smiler_lanes_equal_their_oracle_twins():
             twin.observe(value)
             for h in CONFIG.horizons:
                 assert_same_state(sensor.ensemble(h), twin._ensembles[h], tick)
-                assert [u.due_index for u in sensor._pending[h]] == [
+                assert [due for due, _ in sensor.pending(h)] == [
                     u.due_index for u in twin._pending[h]
                 ]
                 slept |= len(sensor.ensemble(h).awake_cells()) < len(CONFIG.grid)

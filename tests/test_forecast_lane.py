@@ -12,7 +12,11 @@ out as the lane's rows (cell order, 0.0 where a cell did not predict)
 only to be remembered and compared.
 """
 
+import cProfile
 import dataclasses
+import gc
+import pstats
+import sys
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from repro.core.predictor import GaussianPrediction, SemiLazyPredictor
 from repro.core.smiler import SMiLer, absorb_many, predict_many
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.index import search_many
-from repro.service import PredictionService
+from repro.service import PredictionService, ServiceConfig
 from repro.timeseries.series import ZNormStats
 from repro.tolerances import AR_VARIANCE_FLOOR, STD_FLOOR
 
@@ -131,8 +135,18 @@ def oracle_predict(smiler, horizon=None):
         inputs = oracle_cell_inputs(smiler, answers, h, ensemble.awake_cells())
         output = oracle_ensemble_predict(ensemble, inputs)
         outputs[h] = output
-        smiler._remember(h, output)
+        remember(smiler, h, output)
     return outputs
+
+
+def remember(smiler, h, output):
+    """``SMiLer._remember`` as a lane of one: ``output``'s components,
+    due at ``now - 1 + h``, kept in its ensemble's stack row."""
+    ensemble = smiler.ensemble(h)
+    ensemble._stack.remember(
+        np.array([ensemble._row]), np.array([smiler.now - 1 + h]), h,
+        Components(*(field[None] for field in output.components)),
+    )
 
 
 def oracle_forecast_fields(stats, z_mean, z_variance, level):
@@ -213,10 +227,10 @@ def assert_same_state(sensor, twin):
     """Everything a prediction leaves behind: the pending-update queues
     and — after the next reading scores them — weights and sleepers."""
     for h in twin.config.horizons:
-        got, want = sensor._pending[h], twin._pending[h]
-        assert [u.due_index for u in got] == [u.due_index for u in want]
-        for mine, theirs in zip(got, want):
-            assert_same_components(mine.components, theirs.components, h)
+        got, want = sensor.pending(h), twin.pending(h)
+        assert [due for due, _ in got] == [due for due, _ in want]
+        for (_, mine), (_, theirs) in zip(got, want):
+            assert_same_components(mine, theirs, h)
         mine, theirs = sensor.ensemble(h), twin.ensemble(h)
         assert mine.awake_cells() == theirs.awake_cells()
         for cell in theirs.cells:
@@ -359,7 +373,7 @@ def test_a_failing_row_is_its_own_outcome():
                 oracle_predict(twin)
             assert isinstance(got[at], ValueError)
             assert "finite" in str(got[at])
-            assert not any(sensor._pending[h] for h in CONFIG.horizons)
+            assert not any(sensor.pending(h) for h in CONFIG.horizons)
             with pytest.raises(ValueError, match="finite"):
                 sensor.predict()
         else:
@@ -468,6 +482,80 @@ def test_a_two_sensor_gp_lane_keeps_its_bits_and_its_training():
             sensor.install(answers)
         for twin, value in zip(twins, values):
             twin.observe(value)
+
+
+# ------------------------------------------------------- cost per sensor
+#: Python calls (cProfile's count) that 24 more sensors add to one
+#: ``forecast_all`` and to one ``ingest_many`` of a native AR lane (8 ->
+#: 32 sensors), pinned on CPython 3.11 as the digests are: other
+#: versions inline or count differently.  A forecast lane carries arrays,
+#: so what is left per sensor is the lane planning and the boundary's
+#: ``Forecast`` and its de-normalisation: 9 calls a sensor.
+CALLS_FOR_24_MORE = {"forecast_all": 216, "ingest_many": 284}
+#: A ceiling on any version: 20 calls a forecast sensor, and no more on
+#: ingest than before the lane carried arrays (1 386 and 980 then).
+CALLS_CEILING = {"forecast_all": 20 * 24, "ingest_many": 980}
+
+
+def calls_per_round(n_sensors):
+    """cProfile's call counts of one warm ``forecast_all`` and one
+    ``ingest_many`` over ``n_sensors`` AR sensors on two native shards,
+    one fused lane of the inline engine, whatever ``REPRO_EXEC`` says.
+    The collector is off while counting (a collection
+    would count whatever finalizers it runs), and methods generated from
+    source strings (dataclass and named-tuple methods, file
+    ``<string>``) are left out: pstats keys a function by file, line and
+    name, so all generated ``__init__`` share one key and all but one
+    code object's count is dropped — which one depends on addresses."""
+    config = SMiLerConfig(
+        elv=(8, 16), ekv=(4, 8), rho=2, omega=4, horizons=(1, 3),
+        predictor="ar",
+    )
+    service = PredictionService(
+        config, backends=[make_backend("native"), make_backend("native")],
+        min_history=100, service_config=ServiceConfig(engine="inline"),
+    )
+    streams = [
+        10.0 * np.sin(np.arange(300) / (5.0 + i % 7)) + np.random.default_rng(
+            i
+        ).standard_normal(300)
+        for i in range(n_sensors)
+    ]
+    for i, stream in enumerate(streams):
+        service.register(f"s{i:03d}", stream[:260])
+    for tick in range(260, 266):  # warm: cells asleep, stacks packed
+        readings = {f"s{i:03d}": stream[tick] for i, stream in enumerate(streams)}
+        if tick < 265:
+            service.forecast_all()
+            service.ingest_many(readings)
+    counts = {}
+    for name, call in (
+        ("forecast_all", service.forecast_all),
+        ("ingest_many", lambda: service.ingest_many(readings)),
+    ):
+        profiler, collecting = cProfile.Profile(), gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            profiler.runcall(call)
+        finally:
+            if collecting:
+                gc.enable()
+        counts[name] = sum(
+            calls for (where, _, _), (_, calls, *_) in pstats.Stats(
+                profiler
+            ).stats.items() if where != "<string>"
+        )
+    return counts
+
+
+def test_a_sensor_costs_a_forecast_lane_a_fixed_number_of_calls():
+    few, many = calls_per_round(8), calls_per_round(32)
+    added = {name: many[name] - few[name] for name in few}
+    for name, ceiling in CALLS_CEILING.items():
+        assert added[name] <= ceiling, (name, added)
+    if sys.version_info[:2] == (3, 11):
+        assert added == CALLS_FOR_24_MORE
 
 
 # ----------------------------------------------------------- service shell

@@ -23,7 +23,6 @@ import pytest
 
 from repro.core import gp_predictor, smiler
 from repro.gp.optimize import OptimizeResult
-from repro.tolerances import CG_DENOMINATOR_FLOOR
 
 from . import gp_cell_oracle
 from . import gp_equivalence as gate
@@ -100,11 +99,8 @@ def restart_at_one(
         # Polak-Ribière+ update with automatic restart (beta clipped to
         # [0, 1e6]; runaway beta on ill-scaled problems degenerates the
         # direction and is caught by the steepest-descent restart above).
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta = float(
-                new_grad @ (new_grad - grad)
-                / max(grad @ grad, CG_DENOMINATOR_FLOOR)
-            )
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            beta = float(new_grad @ (new_grad - grad) / (grad @ grad))
             beta = min(max(0.0, beta), 1e6)
             direction = -new_grad + beta * direction
         if not np.isfinite(direction).all():

@@ -136,12 +136,12 @@ def test_a_non_finite_neighbour_fails_its_sensor_alone():
     at = int(victim._answers[16].starts[0]) + 3  # inside a neighbour
     index._stack.series[index._row, at] = np.nan
     before = [p._log_params.copy() for p in gp_cells(victim)]
-    pending = {h: len(victim._pending[h]) for h in CONFIG.horizons}
+    pending = {h: len(victim.pending(h)) for h in CONFIG.horizons}
 
     got = predict_many(lane, None)
     want = predict_many(without, None)
     assert isinstance(got[1], ValueError) and "NaNs" in str(got[1])
-    assert {h: len(victim._pending[h]) for h in CONFIG.horizons} == pending
+    assert {h: len(victim.pending(h)) for h in CONFIG.horizons} == pending
     for sensor, twin, mine, theirs in zip(
         (lane[0], lane[2]), without, (got[0], got[2]), want
     ):

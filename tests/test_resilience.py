@@ -15,7 +15,7 @@ from repro.backend import (
     SimulatedGpuBackend,
 )
 from repro.core import SMiLerConfig
-from repro.core.smiler import SMiLer, predict_many
+from repro.core.smiler import SMiLer, predict_lane
 from repro.faults import FaultInjectingBackend, FaultProfile
 from repro.service import SEARCH_ATTEMPTS, PredictionService
 from repro.timeseries.series import ZNormStats
@@ -44,7 +44,7 @@ def fail(*args, **kwargs):
 
 def break_rungs_above_naive(monkeypatch):
     """Every rung above ``naive`` raises, so the ladder ends there."""
-    monkeypatch.setattr("repro.service.predict_many", fail)
+    monkeypatch.setattr("repro.service.predict_lane", fail)
     monkeypatch.setattr(SMiLer, "predict_reduced", fail)
     monkeypatch.setattr(PredictionService, "_ar_fallback", fail)
 
@@ -186,10 +186,10 @@ class TestDegradationLadder:
         service = make_service()
         service.register("s1", raw_history())
 
-        def broken_predict(sensors, horizon=None):
+        def broken_predict(sensors, horizon):
             raise RuntimeError("ensemble mixer down")
 
-        monkeypatch.setattr("repro.service.predict_many", broken_predict)
+        monkeypatch.setattr("repro.service.predict_lane", broken_predict)
         forecast = service.forecast("s1")
         assert forecast.source == "reduced"
         assert forecast.degraded
@@ -236,7 +236,7 @@ class TestDegradationLadder:
         itself raised, unwrapped."""
         service = make_service()
         service.register("s1", raw_history())
-        monkeypatch.setattr("repro.service.predict_many", fail)
+        monkeypatch.setattr("repro.service.predict_lane", fail)
         monkeypatch.setattr(PredictionService, "_predict_resilient", fail)
         with pytest.raises(RuntimeError, match="rung down"):
             service.forecast("s1")
@@ -244,16 +244,13 @@ class TestDegradationLadder:
     def test_nan_variance_never_served(self, monkeypatch):
         """Satellite: a non-PSD GP fit (NaN/zero variance) must degrade or
         raise, never reach the caller as a NaN interval."""
-        from types import SimpleNamespace
-
         service = make_service()
         service.register("s1", raw_history())
 
-        def nan_predict(sensors, horizon=None):
-            bad = SimpleNamespace(mean=0.1, variance=float("nan"))
-            return [{h: bad for h in s.config.horizons} for s in sensors]
+        def nan_predict(sensors, horizon):
+            return np.full(len(sensors), 0.1), np.full(len(sensors), np.nan), {}
 
-        monkeypatch.setattr("repro.service.predict_many", nan_predict)
+        monkeypatch.setattr("repro.service.predict_lane", nan_predict)
         monkeypatch.setattr(SMiLer, "predict_reduced", fail)
         forecast = service.forecast("s1")
         assert forecast.source == "ar"
@@ -294,14 +291,14 @@ class TestForecastAllPartialBatch:
         service.register("good", raw_history())
         service.register("bad", raw_history(seed=3))
 
-        def one_row_fails(sensors, horizon=None):
-            return [
-                RuntimeError("sensor-local meltdown")
-                if sensor.sensor_id == "bad" else outcome
-                for sensor, outcome in zip(sensors, predict_many(sensors, horizon))
-            ]
+        def one_row_fails(sensors, horizon):
+            mean, variance, errors = predict_lane(sensors, horizon)
+            for at, sensor in enumerate(sensors):
+                if sensor.sensor_id == "bad":
+                    errors[at] = RuntimeError("sensor-local meltdown")
+            return mean, variance, errors
 
-        monkeypatch.setattr("repro.service.predict_many", one_row_fails)
+        monkeypatch.setattr("repro.service.predict_lane", one_row_fails)
         monkeypatch.setattr(PredictionService, "_predict_resilient", fail)
         batch = service.forecast_all()
         assert set(batch) == {"good"}

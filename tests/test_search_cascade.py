@@ -74,7 +74,7 @@ def assert_matches_reference(engine, answers, margin, label=""):
 
 def adversarial_streams():
     """260 history points + 6 future ones, per shape: the plain walk,
-    magnitudes at which ``tau + FILTER_SLACK`` (absolute 1e-12) sits
+    magnitudes at which an absolute slack of 1e-12 on ``tau`` would sit
     below one ULP of the distances, and two shapes full of exact DTW
     ties — a tiled period whose perturbed period ends make ``LB_Kim ==
     DTW`` for some candidates, and integer-valued plateaus."""

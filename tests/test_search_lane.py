@@ -47,7 +47,7 @@ from repro.index.suffix_search import (
 )
 from repro.index.window_index import lane_of, step_many
 from repro.obs import hooks as obs
-from repro.tolerances import FILTER_REL_SLACK, FILTER_SLACK
+from repro.tolerances import FILTER_REL_SLACK
 
 from .test_search_cascade import (
     SMALL_CFG,
@@ -110,7 +110,7 @@ def oracle_search_many(engines):
                     raise ValueError(
                         f"fewer than k finite seed distances (d={d})"
                     )
-                gate = trusted[k - 1] * (1.0 + FILTER_REL_SLACK) + FILTER_SLACK
+                gate = trusted[k - 1] * (1.0 + FILTER_REL_SLACK)
                 # Tier 1: the precomputed window/group envelope bound.
                 alive = item.bound <= gate
                 after_kim = item.n

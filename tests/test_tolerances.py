@@ -19,7 +19,6 @@ MODULE = SRC / "tolerances.py"
 #: The contract, value for value: changing one is a decision about
 #: exactness or serving, never a side effect.
 VALUES = {
-    "FILTER_SLACK": 1e-12,
     "FILTER_REL_SLACK": 1e-12,
     "ABANDON_SLACK": 1e-9,
     "STD_FLOOR": 1e-12,
@@ -30,7 +29,6 @@ VALUES = {
     "MIX_SPREAD_FLOOR": 1e-10,
     "RECOVERY_FLOOR": 1e-9,
     "LOO_DIAGONAL_FLOOR": 1e-300,
-    "CG_DENOMINATOR_FLOOR": 1e-300,
     "CHOLESKY_JITTERS": (1e-10, 1e-8, 1e-6, 1e-4, 1e-2),
 }
 

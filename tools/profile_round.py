@@ -4,12 +4,16 @@
     python3 tools/profile_round.py fleet-stream                  # cProfile
     python3 tools/profile_round.py fleet-stream --layers         # wall per layer
     python3 tools/profile_round.py deep-search --rounds 20 --sort cumulative
+    python3 tools/profile_round.py fleet-stream --sensors 768 --layers
+
 
 ROADMAP's recipe, so "what the next profile says" repeats from PR to PR:
 the workload and its seeded inputs come read-only from
 ``benchmarks/roundbench`` (``workloads.py``, ``loop.Driver``), seed 7,
 the driver's three warm-up rounds, one BLAS thread, ``gc.freeze()``
-before the measured rounds.
+before the measured rounds.  ``--sensors N`` serves the workload at
+another fleet size (``dataclasses.replace(workload, sensors=N)``, after
+``--smoke``): a row's cost a sensor is its change between two sizes.
 
 Default output is a cProfile table of the caller's process (on a
 process-engine workload that is the dispatch, not the shards' work),
@@ -51,6 +55,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import cProfile
+import dataclasses
 import gc
 import os
 import pathlib
@@ -227,9 +232,14 @@ def main(argv=None, out=sys.stdout) -> int:
     parser.add_argument(
         "--smoke", action="store_true", help="the benchmark's smoke sizes"
     )
+    parser.add_argument(
+        "--sensors", type=int, help="fleet size in place of the workload's"
+    )
     args = parser.parse_args(argv)
     if args.rounds <= 0:
         raise SystemExit("--rounds must be positive")
+    if args.sensors is not None and args.sensors <= 0:
+        raise SystemExit("--sensors must be positive")
 
     # One BLAS thread: set before NumPy is first imported.
     for variable in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -251,6 +261,8 @@ def main(argv=None, out=sys.stdout) -> int:
     workload = WORKLOADS[args.workload]
     if args.smoke:
         workload = smoke_variant(workload)
+    if args.sensors is not None:
+        workload = dataclasses.replace(workload, sensors=args.sensors)
     with contextlib.ExitStack() as stack:
         tmp_dir = stack.enter_context(
             tempfile.TemporaryDirectory(prefix="profile-round-")
@@ -285,7 +297,8 @@ def main(argv=None, out=sys.stdout) -> int:
         wall = time.perf_counter() - t0
 
     print(
-        f"{workload.name} seed={args.seed}: {args.rounds} rounds after "
+        f"{workload.name} seed={args.seed} sensors={workload.sensors}: "
+        f"{args.rounds} rounds after "
         f"{driver.tick - args.rounds} warm-ups, {wall / args.rounds * 1e3:.3f} "
         f"ms/round ({'obs span ledger' if args.layers else 'under cProfile'}; "
         f"engine={workload.engine}, maintenance included)",
