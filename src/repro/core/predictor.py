@@ -77,6 +77,43 @@ def failed(size: int, error: Exception) -> Outcome:
     return np.zeros(size), np.zeros(size), dict.fromkeys(range(size), error)
 
 
+class CellStack:
+    """A ``(predictors, queries, neighbours, targets)`` stack of
+    :meth:`SemiLazyPredictor.predict_stacks` whose queries and neighbours
+    are gathered on first read: ``gather()`` returns ``(queries [R, d],
+    neighbours [R, k, d])``.  It unpacks and indexes as that tuple would,
+    and ``shapes`` is ``(R, queries' shape, neighbours' shape, targets'
+    shape)`` without the gather, so a family that reads only the targets
+    never pays it."""
+
+    __slots__ = ("predictors", "targets", "shapes", "_gather", "_segments")
+
+    def __init__(self, predictors, targets: np.ndarray, d: int, gather) -> None:
+        rows, k = targets.shape
+        self.predictors, self.targets, self._gather = predictors, targets, gather
+        self.shapes = (len(predictors), (rows, d), (rows, k, d), (rows, k))
+        self._segments = None
+
+    def segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(queries, neighbours)``, gathered once."""
+        if self._segments is None:
+            self._segments = self._gather()
+        return self._segments
+
+    def __getitem__(self, field: int):
+        field = range(4)[field]
+        if field == 0:
+            return self.predictors
+        if field == 3:
+            return self.targets
+        return self.segments()[field - 1]
+
+    def __iter__(self):
+        yield self.predictors
+        yield from self.segments()
+        yield self.targets
+
+
 class SemiLazyPredictor(ABC):
     """The abstract ``f(.)`` of Definition 3.1."""
 
@@ -103,8 +140,9 @@ class SemiLazyPredictor(ABC):
         exception})``: row ``i`` is ``predictors[i].predict(queries[i],
         neighbours[i], targets[i])``, or the exception that failed that row
         alone; every other row passes :class:`GaussianPrediction`'s checks.
-        The default evaluates row by row; a family whose rows reduce
-        together overrides it."""
+        A stack may be a :class:`CellStack`, whose queries and neighbours
+        are gathered when first read.  The default evaluates row by row; a
+        family whose rows reduce together overrides it."""
         outcomes = []
         for predictors, queries, neighbours, targets in stacks:
             mean, variance, errors = *np.zeros((2, len(predictors))), {}

@@ -42,7 +42,13 @@ from .ensemble import AdaptiveEnsemble, Cell, Components, EnsembleOutput, mix
 from .ensemble import lane_of as _ensemble_lane
 from .ensemble import tune_due
 from .gp_predictor import GaussianProcessPredictor
-from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, failed
+from .predictor import (
+    CellStack,
+    GaussianPrediction,
+    Outcome,
+    SemiLazyPredictor,
+    failed,
+)
 
 __all__ = ["SMiLer", "absorb_many", "group_rows", "predict_lane", "predict_many"]
 
@@ -306,17 +312,16 @@ class _LaneKnn:
         self._stack, self._rows = lane_of(
             [sensor.engine.window_index for sensor in sensors]
         )
+        self._starts: dict[int, tuple[np.ndarray, list[int]]] = {}
         self._segments: dict[int, tuple] = {}
         self._targets: dict[tuple[int, int], tuple[np.ndarray, list[bool]]] = {}
 
-    def segments(self, d: int) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
-        """``(starts [S, width], sizes, queries [S, d], neighbours [S,
-        width, d])``.  ``top(k)`` is a prefix of an answer, so answers
-        are stacked whole, in their own order, and every ``k`` is a
-        column slice; an answer shorter than the widest pads its row
-        with start 0 and is sliced to its own size."""
-        if d not in self._segments:
-            stack, rows = self._stack, self._rows
+    def starts(self, d: int) -> tuple[np.ndarray, list[int]]:
+        """``(starts [S, width], sizes)``.  ``top(k)`` is a prefix of an
+        answer, so answers are stacked whole, in their own order, and
+        every ``k`` is a column slice; an answer shorter than the widest
+        pads its row with start 0 and is sliced to its own size."""
+        if d not in self._starts:
             if self._found is not None:  # one search's rows: read in place
                 sizes = self._found.sizes[self._found.at[d]]
                 starts = self._found.starts[self._found.at[d], :, : sizes.max()]
@@ -324,13 +329,29 @@ class _LaneKnn:
                 found = [answers[d].starts for answers in self._answers]
                 sizes = np.array([starts.size for starts in found])
                 starts = pad_rows(np.concatenate(found), sizes, int(sizes.max()))
+            self._starts[d] = (starts, sizes.tolist())
+        return self._starts[d]
+
+    def segments(self, d: int) -> tuple[np.ndarray, list[int], np.ndarray, np.ndarray]:
+        """``(starts [S, width], sizes, queries [S, d], neighbours [S,
+        width, d])``: :meth:`starts` and the segments they name, gathered
+        once per item length when a family first reads them."""
+        if d not in self._segments:
+            stack, rows = self._stack, self._rows
+            starts, sizes = self.starts(d)
             self._segments[d] = (
                 starts,
-                sizes.tolist(),
+                sizes,
                 stack.master[rows, stack.master.shape[1] - d :],
                 _windows(stack.series, d)[rows[:, None], starts],
             )
         return self._segments[d]
+
+    def _gather(self, d: int, picked: np.ndarray, take: int) -> tuple:
+        """A :class:`CellStack`'s ``(queries, neighbours)``: rows
+        ``picked`` of :meth:`segments`, their first ``take`` neighbours."""
+        _, _, queries, neighbours = self.segments(d)
+        return queries[picked], neighbours[picked, :take]
 
     def targets(self, d: int, horizon: int) -> tuple[np.ndarray, list[bool]]:
         """``(targets [S, width], observed)``: the ``horizon``-step-ahead
@@ -340,7 +361,7 @@ class _LaneKnn:
         its row reported."""
         if (d, horizon) not in self._targets:
             stack, rows = self._stack, self._rows
-            at = self.segments(d)[0] + (d - 1 + horizon)
+            at = self.starts(d)[0] + (d - 1 + horizon)
             last = stack.series_len[rows][:, None] - 1
             self._targets[d, horizon] = (
                 stack.series[rows[:, None], np.minimum(at, last)],
@@ -366,11 +387,11 @@ class _LaneKnn:
         :meth:`SemiLazyPredictor.predict_stacks`, whatever fails that call
         failing its rows only."""
         with obs.span("predict_cells"):
-            outcomes = [(np.zeros(len(r)), np.zeros(len(r)), {}) for _, r, _ in cells]
+            outcomes: list = [None] * len(cells)
             families: dict[type, list] = {}
             for c, (cell, rows, predictors) in enumerate(cells):
                 k, d = cell
-                _, sizes, queries, neighbours = self.segments(d)
+                _, sizes = self.starts(d)
                 targets, observed = self.targets(d, horizon)
                 # An unobserved row takes no neighbours: a group of its own.
                 takes = [
@@ -378,7 +399,10 @@ class _LaneKnn:
                     for row in rows
                 ]
                 kinds = [predictor.__class__ for predictor in predictors]
-                for members in group_rows(takes, kinds):
+                groups = group_rows(takes, kinds)
+                if len(groups) > 1 or takes[0] is None:  # filled group by group
+                    outcomes[c] = (np.zeros(len(rows)), np.zeros(len(rows)), {})
+                for members in groups:
                     take, family = takes[members[0]], kinds[members[0]]
                     if take is None:
                         for at in members:
@@ -392,20 +416,21 @@ class _LaneKnn:
                         chosen = [predictors[at] for at in members]
                     else:
                         picked, chosen = np.asarray(rows), predictors
-                    families.setdefault(family, []).append((c, members, (
-                        chosen, queries[picked],
-                        neighbours[picked, :take], targets[picked, :take],
+                    families.setdefault(family, []).append((c, members, CellStack(
+                        chosen, targets[picked, :take], d,
+                        functools.partial(self._gather, d, picked, take),
                     )))
             for family, jobs in families.items():
                 try:
                     results = family.predict_stacks([stack for _, _, stack in jobs])
                 except Exception as error:  # noqa: BLE001 - this family's rows fail
                     results = [failed(len(members), error) for _, members, _ in jobs]
-                for (c, members, _), (mean, variance, errors) in zip(jobs, results):
-                    cell_mean, cell_variance, cell_errors = outcomes[c]
-                    if len(members) == len(cell_mean):  # the cell's one stack
-                        outcomes[c] = (mean, variance, errors)
+                for (c, members, _), outcome in zip(jobs, results):
+                    if outcomes[c] is None:  # the cell's one stack
+                        outcomes[c] = outcome
                         continue
+                    mean, variance, errors = outcome
+                    cell_mean, cell_variance, cell_errors = outcomes[c]
                     cell_mean[members], cell_variance[members] = mean, variance
                     for at, error in errors.items():
                         cell_errors[members[at]] = error

@@ -68,6 +68,7 @@ transfer on FLUSH, sent by our own worker from a quiesced state.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import logging
 import multiprocessing
@@ -553,6 +554,13 @@ def _worker_main(conn, backend_index, sensor_ids, service) -> None:
     except (AttributeError, OSError):
         pass
     _rearm_after_fork(service)
+    # The forked heap (the service, its shards' indexes) lives as long as
+    # the worker: out of the collector's sight, a collection triggered by
+    # a lane's allocations does not walk it, so obs-on spans time the
+    # lane rather than the collector.  No collection first: it would walk
+    # that heap once per start (and copy its pages), for what little
+    # garbage the fork carried.
+    gc.freeze()
     service._failover = False
     from .local import InlineEngine
 

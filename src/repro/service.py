@@ -627,7 +627,7 @@ class PredictionService:
         value = float(value)
         # A finite reading can still overflow once normalised (1e308
         # against a small std): either way the series would gain inf.
-        if not np.isfinite(self._norms[sensor_id].apply(value)):
+        if not math.isfinite(self._norms[sensor_id].apply(value)):
             raise ValueError(
                 f"non-finite reading {value!r} for {sensor_id!r}, raw or "
                 "normalised; impute before ingest"

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -413,6 +414,17 @@ class TestProfileRound:
         assert done.returncode == 0, done.stderr
         assert "under cProfile" in done.stdout
         assert "Ordered by: cumulative time" in done.stdout
+        # The header counts calls a round without the ``<string>`` key
+        # (generated methods, whose counts pstats merges); the table's
+        # total keeps it, so it can only read more.
+        header, total = done.stdout.splitlines()[:2]
+        calls = re.search(
+            r"under cProfile, ([0-9.]+) calls/round without <string> entries;",
+            header,
+        )
+        assert calls is not None, header
+        table = re.search(r"(\d+) function calls", total)
+        assert 0.0 < float(calls.group(1)) <= int(table.group(1)) / 2
 
     def test_bad_arguments(self):
         assert self.run_tool("no-such-workload").returncode == 1

@@ -9,6 +9,7 @@ from repro.core import (
     GaussianProcessPredictor,
     SMiLerConfig,
 )
+from repro.core.predictor import CellStack
 from repro.tolerances import AR_VARIANCE_FLOOR
 
 
@@ -60,6 +61,31 @@ class TestAggregationPredictor:
             ar.predict(query[:-1], neighbours, targets)
         with pytest.raises(ValueError):
             ar.predict(query, neighbours[:0], targets[:0])
+
+    def test_stacks_of_one_k_are_each_row_alone(self):
+        """Two stacks of ``k = 8`` reduce together, one of ``k = 4``
+        alone; each row is ``predict`` on that row to the bit, and a
+        :class:`CellStack` is reduced without its neighbours gathered."""
+
+        def never_gathered():
+            raise AssertionError("gathered")
+
+        rows = [knn_data(k=k, seed=seed) for k, seed in ((8, 1), (8, 2), (4, 3))]
+        ar = AggregationPredictor()
+        stacks = [
+            CellStack([ar, ar], np.stack([t, t[::-1]]), 8, never_gathered)
+            for _, _, t in rows[:2]
+        ] + [([ar], rows[2][0][None], rows[2][1][None], rows[2][2][None])]
+        outcomes = AggregationPredictor.predict_stacks(stacks)
+        for stack, (query, neighbours, _), (mean, variance, errors) in zip(
+            stacks, rows, outcomes
+        ):
+            assert errors == {}
+            for row, targets in enumerate(stack[3]):
+                want = ar.predict(query, neighbours, targets)
+                assert (mean[row].hex(), variance[row].hex()) == (
+                    want.mean.hex(), want.variance.hex()
+                )
 
 
 class TestGaussianProcessPredictor:

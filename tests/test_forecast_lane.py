@@ -490,8 +490,11 @@ def test_a_two_sensor_gp_lane_keeps_its_bits_and_its_training():
 #: 32 sensors), pinned on CPython 3.11 as the digests are: other
 #: versions inline or count differently.  A forecast lane carries arrays,
 #: so what is left per sensor is the lane planning and the boundary's
-#: ``Forecast`` and its de-normalisation: 9 calls a sensor.
-CALLS_FOR_24_MORE = {"forecast_all": 216, "ingest_many": 284}
+#: ``Forecast`` and its de-normalisation: 9 calls a sensor.  Ingest
+#: checks each reading's finiteness with ``math.isfinite``, a builtin
+#: cProfile counts (the ``np.isfinite`` ufunc it replaced was not
+#: counted, and cost over ten times more): one of its 12.8 calls a sensor.
+CALLS_FOR_24_MORE = {"forecast_all": 216, "ingest_many": 308}
 #: A ceiling on any version: 20 calls a forecast sensor, and no more on
 #: ingest than before the lane carried arrays (1 386 and 980 then).
 CALLS_CEILING = {"forecast_all": 20 * 24, "ingest_many": 980}
@@ -750,3 +753,178 @@ def test_default_predict_stacks_loops_predict_and_keeps_row_exceptions():
     )
     assert list(errors) == [1] and isinstance(errors[1], RuntimeError)
     assert errors[1].__traceback__ is None
+
+
+# ---------------------------------------------------------------- AR lane
+def never_gathered():
+    raise AssertionError("the AR family read a neighbour gather")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@settings(max_examples=120, deadline=None)
+@given(
+    layout=st.lists(
+        st.tuples(
+            st.sampled_from([1, 2, 3, 8, 13]),  # take: repeats across stacks
+            st.integers(1, 5),  # rows
+            st.integers(0, 3),  # surplus columns: a prefix view or a copy
+            st.booleans(),  # a CellStack (never gathered) or a plain tuple
+        ),
+        min_size=1, max_size=8,
+    ),
+    malformed=st.integers(0, 8),
+    poisoned=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ar_stacks_of_one_k_reduce_together_and_equal_each_row(
+    layout, malformed, poisoned, seed
+):
+    """Stacks of mixed ``k`` (so mixed ``take``), NaN and inf rows among
+    them and one stack of the wrong shape: one moments reduction per
+    distinct ``k`` of the well-formed stacks, every row bit for bit what
+    ``predict`` gives it alone (or the error it raises), the malformed
+    stack failing its own rows only, and a :class:`CellStack` never
+    gathered."""
+    from unittest import mock
+
+    from repro.core import ar
+    from repro.core.predictor import CellStack
+
+    rng = np.random.default_rng(seed)
+    d = 3
+    stacks, inputs = [], []
+    for take, rows, surplus, lazy in layout:
+        wide = rng.standard_normal((rows, take + surplus)) * 10.0
+        for value in poisoned:
+            wide[rng.integers(rows), rng.integers(take)] = value
+        targets = wide[:, :take] if surplus else wide.copy()
+        queries = rng.standard_normal((rows, d))
+        neighbours = rng.standard_normal((rows, take, d))
+        predictors = [AggregationPredictor() for _ in range(rows)]
+        inputs.append((queries, neighbours, targets))
+        stacks.append(
+            CellStack(predictors, targets, d, never_gathered) if lazy
+            else (predictors, queries, neighbours, targets)
+        )
+    at = malformed % (len(stacks) + 1)
+    rows = layout[at % len(layout)][1]
+    stacks.insert(at, (
+        [AggregationPredictor() for _ in range(rows)], np.zeros((rows, d + 1)),
+        np.zeros((rows, 2, d)), np.zeros((rows, 2)),
+    ))
+    inputs.insert(at, None)
+    moments = ar._moments
+    with mock.patch.object(ar, "_moments", side_effect=moments) as counted:
+        outcomes = AggregationPredictor.predict_stacks(stacks)
+    assert counted.call_count == len({take for take, *_ in layout})
+    assert len(outcomes) == len(stacks)
+    for stack, given_inputs, (mean, variance, errors) in zip(
+        stacks, inputs, outcomes
+    ):
+        assert mean.shape == variance.shape == (len(stack[0]),)
+        if given_inputs is None:
+            assert sorted(errors) == list(range(len(stack[0])))
+            assert all(type(e) is ValueError for e in errors.values())
+            continue
+        for row, (query, segments, values) in enumerate(zip(*given_inputs)):
+            try:
+                want = AggregationPredictor().predict(query, segments, values)
+            except ValueError as error:
+                assert row in errors, row
+                assert type(errors[row]) is ValueError
+                assert str(errors[row]) == str(error)
+            else:
+                assert row not in errors, (row, errors[row])
+                assert (mean[row].hex(), variance[row].hex()) == hexes(want)
+                oracle = OracleAggregationPredictor().predict(
+                    query, segments, values
+                )
+                assert hexes(oracle) == hexes(want)
+
+
+def warm_ar_service(elv, ekv=(2, 4), sensors=3):
+    """A warm inline AR service on two native shards, sleep off (every
+    cell awake, every answer ``k_max`` long)."""
+    config = SMiLerConfig(
+        elv=elv, ekv=ekv, rho=2, omega=4, horizons=(1, 3), predictor="ar",
+        sleep_enabled=False,
+    )
+    service = PredictionService(
+        config, backends=[make_backend("native"), make_backend("native")],
+        min_history=100, service_config=ServiceConfig(engine="inline"),
+    )
+    streams = [
+        np.sin(np.arange(280) / (4.0 + i)) + 0.1 * np.random.default_rng(
+            i
+        ).standard_normal(280)
+        for i in range(sensors)
+    ]
+    for i, stream in enumerate(streams):
+        service.register(f"s{i}", stream[:260])
+    for tick in range(260, 264):
+        service.forecast_all()
+        service.ingest_many({f"s{i}": s[tick] for i, s in enumerate(streams)})
+    return service, config
+
+
+@pytest.mark.parametrize("elv", [(8,), (8, 16), (8, 12, 16)])
+def test_a_warm_ar_lane_reduces_once_per_neighbour_count(elv):
+    """The cost pin: a warm AR-lane ``forecast_all`` runs the moments
+    reduction once per distinct neighbour count per horizon, however
+    many item lengths (cells per ``k``) the grid has."""
+    from unittest import mock
+
+    from repro.core import ar
+
+    service, config = warm_ar_service(elv)
+    try:
+        moments = ar._moments
+        for horizon in config.horizons:
+            with mock.patch.object(ar, "_moments", side_effect=moments) as counted:
+                batch = service.forecast_all(horizon=horizon)
+            assert not batch.errors
+            assert {f.source for f in batch.values()} == {"ensemble"}
+            assert counted.call_count == len(config.ekv), horizon
+    finally:
+        service.close()
+
+
+def test_an_ar_lane_never_gathers_neighbours_and_a_gp_lane_does():
+    """The AR family reads only targets: with the neighbour gather
+    raising, a forecast still serves from the ensemble rung, to the same
+    bits.  A GP lane reads the neighbours, one gather per item length."""
+    from unittest import mock
+
+    from repro.core import smiler
+
+    service, _ = warm_ar_service((8, 16))
+    try:
+        want = service.forecast_all()
+        with mock.patch.object(
+            smiler, "_windows", side_effect=AssertionError("gathered")
+        ):
+            got = service.forecast_all()
+        assert not got.errors
+        for sid, forecast in want.items():
+            mine = got[sid]
+            assert mine.source == forecast.source == "ensemble"
+            assert (mine.mean.hex(), mine.std.hex()) == (
+                forecast.mean.hex(), forecast.std.hex()
+            )
+    finally:
+        service.close()
+
+    config = SMiLerConfig(
+        elv=(8, 16), ekv=(4, 8), rho=2, omega=4, horizons=(1,),
+        predictor="gp", initial_train_iters=2, online_train_iters=1,
+    )
+    backend = make_backend("native")
+    lane = [
+        SMiLer(split(full)[0], config, backend=backend, sensor_id=f"g{i}")
+        for i, full in enumerate(histories(2, seed=5))
+    ]
+    windows = smiler._windows
+    with mock.patch.object(smiler, "_windows", side_effect=windows) as counted:
+        outcomes = predict_many(lane, 1)
+    assert not any(isinstance(outcome, Exception) for outcome in outcomes)
+    assert counted.call_count == len(config.elv)

@@ -18,7 +18,11 @@ another fleet size (``dataclasses.replace(workload, sensors=N)``, after
 Default output is a cProfile table of the caller's process (on a
 process-engine workload that is the dispatch, not the shards' work),
 ``repro.obs`` disabled.  cProfile charges every Python call and nothing
-inside native code, so call-heavy glue reads about twice its share.
+inside native code, so call-heavy glue reads about twice its share.  The
+header line gives the profiled calls per round without ``<string>``
+entries (dataclass and named-tuple methods, whose counts pstats merges
+under one key, so the table's own total depends on addresses), counted
+as ``tests/test_forecast_lane.py::calls_per_round`` counts them.
 
 ``--layers`` turns ``repro.obs`` on after set-up and reads its span
 ledger instead: each round's two request roots (``forecast_all``, taken
@@ -296,21 +300,38 @@ def main(argv=None, out=sys.stdout) -> int:
             profiler.disable()
         wall = time.perf_counter() - t0
 
+    if ledger is not None:
+        how = "obs span ledger"
+    else:
+        stats = pstats.Stats(profiler, stream=out)
+        how = (
+            f"under cProfile, {calls_per_round(stats, args.rounds):.1f} "
+            "calls/round without <string> entries"
+        )
     print(
         f"{workload.name} seed={args.seed} sensors={workload.sensors}: "
         f"{args.rounds} rounds after "
         f"{driver.tick - args.rounds} warm-ups, {wall / args.rounds * 1e3:.3f} "
-        f"ms/round ({'obs span ledger' if args.layers else 'under cProfile'}; "
-        f"engine={workload.engine}, maintenance included)",
+        f"ms/round ({how}; engine={workload.engine}, maintenance included)",
         file=out,
     )
     if ledger is not None:
         print_layers(ledger, args.rounds, out)
     else:
-        pstats.Stats(profiler, stream=out).sort_stats(args.sort).print_stats(
-            args.top
-        )
+        stats.sort_stats(args.sort).print_stats(args.top)
     return 0
+
+
+def calls_per_round(stats: pstats.Stats, rounds: int) -> float:
+    """The profiled calls a round, methods generated from source strings
+    (dataclass and named-tuple methods, file ``<string>``) left out:
+    pstats keys a function by file, line and name, so every generated
+    ``__init__`` shares one key and all but one code object's count is
+    dropped — which one depends on addresses, and so would the total."""
+    return sum(
+        calls for (where, _, _), (_, calls, *_) in stats.stats.items()
+        if where != "<string>"
+    ) / rounds
 
 
 if __name__ == "__main__":
