@@ -11,14 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..tolerances import AR_VARIANCE_FLOOR
-from .predictor import (
-    CellStack,
-    GaussianPrediction,
-    Outcome,
-    SemiLazyPredictor,
-    checked,
-    failed,
-)
+from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, checked
 
 __all__ = ["AggregationPredictor"]
 
@@ -30,7 +23,7 @@ class AggregationPredictor(SemiLazyPredictor):
         self, query: np.ndarray, neighbours: np.ndarray, targets: np.ndarray
     ) -> GaussianPrediction:
         """Gaussian h-step-ahead prediction (see BaseForecaster.predict);
-        the stacked reduction of :meth:`predict_stacks` on ``[1, k]``."""
+        the stacked reduction of :meth:`predict_rows` on ``[1, k]``."""
         _, _, targets = self._validate(query, neighbours, targets)
         mean, variance = _moments(targets[None, :])
         return GaussianPrediction(
@@ -38,62 +31,14 @@ class AggregationPredictor(SemiLazyPredictor):
         )
 
     @staticmethod
-    def predict_stacks(stacks) -> list[Outcome]:
-        """Every row's pseudo-mean and pseudo-variance, the rows of all
-        stacks that take as many neighbours reduced together — one
-        :func:`_moments`, one floor and one :func:`checked` per ``k`` —
-        and split back per stack; a row's moments do not depend on what
-        it is stacked with, so each is the row's alone.  Shapes are
-        checked per stack (a mismatch fails its rows only), and only the
-        targets are read: a :class:`CellStack` is never gathered."""
-        outcomes: list = [None] * len(stacks)
-        by_k: dict[int, list[int]] = {}
-        for at, stack in enumerate(stacks):
-            try:
-                by_k.setdefault(_neighbour_count(stack), []).append(at)
-            except ValueError as error:
-                outcomes[at] = failed(len(stack[0]), error)
-        for members in by_k.values():
-            targets = [stacks[at][3] for at in members]
-            mean, variance = _moments(np.concatenate(targets))
-            mean, variance, errors = checked(
-                mean, np.maximum(variance, AR_VARIANCE_FLOOR), {}
-            )
-            end = 0
-            for at, rows in zip(members, targets):
-                start, end = end, end + len(rows)
-                outcomes[at] = (mean[start:end], variance[start:end], {
-                    row - start: error for row, error in errors.items()
-                    if start <= row < end
-                })
-        return outcomes
-
-
-def _neighbour_count(stack) -> int:
-    """The ``k`` of a stack of :meth:`AggregationPredictor.predict_stacks`,
-    or the ``ValueError`` of a malformed one; a :class:`CellStack`
-    answers with its ``shapes``, ungathered."""
-    if isinstance(stack, CellStack):
-        size, queries, neighbours, targets = stack.shapes
-    else:
-        predictors, queries, neighbours, targets = stack
-        size, queries, neighbours, targets = (
-            len(predictors), queries.shape, neighbours.shape, targets.shape
-        )
-    if (
-        len(neighbours) != 3
-        or queries != (neighbours[0], neighbours[2])
-        or targets != neighbours[:2]
-        or size != neighbours[0]
-    ):
-        raise ValueError(
-            f"expected R predictors, queries [R, d], neighbours [R, k, d] "
-            f"and targets [R, k]; got {size}, {queries}, {neighbours}, "
-            f"{targets}"
-        )
-    if neighbours[1] == 0:
-        raise ValueError("at least one neighbour is required")
-    return neighbours[1]
+    def predict_rows(predictors, targets: np.ndarray, segments) -> Outcome:
+        """Every row's pseudo-mean and pseudo-variance: one
+        :func:`_moments`, one floor and one :func:`checked` for the batch.
+        A row's moments do not depend on what it is stacked with, so each
+        is the row's alone.  Only the targets are read: ``segments`` is
+        never called."""
+        mean, variance = _moments(targets)
+        return checked(mean, np.maximum(variance, AR_VARIANCE_FLOOR), {})
 
 
 def _moments(targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,13 +16,14 @@ Two training regimes, exactly as the paper describes:
   line search starts at twice the last step the cell accepted (capped at
   1.0), not at 1.0.
 
-Training runs as a *lane*: every awake GP cell of a forecast lane is a
-member of one :func:`_predict_lane` call, stacked by ``k`` across item
-lengths and sensors.  Each member runs the one CG body as a coroutine;
-each tick answers a stack's value requests with one stacked
+Training runs as a *lane*: the awake GP cells of a forecast lane that
+take ``k`` neighbours are one stack, one
+:meth:`GaussianProcessPredictor.predict_rows` call across item lengths
+and sensors.  Each member runs the one CG body as a coroutine; each tick
+answers the stack's value requests with one stacked
 :meth:`~repro.gp.loo.LooProblem.values` call, then its gradient requests
 with at most one stacked gradient call.  Members share calls, not
-numbers, so :meth:`GaussianProcessPredictor.predict` is a lane of one.
+numbers, so :meth:`GaussianProcessPredictor.predict` is a stack of one.
 """
 
 from __future__ import annotations
@@ -234,34 +235,6 @@ def _fit_stack(predictors, queries, neighbours, targets) -> Outcome:
     return mean, variance, errors
 
 
-def _predict_lane(predictors, queries, neighbours, targets) -> Outcome:
-    """The GP family's prediction step for a lane's members (one ``(query,
-    neighbours, targets)`` each): members of one ``k`` are one stack
-    (:func:`_fit_stack`) under one ``gp_fit`` span.  ``(mean, variance,
-    {member: exception})`` over the members."""
-    mean, variance, errors = *np.zeros((2, len(predictors))), {}
-    stacks: dict[int, list[int]] = {}
-    for member, (x, y) in enumerate(zip(neighbours, targets)):
-        if x.shape[0] < 2:
-            # A one-point GP posterior is degenerate; fall back to the
-            # neighbour's target with prior-scale uncertainty.
-            mean[member], variance[member] = y[0], 1.0
-        else:
-            stacks.setdefault(x.shape[0], []).append(member)
-    for k, members in stacks.items():
-        with obs.span("gp_fit") as sp:
-            if sp is not None:
-                sp.attrs["k"] = k
-                sp.attrs["members"] = len(members)
-            fitted_mean, fitted_variance, fitted_errors = _fit_stack(
-                [predictors[m] for m in members], [queries[m] for m in members],
-                [neighbours[m] for m in members], [targets[m] for m in members],
-            )
-        mean[members], variance[members] = fitted_mean, fitted_variance
-        errors.update((members[at], error) for at, error in fitted_errors.items())
-    return checked(mean, variance, errors)
-
-
 def _seed_kernel(neighbours: np.ndarray, targets: np.ndarray) -> SquaredExponentialKernel:
     """Data-driven starting hyperparameters.
 
@@ -313,22 +286,26 @@ class GaussianProcessPredictor(SemiLazyPredictor):
         """Gaussian h-step-ahead prediction (see BaseForecaster.predict):
         a lane of one."""
         query, neighbours, targets = self._validate(query, neighbours, targets)
-        mean, variance, errors = _predict_lane(
-            [self], [query], [neighbours], [targets]
+        mean, variance, errors = self.predict_rows(
+            [self], targets[None, :], lambda: ([query], [neighbours])
         )
         if errors:
             raise errors[0]
         return GaussianPrediction(float(mean[0]), float(variance[0]))
 
     @staticmethod
-    def predict_stacks(stacks) -> list[Outcome]:
-        """Every row of every stack is one member of one GP lane
-        (:func:`_predict_lane`): cells of one ``k`` train in lock step
-        whatever their ``d`` and sensor."""
-        members = [member for stack in stacks for member in zip(*stack)]
-        mean, variance, errors = _predict_lane(*zip(*members))
-        ends = np.cumsum([len(stack[0]) for stack in stacks]).tolist()
-        return [(mean[start:end], variance[start:end], {
-            member - start: error for member, error in errors.items()
-            if start <= member < end
-        }) for start, end in zip([0] + ends, ends)]
+    def predict_rows(predictors, targets: np.ndarray, segments) -> Outcome:
+        """The GP family's prediction step for one stack of ``k``
+        (:func:`_fit_stack` under one ``gp_fit`` span): its members train
+        in lock step whatever their ``d`` and sensor."""
+        k = targets.shape[1]
+        if k < 2:
+            # A one-point GP posterior is degenerate; fall back to the
+            # neighbour's target with prior-scale uncertainty.
+            return checked(targets[:, 0].copy(), np.ones(len(targets)), {})
+        with obs.span("gp_fit") as sp:
+            if sp is not None:
+                sp.attrs["k"] = k
+                sp.attrs["members"] = len(predictors)
+            outcome = _fit_stack(predictors, *segments(), targets)
+        return checked(*outcome)

@@ -55,8 +55,8 @@ def _refusal(mean: float, variance: float) -> ValueError | None:
     return None
 
 
-#: What a family's :meth:`SemiLazyPredictor.predict_stacks` returns per
-#: stack: ``(mean [R], variance [R], {row: exception})``.
+#: What a family's :meth:`SemiLazyPredictor.predict_rows` returns:
+#: ``(mean [R], variance [R], {row: exception})``.
 Outcome = tuple[np.ndarray, np.ndarray, dict[int, Exception]]
 
 
@@ -72,46 +72,9 @@ def checked(mean: np.ndarray, variance: np.ndarray, errors: dict) -> Outcome:
 
 
 def failed(size: int, error: Exception) -> Outcome:
-    """The outcome of a stack of ``size`` rows that ``error`` failed."""
+    """The outcome of ``size`` rows that ``error`` failed."""
     error = error.with_traceback(None)
     return np.zeros(size), np.zeros(size), dict.fromkeys(range(size), error)
-
-
-class CellStack:
-    """A ``(predictors, queries, neighbours, targets)`` stack of
-    :meth:`SemiLazyPredictor.predict_stacks` whose queries and neighbours
-    are gathered on first read: ``gather()`` returns ``(queries [R, d],
-    neighbours [R, k, d])``.  It unpacks and indexes as that tuple would,
-    and ``shapes`` is ``(R, queries' shape, neighbours' shape, targets'
-    shape)`` without the gather, so a family that reads only the targets
-    never pays it."""
-
-    __slots__ = ("predictors", "targets", "shapes", "_gather", "_segments")
-
-    def __init__(self, predictors, targets: np.ndarray, d: int, gather) -> None:
-        rows, k = targets.shape
-        self.predictors, self.targets, self._gather = predictors, targets, gather
-        self.shapes = (len(predictors), (rows, d), (rows, k, d), (rows, k))
-        self._segments = None
-
-    def segments(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(queries, neighbours)``, gathered once."""
-        if self._segments is None:
-            self._segments = self._gather()
-        return self._segments
-
-    def __getitem__(self, field: int):
-        field = range(4)[field]
-        if field == 0:
-            return self.predictors
-        if field == 3:
-            return self.targets
-        return self.segments()[field - 1]
-
-    def __iter__(self):
-        yield self.predictors
-        yield from self.segments()
-        yield self.targets
 
 
 class SemiLazyPredictor(ABC):
@@ -134,31 +97,30 @@ class SemiLazyPredictor(ABC):
         """
 
     @staticmethod
-    def predict_stacks(stacks) -> list["Outcome"]:
-        """Per ``(predictors, queries [R, d], neighbours [R, k, d], targets
-        [R, k])`` stack of one family, ``(mean [R], variance [R], {row:
-        exception})``: row ``i`` is ``predictors[i].predict(queries[i],
-        neighbours[i], targets[i])``, or the exception that failed that row
-        alone; every other row passes :class:`GaussianPrediction`'s checks.
-        A stack may be a :class:`CellStack`, whose queries and neighbours
-        are gathered when first read.  The default evaluates row by row; a
+    def predict_rows(predictors, targets: np.ndarray, segments) -> Outcome:
+        """One batch of a family's rows that take as many neighbours:
+        ``(mean [R], variance [R], {row: exception})`` for ``predictors``
+        and ``targets [R, k]``, row ``i`` being ``predictors[i].predict(
+        queries[i], neighbours[i], targets[i])`` or the exception that
+        failed that row alone; every other row passes
+        :class:`GaussianPrediction`'s checks.  ``segments()`` gathers
+        ``(queries, neighbours)``, one ``[d]`` and one ``[k, d]`` array a
+        row (rows may differ in ``d``); a family that reads only the
+        targets never calls it.  The default evaluates row by row; a
         family whose rows reduce together overrides it."""
-        outcomes = []
-        for predictors, queries, neighbours, targets in stacks:
-            mean, variance, errors = *np.zeros((2, len(predictors))), {}
-            for row, (predictor, query, segments, values) in enumerate(
-                zip(predictors, queries, neighbours, targets)
-            ):
-                try:
-                    prediction = predictor.predict(query, segments, values)
-                except Exception as error:  # noqa: BLE001 - kept per row
-                    # Without the traceback: kept, it would tie this frame
-                    # (and the stacks it reads) into a reference cycle.
-                    errors[row] = error.with_traceback(None)
-                else:
-                    mean[row], variance[row] = prediction.mean, prediction.variance
-            outcomes.append((mean, variance, errors))
-        return outcomes
+        mean, variance, errors = *np.zeros((2, len(predictors))), {}
+        for row, (predictor, query, neighbours, values) in enumerate(
+            zip(predictors, *segments(), targets)
+        ):
+            try:
+                prediction = predictor.predict(query, neighbours, values)
+            except Exception as error:  # noqa: BLE001 - kept per row
+                # Without the traceback: kept, it would tie this frame
+                # (and the batch it reads) into a reference cycle.
+                errors[row] = error.with_traceback(None)
+            else:
+                mean[row], variance[row] = prediction.mean, prediction.variance
+        return mean, variance, errors
 
     @staticmethod
     def _validate(query, neighbours, targets):

@@ -42,13 +42,7 @@ from .ensemble import AdaptiveEnsemble, Cell, Components, EnsembleOutput, mix
 from .ensemble import lane_of as _ensemble_lane
 from .ensemble import tune_due
 from .gp_predictor import GaussianProcessPredictor
-from .predictor import (
-    CellStack,
-    GaussianPrediction,
-    Outcome,
-    SemiLazyPredictor,
-    failed,
-)
+from .predictor import GaussianPrediction, Outcome, SemiLazyPredictor, failed
 
 __all__ = ["SMiLer", "absorb_many", "group_rows", "predict_lane", "predict_many"]
 
@@ -202,7 +196,7 @@ class SMiLer:
                 f"{self.config.horizons}"
             )
         self._current_answers()
-        [(mean, variance, errors)] = _LaneKnn([self]).predict_cells(
+        mean, variance, errors = _LaneKnn([self]).predict_cells(
             horizon, [(min(self.config.grid), [0], [_REDUCED])]
         )
         if errors:
@@ -347,11 +341,16 @@ class _LaneKnn:
             )
         return self._segments[d]
 
-    def _gather(self, d: int, picked: np.ndarray, take: int) -> tuple:
-        """A :class:`CellStack`'s ``(queries, neighbours)``: rows
-        ``picked`` of :meth:`segments`, their first ``take`` neighbours."""
-        _, _, queries, neighbours = self.segments(d)
-        return queries[picked], neighbours[picked, :take]
+    def _gather(self, chunks: list[tuple[int, list[int]]], take: int) -> tuple:
+        """A batch's ``(queries, neighbours)``, one row each: per ``(d,
+        rows)`` chunk those rows of :meth:`segments`, their first
+        ``take`` neighbours."""
+        queries, neighbours = [], []
+        for d, rows in chunks:
+            _, _, found, segments = self.segments(d)
+            queries.extend(found[rows])
+            neighbours.extend(segments[rows, :take])
+        return queries, neighbours
 
     def targets(self, d: int, horizon: int) -> tuple[np.ndarray, list[bool]]:
         """``(targets [S, width], observed)``: the ``horizon``-step-ahead
@@ -378,63 +377,67 @@ class _LaneKnn:
         self,
         horizon: int,
         cells: Sequence[tuple[Cell, Sequence[int], Sequence[SemiLazyPredictor]]],
-    ) -> list[Outcome]:
+    ) -> Outcome:
         """Each ``(cell, rows, predictors)``: cell ``(k, d)`` of sensors
-        ``rows`` through their ``predictors``, ``(mean, variance, {at:
-        exception})`` over the rows.  The rows of a cell that take as many
-        neighbours (an answer may hold fewer than ``k``) through one family
-        form a stack; each family gets every stack of every cell in one
-        :meth:`SemiLazyPredictor.predict_stacks`, whatever fails that call
-        failing its rows only."""
+        ``rows`` through their ``predictors``; ``(mean, variance,
+        {position: exception})`` over every cell's rows laid end to end.
+        The rows that take as many neighbours (an answer may hold fewer
+        than ``k``) through one family are one batch, whatever their cell
+        and item length: one :meth:`SemiLazyPredictor.predict_rows` call,
+        whatever fails it failing that batch's rows only."""
         with obs.span("predict_cells"):
-            outcomes: list = [None] * len(cells)
-            families: dict[type, list] = {}
-            for c, (cell, rows, predictors) in enumerate(cells):
-                k, d = cell
+            errors: dict[int, Exception] = {}
+            batches: dict[tuple[type, int], tuple[list, list, list]] = {}
+            end = 0
+            for (k, d), rows, predictors in cells:
+                start, end = end, end + len(rows)
                 _, sizes = self.starts(d)
-                targets, observed = self.targets(d, horizon)
+                _, observed = self.targets(d, horizon)
                 # An unobserved row takes no neighbours: a group of its own.
                 takes = [
                     (k if k <= sizes[row] else sizes[row]) if observed[row] else None
                     for row in rows
                 ]
                 kinds = [predictor.__class__ for predictor in predictors]
-                groups = group_rows(takes, kinds)
-                if len(groups) > 1 or takes[0] is None:  # filled group by group
-                    outcomes[c] = (np.zeros(len(rows)), np.zeros(len(rows)), {})
-                for members in groups:
-                    take, family = takes[members[0]], kinds[members[0]]
+                for members in group_rows(takes, kinds):
+                    take = takes[members[0]]
                     if take is None:
                         for at in members:
-                            outcomes[c][2][at] = IndexError(
+                            errors[start + at] = IndexError(
                                 f"a {horizon}-step-ahead target of an "
                                 f"item-length-{d} neighbour is not observed yet"
                             )
                         continue
+                    chunks, chosen, positions = batches.setdefault(
+                        (kinds[members[0]], take), ([], [], [])
+                    )
                     if len(members) < len(rows):
-                        picked = np.array([rows[at] for at in members])
-                        chosen = [predictors[at] for at in members]
+                        chunks.append((d, [rows[at] for at in members]))
+                        chosen.extend([predictors[at] for at in members])
+                        positions.extend([start + at for at in members])
                     else:
-                        picked, chosen = np.asarray(rows), predictors
-                    families.setdefault(family, []).append((c, members, CellStack(
-                        chosen, targets[picked, :take], d,
-                        functools.partial(self._gather, d, picked, take),
-                    )))
-            for family, jobs in families.items():
+                        chunks.append((d, rows))
+                        chosen.extend(predictors)
+                        positions.extend(range(start, end))
+            mean, variance = np.zeros((2, end))
+            for (family, take), (chunks, chosen, positions) in batches.items():
+                targets = [
+                    self.targets(d, horizon)[0][rows, :take] for d, rows in chunks
+                ]
                 try:
-                    results = family.predict_stacks([stack for _, _, stack in jobs])
-                except Exception as error:  # noqa: BLE001 - this family's rows fail
-                    results = [failed(len(members), error) for _, members, _ in jobs]
-                for (c, members, _), outcome in zip(jobs, results):
-                    if outcomes[c] is None:  # the cell's one stack
-                        outcomes[c] = outcome
-                        continue
-                    mean, variance, errors = outcome
-                    cell_mean, cell_variance, cell_errors = outcomes[c]
-                    cell_mean[members], cell_variance[members] = mean, variance
-                    for at, error in errors.items():
-                        cell_errors[members[at]] = error
-            return outcomes
+                    outcome = family.predict_rows(
+                        chosen,
+                        targets[0] if len(targets) == 1 else np.concatenate(targets),
+                        functools.partial(self._gather, chunks, take),
+                    )
+                except Exception as error:  # noqa: BLE001 - this batch's rows fail
+                    outcome = failed(len(chosen), error)
+                if len(positions) == end:  # every row, in order
+                    mean, variance, failures = outcome
+                else:
+                    mean[positions], variance[positions], failures = outcome
+                errors.update((positions[at], e) for at, e in failures.items())
+            return mean, variance, errors
 
 
 def predict_many(
@@ -453,8 +456,9 @@ def predict_many(
     domain; a mixed group is a ``ValueError`` from the search or from
     :func:`~repro.index.window_index.lane_of`).  Per horizon every awake
     cell of every sensor is one :meth:`_LaneKnn.predict_cells` — one
-    :meth:`SemiLazyPredictor.predict_stacks` per predictor family, so a
-    GP lane trains all its cells in lock step — and a grid's sensors mix
+    :meth:`SemiLazyPredictor.predict_rows` per predictor family and
+    neighbour count, so a GP lane trains its cells of one ``k`` in lock
+    step — and a grid's sensors mix
     as one stack (:func:`~repro.core.ensemble.mix`), their components
     remembered for auto-tuning as rows of their
     :class:`~repro.core.ensemble.EnsembleStack`.  :func:`predict_lane`
@@ -562,7 +566,7 @@ def _predict_horizon(
     # The sensors of one grid ask for their awake cells together, a cell
     # at a time in grid order, and mix as one stack.
     ensembles = [lane[row]._ensembles[h] for row in rows]
-    lanes, asked = [], []
+    lanes, asked, end = [], [], 0
     for members in group_rows([ensemble.cells for ensemble in ensembles]):
         if len(members) < len(rows):
             grid_rows = [rows[at] for at in members]
@@ -570,7 +574,7 @@ def _predict_horizon(
         else:
             grid_rows, grid = rows, ensembles
         stack, seated = _ensemble_lane(grid)
-        asleep, first = stack.asleep[seated], len(asked)
+        asleep, start = stack.asleep[seated], end
         for cell, slept in zip(grid[0].cells, asleep.T.tolist()):
             awake = [row for row, off in zip(grid_rows, slept) if not off]
             if awake:
@@ -578,20 +582,21 @@ def _predict_horizon(
                     ensemble.predictors[cell]
                     for ensemble, off in zip(grid, slept) if not off
                 ]))
-        lanes.append((grid_rows, stack, seated, ~asleep, slice(first, len(asked))))
-    outcomes = knn.predict_cells(h, asked)
+                end += len(awake)
+        lanes.append((grid_rows, stack, seated, ~asleep, slice(start, end)))
+    means, variances, errors = knn.predict_cells(h, asked)
     failed_before = len(failures)
-    for (_, cell_rows, _), (_, _, errors) in zip(asked, outcomes):
-        for at, error in errors.items():
-            failures.setdefault(cell_rows[at], error)
+    if errors:  # a sensor's first failed cell, in cell order
+        positions = [row for _, cell_rows, _ in asked for row in cell_rows]
+        for at in sorted(errors):
+            failures.setdefault(positions[at], errors[at])
     now = knn.now
     mixtures = []
     for grid_rows, stack, seated, awake, cells in lanes:
         # [sensors, cells], 0.0 where a cell sleeps: the cells' rows, in
         # grid order, fill the awake flags column by column.
         mean, variance = np.zeros((2, *awake.shape))
-        mean.T[awake.T] = np.concatenate([m for m, _, _ in outcomes[cells]])
-        variance.T[awake.T] = np.concatenate([v for _, v, _ in outcomes[cells]])
+        mean.T[awake.T], variance.T[awake.T] = means[cells], variances[cells]
         components = Components(awake, mean, variance)
         if len(failures) > failed_before:
             kept = [at for at, row in enumerate(grid_rows) if row not in failures]

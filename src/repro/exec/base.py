@@ -13,7 +13,7 @@ group.  Ops are plain tuples so they can cross a process boundary
 without pickling::
 
     ("forecast", sensor_id, horizon)
-    ("ingest",   sensor_id, value)
+    ("ingest",   sensor_id, value)     # value z-normalised at the entry point
 
 A single-sensor ``forecast()`` / ``ingest()`` is the same thing with one
 lane holding one op — there is no second dispatch path.

@@ -37,9 +37,10 @@ worker.  A single op rides a live generation but never forks one.
 *Crash semantics.*  A sensor's index and predictors are functions of
 its series, so a series is all a dead worker's shard needs back, and
 every point it gained since the fork passed through the parent.  The
-parent keeps, per live worker, the normalised readings it sent each
-hosted sensor (its :class:`~repro.timeseries.ZNormStats`, the one
-normalisation the lane applies) and each sensor's series length as of
+parent keeps, per live worker, the readings it sent each hosted
+sensor — normalised once at the service's entry point by its
+:class:`~repro.timeseries.ZNormStats`, and carried so by the ingest
+ops — and each sensor's series length as of
 the worker's last reply: every reply carries its lane's lengths, so the
 reply is the commit.  If a worker dies or hangs
 (``ServiceConfig.engine_timeout_s``), the parent marks the shard's
@@ -241,10 +242,8 @@ class ProcessShardEngine(ExecutionEngine):
             for task in tasks:
                 worker = self._workers[task.plan.backend_index]
                 for kind, sensor_id, value in task.ops:
-                    if kind == "ingest":
-                        worker.sent[sensor_id].append(
-                            service._norms[sensor_id].apply(value)
-                        )
+                    if kind == "ingest":  # the value is normalised already
+                        worker.sent[sensor_id].append(value)
                 try:
                     send_json(worker.conn, {
                         "op": "batch",

@@ -524,9 +524,10 @@ class PredictionService:
 
     # --------------------------------------------------------------- serving
     def _observe_lane(self, pairs: Sequence[tuple[str, float]]) -> None:
-        """Feed one lane's validated raw readings; absorb backend failures.
+        """Feed one lane's validated readings, z-normalised by
+        :meth:`_checked_reading`; absorb backend failures.
 
-        Every reading is z-normalised and absorbed *before* any faultable
+        Every reading is absorbed *before* any faultable
         backend op — per sensor the auto-tune, per group one stacked
         index step (:func:`~repro.core.smiler.absorb_many`) — so a
         failure here never loses data: it only leaves kNN answers stale
@@ -536,9 +537,7 @@ class PredictionService:
         ``ingest()`` is a lane of one.
         """
         sensor_ids = [sensor_id for sensor_id, _ in pairs]
-        values = [
-            self._norms[sensor_id].apply(value) for sensor_id, value in pairs
-        ]
+        values = [value for _, value in pairs]
         groups = [
             ([sensor_ids[at] for at in members], [values[at] for at in members])
             for members in self._groups(sensor_ids)
@@ -623,16 +622,18 @@ class PredictionService:
         return error
 
     def _checked_reading(self, sensor_id: str, value: float) -> float:
+        """The raw ``value`` z-normalised, the one time a reading is: the
+        ingest ops carry it from here."""
         self._require(sensor_id)
         value = float(value)
         # A finite reading can still overflow once normalised (1e308
         # against a small std): either way the series would gain inf.
-        if not math.isfinite(self._norms[sensor_id].apply(value)):
+        if not math.isfinite(z := self._norms[sensor_id].apply(value)):
             raise ValueError(
                 f"non-finite reading {value!r} for {sensor_id!r}, raw or "
                 "normalised; impute before ingest"
             )
-        return value
+        return z
 
     def ingest(self, sensor_id: str, value: float) -> None:
         """Feed one new raw reading (auto-tunes and advances the index)."""

@@ -9,7 +9,7 @@ hyperparameters for the posterior.  Those bodies are below, unchanged but
 for their names.  :class:`CellGaussianProcessPredictor` is a
 ``GaussianProcessPredictor`` (same counters, same snapshot fields) that
 predicts that way, one cell at a time: it takes the base class's
-``predict_stacks``, which loops ``predict`` per row, so a ``SMiLer`` whose
+``predict_rows``, which loops ``predict`` per row, so a ``SMiLer`` whose
 predictors are these never reaches the lane.
 """
 
@@ -127,7 +127,7 @@ class _BoxedLoo:
 class CellGaussianProcessPredictor(GaussianProcessPredictor):
     """A GP cell trained and predicted alone, as before the lane."""
 
-    predict_stacks = SemiLazyPredictor.__dict__["predict_stacks"]
+    predict_rows = SemiLazyPredictor.__dict__["predict_rows"]
 
     def _train(self, neighbours: np.ndarray, targets: np.ndarray) -> SquaredExponentialKernel:
         if self._log_params is None:

@@ -9,7 +9,6 @@ from repro.core import (
     GaussianProcessPredictor,
     SMiLerConfig,
 )
-from repro.core.predictor import CellStack
 from repro.tolerances import AR_VARIANCE_FLOOR
 
 
@@ -63,26 +62,26 @@ class TestAggregationPredictor:
             ar.predict(query, neighbours[:0], targets[:0])
 
     def test_stacks_of_one_k_are_each_row_alone(self):
-        """Two stacks of ``k = 8`` reduce together, one of ``k = 4``
-        alone; each row is ``predict`` on that row to the bit, and a
-        :class:`CellStack` is reduced without its neighbours gathered."""
+        """Rows of ``k = 8`` from two item lengths reduce in one
+        ``predict_rows`` batch, a row of ``k = 4`` in one of its own; each
+        row is ``predict`` on that row to the bit, and the neighbours are
+        never gathered."""
 
         def never_gathered():
             raise AssertionError("gathered")
 
-        rows = [knn_data(k=k, seed=seed) for k, seed in ((8, 1), (8, 2), (4, 3))]
+        rows = [
+            knn_data(k=k, d=d, seed=seed) for k, d, seed in ((8, 8, 1), (8, 5, 2), (4, 8, 3))
+        ]
         ar = AggregationPredictor()
-        stacks = [
-            CellStack([ar, ar], np.stack([t, t[::-1]]), 8, never_gathered)
-            for _, _, t in rows[:2]
-        ] + [([ar], rows[2][0][None], rows[2][1][None], rows[2][2][None])]
-        outcomes = AggregationPredictor.predict_stacks(stacks)
-        for stack, (query, neighbours, _), (mean, variance, errors) in zip(
-            stacks, rows, outcomes
-        ):
+        for batch in (rows[:2], rows[2:]):
+            targets = np.stack([t for _, _, t in batch])
+            mean, variance, errors = AggregationPredictor.predict_rows(
+                [ar] * len(batch), targets, never_gathered
+            )
             assert errors == {}
-            for row, targets in enumerate(stack[3]):
-                want = ar.predict(query, neighbours, targets)
+            for row, (query, neighbours, values) in enumerate(batch):
+                want = ar.predict(query, neighbours, values)
                 assert (mean[row].hex(), variance[row].hex()) == (
                     want.mean.hex(), want.variance.hex()
                 )

@@ -188,6 +188,43 @@ class TestPersistence:
         assert restored_state.sleep_span == 4
         assert restored_state.sleep_remaining == 2
 
+    def test_a_restore_carries_ensemble_and_gp_state_but_no_pending(
+        self, tmp_path
+    ):
+        """What a save -> load -> build round trip carries, bit for bit:
+        every cell's weight and sleep state, every GP cell's
+        hyperparameters and remembered step.  What it does not: the
+        predictions awaiting their true value — the restored sensor has
+        none pending, so the next reading tunes the original's ensemble
+        and not the restored one's."""
+        smiler, history = self._trained_smiler(SMALL_GP, steps=6)
+        ensemble = smiler.ensemble(1)
+        sleeper = ensemble.state(ensemble.cells[-1])
+        sleeper.asleep, sleeper.sleep_span, sleeper.sleep_remaining = True, 4, 2
+        smiler.predict()
+        assert len(smiler.pending(1)) == 1
+        save_smiler(smiler, tmp_path / "sensor.npz")
+        restored = restore_smiler(tmp_path / "sensor.npz")
+        fields = ("weight", "asleep", "sleep_span", "sleep_remaining", "just_recovered")
+        for cell in ensemble.cells:
+            before, after = ensemble.state(cell), restored.ensemble(1).state(cell)
+            assert [getattr(after, f) for f in fields] == [
+                getattr(before, f) for f in fields
+            ], cell
+            assert before.predictor._log_params is not None, cell
+            assert after.predictor._log_params.tobytes() == (
+                before.predictor._log_params.tobytes()
+            ), cell
+            assert after.predictor._step == before.predictor._step, cell
+        assert restored.ensemble(1).state(ensemble.cells[-1]).asleep
+        assert restored.pending(1) == []
+        updates = ensemble.updates, restored.ensemble(1).updates
+        value = float(history[650 + 6])
+        smiler.observe(value)
+        restored.observe(value)
+        assert ensemble.updates == updates[0] + 1
+        assert restored.ensemble(1).updates == updates[1]
+
     def test_search_switches_survive_both_roundtrips(self, tmp_path):
         """Every config field is archived, the search switches included:
         a sensor restored from a snapshot runs what it ran before."""

@@ -1,7 +1,7 @@
 """Differential identity battery for the forecast lane.
 
 ``predict_many`` replaced the per-sensor body of ``SMiLer.predict`` (and
-``_cell_inputs``), ``AggregationPredictor.predict_stacks`` the one-row
+``_cell_inputs``), ``AggregationPredictor.predict_rows`` the one-row
 reduction, ``PredictionService._forecast_lane`` the per-sensor
 ``_forecast_op``.  The deleted bodies are kept here verbatim as the
 oracle — twins of the lane's sensors, fed the same readings, predicted
@@ -28,6 +28,7 @@ from scipy.special import erfinv
 from repro.backend import make_backend
 from repro.core import SMiLerConfig
 from repro.core.ar import AggregationPredictor
+from repro.core.gp_predictor import GaussianProcessPredictor
 from repro.core.ensemble import Components, EnsembleOutput
 from repro.core.predictor import GaussianPrediction, SemiLazyPredictor
 from repro.core.smiler import SMiLer, absorb_many, predict_many
@@ -438,7 +439,7 @@ def test_a_lane_spans_native_backends_but_no_other_kernel_domain():
 
 
 def test_a_two_sensor_gp_lane_keeps_its_bits_and_its_training():
-    """GP cells go through the GP lane's ``predict_stacks``: same
+    """GP cells go through the GP lane's ``predict_rows``: same
     predictions, same trained hyperparameters, same CG and evaluation
     counts as each sensor predicted alone."""
     config = SMiLerConfig(
@@ -493,8 +494,9 @@ def test_a_two_sensor_gp_lane_keeps_its_bits_and_its_training():
 #: ``Forecast`` and its de-normalisation: 9 calls a sensor.  Ingest
 #: checks each reading's finiteness with ``math.isfinite``, a builtin
 #: cProfile counts (the ``np.isfinite`` ufunc it replaced was not
-#: counted, and cost over ten times more): one of its 12.8 calls a sensor.
-CALLS_FOR_24_MORE = {"forecast_all": 216, "ingest_many": 308}
+#: counted, and cost over ten times more), and z-normalises it once:
+#: two of its 11.8 calls a sensor.
+CALLS_FOR_24_MORE = {"forecast_all": 216, "ingest_many": 284}
 #: A ceiling on any version: 20 calls a forecast sensor, and no more on
 #: ingest than before the lane carried arrays (1 386 and 980 then).
 CALLS_CEILING = {"forecast_all": 20 * 24, "ingest_many": 980}
@@ -651,7 +653,11 @@ def test_scalar_z_normalisation_is_the_array_one(value, mean, std):
     ).hex()
 
 
-# ---------------------------------------------------------- predict_stacks
+# ------------------------------------------------------------ predict_rows
+def never_gathered():
+    raise AssertionError("the AR family read a neighbour gather")
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     k=st.integers(1, 64),
@@ -661,11 +667,11 @@ def test_scalar_z_normalisation_is_the_array_one(value, mean, std):
     seed=st.integers(0, 2**32 - 1),
     constant=st.booleans(),
 )
-def test_predict_stacks_row_i_is_predict_on_row_i(
+def test_predict_rows_row_i_is_predict_on_row_i(
     k, rows, surplus, exponent, seed, constant
 ):
     """The pinned observation: a last-axis reduction over a ``[R, k]``
-    stack — a fancy-indexed copy or a prefix *view* of a wider one — is
+    batch — a fancy-indexed copy or a prefix *view* of a wider one — is
     bit for bit the reduction each row gets alone (NumPy's pairwise
     summation splits by length, not by neighbours)."""
     rng = np.random.default_rng(seed)
@@ -678,17 +684,12 @@ def test_predict_stacks_row_i_is_predict_on_row_i(
     predictors = [AggregationPredictor() for _ in range(rows)]
     oracle = OracleAggregationPredictor()
     picked = rng.permutation(rows)
-    stacks = {
-        "view": (slice(None), wide[:, :k], neighbours[:, :k]),
-        "copy": (picked, wide[picked, :k], neighbours[picked, :k]),
-    }
-    outcomes = AggregationPredictor.predict_stacks([
-        (predictors, queries[order], segments, targets)
-        for order, targets, segments in stacks.values()
-    ])
-    for name, (order, _, _), (mean, variance, errors) in zip(
-        stacks, stacks.values(), outcomes
+    for name, order, targets in (
+        ("view", slice(None), wide[:, :k]), ("copy", picked, wide[picked, :k])
     ):
+        mean, variance, errors = AggregationPredictor.predict_rows(
+            predictors, targets, never_gathered
+        )
         assert errors == {}, name
         for at, row in enumerate(np.arange(rows)[order]):
             want = oracle.predict(queries[row], neighbours[row, :k], wide[row, :k])
@@ -702,18 +703,18 @@ def test_predict_stacks_row_i_is_predict_on_row_i(
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_predict_stacks_failures_per_row_and_shapes_per_stack():
+def test_predict_rows_failures_per_row():
     """A row ``GaussianPrediction`` would refuse fails with the error it
-    would raise and alone; a stack of the wrong shape fails its rows and
-    no other stack's."""
+    would raise and alone."""
     predictors = [AggregationPredictor() for _ in range(3)]
     queries = np.zeros((3, 4))
     neighbours = np.zeros((3, 5, 4))
     targets = np.arange(15.0).reshape(3, 5)
     targets[1, 2] = np.nan
     targets[2, 0] = np.inf
-    good = (predictors, queries, neighbours, targets)
-    [(mean, variance, errors)] = AggregationPredictor.predict_stacks([good])
+    mean, variance, errors = AggregationPredictor.predict_rows(
+        predictors, targets, never_gathered
+    )
     want = predictors[0].predict(queries[0], neighbours[0], targets[0])
     assert (mean[0].hex(), variance[0].hex()) == hexes(want)
     assert sorted(errors) == [1, 2]
@@ -722,32 +723,27 @@ def test_predict_stacks_failures_per_row_and_shapes_per_stack():
             predictors[row].predict(queries[row], neighbours[row], targets[row])
         assert type(error) is ValueError and str(error) == str(raised.value)
 
-    for bad in (
-        (predictors[:2], queries, neighbours, targets),
-        (predictors, queries[:, :3], neighbours, targets),
-        (predictors, queries, neighbours, targets[:, :4]),
-        (predictors, queries, neighbours[:, :0], targets[:, :0]),
-        (predictors, queries[0], neighbours, targets),
-        (predictors, queries, neighbours[0], targets),
-    ):
-        failed, kept = AggregationPredictor.predict_stacks([bad, good])
-        assert sorted(failed[2]) == list(range(len(bad[0])))
-        assert all(isinstance(e, ValueError) for e in failed[2].values())
-        assert sorted(kept[2]) == [1, 2]
 
+def test_default_predict_rows_loops_predict_and_keeps_row_exceptions():
+    """The default row loop reads ``segments()`` once, rows of any ``d``."""
 
-def test_default_predict_stacks_loops_predict_and_keeps_row_exceptions():
     class Fussy(SemiLazyPredictor):
         def predict(self, query, neighbours, targets):
             if targets[0] < 0:
                 raise RuntimeError("negative target")
+            assert neighbours.shape == (2, query.size)
             return GaussianPrediction(float(targets.sum()), 1.0)
 
     targets = np.array([[1.0, 2.0], [-1.0, 0.0], [3.0, 4.0]])
-    [(mean, variance, errors)] = Fussy.predict_stacks([(
-        [Fussy() for _ in range(3)], np.zeros((3, 2)), np.zeros((3, 2, 2)),
-        targets,
-    )])
+    gathers = []
+    mean, variance, errors = Fussy.predict_rows(
+        [Fussy() for _ in range(3)], targets,
+        lambda: gathers.append(1) or (
+            [np.zeros(d) for d in (2, 3, 4)],
+            [np.zeros((2, d)) for d in (2, 3, 4)],
+        ),
+    )
+    assert gathers == [1]
     assert (mean[[0, 2]].tolist(), variance[[0, 2]].tolist()) == (
         [3.0, 7.0], [1.0, 1.0]
     )
@@ -756,77 +752,51 @@ def test_default_predict_stacks_loops_predict_and_keeps_row_exceptions():
 
 
 # ---------------------------------------------------------------- AR lane
-def never_gathered():
-    raise AssertionError("the AR family read a neighbour gather")
-
-
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @settings(max_examples=120, deadline=None)
 @given(
     layout=st.lists(
         st.tuples(
-            st.sampled_from([1, 2, 3, 8, 13]),  # take: repeats across stacks
+            st.sampled_from([1, 2, 3, 8, 13]),  # take
             st.integers(1, 5),  # rows
             st.integers(0, 3),  # surplus columns: a prefix view or a copy
-            st.booleans(),  # a CellStack (never gathered) or a plain tuple
         ),
         min_size=1, max_size=8,
     ),
-    malformed=st.integers(0, 8),
     poisoned=st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_ar_stacks_of_one_k_reduce_together_and_equal_each_row(
-    layout, malformed, poisoned, seed
+    layout, poisoned, seed
 ):
-    """Stacks of mixed ``k`` (so mixed ``take``), NaN and inf rows among
-    them and one stack of the wrong shape: one moments reduction per
-    distinct ``k`` of the well-formed stacks, every row bit for bit what
-    ``predict`` gives it alone (or the error it raises), the malformed
-    stack failing its own rows only, and a :class:`CellStack` never
+    """Batches of one ``k`` each, NaN and inf rows among them: one
+    moments reduction per batch, every row bit for bit what ``predict``
+    gives it alone (or the error it raises), and the neighbours never
     gathered."""
     from unittest import mock
 
     from repro.core import ar
-    from repro.core.predictor import CellStack
 
     rng = np.random.default_rng(seed)
     d = 3
-    stacks, inputs = [], []
-    for take, rows, surplus, lazy in layout:
+    moments = ar._moments
+    for take, rows, surplus in layout:
         wide = rng.standard_normal((rows, take + surplus)) * 10.0
         for value in poisoned:
             wide[rng.integers(rows), rng.integers(take)] = value
         targets = wide[:, :take] if surplus else wide.copy()
         queries = rng.standard_normal((rows, d))
         neighbours = rng.standard_normal((rows, take, d))
-        predictors = [AggregationPredictor() for _ in range(rows)]
-        inputs.append((queries, neighbours, targets))
-        stacks.append(
-            CellStack(predictors, targets, d, never_gathered) if lazy
-            else (predictors, queries, neighbours, targets)
-        )
-    at = malformed % (len(stacks) + 1)
-    rows = layout[at % len(layout)][1]
-    stacks.insert(at, (
-        [AggregationPredictor() for _ in range(rows)], np.zeros((rows, d + 1)),
-        np.zeros((rows, 2, d)), np.zeros((rows, 2)),
-    ))
-    inputs.insert(at, None)
-    moments = ar._moments
-    with mock.patch.object(ar, "_moments", side_effect=moments) as counted:
-        outcomes = AggregationPredictor.predict_stacks(stacks)
-    assert counted.call_count == len({take for take, *_ in layout})
-    assert len(outcomes) == len(stacks)
-    for stack, given_inputs, (mean, variance, errors) in zip(
-        stacks, inputs, outcomes
-    ):
-        assert mean.shape == variance.shape == (len(stack[0]),)
-        if given_inputs is None:
-            assert sorted(errors) == list(range(len(stack[0])))
-            assert all(type(e) is ValueError for e in errors.values())
-            continue
-        for row, (query, segments, values) in enumerate(zip(*given_inputs)):
+        with mock.patch.object(ar, "_moments", side_effect=moments) as counted:
+            mean, variance, errors = AggregationPredictor.predict_rows(
+                [AggregationPredictor() for _ in range(rows)], targets,
+                never_gathered,
+            )
+        assert counted.call_count == 1
+        assert mean.shape == variance.shape == (rows,)
+        for row, (query, segments, values) in enumerate(
+            zip(queries, neighbours, targets)
+        ):
             try:
                 want = AggregationPredictor().predict(query, segments, values)
             except ValueError as error:
@@ -868,7 +838,7 @@ def warm_ar_service(elv, ekv=(2, 4), sensors=3):
 
 
 @pytest.mark.parametrize("elv", [(8,), (8, 16), (8, 12, 16)])
-def test_a_warm_ar_lane_reduces_once_per_neighbour_count(elv):
+def test_a_warm_ar_lane_reduces_once_per_take(elv):
     """The cost pin: a warm AR-lane ``forecast_all`` runs the moments
     reduction once per distinct neighbour count per horizon, however
     many item lengths (cells per ``k``) the grid has."""
@@ -928,3 +898,117 @@ def test_an_ar_lane_never_gathers_neighbours_and_a_gp_lane_does():
         outcomes = predict_many(lane, 1)
     assert not any(isinstance(outcome, Exception) for outcome in outcomes)
     assert counted.call_count == len(config.elv)
+
+
+# ------------------------------------------------------ one batch per take
+MIXED = SMiLerConfig(
+    elv=(8, 16), ekv=(2, 4, 8), rho=2, omega=4, horizons=(1, 3),
+    predictor="ar", initial_train_iters=3, online_train_iters=1,
+    sleep_enabled=False,
+)
+
+
+def mixed_lane(backend):
+    """An AR and a GP sensor of one search configuration, each with a
+    short twin whose d=16 answers hold 3 or 4 of ``k_max`` = 8 starts."""
+    gp = dataclasses.replace(MIXED, predictor="gp")
+    rng = np.random.default_rng(8)
+    lane = [
+        SMiLer(
+            np.sin(np.arange(n) / 5.0) + 0.1 * rng.standard_normal(n), config,
+            backend=backend, sensor_id=f"{config.predictor}-{n}",
+        )
+        for config, n in ((MIXED, 200), (gp, 200), (gp, 22), (MIXED, 21))
+    ]
+    for sensor, answers in zip(lane, search_many([s.engine for s in lane])):
+        sensor.install(answers)
+    return lane
+
+
+def mixed_cells(lane, horizon):
+    """Every cell of every sensor of ``lane`` at ``horizon``, as
+    ``_LaneKnn.predict_cells`` takes them, with each row's ``(family,
+    take)`` in position order."""
+    cells, keys = [], []
+    for k, d in MIXED.grid:
+        predictors = [sensor.ensemble(horizon).predictors[k, d] for sensor in lane]
+        cells.append(((k, d), list(range(len(lane))), predictors))
+        keys.extend(
+            (type(predictor), min(k, sensor._answers[d].starts.size))
+            for sensor, predictor in zip(lane, predictors)
+        )
+    return cells, keys
+
+
+def test_a_mixed_lane_makes_one_call_per_family_and_take():
+    """An AR and a GP family in one lane, some answers short: per horizon
+    one ``predict_rows`` call per ``(family, take)``, across cells, item
+    lengths and sensors, holding every row of it; each sensor's outputs
+    bit for bit its own lane of one."""
+    from collections import Counter
+    from unittest import mock
+
+    lane = mixed_lane(make_backend("native"))
+    twins = mixed_lane(make_backend("native"))
+    calls = []
+
+    def spy(family):
+        original = family.predict_rows
+
+        def predict_rows(predictors, targets, segments):
+            calls.append((family, targets.shape[1], len(predictors)))
+            return original(predictors, targets, segments)
+
+        return mock.patch.object(family, "predict_rows", staticmethod(predict_rows))
+
+    for h in MIXED.horizons:
+        _, keys = mixed_cells(lane, h)
+        assert {take for _, take in keys} - set(MIXED.ekv)  # a short answer
+        calls.clear()
+        with spy(AggregationPredictor), spy(GaussianProcessPredictor):
+            got = predict_many(lane, h)
+        assert len(calls) == len(set(keys)), h
+        assert {(f, take): rows for f, take, rows in calls} == Counter(keys), h
+        for at, twin in enumerate(twins):
+            assert_same_outputs(got[at], predict_many([twin], h)[0], (h, at))
+
+
+@pytest.mark.parametrize("broken", ["ar-take-4", "gp"])
+def test_a_family_that_raises_fails_only_its_own_batch(broken):
+    """A ``predict_rows`` call that raises fails the rows of its batch,
+    each with that exception (no traceback), and no other row moves."""
+    from unittest import mock
+
+    from repro.core.smiler import _LaneKnn
+
+    family = AggregationPredictor if broken.startswith("ar") else (
+        GaussianProcessPredictor
+    )
+    original = family.predict_rows
+    error = RuntimeError("the family fell over")
+
+    def predict_rows(predictors, targets, segments):
+        if broken == "gp" or targets.shape[1] == 4:
+            raise error
+        return original(predictors, targets, segments)
+
+    clean, faulty = mixed_lane(make_backend("native")), mixed_lane(
+        make_backend("native")
+    )
+    want_mean, want_variance, want_errors = _LaneKnn(clean).predict_cells(
+        1, mixed_cells(clean, 1)[0]
+    )
+    cells, keys = mixed_cells(faulty, 1)
+    with mock.patch.object(family, "predict_rows", staticmethod(predict_rows)):
+        mean, variance, errors = _LaneKnn(faulty).predict_cells(1, cells)
+    assert want_errors == {}
+    hit = [
+        at for at, (kind, take) in enumerate(keys)
+        if kind is family and (broken == "gp" or take == 4)
+    ]
+    assert hit and sorted(errors) == hit
+    assert all(errors[at] is error for at in hit)
+    assert error.__traceback__ is None
+    kept = [at for at in range(len(keys)) if at not in errors]
+    assert row_hexes(mean[kept]) == row_hexes(want_mean[kept])
+    assert row_hexes(variance[kept]) == row_hexes(want_variance[kept])

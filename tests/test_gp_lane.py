@@ -168,8 +168,9 @@ def members(k=6, d=5, n=5, seed=9):
 
 
 def test_one_stack_holds_every_kind_of_member(monkeypatch):
-    """Cold (25 iterations), warm (5), no budget and k < 2 members in one
-    lane call: each predicts and learns exactly as it does alone."""
+    """Cold (25 iterations), warm (5) and no-budget members in one
+    ``predict_rows`` call, a k < 2 member in a call of its own: each
+    predicts and learns exactly as it does alone."""
     data = members()
     cold = GaussianProcessPredictor(initial_train_iters=25)
     warm = GaussianProcessPredictor(online_train_iters=5)
@@ -192,11 +193,18 @@ def test_one_stack_holds_every_kind_of_member(monkeypatch):
         gp_predictor, "_fit_stack",
         lambda p, *a: sizes.append(len(p)) or original(p, *a),
     )
-    mean, variance, errors = gp_predictor._predict_lane(
-        predictors, queries, neighbours, targets
-    )
+    outcomes = [
+        GaussianProcessPredictor.predict_rows(
+            predictors[rows], np.array(targets[rows]),
+            lambda rows=rows: (queries[rows], neighbours[rows]),
+        )
+        for rows in (slice(0, 3), slice(3, 4))
+    ]
     assert sizes == [3]  # one stack; the k = 1 member never reaches it
-    assert errors == {}
+    assert all(errors == {} for _, _, errors in outcomes)
+    mean, variance = (
+        np.concatenate([outcome[field] for outcome in outcomes]) for field in (0, 1)
+    )
     for predictor, twin, m, v, q, x, y in zip(
         predictors, twins, mean.tolist(), variance.tolist(), queries, neighbours,
         targets,
