@@ -85,6 +85,7 @@ class ComputeBackend(Protocol):
         rho: int,
         lengths=None,
         need=None,
+        cutoff=None,
     ) -> np.ndarray:
         """Banded (Sakoe-Chiba ``rho``) DTW of many candidates against
         one ``(d,)`` query, or — ``query`` of shape ``(n, d)`` — candidate
@@ -95,7 +96,10 @@ class ComputeBackend(Protocol):
         ``i``'s DTW of its
         ``lengths[l]``-suffixes for ``l < need[i]``, ``inf`` beyond — one
         end-anchored wavefront per row answers every length it needs
-        (:func:`repro.dtw.distance.dtw_batch`)."""
+        (:func:`repro.dtw.distance.dtw_batch`).  With ``cutoff`` (the
+        answer's shape) a distance ``<=`` its cutoff is the same bits,
+        any other that distance or ``inf``: the kernel may stop a row
+        that can no longer come within its cutoffs."""
         ...
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
@@ -210,17 +214,26 @@ class SubstrateBackend:
         rho: int,
         lengths=None,
         need=None,
+        cutoff=None,
     ) -> np.ndarray:
         """Banded DTW of many candidates against one query (``(d,)``) or
         one query each (``(n, d)``); every needed suffix length with
-        ``lengths`` (see :class:`ComputeBackend`)."""
+        ``lengths``, rows stopped past ``cutoff`` (see
+        :class:`ComputeBackend`).  The span holds the launch's planned
+        work (:func:`~repro.dtw.distance.launch_work`) beside what the
+        kernel did: ``abandoned`` rows and ``cells_computed``."""
         with obs.span("dtw_verification", self) as sp:
             candidates = np.atleast_2d(np.asarray(candidates, dtype=np.float64))
+            work = None
             if sp is not None:
-                sp.attrs.update(launch_work(candidates.shape, rho, lengths, need))
+                work = sp.attrs
+                work.update(launch_work(candidates.shape, rho, lengths, need))
+                work.update(abandoned=0, cells_computed=0)
             if candidates.shape[0] == 0:
                 return np.empty(0 if lengths is None else (0, len(lengths)))
-            return self._run_dtw_verification(query, candidates, rho, lengths, need)
+            return self._run_dtw_verification(
+                query, candidates, rho, lengths, need, cutoff, work
+            )
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """Unbanded DTW of one query against many candidates."""

@@ -36,11 +36,13 @@ class SimulatedGpuBackend(SubstrateBackend):
         super().__init__(self.spec.memory_bytes)
 
     # ------------------------------------------------------------- kernels
-    def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+    def _run_dtw_verification(
+        self, query, candidates, rho, lengths, need, cutoff, work
+    ):
         """Banded DTW via the compressed-warping-matrix kernel."""
         with self._lock:
             return dtw_verification_kernel(
-                self.cost, query, candidates, rho, lengths, need
+                self.cost, query, candidates, rho, lengths, need, cutoff, work
             )
 
     def _run_full_dtw(self, query, candidates):

@@ -32,10 +32,12 @@ Implementations:
   in Algorithm 2's compressed band, indexed by band offset and updated
   in place.  Distances are bit-identical to :func:`dtw_distance`; given
   suffix ``lengths`` it reads every one of a row's suffix DTWs out of
-  the one wavefront over its longest,
-* :func:`dtw_batch_pruned` — :func:`dtw_batch` filtered by a cutoff:
-  rows whose LB_Keogh terms already exceed it are not computed, and
-  every distance above it reports ``inf``.
+  the one wavefront over its longest; given a ``cutoff`` per row and
+  length it stops a row once every read the row has left is sure to
+  exceed its cutoff,
+* :func:`dtw_batch_pruned` — :func:`dtw_batch` under a cutoff: rows
+  whose LB_Keogh terms already exceed it are not computed, the rest stop
+  at the cutoff, and every distance above it reports ``inf``.
 """
 
 from __future__ import annotations
@@ -182,7 +184,13 @@ def dtw_distance_early_abandon(
 
 
 def dtw_batch(
-    query, candidates, rho: int | None = None, lengths=None, need=None
+    query,
+    candidates,
+    rho: int | None = None,
+    lengths=None,
+    need=None,
+    cutoff=None,
+    work: dict | None = None,
 ) -> np.ndarray:
     """Banded DTW between one query and many candidates, vectorised.
 
@@ -205,23 +213,33 @@ def dtw_batch(
     ``(e, e)`` is the DTW of the ``e``-suffixes, bit for bit what a call
     at length ``e`` returns.  A row's leading ``d - lengths[need[r] -
     1]`` points are never read.
+
+    ``cutoff`` (the result's shape, or one that broadcasts to it) lets
+    the kernel stop rows that cannot come within it: an entry whose
+    distance is ``<=`` its cutoff is returned bit-identical to the call
+    without one, any other is that same distance or ``inf``.  A NaN
+    cutoff never stops its row (see :func:`_wavefront_block`).  ``work``,
+    a dict, gets the launch's ``abandoned`` rows (stopped before their
+    last needed length) and ``cells_computed`` (band cells, each row's
+    own through the last length it read) added to its counts.
     """
-    out = _run(query, candidates, rho, lengths, need)
+    out = _run(query, candidates, rho, lengths, need, cutoff, work)
     return out[:, 0] if lengths is None else out
 
 
 def dtw_batch_pruned(
     query, candidates, rho: int | None, cutoff: float = _INF, lb_terms=None
 ) -> np.ndarray:
-    """:func:`dtw_batch` filtered by a cutoff: every distance ``<=
-    cutoff`` is returned bit-identical to :func:`dtw_batch`, every other
-    row reports ``inf``.
+    """:func:`dtw_batch` under a cutoff: every distance ``<= cutoff`` is
+    returned bit-identical to :func:`dtw_batch`, every other row reports
+    ``inf``.
 
     ``lb_terms`` (``(n, d)``, the pass-1 LB_Keogh terms
     :func:`~repro.dtw.lower_bounds.lb_improved_profile` returns) is an
     admissible pre-filter: a row whose terms sum to more than ``cutoff +
     ABANDON_SLACK`` cannot be within the cutoff and is not computed.
-    The rows that pass are computed in full.
+    The rows that pass run with ``cutoff`` as their own, so the kernel
+    stops those that leave it.
     """
     query, candidates = _checked_rows(query, candidates)
     rows = slice(None)
@@ -234,7 +252,8 @@ def dtw_batch_pruned(
             )
         rows = ~(lb_terms.sum(axis=1) > cutoff + ABANDON_SLACK)
     distances = dtw_batch(
-        query if query.ndim == 1 else query[rows], candidates[rows], rho
+        query if query.ndim == 1 else query[rows], candidates[rows], rho,
+        cutoff=cutoff,
     )
     out = np.full(candidates.shape[0], _INF)
     out[rows] = np.where(distances <= cutoff, distances, _INF)
@@ -279,12 +298,13 @@ def _checked_rows(query, candidates) -> tuple[np.ndarray, np.ndarray]:
     return query, candidates
 
 
-def _run(query, candidates, rho, lengths, need) -> np.ndarray:
+def _run(query, candidates, rho, lengths, need, cutoff, work) -> np.ndarray:
     """Validate, then run :func:`_wavefront_block` a block of rows at a
     time: the ``(n, len(lengths))`` distances."""
     query, candidates = _checked_rows(query, candidates)
     n, d = candidates.shape
-    lengths = (d,) if lengths is None else tuple(int(e) for e in lengths)
+    plain = lengths is None
+    lengths = (d,) if plain else tuple(int(e) for e in lengths)
     if not lengths or lengths[0] < 1 or any(
         a >= b for a, b in zip(lengths, lengths[1:])
     ):
@@ -298,6 +318,19 @@ def _run(query, candidates, rho, lengths, need) -> np.ndarray:
         raise ValueError(
             f"lengths a row needs must be at most its {d} points, got {lengths}"
         )
+    if cutoff is not None:
+        cutoff = np.asarray(cutoff, dtype=np.float64)
+    if cutoff is not None and cutoff.shape != (n, len(lengths)):
+        try:
+            cutoff = np.broadcast_to(
+                cutoff[:, None] if plain and cutoff.ndim == 1 else cutoff,
+                (n, len(lengths)),
+            )
+        except ValueError:
+            raise ValueError(
+                f"cutoff of shape {cutoff.shape} does not match the "
+                f"{(n,) if plain else (n, len(lengths))} distances"
+            ) from None
     if n == 0:
         return np.empty((0, len(lengths)))
     band = d if rho is None else int(rho)
@@ -311,15 +344,31 @@ def _run(query, candidates, rho, lengths, need) -> np.ndarray:
         need, candidates = need[order], candidates[order]
         if query.ndim == 2:
             query = query[order]
+        if cutoff is not None:
+            cutoff = cutoff[order]
     out = np.empty((n, len(lengths)))
+    done = np.empty(n, dtype=np.intp)
     for start in range(0, n, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
         queries = query if query.ndim == 1 else query[block]
-        out[block] = _wavefront_block(
-            queries, candidates[block], band, lengths, need[block]
+        out[block], done[block] = _wavefront_block(
+            queries, candidates[block], band, lengths, need[block],
+            None if cutoff is None else cutoff[block],
         )
     if order is not None:
         out[order] = out.copy()
+    if work is not None:
+        # A row that left after reading length l computed its own band
+        # through l; one stopped at the early check, the cells before it.
+        at_exit = [_cells_through(lengths[0], band)[lengths[0]]]
+        at_exit += [band_cells(e, band) for e in lengths]
+        gone = np.bincount(done, minlength=len(lengths) + 1)
+        work["abandoned"] = work.get("abandoned", 0) + int(
+            np.count_nonzero(done < need)
+        )
+        work["cells_computed"] = work.get("cells_computed", 0) + int(
+            np.dot(gone, at_exit)
+        )
     return out
 
 
@@ -356,14 +405,75 @@ def _band_geometry(d: int, band: int) -> tuple[tuple, ...]:
     return tuple(diagonals)
 
 
+@functools.lru_cache(maxsize=64)
+def _cells_through(d: int, band: int) -> np.ndarray:
+    """``[s]``: the band cells :func:`_wavefront_block` computes per row
+    on the anti-diagonals ``2 .. s`` of a ``d x d`` wavefront."""
+    through = np.zeros(2 * d + 1, dtype=np.int64)
+    for s, *_, span in _band_geometry(d, band):
+        through[s] = span.stop
+    return np.cumsum(through)
+
+
+#: What dropping rows costs and saves, in nanoseconds on one x86 core
+#: (NumPy, float64): one band cell of one row (the recurrence's five
+#: passes over it), one float of a kept row's state copied by ``take``,
+#: and a drop's gathers and bookkeeping whatever their size.
+_CELL_NS, _COPY_NS, _DROP_NS = 1.5, 1.0, 8000.0
+#: What the band cells a check puts at stake must be worth for it to be
+#: made.  A check (one reduction and its compares) costs about a drop's
+#: fixed price, so a check and the drop it leads to pay for themselves
+#: when an eighth of the cells at stake is saved: ``stake / 8 > 2 x
+#: _DROP_NS``.  A narrow launch (rho = 2, d <= 16) stakes under this
+#: even at ``BLOCK_ROWS`` rows and is never checked.
+_CHECK_NS = 16 * _DROP_NS
+
+
+def _checks(d, band, lengths, need) -> tuple[int, ...]:
+    """The diagonals at which :func:`_wavefront_block` checks a block of
+    rows needing ``need`` against their cutoffs: diagonal ``lengths[0]``
+    and the read points of the lengths some row reads past, each only if
+    the band cells its rows have left to compute there
+    (:func:`_cells_through`) are worth more than :data:`_CHECK_NS`."""
+    through = _cells_through(d, band)
+    if need.size * int(through[-1] - through[lengths[0]]) * _CELL_NS <= _CHECK_NS:
+        return ()  # not even with every row computing through the block
+    reads = 2 * np.asarray(lengths[: need[0]])
+    last, rows = through[reads], np.bincount(need, minlength=need[0] + 1)
+    checks = []
+    for at, s in enumerate([lengths[0], *reads[:-1].tolist()], start=-1):
+        # The rows past the check need more than at + 1 lengths.
+        stake = np.dot(rows[at + 2 :], last[at + 1 :] - through[s])
+        if stake * _CELL_NS > _CHECK_NS:
+            checks.append(s)
+    return tuple(checks)
+
+
+def _drop_pays(d, band, s, lengths, need, dead, dropped, copied) -> bool:
+    """Whether the ``dropped`` rows ``dead`` marks among rows needing
+    ``need``, dropped after diagonal ``s``, would still compute more band
+    cells (:func:`_cells_through`) than a drop costs with ``copied``
+    floats of kept state to copy.  Bounded first by every one computing
+    through the block's last diagonal, so a few dead rows are refused
+    without a gather."""
+    through = _cells_through(d, band)
+    price = copied * _COPY_NS + _DROP_NS
+    if dropped * int(through[-1] - through[s]) * _CELL_NS <= price:
+        return False
+    last = through[2 * np.asarray(lengths)[need[dead] - 1]]
+    return (int(last.sum()) - dropped * int(through[s])) * _CELL_NS > price
+
+
 def _wavefront_block(
     query: np.ndarray,
     candidates: np.ndarray,
     band: int,
     lengths: tuple[int, ...],
     need: np.ndarray,
-) -> np.ndarray:
-    """One block of the batched DP: the ``(n, len(lengths))`` distances.
+    cutoff: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One block of the batched DP: the ``(n, len(lengths))`` distances
+    and, per row, how many lengths it read before it left the state.
 
     The DP is end-anchored: DP row ``i`` is the query's ``i``-th point
     from the end, column ``j`` the candidate's, so cell ``(e, e)`` is the
@@ -389,11 +499,31 @@ def _wavefront_block(
     broadcast) or ``(d, n)`` (candidate ``c``'s own in column ``c``).
 
     Rows arrive sorted by ``need``, longest first, so the rows still in
-    the state are always the block's first ``m``.  Diagonal ``2 *
-    lengths[l]`` holds cell ``(lengths[l], lengths[l])``: it is read for
-    those rows, then the rows that need no longer suffix — the state's
-    tail — are dropped by one copy.  The wavefront spans only the
-    block's longest needed suffix.
+    the state stay in that order.  Diagonal ``2 * lengths[l]`` holds cell
+    ``(lengths[l], lengths[l])``: it is read for those rows, then the
+    rows that need no longer suffix — the state's tail — are dropped by
+    one copy.  The wavefront spans only the block's longest needed
+    suffix.
+
+    With ``cutoff`` (``(n, len(lengths))``) every row is also checked at
+    those read points, after its read, and once before the first, at
+    diagonal ``lengths[0]`` — at each only if the band cells the rows
+    have left there are worth a check (:func:`_checks`).  The least value of the state (both planes:
+    the last two diagonals, and older slots, which only lower it) bounds
+    every cell a row has yet to compute from below, since ``gamma``
+    never decreases along a warping path: a cell is a predecessor plus a
+    square, and a float sum with a non-negative term is never below the
+    other term.  A row whose bound exceeds ``ahead`` — the largest cutoff
+    among the lengths it still reads — comes within none of them and may
+    leave.  The test is ``~(bound > cut)``, so a NaN keeps the row.
+    Leaving is a ``take`` of the live columns of each state array (it
+    stays C-contiguous; a boolean index on the last axis does not), so
+    dead rows go only when the slab cells they would still compute cost
+    more than the drop: its gathers, and copying the rest unless the
+    finished tail is copied out anyway (:func:`_drop_pays`).  Until then
+    they compute on and read their exact distances.  A narrow launch, a
+    few cells a diagonal, stakes too little to be checked: it reads its
+    cutoffs and copies nothing.
     """
     n = candidates.shape[0]
     d = lengths[need[0] - 1]  # the block's longest suffix
@@ -408,27 +538,67 @@ def _wavefront_block(
     buf[zero] = 0.0  # gamma(0, 0)
     cost = np.empty((min(d, band + 1), n))
     out = np.full((n, len(lengths)), _INF)
-    reads = {2 * e: at for at, e in enumerate(lengths[: need[0]])}
-    m = n  # rows in the state
+    points = {2 * e: at for at, e in enumerate(lengths[: need[0]])}
+    m, rows, done = n, slice(n), need  # rows: the state's, in block order
+    checks = () if cutoff is None else _checks(d, band, lengths, need)
+    if checks:
+        # ahead[l, r]: the largest cutoff among the lengths l.. that row r
+        # reads; the rows reading length l + 1 are a prefix.
+        ahead = np.array(cutoff.T)
+        for l in range(need[0] - 2, -1, -1):
+            on = ahead[:, : int(np.count_nonzero(need > l + 1))]
+            np.maximum(on[l], on[l + 1], out=on[l])
+        per_row = buf[..., 0].size + cand.shape[0] + (
+            qrows.shape[0] if qrows.shape[1] > 1 else 0
+        )
+        if checks[0] == lengths[0]:
+            points[lengths[0]] = -1  # the early check
 
-    for s, target, left, up, rows, cols, span in _band_geometry(d, band):
+    for s, target, left, up, qs, cs, span in _band_geometry(d, band):
         slab = buf[target]
         np.minimum(slab, buf[left], out=slab)
         np.minimum(slab, buf[up], out=slab)
         step = cost[span]
-        np.subtract(qrows[rows], cand[cols], out=step)
+        np.subtract(qrows[qs], cand[cs], out=step)
         np.square(step, out=step)
         np.add(step, slab, out=slab)
-        if s in reads:
-            # Cell (e, e): the DTW of every remaining row's e-suffixes.
-            at = reads[s]
-            out[:m, at] = buf[zero]
-            keep = int(np.count_nonzero(need[:m] > at + 1))
-            if 0 < keep < m:
+        if s in points:
+            at = points[s]
+            if at >= 0:  # cell (e, e): the DTW of every remaining row's e-suffixes
+                out[rows, at] = buf[zero]
+            keep = m if at < 0 else int(np.count_nonzero(need[rows] > at + 1))
+            if not keep:  # every row is done
+                break
+            dead = None
+            if s in checks:
+                bound = np.minimum.reduce(buf.reshape(-1, m)[:, :keep], axis=0)
+                dead = bound > ahead[at + 1, rows][:keep]
+                dropped = int(np.count_nonzero(dead))
+                if not dropped or dropped < keep and not _drop_pays(
+                    d, band, s, lengths, need[rows][:keep], dead, dropped,
+                    0 if keep < m else (keep - dropped) * per_row,
+                ):
+                    dead = None
+            if dead is not None:
+                ids = np.arange(m) if isinstance(rows, slice) else rows
+                if done is need:
+                    done = need.copy()
+                done[ids[:keep][dead]] = at + 1
+                taken = np.flatnonzero(~dead)
+                rows, m = ids[taken], taken.size
+                if not m:  # every row is dead
+                    break
+                buf = np.take(buf, taken, axis=2)
+                cand = np.take(cand, taken, axis=1)
+                if qrows.shape[1] > 1:
+                    qrows = np.take(qrows, taken, axis=1)
+                cost = np.empty((cost.shape[0], m))
+            elif keep < m:
                 buf = buf[:, :, :keep].copy()
                 cand = cand[:, :keep].copy()
                 if qrows.shape[1] > 1:
                     qrows = qrows[:, :keep].copy()
                 cost = np.empty((cost.shape[0], keep))
+                rows = slice(keep) if isinstance(rows, slice) else rows[:keep]
                 m = keep
-    return out
+    return out, done

@@ -143,13 +143,16 @@ class FaultInjectingBackend:
         rho: int,
         lengths=None,
         need=None,
+        cutoff=None,
     ) -> np.ndarray:
         """Banded DTW (one query or one per candidate, one length or
-        many — one operation either way), possibly failing or
-        NaN-corrupted per the profile."""
+        many, with or without a cutoff — one operation either way),
+        possibly failing or NaN-corrupted per the profile."""
         with self._lock:
             tick = self._kernel_preamble("dtw_verification")
-            out = self.inner.dtw_verification(query, candidates, rho, lengths, need)
+            out = self.inner.dtw_verification(
+                query, candidates, rho, lengths, need, cutoff
+            )
             return self._maybe_corrupt("dtw_verification", tick, out)
 
     def full_dtw(self, query: np.ndarray, candidates: np.ndarray) -> np.ndarray:

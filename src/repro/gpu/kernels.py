@@ -52,18 +52,26 @@ def dtw_verification_kernel(
     rho: int,
     lengths=None,
     need=None,
+    cutoff=None,
+    work=None,
 ) -> np.ndarray:
     """Banded DTW of many candidates against one query, or against one
     query each — a launch fused across sensors (Algorithm 2); with
-    ``lengths``, every suffix DTW a row needs (see
-    :func:`~repro.dtw.distance.dtw_batch`).
+    ``lengths``, every suffix DTW a row needs, with ``cutoff`` rows
+    stopped once they cannot come within it (see
+    :func:`~repro.dtw.distance.dtw_batch`, which adds to ``work``).
 
     One thread per candidate; the compressed ``2 x (2*rho + 2)`` warping
     matrix fits in shared memory, so no global-memory penalty applies.
     A thread computes the band through its longest needed suffix; the
     launch is charged at its slowest thread — the band cells through the
     launch's longest suffix, ``band_cells(d, rho)`` — the count
-    :meth:`GpuCostModel.launch` asks for.
+    :meth:`GpuCostModel.launch` asks for.  A cutoff leaves the charge as
+    it is: a thread that stops idles until its block's slowest survivor
+    finishes, and whether some thread of a block runs the whole band
+    depends on the data, so the charge keeps that worst case — and the
+    simulated ledger stays a function of the launch's shape, not of
+    where its rows were stopped.
     """
     n, d = candidates.shape
     if lengths is not None:
@@ -75,7 +83,7 @@ def dtw_verification_kernel(
         ops_per_thread=band_cells(d, rho) * OPS_PER_DTW_CELL,
         threads_per_block=THREADS_PER_BLOCK,
     )
-    return dtw_batch(query, candidates, rho, lengths, need)
+    return dtw_batch(query, candidates, rho, lengths, need, cutoff, work)
 
 
 def full_dtw_kernel(

@@ -65,16 +65,20 @@ not a loop over lengths or members:
   at that length (fewer than ``k``: ``ValueError``); both filter tiers
   as compares over ``(length, engine, start)``, a row's padding past its
   ``n`` never a candidate; one ``search_lb_kim`` launch per length;
-* **(D)** one ``dtw_verification`` over the survivors (B) did not read;
-* **(E)** one verified pool ordered by ``(length, engine, start)``, one
-  segmented k-selection; the answers stay stacked (:class:`LaneAnswers`),
-  a :class:`SuffixKnnAnswer` built only when read.
+* **(D)** one ``dtw_verification`` over the survivors (B) did not read,
+  each row cut off at its engine's gate ``tau_i * (1 +
+  FILTER_REL_SLACK)``: the kernel stops a row once every read it has
+  left lies above it;
+* **(E)** one pool of the reads within the gate, ordered by ``(length,
+  engine, start)``, one segmented k-selection; the answers stay stacked
+  (:class:`LaneAnswers`), a :class:`SuffixKnnAnswer` built only when
+  read.
 
 Every distance is a function of its own row alone, so each engine's
 answer is the one it gets alone; :meth:`SuffixKnnEngine.search` *is* a
 group of one.  Reading a candidate at a length no filter asked for is
 free and harmless: it can only lower ``tau_i``, and the pool still holds
-every candidate whose DTW is at most ``tau_i``.
+every candidate whose DTW is at most ``tau_i`` — the ones (D) cannot stop.
 ``docs/search_engine.md`` has the reasons.
 """
 
@@ -484,17 +488,23 @@ def _search_lane(
     padded = np.empty((size, reach + series.shape[1]))
     padded[:, :reach], padded[:, reach:] = series[:, :1], series
 
-    def verify(need: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def verify(
+        need: np.ndarray, gate: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One ``dtw_verification`` launch over the ``(engine, end)`` keys
         ``need`` marks with how many lengths, shortest first, each is
         wanted at, rows longest first (the kernel drops finished rows as
-        a tail).  Returns ``(keys, distances[keys, lengths])``, ``inf``
-        past a key's count."""
+        a tail).  With ``gate`` (``(length, engine)``) a row's cutoff is
+        its engine's gate at each length: the kernel may stop a row whose
+        reads all lie above it.  Returns ``(keys, distances[keys,
+        lengths])``, ``inf`` past a key's count or where the row was
+        stopped."""
         keys = np.flatnonzero(need != 0)
         count = need[keys]
         order = np.argsort(-count, kind="stable")
         member, end = np.divmod(keys[order], ends)
         count = count[order]
+        cutoff = None if gate is None else gate[:, member].T
         longest = lengths[count[0] - 1] if keys.size else lengths[0]
         # windows[i, t] is padded[i, t : t + longest]: sliding_window_view
         # without its per-call Python (the constructor checks the bounds).
@@ -505,7 +515,7 @@ def _search_lane(
         found = backend.dtw_verification(
             master[member, queried - longest :],
             windows[member, end + (reach - longest)], cfg.rho,
-            tuple(lengths), count,
+            tuple(lengths), count, cutoff,
         )
         by_key = np.empty_like(found)
         by_key[order] = found
@@ -549,14 +559,16 @@ def _search_lane(
                 f"fewer than k finite seed distances for item length "
                 f"{lengths[at]}: no threshold to filter against"
             )
-        gate = (tau * (1.0 + FILTER_REL_SLACK))[..., None]
+        gate = tau * (1.0 + FILTER_REL_SLACK)
         # Columns at or beyond a row's own n hold the stack's padding (or
         # starts whose target is unobserved) and pass no tier.
         valid = np.arange(width) < n[..., None]
         # Tier 1: the precomputed window/group envelope bound.
         alive = np.zeros((depth, size, width), dtype=bool)
         for at, rows in enumerate(bound):
-            np.less_equal(rows, gate[at], out=alive[at, :, : rows.shape[1]])
+            np.less_equal(
+                rows, gate[at, :, None], out=alive[at, :, : rows.shape[1]]
+            )
         after_kim = n
         if cfg.lb_kim:
             # Tier 0: LB_Kim, two series touches per candidate, with
@@ -568,7 +580,7 @@ def _search_lane(
             kim *= kim
             for at, (d, w) in enumerate(zip(lengths, widths)):
                 kim[at, :, :w] += tails[:, d - 1 : d - 1 + w]
-            kim = kim <= gate
+            kim = kim <= gate[..., None]
             kim &= valid
             after_kim = kim.sum(axis=2, dtype=np.int32)
             alive &= kim
@@ -583,27 +595,31 @@ def _search_lane(
             minlength=depth * size,
         ).reshape(depth, size)
         # (D) One launch verifies every length's survivors, but what the
-        # first launch already read at that length.
+        # first launch already read at that length, cut off at the gate.
         survivors = np.zeros_like(seeded)
         done, wanted = seeded.reshape(size, ends), survivors.reshape(size, ends)
         for at, (d, w) in enumerate(zip(lengths, widths)):
             wanted[:, d : d + w][alive[at, :, :w] & (done[:, d : d + w] <= at)] = (
                 at + 1
             )
-        second = verify(survivors)
+        second = verify(survivors, gate)
         if sp is not None:
             sp.attrs["item_lengths"] = depth
             sp.attrs["verified"] = first[0].size + second[0].size
 
     # (E) One pool per (length, engine): every finite distance either
-    # launch read there, the first's kept (a read no tier asked for has
-    # DTW > tau_i: it cannot displace an answer); an injected NaN is
-    # dropped.  Ordered by (length, engine, start), k-selection's stable
-    # ties resolve by smallest start, as the reference full scan's do.
+    # launch read there within the gate, the first's kept.  Every answer
+    # lies within it (DTW <= tau_i), a read above it is never picked, and
+    # which of those (D) stopped early changes nothing; an injected NaN
+    # is dropped.  Ordered by (length, engine, start), k-selection's
+    # stable ties resolve by smallest start, as the reference full
+    # scan's do.
     place, pool = [], []
     for (keys, found), fresh in ((first, 0), (second, seeded[second[0]])):
+        reads = found.T
         at, row = np.nonzero(
-            np.isfinite(found.T) & (np.arange(depth)[:, None] >= fresh)
+            (reads <= gate[:, keys // ends]) & np.isfinite(reads)
+            & (np.arange(depth)[:, None] >= fresh)
         )
         place.append(at * (size * ends) + keys[row])
         pool.append(found[row, at])

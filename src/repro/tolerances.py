@@ -2,7 +2,9 @@
 search rests on and the floors the serving path clamps with.  Every name
 here is public; each comment names the inequality guarded and [its test]."""
 
-FILTER_REL_SLACK = 1e-12  #: lb <= tau * (1 + slack) keeps ties [test_search_ties]
+#: lb <= tau * (1 + slack) keeps ties; the same gate cuts off the survivor
+#: launch's rows and bounds the pool [test_search_ties]
+FILTER_REL_SLACK = 1e-12
 ABANDON_SLACK = 1e-9  #: lb_terms sum <= cutoff + slack is run [test_search_cascade]
 STD_FLOOR = 1e-12  #: std >= floor for a constant stream [test_timeseries_series]
 NAIVE_VARIANCE = 1e-8  #: naive rung's variance > 0 on a flat tail [test_resilience]

@@ -237,11 +237,20 @@ class TestProfileRound:
         # How much reached the kernel, on the row whose wall it explains:
         # rows, band cells and anti-diagonals per round (rho=2: a row read
         # up to d=8 computes 8*5 - 2*3 = 34 cells, up to d=16 74; a launch
-        # of under 1024 rows is one block, 2*8 - 1 or 2*16 - 1 diagonals).
+        # of under 1024 rows is one block, 2*8 - 1 or 2*16 - 1 diagonals),
+        # then the cells computed and the rows abandoned under the
+        # survivor launch's cutoff: fewer cells exactly when a row was.
         header = done.stdout.splitlines()[1].split()
-        assert header[-3:] == ["rows/round", "cells/round", "diagonals/round"]
-        verified, cells, diagonals = map(float, rows["dtw_verification"][-3:])
-        assert len(rows["dtw_verification"]) == 7 and len(rows["k_select"]) == 5
+        assert header[-5:] == [
+            "rows/round", "cells/round", "diagonals/round", "computed/round",
+            "abandoned/round",
+        ]
+        verified, cells, diagonals, computed, abandoned = map(
+            float, rows["dtw_verification"][-5:]
+        )
+        assert len(rows["dtw_verification"]) == 9 and len(rows["k_select"]) == 5
+        assert 0.0 <= abandoned <= verified and computed <= cells
+        assert (abandoned == 0.0) == (computed == cells)
         launches = float(rows["dtw_verification"][2])
         assert 15 * launches <= diagonals <= 31 * launches
         # Eight sensors in one lane, two item lengths: one selection a

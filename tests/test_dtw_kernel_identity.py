@@ -9,10 +9,14 @@ row's shorter suffixes out of the wavefront over its longest —
 the oracle.  The oracles here are written out cell by cell and share no
 code with the kernel.
 
-``dtw_batch_pruned`` is a filter over ``dtw_batch``: every distance at or
-below the cutoff is ``dtw_batch``'s to the byte, every other row ``inf``,
-and a row whose ``lb_terms`` already exceed the cutoff never reaches the
-kernel (:class:`TestPrunedContract`).
+``dtw_batch``'s ``cutoff`` (one per row and length) lets the kernel stop
+rows that cannot come within it: an entry within its cutoff is the uncut
+call's to the bit, any other ``inf`` or the same (:class:`TestRowCutoffs`,
+where the compaction prices are patched so every dead row is dropped).
+``dtw_batch_pruned`` runs the rows its ``lb_terms`` do not rule out under
+its cutoff: every distance at or below it is ``dtw_batch``'s to the byte,
+every other row ``inf``, and a row whose ``lb_terms`` already exceed the
+cutoff never reaches the kernel (:class:`TestPrunedContract`).
 
 :class:`TestBandOffsetLayout` replays every path against the previous
 kernel — three rotating ``(d + 2, n)`` diagonals indexed by row — kept
@@ -20,12 +24,13 @@ below with its geometry and driven through its own blocks: distances and
 NaN positions must be the same bytes.
 """
 
+import contextlib
 import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.dtw import (
@@ -224,6 +229,35 @@ class TestPrunedContract:
         assert same_bits(got[within], exact[within])
         assert (got[computed & ~within] == np.inf).all()
 
+    def test_the_rows_that_pass_run_under_the_cutoff(self):
+        """One abandon mechanism: the rows the terms let through reach
+        the kernel with the scalar cutoff as their own, and far rows
+        among them are stopped there (``work``) — the answer unchanged."""
+        rng = np.random.default_rng(10)
+        n, d, cutoff = 2 * BLOCK + 1, 14, 6.0
+        query = rng.normal(size=d)
+        candidates = query + rng.normal(size=(n, d)) * 0.3
+        candidates[::2, -1] += 9.0  # past the cutoff in every path's first cell
+        seen = []
+
+        def spy(q, c, *args, **kw):
+            seen.append(kw.get("cutoff"))
+            return dtw_batch(q, c, *args, **kw)
+
+        with mock.patch.object(distance_module, "dtw_batch", spy):
+            got = dtw_batch_pruned(query, candidates, 2, cutoff=cutoff)
+        assert seen == [cutoff]
+        exact = dtw_batch(query, candidates, 2)
+        within = exact <= cutoff
+        assert within[1::2].all() and not within[::2].any()
+        assert same_bits(got[within], exact[within])
+        assert (got[~within] == np.inf).all()
+        work = {}
+        with prices("always"):
+            again = dtw_batch_pruned(query, candidates, 2, cutoff=cutoff)
+            dtw_batch(query, candidates, 2, cutoff=cutoff, work=work)
+        assert same_bits(again, got) and work["abandoned"] == (n + 1) // 2
+
     def test_every_row_ruled_out_computes_none(self):
         rng = np.random.default_rng(9)
         query, candidates = rng.normal(size=6), rng.normal(size=(BLOCK, 6))
@@ -418,6 +452,218 @@ class TestSuffixReadOut:
             with pytest.raises(ValueError, match="need"):
                 dtw_batch(query, candidates, 2, lengths=(3, 6), need=need)
 
+
+
+#: Prices under which every block is checked and every row found dead is
+#: dropped at once, so the property below runs the take path on shapes
+#: too small to pay for it.
+ALWAYS_DROP = {"_CELL_NS": 1.0, "_COPY_NS": 0.0, "_DROP_NS": 0.0, "_CHECK_NS": 0.0}
+
+
+def prices(kind):
+    """The compaction rule's prices: as shipped, or always dropping."""
+    if kind == "shipped":
+        return contextlib.nullcontext()
+    return mock.patch.multiple(distance_module, **ALWAYS_DROP)
+
+
+def draw_cutoffs(data, uncut):
+    """One cutoff per entry of ``uncut``: NaN, the entry's own distance
+    (kept: it is ``<=`` itself), 0, a subnormal, +inf, one ulp below the
+    entry, half of it, or the launch's median finite distance."""
+    finite = uncut[np.isfinite(uncut)]
+    median = float(np.median(finite)) if finite.size else 1.0
+    picks = np.array(data.draw(st.lists(
+        st.integers(0, 7), min_size=uncut.size, max_size=uncut.size
+    ))).reshape(uncut.shape)
+    with np.errstate(invalid="ignore"):
+        palette = [
+            np.full_like(uncut, np.nan), uncut, np.zeros_like(uncut),
+            np.full_like(uncut, 5e-324), np.full_like(uncut, np.inf),
+            np.nextafter(uncut, -np.inf), uncut / 2, np.full_like(uncut, median),
+        ]
+    return np.choose(picks, palette)
+
+
+def assert_cutoff_contract(got, uncut, cutoff, need):
+    """Within its cutoff an entry is the uncut call's, to the bit; any
+    other is ``inf`` or that same value; past a row's need, ``inf``."""
+    within = uncut <= cutoff
+    assert [x.hex() for x in got[within].tolist()] == [
+        x.hex() for x in uncut[within].tolist()
+    ]
+    same = got.view(np.int64) == uncut.view(np.int64)
+    assert ((got == np.inf) | same)[~within].all()
+    past = np.arange(uncut.shape[1]) >= need[:, None]
+    assert (got[past] == np.inf).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestRowCutoffs:
+    """``cutoff``: one per row and length; the kernel may stop a row once
+    every read it has left is sure to lie above its cutoff, at the read
+    points and one early diagonal (``_wavefront_block``)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        d=st.integers(1, 30),
+        n=st.sampled_from([1, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["shipped", "always"]),
+    )
+    def test_an_entry_within_its_cutoff_is_the_uncut_bits(
+        self, data, d, n, seed, kind
+    ):
+        rng = np.random.default_rng(seed)
+        rho = draw_rho(data, d)
+        query, candidates = draw_rows(data, rng, n, d)
+        lengths = sorted(data.draw(
+            st.sets(st.integers(1, d), min_size=1, max_size=4)
+        ))
+        need = rng.integers(1, len(lengths) + 1, size=n)
+        uncut = dtw_batch(query, candidates, rho, lengths=lengths, need=need)
+        cutoff = draw_cutoffs(data, uncut)
+        work = {}
+        with prices(kind):
+            got = dtw_batch(
+                query, candidates, rho, lengths=lengths, need=need,
+                cutoff=cutoff, work=work,
+            )
+        assert_cutoff_contract(got, uncut, cutoff, need)
+        assert 0 <= work["abandoned"] <= n
+        event(f"{kind}: rows abandoned {work['abandoned'] > 0}")
+
+    def test_rows_are_stopped_at_the_early_check_and_the_read_points(self):
+        """Rows far in their last points leave at the early check, before
+        any read; rows far only inside the 12-suffix leave after their
+        12 read; every kept read is exact — in blocks of ``BLOCK`` rows.
+        As shipped, a launch this small puts too few cells at stake to be
+        checked at all: it answers the uncut call's bits."""
+        rng = np.random.default_rng(31)
+        n, d, rho, lengths = 3 * BLOCK + 2, 24, 3, (6, 12, 24)
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d)) * 0.1
+        candidates[::3, -2:] += 30.0  # in every path's first cell
+        candidates[1::3, 13:17] += 30.0  # points 8..11 from the end
+        need = np.full(n, 3)
+        uncut = dtw_batch(queries, candidates, rho, lengths=lengths, need=need)
+        cutoff = np.full_like(uncut, float(np.median(uncut[2::3])) * 4)
+        assert (uncut[::3] > cutoff[::3]).all() and (uncut[2::3] <= cutoff[2::3]).all()
+        assert (uncut[1::3, 0] <= cutoff[1::3, 0]).all()
+        assert (uncut[1::3, 1:] > cutoff[1::3, 1:]).all()
+        whole = n * band_cells(d, rho)
+        for kind in ("always", "shipped"):
+            work = {}
+            with prices(kind):
+                got = dtw_batch(
+                    queries, candidates, rho, lengths=lengths, need=need,
+                    cutoff=cutoff, work=work,
+                )
+            assert_cutoff_contract(got, uncut, cutoff, need)
+            if kind == "shipped":
+                assert same_bits(got, uncut)
+                assert work == {"abandoned": 0, "cells_computed": whole}
+                continue
+            assert np.isinf(got[::3]).all()
+            assert same_bits(got[1::3, :2], uncut[1::3, :2])
+            assert np.isinf(got[1::3, 2]).all()
+            assert same_bits(got[2::3], uncut[2::3])
+            early = int(distance_module._cells_through(6, rho)[6])
+            assert work == {
+                "abandoned": 12,
+                "cells_computed": 6 * early + 6 * band_cells(12, rho)
+                + 5 * band_cells(24, rho),
+            }
+
+    def test_only_blocks_with_enough_cells_at_stake_are_checked(self):
+        """A check is made where the band cells its rows have left are
+        worth ``_CHECK_NS``: never on a narrow block (rho = 2, d = 16,
+        even at 1024 rows), at the early check and both inner read
+        points of a block shaped like ``deep-search``'s survivor launch,
+        and only before the one read when every row needs one length."""
+        checks = distance_module._checks
+        assert checks(16, 2, (8, 16), np.full(1024, 2)) == ()
+        assert checks(96, 24, (32, 64, 96), np.full(300, 3)) == (32, 64, 128)
+        assert checks(32, 24, (32, 64, 96), np.full(300, 1)) == (32,)
+        assert checks(96, 24, (32, 64, 96), np.full(2, 3)) == ()
+
+    def test_all_rows_stopped_ends_the_block(self):
+        """Every row of a block dead at a check: the block stops there,
+        whatever a copy would cost (every block checked, drops priced as
+        shipped)."""
+        rng = np.random.default_rng(32)
+        query = rng.normal(size=20)
+        candidates = 40.0 + rng.normal(size=(2 * BLOCK, 20))
+        work = {}
+        with mock.patch.object(distance_module, "_CHECK_NS", 0.0):
+            got = dtw_batch(query, candidates, 2, cutoff=1.0, work=work)
+        assert (got == np.inf).all()
+        # Stopped at the early check, diagonal 20 of 40.
+        early = int(distance_module._cells_through(20, 2)[20])
+        assert work == {"abandoned": 2 * BLOCK, "cells_computed": 2 * BLOCK * early}
+
+    def test_a_nan_cutoff_keeps_its_row(self):
+        """``~(bound > cut)``: a NaN cutoff never stops its row, beside
+        cutoffs that stop every other, and a row whose state is NaN is
+        never stopped either."""
+        rng = np.random.default_rng(33)
+        n, d = BLOCK + 2, 16
+        queries = rng.normal(size=(n, d))
+        candidates = queries + 20.0
+        candidates[3, -1] = np.nan
+        uncut = dtw_batch(queries, candidates, 2, lengths=(8, 16))
+        cutoff = np.zeros_like(uncut)
+        cutoff[1, 1] = np.nan
+        with prices("always"):
+            got = dtw_batch(queries, candidates, 2, lengths=(8, 16), cutoff=cutoff)
+        assert same_bits(got[[1, 3]], uncut[[1, 3]]) and np.isnan(got[3]).all()
+        rest = np.setdiff1d(np.arange(n), [1, 3])
+        assert (got[rest] == np.inf).all()
+
+    def test_a_cutoff_equal_to_the_distance_keeps_every_read(self):
+        rng = np.random.default_rng(34)
+        n, d = 2 * BLOCK + 1, 18
+        queries = rng.normal(size=(n, d)).cumsum(axis=1)
+        candidates = queries + rng.normal(size=(n, d))
+        need = rng.integers(1, 4, size=n)
+        uncut = dtw_batch(queries, candidates, 4, lengths=(5, 11, 18), need=need)
+        for cutoff in (uncut, np.nextafter(uncut, -np.inf)):
+            with prices("always"):
+                got = dtw_batch(
+                    queries, candidates, 4, lengths=(5, 11, 18), need=need,
+                    cutoff=cutoff,
+                )
+            assert_cutoff_contract(got, uncut, cutoff, need)
+        assert same_bits(
+            dtw_batch(
+                queries, candidates, 4, lengths=(5, 11, 18), need=need,
+                cutoff=uncut,
+            ),
+            uncut,
+        )
+
+    def test_a_cutoff_of_another_shape_is_refused(self):
+        query, candidates = np.zeros(6), np.zeros((3, 6))
+        with pytest.raises(ValueError, match="cutoff"):
+            dtw_batch(query, candidates, 2, lengths=(3, 6), cutoff=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="cutoff"):
+            dtw_batch(query, candidates, 2, cutoff=np.zeros(2))
+        np.testing.assert_array_equal(
+            dtw_batch(query, candidates, 2, cutoff=np.zeros(3)),
+            dtw_batch(query, candidates, 2, cutoff=0.0),
+        )
+        # Nested lists of the full shape are taken like an array.
+        np.testing.assert_array_equal(
+            dtw_batch(
+                query, candidates, 2, lengths=(3, 6), need=[1, 2, 1],
+                cutoff=[[0.0, 0.0]] * 3,
+            ),
+            dtw_batch(
+                query, candidates, 2, lengths=(3, 6), need=[1, 2, 1],
+                cutoff=np.zeros((3, 2)),
+            ),
+        )
 
 
 # ------------------------------------------------------------------ oracle

@@ -8,7 +8,9 @@ selection.  The oracle here writes the same pass per member and per
 length with Python sets and dicts (``oracle_search_many``,
 ``_verify_rows``): answers, counts, simulated seconds, launches and the
 seeds remembered for the next tick must equal it bit for bit, whatever
-shares the lane.
+shares the lane.  The oracle verifies without cutoffs and pools only the
+reads within each row's gate ``tau_i * (1 + FILTER_REL_SLACK)``: the
+reads the survivor launch's cutoff must leave exact.
 
 The oracle chooses its threshold seeds itself (``_seed_starts`` below,
 start by start): the previous kNN *and their successors*, and ``tau_i``
@@ -110,7 +112,7 @@ def oracle_search_many(engines):
                     raise ValueError(
                         f"fewer than k finite seed distances (d={d})"
                     )
-                gate = trusted[k - 1] * (1.0 + FILTER_REL_SLACK)
+                gate = item.gate = trusted[k - 1] * (1.0 + FILTER_REL_SLACK)
                 # Tier 1: the precomputed window/group envelope bound.
                 alive = item.bound <= gate
                 after_kim = item.n
@@ -143,7 +145,7 @@ def oracle_search_many(engines):
         second = _verify_rows(backend, cfg, engines, lengths, survivors)
 
     # (E) Per (length, member): every finite distance read at the
-    # length, by start; one segmented k-selection.
+    # length within the gate, by start; one segmented k-selection.
     pools = []
     for at, d in enumerate(lengths):
         for i, items in enumerate(members):
@@ -156,7 +158,7 @@ def oracle_search_many(engines):
             pool = {
                 start: distance
                 for start, distance in {**item.first, **again}.items()
-                if np.isfinite(distance)
+                if np.isfinite(distance) and distance <= item.gate
             }
             starts = np.array(sorted(pool), dtype=np.intp)
             pools.append((starts, np.array([pool[s] for s in starts.tolist()])))
@@ -217,6 +219,9 @@ class _Item:
     n: int
     bound: np.ndarray
     seeds: set = None
+    #: ``tau_i * (1 + FILTER_REL_SLACK)``: what the tiers keep and the
+    #: pool holds.
+    gate: float = None
     #: ``{start: distance}`` the seed launch read at this length.
     first: dict = None
     #: The seeds and every survivor of the tiers: what it verified.
@@ -801,9 +806,11 @@ def poisoned_backend(backend_name):
     class Poisoned(type(make_backend(backend_name))):
         poison = ()
 
-        def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+        def _run_dtw_verification(
+            self, query, candidates, rho, lengths, need, cutoff, work
+        ):
             out = np.array(super()._run_dtw_verification(
-                query, candidates, rho, lengths, need
+                query, candidates, rho, lengths, need, cutoff, work
             ))
             out[list(self.poison)] = np.nan
             self.poison = ()
@@ -870,9 +877,11 @@ def row_poisoning_backend(backend_name):
     class RowPoisoning(type(make_backend(backend_name))):
         target, read_to = None, None
 
-        def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+        def _run_dtw_verification(
+            self, query, candidates, rho, lengths, need, cutoff, work
+        ):
             out = np.array(super()._run_dtw_verification(
-                query, candidates, rho, lengths, need
+                query, candidates, rho, lengths, need, cutoff, work
             ))
             if self.target is not None and lengths is not None:
                 q, c = self.target
@@ -970,9 +979,13 @@ class _RowCountingBackend(type(make_backend("native"))):
 
     rows = 0
 
-    def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+    def _run_dtw_verification(
+        self, query, candidates, rho, lengths, need, cutoff, work
+    ):
         self.rows += candidates.shape[0]
-        return super()._run_dtw_verification(query, candidates, rho, lengths, need)
+        return super()._run_dtw_verification(
+            query, candidates, rho, lengths, need, cutoff, work
+        )
 
 
 class TestVerifiedRowsCounter:
@@ -1021,10 +1034,63 @@ class TestVerifiedRowsCounter:
         assert backend.rows <= 0.65 * parent_rows
 
 
+class _UncutBackend(type(make_backend("native"))):
+    """Runs every verification launch without its cutoff."""
+
+    def _run_dtw_verification(
+        self, query, candidates, rho, lengths, need, cutoff, work
+    ):
+        return super()._run_dtw_verification(
+            query, candidates, rho, lengths, need, None, work
+        )
+
+
+class TestSurvivorLaunchCutoff:
+    def test_a_deep_search_lane_abandons_survivors_and_answers_the_same(self):
+        """Two ``deep-search``-shaped engines (rho=24, omega=16, paper
+        item lengths and k), a cold search and two warm ones: the seed
+        launch has no cutoff (``abandoned == 0``, ``cells_computed ==
+        cells``); the survivor launch stops rows its gate rules out
+        (``abandoned > 0``, ``cells_computed < cells``); and the answers
+        are those of the same lane run without cutoffs, to the bit."""
+        streams = _deep_search_streams(2015, history=4000, ticks=2)
+        cfg = SuffixSearchConfig(rho=24, omega=16)
+        lanes = [
+            [SuffixKnnEngine(stream[:4000], cfg, backend=backend)
+             for stream in streams]
+            for backend in (make_backend("native"), _UncutBackend())
+        ]
+        for tick in range(3):
+            if tick:
+                for engines in lanes:
+                    step_many(
+                        [engine.window_index for engine in engines],
+                        streams[:, 3999 + tick],
+                    )
+            obs.enable()
+            try:
+                with obs.span("round") as root:
+                    cut = search_many(lanes[0])
+            finally:
+                obs.disable()
+                obs.reset()
+            uncut = search_many(lanes[1])
+            assert_answers_equal(cut, uncut, f"tick {tick}")
+            seeds, survivors = (
+                span.attrs for span in root.find_all("dtw_verification")
+            )
+            assert seeds["abandoned"] == 0
+            assert seeds["cells_computed"] == seeds["cells"]
+            assert 0 < survivors["abandoned"] < survivors["rows"], tick
+            assert survivors["cells_computed"] < survivors["cells"], tick
+
+
 class _AllNanBackend(type(make_backend("native"))):
     """Every verified distance comes back NaN."""
 
-    def _run_dtw_verification(self, query, candidates, rho, lengths, need):
+    def _run_dtw_verification(
+        self, query, candidates, rho, lengths, need, cutoff, work
+    ):
         rows = candidates.shape[0]
         return np.full(rows if lengths is None else (rows, len(lengths)), np.nan)
 

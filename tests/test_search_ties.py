@@ -19,10 +19,14 @@ Each history here is a random walk with planted copies of its query's nearest ne
 (true DTW == ``tau``, the smallest starts, more of them than the seed
 pool holds) and copies nudged until their DTW is ``tau``'s ulp neighbour
 — searched on both backends, with the LB_Kim tier on and off, in fused
-groups of one to three sensors, cold and then warm.
+groups of one to three sensors, cold and then warm.  The same gate is
+the survivor launch's cutoff: copies tied at ``tau`` that only that
+launch reads must be answered while it stops other rows at its early
+check.
 """
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from repro.index.reference import suffix_knn_reference
 from repro.index.suffix_search import search_many
 from repro.tolerances import FILTER_REL_SLACK
 
+from .test_dtw_kernel_identity import ALWAYS_DROP
 from .test_search_cascade import assert_matches_reference, make_series
 
 CFG = SuffixSearchConfig(item_lengths=(8, 16), k_max=4, omega=4, rho=0, margin=2)
@@ -219,3 +224,45 @@ def test_the_zero_and_subnormal_taus_are_what_the_cases_say(extra):
     tau = distances[-1]
     assert 0.0 < tau < np.finfo(np.float64).tiny
     assert tau * (1.0 + FILTER_REL_SLACK) == tau
+
+
+@pytest.mark.parametrize("lb_kim", [True, False], ids=["kim", "no_kim"])
+@pytest.mark.parametrize("backend_name", ["simulated", "native"])
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e-160])
+@pytest.mark.parametrize("seed, d, rho", [(0, 16, 0), (1, 8, 0), (3, 8, 2)])
+def test_a_tie_at_tau_survives_a_launch_that_drops_rows_early(
+    backend_name, lb_kim, scale, seed, d, rho
+):
+    """80 exact copies of the query's nearest neighbour (more than the 64
+    seeds a cold search verifies): the seeds' k-th distance ``tau`` is
+    the copies' DTW, so the copies left to the survivor launch sit
+    exactly at ``tau`` — at its cutoff when ``tau`` is subnormal.  That
+    launch stops rows at its early check (diagonal ``lengths[0]``), and
+    the copies with the smallest starts must still be answered from it,
+    as the full scan answers them.  The prices are patched so that launch
+    drops every row it finds dead, however few (``ALWAYS_DROP``)."""
+    from repro.dtw import distance
+
+    from .test_search_lane import seeds_of_every_length
+
+    cfg = dataclasses.replace(CFG, rho=rho, lb_kim=lb_kim)
+    history, _ = tied_history(seed, scale, d, rho, 80, 0, 0)
+    engine = SuffixKnnEngine(history, cfg, backend=make_backend(backend_name))
+    stacked, _, _ = seeds_of_every_length([engine])
+    seeds = set(stacked[d][0])
+    block, stopped_early = distance._wavefront_block, []
+
+    def spy(query, candidates, band, lengths, need, cutoff=None):
+        out, done = block(query, candidates, band, lengths, need, cutoff)
+        if cutoff is not None:  # the survivor launch
+            stopped_early.append(int(np.count_nonzero(done == 0)))
+        return out, done
+
+    with mock.patch.multiple(distance, _wavefront_block=spy, **ALWAYS_DROP):
+        answers = engine.search()
+    assert_matches_reference(engine, answers, cfg.margin)
+    assert sum(stopped_early) > 0
+    answer = answers[d]
+    tau = answer.distances[-1]
+    assert (answer.distances == tau).all()  # four copies, tied at tau
+    assert set(answer.starts.tolist()) - seeds  # some from the survivors

@@ -169,6 +169,21 @@ def test_every_constant_cites_a_test_that_names_it():
         )
 
 
+def test_the_search_gate_is_formed_once_and_handed_down():
+    """``FILTER_REL_SLACK`` forms one gate, ``tau * (1 + slack)``, where a
+    search takes its threshold: the lane pass (its tiers compare against
+    the gate, its survivor launch runs under it as the kernel's cutoff,
+    its pool keeps the reads within it) and the figure harness's direct
+    scan.  The kernel reads no slack of its own: it is handed cutoffs."""
+    readers = {
+        path.relative_to(SRC).as_posix()
+        for path in SRC.rglob("*.py")
+        if "FILTER_REL_SLACK" in names_read_from_tolerances(path)
+    }
+    assert readers == {"index/suffix_search.py", "harness/search_experiments.py"}
+    assert "FILTER_REL_SLACK" not in (SRC / "dtw" / "distance.py").read_text()
+
+
 def test_serving_modules_hold_no_copy_of_a_value():
     values = contract_values()
     copies = [

@@ -36,10 +36,13 @@ can quote glue = ``_search_lane`` − kernels (``dtw_verification``,
 ``k_select``).
 
 The work columns, per round: ``dtw_verification`` the rows verified (one
-per ``(sensor, end)``), the band cells computed (each row's through its
-longest needed suffix, ``repro.dtw.distance.launch_work``) and the
+per ``(sensor, end)``), the band cells planned (each row's through its
+longest needed suffix, ``repro.dtw.distance.launch_work``), the
 anti-diagonals walked (``2 x longest - 1`` per ``BLOCK_ROWS`` block; its
-ms over that column is the cost of one); ``k_select`` the segments
+ms over that column is the cost of one), then what the kernel did: the
+band cells computed (each row's own through the last length it read —
+the planned cells less what the survivor launch's cutoff saved) and the
+rows abandoned (stopped before their last needed length); ``k_select`` the segments
 selected (a ``(sensor, item length)`` pool each); ``lower_bounds`` the
 ``(sensors, starts)`` bound arrays written (one per item length and mode
 asked for); ``dtw_refine`` the ``(item length, sensor)`` rows whose
@@ -73,7 +76,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 #: The span attrs a row sums beside its wall and calls.
 WORK = {
-    "dtw_verification": ("rows", "cells", "diagonals"),
+    "dtw_verification": (
+        "rows", "cells", "diagonals", "cells_computed", "abandoned",
+    ),
     "k_select": ("segments",),
     "lower_bounds": ("arrays",),
     "dtw_refine": ("seeded_alone",),
@@ -163,7 +168,8 @@ def print_layers(ledger: Ledger, rounds: int, out) -> None:
     ingest = halves["ingest_many"] or float("nan")
     print(
         f"{'layer':<30}{'ms/round':>10}{'calls/round':>13}{'of ingest':>11}"
-        f"{'rows/round':>12}{'cells/round':>13}{'diagonals/round':>17}",
+        f"{'rows/round':>12}{'cells/round':>13}{'diagonals/round':>17}"
+        f"{'computed/round':>16}{'abandoned/round':>17}",
         file=out,
     )
     for name, _ in LAYERS:
@@ -174,6 +180,8 @@ def print_layers(ledger: Ledger, rounds: int, out) -> None:
             note = (
                 f"{row['rows'] / rounds:>12.1f}{row['cells'] / rounds:>13.0f}"
                 f"{row['diagonals'] / rounds:>17.1f}"
+                f"{row['cells_computed'] / rounds:>16.0f}"
+                f"{row['abandoned'] / rounds:>17.1f}"
             )
         elif name == "k_select":
             note = f"{row['segments'] / rounds:>12.1f}"
